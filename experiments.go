@@ -1089,7 +1089,7 @@ func DefaultReaderFan() ReaderFanExpConfig {
 func RunReaderFan(cfg ReaderFanExpConfig) (*Experiment, error) {
 	exp := &Experiment{ID: "ReaderFan", Title: "Write-then-fan-out rotation: server grant path vs batched fan-out + lease propagation"}
 	tb := metrics.NewTable("variant", "readers", "read bandwidth (PIO)", "server RPCs/reader",
-		"broadcasts", "gathers", "lease grants", "reclaims")
+		"broadcasts", "gathers", "lease grants", "ack solicits", "reclaims")
 	for _, v := range []struct {
 		name string
 		fan  bool
@@ -1134,7 +1134,7 @@ func RunReaderFan(cfg ReaderFanExpConfig) (*Experiment, error) {
 			})
 			tb.Row(v.name, n, metrics.Bandwidth(st.BandwidthPIO()),
 				fmt.Sprintf("%.2f", st.ServerRPCsPerReader),
-				st.DLM.Broadcasts, st.DLM.Gathers, st.DLM.LeaseGrants, st.DLM.HandoffReclaims)
+				st.DLM.Broadcasts, st.DLM.Gathers, st.DLM.LeaseGrants, st.DLM.AckSolicits, st.DLM.HandoffReclaims)
 		}
 	}
 	exp.Text = tb.String()

@@ -216,6 +216,7 @@ func New(ctx context.Context, cfg Config, conns Conns) (*Client, error) {
 		ep.Handle(wire.MRevoke, c.handleRevoke)
 		ep.Handle(wire.MRevokeBatch, c.handleRevokeBatch)
 		ep.Handle(wire.MHandoff, c.handleHandoff)
+		ep.Handle(wire.MAckSolicit, c.handleAckSolicit)
 		ep.Handle(wire.MReport, c.reportHandler(i))
 		ep.Handle(wire.MReportSlots, c.slotReportHandler)
 	}
@@ -281,6 +282,7 @@ func (c *Client) registerObs() {
 	r.Func("lockclient.cache_misses", c.lc.Stats.CacheMisses.Load)
 	r.Func("lockclient.revocations", c.lc.Stats.Revocations.Load)
 	r.Func("lockclient.cancels", c.lc.Stats.Cancels.Load)
+	r.Func("lockclient.solicited_acks", c.lc.Stats.SolicitedAcks.Load)
 	r.RegisterCollector(c.rpcMetrics)
 }
 

@@ -70,6 +70,18 @@ func (c *Client) handleHandoff(_ context.Context, p []byte) (wire.Msg, error) {
 	return &wire.Ack{}, nil
 }
 
+// handleAckSolicit processes the server's request to confirm a
+// delegated lock without delay; the lock client answers with an
+// ordinary MHandoffAck, now or when the transfer installs.
+func (c *Client) handleAckSolicit(_ context.Context, p []byte) (wire.Msg, error) {
+	var req wire.AckSolicit
+	if err := wire.Unmarshal(p, &req); err != nil {
+		return nil, err
+	}
+	c.lc.OnAckSolicit(dlm.ResourceID(req.Resource), dlm.LockID(req.LockID))
+	return &wire.Ack{}, nil
+}
+
 // handleLeasePropagate receives a propagation-tree subtree: the first
 // lease is this client's own, the rest is forwarded down the tree.
 func (c *Client) handleLeasePropagate(_ context.Context, p []byte) (wire.Msg, error) {

@@ -323,6 +323,7 @@ func (c *Cluster) DLMStatsBreakdown() DLMAggregate {
 		agg.Total.Handoffs += snap.Handoffs
 		agg.Total.HandoffAcks += snap.HandoffAcks
 		agg.Total.HandoffReclaims += snap.HandoffReclaims
+		agg.Total.AckSolicits += snap.AckSolicits
 		agg.Total.FanRuns += snap.FanRuns
 		agg.Total.FanGrants += snap.FanGrants
 		agg.Total.Broadcasts += snap.Broadcasts

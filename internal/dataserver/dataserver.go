@@ -341,6 +341,20 @@ func (n notifier) Handoff(ctx context.Context, client dlm.ClientID, res dlm.Reso
 	}
 }
 
+// SolicitAck implements dlm.AckSolicitor: ask the owner of a delegated
+// lock to confirm it now. Best effort — if the owner is gone or the
+// call fails, its lazy ack or the reclaimer resolves the delegation as
+// before.
+func (n notifier) SolicitAck(ctx context.Context, client dlm.ClientID, res dlm.ResourceID, id dlm.LockID) {
+	n.s.mu.RLock()
+	ep := n.s.clients[client]
+	n.s.mu.RUnlock()
+	if ep == nil {
+		return
+	}
+	_ = ep.Call(ctx, wire.MAckSolicit, &wire.AckSolicit{Resource: uint64(res), LockID: uint64(id)}, nil)
+}
+
 // maxRevokeEntries caps how many revocations ride in one RevokeBatch
 // frame; a larger per-client backlog splits into several frames that
 // still leave as one coalesced transport batch (rpc.CallBatch).

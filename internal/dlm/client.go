@@ -179,6 +179,9 @@ type ClientStats struct {
 	// broadcast transfer or peer propagation (DESIGN.md §14).
 	LeasesSent atomic.Int64
 	LeasesRecv atomic.Int64
+	// SolicitedAcks counts ack flushes this client sent because the
+	// server solicited them rather than lazily (OnAckSolicit).
+	SolicitedAcks atomic.Int64
 }
 
 // LockClient is the client half of the DLM: it caches grants, answers
@@ -248,6 +251,10 @@ type clientShard struct {
 	pendingHandoffs map[lockKey]*transferWaiter
 	pendingAcks     map[ResourceID][]LockID
 	ackTimer        *sim.ClockTimer
+	// solicited marks delegated locks whose ack the server asked for
+	// before their transfer arrived (OnAckSolicit); allocated on first
+	// use.
+	solicited map[lockKey]bool
 	// Reader fan-out state (clientfan.go): resources in a fan rotation
 	// — a write-mode stamped revocation displaced this client's read
 	// lease, so the next lease arrives peer-to-peer — and shared-mode

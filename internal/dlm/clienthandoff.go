@@ -2,6 +2,7 @@ package dlm
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"time"
 
@@ -18,14 +19,16 @@ import (
 // for the resource when one comes soon enough, or flushed standalone
 // by a short timer otherwise.
 
-// ackFlushDelay bounds how long a delegation ack may sit queued before
-// it is flushed standalone: long enough that a busy exchange pattern
-// always piggybacks — on the next lock request, or on the next peer
-// transfer when a fan rotation keeps the client off the server
-// entirely — short enough that the server's reclaimer (which nudges at
-// half the reclaim interval) never fires for a healthy client. A
-// quarter of the reclaim interval sits between those bounds at every
-// interval the policy picks.
+// ackFlushDelay bounds how long a delegation ack may sit queued on the
+// lazy path before it is flushed standalone. The timer only ever covers
+// acks nobody is waiting for: a waiter blocked on one makes the server
+// solicit it (OnAckSolicit), so no grant depends on this delay. It is
+// long enough that a busy exchange pattern always piggybacks — on the
+// next lock request, or on the next peer transfer when a fan rotation
+// keeps the client off the server entirely — and short enough that the
+// server's reclaimer (which nudges at half the reclaim interval) never
+// fires for a healthy idle client. A quarter of the reclaim interval
+// sits between those bounds at every interval the policy picks.
 func (c *LockClient) ackFlushDelay() time.Duration {
 	iv := c.policy.HandoffReclaimInterval
 	if iv <= 0 {
@@ -240,28 +243,34 @@ func (c *LockClient) waitTransferCh(ctx context.Context, tw *transferWaiter) boo
 	return false
 }
 
-// queueAck queues a delegation confirmation for the server mastering
-// res and arms the shard's flush timer if no lock request drains it
-// first.
+// queueAck queues the confirmation of a delegation that just installed
+// for the server mastering res. Nobody waiting, it takes the lazy path:
+// the next lock request drains it, or the shard's flush timer does. If
+// the server already solicited it — a waiter is blocked on this very
+// ack — it leaves now, with whatever else is queued for res.
 func (c *LockClient) queueAck(res ResourceID, id LockID) {
+	k := lockKey{res, id}
 	sh := c.shard(res)
 	sh.mu.Lock()
 	sh.pendingAcks[res] = append(sh.pendingAcks[res], id)
+	if sh.solicited[k] {
+		delete(sh.solicited, k)
+		ids := sh.popAcks(res)
+		sh.mu.Unlock()
+		c.sendSolicited(res, ids)
+		return
+	}
 	if sh.ackTimer == nil {
 		sh.ackTimer = c.clk.AfterFunc(c.ackFlushDelay(), func() { c.flushShardAcks(sh) })
 	}
 	sh.mu.Unlock()
 }
 
-// takeAcks pops the queued acks for res, to piggyback on a lock
-// request. The caller must re-queue them if the request fails. When
-// the take drains the shard, the flush timer is disarmed: leaving it
-// running would fire it mid-way into the next batch's window and flush
-// acks standalone that the next request or transfer was about to carry
-// for free.
-func (c *LockClient) takeAcks(res ResourceID) []LockID {
-	sh := c.shard(res)
-	sh.mu.Lock()
+// popAcks pops the queued acks for res. When that drains the shard, the
+// flush timer is disarmed: leaving it running would fire it mid-way
+// into the next batch's window and flush acks standalone that the next
+// request or transfer was about to carry for free. Caller holds sh.mu.
+func (sh *clientShard) popAcks(res ResourceID) []LockID {
 	acks := sh.pendingAcks[res]
 	if len(acks) > 0 {
 		delete(sh.pendingAcks, res)
@@ -270,6 +279,15 @@ func (c *LockClient) takeAcks(res ResourceID) []LockID {
 		sh.ackTimer.Stop()
 		sh.ackTimer = nil
 	}
+	return acks
+}
+
+// takeAcks pops the queued acks for res, to piggyback on a lock request
+// or a peer transfer. The caller must re-queue them if that fails.
+func (c *LockClient) takeAcks(res ResourceID) []LockID {
+	sh := c.shard(res)
+	sh.mu.Lock()
+	acks := sh.popAcks(res)
 	sh.mu.Unlock()
 	return acks
 }
@@ -289,21 +307,62 @@ func (c *LockClient) requeueAcks(res ResourceID, acks []LockID) {
 	sh.mu.Unlock()
 }
 
-// flushShardAcks sends every queued ack in the shard standalone. Acks
-// whose connection has no HandoffAck path stay queued for the next
-// lock request; the server's reclaim timer covers the pathological
-// case where none ever comes.
-func (c *LockClient) flushShardAcks(sh *clientShard) {
+// OnAckSolicit handles the server's request to confirm delegated lock
+// id now: a waiter there is blocked on nothing but this ack. If the
+// transfer has installed, the ack leaves at once — out of the lazy
+// queue with the rest of res's acks, or afresh when it already left the
+// queue (sent, or forwarded to a gathering writer that has not passed
+// it on; duplicate acks are idempotent server-side). If the transfer is
+// still on its way, the lock is marked and queueAck sends the ack the
+// moment it installs. A lock already gone from this client is ignored.
+func (c *LockClient) OnAckSolicit(res ResourceID, id LockID) {
+	k := lockKey{res, id}
+	sh := c.shard(res)
 	sh.mu.Lock()
-	pending := sh.pendingAcks
-	sh.pendingAcks = make(map[ResourceID][]LockID)
-	sh.ackTimer = nil
+	var ids []LockID
+	switch {
+	case slices.Contains(sh.pendingAcks[res], id):
+		ids = sh.popAcks(res)
+	case findByID(sh.cur()[res], id) != nil:
+		ids = []LockID{id}
+	case !sh.tombstones[k]:
+		if sh.solicited == nil {
+			sh.solicited = make(map[lockKey]bool)
+		}
+		sh.solicited[k] = true
+	}
 	sh.mu.Unlock()
-	for _, res := range sortedAckKeys(pending) {
+	c.sendSolicited(res, ids)
+}
+
+// sendSolicited answers a solicitation off the caller's goroutine: the
+// callers are an RPC handler and an acquire about to use its lock, and
+// neither should sit out the ack's round trip.
+func (c *LockClient) sendSolicited(res ResourceID, ids []LockID) {
+	if len(ids) == 0 {
+		return
+	}
+	c.Stats.SolicitedAcks.Add(1)
+	c.clk.Go(func() { c.sendAcks(c.baseCtx, map[ResourceID][]LockID{res: ids}) })
+}
+
+// sendAcks sends the given acks standalone, one batch RPC per resource
+// where the connection can batch, in ascending resource order: each
+// send is an RPC whose timing deterministic virtual runs must not let
+// depend on map iteration order. Acks whose connection has no
+// HandoffAck path are re-queued for the next lock request; the server's
+// reclaim timer covers the pathological case where none ever comes.
+func (c *LockClient) sendAcks(ctx context.Context, pending map[ResourceID][]LockID) {
+	keys := make([]ResourceID, 0, len(pending))
+	for res := range pending {
+		keys = append(keys, res)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	for _, res := range keys {
 		ids := pending[res]
 		conn := c.router(res)
 		if hb, ok := conn.(HandoffAckBatcher); ok && len(ids) > 1 {
-			hb.HandoffAckBatch(c.baseCtx, res, ids)
+			hb.HandoffAckBatch(ctx, res, ids)
 			continue
 		}
 		ha, ok := conn.(HandoffAcker)
@@ -312,21 +371,29 @@ func (c *LockClient) flushShardAcks(sh *clientShard) {
 			continue
 		}
 		for _, id := range ids {
-			ha.HandoffAck(c.baseCtx, res, id)
+			ha.HandoffAck(ctx, res, id)
 		}
 	}
 }
 
-// sortedAckKeys fixes the flush order of a pending-ack map: its
-// iteration order is random, and each flush is an RPC whose timing
-// deterministic virtual runs must not depend on.
-func sortedAckKeys(pending map[ResourceID][]LockID) []ResourceID {
-	keys := make([]ResourceID, 0, len(pending))
-	for res := range pending {
-		keys = append(keys, res)
+// drainShardAcks empties the shard's lazy queue and disarms its timer,
+// returning what was queued.
+func (sh *clientShard) drainShardAcks() map[ResourceID][]LockID {
+	sh.mu.Lock()
+	pending := sh.pendingAcks
+	sh.pendingAcks = make(map[ResourceID][]LockID)
+	if sh.ackTimer != nil {
+		sh.ackTimer.Stop()
+		sh.ackTimer = nil
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
+	sh.mu.Unlock()
+	return pending
+}
+
+// flushShardAcks is the lazy path's timer: every ack still queued in
+// the shard goes out standalone.
+func (c *LockClient) flushShardAcks(sh *clientShard) {
+	c.sendAcks(c.baseCtx, sh.drainShardAcks())
 }
 
 // FlushHandoffAcks synchronously drains every queued delegation ack —
@@ -334,27 +401,6 @@ func sortedAckKeys(pending map[ResourceID][]LockID) []ResourceID {
 // delegations before the client goes quiet.
 func (c *LockClient) FlushHandoffAcks(ctx context.Context) {
 	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		pending := sh.pendingAcks
-		sh.pendingAcks = make(map[ResourceID][]LockID)
-		if sh.ackTimer != nil {
-			sh.ackTimer.Stop()
-			sh.ackTimer = nil
-		}
-		sh.mu.Unlock()
-		for _, res := range sortedAckKeys(pending) {
-			ids := pending[res]
-			conn := c.router(res)
-			if hb, ok := conn.(HandoffAckBatcher); ok && len(ids) > 1 {
-				hb.HandoffAckBatch(ctx, res, ids)
-				continue
-			}
-			if ha, ok := conn.(HandoffAcker); ok {
-				for _, id := range ids {
-					ha.HandoffAck(ctx, res, id)
-				}
-			}
-		}
+		c.sendAcks(ctx, c.shards[i].drainShardAcks())
 	}
 }

@@ -53,8 +53,20 @@ type HandoffNotifier interface {
 	Handoff(ctx context.Context, client ClientID, res ResourceID, id LockID)
 }
 
-// activationMsg is a server-sent activation captured under res.mu and
-// delivered after it drops.
+// AckSolicitor is the optional Notifier extension behind demand-driven
+// delegation acks: SolicitAck asks client, the owner of delegated lock
+// id, to confirm it now — immediately if the transfer has arrived, at
+// its arrival otherwise — because a waiter is blocked on nothing else.
+// Without it a blocked waiter falls back on the owner's lazy ack (next
+// lock request or flush timer). Calls are made from their own
+// goroutines and may block.
+type AckSolicitor interface {
+	SolicitAck(ctx context.Context, client ClientID, res ResourceID, id LockID)
+}
+
+// activationMsg is a server-sent message naming one delegated lock and
+// its owner — an activation or an ack solicitation — captured under
+// res.mu and delivered after it drops.
 type activationMsg struct {
 	client ClientID
 	res    ResourceID
@@ -257,6 +269,45 @@ func (s *Server) sendActivation(a activationMsg) {
 		return
 	}
 	s.clk.Go(func() { hn.Handoff(s.baseCtx, a.client, a.res, a.id) })
+}
+
+// solicitAck makes the confirmation of a delegation demand-driven. w
+// stays blocked by conflict c; if c heads a delegation chain, nothing
+// the server can send c's holder helps — c is retired only when the
+// chain's last owner confirms its transfer (ackDelegation → removePreds)
+// — and if c is itself an unconfirmed delegation, revoking it must wait
+// for that same confirmation (tryGrant's hold-fire rule). Either way the
+// way out is one ack that its owner would otherwise send lazily, so ask
+// for it, once per delegation. The solicitation changes when that ack is
+// sent, never what it confirms: the owner still acks only a transfer
+// that has arrived. Called from tryGrant with res.mu held.
+func (s *Server) solicitAck(res *resource, w *waiter, c *lock, fx *effects) {
+	t := c
+	for t.succ != nil {
+		t = t.succ
+	}
+	if !t.delegated || t.solicited {
+		return
+	}
+	if as, ok := s.notifier.(AckSolicitor); !ok || as == nil {
+		return
+	}
+	t.solicited = true
+	s.Stats.AckSolicits.Add(1)
+	s.tracer.record(Event{Kind: EvAckSolicit, Resource: res.id, Client: w.req.Client, Mode: w.req.Mode,
+		Range: w.req.Range, Lock: c.id, Succ: t.id, SuccClient: t.client})
+	fx.solicits = append(fx.solicits, activationMsg{client: t.client, res: res.id, id: t.id})
+}
+
+// sendSolicit delivers an ack solicitation through the notifier's
+// AckSolicitor extension. A lost one costs nothing but time: the lazy
+// ack and the reclaimer still stand behind it.
+func (s *Server) sendSolicit(m activationMsg) {
+	as, ok := s.notifier.(AckSolicitor)
+	if !ok || as == nil {
+		return
+	}
+	s.clk.Go(func() { as.SolicitAck(s.baseCtx, m.client, m.res, m.id) })
 }
 
 // delegationEntry tracks one outstanding delegation for the

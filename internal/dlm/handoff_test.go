@@ -49,6 +49,13 @@ func (n hoNotifier) Handoff(_ context.Context, client ClientID, res ResourceID, 
 	}
 }
 
+// SolicitAck implements AckSolicitor: the demand-driven ack request.
+func (n hoNotifier) SolicitAck(_ context.Context, client ClientID, res ResourceID, id LockID) {
+	if c, ok := n.h.clients[client]; ok {
+		c.OnAckSolicit(res, id)
+	}
+}
+
 // hoConn is directConn plus the standalone delegation-ack path.
 type hoConn struct{ srv *Server }
 

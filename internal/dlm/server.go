@@ -262,7 +262,10 @@ type lock struct {
 	preds      []*lock
 	bcast      []*lock
 	gatherLeft int
-	tblIdx     int // position in the lockTable slice (swap-remove)
+	// solicited records that the owner of this delegated lock was asked
+	// to confirm it at once (solicitAck); one solicitation per delegation.
+	solicited bool
+	tblIdx    int // position in the lockTable slice (swap-remove)
 }
 
 // lockResult is what a waiter receives: a grant, or the typed error the
@@ -731,12 +734,13 @@ type grantSend struct {
 }
 
 // effects collects everything a scan pass decided under res.mu that
-// must happen after it drops: grant replies, revocations, and
-// server-sent activations.
+// must happen after it drops: grant replies, revocations, server-sent
+// activations, and ack solicitations.
 type effects struct {
-	revs  []Revocation
-	sends []grantSend
-	acts  []activationMsg
+	revs     []Revocation
+	sends    []grantSend
+	acts     []activationMsg
+	solicits []activationMsg
 }
 
 // apply delivers deferred effects outside res.mu. Grant replies go
@@ -750,6 +754,9 @@ func (s *Server) apply(fx effects) {
 	s.fire(fx.revs)
 	for _, a := range fx.acts {
 		s.sendActivation(a)
+	}
+	for _, m := range fx.solicits {
+		s.sendSolicit(m)
 	}
 }
 
@@ -936,6 +943,7 @@ func (s *Server) tryGrant(res *resource, w *waiter, fx *effects) bool {
 					fx.revs = append(fx.revs, Revocation{Client: c.client, Resource: res.id, Lock: c.id})
 				}
 			}
+			s.solicitAck(res, w, c, fx)
 		}
 		if allCanceling && w.allCancelAt.IsZero() {
 			w.allCancelAt = s.clk.Now()

@@ -48,6 +48,10 @@ type Stats struct {
 	Handoffs        atomic.Int64
 	HandoffAcks     atomic.Int64
 	HandoffReclaims atomic.Int64
+	// AckSolicits counts delegation confirmations the server asked for
+	// because a waiter was blocked on them (solicitAck); zero while
+	// every ack piggybacks.
+	AckSolicits atomic.Int64
 
 	// Reader fan-out counters (DESIGN.md §14): scan passes that granted
 	// a run of ≥2 shared-mode waiters in one hold of the resource lock
@@ -99,6 +103,7 @@ func (s *Stats) Register(reg *obs.Registry) {
 	reg.Func("dlm.handoffs", s.Handoffs.Load)
 	reg.Func("dlm.handoff_acks", s.HandoffAcks.Load)
 	reg.Func("dlm.handoff_reclaims", s.HandoffReclaims.Load)
+	reg.Func("dlm.ack_solicits", s.AckSolicits.Load)
 	reg.Func("dlm.fan_runs", s.FanRuns.Load)
 	reg.Func("dlm.fan_grants", s.FanGrants.Load)
 	reg.Func("dlm.broadcasts", s.Broadcasts.Load)
@@ -136,6 +141,7 @@ type Snapshot struct {
 	Handoffs         int64
 	HandoffAcks      int64
 	HandoffReclaims  int64
+	AckSolicits      int64
 	FanRuns          int64
 	FanGrants        int64
 	Broadcasts       int64
@@ -163,6 +169,7 @@ func (s *Stats) Snapshot() Snapshot {
 		Handoffs:         s.Handoffs.Load(),
 		HandoffAcks:      s.HandoffAcks.Load(),
 		HandoffReclaims:  s.HandoffReclaims.Load(),
+		AckSolicits:      s.AckSolicits.Load(),
 		FanRuns:          s.FanRuns.Load(),
 		FanGrants:        s.FanGrants.Load(),
 		Broadcasts:       s.Broadcasts.Load(),
@@ -189,6 +196,7 @@ func (s Snapshot) Sub(o Snapshot) Snapshot {
 		Handoffs:         s.Handoffs - o.Handoffs,
 		HandoffAcks:      s.HandoffAcks - o.HandoffAcks,
 		HandoffReclaims:  s.HandoffReclaims - o.HandoffReclaims,
+		AckSolicits:      s.AckSolicits - o.AckSolicits,
 		FanRuns:          s.FanRuns - o.FanRuns,
 		FanGrants:        s.FanGrants - o.FanGrants,
 		Broadcasts:       s.Broadcasts - o.Broadcasts,

@@ -23,6 +23,10 @@ const (
 	EvDowngrade
 	EvRelease
 	EvUpgrade
+	// EvAckSolicit: a waiter (Client, Mode, Range) is blocked by lock
+	// Lock, which only the confirmation of delegated lock Succ, owned
+	// by SuccClient, retires; the server asked SuccClient for it.
+	EvAckSolicit
 )
 
 func (k EventKind) String() string {
@@ -43,6 +47,8 @@ func (k EventKind) String() string {
 		return "release"
 	case EvUpgrade:
 		return "upgrade"
+	case EvAckSolicit:
+		return "ack-solicit"
 	}
 	return fmt.Sprintf("event(%d)", uint8(k))
 }
@@ -57,9 +63,17 @@ type Event struct {
 	Mode     Mode
 	Range    extent.Extent
 	SN       extent.SN
+	// Succ and SuccClient are set on EvAckSolicit only: the delegated
+	// lock whose confirmation was solicited, and its owner.
+	Succ       LockID
+	SuccClient ClientID
 }
 
 func (e Event) String() string {
+	if e.Kind == EvAckSolicit {
+		return fmt.Sprintf("%s res=%d waiter=%d %v %v blocked-by=%d solicited=%d@client%d",
+			e.Kind, e.Resource, e.Client, e.Mode, e.Range, e.Lock, e.Succ, e.SuccClient)
+	}
 	return fmt.Sprintf("%s res=%d client=%d lock=%d %v %v sn=%d",
 		e.Kind, e.Resource, e.Client, e.Lock, e.Mode, e.Range, e.SN)
 }

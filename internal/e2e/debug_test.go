@@ -85,6 +85,9 @@ func TestDebugEndpoint(t *testing.T) {
 	if snap.Gauges["dlm.grants"] == 0 {
 		t.Fatalf("dlm.grants did not move:\n%s", body)
 	}
+	if _, ok := snap.Gauges["dlm.ack_solicits"]; !ok {
+		t.Fatalf("dlm.ack_solicits missing:\n%s", body)
+	}
 	gw, ok := snap.Histograms["dlm.grant_wait"]
 	if !ok {
 		t.Fatalf("dlm.grant_wait histogram missing:\n%s", body)

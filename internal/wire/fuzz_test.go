@@ -21,6 +21,7 @@ func allMessages() []Msg {
 		&RevokeBatchAck{},
 		&HandoffRequest{},
 		&HandoffAckRequest{},
+		&AckSolicit{},
 		&LeasePropagate{},
 		&FlushRequest{},
 		&ReadRequest{},
@@ -248,6 +249,7 @@ func FuzzMessageDecode(f *testing.F) {
 	}}
 	f.Add(Marshal(&LeasePropagate{Resource: 9, Mode: 1, Range: extent.New(0, 1<<20), Fanout: 2, Leases: cohort.Leases}))
 	f.Add(Marshal(&HandoffRequest{Resource: 9, LockID: 80, Acks: []uint64{70, 71}, Broadcast: cohort}))
+	f.Add(Marshal(&AckSolicit{Resource: 9, LockID: 80}))
 	f.Add(Marshal(&LockGrant{LockID: 90, Mode: 4, Range: extent.New(0, 1<<20), SN: 201, Delegated: true, GatherParts: 3, HandBack: cohort}))
 	f.Add(Marshal(&RevokeRequest{Resource: 9, LockID: 5, Handoff: &HandoffStamp{
 		NextOwner: 5, NewLockID: 80, Mode: 1, SN: 200, MustFlush: true, Broadcast: cohort,

@@ -48,6 +48,12 @@ const (
 	// first member of each, which recurses. Travels client→client only;
 	// the server resolves stragglers through MHandoff as usual.
 	MLeasePropagate Method = 133 // LeasePropagate -> Ack
+	// MAckSolicit asks the owner of a delegated lock to confirm it now
+	// instead of lazily: a waiter at the server is blocked on nothing but
+	// that confirmation. Server→client only; the answer is an ordinary
+	// MHandoffAck, sent at once if the transfer has arrived and at its
+	// arrival otherwise.
+	MAckSolicit Method = 134 // AckSolicit -> Ack
 )
 
 // methodNames maps methods to their metric/debug labels. Indexed by the
@@ -73,6 +79,7 @@ var methodNames = [256]string{
 	MHandoff:        "Handoff",
 	MHandoffAck:     "HandoffAck",
 	MLeasePropagate: "LeasePropagate",
+	MAckSolicit:     "AckSolicit",
 	MPartitionMap:   "PartitionMap",
 	MSlotFreeze:     "SlotFreeze",
 	MSlotInstall:    "SlotInstall",
@@ -600,6 +607,27 @@ func (m *HandoffAckRequest) Decode(d *Decoder) {
 			m.More[i] = d.U64()
 		}
 	}
+}
+
+// AckSolicit names one delegated lock whose confirmation the server
+// wants without delay (MAckSolicit). It carries no state of its own: a
+// duplicate, or one for a lock already confirmed or gone, is a no-op at
+// the receiver.
+type AckSolicit struct {
+	Resource uint64
+	LockID   uint64
+}
+
+// Encode implements Msg.
+func (m *AckSolicit) Encode(e *Encoder) {
+	e.U64(m.Resource)
+	e.U64(m.LockID)
+}
+
+// Decode implements Msg.
+func (m *AckSolicit) Decode(d *Decoder) {
+	m.Resource = d.U64()
+	m.LockID = d.U64()
 }
 
 // LeasePropagate pushes a subtree of a broadcast read delegation to its

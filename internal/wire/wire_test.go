@@ -227,6 +227,7 @@ func TestHandoffMessagesRoundTrip(t *testing.T) {
 	for _, m := range []struct{ in, out Msg }{
 		{&HandoffRequest{Resource: 9, LockID: 77}, &HandoffRequest{}},
 		{&HandoffAckRequest{Resource: 9, LockID: 77}, &HandoffAckRequest{}},
+		{&AckSolicit{Resource: 9, LockID: 77}, &AckSolicit{}},
 	} {
 		roundTrip(t, m.in, m.out)
 		if !reflect.DeepEqual(reflect.ValueOf(m.in).Elem().Interface(),
