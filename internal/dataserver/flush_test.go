@@ -1,0 +1,103 @@
+package dataserver
+
+import (
+	"bytes"
+	"sync"
+	"testing"
+	"time"
+
+	"ccpfs/internal/dlm"
+	"ccpfs/internal/extent"
+	"ccpfs/internal/sim"
+	"ccpfs/internal/wire"
+)
+
+// TestFlushOverlapOrder: two handlers flush overlapping ranges at the
+// same moment with SNs a < b. Whichever order the extent cache sees
+// them in, the store must end with b's bytes wherever b wrote: merging
+// into the cache and submitting to the store are one step per stripe,
+// so a's surviving bytes can never land after b's. Run with -race.
+func TestFlushOverlapOrder(t *testing.T) {
+	for name, hw := range map[string]sim.Hardware{
+		"memstore": sim.Fast(),
+		"device":   {DiskLatency: time.Microsecond, DiskBandwidth: 10e9},
+	} {
+		t.Run(name, func(t *testing.T) {
+			srv := New(Config{Policy: dlm.SeqDLM(), Hardware: hw})
+			defer srv.Close()
+			const rounds, n = 1000, 4096
+			older, newer := bytes.Repeat([]byte{0xA}, 2*n), bytes.Repeat([]byte{0xB}, 2*n)
+			got := make([]byte, 3*n)
+			for r := 0; r < rounds; r++ {
+				stripe := uint64(r + 1)
+				reqs := []*wire.FlushRequest{
+					{Resource: stripe, Blocks: []wire.Block{{Range: extent.Span(0, 2*n), SN: 1, Data: older}}},
+					{Resource: stripe, Blocks: []wire.Block{{Range: extent.Span(n, 2*n), SN: 2, Data: newer}}},
+				}
+				start := make(chan struct{})
+				var wg sync.WaitGroup
+				for _, req := range reqs {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						<-start
+						if err := srv.Flush(req); err != nil {
+							t.Error(err)
+						}
+					}()
+				}
+				close(start)
+				wg.Wait()
+				if err := srv.store.ReadAt(stripe, 0, got); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got[:n], older[:n]) || !bytes.Equal(got[n:], newer) {
+					t.Fatalf("round %d: store holds %x|%x|%x, want a|b|b", r, got[0], got[n], got[2*n])
+				}
+				if f, d := srv.FlushedBytes.Load(), srv.DiscardedBytes.Load(); f+d != int64(r+1)*4*n {
+					t.Fatalf("round %d: flushed %d + discarded %d != %d submitted", r, f, d, (r+1)*4*n)
+				}
+			}
+		})
+	}
+}
+
+// TestStorageMetrics: the device's counters are in the server's
+// registry, and move as flushes merge.
+func TestStorageMetrics(t *testing.T) {
+	srv := New(Config{Policy: dlm.SeqDLM(), Hardware: sim.Hardware{DiskLatency: time.Microsecond, DiskBandwidth: 10e9}})
+	defer srv.Close()
+	const n = 4096
+	req := &wire.FlushRequest{Resource: 1}
+	for _, off := range []int64{0, n, 2 * n, 3 * n, 8 * n} { // four neighbours and one apart
+		req.Blocks = append(req.Blocks, wire.Block{Range: extent.Span(off, n), SN: 1, Data: make([]byte, n)})
+	}
+	if err := srv.Flush(req); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.handleRead(&wire.ReadRequest{Resource: 1, Range: extent.Span(0, n)}); err != nil {
+		t.Fatal(err)
+	}
+	snap := srv.Obs().Snapshot()
+	for name, want := range map[string]int64{
+		"storage.write_requests": 5, "storage.write_ops": 2,
+		"storage.read_requests": 1, "storage.read_ops": 1,
+	} {
+		if got := snap.Counters[name]; got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	if snap.Counters["storage.busy_ns"] < 3*int64(time.Microsecond) {
+		t.Errorf("storage.busy_ns = %d, want three operations' worth", snap.Counters["storage.busy_ns"])
+	}
+	if got := snap.Hist("storage.queue_depth").Count; got != 3 {
+		t.Errorf("storage.queue_depth sampled %d times, want 3", got)
+	}
+
+	// Without a simulated device the names are still served, at zero.
+	plain := New(Config{Policy: dlm.SeqDLM()})
+	defer plain.Close()
+	if _, ok := plain.Obs().Snapshot().Counters["storage.write_ops"]; !ok {
+		t.Error("storage.write_ops not registered on a server without a simulated device")
+	}
+}

@@ -124,6 +124,18 @@ func TestDebugEndpoint(t *testing.T) {
 		t.Fatalf("extcache.inserts did not move:\n%s", body)
 	}
 
+	// The device-queue counters are served. This server writes to real
+	// files with no simulated device, so they are present and zero.
+	for _, name := range []string{"storage.write_requests", "storage.write_ops",
+		"storage.read_requests", "storage.read_ops", "storage.busy_ns"} {
+		if _, ok := snap.Counters[name]; !ok {
+			t.Fatalf("%s missing:\n%s", name, body)
+		}
+	}
+	if _, ok := snap.Histograms["storage.queue_depth"]; !ok {
+		t.Fatalf("storage.queue_depth histogram missing:\n%s", body)
+	}
+
 	// The text rendering works too (operators use ?format=text).
 	tr, err := http.Get("http://" + debugAddr + "/debug/metrics?format=text")
 	if err != nil {

@@ -127,6 +127,14 @@ func (c Clock) Wakeup(key any) {
 	}
 }
 
+// WakeupAt tells every goroutine parked on key to wake at time at
+// instead of now. A no-op on a wall clock, like Wakeup.
+func (c Clock) WakeupAt(key any, at time.Time) {
+	if c.v != nil {
+		c.v.WakeupAt(key, at)
+	}
+}
+
 // AfterFunc runs f after d of clock time, in its own goroutine.
 func (c Clock) AfterFunc(d time.Duration, f func()) *ClockTimer {
 	if c.v != nil {
@@ -450,15 +458,37 @@ func (v *VClock) afterFunc(d time.Duration, f func()) *ClockTimer {
 
 // Wakeup readies every goroutine parked on key, in park order. The
 // caller keeps running; the woken goroutines queue behind it.
-func (v *VClock) Wakeup(key any) {
+func (v *VClock) Wakeup(key any) { v.wakeup(key, 0) }
+
+// WakeupAt turns every goroutine parked on key into a sleeper that
+// wakes at time at (with WakeTimeout), or readies it now when at is
+// not in the future. It lets a dispatcher that already knows when a
+// waiter's work completes hand it that time directly: the waiter parks
+// once, instead of being woken only to go back to sleep.
+func (v *VClock) WakeupAt(key any, at time.Time) {
+	v.wakeup(key, at.Sub(v.base).Nanoseconds())
+}
+
+// wakeup takes the goroutines parked on key off it: ready now, or due
+// at virtual time atNs if that is still ahead.
+func (v *VClock) wakeup(key any, atNs int64) {
 	v.mu.Lock()
 	gs := v.parked[key]
 	if len(gs) > 0 {
 		delete(v.parked, key)
 		for _, g := range gs {
-			if g.state == stateParked {
-				v.readyLocked(g, WakeKey)
+			if g.state != stateParked {
+				continue
 			}
+			if atNs <= v.nowNs.Load() {
+				v.readyLocked(g, WakeKey)
+				continue
+			}
+			g.key = nil
+			if g.ev != nil {
+				g.ev.dead = true
+			}
+			g.ev = v.pushEventLocked(atNs, g, nil)
 		}
 	}
 	v.mu.Unlock()

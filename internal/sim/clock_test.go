@@ -153,9 +153,6 @@ func TestDeviceReservedTimeDelaysLaterUsers(t *testing.T) {
 		if waited := clk.Since(start); waited != 0 {
 			t.Fatalf("canceled UseCtx waited %v virtual time", waited)
 		}
-		if busy := dev.Busy(); busy != 10*time.Second {
-			t.Fatalf("device busy = %v after abandoned reservation, want 10s", busy)
-		}
 		// The next user queues behind the abandoned time.
 		dev.Use(time.Second)
 		if got := clk.Since(start); got != 11*time.Second {
@@ -201,4 +198,45 @@ func TestVClockExitReleasesParked(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("parked goroutine not released at exit")
 	}
+}
+
+// TestWakeupAtRearmsParked: a goroutine parked on a key is handed its
+// wake-up time and sleeps through to it in the same park; a time that
+// is not in the future wakes it at once, and a wall clock ignores the
+// call.
+func TestWakeupAtRearmsParked(t *testing.T) {
+	v := NewVClock(1)
+	clk := Virtual(v)
+	v.Run(func() {
+		t0 := clk.Now()
+		key := new(int)
+		var woke [2]time.Duration
+		var why [2]WakeReason
+		g := NewGroup(clk)
+		for i := range woke {
+			g.Go(func() {
+				why[i] = v.WaitOn(key)
+				woke[i] = clk.Since(t0)
+			})
+		}
+		clk.Sleep(time.Second)
+		clk.WakeupAt(key, t0.Add(5*time.Second))
+		g.Wait()
+		for i := range woke {
+			if woke[i] != 5*time.Second || why[i] != WakeTimeout {
+				t.Fatalf("waiter %d woke at %v with reason %d, want 5s by deadline", i, woke[i], why[i])
+			}
+		}
+		g.Go(func() {
+			why[0] = v.WaitOn(key)
+			woke[0] = clk.Since(t0)
+		})
+		clk.Sleep(time.Second)
+		clk.WakeupAt(key, t0) // already past
+		g.Wait()
+		if woke[0] != 6*time.Second || why[0] != WakeKey {
+			t.Fatalf("past-time wake at %v with reason %d, want 6s by key", woke[0], why[0])
+		}
+	})
+	Clock{}.WakeupAt(new(int), time.Now()) // wall clock: no-op
 }

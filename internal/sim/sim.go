@@ -4,9 +4,10 @@
 // single process while preserving the performance *ratios* Equation (1)
 // of the paper shows the results depend on.
 //
-// Every shared device (a server's disk, a link's NIC) is a serialized
-// resource: concurrent users queue behind each other, which is what makes
-// flush bandwidth the bottleneck under contention exactly as in §II-C.
+// A link's NIC and a client's cache-copy engine are serialized resources
+// (Device): concurrent users queue behind each other. A data server's
+// disk is modelled in internal/storage, by a request queue that merges
+// contiguous requests.
 package sim
 
 import (
@@ -75,10 +76,9 @@ func TransferTime(bytes int64, bw float64) time.Duration {
 	return time.Duration(float64(bytes) / bw * float64(time.Second))
 }
 
-// Device is a serialized shared resource (a disk, a NIC, a service
-// thread pool of depth one). Users call Use, which blocks for the
-// simulated service time including queueing behind earlier users — the
-// property that makes data flushing the §II-C bottleneck.
+// Device is a serialized shared resource (a NIC, a memory-copy engine,
+// a service thread pool of depth one). Users call Use, which blocks for
+// the simulated service time including queueing behind earlier users.
 type Device struct {
 	mu   sync.Mutex
 	next time.Time
@@ -167,18 +167,6 @@ func SleepUntil(ctx context.Context, deadline time.Time) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-}
-
-// Busy returns how far in the future the device is already committed, a
-// coarse backlog indicator used by flush daemons to pace themselves.
-func (dev *Device) Busy() time.Duration {
-	if dev == nil {
-		return 0
-	}
-	now := dev.clk.Now()
-	dev.mu.Lock()
-	defer dev.mu.Unlock()
-	return dev.next.Sub(now)
 }
 
 // RateLimiter enforces an operations-per-second cap, modelling the lock

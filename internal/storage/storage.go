@@ -1,8 +1,9 @@
 // Package storage provides the per-stripe block stores data servers
 // write flushed data into. Three implementations share one interface:
-// an in-memory sparse store, the same store wrapped with a simulated
-// NVMe device (bandwidth + latency, serialized like a real disk queue),
-// and a file-backed store for the standalone server binary.
+// an in-memory sparse store, a file-backed store for the standalone
+// server binary, and SimStore (device.go), which puts a simulated NVMe
+// device — one merging request queue, bandwidth plus per-operation
+// latency — in front of either.
 package storage
 
 import (
@@ -10,16 +11,27 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"ccpfs/internal/shard"
-	"ccpfs/internal/sim"
 )
+
+// Vec is one extent of a vectored write: Data lands at Off within the
+// stripe.
+type Vec struct {
+	Off  int64
+	Data []byte
+}
 
 // Store is a stripe-addressed byte store. Offsets are stripe-local.
 type Store interface {
 	// WriteAt stores data at off within stripe.
 	WriteAt(stripe uint64, off int64, data []byte) error
+	// WriteV submits the extents of vec, all within stripe, and returns
+	// without waiting for them to be stored; the caller must call Wait on
+	// the result exactly once, and keep vec's data untouched until then.
+	// Submission order is storage order: where the extents of two WriteV
+	// calls overlap, the bytes of the call that returned second stay.
+	WriteV(stripe uint64, vec []Vec) Pending
 	// ReadAt fills buf from off within stripe. Never-written ranges read
 	// as zeros.
 	ReadAt(stripe uint64, off int64, buf []byte) error
@@ -83,6 +95,21 @@ func (m *MemStore) WriteAt(stripe uint64, off int64, data []byte) error {
 	return nil
 }
 
+// WriteV implements Store as a loop of WriteAt.
+func (m *MemStore) WriteV(stripe uint64, vec []Vec) Pending {
+	return writeEach(m, stripe, vec)
+}
+
+// writeEach stores vec through s.WriteAt, stopping at the first error.
+func writeEach(s Store, stripe uint64, vec []Vec) Pending {
+	for _, v := range vec {
+		if err := s.WriteAt(stripe, v.Off, v.Data); err != nil {
+			return Pending{err: err}
+		}
+	}
+	return Pending{}
+}
+
 // ReadAt implements Store.
 func (m *MemStore) ReadAt(stripe uint64, off int64, buf []byte) error {
 	if off < 0 {
@@ -135,43 +162,6 @@ func (m *MemStore) Bytes() int64 {
 	return n
 }
 
-// SimStore wraps a Store with a simulated storage device: every
-// operation is serialized through the device and charged transfer time
-// at the configured bandwidth plus fixed latency — the B_disk term of
-// Equation (1).
-type SimStore struct {
-	inner Store
-	dev   sim.Device
-	bw    float64
-	lat   time.Duration
-}
-
-// NewSimStore wraps inner with a device of hw.DiskBandwidth and
-// hw.DiskLatency.
-func NewSimStore(inner Store, hw sim.Hardware) *SimStore {
-	s := &SimStore{inner: inner, bw: hw.DiskBandwidth, lat: hw.DiskLatency}
-	s.dev.SetClock(hw.Clock)
-	return s
-}
-
-// WriteAt implements Store, charging simulated device time.
-func (s *SimStore) WriteAt(stripe uint64, off int64, data []byte) error {
-	s.dev.UseBytes(int64(len(data)), s.bw, s.lat)
-	return s.inner.WriteAt(stripe, off, data)
-}
-
-// ReadAt implements Store, charging simulated device time.
-func (s *SimStore) ReadAt(stripe uint64, off int64, buf []byte) error {
-	s.dev.UseBytes(int64(len(buf)), s.bw, s.lat)
-	return s.inner.ReadAt(stripe, off, buf)
-}
-
-// Remove implements Store.
-func (s *SimStore) Remove(stripe uint64) error { return s.inner.Remove(stripe) }
-
-// Busy reports the device's committed backlog (flow control input).
-func (s *SimStore) Busy() time.Duration { return s.dev.Busy() }
-
 // FileStore keeps each stripe in its own file under a directory.
 type FileStore struct {
 	dir string
@@ -209,6 +199,11 @@ func (f *FileStore) WriteAt(stripe uint64, off int64, data []byte) error {
 	}
 	_, err = fd.WriteAt(data, off)
 	return err
+}
+
+// WriteV implements Store as a loop of WriteAt.
+func (f *FileStore) WriteV(stripe uint64, vec []Vec) Pending {
+	return writeEach(f, stripe, vec)
 }
 
 // ReadAt implements Store. Short reads past EOF are zero-filled.
