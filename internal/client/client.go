@@ -619,8 +619,19 @@ func (c *Client) flushStripes(ctx context.Context, rids []uint64, rng extent.Ext
 type stripeFlush struct {
 	rid    uint64
 	blocks []pagecache.Block
-	reqs   []*wire.FlushRequest
+	reqs   []*flushChunk
 }
+
+// flushChunk is a FlushRequest whose block data rides in the pooled
+// buffers CollectDirty filled. The rpc layer calls Recycle once the
+// request is encoded: from then on the bytes are in the frame, and a
+// failed flush re-dirties by range, so the buffers go straight back to
+// serve the next collection, frame or delivery.
+type flushChunk struct {
+	wire.FlushRequest
+}
+
+func (r *flushChunk) Recycle() { wire.PutBlocks(r.Blocks) }
 
 // collectStripe drains rid's dirty blocks and splits them into flush
 // RPCs of at most MaxFlushRPC payload bytes each. The blocks are
@@ -634,12 +645,15 @@ func (c *Client) collectStripe(rid uint64, rng extent.Extent, sn extent.SN) *str
 		return nil
 	}
 	sf := &stripeFlush{rid: rid, blocks: blocks}
-	req := &wire.FlushRequest{Resource: rid, Client: uint32(c.cfg.ID)}
+	newChunk := func() *flushChunk {
+		return &flushChunk{wire.FlushRequest{Resource: rid, Client: uint32(c.cfg.ID)}}
+	}
+	req := newChunk()
 	var size int64
 	for _, b := range blocks {
 		if size > 0 && size+int64(len(b.Data)) > c.cfg.MaxFlushRPC {
 			sf.reqs = append(sf.reqs, req)
-			req = &wire.FlushRequest{Resource: rid, Client: uint32(c.cfg.ID)}
+			req = newChunk()
 			size = 0
 		}
 		req.Blocks = append(req.Blocks, wire.Block{Range: b.Range, SN: b.SN, Data: b.Data})
@@ -658,7 +672,7 @@ func (c *Client) collectStripe(rid uint64, rng extent.Extent, sn extent.SN) *str
 func (c *Client) flushGroup(ctx context.Context, rids []uint64, rng extent.Extent, sn extent.SN) error {
 	var (
 		flushes []*stripeFlush
-		chunks  []*wire.FlushRequest
+		chunks  []*flushChunk
 	)
 	for _, rid := range rids {
 		if sf := c.collectStripe(rid, rng, sn); sf != nil {
@@ -683,8 +697,8 @@ func (c *Client) flushGroup(ctx context.Context, rids []uint64, rng extent.Exten
 // sendChunks issues the flush RPCs with up to FlushWindow in flight at
 // once. The first error cancels the window: outstanding calls abort and
 // their server-side work is withdrawn via rpc cancel frames.
-func (c *Client) sendChunks(ctx context.Context, ep *rpc.Endpoint, chunks []*wire.FlushRequest) error {
-	send := func(ctx context.Context, req *wire.FlushRequest) error {
+func (c *Client) sendChunks(ctx context.Context, ep *rpc.Endpoint, chunks []*flushChunk) error {
+	send := func(ctx context.Context, req *flushChunk) error {
 		var size int64
 		for i := range req.Blocks {
 			size += int64(len(req.Blocks[i].Data))
@@ -1096,6 +1110,9 @@ func (f *File) fetch(ctx context.Context, rid uint64, seg meta.Segment, h *dlm.H
 		// (possibly dirty) cached data.
 		f.c.pc.Fill(rid, b.Range.Start, b.Data, b.SN)
 	}
+	// The blocks alias the response frame; the cache has copied them, so
+	// this is their last use and the frame goes back to its pool.
+	rep.Release()
 	return nil
 }
 

@@ -782,12 +782,7 @@ type pooledReadReply struct {
 	wire.ReadReply
 }
 
-func (r *pooledReadReply) Recycle() {
-	for i := range r.Blocks {
-		wire.PutBuf(r.Blocks[i].Data)
-		r.Blocks[i].Data = nil
-	}
-}
+func (r *pooledReadReply) Recycle() { wire.PutBlocks(r.Blocks) }
 
 func (s *Server) setupMeta(ep *rpc.Endpoint) {
 	m := s.cfg.Meta

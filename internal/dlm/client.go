@@ -207,7 +207,10 @@ type LockClient struct {
 	baseCtx  context.Context
 	cancelFn context.CancelFunc
 
-	shards [shard.Count]clientShard
+	// shards holds the per-shard lock state, each made when a resource
+	// first hashes to it (shard): a shard is 2 KiB of padded epoch slots
+	// and a client's resources touch a few of the 64.
+	shards [shard.Count]atomic.Pointer[clientShard]
 
 	// peer, when set, is the client-to-client transport handoff
 	// transfers are sent over; nil falls back to releasing through the
@@ -226,6 +229,8 @@ type LockClient struct {
 // clientShard carries the lock state of the resources hashing to one
 // shard. snap is the RCU-published cache: the map and every slice in it
 // are immutable once stored; mutation copies and re-publishes under mu.
+// The zero value is an empty shard: snap and every map below are made
+// when first written (put, setList).
 type clientShard struct {
 	mu   sync.Mutex
 	snap atomic.Pointer[map[ResourceID][]*Handle]
@@ -252,8 +257,7 @@ type clientShard struct {
 	pendingAcks     map[ResourceID][]LockID
 	ackTimer        *sim.ClockTimer
 	// solicited marks delegated locks whose ack the server asked for
-	// before their transfer arrived (OnAckSolicit); allocated on first
-	// use.
+	// before their transfer arrived (OnAckSolicit).
 	solicited map[lockKey]bool
 	// Reader fan-out state (clientfan.go): resources in a fan rotation
 	// — a write-mode stamped revocation displaced this client's read
@@ -277,8 +281,26 @@ var snapMapPool = sync.Pool{
 	New: func() any { return make(map[ResourceID][]*Handle, 8) },
 }
 
-// cur returns the current snapshot for mutation under sh.mu.
-func (sh *clientShard) cur() map[ResourceID][]*Handle { return *sh.snap.Load() }
+// cur returns the current snapshot: for mutation under sh.mu, or for a
+// lock-free read under an epoch pin. It is nil until the shard's first
+// lock is cached.
+func (sh *clientShard) cur() map[ResourceID][]*Handle {
+	if m := sh.snap.Load(); m != nil {
+		return *m
+	}
+	return nil
+}
+
+// put stores m[k] = v, making the map on first use. A client has 64
+// shards of nine maps and touches the few its resources hash to, so the
+// shard maps are made when first written (reads, deletes and ranges of a
+// nil map already do the right thing).
+func put[K comparable, V any](m *map[K]V, k K, v V) {
+	if *m == nil {
+		*m = make(map[K]V)
+	}
+	(*m)[k] = v
+}
 
 // setList publishes a copy of the snapshot with res's handle list
 // replaced (nil deletes the entry) and retires the displaced map into
@@ -296,10 +318,12 @@ func (sh *clientShard) setList(res ResourceID, list []*Handle) {
 		m[res] = list
 	}
 	sh.snap.Store(&m)
-	sh.dom.Retire(func() {
-		clear(old)
-		snapMapPool.Put(old)
-	})
+	if old != nil {
+		sh.dom.Retire(func() {
+			clear(old)
+			snapMapPool.Put(old)
+		})
+	}
 }
 
 // NewLockClient returns a lock client. router maps a resource to the
@@ -315,25 +339,28 @@ func NewLockClient(id ClientID, policy Policy, router func(ResourceID) ServerCon
 		baseCtx:  ctx,
 		cancelFn: cancel,
 	}
-	for i := range c.shards {
-		sh := &c.shards[i]
-		m := make(map[ResourceID][]*Handle)
-		sh.snap.Store(&m)
-		sh.acq = make(map[ResourceID]*sync.Mutex)
-		sh.pendingRevokes = make(map[lockKey]*HandoffStamp)
-		sh.tombstones = make(map[lockKey]bool)
-		sh.arrivedHandoffs = make(map[lockKey]int)
-		sh.pendingHandoffs = make(map[lockKey]*transferWaiter)
-		sh.pendingAcks = make(map[ResourceID][]LockID)
-		sh.fanStanding = make(map[ResourceID]bool)
-		sh.fanWaiters = make(map[ResourceID][]chan struct{})
-	}
 	return c
 }
 
-// shard returns the shard owning res.
+// shard returns the shard owning res, making it on first use.
 func (c *LockClient) shard(res ResourceID) *clientShard {
-	return &c.shards[shard.Of(uint64(res))]
+	p := &c.shards[shard.Of(uint64(res))]
+	if sh := p.Load(); sh != nil {
+		return sh
+	}
+	p.CompareAndSwap(nil, new(clientShard))
+	return p.Load()
+}
+
+// liveShards returns the shards made so far.
+func (c *LockClient) liveShards() []*clientShard {
+	var out []*clientShard
+	for i := range c.shards {
+		if sh := c.shards[i].Load(); sh != nil {
+			out = append(out, sh)
+		}
+	}
+	return out
 }
 
 // ID returns the client identifier.
@@ -381,7 +408,7 @@ func (c *LockClient) acquireMu(res ResourceID) *sync.Mutex {
 	m := sh.acq[res]
 	if m == nil {
 		m = &sync.Mutex{}
-		sh.acq[res] = m
+		put(&sh.acq, res, m)
 	}
 	return m
 }
@@ -413,7 +440,7 @@ func (c *LockClient) fastHit(res ResourceID, need Mode, rng extent.Extent) *Hand
 	}
 	sh := c.shard(res)
 	g := sh.dom.Pin()
-	list := (*sh.snap.Load())[res]
+	list := sh.cur()[res]
 	for _, h := range list {
 		if h.rng.Contains(rng) && h.tryHit(need) {
 			g.Unpin()
@@ -592,7 +619,7 @@ func (c *LockClient) acquire(ctx context.Context, res ResourceID, need Mode, rng
 			continue
 		}
 		k := lockKey{res, aid}
-		sh.tombstones[k] = true
+		put(&sh.tombstones, k, true)
 		delete(sh.pendingRevokes, k)
 		nl = append(nl[:idx], nl[idx+1:]...)
 		// The absorbed lock will never be canceled on its own; its
@@ -650,7 +677,7 @@ func findByID(list []*Handle, id LockID) *Handle {
 // sh.mu.
 func (sh *clientShard) remove(h *Handle) {
 	k := lockKey{h.res, h.id}
-	sh.tombstones[k] = true
+	put(&sh.tombstones, k, true)
 	delete(sh.pendingRevokes, k)
 	list := sh.cur()[h.res]
 	for i, x := range list {
@@ -725,7 +752,7 @@ func (c *LockClient) OnRevokeStamped(res ResourceID, id LockID, stamp *HandoffSt
 		// a fan rotation, and the next read lease — pre-armed by the
 		// writer's gather — will arrive peer-to-peer. Subsequent shared
 		// acquires park on it instead of going to the server.
-		sh.fanStanding[res] = true
+		put(&sh.fanStanding, res, true)
 	}
 	h := findByID(sh.cur()[res], id)
 	if h == nil {
@@ -734,7 +761,7 @@ func (c *LockClient) OnRevokeStamped(res ResourceID, id LockID, stamp *HandoffSt
 		// is already gone (tombstoned: ignore). Acking both cases is
 		// correct.
 		if k := (lockKey{res, id}); !sh.tombstones[k] {
-			sh.pendingRevokes[k] = stamp
+			put(&sh.pendingRevokes, k, stamp)
 		}
 		sh.mu.Unlock()
 		return
@@ -877,7 +904,7 @@ func (c *LockClient) cancel(h *Handle) {
 func (c *LockClient) CachedLocks(res ResourceID) int {
 	sh := c.shard(res)
 	g := sh.dom.Pin()
-	n := len((*sh.snap.Load())[res])
+	n := len(sh.cur()[res])
 	g.Unpin()
 	return n
 }
@@ -894,8 +921,7 @@ func (c *LockClient) Close() { c.cancelFn() }
 func (c *LockClient) ReleaseAll(ctx context.Context) error {
 	c.FlushHandoffAcks(ctx)
 	var toStart, toWait []*Handle
-	for i := range c.shards {
-		sh := &c.shards[i]
+	for _, sh := range c.liveShards() {
 		sh.mu.Lock()
 		for _, list := range sh.cur() {
 			for _, h := range list {

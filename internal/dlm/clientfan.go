@@ -43,7 +43,7 @@ func (c *LockClient) waitStanding(ctx context.Context, res ResourceID, need Mode
 				return h
 			}
 			ch := make(chan struct{})
-			sh.fanWaiters[res] = append(sh.fanWaiters[res], ch)
+			put(&sh.fanWaiters, res, append(sh.fanWaiters[res], ch))
 			sh.mu.Unlock()
 			switch c.clk.V().WaitOnUntil(ch, end) {
 			case sim.WakeTimeout:
@@ -75,7 +75,7 @@ func (c *LockClient) waitStanding(ctx context.Context, res ResourceID, need Mode
 			return h
 		}
 		ch := make(chan struct{})
-		sh.fanWaiters[res] = append(sh.fanWaiters[res], ch)
+		put(&sh.fanWaiters, res, append(sh.fanWaiters[res], ch))
 		sh.mu.Unlock()
 
 		select {

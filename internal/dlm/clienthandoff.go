@@ -153,9 +153,9 @@ func (c *LockClient) OnHandoffMsg(res ResourceID, id LockID, final bool, acks []
 		}
 	} else if !sh.tombstones[k] && findByID(sh.cur()[res], id) == nil {
 		if final {
-			sh.arrivedHandoffs[k] = finalParts
+			put(&sh.arrivedHandoffs, k, finalParts)
 		} else {
-			sh.arrivedHandoffs[k]++
+			put(&sh.arrivedHandoffs, k, sh.arrivedHandoffs[k]+1)
 		}
 	}
 	sh.mu.Unlock()
@@ -193,7 +193,7 @@ func (c *LockClient) waitTransfer(ctx context.Context, res ResourceID, g Grant) 
 		rng:  g.Range,
 		sn:   g.SN,
 	}
-	sh.pendingHandoffs[k] = tw
+	put(&sh.pendingHandoffs, k, tw)
 	sh.mu.Unlock()
 
 	if c.waitTransferCh(ctx, tw) {
@@ -252,7 +252,7 @@ func (c *LockClient) queueAck(res ResourceID, id LockID) {
 	k := lockKey{res, id}
 	sh := c.shard(res)
 	sh.mu.Lock()
-	sh.pendingAcks[res] = append(sh.pendingAcks[res], id)
+	put(&sh.pendingAcks, res, append(sh.pendingAcks[res], id))
 	if sh.solicited[k] {
 		delete(sh.solicited, k)
 		ids := sh.popAcks(res)
@@ -303,7 +303,7 @@ func (c *LockClient) requeueAcks(res ResourceID, acks []LockID) {
 	}
 	sh := c.shard(res)
 	sh.mu.Lock()
-	sh.pendingAcks[res] = append(sh.pendingAcks[res], acks...)
+	put(&sh.pendingAcks, res, append(sh.pendingAcks[res], acks...))
 	sh.mu.Unlock()
 }
 
@@ -326,10 +326,7 @@ func (c *LockClient) OnAckSolicit(res ResourceID, id LockID) {
 	case findByID(sh.cur()[res], id) != nil:
 		ids = []LockID{id}
 	case !sh.tombstones[k]:
-		if sh.solicited == nil {
-			sh.solicited = make(map[lockKey]bool)
-		}
-		sh.solicited[k] = true
+		put(&sh.solicited, k, true)
 	}
 	sh.mu.Unlock()
 	c.sendSolicited(res, ids)
@@ -381,7 +378,7 @@ func (c *LockClient) sendAcks(ctx context.Context, pending map[ResourceID][]Lock
 func (sh *clientShard) drainShardAcks() map[ResourceID][]LockID {
 	sh.mu.Lock()
 	pending := sh.pendingAcks
-	sh.pendingAcks = make(map[ResourceID][]LockID)
+	sh.pendingAcks = nil
 	if sh.ackTimer != nil {
 		sh.ackTimer.Stop()
 		sh.ackTimer = nil
@@ -400,7 +397,7 @@ func (c *LockClient) flushShardAcks(sh *clientShard) {
 // the shutdown barrier runs it so the server confirms outstanding
 // delegations before the client goes quiet.
 func (c *LockClient) FlushHandoffAcks(ctx context.Context) {
-	for i := range c.shards {
-		c.sendAcks(ctx, c.shards[i].drainShardAcks())
+	for _, sh := range c.liveShards() {
+		c.sendAcks(ctx, sh.drainShardAcks())
 	}
 }

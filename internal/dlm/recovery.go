@@ -43,8 +43,7 @@ type LockRecord struct {
 // recovered server must keep ordering them.
 func (c *LockClient) Export(filter func(ResourceID) bool) []LockRecord {
 	var out []LockRecord
-	for i := range c.shards {
-		sh := &c.shards[i]
+	for _, sh := range c.liveShards() {
 		sh.mu.Lock()
 		for res, list := range sh.cur() {
 			if filter != nil && !filter(res) {

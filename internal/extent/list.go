@@ -28,8 +28,13 @@ func (l *List) Clone() *List {
 	return c
 }
 
-// Reset removes all entries.
+// Reset removes all entries, keeping the storage.
 func (l *List) Reset() { l.ents = l.ents[:0] }
+
+// SetStorage makes the list, which must be empty, build its entries in
+// buf until they outgrow it. A page that embeds the first few entries of
+// its lists in its own allocation saves one allocation per list.
+func (l *List) SetStorage(buf []SNExtent) { l.ents = buf[:0] }
 
 // Insert records that e was written under sequence number sn. Where e
 // overlaps existing entries, the write with the larger sequence number
@@ -38,7 +43,7 @@ func (l *List) Reset() { l.ents = l.ents[:0] }
 // and its operations are locally ordered. Insert returns the sub-extents
 // of e that actually took effect (the update set), merged and in order.
 func (l *List) Insert(e Extent, sn SN) []SNExtent {
-	return l.insert(e, sn, false)
+	return l.InsertInto(nil, e, sn, false)
 }
 
 // InsertNewer is Insert with the opposite tie rule: existing entries
@@ -46,12 +51,18 @@ func (l *List) Insert(e Extent, sn SN) []SNExtent {
 // the locally cached copy of an equal-SN byte is at least as new as the
 // server's, so a fill must never replace it.
 func (l *List) InsertNewer(e Extent, sn SN) []SNExtent {
-	return l.insert(e, sn, true)
+	return l.InsertInto(nil, e, sn, true)
 }
 
-func (l *List) insert(e Extent, sn SN, oldWinsTies bool) []SNExtent {
+// InsertInto is Insert (or, with oldWinsTies, InsertNewer) that builds
+// the update set in won's storage (its contents are overwritten), so a
+// caller inserting page after page can reuse one scratch slice. The list
+// is edited in place: nothing is allocated unless the entries or the
+// update set outgrow their storage.
+func (l *List) InsertInto(won []SNExtent, e Extent, sn SN, oldWinsTies bool) []SNExtent {
+	won = won[:0]
 	if e.Empty() {
-		return nil
+		return won
 	}
 	oldWins := func(old SN) bool {
 		if oldWinsTies {
@@ -59,16 +70,41 @@ func (l *List) insert(e Extent, sn SN, oldWinsTies bool) []SNExtent {
 		}
 		return old > sn
 	}
-	var out []SNExtent // rebuilt entry list
-	var won []SNExtent // update set
-	pend := SNExtent{Extent: e, SN: sn}
+	in := SNExtent{Extent: e, SN: sn}
+	// The cases a page cache produces write after write, none of which
+	// needs the list rebuilt: the first write to a page, a write just
+	// past everything cached, and a write that replaces all of it.
+	n := len(l.ents)
+	if n == 0 || l.ents[n-1].End <= e.Start {
+		l.ents = appendMerge(l.ents, in)
+		return appendMerge(won, in)
+	}
+	if e.Start <= l.ents[0].Start && l.ents[n-1].End <= e.End {
+		covers := true
+		for _, old := range l.ents {
+			if oldWins(old.SN) {
+				covers = false
+				break
+			}
+		}
+		if covers {
+			l.ents = append(l.ents[:0], in)
+			return appendMerge(won, in)
+		}
+	}
+
+	// General case: rebuild the entries in a scratch that stays on the
+	// stack for the handful a page holds, then copy them back.
+	var scratch [8]SNExtent
+	out := scratch[:0]
+	pend := in
 	consumed := false
 	for _, old := range l.ents {
 		if !consumed && old.Start >= pend.End {
 			// Flush the remaining incoming range before entries that lie
 			// wholly beyond it, to keep the rebuilt list sorted.
 			out = appendMerge(out, pend)
-			won = appendMergeSet(won, pend)
+			won = appendMerge(won, pend)
 			consumed = true
 		}
 		if consumed || !old.Overlaps(e) {
@@ -81,7 +117,7 @@ func (l *List) insert(e Extent, sn SN, oldWinsTies bool) []SNExtent {
 			if pend.Start < old.Start {
 				seg := SNExtent{Extent: Extent{pend.Start, old.Start}, SN: sn}
 				out = appendMerge(out, seg)
-				won = appendMergeSet(won, seg)
+				won = appendMerge(won, seg)
 			}
 			out = appendMerge(out, old)
 			if old.End >= pend.End {
@@ -100,21 +136,23 @@ func (l *List) insert(e Extent, sn SN, oldWinsTies bool) []SNExtent {
 			// Emit the incoming remainder first to keep order.
 			seg := SNExtent{Extent: Extent{pend.Start, e.End}, SN: sn}
 			out = appendMerge(out, seg)
-			won = appendMergeSet(won, seg)
+			won = appendMerge(won, seg)
 			out = appendMerge(out, SNExtent{Extent: Extent{e.End, old.End}, SN: old.SN})
 			consumed = true
 		}
 	}
 	if !consumed && !pend.Empty() {
 		out = appendMerge(out, pend)
-		won = appendMergeSet(won, pend)
+		won = appendMerge(won, pend)
 	}
-	l.ents = out
+	l.ents = append(l.ents[:0], out...)
 	return won
 }
 
 // appendMerge appends seg to out, coalescing with the previous entry when
 // they are adjacent and carry the same SN. Entries must arrive in order.
+// (Update-set segments all carry the incoming SN, so adjacent ones merge
+// regardless of the interior splits that produced them.)
 func appendMerge(out []SNExtent, seg SNExtent) []SNExtent {
 	if seg.Empty() {
 		return out
@@ -127,12 +165,6 @@ func appendMerge(out []SNExtent, seg SNExtent) []SNExtent {
 		}
 	}
 	return append(out, seg)
-}
-
-// appendMergeSet merges update-set segments that are adjacent regardless
-// of interior splits, since they all carry the incoming SN.
-func appendMergeSet(out []SNExtent, seg SNExtent) []SNExtent {
-	return appendMerge(out, seg)
 }
 
 // Covered reports whether every byte of e is present in the list.
@@ -157,57 +189,65 @@ func (l *List) Covered(e Extent) bool {
 }
 
 // Overlapping returns the entries that overlap e, clipped to e.
-func (l *List) Overlapping(e Extent) []SNExtent {
-	var out []SNExtent
+func (l *List) Overlapping(e Extent) []SNExtent { return l.OverlappingInto(nil, e) }
+
+// OverlappingInto is Overlapping that builds its result in dst's
+// storage (its contents are overwritten).
+func (l *List) OverlappingInto(dst []SNExtent, e Extent) []SNExtent {
+	dst = dst[:0]
 	for _, ent := range l.ents {
 		if iv, ok := ent.Intersect(e); ok {
-			out = append(out, SNExtent{Extent: iv, SN: ent.SN})
+			dst = append(dst, SNExtent{Extent: iv, SN: ent.SN})
 		}
 		if ent.Start >= e.End {
 			break
 		}
 	}
-	return out
+	return dst
 }
 
 // Remove deletes coverage of e from the list, splitting entries that
 // straddle its boundaries.
-func (l *List) Remove(e Extent) {
-	if e.Empty() {
-		return
-	}
-	var out []SNExtent
-	for _, ent := range l.ents {
-		if !ent.Overlaps(e) {
-			out = append(out, ent)
-			continue
-		}
-		for _, rem := range ent.Sub(e) {
-			out = append(out, SNExtent{Extent: rem, SN: ent.SN})
-		}
-	}
-	l.ents = out
-}
+func (l *List) Remove(e Extent) { l.RemoveLE(e, ^SN(0)) }
 
 // RemoveLE deletes coverage of e restricted to entries whose SN is at
 // most max, splitting straddlers. Entries with newer SNs keep their
 // data — the rule that makes canceling one lock safe while a newer lock
-// of the same client still protects overlapping bytes.
+// of the same client still protects overlapping bytes. The list is
+// edited in place.
 func (l *List) RemoveLE(e Extent, max SN) {
 	if e.Empty() {
 		return
 	}
-	var out []SNExtent
-	for _, ent := range l.ents {
+	ents := l.ents
+	w := 0
+	for r, ent := range ents {
 		if !ent.Overlaps(e) || ent.SN > max {
-			out = append(out, ent)
+			ents[w] = ent
+			w++
 			continue
 		}
-		for _, rem := range ent.Sub(e) {
-			out = append(out, SNExtent{Extent: rem, SN: ent.SN})
+		left, right := ent.Start < e.Start, ent.End > e.End
+		if left && right {
+			// ent strictly contains e, so it is the only entry that
+			// overlaps e: nothing was dropped before it (w == r) and
+			// nothing after it changes. Split it in two where it stands.
+			ents = append(ents, SNExtent{})
+			copy(ents[r+2:], ents[r+1:])
+			ents[r] = SNExtent{Extent: Extent{ent.Start, e.Start}, SN: ent.SN}
+			ents[r+1] = SNExtent{Extent: Extent{e.End, ent.End}, SN: ent.SN}
+			l.ents = ents
+			return
+		}
+		if left {
+			ents[w] = SNExtent{Extent: Extent{ent.Start, e.Start}, SN: ent.SN}
+			w++
+		} else if right {
+			ents[w] = SNExtent{Extent: Extent{e.End, ent.End}, SN: ent.SN}
+			w++
 		}
 	}
-	l.ents = out
+	l.ents = ents[:w]
 }
 
 // MaxSN returns the largest SN present in the list and true, or 0 and

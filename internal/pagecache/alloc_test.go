@@ -1,0 +1,49 @@
+package pagecache
+
+import (
+	"bytes"
+	"testing"
+
+	"ccpfs/internal/extent"
+	"ccpfs/internal/wire"
+)
+
+// TestAllocBudgetWriteCollect: rewriting 16 cached pages and collecting
+// them for a flush allocates the block list and nothing per page — the
+// lists are edited in place, the update sets live on the stack, the walk
+// reuses the stripe's buffer — and the 64 KiB leave as one block in one
+// buffer of that length.
+func TestAllocBudgetWriteCollect(t *testing.T) {
+	if wire.RaceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	const n = 16 * DefaultPageSize
+	c := New(Config{})
+	data := make([]byte, n)
+	for i := range data {
+		data[i] = byte(i)
+	}
+	c.Write(1, n, data, 1) // cache the pages
+	sn := extent.SN(1)
+	var blocks []Block
+	allocs := testing.AllocsPerRun(50, func() {
+		sn++
+		c.Write(1, n, data, sn)
+		blocks = c.CollectDirty(1, extent.Span(n, n), sn)
+		if len(blocks) == 1 {
+			if !bytes.Equal(blocks[0].Data, data) {
+				t.Fatal("collected bytes differ from the bytes written")
+			}
+			wire.PutBuf(blocks[0].Data) // what the flush path does once the block is encoded
+		}
+	})
+	if allocs > 4 {
+		t.Errorf("write of 16 cached pages + CollectDirty: %.1f allocs, want <= 4", allocs)
+	}
+	if len(blocks) != 1 || blocks[0].Range != extent.Span(n, n) || blocks[0].SN != sn || len(blocks[0].Data) != n {
+		t.Fatalf("collected %d blocks, want one of %d bytes at SN %d", len(blocks), n, sn)
+	}
+	if got := c.DirtyBytes(); got != 0 {
+		t.Fatalf("dirty bytes after collect = %d", got)
+	}
+}

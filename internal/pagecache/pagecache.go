@@ -17,20 +17,26 @@
 package pagecache
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"ccpfs/internal/extent"
 	"ccpfs/internal/shard"
 	"ccpfs/internal/sim"
+	"ccpfs/internal/wire"
 )
 
 // DefaultPageSize matches the paper's 4 KB management unit.
 const DefaultPageSize = 4096
 
 // Block is an SN-tagged data block collected for flushing or filled by a
-// read.
+// read. The Data of a collected block is a pooled buffer (wire.GetBuf):
+// a consumer that knows when it is done with the bytes may return it
+// with wire.PutBuf — the client's flush path does, once the block is
+// encoded — and anyone else leaves it to the collector.
 type Block struct {
 	Range extent.Extent
 	SN    extent.SN
@@ -66,13 +72,75 @@ type page struct {
 	// accounting updates are O(touched pages), not O(all pages).
 	cachedBytes int64
 	dirtyBytes  int64
+
+	// ents is where both lists keep their first entries (SetStorage): a
+	// page written whole holds one entry in each, so the lists cost no
+	// allocation of their own.
+	ents [2][2]extent.SNExtent
+}
+
+func newPage(size int64) *page {
+	pg := &page{buf: make([]byte, size)}
+	pg.valid.SetStorage(pg.ents[0][:])
+	pg.dirty.SetStorage(pg.ents[1][:])
+	return pg
+}
+
+// local returns the part of rng that falls on page pi, page-relative.
+func local(rng extent.Extent, pi, ps int64) (extent.Extent, bool) {
+	iv, ok := extent.Extent{Start: pi * ps, End: (pi + 1) * ps}.Intersect(rng)
+	return extent.Extent{Start: iv.Start - pi*ps, End: iv.End - pi*ps}, ok
 }
 
 // stripePages is one stripe's pages plus the mutex guarding them.
 type stripePages struct {
 	mu    sync.Mutex
 	pages map[int64]*page // keyed by page index
+
+	// visit is pagesIn's result buffer, reused under mu.
+	visit []pageAt
 }
+
+// pageAt is a page with its index.
+type pageAt struct {
+	pi int64
+	pg *page
+}
+
+// pagesIn returns the pages of sp that intersect rng — in ascending
+// index order if sorted is set — by probing the range's page indices
+// when those are fewer than the stripe's pages and by filtering the map
+// otherwise, so a flush or invalidation of one lock's range costs its
+// own pages, not the stripe's. The result is valid until the next call;
+// the caller holds sp.mu and clears it when done (releasePages) so the
+// buffer does not keep evicted pages alive.
+func (sp *stripePages) pagesIn(rng extent.Extent, ps int64, sorted bool) []pageAt {
+	out := sp.visit[:0]
+	if rng.Empty() {
+		return out
+	}
+	lo, hi := rng.Start/ps, (rng.End-1)/ps
+	if hi-lo < int64(len(sp.pages)) {
+		for pi := lo; pi <= hi; pi++ {
+			if pg := sp.pages[pi]; pg != nil {
+				out = append(out, pageAt{pi, pg})
+			}
+		}
+	} else {
+		for pi, pg := range sp.pages {
+			if lo <= pi && pi <= hi {
+				out = append(out, pageAt{pi, pg})
+			}
+		}
+		if sorted {
+			slices.SortFunc(out, func(a, b pageAt) int { return cmp.Compare(a.pi, b.pi) })
+		}
+	}
+	sp.visit = out
+	return out
+}
+
+func (sp *stripePages) releasePages() { clear(sp.visit) }
 
 // pcShard holds the stripe map of one shard; the shard mutex guards
 // only map lookup/insert.
@@ -250,6 +318,7 @@ func (c *Cache) Fill(stripe uint64, off int64, data []byte, sn extent.SN) {
 // write lands data into sp's pages; the caller holds sp.mu.
 func (c *Cache) write(sp *stripePages, off int64, data []byte, sn extent.SN, markDirty bool) {
 	ps := c.cfg.PageSize
+	var wonBuf, dirtyBuf [4]extent.SNExtent // per-page update sets, on the stack
 	for len(data) > 0 {
 		pi := off / ps
 		po := off % ps
@@ -259,7 +328,7 @@ func (c *Cache) write(sp *stripePages, off int64, data []byte, sn extent.SN, mar
 		}
 		pg := sp.pages[pi]
 		if pg == nil {
-			pg = &page{buf: make([]byte, ps)}
+			pg = newPage(ps)
 			sp.pages[pi] = pg
 			c.pages.Add(1)
 		}
@@ -268,18 +337,13 @@ func (c *Cache) write(sp *stripePages, off int64, data []byte, sn extent.SN, mar
 		// actually replace cached bytes. Local writes win ties (the
 		// holder's operations are locally ordered); clean fills lose
 		// them (the cached copy is at least as new as the server's).
-		var won []extent.SNExtent
-		if markDirty {
-			won = pg.valid.Insert(rng, sn)
-		} else {
-			won = pg.valid.InsertNewer(rng, sn)
-		}
+		won := pg.valid.InsertInto(wonBuf[:], rng, sn, !markDirty)
 		for _, w := range won {
 			copy(pg.buf[w.Start:w.End], data[w.Start-po:w.End-po])
 		}
 		if markDirty {
 			for _, w := range won {
-				pg.dirty.Insert(w.Extent, w.SN)
+				pg.dirty.InsertInto(dirtyBuf[:], w.Extent, w.SN, false)
 			}
 		}
 		c.refreshPage(pg)
@@ -316,21 +380,23 @@ func (c *Cache) Read(stripe uint64, off int64, buf []byte) []extent.Extent {
 	defer sp.mu.Unlock()
 	ps := c.cfg.PageSize
 	var got []extent.Extent
+	var hitBuf [4]extent.SNExtent
 	want := extent.Span(off, int64(len(buf)))
 	for pi := want.Start / ps; pi*ps < want.End; pi++ {
 		pg := sp.pages[pi]
 		if pg == nil {
 			continue
 		}
-		pageRng := extent.Extent{Start: pi * ps, End: (pi + 1) * ps}
-		iv, ok := pageRng.Intersect(want)
+		in, ok := local(want, pi, ps)
 		if !ok {
 			continue
 		}
-		local := extent.Extent{Start: iv.Start - pi*ps, End: iv.End - pi*ps}
-		for _, e := range pg.valid.Overlapping(local) {
+		for _, e := range pg.valid.OverlappingInto(hitBuf[:], in) {
 			abs := extent.Extent{Start: e.Start + pi*ps, End: e.End + pi*ps}
 			copy(buf[abs.Start-off:abs.End-off], pg.buf[e.Start:e.End])
+			if got == nil {
+				got = make([]extent.Extent, 0, (want.End-1)/ps-pi+1)
+			}
 			got = append(got, abs)
 		}
 	}
@@ -352,10 +418,7 @@ func (c *Cache) Covered(stripe uint64, off, n int64) bool {
 		if pg == nil {
 			return false
 		}
-		pageRng := extent.Extent{Start: pi * ps, End: (pi + 1) * ps}
-		iv, _ := pageRng.Intersect(want)
-		local := extent.Extent{Start: iv.Start - pi*ps, End: iv.End - pi*ps}
-		if !pg.valid.Covered(local) {
+		if in, _ := local(want, pi, ps); !pg.valid.Covered(in) {
 			return false
 		}
 	}
@@ -364,8 +427,13 @@ func (c *Cache) Covered(stripe uint64, off, n int64) bool {
 
 // CollectDirty removes and returns the dirty blocks of stripe within rng
 // whose SN is at most maxSN, merged into per-SN contiguous blocks ready
-// for a flush RPC. The data is copied; a concurrent write re-dirties its
-// range and will be flushed again later.
+// for a flush RPC, in offset order. The data is copied; a concurrent
+// write re-dirties its range and will be flushed again later.
+//
+// It walks the range's pages in index order twice: first to find the
+// blocks — a block is a maximal run of byte-adjacent dirty extents with
+// one SN, however many pages it spans — then to give each block a buffer
+// of its final length and copy every page's share into it once.
 func (c *Cache) CollectDirty(stripe uint64, rng extent.Extent, maxSN extent.SN) []Block {
 	sp := c.lookup(stripe)
 	if sp == nil {
@@ -373,57 +441,66 @@ func (c *Cache) CollectDirty(stripe uint64, rng extent.Extent, maxSN extent.SN) 
 	}
 	sp.mu.Lock()
 	ps := c.cfg.PageSize
+	pages := sp.pagesIn(rng, ps, true)
 	var blocks []Block
-	for pi, pg := range sp.pages {
-		pageAbs := extent.Extent{Start: pi * ps, End: (pi + 1) * ps}
-		iv, ok := pageAbs.Intersect(rng)
-		if !ok {
-			continue
-		}
-		local := extent.Extent{Start: iv.Start - pi*ps, End: iv.End - pi*ps}
-		for _, e := range pg.dirty.Overlapping(local) {
+	var dirtyBuf [4]extent.SNExtent
+	for _, at := range pages {
+		in, _ := local(rng, at.pi, ps)
+		for _, e := range at.pg.dirty.OverlappingInto(dirtyBuf[:], in) {
 			if e.SN > maxSN {
 				continue
 			}
-			data := make([]byte, e.Len())
-			copy(data, pg.buf[e.Start:e.End])
-			blocks = append(blocks, Block{
-				Range: extent.Extent{Start: e.Start + pi*ps, End: e.End + pi*ps},
-				SN:    e.SN,
-				Data:  data,
-			})
-			pg.dirty.Remove(e.Extent)
+			abs := extent.Extent{Start: e.Start + at.pi*ps, End: e.End + at.pi*ps}
+			if n := len(blocks); n > 0 && blocks[n-1].SN == e.SN && blocks[n-1].Range.End == abs.Start {
+				blocks[n-1].Range.End = abs.End
+				continue
+			}
+			blocks = append(blocks, Block{Range: abs, SN: e.SN})
 		}
-		c.refreshPage(pg)
 	}
+	next := 0 // pages[next:] can still overlap the current block
+	for i := range blocks {
+		b := &blocks[i]
+		b.Data = wire.GetBuf(int(b.Range.Len()))
+		for j := next; j < len(pages) && pages[j].pi*ps < b.Range.End; j++ {
+			at := pages[j]
+			if (at.pi+1)*ps <= b.Range.Start {
+				next = j + 1
+				continue
+			}
+			in, _ := local(b.Range, at.pi, ps)
+			copy(b.Data[in.Start+at.pi*ps-b.Range.Start:], at.pg.buf[in.Start:in.End])
+		}
+	}
+	if len(blocks) > 0 {
+		for _, at := range pages {
+			in, _ := local(rng, at.pi, ps)
+			at.pg.dirty.RemoveLE(in, maxSN)
+			c.refreshPage(at.pg)
+		}
+	}
+	sp.releasePages()
 	sp.mu.Unlock()
 	c.signalFlow()
-	mergeBlocks(&blocks)
 	return blocks
 }
 
-// Redirty reinstates blocks whose flush failed.
+// Redirty reinstates blocks whose flush failed. It goes by each block's
+// range and SN only: the bytes are still in the pages, and the block's
+// Data may already have gone back to its pool.
 func (c *Cache) Redirty(stripe uint64, blocks []Block) {
 	sp := c.stripe(stripe)
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
 	ps := c.cfg.PageSize
+	var scratch [4]extent.SNExtent
 	for _, b := range blocks {
-		off := b.Range.Start
-		data := b.Data
-		for len(data) > 0 {
-			pi := off / ps
-			po := off % ps
-			n := int64(len(data))
-			if n > ps-po {
-				n = ps - po
-			}
+		for pi := b.Range.Start / ps; pi*ps < b.Range.End; pi++ {
 			if pg := sp.pages[pi]; pg != nil {
-				pg.dirty.Insert(extent.Extent{Start: po, End: po + n}, b.SN)
+				in, _ := local(b.Range, pi, ps)
+				pg.dirty.InsertInto(scratch[:], in, b.SN, false)
 				c.refreshPage(pg)
 			}
-			data = data[n:]
-			off += n
 		}
 	}
 }
@@ -450,21 +527,17 @@ func (c *Cache) invalidate(stripe uint64, rng extent.Extent, sn extent.SN) {
 	}
 	sp.mu.Lock()
 	ps := c.cfg.PageSize
-	for pi, pg := range sp.pages {
-		pageAbs := extent.Extent{Start: pi * ps, End: (pi + 1) * ps}
-		iv, ok := pageAbs.Intersect(rng)
-		if !ok {
-			continue
-		}
-		local := extent.Extent{Start: iv.Start - pi*ps, End: iv.End - pi*ps}
-		pg.valid.RemoveLE(local, sn)
-		pg.dirty.RemoveLE(local, sn)
-		c.refreshPage(pg)
-		if pg.valid.Len() == 0 {
-			delete(sp.pages, pi)
+	for _, at := range sp.pagesIn(rng, ps, false) {
+		in, _ := local(rng, at.pi, ps)
+		at.pg.valid.RemoveLE(in, sn)
+		at.pg.dirty.RemoveLE(in, sn)
+		c.refreshPage(at.pg)
+		if at.pg.valid.Len() == 0 {
+			delete(sp.pages, at.pi)
 			c.pages.Add(-1)
 		}
 	}
+	sp.releasePages()
 	sp.mu.Unlock()
 	c.signalFlow()
 }
@@ -541,29 +614,4 @@ func (c *Cache) reclaim() {
 func (c *Cache) String() string {
 	return fmt.Sprintf("pagecache{pages=%d dirty=%dB cached=%dB}",
 		c.pages.Load(), c.dirty.Load(), c.cached.Load())
-}
-
-// mergeBlocks coalesces adjacent same-SN blocks to shrink flush RPCs.
-func mergeBlocks(blocks *[]Block) {
-	bs := *blocks
-	if len(bs) < 2 {
-		return
-	}
-	// Insertion sort by start: block counts per flush are small.
-	for i := 1; i < len(bs); i++ {
-		for j := i; j > 0 && bs[j].Range.Start < bs[j-1].Range.Start; j-- {
-			bs[j], bs[j-1] = bs[j-1], bs[j]
-		}
-	}
-	out := bs[:1]
-	for _, b := range bs[1:] {
-		last := &out[len(out)-1]
-		if last.SN == b.SN && last.Range.End == b.Range.Start {
-			last.Range.End = b.Range.End
-			last.Data = append(last.Data, b.Data...)
-			continue
-		}
-		out = append(out, b)
-	}
-	*blocks = out
 }

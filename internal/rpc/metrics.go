@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"ccpfs/internal/obs"
 	"ccpfs/internal/wire"
@@ -24,9 +25,12 @@ const defaultSampleInterval = 16
 // Metrics is shared by all endpoints of a component (a client shares
 // one across its per-server connections, a data server across its
 // per-client connections) so the numbers aggregate naturally. All hot
-// instruments are atomics on preallocated storage — the per-method
-// arrays are indexed by the raw wire.Method byte — so recording is
-// allocation-free.
+// instruments are atomics indexed by the raw wire.Method byte. The
+// counters are preallocated; a method's latency histogram (half a
+// kilobyte) is allocated when its first sample is recorded — a
+// component speaks a handful of the 256 possible methods, and a
+// simulated cluster builds one Metrics per client and per server — so
+// recording is allocation-free after a method's first sample.
 //
 // Attach with Options.Metrics or Endpoint.SetMetrics before Start;
 // a nil Metrics keeps every instrument point a single pointer check.
@@ -43,10 +47,10 @@ type Metrics struct {
 	// before traffic (SetSampleInterval), read without synchronization.
 	sampleMask int64
 
-	calls     [256]obs.Counter   // outbound calls by method (exact)
-	handles   [256]obs.Counter   // inbound handler runs by method (exact)
-	callLat   [256]obs.Histogram // outbound round-trip ns by method (sampled)
-	handleLat [256]obs.Histogram // inbound handler service ns by method (sampled)
+	calls     [256]obs.Counter // outbound calls by method (exact)
+	handles   [256]obs.Counter // inbound handler runs by method (exact)
+	callLat   [256]lazyHist    // outbound round-trip ns by method (sampled)
+	handleLat [256]lazyHist    // inbound handler service ns by method (sampled)
 
 	// eps tracks the live endpoints this Metrics instruments, for the
 	// snapshot-time in-flight derivation. Guarded by mu; endpoints
@@ -54,6 +58,21 @@ type Metrics struct {
 	mu  sync.Mutex
 	eps map[*Endpoint]struct{}
 }
+
+// lazyHist is a histogram allocated on first use.
+type lazyHist struct{ p atomic.Pointer[obs.Histogram] }
+
+// get returns the histogram, allocating it if this is the first use.
+func (l *lazyHist) get() *obs.Histogram {
+	if h := l.p.Load(); h != nil {
+		return h
+	}
+	l.p.CompareAndSwap(nil, new(obs.Histogram))
+	return l.p.Load()
+}
+
+// Record adds one observation.
+func (l *lazyHist) Record(v int64) { l.get().Record(v) }
 
 // NewMetrics returns an instrument set with the default latency
 // sampling interval.
@@ -117,12 +136,12 @@ func (m *Metrics) Handles(method wire.Method) int64 { return m.handles[method].L
 // count is the number of sampled observations, not the call count —
 // see Calls.
 func (m *Metrics) CallHist(method wire.Method) *obs.Histogram {
-	return &m.callLat[method]
+	return m.callLat[method].get()
 }
 
 // HandleHist returns the inbound service-time histogram for method.
 func (m *Metrics) HandleHist(method wire.Method) *obs.Histogram {
-	return &m.handleLat[method]
+	return m.handleLat[method].get()
 }
 
 // Collect implements obs.Collector: scalar instruments accumulate (so
@@ -143,16 +162,16 @@ func (m *Metrics) Collect(s *obs.Snapshot) {
 		if n := m.handles[i].Load(); n > 0 {
 			s.Counters["rpc.handles."+wire.Method(i).String()] += n
 		}
-		if m.callLat[i].Count() > 0 {
+		if lat := m.callLat[i].p.Load(); lat != nil && lat.Count() > 0 {
 			name := "rpc.call." + wire.Method(i).String()
 			h := s.Histograms[name]
-			h.Merge(m.callLat[i].Snapshot())
+			h.Merge(lat.Snapshot())
 			s.Histograms[name] = h
 		}
-		if m.handleLat[i].Count() > 0 {
+		if lat := m.handleLat[i].p.Load(); lat != nil && lat.Count() > 0 {
 			name := "rpc.handle." + wire.Method(i).String()
 			h := s.Histograms[name]
-			h.Merge(m.handleLat[i].Snapshot())
+			h.Merge(lat.Snapshot())
 			s.Histograms[name] = h
 		}
 	}

@@ -18,10 +18,9 @@ import (
 //
 // Layout: a fixed power-of-two array of slots, open-addressed by a
 // Fibonacci hash of the call ID with a short linear probe window, plus
-// a mutex-guarded overflow map for bursts that exceed the window (e.g.
-// a 512-call CallBatch whose IDs collide). Call IDs come from a
-// monotonically increasing counter and are never reused, which is what
-// makes the slot protocol ABA-free.
+// a mutex-guarded overflow map for bursts that exceed the window. Call
+// IDs come from a monotonically increasing counter and are never
+// reused, which is what makes the slot protocol ABA-free.
 //
 // Slot state machine, entirely on the slot's id word:
 //
@@ -38,13 +37,19 @@ import (
 
 const (
 	// tableBits sizes the slot array: 1<<tableBits slots per table, two
-	// tables (pending + active) per endpoint — 16 KiB each at 16 bytes
-	// per slot. Sized so the steady-state in-flight load of the wide
-	// flush path (512-call batches) fits without spilling to overflow.
-	tableBits   = 10
+	// tables (pending + active) per endpoint — 1 KiB each at 16 bytes
+	// per slot, embedded in the Endpoint. Sized to what an endpoint has
+	// in flight: at most FlushWindow bulk calls, one CallBatch of a few
+	// revocation chunks, or the lock calls of the goroutines blocked on
+	// one server. A simulated cluster builds sixteen endpoints per
+	// client, so a table sized for a burst nobody sends was most of a
+	// run's set-up cost and live heap; a burst beyond the probe window
+	// spills to the overflow map, which is as fast as the mutex-guarded
+	// map this table replaced.
+	tableBits   = 6
 	tableSize   = 1 << tableBits
 	tableMask   = tableSize - 1
-	probeWindow = 32
+	probeWindow = 16
 
 	// slotClaim marks a slot mid-transition. Call IDs start at 1 and
 	// increment, so neither 0 (free) nor ^0 can collide with a real id.
@@ -60,8 +65,8 @@ func tableHash(id uint64) uint64 {
 
 // callSlot is one open-addressed entry. Slots are deliberately not
 // cache-line padded: the hash already scatters concurrent IDs, and
-// padding would quadruple the table to 64 KiB per direction per
-// endpoint (simulations run hundreds of endpoints).
+// padding would quadruple the table (simulations run hundreds of
+// endpoints).
 type callSlot[V any] struct {
 	id  atomic.Uint64
 	val V

@@ -86,9 +86,36 @@ type Endpoint struct {
 	Tag atomic.Value
 }
 
+// response is what complete hands a waiting Call: the whole pooled
+// response frame (the reply payload follows its header) or an error.
+// The receiver owns the frame and disposes of it in decodeReply.
 type response struct {
-	payload []byte
-	err     error
+	frame []byte
+	err   error
+}
+
+// decodeReply decodes a received response into reply (nil discards the
+// payload) and disposes of the frame: back to the pool once decoded,
+// unless the reply's fields alias it (wire.FrameHolder) — then the
+// reply holds the frame until its owner releases it.
+func decodeReply(resp response, reply wire.Msg) error {
+	if resp.err != nil {
+		return resp.err
+	}
+	if reply == nil {
+		wire.PutBuf(resp.frame)
+		return nil
+	}
+	err := wire.Unmarshal(resp.frame[headerLen:], reply)
+	if h, ok := reply.(wire.FrameHolder); ok {
+		h.HoldFrame(resp.frame)
+	} else {
+		wire.PutBuf(resp.frame)
+	}
+	if err != nil {
+		return fmt.Errorf("rpc: decoding %T reply: %w", reply, err)
+	}
+	return nil
 }
 
 // chanPool recycles the single-slot reply channels Call blocks on.
@@ -296,16 +323,7 @@ func (ep *Endpoint) call(ctx context.Context, method wire.Method, req wire.Msg, 
 			}
 		}
 	}
-	if resp.err != nil {
-		return resp.err
-	}
-	if reply == nil {
-		return nil
-	}
-	if err := wire.Unmarshal(resp.payload, reply); err != nil {
-		return fmt.Errorf("rpc: decoding %T reply: %w", reply, err)
-	}
-	return nil
+	return decodeReply(resp, reply)
 }
 
 // BatchCall describes one call of a CallBatch. Reply may be nil to
@@ -380,16 +398,8 @@ func (ep *Endpoint) callBatch(ctx context.Context, calls []BatchCall) error {
 	encs := make([]*wire.Encoder, len(calls))
 	frames := make([][]byte, len(calls))
 	for i := range calls {
-		enc := wire.GetEncoder(headerLen + 64)
-		enc.U8(kindRequest)
-		enc.U64(ids[i])
-		enc.U8(uint8(calls[i].Method))
-		enc.U8(statusOK)
-		if calls[i].Req != nil {
-			calls[i].Req.Encode(enc)
-		}
-		encs[i] = enc
-		frames[i] = enc.Bytes()
+		encs[i] = encodeFrame(kindRequest, ids[i], calls[i].Method, statusOK, calls[i].Req)
+		frames[i] = encs[i].Bytes()
 	}
 	sendErr := transport.SendBatch(ctx, ep.conn, frames)
 	if m := ep.metrics; m != nil {
@@ -449,14 +459,7 @@ func (ep *Endpoint) callBatch(ctx context.Context, calls []BatchCall) error {
 			}
 		}
 		if got {
-			switch {
-			case resp.err != nil:
-				calls[i].Err = resp.err
-			case calls[i].Reply != nil:
-				if err := wire.Unmarshal(resp.payload, calls[i].Reply); err != nil {
-					calls[i].Err = fmt.Errorf("rpc: decoding %T reply: %w", calls[i].Reply, err)
-				}
-			}
+			calls[i].Err = decodeReply(resp, calls[i].Reply)
 		}
 		if calls[i].Err != nil && firstErr == nil {
 			firstErr = calls[i].Err
@@ -503,17 +506,35 @@ func (ep *Endpoint) forget(id uint64) {
 	ep.pending.take(id)
 }
 
-func (ep *Endpoint) send(ctx context.Context, kind byte, id uint64, method wire.Method, status byte, m wire.Msg) error {
-	// The encoder is recycled as soon as Send returns: transports must
-	// not retain the frame afterwards (see the transport.Conn contract).
-	enc := wire.GetEncoder(headerLen + 64)
+// encodeFrame encodes one frame into a pooled encoder. A bulk message
+// says how large it is (wire.Sizer), so its frame comes from the size
+// class that fits and the payload is copied into it exactly once; every
+// other message fits the smallest class. Once encoded, a message whose
+// payload rides in pooled buffers (wire.Recycler) gives them back: the
+// frame has the bytes now.
+func encodeFrame(kind byte, id uint64, method wire.Method, status byte, m wire.Msg) *wire.Encoder {
+	size := headerLen + 64
+	if s, ok := m.(wire.Sizer); ok {
+		size = headerLen + s.EncodedSize()
+	}
+	enc := wire.GetEncoder(size)
 	enc.U8(kind)
 	enc.U64(id)
 	enc.U8(uint8(method))
 	enc.U8(status)
 	if m != nil {
 		m.Encode(enc)
+		if r, ok := m.(wire.Recycler); ok {
+			r.Recycle()
+		}
 	}
+	return enc
+}
+
+func (ep *Endpoint) send(ctx context.Context, kind byte, id uint64, method wire.Method, status byte, m wire.Msg) error {
+	// The encoder is recycled as soon as Send returns: transports must
+	// not retain the frame afterwards (see the transport.Conn contract).
+	enc := encodeFrame(kind, id, method, status, m)
 	n := int64(len(enc.Bytes()))
 	err := ep.conn.Send(ctx, enc.Bytes())
 	wire.PutEncoder(enc)
@@ -560,15 +581,18 @@ func (ep *Endpoint) readLoop() {
 		id := binary.LittleEndian.Uint64(frame[1:9])
 		method := wire.Method(frame[9])
 		status := frame[10]
-		payload := frame[headerLen:]
 
+		// The frame is a pooled buffer this endpoint owns (see the
+		// ownership rules in wire/pool.go): each branch passes it on to
+		// the one place that recycles it.
 		switch kind {
 		case kindRequest:
-			ep.dispatch(id, method, payload)
+			ep.dispatch(id, method, frame)
 		case kindResponse:
-			ep.complete(id, status, payload)
+			ep.complete(id, status, frame)
 		case kindCancel:
 			ep.cancelInbound(id)
+			wire.PutBuf(frame)
 		default:
 			err = fmt.Errorf("rpc: unknown frame kind %d", kind)
 		}
@@ -585,9 +609,14 @@ func (ep *Endpoint) readLoop() {
 	ep.shutdown()
 }
 
-func (ep *Endpoint) dispatch(id uint64, method wire.Method, payload []byte) {
+// dispatch runs the handler for one request frame in its own goroutine,
+// which recycles the frame once the handler has returned and the reply
+// is sent — so a handler may alias its payload for as long as it runs,
+// and must copy what it keeps beyond that.
+func (ep *Endpoint) dispatch(id uint64, method wire.Method, frame []byte) {
 	h, ok := ep.handlers[method]
 	if !ok {
+		wire.PutBuf(frame)
 		ep.handlerStart()
 		ep.clk.Go(func() {
 			defer ep.handlerDone()
@@ -632,7 +661,7 @@ func (ep *Endpoint) dispatch(id uint64, method wire.Method, payload []byte) {
 			timed = true
 			start = obs.Now()
 		}
-		reply, err := h(ctx, payload)
+		reply, err := h(ctx, frame[headerLen:])
 		if timed {
 			elapsed = obs.Now() - start
 		}
@@ -640,13 +669,10 @@ func (ep *Endpoint) dispatch(id uint64, method wire.Method, payload []byte) {
 			ep.sendErr(ep.baseCtx, id, method, err)
 		} else {
 			ep.send(ep.baseCtx, kindResponse, id, method, statusOK, reply)
-			// A reply whose payload rides in a pooled buffer (e.g. a read
-			// served from a pooled block) is returned to its pool now that
-			// the encoded frame is on the wire.
-			if r, ok := reply.(wire.Recycler); ok {
-				r.Recycle()
-			}
 		}
+		// The reply (which may alias the request payload) is encoded
+		// and sent; nothing refers to the request frame any more.
+		wire.PutBuf(frame)
 		if m != nil {
 			m.handles[method].Inc()
 			if timed {
@@ -668,19 +694,22 @@ func (ep *Endpoint) cancelInbound(id uint64) {
 	}
 }
 
-func (ep *Endpoint) complete(id uint64, status byte, payload []byte) {
+func (ep *Endpoint) complete(id uint64, status byte, frame []byte) {
 	ch, ok := ep.pending.take(id)
 	if !ok {
+		wire.PutBuf(frame)
 		return // stale (canceled) or duplicate response
 	}
 	if status == statusErr {
-		ch <- response{err: wire.DecodeError(wire.NewDecoder(payload))}
+		err := wire.DecodeError(wire.NewDecoder(frame[headerLen:])) // copies what it keeps
+		wire.PutBuf(frame)
+		ch <- response{err: err}
 		ep.clk.Wakeup(ch)
 		return
 	}
-	// The payload aliases the frame, which is private to this endpoint
-	// after Recv; handing it to the caller is safe.
-	ch <- response{payload: payload}
+	// The frame is private to this endpoint after Recv; the waiting
+	// caller takes it over and recycles it once the reply is decoded.
+	ch <- response{frame: frame}
 	ep.clk.Wakeup(ch)
 }
 

@@ -187,19 +187,49 @@ const (
 	stateRun
 )
 
-// vg is one parked-or-ready continuation. A fresh one is allocated per
-// park (and per spawned goroutine), so no state survives a wake.
+// vg is one parked-or-ready continuation: one per park and per spawned
+// goroutine. Records are recycled through vgPool. A continuation
+// receives from its wake channel exactly once, and by then the scheduler
+// has dropped every reference that could reach it — it is off the run
+// queue, off its key's chain, and any event that still names it is dead
+// — so the goroutine that received can hand the record, channel and all,
+// straight to the next park.
 type vg struct {
 	wake   chan struct{}
 	state  uint8
 	reason WakeReason
 	key    any    // set while parked on a key
 	ev     *event // set while parked with a deadline
+
+	// next chains the goroutines parked on one key in park order; the
+	// chain's head (the map entry) also tracks its tail.
+	next, tail *vg
+}
+
+var vgPool = sync.Pool{New: func() any { return &vg{wake: make(chan struct{}, 1)} }}
+
+// newVG returns a recycled continuation in the given state.
+func newVG(state uint8, key any) *vg {
+	g := vgPool.Get().(*vg)
+	g.state, g.reason, g.key = state, WakeKey, key
+	return g
+}
+
+// await blocks until the scheduler (or the end of the run) wakes g,
+// recycles g and says why it woke.
+func (g *vg) await() WakeReason {
+	<-g.wake
+	why := g.reason
+	g.key, g.ev, g.next, g.tail = nil, nil, nil, nil
+	vgPool.Put(g)
+	return why
 }
 
 // event is a heap entry: wake g (a sleeper/timed wait) or spawn fn (an
 // AfterFunc) at virtual time at. seq breaks timestamp ties in creation
-// order, which keeps simultaneous events deterministic.
+// order, which keeps simultaneous events deterministic. Wake events are
+// recycled through VClock.freeEv once they leave the heap; an AfterFunc
+// event belongs to its ClockTimer and is not.
 type event struct {
 	at    int64
 	seq   uint64
@@ -236,13 +266,15 @@ type VClock struct {
 	base  time.Time
 	nowNs atomic.Int64
 
-	mu     sync.Mutex
-	seq    uint64
-	evq    eventQueue
-	runq   []*vg
-	parked map[any][]*vg
-	ngo    int
-	exited bool
+	mu       sync.Mutex
+	seq      uint64
+	evq      eventQueue
+	freeEv   []*event
+	runq     []*vg // runq[runqHead:] is live, in ready order
+	runqHead int
+	parked   map[any]*vg // key -> chain of goroutines parked on it
+	ngo      int
+	exited   bool
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
@@ -254,7 +286,7 @@ type VClock struct {
 func NewVClock(seed int64) *VClock {
 	return &VClock{
 		base:   time.Unix(1_000_000_000, 0),
-		parked: make(map[any][]*vg),
+		parked: make(map[any]*vg),
 		rng:    rand.New(rand.NewSource(seed)),
 	}
 }
@@ -286,10 +318,10 @@ func (v *VClock) Run(f func()) {
 	done := make(chan struct{})
 	v.mu.Lock()
 	v.ngo++
-	g := &vg{wake: make(chan struct{}, 1), state: stateReady}
-	v.runq = append(v.runq, g)
+	g := newVG(stateReady, nil)
+	v.pushRunLocked(g)
 	go func() {
-		<-g.wake
+		g.await()
 		f()
 		v.exitAll()
 		close(done)
@@ -313,23 +345,26 @@ func (v *VClock) exitAll() {
 	v.mu.Lock()
 	v.exited = true
 	var wake []*vg
-	wake = append(wake, v.runq...)
-	v.runq = nil
-	for _, gs := range v.parked {
-		for _, g := range gs {
+	wake = append(wake, v.runq[v.runqHead:]...)
+	v.runq, v.runqHead = nil, 0
+	for _, head := range v.parked {
+		for g := head; g != nil; g = g.next {
 			g.state = stateReady
 			wake = append(wake, g)
 		}
 	}
-	v.parked = make(map[any][]*vg)
+	v.parked = make(map[any]*vg)
 	for _, ev := range v.evq {
-		if g := ev.g; g != nil && g.state == stateParked {
+		// A dead event may name a record that has since been recycled
+		// into another park, or another clock; only a live one still
+		// owns its sleeper.
+		if g := ev.g; !ev.dead && g != nil && g.state == stateParked {
 			g.state = stateReady
 			wake = append(wake, g)
 		}
 		ev.dead = true
 	}
-	v.evq = nil
+	v.evq, v.freeEv = nil, nil
 	v.mu.Unlock()
 	for _, g := range wake {
 		g.reason = WakeExited
@@ -356,13 +391,17 @@ func (v *VClock) Go(f func()) bool {
 
 func (v *VClock) spawnLocked(f func()) {
 	v.ngo++
-	g := &vg{wake: make(chan struct{}, 1), state: stateReady}
-	v.runq = append(v.runq, g)
-	go func() {
-		<-g.wake
-		f()
-		v.goDone() // no-op once the run has ended
-	}()
+	g := newVG(stateReady, nil)
+	v.pushRunLocked(g)
+	go v.runSpawned(g, f)
+}
+
+// runSpawned is the body of a tracked goroutine: wait for the token, run
+// f, retire.
+func (v *VClock) runSpawned(g *vg, f func()) {
+	g.await()
+	f()
+	v.goDone() // no-op once the run has ended
 }
 
 // goDone retires a tracked goroutine and hands the token on.
@@ -394,16 +433,15 @@ func (v *VClock) waitOn(key any, deadlineNs int64) WakeReason {
 		v.mu.Unlock()
 		return WakeTimeout
 	}
-	g := &vg{wake: make(chan struct{}, 1), state: stateParked, key: key}
+	g := newVG(stateParked, key)
 	if key != nil {
-		v.parked[key] = append(v.parked[key], g)
+		v.parkLocked(g)
 	}
 	if deadlineNs >= 0 {
 		g.ev = v.pushEventLocked(deadlineNs, g, nil)
 	}
 	v.yieldLocked()
-	<-g.wake
-	return g.reason
+	return g.await()
 }
 
 // sleep parks the caller for d of virtual time; false once exited.
@@ -417,10 +455,10 @@ func (v *VClock) sleep(d time.Duration) bool {
 		v.mu.Unlock()
 		return true
 	}
-	g := &vg{wake: make(chan struct{}, 1), state: stateParked}
+	g := newVG(stateParked, nil)
 	g.ev = v.pushEventLocked(v.nowNs.Load()+d.Nanoseconds(), g, nil)
 	v.yieldLocked()
-	<-g.wake
+	g.await()
 	return true
 }
 
@@ -435,10 +473,10 @@ func (v *VClock) sleepUntil(deadline time.Time) bool {
 		v.mu.Unlock()
 		return true
 	}
-	g := &vg{wake: make(chan struct{}, 1), state: stateParked}
+	g := newVG(stateParked, nil)
 	g.ev = v.pushEventLocked(ns, g, nil)
 	v.yieldLocked()
-	<-g.wake
+	g.await()
 	return true
 }
 
@@ -473,25 +511,36 @@ func (v *VClock) WakeupAt(key any, at time.Time) {
 // at virtual time atNs if that is still ahead.
 func (v *VClock) wakeup(key any, atNs int64) {
 	v.mu.Lock()
-	gs := v.parked[key]
-	if len(gs) > 0 {
+	if head := v.parked[key]; head != nil {
 		delete(v.parked, key)
-		for _, g := range gs {
-			if g.state != stateParked {
-				continue
-			}
+		for g := head; g != nil; {
+			next := g.next
+			g.next, g.tail = nil, nil
 			if atNs <= v.nowNs.Load() {
 				v.readyLocked(g, WakeKey)
-				continue
+			} else {
+				g.key = nil
+				if g.ev != nil {
+					g.ev.dead = true
+				}
+				g.ev = v.pushEventLocked(atNs, g, nil)
 			}
-			g.key = nil
-			if g.ev != nil {
-				g.ev.dead = true
-			}
-			g.ev = v.pushEventLocked(atNs, g, nil)
+			g = next
 		}
 	}
 	v.mu.Unlock()
+}
+
+// parkLocked appends g to the chain of goroutines parked on g.key.
+func (v *VClock) parkLocked(g *vg) {
+	head := v.parked[g.key]
+	if head == nil {
+		g.tail = g
+		v.parked[g.key] = g
+		return
+	}
+	head.tail.next = g
+	head.tail = g
 }
 
 func (v *VClock) readyLocked(g *vg, why WakeReason) {
@@ -502,14 +551,42 @@ func (v *VClock) readyLocked(g *vg, why WakeReason) {
 		g.ev.dead = true
 		g.ev = nil
 	}
+	v.pushRunLocked(g)
+}
+
+// pushRunLocked appends g to the run queue, compacting the consumed
+// prefix first so a steady hand-over reuses one backing array.
+func (v *VClock) pushRunLocked(g *vg) {
+	if v.runqHead > 0 && len(v.runq) == cap(v.runq) {
+		n := copy(v.runq, v.runq[v.runqHead:])
+		clear(v.runq[n:])
+		v.runq = v.runq[:n]
+		v.runqHead = 0
+	}
 	v.runq = append(v.runq, g)
 }
 
 func (v *VClock) pushEventLocked(at int64, g *vg, fn func()) *event {
 	v.seq++
-	ev := &event{at: at, seq: v.seq, g: g, fn: fn}
+	var ev *event
+	if n := len(v.freeEv); n > 0 {
+		ev = v.freeEv[n-1]
+		v.freeEv = v.freeEv[:n-1]
+	} else {
+		ev = new(event)
+	}
+	*ev = event{at: at, seq: v.seq, g: g, fn: fn}
 	heap.Push(&v.evq, ev)
 	return ev
+}
+
+// freeEventLocked recycles an event that has left the heap. Only wake
+// events: an AfterFunc event is still referenced by its ClockTimer.
+func (v *VClock) freeEventLocked(ev *event) {
+	if ev.fn == nil {
+		ev.g = nil
+		v.freeEv = append(v.freeEv, ev)
+	}
 }
 
 // yieldLocked hands the run token to the next runnable goroutine,
@@ -517,10 +594,13 @@ func (v *VClock) pushEventLocked(at int64, g *vg, fn func()) *event {
 // Called with v.mu held; releases it.
 func (v *VClock) yieldLocked() {
 	for {
-		if len(v.runq) > 0 {
-			g := v.runq[0]
-			copy(v.runq, v.runq[1:])
-			v.runq = v.runq[:len(v.runq)-1]
+		if v.runqHead < len(v.runq) {
+			g := v.runq[v.runqHead]
+			v.runq[v.runqHead] = nil
+			v.runqHead++
+			if v.runqHead == len(v.runq) {
+				v.runq, v.runqHead = v.runq[:0], 0
+			}
 			g.state = stateRun
 			g.wake <- struct{}{}
 			v.mu.Unlock()
@@ -546,6 +626,7 @@ func (v *VClock) yieldLocked() {
 		} else if ev.fn != nil {
 			v.spawnLocked(ev.fn)
 		}
+		v.freeEventLocked(ev)
 	}
 }
 
@@ -553,6 +634,7 @@ func (v *VClock) popEventLocked() *event {
 	for len(v.evq) > 0 {
 		ev := heap.Pop(&v.evq).(*event)
 		if ev.dead {
+			v.freeEventLocked(ev)
 			continue
 		}
 		return ev
@@ -560,19 +642,27 @@ func (v *VClock) popEventLocked() *event {
 	return nil
 }
 
+// dropParkedLocked unlinks g from its key's chain.
 func (v *VClock) dropParkedLocked(g *vg) {
-	gs := v.parked[g.key]
-	for i, p := range gs {
-		if p == g {
-			gs = append(gs[:i], gs[i+1:]...)
-			break
+	head := v.parked[g.key]
+	if head == g {
+		if g.next == nil {
+			delete(v.parked, g.key)
+		} else {
+			g.next.tail = g.tail
+			v.parked[g.key] = g.next
+		}
+	} else {
+		prev := head
+		for prev.next != g {
+			prev = prev.next
+		}
+		prev.next = g.next
+		if head.tail == g {
+			head.tail = prev
 		}
 	}
-	if len(gs) == 0 {
-		delete(v.parked, g.key)
-	} else {
-		v.parked[g.key] = gs
-	}
+	g.next, g.tail = nil, nil
 }
 
 // stallLocked fires when no goroutine is runnable and no event is
@@ -587,9 +677,11 @@ func (v *VClock) stallLocked() {
 	}
 	keys := make(map[string]int)
 	parked := 0
-	for k, gs := range v.parked {
-		keys[fmt.Sprintf("%T", k)] += len(gs)
-		parked += len(gs)
+	for k, head := range v.parked {
+		for g := head; g != nil; g = g.next {
+			keys[fmt.Sprintf("%T", k)]++
+			parked++
+		}
 	}
 	msg := fmt.Sprintf("sim: virtual clock stalled at %v: %d tracked goroutines, %d parked on keys %v, empty event heap — an unmediated block or a missing Wakeup",
 		time.Duration(v.nowNs.Load()), v.ngo, parked, keys)

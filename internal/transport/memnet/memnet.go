@@ -14,6 +14,7 @@ import (
 
 	"ccpfs/internal/sim"
 	"ccpfs/internal/transport"
+	"ccpfs/internal/wire"
 )
 
 // Network is an in-process fabric. Nodes listen on arbitrary string
@@ -165,6 +166,16 @@ type timedMsg struct {
 	data      []byte
 }
 
+// deliveredCopy is the one copy a message makes on this hop: out of the
+// sender's frame (which the sender reuses the moment Send returns) into
+// a pooled buffer of the message's size that Recv hands to its caller,
+// who owns it from then on and recycles it (wire/pool.go).
+func deliveredCopy(msg []byte) []byte {
+	cp := wire.GetBuf(len(msg))
+	copy(cp, msg)
+	return cp
+}
+
 func newPipe(hw sim.Hardware) *pipe {
 	p := &pipe{hw: hw, clk: hw.Clock}
 	p.nic.SetClock(hw.Clock)
@@ -198,12 +209,12 @@ func (p *pipe) send(ctx context.Context, msg []byte) error {
 	if err := p.nic.UseBytesCtx(ctx, int64(len(msg)), p.hw.NetBandwidth, 0); err != nil {
 		return err
 	}
-	cp := make([]byte, len(msg))
-	copy(cp, msg)
+	cp := deliveredCopy(msg)
 	deliverAt := p.deliveryTime()
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
+		wire.PutBuf(cp)
 		return transport.ErrClosed
 	}
 	p.push(timedMsg{deliverAt: deliverAt, data: cp})
@@ -231,9 +242,7 @@ func (p *pipe) sendBatch(ctx context.Context, msgs [][]byte) error {
 		return transport.ErrClosed
 	}
 	for _, m := range msgs {
-		cp := make([]byte, len(m))
-		copy(cp, m)
-		p.push(timedMsg{deliverAt: deliverAt, data: cp})
+		p.push(timedMsg{deliverAt: deliverAt, data: deliveredCopy(m)})
 	}
 	p.cond.Signal()
 	p.mu.Unlock()

@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"ccpfs/internal/transport"
+	"ccpfs/internal/wire"
 )
 
 // MaxFrame bounds a single message; larger frames indicate corruption
@@ -270,7 +271,8 @@ var errFrameTooLarge = errors.New("tcpnet: frame exceeds limit")
 
 // readFrame scans one length-prefixed frame from br, which may deliver
 // the prefix and payload across any number of split reads. The returned
-// slice is freshly allocated and owned by the caller.
+// slice is a pooled buffer (wire.GetBuf) owned by the caller, who
+// recycles it; the conn never touches it again.
 func readFrame(br *bufio.Reader, scratch *[4]byte) ([]byte, error) {
 	if _, err := io.ReadFull(br, scratch[:]); err != nil {
 		return nil, err
@@ -279,8 +281,9 @@ func readFrame(br *bufio.Reader, scratch *[4]byte) ([]byte, error) {
 	if n > MaxFrame {
 		return nil, errFrameTooLarge
 	}
-	msg := make([]byte, n)
+	msg := wire.GetBuf(int(n))
 	if _, err := io.ReadFull(br, msg); err != nil {
+		wire.PutBuf(msg)
 		return nil, err
 	}
 	return msg, nil

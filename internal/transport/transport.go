@@ -34,7 +34,10 @@ var ErrClosed = errors.New("transport: closed")
 // The caller is therefore free to reuse or recycle the buffer the moment
 // the call returns (the rpc layer pools its encoder frames on this
 // contract). Symmetrically, a slice returned by Recv is owned by the
-// caller; the Conn never touches it again.
+// caller; the Conn never touches it again. Both fabrics deliver into
+// pooled buffers (wire.GetBuf), so a caller that knows when it is done
+// with a frame may hand it back with wire.PutBuf, as the rpc layer does;
+// one that does not simply drops it.
 type Conn interface {
 	// Send transmits one message. It may block for simulated or real
 	// transmission time, bounded by ctx.

@@ -12,6 +12,7 @@ import (
 	"ccpfs/internal/transport"
 	"ccpfs/internal/transport/memnet"
 	"ccpfs/internal/transport/tcpnet"
+	"ccpfs/internal/wire"
 )
 
 // fabric constructs a network and returns a dialable address for it.
@@ -476,6 +477,81 @@ func TestSendBatchConcurrentWithSends(t *testing.T) {
 				}
 			case <-time.After(10 * time.Second):
 				t.Fatal("frames not delivered")
+			}
+		})
+	}
+}
+
+// TestReceivedFrameOwnedByCaller is the receive half of the buffer
+// contract, per transport: a frame Recv returned belongs to the caller
+// until the caller recycles it. The receiver keeps the first frame and
+// recycles every later one as it arrives (wire.PutBuf — under -race that
+// also overwrites it), so the transport's pooled delivery buffers are in
+// constant reuse while the senders keep sending; the kept frame must
+// still read as sent at the end, and every later frame must read as sent
+// when it arrives.
+func TestReceivedFrameOwnedByCaller(t *testing.T) {
+	const (
+		frames = 64
+		size   = 64<<10 + 55 // a 64 KiB flush frame: one pool class, constant reuse
+	)
+	fill := func(i int) []byte { return bytes.Repeat([]byte{byte(i + 1)}, size) }
+	for _, f := range fabrics() {
+		t.Run(f.name, func(t *testing.T) {
+			net := f.mk(t)
+			l, err := net.Listen(listenAddr(f))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			errc := make(chan error, 1)
+			go func() {
+				errc <- func() error {
+					c, err := l.Accept()
+					if err != nil {
+						return err
+					}
+					defer c.Close()
+					var kept []byte
+					for i := 0; i < frames; i++ {
+						m, err := c.Recv(context.Background())
+						if err != nil {
+							return err
+						}
+						if !bytes.Equal(m, fill(i)) {
+							return fmt.Errorf("frame %d arrived corrupted (starts %x)", i, m[:4])
+						}
+						if i == 0 {
+							kept = m
+						} else {
+							wire.PutBuf(m)
+						}
+					}
+					if !bytes.Equal(kept, fill(0)) {
+						return fmt.Errorf("frame 0, still owned by the receiver, was overwritten by later traffic (starts %x)", kept[:4])
+					}
+					return nil
+				}()
+			}()
+			c, err := net.Dial(l.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			buf := make([]byte, size)
+			for i := 0; i < frames; i++ {
+				copy(buf, fill(i)) // the sender reuses its buffer, as the rpc layer does
+				if i%4 == 3 {
+					err = transport.SendBatch(context.Background(), c, [][]byte{buf})
+				} else {
+					err = c.Send(context.Background(), buf)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := <-errc; err != nil {
+				t.Fatal(err)
 			}
 		})
 	}

@@ -1,6 +1,10 @@
 package wire
 
-import "ccpfs/internal/extent"
+import (
+	"sync"
+
+	"ccpfs/internal/extent"
+)
 
 // Method identifies an RPC handler. Methods below 128 are client→server;
 // methods at or above 128 are server→client callbacks.
@@ -134,11 +138,20 @@ func Marshal(m Msg) []byte {
 	return e.buf
 }
 
+// decoders recycles the Decoder Unmarshal hands to m.Decode: the call
+// goes through the Msg interface, so a local one would escape to the
+// heap on every message.
+var decoders = sync.Pool{New: func() any { return new(Decoder) }}
+
 // Unmarshal decodes a frame into m, requiring full consumption.
 func Unmarshal(b []byte, m Msg) error {
-	d := NewDecoder(b)
+	d := decoders.Get().(*Decoder)
+	*d = Decoder{buf: b}
 	m.Decode(d)
-	return d.Finish()
+	err := d.Finish()
+	*d = Decoder{}
+	decoders.Put(d)
+	return err
 }
 
 func encodeExtent(e *Encoder, x extent.Extent) {
@@ -682,6 +695,19 @@ type Block struct {
 	Data  []byte
 }
 
+// blockHeaderLen is the encoded size of a Block without its data: range,
+// SN, and the data's length prefix.
+const blockHeaderLen = 16 + 8 + 4
+
+// blocksSize returns the encoded size of a block list, count included.
+func blocksSize(blocks []Block) int {
+	n := 4
+	for i := range blocks {
+		n += blockHeaderLen + len(blocks[i].Data)
+	}
+	return n
+}
+
 // FlushRequest carries dirty client-cache blocks to a data server. Blocks
 // from multiple locks may be batched; each block carries the SN of the
 // lock it was written under (§IV-A).
@@ -690,6 +716,9 @@ type FlushRequest struct {
 	Client   uint32
 	Blocks   []Block
 }
+
+// EncodedSize implements Sizer.
+func (m *FlushRequest) EncodedSize() int { return 8 + 4 + blocksSize(m.Blocks) }
 
 // Encode implements Msg.
 func (m *FlushRequest) Encode(e *Encoder) {
@@ -707,7 +736,7 @@ func (m *FlushRequest) Encode(e *Encoder) {
 func (m *FlushRequest) Decode(d *Decoder) {
 	m.Resource = d.U64()
 	m.Client = d.U32()
-	n := d.Len32(28)
+	n := d.Len32(blockHeaderLen)
 	if n > 0 {
 		m.Blocks = make([]Block, n)
 		for i := range m.Blocks {
@@ -738,8 +767,29 @@ func (m *ReadRequest) Decode(d *Decoder) {
 
 // ReadReply returns the stored blocks covering the requested range;
 // holes (never-written ranges) are omitted and read as zeros.
+//
+// A decoded ReadReply's block data aliases the response frame, so the
+// reply holds that frame (FrameHolder) until the caller calls Release.
 type ReadReply struct {
 	Blocks []Block
+
+	frame []byte // the pooled response frame Blocks alias, if any
+}
+
+// EncodedSize implements Sizer.
+func (m *ReadReply) EncodedSize() int { return blocksSize(m.Blocks) }
+
+// HoldFrame implements FrameHolder.
+func (m *ReadReply) HoldFrame(frame []byte) { m.frame = frame }
+
+// Release returns the frame the blocks alias to the pool. Call it after
+// the last use of Blocks[i].Data; the reply is empty afterwards.
+func (m *ReadReply) Release() {
+	if m.frame != nil {
+		PutBuf(m.frame)
+		m.frame = nil
+	}
+	m.Blocks = nil
 }
 
 // Encode implements Msg.
@@ -754,7 +804,7 @@ func (m *ReadReply) Encode(e *Encoder) {
 
 // Decode implements Msg.
 func (m *ReadReply) Decode(d *Decoder) {
-	n := d.Len32(28)
+	n := d.Len32(blockHeaderLen)
 	if n > 0 {
 		m.Blocks = make([]Block, n)
 		for i := range m.Blocks {
