@@ -1,14 +1,9 @@
 // Command benchcheck is the CI regression gate for the DLM grant
-// engine and the observability layer. It re-runs the grant-path,
-// revocation-storm, and RPC round-trip benchmarks in-process and
-// fails (exit 1) when
+// engine. It re-runs the grant-path, revocation-storm, and delegation
+// benchmarks in-process and fails (exit 1) when
 //
 //   - the interval index no longer beats the linear-scan baseline by
 //     the required floor (-minspeedup), or
-//   - the instrumented RPC round trip exceeds its overhead ceiling
-//     over the bare one, or
-//   - the parallel RPC round trip is slower per op than the serial one
-//     (the lock-free pending-table scaling guarantee), or
 //   - the client's cached-lock hit path allocates, or
 //   - four capacity-capped partitioned lock servers fail to carry the
 //     grant workload at least 2x faster per op than one server, or
@@ -21,8 +16,8 @@
 //   - a benchmark pair ratio regressed by more than -threshold against
 //     the checked-in BENCH_dlm.json baseline.
 //
-// Only pair ratios (Linear/Indexed, Unbatched/Batched, Obs/bare) are
-// compared: ratios measured on the same machine in the same run are
+// Only pair ratios (Linear/Indexed, Unbatched/Batched, Scale1/Scale4)
+// are compared: ratios measured on the same machine in the same run are
 // hardware-independent, so the gate is meaningful on CI runners that
 // are slower or faster than the machine that produced the baseline.
 // Absolute ns/op numbers are printed but never gated.
@@ -164,7 +159,6 @@ func main() {
 	names := []string{
 		"LockGrantIndexed", "LockGrantLinear",
 		"RevokeStorm", "RevokeStormUnbatched",
-		"RpcRoundTrip", "RpcRoundTripObs", "RpcRoundTripParallel",
 		"LockClientCachedHitParallel",
 		"LockGrantScale1", "LockGrantScale2", "LockGrantScale4", "LockGrantScale8",
 		"ServerPingPong", "HandoffPingPong",
@@ -173,8 +167,7 @@ func main() {
 	// Each benchmark runs `rounds` times and the minimum ns/op is kept:
 	// the min is the run least disturbed by scheduler and VM noise, so
 	// the pair ratios gated below are far more stable than single-shot
-	// measurements (serial RPC round trips vary ±30% run to run on
-	// loaded machines; their minima vary a few percent).
+	// measurements.
 	const rounds = 3
 	fmt.Printf("benchcheck: running %d DLM benchmarks x%d (keeping per-name min ns/op)...\n", len(names), rounds)
 	fresh := map[string]perfbench.Result{}
@@ -211,18 +204,9 @@ func main() {
 	pairs := []struct {
 		label, slow, fast string
 		floor             float64 // required minimum for the fresh ratio; 0 = none
-		ceiling           float64 // required maximum for the fresh ratio; 0 = none
 	}{
 		{label: "grant-path index speedup", slow: "LockGrantLinear", fast: "LockGrantIndexed", floor: *minSpeedup},
 		{label: "revoke-storm batching", slow: "RevokeStormUnbatched", fast: "RevokeStorm"},
-		// Instrumentation overhead: the fully metered round trip may cost
-		// at most 5% over the bare one (ISSUE: allocation-free rule).
-		{label: "obs overhead (rpc)", slow: "RpcRoundTripObs", fast: "RpcRoundTrip", ceiling: 1.05},
-		// Parallel scaling: with the lock-free pending-call table, eight
-		// concurrent callers must be at least as fast per op as one —
-		// before it, contention on ep.mu made the parallel round trip
-		// *slower* than serial (the ISSUE 6 motivating number).
-		{label: "parallel rpc scaling", slow: "RpcRoundTripParallel", fast: "RpcRoundTrip", ceiling: 1.0},
 		// Partition scaling: four capacity-capped lock servers must carry
 		// the grant workload at least twice as fast per op as one. The
 		// ideal ratio is 4x; the 2x floor leaves room for scheduler noise
@@ -242,18 +226,6 @@ func main() {
 			fmt.Printf("  << floor %.1fx\n", p.floor)
 			fmt.Fprintf(os.Stderr, "FAIL: %s: %.2fx is below the required %.1fx floor\n", p.label, got, p.floor)
 			failed = true
-			continue
-		}
-		if p.ceiling > 0 && got > p.ceiling {
-			fmt.Printf("  >> ceiling %.2fx\n", p.ceiling)
-			fmt.Fprintf(os.Stderr, "FAIL: %s: %.2fx exceeds the %.2fx ceiling\n", p.label, got, p.ceiling)
-			failed = true
-			continue
-		}
-		if p.ceiling > 0 {
-			// A ceiling pair is gated absolutely; baseline drift on top of
-			// it would only re-test the same bound with extra noise.
-			fmt.Println()
 			continue
 		}
 		// A pair whose sides are absent from the baseline file is new
@@ -333,9 +305,9 @@ func main() {
 		}
 	}
 
-	// The client's cached-hit fast path (epoch pin + RCU snapshot scan +
-	// hot-word CAS) is allocation-free by construction; a single alloc
-	// per op here means a snapshot copy or pin leaked onto the hit path.
+	// The client's cached-hit path (shard mutex, list scan, hot-word CAS)
+	// and its Unlock allocate nothing; a single alloc per op here means a
+	// closure or a list copy leaked onto the path every cached IO takes.
 	if r, ok := fresh["LockClientCachedHitParallel"]; !ok {
 		fmt.Fprintln(os.Stderr, "FAIL: cached-hit allocs: missing fresh result for LockClientCachedHitParallel")
 		failed = true

@@ -2,11 +2,11 @@ package dlm
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 
-	"ccpfs/internal/epoch"
 	"ccpfs/internal/extent"
 	"ccpfs/internal/shard"
 	"ccpfs/internal/sim"
@@ -41,9 +41,10 @@ func (f FlusherFunc) FlushForCancel(ctx context.Context, res ResourceID, rng ext
 }
 
 // The mutable per-handle state lives in one packed atomic word so the
-// cached-hit fast path, revocation, absorption, and Unlock all race
-// through CAS transitions on a single cell — no per-handle or per-shard
-// mutex on the hit path. Layout (low to high):
+// cached-hit path, revocation, absorption, and Unlock all race through
+// CAS transitions on a single cell — no per-handle mutex, and Unlock,
+// which has only the handle, takes no shard mutex either. Layout (low
+// to high):
 //
 //	bits  0–31  holds       active Acquire references
 //	bits 32–33  state       Granted / Canceling
@@ -53,11 +54,10 @@ func (f FlusherFunc) FlushForCancel(ctx context.Context, res ResourceID, rng ext
 //	bit  37     releaseSent the Release RPC has been (or is being) issued
 //	bits 40–47  mode        current Mode (changes on downgrade)
 //
-// The combinations the word makes atomic are exactly the races the old
-// shard mutex serialized: a hit's holds++ vs. a revocation's
-// state=Canceling, an Unlock's holds-- vs. an upgrade's absorb-capture,
-// and the one-shot claim of the cancel path (the canceling bit). See
-// DESIGN.md §11.
+// The combinations the word makes atomic are the races between those
+// paths: a hit's holds++ vs. a revocation's state=Canceling, an
+// Unlock's holds-- vs. an upgrade's absorb-capture, and the one-shot
+// claim of the cancel path (the canceling bit). See DESIGN.md §11.
 const (
 	hotHoldsMask   = uint64(1)<<32 - 1
 	hotStateShift  = 32
@@ -140,11 +140,11 @@ func (h *Handle) setMode(m Mode) {
 	}
 }
 
-// tryHit attempts the wait-free cached-lock fast path: bump holds iff
-// the handle is still GRANTED, unclaimed by a cancel, unabsorbed, and
-// its mode covers need. The CAS makes the reuse check and the reference
-// count one atomic step, so a racing revocation either sees our hold
-// (and defers the cancel to our Unlock) or beats us (and we miss).
+// tryHit attempts the cached-lock hit: bump holds iff the handle is
+// still GRANTED, unclaimed by a cancel, unabsorbed, and its mode covers
+// need. The CAS makes the reuse check and the reference count one atomic
+// step, so a racing revocation either sees our hold (and defers the
+// cancel to our Unlock) or beats us (and we miss).
 func (h *Handle) tryHit(need Mode) bool {
 	for {
 		w := h.hot.Load()
@@ -188,13 +188,11 @@ type ClientStats struct {
 // revocation callbacks, and runs the cancel path (downgrade → flush →
 // release) of §III-D2.
 //
-// Concurrency: the cached-lock fast path is lock-free. Each shard
-// publishes its resource→handles map through an atomic pointer; readers
-// pin the shard's epoch domain, load the snapshot, and claim a handle
-// with one CAS on its packed state word — no mutex, no allocation.
-// Writers (grant installation, absorption, removal) serialize on the
-// shard mutex, publish copy-on-write, and retire displaced maps through
-// the epoch domain for reuse. See DESIGN.md §11.
+// Concurrency: a shard mutex guards that shard's resource→handles map
+// and its bookkeeping; a handle's own state is one packed atomic word.
+// A cached-lock hit finds the handle under the shard mutex and claims it
+// with one CAS on that word — no allocation, and nothing held across an
+// RPC. See DESIGN.md §6 and §11.
 type LockClient struct {
 	id      ClientID
 	policy  Policy
@@ -208,8 +206,8 @@ type LockClient struct {
 	cancelFn context.CancelFunc
 
 	// shards holds the per-shard lock state, each made when a resource
-	// first hashes to it (shard): a shard is 2 KiB of padded epoch slots
-	// and a client's resources touch a few of the 64.
+	// first hashes to it (shard): a client's resources touch a few of
+	// the 64.
 	shards [shard.Count]atomic.Pointer[clientShard]
 
 	// peer, when set, is the client-to-client transport handoff
@@ -227,15 +225,14 @@ type LockClient struct {
 }
 
 // clientShard carries the lock state of the resources hashing to one
-// shard. snap is the RCU-published cache: the map and every slice in it
-// are immutable once stored; mutation copies and re-publishes under mu.
-// The zero value is an empty shard: snap and every map below are made
-// when first written (put, setList).
+// shard; mu guards every field. The zero value is an empty shard: the
+// maps are made when first written (put).
 type clientShard struct {
-	mu   sync.Mutex
-	snap atomic.Pointer[map[ResourceID][]*Handle]
-	dom  epoch.Domain
-	acq  map[ResourceID]*sync.Mutex
+	mu sync.Mutex
+	// cached lists each resource's cached handles in install order, the
+	// order a hit scans them in.
+	cached map[ResourceID][]*Handle
+	acq    map[ResourceID]*sync.Mutex
 	// pendingRevokes records revocation callbacks that arrived before
 	// the corresponding grant reply was processed (the callback and the
 	// reply race on different goroutines); the handle is created
@@ -274,25 +271,8 @@ type lockKey struct {
 	id  LockID
 }
 
-// snapMapPool recycles displaced cache snapshots. A map freed here has
-// passed a grace period of its shard's epoch domain, so no pinned
-// reader can still be iterating it when a writer repopulates it.
-var snapMapPool = sync.Pool{
-	New: func() any { return make(map[ResourceID][]*Handle, 8) },
-}
-
-// cur returns the current snapshot: for mutation under sh.mu, or for a
-// lock-free read under an epoch pin. It is nil until the shard's first
-// lock is cached.
-func (sh *clientShard) cur() map[ResourceID][]*Handle {
-	if m := sh.snap.Load(); m != nil {
-		return *m
-	}
-	return nil
-}
-
 // put stores m[k] = v, making the map on first use. A client has 64
-// shards of nine maps and touches the few its resources hash to, so the
+// shards of ten maps and touches the few its resources hash to, so the
 // shard maps are made when first written (reads, deletes and ranges of a
 // nil map already do the right thing).
 func put[K comparable, V any](m *map[K]V, k K, v V) {
@@ -300,30 +280,6 @@ func put[K comparable, V any](m *map[K]V, k K, v V) {
 		*m = make(map[K]V)
 	}
 	(*m)[k] = v
-}
-
-// setList publishes a copy of the snapshot with res's handle list
-// replaced (nil deletes the entry) and retires the displaced map into
-// the pool after a grace period. Caller holds sh.mu; list must not be
-// mutated after this call.
-func (sh *clientShard) setList(res ResourceID, list []*Handle) {
-	old := sh.cur()
-	m := snapMapPool.Get().(map[ResourceID][]*Handle)
-	for k, v := range old {
-		m[k] = v
-	}
-	if list == nil {
-		delete(m, res)
-	} else {
-		m[res] = list
-	}
-	sh.snap.Store(&m)
-	if old != nil {
-		sh.dom.Retire(func() {
-			clear(old)
-			snapMapPool.Put(old)
-		})
-	}
 }
 
 // NewLockClient returns a lock client. router maps a resource to the
@@ -430,24 +386,26 @@ func (c *LockClient) AcquireExtents(ctx context.Context, res ResourceID, need Mo
 	return c.acquire(ctx, res, need, b, set)
 }
 
-// fastHit scans the published snapshot for a reusable cached handle
-// without taking any lock. The epoch pin keeps the snapshot map alive
-// against writers recycling displaced versions; the per-handle CAS in
-// tryHit claims the reference.
+// fastHit claims a reusable cached handle for res, or returns nil.
 func (c *LockClient) fastHit(res ResourceID, need Mode, rng extent.Extent) *Handle {
+	sh := c.shard(res)
+	sh.mu.Lock()
+	h := c.hitLocked(sh, res, need, rng)
+	sh.mu.Unlock()
+	return h
+}
+
+// hitLocked is fastHit's scan: the first cached handle covering rng
+// whose tryHit CAS claims a hold. Caller holds sh.mu.
+func (c *LockClient) hitLocked(sh *clientShard, res ResourceID, need Mode, rng extent.Extent) *Handle {
 	if !c.policy.CacheLocks {
 		return nil
 	}
-	sh := c.shard(res)
-	g := sh.dom.Pin()
-	list := sh.cur()[res]
-	for _, h := range list {
+	for _, h := range sh.cached[res] {
 		if h.rng.Contains(rng) && h.tryHit(need) {
-			g.Unpin()
 			return h
 		}
 	}
-	g.Unpin()
 	return nil
 }
 
@@ -458,7 +416,7 @@ func (c *LockClient) fastHit(res ResourceID, need Mode, rng extent.Extent) *Hand
 func (c *LockClient) adoptLease(res ResourceID, id LockID, need Mode) *Handle {
 	sh := c.shard(res)
 	sh.mu.Lock()
-	h := findByID(sh.cur()[res], id)
+	h := findByID(sh.cached[res], id)
 	sh.mu.Unlock()
 	if h == nil {
 		return nil
@@ -601,27 +559,19 @@ func (c *LockClient) acquire(ctx context.Context, res ResourceID, need Mode, rng
 	delete(sh.arrivedHandoffs, k)
 	h.hot.Store(hotWord(1, st, g.Mode, need.IsWrite()))
 
-	list := sh.cur()[res]
-	nl := make([]*Handle, 0, len(list)+1)
-	nl = append(nl, list...)
+	list := sh.cached[res]
 	// Merge locks the server absorbed during upgrading: transfer their
 	// active holds and dirty-write flags, and forward their handles.
 	for _, aid := range g.Absorbed {
-		var old *Handle
-		idx := -1
-		for i, x := range nl {
-			if x.id == aid {
-				old, idx = x, i
-				break
-			}
-		}
-		if old == nil || !h.absorb(old) {
+		idx := slices.IndexFunc(list, func(x *Handle) bool { return x.id == aid })
+		if idx < 0 || !h.absorb(list[idx]) {
 			continue
 		}
+		old := list[idx]
 		k := lockKey{res, aid}
 		put(&sh.tombstones, k, true)
 		delete(sh.pendingRevokes, k)
-		nl = append(nl[:idx], nl[idx+1:]...)
+		list = slices.Delete(list, idx, idx+1)
 		// The absorbed lock will never be canceled on its own; its
 		// users now hold h, and its released channel tracks h's.
 		c.clk.Go(func() {
@@ -630,8 +580,7 @@ func (c *LockClient) acquire(ctx context.Context, res ResourceID, need Mode, rng
 			c.clk.Wakeup(old.released)
 		})
 	}
-	nl = append(nl, h)
-	sh.setList(res, nl)
+	put(&sh.cached, res, append(list, h))
 	sh.mu.Unlock()
 	return h, nil
 }
@@ -673,24 +622,18 @@ func findByID(list []*Handle, id LockID) *Handle {
 	return nil
 }
 
-// remove unpublishes h from the cache and tombstones it. Caller holds
-// sh.mu.
+// remove drops h from the cache and tombstones it. Caller holds sh.mu.
 func (sh *clientShard) remove(h *Handle) {
 	k := lockKey{h.res, h.id}
 	put(&sh.tombstones, k, true)
 	delete(sh.pendingRevokes, k)
-	list := sh.cur()[h.res]
-	for i, x := range list {
-		if x == h {
-			var nl []*Handle
-			if len(list) > 1 {
-				nl = make([]*Handle, 0, len(list)-1)
-				nl = append(nl, list[:i]...)
-				nl = append(nl, list[i+1:]...)
-			}
-			sh.setList(h.res, nl)
-			return
-		}
+	list := sh.cached[h.res]
+	switch i := slices.Index(list, h); {
+	case i < 0:
+	case len(list) == 1:
+		delete(sh.cached, h.res)
+	default:
+		sh.cached[h.res] = slices.Delete(list, i, i+1)
 	}
 }
 
@@ -754,7 +697,7 @@ func (c *LockClient) OnRevokeStamped(res ResourceID, id LockID, stamp *HandoffSt
 		// acquires park on it instead of going to the server.
 		put(&sh.fanStanding, res, true)
 	}
-	h := findByID(sh.cur()[res], id)
+	h := findByID(sh.cached[res], id)
 	if h == nil {
 		// Either the grant reply has not been processed yet (remember
 		// the revocation — and its stamp — for when it is) or the lock
@@ -903,10 +846,9 @@ func (c *LockClient) cancel(h *Handle) {
 // CachedLocks returns the number of cached handles for a resource.
 func (c *LockClient) CachedLocks(res ResourceID) int {
 	sh := c.shard(res)
-	g := sh.dom.Pin()
-	n := len(sh.cur()[res])
-	g.Unpin()
-	return n
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return len(sh.cached[res])
 }
 
 // Close cancels the client's lifecycle context, aborting background
@@ -923,7 +865,7 @@ func (c *LockClient) ReleaseAll(ctx context.Context) error {
 	var toStart, toWait []*Handle
 	for _, sh := range c.liveShards() {
 		sh.mu.Lock()
-		for _, list := range sh.cur() {
+		for _, list := range sh.cached {
 			for _, h := range list {
 				for {
 					w := h.hot.Load()

@@ -38,7 +38,7 @@ func (c *LockClient) waitStanding(ctx context.Context, res ResourceID, need Mode
 				sh.mu.Unlock()
 				return nil
 			}
-			if h := c.fastHit(res, need, rng); h != nil {
+			if h := c.hitLocked(sh, res, need, rng); h != nil {
 				sh.mu.Unlock()
 				return h
 			}
@@ -70,7 +70,7 @@ func (c *LockClient) waitStanding(ctx context.Context, res ResourceID, need Mode
 		// The lease may have landed between the caller's cache miss and
 		// here; re-probe under the registration lock so a wake cannot
 		// slip between the miss and the park.
-		if h := c.fastHit(res, need, rng); h != nil {
+		if h := c.hitLocked(sh, res, need, rng); h != nil {
 			sh.mu.Unlock()
 			return h
 		}
@@ -200,7 +200,7 @@ func (c *LockClient) installLease(res ResourceID, g *BroadcastStamp, mine Lease)
 		sh.mu.Unlock()
 		return
 	}
-	if sh.tombstones[k] || findByID(sh.cur()[res], mine.LockID) != nil {
+	if sh.tombstones[k] || findByID(sh.cached[res], mine.LockID) != nil {
 		sh.mu.Unlock()
 		return
 	}
@@ -227,11 +227,7 @@ func (c *LockClient) installLease(res ResourceID, g *BroadcastStamp, mine Lease)
 		w |= hotCanceling
 	}
 	h.hot.Store(w)
-	list := sh.cur()[res]
-	nl := make([]*Handle, 0, len(list)+1)
-	nl = append(nl, list...)
-	nl = append(nl, h)
-	sh.setList(res, nl)
+	put(&sh.cached, res, append(sh.cached[res], h))
 	sh.wakeStanding(res, c.clk)
 	sh.mu.Unlock()
 

@@ -151,7 +151,7 @@ func (c *LockClient) OnHandoffMsg(res ResourceID, id LockID, final bool, acks []
 			close(tw.ch)
 			c.clk.Wakeup(tw.ch)
 		}
-	} else if !sh.tombstones[k] && findByID(sh.cur()[res], id) == nil {
+	} else if !sh.tombstones[k] && findByID(sh.cached[res], id) == nil {
 		if final {
 			put(&sh.arrivedHandoffs, k, finalParts)
 		} else {
@@ -176,7 +176,7 @@ func (c *LockClient) waitTransfer(ctx context.Context, res ResourceID, g Grant) 
 	k := lockKey{res, g.LockID}
 	sh := c.shard(res)
 	sh.mu.Lock()
-	if findByID(sh.cur()[res], g.LockID) != nil {
+	if findByID(sh.cached[res], g.LockID) != nil {
 		sh.mu.Unlock()
 		return true, nil
 	}
@@ -323,7 +323,7 @@ func (c *LockClient) OnAckSolicit(res ResourceID, id LockID) {
 	switch {
 	case slices.Contains(sh.pendingAcks[res], id):
 		ids = sh.popAcks(res)
-	case findByID(sh.cur()[res], id) != nil:
+	case findByID(sh.cached[res], id) != nil:
 		ids = []LockID{id}
 	case !sh.tombstones[k]:
 		put(&sh.solicited, k, true)

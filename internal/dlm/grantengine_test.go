@@ -190,16 +190,15 @@ func TestReleaseManyLocksNotQuadratic(t *testing.T) {
 
 // TestRevocationFanOutBounded asserts the revoker's worker-pool bound:
 // a conflict revoking many distinct holders must never run more
-// concurrent notifier deliveries than the configured pool size.
+// concurrent notifier deliveries than DefaultRevokeWorkers.
 func TestRevocationFanOutBounded(t *testing.T) {
 	const holders = 64
-	const bound = 4
+	const bound = DefaultRevokeWorkers
 	var (
 		cur, peak atomic.Int64
 		gate      = make(chan struct{})
 	)
 	s := NewServer(tiledPolicy(), nil)
-	s.SetRevokeWorkers(bound)
 	s.SetNotifier(NotifierFunc(func(_ context.Context, rv Revocation) {
 		c := cur.Add(1)
 		for {

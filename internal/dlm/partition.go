@@ -17,11 +17,11 @@ import (
 // replay-based failover. See DESIGN.md §12.
 
 // slotView is the server's immutable view of the slots it masters,
-// published behind an atomic pointer (the RCU idiom from DESIGN.md
-// §11): readers load it wait-free on every Lock, writers replace it
-// wholesale. A nil view means the engine is unpartitioned and masters
-// the whole lock space — the single-server mode every pre-partition
-// test and benchmark runs in.
+// published behind an atomic pointer: readers load it on every Lock,
+// writers replace it wholesale and the GC reclaims the old one. A nil
+// view means the engine is unpartitioned and masters the whole lock
+// space — the single-server mode every pre-partition test and benchmark
+// runs in.
 type slotView struct {
 	epoch  uint64
 	owned  [partition.NumSlots]bool

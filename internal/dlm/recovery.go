@@ -45,7 +45,7 @@ func (c *LockClient) Export(filter func(ResourceID) bool) []LockRecord {
 	var out []LockRecord
 	for _, sh := range c.liveShards() {
 		sh.mu.Lock()
-		for res, list := range sh.cur() {
+		for res, list := range sh.cached {
 			if filter != nil && !filter(res) {
 				continue
 			}

@@ -2,17 +2,15 @@ package dlm
 
 import (
 	"context"
-	"runtime"
+	"slices"
 	"sync"
-	"sync/atomic"
 )
 
 // DefaultRevokeWorkers caps how many revocation deliveries run
-// concurrently. Before the revoker existed, every revocation spawned
-// its own goroutine, so a wide conflict (one request revoking thousands
-// of holders) meant thousands of simultaneous callback RPCs; the pool
-// bounds that fan-out while the per-client coalescing keeps the RPC
-// count low (DESIGN.md §9).
+// concurrently: a wide conflict (one request revoking thousands of
+// holders) must not mean thousands of simultaneous callback RPCs. The
+// pool bounds that fan-out while the per-client coalescing keeps the
+// RPC count low (DESIGN.md §9).
 const DefaultRevokeWorkers = 8
 
 // BatchNotifier is an optional Notifier extension: implementations
@@ -28,321 +26,108 @@ type BatchNotifier interface {
 	RevokeBatch(ctx context.Context, client ClientID, revs []Revocation)
 }
 
-// revNode carries one enqueue's revocations for one client through that
-// client's MPSC queue.
-type revNode struct {
-	next atomic.Pointer[revNode]
-	revs []Revocation
-}
-
-// revQueue is a Vyukov-style intrusive MPSC queue of revNodes: push is
-// lock-free from any goroutine (one Swap plus one Store), pop is owned
-// by at most one consumer at a time. A producer between its Swap and
-// its link Store leaves the queue transiently unreachable past the gap;
-// pop then returns nil and the producer's subsequent schedule check
-// (the status CAS in revoker.enqueue) guarantees the node is not lost.
-type revQueue struct {
-	head atomic.Pointer[revNode] // most recently pushed
-	// tail is written only by the owning consumer, but read by empty()
-	// from whichever goroutine just released ownership — hence atomic.
-	tail atomic.Pointer[revNode]
-	stub revNode
-}
-
-func (q *revQueue) init() {
-	q.tail.Store(&q.stub)
-	q.head.Store(&q.stub)
-}
-
-func (q *revQueue) push(n *revNode) {
-	n.next.Store(nil)
-	prev := q.head.Swap(n)
-	prev.next.Store(n) // linearization: n becomes reachable here
-}
-
-// pop returns the oldest node, or nil when the queue is empty or a
-// producer is mid-push. Single consumer only.
-func (q *revQueue) pop() *revNode {
-	tail := q.tail.Load()
-	next := tail.next.Load()
-	if tail == &q.stub {
-		if next == nil {
-			return nil
-		}
-		q.tail.Store(next)
-		tail = next
-		next = next.next.Load()
-	}
-	if next != nil {
-		q.tail.Store(next)
-		return tail
-	}
-	if tail != q.head.Load() {
-		return nil // a producer past tail is mid-push
-	}
-	// Exactly one node left: re-append the stub so tail can retire.
-	q.push(&q.stub)
-	if next = tail.next.Load(); next != nil {
-		q.tail.Store(next)
-		return tail
-	}
-	return nil // a producer swapped in between; its link is pending
-}
-
-// empty reports whether the queue holds no reachable node. It may
-// return false while a producer is mid-push — the safe direction: the
-// consumer re-schedules and finds the node once linked.
-func (q *revQueue) empty() bool {
-	t := q.tail.Load()
-	return t.next.Load() == nil && t == q.head.Load()
-}
-
-// revClient is one destination client's delivery state. status makes
-// scheduling exactly-once: a client is pushed onto a worker's ready
-// queue only by the winner of the idle→scheduled CAS, and returns to
-// idle only after a delivery drained its queue — so a client has at
-// most one delivery in flight and sits in at most one ready queue.
+// revClient is one destination client's delivery state. scheduled makes
+// scheduling exactly-once: it is set when the client enters a lane's
+// ready list and cleared only after a delivery found nothing more
+// pending — so a client has at most one delivery in flight and sits in
+// at most one ready list.
 type revClient struct {
-	id     ClientID
-	status atomic.Uint32 // revIdle / revScheduled
-	rnext  atomic.Pointer[revClient]
-	q      revQueue
+	id        ClientID
+	pending   []Revocation // queued for the next delivery, in enqueue order
+	scheduled bool
 }
 
-const (
-	revIdle      = 0
-	revScheduled = 1
-)
-
-// readyQueue is the same MPSC shape as revQueue, intrusive over
-// revClients: producers are enqueuers scheduling a client, the consumer
-// is the worker owning the slot.
-type readyQueue struct {
-	head atomic.Pointer[revClient]
-	tail atomic.Pointer[revClient]
-	stub revClient
-}
-
-func (q *readyQueue) init() {
-	q.tail.Store(&q.stub)
-	q.head.Store(&q.stub)
-}
-
-func (q *readyQueue) push(c *revClient) {
-	c.rnext.Store(nil)
-	prev := q.head.Swap(c)
-	prev.rnext.Store(c)
-}
-
-func (q *readyQueue) pop() *revClient {
-	tail := q.tail.Load()
-	next := tail.rnext.Load()
-	if tail == &q.stub {
-		if next == nil {
-			return nil
-		}
-		q.tail.Store(next)
-		tail = next
-		next = next.rnext.Load()
-	}
-	if next != nil {
-		q.tail.Store(next)
-		return tail
-	}
-	if tail != q.head.Load() {
-		return nil
-	}
-	q.push(&q.stub)
-	if next = tail.rnext.Load(); next != nil {
-		q.tail.Store(next)
-		return tail
-	}
-	return nil
-}
-
-func (q *readyQueue) empty() bool {
-	t := q.tail.Load()
-	return t.rnext.Load() == nil && t == q.head.Load()
-}
-
-// revSlot is one worker's lane: a ready queue of clients to deliver to
-// and a running flag that spawns the worker goroutine on demand. An
-// idle engine holds no revoker goroutines.
-type revSlot struct {
-	ready   readyQueue
-	running atomic.Bool
-	_       [40]byte // keep slots off each other's cache line
+// revLane is one worker's lane: the clients it is to deliver to, in the
+// order they were scheduled, and whether its worker goroutine is
+// running. Workers spawn on demand; an idle engine holds no revoker
+// goroutines.
+type revLane struct {
+	ready   []*revClient
+	running bool
 }
 
 // revoker coalesces revocations per destination client and delivers
-// them from a bounded, on-demand worker pool. Enqueueing is lock-free
-// (per-client MPSC push + a schedule CAS) and never blocks, so the
-// grant engine can hand off revocations while a delivery's reply
-// (RevokeAck → scan → fire) is re-entering the engine on another
-// resource — without the handoff and the delivery contending on a
-// revoker mutex.
+// them from a bounded, on-demand worker pool. mu guards all of it and is
+// a leaf lock: enqueue takes it for a few appends and never blocks on
+// delivery, and it is never held across a notifier call — so the grant
+// engine can hand off revocations while a delivery's reply (RevokeAck →
+// scan → fire) is re-entering the engine on another resource.
 //
 // Ordering: revocations for one client are delivered in enqueue order,
-// and a client has at most one delivery in flight at a time (its status
-// word bars a second worker from claiming it; revocations arriving
-// while a delivery runs ride the next batch), so per-client callbacks
-// are serialized. Distinct clients spread round-robin over the slots
-// and deliver concurrently up to the pool bound. See DESIGN.md §11.
+// and a client has at most one delivery in flight at a time (scheduled
+// bars a second worker from claiming it; revocations arriving while a
+// delivery runs ride the next batch), so per-client callbacks are
+// serialized. Distinct clients spread round-robin over the lanes and
+// deliver concurrently up to the pool bound.
 type revoker struct {
 	s *Server
 
-	// clients is the RCU client registry: lookups are lock-free map
-	// reads; misses take regMu and publish a copy with the new entry.
-	// Clients are never removed, so no reclamation is needed.
-	clients atomic.Pointer[map[ClientID]*revClient]
-	regMu   sync.Mutex
-
-	// slots holds the worker lanes; its length is the pool bound. Reset
-	// only by SetRevokeWorkers, which the engine requires to run before
-	// conflicting traffic.
-	slots atomic.Pointer[[]revSlot]
-	next  atomic.Uint64 // round-robin lane assignment
-}
-
-func (r *revoker) init(s *Server, bound int) {
-	r.s = s
-	m := make(map[ClientID]*revClient)
-	r.clients.Store(&m)
-	r.setBound(bound)
-}
-
-func (r *revoker) setBound(n int) {
-	slots := make([]revSlot, n)
-	for i := range slots {
-		slots[i].ready.init()
-	}
-	r.slots.Store(&slots)
-}
-
-// SetRevokeWorkers adjusts the revocation worker-pool bound (default
-// DefaultRevokeWorkers). Call before the engine sees conflicting
-// traffic; n < 1 is clamped to 1.
-func (s *Server) SetRevokeWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	s.revoker.setBound(n)
-}
-
-// client returns the delivery state for id, creating it on first use.
-func (r *revoker) client(id ClientID) *revClient {
-	if rc := (*r.clients.Load())[id]; rc != nil {
-		return rc
-	}
-	r.regMu.Lock()
-	defer r.regMu.Unlock()
-	m := *r.clients.Load()
-	if rc := m[id]; rc != nil {
-		return rc
-	}
-	nm := make(map[ClientID]*revClient, len(m)+1)
-	for k, v := range m {
-		nm[k] = v
-	}
-	rc := &revClient{id: id}
-	rc.q.init()
-	nm[id] = rc
-	r.clients.Store(&nm)
-	return rc
+	mu      sync.Mutex
+	clients map[ClientID]*revClient // never removed from
+	lanes   [DefaultRevokeWorkers]revLane
+	next    uint64 // round-robin lane assignment
 }
 
 // enqueue hands one grant-scan's revocations to the delivery machinery:
-// group them per destination client, push one node per client onto its
-// queue, and schedule every client that was idle. No locks, no
-// blocking; workers spawn on demand up to the bound.
+// append each to its destination client's pending list and schedule
+// every client that was idle, in order of first appearance — lane
+// assignment is a shared round-robin counter, so that order must be
+// stable for deterministic virtual runs.
 func (r *revoker) enqueue(revs []Revocation) {
 	r.s.Stats.RevokeQueue.Add(int64(len(revs)))
-	byClient := make(map[ClientID][]Revocation, 4)
-	order := make([]ClientID, 0, 4)
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	for _, rv := range revs {
-		if _, ok := byClient[rv.Client]; !ok {
-			order = append(order, rv.Client)
+		rc := r.clients[rv.Client]
+		if rc == nil {
+			rc = &revClient{id: rv.Client}
+			put(&r.clients, rv.Client, rc)
 		}
-		byClient[rv.Client] = append(byClient[rv.Client], rv)
-	}
-	// First-appearance order, not map order: lane assignment below is a
-	// shared round-robin counter, so iteration order must be stable for
-	// deterministic virtual runs.
-	for _, cid := range order {
-		list := byClient[cid]
-		rc := r.client(cid)
-		rc.q.push(&revNode{revs: list})
-		// The push strictly precedes this CAS: if a delivery is draining
-		// rc right now (status already scheduled), its post-drain
-		// recheck sees our node; otherwise we win the transition and
-		// schedule rc ourselves.
-		if rc.status.CompareAndSwap(revIdle, revScheduled) {
+		rc.pending = append(rc.pending, rv)
+		if !rc.scheduled {
+			rc.scheduled = true
 			r.schedule(rc)
 		}
 	}
 }
 
 // schedule assigns rc to a lane round-robin and makes sure the lane's
-// worker is running. Callers own the idle→scheduled transition.
+// worker is running. Caller holds r.mu and has set rc.scheduled.
 func (r *revoker) schedule(rc *revClient) {
-	slots := *r.slots.Load()
-	sl := &slots[int(r.next.Add(1)%uint64(len(slots)))]
-	sl.ready.push(rc)
-	if sl.running.CompareAndSwap(false, true) {
-		r.s.clk.Go(func() { r.work(sl) })
+	r.next++
+	ln := &r.lanes[r.next%uint64(len(r.lanes))]
+	ln.ready = append(ln.ready, rc)
+	if !ln.running {
+		ln.running = true
+		r.s.clk.Go(func() { r.work(ln) })
 	}
 }
 
-// work drains one lane's ready clients until none are claimable, then
-// retires — re-checking after clearing running so a push that raced the
-// retirement is never stranded (either this worker wins the flag back
-// or the pusher's CAS spawns a fresh one).
-func (r *revoker) work(sl *revSlot) {
-	for {
-		rc := sl.ready.pop()
-		if rc == nil {
-			sl.running.Store(false)
-			if sl.ready.empty() {
-				return
-			}
-			if !sl.running.CompareAndSwap(false, true) {
-				return // another worker took the lane
-			}
-			// pop saw a mid-push gap; yield so the producer can finish
-			// its link instead of spinning against it.
-			runtime.Gosched()
-			continue
-		}
-		r.deliverClient(rc)
-	}
-}
-
-// deliverClient drains everything queued for rc into one batch,
-// delivers it, and returns rc to idle — re-scheduling it if producers
-// queued more while the delivery ran.
-func (r *revoker) deliverClient(rc *revClient) {
-	var batch []Revocation
-	for {
-		n := rc.q.pop()
-		if n == nil {
-			break
-		}
-		if batch == nil {
-			batch = n.revs
-		} else {
-			batch = append(batch, n.revs...)
-		}
-	}
-	if len(batch) > 0 {
+// work delivers to one lane's ready clients, oldest first, until none
+// are left, then retires. Each delivery takes everything pending for its
+// client as one batch and runs outside r.mu; a client that collected
+// more in the meantime is scheduled again.
+func (r *revoker) work(ln *revLane) {
+	r.mu.Lock()
+	for len(ln.ready) > 0 {
+		rc := ln.ready[0]
+		ln.ready = slices.Delete(ln.ready, 0, 1)
+		batch := rc.pending
+		rc.pending = nil
+		r.mu.Unlock()
 		// The batch leaves the backlog the moment a worker claims it;
 		// delivery time shows up in the notifier's RPC metrics instead.
 		r.s.Stats.RevokeQueue.Add(-int64(len(batch)))
 		r.deliver(rc.id, batch)
+		r.mu.Lock()
+		if len(rc.pending) > 0 {
+			r.schedule(rc)
+		} else {
+			rc.scheduled = false
+		}
 	}
-	rc.status.Store(revIdle)
-	if !rc.q.empty() && rc.status.CompareAndSwap(revIdle, revScheduled) {
-		r.schedule(rc)
-	}
+	ln.running = false
+	r.mu.Unlock()
 }
 
 // deliver hands one client's coalesced batch to the notifier. The

@@ -189,7 +189,7 @@ func NewServer(policy Policy, notifier Notifier) *Server {
 		timeout = policy.HandoffReclaimInterval
 	}
 	s.handoffTimeout.Store(int64(timeout))
-	s.revoker.init(s, DefaultRevokeWorkers)
+	s.revoker.s = s
 	return s
 }
 

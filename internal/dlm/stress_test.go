@@ -11,11 +11,11 @@ import (
 	"ccpfs/internal/extent"
 )
 
-// mpscStressNotifier checks the revoker's two delivery guarantees from
+// revStressNotifier checks the revoker's two delivery guarantees from
 // the receiving side: per-client callbacks never overlap, and the
 // revocations of one (client, producer) pair arrive in enqueue order.
 // Producer and sequence number ride in the LockID.
-type mpscStressNotifier struct {
+type revStressNotifier struct {
 	t         *testing.T
 	active    []atomic.Int32
 	delivered atomic.Int64
@@ -23,11 +23,11 @@ type mpscStressNotifier struct {
 	lastSeq   map[[2]int]int
 }
 
-func (n *mpscStressNotifier) Revoke(_ context.Context, rv Revocation) {
+func (n *revStressNotifier) Revoke(_ context.Context, rv Revocation) {
 	n.RevokeBatch(nil, rv.Client, []Revocation{rv})
 }
 
-func (n *mpscStressNotifier) RevokeBatch(_ context.Context, client ClientID, revs []Revocation) {
+func (n *revStressNotifier) RevokeBatch(_ context.Context, client ClientID, revs []Revocation) {
 	if n.active[client].Add(1) != 1 {
 		n.t.Errorf("client %d: concurrent deliveries overlap", client)
 	}
@@ -46,22 +46,23 @@ func (n *mpscStressNotifier) RevokeBatch(_ context.Context, client ClientID, rev
 	n.active[client].Add(-1)
 }
 
-// TestRevokerMPSCStress hammers the revoker's lock-free enqueue from
-// many producers at once: per-client MPSC pushes racing the schedule
-// CAS, lane workers spawning and retiring, and the post-delivery
-// recheck that must never strand a node. Every enqueued revocation must
-// be delivered exactly once, in per-producer order, with per-client
-// deliveries serialized, and the backlog gauge must converge to zero.
-// Run with -race.
+// TestRevokerMPSCStress hammers the revoker's enqueue from many
+// producers at once (each client's pending list has many producers and
+// one consumer, the lane worker delivering to it): enqueues racing
+// deliveries of the same client, lane workers spawning and retiring,
+// and the post-delivery recheck that must never strand a revocation. 16
+// clients keep all DefaultRevokeWorkers lanes busy. Every enqueued
+// revocation must be delivered exactly once, in per-producer order,
+// with per-client deliveries serialized, and the backlog gauge must
+// converge to zero. Run with -race.
 func TestRevokerMPSCStress(t *testing.T) {
 	const (
 		producers   = 8
-		nclients    = 16
+		nclients    = 2 * DefaultRevokeWorkers
 		perProducer = 400
 	)
 	s := NewServer(SeqDLM(), nil)
-	s.SetRevokeWorkers(4)
-	n := &mpscStressNotifier{
+	n := &revStressNotifier{
 		t:       t,
 		active:  make([]atomic.Int32, nclients+1),
 		lastSeq: make(map[[2]int]int),
@@ -108,12 +109,12 @@ func TestRevokerMPSCStress(t *testing.T) {
 	}
 }
 
-// TestClientCacheRCUChurn races the lock-free cached-hit path against
-// everything that invalidates it: revocations (another client's
-// conflicting PW), absorption (PR/NBW mixes upgrading into PW), and
-// the cancel path recycling snapshot maps through the epoch domain.
-// Lost holds, double cancels, or leaked handles surface as a panic, a
-// hung ReleaseAll, or a race report. Run with -race.
+// TestClientCacheRCUChurn races the cached-hit path (readers of the
+// shard's handle lists) against everything that updates them:
+// revocations (another client's conflicting PW), absorption (PR/NBW
+// mixes upgrading into PW), and the cancel path removing handles. Lost
+// holds, double cancels, or leaked handles surface as a panic, a hung
+// ReleaseAll, or a race report. Run with -race.
 func TestClientCacheRCUChurn(t *testing.T) {
 	h := newHarness(t, SeqDLM(), 2)
 	c1, c2 := h.client(1), h.client(2)
@@ -174,9 +175,9 @@ func TestClientCacheRCUChurn(t *testing.T) {
 	}
 }
 
-// TestClientCachedHitAllocFree locks in the fast path's allocation
-// profile: a cached-lock hit (epoch pin, snapshot load, hot-word CAS)
-// and its Unlock must not allocate.
+// TestClientCachedHitAllocFree locks in the hit path's allocation
+// profile: a cached-lock hit (shard lookup, hot-word CAS) and its Unlock
+// must not allocate.
 func TestClientCachedHitAllocFree(t *testing.T) {
 	h := newHarness(t, SeqDLM(), 1)
 	c := h.client(1)

@@ -15,24 +15,19 @@
 // stripe carries its own mutex, so flushes to different stripes never
 // contend and the cleanup task only ever stalls the one stripe it is
 // scanning. Shard mutexes guard only the stripe map; stripe mutexes
-// guard that stripe's mutators (tree writes, log, scan cursor); the
-// global entry count and activity counters are atomics. Reads are
-// lock-free: each stripe's tree is snapshot-enabled (extent.Tree
-// path-copying + atomic root publication), so MaxSN answers from the
-// last published snapshot under an epoch pin without touching the
-// stripe mutex — a conflict probe never waits behind an Apply batch.
-// Displaced tree nodes are reclaimed through the shard's epoch domain.
-// See DESIGN.md §6 (Concurrency model) and §11 (Memory ordering and
-// reclamation).
+// guard everything of that stripe, reads included (tree, log, scan
+// cursor); the global entry count and activity counters are atomics.
+// See DESIGN.md §6 (Concurrency model).
 package extcache
 
 import (
+	"cmp"
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"ccpfs/internal/epoch"
 	"ccpfs/internal/extent"
 	"ccpfs/internal/shard"
 	"ccpfs/internal/sim"
@@ -90,14 +85,10 @@ type Cache struct {
 func (c *Cache) SetClock(clk sim.Clock) { c.clk = clk }
 
 // cacheShard holds the stripe map of one shard. The RWMutex guards only
-// map lookup/insert; per-stripe state has its own lock. The epoch
-// domain reclaims tree nodes displaced by this shard's stripes: readers
-// of any stripe in the shard pin it (inside extent.Tree's Snap* path),
-// and Apply batches retire into it.
+// map lookup/insert; per-stripe state has its own lock.
 type cacheShard struct {
 	mu      sync.RWMutex
 	stripes map[uint64]*stripeCache
-	dom     epoch.Domain
 }
 
 type stripeCache struct {
@@ -105,6 +96,12 @@ type stripeCache struct {
 	tree   extent.Tree
 	cursor int64 // cleanup scan position
 	log    []extent.SNExtent
+}
+
+// stripeRef names a stripe's cache outside the shard map.
+type stripeRef struct {
+	id uint64
+	sc *stripeCache
 }
 
 // New returns a cache with the given entry threshold (DefaultThreshold
@@ -140,7 +137,6 @@ func (c *Cache) stripe(id uint64) *stripeCache {
 	defer sh.mu.Unlock()
 	if sc = sh.stripes[id]; sc == nil {
 		sc = &stripeCache{}
-		sc.tree.EnableSnapshots(&sh.dom)
 		sh.stripes[id] = sc
 	}
 	return sc
@@ -174,23 +170,21 @@ func (c *Cache) Apply(stripe uint64, rng extent.Extent, sn extent.SN) []extent.S
 		c.logFile.Append(stripe, won)
 	}
 	delta := sc.tree.Len() - before
-	sc.tree.Publish()
 	sc.mu.Unlock()
 	c.entries.Add(int64(delta))
 	c.inserts.Add(1)
 	return won
 }
 
-// MaxSN returns the newest SN recorded for any byte of rng. It is
-// lock-free: the answer comes from the stripe tree's last published
-// snapshot under an epoch pin, so probes never queue behind an Apply
-// holding the stripe mutex.
+// MaxSN returns the newest SN recorded for any byte of rng.
 func (c *Cache) MaxSN(stripe uint64, rng extent.Extent) (extent.SN, bool) {
 	sc := c.lookup(stripe)
 	if sc == nil {
 		return 0, false
 	}
-	return sc.tree.SnapMaxSN(rng)
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	return sc.tree.MaxSNOverlapping(rng)
 }
 
 // Entries returns the total entry count across stripes.
@@ -204,22 +198,25 @@ func (c *Cache) Bytes() int {
 // NeedsCleanup reports whether the entry budget is exceeded.
 func (c *Cache) NeedsCleanup() bool { return c.Entries() > c.threshold }
 
-// forEachStripe visits every stripe currently in the cache. It snapshots
-// each shard's stripe list under the shard read lock and visits without
-// any lock held, so fn may lock the stripe itself.
+// forEachStripe visits every stripe currently in the cache, shard by
+// shard and in ascending id order within a shard: which stripes a
+// budgeted cleanup round reaches and the order forced syncs are issued
+// are timing-visible, so they must not follow Go's map order. It
+// snapshots each shard's stripe list under the shard read lock and
+// visits without any lock held, so fn may lock the stripe itself.
 func (c *Cache) forEachStripe(fn func(id uint64, sc *stripeCache) bool) {
+	var ents []stripeRef
 	for i := range c.shards {
 		sh := &c.shards[i]
+		ents = ents[:0]
 		sh.mu.RLock()
-		ids := make([]uint64, 0, len(sh.stripes))
-		scs := make([]*stripeCache, 0, len(sh.stripes))
 		for id, sc := range sh.stripes {
-			ids = append(ids, id)
-			scs = append(scs, sc)
+			ents = append(ents, stripeRef{id, sc})
 		}
 		sh.mu.RUnlock()
-		for j, sc := range scs {
-			if !fn(ids[j], sc) {
+		slices.SortFunc(ents, func(a, b stripeRef) int { return cmp.Compare(a.id, b.id) })
+		for _, e := range ents {
+			if !fn(e.id, e.sc) {
 				return
 			}
 		}
@@ -287,7 +284,6 @@ func (c *Cache) CleanupRound(minSN MinSNFunc) int {
 			}
 			j.sc.mu.Lock()
 			removed += j.sc.tree.RemoveLE([]extent.SNExtent{ent}, limit)
-			j.sc.tree.Publish()
 			j.sc.mu.Unlock()
 		}
 	}
@@ -306,17 +302,13 @@ func (c *Cache) Pinned() int64 { return c.pinned.Load() }
 // all clients to flush by taking a whole-range read lock, after which
 // every entry (and the extent log) can be dropped.
 func (c *Cache) ForceSync(sync ForceSyncFunc) {
-	type target struct {
-		id uint64
-		sc *stripeCache
-	}
-	var targets []target
+	var targets []stripeRef
 	c.forEachStripe(func(id uint64, sc *stripeCache) bool {
 		sc.mu.Lock()
 		n := sc.tree.Len()
 		sc.mu.Unlock()
 		if n > 0 {
-			targets = append(targets, target{id, sc})
+			targets = append(targets, stripeRef{id, sc})
 		}
 		return true
 	})
@@ -327,7 +319,6 @@ func (c *Cache) ForceSync(sync ForceSyncFunc) {
 		t.sc.mu.Lock()
 		dropped := t.sc.tree.Len()
 		t.sc.tree.Clear()
-		t.sc.tree.Publish()
 		t.sc.log = nil
 		t.sc.cursor = 0
 		t.sc.mu.Unlock()
@@ -369,7 +360,6 @@ func (c *Cache) Replay(stripe uint64, log []extent.SNExtent) {
 		}
 	}
 	delta := sc.tree.Len() - before
-	sc.tree.Publish()
 	sc.mu.Unlock()
 	c.entries.Add(int64(delta))
 }

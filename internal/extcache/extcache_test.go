@@ -2,11 +2,13 @@ package extcache
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"ccpfs/internal/extent"
+	"ccpfs/internal/shard"
 )
 
 func TestApplyUpdateSetOrdering(t *testing.T) {
@@ -134,6 +136,50 @@ func TestForceSync(t *testing.T) {
 	_, _, fs := c.Stats()
 	if fs != 1 {
 		t.Fatalf("forcedSyncs = %d", fs)
+	}
+}
+
+// TestStripeFanOutOrder: which stripes a budget-limited cleanup round
+// picks and the order ForceSync issues its sync locks are timing-visible
+// under the virtual clock, so stripes sharing a shard must be visited in
+// ascending id order, not Go's map order, on every fresh cache.
+func TestStripeFanOutOrder(t *testing.T) {
+	const perStripe = 400 // four stripes overrun one round's BatchLimit
+	var ids []uint64
+	for id := uint64(1); len(ids) < 4; id++ {
+		if len(ids) == 0 || shard.Of(id) == shard.Of(ids[0]) {
+			ids = append(ids, id)
+		}
+	}
+	type pick struct {
+		stripe uint64
+		n      int
+	}
+	wantPicks := []pick{{ids[0], perStripe}, {ids[1], perStripe}, {ids[2], BatchLimit - 2*perStripe}}
+
+	for run := 0; run < 20; run++ {
+		c := New(0, false)
+		for _, id := range slices.Backward(ids) {
+			for i := int64(0); i < perStripe; i++ {
+				c.Apply(id, extent.Span(i*10, 5), extent.SN(i+1))
+			}
+		}
+		var picks []pick
+		c.CleanupRound(func(stripe uint64, _ extent.Extent) (extent.SN, bool) {
+			if n := len(picks); n == 0 || picks[n-1].stripe != stripe {
+				picks = append(picks, pick{stripe: stripe})
+			}
+			picks[len(picks)-1].n++
+			return 0, true // pinned: the round removes nothing
+		})
+		if !slices.Equal(picks, wantPicks) {
+			t.Fatalf("run %d: cleanup round picked %v, want %v", run, picks, wantPicks)
+		}
+		var synced []uint64
+		c.ForceSync(func(stripe uint64) { synced = append(synced, stripe) })
+		if !slices.Equal(synced, ids) {
+			t.Fatalf("run %d: forced syncs issued in order %v, want %v", run, synced, ids)
+		}
 	}
 }
 

@@ -174,3 +174,69 @@ func TestConcurrentApplySameStripe(t *testing.T) {
 		t.Fatalf("entries = %d, want 1 (full overwrite)", c.Entries())
 	}
 }
+
+// TestMaxSNRacesApply races MaxSN probes against Apply on one stripe
+// (run under -race in CI). A beacon range is only ever rewritten with
+// increasing SNs, so what a reader sees there must be an SN that was
+// applied to the beacon and must never go backwards; churn beside the
+// beacon keeps the tree rotating and recycling nodes under the readers.
+func TestMaxSNRacesApply(t *testing.T) {
+	const (
+		stripe = 7
+		beacon = int64(1 << 20) // far from the churn region
+		every  = 5              // the beacon is rewritten every fifth round
+	)
+	bcn := extent.New(beacon, beacon+64)
+	c := New(0, false)
+	var issued atomic.Uint64 // highest SN handed to Apply so far
+	issued.Store(1)
+	c.Apply(stripe, bcn, 1)
+	// round i carries SN i+2, so the beacon only ever holds 1 or 2+every*k.
+	onBeacon := func(sn extent.SN) bool { return sn == 1 || (sn-2)%every == 0 }
+
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var last extent.SN
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				sn, ok := c.MaxSN(stripe, bcn)
+				switch {
+				case !ok:
+					t.Error("beacon vanished")
+				case sn < last:
+					t.Errorf("beacon SN went backwards: %d after %d", sn, last)
+				case sn > issued.Load() || !onBeacon(sn):
+					t.Errorf("beacon SN %d was never applied there (issued up to %d)", sn, issued.Load())
+				default:
+					last = sn
+					continue
+				}
+				return
+			}
+		}()
+	}
+
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 6000; i++ {
+		sn := extent.SN(i + 2)
+		issued.Store(sn) // before Apply, so readers never see an SN ahead of it
+		start := rng.Int63n(8192)
+		c.Apply(stripe, extent.New(start, start+1+rng.Int63n(512)), sn)
+		if i%every == 0 {
+			c.Apply(stripe, bcn, sn)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if got, _ := c.MaxSN(stripe, bcn); got != 5997 {
+		t.Fatalf("final beacon SN = %d, want 5997", got)
+	}
+}

@@ -1,12 +1,5 @@
 package extent
 
-import (
-	"sync"
-	"sync/atomic"
-
-	"ccpfs/internal/epoch"
-)
-
 // Tree is a balanced (AVL) interval tree of non-overlapping SN-tagged
 // extents, keyed by extent start. It implements the data server's extent
 // cache from §IV-B of the paper: each entry records the newest sequence
@@ -18,29 +11,16 @@ import (
 // Entries are approximately 48 bytes each (the paper's figure); EntryBytes
 // reports the modelled footprint.
 //
-// Tree is not safe for concurrent use; callers synchronize externally.
-// The one exception is the Snap* read path: after EnableSnapshots,
-// mutators become path-copying (persistent) — each mutation copies the
-// nodes on its root-to-leaf path instead of editing them — and Publish
-// atomically swaps in the new root. Snap* methods then run lock-free
-// against the last published root under an epoch pin, while mutators
-// stay externally serialized as before. Version stamping keeps the
-// copying cheap: every node carries the mutation batch that created it,
-// and a batch copies each distinct path node once no matter how many
-// elementary steps (delete, rebalance, re-insert) touch it. Displaced
-// nodes are retired to the epoch domain and recycled through a pool
-// once no pinned reader can still reach them.
+// Tree is not safe for concurrent use, reads included; callers
+// synchronize externally (extcache holds the stripe mutex). The zero
+// value is an empty tree.
 type Tree struct {
 	root *node
 	size int
-
-	// Snapshot state; zero/nil until EnableSnapshots.
-	cow     bool
-	ver     uint64 // current mutation batch, stamped into new/copied nodes
-	snap    atomic.Pointer[node]
-	dom     *epoch.Domain
-	scratch []*node // published nodes displaced since the last retire handoff
-	free    []*node // never-published discards, reusable without a grace period
+	// free holds nodes deleted from the tree for the next insert to
+	// reuse: an Insert deletes the entries it overlaps and re-inserts
+	// the merged pieces, so in steady state it allocates no node.
+	free []*node
 }
 
 // EntrySize is the modelled per-entry footprint in bytes (paper §IV-B:
@@ -51,128 +31,17 @@ type node struct {
 	ent         SNExtent
 	left, right *node
 	height      int
-	ver         uint64 // mutation batch that created this node (cow mode)
 }
 
-// chunkPool recycles displaced nodes of snapshot-enabled trees in bulk:
-// a retired batch's slice — nodes and all — becomes a refill chunk for
-// some tree's freelist. Chunks enter the pool only from epoch-deferred
-// frees, so every node in a chunk is guaranteed unreachable from any
-// published snapshot a reader could still be pinning. Bulk transfer
-// keeps the global pool off the per-mutation path: one Get/Put pair
-// moves up to retireBatch nodes, where a per-node pool cost two
-// synchronized pool operations per path copy.
-var chunkPool sync.Pool // holds non-empty []*node
-
-// EnableSnapshots switches the tree to path-copying mutation with
-// lock-free Snap* reads, retiring displaced nodes through d. Call once,
-// before concurrent readers exist; mutators remain externally
-// serialized. Publish must be called after each batch of mutations to
-// make them visible to Snap* readers.
-func (t *Tree) EnableSnapshots(d *epoch.Domain) {
-	t.cow = true
-	t.dom = d
-	t.ver = 1
-	t.snap.Store(t.root)
-}
-
-// retireBatch is how many displaced nodes accumulate before Publish
-// hands them to the epoch domain. One closure allocation and one Retire
-// call then amortize over the batch; per-mutation handoffs made the
-// closure, its slice, and the domain mutex the dominant cost of the
-// write path.
-const retireBatch = 64
-
-// scratchPool recycles the displaced-node buffers that cycle through
-// retire closures, so a steady mutation load reuses two or three
-// backing arrays instead of growing a fresh one after every handoff.
-var scratchPool = sync.Pool{New: func() any { return make([]*node, 0, retireBatch+16) }}
-
-// Publish atomically exposes the current root to Snap* readers and,
-// once enough displaced nodes have accumulated, retires them: once
-// every reader pinned before this point unpins, they return to the node
-// pool. Call under the same external serialization as the mutators.
-func (t *Tree) Publish() {
-	if !t.cow {
-		return
-	}
-	t.snap.Store(t.root)
-	t.ver++
-	if len(t.scratch) >= retireBatch {
-		batch := t.scratch
-		t.scratch = scratchPool.Get().([]*node)
-		t.dom.Retire(func() {
-			// Cleared so a parked chunk cannot transitively pin the dead
-			// tree its nodes used to link; the slice itself, still full of
-			// (cleared) nodes, becomes a freelist refill chunk.
-			for _, n := range batch {
-				*n = node{}
-			}
-			chunkPool.Put(batch)
-		})
-	}
-}
-
-// newNode returns a node ready for full initialization (both callers
-// assign every field, so freelist nodes are handed back dirty). In cow
-// mode the tree-local freelist is tried first: it holds never-published
-// discards, which need no grace period and no pool round trip.
+// newNode returns a zeroed node, from the free list when it has one.
 func (t *Tree) newNode() *node {
-	if !t.cow {
-		return new(node)
-	}
 	if i := len(t.free) - 1; i >= 0 {
 		nd := t.free[i]
 		t.free[i] = nil
 		t.free = t.free[:i]
 		return nd
 	}
-	// Freelist dry: pull a whole retired chunk, keep one node, stash the
-	// rest, and recycle the emptied backing array as a future scratch
-	// buffer — the full closed loop is scratch → retire → chunk →
-	// freelist → scratch.
-	if c, _ := chunkPool.Get().([]*node); len(c) > 0 {
-		nd := c[len(c)-1]
-		t.free = append(t.free, c[:len(c)-1]...)
-		for i := range c {
-			c[i] = nil
-		}
-		scratchPool.Put(c[:0])
-		return nd
-	}
 	return new(node)
-}
-
-// mut returns a node safe to edit in the current mutation batch: the
-// node itself if this batch already owns it, otherwise a copy stamped
-// with the current version, with the original queued for retirement.
-// This is the path-copying step — published snapshots keep the
-// original, the tree under mutation adopts the copy.
-func (t *Tree) mut(n *node) *node {
-	if !t.cow || n.ver == t.ver {
-		return n
-	}
-	c := t.newNode()
-	*c = *n
-	c.ver = t.ver
-	t.scratch = append(t.scratch, n)
-	return c
-}
-
-// drop disposes of a node removed from the tree. A node stamped with
-// the current batch version was created after the last Publish, so no
-// published snapshot can reach it — it goes straight back to the
-// freelist. Anything older may still be pinned by a reader and queues
-// for epoch retirement.
-func (t *Tree) drop(n *node) {
-	if !t.cow {
-		return
-	}
-	if n.ver == t.ver {
-		t.free = append(t.free, n)
-		return
-	}
-	t.scratch = append(t.scratch, n)
 }
 
 // Len returns the number of entries in the tree.
@@ -181,21 +50,8 @@ func (t *Tree) Len() int { return t.size }
 // EntryBytes returns the modelled memory footprint of the cache.
 func (t *Tree) EntryBytes() int { return t.size * EntrySize }
 
-// Clear removes all entries. In cow mode the dropped nodes are retired
-// (Publish makes the emptiness visible to Snap* readers).
+// Clear removes all entries.
 func (t *Tree) Clear() {
-	if t.cow {
-		var drop func(n *node)
-		drop = func(n *node) {
-			if n == nil {
-				return
-			}
-			drop(n.left)
-			drop(n.right)
-			t.drop(n)
-		}
-		drop(t.root)
-	}
 	t.root, t.size = nil, 0
 }
 
@@ -206,28 +62,25 @@ func height(n *node) int {
 	return n.height
 }
 
-// fix rebalances n (which must already be owned by the current mutation
-// batch — callers pass nodes through mut first). Rotations pull a child
-// up into the copied path, so the child is mut'd before it is edited.
-func (t *Tree) fix(n *node) *node {
+func fix(n *node) *node {
 	n.height = 1 + max(height(n.left), height(n.right))
 	switch bf := height(n.left) - height(n.right); {
 	case bf > 1:
 		if height(n.left.left) < height(n.left.right) {
-			n.left = t.rotateLeft(t.mut(n.left))
+			n.left = rotateLeft(n.left)
 		}
-		return t.rotateRight(n)
+		return rotateRight(n)
 	case bf < -1:
 		if height(n.right.right) < height(n.right.left) {
-			n.right = t.rotateRight(t.mut(n.right))
+			n.right = rotateRight(n.right)
 		}
-		return t.rotateLeft(n)
+		return rotateLeft(n)
 	}
 	return n
 }
 
-func (t *Tree) rotateRight(n *node) *node {
-	l := t.mut(n.left)
+func rotateRight(n *node) *node {
+	l := n.left
 	n.left = l.right
 	l.right = n
 	n.height = 1 + max(height(n.left), height(n.right))
@@ -235,8 +88,8 @@ func (t *Tree) rotateRight(n *node) *node {
 	return l
 }
 
-func (t *Tree) rotateLeft(n *node) *node {
-	r := t.mut(n.right)
+func rotateLeft(n *node) *node {
+	r := n.right
 	n.right = r.left
 	r.left = n
 	n.height = 1 + max(height(n.left), height(n.right))
@@ -255,16 +108,15 @@ func (t *Tree) insertRaw(ent SNExtent) {
 func (t *Tree) insertNode(n *node, ent SNExtent) *node {
 	if n == nil {
 		nn := t.newNode()
-		nn.ent, nn.left, nn.right, nn.height, nn.ver = ent, nil, nil, 1, t.ver
+		nn.ent, nn.height = ent, 1
 		return nn
 	}
-	n = t.mut(n)
 	if ent.Start < n.ent.Start {
 		n.left = t.insertNode(n.left, ent)
 	} else {
 		n.right = t.insertNode(n.right, ent)
 	}
-	return t.fix(n)
+	return fix(n)
 }
 
 func (t *Tree) deleteStart(start int64) bool {
@@ -280,39 +132,32 @@ func (t *Tree) deleteNode(n *node, start int64) (*node, bool) {
 	if n == nil {
 		return nil, false
 	}
+	deleted := true
 	switch {
 	case start < n.ent.Start:
-		nl, deleted := t.deleteNode(n.left, start)
-		if !deleted {
-			return n, false
-		}
-		n = t.mut(n)
-		n.left = nl
+		n.left, deleted = t.deleteNode(n.left, start)
 	case start > n.ent.Start:
-		nr, deleted := t.deleteNode(n.right, start)
-		if !deleted {
-			return n, false
+		n.right, deleted = t.deleteNode(n.right, start)
+	case n.left == nil || n.right == nil:
+		child := n.left
+		if child == nil {
+			child = n.right
 		}
-		n = t.mut(n)
-		n.right = nr
+		*n = node{} // a parked node must not keep a dead subtree reachable
+		t.free = append(t.free, n)
+		return child, true
 	default:
-		if n.left == nil {
-			t.drop(n)
-			return n.right, true
-		}
-		if n.right == nil {
-			t.drop(n)
-			return n.left, true
-		}
 		succ := n.right
 		for succ.left != nil {
 			succ = succ.left
 		}
-		n = t.mut(n)
 		n.ent = succ.ent
 		n.right, _ = t.deleteNode(n.right, succ.ent.Start)
 	}
-	return t.fix(n), true
+	if !deleted {
+		return n, false
+	}
+	return fix(n), true
 }
 
 // Visit calls fn for every entry in ascending order. Returning false from
@@ -378,12 +223,9 @@ func (t *Tree) overlapping(e Extent) []SNExtent {
 
 // floorStart returns the entry with the greatest Start <= start.
 func (t *Tree) floorStart(start int64) (SNExtent, bool) {
-	return floorStartN(t.root, start)
-}
-
-func floorStartN(n *node, start int64) (SNExtent, bool) {
 	var best SNExtent
 	found := false
+	n := t.root
 	for n != nil {
 		if n.ent.Start <= start {
 			best, found = n.ent, true
@@ -481,40 +323,17 @@ func (t *Tree) ceilStart(start int64) (SNExtent, bool) {
 }
 
 // MaxSNOverlapping returns the largest SN among entries overlapping e,
-// or (0, false) when nothing overlaps.
+// or (0, false) when nothing overlaps. It does not allocate: this is
+// the data server's probe after every device read.
 func (t *Tree) MaxSNOverlapping(e Extent) (SN, bool) {
-	var m SN
-	found := false
-	for _, ent := range t.overlapping(e) {
-		found = true
-		if ent.SN > m {
-			m = ent.SN
-		}
-	}
-	return m, found
-}
-
-// SnapMaxSN is the lock-free MaxSNOverlapping: it answers from the last
-// published snapshot, without the caller's lock and without allocating.
-// This is the data server's conflict-probe read (is any cached SN newer
-// than this lock's?) — the hottest read in the flush path, now wait-free
-// with respect to concurrent Apply batches. Requires EnableSnapshots;
-// the answer may trail the newest unpublished mutations, which is the
-// same staleness a reader arriving just before those mutations would
-// have seen under the lock.
-func (t *Tree) SnapMaxSN(e Extent) (SN, bool) {
-	g := t.dom.Pin()
-	root := t.snap.Load()
 	// Entries never overlap each other, so everything overlapping e
 	// starts in [floor(e.Start), e.End): only the floor entry can start
 	// before e.Start and still reach into e.
 	from := e.Start
-	if p, ok := floorStartN(root, e.Start); ok && p.End > e.Start && p.Start < from {
+	if p, ok := t.floorStart(e.Start); ok && p.End > e.Start {
 		from = p.Start
 	}
-	m, found := maxSNIn(root, from, e.End, e.Start, 0, false)
-	g.Unpin()
-	return m, found
+	return maxSNIn(t.root, from, e.End, e.Start, 0, false)
 }
 
 // maxSNIn folds the max SN over entries with Start in [from, to) and

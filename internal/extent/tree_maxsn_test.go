@@ -1,0 +1,60 @@
+package extent
+
+import (
+	"math/rand"
+	"testing"
+)
+
+// TestMaxSNOverlappingMatchesScan drives a tree through random inserts,
+// removals and clears and checks MaxSNOverlapping's pruned walk against
+// a brute-force scan of every entry, for a spread of probe ranges
+// including empty, point, spanning and miss probes.
+func TestMaxSNOverlappingMatchesScan(t *testing.T) {
+	var tr Tree
+	rng := rand.New(rand.NewSource(42))
+
+	scan := func(e Extent) (SN, bool) {
+		var m SN
+		found := false
+		tr.Visit(func(ent SNExtent) bool {
+			if ent.Overlaps(e) {
+				found = true
+				m = max(m, ent.SN)
+			}
+			return true
+		})
+		return m, found
+	}
+
+	for round := 0; round < 300; round++ {
+		for m := 0; m < 1+rng.Intn(3); m++ {
+			start := rng.Int63n(4096)
+			e := Extent{start, start + 1 + rng.Int63n(256)}
+			switch rng.Intn(10) {
+			case 8:
+				if ents := tr.Overlapping(e); len(ents) > 0 {
+					tr.RemoveLE(ents[:1], ents[0].SN)
+				}
+			case 9:
+				if round%97 == 0 {
+					tr.Clear()
+				}
+			default:
+				tr.Insert(e, SN(1+rng.Intn(64)))
+			}
+		}
+		if err := tr.check(); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		for i := 0; i < 40; i++ {
+			start := rng.Int63n(4096) - 64
+			e := Extent{start, start + rng.Int63n(512)}
+			gotSN, gotOK := tr.MaxSNOverlapping(e)
+			wantSN, wantOK := scan(e)
+			if gotSN != wantSN || gotOK != wantOK {
+				t.Fatalf("round %d probe %v: MaxSNOverlapping = (%d,%v), scan = (%d,%v)",
+					round, e, gotSN, gotOK, wantSN, wantOK)
+			}
+		}
+	}
+}

@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -40,48 +41,12 @@ func TestCallTableRegisterTake(t *testing.T) {
 	}
 }
 
-// collidingIDs returns n distinct ids that all hash to the same slot,
-// forcing probe-window spill into the overflow shard.
-func collidingIDs(n int) []uint64 {
-	ids := make([]uint64, 0, n)
-	want := tableHash(1)
-	for id := uint64(1); len(ids) < n; id++ {
-		if tableHash(id) == want {
-			ids = append(ids, id)
-		}
-	}
-	return ids
-}
-
-func TestCallTableOverflow(t *testing.T) {
-	var tab callTable[uint64]
-	ids := collidingIDs(probeWindow + 8)
-	for _, id := range ids {
-		if !tab.register(id, id) {
-			t.Fatalf("register(%d) failed", id)
-		}
-	}
-	if tab.overflow == nil || len(tab.overflow) == 0 {
-		t.Fatalf("expected probe-window spill into overflow, overflow has %d entries", len(tab.overflow))
-	}
-	if n := tab.length(); n != len(ids) {
-		t.Fatalf("length = %d, want %d", n, len(ids))
-	}
-	// Every entry — slot-resident or overflowed — must come back exactly
-	// once.
-	for _, id := range ids {
-		if v, ok := tab.take(id); !ok || v != id {
-			t.Fatalf("take(%d) = %d, %v; want %d, true", id, v, ok, id)
-		}
-	}
-	if n := tab.length(); n != 0 {
-		t.Fatalf("length = %d after takes, want 0", n)
-	}
-}
-
+// TestCallTableCloseDrain: the first closeAndDrain returns every entry,
+// in ascending call-ID order whatever order they were registered in,
+// and closes the table to later registrations.
 func TestCallTableCloseDrain(t *testing.T) {
 	var tab callTable[uint64]
-	ids := collidingIDs(probeWindow + 4) // cover slots and overflow
+	ids := []uint64{41, 7, 1 << 40, 19, 3, 1000, 8, 64, 65, 2}
 	for _, id := range ids {
 		tab.register(id, id)
 	}
@@ -89,8 +54,9 @@ func TestCallTableCloseDrain(t *testing.T) {
 	if !first {
 		t.Fatal("first closeAndDrain reported first=false")
 	}
-	if len(items) != len(ids) {
-		t.Fatalf("drained %d items, want %d", len(items), len(ids))
+	slices.Sort(ids)
+	if !slices.Equal(items, ids) {
+		t.Fatalf("drained %v, want every entry in ascending id order %v", items, ids)
 	}
 	if _, again := tab.closeAndDrain(); again {
 		t.Fatal("second closeAndDrain reported first=true")

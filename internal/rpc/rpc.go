@@ -67,9 +67,8 @@ type Endpoint struct {
 
 	nextID atomic.Uint64
 	// pending (outbound calls awaiting replies) and active (inbound
-	// requests, for cancel frames) are lock-free call tables — see
-	// pending.go for the slot protocol. Issue/complete/forget/cancel
-	// never serialize on an endpoint-wide lock.
+	// requests, for cancel frames) are the endpoint's call tables
+	// (pending.go).
 	pending   callTable[chan response]
 	active    callTable[*callCtx]
 	onClose   func(*Endpoint)
@@ -120,9 +119,9 @@ func decodeReply(resp response, reply wire.Msg) error {
 
 // chanPool recycles the single-slot reply channels Call blocks on.
 // Recycling is safe only on paths where Call has RECEIVED from the
-// channel: the pending-table entry is claimed by a CAS that exactly one
-// of complete/forget/shutdown-drain wins before sending, so each
-// registered channel sees at most one send, and a receive proves that
+// channel: the pending-table entry is taken by exactly one of
+// complete/forget/shutdown-drain before sending, so each registered
+// channel sees at most one send, and a receive proves that
 // send already happened. On the abandon paths (context fired with no
 // reply yet, send failure) a late sender may still hold the channel, so
 // it is leaked to the GC instead — pooling it would let a stale reply
@@ -629,10 +628,8 @@ func (ep *Endpoint) dispatch(id uint64, method wire.Method, frame []byte) {
 	}
 	// Each request gets its own cancelable context, registered before the
 	// next frame is read so a cancel frame can never race ahead of its
-	// request on this ordered connection. callCtx does not attach to
-	// baseCtx's child list (that registration is a mutex the old code
-	// took twice per request); teardown instead cancels it explicitly
-	// when the active table drains.
+	// request on this ordered connection. Teardown cancels it explicitly
+	// when the active table drains (see callCtx).
 	cc := &callCtx{base: ep.baseCtx}
 	if !ep.active.register(id, cc) {
 		// Teardown already drained the table; run the handler with the
@@ -685,9 +682,7 @@ func (ep *Endpoint) dispatch(id uint64, method wire.Method, frame []byte) {
 // cancelInbound handles a peer's cancel frame: the named request's
 // context fires, unwedging whatever the handler is blocked on. A miss is
 // normal — the handler already completed. The entry is taken, not
-// peeked: the claim CAS is what makes firing the context race-free
-// against the handler's own deregistration, and cancel frames are
-// one-shot per id so nothing is lost.
+// peeked: cancel frames are one-shot per id, so nothing is lost.
 func (ep *Endpoint) cancelInbound(id uint64) {
 	if cc, ok := ep.active.take(id); ok {
 		cc.cancel()

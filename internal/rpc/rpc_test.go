@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -647,16 +649,10 @@ func TestPooledReuseStressWithClose(t *testing.T) {
 	cli.Close()
 	wg.Wait()
 	if n := cli.Pending(); n != 0 {
-		var ids []uint64
-		for i := range cli.pending.slots {
-			if w := cli.pending.slots[i].id.Load(); w != 0 {
-				ids = append(ids, w)
-			}
-		}
 		cli.pending.mu.Lock()
-		of := len(cli.pending.overflow)
+		ids := slices.Sorted(maps.Keys(cli.pending.m))
+		closed := cli.pending.closed
 		cli.pending.mu.Unlock()
-		t.Fatalf("%d pending entries leaked through close (slots=%v overflow=%d count=%d closed=%v)",
-			n, ids, of, cli.pending.count.Load(), cli.pending.closed.Load())
+		t.Fatalf("%d pending entries leaked through close (ids=%v closed=%v)", n, ids, closed)
 	}
 }
