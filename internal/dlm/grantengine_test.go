@@ -374,3 +374,75 @@ func TestHotResourceChurnStress(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// blockEntry, blockedByEarlier and reqsOverlap are the waiter-queue
+// fairness test as scan ran it before blockedSet: each waiter against
+// every earlier blocked waiter, pairwise. Kept as the reference for
+// TestBlockedSetMatchesPairwiseScan.
+type blockEntry struct {
+	mode Mode
+	req  *Request
+}
+
+func blockedByEarlier(blocked []blockEntry, r *Request) bool {
+	for _, b := range blocked {
+		if !reqsOverlap(b.req, r) {
+			continue
+		}
+		if !Compatible(r.Mode, b.mode, Granted) || !Compatible(b.mode, r.Mode, Granted) {
+			return true
+		}
+	}
+	return false
+}
+
+func reqsOverlap(a, b *Request) bool {
+	if len(a.Extents) > 0 && len(b.Extents) > 0 {
+		return a.Extents.Overlaps(b.Extents)
+	}
+	if len(a.Extents) > 0 {
+		return a.Extents.OverlapsExtent(b.Range)
+	}
+	if len(b.Extents) > 0 {
+		return b.Extents.OverlapsExtent(a.Range)
+	}
+	return a.Range.Overlaps(b.Range)
+}
+
+// TestBlockedSetMatchesPairwiseScan is the property test for scan's
+// fairness rule: over random queues of mixed modes, plain ranges
+// (some repeated, some open-ended) and extent sets, one pass that keeps
+// its blocked waiters in a blockedSet gives every waiter the verdict the
+// pairwise reference gives it. What tryGrant would say of a waiter that
+// is not blocked by an earlier one is drawn at random: the rule must
+// hold whatever it is.
+func TestBlockedSetMatchesPairwiseScan(t *testing.T) {
+	modes := []Mode{PR, NBW, BW, PW, LR, LW}
+	for seed := int64(1); seed <= 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		queue := make([]Request, 1+rng.Intn(60))
+		for i := range queue {
+			queue[i] = randReq(rng, ClientID(1+rng.Intn(8)), modes[rng.Intn(len(modes))])
+			switch r := &queue[i]; {
+			case i > 0 && rng.Intn(3) == 0:
+				// Many waiters on one range: the case the set collapses.
+				r.Range, r.Extents = queue[rng.Intn(i)].Range, nil
+			case len(r.Extents) == 0 && rng.Intn(8) == 0:
+				r.Range.End = extent.Inf
+			}
+		}
+		var ref []blockEntry
+		var set blockedSet
+		for i := range queue {
+			r := &queue[i]
+			want := blockedByEarlier(ref, r)
+			if got := set.blocks(r); got != want {
+				t.Fatalf("seed %d: waiter %d (%v %v %v) blocked = %v, pairwise reference says %v", seed, i, r.Mode, r.Range, r.Extents, got, want)
+			}
+			if want || rng.Intn(2) == 0 {
+				ref = append(ref, blockEntry{mode: r.Mode, req: r})
+				set.add(r)
+			}
+		}
+	}
+}

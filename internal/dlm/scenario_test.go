@@ -152,42 +152,51 @@ func TestSameClientConcurrentAcquires(t *testing.T) {
 
 // TestRevocationStormDuringUpgrades: interleave cross-client revocations
 // with same-client upgrades; no grant may be lost and the server drains.
+// Whether a given storm contains an upgrade (a client's NBW request
+// finding its own PR still cached) is up to the wall-clock interleaving,
+// so the storm repeats in bounded batches until one has been seen.
 func TestRevocationStormDuringUpgrades(t *testing.T) {
 	h := newHarness(t, SeqDLM(), 4)
-	var wg sync.WaitGroup
-	for i := 1; i <= 4; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			c := h.client(i)
-			for k := 0; k < 25; k++ {
-				w, err := c.Acquire(context.Background(), 1, NBW, extent.New(0, extent.Inf))
-				if err != nil {
-					t.Errorf("w: %v", err)
-					return
+	const maxBatches = 40
+	for batch := 1; ; batch++ {
+		var wg sync.WaitGroup
+		for i := 1; i <= 4; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				c := h.client(i)
+				for k := 0; k < 25; k++ {
+					w, err := c.Acquire(context.Background(), 1, NBW, extent.New(0, extent.Inf))
+					if err != nil {
+						t.Errorf("w: %v", err)
+						return
+					}
+					c.Unlock(w)
+					r, err := c.Acquire(context.Background(), 1, PR, extent.New(0, 4096))
+					if err != nil {
+						t.Errorf("r: %v", err)
+						return
+					}
+					c.Unlock(r)
 				}
-				c.Unlock(w)
-				r, err := c.Acquire(context.Background(), 1, PR, extent.New(0, 4096))
-				if err != nil {
-					t.Errorf("r: %v", err)
-					return
-				}
-				c.Unlock(r)
-			}
-		}(i)
-	}
-	wg.Wait()
-	if err := h.srv.CheckInvariants(); err != nil {
-		t.Fatal(err)
+			}(i)
+		}
+		wg.Wait()
+		if err := h.srv.CheckInvariants(); err != nil {
+			t.Fatalf("batch %d: %v", batch, err)
+		}
+		st := h.srv.Stats.Snapshot()
+		if t.Failed() || (st.Grants > 0 && st.Upgrades > 0) {
+			break
+		}
+		if batch == maxBatches {
+			t.Fatalf("%d storms exercised no upgrade: %+v", maxBatches, st)
+		}
 	}
 	for i := 1; i <= 4; i++ {
 		h.client(i).ReleaseAll(context.Background())
 	}
 	waitFor(t, "drain", func() bool { return h.srv.GrantedCount(1) == 0 })
-	st := h.srv.Stats.Snapshot()
-	if st.Grants == 0 || st.Upgrades == 0 {
-		t.Fatalf("storm exercised nothing: %+v", st)
-	}
 }
 
 // TestDatatypeManyDisjointWriters: datatype locking's selling point is

@@ -717,11 +717,6 @@ func (s *Server) fire(revs []Revocation) {
 	s.revoker.enqueue(revs)
 }
 
-type blockEntry struct {
-	mode Mode
-	req  *Request
-}
-
 // grantSend is a deferred waiter reply: grants are decided under res.mu
 // (so SN stamping stays in queue order) but delivered only after it
 // drops, letting one scan pass retire a whole run of compatible
@@ -768,13 +763,13 @@ func (s *Server) scan(res *resource, fx *effects) {
 	for {
 		granted := false
 		passShared := 0
-		var blocked []blockEntry
+		var blocked blockedSet
 		for _, w := range res.queue {
 			if w.done {
 				continue
 			}
-			if s.blockedByEarlier(blocked, w) {
-				blocked = append(blocked, blockEntry{mode: w.req.Mode, req: &w.req})
+			if blocked.blocks(&w.req) {
+				blocked.add(&w.req)
 				continue
 			}
 			if s.tryGrant(res, w, fx) {
@@ -783,7 +778,7 @@ func (s *Server) scan(res *resource, fx *effects) {
 					passShared++
 				}
 			} else {
-				blocked = append(blocked, blockEntry{mode: w.req.Mode, req: &w.req})
+				blocked.add(&w.req)
 			}
 		}
 		// A single pass that granted a run of shared-mode waiters is a
@@ -807,31 +802,57 @@ func (s *Server) scan(res *resource, fx *effects) {
 	}
 }
 
-// blockedByEarlier enforces FIFO fairness: a waiter may not overtake an
-// earlier waiter it conflicts with.
-func (s *Server) blockedByEarlier(blocked []blockEntry, w *waiter) bool {
-	for _, b := range blocked {
-		if !reqsOverlap(b.req, &w.req) {
+// blockedSet holds the waiters one scan pass has left blocked, as the
+// ranges they cover per mode. FIFO fairness — a waiter may not overtake
+// an earlier blocked waiter it conflicts with — looks at a blocked
+// waiter only through its mode and range, so a range that an earlier
+// entry of the same mode already covers adds nothing: a thousand readers
+// queued on one range behind a writer are one entry, and a pass over
+// them is linear, where testing each against every earlier one was
+// quadratic.
+type blockedSet [LW + 1][]extent.Extent
+
+// add records r as blocked.
+func (b *blockedSet) add(r *Request) {
+	if len(r.Extents) == 0 {
+		b.addRange(r.Mode, r.Range)
+		return
+	}
+	for _, e := range r.Extents {
+		b.addRange(r.Mode, e)
+	}
+}
+
+func (b *blockedSet) addRange(m Mode, e extent.Extent) {
+	for _, have := range b[m] {
+		if have.Contains(e) {
+			return
+		}
+	}
+	b[m] = append(b[m], e)
+}
+
+// blocks reports whether r overlaps a blocked waiter of a mode it is not
+// mutually compatible with.
+func (b *blockedSet) blocks(r *Request) bool {
+	for m := range b {
+		if len(b[m]) == 0 {
 			continue
 		}
-		if !Compatible(w.req.Mode, b.mode, Granted) || !Compatible(b.mode, w.req.Mode, Granted) {
-			return true
+		if m := Mode(m); Compatible(r.Mode, m, Granted) && Compatible(m, r.Mode, Granted) {
+			continue
+		}
+		for _, e := range b[m] {
+			if len(r.Extents) > 0 {
+				if r.Extents.OverlapsExtent(e) {
+					return true
+				}
+			} else if r.Range.Overlaps(e) {
+				return true
+			}
 		}
 	}
 	return false
-}
-
-func reqsOverlap(a, b *Request) bool {
-	if len(a.Extents) > 0 && len(b.Extents) > 0 {
-		return a.Extents.Overlaps(b.Extents)
-	}
-	if len(a.Extents) > 0 {
-		return a.Extents.OverlapsExtent(b.Range)
-	}
-	if len(b.Extents) > 0 {
-		return b.Extents.OverlapsExtent(a.Range)
-	}
-	return a.Range.Overlaps(b.Range)
 }
 
 // tryGrant attempts to grant one waiter, handling lock upgrading. It

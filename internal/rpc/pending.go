@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"ccpfs/internal/wire"
 )
 
 // callTable maps in-flight call IDs to per-call state: reply channels on
@@ -84,7 +86,17 @@ func (t *callTable[V]) closeAndDrain() (items []V, first bool) {
 // explicitly when it drains the active table. The Done channel is
 // allocated lazily on first use, so handlers that never block skip the
 // allocation entirely.
+//
+// It is also the request's record — what arrived and the handler it goes
+// to — and its own sim.Task (Run, in rpc.go), so dispatch allocates one
+// object per request, not a context plus a closure over it.
 type callCtx struct {
+	ep     *Endpoint
+	id     uint64
+	method wire.Method
+	frame  []byte
+	h      Handler
+
 	base     context.Context
 	done     atomic.Pointer[chan struct{}]
 	canceled atomic.Bool

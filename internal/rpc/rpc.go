@@ -630,53 +630,58 @@ func (ep *Endpoint) dispatch(id uint64, method wire.Method, frame []byte) {
 	// next frame is read so a cancel frame can never race ahead of its
 	// request on this ordered connection. Teardown cancels it explicitly
 	// when the active table drains (see callCtx).
-	cc := &callCtx{base: ep.baseCtx}
+	cc := &callCtx{base: ep.baseCtx, ep: ep, id: id, method: method, frame: frame, h: h}
 	if !ep.active.register(id, cc) {
 		// Teardown already drained the table; run the handler with the
 		// context pre-canceled so it aborts promptly.
 		cc.cancel()
 	}
 	ep.handlerStart()
-	ep.clk.Go(func() {
-		defer ep.handlerDone()
-		defer func() {
-			// A miss means a cancel frame or the shutdown drain claimed
-			// the entry (and called cancel); either way the entry is gone.
-			ep.active.take(id)
-			cc.cancel()
-		}()
-		ctx := context.Context(cc)
-		// The sampling decision reads the counter (a plain load) up front;
-		// the count itself is bumped after the reply frame is on the wire,
-		// where the atomic overlaps with the peer processing the reply.
-		// Under concurrent handlers the load-based decision may time a
-		// neighbor of the exact n-th run — sampling is statistical anyway.
-		m := ep.metrics
-		var start, elapsed int64
-		timed := false
-		if m != nil && (m.handles[method].Load()+1)&m.sampleMask == 1&m.sampleMask {
-			timed = true
-			start = obs.Now()
-		}
-		reply, err := h(ctx, frame[headerLen:])
+	ep.clk.GoTask(cc)
+}
+
+// Run is the body of a request's goroutine: the handler, its reply, and
+// the request frame's return to the pool.
+func (cc *callCtx) Run() {
+	ep, id, method, frame := cc.ep, cc.id, cc.method, cc.frame
+	defer ep.handlerDone()
+	defer func() {
+		// A miss means a cancel frame or the shutdown drain claimed
+		// the entry (and called cancel); either way the entry is gone.
+		ep.active.take(id)
+		cc.cancel()
+	}()
+	ctx := context.Context(cc)
+	// The sampling decision reads the counter (a plain load) up front;
+	// the count itself is bumped after the reply frame is on the wire,
+	// where the atomic overlaps with the peer processing the reply.
+	// Under concurrent handlers the load-based decision may time a
+	// neighbor of the exact n-th run — sampling is statistical anyway.
+	m := ep.metrics
+	var start, elapsed int64
+	timed := false
+	if m != nil && (m.handles[method].Load()+1)&m.sampleMask == 1&m.sampleMask {
+		timed = true
+		start = obs.Now()
+	}
+	reply, err := cc.h(ctx, frame[headerLen:])
+	if timed {
+		elapsed = obs.Now() - start
+	}
+	if err != nil {
+		ep.sendErr(ep.baseCtx, id, method, err)
+	} else {
+		ep.send(ep.baseCtx, kindResponse, id, method, statusOK, reply)
+	}
+	// The reply (which may alias the request payload) is encoded
+	// and sent; nothing refers to the request frame any more.
+	wire.PutBuf(frame)
+	if m != nil {
+		m.handles[method].Inc()
 		if timed {
-			elapsed = obs.Now() - start
+			m.handleLat[method].Record(elapsed)
 		}
-		if err != nil {
-			ep.sendErr(ep.baseCtx, id, method, err)
-		} else {
-			ep.send(ep.baseCtx, kindResponse, id, method, statusOK, reply)
-		}
-		// The reply (which may alias the request payload) is encoded
-		// and sent; nothing refers to the request frame any more.
-		wire.PutBuf(frame)
-		if m != nil {
-			m.handles[method].Inc()
-			if timed {
-				m.handleLat[method].Record(elapsed)
-			}
-		}
-	})
+	}
 }
 
 // cancelInbound handles a peer's cancel frame: the named request's

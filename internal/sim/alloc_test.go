@@ -55,6 +55,32 @@ func TestAllocBudgetPark(t *testing.T) {
 	}
 }
 
+// TestAllocBudgetSpawn: a finished goroutine's coroutine waits on the
+// idle list, so a spawn that finds one there — and that goroutine's own
+// retirement back onto the list — allocates nothing.
+func TestAllocBudgetSpawn(t *testing.T) {
+	if wire.RaceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	v := sim.NewVClock(1)
+	clk := sim.Virtual(v)
+	var spawn float64
+	v.Run(func() {
+		done := new(int)
+		child := func() { v.Wakeup(done) }
+		round := func() {
+			clk.Go(child)
+			v.WaitOn(done)
+		}
+		round()
+		clk.Sleep(time.Microsecond) // the first child has retired
+		spawn = testing.AllocsPerRun(200, round)
+	})
+	if spawn != 0 {
+		t.Errorf("Go onto an idle worker, run, retire: %.1f allocs, want 0", spawn)
+	}
+}
+
 // TestRunQueueOrder pins the run queue's dequeue order across the
 // head-index rewrite: goroutines readied by one Wakeup run in park
 // order, and ones spawned meanwhile queue behind them.

@@ -4,23 +4,28 @@
 // (virtual time, creation sequence), and the logical clock jumps to
 // the next event's timestamp only when no simulation goroutine is
 // runnable — the goroutine-quiescence rule. Runs are deterministic:
-// the scheduler is cooperative and token-serialized, so exactly one
-// simulation goroutine executes at any instant and every interleaving
-// is a pure function of the event order, which is itself a pure
-// function of the seed and the workload.
+// every tracked goroutine is a coroutine that the caller of Run drives,
+// so exactly one of them executes at any instant, Run's loop is the one
+// place that decides which advances next, and every interleaving is a
+// pure function of the event order, which is itself a pure function of
+// the seed and the workload.
 //
 // The contract call sites must keep:
 //
 //   - every goroutine that participates in virtual time is spawned
-//     through Clock.Go (or transitively from one that was);
+//     through Clock.Go/GoTask (or transitively from one that was), and
+//     while the run lasts nothing else calls the clock: a park finds
+//     its own record as "the coroutine the driver resumed last", so a
+//     call from an untracked goroutine is undefined, not merely
+//     unordered;
 //   - every blocking operation is mediated: block via WaitOn/
 //     WaitOnUntil/Sleep/SleepUntil, and every state change another
 //     goroutine may be parked on is followed by Clock.Wakeup(key);
 //   - nothing reads the wall clock on a simulated path (time.Now,
 //     time.Sleep, raw time.Timer) — Clock.Now and friends only.
 //
-// Check-then-park is atomic for free: a running goroutine holds the
-// token, so between testing a condition and parking on its key no
+// Check-then-park is atomic for free: between testing a condition and
+// parking on its key the running coroutine does not switch, so no
 // other simulation goroutine can slip in a wakeup.
 package sim
 
@@ -28,6 +33,7 @@ import (
 	"container/heap"
 	"context"
 	"fmt"
+	"iter"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -110,13 +116,27 @@ func (c Clock) SleepCtx(ctx context.Context, d time.Duration) bool {
 	}
 }
 
+// Task is a unit of work for GoTask: a spawn site that already has a
+// record per spawn hands the record itself over instead of a closure
+// over it.
+type Task interface{ Run() }
+
+// funcTask runs a plain function as a Task; a func value converts to the
+// interface without allocating.
+type funcTask func()
+
+func (f funcTask) Run() { f() }
+
 // Go runs f in a new goroutine tracked by the clock. On a wall clock
 // (or after the virtual run ended) it is a plain `go f()`.
-func (c Clock) Go(f func()) {
-	if c.v != nil && c.v.Go(f) {
+func (c Clock) Go(f func()) { c.GoTask(funcTask(f)) }
+
+// GoTask is Go for a Task.
+func (c Clock) GoTask(t Task) {
+	if c.v != nil && c.v.spawn(t) {
 		return
 	}
-	go f()
+	go t.Run()
 }
 
 // Wakeup readies every goroutine parked on key. A no-op on a wall
@@ -187,42 +207,29 @@ const (
 	stateRun
 )
 
-// vg is one parked-or-ready continuation: one per park and per spawned
-// goroutine. Records are recycled through vgPool. A continuation
-// receives from its wake channel exactly once, and by then the scheduler
-// has dropped every reference that could reach it — it is off the run
-// queue, off its key's chain, and any event that still names it is dead
-// — so the goroutine that received can hand the record, channel and all,
-// straight to the next park.
+// vg is one tracked goroutine: a coroutine (iter.Pull) that runs one
+// task after another and is only ever resumed by the driver loop in Run
+// — or, once the run has ended, by the plain goroutine exitAll hands it
+// to. The record doubles as the goroutine's park state: it is on at most
+// one of the run queue, a key's chain, the event heap (through ev) or
+// the idle list.
 type vg struct {
-	wake   chan struct{}
 	state  uint8
 	reason WakeReason
 	key    any    // set while parked on a key
 	ev     *event // set while parked with a deadline
+	task   Task   // what the coroutine runs next
+
+	// resume switches into the coroutine and returns when it yields or
+	// ends; stop makes an idle coroutine return; yield, set by the
+	// coroutine itself, switches back to whoever resumed it.
+	resume func() (struct{}, bool)
+	stop   func()
+	yield  func(struct{}) bool
 
 	// next chains the goroutines parked on one key in park order; the
 	// chain's head (the map entry) also tracks its tail.
 	next, tail *vg
-}
-
-var vgPool = sync.Pool{New: func() any { return &vg{wake: make(chan struct{}, 1)} }}
-
-// newVG returns a recycled continuation in the given state.
-func newVG(state uint8, key any) *vg {
-	g := vgPool.Get().(*vg)
-	g.state, g.reason, g.key = state, WakeKey, key
-	return g
-}
-
-// await blocks until the scheduler (or the end of the run) wakes g,
-// recycles g and says why it woke.
-func (g *vg) await() WakeReason {
-	<-g.wake
-	why := g.reason
-	g.key, g.ev, g.next, g.tail = nil, nil, nil, nil
-	vgPool.Put(g)
-	return why
 }
 
 // event is a heap entry: wake g (a sleeper/timed wait) or spawn fn (an
@@ -259,6 +266,9 @@ func (q *eventQueue) Pop() any {
 	return ev
 }
 
+// minIdle is the floor of the idle-worker bound (see retire).
+const minIdle = 64
+
 // VClock is a deterministic discrete-event scheduler. Construct with
 // NewVClock, wrap components' Clock fields via Virtual(), drive the
 // whole simulation inside Run.
@@ -273,8 +283,16 @@ type VClock struct {
 	runq     []*vg // runq[runqHead:] is live, in ready order
 	runqHead int
 	parked   map[any]*vg // key -> chain of goroutines parked on it
+	idle     []*vg       // coroutines between tasks, most recent last
 	ngo      int
 	exited   bool
+
+	// The hand-over between the driver and the one running coroutine,
+	// ordered by the coroutine switch itself: cur is the coroutine the
+	// driver resumed last, pick the one it resumes next (nil ends the
+	// loop), stalled why there is none.
+	root, cur, pick *vg
+	stalled         string
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
@@ -299,7 +317,7 @@ func (v *VClock) Now() time.Time { return v.base.Add(time.Duration(v.nowNs.Load(
 
 // Rand returns the run's seeded random source. Callers must only use
 // it from simulation goroutines (it is mutex-guarded, but draw order
-// is only deterministic under the run token).
+// is only deterministic inside the run).
 func (v *VClock) Rand() *rand.Rand { return v.rng }
 
 // Int63n draws from the seeded source.
@@ -309,25 +327,30 @@ func (v *VClock) Int63n(n int64) int64 {
 	return v.rng.Int63n(n)
 }
 
-// Run executes f as the root simulation goroutine and blocks until it
-// returns, then ends the virtual run: the clock flips to passthrough
-// mode and every still-parked goroutine is released to real time, so
-// ordinary teardown (Close/Shutdown) needs no mediation. Everything
-// the run's output depends on must be captured inside f.
+// Run executes f as the root simulation goroutine and drives every
+// tracked goroutine from the calling one until f returns, then ends the
+// virtual run: the clock flips to passthrough mode and every
+// still-parked goroutine is released to real time, so ordinary teardown
+// (Close/Shutdown) needs no mediation. Everything the run's output
+// depends on must be captured inside f.
+//
+// A panic or runtime.Goexit (t.FailNow) in any tracked goroutine, and
+// the stall report, surface here in Run's caller; the run is ended
+// first, as if f had returned.
 func (v *VClock) Run(f func()) {
-	done := make(chan struct{})
+	defer v.exitAll()
 	v.mu.Lock()
-	v.ngo++
-	g := newVG(stateReady, nil)
-	v.pushRunLocked(g)
-	go func() {
-		g.await()
-		f()
-		v.exitAll()
-		close(done)
-	}()
-	v.yieldLocked()
-	<-done
+	v.root = v.spawnLocked(funcTask(f))
+	g := v.pickLocked()
+	v.mu.Unlock()
+	for g != nil {
+		v.cur = g
+		g.resume()
+		g = v.pick
+	}
+	if v.stalled != "" {
+		panic(v.stalled)
+	}
 }
 
 // Exited reports whether the virtual run has ended.
@@ -337,10 +360,10 @@ func (v *VClock) Exited() bool {
 	return v.exited
 }
 
-// exitAll ends the run: wake every parked and ready goroutine into
-// real-time execution. Called by the root when f returns, with the
-// root still holding the run token, so no further virtual events fire
-// and the end of the run is deterministic.
+// exitAll ends the run: stop the idle coroutines and hand every parked
+// or ready one to a plain goroutine that resumes it into real-time
+// execution. Called by the driver with no coroutine running, so no
+// further virtual events fire and the end of the run is deterministic.
 func (v *VClock) exitAll() {
 	v.mu.Lock()
 	v.exited = true
@@ -355,9 +378,8 @@ func (v *VClock) exitAll() {
 	}
 	v.parked = make(map[any]*vg)
 	for _, ev := range v.evq {
-		// A dead event may name a record that has since been recycled
-		// into another park, or another clock; only a live one still
-		// owns its sleeper.
+		// A dead event's sleeper has moved on to a later park; a timed
+		// wait on a key was collected from its chain above.
 		if g := ev.g; !ev.dead && g != nil && g.state == stateParked {
 			g.state = stateReady
 			wake = append(wake, g)
@@ -365,54 +387,111 @@ func (v *VClock) exitAll() {
 		ev.dead = true
 	}
 	v.evq, v.freeEv = nil, nil
+	idle := v.idle
+	v.idle = nil
 	v.mu.Unlock()
+	for _, g := range idle {
+		g.stop()
+	}
 	for _, g := range wake {
-		g.reason = WakeExited
-		select {
-		case g.wake <- struct{}{}:
-		default:
-		}
+		g.state, g.reason = stateRun, WakeExited
+		go g.resume()
 	}
 }
 
-// Go spawns f as a tracked simulation goroutine, runnable after the
-// spawner next yields. Reports false once the run has ended (the
-// caller falls back to `go f()`).
-func (v *VClock) Go(f func()) bool {
+// spawn starts t as a tracked simulation goroutine, runnable after the
+// spawner next parks. Reports false once the run has ended (the caller
+// falls back to `go t.Run()`).
+func (v *VClock) spawn(t Task) bool {
 	v.mu.Lock()
 	if v.exited {
 		v.mu.Unlock()
 		return false
 	}
-	v.spawnLocked(f)
+	v.spawnLocked(t)
 	v.mu.Unlock()
 	return true
 }
 
-func (v *VClock) spawnLocked(f func()) {
+// spawnLocked queues t on an idle coroutine, or a new one when none is
+// idle.
+func (v *VClock) spawnLocked(t Task) *vg {
 	v.ngo++
-	g := newVG(stateReady, nil)
+	g := v.popIdleLocked()
+	if g == nil {
+		g = v.newWorker()
+	}
+	g.task = t
+	g.state, g.reason = stateReady, WakeKey
 	v.pushRunLocked(g)
-	go v.runSpawned(g, f)
+	return g
 }
 
-// runSpawned is the body of a tracked goroutine: wait for the token, run
-// f, retire.
-func (v *VClock) runSpawned(g *vg, f func()) {
-	g.await()
-	f()
-	v.goDone() // no-op once the run has ended
+// popIdleLocked takes the most recently idled coroutine off the idle
+// list, nil if there is none.
+func (v *VClock) popIdleLocked() *vg {
+	n := len(v.idle)
+	if n == 0 {
+		return nil
+	}
+	g := v.idle[n-1]
+	v.idle[n-1] = nil
+	v.idle = v.idle[:n-1]
+	return g
 }
 
-// goDone retires a tracked goroutine and hands the token on.
-func (v *VClock) goDone() {
+// newWorker makes a coroutine that runs its record's task each time it
+// is resumed with one; it starts on its first resume.
+func (v *VClock) newWorker() *vg {
+	g := new(vg)
+	g.resume, g.stop = iter.Pull(func(yield func(struct{}) bool) {
+		g.yield = yield
+		for {
+			g.task.Run()
+			g.task = nil
+			if !v.retire(g) {
+				return
+			}
+		}
+	})
+	return g
+}
+
+// retire ends g's task and hands the run on; it reports whether g comes
+// back with another task. A finished coroutine waits on the idle list
+// for the next spawn, which then costs no allocation and no fresh stack.
+// The list follows the live count — it may hold max(live, minIdle)
+// coroutines, and each retirement sheds what is over — so a burst's
+// coroutines serve the next burst but do not outlive the load that
+// needed them.
+func (v *VClock) retire(g *vg) bool {
 	v.mu.Lock()
 	if v.exited {
 		v.mu.Unlock()
-		return
+		return false
+	}
+	if g == v.root {
+		// f returned: the driver ends the run.
+		v.pick = nil
+		v.mu.Unlock()
+		return false
 	}
 	v.ngo--
-	v.yieldLocked()
+	bound := max(v.ngo, minIdle)
+	if len(v.idle) < bound {
+		v.idle = append(v.idle, g)
+		return v.switchLocked(g)
+	}
+	var extra *vg
+	if len(v.idle) > bound {
+		extra = v.popIdleLocked()
+	}
+	v.pick = v.pickLocked()
+	v.mu.Unlock()
+	if extra != nil {
+		extra.stop()
+	}
+	return false
 }
 
 // WaitOn parks the caller until Wakeup(key) or the end of the run.
@@ -433,15 +512,16 @@ func (v *VClock) waitOn(key any, deadlineNs int64) WakeReason {
 		v.mu.Unlock()
 		return WakeTimeout
 	}
-	g := newVG(stateParked, key)
+	g := v.cur
+	g.state, g.reason, g.key = stateParked, WakeKey, key
 	if key != nil {
 		v.parkLocked(g)
 	}
 	if deadlineNs >= 0 {
 		g.ev = v.pushEventLocked(deadlineNs, g, nil)
 	}
-	v.yieldLocked()
-	return g.await()
+	v.switchLocked(g)
+	return g.reason
 }
 
 // sleep parks the caller for d of virtual time; false once exited.
@@ -455,10 +535,7 @@ func (v *VClock) sleep(d time.Duration) bool {
 		v.mu.Unlock()
 		return true
 	}
-	g := newVG(stateParked, nil)
-	g.ev = v.pushEventLocked(v.nowNs.Load()+d.Nanoseconds(), g, nil)
-	v.yieldLocked()
-	g.await()
+	v.sleepLocked(v.nowNs.Load() + d.Nanoseconds())
 	return true
 }
 
@@ -473,11 +550,33 @@ func (v *VClock) sleepUntil(deadline time.Time) bool {
 		v.mu.Unlock()
 		return true
 	}
-	g := newVG(stateParked, nil)
-	g.ev = v.pushEventLocked(ns, g, nil)
-	v.yieldLocked()
-	g.await()
+	v.sleepLocked(ns)
 	return true
+}
+
+// sleepLocked parks the running coroutine until virtual time atNs.
+// Called with v.mu held; releases it.
+func (v *VClock) sleepLocked(atNs int64) {
+	g := v.cur
+	g.state, g.reason, g.key = stateParked, WakeKey, nil
+	g.ev = v.pushEventLocked(atNs, g, nil)
+	v.switchLocked(g)
+}
+
+// switchLocked hands the run from the running coroutine g, whose record
+// already says where it waits, to the next pick: through the driver,
+// or by simply carrying on when the pick is g itself. It returns when g
+// runs again, false if that is because g was stopped. Called with v.mu
+// held; releases it.
+func (v *VClock) switchLocked(g *vg) bool {
+	next := v.pickLocked()
+	if next == g {
+		v.mu.Unlock()
+		return true
+	}
+	v.pick = next
+	v.mu.Unlock()
+	return g.yield(struct{}{})
 }
 
 func (v *VClock) afterFunc(d time.Duration, f func()) *ClockTimer {
@@ -589,10 +688,11 @@ func (v *VClock) freeEventLocked(ev *event) {
 	}
 }
 
-// yieldLocked hands the run token to the next runnable goroutine,
-// advancing virtual time over the event heap when none is ready.
-// Called with v.mu held; releases it.
-func (v *VClock) yieldLocked() {
+// pickLocked takes the next runnable goroutine off the run queue,
+// advancing virtual time over the event heap when none is ready. It
+// returns nil, with v.stalled saying why, when nothing can ever run
+// again.
+func (v *VClock) pickLocked() *vg {
 	for {
 		if v.runqHead < len(v.runq) {
 			g := v.runq[v.runqHead]
@@ -602,14 +702,12 @@ func (v *VClock) yieldLocked() {
 				v.runq, v.runqHead = v.runq[:0], 0
 			}
 			g.state = stateRun
-			g.wake <- struct{}{}
-			v.mu.Unlock()
-			return
+			return g
 		}
 		ev := v.popEventLocked()
 		if ev == nil {
-			v.stallLocked() // unlocks
-			return
+			v.stalled = v.stallLocked()
+			return nil
 		}
 		if ev.at > v.nowNs.Load() {
 			v.nowNs.Store(ev.at)
@@ -624,7 +722,7 @@ func (v *VClock) yieldLocked() {
 				v.readyLocked(ev.g, WakeTimeout)
 			}
 		} else if ev.fn != nil {
-			v.spawnLocked(ev.fn)
+			v.spawnLocked(funcTask(ev.fn))
 		}
 		v.freeEventLocked(ev)
 	}
@@ -665,16 +763,10 @@ func (v *VClock) dropParkedLocked(g *vg) {
 	g.next, g.tail = nil, nil
 }
 
-// stallLocked fires when no goroutine is runnable and no event is
-// pending while tracked goroutines still exist — a lost wakeup or an
-// unmediated block. Deadlocking silently would be worse: dump state.
-func (v *VClock) stallLocked() {
-	if v.ngo == 0 {
-		// Every tracked goroutine finished; the run is idle (the root
-		// has returned or is about to). Nothing to schedule.
-		v.mu.Unlock()
-		return
-	}
+// stallLocked describes a run in which no goroutine is runnable and no
+// event is pending — a lost wakeup or an unmediated block. Deadlocking
+// silently would be worse: Run panics with this.
+func (v *VClock) stallLocked() string {
 	keys := make(map[string]int)
 	parked := 0
 	for k, head := range v.parked {
@@ -683,10 +775,8 @@ func (v *VClock) stallLocked() {
 			parked++
 		}
 	}
-	msg := fmt.Sprintf("sim: virtual clock stalled at %v: %d tracked goroutines, %d parked on keys %v, empty event heap — an unmediated block or a missing Wakeup",
+	return fmt.Sprintf("sim: virtual clock stalled at %v: %d tracked goroutines, %d parked on keys %v, empty event heap — an unmediated block or a missing Wakeup",
 		time.Duration(v.nowNs.Load()), v.ngo, parked, keys)
-	v.mu.Unlock()
-	panic(msg)
 }
 
 // Group is a clock-aware fan-out barrier: sync.WaitGroup semantics

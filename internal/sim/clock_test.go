@@ -3,7 +3,10 @@ package sim
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -239,4 +242,227 @@ func TestWakeupAtRearmsParked(t *testing.T) {
 		}
 	})
 	Clock{}.WakeupAt(new(int), time.Now()) // wall clock: no-op
+}
+
+// runRecover runs f under a fresh clock and returns what Run panicked
+// with, nil if it returned.
+func runRecover(f func(v *VClock, clk Clock)) (p any) {
+	v := NewVClock(1)
+	defer func() { p = recover() }()
+	v.Run(func() { f(v, Virtual(v)) })
+	return nil
+}
+
+// TestStallPanicsInRunCaller: a run in which nothing can ever run again
+// panics in the goroutine that called Run, where a test can recover it
+// (or simply fail), with the parked keys in the message — and the
+// goroutines it leaves parked are released like at any other exit.
+func TestStallPanicsInRunCaller(t *testing.T) {
+	var released atomic.Int32
+	p := runRecover(func(v *VClock, clk Clock) {
+		clk.Go(func() {
+			if v.WaitOn(new(int)) == WakeExited {
+				released.Add(1)
+			}
+		})
+		if v.WaitOn(new(string)) == WakeExited {
+			released.Add(1)
+		}
+	})
+	msg, _ := p.(string)
+	for _, want := range []string{"stalled", "2 tracked goroutines", "2 parked", "*int:1", "*string:1"} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("Run panicked with %q, want it to mention %q", p, want)
+		}
+	}
+	eventually(t, "both stalled goroutines released", func() bool { return released.Load() == 2 })
+}
+
+// eventually polls cond, in real time, for up to five seconds.
+func eventually(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("not within 5s: %s", what)
+		}
+	}
+}
+
+// TestPanicInTrackedGoroutineReachesRun: a panic in a spawned goroutine,
+// and a runtime.Goexit (what t.FailNow does), surface in Run's caller
+// rather than on a goroutine nobody can recover.
+func TestPanicInTrackedGoroutineReachesRun(t *testing.T) {
+	p := runRecover(func(v *VClock, clk Clock) {
+		clk.Go(func() {
+			clk.Sleep(time.Second)
+			panic("boom")
+		})
+		clk.Sleep(time.Hour)
+	})
+	if p != "boom" {
+		t.Errorf("Run panicked with %v, want boom", p)
+	}
+
+	returned, exited := false, make(chan struct{})
+	go func() {
+		defer close(exited)
+		v := NewVClock(1)
+		v.Run(func() {
+			Virtual(v).Go(runtime.Goexit)
+			Virtual(v).Sleep(time.Hour)
+		})
+		returned = true
+	}()
+	select {
+	case <-exited:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Goexit in a tracked goroutine did not end Run's caller")
+	}
+	if returned {
+		t.Error("Run returned after a tracked goroutine called Goexit")
+	}
+}
+
+// TestRunReleasesParkedAtExit: whatever is still parked when f returns
+// runs to its end in real time, keyed waits reporting WakeExited, and no
+// goroutine — tracked, idle, or one of the helpers that resume them —
+// outlives that. Twenty clocks, so one leak per run shows.
+func TestRunReleasesParkedAtExit(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for n := 0; n < 20; n++ {
+		v := NewVClock(int64(n))
+		clk := Virtual(v)
+		var finished, exited atomic.Int32
+		var wg sync.WaitGroup
+		v.Run(func() {
+			key := new(int)
+			for i := 0; i < 200; i++ {
+				wg.Add(2)
+				clk.Go(func() {
+					defer wg.Done()
+					if v.WaitOn(key) == WakeExited {
+						exited.Add(1)
+					}
+					finished.Add(1)
+				})
+				clk.Go(func() {
+					defer wg.Done()
+					clk.Sleep(time.Hour)
+					finished.Add(1)
+				})
+			}
+			// A burst that finishes inside the run leaves idle workers.
+			g := NewGroup(clk)
+			for i := 0; i < 100; i++ {
+				g.Go(func() { clk.Sleep(time.Millisecond) })
+			}
+			g.Wait()
+		})
+		wg.Wait()
+		if finished.Load() != 400 || exited.Load() != 200 {
+			t.Fatalf("clock %d: %d of 400 parked goroutines finished, %d of 200 keyed waits saw WakeExited", n, finished.Load(), exited.Load())
+		}
+	}
+	eventually(t, fmt.Sprintf("back to the %d goroutines of before the runs", before), func() bool { return runtime.NumGoroutine() <= before })
+}
+
+// idleWorkers is the test's view of the idle list.
+func (v *VClock) idleWorkers() int {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return len(v.idle)
+}
+
+// TestIdleWorkersFollowLiveCount: the idle list serves a burst but does
+// not keep a burst's worth of coroutines once the load is gone.
+func TestIdleWorkersFollowLiveCount(t *testing.T) {
+	v := NewVClock(1)
+	clk := Virtual(v)
+	v.Run(func() {
+		burst, stay := new(int), new(int)
+		for i := 0; i < 1000; i++ {
+			key := burst
+			if i < 10 {
+				key = stay
+			}
+			clk.Go(func() { v.WaitOn(key) })
+		}
+		clk.Sleep(time.Microsecond) // a thousand alive at once
+		if n := v.idleWorkers(); n != 0 {
+			t.Errorf("%d idle workers while all thousand are parked", n)
+		}
+		v.Wakeup(burst)
+		clk.Sleep(time.Microsecond) // all but ten have finished
+		if n := v.idleWorkers(); n != minIdle {
+			t.Errorf("%d idle workers with 11 goroutines alive, want %d", n, minIdle)
+		}
+		v.Wakeup(stay)
+	})
+}
+
+// TestScheduleOrderRepeats: a thousand seeded steps mixing every
+// scheduling primitive — spawns that reuse workers, sleeps, keyed waits
+// with and without deadlines, wakeups now and at a time, timers — run in
+// the same order on every run.
+func TestScheduleOrderRepeats(t *testing.T) {
+	trace := func() []string {
+		v := NewVClock(7)
+		clk := Virtual(v)
+		var log []string
+		v.Run(func() {
+			var keys [4]*int
+			for i := range keys {
+				keys[i] = new(int)
+			}
+			note := func(who int, what string) {
+				log = append(log, fmt.Sprintf("%d %s @%v", who, what, clk.Since(v.base)))
+			}
+			g := NewGroup(clk)
+			for id := 0; id < 20; id++ {
+				g.Go(func() {
+					for step := 0; step < 50; step++ {
+						key := keys[v.Int63n(int64(len(keys)))]
+						d := time.Duration(1+v.Int63n(500)) * time.Microsecond
+						switch v.Int63n(7) {
+						case 0:
+							clk.Sleep(d)
+							note(id, "slept")
+						case 1:
+							g.Go(func() { note(id, "child") })
+						case 2:
+							// Every untimed wait arranges its own wakeup, so
+							// the program cannot stall.
+							clk.AfterFunc(d, func() { v.Wakeup(key) })
+							note(id, fmt.Sprint("woken ", v.WaitOn(key)))
+						case 3:
+							note(id, fmt.Sprint("timed ", v.WaitOnUntil(key, clk.Now().Add(d))))
+						case 4:
+							v.Wakeup(key)
+						case 5:
+							v.WakeupAt(key, clk.Now().Add(d))
+						case 6:
+							g.Go(func() {
+								clk.Sleep(d)
+								note(id, "late child")
+							})
+						}
+					}
+				})
+			}
+			g.Wait()
+		})
+		return log
+	}
+	a, b := trace(), trace()
+	if len(a) < 500 {
+		t.Fatalf("only %d steps recorded", len(a))
+	}
+	for i := range a {
+		if i >= len(b) || a[i] != b[i] {
+			t.Fatalf("runs diverge at step %d of %d/%d: %q vs %q", i, len(a), len(b), a[i], b[min(i, len(b)-1)])
+		}
+	}
+	if len(a) != len(b) {
+		t.Fatalf("runs recorded %d and %d steps", len(a), len(b))
+	}
 }

@@ -108,8 +108,9 @@ type listener struct {
 
 func (l *listener) Accept() (transport.Conn, error) {
 	if v := l.clk.V(); v != nil {
-		// Virtual time: poll the backlog under the run token, parking on
-		// the listener until a Dial (or Close) wakes us.
+		// Virtual time: poll the backlog as the one running simulation
+		// goroutine, parking on the listener until a Dial (or Close)
+		// wakes us.
 		for {
 			select {
 			case c, ok := <-l.backlog:
@@ -350,8 +351,9 @@ func (p *pipe) recvVirtual(ctx context.Context, v *sim.VClock) (data []byte, err
 			}
 			deliverAt := m.deliverAt
 			p.mu.Unlock()
-			// Holding the run token between the check above and parking
-			// here makes check-then-park atomic: no wakeup can be lost.
+			// No other simulation goroutine runs between the check above
+			// and parking here, so check-then-park is atomic: no wakeup
+			// can be lost.
 			if v.WaitOnUntil(p, deliverAt) == sim.WakeExited {
 				return nil, nil, false
 			}
