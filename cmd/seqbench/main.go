@@ -17,27 +17,16 @@
 // shared-mode grants and peer-to-peer read-lease propagation — and
 // partition — the lock-space partitioning scaling curve (not in the
 // paper; -lock-servers picks the server counts).
-//
-// -benchjson FILE runs the parallel hot-path benchmarks of
-// internal/perfbench instead of the experiment suite and writes the
-// results to FILE (BENCH_dlm.json by convention); -benchbaseline FILE
-// folds per-benchmark baseline numbers and speedups into the report.
-// -mutexprofile FILE and -blockprofile FILE capture pprof contention
-// profiles covering the whole benchmark run (see EXPERIMENTS.md).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 	"time"
 
 	"ccpfs"
-	"ccpfs/internal/perfbench"
 )
 
 type experiment struct {
@@ -195,20 +184,7 @@ func main() {
 	list := flag.Bool("list", false, "list experiment IDs and exit")
 	scale := flag.Float64("scale", 1, "slow simulated devices by this factor")
 	csv := flag.Bool("csv", false, "emit CSV rows instead of tables")
-	benchJSON := flag.String("benchjson", "", "run the parallel hot-path benchmarks and write results to this file")
-	benchBaseline := flag.String("benchbaseline", "", "baseline results file to compute speedups against (with -benchjson)")
-	benchProcs := flag.Int("benchprocs", 0, "GOMAXPROCS for -benchjson (0 = 8 or NumCPU, whichever is larger)")
-	mutexProfile := flag.String("mutexprofile", "", "write a mutex-contention profile of the -benchjson run to this file")
-	blockProfile := flag.String("blockprofile", "", "write a blocking profile of the -benchjson run to this file")
 	flag.Parse()
-
-	if *benchJSON != "" {
-		if err := runBenchJSON(*benchJSON, *benchBaseline, *benchProcs, *mutexProfile, *blockProfile); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	exps := suite()
 	if *list {
@@ -248,112 +224,4 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q; try -list\n", *expFlag)
 		os.Exit(1)
 	}
-}
-
-// benchReport is the schema of the -benchjson output file.
-type benchReport struct {
-	GOMAXPROCS int          `json:"gomaxprocs"`
-	NumCPU     int          `json:"num_cpu"`
-	Warn       string       `json:"warn,omitempty"`
-	Results    []benchEntry `json:"results"`
-}
-
-type benchEntry struct {
-	perfbench.Result
-	// BaselineNsPerOp and Speedup are present when -benchbaseline named
-	// a file containing a result with the same benchmark name.
-	BaselineNsPerOp float64 `json:"baseline_ns_per_op,omitempty"`
-	Speedup         float64 `json:"speedup,omitempty"`
-}
-
-// runBenchJSON runs the perfbench suite at the requested parallelism and
-// writes the report, printing a human-readable summary to stdout. When
-// mutexPath or blockPath is non-empty the corresponding runtime profiler
-// covers the whole suite and the pprof profile is written alongside the
-// report, so a contention regression spotted by the numbers can be
-// pinned to a stack without re-running anything.
-func runBenchJSON(outPath, baselinePath string, procs int, mutexPath, blockPath string) error {
-	if procs <= 0 {
-		procs = 8
-		if n := runtime.NumCPU(); n > procs {
-			procs = n
-		}
-	}
-	if mutexPath != "" {
-		runtime.SetMutexProfileFraction(1)
-		defer runtime.SetMutexProfileFraction(0)
-	}
-	if blockPath != "" {
-		runtime.SetBlockProfileRate(1)
-		defer runtime.SetBlockProfileRate(0)
-	}
-	baseline := map[string]perfbench.Result{}
-	if baselinePath != "" {
-		data, err := os.ReadFile(baselinePath)
-		if err != nil {
-			return fmt.Errorf("benchbaseline: %w", err)
-		}
-		var rs []perfbench.Result
-		if err := json.Unmarshal(data, &rs); err != nil {
-			// Accept a previous -benchjson report as the baseline too.
-			var rep benchReport
-			if err2 := json.Unmarshal(data, &rep); err2 != nil {
-				return fmt.Errorf("benchbaseline: %v", err)
-			}
-			for _, e := range rep.Results {
-				rs = append(rs, e.Result)
-			}
-		}
-		for _, r := range rs {
-			baseline[r.Name] = r
-		}
-	}
-
-	fmt.Printf("running %d parallel benchmarks at GOMAXPROCS=%d...\n", len(perfbench.All()), procs)
-	results, env := perfbench.Run(procs)
-	if env.Warn != "" {
-		fmt.Fprintf(os.Stderr, "WARN: %s\n", env.Warn)
-	}
-	rep := benchReport{GOMAXPROCS: env.GOMAXPROCS, NumCPU: env.NumCPU, Warn: env.Warn}
-	for _, r := range results {
-		e := benchEntry{Result: r}
-		if b, ok := baseline[r.Name]; ok && r.NsPerOp > 0 {
-			e.BaselineNsPerOp = b.NsPerOp
-			e.Speedup = b.NsPerOp / r.NsPerOp
-			fmt.Printf("  %-34s %10.1f ns/op  (baseline %10.1f, %.2fx)\n", r.Name, r.NsPerOp, b.NsPerOp, e.Speedup)
-		} else {
-			fmt.Printf("  %-34s %10.1f ns/op\n", r.Name, r.NsPerOp)
-		}
-		rep.Results = append(rep.Results, e)
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", outPath)
-	if err := writeProfile("mutex", mutexPath); err != nil {
-		return err
-	}
-	return writeProfile("block", blockPath)
-}
-
-// writeProfile dumps the named runtime profile in pprof format to path
-// (no-op when path is empty).
-func writeProfile(name, path string) error {
-	if path == "" {
-		return nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := pprof.Lookup(name).WriteTo(f, 0); err != nil {
-		return fmt.Errorf("writing %s profile: %w", name, err)
-	}
-	fmt.Printf("wrote %s profile to %s\n", name, path)
-	return nil
 }

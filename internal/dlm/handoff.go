@@ -80,7 +80,7 @@ type activationMsg struct {
 // Delegated, and the revocation appended to revs carries the stamp.
 // Called from tryGrant with res.mu held; reports whether it stamped.
 func (s *Server) stampHandoff(res *resource, w *waiter, mode Mode, c *lock, fx *effects) bool {
-	if !s.handoffOn.Load() {
+	if !s.handoffOn {
 		return false
 	}
 	hn, ok := s.notifier.(HandoffNotifier)

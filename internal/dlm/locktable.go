@@ -10,9 +10,8 @@ import "ccpfs/internal/extent"
 //   - tree: an interval tree over each lock's (expanded) range, so
 //     conflict detection, mSN queries, and expansion probes touch only
 //     the locks whose ranges can overlap the request — O(log n + k);
-//   - list: a plain slice for full walks (invariant checks, stats) and
-//     for the linear-scan baseline the benchmarks and property tests
-//     compare the index against.
+//   - list: a plain slice for full walks (invariant checks, slot
+//     export).
 //
 // A lock's range is immutable once granted (conversion replaces the
 // lock rather than growing it), so the tree key never goes stale. Locks
@@ -58,21 +57,11 @@ func (t *lockTable) remove(l *lock) {
 	t.tree.Delete(l.rng.Start, uint64(l.id))
 }
 
-// visitCandidates calls fn for every granted lock that may overlap e:
-// with the index on, only locks whose bounding range overlaps e (the
-// caller still applies its precise overlap predicate); with the index
-// off, every granted lock, reproducing the original linear scan.
+// visitCandidates calls fn for every granted lock whose bounding range
+// overlaps e; the caller still applies its precise overlap predicate.
 // Returning false stops the walk.
-func (t *lockTable) visitCandidates(indexed bool, e extent.Extent, fn func(*lock) bool) {
-	if indexed {
-		t.tree.VisitOverlap(e, func(_ extent.Extent, _ uint64, l *lock) bool {
-			return fn(l)
-		})
-		return
-	}
-	for _, l := range t.list {
-		if !fn(l) {
-			return
-		}
-	}
+func (t *lockTable) visitCandidates(e extent.Extent, fn func(*lock) bool) {
+	t.tree.VisitOverlap(e, func(_ extent.Extent, _ uint64, l *lock) bool {
+		return fn(l)
+	})
 }

@@ -48,7 +48,7 @@ type BroadcastStamp struct {
 // Runs of one fall through to the plain single-successor stamp. Called
 // from tryGrant with res.mu held; reports whether it stamped.
 func (s *Server) stampBroadcast(res *resource, w *waiter, mode Mode, c *lock, fx *effects) bool {
-	if !s.fanOn.Load() {
+	if !s.fanOn {
 		return false
 	}
 	hn, ok := s.notifier.(HandoffNotifier)
@@ -179,7 +179,7 @@ func (s *Server) stampBroadcast(res *resource, w *waiter, mode Mode, c *lock, fx
 // owes a broadcast transfer to when it finishes. Called from tryGrant
 // with res.mu held; reports whether it stamped.
 func (s *Server) stampGather(res *resource, w *waiter, mode Mode, confs []*lock, fx *effects) bool {
-	if !s.fanOn.Load() {
+	if !s.fanOn {
 		return false
 	}
 	hn, ok := s.notifier.(HandoffNotifier)

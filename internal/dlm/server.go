@@ -113,24 +113,19 @@ type Server struct {
 	cancelFn context.CancelFunc
 	draining atomic.Bool
 
-	// indexed selects the interval-indexed grant paths (the default).
-	// Benchmarks and property tests clear it via SetIndexed to compare
-	// against the original linear scans; flip only on a quiescent engine.
-	indexed atomic.Bool
-
 	// revoker coalesces revocations per client and bounds concurrent
 	// fan-out (DESIGN.md §9).
 	revoker revoker
 
-	// handoffOn gates the client-to-client handoff fast path at
-	// runtime; seeded from Policy.Handoff, toggled by SetHandoff. Off,
+	// handoffOn gates the client-to-client handoff fast path; set from
+	// Policy.Handoff (or ReaderFanout, which rides on its transport). Off,
 	// the revoke path is byte-identical to the pre-handoff engine.
-	handoffOn atomic.Bool
+	handoffOn bool
 	// fanOn gates the reader fan-out paths — broadcast stamping and
-	// cohort gathering (DESIGN.md §14); seeded from Policy.ReaderFanout,
-	// toggled by SetReaderFanout. Off, the grant/revoke path is
-	// byte-identical to the single-successor handoff engine.
-	fanOn atomic.Bool
+	// cohort gathering (DESIGN.md §14); set from Policy.ReaderFanout. Off,
+	// the grant/revoke path is byte-identical to the single-successor
+	// handoff engine.
+	fanOn bool
 	// handoffTimeout (nanoseconds) bounds how long a delegation may
 	// stay unconfirmed before the reclaimer intervenes.
 	handoffTimeout atomic.Int64
@@ -173,17 +168,16 @@ type srvShard struct {
 func NewServer(policy Policy, notifier Notifier) *Server {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		policy:   policy,
-		notifier: notifier,
-		baseCtx:  ctx,
-		cancelFn: cancel,
+		policy:    policy,
+		notifier:  notifier,
+		baseCtx:   ctx,
+		cancelFn:  cancel,
+		handoffOn: policy.Handoff || policy.ReaderFanout,
+		fanOn:     policy.ReaderFanout,
 	}
 	for i := range s.shards {
 		s.shards[i].resources = make(map[ResourceID]*resource)
 	}
-	s.indexed.Store(true)
-	s.handoffOn.Store(policy.Handoff || policy.ReaderFanout)
-	s.fanOn.Store(policy.ReaderFanout)
 	timeout := DefaultHandoffTimeout
 	if policy.HandoffReclaimInterval > 0 {
 		timeout = policy.HandoffReclaimInterval
@@ -191,25 +185,6 @@ func NewServer(policy Policy, notifier Notifier) *Server {
 	s.handoffTimeout.Store(int64(timeout))
 	s.revoker.s = s
 	return s
-}
-
-// SetHandoff toggles the client-to-client handoff fast path
-// (DESIGN.md §13) at runtime. Off — the default unless the policy
-// enables it — revocations are never stamped and the engine behaves
-// byte-identically to the pre-handoff protocol.
-func (s *Server) SetHandoff(on bool) { s.handoffOn.Store(on) }
-
-// SetReaderFanout toggles the reader fan-out paths (DESIGN.md §14) at
-// runtime: broadcast-stamped revocations toward reader cohorts and
-// gather stamping back toward writers. Implies the handoff transport,
-// so enabling it also enables handoff. Off — the default unless the
-// policy enables it — the engine behaves byte-identically to the
-// single-successor handoff protocol.
-func (s *Server) SetReaderFanout(on bool) {
-	s.fanOn.Store(on)
-	if on {
-		s.handoffOn.Store(true)
-	}
 }
 
 // SetHandoffTimeout bounds how long a delegation may stay unconfirmed
@@ -223,13 +198,6 @@ func (s *Server) SetNotifier(n Notifier) { s.notifier = n }
 // SetClock points the engine at a (virtual) clock. Call before serving;
 // the zero clock is the wall clock.
 func (s *Server) SetClock(c sim.Clock) { s.clk = c }
-
-// SetIndexed toggles the interval-indexed grant paths (on by default).
-// Off, the engine answers every conflict, expansion, and mSN query with
-// the original linear scans — the baseline the LockGrant benchmarks and
-// the index property tests compare against. Toggle only on a quiescent
-// engine.
-func (s *Server) SetIndexed(on bool) { s.indexed.Store(on) }
 
 // Policy returns the engine's policy.
 func (s *Server) Policy() Policy { return s.policy }
@@ -594,7 +562,7 @@ func (s *Server) MinSN(resID ResourceID, rng extent.Extent) (extent.SN, bool) {
 	defer res.mu.Unlock()
 	var msn extent.SN
 	found := false
-	res.granted.visitCandidates(s.indexed.Load(), rng, func(l *lock) bool {
+	res.granted.visitCandidates(rng, func(l *lock) bool {
 		if !l.mode.IsWrite() || !l.overlapsExtent(rng) {
 			return true
 		}
@@ -687,13 +655,12 @@ func (s *Server) compatible(reqMode Mode, l *lock) bool {
 }
 
 // conflicts returns the granted locks incompatible with the request at
-// mode m over range covered by the waiter. With the index on, only the
-// locks whose range overlaps the request's bounding range are probed; a
-// request carrying a non-contiguous extent set is refined by the
-// precise overlap test either way.
+// mode m over range covered by the waiter. Only the locks whose range
+// overlaps the request's bounding range are probed; a request carrying a
+// non-contiguous extent set is refined by the precise overlap test.
 func (s *Server) conflicts(res *resource, w *waiter, m Mode) []*lock {
 	var out []*lock
-	res.granted.visitCandidates(s.indexed.Load(), w.req.Range, func(l *lock) bool {
+	res.granted.visitCandidates(w.req.Range, func(l *lock) bool {
 		if l.overlapsReq(&w.req) && !s.compatible(m, l) {
 			out = append(out, l)
 		}
@@ -889,13 +856,12 @@ func (s *Server) tryGrant(res *resource, w *waiter, fx *effects) bool {
 				union = union.Union(c.rng)
 				absorbedSet[c] = true
 			}
-			indexed := s.indexed.Load()
 			for changed := true; changed; {
 				changed = false
 				// The visit is bounded by the union as of this pass; a
 				// lock only reachable through the union grown mid-pass
 				// sets changed and is collected next pass.
-				res.granted.visitCandidates(indexed, union, func(l *lock) bool {
+				res.granted.visitCandidates(union, func(l *lock) bool {
 					if absorbedSet[l] || l.client != w.req.Client || l.state != Granted {
 						return true
 					}
@@ -912,7 +878,7 @@ func (s *Server) tryGrant(res *resource, w *waiter, fx *effects) bool {
 			confs = confs[:0]
 			// Every absorbed lock overlaps the union (the union contains
 			// its range), so the bounded visit sees all of them.
-			res.granted.visitCandidates(indexed, union, func(l *lock) bool {
+			res.granted.visitCandidates(union, func(l *lock) bool {
 				if absorbedSet[l] {
 					absorbed = append(absorbed, l)
 					return true
@@ -1021,7 +987,7 @@ func (s *Server) grant(res *resource, w *waiter, mode Mode, absorbed []*lock, fx
 	// unreleased in CANCELING state, meaning this grant did not wait for
 	// its data flushing.
 	if mode.IsWrite() {
-		res.granted.visitCandidates(s.indexed.Load(), w.req.Range, func(l *lock) bool {
+		res.granted.visitCandidates(w.req.Range, func(l *lock) bool {
 			if l.state == Canceling && l.mode.IsWrite() && l.overlapsReq(&w.req) {
 				s.Stats.EarlyGrants.Add(1)
 				return false
@@ -1097,46 +1063,29 @@ func (s *Server) expandEnd(res *resource, w *waiter, mode Mode, rng extent.Exten
 		return rng.End
 	}
 	end := extent.Inf
-	if s.indexed.Load() {
-		// Both indexes order entries by ascending start, so the first
-		// incompatible entry at or past rng.End is the tightest cap;
-		// stop there, or once starts reach a cap already found.
-		res.granted.tree.VisitFrom(rng.End, func(_ extent.Extent, _ uint64, l *lock) bool {
-			if l.rng.Start >= end {
-				return false
-			}
-			if !s.compatible(mode, l) {
-				end = l.rng.Start
-				return false
-			}
-			return true
-		})
-		res.wtree.VisitFrom(rng.End, func(_ extent.Extent, _ uint64, other *waiter) bool {
-			if other.req.Range.Start >= end {
-				return false
-			}
-			if other != w && !Compatible(other.req.Mode, mode, Granted) {
-				end = other.req.Range.Start
-				return false
-			}
-			return true
-		})
-	} else {
-		for _, l := range res.granted.list {
-			if l.rng.Start >= rng.End && l.rng.Start < end && !s.compatible(mode, l) {
-				end = l.rng.Start
-			}
+	// Both indexes order entries by ascending start, so the first
+	// incompatible entry at or past rng.End is the tightest cap; stop
+	// there, or once starts reach a cap already found.
+	res.granted.tree.VisitFrom(rng.End, func(_ extent.Extent, _ uint64, l *lock) bool {
+		if l.rng.Start >= end {
+			return false
 		}
-		for _, other := range res.queue {
-			if other == w || other.done {
-				continue
-			}
-			if other.req.Range.Start >= rng.End && other.req.Range.Start < end &&
-				!Compatible(other.req.Mode, mode, Granted) {
-				end = other.req.Range.Start
-			}
+		if !s.compatible(mode, l) {
+			end = l.rng.Start
+			return false
 		}
-	}
+		return true
+	})
+	res.wtree.VisitFrom(rng.End, func(_ extent.Extent, _ uint64, other *waiter) bool {
+		if other.req.Range.Start >= end {
+			return false
+		}
+		if other != w && !Compatible(other.req.Mode, mode, Granted) {
+			end = other.req.Range.Start
+			return false
+		}
+		return true
+	})
 	if s.policy.Expand == ExpandLustre && res.grants > s.policy.LustreLockThreshold {
 		cap := rng.Start + s.policy.LustreCapBytes
 		if cap < rng.End {
@@ -1156,32 +1105,18 @@ func (s *Server) expandEnd(res *resource, w *waiter, mode Mode, rng extent.Exten
 // with a lock granted at (mode, rng) — condition (1) of early
 // revocation.
 func (s *Server) queueConflict(res *resource, w *waiter, mode Mode, rng extent.Extent) bool {
-	if s.indexed.Load() {
-		// The queue index is keyed by each request's bounding range, and
-		// an extent set overlapping rng implies its bounds do too, so
-		// the range-overlap probe subsumes the extent-set test below.
-		found := false
-		res.wtree.VisitOverlap(rng, func(_ extent.Extent, _ uint64, other *waiter) bool {
-			if other != w && !Compatible(other.req.Mode, mode, Granted) {
-				found = true
-				return false
-			}
-			return true
-		})
-		return found
-	}
-	for _, other := range res.queue {
-		if other == w || other.done {
-			continue
+	// The queue index is keyed by each request's bounding range, and an
+	// extent set overlapping rng implies its bounds do too, so the
+	// range-overlap probe needs no extent-set refinement.
+	found := false
+	res.wtree.VisitOverlap(rng, func(_ extent.Extent, _ uint64, other *waiter) bool {
+		if other != w && !Compatible(other.req.Mode, mode, Granted) {
+			found = true
+			return false
 		}
-		if !other.req.Range.Overlaps(rng) && !(len(other.req.Extents) > 0 && other.req.Extents.OverlapsExtent(rng)) {
-			continue
-		}
-		if !Compatible(other.req.Mode, mode, Granted) {
-			return true
-		}
-	}
-	return false
+		return true
+	})
+	return found
 }
 
 // CheckInvariants validates the core safety property on every resource:

@@ -12,9 +12,8 @@ import (
 // clock-timed (1 in 16). Counting is always exact — every call bumps
 // its per-method counter — but a monotonic clock read costs ~30ns and
 // a round trip needs two, so timing every call would dominate the
-// instrumentation budget (benchcheck gates the instrumented round trip
-// at +5%). Uniform sampling keeps the percentiles honest while the
-// amortized clock cost drops below the counters'.
+// instrumentation's cost. Uniform sampling keeps the percentiles honest
+// while the amortized clock cost drops below the counters'.
 const defaultSampleInterval = 16
 
 // Metrics instruments one or more endpoints: per-method call/handle

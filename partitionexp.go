@@ -19,8 +19,8 @@ import (
 // Each simulated server admits lock RPCs at Hardware.ServerOPS, so the
 // curve shows how partitioned mastership multiplies the lock service
 // capacity — the scaling claim behind ROADMAP item 1, measured through
-// the full client→RPC→DLM stack (partition-map routing included)
-// rather than perfbench's bare engines.
+// the full client→RPC→DLM stack, partition-map routing included.
+// TestVirtualPartitionScaling gates N=4 at twice N=1 or better.
 
 // PartitionScaleConfig parameterizes the scaling experiment.
 type PartitionScaleConfig struct {

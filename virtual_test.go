@@ -274,32 +274,61 @@ func TestVirtualReadFanColdStart(t *testing.T) {
 
 // TestVirtualPingPongNoSolicit: chain stamping never leaves a waiter
 // blocked behind a delegation, so a handoff ping-pong solicits nothing
-// and stays at about one server RPC per exchange.
+// and stays at about one server RPC per exchange. The same exchange on
+// the server path (Lock + Release per exchange) is the contrast: at
+// least 1.5 server RPCs, or the revoke path stopped being exercised.
 func TestVirtualPingPongNoSolicit(t *testing.T) {
-	v := sim.NewVClock(3)
-	hw := sim.TableI(1)
-	hw.Clock = sim.Virtual(v)
-	var st workload.PingPongStats
-	var err error
-	v.Run(func() {
-		var c *cluster.Cluster
-		if c, err = cluster.New(cluster.Options{Servers: 1, Policy: dlm.SeqDLM(), Hardware: hw, Handoff: true}); err != nil {
-			return
-		}
-		st, err = workload.RunPingPong(c, workload.PingPongConfig{
-			Exchanges: 64, WriteSize: 32 << 10, StripeSize: 1 << 20, StripeCount: 2,
+	run := func(handoff bool) workload.PingPongStats {
+		v := sim.NewVClock(3)
+		hw := sim.TableI(1)
+		hw.Clock = sim.Virtual(v)
+		var st workload.PingPongStats
+		var err error
+		v.Run(func() {
+			var c *cluster.Cluster
+			if c, err = cluster.New(cluster.Options{Servers: 1, Policy: dlm.SeqDLM(), Hardware: hw, Handoff: handoff}); err != nil {
+				return
+			}
+			st, err = workload.RunPingPong(c, workload.PingPongConfig{
+				Exchanges: 64, WriteSize: 32 << 10, StripeSize: 1 << 20, StripeCount: 2,
+			})
+			c.Close()
 		})
-		c.Close()
-	})
-	if err != nil {
-		t.Fatal(err)
+		if err != nil {
+			t.Fatalf("handoff=%v: %v", handoff, err)
+		}
+		return st
 	}
+	st := run(true)
 	if st.DLM.AckSolicits != 0 || st.DLM.HandoffReclaims != 0 {
 		t.Fatalf("ping-pong: %d ack solicitations, %d reclaims, want 0", st.DLM.AckSolicits, st.DLM.HandoffReclaims)
 	}
 	if r := st.ServerRPCsPerExchange; r < 0.9 || r > 1.2 {
 		t.Fatalf("ping-pong: %.3f server RPCs/exchange, want about 1", r)
 	}
+	if r := run(false).ServerRPCsPerExchange; r < 1.5 {
+		t.Fatalf("server-path ping-pong: %.3f server RPCs/exchange, want >= 1.5", r)
+	}
+}
+
+// TestVirtualPartitionScaling: four hash-partitioned lock servers, each
+// admitting lock RPCs at the same capped rate, carry the grant workload
+// at least twice as fast as one. The ideal is 4x; under the virtual
+// clock the seeded run reads it almost exactly, so the floor is about
+// partitioning silently ceasing to scale, not about noise.
+func TestVirtualPartitionScaling(t *testing.T) {
+	cfg := DefaultPartitionScale()
+	cfg.Servers = []int{1, 4}
+	cfg.Virtual = VirtualOpts{Enabled: true, Seed: 1}
+	exp, err := RunPartitionScale(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := exp.Rows[1].Throughput / exp.Rows[0].Throughput
+	if got < 2 {
+		t.Fatalf("N=4 throughput is %.2fx N=1, want >= 2x\n%s", got, exp.Text)
+	}
+	t.Logf("N=4 vs N=1: %.2fx", got)
 }
 
 // TestVirtualIORVerified runs a verified strided IOR inside a virtual
