@@ -685,7 +685,7 @@ func (s *Server) setup(ep *rpc.Endpoint) {
 		}
 		s.gate.RLock()
 		defer s.gate.RUnlock()
-		if err := s.Flush(&req); err != nil {
+		if err := s.flush(ctx, &req); err != nil {
 			return nil, err
 		}
 		return &wire.Ack{}, nil
@@ -722,8 +722,17 @@ func (s *Server) setup(ep *rpc.Endpoint) {
 // mutex, so two flushes of overlapping ranges reach the store in the
 // order they won in; the wait happens outside it, so the extents of
 // concurrent flushes sit in the device queue together. It is the body of
-// the MFlush RPC and is also driven directly by the hot-path benchmarks.
+// the MFlush RPC; bench's dataserver.drive.flush_ns drive also calls it
+// directly.
 func (s *Server) Flush(req *wire.FlushRequest) error {
+	return s.flush(context.TODO(), req)
+}
+
+// flush is Flush for a request decoded from the payload of the MFlush
+// handler whose context is ctx. The store has the surviving bytes once
+// WriteV returns, so the request frame goes back to its pool then
+// (rpc.ReleasePayload) instead of waiting out the device backlog.
+func (s *Server) flush(ctx context.Context, req *wire.FlushRequest) error {
 	var total int64
 	for _, b := range req.Blocks {
 		if b.Range.Len() != int64(len(b.Data)) {
@@ -743,6 +752,7 @@ func (s *Server) Flush(req *wire.FlushRequest) error {
 	}
 	pending := s.store.WriteV(req.Resource, vec)
 	mu.Unlock()
+	rpc.ReleasePayload(ctx) // req's block data is gone from here on
 	if err := pending.Wait(); err != nil {
 		return err
 	}

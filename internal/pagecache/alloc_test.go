@@ -47,3 +47,28 @@ func TestAllocBudgetWriteCollect(t *testing.T) {
 		t.Fatalf("dirty bytes after collect = %d", got)
 	}
 }
+
+// TestAllocBudgetWriteAbsentPages: a 64 KiB write into pages the cache
+// does not hold takes its 16 pages from one slab — one allocation for
+// the headers and one for the bytes — not two allocations per page.
+func TestAllocBudgetWriteAbsentPages(t *testing.T) {
+	if wire.RaceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	const n = 16 * DefaultPageSize
+	c := New(Config{})
+	data := make([]byte, n)
+	c.Write(1, 0, data, 1) // the stripe and its page map exist
+	sn := extent.SN(1)
+	allocs := testing.AllocsPerRun(50, func() {
+		c.Invalidate(1, extent.Span(0, n)) // every page goes
+		sn++
+		c.Write(1, 0, data, sn)
+	})
+	if allocs > 3 {
+		t.Errorf("64 KiB write into absent pages: %.1f allocs, want <= 3", allocs)
+	}
+	if got := c.DirtyBytes(); got != n {
+		t.Fatalf("dirty bytes = %d, want %d", got, n)
+	}
+}

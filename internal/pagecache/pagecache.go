@@ -1,11 +1,18 @@
 // Package pagecache implements the ccPFS client cache of §IV-A: data is
-// divided into pages (4 KB by default) drawn from a fixed memory pool
-// (modelling the pre-registered RDMA page pool of the prototype), and
-// each page keeps an extent list recording which byte ranges hold valid
-// data and under which lock sequence number they were written. Written
-// data with a larger SN overwrites smaller ones on insert, which is what
-// keeps the cache coherent when early grant lets conflicting writes from
-// the same client overlap in flight.
+// divided into pages (4 KB by default), and each page keeps an extent
+// list recording which byte ranges hold valid data and under which lock
+// sequence number they were written. Written data with a larger SN
+// overwrites smaller ones on insert, which is what keeps the cache
+// coherent when early grant lets conflicting writes from the same client
+// overlap in flight.
+//
+// The pages one write or fill creates come from one slab: one array of
+// page headers and one byte array holding all their bytes, two
+// allocations however many pages the write spans. A page lives as long
+// as it holds data, and a live page keeps the rest of its slab
+// reachable, so the host memory behind the cache can exceed the pages it
+// holds; Config.PoolBytes (the prototype's pre-registered RDMA page
+// pool) counts pages, not slabs.
 //
 // Concurrency: stripes are sharded (shard.Of) and each stripe carries
 // its own mutex guarding its page map and page contents, so IO on
@@ -49,7 +56,8 @@ type Config struct {
 	PageSize int64
 	// PoolBytes bounds total cached bytes (dirty + clean). Clean pages
 	// are reclaimed to the pool when the bound is exceeded; writers
-	// block when dirty data alone exceeds it. Zero means unbounded.
+	// block when dirty data alone exceeds it. Zero means unbounded. It
+	// counts live pages, not the slabs behind them (see the package doc).
 	PoolBytes int64
 	// MinDirty is the dirty-bytes threshold at which the voluntary flush
 	// daemon should start flushing (256 MB in the paper).
@@ -79,8 +87,19 @@ type page struct {
 	ents [2][2]extent.SNExtent
 }
 
-func newPage(size int64) *page {
-	pg := &page{buf: make([]byte, size)}
+// slab hands out the pages one write creates, from one array of headers
+// and one of bytes.
+type slab struct {
+	pages []page
+	bytes []byte
+}
+
+// take returns the slab's next page, of size ps.
+func (s *slab) take(ps int64) *page {
+	pg := &s.pages[0]
+	s.pages = s.pages[1:]
+	pg.buf = s.bytes[:ps:ps]
+	s.bytes = s.bytes[ps:]
 	pg.valid.SetStorage(pg.ents[0][:])
 	pg.dirty.SetStorage(pg.ents[1][:])
 	return pg
@@ -318,6 +337,10 @@ func (c *Cache) Fill(stripe uint64, off int64, data []byte, sn extent.SN) {
 // write lands data into sp's pages; the caller holds sp.mu.
 func (c *Cache) write(sp *stripePages, off int64, data []byte, sn extent.SN, markDirty bool) {
 	ps := c.cfg.PageSize
+	// The pages this write creates, sized at its first absent page to
+	// the absent pages up to its last.
+	var fresh slab
+	last := (off + int64(len(data)) - 1) / ps
 	var wonBuf, dirtyBuf [4]extent.SNExtent // per-page update sets, on the stack
 	for len(data) > 0 {
 		pi := off / ps
@@ -328,7 +351,16 @@ func (c *Cache) write(sp *stripePages, off int64, data []byte, sn extent.SN, mar
 		}
 		pg := sp.pages[pi]
 		if pg == nil {
-			pg = newPage(ps)
+			if len(fresh.pages) == 0 {
+				k := int64(1)
+				for pj := pi + 1; pj <= last; pj++ {
+					if sp.pages[pj] == nil {
+						k++
+					}
+				}
+				fresh = slab{pages: make([]page, k), bytes: make([]byte, k*ps)}
+			}
+			pg = fresh.take(ps)
 			sp.pages[pi] = pg
 			c.pages.Add(1)
 		}

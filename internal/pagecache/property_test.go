@@ -139,6 +139,63 @@ func TestCacheMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestSlabSharingMatchesOracle: pages that share a slab live and die
+// on their own. Half of one write's pages are invalidated and rewritten
+// by a misaligned write (whose new pages come from a second slab, next
+// to pages of the first it overwrites in place), and every byte, the
+// coverage and the dirty accounting must match the byte model.
+func TestSlabSharingMatchesOracle(t *testing.T) {
+	const ps, k = DefaultPageSize, 16
+	rng := rand.New(rand.NewSource(11))
+	random := func(n int) []byte {
+		b := make([]byte, n)
+		rng.Read(b)
+		return b
+	}
+	c := New(Config{})
+	o := newOracle()
+	first := random(k * ps)
+	c.Write(1, 0, first, 1)
+	o.write(0, first, 1)
+	for pi := int64(0); pi < k; pi += 2 {
+		e := extent.Span(pi*ps, ps)
+		c.Invalidate(1, e)
+		o.invalidate(e, ^extent.SN(0))
+	}
+	if got := c.pages.Load(); got != k/2 {
+		t.Fatalf("%d pages after invalidating half, want %d", got, k/2)
+	}
+	second := random((k - 1) * ps)
+	c.Write(1, ps/2, second, 2)
+	o.write(ps/2, second, 2)
+	fill := random(ps)
+	c.Fill(1, (k-1)*ps, fill, 3) // clean bytes into the last page's hole and past it
+	o.fill((k-1)*ps, fill, 3)
+
+	const space = (k + 1) * ps
+	buf := make([]byte, space)
+	c.Read(1, 0, buf)
+	for p := int64(0); p < space; p++ {
+		want, ok := o.val[p]
+		if covered := c.Covered(1, p, 1); covered != ok {
+			t.Fatalf("byte %d coverage = %v, oracle %v", p, covered, ok)
+		}
+		if ok && buf[p] != want {
+			t.Fatalf("byte %d = %x, oracle %x", p, buf[p], want)
+		}
+	}
+	if got, want := c.DirtyBytes(), int64(len(o.dirtySN)); got != want {
+		t.Fatalf("dirty = %d, oracle %d", got, want)
+	}
+	for _, b := range c.CollectDirty(1, extent.Span(0, space), 2) {
+		for i, got := range b.Data {
+			if p := b.Range.Start + int64(i); o.val[p] != got {
+				t.Fatalf("flushed byte %d = %x, oracle %x", p, got, o.val[p])
+			}
+		}
+	}
+}
+
 func min64(a, b int64) int64 {
 	if a < b {
 		return a

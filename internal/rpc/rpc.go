@@ -610,8 +610,9 @@ func (ep *Endpoint) readLoop() {
 
 // dispatch runs the handler for one request frame in its own goroutine,
 // which recycles the frame once the handler has returned and the reply
-// is sent — so a handler may alias its payload for as long as it runs,
-// and must copy what it keeps beyond that.
+// is sent — so a handler may alias its payload for as long as it runs
+// (or until it calls ReleasePayload), and must copy what it keeps beyond
+// that.
 func (ep *Endpoint) dispatch(id uint64, method wire.Method, frame []byte) {
 	h, ok := ep.handlers[method]
 	if !ok {
@@ -641,9 +642,10 @@ func (ep *Endpoint) dispatch(id uint64, method wire.Method, frame []byte) {
 }
 
 // Run is the body of a request's goroutine: the handler, its reply, and
-// the request frame's return to the pool.
+// the request frame's return to the pool (unless the handler returned it
+// early with ReleasePayload).
 func (cc *callCtx) Run() {
-	ep, id, method, frame := cc.ep, cc.id, cc.method, cc.frame
+	ep, id, method := cc.ep, cc.id, cc.method
 	defer ep.handlerDone()
 	defer func() {
 		// A miss means a cancel frame or the shutdown drain claimed
@@ -664,7 +666,7 @@ func (cc *callCtx) Run() {
 		timed = true
 		start = obs.Now()
 	}
-	reply, err := cc.h(ctx, frame[headerLen:])
+	reply, err := cc.h(ctx, cc.frame[headerLen:])
 	if timed {
 		elapsed = obs.Now() - start
 	}
@@ -675,12 +677,35 @@ func (cc *callCtx) Run() {
 	}
 	// The reply (which may alias the request payload) is encoded
 	// and sent; nothing refers to the request frame any more.
-	wire.PutBuf(frame)
+	cc.releaseFrame()
 	if m != nil {
 		m.handles[method].Inc()
 		if timed {
 			m.handleLat[method].Record(elapsed)
 		}
+	}
+}
+
+// ReleasePayload returns the request frame of the handler whose context
+// is ctx to its pool before the handler returns, so a handler that has
+// finished with its payload but still has to wait (a flush queued behind
+// a busy device) does not hold the frame meanwhile. Call it from the
+// handler's goroutine; afterwards neither the payload nor anything
+// decoded from it without a copy may be touched, and the reply must not
+// alias it. The frame goes back once however often it is called, and a
+// ctx that is not a handler's is ignored.
+func ReleasePayload(ctx context.Context) {
+	if cc, ok := ctx.(*callCtx); ok {
+		cc.releaseFrame()
+	}
+}
+
+// releaseFrame returns the request frame to its pool unless it is back
+// already. Only the request's own goroutine calls it.
+func (cc *callCtx) releaseFrame() {
+	if cc.frame != nil {
+		wire.PutBuf(cc.frame)
+		cc.frame = nil
 	}
 }
 

@@ -656,3 +656,65 @@ func TestPooledReuseStressWithClose(t *testing.T) {
 		t.Fatalf("%d pending entries leaked through close (ids=%v closed=%v)", n, ids, closed)
 	}
 }
+
+// TestReleasePayloadOnce: a handler that hands its request frame back
+// early (twice, even) returns it to the pool once and leaves the
+// dispatch goroutine nothing to put back after the reply. Under -race
+// the released payload reads as poison.
+//
+// The frame is 16 KiB, a size class no other test here uses, so after
+// the call that class's pool holds only this exchange's buffers. A frame
+// put back twice would sit in it twice and two draws would share a
+// backing array. (Without -race the check is exact; under -race
+// sync.Pool drops some puts at random, so it catches a double put only
+// some of the time.)
+func TestReleasePayloadOnce(t *testing.T) {
+	var srvEP *Endpoint
+	var errs []error
+	frameCap := 0
+	cli, _ := newPair(t, func(ep *Endpoint) {
+		srvEP = ep
+		ep.Handle(wire.MFlush, func(ctx context.Context, p []byte) (wire.Msg, error) {
+			frameCap = cap(ctx.(*callCtx).frame)
+			ReleasePayload(ctx)
+			if wire.RaceEnabled {
+				for i, b := range p {
+					if b != 0xDB {
+						errs = append(errs, fmt.Errorf("released payload byte %d = %#x, not poisoned", i, b))
+						break
+					}
+				}
+			}
+			ReleasePayload(ctx)
+			if ctx.(*callCtx).frame != nil {
+				errs = append(errs, errors.New("frame still held after ReleasePayload"))
+			}
+			return &wire.Ack{}, nil
+		})
+	})
+	ReleasePayload(bg()) // not a handler's context: ignored
+
+	data := make([]byte, 16<<10)
+	for i := range data {
+		data[i] = byte(i)
+	}
+	if err := cli.Call(bg(), wire.MFlush, &wire.FlushRequest{Blocks: []wire.Block{{Data: data}}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := srvEP.Drain(bg()); err != nil { // the dispatch goroutine is done
+		t.Fatal(err)
+	}
+	for _, err := range errs {
+		t.Error(err)
+	}
+
+	seen := make(map[*byte]bool)
+	for range 16 {
+		b := wire.GetBuf(frameCap)
+		if p := &b[0]; seen[p] {
+			t.Fatal("the pool handed out one buffer twice: a frame went back more than once")
+		} else {
+			seen[p] = true
+		}
+	}
+}

@@ -28,9 +28,14 @@ const maxRun = 1 << 20
 // writes, and reads whose ranges touch or overlap, so identical reads
 // share one operation. A run pays the latency once; each member is done
 // when the transfer has passed the end of its own range. A request
-// never passes an earlier one it overlaps (unless both are reads), and
-// the inner store is touched at dispatch, in dispatch order, so the
-// bytes left in it are those strict FIFO service would leave.
+// never passes an earlier one it overlaps (unless both are reads), so
+// its simulated completion respects submission order.
+//
+// The bytes themselves move at submission: WriteV and ReadAt copy to or
+// from the inner store under s.mu, in submission order, which is the
+// strict FIFO result by construction. The queue keeps only what it needs
+// to charge time — kind, stripe, range and arrival — so a backlog of
+// simulated requests holds no caller's buffer.
 //
 // The same code runs on the virtual and on the wall clock; only how a
 // caller blocks (await) depends on the clock.
@@ -72,14 +77,14 @@ func (d *DeviceStats) Register(reg *obs.Registry) {
 	reg.RegisterHistogram("storage.queue_depth", &d.QueueDepth)
 }
 
-// request is one contiguous read or write waiting for the device.
+// request is the time-keeping record of one contiguous read or write
+// waiting for the device; its bytes were moved when it was submitted.
 type request struct {
 	c        *call
 	write    bool
 	member   bool // of the run being formed
 	stripe   uint64
 	off, end int64
-	buf      []byte // the bytes to write, or the buffer to fill
 	arrived  time.Time
 }
 
@@ -89,7 +94,7 @@ type request struct {
 type call struct {
 	pending int           // requests not yet dispatched
 	done    time.Time     // latest completion time of the dispatched ones
-	err     error         // first inner-store error
+	err     error         // first inner-store error, from submission
 	ready   chan struct{} // signalled once, when pending reaches zero
 }
 
@@ -125,16 +130,18 @@ func (s *SimStore) WriteAt(stripe uint64, off int64, data []byte) error {
 	return s.WriteV(stripe, []Vec{{Off: off, Data: data}}).Wait()
 }
 
-// WriteV implements Store: the extents join the device queue together,
-// in order, so neighbours among them (and among other callers' waiting
-// extents) are served as one operation.
+// WriteV implements Store: the extents are stored in the inner store
+// before it returns, and join the device queue together, in order, so
+// neighbours among them (and among other callers' waiting extents) are
+// charged as one operation.
 func (s *SimStore) WriteV(stripe uint64, vec []Vec) Pending {
 	c := callPool.Get().(*call)
 	s.mu.Lock()
 	now := s.clk.Now()
 	for _, v := range vec {
 		if len(v.Data) > 0 {
-			s.enqueue(c, true, stripe, v.Off, v.Data, now)
+			c.fail(s.inner.WriteAt(stripe, v.Off, v.Data))
+			s.enqueue(c, true, stripe, v.Off, int64(len(v.Data)), now)
 		}
 	}
 	if c.pending == 0 {
@@ -156,7 +163,8 @@ func (s *SimStore) ReadAt(stripe uint64, off int64, buf []byte) error {
 	c := callPool.Get().(*call)
 	s.mu.Lock()
 	now := s.clk.Now()
-	s.enqueue(c, false, stripe, off, buf, now)
+	c.fail(s.inner.ReadAt(stripe, off, buf))
+	s.enqueue(c, false, stripe, off, int64(len(buf)), now)
 	s.Stats.ReadRequests.Inc()
 	s.kick(now)
 	s.mu.Unlock()
@@ -166,11 +174,11 @@ func (s *SimStore) ReadAt(stripe uint64, off int64, buf []byte) error {
 // Remove implements Store. It does not pass through the queue.
 func (s *SimStore) Remove(stripe uint64) error { return s.inner.Remove(stripe) }
 
-func (s *SimStore) enqueue(c *call, write bool, stripe uint64, off int64, buf []byte, now time.Time) {
+func (s *SimStore) enqueue(c *call, write bool, stripe uint64, off, n int64, now time.Time) {
 	c.pending++
 	s.wait = append(s.wait, request{
 		c: c, write: write, stripe: stripe,
-		off: off, end: off + int64(len(buf)), buf: buf, arrived: now,
+		off: off, end: off + n, arrived: now,
 	})
 }
 
@@ -253,7 +261,7 @@ func (s *SimStore) dispatch() {
 		s.Stats.ReadOps.Inc()
 	}
 
-	// Serve the members in queue order and close the gaps they leave.
+	// Complete the members in queue order and close the gaps they leave.
 	// The transfer runs from lo upward, so a member is done when it has
 	// passed the member's last byte.
 	n := 0
@@ -264,15 +272,9 @@ func (s *SimStore) dispatch() {
 			n++
 			continue
 		}
-		var err error
-		if r.write {
-			err = s.inner.WriteAt(r.stripe, r.off, r.buf)
-		} else {
-			err = s.inner.ReadAt(r.stripe, r.off, r.buf)
-		}
-		s.complete(r.c, start.Add(s.lat+sim.TransferTime(r.end-lo, s.bw)), err)
+		s.complete(r.c, start.Add(s.lat+sim.TransferTime(r.end-lo, s.bw)))
 	}
-	clear(q[n:]) // drop the references to callers' buffers
+	clear(q[n:]) // drop the references to completed calls
 	s.wait = q[:n]
 }
 
@@ -300,12 +302,16 @@ func overtakes(r *request, earlier []request) bool {
 	return false
 }
 
-// complete records that one of c's requests is in service and will be
-// done at done; the last one tells the caller when to wake.
-func (s *SimStore) complete(c *call, done time.Time, err error) {
+// fail records err as c's error unless an earlier one is recorded.
+func (c *call) fail(err error) {
 	if err != nil && c.err == nil {
 		c.err = err
 	}
+}
+
+// complete records that one of c's requests is in service and will be
+// done at done; the last one tells the caller when to wake.
+func (s *SimStore) complete(c *call, done time.Time) {
 	if done.After(c.done) {
 		c.done = done
 	}

@@ -44,6 +44,17 @@ func occupy(clk sim.Clock, g *sim.Group, s *SimStore, n int) time.Duration {
 
 func fill(b byte, n int) []byte { return bytes.Repeat([]byte{b}, n) }
 
+// writeScribbled writes data and overwrites it as soon as WriteV returns,
+// while the request may still be queued: the store must have taken the
+// bytes by then.
+func writeScribbled(s *SimStore, stripe uint64, off int64, data []byte) error {
+	p := s.WriteV(stripe, []Vec{{off, data}})
+	for i := range data {
+		data[i] = 0xA5
+	}
+	return p.Wait()
+}
+
 func TestDeviceIdleCost(t *testing.T) {
 	virtualDevice(t, 1, func(clk sim.Clock, s *SimStore, since func() time.Duration) {
 		const n = 64*kib + 123
@@ -81,7 +92,7 @@ func TestDeviceMergesAdjacentWrites(t *testing.T) {
 		done := make([]time.Duration, k)
 		for _, i := range order {
 			g.Go(func() {
-				s.WriteAt(1, int64(i*n), fill(byte(i+1), n))
+				writeScribbled(s, 1, int64(i*n), fill(byte(i+1), n))
 				done[i] = since()
 			})
 		}
@@ -238,21 +249,27 @@ func TestDeviceRunCap(t *testing.T) {
 }
 
 // An adjacent write may not be pulled past an earlier request it
-// overlaps, whether that one writes or reads.
+// overlaps, whether that one writes or reads. The reads see exactly the
+// writes submitted before them, even though the write they follow is
+// scribbled over while it still waits for the device.
 func TestDeviceNoOvertaking(t *testing.T) {
 	virtualDevice(t, 1, func(clk sim.Clock, s *SimStore, since func() time.Duration) {
 		const n = 4 * kib
 		g := sim.NewGroup(clk)
 		occupy(clk, g, s, n)
 		var readDone, lateDone time.Duration
-		got := make([]byte, n)
+		got, after := make([]byte, n), make([]byte, n)
 		g.Go(func() { s.WriteAt(1, 0, fill(1, n)) })   // head of the next run
 		g.Go(func() { s.WriteAt(1, 2*n, fill(2, n)) }) // not adjacent yet
 		g.Go(func() { s.ReadAt(1, n, got); readDone = since() })
-		g.Go(func() { s.WriteAt(1, n, fill(3, n)); lateDone = since() }) // adjacent to the head, but behind the read
+		g.Go(func() { writeScribbled(s, 1, n, fill(3, n)); lateDone = since() }) // adjacent to the head, but behind the read
+		g.Go(func() { s.ReadAt(1, n, after) })
 		g.Wait()
 		if !bytes.Equal(got, make([]byte, n)) {
 			t.Fatal("read saw the write queued behind it")
+		}
+		if !bytes.Equal(after, fill(3, n)) {
+			t.Fatal("read behind a scribbled write did not see its original bytes")
 		}
 		if lateDone <= readDone {
 			t.Fatalf("write behind the read done at %v, read at %v", lateDone, readDone)

@@ -8,6 +8,7 @@ package storage
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -26,11 +27,13 @@ type Vec struct {
 type Store interface {
 	// WriteAt stores data at off within stripe.
 	WriteAt(stripe uint64, off int64, data []byte) error
-	// WriteV submits the extents of vec, all within stripe, and returns
-	// without waiting for them to be stored; the caller must call Wait on
-	// the result exactly once, and keep vec's data untouched until then.
-	// Submission order is storage order: where the extents of two WriteV
-	// calls overlap, the bytes of the call that returned second stay.
+	// WriteV submits the extents of vec, all within stripe. vec's bytes
+	// are stored or copied when WriteV returns, so the caller may reuse
+	// them at once; it must still call Wait on the result exactly once,
+	// which returns when the write is done (on a simulated device, when
+	// its simulated time has passed). Submission order is storage order:
+	// where the extents of two WriteV calls overlap, the bytes of the call
+	// that returned second stay.
 	WriteV(stripe uint64, vec []Vec) Pending
 	// ReadAt fills buf from off within stripe. Never-written ranges read
 	// as zeros.
@@ -129,9 +132,7 @@ func (m *MemStore) ReadAt(stripe uint64, off int64, buf []byte) error {
 		if c := chunks[ci]; c != nil {
 			copy(buf[:n], c[co:co+n])
 		} else {
-			for i := int64(0); i < n; i++ {
-				buf[i] = 0
-			}
+			clear(buf[:n])
 		}
 		buf = buf[n:]
 		off += n
@@ -206,19 +207,19 @@ func (f *FileStore) WriteV(stripe uint64, vec []Vec) Pending {
 	return writeEach(f, stripe, vec)
 }
 
-// ReadAt implements Store. Short reads past EOF are zero-filled.
+// ReadAt implements Store. The part of buf past the end of the stripe's
+// file reads as zeros; any other read error is returned.
 func (f *FileStore) ReadAt(stripe uint64, off int64, buf []byte) error {
 	fd, err := f.file(stripe)
 	if err != nil {
 		return err
 	}
 	n, err := fd.ReadAt(buf, off)
-	if err != nil && n < len(buf) {
-		for i := n; i < len(buf); i++ {
-			buf[i] = 0
-		}
+	if err == io.EOF {
+		clear(buf[n:])
+		return nil
 	}
-	return nil
+	return err
 }
 
 // Remove implements Store.

@@ -3,6 +3,8 @@ package storage
 import (
 	"bytes"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 	"testing/quick"
 	"time"
@@ -121,6 +123,36 @@ func TestFileStoreRemoveAndReopen(t *testing.T) {
 		t.Fatal("data survived Remove")
 	}
 	fs.Close()
+}
+
+// A read error other than end of file must reach the caller, not read
+// as zeros: a stripe whose cached descriptor cannot be read from fails.
+func TestFileStoreReadError(t *testing.T) {
+	dir := t.TempDir()
+	fs, err := NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	if err := fs.WriteAt(1, 0, []byte("abc")); err != nil {
+		t.Fatal(err)
+	}
+	// Past the end of the file is not an error.
+	buf := []byte{9, 9, 9, 9}
+	if err := fs.ReadAt(1, 1, buf); err != nil || !bytes.Equal(buf, []byte{'b', 'c', 0, 0}) {
+		t.Fatalf("read across EOF = %q, %v", buf, err)
+	}
+	wo, err := os.OpenFile(filepath.Join(dir, "stripe-1"), os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs.mu.Lock()
+	fs.fds[1].Close()
+	fs.fds[1] = wo
+	fs.mu.Unlock()
+	if err := fs.ReadAt(1, 0, make([]byte, 3)); err == nil {
+		t.Fatal("read through a write-only descriptor returned no error")
+	}
 }
 
 func TestSimStoreChargesTime(t *testing.T) {

@@ -28,10 +28,13 @@ import (
 //     copy). The rpc read loop is the owner and recycles by kind:
 //
 //     request frames are recycled by the dispatch goroutine once the
-//     handler has returned and its reply has been sent. A handler that
-//     keeps payload bytes past its return must copy them (the data
-//     server's flush handler returns only after the store has copied
-//     the blocks).
+//     handler has returned and its reply has been sent, or earlier by
+//     the handler itself with rpc.ReleasePayload, after which the
+//     dispatch goroutine puts nothing back. A handler that keeps payload
+//     bytes past its return or its release must copy them. The data
+//     server's flush handler releases its frame as soon as the store's
+//     WriteV returns, which is when the store has the blocks' bytes, so
+//     a flush waiting out a simulated device backlog holds no frame.
 //
 //     response frames are recycled by the caller's side of Call as soon
 //     as the reply is decoded — except when the reply implements
