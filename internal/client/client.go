@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -371,18 +372,18 @@ func (c *Client) handleRevoke(_ context.Context, p []byte) (wire.Msg, error) {
 
 // handleRevokeBatch processes a server's coalesced revocation callback:
 // each entry runs the same OnRevoke path as an individual MRevoke, and
-// the reply acks them all in one frame.
+// the reply acks them all in one frame. The ack is the decoded entries
+// themselves: every one was processed, in batch order, and an ack
+// encodes only the lock names.
 func (c *Client) handleRevokeBatch(_ context.Context, p []byte) (wire.Msg, error) {
 	var req wire.RevokeBatch
 	if err := wire.Unmarshal(p, &req); err != nil {
 		return nil, err
 	}
-	ack := &wire.RevokeBatchAck{Acked: make([]wire.RevokeEntry, 0, len(req.Entries))}
 	for _, e := range req.Entries {
 		c.lc.OnRevokeStamped(dlm.ResourceID(e.Resource), dlm.LockID(e.LockID), stampOf(e.Handoff))
-		ack.Acked = append(ack.Acked, e)
 	}
-	return ack, nil
+	return &wire.RevokeBatchAck{Acked: req.Entries}, nil
 }
 
 // stampOf converts a wire handoff stamp to the lock client's form.
@@ -468,20 +469,30 @@ func (c *Client) route(res dlm.ResourceID) dlm.ServerConn {
 // rpcConn adapts an RPC endpoint to dlm.ServerConn.
 type rpcConn struct{ ep *rpc.Endpoint }
 
+// lockCall is the request and reply of one Lock RPC. Call encodes the
+// request before it returns and never decodes into the reply after, so
+// Lock recycles the record as soon as it has copied the grant out.
+type lockCall struct {
+	req wire.LockRequest
+	rep wire.LockGrant
+}
+
+var lockCalls = sync.Pool{New: func() any { return new(lockCall) }}
+
 // Lock implements dlm.ServerConn.
 func (c rpcConn) Lock(ctx context.Context, req dlm.Request) (dlm.Grant, error) {
-	w := &wire.LockRequest{
-		Resource: uint64(req.Resource),
-		Client:   uint32(req.Client),
-		Mode:     uint8(req.Mode),
-		Range:    req.Range,
-		Extents:  req.Extents,
-	}
+	lc := lockCalls.Get().(*lockCall)
+	defer func() {
+		lc.req = wire.LockRequest{HandoffAcks: lc.req.HandoffAcks[:0]}
+		lc.rep = wire.LockGrant{}
+		lockCalls.Put(lc)
+	}()
+	w, rep := &lc.req, &lc.rep
+	w.Resource, w.Client, w.Mode, w.Range, w.Extents = uint64(req.Resource), uint32(req.Client), uint8(req.Mode), req.Range, req.Extents
 	for _, id := range req.HandoffAcks {
 		w.HandoffAcks = append(w.HandoffAcks, uint64(id))
 	}
-	var rep wire.LockGrant
-	if err := c.ep.Call(ctx, wire.MLock, w, &rep); err != nil {
+	if err := c.ep.Call(ctx, wire.MLock, w, rep); err != nil {
 		return dlm.Grant{}, err
 	}
 	g := dlm.Grant{
@@ -614,12 +625,37 @@ func (c *Client) flushStripes(ctx context.Context, rids []uint64, rng extent.Ext
 	return first
 }
 
-// stripeFlush is one stripe's collected dirty set and the chunked flush
-// RPCs that will carry it.
-type stripeFlush struct {
+// flushBatch is one flushGroup's record: the dirty blocks collected
+// from every stripe of the group and the flush RPCs that carry them.
+// Flushes run concurrently and their number grows with the flush
+// backlog, so batches come from a pool; a batch has one user, the
+// flushGroup that took it, and every goroutine that touches it (the
+// sendChunks window) has finished when flushGroup returns it.
+type flushBatch struct {
+	blocks  []pagecache.Block // what was collected, stripe after stripe
+	stripes []collected       // the stripes that had dirty data
+	wblocks []wire.Block      // the chunks' block lists, wblocks[i] carrying blocks[i]
+	chunks  []flushChunk      // the flush RPCs, stripe after stripe
+	reqs    []*flushChunk     // &chunks[i], taken once chunks stops growing
+}
+
+// collected is one stripe's share of a flushBatch: blocks[lo:hi].
+type collected struct {
 	rid    uint64
-	blocks []pagecache.Block
-	reqs   []*flushChunk
+	lo, hi int
+}
+
+var flushBatches = sync.Pool{New: func() any { return new(flushBatch) }}
+
+// recycle drops the batch's references to block data — the buffers went
+// back to their pools when each chunk was encoded — and pools it.
+func (b *flushBatch) recycle() {
+	clear(b.blocks)
+	clear(b.wblocks)
+	clear(b.chunks)
+	clear(b.reqs)
+	b.blocks, b.stripes, b.wblocks, b.chunks, b.reqs = b.blocks[:0], b.stripes[:0], b.wblocks[:0], b.chunks[:0], b.reqs[:0]
+	flushBatches.Put(b)
 }
 
 // flushChunk is a FlushRequest whose block data rides in the pooled
@@ -633,36 +669,44 @@ type flushChunk struct {
 
 func (r *flushChunk) Recycle() { wire.PutBlocks(r.Blocks) }
 
-// collectStripe drains rid's dirty blocks and splits them into flush
-// RPCs of at most MaxFlushRPC payload bytes each. The blocks are
+// collect drains rid's dirty blocks into the batch. The blocks are
 // disjoint by construction (the page cache removes each dirty extent as
 // it is collected) and each carries the SN of the lock it was written
-// under, so the resulting chunks may land at the server in any order —
-// the server's extent cache resolves overlap by SN, not arrival order.
-func (c *Client) collectStripe(rid uint64, rng extent.Extent, sn extent.SN) *stripeFlush {
-	blocks := c.pc.CollectDirty(rid, rng, sn)
-	if len(blocks) == 0 {
-		return nil
+// under, so the chunks that carry them may land at the server in any
+// order — the server's extent cache resolves overlap by SN, not arrival
+// order.
+func (b *flushBatch) collect(pc *pagecache.Cache, rid uint64, rng extent.Extent, sn extent.SN) {
+	lo := len(b.blocks)
+	b.blocks = pc.AppendDirty(b.blocks, rid, rng, sn)
+	if len(b.blocks) > lo {
+		b.stripes = append(b.stripes, collected{rid: rid, lo: lo, hi: len(b.blocks)})
 	}
-	sf := &stripeFlush{rid: rid, blocks: blocks}
-	newChunk := func() *flushChunk {
-		return &flushChunk{wire.FlushRequest{Resource: rid, Client: uint32(c.cfg.ID)}}
-	}
-	req := newChunk()
-	var size int64
-	for _, b := range blocks {
-		if size > 0 && size+int64(len(b.Data)) > c.cfg.MaxFlushRPC {
-			sf.reqs = append(sf.reqs, req)
-			req = newChunk()
-			size = 0
+}
+
+// split cuts every collected stripe into flush RPCs of at most maxRPC
+// payload bytes each (a larger block rides alone).
+func (b *flushBatch) split(client uint32, maxRPC int64) {
+	b.wblocks = slices.Grow(b.wblocks[:0], len(b.blocks))[:len(b.blocks)]
+	for _, st := range b.stripes {
+		first, size := st.lo, int64(0)
+		for i := st.lo; i < st.hi; i++ {
+			blk := &b.blocks[i]
+			if size > 0 && size+int64(len(blk.Data)) > maxRPC {
+				b.addChunk(st.rid, client, first, i)
+				first, size = i, 0
+			}
+			b.wblocks[i] = wire.Block{Range: blk.Range, SN: blk.SN, Data: blk.Data}
+			size += int64(len(blk.Data))
 		}
-		req.Blocks = append(req.Blocks, wire.Block{Range: b.Range, SN: b.SN, Data: b.Data})
-		size += int64(len(b.Data))
+		b.addChunk(st.rid, client, first, st.hi)
 	}
-	if len(req.Blocks) > 0 {
-		sf.reqs = append(sf.reqs, req)
+	for i := range b.chunks {
+		b.reqs = append(b.reqs, &b.chunks[i])
 	}
-	return sf
+}
+
+func (b *flushBatch) addChunk(rid uint64, client uint32, lo, hi int) {
+	b.chunks = append(b.chunks, flushChunk{wire.FlushRequest{Resource: rid, Client: client, Blocks: b.wblocks[lo:hi:hi]}})
 }
 
 // flushGroup flushes a set of stripes that live on the same data
@@ -670,55 +714,53 @@ func (c *Client) collectStripe(rid uint64, rng extent.Extent, sn extent.SN) *str
 // the data is retried by a later flush (SN-tagged re-application is
 // idempotent at the server).
 func (c *Client) flushGroup(ctx context.Context, rids []uint64, rng extent.Extent, sn extent.SN) error {
-	var (
-		flushes []*stripeFlush
-		chunks  []*flushChunk
-	)
+	b := flushBatches.Get().(*flushBatch)
+	defer b.recycle()
 	for _, rid := range rids {
-		if sf := c.collectStripe(rid, rng, sn); sf != nil {
-			flushes = append(flushes, sf)
-			chunks = append(chunks, sf.reqs...)
-		}
+		b.collect(c.pc, rid, rng, sn)
 	}
-	if len(chunks) == 0 {
+	if len(b.stripes) == 0 {
 		return nil
 	}
+	b.split(uint32(c.cfg.ID), c.cfg.MaxFlushRPC)
 	start := c.clk.Now()
-	err := c.sendChunks(ctx, c.bulkFor(flushes[0].rid), chunks)
+	err := c.sendChunks(ctx, c.bulkFor(b.stripes[0].rid), b.reqs)
 	c.Stats.FlushGroupHist.Observe(c.clk.Since(start))
 	if err != nil {
-		for _, sf := range flushes {
-			c.pc.Redirty(sf.rid, sf.blocks)
+		for _, st := range b.stripes {
+			c.pc.Redirty(st.rid, b.blocks[st.lo:st.hi])
 		}
 	}
 	return err
+}
+
+// sendChunk issues one flush RPC and accounts for it.
+func (c *Client) sendChunk(ctx context.Context, ep *rpc.Endpoint, req *flushChunk) error {
+	var size int64
+	for i := range req.Blocks {
+		size += int64(len(req.Blocks[i].Data))
+	}
+	start := c.clk.Now()
+	err := ep.Call(ctx, wire.MFlush, req, nil)
+	c.Stats.FlushRPCHist.Observe(c.clk.Since(start))
+	if err != nil {
+		return err
+	}
+	c.Stats.FlushedBytes.Add(size)
+	return nil
 }
 
 // sendChunks issues the flush RPCs with up to FlushWindow in flight at
 // once. The first error cancels the window: outstanding calls abort and
 // their server-side work is withdrawn via rpc cancel frames.
 func (c *Client) sendChunks(ctx context.Context, ep *rpc.Endpoint, chunks []*flushChunk) error {
-	send := func(ctx context.Context, req *flushChunk) error {
-		var size int64
-		for i := range req.Blocks {
-			size += int64(len(req.Blocks[i].Data))
-		}
-		start := c.clk.Now()
-		err := ep.Call(ctx, wire.MFlush, req, nil)
-		c.Stats.FlushRPCHist.Observe(c.clk.Since(start))
-		if err != nil {
-			return err
-		}
-		c.Stats.FlushedBytes.Add(size)
-		return nil
-	}
 	workers := c.cfg.FlushWindow
 	if workers > len(chunks) {
 		workers = len(chunks)
 	}
 	if workers <= 1 {
 		for _, req := range chunks {
-			if err := send(ctx, req); err != nil {
+			if err := c.sendChunk(ctx, ep, req); err != nil {
 				return err
 			}
 		}
@@ -745,7 +787,7 @@ func (c *Client) sendChunks(ctx context.Context, ep *rpc.Endpoint, chunks []*flu
 				if i >= len(chunks) {
 					return
 				}
-				if err := send(wctx, chunks[i]); err != nil {
+				if err := c.sendChunk(wctx, ep, chunks[i]); err != nil {
 					fail(err)
 					return
 				}
@@ -979,12 +1021,13 @@ func (f *File) WriteAtOpts(ctx context.Context, p []byte, off int64, o WriteOpti
 		mode = dlm.SelectMode(false, false, len(stripes) > 1)
 	}
 
-	handles, err := f.acquireStripes(ctx, stripes, segs, mode, o.LockWholeStripe)
+	var hbuf [4]*dlm.Handle
+	handles, err := f.acquireStripes(ctx, hbuf[:0], stripes, segs, mode, o.LockWholeStripe)
 	if err != nil {
 		return 0, err
 	}
 	for _, seg := range segs {
-		h := handles[seg.Stripe]
+		h := handleOf(stripes, handles, seg.Stripe)
 		f.c.pc.Write(uint64(f.Resource(seg.Stripe)), seg.Off, p[seg.FileOff-off:seg.FileOff-off+seg.Len], h.SN())
 	}
 	f.c.noteSize(f.fid, off+int64(len(p)))
@@ -993,11 +1036,11 @@ func (f *File) WriteAtOpts(ctx context.Context, p []byte, off int64, o WriteOpti
 }
 
 // acquireStripes obtains one lock per touched stripe in ascending stripe
-// order, timing the locking part.
-func (f *File) acquireStripes(ctx context.Context, stripes []uint32, segs []meta.Segment, mode dlm.Mode, whole bool) (map[uint32]*dlm.Handle, error) {
+// order, timing the locking part, and appends them to handles: the lock
+// of stripes[i] is handles[i] (see handleOf).
+func (f *File) acquireStripes(ctx context.Context, handles []*dlm.Handle, stripes []uint32, segs []meta.Segment, mode dlm.Mode, whole bool) ([]*dlm.Handle, error) {
 	lockStart := f.c.clk.Now()
 	defer func() { f.c.Stats.LockNs.Add(f.c.clk.Since(lockStart).Nanoseconds()) }()
-	handles := make(map[uint32]*dlm.Handle, len(stripes))
 	for _, st := range stripes {
 		lo, hi, _ := meta.StripeRange(segs, st)
 		rng := f.lockRange(lo, hi, whole)
@@ -1006,9 +1049,16 @@ func (f *File) acquireStripes(ctx context.Context, stripes []uint32, segs []meta
 			f.unlockAll(handles)
 			return nil, err
 		}
-		handles[st] = h
+		handles = append(handles, h)
 	}
 	return handles, nil
+}
+
+// handleOf returns the lock of stripe st, given the ascending stripes
+// an operation locked and their handles, index for index.
+func handleOf(stripes []uint32, handles []*dlm.Handle, st uint32) *dlm.Handle {
+	i, _ := slices.BinarySearch(stripes, st)
+	return handles[i]
 }
 
 func (f *File) lockRange(lo, hi int64, whole bool) extent.Extent {
@@ -1022,7 +1072,7 @@ func (f *File) lockRange(lo, hi int64, whole bool) extent.Extent {
 	return extent.New(extent.AlignDown(lo, a), extent.AlignUp(hi, a))
 }
 
-func (f *File) unlockAll(handles map[uint32]*dlm.Handle) {
+func (f *File) unlockAll(handles []*dlm.Handle) {
 	for _, h := range handles {
 		f.c.lc.Unlock(h)
 	}
@@ -1051,7 +1101,8 @@ func (f *File) ReadAtContext(ctx context.Context, p []byte, off int64) (int, err
 	// their size watermark, so the size check below observes them.
 	segsAll := meta.SplitRange(off, int64(len(p)), f.stripeSize, f.stripeCount)
 	stripes := meta.StripesOf(segsAll)
-	handles, err := f.acquireStripes(ctx, stripes, segsAll, dlm.SelectMode(true, false, false), false)
+	var hbuf [4]*dlm.Handle
+	handles, err := f.acquireStripes(ctx, hbuf[:0], stripes, segsAll, dlm.SelectMode(true, false, false), false)
 	if err != nil {
 		return 0, err
 	}
@@ -1076,7 +1127,7 @@ func (f *File) ReadAtContext(ctx context.Context, p []byte, off int64) (int, err
 		rid := uint64(f.Resource(seg.Stripe))
 		if !f.c.pc.Covered(rid, seg.Off, seg.Len) {
 			f.c.Stats.ReadCacheMisses.Inc()
-			if err := f.fetch(ctx, rid, seg, handles[seg.Stripe]); err != nil {
+			if err := f.fetch(ctx, rid, seg, handleOf(stripes, handles, seg.Stripe)); err != nil {
 				return 0, err
 			}
 		} else {
@@ -1261,7 +1312,7 @@ func (f *File) WriteMultiContext(ctx context.Context, ops []WriteOp) error {
 
 	mode := dlm.SelectMode(false, false, len(stripes) > 1)
 	lockStart := f.c.clk.Now()
-	handles := make(map[uint32]*dlm.Handle, len(stripes))
+	handles := make([]*dlm.Handle, 0, len(stripes))
 	for _, st := range stripes {
 		var h *dlm.Handle
 		var err error
@@ -1290,12 +1341,12 @@ func (f *File) WriteMultiContext(ctx context.Context, ops []WriteOp) error {
 			f.c.Stats.LockNs.Add(f.c.clk.Since(lockStart).Nanoseconds())
 			return err
 		}
-		handles[st] = h
+		handles = append(handles, h)
 	}
 	f.c.Stats.LockNs.Add(f.c.clk.Since(lockStart).Nanoseconds())
 
-	for _, st := range stripes {
-		h := handles[st]
+	for i, st := range stripes {
+		h := handles[i]
 		rid := uint64(f.Resource(st))
 		for _, pc := range perStripe[st] {
 			f.c.pc.Write(rid, pc.seg.Off, pc.data, h.SN())

@@ -563,50 +563,61 @@ func TestClientIDsUnique(t *testing.T) {
 // the cleanup task (and, if entries are pinned, forced synchronization)
 // must hold the line — the §IV-B size-control mechanism end to end.
 func TestExtCacheDaemonBoundsEntries(t *testing.T) {
-	c := newCluster(t, Options{
-		Servers:           1,
-		Policy:            dlm.SeqDLM(),
-		ExtCacheThreshold: 64,
-		CleanupInterval:   2 * time.Millisecond,
-	})
-	cls := newClients(t, c, 4)
-	if _, err := cls[0].Create("/bound", 1<<20, 1); err != nil {
-		t.Fatal(err)
-	}
-	// Non-contiguous conflicting writes create many distinct extents.
-	var wg sync.WaitGroup
-	for i, cl := range cls {
-		wg.Add(1)
-		go func(i int, cl *client.Client) {
-			defer wg.Done()
-			f, err := cl.Open("/bound")
-			if err != nil {
-				t.Errorf("open: %v", err)
-				return
-			}
-			for k := 0; k < 60; k++ {
-				off := int64(k*len(cls)+i) * 9000
-				if _, err := f.WriteAt(pattern(byte(i+1), 5000), off); err != nil {
-					t.Errorf("write: %v", err)
+	// Seeded on the virtual clock: on the wall clock a loaded host could
+	// let a forced sync (the write path's over-budget fallback) empty
+	// the cache before the cleanup task ever ran, leaving nothing for
+	// the daemon to have cleaned.
+	v := sim.NewVClock(1)
+	hw := sim.Fast()
+	hw.Clock = sim.Virtual(v)
+	v.Run(func() {
+		c := newCluster(t, Options{
+			Servers:           1,
+			Policy:            dlm.SeqDLM(),
+			ExtCacheThreshold: 64,
+			CleanupInterval:   2 * time.Millisecond,
+			Hardware:          hw,
+		})
+		cls := newClients(t, c, 4)
+		if _, err := cls[0].Create("/bound", 1<<20, 1); err != nil {
+			t.Fatal(err)
+		}
+		// Non-contiguous conflicting writes create many distinct extents.
+		grp := sim.NewGroup(c.Clock())
+		for i, cl := range cls {
+			grp.Go(func() {
+				f, err := cl.Open("/bound")
+				if err != nil {
+					t.Errorf("open: %v", err)
 					return
 				}
+				for k := 0; k < 60; k++ {
+					off := int64(k*len(cls)+i) * 9000
+					if _, err := f.WriteAt(pattern(byte(i+1), 5000), off); err != nil {
+						t.Errorf("write: %v", err)
+						return
+					}
+				}
+			})
+		}
+		grp.Wait()
+		for _, cl := range cls {
+			cl.Locks().ReleaseAll(context.Background())
+		}
+		// With all locks released, the daemon must get the cache under
+		// budget.
+		srv := c.Servers[0]
+		for i := 0; srv.Cache.Entries() > 64; i++ {
+			if i == 1000 {
+				t.Fatalf("extent cache still over budget after %d virtual ms: %d entries", 2*i, srv.Cache.Entries())
 			}
-		}(i, cl)
-	}
-	wg.Wait()
-	for _, cl := range cls {
-		cl.Locks().ReleaseAll(context.Background())
-	}
-	// With all locks released, the daemon must get the cache under
-	// budget.
-	srv := c.Servers[0]
-	waitFor(t, "extent cache under budget", func() bool {
-		return srv.Cache.Entries() <= 64
+			c.Clock().Sleep(2 * time.Millisecond)
+		}
+		ins, cleaned, _ := srv.Cache.Stats()
+		if ins == 0 || cleaned == 0 {
+			t.Fatalf("daemon idle: inserts=%d cleaned=%d", ins, cleaned)
+		}
 	})
-	ins, cleaned, _ := srv.Cache.Stats()
-	if ins == 0 || cleaned == 0 {
-		t.Fatalf("daemon idle: inserts=%d cleaned=%d", ins, cleaned)
-	}
 }
 
 func waitFor(t *testing.T, what string, cond func() bool) {

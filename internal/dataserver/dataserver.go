@@ -8,6 +8,7 @@ package dataserver
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -74,8 +75,10 @@ type Server struct {
 	// flushMu makes a flush's extent-cache merge and the submission of
 	// its surviving extents to the store one step per stripe (sharded by
 	// stripe like the cache): the order flushes win in is the order their
-	// bytes reach the store.
-	flushMu [shard.Count]sync.Mutex
+	// bytes reach the store. flushVec[i] is the write vector of the flush
+	// holding flushMu[i]; WriteV keeps no reference to it.
+	flushMu  [shard.Count]sync.Mutex
+	flushVec [shard.Count][]storage.Vec
 
 	rpcSrv *rpc.Server
 
@@ -279,11 +282,8 @@ func (s *Server) dropEndpoint(ep *rpc.Endpoint) {
 type notifier struct{ s *Server }
 
 // wireStamp converts a handoff stamp to its wire form.
-func wireStamp(h *dlm.HandoffStamp) *wire.HandoffStamp {
-	if h == nil {
-		return nil
-	}
-	return &wire.HandoffStamp{
+func wireStamp(h *dlm.HandoffStamp) wire.HandoffStamp {
+	return wire.HandoffStamp{
 		NextOwner: uint32(h.NextOwner),
 		NewLockID: uint64(h.NewLockID),
 		Mode:      uint8(h.Mode),
@@ -324,11 +324,12 @@ func (n notifier) Revoke(ctx context.Context, rv dlm.Revocation) {
 		n.s.DLM.Release(rv.Resource, rv.Lock)
 		return
 	}
-	err := ep.Call(ctx, wire.MRevoke, &wire.RevokeRequest{
-		Resource: uint64(rv.Resource),
-		LockID:   uint64(rv.Lock),
-		Handoff:  wireStamp(rv.Handoff),
-	}, nil)
+	req := &wire.RevokeRequest{Resource: uint64(rv.Resource), LockID: uint64(rv.Lock)}
+	if rv.Handoff != nil {
+		st := wireStamp(rv.Handoff)
+		req.Handoff = &st
+	}
+	err := ep.Call(ctx, wire.MRevoke, req, nil)
 	n.s.DLM.RevokeAck(rv.Resource, rv.Lock)
 	if err != nil {
 		// The holder is gone; its dirty data is lost by the client-cache
@@ -374,6 +375,23 @@ func (n notifier) SolicitAck(ctx context.Context, client dlm.ClientID, res dlm.R
 // still leave as one coalesced transport batch (rpc.CallBatch).
 const maxRevokeEntries = 512
 
+// revokeDelivery is one RevokeBatch delivery's record: the batch calls,
+// their requests and replies, and the wire entries and stamps the
+// requests carry, stamps[i] belonging to entries[i]. Deliveries run
+// concurrently, up to the revoker's pool bound, so records come from a
+// pool; a record has one user, the RevokeBatch that took it, until
+// CallBatch has returned — by then every request is encoded and every
+// reply decoded — and RevokeBatch has read the acks.
+type revokeDelivery struct {
+	calls   []rpc.BatchCall
+	reqs    []wire.RevokeBatch
+	acks    []wire.RevokeBatchAck
+	entries []wire.RevokeEntry
+	stamps  []wire.HandoffStamp
+}
+
+var revokeDeliveries = sync.Pool{New: func() any { return new(revokeDelivery) }}
+
 // RevokeBatch implements dlm.BatchNotifier: every revocation pending
 // for one client goes out as a single callback RPC (chunked past
 // maxRevokeEntries), with the acks batched on the return path. Entries
@@ -391,48 +409,68 @@ func (n notifier) RevokeBatch(ctx context.Context, client dlm.ClientID, revs []d
 		}
 		return
 	}
-	chunk := func(i int) []dlm.Revocation {
-		hi := (i + 1) * maxRevokeEntries
-		if hi > len(revs) {
-			hi = len(revs)
+	d := revokeDeliveries.Get().(*revokeDelivery)
+	d.entries = slices.Grow(d.entries[:0], len(revs))[:len(revs)]
+	d.stamps = slices.Grow(d.stamps[:0], len(revs))[:len(revs)]
+	for j, rv := range revs {
+		e := &d.entries[j]
+		*e = wire.RevokeEntry{Resource: uint64(rv.Resource), LockID: uint64(rv.Lock)}
+		if rv.Handoff != nil {
+			d.stamps[j] = wireStamp(rv.Handoff)
+			e.Handoff = &d.stamps[j]
 		}
-		return revs[i*maxRevokeEntries : hi]
 	}
-	calls := make([]rpc.BatchCall, (len(revs)+maxRevokeEntries-1)/maxRevokeEntries)
-	for i := range calls {
-		part := chunk(i)
-		req := &wire.RevokeBatch{Entries: make([]wire.RevokeEntry, len(part))}
-		for j, rv := range part {
-			req.Entries[j] = wire.RevokeEntry{
-				Resource: uint64(rv.Resource),
-				LockID:   uint64(rv.Lock),
-				Handoff:  wireStamp(rv.Handoff),
-			}
-		}
-		calls[i] = rpc.BatchCall{Method: wire.MRevokeBatch, Req: req, Reply: &wire.RevokeBatchAck{}}
+	chunk := func(i int) (lo, hi int) {
+		return i * maxRevokeEntries, min((i+1)*maxRevokeEntries, len(revs))
 	}
-	ep.CallBatch(ctx, calls)
-	for i := range calls {
-		part := chunk(i)
-		if calls[i].Err != nil {
-			for _, rv := range part {
+	nc := (len(revs) + maxRevokeEntries - 1) / maxRevokeEntries
+	d.calls = slices.Grow(d.calls[:0], nc)[:nc]
+	d.reqs = slices.Grow(d.reqs[:0], nc)[:nc]
+	d.acks = slices.Grow(d.acks[:0], nc)[:nc]
+	for i := range d.calls {
+		lo, hi := chunk(i)
+		d.reqs[i].Entries = d.entries[lo:hi]
+		d.calls[i] = rpc.BatchCall{Method: wire.MRevokeBatch, Req: &d.reqs[i], Reply: &d.acks[i]}
+	}
+	ep.CallBatch(ctx, d.calls)
+	for i := range d.calls {
+		lo, hi := chunk(i)
+		if d.calls[i].Err != nil {
+			for _, rv := range revs[lo:hi] {
 				n.s.DLM.RevokeAck(rv.Resource, rv.Lock)
 				n.s.DLM.Release(rv.Resource, rv.Lock)
 			}
 			continue
 		}
-		ack := calls[i].Reply.(*wire.RevokeBatchAck)
-		acked := make(map[wire.RevokeEntry]bool, len(ack.Acked))
-		for _, e := range ack.Acked {
-			acked[e] = true
-		}
-		for _, rv := range part {
+		acked := d.acks[i].Acked
+		for _, rv := range revs[lo:hi] {
 			n.s.DLM.RevokeAck(rv.Resource, rv.Lock)
-			if !acked[wire.RevokeEntry{Resource: uint64(rv.Resource), LockID: uint64(rv.Lock)}] {
+			if !takeAck(&acked, uint64(rv.Resource), uint64(rv.Lock)) {
 				n.s.DLM.Release(rv.Resource, rv.Lock)
 			}
 		}
 	}
+	clear(d.calls)
+	clear(d.reqs)
+	clear(d.entries)
+	clear(d.stamps)
+	revokeDeliveries.Put(d)
+}
+
+// takeAck removes the ack of lock (res, id) from acked and reports
+// whether it was there. A client acks in batch order, so the match is
+// the first entry and a batch costs one pass; an ack out of order is
+// still found.
+func takeAck(acked *[]wire.RevokeEntry, res, id uint64) bool {
+	a := *acked
+	for k := range a {
+		if a[k].Resource == res && a[k].LockID == id {
+			a[k] = a[0]
+			*acked = a[1:]
+			return true
+		}
+	}
+	return false
 }
 
 // minSN is the extent-cache cleanup task's DLM query. Once the lock
@@ -740,10 +778,11 @@ func (s *Server) flush(ctx context.Context, req *wire.FlushRequest) error {
 		}
 		total += b.Range.Len()
 	}
-	vec := make([]storage.Vec, 0, len(req.Blocks))
 	var wrote int64
-	mu := &s.flushMu[shard.Of(req.Resource)]
+	sh := shard.Of(req.Resource)
+	mu := &s.flushMu[sh]
 	mu.Lock()
+	vec := s.flushVec[sh][:0]
 	for _, b := range req.Blocks {
 		for _, w := range s.Cache.Apply(req.Resource, b.Range, b.SN) {
 			vec = append(vec, storage.Vec{Off: w.Start, Data: b.Data[w.Start-b.Range.Start : w.End-b.Range.Start]})
@@ -751,6 +790,8 @@ func (s *Server) flush(ctx context.Context, req *wire.FlushRequest) error {
 		}
 	}
 	pending := s.store.WriteV(req.Resource, vec)
+	clear(vec) // the request frame the vector points into goes back next
+	s.flushVec[sh] = vec[:0]
 	mu.Unlock()
 	rpc.ReleasePayload(ctx) // req's block data is gone from here on
 	if err := pending.Wait(); err != nil {

@@ -195,8 +195,7 @@ func (c *LockClient) installLease(res ResourceID, g *BroadcastStamp, mine Lease)
 	sh.mu.Lock()
 	if tw, ok := sh.pendingHandoffs[k]; ok {
 		delete(sh.pendingHandoffs, k)
-		close(tw.ch)
-		c.clk.Wakeup(tw.ch)
+		tw.complete(c.clk)
 		sh.mu.Unlock()
 		return
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"slices"
 	"sort"
+	"sync"
 	"time"
 
 	"ccpfs/internal/extent"
@@ -98,6 +99,13 @@ func (c *LockClient) SetPeerSender(s PeerSender) {
 // parts arrive: one for a plain handoff, one per cohort member for a
 // gather. A server-sent activation (final) completes the wait
 // outright — the server already resolved whatever parts were missing.
+//
+// Records are recycled (transferWaiters): ch is a one-slot channel that
+// the one completer — whoever deletes the record from pendingHandoffs
+// under the shard lock — sends on once, and waitTransfer puts the record
+// back after it has received that send, or after deleting the record
+// itself, when no completer ever will. The completer loads ch before
+// sending and does not touch the record after.
 type transferWaiter struct {
 	need int
 	ch   chan struct{}
@@ -148,8 +156,7 @@ func (c *LockClient) OnHandoffMsg(res ResourceID, id LockID, final bool, acks []
 		}
 		if tw.need <= 0 {
 			delete(sh.pendingHandoffs, k)
-			close(tw.ch)
-			c.clk.Wakeup(tw.ch)
+			tw.complete(c.clk)
 		}
 	} else if !sh.tombstones[k] && findByID(sh.cached[res], id) == nil {
 		if final {
@@ -164,7 +171,7 @@ func (c *LockClient) OnHandoffMsg(res ResourceID, id LockID, final bool, acks []
 // waitTransfer blocks a delegated acquire until its lock's transfer
 // arrives — all parts of it, for a gather. Parts may already have
 // landed (they raced ahead of the grant reply); otherwise park on a
-// channel OnHandoffMsg closes once the count is met. cached reports
+// channel OnHandoffMsg signals once the count is met. cached reports
 // that a broadcast lease install raced ahead of the grant reply and
 // the lock is already in the cache — the caller must adopt that
 // handle instead of building its own.
@@ -186,38 +193,56 @@ func (c *LockClient) waitTransfer(ctx context.Context, res ResourceID, g Grant) 
 		sh.mu.Unlock()
 		return false, nil
 	}
-	tw := &transferWaiter{
-		need: parts - got,
-		ch:   make(chan struct{}),
-		mode: g.Mode,
-		rng:  g.Range,
-		sn:   g.SN,
-	}
+	tw := transferWaiters.Get().(*transferWaiter)
+	tw.need, tw.mode, tw.rng, tw.sn = parts-got, g.Mode, g.Range, g.SN
 	put(&sh.pendingHandoffs, k, tw)
 	sh.mu.Unlock()
 
 	if c.waitTransferCh(ctx, tw) {
+		tw.recycle()
 		return false, nil
 	}
 	sh.mu.Lock()
 	if _, ok := sh.pendingHandoffs[k]; ok {
 		delete(sh.pendingHandoffs, k)
 		sh.mu.Unlock()
+		tw.recycle()
 		if err := ctx.Err(); err != nil {
 			return false, wire.FromContext(err)
 		}
 		return false, wire.ErrShuttingDown
 	}
 	sh.mu.Unlock()
-	// The transfer raced the abort and won; use the lock.
+	// The transfer raced the abort and won (its completer sent under
+	// the shard lock); take the send and use the lock.
+	<-tw.ch
+	tw.recycle()
 	return false, nil
 }
 
-// waitTransferCh waits for the transfer channel to close, reporting
-// whether the transfer completed (false means ctx or the client's
-// lifecycle fired first). Under a virtual clock it parks on the channel
-// — OnHandoffMsg wakes it at close — checking cancellation at each
-// wake; a run that exits mid-wait falls back to the real select.
+// transferWaiters recycles transferWaiter records; see transferWaiter.
+var transferWaiters = sync.Pool{New: func() any { return &transferWaiter{ch: make(chan struct{}, 1)} }}
+
+// complete ends tw's wait. The caller has just deleted tw from
+// pendingHandoffs under the shard lock, which makes it the one completer.
+func (tw *transferWaiter) complete(clk sim.Clock) {
+	ch := tw.ch // tw may be recycled once the send lands
+	ch <- struct{}{}
+	clk.Wakeup(ch)
+}
+
+// recycle clears tw, keeping its (empty) channel, and pools it.
+func (tw *transferWaiter) recycle() {
+	*tw = transferWaiter{ch: tw.ch}
+	transferWaiters.Put(tw)
+}
+
+// waitTransferCh waits to receive the transfer's completion on tw.ch,
+// reporting whether the transfer completed (false means ctx or the
+// client's lifecycle fired first). Under a virtual clock it parks on the
+// channel — the completer wakes it after its send — checking
+// cancellation at each wake; a run that exits mid-wait falls back to the
+// real select.
 func (c *LockClient) waitTransferCh(ctx context.Context, tw *transferWaiter) bool {
 	if v := c.clk.V(); v != nil {
 		for {

@@ -200,8 +200,8 @@ func (s *Server) ackDelegation(res *resource, id LockID) {
 	s.reclaim.deregister(res.id, id)
 	s.Stats.HandoffAcks.Add(1)
 	s.tracer.record(Event{Kind: EvRelease, Resource: res.id, Lock: id})
-	var fx effects
-	s.scan(res, &fx)
+	fx := newEffects()
+	s.scan(res, fx)
 	res.mu.Unlock()
 	s.apply(fx)
 }
@@ -447,7 +447,7 @@ func (s *Server) reclaimForce(e *delegationEntry) {
 		s.reclaim.deregister(res.id, e.succID)
 		return
 	}
-	var fx effects
+	fx := newEffects()
 	found := false
 	res.mu.Lock()
 	l := res.granted.get(e.succID)
@@ -459,7 +459,8 @@ func (s *Server) reclaimForce(e *delegationEntry) {
 			// a reader behind a live writer, so demote to another
 			// nudge; the transfer resolves when the writer hands over.
 			res.mu.Unlock()
-			s.fire([]Revocation{{Client: e.predCli, Resource: res.id, Lock: e.predID}})
+			fx.revs = append(fx.revs, Revocation{Client: e.predCli, Resource: res.id, Lock: e.predID})
+			s.apply(fx)
 			return
 		}
 		s.removePreds(res, l)
@@ -467,7 +468,7 @@ func (s *Server) reclaimForce(e *delegationEntry) {
 		found = true
 		s.Stats.HandoffReclaims.Add(1)
 	}
-	s.scan(res, &fx)
+	s.scan(res, fx)
 	res.mu.Unlock()
 	s.apply(fx)
 	if !found {

@@ -158,8 +158,9 @@ func (s *Server) failWaiters(res *resource) {
 	for _, w := range res.queue {
 		if !w.done {
 			res.retire(w)
-			w.ch <- lockResult{err: wire.ErrNotOwner}
-			s.clk.Wakeup(w.ch)
+			ch := w.ch // w may be recycled once the send lands
+			ch <- lockResult{err: wire.ErrNotOwner}
+			s.clk.Wakeup(ch)
 		}
 	}
 	res.queue = res.queue[:0]

@@ -243,6 +243,14 @@ type lockResult struct {
 	err error
 }
 
+// waiter is one blocked Lock call. Waiters (with their reply channels)
+// are recycled: Lock puts its waiter back once the reply has been
+// received, or once it withdrew the waiter under res.mu before any reply
+// was decided. Either way the waiter is out of the queue and its index
+// by then — a resolution marks it done and retires it from the index
+// under res.mu, and the same hold compacts the queue — and the one
+// sender has finished with it: every sender loads w.ch before sending
+// and never reads w afterwards.
 type waiter struct {
 	req         Request
 	ch          chan lockResult
@@ -251,6 +259,23 @@ type waiter struct {
 	allCancelAt time.Time
 	done        bool
 	key         uint64 // unique per resource, keys the queue interval index
+}
+
+// waiters recycles waiter records; see waiter.
+var waiters = sync.Pool{New: func() any { return &waiter{ch: make(chan lockResult, 1)} }}
+
+// poisonResource is a recycled waiter's resource in -race builds, so a
+// stale reader sees a resource no request names.
+const poisonResource = ^ResourceID(0)
+
+// recycle clears w, keeping its (empty) channel, and pools it. A -race
+// build poisons the request so a stale holder fails loudly.
+func (w *waiter) recycle() {
+	*w = waiter{ch: w.ch}
+	if wire.RaceEnabled {
+		w.req.Resource = poisonResource
+	}
+	waiters.Put(w)
 }
 
 type resource struct {
@@ -344,7 +369,8 @@ func (s *Server) Lock(ctx context.Context, req Request) (Grant, error) {
 		s.handoffAck(req.Resource, id)
 	}
 	res := s.resource(req.Resource)
-	w := &waiter{req: req, ch: make(chan lockResult, 1), enqAt: s.clk.Now()}
+	w := waiters.Get().(*waiter)
+	w.req, w.enqAt = req, s.clk.Now()
 	s.tracer.record(Event{Kind: EvRequest, Resource: req.Resource, Client: req.Client, Mode: req.Mode, Range: req.Range})
 
 	res.mu.Lock()
@@ -356,18 +382,20 @@ func (s *Server) Lock(ctx context.Context, req Request) (Grant, error) {
 	// engine no longer masters.
 	if err := s.CheckMaster(req.Resource); err != nil {
 		res.mu.Unlock()
+		w.recycle()
 		return Grant{}, err
 	}
 	w.key = res.wseq
 	res.wseq++
 	res.queue = append(res.queue, w)
 	res.wtree.Insert(w.req.Range, w.key, w)
-	var fx effects
-	s.scan(res, &fx)
+	fx := newEffects()
+	s.scan(res, fx)
 	res.mu.Unlock()
 	s.apply(fx)
 
 	if r, ok := s.waitGrant(ctx, w); ok {
+		w.recycle()
 		return r.g, r.err
 	}
 	// Withdraw the waiter. The grant may have raced the cancellation:
@@ -377,16 +405,19 @@ func (s *Server) Lock(ctx context.Context, req Request) (Grant, error) {
 	res.mu.Lock()
 	if w.done {
 		res.mu.Unlock()
-		if r := <-w.ch; r.err == nil {
+		r := <-w.ch
+		w.recycle()
+		if r.err == nil {
 			s.Release(req.Resource, r.g.LockID)
 		}
 		return Grant{}, wire.FromContext(ctx.Err())
 	}
 	res.retire(w)
-	fx = effects{}
-	s.scan(res, &fx) // the withdrawn entry may have blocked later waiters
+	fx = newEffects()
+	s.scan(res, fx) // the withdrawn entry may have blocked later waiters
 	res.mu.Unlock()
 	s.apply(fx)
+	w.recycle() // not done under res.mu: no reply was decided, none will be
 	return Grant{}, wire.FromContext(ctx.Err())
 }
 
@@ -441,8 +472,9 @@ func (s *Server) Shutdown() {
 			for _, w := range res.queue {
 				if !w.done {
 					res.retire(w)
-					w.ch <- lockResult{err: wire.ErrShuttingDown}
-					s.clk.Wakeup(w.ch)
+					ch := w.ch // w may be recycled once the send lands
+					ch <- lockResult{err: wire.ErrShuttingDown}
+					s.clk.Wakeup(ch)
 				}
 			}
 			res.queue = res.queue[:0]
@@ -465,8 +497,8 @@ func (s *Server) RevokeAck(resID ResourceID, id LockID) {
 	if l := res.granted.get(id); l != nil && l.state == Granted {
 		l.state = Canceling
 	}
-	var fx effects
-	s.scan(res, &fx)
+	fx := newEffects()
+	s.scan(res, fx)
 	res.mu.Unlock()
 	s.apply(fx)
 }
@@ -480,7 +512,7 @@ func (s *Server) Release(resID ResourceID, id LockID) {
 	}
 	s.Stats.LockOps.Add(1)
 	s.tracer.record(Event{Kind: EvRelease, Resource: resID, Lock: id})
-	var fx effects
+	fx := newEffects()
 	res.mu.Lock()
 	if l := res.granted.get(id); l != nil {
 		succ := l.succ
@@ -514,7 +546,7 @@ func (s *Server) Release(resID ResourceID, id LockID) {
 			fx.acts = append(fx.acts, s.resolveDelegation(res, succ))
 		}
 	}
-	s.scan(res, &fx)
+	s.scan(res, fx)
 	res.mu.Unlock()
 	s.apply(fx)
 }
@@ -543,8 +575,8 @@ func (s *Server) Downgrade(resID ResourceID, id LockID, newMode Mode) error {
 	l.mode = newMode
 	s.Stats.Downgrades.Add(1)
 	s.tracer.record(Event{Kind: EvDowngrade, Resource: resID, Lock: id, Mode: newMode})
-	var fx effects
-	s.scan(res, &fx)
+	fx := newEffects()
+	s.scan(res, fx)
 	res.mu.Unlock()
 	s.apply(fx)
 	return nil
@@ -705,13 +737,26 @@ type effects struct {
 	solicits []activationMsg
 }
 
-// apply delivers deferred effects outside res.mu. Grant replies go
-// first so a run of fan-out grants reaches the waiters in one burst
-// before any revocation round trip starts.
-func (s *Server) apply(fx effects) {
+// effectsPool recycles effects records: every newEffects is paired
+// with the apply that consumes it.
+var effectsPool = sync.Pool{New: func() any { return new(effects) }}
+
+func newEffects() *effects { return effectsPool.Get().(*effects) }
+
+// apply delivers deferred effects outside res.mu, then recycles fx:
+// everything in it has been handed on by value — replies sent,
+// revocations copied into the revoker's queues, messages sent. Grant
+// replies go first so a run of fan-out grants reaches the waiters in one
+// burst before any revocation round trip starts.
+//
+// A reply is the last touch of its waiter: the receiver may recycle the
+// waiter the moment the send lands, so the channel is loaded before the
+// send and the wakeup uses that copy (DESIGN.md §8).
+func (s *Server) apply(fx *effects) {
 	for _, g := range fx.sends {
-		g.w.ch <- g.r
-		s.clk.Wakeup(g.w.ch)
+		ch := g.w.ch
+		ch <- g.r
+		s.clk.Wakeup(ch)
 	}
 	s.fire(fx.revs)
 	for _, a := range fx.acts {
@@ -720,6 +765,10 @@ func (s *Server) apply(fx effects) {
 	for _, m := range fx.solicits {
 		s.sendSolicit(m)
 	}
+	clear(fx.sends)
+	clear(fx.revs)
+	fx.sends, fx.revs, fx.acts, fx.solicits = fx.sends[:0], fx.revs[:0], fx.acts[:0], fx.solicits[:0]
+	effectsPool.Put(fx)
 }
 
 // scan drives the grant state machine for a resource. It is called with

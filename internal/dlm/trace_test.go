@@ -4,26 +4,44 @@ import (
 	"context"
 	"strings"
 	"testing"
+	"time"
 
 	"ccpfs/internal/extent"
+	"ccpfs/internal/sim"
 )
 
 // TestTracerEarlyGrantSequence asserts the exact protocol sequence of an
 // early-grant round as recorded by the tracer: request → grant (A),
 // request (B) → revoke-sent (A) → revoke-ack (A) → grant (B), with B's
-// grant arriving before A's release.
+// grant arriving before A's release. That is an interleaving, so the
+// test runs seeded on the virtual clock: on the wall clock the client's
+// asynchronous release could reach the server between RevokeAck's trace
+// record and its scan, and Release's own scan would grant B.
 func TestTracerEarlyGrantSequence(t *testing.T) {
+	v := sim.NewVClock(1)
+	clk := sim.Virtual(v)
 	h := newHarness(t, SeqDLM(), 2)
+	h.srv.SetClock(clk)
+	for _, c := range h.clients {
+		c.SetClock(clk)
+	}
 	tr := NewTracer(64)
 	h.srv.SetTracer(tr)
 
-	a := mustAcquire(t, h.client(1), 1, NBW, extent.New(0, extent.Inf))
-	h.client(1).Unlock(a)
-	b := mustAcquire(t, h.client(2), 1, NBW, extent.New(0, extent.Inf))
-	h.client(2).Unlock(b)
-	h.client(1).ReleaseAll(context.Background())
-	h.client(2).ReleaseAll(context.Background())
-	waitFor(t, "drain", func() bool { return h.srv.GrantedCount(1) == 0 })
+	v.Run(func() {
+		a := mustAcquire(t, h.client(1), 1, NBW, extent.New(0, extent.Inf))
+		h.client(1).Unlock(a)
+		b := mustAcquire(t, h.client(2), 1, NBW, extent.New(0, extent.Inf))
+		h.client(2).Unlock(b)
+		h.client(1).ReleaseAll(context.Background())
+		h.client(2).ReleaseAll(context.Background())
+		for i := 0; h.srv.GrantedCount(1) != 0; i++ {
+			if i == 1000 {
+				t.Fatalf("locks still granted after %d virtual ms", i)
+			}
+			clk.Sleep(time.Millisecond)
+		}
+	})
 
 	kinds := tr.Kinds()
 	// Find the index of each milestone.

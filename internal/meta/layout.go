@@ -55,7 +55,7 @@ func SplitRange(off, n, stripeSize int64, stripeCount uint32) []Segment {
 	if stripeCount <= 1 {
 		return []Segment{{Stripe: 0, Off: off, FileOff: off, Len: n}}
 	}
-	var segs []Segment
+	segs := make([]Segment, 0, (off+n-1)/stripeSize-off/stripeSize+1)
 	sc := int64(stripeCount)
 	for n > 0 {
 		chunk := off / stripeSize // global chunk index

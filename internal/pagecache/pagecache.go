@@ -461,20 +461,26 @@ func (c *Cache) Covered(stripe uint64, off, n int64) bool {
 // whose SN is at most maxSN, merged into per-SN contiguous blocks ready
 // for a flush RPC, in offset order. The data is copied; a concurrent
 // write re-dirties its range and will be flushed again later.
+func (c *Cache) CollectDirty(stripe uint64, rng extent.Extent, maxSN extent.SN) []Block {
+	return c.AppendDirty(nil, stripe, rng, maxSN)
+}
+
+// AppendDirty is CollectDirty appending the blocks to dst, so a caller
+// that flushes often collects into the same slice each time.
 //
 // It walks the range's pages in index order twice: first to find the
 // blocks — a block is a maximal run of byte-adjacent dirty extents with
 // one SN, however many pages it spans — then to give each block a buffer
 // of its final length and copy every page's share into it once.
-func (c *Cache) CollectDirty(stripe uint64, rng extent.Extent, maxSN extent.SN) []Block {
+func (c *Cache) AppendDirty(dst []Block, stripe uint64, rng extent.Extent, maxSN extent.SN) []Block {
 	sp := c.lookup(stripe)
 	if sp == nil {
-		return nil
+		return dst
 	}
 	sp.mu.Lock()
 	ps := c.cfg.PageSize
 	pages := sp.pagesIn(rng, ps, true)
-	var blocks []Block
+	base, blocks := len(dst), dst
 	var dirtyBuf [4]extent.SNExtent
 	for _, at := range pages {
 		in, _ := local(rng, at.pi, ps)
@@ -483,7 +489,7 @@ func (c *Cache) CollectDirty(stripe uint64, rng extent.Extent, maxSN extent.SN) 
 				continue
 			}
 			abs := extent.Extent{Start: e.Start + at.pi*ps, End: e.End + at.pi*ps}
-			if n := len(blocks); n > 0 && blocks[n-1].SN == e.SN && blocks[n-1].Range.End == abs.Start {
+			if n := len(blocks); n > base && blocks[n-1].SN == e.SN && blocks[n-1].Range.End == abs.Start {
 				blocks[n-1].Range.End = abs.End
 				continue
 			}
@@ -491,7 +497,7 @@ func (c *Cache) CollectDirty(stripe uint64, rng extent.Extent, maxSN extent.SN) 
 		}
 	}
 	next := 0 // pages[next:] can still overlap the current block
-	for i := range blocks {
+	for i := base; i < len(blocks); i++ {
 		b := &blocks[i]
 		b.Data = wire.GetBuf(int(b.Range.Len()))
 		for j := next; j < len(pages) && pages[j].pi*ps < b.Range.End; j++ {
@@ -504,7 +510,7 @@ func (c *Cache) CollectDirty(stripe uint64, rng extent.Extent, maxSN extent.SN) 
 			copy(b.Data[in.Start+at.pi*ps-b.Range.Start:], at.pg.buf[in.Start:in.End])
 		}
 	}
-	if len(blocks) > 0 {
+	if len(blocks) > base {
 		for _, at := range pages {
 			in, _ := local(rng, at.pi, ps)
 			at.pg.dirty.RemoveLE(in, maxSN)

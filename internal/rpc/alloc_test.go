@@ -6,9 +6,12 @@ import (
 	"runtime"
 	"runtime/debug"
 	"testing"
+	"time"
 
 	"ccpfs/internal/extent"
+	"ccpfs/internal/sim"
 	"ccpfs/internal/transport"
+	"ccpfs/internal/transport/memnet"
 	"ccpfs/internal/wire"
 )
 
@@ -97,4 +100,121 @@ func TestAllocBudgetSetUp(t *testing.T) {
 	if m.CallHist(wire.MLock).Count() != 1 || m.HandleHist(wire.MLock).Count() != 0 {
 		t.Fatal("lazily allocated histogram lost a sample")
 	}
+}
+
+// virtualPair runs f with a client endpoint connected to a server whose
+// endpoints setup configures, all on a seeded virtual clock, so that an
+// allocation count sees only the round trip.
+func virtualPair(t *testing.T, setup func(*Endpoint), f func(cli *Endpoint, clk sim.Clock)) {
+	t.Helper()
+	v := sim.NewVClock(1)
+	hw := sim.Fast()
+	hw.Clock = sim.Virtual(v)
+	v.Run(func() {
+		net := memnet.New(hw)
+		l, err := net.Listen("srv")
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := NewServer(l, Options{Clock: hw.Clock}, setup)
+		hw.Clock.Go(srv.Serve)
+		defer srv.Close()
+		conn, err := net.Dial("srv")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cli := NewEndpoint(conn, Options{Clock: hw.Clock})
+		cli.Start()
+		defer cli.Close()
+		f(cli, hw.Clock)
+	})
+}
+
+// TestAllocBudgetInboundCall: an inbound request's record (callCtx) is
+// recycled once its handler has returned, unless the handler asked for
+// a Done channel — then whoever received the channel may still hold the
+// record, and it is left to the collector. So after warm-up a round
+// trip to a handler that never calls Done allocates nothing at all, and
+// one to a handler that does pays for the record and its channel.
+func TestAllocBudgetInboundCall(t *testing.T) {
+	if wire.RaceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	virtualPair(t, func(ep *Endpoint) {
+		ep.Handle(wire.MHello, func(context.Context, []byte) (wire.Msg, error) { return &wire.Ack{}, nil })
+		ep.Handle(wire.MStat, func(ctx context.Context, _ []byte) (wire.Msg, error) {
+			_ = ctx.Done()
+			return &wire.Ack{}, nil
+		})
+	}, func(cli *Endpoint, _ sim.Clock) {
+		req := &wire.HelloRequest{ClientID: 1}
+		call := func(m wire.Method) func() {
+			return func() {
+				if err := cli.Call(bg(), m, req, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if a := testing.AllocsPerRun(100, call(wire.MHello)); a != 0 {
+			t.Errorf("call to a handler that never calls Done: %.1f allocs, want 0", a)
+		}
+		if a := testing.AllocsPerRun(100, call(wire.MStat)); a < 2 {
+			t.Errorf("call to a handler that calls Done: %.1f allocs, want the record and its channel", a)
+		}
+	})
+}
+
+// TestAllocBudgetCallBatchOne: CallBatch's per-call bookkeeping (IDs,
+// reply channels, encoders, frames) comes from a pooled scratch record,
+// so a one-call batch costs no more than a Call: nothing.
+func TestAllocBudgetCallBatchOne(t *testing.T) {
+	if wire.RaceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	reply := &wire.HelloReply{ClientID: 3}
+	virtualPair(t, func(ep *Endpoint) {
+		ep.Handle(wire.MHello, func(context.Context, []byte) (wire.Msg, error) { return reply, nil })
+	}, func(cli *Endpoint, _ sim.Clock) {
+		var rep wire.HelloReply
+		calls := []BatchCall{{Method: wire.MHello, Req: &wire.HelloRequest{ClientID: 3}, Reply: &rep}}
+		if a := testing.AllocsPerRun(100, func() {
+			if err := cli.CallBatch(bg(), calls); err != nil || rep.ClientID != 3 {
+				t.Fatalf("batch: %v, reply %+v", err, rep)
+			}
+		}); a != 0 {
+			t.Errorf("one-call CallBatch: %.1f allocs, want 0", a)
+		}
+	})
+}
+
+// TestRecycledCallCtxPoisoned: a handler that keeps its ctx past its
+// return breaks Handler's rule, and finds the record zeroed — no
+// endpoint, no base context — so its next use fails at once instead of
+// reading a later request's state.
+func TestRecycledCallCtxPoisoned(t *testing.T) {
+	var kept context.Context
+	virtualPair(t, func(ep *Endpoint) {
+		ep.Handle(wire.MHello, func(ctx context.Context, _ []byte) (wire.Msg, error) {
+			kept = ctx
+			return &wire.Ack{}, nil
+		})
+	}, func(cli *Endpoint, clk sim.Clock) {
+		if err := cli.Call(bg(), wire.MHello, &wire.HelloRequest{ClientID: 1}, nil); err != nil {
+			t.Fatal(err)
+		}
+		clk.Sleep(time.Millisecond) // the handler's goroutine finishes
+	})
+	cc, ok := kept.(*callCtx)
+	if !ok {
+		t.Fatalf("handler ctx is %T", kept)
+	}
+	if cc.ep != nil || cc.base != nil || cc.frame != nil || cc.h != nil {
+		t.Fatalf("recycled callCtx not cleared: %+v", cc)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Err on a recycled callCtx did not fail")
+		}
+	}()
+	_ = kept.Err()
 }

@@ -88,8 +88,22 @@ func (t *callTable[V]) closeAndDrain() (items []V, first bool) {
 // allocation entirely.
 //
 // It is also the request's record — what arrived and the handler it goes
-// to — and its own sim.Task (Run, in rpc.go), so dispatch allocates one
-// object per request, not a context plus a closure over it.
+// to — and its own sim.Task (Run, in rpc.go), so a request costs one
+// record, not a context plus a closure over it; and the record is
+// recycled (callCtxs). Run puts it back when the handler has returned
+// and both of these hold:
+//
+//   - Run's own take of the active-table entry won. Otherwise a cancel
+//     frame or the shutdown drain took it, and may be about to call
+//     cancel on it.
+//   - Done was never called. Otherwise a Done channel went out, and
+//     whoever selects on it may still hold the record.
+//
+// The handler may not keep its ctx past its return (Handler), so then
+// nobody else can hold the record. Otherwise the record is left to the
+// collector — chanPool's rule for reply channels. Recycling zeroes it,
+// so a holder that broke the rule finds a nil base and ep and fails at
+// once instead of reading another request's state.
 type callCtx struct {
 	ep     *Endpoint
 	id     uint64
@@ -101,6 +115,14 @@ type callCtx struct {
 	done     atomic.Pointer[chan struct{}]
 	canceled atomic.Bool
 	closing  atomic.Bool // arbitration for close(done) between Done and cancel
+}
+
+var callCtxs = sync.Pool{New: func() any { return new(callCtx) }}
+
+// recycle zeroes the record and pools it; see callCtx for when.
+func (c *callCtx) recycle() {
+	*c = callCtx{}
+	callCtxs.Put(c)
 }
 
 var closedChan = func() chan struct{} {

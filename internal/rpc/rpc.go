@@ -36,6 +36,12 @@ import (
 // when the caller abandons the call or the connection closes — and the
 // request payload, and returns the reply message. Returning an error
 // sends a typed wire.Error back to the caller instead.
+//
+// The context dies with the handler: nothing may keep it, or call any
+// of its methods, after the handler returns — not a goroutine the
+// handler started, not a record it filed away. Its record is recycled
+// for a later request (see callCtx), and in that request it is a
+// different call's context.
 type Handler func(ctx context.Context, payload []byte) (wire.Msg, error)
 
 const (
@@ -105,7 +111,7 @@ func decodeReply(resp response, reply wire.Msg) error {
 		wire.PutBuf(resp.frame)
 		return nil
 	}
-	err := wire.Unmarshal(resp.frame[headerLen:], reply)
+	err := wire.UnmarshalMsg(resp.frame[headerLen:], reply)
 	if h, ok := reply.(wire.FrameHolder); ok {
 		h.HoldFrame(resp.frame)
 	} else {
@@ -368,8 +374,9 @@ func (ep *Endpoint) callBatch(ctx context.Context, calls []BatchCall) error {
 	if err := ctx.Err(); err != nil {
 		return wire.FromContext(err)
 	}
-	ids := make([]uint64, len(calls))
-	chs := make([]chan response, len(calls))
+	sc := getBatchScratch(len(calls))
+	defer putBatchScratch(sc)
+	ids, chs := sc.ids, sc.chs
 	for i := range calls {
 		ids[i] = ep.nextID.Add(1)
 		ch := chanPool.Get().(chan response)
@@ -394,8 +401,7 @@ func (ep *Endpoint) callBatch(ctx context.Context, calls []BatchCall) error {
 	// Encode every frame, hand them to the transport as one batch, then
 	// recycle the encoders — transports must not retain frames after
 	// SendBatch returns (the transport.Conn ownership contract).
-	encs := make([]*wire.Encoder, len(calls))
-	frames := make([][]byte, len(calls))
+	encs, frames := sc.encs, sc.frames
 	for i := range calls {
 		encs[i] = encodeFrame(kindRequest, ids[i], calls[i].Method, statusOK, calls[i].Req)
 		frames[i] = encs[i].Bytes()
@@ -465,6 +471,42 @@ func (ep *Endpoint) callBatch(ctx context.Context, calls []BatchCall) error {
 		}
 	}
 	return firstErr
+}
+
+// batchScratch is callBatch's per-call bookkeeping: the call IDs, reply
+// channels, encoders and frames of one batch, index for index. Only
+// the callBatch that took it from batchScratches touches it, and every
+// goroutine callBatch starts gets the values it needs, not the slices,
+// so it goes back to the pool when callBatch returns.
+type batchScratch struct {
+	ids    []uint64
+	chs    []chan response
+	encs   []*wire.Encoder
+	frames [][]byte
+}
+
+var batchScratches = sync.Pool{New: func() any { return new(batchScratch) }}
+
+// getBatchScratch returns a pooled scratch record with room for n calls.
+func getBatchScratch(n int) *batchScratch {
+	sc := batchScratches.Get().(*batchScratch)
+	if cap(sc.ids) < n {
+		sc.ids = make([]uint64, n)
+		sc.chs = make([]chan response, n)
+		sc.encs = make([]*wire.Encoder, n)
+		sc.frames = make([][]byte, n)
+	}
+	sc.ids, sc.chs, sc.encs, sc.frames = sc.ids[:n], sc.chs[:n], sc.encs[:n], sc.frames[:n]
+	return sc
+}
+
+// putBatchScratch drops the record's references to channels, encoders
+// and frames — they have owners of their own by now — and pools it.
+func putBatchScratch(sc *batchScratch) {
+	clear(sc.chs)
+	clear(sc.encs)
+	clear(sc.frames)
+	batchScratches.Put(sc)
 }
 
 // waitReplyVirtual blocks for one reply under a virtual clock, parked
@@ -631,7 +673,8 @@ func (ep *Endpoint) dispatch(id uint64, method wire.Method, frame []byte) {
 	// next frame is read so a cancel frame can never race ahead of its
 	// request on this ordered connection. Teardown cancels it explicitly
 	// when the active table drains (see callCtx).
-	cc := &callCtx{base: ep.baseCtx, ep: ep, id: id, method: method, frame: frame, h: h}
+	cc := callCtxs.Get().(*callCtx)
+	cc.base, cc.ep, cc.id, cc.method, cc.frame, cc.h = ep.baseCtx, ep, id, method, frame, h
 	if !ep.active.register(id, cc) {
 		// Teardown already drained the table; run the handler with the
 		// context pre-canceled so it aborts promptly.
@@ -641,17 +684,21 @@ func (ep *Endpoint) dispatch(id uint64, method wire.Method, frame []byte) {
 	ep.clk.GoTask(cc)
 }
 
-// Run is the body of a request's goroutine: the handler, its reply, and
-// the request frame's return to the pool (unless the handler returned it
-// early with ReleasePayload).
+// Run is the body of a request's goroutine: the handler, its reply, the
+// request frame's return to the pool (unless the handler returned it
+// early with ReleasePayload), and the record's own return to its pool
+// when nothing else can still hold it (see callCtx).
 func (cc *callCtx) Run() {
 	ep, id, method := cc.ep, cc.id, cc.method
 	defer ep.handlerDone()
 	defer func() {
 		// A miss means a cancel frame or the shutdown drain claimed
 		// the entry (and called cancel); either way the entry is gone.
-		ep.active.take(id)
+		_, mine := ep.active.take(id)
 		cc.cancel()
+		if mine && cc.done.Load() == nil {
+			cc.recycle()
+		}
 	}()
 	ctx := context.Context(cc)
 	// The sampling decision reads the counter (a plain load) up front;

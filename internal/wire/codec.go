@@ -12,8 +12,14 @@ import (
 	"math"
 )
 
-// ErrTruncated reports a frame shorter than its declared contents.
-var ErrTruncated = errors.New("wire: truncated message")
+var (
+	// ErrTruncated reports a frame shorter than its declared contents.
+	ErrTruncated = errors.New("wire: truncated message")
+	// ErrTrailing reports a frame longer than its message: the decode
+	// succeeded and left bytes unread. (A failed decode consumes its
+	// frame, so it never reports this.)
+	ErrTrailing = errors.New("wire: trailing bytes")
+)
 
 // Encoder appends primitive values to a buffer. The zero value is ready
 // to use.
@@ -68,7 +74,10 @@ func (e *Encoder) String(s string) {
 
 // Decoder reads primitive values from a frame. Errors are sticky: after
 // the first failure every read returns the zero value, and Err reports
-// the failure.
+// the failure. A failure also consumes the rest of the frame, so "read
+// to the end" and "no error" are one test for Unmarshal: a decode that
+// stopped short of the end left trailing bytes; one that reached it
+// returns Err.
 type Decoder struct {
 	buf []byte
 	off int
@@ -83,13 +92,18 @@ func (d *Decoder) Err() error { return d.err }
 
 // Finish returns the sticky error, or an error if unread bytes remain.
 func (d *Decoder) Finish() error {
-	if d.err != nil {
-		return d.err
-	}
 	if d.off != len(d.buf) {
-		return fmt.Errorf("wire: %d trailing bytes", len(d.buf)-d.off)
+		return ErrTrailing
 	}
-	return nil
+	return d.err
+}
+
+// fail records the first decode error and consumes the frame.
+func (d *Decoder) fail(err error) {
+	if d.err == nil {
+		d.err = err
+	}
+	d.off = len(d.buf)
 }
 
 func (d *Decoder) need(n int) bool {
@@ -97,7 +111,7 @@ func (d *Decoder) need(n int) bool {
 		return false
 	}
 	if len(d.buf)-d.off < n {
-		d.err = ErrTruncated
+		d.fail(ErrTruncated)
 		return false
 	}
 	return true
@@ -146,7 +160,7 @@ func (d *Decoder) Bool() bool { return d.U8() != 0 }
 func (d *Decoder) StrictBool() bool {
 	v := d.U8()
 	if v > 1 && d.err == nil {
-		d.err = fmt.Errorf("wire: invalid bool byte %d", v)
+		d.fail(fmt.Errorf("wire: invalid bool byte %d", v))
 	}
 	return v == 1
 }
@@ -174,7 +188,7 @@ func (d *Decoder) Len32(minElemSize int) int {
 		return 0
 	}
 	if minElemSize > 0 && n > (len(d.buf)-d.off)/minElemSize {
-		d.err = ErrTruncated
+		d.fail(ErrTruncated)
 		return 0
 	}
 	return n

@@ -138,13 +138,32 @@ func Marshal(m Msg) []byte {
 	return e.buf
 }
 
-// decoders recycles the Decoder Unmarshal hands to m.Decode: the call
-// goes through the Msg interface, so a local one would escape to the
-// heap on every message.
+// Unmarshal decodes a frame into m, requiring full consumption.
+//
+// It inlines (TestAllocBudgetUnmarshalOnStack pins that), and its
+// Decoder lives in the caller's frame. Where m is a pointer to a
+// concrete message — a handler's `var req LockRequest;
+// Unmarshal(p, &req)` — the compiler then devirtualizes the Decode call
+// and neither the message nor the decoder escapes: decoding allocates
+// only the slices the message makes. Where m is an interface value the
+// call stays dynamic, the decoder escapes, and every call allocates
+// one; such callers use UnmarshalMsg.
+func Unmarshal(b []byte, m Msg) error {
+	d := Decoder{buf: b}
+	m.Decode(&d)
+	if d.off != len(b) {
+		return ErrTrailing
+	}
+	return d.err
+}
+
+// decoders recycles the Decoder UnmarshalMsg hands to m.Decode.
 var decoders = sync.Pool{New: func() any { return new(Decoder) }}
 
-// Unmarshal decodes a frame into m, requiring full consumption.
-func Unmarshal(b []byte, m Msg) error {
+// UnmarshalMsg is Unmarshal for callers that hold m only as a Msg (the
+// rpc layer decoding a caller's reply): its Decoder comes from a pool,
+// so the dynamic call costs no allocation.
+func UnmarshalMsg(b []byte, m Msg) error {
 	d := decoders.Get().(*Decoder)
 	*d = Decoder{buf: b}
 	m.Decode(d)
@@ -424,18 +443,19 @@ func encodeHandoffStamp(e *Encoder, h *HandoffStamp) {
 	encodeBroadcastGrant(e, h.Broadcast)
 }
 
-func decodeHandoffStamp(d *Decoder) *HandoffStamp {
+// decodeHandoffStamp decodes an optional stamp into h and reports
+// whether one was present; the caller decides where a present one lives.
+func decodeHandoffStamp(d *Decoder, h *HandoffStamp) bool {
 	if !d.StrictBool() {
-		return nil
+		return false
 	}
-	h := &HandoffStamp{}
 	h.NextOwner = d.U32()
 	h.NewLockID = d.U64()
 	h.Mode = d.U8()
 	h.SN = d.U64()
 	h.MustFlush = d.StrictBool()
 	h.Broadcast = decodeBroadcastGrant(d)
-	return h
+	return true
 }
 
 // RevokeRequest is the server→client callback asking the holder to
@@ -461,7 +481,12 @@ func (m *RevokeRequest) Encode(e *Encoder) {
 func (m *RevokeRequest) Decode(d *Decoder) {
 	m.Resource = d.U64()
 	m.LockID = d.U64()
-	m.Handoff = decodeHandoffStamp(d)
+	m.Handoff = nil
+	var h HandoffStamp
+	if decodeHandoffStamp(d, &h) {
+		kept := h // only a present stamp costs an allocation
+		m.Handoff = &kept
+	}
 }
 
 // RevokeEntry identifies one lock inside a batched revocation, with its
@@ -470,6 +495,9 @@ type RevokeEntry struct {
 	Resource uint64
 	LockID   uint64
 	Handoff  *HandoffStamp
+	// stamp is where RevokeBatch.Decode puts a decoded Handoff, so a
+	// batch's entries and stamps are one allocation.
+	stamp HandoffStamp
 }
 
 // RevokeBatch is the server→client callback carrying every revocation
@@ -499,9 +527,12 @@ func (m *RevokeBatch) Decode(d *Decoder) {
 	if n > 0 {
 		m.Entries = make([]RevokeEntry, n)
 		for i := range m.Entries {
-			m.Entries[i].Resource = d.U64()
-			m.Entries[i].LockID = d.U64()
-			m.Entries[i].Handoff = decodeHandoffStamp(d)
+			e := &m.Entries[i]
+			e.Resource = d.U64()
+			e.LockID = d.U64()
+			if decodeHandoffStamp(d, &e.stamp) {
+				e.Handoff = &e.stamp
+			}
 		}
 	}
 }
@@ -523,15 +554,17 @@ func (m *RevokeBatchAck) Encode(e *Encoder) {
 	}
 }
 
-// Decode implements Msg.
+// Decode implements Msg. It decodes into Acked's capacity when that
+// suffices, so a reused ack (the lock server's pooled revocation
+// record) decodes without allocating.
 func (m *RevokeBatchAck) Decode(d *Decoder) {
 	n := d.Len32(16)
-	if n > 0 {
+	if cap(m.Acked) < n {
 		m.Acked = make([]RevokeEntry, n)
-		for i := range m.Acked {
-			m.Acked[i].Resource = d.U64()
-			m.Acked[i].LockID = d.U64()
-		}
+	}
+	m.Acked = m.Acked[:n]
+	for i := range m.Acked {
+		m.Acked[i] = RevokeEntry{Resource: d.U64(), LockID: d.U64()}
 	}
 }
 

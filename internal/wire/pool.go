@@ -57,6 +57,16 @@ import (
 //     is built in, so a burst of flushes does not hold every stage's
 //     copy of every byte at once.
 //
+//   - Decoders hold no buffer of their own. Unmarshal's lives on its
+//     caller's stack, so a handler's decoded request — which may alias
+//     the request frame — is a stack value that dies with the handler,
+//     when the frame goes back. UnmarshalMsg's Decoder comes from a pool
+//     and is cleared before it goes back, so a pooled decoder
+//     never keeps a frame reachable. A message decoded into a reused
+//     value (the lock server's pooled RevokeBatchAck) reuses the
+//     capacity its slices already have; it copies what it decodes, so
+//     it holds nothing of the frame either.
+//
 // In -race builds PutBuf and PutEncoder overwrite the buffer with 0xDB
 // before pooling it, so anything that reads a frame after its owner
 // recycled it sees garbage and fails the read-back checks of the

@@ -110,6 +110,41 @@ func TestAllocBudgetUnmarshal(t *testing.T) {
 	}
 }
 
+// TestAllocBudgetUnmarshalOnStack pins Unmarshal's inlining, which the
+// handlers' allocation budget rests on: with it, a handler's
+// `var req LockRequest; Unmarshal(p, &req)` keeps both the message and
+// the decoder on its stack. (Unmarshal's cost sits at the inliner's
+// budget; a line more and every handler pays two allocations a
+// request.) A caller that holds the message as a Msg gets the pooled
+// decoder of UnmarshalMsg instead.
+func TestAllocBudgetUnmarshalOnStack(t *testing.T) {
+	if RaceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	frame := Marshal(&LockRequest{Resource: 7, Client: 3, Mode: 2, Range: extent.New(0, 4096)})
+	var sum uint64
+	if a := testing.AllocsPerRun(100, func() {
+		var req LockRequest
+		if err := Unmarshal(frame, &req); err != nil {
+			t.Fatal(err)
+		}
+		sum += req.Resource
+	}); a != 0 {
+		t.Errorf("Unmarshal into a local LockRequest: %.1f allocs, want 0", a)
+	}
+	var rep Msg = &LockRequest{}
+	if a := testing.AllocsPerRun(100, func() {
+		if err := UnmarshalMsg(frame, rep); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 0 {
+		t.Errorf("UnmarshalMsg through the Msg interface: %.1f allocs, want 0", a)
+	}
+	if sum == 0 {
+		t.Fatal("decoded nothing")
+	}
+}
+
 // TestEncodedSizeExact pins Sizer to the encoder: a frame sized by it
 // must hold the message without growing, whatever the block mix.
 func TestEncodedSizeExact(t *testing.T) {

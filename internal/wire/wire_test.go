@@ -63,8 +63,25 @@ func TestDecoderTruncated(t *testing.T) {
 func TestDecoderTrailingBytes(t *testing.T) {
 	d := NewDecoder([]byte{1, 2, 3})
 	d.U8()
-	if err := d.Finish(); err == nil {
-		t.Fatal("Finish accepted trailing bytes")
+	if err := d.Finish(); err != ErrTrailing {
+		t.Fatalf("Finish with trailing bytes = %v, want ErrTrailing", err)
+	}
+	if err := Unmarshal(append(Marshal(&ReleaseRequest{Resource: 1, LockID: 2}), 0), &ReleaseRequest{}); err != ErrTrailing {
+		t.Fatalf("Unmarshal with a trailing byte = %v, want ErrTrailing", err)
+	}
+	// A failed decode consumed its frame: it reports its own error, not
+	// the bytes it never got to.
+	if err := Unmarshal([]byte{1, 2, 3}, &ReleaseRequest{}); err != ErrTruncated {
+		t.Fatalf("Unmarshal of a truncated frame = %v, want ErrTruncated", err)
+	}
+	e := NewEncoder(0)
+	e.U8(7)
+	e.U32(0xFFFFFFFF)
+	d = NewDecoder(e.Bytes())
+	d.U8()
+	d.Len32(8)
+	if err := d.Finish(); err != ErrTruncated {
+		t.Fatalf("Finish after a hostile length = %v, want ErrTruncated", err)
 	}
 }
 
@@ -205,6 +222,12 @@ func TestHandoffMessagesRoundTrip(t *testing.T) {
 	if len(batchOut.Entries) != 2 || batchOut.Entries[0].Handoff != nil ||
 		batchOut.Entries[1].Handoff == nil || *batchOut.Entries[1].Handoff != *stamp {
 		t.Fatalf("stamped batch round trip = %+v", batchOut)
+	}
+
+	// A decoded batch's stamps live in its entries: moving the slice
+	// keeps them.
+	if e := &batchOut.Entries[1]; e.Handoff != &e.stamp {
+		t.Fatal("decoded stamp is not the entry's own")
 	}
 
 	req := &LockRequest{
@@ -372,6 +395,34 @@ func BenchmarkUnmarshalFlush64K(b *testing.B) {
 		var out FlushRequest
 		if err := Unmarshal(frame, &out); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestRevokeBatchAckDecodeReuses: an ack decodes into the capacity it
+// already has — the lock server reuses its acks across deliveries — and
+// leaves exactly the decoded entries, however many the last one held.
+func TestRevokeBatchAckDecodeReuses(t *testing.T) {
+	three := Marshal(&RevokeBatchAck{Acked: []RevokeEntry{{Resource: 1, LockID: 2}, {Resource: 1, LockID: 3}, {Resource: 4, LockID: 5}}})
+	one := Marshal(&RevokeBatchAck{Acked: []RevokeEntry{{Resource: 9, LockID: 8}}})
+	none := Marshal(&RevokeBatchAck{})
+	var ack RevokeBatchAck
+	if err := UnmarshalMsg(three, &ack); err != nil || len(ack.Acked) != 3 || ack.Acked[2] != (RevokeEntry{Resource: 4, LockID: 5}) {
+		t.Fatalf("three acks: %+v, %v", ack.Acked, err)
+	}
+	backing := &ack.Acked[:1][0]
+	if err := UnmarshalMsg(one, &ack); err != nil || len(ack.Acked) != 1 || ack.Acked[0] != (RevokeEntry{Resource: 9, LockID: 8}) {
+		t.Fatalf("one ack: %+v, %v", ack.Acked, err)
+	}
+	if &ack.Acked[0] != backing {
+		t.Fatal("a smaller ack did not reuse the capacity it had")
+	}
+	if err := UnmarshalMsg(none, &ack); err != nil || len(ack.Acked) != 0 {
+		t.Fatalf("no acks: %+v, %v", ack.Acked, err)
+	}
+	if !RaceEnabled {
+		if a := testing.AllocsPerRun(100, func() { UnmarshalMsg(three, &ack) }); a != 0 {
+			t.Errorf("decoding into a reused ack: %.1f allocs, want 0", a)
 		}
 	}
 }
