@@ -49,8 +49,9 @@ func TestAllocBudgetWriteCollect(t *testing.T) {
 }
 
 // TestAllocBudgetWriteAbsentPages: a 64 KiB write into pages the cache
-// does not hold takes its 16 pages from one slab — one allocation for
-// the headers and one for the bytes — not two allocations per page.
+// has just invalidated takes its 16 pages back from the pool, headers
+// and bytes together, and allocates nothing. From a cold pool the same
+// write costs two allocations per page, the header and its bytes.
 func TestAllocBudgetWriteAbsentPages(t *testing.T) {
 	if wire.RaceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -61,14 +62,27 @@ func TestAllocBudgetWriteAbsentPages(t *testing.T) {
 	c.Write(1, 0, data, 1) // the stripe and its page map exist
 	sn := extent.SN(1)
 	allocs := testing.AllocsPerRun(50, func() {
-		c.Invalidate(1, extent.Span(0, n)) // every page goes
+		c.Invalidate(1, extent.Span(0, n)) // every page goes back to the pool
 		sn++
 		c.Write(1, 0, data, sn)
 	})
-	if allocs > 3 {
-		t.Errorf("64 KiB write into absent pages: %.1f allocs, want <= 3", allocs)
+	if allocs > 0 {
+		t.Errorf("64 KiB write into just-invalidated pages: %.1f allocs, want 0", allocs)
 	}
 	if got := c.DirtyBytes(); got != n {
 		t.Fatalf("dirty bytes = %d, want %d", got, n)
+	}
+
+	// Cold: a page size no other test uses, and each run writes pages
+	// the cache never held, so every page comes from a pool miss.
+	const cps = 3 * 1024
+	cold := New(Config{PageSize: cps})
+	off := int64(0)
+	allocs = testing.AllocsPerRun(50, func() {
+		cold.Write(1, off, data[:16*cps], sn)
+		off += 16 * cps
+	})
+	if allocs > 2*16+2 {
+		t.Errorf("16-page write from a cold pool: %.1f allocs, want <= %d (two per page, plus the page map's growth)", allocs, 2*16+2)
 	}
 }

@@ -6,13 +6,16 @@
 // coherent when early grant lets conflicting writes from the same client
 // overlap in flight.
 //
-// The pages one write or fill creates come from one slab: one array of
-// page headers and one byte array holding all their bytes, two
-// allocations however many pages the write spans. A page lives as long
-// as it holds data, and a live page keeps the rest of its slab
-// reachable, so the host memory behind the cache can exceed the pages it
-// holds; Config.PoolBytes (the prototype's pre-registered RDMA page
-// pool) counts pages, not slabs.
+// Pages come from a process-wide pool, one per page size, shared by
+// every cache: a page for an absent index is drawn with its header and
+// its PageSize bytes together, and a page goes back when it leaves its
+// stripe's map — when invalidate or reclaim drops it, the only two
+// places that know nobody else holds it (page bytes are touched only
+// under the stripe mutex, and Read, AppendDirty and write all copy). So
+// the host memory behind a cache is its pages × PageSize, which
+// Config.PoolBytes (the prototype's pre-registered RDMA page pool)
+// bounds. In -race builds a page is poisoned as it goes back, as wire's
+// buffers are.
 //
 // Concurrency: stripes are sharded (shard.Of) and each stripe carries
 // its own mutex guarding its page map and page contents, so IO on
@@ -56,8 +59,9 @@ type Config struct {
 	PageSize int64
 	// PoolBytes bounds total cached bytes (dirty + clean). Clean pages
 	// are reclaimed to the pool when the bound is exceeded; writers
-	// block when dirty data alone exceeds it. Zero means unbounded. It
-	// counts live pages, not the slabs behind them (see the package doc).
+	// block when dirty data alone exceeds it. Zero means unbounded.
+	// Pages are the cache's only holders of data bytes, so it bounds
+	// the host memory behind them too.
 	PoolBytes int64
 	// MinDirty is the dirty-bytes threshold at which the voluntary flush
 	// daemon should start flushing (256 MB in the paper).
@@ -87,22 +91,35 @@ type page struct {
 	ents [2][2]extent.SNExtent
 }
 
-// slab hands out the pages one write creates, from one array of headers
-// and one of bytes.
-type slab struct {
-	pages []page
-	bytes []byte
+// pagePools holds one *sync.Pool of pages per page size, shared by
+// every cache in the process.
+var pagePools sync.Map
+
+// poolFor returns the page pool for page size ps.
+func poolFor(ps int64) *sync.Pool {
+	if p, ok := pagePools.Load(ps); ok {
+		return p.(*sync.Pool)
+	}
+	p, _ := pagePools.LoadOrStore(ps, &sync.Pool{New: func() any {
+		pg := &page{buf: make([]byte, ps)}
+		pg.valid.SetStorage(pg.ents[0][:])
+		pg.dirty.SetStorage(pg.ents[1][:])
+		return pg
+	}})
+	return p.(*sync.Pool)
 }
 
-// take returns the slab's next page, of size ps.
-func (s *slab) take(ps int64) *page {
-	pg := &s.pages[0]
-	s.pages = s.pages[1:]
-	pg.buf = s.bytes[:ps:ps]
-	s.bytes = s.bytes[ps:]
-	pg.valid.SetStorage(pg.ents[0][:])
-	pg.dirty.SetStorage(pg.ents[1][:])
-	return pg
+// dropPage returns a page that has just left its stripe's map to the
+// pool. Its lists must be empty (a dirty byte is always a valid one),
+// so the next taker starts from a page that holds nothing. The caller
+// holds the stripe mutex.
+func (c *Cache) dropPage(pg *page) {
+	if wire.RaceEnabled {
+		for i := range pg.buf {
+			pg.buf[i] = 0xDB
+		}
+	}
+	c.pool.Put(pg)
 }
 
 // local returns the part of rng that falls on page pi, page-relative.
@@ -161,8 +178,8 @@ func (sp *stripePages) pagesIn(rng extent.Extent, ps int64, sorted bool) []pageA
 
 func (sp *stripePages) releasePages() { clear(sp.visit) }
 
-// pcShard holds the stripe map of one shard; the shard mutex guards
-// only map lookup/insert.
+// pcShard holds the stripe map of one shard, made on its first insert;
+// the shard mutex guards only map lookup/insert.
 type pcShard struct {
 	mu      sync.RWMutex
 	stripes map[uint64]*stripePages
@@ -171,9 +188,10 @@ type pcShard struct {
 // Cache is one client's page cache across all stripes it touches.
 // Ranges are stripe-local byte offsets keyed by lock resource.
 type Cache struct {
-	cfg Config
-	clk sim.Clock
-	mem sim.Device // serializes simulated cache-copy time
+	cfg  Config
+	clk  sim.Clock
+	mem  sim.Device // serializes simulated cache-copy time
+	pool *sync.Pool // poolFor(cfg.PageSize)
 
 	shards [shard.Count]pcShard
 
@@ -195,10 +213,7 @@ func New(cfg Config) *Cache {
 	if cfg.PageSize <= 0 {
 		cfg.PageSize = DefaultPageSize
 	}
-	c := &Cache{cfg: cfg}
-	for i := range c.shards {
-		c.shards[i].stripes = make(map[uint64]*stripePages)
-	}
+	c := &Cache{cfg: cfg, pool: poolFor(cfg.PageSize)}
 	c.flowCond = sync.NewCond(&c.flowMu)
 	return c
 }
@@ -244,6 +259,9 @@ func (c *Cache) stripe(id uint64) *stripePages {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if sp = sh.stripes[id]; sp == nil {
+		if sh.stripes == nil {
+			sh.stripes = make(map[uint64]*stripePages)
+		}
 		sp = &stripePages{pages: make(map[int64]*page)}
 		sh.stripes[id] = sp
 	}
@@ -337,10 +355,6 @@ func (c *Cache) Fill(stripe uint64, off int64, data []byte, sn extent.SN) {
 // write lands data into sp's pages; the caller holds sp.mu.
 func (c *Cache) write(sp *stripePages, off int64, data []byte, sn extent.SN, markDirty bool) {
 	ps := c.cfg.PageSize
-	// The pages this write creates, sized at its first absent page to
-	// the absent pages up to its last.
-	var fresh slab
-	last := (off + int64(len(data)) - 1) / ps
 	var wonBuf, dirtyBuf [4]extent.SNExtent // per-page update sets, on the stack
 	for len(data) > 0 {
 		pi := off / ps
@@ -351,16 +365,7 @@ func (c *Cache) write(sp *stripePages, off int64, data []byte, sn extent.SN, mar
 		}
 		pg := sp.pages[pi]
 		if pg == nil {
-			if len(fresh.pages) == 0 {
-				k := int64(1)
-				for pj := pi + 1; pj <= last; pj++ {
-					if sp.pages[pj] == nil {
-						k++
-					}
-				}
-				fresh = slab{pages: make([]page, k), bytes: make([]byte, k*ps)}
-			}
-			pg = fresh.take(ps)
+			pg = c.pool.Get().(*page)
 			sp.pages[pi] = pg
 			c.pages.Add(1)
 		}
@@ -573,6 +578,7 @@ func (c *Cache) invalidate(stripe uint64, rng extent.Extent, sn extent.SN) {
 		if at.pg.valid.Len() == 0 {
 			delete(sp.pages, at.pi)
 			c.pages.Add(-1)
+			c.dropPage(at.pg)
 		}
 	}
 	sp.releasePages()
@@ -580,44 +586,53 @@ func (c *Cache) invalidate(stripe uint64, rng extent.Extent, sn extent.SN) {
 	c.signalFlow()
 }
 
-// DirtyStripes returns the stripes currently holding dirty data.
+// DirtyStripes returns the stripes currently holding dirty data, shard
+// by shard and in ascending id order within a shard: it is the flush
+// order of Shutdown and of the flush daemon, so it must not follow Go's
+// map order.
 func (c *Cache) DirtyStripes() []uint64 {
 	var out []uint64
-	c.forEachStripe(func(id uint64, sp *stripePages) {
-		sp.mu.Lock()
-		for _, pg := range sp.pages {
+	for _, s := range c.stripeRefs() {
+		s.sp.mu.Lock()
+		for _, pg := range s.sp.pages {
 			if pg.dirty.Len() > 0 {
-				out = append(out, id)
+				out = append(out, s.id)
 				break
 			}
 		}
-		sp.mu.Unlock()
-	})
+		s.sp.mu.Unlock()
+	}
 	return out
 }
 
-// forEachStripe visits every stripe. It snapshots each shard under the
-// shard read lock and visits without it, so fn may lock the stripe.
-func (c *Cache) forEachStripe(fn func(id uint64, sp *stripePages)) {
+// stripeRef is a stripe with its id.
+type stripeRef struct {
+	id uint64
+	sp *stripePages
+}
+
+// stripeRefs snapshots every stripe, shard by shard and in ascending id
+// order within a shard, each shard under its read lock; the caller
+// visits them without it, so it may lock the stripe.
+func (c *Cache) stripeRefs() []stripeRef {
+	var out []stripeRef
 	for i := range c.shards {
 		sh := &c.shards[i]
+		base := len(out)
 		sh.mu.RLock()
-		ids := make([]uint64, 0, len(sh.stripes))
-		sps := make([]*stripePages, 0, len(sh.stripes))
 		for id, sp := range sh.stripes {
-			ids = append(ids, id)
-			sps = append(sps, sp)
+			out = append(out, stripeRef{id, sp})
 		}
 		sh.mu.RUnlock()
-		for j, sp := range sps {
-			fn(ids[j], sp)
-		}
+		slices.SortFunc(out[base:], func(a, b stripeRef) int { return cmp.Compare(a.id, b.id) })
 	}
+	return out
 }
 
 // reclaim evicts clean pages when the pool bound is exceeded, modelling
 // the prototype's reclamation of cached pages back to the registered
-// memory pool. It locks one stripe at a time.
+// memory pool. It evicts in ascending (stripe, page) order, so a seeded
+// run replays, and locks one stripe at a time.
 func (c *Cache) reclaim() {
 	if c.cfg.PoolBytes <= 0 {
 		return
@@ -625,27 +640,36 @@ func (c *Cache) reclaim() {
 	if c.pages.Load()*c.cfg.PageSize <= c.cfg.PoolBytes {
 		return
 	}
-	done := false
-	c.forEachStripe(func(_ uint64, sp *stripePages) {
-		if done {
-			return
-		}
+	refs := c.stripeRefs()
+	slices.SortFunc(refs, func(a, b stripeRef) int { return cmp.Compare(a.id, b.id) })
+	for _, s := range refs {
+		sp := s.sp
 		sp.mu.Lock()
+		clean := sp.visit[:0]
 		for pi, pg := range sp.pages {
-			if pg.dirty.Len() > 0 {
-				continue
+			if pg.dirty.Len() == 0 {
+				clean = append(clean, pageAt{pi, pg})
 			}
-			pg.valid.Reset()
-			pg.dirty.Reset()
-			c.refreshPage(pg)
-			delete(sp.pages, pi)
+		}
+		slices.SortFunc(clean, func(a, b pageAt) int { return cmp.Compare(a.pi, b.pi) })
+		sp.visit = clean
+		done := false
+		for _, at := range clean {
+			at.pg.valid.Reset()
+			c.refreshPage(at.pg)
+			delete(sp.pages, at.pi)
+			c.dropPage(at.pg)
 			if c.pages.Add(-1)*c.cfg.PageSize <= c.cfg.PoolBytes {
 				done = true
 				break
 			}
 		}
+		sp.releasePages()
 		sp.mu.Unlock()
-	})
+		if done {
+			return
+		}
+	}
 }
 
 // String summarizes the cache for debugging.

@@ -2,9 +2,11 @@ package pagecache
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ccpfs/internal/extent"
+	"ccpfs/internal/wire"
 )
 
 // oracle is a brute-force byte-level model of the cache: per byte, the
@@ -139,60 +141,189 @@ func TestCacheMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestSlabSharingMatchesOracle: pages that share a slab live and die
-// on their own. Half of one write's pages are invalidated and rewritten
-// by a misaligned write (whose new pages come from a second slab, next
-// to pages of the first it overwrites in place), and every byte, the
-// coverage and the dirty accounting must match the byte model.
-func TestSlabSharingMatchesOracle(t *testing.T) {
-	const ps, k = DefaultPageSize, 16
-	rng := rand.New(rand.NewSource(11))
-	random := func(n int) []byte {
-		b := make([]byte, n)
-		rng.Read(b)
-		return b
-	}
-	c := New(Config{})
-	o := newOracle()
-	first := random(k * ps)
-	c.Write(1, 0, first, 1)
-	o.write(0, first, 1)
-	for pi := int64(0); pi < k; pi += 2 {
-		e := extent.Span(pi*ps, ps)
-		c.Invalidate(1, e)
-		o.invalidate(e, ^extent.SN(0))
-	}
-	if got := c.pages.Load(); got != k/2 {
-		t.Fatalf("%d pages after invalidating half, want %d", got, k/2)
-	}
-	second := random((k - 1) * ps)
-	c.Write(1, ps/2, second, 2)
-	o.write(ps/2, second, 2)
-	fill := random(ps)
-	c.Fill(1, (k-1)*ps, fill, 3) // clean bytes into the last page's hole and past it
-	o.fill((k-1)*ps, fill, 3)
-
-	const space = (k + 1) * ps
-	buf := make([]byte, space)
-	c.Read(1, 0, buf)
-	for p := int64(0); p < space; p++ {
-		want, ok := o.val[p]
-		if covered := c.Covered(1, p, 1); covered != ok {
-			t.Fatalf("byte %d coverage = %v, oracle %v", p, covered, ok)
-		}
-		if ok && buf[p] != want {
-			t.Fatalf("byte %d = %x, oracle %x", p, buf[p], want)
-		}
-	}
-	if got, want := c.DirtyBytes(), int64(len(o.dirtySN)); got != want {
-		t.Fatalf("dirty = %d, oracle %d", got, want)
-	}
-	for _, b := range c.CollectDirty(1, extent.Span(0, space), 2) {
-		for i, got := range b.Data {
-			if p := b.Range.Start + int64(i); o.val[p] != got {
-				t.Fatalf("flushed byte %d = %x, oracle %x", p, got, o.val[p])
+// reclaimModel is Cache.reclaim over the byte model of one cache's
+// stripes (os[i] is stripe i+1): a page exists while it holds a valid
+// byte, and while the pages exceed bound, clean ones go in ascending
+// (stripe, page) order.
+func reclaimModel(os []*oracle, ps, bound int64) {
+	pagesOf := func(o *oracle) []int64 {
+		var out []int64
+		for p := range o.val {
+			if pi := p / ps; !slices.Contains(out, pi) {
+				out = append(out, pi)
 			}
 		}
+		slices.Sort(out)
+		return out
+	}
+	total := int64(0)
+	for _, o := range os {
+		total += int64(len(pagesOf(o)))
+	}
+	for _, o := range os {
+		for _, pi := range pagesOf(o) {
+			if total*ps <= bound {
+				return
+			}
+			pg, dirty := extent.Span(pi*ps, ps), false
+			for p := range o.dirtySN {
+				dirty = dirty || pg.ContainsOff(p)
+			}
+			if !dirty {
+				o.invalidate(pg, ^extent.SN(0))
+				total--
+			}
+		}
+	}
+}
+
+// livePages returns the set of pages c's stripes hold.
+func livePages(c *Cache) map[*page]bool {
+	out := map[*page]bool{}
+	for _, s := range c.stripeRefs() {
+		s.sp.mu.Lock()
+		for _, pg := range s.sp.pages {
+			out[pg] = true
+		}
+		s.sp.mu.Unlock()
+	}
+	return out
+}
+
+// TestPoolRecyclingMatchesOracle: pages recycled through the shared
+// pool live and die on their own. Two caches of one page size — one
+// unbounded, one under a PoolBytes bound, so that every fill reclaims —
+// take random writes, fills, collects, partial Invalidate and
+// InvalidateUpTo calls and bounded reclaims over three stripes each.
+// After every step the touched cache's bytes, coverage, page count and
+// dirty and cached accounting must match the byte model, so a page
+// that went back while still mapped, or came out of the pool with
+// another page's extents, fails here. In -race builds every page that
+// left a stripe must have been poisoned: a reader that kept it would
+// read 0xDB, not data.
+func TestPoolRecyclingMatchesOracle(t *testing.T) {
+	const (
+		ps      = 256 // a page size of its own: these two caches share its pool
+		space   = 4 * ps
+		stripes = 3
+		bound   = 6 * ps
+	)
+	type model struct {
+		c     *Cache
+		o     []*oracle
+		bound int64
+	}
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 12; trial++ {
+		ms := []*model{
+			{c: New(Config{PageSize: ps})},
+			{c: New(Config{PageSize: ps, PoolBytes: bound}), bound: bound},
+		}
+		for _, m := range ms {
+			for range stripes {
+				m.o = append(m.o, newOracle())
+			}
+		}
+		for step := 0; step < 250; step++ {
+			m := ms[rng.Intn(len(ms))]
+			s := rng.Intn(stripes)
+			id, o := uint64(s+1), m.o[s]
+			off := rng.Int63n(space - 1)
+			e := extent.Span(off, rng.Int63n(space-off)+1)
+			sn := extent.SN(rng.Intn(6))
+			data := make([]byte, e.Len())
+			rng.Read(data)
+			before := livePages(m.c)
+			switch op := rng.Intn(6); op {
+			case 0, 1: // dirty write
+				m.c.Write(id, off, data, sn)
+				o.write(off, data, sn)
+			case 2: // clean fill, which reclaims when the cache is bounded
+				m.c.Fill(id, off, data, sn)
+				o.fill(off, data, sn)
+				if m.bound > 0 {
+					reclaimModel(m.o, ps, m.bound)
+				}
+			case 3: // collect dirty (flush)
+				for _, b := range m.c.CollectDirty(id, e, sn) {
+					for i, got := range b.Data {
+						if p := b.Range.Start + int64(i); o.val[p] != got {
+							t.Fatalf("trial %d step %d: flushed byte %d of stripe %d = %x, oracle %x",
+								trial, step, p, id, got, o.val[p])
+						}
+					}
+				}
+				o.collect(e, sn)
+			case 4: // partial invalidation: a lock release or an SN-bounded cancel
+				if rng.Intn(2) == 0 {
+					sn = ^extent.SN(0)
+					m.c.Invalidate(id, e)
+				} else {
+					m.c.InvalidateUpTo(id, e, sn)
+				}
+				o.invalidate(e, sn)
+			case 5: // bounded reclaim (a no-op on the unbounded cache)
+				m.c.reclaim()
+				if m.bound > 0 {
+					reclaimModel(m.o, ps, m.bound)
+				}
+			}
+			after := livePages(m.c)
+			for pg := range before {
+				if after[pg] || !wire.RaceEnabled {
+					continue
+				}
+				for i, b := range pg.buf {
+					if b != 0xDB {
+						t.Fatalf("trial %d step %d: byte %d of a recycled page = %x, want the 0xDB poison", trial, step, i, b)
+					}
+				}
+			}
+			checkModel(t, m.c, m.o, ps, space)
+		}
+	}
+}
+
+// checkModel compares every byte of c's stripes (os[i] is stripe i+1,
+// each space bytes long), their coverage, c's page count and its dirty
+// and cached byte counts against the byte model.
+func checkModel(t *testing.T, c *Cache, os []*oracle, ps, space int64) {
+	t.Helper()
+	var pages, dirty, cached int64
+	buf := make([]byte, space)
+	for s, o := range os {
+		id := uint64(s + 1)
+		covered := make([]bool, space)
+		for _, e := range c.Read(id, 0, buf) {
+			for p := e.Start; p < e.End; p++ {
+				covered[p] = true
+			}
+		}
+		seen := map[int64]bool{}
+		for p := int64(0); p < space; p++ {
+			want, ok := o.val[p]
+			if covered[p] != ok {
+				t.Fatalf("stripe %d byte %d coverage = %v, oracle %v", id, p, covered[p], ok)
+			}
+			if ok && buf[p] != want {
+				t.Fatalf("stripe %d byte %d = %x, oracle %x", id, p, buf[p], want)
+			}
+			if ok {
+				seen[p/ps] = true
+			}
+		}
+		pages += int64(len(seen))
+		dirty += int64(len(o.dirtySN))
+		cached += int64(len(o.val))
+	}
+	if got := c.pages.Load(); got != pages {
+		t.Fatalf("%d pages, oracle %d", got, pages)
+	}
+	if got := c.DirtyBytes(); got != dirty {
+		t.Fatalf("dirty = %d, oracle %d", got, dirty)
+	}
+	if got := c.CachedBytes(); got != cached {
+		t.Fatalf("cached = %d, oracle %d", got, cached)
 	}
 }
 

@@ -24,12 +24,12 @@ const defaultSampleInterval = 16
 // Metrics is shared by all endpoints of a component (a client shares
 // one across its per-server connections, a data server across its
 // per-client connections) so the numbers aggregate naturally. All hot
-// instruments are atomics indexed by the raw wire.Method byte. The
-// counters are preallocated; a method's latency histogram (half a
-// kilobyte) is allocated when its first sample is recorded — a
-// component speaks a handful of the 256 possible methods, and a
-// simulated cluster builds one Metrics per client and per server — so
-// recording is allocation-free after a method's first sample.
+// instruments are atomics reached through the raw wire.Method byte. A
+// method's record (its two counters) is allocated on the method's first
+// use and each of its latency histograms (half a kilobyte) on its first
+// sample — a component speaks a handful of the 256 possible methods,
+// and a simulated cluster builds one Metrics per client and per server
+// — so recording is allocation-free after a method's first sample.
 //
 // Attach with Options.Metrics or Endpoint.SetMetrics before Start;
 // a nil Metrics keeps every instrument point a single pointer check.
@@ -46,16 +46,31 @@ type Metrics struct {
 	// before traffic (SetSampleInterval), read without synchronization.
 	sampleMask int64
 
-	calls     [256]obs.Counter // outbound calls by method (exact)
-	handles   [256]obs.Counter // inbound handler runs by method (exact)
-	callLat   [256]lazyHist    // outbound round-trip ns by method (sampled)
-	handleLat [256]lazyHist    // inbound handler service ns by method (sampled)
+	methods [256]atomic.Pointer[methodStats] // by method, allocated on first use
 
 	// eps tracks the live endpoints this Metrics instruments, for the
 	// snapshot-time in-flight derivation. Guarded by mu; endpoints
 	// detach on teardown.
 	mu  sync.Mutex
 	eps map[*Endpoint]struct{}
+}
+
+// methodStats is one method's instruments.
+type methodStats struct {
+	calls     obs.Counter // outbound calls (exact)
+	handles   obs.Counter // inbound handler runs (exact)
+	callLat   lazyHist    // outbound round-trip ns (sampled)
+	handleLat lazyHist    // inbound handler service ns (sampled)
+}
+
+// method returns method's record, allocating it if this is the first use.
+func (m *Metrics) method(method wire.Method) *methodStats {
+	p := &m.methods[method]
+	if s := p.Load(); s != nil {
+		return s
+	}
+	p.CompareAndSwap(nil, new(methodStats))
+	return p.Load()
 }
 
 // lazyHist is a histogram allocated on first use.
@@ -125,22 +140,22 @@ func (m *Metrics) InFlight() (out, in int) {
 }
 
 // Calls returns the exact number of outbound calls issued for method.
-func (m *Metrics) Calls(method wire.Method) int64 { return m.calls[method].Load() }
+func (m *Metrics) Calls(method wire.Method) int64 { return m.method(method).calls.Load() }
 
 // Handles returns the exact number of inbound handler runs for method,
 // counted as each run completes (after its reply frame is sent).
-func (m *Metrics) Handles(method wire.Method) int64 { return m.handles[method].Load() }
+func (m *Metrics) Handles(method wire.Method) int64 { return m.method(method).handles.Load() }
 
 // CallHist returns the outbound round-trip histogram for method. Its
 // count is the number of sampled observations, not the call count —
 // see Calls.
 func (m *Metrics) CallHist(method wire.Method) *obs.Histogram {
-	return m.callLat[method].get()
+	return m.method(method).callLat.get()
 }
 
 // HandleHist returns the inbound service-time histogram for method.
 func (m *Metrics) HandleHist(method wire.Method) *obs.Histogram {
-	return m.handleLat[method].get()
+	return m.method(method).handleLat.get()
 }
 
 // Collect implements obs.Collector: scalar instruments accumulate (so
@@ -154,20 +169,24 @@ func (m *Metrics) Collect(s *obs.Snapshot) {
 	s.Gauges["rpc.inflight_in"] += int64(in)
 	s.Counters["rpc.bytes_in"] += m.BytesIn.Load()
 	s.Counters["rpc.bytes_out"] += m.BytesOut.Load()
-	for i := range m.calls {
-		if n := m.calls[i].Load(); n > 0 {
+	for i := range m.methods {
+		ms := m.methods[i].Load()
+		if ms == nil {
+			continue
+		}
+		if n := ms.calls.Load(); n > 0 {
 			s.Counters["rpc.calls."+wire.Method(i).String()] += n
 		}
-		if n := m.handles[i].Load(); n > 0 {
+		if n := ms.handles.Load(); n > 0 {
 			s.Counters["rpc.handles."+wire.Method(i).String()] += n
 		}
-		if lat := m.callLat[i].p.Load(); lat != nil && lat.Count() > 0 {
+		if lat := ms.callLat.p.Load(); lat != nil && lat.Count() > 0 {
 			name := "rpc.call." + wire.Method(i).String()
 			h := s.Histograms[name]
 			h.Merge(lat.Snapshot())
 			s.Histograms[name] = h
 		}
-		if lat := m.handleLat[i].p.Load(); lat != nil && lat.Count() > 0 {
+		if lat := ms.handleLat.p.Load(); lat != nil && lat.Count() > 0 {
 			name := "rpc.handle." + wire.Method(i).String()
 			h := s.Histograms[name]
 			h.Merge(lat.Snapshot())

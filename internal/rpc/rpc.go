@@ -260,12 +260,13 @@ func (ep *Endpoint) Call(ctx context.Context, method wire.Method, req wire.Msg, 
 	// server working. Every sampleMask+1-th call per method — starting
 	// with the first, so a lightly used method still shows a latency —
 	// also pays two monotonic clock reads and a histogram record.
-	if (m.calls[method].Load()+1)&m.sampleMask != 1&m.sampleMask {
+	ms := m.method(method)
+	if (ms.calls.Load()+1)&m.sampleMask != 1&m.sampleMask {
 		return ep.call(ctx, method, req, reply)
 	}
 	start := obs.Now()
 	err := ep.call(ctx, method, req, reply)
-	m.callLat[method].Record(obs.Now() - start)
+	ms.callLat.Record(obs.Now() - start)
 	return err
 }
 
@@ -286,7 +287,7 @@ func (ep *Endpoint) call(ctx context.Context, method wire.Method, req wire.Msg, 
 		// Counts attempts (send failures included), bumped after the
 		// request frame is handed off so the atomic overlaps with the
 		// server starting on it rather than delaying the wait.
-		m.calls[method].Inc()
+		m.method(method).calls.Inc()
 	}
 	if sendErr != nil {
 		// The send failed: deregister so the pending map cannot grow
@@ -360,8 +361,8 @@ func (ep *Endpoint) CallBatch(ctx context.Context, calls []BatchCall) error {
 	err := ep.callBatch(ctx, calls)
 	elapsed := obs.Now() - start
 	for i := range calls {
-		if m.calls[calls[i].Method].Inc()&m.sampleMask == 1&m.sampleMask {
-			m.callLat[calls[i].Method].Record(elapsed)
+		if ms := m.method(calls[i].Method); ms.calls.Inc()&m.sampleMask == 1&m.sampleMask {
+			ms.callLat.Record(elapsed)
 		}
 	}
 	return err
@@ -707,11 +708,15 @@ func (cc *callCtx) Run() {
 	// Under concurrent handlers the load-based decision may time a
 	// neighbor of the exact n-th run — sampling is statistical anyway.
 	m := ep.metrics
+	var ms *methodStats
 	var start, elapsed int64
 	timed := false
-	if m != nil && (m.handles[method].Load()+1)&m.sampleMask == 1&m.sampleMask {
-		timed = true
-		start = obs.Now()
+	if m != nil {
+		ms = m.method(method)
+		if (ms.handles.Load()+1)&m.sampleMask == 1&m.sampleMask {
+			timed = true
+			start = obs.Now()
+		}
 	}
 	reply, err := cc.h(ctx, cc.frame[headerLen:])
 	if timed {
@@ -725,10 +730,10 @@ func (cc *callCtx) Run() {
 	// The reply (which may alias the request payload) is encoded
 	// and sent; nothing refers to the request frame any more.
 	cc.releaseFrame()
-	if m != nil {
-		m.handles[method].Inc()
+	if ms != nil {
+		ms.handles.Inc()
 		if timed {
-			m.handleLat[method].Record(elapsed)
+			ms.handleLat.Record(elapsed)
 		}
 	}
 }
