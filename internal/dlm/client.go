@@ -6,6 +6,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"ccpfs/internal/extent"
 	"ccpfs/internal/shard"
@@ -327,31 +328,9 @@ func (c *LockClient) ID() ClientID { return c.id }
 func (c *LockClient) SetClock(clk sim.Clock) { c.clk = clk }
 
 // waitReleased blocks until h's released channel closes or ctx fires.
-// Under a virtual clock it parks on the channel — every close site
-// wakes it — and checks ctx at each wake; a run that exits mid-wait
-// falls back to the real select.
 func (c *LockClient) waitReleased(ctx context.Context, h *Handle) error {
-	if v := c.clk.V(); v != nil {
-		for {
-			select {
-			case <-h.released:
-				return nil
-			default:
-			}
-			if err := ctx.Err(); err != nil {
-				return wire.FromContext(err)
-			}
-			if v.WaitOn(h.released) == sim.WakeExited {
-				break
-			}
-		}
-	}
-	select {
-	case <-h.released:
-		return nil
-	case <-ctx.Done():
-		return wire.FromContext(ctx.Err())
-	}
+	_, _, err := sim.Recv(ctx, c.clk, h.released, nil, time.Time{})
+	return wire.FromContext(err)
 }
 
 // Policy returns the client's policy.
@@ -576,8 +555,7 @@ func (c *LockClient) acquire(ctx context.Context, res ResourceID, need Mode, rng
 		// users now hold h, and its released channel tracks h's.
 		c.clk.Go(func() {
 			c.waitReleased(context.Background(), h)
-			close(old.released)
-			c.clk.Wakeup(old.released)
+			sim.Close(c.clk, old.released)
 		})
 	}
 	put(&sh.cached, res, append(list, h))
@@ -800,8 +778,7 @@ func (c *LockClient) cancel(h *Handle) {
 		sh.mu.Lock()
 		sh.remove(h)
 		sh.mu.Unlock()
-		close(h.released)
-		c.clk.Wakeup(h.released)
+		sim.Close(c.clk, h.released)
 		c.Stats.CancelNs.Add(c.clk.Since(start).Nanoseconds())
 		return
 	}
@@ -838,8 +815,7 @@ func (c *LockClient) cancel(h *Handle) {
 	sh.mu.Lock()
 	sh.remove(h)
 	sh.mu.Unlock()
-	close(h.released)
-	c.clk.Wakeup(h.released)
+	sim.Close(c.clk, h.released)
 	c.Stats.CancelNs.Add(c.clk.Since(start).Nanoseconds())
 }
 

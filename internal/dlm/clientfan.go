@@ -2,7 +2,6 @@ package dlm
 
 import (
 	"context"
-	"time"
 
 	"ccpfs/internal/extent"
 	"ccpfs/internal/sim"
@@ -28,39 +27,7 @@ func (c *LockClient) waitStanding(ctx context.Context, res ResourceID, need Mode
 	if c.policy.HandoffReclaimInterval > 0 {
 		timeout = c.policy.HandoffReclaimInterval
 	}
-	if v := c.clk.V(); v != nil {
-		// Virtual time: park on the per-waiter channel with the reclaim
-		// deadline on the event heap; wakeStanding wakes the key.
-		end := c.clk.Now().Add(timeout)
-		for {
-			sh.mu.Lock()
-			if !sh.fanStanding[res] {
-				sh.mu.Unlock()
-				return nil
-			}
-			if h := c.hitLocked(sh, res, need, rng); h != nil {
-				sh.mu.Unlock()
-				return h
-			}
-			ch := make(chan struct{})
-			put(&sh.fanWaiters, res, append(sh.fanWaiters[res], ch))
-			sh.mu.Unlock()
-			switch c.clk.V().WaitOnUntil(ch, end) {
-			case sim.WakeTimeout:
-				sh.mu.Lock()
-				delete(sh.fanStanding, res)
-				sh.mu.Unlock()
-				return nil
-			case sim.WakeExited:
-				return nil // run over; callers finish on the server path
-			}
-			if ctx.Err() != nil || c.baseCtx.Err() != nil {
-				return nil
-			}
-		}
-	}
-	deadline := time.NewTimer(timeout)
-	defer deadline.Stop()
+	end := c.clk.Now().Add(timeout)
 	for {
 		sh.mu.Lock()
 		if !sh.fanStanding[res] {
@@ -78,18 +45,16 @@ func (c *LockClient) waitStanding(ctx context.Context, res ResourceID, need Mode
 		put(&sh.fanWaiters, res, append(sh.fanWaiters[res], ch))
 		sh.mu.Unlock()
 
-		select {
-		case <-ch:
-		case <-deadline.C:
+		_, _, err := sim.Recv(ctx, c.clk, ch, c.baseCtx.Done(), end)
+		if err == sim.ErrDeadline {
 			// The lease never came (propagation lost, writer died).
 			// Stop standing and fall back to the server.
 			sh.mu.Lock()
 			delete(sh.fanStanding, res)
 			sh.mu.Unlock()
 			return nil
-		case <-ctx.Done():
-			return nil
-		case <-c.baseCtx.Done():
+		}
+		if err != nil || ctx.Err() != nil || c.baseCtx.Err() != nil {
 			return nil
 		}
 	}
@@ -103,8 +68,7 @@ func (sh *clientShard) wakeStanding(res ResourceID, clk sim.Clock) {
 		return
 	}
 	for _, ch := range ws {
-		close(ch)
-		clk.Wakeup(ch)
+		sim.Close(clk, ch)
 	}
 	delete(sh.fanWaiters, res)
 }

@@ -225,11 +225,9 @@ var transferWaiters = sync.Pool{New: func() any { return &transferWaiter{ch: mak
 
 // complete ends tw's wait. The caller has just deleted tw from
 // pendingHandoffs under the shard lock, which makes it the one completer.
-func (tw *transferWaiter) complete(clk sim.Clock) {
-	ch := tw.ch // tw may be recycled once the send lands
-	ch <- struct{}{}
-	clk.Wakeup(ch)
-}
+// tw may be recycled once the send lands; sim.Send wakes its own copy of
+// the channel.
+func (tw *transferWaiter) complete(clk sim.Clock) { sim.Send(clk, tw.ch, struct{}{}) }
 
 // recycle clears tw, keeping its (empty) channel, and pools it.
 func (tw *transferWaiter) recycle() {
@@ -239,33 +237,10 @@ func (tw *transferWaiter) recycle() {
 
 // waitTransferCh waits to receive the transfer's completion on tw.ch,
 // reporting whether the transfer completed (false means ctx or the
-// client's lifecycle fired first). Under a virtual clock it parks on the
-// channel — the completer wakes it after its send — checking
-// cancellation at each wake; a run that exits mid-wait falls back to the
-// real select.
+// client's lifecycle fired first).
 func (c *LockClient) waitTransferCh(ctx context.Context, tw *transferWaiter) bool {
-	if v := c.clk.V(); v != nil {
-		for {
-			select {
-			case <-tw.ch:
-				return true
-			default:
-			}
-			if ctx.Err() != nil || c.baseCtx.Err() != nil {
-				return false
-			}
-			if v.WaitOn(tw.ch) == sim.WakeExited {
-				break
-			}
-		}
-	}
-	select {
-	case <-tw.ch:
-		return true
-	case <-ctx.Done():
-	case <-c.baseCtx.Done():
-	}
-	return false
+	_, _, err := sim.Recv(ctx, c.clk, tw.ch, c.baseCtx.Done(), time.Time{})
+	return err == nil
 }
 
 // queueAck queues the confirmation of a delegation that just installed

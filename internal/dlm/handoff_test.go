@@ -142,8 +142,14 @@ func TestHandoffPingPong(t *testing.T) {
 	if got, want := h.srv.Stats.Handoffs.Load(), int64(rounds-1); got != want {
 		t.Fatalf("Handoffs = %d, want %d", got, want)
 	}
-	sent := h.client(1).Stats.HandoffsSent.Load() + h.client(2).Stats.HandoffsSent.Load()
-	recv := h.client(1).Stats.HandoffsRecv.Load() + h.client(2).Stats.HandoffsRecv.Load()
+	// The last transfer's sender counts it once its send returns, which
+	// can be after the receiver's acquire did.
+	var sent, recv int64
+	waitFor(t, "the last handoff counted by both ends", func() bool {
+		sent = h.client(1).Stats.HandoffsSent.Load() + h.client(2).Stats.HandoffsSent.Load()
+		recv = h.client(1).Stats.HandoffsRecv.Load() + h.client(2).Stats.HandoffsRecv.Load()
+		return sent >= rounds-1 && recv >= rounds-1
+	})
 	if sent != rounds-1 || recv != rounds-1 {
 		t.Fatalf("HandoffsSent/Recv = %d/%d, want %d/%d", sent, recv, rounds-1, rounds-1)
 	}

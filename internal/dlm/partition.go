@@ -6,6 +6,7 @@ import (
 
 	"ccpfs/internal/extent"
 	"ccpfs/internal/partition"
+	"ccpfs/internal/sim"
 	"ccpfs/internal/wire"
 )
 
@@ -158,9 +159,7 @@ func (s *Server) failWaiters(res *resource) {
 	for _, w := range res.queue {
 		if !w.done {
 			res.retire(w)
-			ch := w.ch // w may be recycled once the send lands
-			ch <- lockResult{err: wire.ErrNotOwner}
-			s.clk.Wakeup(ch)
+			sim.Send(s.clk, w.ch, lockResult{err: wire.ErrNotOwner})
 		}
 	}
 	res.queue = res.queue[:0]

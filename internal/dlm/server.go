@@ -394,7 +394,9 @@ func (s *Server) Lock(ctx context.Context, req Request) (Grant, error) {
 	res.mu.Unlock()
 	s.apply(fx)
 
-	if r, ok := s.waitGrant(ctx, w); ok {
+	// Every resolution path (grant, shutdown, freeze redirect) sends the
+	// reply with sim.Send.
+	if r, _, err := sim.Recv(ctx, s.clk, w.ch, nil, time.Time{}); err == nil {
 		w.recycle()
 		return r.g, r.err
 	}
@@ -421,36 +423,6 @@ func (s *Server) Lock(ctx context.Context, req Request) (Grant, error) {
 	return Grant{}, wire.FromContext(ctx.Err())
 }
 
-// waitGrant blocks until the waiter's reply arrives or ctx fires,
-// returning (result, true) on a reply and (_, false) on cancellation.
-// Under a virtual clock it parks on w.ch — every resolution path (grant,
-// shutdown, freeze redirect) sends the reply and then wakes the key —
-// and checks ctx at each wake; a run that exits mid-wait falls back to
-// the real select.
-func (s *Server) waitGrant(ctx context.Context, w *waiter) (lockResult, bool) {
-	if v := s.clk.V(); v != nil {
-		for {
-			select {
-			case r := <-w.ch:
-				return r, true
-			default:
-			}
-			if ctx.Err() != nil {
-				return lockResult{}, false
-			}
-			if v.WaitOn(w.ch) == sim.WakeExited {
-				break
-			}
-		}
-	}
-	select {
-	case r := <-w.ch:
-		return r, true
-	case <-ctx.Done():
-		return lockResult{}, false
-	}
-}
-
 // Shutdown drains the engine: new and queued Lock waits fail with
 // wire.ErrShuttingDown, and the lifecycle context is canceled so
 // in-flight revocation callbacks abort. Granted locks stay registered —
@@ -472,9 +444,7 @@ func (s *Server) Shutdown() {
 			for _, w := range res.queue {
 				if !w.done {
 					res.retire(w)
-					ch := w.ch // w may be recycled once the send lands
-					ch <- lockResult{err: wire.ErrShuttingDown}
-					s.clk.Wakeup(ch)
+					sim.Send(s.clk, w.ch, lockResult{err: wire.ErrShuttingDown})
 				}
 			}
 			res.queue = res.queue[:0]
@@ -750,13 +720,11 @@ func newEffects() *effects { return effectsPool.Get().(*effects) }
 // burst before any revocation round trip starts.
 //
 // A reply is the last touch of its waiter: the receiver may recycle the
-// waiter the moment the send lands, so the channel is loaded before the
-// send and the wakeup uses that copy (DESIGN.md §8).
+// waiter the moment the send lands, so sim.Send takes the channel before
+// the send and wakes that copy (DESIGN.md §8).
 func (s *Server) apply(fx *effects) {
 	for _, g := range fx.sends {
-		ch := g.w.ch
-		ch <- g.r
-		s.clk.Wakeup(ch)
+		sim.Send(s.clk, g.w.ch, g.r)
 	}
 	s.fire(fx.revs)
 	for _, a := range fx.acts {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"ccpfs/internal/extent"
+	"ccpfs/internal/sim"
 )
 
 // TestWaitAttributionEarlyGrant is the regression test for the
@@ -58,7 +59,9 @@ func TestWaitAttributionEarlyGrant(t *testing.T) {
 
 // TestWaitAttributionFullCancel drives the ordinary conflict path —
 // revoke, flush, release, grant — and checks both components are
-// recorded and still bounded by the total grant wait.
+// recorded and still bounded by the total grant wait. It runs seeded on
+// the virtual clock: on the wall clock the attribution buckets depend on
+// the interleaving.
 func TestWaitAttributionFullCancel(t *testing.T) {
 	// Early grant off: the waiter must wait out the holder's full
 	// cancel (flush + release) phase. Conversion off keeps the cancel
@@ -68,35 +71,43 @@ func TestWaitAttributionFullCancel(t *testing.T) {
 	pol.EarlyGrant = false
 	pol.Conversion = false
 	h := newHarness(t, pol, 2)
+	v := sim.NewVClock(1)
+	clk := sim.Virtual(v)
+	h.srv.SetClock(clk)
+	for _, c := range h.clients {
+		c.SetClock(clk)
+	}
 
-	hd1 := mustAcquire(t, h.client(1), 1, NBW, extent.New(0, extent.Inf))
-	// Return the lock to client 1's cache: the cancel path (flush +
-	// release) only runs once the handle has no active holds.
-	h.client(1).Unlock(hd1)
-	before := h.srv.Stats.Snapshot()
-	hd2, err := h.client(2).Acquire(context.Background(), 1, NBW, extent.New(0, extent.Inf))
-	if err != nil {
-		t.Fatal(err)
-	}
-	after := h.srv.Stats.Snapshot()
-	d := after.Sub(before)
+	v.Run(func() {
+		hd1 := mustAcquire(t, h.client(1), 1, NBW, extent.New(0, extent.Inf))
+		// Return the lock to client 1's cache: the cancel path (flush +
+		// release) only runs once the handle has no active holds.
+		h.client(1).Unlock(hd1)
+		before := h.srv.Stats.Snapshot()
+		hd2, err := h.client(2).Acquire(context.Background(), 1, NBW, extent.New(0, extent.Inf))
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := h.srv.Stats.Snapshot()
+		d := after.Sub(before)
 
-	if d.Grants != 1 {
-		t.Fatalf("grants in window = %d, want 1", d.Grants)
-	}
-	if d.RevocationWait+d.CancelWait > d.GrantWait {
-		t.Fatalf("attribution overshoot: revocation %v + cancel %v > grant %v",
-			d.RevocationWait, d.CancelWait, d.GrantWait)
-	}
-	if got := h.srv.Stats.CancelWaitHist.Count(); got != 1 {
-		t.Fatalf("cancel-wait samples = %d, want 1", got)
-	}
-	if got := h.srv.Stats.RevocationWaitHist.Count(); got != 1 {
-		t.Fatalf("revocation-wait samples = %d, want 1", got)
-	}
-	// Percentiles come straight off the wait histograms now.
-	if p99 := h.srv.Stats.GrantWaitHist.Snapshot().Quantile(0.99); time.Duration(p99) > time.Minute {
-		t.Fatalf("implausible grant-wait p99: %v", time.Duration(p99))
-	}
-	h.client(2).Unlock(hd2)
+		if d.Grants != 1 {
+			t.Fatalf("grants in window = %d, want 1", d.Grants)
+		}
+		if d.RevocationWait+d.CancelWait > d.GrantWait {
+			t.Fatalf("attribution overshoot: revocation %v + cancel %v > grant %v",
+				d.RevocationWait, d.CancelWait, d.GrantWait)
+		}
+		if got := h.srv.Stats.CancelWaitHist.Count(); got != 1 {
+			t.Fatalf("cancel-wait samples = %d, want 1", got)
+		}
+		if got := h.srv.Stats.RevocationWaitHist.Count(); got != 1 {
+			t.Fatalf("revocation-wait samples = %d, want 1", got)
+		}
+		// Percentiles come straight off the wait histograms now.
+		if p99 := h.srv.Stats.GrantWaitHist.Snapshot().Quantile(0.99); time.Duration(p99) > time.Minute {
+			t.Fatalf("implausible grant-wait p99: %v", time.Duration(p99))
+		}
+		h.client(2).Unlock(hd2)
+	})
 }

@@ -388,31 +388,16 @@ func (c *Cache) Kick() {
 // and falls back to forced synchronization when a full sweep cannot get
 // it under.
 func (c *Cache) Daemon(ctx context.Context, interval time.Duration, minSN MinSNFunc, force ForceSyncFunc) {
-	if v := c.clk.V(); v != nil {
-		// Virtual time: park on the kick channel with the tick as an
-		// event-heap deadline; Kick wakes the key.
-		for {
-			if v.WaitOnUntil(c.kick, c.clk.Now().Add(interval)) == sim.WakeExited {
-				return
-			}
-			select {
-			case <-c.kick:
-			default:
-			}
-			if ctx.Err() != nil {
-				return
-			}
-			c.daemonPass(minSN, force)
-		}
-	}
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
 	for {
+		// A kick that landed during the last pass is spent: that pass
+		// ran while the cache was over budget.
 		select {
-		case <-ctx.Done():
-			return
-		case <-ticker.C:
 		case <-c.kick:
+		default:
+		}
+		sim.Recv(ctx, c.clk, c.kick, nil, c.clk.Now().Add(interval))
+		if ctx.Err() != nil {
+			return
 		}
 		c.daemonPass(minSN, force)
 	}

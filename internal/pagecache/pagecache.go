@@ -21,17 +21,19 @@
 // its own mutex guarding its page map and page contents, so IO on
 // different stripes never contends. The global dirty/cached/page
 // accounting is atomic; the MaxDirty backpressure of §IV-C1 runs
-// through a separate flow-control gate (flowMu + cond) that admits
+// through a separate flow-control gate (flowMu + a sim.Cond) that admits
 // writers by reservation, preserving the strict dirty-bytes bound
 // without serializing the data path. See DESIGN.md §6.
 package pagecache
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"ccpfs/internal/extent"
 	"ccpfs/internal/shard"
@@ -195,17 +197,18 @@ type Cache struct {
 
 	shards [shard.Count]pcShard
 
-	dirty  atomic.Int64
-	cached atomic.Int64
-	pages  atomic.Int64 // allocated page count, drives pool reclaim
+	dirty      atomic.Int64
+	cached     atomic.Int64
+	pages      atomic.Int64 // allocated page count, drives pool reclaim
+	superseded atomic.Int64 // see SupersededBytes
 
 	// Flow control for the MaxDirty bound: writers reserve their byte
 	// count under flowMu before touching any stripe, and flushes signal
 	// the cond when dirty bytes drop. pending counts admitted-but-not-
 	// yet-accounted reservations so concurrent writers cannot overshoot.
-	flowMu   sync.Mutex
-	flowCond *sync.Cond
-	pending  int64
+	flowMu  sync.Mutex
+	flow    *sim.Cond
+	pending int64
 }
 
 // New returns a cache with cfg.
@@ -214,17 +217,16 @@ func New(cfg Config) *Cache {
 		cfg.PageSize = DefaultPageSize
 	}
 	c := &Cache{cfg: cfg, pool: poolFor(cfg.PageSize)}
-	c.flowCond = sync.NewCond(&c.flowMu)
+	c.flow = sim.NewCond(c.clk, &c.flowMu)
 	return c
 }
 
 // SetClock moves the cache onto clk: simulated copy time is charged on
-// it and the MaxDirty admission gate parks virtually instead of blocking
-// a real condition variable (which would wedge a virtual run — the
-// flusher could never be scheduled to drain). Call before first use.
+// it and the MaxDirty admission gate waits on it. Call before first use.
 func (c *Cache) SetClock(clk sim.Clock) {
 	c.clk = clk
 	c.mem.SetClock(clk)
+	c.flow = sim.NewCond(clk, &c.flowMu)
 }
 
 // PageSize returns the configured page size.
@@ -235,6 +237,14 @@ func (c *Cache) DirtyBytes() int64 { return c.dirty.Load() }
 
 // CachedBytes returns the total valid bytes cached (dirty + clean).
 func (c *Cache) CachedBytes() int64 { return c.cached.Load() }
+
+// SupersededBytes returns the bytes written into the cache that no flush
+// will carry: dirty bytes a later write replaced before a flush
+// collected them, and bytes of a write that lost to newer cached data.
+// A holder that hands a write lock on and defers its flush can win the
+// lock back and overwrite its own unflushed bytes before that flush
+// collects them.
+func (c *Cache) SupersededBytes() int64 { return c.superseded.Load() }
 
 // NeedsFlush reports whether dirty data has crossed the voluntary-flush
 // threshold.
@@ -284,9 +294,8 @@ func (c *Cache) signalFlow() {
 		return
 	}
 	c.flowMu.Lock()
-	c.flowCond.Broadcast()
+	c.flow.Broadcast()
 	c.flowMu.Unlock()
-	c.clk.Wakeup(c.flowCond)
 }
 
 // Write copies data into the cache at off within stripe, tagged with sn.
@@ -304,20 +313,7 @@ func (c *Cache) Write(stripe uint64, off int64, data []byte, sn extent.SN) {
 		// cannot collectively overshoot it.
 		c.flowMu.Lock()
 		for c.dirty.Load()+c.pending+need > c.cfg.MaxDirty {
-			if v := c.clk.V(); v != nil {
-				// Park on the virtual clock instead of the cond: a cond
-				// wait would hold the scheduler token and the flusher
-				// could never run to drain. WakeExited means the run is
-				// over — admit and let teardown proceed.
-				c.flowMu.Unlock()
-				exited := v.WaitOn(c.flowCond) == sim.WakeExited
-				c.flowMu.Lock()
-				if exited {
-					break
-				}
-				continue
-			}
-			c.flowCond.Wait()
+			c.flow.Wait(context.Background(), time.Time{})
 		}
 		c.pending += need
 		c.flowMu.Unlock()
@@ -331,9 +327,8 @@ func (c *Cache) Write(stripe uint64, off int64, data []byte, sn extent.SN) {
 		c.pending -= need
 		// The actual dirty delta may be smaller than the reservation
 		// (overwrites), so releasing it can free admission space.
-		c.flowCond.Broadcast()
+		c.flow.Broadcast()
 		c.flowMu.Unlock()
-		c.clk.Wakeup(c.flowCond)
 	}
 }
 
@@ -383,7 +378,13 @@ func (c *Cache) write(sp *stripePages, off int64, data []byte, sn extent.SN, mar
 				pg.dirty.InsertInto(dirtyBuf[:], w.Extent, w.SN, false)
 			}
 		}
+		before := pg.dirtyBytes
 		c.refreshPage(pg)
+		// A dirty write that grows the page's dirty count by less than
+		// its length superseded the difference.
+		if d := n - (pg.dirtyBytes - before); markDirty && d > 0 {
+			c.superseded.Add(d)
+		}
 		data = data[n:]
 		off += n
 	}

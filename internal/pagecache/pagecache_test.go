@@ -102,6 +102,33 @@ func TestCollectDirtyBySN(t *testing.T) {
 	}
 }
 
+// TestSupersededBytes: every byte a Write takes in is either collected
+// by a flush or counted as superseded. A holder that handed its write
+// lock on with the flush deferred can win the lock back and overwrite
+// its own block before that flush collects it; the old block is then
+// never flushed, and only SupersededBytes accounts for it.
+func TestSupersededBytes(t *testing.T) {
+	c := New(Config{PageSize: 4096})
+	const n = 32 << 10
+	c.Write(1, 0, fill(n, 1), 1) // under the lock handed on
+	c.Write(1, 0, fill(n, 3), 3) // under the lock won back
+	if blocks := c.CollectDirty(1, extent.New(0, extent.Inf), 1); len(blocks) != 0 {
+		t.Fatalf("the deferred SN-1 flush collected %+v; the SN-3 write replaced it", blocks)
+	}
+	var flushed int64
+	for _, b := range c.CollectDirty(1, extent.New(0, extent.Inf), 3) {
+		flushed += b.Range.Len()
+	}
+	c.Write(1, 4096, fill(4096, 2), 2) // stale: loses to the cached SN-3 bytes
+	c.Fill(1, n, fill(4096, 9), 5)     // a fill is not a write
+	if got := c.SupersededBytes(); got != n+4096 {
+		t.Fatalf("superseded = %d, want %d", got, n+4096)
+	}
+	if written := int64(2*n + 4096); flushed+c.SupersededBytes() != written {
+		t.Fatalf("flushed %d + superseded %d != written %d", flushed, c.SupersededBytes(), written)
+	}
+}
+
 func TestCollectDirtyMergesAdjacentSameSN(t *testing.T) {
 	c := New(Config{PageSize: 4096})
 	c.Write(1, 0, fill(4096, 1), 5)

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"ccpfs/internal/obs"
 	"ccpfs/internal/sim"
@@ -80,11 +81,11 @@ type Endpoint struct {
 	onClose   func(*Endpoint)
 	startOnce sync.Once
 
-	// inflight tracks dispatched handler goroutines for Drain;
-	// inflightN mirrors its count so a virtual-time Drain can park on
-	// it instead of blocking in WaitGroup.Wait.
-	inflight  sync.WaitGroup
-	inflightN atomic.Int64
+	// inflight counts dispatched handler goroutines for Drain; idle is
+	// broadcast, under drainMu, when the count falls to zero.
+	inflight atomic.Int64
+	drainMu  sync.Mutex
+	idle     *sim.Cond
 
 	// Tag carries endpoint-scoped state for handlers, e.g. the client
 	// session a server associates with this connection.
@@ -164,6 +165,7 @@ func NewEndpoint(conn transport.Conn, opts Options) *Endpoint {
 		onClose:  opts.OnClose,
 		metrics:  opts.Metrics,
 	}
+	ep.idle = sim.NewCond(ep.clk, &ep.drainMu)
 	if ep.metrics != nil {
 		ep.metrics.attach(ep)
 	}
@@ -206,42 +208,28 @@ func (ep *Endpoint) Pending() int {
 // ctx fires. It does not stop new requests from arriving; callers stop
 // admission first (close the listener, set a draining flag), then drain.
 func (ep *Endpoint) Drain(ctx context.Context) error {
-	if v := ep.clk.V(); v != nil {
-		for ep.inflightN.Load() > 0 {
-			if err := ctx.Err(); err != nil {
-				return wire.FromContext(err)
-			}
-			if v.WaitOn(&ep.inflightN) == sim.WakeExited {
-				goto real
-			}
+	ep.drainMu.Lock()
+	defer ep.drainMu.Unlock()
+	for ep.inflight.Load() > 0 {
+		if err := ctx.Err(); err != nil {
+			return wire.FromContext(err)
 		}
-		return nil
+		ep.idle.Wait(ctx, time.Time{})
 	}
-real:
-	done := make(chan struct{})
-	go func() {
-		ep.inflight.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		return wire.FromContext(ctx.Err())
-	}
+	return nil
 }
 
-// handlerStart/handlerDone bracket a dispatched handler for Drain.
-func (ep *Endpoint) handlerStart() {
-	ep.inflight.Add(1)
-	ep.inflightN.Add(1)
-}
+// handlerStart/handlerDone bracket a dispatched handler for Drain. The
+// count itself is atomic; only its fall to zero takes drainMu, which a
+// Drain holds from its test of the count until it waits.
+func (ep *Endpoint) handlerStart() { ep.inflight.Add(1) }
 
 func (ep *Endpoint) handlerDone() {
-	if ep.inflightN.Add(-1) == 0 {
-		ep.clk.Wakeup(&ep.inflightN)
+	if ep.inflight.Add(-1) == 0 {
+		ep.drainMu.Lock()
+		ep.idle.Broadcast()
+		ep.drainMu.Unlock()
 	}
-	ep.inflight.Done()
 }
 
 // Call sends a request and blocks until the reply arrives, ctx fires, or
@@ -297,37 +285,9 @@ func (ep *Endpoint) call(ctx context.Context, method wire.Method, req wire.Msg, 
 		ep.forget(id)
 		return sendErr
 	}
-	var resp response
-	gotV := false
-	if v := ep.clk.V(); v != nil {
-		r, got, handled := ep.waitReplyVirtual(v, ctx, id, method, ch)
-		if handled && !got {
-			return wire.FromContext(ctx.Err())
-		}
-		resp, gotV = r, handled
-	}
-	if !gotV {
-		select {
-		case resp = <-ch:
-			chanPool.Put(ch)
-		case <-ctx.Done():
-			ep.forget(id)
-			// The response may have been delivered between the ctx firing
-			// and the forget; prefer it — the call did complete.
-			select {
-			case resp = <-ch:
-				chanPool.Put(ch)
-			default:
-				// Abandoned for good: tell the peer so it withdraws the
-				// server-side work (a queued lock waiter, a stalled flush).
-				// Best effort under the endpoint's lifecycle context — if
-				// the frame is lost to teardown, teardown cancels the
-				// handler anyway. The channel is NOT recycled: complete may
-				// have claimed it before forget and be about to send.
-				go ep.send(ep.baseCtx, kindCancel, id, method, statusOK, nil)
-				return wire.FromContext(ctx.Err())
-			}
-		}
+	resp, err := ep.waitReply(ctx, id, method, ch)
+	if err != nil {
+		return err
 	}
 	return decodeReply(resp, reply)
 }
@@ -433,42 +393,13 @@ func (ep *Endpoint) callBatch(ctx context.Context, calls []BatchCall) error {
 
 	var firstErr error
 	for i := range calls {
-		var resp response
-		got := false
-		handledV := false
-		if v := ep.clk.V(); v != nil {
-			if r, g, handled := ep.waitReplyVirtual(v, ctx, ids[i], calls[i].Method, chs[i]); handled {
-				resp, got, handledV = r, g, true
-				if !g {
-					calls[i].Err = wire.FromContext(ctx.Err())
-				}
-			}
+		resp, err := ep.waitReply(ctx, ids[i], calls[i].Method, chs[i])
+		if err == nil {
+			err = decodeReply(resp, calls[i].Reply)
 		}
-		if !handledV {
-			select {
-			case resp = <-chs[i]:
-				chanPool.Put(chs[i])
-				got = true
-			case <-ctx.Done():
-				ep.forget(ids[i])
-				// Prefer a reply that raced the cancellation (see Call).
-				select {
-				case resp = <-chs[i]:
-					chanPool.Put(chs[i])
-					got = true
-				default:
-					// Abandoned: cancel the server-side work. The channel is
-					// not recycled — a late complete may still send on it.
-					go ep.send(ep.baseCtx, kindCancel, ids[i], calls[i].Method, statusOK, nil)
-					calls[i].Err = wire.FromContext(ctx.Err())
-				}
-			}
-		}
-		if got {
-			calls[i].Err = decodeReply(resp, calls[i].Reply)
-		}
-		if calls[i].Err != nil && firstErr == nil {
-			firstErr = calls[i].Err
+		calls[i].Err = err
+		if err != nil && firstErr == nil {
+			firstErr = err
 		}
 	}
 	return firstErr
@@ -510,35 +441,30 @@ func putBatchScratch(sc *batchScratch) {
 	batchScratches.Put(sc)
 }
 
-// waitReplyVirtual blocks for one reply under a virtual clock, parked
-// on the reply channel until complete (or the shutdown drain) wakes
-// it. handled=false means the virtual run ended mid-wait and the
-// caller must fall back to its real-time select; got=false (with
-// handled=true) means ctx fired and the call was abandoned — the
-// pending entry is forgotten and a cancel frame is on its way.
-func (ep *Endpoint) waitReplyVirtual(v *sim.VClock, ctx context.Context, id uint64, method wire.Method, ch chan response) (resp response, got, handled bool) {
-	for {
+// waitReply waits for the reply to call id on its channel ch, which
+// complete (or the shutdown drain) sends on. When ctx fires first, the
+// pending entry is forgotten and the call is abandoned with ctx's error,
+// unless the reply raced the cancellation: then the call did complete,
+// and the reply wins.
+func (ep *Endpoint) waitReply(ctx context.Context, id uint64, method wire.Method, ch chan response) (response, error) {
+	resp, _, err := sim.Recv(ctx, ep.clk, ch, nil, time.Time{})
+	if err != nil {
+		ep.forget(id)
 		select {
 		case resp = <-ch:
-			chanPool.Put(ch)
-			return resp, true, true
 		default:
-		}
-		if ctx.Err() != nil {
-			ep.forget(id)
-			select {
-			case resp = <-ch:
-				chanPool.Put(ch)
-				return resp, true, true
-			default:
-			}
+			// Abandoned for good: tell the peer so it withdraws the
+			// server-side work (a queued lock waiter, a stalled flush).
+			// Best effort under the endpoint's lifecycle context — if the
+			// frame is lost to teardown, teardown cancels the handler
+			// anyway. The channel is NOT recycled: complete may have
+			// claimed it before forget and be about to send.
 			ep.clk.Go(func() { ep.send(ep.baseCtx, kindCancel, id, method, statusOK, nil) })
-			return response{}, false, true
-		}
-		if v.WaitOn(ch) == sim.WakeExited {
-			return response{}, false, false
+			return response{}, wire.FromContext(err)
 		}
 	}
+	chanPool.Put(ch)
+	return resp, nil
 }
 
 // forget deregisters a pending call entry. A miss is normal: complete
@@ -780,14 +706,12 @@ func (ep *Endpoint) complete(id uint64, status byte, frame []byte) {
 	if status == statusErr {
 		err := wire.DecodeError(wire.NewDecoder(frame[headerLen:])) // copies what it keeps
 		wire.PutBuf(frame)
-		ch <- response{err: err}
-		ep.clk.Wakeup(ch)
+		sim.Send(ep.clk, ch, response{err: err})
 		return
 	}
 	// The frame is private to this endpoint after Recv; the waiting
 	// caller takes it over and recycles it once the reply is decoded.
-	ch <- response{frame: frame}
-	ep.clk.Wakeup(ch)
+	sim.Send(ep.clk, ch, response{frame: frame})
 }
 
 func (ep *Endpoint) shutdown() {
@@ -796,8 +720,7 @@ func (ep *Endpoint) shutdown() {
 		return
 	}
 	for _, ch := range pend {
-		ch <- response{err: transport.ErrClosed}
-		ep.clk.Wakeup(ch)
+		sim.Send(ep.clk, ch, response{err: transport.ErrClosed})
 	}
 	ep.conn.Close()
 	// Cancel the lifecycle context so handlers still running for this
@@ -844,30 +767,14 @@ func NewServer(l transport.Listener, opts Options, setup func(*Endpoint)) *Serve
 	}
 }
 
-// waitDone blocks until the accept loop has exited, mediated when the
-// server runs on a virtual clock.
+// waitDone blocks until the accept loop has exited.
 func (s *Server) waitDone() {
-	if v := s.opts.Clock.V(); v != nil {
-		for {
-			select {
-			case <-s.done:
-				return
-			default:
-			}
-			if v.WaitOn(s.done) == sim.WakeExited {
-				break
-			}
-		}
-	}
-	<-s.done
+	sim.Recv(context.Background(), s.opts.Clock, s.done, nil, time.Time{})
 }
 
 // Serve accepts connections until the listener closes.
 func (s *Server) Serve() {
-	defer func() {
-		close(s.done)
-		s.opts.Clock.Wakeup(s.done)
-	}()
+	defer sim.Close(s.opts.Clock, s.done)
 	for {
 		conn, err := s.listener.Accept()
 		if err != nil {

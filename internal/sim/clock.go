@@ -18,9 +18,10 @@
 //     its own record as "the coroutine the driver resumed last", so a
 //     call from an untracked goroutine is undefined, not merely
 //     unordered;
-//   - every blocking operation is mediated: block via WaitOn/
-//     WaitOnUntil/Sleep/SleepUntil, and every state change another
-//     goroutine may be parked on is followed by Clock.Wakeup(key);
+//   - every blocking operation is mediated: block only through Recv,
+//     Cond.Wait, Sleep/SleepUntil and Group.Wait (wait.go), and wake
+//     through Send, Close and Cond.Broadcast, which carry their own
+//     Wakeup;
 //   - nothing reads the wall clock on a simulated path (time.Now,
 //     time.Sleep, raw time.Timer) — Clock.Now and friends only.
 //
@@ -45,9 +46,6 @@ import (
 // value behaves exactly like the pre-virtual-time code did.
 type Clock struct{ v *VClock }
 
-// Virtual reports whether the clock is a virtual one.
-func (c Clock) Virtual() bool { return c.v != nil }
-
 // V returns the underlying virtual clock, or nil on a wall clock.
 func (c Clock) V() *VClock { return c.v }
 
@@ -61,9 +59,6 @@ func (c Clock) Now() time.Time {
 
 // Since returns the time elapsed since t on this clock.
 func (c Clock) Since(t time.Time) time.Duration { return c.Now().Sub(t) }
-
-// Until returns the duration until t on this clock.
-func (c Clock) Until(t time.Time) time.Duration { return t.Sub(c.Now()) }
 
 // Sleep pauses the calling goroutine for d of clock time.
 func (c Clock) Sleep(d time.Duration) {
@@ -270,7 +265,7 @@ func (q *eventQueue) Pop() any {
 const minIdle = 64
 
 // VClock is a deterministic discrete-event scheduler. Construct with
-// NewVClock, wrap components' Clock fields via Virtual(), drive the
+// NewVClock, hand it to components' Clock fields via Virtual, drive the
 // whole simulation inside Run.
 type VClock struct {
 	base  time.Time
@@ -315,11 +310,6 @@ func Virtual(v *VClock) Clock { return Clock{v: v} }
 // Now returns the current virtual time.
 func (v *VClock) Now() time.Time { return v.base.Add(time.Duration(v.nowNs.Load())) }
 
-// Rand returns the run's seeded random source. Callers must only use
-// it from simulation goroutines (it is mutex-guarded, but draw order
-// is only deterministic inside the run).
-func (v *VClock) Rand() *rand.Rand { return v.rng }
-
 // Int63n draws from the seeded source.
 func (v *VClock) Int63n(n int64) int64 {
 	v.rngMu.Lock()
@@ -351,13 +341,6 @@ func (v *VClock) Run(f func()) {
 	if v.stalled != "" {
 		panic(v.stalled)
 	}
-}
-
-// Exited reports whether the virtual run has ended.
-func (v *VClock) Exited() bool {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.exited
 }
 
 // exitAll ends the run: stop the idle coroutines and hand every parked
@@ -500,6 +483,15 @@ func (v *VClock) WaitOn(key any) WakeReason { return v.waitOn(key, -1) }
 // WaitOnUntil is WaitOn bounded by a deadline in virtual time.
 func (v *VClock) WaitOnUntil(key any, deadline time.Time) WakeReason {
 	return v.waitOn(key, deadline.Sub(v.base).Nanoseconds())
+}
+
+// deadlineNs converts a deadline to waitOn's form: virtual nanoseconds,
+// or -1 for none (the zero time).
+func (v *VClock) deadlineNs(deadline time.Time) int64 {
+	if deadline.IsZero() {
+		return -1
+	}
+	return deadline.Sub(v.base).Nanoseconds()
 }
 
 func (v *VClock) waitOn(key any, deadlineNs int64) WakeReason {

@@ -37,8 +37,7 @@ const maxRun = 1 << 20
 // to charge time — kind, stripe, range and arrival — so a backlog of
 // simulated requests holds no caller's buffer.
 //
-// The same code runs on the virtual and on the wall clock; only how a
-// caller blocks (await) depends on the clock.
+// The same code runs on the virtual and on the wall clock.
 type SimStore struct {
 	inner Store
 	clk   sim.Clock
@@ -319,7 +318,7 @@ func (s *SimStore) complete(c *call, done time.Time) {
 		// A caller parked on the virtual clock is re-armed to wake at
 		// c.done, so a queued request parks once. The send comes last:
 		// after it the caller may recycle c.
-		s.clk.WakeupAt(c, c.done)
+		s.clk.WakeupAt(c.ready, c.done)
 		c.ready <- struct{}{}
 	}
 }
@@ -327,14 +326,7 @@ func (s *SimStore) complete(c *call, done time.Time) {
 // await blocks until c's last request is dispatched and its completion
 // time has passed, then recycles c.
 func (s *SimStore) await(c *call) error {
-	if v := s.clk.V(); v != nil {
-		// Park through the clock until the dispatcher has signalled; it
-		// re-arms the park to end at c.done. A run that has ended falls
-		// through to the blocking receive.
-		for len(c.ready) == 0 && v.WaitOn(c) != sim.WakeExited {
-		}
-	}
-	<-c.ready
+	sim.Recv(context.Background(), s.clk, c.ready, nil, time.Time{})
 	s.clk.SleepUntil(context.Background(), c.done)
 	err := c.err
 	*c = call{ready: c.ready}

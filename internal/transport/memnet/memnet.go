@@ -68,7 +68,7 @@ func (n *Network) Dial(addr string) (transport.Conn, error) {
 	select {
 	case l.backlog <- b:
 		l.mu.Unlock()
-		l.clk.Wakeup(l)
+		l.clk.Wakeup(l.backlog) // Accept's sim.Recv parks on the channel
 		return a, nil
 	default:
 		l.mu.Unlock()
@@ -107,25 +107,7 @@ type listener struct {
 }
 
 func (l *listener) Accept() (transport.Conn, error) {
-	if v := l.clk.V(); v != nil {
-		// Virtual time: poll the backlog as the one running simulation
-		// goroutine, parking on the listener until a Dial (or Close)
-		// wakes us.
-		for {
-			select {
-			case c, ok := <-l.backlog:
-				if !ok {
-					return nil, transport.ErrClosed
-				}
-				return c, nil
-			default:
-			}
-			if v.WaitOn(l) == sim.WakeExited {
-				break
-			}
-		}
-	}
-	c, ok := <-l.backlog
+	c, ok, _ := sim.Recv(context.Background(), l.clk, l.backlog, nil, time.Time{})
 	if !ok {
 		return nil, transport.ErrClosed
 	}
@@ -142,8 +124,7 @@ func (l *listener) Close() error {
 	l.net.mu.Lock()
 	delete(l.net.listeners, l.addr)
 	l.net.mu.Unlock()
-	close(l.backlog)
-	l.clk.Wakeup(l)
+	sim.Close(l.clk, l.backlog)
 	return nil
 }
 
@@ -156,7 +137,7 @@ type pipe struct {
 	clk    sim.Clock
 	nic    sim.Device // serializes this direction's transmissions
 	mu     sync.Mutex
-	cond   *sync.Cond
+	cond   *sim.Cond // broadcast, under mu, when a message or the close arrives
 	queue  []timedMsg
 	head   int // queue[head:] is live; popped slots are cleared for GC
 	closed bool
@@ -180,7 +161,7 @@ func deliveredCopy(msg []byte) []byte {
 func newPipe(hw sim.Hardware) *pipe {
 	p := &pipe{hw: hw, clk: hw.Clock}
 	p.nic.SetClock(hw.Clock)
-	p.cond = sync.NewCond(&p.mu)
+	p.cond = sim.NewCond(hw.Clock, &p.mu)
 	return p
 }
 
@@ -219,9 +200,8 @@ func (p *pipe) send(ctx context.Context, msg []byte) error {
 		return transport.ErrClosed
 	}
 	p.push(timedMsg{deliverAt: deliverAt, data: cp})
-	p.cond.Signal()
+	p.cond.Broadcast()
 	p.mu.Unlock()
-	p.clk.Wakeup(p)
 	return nil
 }
 
@@ -245,9 +225,8 @@ func (p *pipe) sendBatch(ctx context.Context, msgs [][]byte) error {
 	for _, m := range msgs {
 		p.push(timedMsg{deliverAt: deliverAt, data: deliveredCopy(m)})
 	}
-	p.cond.Signal()
+	p.cond.Broadcast()
 	p.mu.Unlock()
-	p.clk.Wakeup(p)
 	return nil
 }
 
@@ -269,73 +248,15 @@ func (p *pipe) push(m timedMsg) {
 // pending returns the number of undelivered messages (under p.mu).
 func (p *pipe) pending() int { return len(p.queue) - p.head }
 
+// recv waits until the head message is due and pops it. Conn permits
+// one receiver at a time, so the head it waits for is still the head
+// when it wakes.
 func (p *pipe) recv(ctx context.Context) ([]byte, error) {
-	if v := p.clk.V(); v != nil {
-		if data, err, done := p.recvVirtual(ctx, v); done {
-			return data, err
-		}
-		// The virtual run ended mid-wait; finish on the real path.
-	}
-	if ctx.Done() != nil {
-		// Wake the cond wait below when the context fires; cond.Wait
-		// cannot select on a channel, so the watcher broadcasts instead.
-		stop := context.AfterFunc(ctx, func() {
-			p.mu.Lock()
-			p.cond.Broadcast()
-			p.mu.Unlock()
-		})
-		defer stop()
-	}
 	p.mu.Lock()
-	for p.pending() == 0 && !p.closed && ctx.Err() == nil {
-		p.cond.Wait()
-	}
-	if p.pending() == 0 {
-		closed := p.closed
-		p.mu.Unlock()
-		if closed {
-			return nil, transport.ErrClosed
-		}
-		return nil, ctx.Err()
-	}
-	m := p.queue[p.head]
-	p.queue[p.head] = timedMsg{}
-	p.head++
-	if p.head == len(p.queue) {
-		p.queue = p.queue[:0]
-		p.head = 0
-	}
-	p.mu.Unlock()
-	if err := sim.SleepUntil(ctx, m.deliverAt); err != nil {
-		// Cancellation mid-delivery: requeue at the front so the stream
-		// stays gapless and ordered for the next Recv (Conn permits only
-		// one concurrent receiver, so no other reader raced us).
-		p.mu.Lock()
-		if p.head > 0 {
-			p.head--
-			p.queue[p.head] = m
-		} else {
-			p.queue = append(p.queue, timedMsg{})
-			copy(p.queue[1:], p.queue)
-			p.queue[0] = m
-		}
-		p.cond.Signal()
-		p.mu.Unlock()
-		return nil, err
-	}
-	return m.data, nil
-}
-
-// recvVirtual is recv under a virtual clock: park on the pipe until a
-// sender (or close) wakes us, and ride the event heap to the head
-// message's delivery time instead of sleeping. done=false means the
-// virtual run ended and the caller must fall back to the real path.
-func (p *pipe) recvVirtual(ctx context.Context, v *sim.VClock) (data []byte, err error, done bool) {
+	defer p.mu.Unlock()
 	for {
-		p.mu.Lock()
 		if err := ctx.Err(); err != nil {
-			p.mu.Unlock()
-			return nil, err, true
+			return nil, err
 		}
 		if p.pending() > 0 {
 			m := p.queue[p.head]
@@ -346,38 +267,23 @@ func (p *pipe) recvVirtual(ctx context.Context, v *sim.VClock) (data []byte, err
 					p.queue = p.queue[:0]
 					p.head = 0
 				}
-				p.mu.Unlock()
-				return m.data, nil, true
+				return m.data, nil
 			}
-			deliverAt := m.deliverAt
-			p.mu.Unlock()
-			// No other simulation goroutine runs between the check above
-			// and parking here, so check-then-park is atomic: no wakeup
-			// can be lost.
-			if v.WaitOnUntil(p, deliverAt) == sim.WakeExited {
-				return nil, nil, false
-			}
+			p.cond.Wait(ctx, m.deliverAt)
 			continue
 		}
 		if p.closed {
-			p.mu.Unlock()
-			return nil, transport.ErrClosed, true
+			return nil, transport.ErrClosed
 		}
-		p.mu.Unlock()
-		if v.WaitOn(p) == sim.WakeExited {
-			return nil, nil, false
-		}
+		p.cond.Wait(ctx, time.Time{})
 	}
 }
 
 func (p *pipe) close() {
 	p.mu.Lock()
-	if !p.closed {
-		p.closed = true
-		p.cond.Broadcast()
-	}
+	p.closed = true
+	p.cond.Broadcast()
 	p.mu.Unlock()
-	p.clk.Wakeup(p)
 }
 
 type conn struct {

@@ -44,6 +44,11 @@ type PingPongStats struct {
 	// cluster's whole lifetime, so use a fresh cluster per run (as
 	// seqbench does) when comparing distributions.
 	GrantWait obs.HistSnapshot
+	// Superseded is the bytes the clients' own later writes replaced in
+	// their page caches before a flush collected them (pagecache
+	// SupersededBytes): written, never flushed, so the data servers'
+	// flushed + discarded bytes fall short of Bytes by exactly this.
+	Superseded int64
 }
 
 // RunPingPong executes the alternating producer-consumer sequence and
@@ -103,5 +108,8 @@ func RunPingPong(c *cluster.Cluster, cfg PingPongConfig) (PingPongStats, error) 
 		st.ServerRPCsPerExchange = float64(st.DLM.LockOps) / float64(st.Ops)
 	}
 	st.GrantWait = c.DLMStatsBreakdown().GrantWait
+	for _, cl := range clients {
+		st.Superseded += cl.PageCache().SupersededBytes()
+	}
 	return st, nil
 }
