@@ -214,7 +214,6 @@ func New(ctx context.Context, cfg Config, conns Conns) (*Client, error) {
 	// metrics on every data connection first, then start the read
 	// loops, then announce the client identity to every server.
 	for i, ep := range conns.Data {
-		ep.Handle(wire.MRevoke, c.handleRevoke)
 		ep.Handle(wire.MRevokeBatch, c.handleRevokeBatch)
 		ep.Handle(wire.MHandoff, c.handleHandoff)
 		ep.Handle(wire.MAckSolicit, c.handleAckSolicit)
@@ -361,19 +360,10 @@ func (c *Client) isDataEndpoint(ep *rpc.Endpoint) bool {
 	return false
 }
 
-func (c *Client) handleRevoke(_ context.Context, p []byte) (wire.Msg, error) {
-	var req wire.RevokeRequest
-	if err := wire.Unmarshal(p, &req); err != nil {
-		return nil, err
-	}
-	c.lc.OnRevokeStamped(dlm.ResourceID(req.Resource), dlm.LockID(req.LockID), stampOf(req.Handoff))
-	return &wire.Ack{}, nil
-}
-
 // handleRevokeBatch processes a server's coalesced revocation callback:
-// each entry runs the same OnRevoke path as an individual MRevoke, and
-// the reply acks them all in one frame. The ack is the decoded entries
-// themselves: every one was processed, in batch order, and an ack
+// each entry runs the lock client's OnRevokeStamped path, in batch
+// order, and the reply acks them all in one frame. The ack is the
+// decoded entries themselves: every one was processed, and an ack
 // encodes only the lock names.
 func (c *Client) handleRevokeBatch(_ context.Context, p []byte) (wire.Msg, error) {
 	var req wire.RevokeBatch
@@ -521,17 +511,11 @@ func (c rpcConn) Downgrade(ctx context.Context, res dlm.ResourceID, id dlm.LockI
 	return c.ep.Call(ctx, wire.MDowngrade, &wire.DowngradeRequest{Resource: uint64(res), LockID: uint64(id), NewMode: uint8(m)}, nil)
 }
 
-// HandoffAck implements dlm.HandoffAcker: a standalone delegation
-// confirmation, sent when no lock request comes soon enough to
-// piggyback it.
-func (c rpcConn) HandoffAck(ctx context.Context, res dlm.ResourceID, id dlm.LockID) error {
-	return c.ep.Call(ctx, wire.MHandoffAck, &wire.HandoffAckRequest{Resource: uint64(res), LockID: uint64(id)}, nil)
-}
-
-// HandoffAckBatch implements dlm.HandoffAckBatcher: several queued
-// confirmations for one resource go out as a single RPC, the extras
-// riding in the request's More list.
-func (c rpcConn) HandoffAckBatch(ctx context.Context, res dlm.ResourceID, ids []dlm.LockID) error {
+// HandoffAck implements dlm.HandoffAcker: standalone delegation
+// confirmations, sent when no lock request comes soon enough to
+// piggyback them. Every queued confirmation for the resource goes out
+// as a single RPC, the extras riding in the request's More list.
+func (c rpcConn) HandoffAck(ctx context.Context, res dlm.ResourceID, ids []dlm.LockID) error {
 	if len(ids) == 0 {
 		return nil
 	}

@@ -116,7 +116,7 @@ func (c *Client) SendHandoff(ctx context.Context, peer dlm.ClientID, res dlm.Res
 	return err
 }
 
-// SendLease implements dlm.LeaseSender: ship a cohort subtree to the
+// SendLease implements dlm.PeerSender: ship a cohort subtree to the
 // peer owning its first lease.
 func (c *Client) SendLease(ctx context.Context, peer dlm.ClientID, res dlm.ResourceID, grant *dlm.BroadcastStamp) error {
 	ep, err := c.peerEndpoint(peer)

@@ -157,17 +157,9 @@ func (p partConn) Downgrade(ctx context.Context, res dlm.ResourceID, id dlm.Lock
 // HandoffAck implements dlm.HandoffAcker against the slot's current
 // master, so a delegation confirmed after a migration still lands at
 // the server that now carries the delegated lock.
-func (p partConn) HandoffAck(ctx context.Context, res dlm.ResourceID, id dlm.LockID) error {
+func (p partConn) HandoffAck(ctx context.Context, res dlm.ResourceID, ids []dlm.LockID) error {
 	return p.c.withMaster(ctx, uint64(res), func(ep *rpc.Endpoint) error {
-		return rpcConn{ep: ep}.HandoffAck(ctx, res, id)
-	})
-}
-
-// HandoffAckBatch implements dlm.HandoffAckBatcher against the slot's
-// current master.
-func (p partConn) HandoffAckBatch(ctx context.Context, res dlm.ResourceID, ids []dlm.LockID) error {
-	return p.c.withMaster(ctx, uint64(res), func(ep *rpc.Endpoint) error {
-		return rpcConn{ep: ep}.HandoffAckBatch(ctx, res, ids)
+		return rpcConn{ep: ep}.HandoffAck(ctx, res, ids)
 	})
 }
 

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"sync"
 	"testing"
@@ -9,7 +10,9 @@ import (
 	"ccpfs/internal/client"
 	"ccpfs/internal/dlm"
 	"ccpfs/internal/extent"
+	"ccpfs/internal/meta"
 	"ccpfs/internal/partition"
+	"ccpfs/internal/sim"
 )
 
 // findResourceOwnedBy returns a resource ID (> after) whose slot is
@@ -267,4 +270,97 @@ func TestClusterSlotMigrationOnline(t *testing.T) {
 	if retries == 0 {
 		t.Log("no redirected RPCs observed (migrations fell between ops); SN check still valid")
 	}
+}
+
+// TestPartitionedForcedSync drives the extent cache's forced
+// synchronization (§IV-B) for a stripe that one server stores and the
+// other masters: the storing server's cleanup must ask the remote master
+// for the stripe's mSN, find its entries pinned there, and take the
+// whole-range read lock at the master to force every client's flush.
+//
+// Client A holds a write lock on the stripe without releasing it. B's
+// conflicting write is early-granted behind A's CANCELING lock and
+// flushed as two extents, over the budget of one. A's older unreleased
+// lock pins both, so cleanup cannot remove them and the daemon forces a
+// sync, which completes once A lets go.
+func TestPartitionedForcedSync(t *testing.T) {
+	v := sim.NewVClock(1)
+	hw := sim.Fast()
+	hw.Clock = sim.Virtual(v)
+	v.Run(func() {
+		c := newCluster(t, Options{
+			Servers:           2,
+			Policy:            dlm.SeqDLM(),
+			Partition:         true,
+			ExtCacheThreshold: 1,
+			CleanupInterval:   time.Millisecond,
+			Hardware:          hw,
+		})
+		cls := newClients(t, c, 2)
+		a, b := cls[0], cls[1]
+		ctx := context.Background()
+		const stripeSize, stripes = 64 << 10, 8
+		fa, err := a.Create("/forced", stripeSize, stripes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fb, err := b.Open("/forced")
+		if err != nil {
+			t.Fatal(err)
+		}
+		stripe, store := -1, 0
+		for s := range stripes {
+			rid := uint64(fa.Resource(uint32(s)))
+			master, ok := c.lockMasterFor(rid)
+			if st := meta.PlaceStripe(rid, len(c.Servers)); ok && master != st {
+				stripe, store = s, st
+				break
+			}
+		}
+		if stripe < 0 {
+			t.Fatal("no stripe stored on one server and mastered on the other")
+		}
+		res := fa.Resource(uint32(stripe))
+		base := int64(stripe) * stripeSize
+
+		held, err := a.Locks().Acquire(ctx, res, dlm.NBW, extent.New(0, 4096))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := map[int64][]byte{base: pattern(1, 100), base + 1000: pattern(2, 100)}
+		for off, p := range want {
+			if _, err := fb.WriteAt(p, off); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := fb.Fsync(); err != nil {
+			t.Fatal(err)
+		}
+
+		srv := c.Servers[store]
+		for i := 0; srv.Obs().Snapshot().Gauges["extcache.forced_syncs"] == 0; i++ {
+			if i == 1000 {
+				t.Fatalf("no forced sync after %d virtual ms (entries %d, pinned %d)", i, srv.Cache.Entries(), srv.Cache.Pinned())
+			}
+			c.Clock().Sleep(time.Millisecond)
+		}
+		// The sync waits at the master for A's lock; releasing it lets
+		// the sync finish and empty the cache.
+		a.Locks().Unlock(held)
+		for i := 0; srv.Cache.Entries() > 0; i++ {
+			if i == 1000 {
+				t.Fatalf("extent cache still holds %d entries after the forced sync", srv.Cache.Entries())
+			}
+			c.Clock().Sleep(time.Millisecond)
+		}
+		for off, p := range want {
+			got := make([]byte, len(p))
+			if _, err := fa.ReadAt(got, off); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, p) {
+				t.Fatalf("read-back at %d differs after the forced sync", off)
+			}
+		}
+	})
 }

@@ -312,33 +312,7 @@ func wireBroadcast(b *dlm.BroadcastStamp) *wire.BroadcastGrant {
 	return g
 }
 
-// Revoke implements dlm.Notifier.
-func (n notifier) Revoke(ctx context.Context, rv dlm.Revocation) {
-	n.s.mu.RLock()
-	ep := n.s.clients[rv.Client]
-	n.s.mu.RUnlock()
-	if ep == nil {
-		n.s.DLM.RevokeAck(rv.Resource, rv.Lock)
-		// For a stamped revocation this release also resolves the
-		// delegation: the engine activates the successor itself.
-		n.s.DLM.Release(rv.Resource, rv.Lock)
-		return
-	}
-	req := &wire.RevokeRequest{Resource: uint64(rv.Resource), LockID: uint64(rv.Lock)}
-	if rv.Handoff != nil {
-		st := wireStamp(rv.Handoff)
-		req.Handoff = &st
-	}
-	err := ep.Call(ctx, wire.MRevoke, req, nil)
-	n.s.DLM.RevokeAck(rv.Resource, rv.Lock)
-	if err != nil {
-		// The holder is gone; its dirty data is lost by the client-cache
-		// durability convention (§IV-C1). Release so waiters proceed.
-		n.s.DLM.Release(rv.Resource, rv.Lock)
-	}
-}
-
-// Handoff implements dlm.HandoffNotifier: the server-sent activation of
+// Handoff implements dlm.Notifier: the server-sent activation of
 // a delegated lock, used when the previous holder released instead of
 // transferring or the reclaimer force-resolved the delegation.
 func (n notifier) Handoff(ctx context.Context, client dlm.ClientID, res dlm.ResourceID, id dlm.LockID) {
@@ -356,7 +330,7 @@ func (n notifier) Handoff(ctx context.Context, client dlm.ClientID, res dlm.Reso
 	}
 }
 
-// SolicitAck implements dlm.AckSolicitor: ask the owner of a delegated
+// SolicitAck implements dlm.Notifier: ask the owner of a delegated
 // lock to confirm it now. Best effort — if the owner is gone or the
 // call fails, its lazy ack or the reclaimer resolves the delegation as
 // before.
@@ -392,12 +366,14 @@ type revokeDelivery struct {
 
 var revokeDeliveries = sync.Pool{New: func() any { return new(revokeDelivery) }}
 
-// RevokeBatch implements dlm.BatchNotifier: every revocation pending
-// for one client goes out as a single callback RPC (chunked past
-// maxRevokeEntries), with the acks batched on the return path. Entries
-// a failed call or a partial ack leaves unacknowledged are acked and
-// force-released here, preserving the vanished-holder semantics of the
-// individual path.
+// RevokeBatch implements dlm.Notifier: every revocation pending for one
+// client goes out as a single callback RPC (chunked past
+// maxRevokeEntries), with the acks batched on the return path. Entries a
+// failed call or a partial ack leaves unacknowledged belong to a holder
+// that is gone: its dirty data is lost by the client-cache durability
+// convention (§IV-C1), so they are acked and force-released here and
+// waiters proceed. For a stamped revocation that release also resolves
+// the delegation: the engine activates the successor itself.
 func (n notifier) RevokeBatch(ctx context.Context, client dlm.ClientID, revs []dlm.Revocation) {
 	n.s.mu.RLock()
 	ep := n.s.clients[client]
@@ -703,16 +679,12 @@ func (s *Server) setup(ep *rpc.Endpoint) {
 		if err := s.DLM.CheckMaster(dlm.ResourceID(req.Resource)); err != nil {
 			return nil, err
 		}
-		if len(req.More) > 0 {
-			ids := make([]dlm.LockID, 0, len(req.More)+1)
-			ids = append(ids, dlm.LockID(req.LockID))
-			for _, id := range req.More {
-				ids = append(ids, dlm.LockID(id))
-			}
-			s.DLM.HandoffAckBatch(dlm.ResourceID(req.Resource), ids)
-		} else {
-			s.DLM.HandoffAck(dlm.ResourceID(req.Resource), dlm.LockID(req.LockID))
+		var buf [8]dlm.LockID // a usual batch stays on the stack
+		ids := append(buf[:0], dlm.LockID(req.LockID))
+		for _, id := range req.More {
+			ids = append(ids, dlm.LockID(id))
 		}
+		s.DLM.HandoffAck(dlm.ResourceID(req.Resource), ids...)
 		return &wire.Ack{}, nil
 	})
 

@@ -230,7 +230,7 @@ func TestBulkConnectionNotUsedForRevocations(t *testing.T) {
 
 	conn, _ := net.Dial("ds")
 	ep := rpc.NewEndpoint(conn, rpc.Options{})
-	// No MRevoke handler registered: a revocation over this conn would
+	// No MRevokeBatch handler registered: a revocation over this conn would
 	// error out. Register as bulk-only.
 	ep.Start()
 	defer ep.Close()

@@ -95,11 +95,8 @@ func (c *LockClient) receiveCohort(res ResourceID, g *BroadcastStamp) {
 	if len(rest) == 0 {
 		return
 	}
-	var ls LeaseSender
-	if box := c.peer.Load(); box != nil {
-		ls, _ = box.s.(LeaseSender)
-	}
-	if ls == nil {
+	box := c.peer.Load()
+	if box == nil {
 		// No propagation path: the server's reclaimer resolves the
 		// remaining leases after the reclaim interval.
 		return
@@ -112,7 +109,7 @@ func (c *LockClient) receiveCohort(res ResourceID, g *BroadcastStamp) {
 		sub := &BroadcastStamp{Mode: g.Mode, Range: g.Range, Fanout: g.Fanout, Leases: chunk}
 		owner := chunk[0].Owner
 		c.clk.Go(func() {
-			if err := ls.SendLease(c.baseCtx, owner, res, sub); err == nil {
+			if err := box.s.SendLease(c.baseCtx, owner, res, sub); err == nil {
 				c.Stats.LeasesSent.Add(1)
 			}
 			// On error the subtree's leases stay delegated server-side

@@ -46,39 +46,20 @@ func (c *LockClient) ackFlushDelay() time.Duration {
 // lock request, and bcast, when non-nil, turns the transfer into a
 // broadcast: the receiver owns the lead lease and propagates the rest
 // of the cohort (DESIGN.md §14). Both are nil for plain transfers.
+// SendLease ships a propagation-tree subtree to the peer owning its
+// first lease; on an error the subtree's leases stay delegated
+// server-side and the reclaimer resolves them.
 type PeerSender interface {
 	SendHandoff(ctx context.Context, peer ClientID, res ResourceID, id LockID, acks []LockID, bcast *BroadcastStamp) error
-}
-
-// PeerSenderFunc adapts a function to PeerSender.
-type PeerSenderFunc func(ctx context.Context, peer ClientID, res ResourceID, id LockID, acks []LockID, bcast *BroadcastStamp) error
-
-// SendHandoff implements PeerSender.
-func (f PeerSenderFunc) SendHandoff(ctx context.Context, peer ClientID, res ResourceID, id LockID, acks []LockID, bcast *BroadcastStamp) error {
-	return f(ctx, peer, res, id, acks, bcast)
-}
-
-// LeaseSender is the optional PeerSender extension the propagation
-// tree requires: SendLease ships a cohort subtree to the peer owning
-// its first lease. Without it, only the lead receives its lease
-// peer-to-peer and the server's reclaimer resolves the rest.
-type LeaseSender interface {
 	SendLease(ctx context.Context, peer ClientID, res ResourceID, grant *BroadcastStamp) error
 }
 
-// HandoffAcker is the optional ServerConn extension for standalone
-// delegation acks. Connections that do not implement it leave acks
-// queued for piggybacking on the next lock request.
+// HandoffAcker is the ServerConn extension for standalone delegation
+// acks: one call confirms every listed delegation of res in one round
+// trip. Connections that do not implement it leave acks queued for
+// piggybacking on the next lock request.
 type HandoffAcker interface {
-	HandoffAck(ctx context.Context, res ResourceID, id LockID) error
-}
-
-// HandoffAckBatcher is the further extension that confirms several
-// delegations of one resource in a single RPC — the flush path prefers
-// it when more than one ack is queued (a propagation-tree cohort
-// confirms this way when no lock request drains the acks first).
-type HandoffAckBatcher interface {
-	HandoffAckBatch(ctx context.Context, res ResourceID, ids []LockID) error
+	HandoffAck(ctx context.Context, res ResourceID, ids []LockID) error
 }
 
 // peerSenderBox wraps the PeerSender interface for atomic publication.
@@ -343,12 +324,12 @@ func (c *LockClient) sendSolicited(res ResourceID, ids []LockID) {
 	c.clk.Go(func() { c.sendAcks(c.baseCtx, map[ResourceID][]LockID{res: ids}) })
 }
 
-// sendAcks sends the given acks standalone, one batch RPC per resource
-// where the connection can batch, in ascending resource order: each
-// send is an RPC whose timing deterministic virtual runs must not let
-// depend on map iteration order. Acks whose connection has no
-// HandoffAck path are re-queued for the next lock request; the server's
-// reclaim timer covers the pathological case where none ever comes.
+// sendAcks sends the given acks standalone, one RPC per resource, in
+// ascending resource order: each send is an RPC whose timing
+// deterministic virtual runs must not let depend on map iteration
+// order. Acks whose connection is no HandoffAcker are re-queued for the
+// next lock request; the server's reclaim timer covers the pathological
+// case where none ever comes.
 func (c *LockClient) sendAcks(ctx context.Context, pending map[ResourceID][]LockID) {
 	keys := make([]ResourceID, 0, len(pending))
 	for res := range pending {
@@ -357,18 +338,10 @@ func (c *LockClient) sendAcks(ctx context.Context, pending map[ResourceID][]Lock
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	for _, res := range keys {
 		ids := pending[res]
-		conn := c.router(res)
-		if hb, ok := conn.(HandoffAckBatcher); ok && len(ids) > 1 {
-			hb.HandoffAckBatch(ctx, res, ids)
-			continue
-		}
-		ha, ok := conn.(HandoffAcker)
-		if !ok {
+		if ha, ok := c.router(res).(HandoffAcker); ok {
+			ha.HandoffAck(ctx, res, ids)
+		} else {
 			c.requeueAcks(res, ids)
-			continue
-		}
-		for _, id := range ids {
-			ha.HandoffAck(ctx, res, id)
 		}
 	}
 }

@@ -319,18 +319,16 @@ func TestRevocationFanOutBounded(t *testing.T) {
 
 // countingBatchNotifier acks and force-releases every revocation (an
 // in-process stand-in for the data server's vanished-holder path) while
-// counting individual revocations and batched deliveries.
+// counting individual revocations and batched deliveries. Its engines
+// never delegate, so it has nothing to activate or solicit.
 type countingBatchNotifier struct {
 	s       *Server
 	batches atomic.Int64
 	revs    atomic.Int64
 }
 
-func (n *countingBatchNotifier) Revoke(_ context.Context, rv Revocation) {
-	n.revs.Add(1)
-	n.s.RevokeAck(rv.Resource, rv.Lock)
-	n.s.Release(rv.Resource, rv.Lock)
-}
+func (n *countingBatchNotifier) Handoff(context.Context, ClientID, ResourceID, LockID)    {}
+func (n *countingBatchNotifier) SolicitAck(context.Context, ClientID, ResourceID, LockID) {}
 
 func (n *countingBatchNotifier) RevokeBatch(_ context.Context, _ ClientID, revs []Revocation) {
 	n.batches.Add(1)
@@ -379,6 +377,12 @@ func TestRevocationsBatchedPerClient(t *testing.T) {
 	}
 	if got := s.Stats.RevokeBatches.Load(); got != 1 {
 		t.Fatalf("Stats.RevokeBatches = %d, want 1", got)
+	}
+	if got := s.Stats.Snapshot().CoalescingFactor(); got != locks {
+		t.Fatalf("CoalescingFactor = %v, want %d", got, locks)
+	}
+	if got := (Snapshot{}).CoalescingFactor(); got != 0 {
+		t.Fatalf("CoalescingFactor before any batch = %v, want 0", got)
 	}
 }
 

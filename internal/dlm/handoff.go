@@ -1,7 +1,6 @@
 package dlm
 
 import (
-	"context"
 	"sort"
 	"sync"
 	"time"
@@ -42,28 +41,6 @@ type HandoffStamp struct {
 	Broadcast *BroadcastStamp
 }
 
-// HandoffNotifier is the optional Notifier extension the handoff fast
-// path requires: a server-sent activation path to the delegated
-// owner, used when the previous holder released instead of
-// transferring (fallback) or the reclaimer force-resolved a stuck
-// delegation. The engine never stamps a revocation unless its
-// notifier implements it, so a fallback activation path always
-// exists. Calls are made from their own goroutines and may block.
-type HandoffNotifier interface {
-	Handoff(ctx context.Context, client ClientID, res ResourceID, id LockID)
-}
-
-// AckSolicitor is the optional Notifier extension behind demand-driven
-// delegation acks: SolicitAck asks client, the owner of delegated lock
-// id, to confirm it now — immediately if the transfer has arrived, at
-// its arrival otherwise — because a waiter is blocked on nothing else.
-// Without it a blocked waiter falls back on the owner's lazy ack (next
-// lock request or flush timer). Calls are made from their own
-// goroutines and may block.
-type AckSolicitor interface {
-	SolicitAck(ctx context.Context, client ClientID, res ResourceID, id LockID)
-}
-
 // activationMsg is a server-sent message naming one delegated lock and
 // its owner — an activation or an ack solicitation — captured under
 // res.mu and delivered after it drops.
@@ -81,10 +58,6 @@ type activationMsg struct {
 // Called from tryGrant with res.mu held; reports whether it stamped.
 func (s *Server) stampHandoff(res *resource, w *waiter, mode Mode, c *lock, fx *effects) bool {
 	if !s.handoffOn {
-		return false
-	}
-	hn, ok := s.notifier.(HandoffNotifier)
-	if !ok || hn == nil {
 		return false
 	}
 	// Eligibility: the conflict must still be quietly GRANTED (a lock
@@ -164,18 +137,21 @@ func (s *Server) stampHandoff(res *resource, w *waiter, mode Mode, c *lock, fx *
 	return true
 }
 
-// HandoffAck records the new owner's confirmation of a delegated lock
-// as a standalone client operation. The predecessor chain is retired —
-// the previous holder transferred the lock and will never release it —
-// and the delegation is confirmed. Unknown or already-confirmed locks
-// are ignored (duplicate acks are harmless).
-func (s *Server) HandoffAck(resID ResourceID, id LockID) {
+// HandoffAck records the new owner's confirmation of one or more
+// delegated locks of a resource as one standalone client operation: the
+// whole batch costs one lock op. For each, the predecessor chain is
+// retired — the previous holder transferred the lock and will never
+// release it — and the delegation is confirmed. Unknown or
+// already-confirmed locks are ignored (duplicate acks are harmless).
+func (s *Server) HandoffAck(resID ResourceID, ids ...LockID) {
 	res := s.lookup(resID)
 	if res == nil {
 		return
 	}
 	s.Stats.LockOps.Add(1)
-	s.ackDelegation(res, id)
+	for _, id := range ids {
+		s.ackDelegation(res, id)
+	}
 }
 
 // handoffAck applies a piggybacked ack — identical to HandoffAck but
@@ -260,15 +236,10 @@ func (s *Server) resolveDelegation(res *resource, l *lock) activationMsg {
 }
 
 // sendActivation delivers a server-sent activation through the
-// notifier's HandoffNotifier extension, if present. Duplicate
-// activations (server-sent racing the peer transfer) are idempotent
-// client-side.
+// notifier. Duplicate activations (server-sent racing the peer
+// transfer) are idempotent client-side.
 func (s *Server) sendActivation(a activationMsg) {
-	hn, ok := s.notifier.(HandoffNotifier)
-	if !ok || hn == nil {
-		return
-	}
-	s.clk.Go(func() { hn.Handoff(s.baseCtx, a.client, a.res, a.id) })
+	s.clk.Go(func() { s.notifier.Handoff(s.baseCtx, a.client, a.res, a.id) })
 }
 
 // solicitAck makes the confirmation of a delegation demand-driven. w
@@ -289,9 +260,6 @@ func (s *Server) solicitAck(res *resource, w *waiter, c *lock, fx *effects) {
 	if !t.delegated || t.solicited {
 		return
 	}
-	if as, ok := s.notifier.(AckSolicitor); !ok || as == nil {
-		return
-	}
 	t.solicited = true
 	s.Stats.AckSolicits.Add(1)
 	s.tracer.record(Event{Kind: EvAckSolicit, Resource: res.id, Client: w.req.Client, Mode: w.req.Mode,
@@ -299,15 +267,11 @@ func (s *Server) solicitAck(res *resource, w *waiter, c *lock, fx *effects) {
 	fx.solicits = append(fx.solicits, activationMsg{client: t.client, res: res.id, id: t.id})
 }
 
-// sendSolicit delivers an ack solicitation through the notifier's
-// AckSolicitor extension. A lost one costs nothing but time: the lazy
-// ack and the reclaimer still stand behind it.
+// sendSolicit delivers an ack solicitation through the notifier. A lost
+// one costs nothing but time: the lazy ack and the reclaimer still stand
+// behind it.
 func (s *Server) sendSolicit(m activationMsg) {
-	as, ok := s.notifier.(AckSolicitor)
-	if !ok || as == nil {
-		return
-	}
-	s.clk.Go(func() { as.SolicitAck(s.baseCtx, m.client, m.res, m.id) })
+	s.clk.Go(func() { s.notifier.SolicitAck(s.baseCtx, m.client, m.res, m.id) })
 }
 
 // delegationEntry tracks one outstanding delegation for the

@@ -12,9 +12,10 @@ import (
 
 // hoHarness wires a Server and LockClients with the full handoff fast
 // path: stamped revocations are delivered into the holder, peer
-// transfers route directly between clients, server-sent activations
-// arrive through the HandoffNotifier extension, and the conn
-// implements HandoffAcker so FlushHandoffAcks can drain.
+// transfers and lease propagations route directly between clients,
+// server-sent activations and ack solicitations arrive through the
+// notifier, and the conn implements HandoffAcker so FlushHandoffAcks
+// can drain.
 type hoHarness struct {
 	srv     *Server
 	flusher *recFlusher
@@ -28,7 +29,7 @@ type hoHarness struct {
 
 type hoNotifier struct{ h *hoHarness }
 
-func (n hoNotifier) Revoke(_ context.Context, rv Revocation) {
+func (n hoNotifier) RevokeBatch(_ context.Context, client ClientID, revs []Revocation) {
 	h := n.h
 	h.mu.Lock()
 	drop := h.dropRevokes
@@ -36,20 +37,22 @@ func (n hoNotifier) Revoke(_ context.Context, rv Revocation) {
 	if drop {
 		return
 	}
-	if c, ok := h.clients[rv.Client]; ok {
-		c.OnRevokeStamped(rv.Resource, rv.Lock, rv.Handoff)
+	for _, rv := range revs {
+		if c, ok := h.clients[client]; ok {
+			c.OnRevokeStamped(rv.Resource, rv.Lock, rv.Handoff)
+		}
+		h.srv.RevokeAck(rv.Resource, rv.Lock)
 	}
-	h.srv.RevokeAck(rv.Resource, rv.Lock)
 }
 
-// Handoff implements HandoffNotifier: the server-sent activation path.
+// Handoff implements Notifier: the server-sent activation path.
 func (n hoNotifier) Handoff(_ context.Context, client ClientID, res ResourceID, id LockID) {
 	if c, ok := n.h.clients[client]; ok {
 		c.OnHandoff(res, id)
 	}
 }
 
-// SolicitAck implements AckSolicitor: the demand-driven ack request.
+// SolicitAck implements Notifier: the demand-driven ack request.
 func (n hoNotifier) SolicitAck(_ context.Context, client ClientID, res ResourceID, id LockID) {
 	if c, ok := n.h.clients[client]; ok {
 		c.OnAckSolicit(res, id)
@@ -69,8 +72,34 @@ func (d hoConn) Release(_ context.Context, res ResourceID, id LockID) error {
 func (d hoConn) Downgrade(_ context.Context, res ResourceID, id LockID, m Mode) error {
 	return d.srv.Downgrade(res, id, m)
 }
-func (d hoConn) HandoffAck(_ context.Context, res ResourceID, id LockID) error {
-	d.srv.HandoffAck(res, id)
+func (d hoConn) HandoffAck(_ context.Context, res ResourceID, ids []LockID) error {
+	d.srv.HandoffAck(res, ids...)
+	return nil
+}
+
+// hoSender is the harness clients' peer transport: handoff transfers
+// plus lease propagations, each droppable to simulate loss.
+type hoSender struct{ h *hoHarness }
+
+func (s hoSender) SendHandoff(_ context.Context, peer ClientID, res ResourceID, id LockID, acks []LockID, bcast *BroadcastStamp) error {
+	s.h.mu.Lock()
+	drop := s.h.dropTransfers
+	s.h.mu.Unlock()
+	if drop {
+		return nil // accepted, then lost in flight
+	}
+	s.h.clients[peer].OnHandoffMsg(res, id, false, acks, bcast)
+	return nil
+}
+
+func (s hoSender) SendLease(_ context.Context, peer ClientID, res ResourceID, grant *BroadcastStamp) error {
+	s.h.mu.Lock()
+	drop := s.h.dropLeases
+	s.h.mu.Unlock()
+	if drop {
+		return nil // accepted, then lost in flight
+	}
+	s.h.clients[peer].OnLeasePropagate(res, grant)
 	return nil
 }
 
@@ -87,16 +116,7 @@ func newHOHarness(t *testing.T, policy Policy, nclients int, peers bool) *hoHarn
 		id := ClientID(i)
 		c := NewLockClient(id, policy, router, h.flusher)
 		if peers {
-			c.SetPeerSender(PeerSenderFunc(func(_ context.Context, peer ClientID, res ResourceID, lid LockID, acks []LockID, bcast *BroadcastStamp) error {
-				h.mu.Lock()
-				drop := h.dropTransfers
-				h.mu.Unlock()
-				if drop {
-					return nil // accepted, then lost in flight
-				}
-				h.clients[peer].OnHandoffMsg(res, lid, false, acks, bcast)
-				return nil
-			}))
+			c.SetPeerSender(hoSender{h})
 		}
 		h.clients[id] = c
 	}

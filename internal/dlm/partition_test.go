@@ -215,3 +215,47 @@ func TestFreezeRedirectsWaiters(t *testing.T) {
 	h.setRevokeGate(nil)
 	c1.Unlock(hd)
 }
+
+// TestSetSlotsDropPurgesWaiters: a slot view that drops a slot (the
+// lease daemon's answer to a lost lease) purges the slot's resources —
+// queued waiters fail with ErrNotOwner, so their clients re-route, and
+// the engine forgets the resource's granted locks.
+func TestSetSlotsDropPurgesWaiters(t *testing.T) {
+	h := newHarness(t, SeqDLM(), 2)
+	c1 := h.client(1)
+
+	res := ridInSlot(t, 21, 0)
+	kept := ridInSlot(t, 22, 0)
+	h.srv.SetSlots(1, []partition.Slot{21, 22})
+	hd := mustAcquire(t, c1, res, NBW, extent.New(0, 4096))
+	hk := mustAcquire(t, c1, kept, NBW, extent.New(0, 4096))
+	gate := make(chan struct{})
+	h.setRevokeGate(gate) // keep the conflicting request queued
+
+	errCh := make(chan error, 1)
+	go func() {
+		_, err := h.srv.Lock(context.Background(), Request{
+			Resource: res, Client: 2, Mode: NBW, Range: extent.New(0, 4096),
+		})
+		errCh <- err
+	}()
+	waitFor(t, "waiter queued", func() bool { return h.srv.QueueLen(res) == 1 })
+
+	h.srv.SetSlots(2, []partition.Slot{22})
+	if err := <-errCh; wire.CodeOf(err) != wire.CodeNotOwner {
+		t.Fatalf("waiter on a dropped slot got %v, want ErrNotOwner", err)
+	}
+	if got := h.srv.GrantedCount(res); got != 0 {
+		t.Fatalf("GrantedCount on a dropped slot = %d, want 0", got)
+	}
+	if got := h.srv.GrantedCount(kept); got != 1 {
+		t.Fatalf("GrantedCount on a kept slot = %d, want 1", got)
+	}
+	if got := h.srv.Stats.SlotsOwned.Load(); got != 1 {
+		t.Fatalf("SlotsOwned = %d, want 1", got)
+	}
+	close(gate)
+	h.setRevokeGate(nil)
+	c1.Unlock(hd)
+	c1.Unlock(hk)
+}

@@ -51,10 +51,6 @@ func (s *Server) stampBroadcast(res *resource, w *waiter, mode Mode, c *lock, fx
 	if !s.fanOn {
 		return false
 	}
-	hn, ok := s.notifier.(HandoffNotifier)
-	if !ok || hn == nil {
-		return false
-	}
 	// The displaced lock must be a quietly GRANTED writer on another
 	// client, and the head waiter a plain-range shared request.
 	if mode.IsWrite() || !mode.CanRead() || !c.mode.IsWrite() {
@@ -180,10 +176,6 @@ func (s *Server) stampBroadcast(res *resource, w *waiter, mode Mode, c *lock, fx
 // with res.mu held; reports whether it stamped.
 func (s *Server) stampGather(res *resource, w *waiter, mode Mode, confs []*lock, fx *effects) bool {
 	if !s.fanOn {
-		return false
-	}
-	hn, ok := s.notifier.(HandoffNotifier)
-	if !ok || hn == nil {
 		return false
 	}
 	if !mode.IsWrite() || len(w.req.Extents) > 0 {
@@ -312,18 +304,4 @@ func (s *Server) broadcastStamp(mode Mode, rng extent.Extent, leases []*lock) *B
 		b.Leases = append(b.Leases, Lease{Owner: l.client, LockID: l.id, SN: l.sn})
 	}
 	return b
-}
-
-// HandoffAckBatch records a batch of delegation confirmations that
-// arrived in one RPC: the whole batch costs one lock op. Unknown or
-// already-confirmed locks are ignored, as for HandoffAck.
-func (s *Server) HandoffAckBatch(resID ResourceID, ids []LockID) {
-	res := s.lookup(resID)
-	if res == nil {
-		return
-	}
-	s.Stats.LockOps.Add(1)
-	for _, id := range ids {
-		s.ackDelegation(res, id)
-	}
 }

@@ -10,62 +10,12 @@ import (
 	"ccpfs/internal/partition"
 )
 
-// The reader fan-out tests reuse the handoff harness (hoHarness) with a
-// peer sender that also carries lease propagations, exercising the full
-// DESIGN.md §14 machinery: broadcast formation over a queued reader
-// run, peer-to-peer propagation trees, cohort gathers back to a writer,
-// reclaim of lost tree edges, and freeze/migration with broadcast
-// delegations outstanding.
-
-// rfSender is the peer transport of a fan-out harness client: handoff
-// transfers plus lease propagations, each droppable to simulate loss.
-type rfSender struct{ h *hoHarness }
-
-func (s rfSender) SendHandoff(_ context.Context, peer ClientID, res ResourceID, id LockID, acks []LockID, bcast *BroadcastStamp) error {
-	s.h.mu.Lock()
-	drop := s.h.dropTransfers
-	s.h.mu.Unlock()
-	if drop {
-		return nil // accepted, then lost in flight
-	}
-	s.h.clients[peer].OnHandoffMsg(res, id, false, acks, bcast)
-	return nil
-}
-
-func (s rfSender) SendLease(_ context.Context, peer ClientID, res ResourceID, grant *BroadcastStamp) error {
-	s.h.mu.Lock()
-	drop := s.h.dropLeases
-	s.h.mu.Unlock()
-	if drop {
-		return nil // accepted, then lost in flight
-	}
-	s.h.clients[peer].OnLeasePropagate(res, grant)
-	return nil
-}
-
-func newRFHarness(t *testing.T, policy Policy, nclients int) *hoHarness {
-	t.Helper()
-	h := &hoHarness{
-		flusher: &recFlusher{},
-		clients: make(map[ClientID]*LockClient),
-	}
-	h.srv = NewServer(policy, nil)
-	h.srv.SetNotifier(hoNotifier{h})
-	router := func(ResourceID) ServerConn { return hoConn{h.srv} }
-	for i := 1; i <= nclients; i++ {
-		id := ClientID(i)
-		c := NewLockClient(id, policy, router, h.flusher)
-		c.SetPeerSender(rfSender{h})
-		h.clients[id] = c
-	}
-	t.Cleanup(func() {
-		for _, c := range h.clients {
-			c.Close()
-		}
-		h.srv.Shutdown()
-	})
-	return h
-}
+// The reader fan-out tests reuse the handoff harness (hoHarness) and
+// its peer sender, exercising the full DESIGN.md §14 machinery:
+// broadcast formation over a queued reader run, peer-to-peer
+// propagation trees, cohort gathers back to a writer, reclaim of lost
+// tree edges, and freeze/migration with broadcast delegations
+// outstanding.
 
 func fanPolicy() Policy {
 	p := SeqDLM()
@@ -134,7 +84,7 @@ func formBroadcast(t *testing.T, h *hoHarness, res ResourceID, rng extent.Extent
 // above the writer's.
 func TestReaderFanBroadcastTree(t *testing.T) {
 	const nReaders = 4
-	h := newRFHarness(t, fanPolicy(), 2+nReaders)
+	h := newHOHarness(t, fanPolicy(), 2+nReaders, true)
 	res := ResourceID(31)
 	rng := extent.New(0, 4096)
 
@@ -196,7 +146,7 @@ func TestReaderFanBroadcastTree(t *testing.T) {
 // one lock RPC.
 func TestReaderFanGatherToWriter(t *testing.T) {
 	const nReaders = 4
-	h := newRFHarness(t, fanPolicy(), 2+nReaders)
+	h := newHOHarness(t, fanPolicy(), 2+nReaders, true)
 	res := ResourceID(33)
 	rng := extent.New(0, 4096)
 
@@ -265,7 +215,7 @@ func TestReaderFanRotation(t *testing.T) {
 	const rounds = 10
 	p := fanPolicy()
 	p.HandoffReclaimInterval = 2 * time.Second // keep reclaim out of slow -race runs
-	h := newRFHarness(t, p, 1+nReaders)
+	h := newHOHarness(t, p, 1+nReaders, true)
 	res := ResourceID(35)
 	rng := extent.New(0, 4096)
 	ctx := context.Background()
@@ -338,7 +288,7 @@ func TestReaderFanRotation(t *testing.T) {
 // acquires then complete through server-sent activations.
 func TestReaderFanReclaimLostPropagation(t *testing.T) {
 	const nReaders = 4
-	h := newRFHarness(t, fanPolicy(), 2+nReaders)
+	h := newHOHarness(t, fanPolicy(), 2+nReaders, true)
 	h.srv.SetHandoffTimeout(20 * time.Millisecond)
 	res := ResourceID(37)
 	rng := extent.New(0, 4096)
@@ -372,7 +322,7 @@ func TestReaderFanReclaimLostPropagation(t *testing.T) {
 // locks, and the sequencer stays monotonic at the importing master.
 func TestReaderFanFreezeResolvesBroadcast(t *testing.T) {
 	const nReaders = 3
-	h := newRFHarness(t, fanPolicy(), 2+nReaders)
+	h := newHOHarness(t, fanPolicy(), 2+nReaders, true)
 	h.srv.SetHandoffTimeout(time.Hour) // the freeze, not the reclaimer, must resolve
 
 	res := ridInSlot(t, 29, 0)
@@ -440,7 +390,7 @@ func TestReaderFanDisabledByDefault(t *testing.T) {
 			t.Fatalf("policy %q enables ReaderFanout by default", p.Name)
 		}
 	}
-	h := newRFHarness(t, SeqDLM(), 4)
+	h := newHOHarness(t, SeqDLM(), 4, true)
 	res := ResourceID(41)
 	rng := extent.New(0, 4096)
 	for round := 0; round < 3; round++ {

@@ -1,7 +1,6 @@
 package dlm
 
 import (
-	"context"
 	"slices"
 	"sync"
 )
@@ -12,19 +11,6 @@ import (
 // pool bounds that fan-out while the per-client coalescing keeps the
 // RPC count low (DESIGN.md §9).
 const DefaultRevokeWorkers = 8
-
-// BatchNotifier is an optional Notifier extension: implementations
-// deliver every pending revocation destined for one client in a single
-// callback — one RevokeBatch RPC instead of one RevokeRequest per lock.
-// The implementation acknowledges each revocation with Server.RevokeAck
-// exactly as it would for individual deliveries; entries for vanished
-// holders are acked and force-released the same way. Plain Notifiers
-// keep working: the revoker falls back to sequential Revoke calls from
-// the same bounded pool.
-type BatchNotifier interface {
-	Notifier
-	RevokeBatch(ctx context.Context, client ClientID, revs []Revocation)
-}
 
 // revClient is one destination client's delivery state. scheduled makes
 // scheduling exactly-once: it is set when the client enters a lane's
@@ -118,7 +104,11 @@ func (r *revoker) work(ln *revLane) {
 		// The batch leaves the backlog the moment a worker claims it;
 		// delivery time shows up in the notifier's RPC metrics instead.
 		r.s.Stats.RevokeQueue.Add(-int64(len(batch)))
-		r.deliver(rc.id, batch)
+		r.s.Stats.RevokeBatches.Add(1)
+		// The notifier's replies re-enter the engine (RevokeAck/Release →
+		// scan → fire → enqueue); enqueue never blocks on delivery, so
+		// this cannot deadlock.
+		r.s.notifier.RevokeBatch(r.s.baseCtx, rc.id, batch)
 		r.mu.Lock()
 		if len(rc.pending) > 0 {
 			r.schedule(rc)
@@ -128,20 +118,4 @@ func (r *revoker) work(ln *revLane) {
 	}
 	ln.running = false
 	r.mu.Unlock()
-}
-
-// deliver hands one client's coalesced batch to the notifier. The
-// notifier's replies re-enter the engine (RevokeAck/Release → scan →
-// fire → enqueue); enqueue never blocks on delivery, so this cannot
-// deadlock.
-func (r *revoker) deliver(client ClientID, batch []Revocation) {
-	s := r.s
-	s.Stats.RevokeBatches.Add(1)
-	if bn, ok := s.notifier.(BatchNotifier); ok {
-		bn.RevokeBatch(s.baseCtx, client, batch)
-		return
-	}
-	for _, rv := range batch {
-		s.notifier.Revoke(s.baseCtx, rv)
-	}
 }

@@ -82,19 +82,45 @@ type Revocation struct {
 	Handoff *HandoffStamp
 }
 
-// Notifier delivers revocation callbacks to clients. Implementations
-// send an RPC and invoke Server.RevokeAck when the reply returns. Calls
-// are made from their own goroutines and may block; ctx is the engine's
-// lifecycle context, canceled at shutdown so stragglers abort.
+// Notifier is the engine's one path to lock holders: every server→client
+// callback goes through it. Calls are made from their own goroutines and
+// may block; ctx is the engine's lifecycle context, canceled at shutdown
+// so stragglers abort.
+//
+//   - RevokeBatch delivers every revocation pending for one client in
+//     one callback (DESIGN.md §9). The implementation invokes
+//     Server.RevokeAck for each entry when the reply returns, and acks
+//     and releases entries whose holder has vanished.
+//   - Handoff activates delegated lock id at its owner: the server-sent
+//     transfer, used when the previous holder released instead of
+//     transferring or the reclaimer force-resolved the delegation
+//     (DESIGN.md §13).
+//   - SolicitAck asks client, the owner of delegated lock id, to confirm
+//     it now, because a waiter is blocked on nothing else. It is best
+//     effort: the owner's lazy ack and the reclaimer stand behind it.
 type Notifier interface {
-	Revoke(ctx context.Context, rev Revocation)
+	RevokeBatch(ctx context.Context, client ClientID, revs []Revocation)
+	Handoff(ctx context.Context, client ClientID, res ResourceID, id LockID)
+	SolicitAck(ctx context.Context, client ClientID, res ResourceID, id LockID)
 }
 
-// NotifierFunc adapts a function to Notifier.
+// NotifierFunc adapts a per-revocation function to Notifier, for engines
+// with Policy.Handoff and Policy.ReaderFanout off: it never stamps a
+// revocation there, so nothing is delegated to activate or confirm.
 type NotifierFunc func(context.Context, Revocation)
 
-// Revoke implements Notifier.
-func (f NotifierFunc) Revoke(ctx context.Context, rev Revocation) { f(ctx, rev) }
+// RevokeBatch implements Notifier: f runs once per revocation, in order.
+func (f NotifierFunc) RevokeBatch(ctx context.Context, _ ClientID, revs []Revocation) {
+	for _, rv := range revs {
+		f(ctx, rv)
+	}
+}
+
+// Handoff implements Notifier; it does nothing.
+func (NotifierFunc) Handoff(context.Context, ClientID, ResourceID, LockID) {}
+
+// SolicitAck implements Notifier; it does nothing.
+func (NotifierFunc) SolicitAck(context.Context, ClientID, ResourceID, LockID) {}
 
 // Server is the lock-server engine. One engine instance serves all lock
 // resources placed on a data server; behaviour is selected by Policy.

@@ -23,11 +23,13 @@ type takeoverHarness struct {
 
 type takeoverNotifier struct{ h *takeoverHarness }
 
-func (n takeoverNotifier) Revoke(_ context.Context, rv Revocation) {
-	if c, ok := n.h.clients[rv.Client]; ok {
-		c.OnRevokeStamped(rv.Resource, rv.Lock, rv.Handoff)
+func (n takeoverNotifier) RevokeBatch(_ context.Context, client ClientID, revs []Revocation) {
+	for _, rv := range revs {
+		if c, ok := n.h.clients[client]; ok {
+			c.OnRevokeStamped(rv.Resource, rv.Lock, rv.Handoff)
+		}
+		n.h.active.Load().RevokeAck(rv.Resource, rv.Lock)
 	}
-	n.h.active.Load().RevokeAck(rv.Resource, rv.Lock)
 }
 
 func (n takeoverNotifier) Handoff(_ context.Context, client ClientID, res ResourceID, id LockID) {
@@ -35,6 +37,10 @@ func (n takeoverNotifier) Handoff(_ context.Context, client ClientID, res Resour
 		c.OnHandoff(res, id)
 	}
 }
+
+// SolicitAck implements Notifier; solicitations are dropped, so a
+// delegation here is confirmed only by its owner's lazy ack.
+func (n takeoverNotifier) SolicitAck(context.Context, ClientID, ResourceID, LockID) {}
 
 type takeoverConn struct{ h *takeoverHarness }
 
@@ -48,8 +54,22 @@ func (d takeoverConn) Release(_ context.Context, res ResourceID, id LockID) erro
 func (d takeoverConn) Downgrade(_ context.Context, res ResourceID, id LockID, m Mode) error {
 	return d.h.active.Load().Downgrade(res, id, m)
 }
-func (d takeoverConn) HandoffAck(_ context.Context, res ResourceID, id LockID) error {
-	d.h.active.Load().HandoffAck(res, id)
+func (d takeoverConn) HandoffAck(_ context.Context, res ResourceID, ids []LockID) error {
+	d.h.active.Load().HandoffAck(res, ids...)
+	return nil
+}
+
+// takeoverSender carries peer transfers straight into the receiving
+// client. The test's policy has no fan-out, so no lease is ever sent.
+type takeoverSender struct{ h *takeoverHarness }
+
+func (s takeoverSender) SendHandoff(_ context.Context, peer ClientID, res ResourceID, id LockID, acks []LockID, bcast *BroadcastStamp) error {
+	s.h.clients[peer].OnHandoffMsg(res, id, false, acks, bcast)
+	return nil
+}
+
+func (s takeoverSender) SendLease(_ context.Context, peer ClientID, res ResourceID, grant *BroadcastStamp) error {
+	s.h.clients[peer].OnLeasePropagate(res, grant)
 	return nil
 }
 
@@ -83,10 +103,7 @@ func TestTakeoverResolvesInFlightTransfer(t *testing.T) {
 	for i := 1; i <= 2; i++ {
 		id := ClientID(i)
 		c := NewLockClient(id, policy, router, h.flusher)
-		c.SetPeerSender(PeerSenderFunc(func(_ context.Context, peer ClientID, res ResourceID, lid LockID, acks []LockID, bcast *BroadcastStamp) error {
-			h.clients[peer].OnHandoffMsg(res, lid, false, acks, bcast)
-			return nil
-		}))
+		c.SetPeerSender(takeoverSender{h})
 		h.clients[id] = c
 	}
 	a, b := h.clients[1], h.clients[2]

@@ -28,9 +28,6 @@ type inode[V any] struct {
 // Len returns the number of entries.
 func (t *ITree[V]) Len() int { return t.size }
 
-// Clear removes all entries.
-func (t *ITree[V]) Clear() { t.root, t.size = nil, 0 }
-
 func iheight[V any](n *inode[V]) int {
 	if n == nil {
 		return 0

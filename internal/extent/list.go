@@ -21,13 +21,6 @@ func (l *List) Len() int { return len(l.ents) }
 // slice aliases internal storage and must not be mutated.
 func (l *List) Entries() []SNExtent { return l.ents }
 
-// Clone returns a deep copy of the list.
-func (l *List) Clone() *List {
-	c := &List{ents: make([]SNExtent, len(l.ents))}
-	copy(c.ents, l.ents)
-	return c
-}
-
 // Reset removes all entries, keeping the storage.
 func (l *List) Reset() { l.ents = l.ents[:0] }
 

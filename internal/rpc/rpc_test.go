@@ -176,24 +176,30 @@ func TestBlockedHandlerDoesNotStallOthers(t *testing.T) {
 }
 
 func TestServerCallbackToClient(t *testing.T) {
-	// Server calls MRevoke back into the client over the same connection
-	// while handling the client's request — the revocation pattern.
+	// Server calls MRevokeBatch back into the client over the same
+	// connection while handling the client's request — the revocation
+	// pattern.
 	revoked := make(chan uint64, 1)
 	cli, _ := newPair(t, func(ep *Endpoint) {
 		ep.Handle(wire.MLock, func(ctx context.Context, p []byte) (wire.Msg, error) {
-			if err := ep.Call(ctx, wire.MRevoke, &wire.RevokeRequest{LockID: 7}, nil); err != nil {
+			var ack wire.RevokeBatchAck
+			req := &wire.RevokeBatch{Entries: []wire.RevokeEntry{{Resource: 3, LockID: 7}}}
+			if err := ep.Call(ctx, wire.MRevokeBatch, req, &ack); err != nil {
 				return nil, err
+			}
+			if len(ack.Acked) != 1 || ack.Acked[0].LockID != 7 {
+				return nil, wire.Errorf(wire.CodeInvalid, "revocation ack = %+v", ack.Acked)
 			}
 			return &wire.Ack{}, nil
 		})
 	})
-	cli.Handle(wire.MRevoke, func(_ context.Context, p []byte) (wire.Msg, error) {
-		var req wire.RevokeRequest
+	cli.Handle(wire.MRevokeBatch, func(_ context.Context, p []byte) (wire.Msg, error) {
+		var req wire.RevokeBatch
 		if err := wire.Unmarshal(p, &req); err != nil {
 			return nil, err
 		}
-		revoked <- req.LockID
-		return &wire.Ack{}, nil
+		revoked <- req.Entries[0].LockID
+		return &wire.RevokeBatchAck{Acked: req.Entries}, nil
 	})
 	if err := cli.Call(bg(), wire.MLock, &wire.LockRequest{}, nil); err != nil {
 		t.Fatal(err)

@@ -16,7 +16,6 @@ func allMessages() []Msg {
 		&LockGrant{},
 		&ReleaseRequest{},
 		&DowngradeRequest{},
-		&RevokeRequest{},
 		&RevokeBatch{},
 		&RevokeBatchAck{},
 		&HandoffRequest{},
@@ -251,9 +250,9 @@ func FuzzMessageDecode(f *testing.F) {
 	f.Add(Marshal(&HandoffRequest{Resource: 9, LockID: 80, Acks: []uint64{70, 71}, Broadcast: cohort}))
 	f.Add(Marshal(&AckSolicit{Resource: 9, LockID: 80}))
 	f.Add(Marshal(&LockGrant{LockID: 90, Mode: 4, Range: extent.New(0, 1<<20), SN: 201, Delegated: true, GatherParts: 3, HandBack: cohort}))
-	f.Add(Marshal(&RevokeRequest{Resource: 9, LockID: 5, Handoff: &HandoffStamp{
+	f.Add(Marshal(&RevokeBatch{Entries: []RevokeEntry{{Resource: 9, LockID: 5, Handoff: &HandoffStamp{
 		NextOwner: 5, NewLockID: 80, Mode: 1, SN: 200, MustFlush: true, Broadcast: cohort,
-	}}))
+	}}}}))
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		for _, m := range allMessages() {
 			if err := Unmarshal(frame, m); err != nil {

@@ -35,8 +35,9 @@ const (
 	MSlotInstall  Method = 6 // SlotInstall -> Ack (migration target)
 	// Session.
 	MHello Method = 30 // HelloRequest -> HelloReply
-	// Server→client callbacks.
-	MRevoke      Method = 128 // RevokeRequest -> Ack
+	// Server→client callbacks. 128 stays unassigned: it named the
+	// single-lock revocation, and a frame from a peer that still sends
+	// it must fail as an unknown method, not reach another handler.
 	MReport      Method = 129 // Ack -> LockReport (server recovery, §IV-C2)
 	MRevokeBatch Method = 130 // RevokeBatch -> RevokeBatchAck
 	MReportSlots Method = 131 // SlotReportRequest -> LockReport (slot takeover replay)
@@ -77,7 +78,6 @@ var methodNames = [256]string{
 	MReserve:        "Reserve",
 	MList:           "List",
 	MHello:          "Hello",
-	MRevoke:         "Revoke",
 	MReport:         "Report",
 	MRevokeBatch:    "RevokeBatch",
 	MHandoff:        "Handoff",
@@ -458,39 +458,10 @@ func decodeHandoffStamp(d *Decoder, h *HandoffStamp) bool {
 	return true
 }
 
-// RevokeRequest is the server→client callback asking the holder to
-// cancel a cached lock. The reply (Ack) is the revocation reply that
-// moves the lock to CANCELING on the server and unlocks early grant.
-// A non-nil Handoff turns the revocation into a transfer order: after
+// RevokeEntry asks the holder of one cached lock to cancel it. A
+// non-nil Handoff turns the revocation into a transfer order: after
 // flushing (per the stamp), the holder hands the lock directly to the
 // stamped next owner instead of releasing it back to the server.
-type RevokeRequest struct {
-	Resource uint64
-	LockID   uint64
-	Handoff  *HandoffStamp
-}
-
-// Encode implements Msg.
-func (m *RevokeRequest) Encode(e *Encoder) {
-	e.U64(m.Resource)
-	e.U64(m.LockID)
-	encodeHandoffStamp(e, m.Handoff)
-}
-
-// Decode implements Msg.
-func (m *RevokeRequest) Decode(d *Decoder) {
-	m.Resource = d.U64()
-	m.LockID = d.U64()
-	m.Handoff = nil
-	var h HandoffStamp
-	if decodeHandoffStamp(d, &h) {
-		kept := h // only a present stamp costs an allocation
-		m.Handoff = &kept
-	}
-}
-
-// RevokeEntry identifies one lock inside a batched revocation, with its
-// optional handoff stamp.
 type RevokeEntry struct {
 	Resource uint64
 	LockID   uint64
@@ -505,8 +476,8 @@ type RevokeEntry struct {
 // revocation batcher coalesces per destination, so a wide conflict
 // costs one callback per holder instead of one per lock (DESIGN.md §9).
 // The reply is a RevokeBatchAck listing the entries the client has
-// processed; each acked entry has the same meaning as an individual
-// RevokeRequest ack.
+// processed; an acked entry is the revocation reply that moves its lock
+// to CANCELING on the server and unlocks early grant.
 type RevokeBatch struct {
 	Entries []RevokeEntry
 }

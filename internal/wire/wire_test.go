@@ -187,7 +187,7 @@ func TestSmallMessagesRoundTrip(t *testing.T) {
 	msgs := []struct{ in, out Msg }{
 		{&ReleaseRequest{Resource: 1, LockID: 2}, &ReleaseRequest{}},
 		{&DowngradeRequest{Resource: 1, LockID: 2, NewMode: 3}, &DowngradeRequest{}},
-		{&RevokeRequest{Resource: 4, LockID: 5}, &RevokeRequest{}},
+		{&RevokeBatch{Entries: []RevokeEntry{{Resource: 4, LockID: 5}}}, &RevokeBatch{}},
 		{&MinSNRequest{Resource: 6, Range: extent.New(0, 10)}, &MinSNRequest{}},
 		{&MinSNReply{HasLocks: true, MinSN: 77}, &MinSNReply{}},
 		{&HelloRequest{NodeName: "n1", ClientID: 9}, &HelloRequest{}},
@@ -206,10 +206,11 @@ func TestSmallMessagesRoundTrip(t *testing.T) {
 
 func TestHandoffMessagesRoundTrip(t *testing.T) {
 	stamp := &HandoffStamp{NextOwner: 4, NewLockID: 77, Mode: 2, SN: 123, MustFlush: true}
-	rv := &RevokeRequest{Resource: 9, LockID: 5, Handoff: stamp}
-	var rvOut RevokeRequest
+	rv := &RevokeBatch{Entries: []RevokeEntry{{Resource: 9, LockID: 5, Handoff: stamp}}}
+	var rvOut RevokeBatch
 	roundTrip(t, rv, &rvOut)
-	if rvOut.Resource != 9 || rvOut.LockID != 5 || rvOut.Handoff == nil || *rvOut.Handoff != *stamp {
+	if len(rvOut.Entries) != 1 || rvOut.Entries[0].Resource != 9 || rvOut.Entries[0].LockID != 5 ||
+		rvOut.Entries[0].Handoff == nil || *rvOut.Entries[0].Handoff != *stamp {
 		t.Fatalf("stamped revoke round trip = %+v", rvOut)
 	}
 
@@ -263,8 +264,8 @@ func TestHandoffMessagesRoundTrip(t *testing.T) {
 	// re-marshals decoded entries, so a 2-valued "present" byte would
 	// otherwise round-trip to a different frame.
 	frame := Marshal(rv)
-	frame[16] = 2 // the stamp-present byte
-	var bad RevokeRequest
+	frame[20] = 2 // the stamp-present byte, after the count and the lock name
+	var bad RevokeBatch
 	if err := Unmarshal(frame, &bad); err == nil {
 		t.Fatal("non-canonical stamp-present byte accepted")
 	}
@@ -286,12 +287,13 @@ func TestFanMessagesRoundTrip(t *testing.T) {
 		},
 	}
 
-	rv := &RevokeRequest{Resource: 9, LockID: 5, Handoff: &HandoffStamp{
+	rv := &RevokeBatch{Entries: []RevokeEntry{{Resource: 9, LockID: 5, Handoff: &HandoffStamp{
 		NextOwner: 5, NewLockID: 80, Mode: 1, SN: 200, MustFlush: true, Broadcast: cohort,
-	}}
-	var rvOut RevokeRequest
+	}}}}
+	var rvOut RevokeBatch
 	roundTrip(t, rv, &rvOut)
-	if rvOut.Handoff == nil || !reflect.DeepEqual(rvOut.Handoff.Broadcast, cohort) {
+	if len(rvOut.Entries) != 1 || rvOut.Entries[0].Handoff == nil ||
+		!reflect.DeepEqual(rvOut.Entries[0].Handoff.Broadcast, cohort) {
 		t.Fatalf("broadcast-stamped revoke round trip = %+v", rvOut)
 	}
 

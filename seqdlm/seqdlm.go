@@ -5,8 +5,13 @@
 // system can embed them with its own transport and data path:
 //
 //   - run a Server wherever you shard your resources;
-//   - implement Notifier to deliver revocation callbacks to holders
-//     (call Server.RevokeAck when the holder acknowledges);
+//   - implement Notifier to deliver the server's callbacks to holders:
+//     RevokeBatch carries every revocation pending for one client (call
+//     Server.RevokeAck for each when the holder acknowledges), and
+//     Handoff and SolicitAck serve the client-to-client handoff path.
+//     With Policy.Handoff and Policy.ReaderFanout off — every stock
+//     policy — only revocations are sent, and NotifierFunc adapts a
+//     per-revocation function;
 //   - implement Flusher with your write-back path: it is invoked by the
 //     client's cancel path with (resource, range, max SN) and must make
 //     that data durable before returning;
@@ -43,9 +48,11 @@ type (
 	Grant = dlm.Grant
 	// Revocation identifies a callback to a lock holder.
 	Revocation = dlm.Revocation
-	// Notifier delivers revocations; NotifierFunc adapts a function.
+	// Notifier delivers the server's callbacks: batched revocations,
+	// handoff activations and ack solicitations.
 	Notifier = dlm.Notifier
-	// NotifierFunc adapts a function to Notifier.
+	// NotifierFunc adapts a per-revocation function to Notifier, for
+	// engines with handoff and reader fan-out off.
 	NotifierFunc = dlm.NotifierFunc
 	// ServerConn is how a LockClient reaches a Server.
 	ServerConn = dlm.ServerConn
