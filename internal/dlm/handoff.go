@@ -57,15 +57,9 @@ type activationMsg struct {
 // Delegated, and the revocation appended to revs carries the stamp.
 // Called from tryGrant with res.mu held; reports whether it stamped.
 func (s *Server) stampHandoff(res *resource, w *waiter, mode Mode, c *lock, fx *effects) bool {
-	if !s.handoffOn {
-		return false
-	}
-	// Eligibility: the conflict must still be quietly GRANTED (a lock
-	// already being revoked or handed off follows the normal path), on
-	// another client, and both sides must be plain ranges — datatype
-	// extent sets release after every operation and gain nothing.
-	if c.state != Granted || c.revokeSent || c.handedOff || c.succ != nil ||
-		c.client == w.req.Client || len(c.set) > 0 || len(w.req.Extents) > 0 {
+	// Both sides must be plain ranges — datatype extent sets release
+	// after every operation and gain nothing.
+	if !s.handoffOn || !quiet(c, w.req.Client) || len(w.req.Extents) > 0 {
 		return false
 	}
 
@@ -73,68 +67,39 @@ func (s *Server) stampHandoff(res *resource, w *waiter, mode Mode, c *lock, fx *
 	// expansion below may legally run through it; the transfer's
 	// flush-before-handoff obligation plus SN ordering make the
 	// overlap as safe as an early grant.
-	c.handedOff = true
-	c.revokeSent = true
-
+	c.handedOff, c.revokeSent = true, true
 	rng := w.req.Range
 	rng.End = s.expandEnd(res, w, mode, rng)
-
-	sn := res.nextSN
-	if mode.IsWrite() {
-		res.nextSN++
-	}
-
-	l := &lock{
-		id:        s.newLockID(),
-		client:    w.req.Client,
-		mode:      mode,
-		rng:       rng,
-		state:     Granted,
-		sn:        sn,
-		delegated: true,
-		pred:      c,
-	}
+	l := s.install(res, &lock{client: w.req.Client, mode: mode, rng: rng, delegated: true, pred: c})
 	c.succ = l
-	res.granted.insert(l)
-	res.grants++
-
-	fx.revs = append(fx.revs, Revocation{
-		Client:   c.client,
-		Resource: res.id,
-		Lock:     c.id,
-		Handoff: &HandoffStamp{
-			NextOwner: w.req.Client,
-			NewLockID: l.id,
-			Mode:      mode,
-			SN:        sn,
-			MustFlush: c.mode.IsWrite(),
-		},
-	})
-
-	now := s.clk.Now()
+	fx.revs = append(fx.revs, stampedRevocation(res, c, l, nil))
 	s.Stats.Handoffs.Add(1)
-	s.Stats.Grants.Add(1)
-	s.Stats.GrantWaitHist.Record(now.Sub(w.enqAt).Nanoseconds())
-	if w.hadConflict {
-		// The waiter saw its conflict resolved by delegation, never by
-		// a cancel phase: the whole wait is revocation wait, as with an
-		// early grant.
-		s.Stats.RevocationWaitHist.Record(now.Sub(w.enqAt).Nanoseconds())
-	}
-	s.tracer.record(Event{Kind: EvGrant, Resource: res.id, Client: w.req.Client, Lock: l.id, Mode: mode, Range: rng, SN: sn})
-
 	s.reclaim.register(s, res, c, l)
-
-	res.retire(w)
-	fx.sends = append(fx.sends, grantSend{w: w, r: lockResult{g: Grant{
-		LockID:    l.id,
-		Mode:      mode,
-		Range:     rng,
-		SN:        sn,
-		State:     Granted,
-		Delegated: true,
-	}}})
+	s.admit(res, w, Grant{LockID: l.id, Mode: mode, Range: rng, SN: l.sn, Delegated: true}, fx)
 	return true
+}
+
+// quiet reports whether lock c may be delegated to client: it is
+// quietly GRANTED — neither revoked, nor handed off, nor already
+// delegating — held by another client, and a plain range. A lock being
+// revoked or handed off follows the normal path.
+func quiet(c *lock, client ClientID) bool {
+	return c.state == Granted && !c.revokeSent && !c.handedOff && c.succ == nil &&
+		c.client != client && len(c.set) == 0
+}
+
+// stampedRevocation is c's revocation stamped with the delegation of
+// its lock to l; bcast, when non-nil, turns it into a broadcast to l's
+// cohort.
+func stampedRevocation(res *resource, c, l *lock, bcast *BroadcastStamp) Revocation {
+	return Revocation{Client: c.client, Resource: res.id, Lock: c.id, Handoff: &HandoffStamp{
+		NextOwner: l.client,
+		NewLockID: l.id,
+		Mode:      l.mode,
+		SN:        l.sn,
+		MustFlush: c.mode.IsWrite(),
+		Broadcast: bcast,
+	}}
 }
 
 // HandoffAck records the new owner's confirmation of one or more
@@ -144,42 +109,23 @@ func (s *Server) stampHandoff(res *resource, w *waiter, mode Mode, c *lock, fx *
 // release it — and the delegation is confirmed. Unknown or
 // already-confirmed locks are ignored (duplicate acks are harmless).
 func (s *Server) HandoffAck(resID ResourceID, ids ...LockID) {
+	s.handoffAck(resID, ids, true)
+}
+
+// handoffAck confirms delegated locks of one resource, one step each.
+// Acks piggybacked on a Lock request (standalone false) ride inside it
+// and cost no lock op of their own.
+func (s *Server) handoffAck(resID ResourceID, ids []LockID, standalone bool) {
 	res := s.lookup(resID)
 	if res == nil {
 		return
 	}
-	s.Stats.LockOps.Add(1)
+	if standalone {
+		s.Stats.LockOps.Add(1)
+	}
 	for _, id := range ids {
-		s.ackDelegation(res, id)
+		s.do(res, &event{kind: evDelegAck, id: id})
 	}
-}
-
-// handoffAck applies a piggybacked ack — identical to HandoffAck but
-// without LockOps accounting, since it rode inside a Lock request.
-func (s *Server) handoffAck(resID ResourceID, id LockID) {
-	res := s.lookup(resID)
-	if res == nil {
-		return
-	}
-	s.ackDelegation(res, id)
-}
-
-func (s *Server) ackDelegation(res *resource, id LockID) {
-	res.mu.Lock()
-	l := res.granted.get(id)
-	if l == nil || !l.delegated {
-		res.mu.Unlock()
-		return
-	}
-	l.delegated = false
-	s.removePreds(res, l)
-	s.reclaim.deregister(res.id, id)
-	s.Stats.HandoffAcks.Add(1)
-	s.tracer.record(Event{Kind: EvRelease, Resource: res.id, Lock: id})
-	fx := newEffects()
-	s.scan(res, fx)
-	res.mu.Unlock()
-	s.apply(fx)
 }
 
 // removePreds retires l's whole predecessor closure — the single-pred
@@ -245,7 +191,7 @@ func (s *Server) sendActivation(a activationMsg) {
 // solicitAck makes the confirmation of a delegation demand-driven. w
 // stays blocked by conflict c; if c heads a delegation chain, nothing
 // the server can send c's holder helps — c is retired only when the
-// chain's last owner confirms its transfer (ackDelegation → removePreds)
+// chain's last owner confirms its transfer (a delegAck step → removePreds)
 // — and if c is itself an unconfirmed delegation, revoking it must wait
 // for that same confirmation (tryGrant's hold-fire rule). Either way the
 // way out is one ack that its owner would otherwise send lazily, so ask
@@ -361,10 +307,22 @@ func (r *handoffReclaimer) loop(s *Server) {
 			return acts[i].e.succID < acts[j].e.succID
 		})
 		for _, a := range acts {
-			if a.phase == 0 {
+			switch {
+			case s.CheckMaster(a.e.res.id) != nil:
+				// Mastership moved; the freeze path resolved or exported
+				// the delegation already.
+				s.reclaim.deregister(a.e.res.id, a.e.succID)
+			case a.phase == 0:
 				s.reclaimNudge(&a.e)
-			} else {
-				s.reclaimForce(&a.e)
+			default:
+				// Force: resolve the delegation without the holder's
+				// cooperation (the evReclaim step). The holder has
+				// vanished or the transfer was lost; this mirrors
+				// dead-client lock reclamation, with the same exposure —
+				// any unflushed predecessor data is bounded by SN
+				// ordering at the extent cache, exactly as for an early
+				// grant.
+				s.do(a.e.res, &event{kind: evReclaim, e: &a.e})
 			}
 		}
 	}
@@ -379,12 +337,6 @@ func (r *handoffReclaimer) loop(s *Server) {
 // delegation through the Release hook.
 func (s *Server) reclaimNudge(e *delegationEntry) {
 	res := e.res
-	if s.CheckMaster(res.id) != nil {
-		// Mastership moved; the freeze path resolved or exported the
-		// delegation already.
-		s.reclaim.deregister(res.id, e.succID)
-		return
-	}
 	res.mu.Lock()
 	l := res.granted.get(e.succID)
 	live := l != nil && l.delegated
@@ -396,47 +348,6 @@ func (s *Server) reclaimNudge(e *delegationEntry) {
 	}
 	if pred != nil {
 		s.fire([]Revocation{{Client: e.predCli, Resource: res.id, Lock: e.predID}})
-	}
-}
-
-// reclaimForce resolves an expired delegation without the holder's
-// cooperation: the predecessor chain is retired and the successor
-// activated. The holder has vanished or the transfer was lost; this
-// mirrors dead-client lock reclamation, with the same exposure — any
-// unflushed predecessor data is bounded by SN ordering at the extent
-// cache, exactly as for an early grant.
-func (s *Server) reclaimForce(e *delegationEntry) {
-	res := e.res
-	if s.CheckMaster(res.id) != nil {
-		s.reclaim.deregister(res.id, e.succID)
-		return
-	}
-	fx := newEffects()
-	found := false
-	res.mu.Lock()
-	l := res.granted.get(e.succID)
-	if l != nil && l.delegated {
-		if p := res.granted.get(e.predID); p != nil && !p.handedOff {
-			// The provider of this delegation is still a legitimately
-			// active holder — a pre-armed lease whose writer has not
-			// finished (DESIGN.md §14). Force-resolving would activate
-			// a reader behind a live writer, so demote to another
-			// nudge; the transfer resolves when the writer hands over.
-			res.mu.Unlock()
-			fx.revs = append(fx.revs, Revocation{Client: e.predCli, Resource: res.id, Lock: e.predID})
-			s.apply(fx)
-			return
-		}
-		s.removePreds(res, l)
-		fx.acts = append(fx.acts, s.resolveDelegation(res, l))
-		found = true
-		s.Stats.HandoffReclaims.Add(1)
-	}
-	s.scan(res, fx)
-	res.mu.Unlock()
-	s.apply(fx)
-	if !found {
-		s.reclaim.deregister(res.id, e.succID)
 	}
 }
 

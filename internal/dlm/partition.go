@@ -6,7 +6,6 @@ import (
 
 	"ccpfs/internal/extent"
 	"ccpfs/internal/partition"
-	"ccpfs/internal/sim"
 	"ccpfs/internal/wire"
 )
 
@@ -148,21 +147,9 @@ func (s *Server) addSlots(epoch uint64, slots []partition.Slot) {
 func (s *Server) purgeSlot(sl partition.Slot) {
 	for _, res := range s.takeSlotResources(sl) {
 		res.mu.Lock()
-		s.failWaiters(res)
+		s.failWaiters(res, wire.ErrNotOwner)
 		res.mu.Unlock()
 	}
-}
-
-// failWaiters fails every live queue entry with wire.ErrNotOwner.
-// Callers hold res.mu.
-func (s *Server) failWaiters(res *resource) {
-	for _, w := range res.queue {
-		if !w.done {
-			res.retire(w)
-			sim.Send(s.clk, w.ch, lockResult{err: wire.ErrNotOwner})
-		}
-	}
-	res.queue = res.queue[:0]
 }
 
 // takeSlotResources removes and returns every resource in a slot from
@@ -240,7 +227,7 @@ func (s *Server) FreezeExportSlot(sl partition.Slot) (SlotExport, error) {
 	var acts []activationMsg
 	for _, res := range s.takeSlotResources(sl) {
 		res.mu.Lock()
-		s.failWaiters(res)
+		s.failWaiters(res, wire.ErrNotOwner)
 		// Outstanding handoff delegations are force-resolved before the
 		// copy (DESIGN.md §13): predecessor chains are retired here and
 		// successors export as plain granted locks, so the importing
@@ -300,7 +287,6 @@ func (s *Server) InstallSlot(exp SlotExport, epoch uint64) error {
 	if exp.Slot < 0 || exp.Slot >= partition.NumSlots {
 		return fmt.Errorf("dlm: install: bad slot %d", exp.Slot)
 	}
-	var maxID LockID
 	for _, re := range exp.Resources {
 		if partition.SlotOf(uint64(re.Resource)) != exp.Slot {
 			return fmt.Errorf("dlm: install: resource %d not in slot %d", re.Resource, exp.Slot)
@@ -322,26 +308,9 @@ func (s *Server) InstallSlot(exp SlotExport, epoch uint64) error {
 				res.mu.Unlock()
 				return fmt.Errorf("dlm: install: bad lock record %d", r.LockID)
 			}
-			res.granted.insert(&lock{
-				id:         r.LockID,
-				client:     r.Client,
-				mode:       r.Mode,
-				rng:        r.Range,
-				state:      r.State,
-				sn:         r.SN,
-				revokeSent: r.State == Canceling,
-			})
-			if r.LockID > maxID {
-				maxID = r.LockID
-			}
+			s.installRecord(res, r)
 		}
 		res.mu.Unlock()
-	}
-	for {
-		cur := s.nextLock.Load()
-		if uint64(maxID) <= cur || s.nextLock.CompareAndSwap(cur, uint64(maxID)) {
-			break
-		}
 	}
 	s.addSlots(epoch, []partition.Slot{exp.Slot})
 	s.Stats.SlotMigrationsIn.Add(1)

@@ -48,16 +48,10 @@ type BroadcastStamp struct {
 // Runs of one fall through to the plain single-successor stamp. Called
 // from tryGrant with res.mu held; reports whether it stamped.
 func (s *Server) stampBroadcast(res *resource, w *waiter, mode Mode, c *lock, fx *effects) bool {
-	if !s.fanOn {
-		return false
-	}
-	// The displaced lock must be a quietly GRANTED writer on another
-	// client, and the head waiter a plain-range shared request.
-	if mode.IsWrite() || !mode.CanRead() || !c.mode.IsWrite() {
-		return false
-	}
-	if c.state != Granted || c.revokeSent || c.handedOff || c.succ != nil ||
-		c.client == w.req.Client || len(c.set) > 0 || len(w.req.Extents) > 0 {
+	// The displaced lock must be a quiet writer, and the head waiter a
+	// plain-range shared request.
+	if !s.fanOn || mode.IsWrite() || !mode.CanRead() || !c.mode.IsWrite() ||
+		!quiet(c, w.req.Client) || len(w.req.Extents) > 0 {
 		return false
 	}
 
@@ -93,76 +87,32 @@ func (s *Server) stampBroadcast(res *resource, w *waiter, mode Mode, c *lock, fx
 	// From here on c behaves as CANCELING; the transfer's
 	// flush-before-handoff obligation plus SN ordering make the lease
 	// overlap as safe as an early grant.
-	c.handedOff = true
-	c.revokeSent = true
+	c.handedOff, c.revokeSent = true, true
 
 	// One common lease range: the union of the members' requests,
 	// expanded once. Any granted lock overlapping the union overlaps
 	// some member's range, and each member's only conflict is c, so the
-	// union at the shared mode conflicts with nothing but c.
+	// union at the shared mode conflicts with nothing but c. Shared
+	// leases leave the sequencer alone: the cohort shares one SN.
 	rng := w.req.Range
 	for _, q := range run[1:] {
 		rng = rng.Union(q.req.Range)
 	}
 	rng.End = s.expandEnd(res, w, mode, rng)
-
-	sn := res.nextSN // shared mode: no SN bump
-
 	leases := make([]*lock, 0, len(run))
-	now := s.clk.Now()
 	for _, q := range run {
-		l := &lock{
-			id:        s.newLockID(),
-			client:    q.req.Client,
-			mode:      mode,
-			rng:       rng,
-			state:     Granted,
-			sn:        sn,
-			delegated: true,
-		}
+		l := s.install(res, &lock{client: q.req.Client, mode: mode, rng: rng, delegated: true})
 		leases = append(leases, l)
-		res.granted.insert(l)
-		res.grants++
 		s.reclaim.register(s, res, c, l)
-		s.Stats.Grants.Add(1)
 		s.Stats.LeaseGrants.Add(1)
-		s.Stats.GrantWaitHist.Record(now.Sub(q.enqAt).Nanoseconds())
-		if q.hadConflict {
-			s.Stats.RevocationWaitHist.Record(now.Sub(q.enqAt).Nanoseconds())
-		}
-		s.tracer.record(Event{Kind: EvGrant, Resource: res.id, Client: q.req.Client, Lock: l.id, Mode: mode, Range: rng, SN: sn})
+		s.admit(res, q, Grant{LockID: l.id, Mode: mode, Range: rng, SN: l.sn, Delegated: true}, fx)
 	}
 	leases[0].pred = c
 	c.succ = leases[0]
 	c.bcast = leases
-
-	fx.revs = append(fx.revs, Revocation{
-		Client:   c.client,
-		Resource: res.id,
-		Lock:     c.id,
-		Handoff: &HandoffStamp{
-			NextOwner: leases[0].client,
-			NewLockID: leases[0].id,
-			Mode:      mode,
-			SN:        sn,
-			MustFlush: c.mode.IsWrite(),
-			Broadcast: s.broadcastStamp(mode, rng, leases),
-		},
-	})
-
+	fx.revs = append(fx.revs, stampedRevocation(res, c, leases[0], s.broadcastStamp(mode, rng, leases)))
 	s.Stats.Handoffs.Add(1)
 	s.Stats.Broadcasts.Add(1)
-	for i, q := range run {
-		res.retire(q)
-		fx.sends = append(fx.sends, grantSend{w: q, r: lockResult{g: Grant{
-			LockID:    leases[i].id,
-			Mode:      mode,
-			Range:     rng,
-			SN:        sn,
-			State:     Granted,
-			Delegated: true,
-		}}})
-	}
 	return true
 }
 
@@ -174,77 +124,40 @@ func (s *Server) stampBroadcast(res *resource, w *waiter, mode Mode, c *lock, fx
 // fresh set of delegated leases for the same cohort that the writer
 // owes a broadcast transfer to when it finishes. Called from tryGrant
 // with res.mu held; reports whether it stamped.
-func (s *Server) stampGather(res *resource, w *waiter, mode Mode, confs []*lock, fx *effects) bool {
-	if !s.fanOn {
+func (s *Server) stampGather(res *resource, w *waiter, mode Mode, cohort []*lock, fx *effects) bool {
+	if !s.fanOn || !mode.IsWrite() || len(w.req.Extents) > 0 {
 		return false
 	}
-	if !mode.IsWrite() || len(w.req.Extents) > 0 {
-		return false
-	}
-	// Every conflict must be a quietly GRANTED plain-range shared lock
-	// of one uniform mode, each on a client other than the writer's.
+	// Every conflict must be a quiet shared lock of one uniform mode.
 	// Delegated (not-yet-acked) leases qualify: their holders receive
 	// the stamped revocation whenever the lease arrives, and their
 	// transfers complete the gather just the same.
-	shared := confs[0].mode
-	for _, c := range confs {
-		if c.mode.IsWrite() || c.mode != shared || c.state != Granted ||
-			c.revokeSent || c.handedOff || c.succ != nil ||
-			c.client == w.req.Client || len(c.set) > 0 {
+	shared := cohort[0].mode
+	for _, c := range cohort {
+		if c.mode.IsWrite() || c.mode != shared || !quiet(c, w.req.Client) {
 			return false
 		}
 	}
-
-	cohort := make([]*lock, len(confs))
-	copy(cohort, confs)
 	for _, c := range cohort {
-		c.handedOff = true
-		c.revokeSent = true
+		c.handedOff, c.revokeSent = true, true
 	}
 
 	rng := w.req.Range
 	rng.End = s.expandEnd(res, w, mode, rng)
-
-	sn := res.nextSN
-	res.nextSN++
-
-	wl := &lock{
-		id:         s.newLockID(),
-		client:     w.req.Client,
-		mode:       mode,
-		rng:        rng,
-		state:      Granted,
-		sn:         sn,
-		delegated:  true,
-		preds:      cohort,
-		gatherLeft: len(cohort),
-	}
+	wl := s.install(res, &lock{client: w.req.Client, mode: mode, rng: rng, delegated: true, preds: cohort, gatherLeft: len(cohort)})
 	for _, c := range cohort {
 		c.succ = wl
 	}
-	res.granted.insert(wl)
-	res.grants++
 	s.reclaim.register(s, res, cohort[0], wl)
 
 	// Pre-arm the handback: one delegated lease per cohort member at
 	// the post-write SN. The writer transfers to the lead when it
 	// finishes; until then the reclaimer treats these as provider-live
 	// and only nudges.
-	hbSN := res.nextSN
 	leases := make([]*lock, 0, len(cohort))
 	for _, c := range cohort {
-		l := &lock{
-			id:        s.newLockID(),
-			client:    c.client,
-			mode:      shared,
-			rng:       rng,
-			state:     Granted,
-			sn:        hbSN,
-			delegated: true,
-		}
+		l := s.install(res, &lock{client: c.client, mode: shared, rng: rng, delegated: true})
 		leases = append(leases, l)
-		res.granted.insert(l)
-		res.grants++
 		s.reclaim.register(s, res, wl, l)
 		s.Stats.LeaseGrants.Add(1)
 	}
@@ -253,41 +166,12 @@ func (s *Server) stampGather(res *resource, w *waiter, mode Mode, confs []*lock,
 	wl.bcast = leases
 
 	for _, c := range cohort {
-		fx.revs = append(fx.revs, Revocation{
-			Client:   c.client,
-			Resource: res.id,
-			Lock:     c.id,
-			Handoff: &HandoffStamp{
-				NextOwner: w.req.Client,
-				NewLockID: wl.id,
-				Mode:      mode,
-				SN:        sn,
-				MustFlush: c.mode.IsWrite(),
-			},
-		})
+		fx.revs = append(fx.revs, stampedRevocation(res, c, wl, nil))
 	}
-
-	now := s.clk.Now()
 	s.Stats.Handoffs.Add(1)
 	s.Stats.Gathers.Add(1)
-	s.Stats.Grants.Add(1)
-	s.Stats.GrantWaitHist.Record(now.Sub(w.enqAt).Nanoseconds())
-	if w.hadConflict {
-		s.Stats.RevocationWaitHist.Record(now.Sub(w.enqAt).Nanoseconds())
-	}
-	s.tracer.record(Event{Kind: EvGrant, Resource: res.id, Client: w.req.Client, Lock: wl.id, Mode: mode, Range: rng, SN: sn})
-
-	res.retire(w)
-	fx.sends = append(fx.sends, grantSend{w: w, r: lockResult{g: Grant{
-		LockID:      wl.id,
-		Mode:        mode,
-		Range:       rng,
-		SN:          sn,
-		State:       Granted,
-		Delegated:   true,
-		GatherParts: len(cohort),
-		HandBack:    s.broadcastStamp(shared, rng, leases),
-	}}})
+	s.admit(res, w, Grant{LockID: wl.id, Mode: mode, Range: rng, SN: wl.sn, Delegated: true,
+		GatherParts: len(cohort), HandBack: s.broadcastStamp(shared, rng, leases)}, fx)
 	return true
 }
 

@@ -177,7 +177,6 @@ func (s *Server) Restore(records []LockRecord) error {
 		}
 		return records[i].LockID < records[j].LockID
 	})
-	var maxID LockID
 	for _, r := range records {
 		if !r.Mode.Valid() {
 			return fmt.Errorf("dlm: restore: invalid mode %v", r.Mode)
@@ -191,31 +190,35 @@ func (s *Server) Restore(records []LockRecord) error {
 			res.mu.Unlock()
 			return fmt.Errorf("dlm: restore: resource %d has queued requests", r.Resource)
 		}
-		res.granted.insert(&lock{
-			id:         r.LockID,
-			client:     r.Client,
-			mode:       r.Mode,
-			rng:        r.Range,
-			state:      r.State,
-			sn:         r.SN,
-			revokeSent: r.State == Canceling,
-		})
+		s.installRecord(res, r)
 		res.grants++
 		if r.Mode.IsWrite() && r.SN >= res.nextSN {
 			res.nextSN = r.SN + 1
 		}
 		res.mu.Unlock()
-		if r.LockID > maxID {
-			maxID = r.LockID
-		}
-	}
-	// CAS-max the allocator above every restored ID so post-recovery
-	// grants can never collide with pre-crash ones.
-	for {
-		cur := s.nextLock.Load()
-		if uint64(maxID) <= cur || s.nextLock.CompareAndSwap(cur, uint64(maxID)) {
-			break
-		}
 	}
 	return nil
+}
+
+// installRecord puts a lock granted before — by this engine before a
+// crash, or by the slot's previous master — into res's granted set as
+// it was, and raises the lock-ID allocator to at least its ID, so later
+// grants never collide with it. A CANCELING lock keeps waiting for its
+// release and is never revoked again. Called with res.mu held.
+func (s *Server) installRecord(res *resource, r LockRecord) {
+	res.granted.insert(&lock{
+		id:         r.LockID,
+		client:     r.Client,
+		mode:       r.Mode,
+		rng:        r.Range,
+		state:      r.State,
+		sn:         r.SN,
+		revokeSent: r.State == Canceling,
+	})
+	for {
+		cur := s.nextLock.Load()
+		if uint64(r.LockID) <= cur || s.nextLock.CompareAndSwap(cur, uint64(r.LockID)) {
+			return
+		}
+	}
 }

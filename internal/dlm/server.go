@@ -2,6 +2,7 @@ package dlm
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -391,34 +392,15 @@ func (s *Server) Lock(ctx context.Context, req Request) (Grant, error) {
 		return Grant{}, err
 	}
 	s.Stats.LockOps.Add(1)
-	for _, id := range req.HandoffAcks {
-		s.handoffAck(req.Resource, id)
-	}
+	s.handoffAck(req.Resource, req.HandoffAcks, false)
 	res := s.resource(req.Resource)
 	w := waiters.Get().(*waiter)
 	w.req, w.enqAt = req, s.clk.Now()
 	s.tracer.record(Event{Kind: EvRequest, Resource: req.Resource, Client: req.Client, Mode: req.Mode, Range: req.Range})
-
-	res.mu.Lock()
-	// Re-check under res.mu: FreezeExportSlot publishes the frozen view
-	// and then sweeps each resource's queue under its mutex, so a
-	// request that passed the check above either lands in the queue
-	// before the sweep (and is redirected by it) or re-checks here and
-	// sees the frozen slot. Either way no waiter survives on a slot the
-	// engine no longer masters.
-	if err := s.CheckMaster(req.Resource); err != nil {
-		res.mu.Unlock()
+	if err := s.do(res, &event{kind: evEnqueue, w: w}); err != nil {
 		w.recycle()
 		return Grant{}, err
 	}
-	w.key = res.wseq
-	res.wseq++
-	res.queue = append(res.queue, w)
-	res.wtree.Insert(w.req.Range, w.key, w)
-	fx := newEffects()
-	s.scan(res, fx)
-	res.mu.Unlock()
-	s.apply(fx)
 
 	// Every resolution path (grant, shutdown, freeze redirect) sends the
 	// reply with sim.Send.
@@ -427,25 +409,16 @@ func (s *Server) Lock(ctx context.Context, req Request) (Grant, error) {
 		return r.g, r.err
 	}
 	// Withdraw the waiter. The grant may have raced the cancellation:
-	// grant() marks done and buffers the result before we take res.mu,
-	// in which case the lock exists server-side and must be released, or
-	// it stays held forever on behalf of a caller that already left.
-	res.mu.Lock()
-	if w.done {
-		res.mu.Unlock()
-		r := <-w.ch
-		w.recycle()
-		if r.err == nil {
+	// grant() marks done and buffers the result before the withdrawal
+	// takes res.mu, in which case the lock exists server-side and must be
+	// released, or it stays held forever on behalf of a caller that
+	// already left. Otherwise no reply was decided, and none will be.
+	if s.do(res, &event{kind: evWithdraw, w: w}) == errGrantRaced {
+		if r := <-w.ch; r.err == nil {
 			s.Release(req.Resource, r.g.LockID)
 		}
-		return Grant{}, wire.FromContext(ctx.Err())
 	}
-	res.retire(w)
-	fx = newEffects()
-	s.scan(res, fx) // the withdrawn entry may have blocked later waiters
-	res.mu.Unlock()
-	s.apply(fx)
-	w.recycle() // not done under res.mu: no reply was decided, none will be
+	w.recycle()
 	return Grant{}, wire.FromContext(ctx.Err())
 }
 
@@ -457,27 +430,38 @@ func (s *Server) Shutdown() {
 	if s.draining.Swap(true) {
 		return
 	}
+	for _, res := range s.allResources() {
+		res.mu.Lock()
+		s.failWaiters(res, wire.ErrShuttingDown)
+		res.mu.Unlock()
+	}
+	s.cancelFn()
+}
+
+// allResources returns every resource in the shard maps.
+func (s *Server) allResources() []*resource {
+	var out []*resource
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		resources := make([]*resource, 0, len(sh.resources))
 		for _, r := range sh.resources {
-			resources = append(resources, r)
+			out = append(out, r)
 		}
 		sh.mu.RUnlock()
-		for _, res := range resources {
-			res.mu.Lock()
-			for _, w := range res.queue {
-				if !w.done {
-					res.retire(w)
-					sim.Send(s.clk, w.ch, lockResult{err: wire.ErrShuttingDown})
-				}
-			}
-			res.queue = res.queue[:0]
-			res.mu.Unlock()
+	}
+	return out
+}
+
+// failWaiters fails every live queue entry with err. Callers hold
+// res.mu.
+func (s *Server) failWaiters(res *resource, err error) {
+	for _, w := range res.queue {
+		if !w.done {
+			res.retire(w)
+			sim.Send(s.clk, w.ch, lockResult{err: err})
 		}
 	}
-	s.cancelFn()
+	res.queue = res.queue[:0]
 }
 
 // RevokeAck records that a client acknowledged a revocation: the lock
@@ -489,14 +473,7 @@ func (s *Server) RevokeAck(resID ResourceID, id LockID) {
 		return
 	}
 	s.tracer.record(Event{Kind: EvRevokeAck, Resource: resID, Lock: id})
-	res.mu.Lock()
-	if l := res.granted.get(id); l != nil && l.state == Granted {
-		l.state = Canceling
-	}
-	fx := newEffects()
-	s.scan(res, fx)
-	res.mu.Unlock()
-	s.apply(fx)
+	s.do(res, &event{kind: evRevokeAck, id: id})
 }
 
 // Release removes a fully canceled lock. The client must have flushed
@@ -508,11 +485,92 @@ func (s *Server) Release(resID ResourceID, id LockID) {
 	}
 	s.Stats.LockOps.Add(1)
 	s.tracer.record(Event{Kind: EvRelease, Resource: resID, Lock: id})
+	s.do(res, &event{kind: evRelease, id: id})
+}
+
+// Downgrade converts a granted lock to a less restrictive mode (§III-D2),
+// enabling early grant for requests that were blocked by its blocking
+// feature. Invalid transitions are rejected.
+func (s *Server) Downgrade(resID ResourceID, id LockID, newMode Mode) error {
+	res := s.lookup(resID)
+	if res == nil {
+		return fmt.Errorf("dlm: downgrade of unknown lock %d", id)
+	}
+	s.Stats.LockOps.Add(1)
+	return s.do(res, &event{kind: evDowngrade, id: id, mode: newMode})
+}
+
+// evKind names one grant-state transition of a resource. The set is
+// closed: outside slot migration and recovery, every change to a
+// resource's granted set or queue is one of these, applied by step.
+type evKind uint8
+
+const (
+	evEnqueue   evKind = iota // a Lock request joins the queue
+	evWithdraw                // a canceled Lock request leaves it
+	evRelease                 // a lock is released
+	evRevokeAck               // a revocation is acknowledged: the lock is CANCELING
+	evDowngrade               // a lock converts to a weaker mode (§III-D2)
+	evDelegAck                // a delegation's new owner confirms the transfer
+	evReclaim                 // the reclaimer resolves an expired delegation
+)
+
+// event is one transition and its operands.
+type event struct {
+	kind evKind
+	w    *waiter          // enqueue, withdraw
+	id   LockID           // release, revokeAck, downgrade, delegAck
+	mode Mode             // downgrade: the new mode
+	e    *delegationEntry // reclaim
+}
+
+// errGrantRaced is a withdrawal's result when the waiter was granted
+// first: nothing changed, and the reply is in the waiter's channel.
+var errGrantRaced = errors.New("dlm: grant raced the withdrawal")
+
+// do runs one transition: step under res.mu, then the effects it
+// decided, once res.mu has dropped.
+func (s *Server) do(res *resource, ev *event) error {
 	fx := newEffects()
 	res.mu.Lock()
-	if l := res.granted.get(id); l != nil {
-		succ := l.succ
-		bcast := l.bcast
+	err := s.step(res, ev, fx)
+	res.mu.Unlock()
+	s.apply(fx)
+	return err
+}
+
+// step is the grant engine: it applies one transition to res and then
+// scans the queue for every grant the transition enables, collecting
+// what must be delivered into fx. A refused transition, and one that
+// changes nothing, return before the scan. Called with res.mu held.
+func (s *Server) step(res *resource, ev *event, fx *effects) error {
+	switch ev.kind {
+	case evEnqueue:
+		// Re-check under res.mu: FreezeExportSlot publishes the frozen
+		// view and then sweeps each resource's queue under its mutex, so
+		// a request that passed Lock's check either lands in the queue
+		// before the sweep (and is redirected by it) or re-checks here
+		// and sees the frozen slot. Either way no waiter survives on a
+		// slot the engine no longer masters.
+		if err := s.CheckMaster(res.id); err != nil {
+			return err
+		}
+		w := ev.w
+		w.key = res.wseq
+		res.wseq++
+		res.queue = append(res.queue, w)
+		res.wtree.Insert(w.req.Range, w.key, w)
+	case evWithdraw:
+		if ev.w.done {
+			return errGrantRaced
+		}
+		res.retire(ev.w) // the withdrawn entry may have blocked later waiters
+	case evRelease:
+		l := res.granted.get(ev.id)
+		if l == nil {
+			break
+		}
+		succ, bcast := l.succ, l.bcast
 		s.removeWithPreds(res, l)
 		switch {
 		case len(bcast) > 0:
@@ -541,40 +599,52 @@ func (s *Server) Release(resID ResourceID, id LockID) {
 			// successor directly.
 			fx.acts = append(fx.acts, s.resolveDelegation(res, succ))
 		}
+	case evRevokeAck:
+		if l := res.granted.get(ev.id); l != nil && l.state == Granted {
+			l.state = Canceling
+		}
+	case evDowngrade:
+		l := res.granted.get(ev.id)
+		if l == nil {
+			return fmt.Errorf("dlm: downgrade of unknown lock %d", ev.id)
+		}
+		if !(l.mode == BW && ev.mode == NBW) && !(l.mode == PW && (ev.mode == NBW || ev.mode == PR)) {
+			return fmt.Errorf("dlm: invalid downgrade %v -> %v", l.mode, ev.mode)
+		}
+		l.mode = ev.mode
+		s.Stats.Downgrades.Add(1)
+		s.tracer.record(Event{Kind: EvDowngrade, Resource: res.id, Lock: ev.id, Mode: ev.mode})
+	case evDelegAck:
+		l := res.granted.get(ev.id)
+		if l == nil || !l.delegated {
+			return nil
+		}
+		l.delegated = false
+		s.removePreds(res, l)
+		s.reclaim.deregister(res.id, ev.id)
+		s.Stats.HandoffAcks.Add(1)
+		s.tracer.record(Event{Kind: EvRelease, Resource: res.id, Lock: ev.id})
+	case evReclaim:
+		e := ev.e
+		l := res.granted.get(e.succID)
+		if l == nil || !l.delegated {
+			s.reclaim.deregister(res.id, e.succID)
+			break
+		}
+		if p := res.granted.get(e.predID); p != nil && !p.handedOff {
+			// The provider of this delegation is still a legitimately
+			// active holder — a pre-armed lease whose writer has not
+			// finished (DESIGN.md §14). Force-resolving would activate
+			// a reader behind a live writer, so demote to another
+			// nudge; the transfer resolves when the writer hands over.
+			fx.revs = append(fx.revs, Revocation{Client: e.predCli, Resource: res.id, Lock: e.predID})
+			return nil
+		}
+		s.removePreds(res, l)
+		fx.acts = append(fx.acts, s.resolveDelegation(res, l))
+		s.Stats.HandoffReclaims.Add(1)
 	}
 	s.scan(res, fx)
-	res.mu.Unlock()
-	s.apply(fx)
-}
-
-// Downgrade converts a granted lock to a less restrictive mode (§III-D2),
-// enabling early grant for requests that were blocked by its blocking
-// feature. Invalid transitions are rejected.
-func (s *Server) Downgrade(resID ResourceID, id LockID, newMode Mode) error {
-	res := s.lookup(resID)
-	if res == nil {
-		return fmt.Errorf("dlm: downgrade of unknown lock %d", id)
-	}
-	s.Stats.LockOps.Add(1)
-	res.mu.Lock()
-	l := res.granted.get(id)
-	if l == nil {
-		res.mu.Unlock()
-		return fmt.Errorf("dlm: downgrade of unknown lock %d", id)
-	}
-	valid := (l.mode == BW && newMode == NBW) ||
-		(l.mode == PW && (newMode == NBW || newMode == PR))
-	if !valid {
-		res.mu.Unlock()
-		return fmt.Errorf("dlm: invalid downgrade %v -> %v", l.mode, newMode)
-	}
-	l.mode = newMode
-	s.Stats.Downgrades.Add(1)
-	s.tracer.record(Event{Kind: EvDowngrade, Resource: resID, Lock: id, Mode: newMode})
-	fx := newEffects()
-	s.scan(res, fx)
-	res.mu.Unlock()
-	s.apply(fx)
 	return nil
 }
 
@@ -986,9 +1056,8 @@ func (s *Server) tryGrant(res *resource, w *waiter, fx *effects) bool {
 }
 
 // grant installs the lock, expands its range, decides early revocation,
-// assigns the sequence number, and defers the reply into fx.
+// and defers the reply into fx.
 func (s *Server) grant(res *resource, w *waiter, mode Mode, absorbed []*lock, fx *effects) {
-	now := s.clk.Now()
 	rng := w.req.Range
 	for _, a := range absorbed {
 		rng = rng.Union(a.rng)
@@ -1007,11 +1076,6 @@ func (s *Server) grant(res *resource, w *waiter, mode Mode, absorbed []*lock, fx
 		// server never waits for a revocation round trip.
 		state = Canceling
 		s.Stats.EarlyRevocations.Add(1)
-	}
-
-	sn := res.nextSN
-	if mode.IsWrite() {
-		res.nextSN++
 	}
 
 	// Remove absorbed same-client locks; the grant reply tells the
@@ -1039,63 +1103,59 @@ func (s *Server) grant(res *resource, w *waiter, mode Mode, absorbed []*lock, fx
 		})
 	}
 
-	l := &lock{
-		id:     s.newLockID(),
-		client: w.req.Client,
-		mode:   mode,
-		rng:    rng,
-		set:    w.req.Extents,
-		state:  state,
-		sn:     sn,
-	}
+	l := s.install(res, &lock{client: w.req.Client, mode: mode, rng: rng, set: w.req.Extents, state: state, revokeSent: state == Canceling})
 	if state == Canceling {
-		l.revokeSent = true
 		s.tracer.record(Event{Kind: EvEarlyRevocation, Resource: res.id, Client: w.req.Client, Lock: l.id, Mode: mode})
+	}
+	s.admit(res, w, Grant{LockID: l.id, Mode: mode, Range: rng, SN: l.sn, State: state, Absorbed: absorbedIDs}, fx)
+}
+
+// install is the one way a grant this engine decides enters the granted
+// set, for plain and stamped grants alike: l gets a fresh lock ID and the sequencer's next
+// SN, and a write lock bumps the sequencer, so SNs follow grant order.
+// Called with res.mu held.
+func (s *Server) install(res *resource, l *lock) *lock {
+	l.id = s.newLockID()
+	l.sn = res.nextSN
+	if l.mode.IsWrite() {
+		res.nextSN++
 	}
 	res.granted.insert(l)
 	res.grants++
-	s.tracer.record(Event{Kind: EvGrant, Resource: res.id, Client: w.req.Client, Lock: l.id, Mode: mode, Range: rng, SN: sn})
+	return l
+}
 
-	// Wait-time attribution for the Fig. 17 breakdown: time from enqueue
-	// to all-conflicts-canceling is revocation wait; from there to grant
-	// is cancel (flush + release) wait.
+// admit answers waiter w with grant g: it counts the grant, attributes
+// the wait, traces it, retires w and defers the reply into fx.
+//
+// Wait-time attribution for the Fig. 17 breakdown: time from enqueue to
+// all-conflicts-canceling is revocation wait; from there to grant is
+// cancel (flush + release) wait. A waiter that became compatible before
+// every conflict reached CANCELING — an early grant — or whose conflict
+// was delegated to it had no cancel phase: its whole wait is revocation
+// wait, and no fabricated zero cancel wait is recorded. Invariant:
+// RevocationWait + CancelWait <= GrantWait per grant.
+func (s *Server) admit(res *resource, w *waiter, g Grant, fx *effects) {
+	now := s.clk.Now()
 	s.Stats.Grants.Add(1)
 	s.Stats.GrantWaitHist.Record(now.Sub(w.enqAt).Nanoseconds())
-	if w.hadConflict {
-		cancelingAt := w.allCancelAt
-		switch {
-		case cancelingAt.IsZero():
-			// Early grant: the waiter became compatible before every
-			// conflict reached CANCELING, so there was no cancel phase.
-			// The whole wait is revocation wait; recording a fabricated
-			// zero cancel wait here would skew the ② distribution and
-			// (pre-histogram) double-attributed the window. Invariant:
-			// RevocationWait + CancelWait <= GrantWait per grant.
-			s.Stats.RevocationWaitHist.Record(now.Sub(w.enqAt).Nanoseconds())
-		default:
-			// Clamp against clock anomalies and late-arriving conflicts
-			// so neither component can go negative or overshoot the
-			// total wait.
-			if cancelingAt.Before(w.enqAt) {
-				cancelingAt = w.enqAt
-			}
-			if cancelingAt.After(now) {
-				cancelingAt = now
-			}
-			s.Stats.RevocationWaitHist.Record(cancelingAt.Sub(w.enqAt).Nanoseconds())
-			s.Stats.CancelWaitHist.Record(now.Sub(cancelingAt).Nanoseconds())
+	if at := w.allCancelAt; w.hadConflict && (at.IsZero() || g.Delegated) {
+		s.Stats.RevocationWaitHist.Record(now.Sub(w.enqAt).Nanoseconds())
+	} else if w.hadConflict {
+		// Clamp against clock anomalies and late-arriving conflicts so
+		// neither component can go negative or overshoot the total wait.
+		if at.Before(w.enqAt) {
+			at = w.enqAt
 		}
+		if at.After(now) {
+			at = now
+		}
+		s.Stats.RevocationWaitHist.Record(at.Sub(w.enqAt).Nanoseconds())
+		s.Stats.CancelWaitHist.Record(now.Sub(at).Nanoseconds())
 	}
-
+	s.tracer.record(Event{Kind: EvGrant, Resource: res.id, Client: w.req.Client, Lock: g.LockID, Mode: g.Mode, Range: g.Range, SN: g.SN})
 	res.retire(w)
-	fx.sends = append(fx.sends, grantSend{w: w, r: lockResult{g: Grant{
-		LockID:   l.id,
-		Mode:     mode,
-		Range:    rng,
-		SN:       sn,
-		State:    state,
-		Absorbed: absorbedIDs,
-	}}})
+	fx.sends = append(fx.sends, grantSend{w: w, r: lockResult{g: g}})
 }
 
 // expandEnd implements lock range expanding: grow the end of the range
@@ -1168,16 +1228,7 @@ func (s *Server) queueConflict(res *resource, w *waiter, mode Mode, rng extent.E
 // GRANTED. It returns the first violation found. Tests call it at
 // quiescent points; it takes every resource lock briefly.
 func (s *Server) CheckInvariants() error {
-	var resources []*resource
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for _, r := range sh.resources {
-			resources = append(resources, r)
-		}
-		sh.mu.RUnlock()
-	}
-	for _, res := range resources {
+	for _, res := range s.allResources() {
 		res.mu.Lock()
 		for i, a := range res.granted.list {
 			for _, b := range res.granted.list[i+1:] {

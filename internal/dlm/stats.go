@@ -69,7 +69,7 @@ type Stats struct {
 	// RevocationWaitHist and CancelWaitHist record the ①/② split for
 	// grants that resolved conflicts. Early grants that never saw all
 	// conflicts reach CANCELING contribute to RevocationWaitHist only —
-	// no zero-valued cancel-wait sample (see Server.grant).
+	// no zero-valued cancel-wait sample (see Server.admit).
 	GrantWaitHist      obs.Histogram
 	RevocationWaitHist obs.Histogram
 	CancelWaitHist     obs.Histogram

@@ -1,0 +1,306 @@
+package dlm
+
+import (
+	"context"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"ccpfs/internal/extent"
+)
+
+// Pinned engine transitions: one deterministic test per branch of a
+// grant-state step that no scenario test reaches on its own. Each drives
+// the Server's entry points directly, without lock clients.
+
+// recNotifier records the engine's callbacks and answers none of them.
+type recNotifier struct {
+	mu   sync.Mutex
+	revs []Revocation
+	acts []activationMsg
+}
+
+func (n *recNotifier) RevokeBatch(_ context.Context, _ ClientID, revs []Revocation) {
+	n.mu.Lock()
+	n.revs = append(n.revs, revs...)
+	n.mu.Unlock()
+}
+
+func (n *recNotifier) Handoff(_ context.Context, client ClientID, res ResourceID, id LockID) {
+	n.mu.Lock()
+	n.acts = append(n.acts, activationMsg{client: client, res: res, id: id})
+	n.mu.Unlock()
+}
+
+func (n *recNotifier) SolicitAck(context.Context, ClientID, ResourceID, LockID) {}
+
+func (n *recNotifier) activations() []activationMsg {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return append([]activationMsg(nil), n.acts...)
+}
+
+func (n *recNotifier) revocations() []Revocation {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return append([]Revocation(nil), n.revs...)
+}
+
+// mustLock is a Lock that must be answered at once.
+func mustLock(t *testing.T, s *Server, req Request) Grant {
+	t.Helper()
+	g, err := s.Lock(context.Background(), req)
+	if err != nil {
+		t.Fatalf("Lock(%+v): %v", req, err)
+	}
+	return g
+}
+
+// lockAsync runs a Lock that is expected to queue on its own goroutine,
+// returns once it is queued, and delivers its outcome on the channel.
+func lockAsync(t *testing.T, s *Server, ctx context.Context, req Request) <-chan lockResult {
+	t.Helper()
+	before := s.QueueLen(req.Resource)
+	ch := make(chan lockResult, 1)
+	go func() {
+		g, err := s.Lock(ctx, req)
+		ch <- lockResult{g: g, err: err}
+	}()
+	waitFor(t, "request queued", func() bool { return s.QueueLen(req.Resource) == before+1 })
+	return ch
+}
+
+func recv(t *testing.T, ch <-chan lockResult) lockResult {
+	t.Helper()
+	select {
+	case r := <-ch:
+		return r
+	case <-time.After(5 * time.Second):
+		t.Fatal("no reply")
+	}
+	return lockResult{}
+}
+
+// hookCtx is a canceled context whose first Err call runs hook: the
+// waiting Lock sees the cancellation, and hook gets to act between that
+// and the withdrawal.
+type hookCtx struct {
+	context.Context
+	once sync.Once
+	hook func()
+}
+
+func (c *hookCtx) Err() error {
+	c.once.Do(c.hook)
+	return context.Canceled
+}
+
+// TestLockGrantRacedCancellation: a waiter's context fires, and the
+// grant lands before the withdrawal takes the resource lock. The lock
+// the caller will never see must be released on its behalf, and the
+// waiter queued behind it granted.
+func TestLockGrantRacedCancellation(t *testing.T) {
+	s := NewServer(SeqDLM(), &recNotifier{})
+	defer s.Shutdown()
+	rng := extent.New(0, 10)
+	a := mustLock(t, s, Request{Resource: 1, Client: 1, Mode: NBW, Range: rng})
+
+	var third <-chan lockResult
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	ctx := &hookCtx{Context: canceled, hook: func() {
+		third = lockAsync(t, s, context.Background(), Request{Resource: 1, Client: 3, Mode: NBW, Range: rng})
+		s.Release(1, a.LockID) // grants client 2, whose caller has already given up
+	}}
+	if _, err := s.Lock(ctx, Request{Resource: 1, Client: 2, Mode: NBW, Range: rng}); err == nil {
+		t.Fatal("canceled Lock returned a grant")
+	}
+	r := recv(t, third)
+	if r.err != nil {
+		t.Fatalf("queued waiter: %v", r.err)
+	}
+	if got := s.GrantedCount(1); got != 1 {
+		t.Fatalf("granted locks = %d, want 1 (the raced grant must be released)", got)
+	}
+	if got := s.Stats.Grants.Load(); got != 3 {
+		t.Fatalf("Grants = %d, want 3", got)
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReleaseOwingBroadcastActivatesCohort: the holder stamped to
+// broadcast to a reader cohort releases instead of transferring, and the
+// server activates every lease of the cohort itself.
+func TestReleaseOwingBroadcastActivatesCohort(t *testing.T) {
+	n := &recNotifier{}
+	s := NewServer(fanPolicy(), n)
+	s.SetHandoffTimeout(time.Hour)
+	defer s.Shutdown()
+	rng := extent.New(0, 10)
+	mustLock(t, s, Request{Resource: 1, Client: 1, Mode: NBW, Range: rng})
+	w := mustLock(t, s, Request{Resource: 1, Client: 4, Mode: NBW, Range: rng})
+	if !w.Delegated {
+		t.Fatalf("second writer not handed the lock: %+v", w)
+	}
+	r2 := lockAsync(t, s, context.Background(), Request{Resource: 1, Client: 2, Mode: PR, Range: rng})
+	r3 := lockAsync(t, s, context.Background(), Request{Resource: 1, Client: 3, Mode: PR, Range: rng})
+	s.HandoffAck(1, w.LockID) // the writer's lock settles; the reader run is stamped a broadcast
+	g2, g3 := recv(t, r2), recv(t, r3)
+	if !g2.g.Delegated || !g3.g.Delegated || s.Stats.Broadcasts.Load() != 1 {
+		t.Fatalf("no broadcast stamped: %+v %+v", g2, g3)
+	}
+
+	s.Release(1, w.LockID)
+	waitFor(t, "cohort activations", func() bool { return len(n.activations()) == 2 })
+	want := map[LockID]ClientID{g2.g.LockID: 2, g3.g.LockID: 3}
+	for _, a := range n.activations() {
+		if want[a.id] != a.client {
+			t.Fatalf("activation %+v, want one per lease %v", a, want)
+		}
+		delete(want, a.id)
+	}
+	res := s.lookup(1)
+	for _, id := range []LockID{g2.g.LockID, g3.g.LockID} {
+		if l := res.granted.get(id); l == nil || l.delegated {
+			t.Fatalf("lease %d not resolved: %+v", id, l)
+		}
+	}
+	if got := s.GrantedCount(1); got != 2 {
+		t.Fatalf("granted locks = %d, want the 2 leases", got)
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// gatherOverReaders has clients 2 and 3 hold PR locks and client 4 gather
+// them into a write; it returns the readers' grants and the writer's.
+func gatherOverReaders(t *testing.T, s *Server) (r2, r3, w Grant) {
+	t.Helper()
+	rng := extent.New(0, 10)
+	r2 = mustLock(t, s, Request{Resource: 1, Client: 2, Mode: PR, Range: rng})
+	r3 = mustLock(t, s, Request{Resource: 1, Client: 3, Mode: PR, Range: rng})
+	w = mustLock(t, s, Request{Resource: 1, Client: 4, Mode: NBW, Range: rng})
+	if w.GatherParts != 2 || w.HandBack == nil {
+		t.Fatalf("writer did not gather the readers: %+v", w)
+	}
+	return r2, r3, w
+}
+
+// TestReleaseByGatherMemberCountsDown: each cohort member that releases
+// instead of transferring its part covers that part server-side, and the
+// gathering writer is activated when the last part is covered.
+func TestReleaseByGatherMemberCountsDown(t *testing.T) {
+	n := &recNotifier{}
+	s := NewServer(fanPolicy(), n)
+	s.SetHandoffTimeout(time.Hour)
+	defer s.Shutdown()
+	r2, r3, w := gatherOverReaders(t, s)
+	wl := s.lookup(1).granted.get(w.LockID)
+
+	s.Release(1, r2.LockID)
+	if wl.gatherLeft != 1 || !wl.delegated || len(n.activations()) != 0 {
+		t.Fatalf("after one part: gatherLeft %d, delegated %v, activations %v", wl.gatherLeft, wl.delegated, n.activations())
+	}
+	s.Release(1, r3.LockID)
+	waitFor(t, "writer activation", func() bool { return len(n.activations()) == 1 })
+	if a := n.activations()[0]; a.client != 4 || a.id != w.LockID {
+		t.Fatalf("activation %+v, want the writer's lock %d", a, w.LockID)
+	}
+	if wl.gatherLeft != 0 || wl.delegated {
+		t.Fatalf("writer still delegated: gatherLeft %d", wl.gatherLeft)
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReclaimForceLiveProviderNudges: a pre-armed handback lease whose
+// provider, the gathering writer, still holds its lock is not forced
+// active behind it: the reclaimer's force step re-revokes the writer
+// instead.
+func TestReclaimForceLiveProviderNudges(t *testing.T) {
+	n := &recNotifier{}
+	s := NewServer(fanPolicy(), n)
+	s.SetHandoffTimeout(time.Hour)
+	defer s.Shutdown()
+	_, _, w := gatherOverReaders(t, s)
+	lease := w.HandBack.Leases[0].LockID
+
+	s.reclaim.mu.Lock()
+	e := *s.reclaim.entries[lockKey{res: 1, id: lease}]
+	s.reclaim.mu.Unlock()
+	revs := s.Stats.Revocations.Load()
+	s.do(s.lookup(1), &event{kind: evReclaim, e: &e})
+
+	if got := s.Stats.Revocations.Load() - revs; got != 1 {
+		t.Fatalf("revocations sent = %d, want 1", got)
+	}
+	waitFor(t, "writer re-revoked", func() bool {
+		for _, rv := range n.revocations() {
+			if rv.Lock == w.LockID && rv.Client == 4 && rv.Handoff == nil {
+				return true
+			}
+		}
+		return false
+	})
+	if l := s.lookup(1).granted.get(lease); l == nil || !l.delegated {
+		t.Fatalf("lease forced active behind its live provider: %+v", l)
+	}
+	if got := s.Stats.HandoffReclaims.Load(); got != 0 {
+		t.Fatalf("HandoffReclaims = %d, want 0", got)
+	}
+	if len(n.activations()) != 0 {
+		t.Fatalf("activations %v, want none", n.activations())
+	}
+}
+
+// TestInvalidDowngrade: a downgrade outside the §III-D2 routes, of an
+// unknown lock, or on an unknown resource is refused and changes nothing.
+func TestInvalidDowngrade(t *testing.T) {
+	s := NewServer(SeqDLM(), &recNotifier{})
+	defer s.Shutdown()
+	g := mustLock(t, s, Request{Resource: 1, Client: 1, Mode: BW, Range: extent.New(0, 10)})
+	for _, c := range []struct {
+		res  ResourceID
+		id   LockID
+		mode Mode
+		want string
+	}{
+		{1, g.LockID, PR, "invalid downgrade BW -> PR"},
+		{1, g.LockID, PW, "invalid downgrade BW -> PW"},
+		{1, g.LockID + 100, NBW, "unknown lock"},
+		{2, g.LockID, NBW, "unknown lock"},
+	} {
+		err := s.Downgrade(c.res, c.id, c.mode)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("Downgrade(%d, %d, %v) = %v, want %q", c.res, c.id, c.mode, err, c.want)
+		}
+	}
+	if l := s.lookup(1).granted.get(g.LockID); l.mode != BW {
+		t.Fatalf("mode = %v after refused downgrades", l.mode)
+	}
+	if got := s.Stats.Downgrades.Load(); got != 0 {
+		t.Fatalf("Downgrades = %d, want 0", got)
+	}
+	if err := s.Downgrade(1, g.LockID, NBW); err != nil {
+		t.Fatalf("valid downgrade: %v", err)
+	}
+}
+
+// TestCheckInvariantsReportsOverlap: two overlapping GRANTED write locks
+// of different clients are the violation CheckInvariants exists to
+// report.
+func TestCheckInvariantsReportsOverlap(t *testing.T) {
+	s := NewServer(SeqDLM(), &recNotifier{})
+	defer s.Shutdown()
+	res := s.resource(1)
+	res.granted.insert(&lock{id: 1, client: 1, mode: NBW, rng: extent.New(0, 10)})
+	res.granted.insert(&lock{id: 2, client: 2, mode: PW, rng: extent.New(5, 15)})
+	if err := s.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "overlapping GRANTED locks") {
+		t.Fatalf("CheckInvariants = %v, want the overlap reported", err)
+	}
+}
