@@ -8,7 +8,6 @@ import (
 	"ccpfs/internal/analysis"
 	"ccpfs/internal/cluster"
 	"ccpfs/internal/dlm"
-	"ccpfs/internal/metrics"
 	"ccpfs/internal/sim"
 	"ccpfs/internal/workload"
 )
@@ -161,7 +160,7 @@ func DefaultFig4() Fig4Config {
 // RunFig4 measures the three patterns under DLM-basic.
 func RunFig4(cfg Fig4Config) (*Experiment, error) {
 	exp := &Experiment{ID: "Fig4", Title: "IO pattern bandwidth gap under a traditional DLM"}
-	tb := metrics.NewTable("pattern", "write size", "bandwidth (PIO)")
+	tb := newTable("pattern", "write size", "bandwidth (PIO)")
 	for _, pat := range []workload.Pattern{workload.NN, workload.N1Segmented, workload.N1Strided} {
 		for _, ws := range cfg.WriteSizes {
 			c, err := newCluster(dlm.Basic(), cfg.Hardware, 1)
@@ -187,7 +186,7 @@ func RunFig4(cfg Fig4Config) (*Experiment, error) {
 				PIO:       res.PIO,
 				Flush:     res.Flush,
 			})
-			tb.Row(pat.String(), metrics.Size(ws), metrics.Bandwidth(res.BandwidthPIO()))
+			tb.Row(pat.String(), size(ws), bandwidth(res.BandwidthPIO()))
 		}
 	}
 	exp.Text = tb.String()
@@ -221,7 +220,7 @@ func DefaultFig5() Fig5Config {
 // cheaper data flushing.
 func RunFig5(cfg Fig5Config) (*Experiment, error) {
 	exp := &Experiment{ID: "Fig5", Title: "N-1 strided bandwidth as data flushing gets cheaper"}
-	tb := metrics.NewTable("flush cost", "bandwidth (PIO)")
+	tb := newTable("flush cost", "bandwidth (PIO)")
 	variants := []struct {
 		name string
 		mod  func(Hardware) Hardware
@@ -263,7 +262,7 @@ func RunFig5(cfg Fig5Config) (*Experiment, error) {
 			PIO:       res.PIO,
 			Flush:     res.Flush,
 		})
-		tb.Row(v.name, metrics.Bandwidth(res.BandwidthPIO()))
+		tb.Row(v.name, bandwidth(res.BandwidthPIO()))
 	}
 	exp.Text = tb.String()
 	return exp, nil
@@ -275,16 +274,16 @@ func RunFig5(cfg Fig5Config) (*Experiment, error) {
 // RunModel evaluates Equations (1)–(2) with the Table I parameters.
 func RunModel() *Experiment {
 	exp := &Experiment{ID: "TableI", Title: "Analytic model of lock conflict resolution (§II-C)"}
-	tb := metrics.NewTable("D", "term ① (s/B)", "term ② (s/B)", "term ③ (s/B)", "bottleneck", "B_total", "w/o flush", "w/o flush+revoke")
+	tb := newTable("D", "term ① (s/B)", "term ② (s/B)", "term ③ (s/B)", "bottleneck", "B_total", "w/o flush", "w/o flush+revoke")
 	for _, d := range []float64{64e3, 256e3, 1e6} {
 		p := analysis.TableI(16, d)
 		t1, t2, t3 := p.Terms()
-		tb.Row(metrics.Size(int64(d)),
+		tb.Row(size(int64(d)),
 			fmt.Sprintf("%.1e", t1), fmt.Sprintf("%.1e", t2), fmt.Sprintf("%.1e", t3),
 			p.Bottleneck(),
-			metrics.Bandwidth(p.BTotal()),
-			metrics.Bandwidth(p.WithoutFlush()),
-			metrics.Bandwidth(p.WithoutFlushAndRevocation()))
+			bandwidth(p.BTotal()),
+			bandwidth(p.WithoutFlush()),
+			bandwidth(p.WithoutFlushAndRevocation()))
 		exp.Rows = append(exp.Rows, Row{
 			WriteSize: int64(d),
 			Bandwidth: p.BTotal(),
@@ -322,7 +321,7 @@ func DefaultFig17() Fig17Config {
 // RunFig17 measures the ①/②/③ breakdown for PW and NBW.
 func RunFig17(cfg Fig17Config) (*Experiment, error) {
 	exp := &Experiment{ID: "Fig17", Title: "Sequential conflicting writes: time breakdown (PW vs NBW)"}
-	tb := metrics.NewTable("mode", "write size", "total", "① revocation", "② cancel", "③ other", "resolution share")
+	tb := newTable("mode", "write size", "total", "① revocation", "② cancel", "③ other", "resolution share")
 	for _, mode := range []Mode{PW, NBW} {
 		for _, ws := range cfg.WriteSizes {
 			c, err := newCluster(dlm.SeqDLM(), cfg.Hardware, 1)
@@ -353,8 +352,8 @@ func RunFig17(cfg Fig17Config) (*Experiment, error) {
 				Cancel:     bd.Cancel,
 				Other:      bd.Other,
 			})
-			tb.Row(mode, metrics.Size(ws), metrics.Seconds(bd.Total),
-				metrics.Seconds(bd.Revocation), metrics.Seconds(bd.Cancel), metrics.Seconds(bd.Other),
+			tb.Row(mode, size(ws), seconds(bd.Total),
+				seconds(bd.Revocation), seconds(bd.Cancel), seconds(bd.Other),
 				fmt.Sprintf("%.0f%%", share*100))
 		}
 	}
@@ -389,7 +388,7 @@ func DefaultFig18() Fig18Config {
 // (Fig. 18b) for the four variants.
 func RunFig18(cfg Fig18Config) (*Experiment, error) {
 	exp := &Experiment{ID: "Fig18", Title: "Parallel conflicting writes: throughput and locking/IO ratio"}
-	tb := metrics.NewTable("variant", "write size", "throughput (op/s)", "locking/IO ratio")
+	tb := newTable("variant", "write size", "throughput (op/s)", "locking/IO ratio")
 	variants := []struct {
 		name string
 		mode Mode
@@ -428,7 +427,7 @@ func RunFig18(cfg Fig18Config) (*Experiment, error) {
 				PIO:        st.PIO,
 				Flush:      st.Flush,
 			})
-			tb.Row(v.name, metrics.Size(ws), fmt.Sprintf("%.0f", st.Throughput()), fmt.Sprintf("%.2f", st.LockRatio))
+			tb.Row(v.name, size(ws), fmt.Sprintf("%.0f", st.Throughput()), fmt.Sprintf("%.2f", st.LockRatio))
 		}
 	}
 	exp.Text = tb.String()
@@ -456,7 +455,7 @@ func DefaultFig19a() Fig19aConfig {
 // without conversion, and NBW with upgrading.
 func RunFig19a(cfg Fig19aConfig) (*Experiment, error) {
 	exp := &Experiment{ID: "Fig19a", Title: "Lock upgrading: interleaved reads/writes from one client"}
-	tb := metrics.NewTable("variant", "throughput (op/s)")
+	tb := newTable("variant", "throughput (op/s)")
 	variants := []struct {
 		name string
 		mode Mode
@@ -516,7 +515,7 @@ func DefaultFig19b() Fig19bConfig {
 // downgrading, and BW with downgrading.
 func RunFig19b(cfg Fig19bConfig) (*Experiment, error) {
 	exp := &Experiment{ID: "Fig19b", Title: "Lock downgrading: writes spanning two stripes"}
-	tb := metrics.NewTable("variant", "write size", "bandwidth (PIO)")
+	tb := newTable("variant", "write size", "bandwidth (PIO)")
 	variants := []struct {
 		name string
 		mode Mode
@@ -552,7 +551,7 @@ func RunFig19b(cfg Fig19bConfig) (*Experiment, error) {
 				PIO:       res.PIO,
 				Flush:     res.Flush,
 			})
-			tb.Row(v.name, metrics.Size(ws), metrics.Bandwidth(res.BandwidthPIO()))
+			tb.Row(v.name, size(ws), bandwidth(res.BandwidthPIO()))
 		}
 	}
 	exp.Text = tb.String()
@@ -600,7 +599,7 @@ func threeDLMs() []namedPolicy {
 // three DLMs: low contention, so everyone should be close.
 func RunTable3(cfg Fig20Config) (*Experiment, error) {
 	exp := &Experiment{ID: "Table3", Title: "IOR N-1 segmented, 1 stripe, 64 KB writes"}
-	tb := metrics.NewTable("DLM", "bandwidth (PIO)", "total IO time")
+	tb := newTable("DLM", "bandwidth (PIO)", "total IO time")
 	for _, np := range threeDLMs() {
 		c, err := newCluster(np.pol, cfg.Hardware, 1)
 		if err != nil {
@@ -628,7 +627,7 @@ func RunTable3(cfg Fig20Config) (*Experiment, error) {
 			PIO:       res.PIO,
 			Flush:     res.Flush,
 		})
-		tb.Row(np.name, metrics.Bandwidth(res.BandwidthPIO()), metrics.Seconds(res.Total()))
+		tb.Row(np.name, bandwidth(res.BandwidthPIO()), seconds(res.Total()))
 	}
 	exp.Text = tb.String()
 	return exp, nil
@@ -639,7 +638,7 @@ func RunTable3(cfg Fig20Config) (*Experiment, error) {
 // carry the PIO/F split (Fig. 20b).
 func RunFig20(cfg Fig20Config) (*Experiment, error) {
 	exp := &Experiment{ID: "Fig20", Title: "IOR N-1 strided, 1 stripe: bandwidth and PIO/F split"}
-	tb := metrics.NewTable("variant", "write size", "bandwidth (PIO)", "PIO", "F", "PIO share")
+	tb := newTable("variant", "write size", "bandwidth (PIO)", "PIO", "F", "PIO share")
 	type variant struct {
 		name    string
 		pol     Policy
@@ -679,8 +678,8 @@ func RunFig20(cfg Fig20Config) (*Experiment, error) {
 				PIO:       res.PIO,
 				Flush:     res.Flush,
 			})
-			tb.Row(v.name, metrics.Size(ws), metrics.Bandwidth(res.BandwidthPIO()),
-				metrics.Seconds(res.PIO), metrics.Seconds(res.Flush), fmt.Sprintf("%.0f%%", share*100))
+			tb.Row(v.name, size(ws), bandwidth(res.BandwidthPIO()),
+				seconds(res.PIO), seconds(res.Flush), fmt.Sprintf("%.0f%%", share*100))
 		}
 	}
 	exp.Text = tb.String()
@@ -718,7 +717,7 @@ func DefaultFig21() Fig21Config {
 // Fig. 22 PIO/F split).
 func RunFig21(cfg Fig21Config) (*Experiment, error) {
 	exp := &Experiment{ID: "Fig21", Title: "N-1 strided on a multi-striped file (unaligned, stripe-spanning)"}
-	tb := metrics.NewTable("DLM", "stripes", "write size", "bandwidth (PIO)", "PIO", "F")
+	tb := newTable("DLM", "stripes", "write size", "bandwidth (PIO)", "PIO", "F")
 	for _, stripes := range cfg.StripeCounts {
 		for _, np := range threeDLMs() {
 			for _, ws := range cfg.WriteSizes {
@@ -746,8 +745,8 @@ func RunFig21(cfg Fig21Config) (*Experiment, error) {
 					PIO:       res.PIO,
 					Flush:     res.Flush,
 				})
-				tb.Row(np.name, stripes, metrics.Size(ws), metrics.Bandwidth(res.BandwidthPIO()),
-					metrics.Seconds(res.PIO), metrics.Seconds(res.Flush))
+				tb.Row(np.name, stripes, size(ws), bandwidth(res.BandwidthPIO()),
+					seconds(res.PIO), seconds(res.Flush))
 			}
 		}
 	}
@@ -783,7 +782,7 @@ func DefaultFig23() Fig23Config {
 // RunFig23 measures Tile-IO bandwidth and total time for both policies.
 func RunFig23(cfg Fig23Config) (*Experiment, error) {
 	exp := &Experiment{ID: "Fig23", Title: "Tile-IO atomic non-contiguous writes: SeqDLM vs DLM-datatype"}
-	tb := metrics.NewTable("DLM", "stripes", "bandwidth (PIO)", "total time")
+	tb := newTable("DLM", "stripes", "bandwidth (PIO)", "total time")
 	pols := []namedPolicy{
 		{"SeqDLM", dlm.SeqDLM()},
 		{"DLM-datatype", dlm.Datatype()},
@@ -814,7 +813,7 @@ func RunFig23(cfg Fig23Config) (*Experiment, error) {
 				PIO:       res.PIO,
 				Flush:     res.Flush,
 			})
-			tb.Row(np.name, stripes, metrics.Bandwidth(res.BandwidthPIO()), metrics.Seconds(res.Total()))
+			tb.Row(np.name, stripes, bandwidth(res.BandwidthPIO()), seconds(res.Total()))
 		}
 	}
 	exp.Text = tb.String()
@@ -855,7 +854,7 @@ func DefaultFig24() Fig24Config {
 // split).
 func RunFig24(cfg Fig24Config) (*Experiment, error) {
 	exp := &Experiment{ID: "Fig24", Title: "VPIC-IO write bandwidth: ccPFS-SeqDLM vs ccPFS-DLM-Lustre"}
-	tb := metrics.NewTable("DLM", "stripes", "write size", "bandwidth (PIO)", "PIO", "F")
+	tb := newTable("DLM", "stripes", "write size", "bandwidth (PIO)", "PIO", "F")
 	pols := []namedPolicy{
 		{"ccPFS-S", dlm.SeqDLM()},
 		{"ccPFS-L", dlm.Lustre()},
@@ -890,8 +889,8 @@ func RunFig24(cfg Fig24Config) (*Experiment, error) {
 					PIO:       res.PIO,
 					Flush:     res.Flush,
 				})
-				tb.Row(np.name, stripes, metrics.Size(ws), metrics.Bandwidth(res.BandwidthPIO()),
-					metrics.Seconds(res.PIO), metrics.Seconds(res.Flush))
+				tb.Row(np.name, stripes, size(ws), bandwidth(res.BandwidthPIO()),
+					seconds(res.PIO), seconds(res.Flush))
 			}
 		}
 	}
@@ -927,7 +926,7 @@ func DefaultAblation() AblationConfig {
 // mechanisms disabled.
 func RunAblation(cfg AblationConfig) (*Experiment, error) {
 	exp := &Experiment{ID: "Ablation", Title: "SeqDLM mechanisms disabled one at a time (N-1 strided)"}
-	tb := metrics.NewTable("variant", "bandwidth (PIO)", "early grants", "early revocations", "conversions")
+	tb := newTable("variant", "bandwidth (PIO)", "early grants", "early revocations", "conversions")
 	variants := []struct {
 		name string
 		pol  Policy
@@ -963,7 +962,7 @@ func RunAblation(cfg AblationConfig) (*Experiment, error) {
 			PIO:       res.PIO,
 			Flush:     res.Flush,
 		})
-		tb.Row(v.name, metrics.Bandwidth(res.BandwidthPIO()),
+		tb.Row(v.name, bandwidth(res.BandwidthPIO()),
 			st.EarlyGrants, st.EarlyRevocations, st.Upgrades+st.Downgrades)
 	}
 	exp.Text = tb.String()
@@ -1002,7 +1001,7 @@ func DefaultPingPong() PingPongExpConfig {
 // RunPingPong measures the exchange pattern with handoff off and on.
 func RunPingPong(cfg PingPongExpConfig) (*Experiment, error) {
 	exp := &Experiment{ID: "PingPong", Title: "Producer-consumer exchanges: server revoke path vs client-to-client handoff"}
-	tb := metrics.NewTable("variant", "bandwidth (PIO)", "server RPCs/exchange", "handoffs", "reclaims",
+	tb := newTable("variant", "bandwidth (PIO)", "server RPCs/exchange", "handoffs", "reclaims",
 		"grant wait p50", "grant wait p99")
 	for _, v := range []struct {
 		name    string
@@ -1043,7 +1042,7 @@ func RunPingPong(cfg PingPongExpConfig) (*Experiment, error) {
 			Flush:      st.Flush,
 			Throughput: st.Throughput(),
 		})
-		tb.Row(v.name, metrics.Bandwidth(st.BandwidthPIO()),
+		tb.Row(v.name, bandwidth(st.BandwidthPIO()),
 			fmt.Sprintf("%.2f", st.ServerRPCsPerExchange),
 			st.DLM.Handoffs, st.DLM.HandoffReclaims,
 			time.Duration(st.GrantWait.Quantile(0.50)).Round(time.Microsecond),
@@ -1088,7 +1087,7 @@ func DefaultReaderFan() ReaderFanExpConfig {
 // at each fan width.
 func RunReaderFan(cfg ReaderFanExpConfig) (*Experiment, error) {
 	exp := &Experiment{ID: "ReaderFan", Title: "Write-then-fan-out rotation: server grant path vs batched fan-out + lease propagation"}
-	tb := metrics.NewTable("variant", "readers", "read bandwidth (PIO)", "server RPCs/reader",
+	tb := newTable("variant", "readers", "read bandwidth (PIO)", "server RPCs/reader",
 		"broadcasts", "gathers", "lease grants", "ack solicits", "reclaims")
 	for _, v := range []struct {
 		name string
@@ -1132,7 +1131,7 @@ func RunReaderFan(cfg ReaderFanExpConfig) (*Experiment, error) {
 				Throughput: st.Throughput(),
 				LockRatio:  st.ServerRPCsPerReader,
 			})
-			tb.Row(v.name, n, metrics.Bandwidth(st.BandwidthPIO()),
+			tb.Row(v.name, n, bandwidth(st.BandwidthPIO()),
 				fmt.Sprintf("%.2f", st.ServerRPCsPerReader),
 				st.DLM.Broadcasts, st.DLM.Gathers, st.DLM.LeaseGrants, st.DLM.AckSolicits, st.DLM.HandoffReclaims)
 		}

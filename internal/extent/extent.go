@@ -1,6 +1,15 @@
-// Package extent provides byte-range extents and the sequence-numbered
-// interval structures that back both the lock manager's range bookkeeping
-// and the data server's extent cache in ccPFS.
+// Package extent provides byte-range extents and the interval structures
+// built on them in ccPFS: one balanced interval tree and two containers
+// of SN-tagged extents that share one merge rule.
+//
+//   - ITree, an AVL interval tree of possibly-overlapping extents, indexes
+//     the lock manager's granted locks and waiters, and stores Tree.
+//   - List (a client page's valid extents, §IV-A) and Tree (the data
+//     server's extent cache, §IV-B) keep the newest SN per byte: where a
+//     write overlaps an entry, the larger SN wins. Both merge through one
+//     function, mergeNewest, which also reports the update set. List is a
+//     sorted slice, because a page holds about eight entries; Tree is
+//     ITree with non-overlapping entries.
 //
 // All extents are half-open intervals [Start, End) over int64 byte
 // offsets. The sentinel Inf represents "end of file" for lock ranges that
@@ -59,11 +68,6 @@ func (e Extent) ContainsOff(off int64) bool {
 // Overlaps reports whether e and other share at least one byte.
 func (e Extent) Overlaps(other Extent) bool {
 	return e.Start < other.End && other.Start < e.End
-}
-
-// Adjacent reports whether e and other touch without overlapping.
-func (e Extent) Adjacent(other Extent) bool {
-	return e.End == other.Start || other.End == e.Start
 }
 
 // Intersect returns the overlap of e and other. The boolean is false when

@@ -46,9 +46,6 @@ func TestExtentOverlapAdjacent(t *testing.T) {
 	if a.Overlaps(b) {
 		t.Fatal("adjacent extents reported overlapping")
 	}
-	if !a.Adjacent(b) || !b.Adjacent(a) {
-		t.Fatal("adjacent not detected")
-	}
 	if !a.Overlaps(c) || !c.Overlaps(a) {
 		t.Fatal("overlap not detected")
 	}
@@ -363,15 +360,6 @@ func TestTreePickBatchAndRemoveLE(t *testing.T) {
 	// Stale descriptors (already removed) are skipped silently.
 	if tr.RemoveLE(all, 3) != 0 {
 		t.Fatal("second RemoveLE removed entries twice")
-	}
-}
-
-func TestTreeEntryBytes(t *testing.T) {
-	var tr Tree
-	tr.Insert(New(0, 10), 1)
-	tr.Insert(New(100, 110), 2)
-	if tr.EntryBytes() != 2*EntrySize {
-		t.Fatalf("EntryBytes = %d", tr.EntryBytes())
 	}
 }
 

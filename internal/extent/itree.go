@@ -1,19 +1,25 @@
 package extent
 
-// ITree is a balanced (AVL) interval tree that, unlike Tree, permits
-// overlapping entries: it indexes a set of possibly-overlapping extents
-// keyed by (Start, key), where key is a caller-supplied unique
-// discriminator (a lock ID, a waiter sequence number). Every node is
-// augmented with the maximum End in its subtree, so a stabbing query
-// visits only the O(log n + k) nodes whose subtrees can overlap the
-// probe. It is the index behind the DLM server's sublinear grant engine
-// (DESIGN.md §9): conflict detection, queue-conflict checks, and mSN
-// queries over a resource's granted set.
+// ITree is the package's one balanced (AVL) interval tree. It indexes a
+// set of possibly-overlapping extents keyed by (Start, key), where key is
+// a caller-supplied unique discriminator (a lock ID, a waiter sequence
+// number). Every node is augmented with the maximum End in its subtree,
+// so a stabbing query visits only the O(log n + k) nodes whose subtrees
+// can overlap the probe. It is the index behind the DLM server's
+// sublinear grant engine (DESIGN.md §9) — conflict detection,
+// queue-conflict checks and mSN queries over a resource's granted set —
+// and, with non-overlapping entries and a constant key, the storage of
+// Tree.
+//
+// A deleted node is zeroed and parked for the next Insert to reuse, so a
+// tree whose size holds steady (a lock table granting and releasing, an
+// extent cache overwriting its window) allocates no node.
 //
 // ITree is not safe for concurrent use; callers synchronize externally.
 type ITree[V any] struct {
 	root *inode[V]
 	size int
+	free *inode[V] // parked nodes, linked through right
 }
 
 type inode[V any] struct {
@@ -52,8 +58,7 @@ func (n *inode[V]) less(start int64, key uint64) bool {
 	return n.key < key
 }
 
-// fix recomputes the node's augmentation and rebalances, mirroring the
-// AVL discipline of Tree.fix.
+// fix recomputes the node's augmentation and rebalances.
 func (n *inode[V]) fix() *inode[V] {
 	n.update()
 	switch bf := iheight(n.left) - iheight(n.right); {
@@ -97,18 +102,25 @@ func (n *inode[V]) rotateLeft() *inode[V] {
 // Insert adds (ext, key) → val. The caller guarantees key is unique
 // among live entries; duplicate keys would make Delete ambiguous.
 func (t *ITree[V]) Insert(ext Extent, key uint64, val V) {
-	t.root = insertINode(t.root, ext, key, val)
+	t.root = t.insert(t.root, ext, key, val)
 	t.size++
 }
 
-func insertINode[V any](n *inode[V], ext Extent, key uint64, val V) *inode[V] {
+func (t *ITree[V]) insert(n *inode[V], ext Extent, key uint64, val V) *inode[V] {
 	if n == nil {
-		return &inode[V]{ext: ext, key: key, val: val, height: 1, maxEnd: ext.End}
+		n = t.free
+		if n != nil {
+			t.free = n.right
+		} else {
+			n = new(inode[V])
+		}
+		*n = inode[V]{ext: ext, key: key, val: val, height: 1, maxEnd: ext.End}
+		return n
 	}
 	if n.less(ext.Start, key) {
-		n.right = insertINode(n.right, ext, key, val)
+		n.right = t.insert(n.right, ext, key, val)
 	} else {
-		n.left = insertINode(n.left, ext, key, val)
+		n.left = t.insert(n.left, ext, key, val)
 	}
 	return n.fix()
 }
@@ -117,37 +129,41 @@ func insertINode[V any](n *inode[V], ext Extent, key uint64, val V) *inode[V] {
 // whether it was present.
 func (t *ITree[V]) Delete(start int64, key uint64) bool {
 	var deleted bool
-	t.root, deleted = deleteINode(t.root, start, key)
+	t.root, deleted = t.delete(t.root, start, key)
 	if deleted {
 		t.size--
 	}
 	return deleted
 }
 
-func deleteINode[V any](n *inode[V], start int64, key uint64) (*inode[V], bool) {
+func (t *ITree[V]) delete(n *inode[V], start int64, key uint64) (*inode[V], bool) {
 	if n == nil {
 		return nil, false
 	}
 	var deleted bool
 	switch {
 	case n.less(start, key):
-		n.right, deleted = deleteINode(n.right, start, key)
+		n.right, deleted = t.delete(n.right, start, key)
 	case n.ext.Start != start || n.key != key:
-		n.left, deleted = deleteINode(n.left, start, key)
+		n.left, deleted = t.delete(n.left, start, key)
+	case n.left == nil || n.right == nil:
+		child := n.left
+		if child == nil {
+			child = n.right
+		}
+		// A parked node must keep neither its value nor a dead subtree
+		// reachable.
+		*n = inode[V]{right: t.free}
+		t.free = n
+		return child, true
 	default:
 		deleted = true
-		if n.left == nil {
-			return n.right, true
-		}
-		if n.right == nil {
-			return n.left, true
-		}
 		succ := n.right
 		for succ.left != nil {
 			succ = succ.left
 		}
 		n.ext, n.key, n.val = succ.ext, succ.key, succ.val
-		n.right, _ = deleteINode(n.right, succ.ext.Start, succ.key)
+		n.right, _ = t.delete(n.right, succ.ext.Start, succ.key)
 	}
 	return n.fix(), deleted
 }

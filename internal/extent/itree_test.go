@@ -2,7 +2,9 @@ package extent
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
+	"weak"
 )
 
 // itreeEntry mirrors a tree entry for the brute-force model.
@@ -150,4 +152,39 @@ func TestITreeVisitStops(t *testing.T) {
 	if calls != 1 {
 		t.Fatalf("Visit did not stop: %d calls", calls)
 	}
+}
+
+// TestITreeParkedNodeDropsValue: a node Delete parks for reuse must not
+// keep its value alive. The tree is shaped so that deleting the root (two
+// children) moves the successor's value p into the root and parks the
+// successor's node, and deleting p then parks the root's node: without
+// the zeroing, both parked nodes still point at p, and the one Insert
+// after them reuses only one.
+func TestITreeParkedNodeDropsValue(t *testing.T) {
+	type payload struct{ _ [64]byte }
+	var tr ITree[*payload]
+	wp := insertWeak(&tr, Extent{30, 31}, 3)
+	tr.Insert(Extent{20, 21}, 2, new(payload))
+	tr.Insert(Extent{10, 11}, 1, new(payload))
+	if tr.root.key != 2 || tr.root.right == nil || tr.root.right.key != 3 {
+		t.Fatalf("unexpected shape: root key %d", tr.root.key)
+	}
+	tr.Delete(20, 2) // two children: p moves into the root
+	tr.Delete(30, 3) // p itself
+	tr.Insert(Extent{40, 41}, 4, new(payload))
+	runtime.GC()
+	if wp.Value() != nil {
+		t.Fatal("a parked node keeps a deleted value reachable")
+	}
+	if tr.Len() != 2 {
+		t.Fatalf("Len = %d, want 2", tr.Len())
+	}
+}
+
+// insertWeak inserts a fresh value and returns only a weak pointer to it,
+// so the tree holds the one strong reference.
+func insertWeak[T any](tr *ITree[*T], e Extent, key uint64) weak.Pointer[T] {
+	p := new(T)
+	tr.Insert(e, key, p)
+	return weak.Make(p)
 }

@@ -7,7 +7,9 @@ import "sort"
 // ranges of the page hold valid data and under which lock sequence number
 // they were written (§IV-A of the paper). It is optimized for the handful
 // of entries a 4 KB page accumulates, not for the data server's much
-// larger per-stripe extent cache (see Tree for that).
+// larger per-stripe extent cache (see Tree for that): a page holds about
+// eight entries, so a sorted slice beats a tree. It merges writes by the
+// rule it shares with Tree (mergeNewest).
 //
 // The zero value is an empty, ready-to-use list.
 type List struct {
@@ -39,29 +41,18 @@ func (l *List) Insert(e Extent, sn SN) []SNExtent {
 	return l.InsertInto(nil, e, sn, false)
 }
 
-// InsertNewer is Insert with the opposite tie rule: existing entries
-// with an equal SN win. It is used for clean fills from a data server —
-// the locally cached copy of an equal-SN byte is at least as new as the
-// server's, so a fill must never replace it.
-func (l *List) InsertNewer(e Extent, sn SN) []SNExtent {
-	return l.InsertInto(nil, e, sn, true)
-}
-
-// InsertInto is Insert (or, with oldWinsTies, InsertNewer) that builds
-// the update set in won's storage (its contents are overwritten), so a
-// caller inserting page after page can reuse one scratch slice. The list
-// is edited in place: nothing is allocated unless the entries or the
-// update set outgrow their storage.
+// InsertInto is Insert that builds the update set in won's storage (its
+// contents are overwritten), so a caller inserting page after page can
+// reuse one scratch slice. With oldWinsTies, existing entries with an
+// equal SN win instead: that is the rule for clean fills from a data
+// server — the locally cached copy of an equal-SN byte is at least as
+// new as the server's, so a fill must never replace it. The list is
+// edited in place: nothing is allocated unless the entries or the update
+// set outgrow their storage.
 func (l *List) InsertInto(won []SNExtent, e Extent, sn SN, oldWinsTies bool) []SNExtent {
 	won = won[:0]
 	if e.Empty() {
 		return won
-	}
-	oldWins := func(old SN) bool {
-		if oldWinsTies {
-			return old >= sn
-		}
-		return old > sn
 	}
 	in := SNExtent{Extent: e, SN: sn}
 	// The cases a page cache produces write after write, none of which
@@ -75,7 +66,7 @@ func (l *List) InsertInto(won []SNExtent, e Extent, sn SN, oldWinsTies bool) []S
 	if e.Start <= l.ents[0].Start && l.ents[n-1].End <= e.End {
 		covers := true
 		for _, old := range l.ents {
-			if oldWins(old.SN) {
+			if oldWins(old.SN, sn, oldWinsTies) {
 				covers = false
 				break
 			}
@@ -87,37 +78,49 @@ func (l *List) InsertInto(won []SNExtent, e Extent, sn SN, oldWinsTies bool) []S
 	}
 
 	// General case: rebuild the entries in a scratch that stays on the
-	// stack for the handful a page holds, then copy them back.
+	// stack for the handful a page holds, then copy them back. Entries
+	// [lo, hi) overlap e.
+	lo := 0
+	for lo < n && l.ents[lo].End <= e.Start {
+		lo++
+	}
+	hi := lo
+	for hi < n && l.ents[hi].Start < e.End {
+		hi++
+	}
 	var scratch [8]SNExtent
-	out := scratch[:0]
-	pend := in
-	consumed := false
-	for _, old := range l.ents {
-		if !consumed && old.Start >= pend.End {
-			// Flush the remaining incoming range before entries that lie
-			// wholly beyond it, to keep the rebuilt list sorted.
-			out = appendMerge(out, pend)
-			won = appendMerge(won, pend)
-			consumed = true
-		}
-		if consumed || !old.Overlaps(e) {
-			out = appendMerge(out, old)
-			continue
-		}
-		if oldWins(old.SN) {
+	out := append(scratch[:0], l.ents[:lo]...)
+	out, won = mergeNewest(out, won, l.ents[lo:hi], e, sn, oldWinsTies)
+	for _, old := range l.ents[hi:] {
+		out = appendMerge(out, old)
+	}
+	l.ents = append(l.ents[:0], out...)
+	return won
+}
+
+// oldWins reports whether an existing entry tagged old keeps its bytes
+// against an incoming write tagged sn.
+func oldWins(old, sn SN, oldWinsTies bool) bool {
+	return old > sn || oldWinsTies && old == sn
+}
+
+// mergeNewest is the merge rule List and Tree share. It merges the write
+// (e, sn) with olds — the entries overlapping e, in ascending order —
+// and appends to out the entries replacing them, which cover the union
+// of e and olds, and to won the update set. Both are built with
+// appendMerge, so each coalesces with what it already ends in.
+func mergeNewest(out, won, olds []SNExtent, e Extent, sn SN, oldWinsTies bool) ([]SNExtent, []SNExtent) {
+	pend := SNExtent{Extent: e, SN: sn} // the part of e still to place
+	for _, old := range olds {
+		if oldWins(old.SN, sn, oldWinsTies) {
 			// The existing data is newer: the incoming write only takes
 			// effect outside this entry.
 			if pend.Start < old.Start {
 				seg := SNExtent{Extent: Extent{pend.Start, old.Start}, SN: sn}
-				out = appendMerge(out, seg)
-				won = appendMerge(won, seg)
+				out, won = appendMerge(out, seg), appendMerge(won, seg)
 			}
 			out = appendMerge(out, old)
-			if old.End >= pend.End {
-				consumed = true
-			} else {
-				pend.Start = old.End
-			}
+			pend.Start = old.End // pend is empty once old reaches e.End
 			continue
 		}
 		// The incoming write is at least as new: keep the parts of the
@@ -127,19 +130,12 @@ func (l *List) InsertInto(won []SNExtent, e Extent, sn SN, oldWinsTies bool) []S
 		}
 		if old.End > e.End {
 			// Emit the incoming remainder first to keep order.
-			seg := SNExtent{Extent: Extent{pend.Start, e.End}, SN: sn}
-			out = appendMerge(out, seg)
-			won = appendMerge(won, seg)
+			out, won = appendMerge(out, pend), appendMerge(won, pend)
 			out = appendMerge(out, SNExtent{Extent: Extent{e.End, old.End}, SN: old.SN})
-			consumed = true
+			pend.Start = e.End
 		}
 	}
-	if !consumed && !pend.Empty() {
-		out = appendMerge(out, pend)
-		won = appendMerge(won, pend)
-	}
-	l.ents = append(l.ents[:0], out...)
-	return won
+	return appendMerge(out, pend), appendMerge(won, pend)
 }
 
 // appendMerge appends seg to out, coalescing with the previous entry when

@@ -56,9 +56,10 @@ func (m byteModel) entries(space int64) []extent.SNExtent {
 	return out
 }
 
-// TestListMatchesByteModel drives Insert, InsertNewer and RemoveLE — the
-// in-place fast paths, the general rebuild and the split — against the
-// byte model, comparing the entries and every update set.
+// TestListMatchesByteModel drives Insert, fills (InsertInto with ties
+// going to the old entry) and RemoveLE — the in-place fast paths, the
+// general rebuild and the split — against the byte model, comparing the
+// entries and every update set.
 func TestListMatchesByteModel(t *testing.T) {
 	const space = 64
 	for seed := int64(1); seed <= 300; seed++ {
@@ -81,7 +82,7 @@ func TestListMatchesByteModel(t *testing.T) {
 			case 0, 1:
 				ties := op == 1
 				if ties {
-					won = l.InsertNewer(e, sn)
+					won = l.InsertInto(nil, e, sn, true)
 				} else {
 					won = l.Insert(e, sn)
 				}

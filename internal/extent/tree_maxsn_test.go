@@ -1,6 +1,7 @@
 package extent
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -57,4 +58,27 @@ func TestMaxSNOverlappingMatchesScan(t *testing.T) {
 			}
 		}
 	}
+}
+
+// check verifies Tree's invariants: entries are non-empty, ascending and
+// non-overlapping, and Len counts them.
+func (t *Tree) check() error {
+	var prev SNExtent
+	count := 0
+	var err error
+	t.Visit(func(ent SNExtent) bool {
+		switch {
+		case ent.Empty():
+			err = fmt.Errorf("extent: empty entry %v in tree", ent)
+		case count > 0 && prev.End > ent.Start:
+			err = fmt.Errorf("extent: entries %v and %v overlap", prev, ent)
+		}
+		prev = ent
+		count++
+		return err == nil
+	})
+	if err == nil && count != t.Len() {
+		err = fmt.Errorf("extent: tree visits %d entries, Len is %d", count, t.Len())
+	}
+	return err
 }

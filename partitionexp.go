@@ -9,7 +9,6 @@ import (
 	"ccpfs/internal/cluster"
 	"ccpfs/internal/dlm"
 	"ccpfs/internal/extent"
-	"ccpfs/internal/metrics"
 	"ccpfs/internal/sim"
 )
 
@@ -66,7 +65,7 @@ func RunPartitionScale(cfg PartitionScaleConfig) (*Experiment, error) {
 	if hw.ServerOPS > partitionScaleOPS {
 		hw.ServerOPS = partitionScaleOPS
 	}
-	tb := metrics.NewTable("lock servers", "grants", "time", "throughput (grants/s)", "vs N=1")
+	tb := newTable("lock servers", "grants", "time", "throughput (grants/s)", "vs N=1")
 	base := 0.0
 	for _, n := range cfg.Servers {
 		var ops int
@@ -83,7 +82,7 @@ func RunPartitionScale(cfg PartitionScaleConfig) (*Experiment, error) {
 		if base == 0 {
 			base = tput
 		}
-		tb.Row(fmt.Sprint(n), fmt.Sprint(ops), metrics.Seconds(elapsed),
+		tb.Row(fmt.Sprint(n), fmt.Sprint(ops), seconds(elapsed),
 			fmt.Sprintf("%.0f", tput), fmt.Sprintf("%.2fx", tput/base))
 		exp.Rows = append(exp.Rows, Row{
 			Variant:    fmt.Sprintf("N=%d", n),

@@ -16,7 +16,8 @@
 //     client's cancel path with (resource, range, max SN) and must make
 //     that data durable before returning;
 //   - tag your cached data with Handle.SN and keep the newest SN per
-//     byte range on the storage side (extent.Tree does exactly this) so
+//     byte range on the storage side (Tree, the extent cache of ccPFS's
+//     data servers, does exactly this: the larger SN wins every byte) so
 //     out-of-order write-back stays correct under early grant.
 //
 // See examples/customdlm for a complete system built this way.
