@@ -616,11 +616,17 @@ func (c *Client) flushStripes(ctx context.Context, rids []uint64, rng extent.Ext
 // flushGroup that took it, and every goroutine that touches it (the
 // sendChunks window) has finished when flushGroup returns it.
 type flushBatch struct {
-	blocks  []pagecache.Block // what was collected, stripe after stripe
+	blocks  []pagecache.Block // what was collected, stripe after stripe; Data lies in the frames
 	stripes []collected       // the stripes that had dirty data
-	wblocks []wire.Block      // the chunks' block lists, wblocks[i] carrying blocks[i]
-	chunks  []flushChunk      // the flush RPCs, stripe after stripe
-	reqs    []*flushChunk     // &chunks[i], taken once chunks stops growing
+	frames  []flushFrame      // the flush RPCs, stripe after stripe
+}
+
+// flushFrame is one flush RPC: a FlushRequest built in its frame
+// (wire.Body), which the page cache's collection pass filled straight
+// from the pages, and its payload bytes.
+type flushFrame struct {
+	body    wire.Body
+	payload int64
 }
 
 // collected is one stripe's share of a flushBatch: blocks[lo:hi].
@@ -631,66 +637,62 @@ type collected struct {
 
 var flushBatches = sync.Pool{New: func() any { return new(flushBatch) }}
 
-// recycle drops the batch's references to block data — the buffers went
-// back to their pools when each chunk was encoded — and pools it.
+// recycle puts back the frames of RPCs that were not sent (a sent one
+// went to the transport with its Body emptied), drops the batch's
+// references to block data and pools it.
 func (b *flushBatch) recycle() {
+	for i := range b.frames {
+		if f := b.frames[i].body.Frame; f != nil {
+			wire.PutBuf(f)
+		}
+	}
 	clear(b.blocks)
-	clear(b.wblocks)
-	clear(b.chunks)
-	clear(b.reqs)
-	b.blocks, b.stripes, b.wblocks, b.chunks, b.reqs = b.blocks[:0], b.stripes[:0], b.wblocks[:0], b.chunks[:0], b.reqs[:0]
+	clear(b.frames)
+	b.blocks, b.stripes, b.frames = b.blocks[:0], b.stripes[:0], b.frames[:0]
 	flushBatches.Put(b)
 }
 
-// flushChunk is a FlushRequest whose block data rides in the pooled
-// buffers CollectDirty filled. The rpc layer calls Recycle once the
-// request is encoded: from then on the bytes are in the frame, and a
-// failed flush re-dirties by range, so the buffers go straight back to
-// serve the next collection, frame or delivery.
-type flushChunk struct {
-	wire.FlushRequest
-}
-
-func (r *flushChunk) Recycle() { wire.PutBlocks(r.Blocks) }
-
-// collect drains rid's dirty blocks into the batch. The blocks are
-// disjoint by construction (the page cache removes each dirty extent as
-// it is collected) and each carries the SN of the lock it was written
-// under, so the chunks that carry them may land at the server in any
-// order — the server's extent cache resolves overlap by SN, not arrival
-// order.
-func (b *flushBatch) collect(pc *pagecache.Cache, rid uint64, rng extent.Extent, sn extent.SN) {
+// collect drains rid's dirty blocks into the batch, straight into the
+// frames of the flush RPCs that carry them. The blocks are disjoint by
+// construction (the page cache removes each dirty extent as it is
+// collected) and each carries the SN of the lock it was written under,
+// so the RPCs may land at the server in any order — the server's extent
+// cache resolves overlap by SN, not arrival order.
+func (b *flushBatch) collect(pc *pagecache.Cache, rid uint64, rng extent.Extent, sn extent.SN, client uint32, maxRPC int64) {
 	lo := len(b.blocks)
-	b.blocks = pc.AppendDirty(b.blocks, rid, rng, sn)
+	b.blocks = pc.AppendDirty(b.blocks, rid, rng, sn, func(blocks []pagecache.Block) {
+		b.split(rid, client, maxRPC, blocks)
+	})
 	if len(b.blocks) > lo {
 		b.stripes = append(b.stripes, collected{rid: rid, lo: lo, hi: len(b.blocks)})
 	}
 }
 
-// split cuts every collected stripe into flush RPCs of at most maxRPC
-// payload bytes each (a larger block rides alone).
-func (b *flushBatch) split(client uint32, maxRPC int64) {
-	b.wblocks = slices.Grow(b.wblocks[:0], len(b.blocks))[:len(b.blocks)]
-	for _, st := range b.stripes {
-		first, size := st.lo, int64(0)
-		for i := st.lo; i < st.hi; i++ {
-			blk := &b.blocks[i]
-			if size > 0 && size+int64(len(blk.Data)) > maxRPC {
-				b.addChunk(st.rid, client, first, i)
-				first, size = i, 0
-			}
-			b.wblocks[i] = wire.Block{Range: blk.Range, SN: blk.SN, Data: blk.Data}
-			size += int64(len(blk.Data))
+// split cuts one stripe's blocks into flush RPCs of at most maxRPC
+// payload bytes each (a larger block rides alone) and places every
+// block's data in the frame of its RPC.
+func (b *flushBatch) split(rid uint64, client uint32, maxRPC int64, blocks []pagecache.Block) {
+	first, size := 0, int64(0)
+	for i := range blocks {
+		n := blocks[i].Range.Len()
+		if size > 0 && size+n > maxRPC {
+			b.addFrame(rid, client, blocks[first:i], size)
+			first, size = i, 0
 		}
-		b.addChunk(st.rid, client, first, st.hi)
+		size += n
 	}
-	for i := range b.chunks {
-		b.reqs = append(b.reqs, &b.chunks[i])
-	}
+	b.addFrame(rid, client, blocks[first:], size)
 }
 
-func (b *flushBatch) addChunk(rid uint64, client uint32, lo, hi int) {
-	b.chunks = append(b.chunks, flushChunk{wire.FlushRequest{Resource: rid, Client: client, Blocks: b.wblocks[lo:hi:hi]}})
+// addFrame lays out the FlushRequest that carries blocks in a frame of
+// its exact size and points each block's Data at its slot there.
+func (b *flushBatch) addFrame(rid uint64, client uint32, blocks []pagecache.Block, payload int64) {
+	enc := wire.BodyEncoder(wire.FlushSize(len(blocks), payload))
+	wire.FlushHead(enc, rid, client, len(blocks))
+	for i := range blocks {
+		blocks[i].Data = wire.BlockSlot(enc, blocks[i].Range, uint64(blocks[i].SN))
+	}
+	b.frames = append(b.frames, flushFrame{body: wire.Body{Frame: wire.TakeFrame(enc)}, payload: payload})
 }
 
 // flushGroup flushes a set of stripes that live on the same data
@@ -701,16 +703,16 @@ func (c *Client) flushGroup(ctx context.Context, rids []uint64, rng extent.Exten
 	b := flushBatches.Get().(*flushBatch)
 	defer b.recycle()
 	for _, rid := range rids {
-		b.collect(c.pc, rid, rng, sn)
+		b.collect(c.pc, rid, rng, sn, uint32(c.cfg.ID), c.cfg.MaxFlushRPC)
 	}
 	if len(b.stripes) == 0 {
 		return nil
 	}
-	b.split(uint32(c.cfg.ID), c.cfg.MaxFlushRPC)
 	start := c.clk.Now()
-	err := c.sendChunks(ctx, c.bulkFor(b.stripes[0].rid), b.reqs)
+	err := c.sendChunks(ctx, c.bulkFor(b.stripes[0].rid), b.frames)
 	c.Stats.FlushGroupHist.Observe(c.clk.Since(start))
 	if err != nil {
+		// Redirty goes by range and SN; the bytes are still in the pages.
 		for _, st := range b.stripes {
 			c.pc.Redirty(st.rid, b.blocks[st.lo:st.hi])
 		}
@@ -719,32 +721,28 @@ func (c *Client) flushGroup(ctx context.Context, rids []uint64, rng extent.Exten
 }
 
 // sendChunk issues one flush RPC and accounts for it.
-func (c *Client) sendChunk(ctx context.Context, ep *rpc.Endpoint, req *flushChunk) error {
-	var size int64
-	for i := range req.Blocks {
-		size += int64(len(req.Blocks[i].Data))
-	}
+func (c *Client) sendChunk(ctx context.Context, ep *rpc.Endpoint, f *flushFrame) error {
 	start := c.clk.Now()
-	err := ep.Call(ctx, wire.MFlush, req, nil)
+	err := ep.Call(ctx, wire.MFlush, &f.body, nil)
 	c.Stats.FlushRPCHist.Observe(c.clk.Since(start))
 	if err != nil {
 		return err
 	}
-	c.Stats.FlushedBytes.Add(size)
+	c.Stats.FlushedBytes.Add(f.payload)
 	return nil
 }
 
 // sendChunks issues the flush RPCs with up to FlushWindow in flight at
 // once. The first error cancels the window: outstanding calls abort and
 // their server-side work is withdrawn via rpc cancel frames.
-func (c *Client) sendChunks(ctx context.Context, ep *rpc.Endpoint, chunks []*flushChunk) error {
+func (c *Client) sendChunks(ctx context.Context, ep *rpc.Endpoint, frames []flushFrame) error {
 	workers := c.cfg.FlushWindow
-	if workers > len(chunks) {
-		workers = len(chunks)
+	if workers > len(frames) {
+		workers = len(frames)
 	}
 	if workers <= 1 {
-		for _, req := range chunks {
-			if err := c.sendChunk(ctx, ep, req); err != nil {
+		for i := range frames {
+			if err := c.sendChunk(ctx, ep, &frames[i]); err != nil {
 				return err
 			}
 		}
@@ -768,10 +766,10 @@ func (c *Client) sendChunks(ctx context.Context, ep *rpc.Endpoint, chunks []*flu
 		grp.Go(func() {
 			for wctx.Err() == nil {
 				i := int(next.Add(1)) - 1
-				if i >= len(chunks) {
+				if i >= len(frames) {
 					return
 				}
-				if err := c.sendChunk(wctx, ep, chunks[i]); err != nil {
+				if err := c.sendChunk(wctx, ep, &frames[i]); err != nil {
 					fail(err)
 					return
 				}

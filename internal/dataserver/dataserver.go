@@ -785,27 +785,20 @@ func (s *Server) handleRead(req *wire.ReadRequest) (wire.Msg, error) {
 	if req.Range.Empty() || req.Range.End == extent.Inf || req.Range.Len() > MaxReadBytes {
 		return nil, fmt.Errorf("dataserver: invalid read range %v", req.Range)
 	}
-	// The read buffer is pooled: the reply implements wire.Recycler, so
-	// the rpc layer returns the buffer once the response frame is on the
-	// wire (the encoded frame copies the bytes).
-	buf := wire.GetBuf(int(req.Range.Len()))
-	if err := s.store.ReadAt(req.Resource, req.Range.Start, buf); err != nil {
-		wire.PutBuf(buf)
+	// The store reads straight into the reply frame, which the rpc layer
+	// then hands to the transport as it is (wire.Body).
+	body, err := wire.ReadReplyBody(req.Range, func(data []byte) (uint64, error) {
+		if err := s.store.ReadAt(req.Resource, req.Range.Start, data); err != nil {
+			return 0, err
+		}
+		sn, _ := s.Cache.MaxSN(req.Resource, req.Range)
+		return sn, nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	sn, _ := s.Cache.MaxSN(req.Resource, req.Range)
-	r := &pooledReadReply{}
-	r.Blocks = []wire.Block{{Range: req.Range, SN: sn, Data: buf}}
-	return r, nil
+	return body, nil
 }
-
-// pooledReadReply is a ReadReply whose block data rides in pooled
-// buffers. Recycle runs after the rpc layer has encoded the response.
-type pooledReadReply struct {
-	wire.ReadReply
-}
-
-func (r *pooledReadReply) Recycle() { wire.PutBlocks(r.Blocks) }
 
 func (s *Server) setupMeta(ep *rpc.Endpoint) {
 	m := s.cfg.Meta

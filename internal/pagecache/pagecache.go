@@ -45,10 +45,11 @@ import (
 const DefaultPageSize = 4096
 
 // Block is an SN-tagged data block collected for flushing or filled by a
-// read. The Data of a collected block is a pooled buffer (wire.GetBuf):
-// a consumer that knows when it is done with the bytes may return it
-// with wire.PutBuf — the client's flush path does, once the block is
-// encoded — and anyone else leaves it to the collector.
+// read. The Data of a block CollectDirty returns is a pooled buffer
+// (wire.GetBuf): a consumer that knows when it is done with the bytes
+// may return it with wire.PutBuf, and anyone else leaves it to the
+// collector. AppendDirty's caller chooses where Data lives: the client's
+// flush path places it in the flush frame that carries the block.
 type Block struct {
 	Range extent.Extent
 	SN    extent.SN
@@ -465,20 +466,34 @@ func (c *Cache) Covered(stripe uint64, off, n int64) bool {
 
 // CollectDirty removes and returns the dirty blocks of stripe within rng
 // whose SN is at most maxSN, merged into per-SN contiguous blocks ready
-// for a flush RPC, in offset order. The data is copied; a concurrent
-// write re-dirties its range and will be flushed again later.
+// for a flush RPC, in offset order. The data is copied, each block into
+// a pooled buffer of its length; a concurrent write re-dirties its range
+// and will be flushed again later.
 func (c *Cache) CollectDirty(stripe uint64, rng extent.Extent, maxSN extent.SN) []Block {
-	return c.AppendDirty(nil, stripe, rng, maxSN)
+	return c.AppendDirty(nil, stripe, rng, maxSN, pooledData)
+}
+
+// pooledData is CollectDirty's place: a pooled buffer per block.
+func pooledData(blocks []Block) {
+	for i := range blocks {
+		blocks[i].Data = wire.GetBuf(int(blocks[i].Range.Len()))
+	}
 }
 
 // AppendDirty is CollectDirty appending the blocks to dst, so a caller
-// that flushes often collects into the same slice each time.
+// that flushes often collects into the same slice each time, and
+// placing their data where the caller says.
 //
-// It walks the range's pages in index order twice: first to find the
-// blocks — a block is a maximal run of byte-adjacent dirty extents with
-// one SN, however many pages it spans — then to give each block a buffer
-// of its final length and copy every page's share into it once.
-func (c *Cache) AppendDirty(dst []Block, stripe uint64, rng extent.Extent, maxSN extent.SN) []Block {
+// It walks the range's pages in index order twice. The first pass finds
+// the blocks — a block is a maximal run of byte-adjacent dirty extents
+// with one SN, however many pages it spans. Then, if there are any,
+// place(blocks) gives each new block its Data: a slice of exactly
+// Range.Len() bytes (the client's flush path cuts the blocks into flush
+// RPCs and places each in its frame). place runs under the stripe mutex
+// and must not call back into the cache. The second pass copies every
+// page's share of a block into its Data once, still under the mutex, so
+// the collection is one snapshot.
+func (c *Cache) AppendDirty(dst []Block, stripe uint64, rng extent.Extent, maxSN extent.SN, place func(blocks []Block)) []Block {
 	sp := c.lookup(stripe)
 	if sp == nil {
 		return dst
@@ -502,10 +517,12 @@ func (c *Cache) AppendDirty(dst []Block, stripe uint64, rng extent.Extent, maxSN
 			blocks = append(blocks, Block{Range: abs, SN: e.SN})
 		}
 	}
+	if len(blocks) > base {
+		place(blocks[base:])
+	}
 	next := 0 // pages[next:] can still overlap the current block
 	for i := base; i < len(blocks); i++ {
 		b := &blocks[i]
-		b.Data = wire.GetBuf(int(b.Range.Len()))
 		for j := next; j < len(pages) && pages[j].pi*ps < b.Range.End; j++ {
 			at := pages[j]
 			if (at.pi+1)*ps <= b.Range.Start {

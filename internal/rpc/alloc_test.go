@@ -18,9 +18,10 @@ import (
 // idleConn is a connection nothing is ever sent on.
 type idleConn struct{}
 
-func (idleConn) Send(context.Context, []byte) error   { return nil }
-func (idleConn) Recv(context.Context) ([]byte, error) { return nil, transport.ErrClosed }
-func (idleConn) Close() error                         { return nil }
+func (idleConn) Send(context.Context, []byte) error        { return nil }
+func (idleConn) SendBatch(context.Context, [][]byte) error { return nil }
+func (idleConn) Recv(context.Context) ([]byte, error)      { return nil, transport.ErrClosed }
+func (idleConn) Close() error                              { return nil }
 
 // allocatedBytes returns the heap bytes f allocates per call, averaged
 // over runs — like testing.AllocsPerRun on one P, so that every

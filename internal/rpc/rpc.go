@@ -53,7 +53,7 @@ const (
 	statusOK  = 0
 	statusErr = 1
 
-	headerLen = 1 + 8 + 1 + 1 // kind, id, method, status
+	headerLen = wire.HeadRoom // kind, id, method, status
 )
 
 // Endpoint is one end of an RPC connection.
@@ -236,7 +236,9 @@ func (ep *Endpoint) handlerDone() {
 // the connection closes, decoding the reply into reply (which may be nil
 // to discard the payload). A fired context returns wire.ErrTimeout or
 // wire.ErrCanceled and guarantees the pending-call entry is gone; the
-// eventual late reply, if any, is dropped as stale.
+// eventual late reply, if any, is dropped as stale. A request built in
+// place (wire.Body) gives its frame to the transport when it is sent;
+// one that was not sent still holds it when Call returns.
 func (ep *Endpoint) Call(ctx context.Context, method wire.Method, req wire.Msg, reply wire.Msg) error {
 	m := ep.metrics
 	if m == nil {
@@ -302,8 +304,8 @@ type BatchCall struct {
 }
 
 // CallBatch issues several requests whose frames leave as one coalesced
-// transport batch (transport.SendBatch: one writev group commit on
-// tcpnet, one bandwidth charge on memnet) and waits for all replies —
+// transport batch (Conn.SendBatch: one writev group commit on tcpnet,
+// one bandwidth charge on memnet) and waits for all replies —
 // the control-plane analogue of the windowed flush path. Each call's
 // outcome lands in calls[i].Err; the returned error is the first
 // failure, nil when every call succeeded. A fired context abandons the
@@ -359,26 +361,19 @@ func (ep *Endpoint) callBatch(ctx context.Context, calls []BatchCall) error {
 		chs[i] = ch
 	}
 
-	// Encode every frame, hand them to the transport as one batch, then
-	// recycle the encoders — transports must not retain frames after
-	// SendBatch returns (the transport.Conn ownership contract).
-	encs, frames := sc.encs, sc.frames
+	// Encode every frame and hand them to the transport as one batch,
+	// which takes them (the transport.Conn ownership contract).
+	frames := sc.frames
+	var total int64
 	for i := range calls {
-		encs[i] = encodeFrame(kindRequest, ids[i], calls[i].Method, statusOK, calls[i].Req)
-		frames[i] = encs[i].Bytes()
+		frames[i] = encodeFrame(kindRequest, ids[i], calls[i].Method, statusOK, calls[i].Req)
+		total += int64(len(frames[i]))
 	}
 	sendErr := transport.SendBatch(ctx, ep.conn, frames)
 	if m := ep.metrics; m != nil {
 		// Attempted bytes, counted after the batch is handed to the
 		// transport (overlapping the peer's read) — errors still count.
-		var total int64
-		for _, f := range frames {
-			total += int64(len(f))
-		}
 		m.BytesOut.Add(total)
-	}
-	for _, enc := range encs {
-		wire.PutEncoder(enc)
 	}
 	if sendErr != nil {
 		// Deregister everything; frames that did go out may still be
@@ -406,14 +401,13 @@ func (ep *Endpoint) callBatch(ctx context.Context, calls []BatchCall) error {
 }
 
 // batchScratch is callBatch's per-call bookkeeping: the call IDs, reply
-// channels, encoders and frames of one batch, index for index. Only
+// channels and frames of one batch, index for index. Only
 // the callBatch that took it from batchScratches touches it, and every
 // goroutine callBatch starts gets the values it needs, not the slices,
 // so it goes back to the pool when callBatch returns.
 type batchScratch struct {
 	ids    []uint64
 	chs    []chan response
-	encs   []*wire.Encoder
 	frames [][]byte
 }
 
@@ -425,18 +419,16 @@ func getBatchScratch(n int) *batchScratch {
 	if cap(sc.ids) < n {
 		sc.ids = make([]uint64, n)
 		sc.chs = make([]chan response, n)
-		sc.encs = make([]*wire.Encoder, n)
 		sc.frames = make([][]byte, n)
 	}
-	sc.ids, sc.chs, sc.encs, sc.frames = sc.ids[:n], sc.chs[:n], sc.encs[:n], sc.frames[:n]
+	sc.ids, sc.chs, sc.frames = sc.ids[:n], sc.chs[:n], sc.frames[:n]
 	return sc
 }
 
-// putBatchScratch drops the record's references to channels, encoders
-// and frames — they have owners of their own by now — and pools it.
+// putBatchScratch drops the record's references to channels and frames
+// — they have owners of their own by now — and pools it.
 func putBatchScratch(sc *batchScratch) {
 	clear(sc.chs)
-	clear(sc.encs)
 	clear(sc.frames)
 	batchScratches.Put(sc)
 }
@@ -474,38 +466,58 @@ func (ep *Endpoint) forget(id uint64) {
 	ep.pending.take(id)
 }
 
-// encodeFrame encodes one frame into a pooled encoder. A bulk message
-// says how large it is (wire.Sizer), so its frame comes from the size
-// class that fits and the payload is copied into it exactly once; every
-// other message fits the smallest class. Once encoded, a message whose
-// payload rides in pooled buffers (wire.Recycler) gives them back: the
-// frame has the bytes now.
-func encodeFrame(kind byte, id uint64, method wire.Method, status byte, m wire.Msg) *wire.Encoder {
-	size := headerLen + 64
-	if s, ok := m.(wire.Sizer); ok {
-		size = headerLen + s.EncodedSize()
-	}
-	enc := wire.GetEncoder(size)
-	enc.U8(kind)
-	enc.U64(id)
-	enc.U8(uint8(method))
-	enc.U8(status)
-	if m != nil {
-		m.Encode(enc)
-		if r, ok := m.(wire.Recycler); ok {
-			r.Recycle()
+// encodeFrame builds one frame, which the caller hands to the transport
+// (which takes it). A message built in place (wire.Body) already is its
+// frame: the header goes into its room and the frame changes hands
+// without a copy, leaving the Body empty. Any other message is encoded
+// into a pooled frame; a bulk one says how large it is (wire.Sizer), so
+// its frame comes from the size class that fits and the payload is
+// copied into it exactly once, and every other message fits the
+// smallest class.
+func encodeFrame(kind byte, id uint64, method wire.Method, status byte, m wire.Msg) []byte {
+	var frame []byte
+	if b, ok := m.(*wire.Body); ok {
+		frame, b.Frame = b.Frame, nil
+	} else {
+		size := 64
+		if s, ok := m.(wire.Sizer); ok {
+			size = s.EncodedSize()
 		}
+		enc := wire.BodyEncoder(size)
+		if m != nil {
+			m.Encode(enc)
+		}
+		frame = wire.TakeFrame(enc)
 	}
-	return enc
+	putHeader(frame, kind, id, method, status)
+	return frame
+}
+
+// putHeader writes the rpc header into a frame's first headerLen bytes.
+func putHeader(frame []byte, kind byte, id uint64, method wire.Method, status byte) {
+	frame[0] = kind
+	binary.LittleEndian.PutUint64(frame[1:9], id)
+	frame[9] = byte(method)
+	frame[10] = status
 }
 
 func (ep *Endpoint) send(ctx context.Context, kind byte, id uint64, method wire.Method, status byte, m wire.Msg) error {
-	// The encoder is recycled as soon as Send returns: transports must
-	// not retain the frame afterwards (see the transport.Conn contract).
-	enc := encodeFrame(kind, id, method, status, m)
-	n := int64(len(enc.Bytes()))
-	err := ep.conn.Send(ctx, enc.Bytes())
-	wire.PutEncoder(enc)
+	return ep.sendFrame(ctx, encodeFrame(kind, id, method, status, m))
+}
+
+func (ep *Endpoint) sendErr(ctx context.Context, id uint64, method wire.Method, err error) error {
+	enc := wire.BodyEncoder(len(err.Error()) + 1)
+	wire.EncodeError(enc, err)
+	frame := wire.TakeFrame(enc)
+	putHeader(frame, kindResponse, id, method, statusErr)
+	return ep.sendFrame(ctx, frame)
+}
+
+// sendFrame hands frame to the transport, which takes it (see the
+// transport.Conn contract): nothing here touches it afterwards.
+func (ep *Endpoint) sendFrame(ctx context.Context, frame []byte) error {
+	n := int64(len(frame))
+	err := ep.conn.Send(ctx, frame)
 	if m := ep.metrics; m != nil {
 		// Counted after Send: the peer is already consuming the frame,
 		// so this atomic overlaps with remote work instead of stretching
@@ -513,22 +525,6 @@ func (ep *Endpoint) send(ctx context.Context, kind byte, id uint64, method wire.
 		m.BytesOut.Add(n)
 	}
 	return err
-}
-
-func (ep *Endpoint) sendErr(ctx context.Context, id uint64, method wire.Method, err error) error {
-	enc := wire.GetEncoder(headerLen + len(err.Error()) + 1)
-	enc.U8(kindResponse)
-	enc.U64(id)
-	enc.U8(uint8(method))
-	enc.U8(statusErr)
-	wire.EncodeError(enc, err)
-	n := int64(len(enc.Bytes()))
-	serr := ep.conn.Send(ctx, enc.Bytes())
-	wire.PutEncoder(enc)
-	if m := ep.metrics; m != nil {
-		m.BytesOut.Add(n)
-	}
-	return serr
 }
 
 func (ep *Endpoint) readLoop() {

@@ -7,6 +7,7 @@
 package storage
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -86,12 +87,18 @@ func (m *MemStore) WriteAt(stripe uint64, off int64, data []byte) error {
 		if n > chunkSize-co {
 			n = chunkSize - co
 		}
-		c := chunks[ci]
-		if c == nil {
+		switch c := chunks[ci]; {
+		case c != nil:
+			copy(c[co:co+n], data[:n])
+		case n == chunkSize:
+			// A write that covers an absent chunk whole is the chunk: one
+			// copy, with no zeroing first.
+			chunks[ci] = bytes.Clone(data[:n])
+		default:
 			c = make([]byte, chunkSize)
+			copy(c[co:co+n], data[:n])
 			chunks[ci] = c
 		}
-		copy(c[co:co+n], data[:n])
 		data = data[n:]
 		off += n
 	}

@@ -201,6 +201,62 @@ func TestQuickMemStoreMatchesReference(t *testing.T) {
 	}
 }
 
+// TestMemStoreFirstWritesMatchModel checks the two ways a chunk comes
+// to exist against a flat byte model: a first write that covers a chunk
+// whole (the chunk is a copy of those bytes) and a partial one (a zeroed
+// chunk with the bytes copied in). Writes are chunk-aligned runs, runs
+// with a ragged edge, and small writes in the middle of a chunk; every
+// byte of the store, the ones around a partial write included, must read
+// as the model says — zero where nothing was written.
+func TestMemStoreFirstWritesMatchModel(t *testing.T) {
+	const chunks = 8
+	for seed := int64(1); seed <= 30; seed++ {
+		rnd := rand.New(rand.NewSource(seed))
+		m := NewMemStore()
+		model := make([]byte, chunks*chunkSize)
+		for w := 0; w < 12; w++ {
+			var off, n int64
+			switch rnd.Intn(3) {
+			case 0: // whole chunks
+				off = rnd.Int63n(chunks) * chunkSize
+				n = (1 + rnd.Int63n(2)) * chunkSize
+			case 1: // whole chunks with a ragged edge
+				off = rnd.Int63n(chunks)*chunkSize - rnd.Int63n(100)
+				n = chunkSize + rnd.Int63n(chunkSize)
+			default: // inside one chunk
+				off = rnd.Int63n(chunks)*chunkSize + 1 + rnd.Int63n(chunkSize/2)
+				n = 1 + rnd.Int63n(chunkSize/4)
+			}
+			off = max(off, 0)
+			n = min(n, int64(len(model))-off)
+			data := make([]byte, n)
+			rnd.Read(data)
+			if err := m.WriteAt(7, off, data); err != nil {
+				t.Fatal(err)
+			}
+			copy(model[off:], data)
+			data[0] ^= 0xFF // the store must keep its own copy
+		}
+		got := make([]byte, len(model))
+		if err := m.ReadAt(7, 0, got); err != nil {
+			t.Fatal(err)
+		}
+		if i := firstDiff(got, model); i >= 0 {
+			t.Fatalf("seed %d: byte %d (chunk %d) reads %#x, want %#x", seed, i, i/chunkSize, got[i], model[i])
+		}
+	}
+}
+
+// firstDiff returns the first index at which a and b differ, or -1.
+func firstDiff(a, b []byte) int {
+	for i := range a {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return -1
+}
+
 func BenchmarkMemStoreWrite64K(b *testing.B) {
 	m := NewMemStore()
 	data := make([]byte, 64<<10)

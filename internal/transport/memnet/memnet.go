@@ -148,16 +148,6 @@ type timedMsg struct {
 	data      []byte
 }
 
-// deliveredCopy is the one copy a message makes on this hop: out of the
-// sender's frame (which the sender reuses the moment Send returns) into
-// a pooled buffer of the message's size that Recv hands to its caller,
-// who owns it from then on and recycles it (wire/pool.go).
-func deliveredCopy(msg []byte) []byte {
-	cp := wire.GetBuf(len(msg))
-	copy(cp, msg)
-	return cp
-}
-
 func newPipe(hw sim.Hardware) *pipe {
 	p := &pipe{hw: hw, clk: hw.Clock}
 	p.nic.SetClock(hw.Clock)
@@ -182,6 +172,9 @@ func (p *pipe) deliveryTime() time.Time {
 	return at
 }
 
+// send queues the sender's frame itself: the peer's Recv returns the
+// very array (the transport.Conn ownership contract), so the hop costs
+// no copy. A frame that is not queued goes back to its pool.
 func (p *pipe) send(ctx context.Context, msg []byte) error {
 	// Block the sender for the serialization time (sharing the link with
 	// earlier messages), then schedule delivery half an RTT later. This
@@ -189,17 +182,17 @@ func (p *pipe) send(ctx context.Context, msg []byte) error {
 	// like a real NIC queue pair. A fired context stops the sender from
 	// queueing further (the link time is already committed).
 	if err := p.nic.UseBytesCtx(ctx, int64(len(msg)), p.hw.NetBandwidth, 0); err != nil {
+		wire.PutBuf(msg)
 		return err
 	}
-	cp := deliveredCopy(msg)
 	deliverAt := p.deliveryTime()
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
-		wire.PutBuf(cp)
+		wire.PutBuf(msg)
 		return transport.ErrClosed
 	}
-	p.push(timedMsg{deliverAt: deliverAt, data: cp})
+	p.push(timedMsg{deliverAt: deliverAt, data: msg})
 	p.cond.Broadcast()
 	p.mu.Unlock()
 	return nil
@@ -214,20 +207,29 @@ func (p *pipe) sendBatch(ctx context.Context, msgs [][]byte) error {
 		total += int64(len(m))
 	}
 	if err := p.nic.UseBytesCtx(ctx, total, p.hw.NetBandwidth, 0); err != nil {
+		putAll(msgs)
 		return err
 	}
 	deliverAt := p.deliveryTime()
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
+		putAll(msgs)
 		return transport.ErrClosed
 	}
 	for _, m := range msgs {
-		p.push(timedMsg{deliverAt: deliverAt, data: deliveredCopy(m)})
+		p.push(timedMsg{deliverAt: deliverAt, data: m})
 	}
 	p.cond.Broadcast()
 	p.mu.Unlock()
 	return nil
+}
+
+// putAll returns frames that were not queued to their pools.
+func putAll(msgs [][]byte) {
+	for _, m := range msgs {
+		wire.PutBuf(m)
+	}
 }
 
 // push appends under p.mu, compacting the consumed prefix first so a

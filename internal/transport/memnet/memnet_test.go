@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"testing"
 	"time"
+	"unsafe"
 
 	"ccpfs/internal/sim"
 	"ccpfs/internal/transport"
+	"ccpfs/internal/wire"
 )
 
 func TestBacklogFull(t *testing.T) {
@@ -56,8 +58,51 @@ func TestSendAfterCloseFails(t *testing.T) {
 	if err := c.Send(context.Background(), []byte("x")); err != transport.ErrClosed {
 		t.Fatalf("Send after close = %v, want ErrClosed", err)
 	}
+	if err := c.SendBatch(context.Background(), [][]byte{[]byte("x")}); err != transport.ErrClosed {
+		t.Fatalf("SendBatch after close = %v, want ErrClosed", err)
+	}
 	if _, err := c.Recv(context.Background()); err != transport.ErrClosed {
 		t.Fatalf("Recv after close = %v, want ErrClosed", err)
+	}
+}
+
+// TestRecvReturnsSentArray pins the zero-copy hop: Send and SendBatch
+// take the sender's frames and queue them as they are, so the peer's
+// Recv returns the very arrays the sender built.
+func TestRecvReturnsSentArray(t *testing.T) {
+	net := New(sim.Fast())
+	l, _ := net.Listen("s")
+	defer l.Close()
+	accepted := make(chan transport.Conn, 1)
+	go func() {
+		c, err := l.Accept()
+		if err == nil {
+			accepted <- c
+		}
+	}()
+	c, err := net.Dial("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	peer := <-accepted
+	defer peer.Close()
+	sent := [][]byte{wire.GetBuf(64 << 10), wire.GetBuf(300), wire.GetBuf(1 << 20)}
+	ctx := context.Background()
+	if err := c.Send(ctx, sent[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SendBatch(ctx, sent[1:]); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range sent {
+		got, err := peer.Recv(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) || unsafe.SliceData(got) != unsafe.SliceData(want) {
+			t.Fatalf("frame %d: Recv returned a different array than the one sent", i)
+		}
 	}
 }
 

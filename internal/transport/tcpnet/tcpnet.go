@@ -98,7 +98,8 @@ type conn struct {
 }
 
 // outFrame is one queued message: its length prefix, payload, and
-// completion state. The frame (not the payload) is pooled.
+// completion state. The outFrame record is pooled; the payload is the
+// conn's from Send on, and goes back to its pool once it is written.
 type outFrame struct {
 	hdr  [4]byte
 	body []byte
@@ -133,6 +134,7 @@ func (c *conn) Send(ctx context.Context, msg []byte) error {
 		return fmt.Errorf("tcpnet: frame of %d bytes exceeds limit", len(msg))
 	}
 	if err := ctx.Err(); err != nil {
+		wire.PutBuf(msg)
 		return err
 	}
 	fr := newFrame(msg)
@@ -151,6 +153,9 @@ func (c *conn) SendBatch(ctx context.Context, msgs [][]byte) error {
 		}
 	}
 	if err := ctx.Err(); err != nil {
+		for _, m := range msgs {
+			wire.PutBuf(m)
+		}
 		return err
 	}
 	frs := make([]*outFrame, len(msgs))
@@ -175,8 +180,8 @@ func (c *conn) SendBatch(ctx context.Context, msgs [][]byte) error {
 // aborts, and the resulting short frame makes the peer's next Recv fail
 // too. That matches the contract — callers give up on the call, the
 // endpoint tears down. The sender still waits for its frames' outcome
-// (prompt, because the poisoned deadline fails writes immediately), so
-// the payload buffers are never retained past return.
+// (prompt, because the poisoned deadline fails writes immediately) and
+// reports it; the leader that wrote a frame is what recycles it.
 func (c *conn) submit(ctx context.Context, frs ...*outFrame) error {
 	if ctx.Done() != nil {
 		stop := context.AfterFunc(ctx, func() {
@@ -224,11 +229,21 @@ func (c *conn) lead(own []*outFrame) {
 			bufs = append(bufs, fr.hdr[:], fr.body)
 		}
 		wb := bufs
-		_, err := wb.WriteTo(c.nc) // one writev for the whole batch
+		written, err := wb.WriteTo(c.nc) // one writev for the whole batch
 		for i := range bufs {
 			bufs[i] = nil
 		}
 		c.scratch = bufs[:0]
+		// The socket has a fully written frame's bytes, so the frame goes
+		// back to its pool. One the writev was aborted in the middle of
+		// (a poisoned deadline), or never reached, is left to the
+		// collector.
+		for _, fr := range batch {
+			if written -= int64(len(fr.hdr) + len(fr.body)); written >= 0 {
+				wire.PutBuf(fr.body)
+			}
+			fr.body = nil
+		}
 
 		c.qmu.Lock()
 		for i, fr := range batch {

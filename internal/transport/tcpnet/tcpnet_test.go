@@ -4,11 +4,16 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"io"
 	"net"
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
+	"unsafe"
 
 	"ccpfs/internal/transport"
+	"ccpfs/internal/wire"
 )
 
 func TestOversizedSendRejected(t *testing.T) {
@@ -190,5 +195,59 @@ func TestFrameSurvivesSplitRead(t *testing.T) {
 		t.Fatalf("recv: %v", err)
 	case <-time.After(5 * time.Second):
 		t.Fatal("timed out waiting for reassembled frame")
+	}
+}
+
+// TestFrameRecycledOnlyAfterWritten pins who recycles a sent frame and
+// when: the conn puts it back to its pool once it is fully written, and
+// not a moment before, and leaves a frame whose write was cut off
+// mid-frame to the collector. The conn runs over net.Pipe, whose writes
+// block until the reader takes the bytes, so the test holds the write
+// mid-frame. Recycling is observed through the pool (GetBuf hands the
+// same array back) and, in -race builds, where sync.Pool drops items at
+// random, through PutBuf's 0xDB poisoning.
+func TestFrameRecycledOnlyAfterWritten(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one sync.Pool shard
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const size = 64 << 10
+	recycled := func(frame []byte) bool {
+		if wire.RaceEnabled {
+			return frame[size-1] == 0xDB
+		}
+		b := wire.GetBuf(size) // kept from the pool: the next probe must not see it again
+		return unsafe.SliceData(b) == unsafe.SliceData(frame)
+	}
+	for _, abort := range []bool{false, true} {
+		a, b := net.Pipe()
+		c := newConn(a)
+		frame := wire.GetBuf(size)
+		for i := range frame {
+			frame[i] = byte(i)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan error, 1)
+		go func() { done <- c.Send(ctx, frame) }()
+		head := make([]byte, 4+size/2)
+		if _, err := io.ReadFull(b, head); err != nil {
+			t.Fatal(err)
+		}
+		if !wire.RaceEnabled && recycled(frame) {
+			t.Fatalf("abort=%v: frame back in the pool while half of it is unwritten", abort)
+		}
+		if abort {
+			cancel() // the poisoned deadline cuts the writev off mid-frame
+		} else if _, err := io.ReadFull(b, make([]byte, size/2)); err != nil {
+			t.Fatal(err)
+		}
+		err := <-done
+		if abort != (err != nil) {
+			t.Fatalf("abort=%v: Send returned %v", abort, err)
+		}
+		if got := recycled(frame); got == abort {
+			t.Fatalf("abort=%v: frame recycled = %v after Send returned", abort, got)
+		}
+		cancel()
+		a.Close()
+		b.Close()
 	}
 }

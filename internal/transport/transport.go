@@ -29,19 +29,28 @@ var ErrClosed = errors.New("transport: closed")
 // return the context's error promptly. A canceled Send does not
 // guarantee the message was not delivered (it may already be in flight);
 // the connection itself stays usable either way.
-// Buffer ownership: a Conn must not retain msg after Send (or SendBatch)
-// returns — it either copies the bytes or writes them out synchronously.
-// The caller is therefore free to reuse or recycle the buffer the moment
-// the call returns (the rpc layer pools its encoder frames on this
-// contract). Symmetrically, a slice returned by Recv is owned by the
-// caller; the Conn never touches it again. Both fabrics deliver into
-// pooled buffers (wire.GetBuf), so a caller that knows when it is done
-// with a frame may hand it back with wire.PutBuf, as the rpc layer does;
-// one that does not simply drops it.
+//
+// Buffer ownership: Send and SendBatch take the frames they are given.
+// The caller must not touch msg again once the call starts, whatever it
+// returns, and the bytes are not copied on the way: memnet queues the
+// sender's frame itself and the peer's Recv returns that same array;
+// tcpnet writes it out and puts it back to its pool (wire.PutBuf) once
+// it is fully written — a frame whose write was cut off mid-frame is
+// left to the collector instead. So a frame should be a pooled buffer
+// (wire.GetBuf), as the rpc layer's are; any other slice just ends up
+// in a pool or with the collector. Symmetrically, a slice returned by
+// Recv is owned by the caller; the Conn never touches it again. It is a
+// pooled buffer on both fabrics, so a caller that knows when it is done
+// with a frame may hand it back with wire.PutBuf, as the rpc layer
+// does; one that does not simply drops it.
 type Conn interface {
 	// Send transmits one message. It may block for simulated or real
 	// transmission time, bounded by ctx.
 	Send(ctx context.Context, msg []byte) error
+	// SendBatch transmits msgs as one coalesced unit — one writev on
+	// tcpnet, one lock acquisition and bandwidth charge on memnet — in
+	// order. The peer's Recv returns them one by one.
+	SendBatch(ctx context.Context, msgs [][]byte) error
 	// Recv returns the next message. It blocks until a message arrives,
 	// ctx fires, or the connection closes, in which case it returns
 	// ErrClosed.
@@ -51,33 +60,16 @@ type Conn interface {
 	Close() error
 }
 
-// BatchSender is implemented by connections with a coalesced multi-frame
-// send path: all messages go out as one unit (one syscall on tcpnet, one
-// lock acquisition and bandwidth charge on memnet), preserving order and
-// the Send ownership contract. Messages are delivered individually by
-// the peer's Recv.
-type BatchSender interface {
-	SendBatch(ctx context.Context, msgs [][]byte) error
-}
-
-// SendBatch transmits msgs over c in one coalesced batch when the
-// connection supports it, falling back to sequential Sends (stopping at
-// the first error) otherwise.
+// SendBatch records one coalesced batch in the process-wide batch
+// metrics and sends it with c.SendBatch. It reads the frames' lengths
+// before the send, which takes them.
 func SendBatch(ctx context.Context, c Conn, msgs [][]byte) error {
 	var total int64
 	for _, m := range msgs {
 		total += int64(len(m))
 	}
 	recordBatch(len(msgs), total)
-	if bs, ok := c.(BatchSender); ok {
-		return bs.SendBatch(ctx, msgs)
-	}
-	for _, m := range msgs {
-		if err := c.Send(ctx, m); err != nil {
-			return err
-		}
-	}
-	return nil
+	return c.SendBatch(ctx, msgs)
 }
 
 // Listener accepts inbound connections at an address.

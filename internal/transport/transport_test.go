@@ -127,7 +127,37 @@ func TestOrderingPreserved(t *testing.T) {
 	}
 }
 
+// pooledFrame returns msg in a pooled buffer, as the rpc layer builds
+// its frames.
+func pooledFrame(msg []byte) []byte {
+	b := wire.GetBuf(len(msg))
+	copy(b, msg)
+	return b
+}
+
+// scribblePool draws n buffers of each size from the pools, overwrites
+// them and puts them back. A frame a Conn recycled before it was done
+// with it would be among them.
+func scribblePool(n int, sizes ...int) {
+	for i := 0; i < n; i++ {
+		for _, size := range sizes {
+			b := wire.GetBuf(size)
+			for j := range b {
+				b[j] = 'X'
+			}
+			wire.PutBuf(b)
+		}
+	}
+}
+
+// TestSenderBufferReuse checks the send half of the buffer contract:
+// Send takes the frame, and the buffer is reused only through its pool,
+// once the Conn is done with it. The sender hands each frame over and
+// never touches it again, then reuses the pool's buffers of that size
+// hard; the receiver must see every frame as sent.
 func TestSenderBufferReuse(t *testing.T) {
+	const size = 4<<10 + 55
+	fill := func(i int) []byte { return bytes.Repeat([]byte{byte('a' + i)}, size) }
 	for _, f := range fabrics() {
 		t.Run(f.name, func(t *testing.T) {
 			net := f.mk(t)
@@ -136,14 +166,15 @@ func TestSenderBufferReuse(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer l.Close()
-			got := make(chan []byte, 2)
+			const frames = 16
+			got := make(chan []byte, frames)
 			go func() {
 				c, err := l.Accept()
 				if err != nil {
 					return
 				}
 				defer c.Close()
-				for i := 0; i < 2; i++ {
+				for i := 0; i < frames; i++ {
 					m, err := c.Recv(context.Background())
 					if err != nil {
 						return
@@ -156,18 +187,22 @@ func TestSenderBufferReuse(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer c.Close()
-			buf := []byte("first")
-			if err := c.Send(context.Background(), buf); err != nil {
-				t.Fatal(err)
+			for i := 0; i < frames; i++ {
+				if err := c.Send(context.Background(), pooledFrame(fill(i))); err != nil {
+					t.Fatal(err)
+				}
+				scribblePool(4, size)
 			}
-			copy(buf, "XXXXX") // mutate after send; receiver must see original
-			if err := c.Send(context.Background(), []byte("second")); err != nil {
-				t.Fatal(err)
+			for i := 0; i < frames; i++ {
+				select {
+				case m := <-got:
+					if !bytes.Equal(m, fill(i)) {
+						t.Fatalf("frame %d corrupted: starts %q", i, m[:8])
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatalf("frame %d not delivered", i)
+				}
 			}
-			if m := <-got; !bytes.Equal(m, []byte("first")) {
-				t.Fatalf("first message corrupted: %q", m)
-			}
-			<-got
 		})
 	}
 }
@@ -354,7 +389,9 @@ func TestConcurrentSenders(t *testing.T) {
 
 // TestSendBatch sends a coalesced batch on every fabric and asserts the
 // peer receives each frame individually, in order, intact — including
-// an empty frame in the middle of the batch.
+// an empty frame in the middle of the batch. SendBatch takes the frames:
+// the sender reuses the pools' buffers of their sizes at once, and the
+// frames must still arrive as sent.
 func TestSendBatch(t *testing.T) {
 	for _, f := range fabrics() {
 		t.Run(f.name, func(t *testing.T) {
@@ -364,7 +401,7 @@ func TestSendBatch(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer l.Close()
-			msgs := [][]byte{[]byte("alpha"), {}, []byte("gamma-longer-frame"), []byte("d")}
+			want := [][]byte{bytes.Repeat([]byte("alpha"), 100), {}, []byte("gamma-longer-frame"), []byte("d")}
 			got := make(chan [][]byte, 1)
 			go func() {
 				c, err := l.Accept()
@@ -373,7 +410,7 @@ func TestSendBatch(t *testing.T) {
 				}
 				defer c.Close()
 				var out [][]byte
-				for range msgs {
+				for range want {
 					m, err := c.Recv(context.Background())
 					if err != nil {
 						return
@@ -387,17 +424,16 @@ func TestSendBatch(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer c.Close()
-			if _, ok := c.(transport.BatchSender); !ok {
-				t.Fatalf("%s conn does not implement BatchSender", f.name)
+			msgs := make([][]byte, len(want))
+			for i, m := range want {
+				msgs[i] = pooledFrame(m)
 			}
 			if err := transport.SendBatch(context.Background(), c, msgs); err != nil {
 				t.Fatal(err)
 			}
-			// Ownership contract: the batch buffers are the caller's again.
-			copy(msgs[0], "XXXXX")
+			scribblePool(4, len(want[0]), len(want[2]))
 			select {
 			case out := <-got:
-				want := [][]byte{[]byte("alpha"), {}, []byte("gamma-longer-frame"), []byte("d")}
 				for i := range want {
 					if !bytes.Equal(out[i], want[i]) {
 						t.Fatalf("frame %d: got %q want %q", i, out[i], want[i])
@@ -486,10 +522,11 @@ func TestSendBatchConcurrentWithSends(t *testing.T) {
 // contract, per transport: a frame Recv returned belongs to the caller
 // until the caller recycles it. The receiver keeps the first frame and
 // recycles every later one as it arrives (wire.PutBuf — under -race that
-// also overwrites it), so the transport's pooled delivery buffers are in
-// constant reuse while the senders keep sending; the kept frame must
-// still read as sent at the end, and every later frame must read as sent
-// when it arrives.
+// also overwrites it), while the sender builds every frame in a fresh
+// pooled buffer and hands it over, so the pool's buffers of the frame's
+// class are in constant reuse on both sides; the kept frame must still
+// read as sent at the end, and every later frame must read as sent when
+// it arrives.
 func TestReceivedFrameOwnedByCaller(t *testing.T) {
 	const (
 		frames = 64
@@ -538,9 +575,8 @@ func TestReceivedFrameOwnedByCaller(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer c.Close()
-			buf := make([]byte, size)
 			for i := 0; i < frames; i++ {
-				copy(buf, fill(i)) // the sender reuses its buffer, as the rpc layer does
+				buf := pooledFrame(fill(i)) // a frame per send, as the rpc layer builds them
 				if i%4 == 3 {
 					err = transport.SendBatch(context.Background(), c, [][]byte{buf})
 				} else {

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 var (
@@ -61,6 +62,14 @@ func (e *Encoder) Bytes32(b []byte) {
 	}
 	e.U32(uint32(len(b)))
 	e.buf = append(e.buf, b...)
+}
+
+// Slot appends n bytes of unspecified contents and returns them for the
+// caller to fill: the data of a message built in place (Body).
+func (e *Encoder) Slot(n int) []byte {
+	l := len(e.buf)
+	e.buf = slices.Grow(e.buf, n)[:l+n]
+	return e.buf[l : l+n : l+n]
 }
 
 // String appends a length-prefixed UTF-8 string.

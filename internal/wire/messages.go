@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"sync"
 
 	"ccpfs/internal/extent"
@@ -119,6 +120,32 @@ func itoa(v uint8) string {
 type Msg interface {
 	Encode(e *Encoder)
 	Decode(d *Decoder)
+}
+
+// HeadRoom is the room every frame keeps in front of its message for
+// the rpc header: kind, call ID, method and status.
+const HeadRoom = 1 + 8 + 1 + 1
+
+// Body is a message built in place: Frame is a pooled buffer (GetBuf)
+// whose bytes after HeadRoom already are the message's encoding, written
+// there by the layer that had the bytes — the client's flush frames are
+// filled straight from the page cache (FlushHead, BlockSlot), the data
+// server's read replies straight from the store (ReadReplyBody). The rpc
+// layer sends a Body by writing its header into Frame[:HeadRoom] and
+// handing Frame to the transport, so the bulk bytes are not copied
+// again, and sets Frame to nil. A Body that still has its frame after a
+// call was not sent, and its owner puts the frame back.
+type Body struct{ Frame []byte }
+
+// Encode implements Msg by copying the body. rpc never calls it — it
+// sends the frame itself — but Marshal does.
+func (m *Body) Encode(e *Encoder) { e.buf = append(e.buf, m.Frame[HeadRoom:]...) }
+
+// Decode implements Msg: the rest of the frame is the body.
+func (m *Body) Decode(d *Decoder) {
+	rest := d.buf[d.off:]
+	d.off = len(d.buf)
+	m.Frame = append(make([]byte, HeadRoom, HeadRoom+len(rest)), rest...)
 }
 
 // emptyFrame is the shared encoding of every payload-free message
@@ -721,34 +748,68 @@ type FlushRequest struct {
 	Blocks   []Block
 }
 
+// FlushSize is the encoded size of a FlushRequest of n blocks that carry
+// payload data bytes in all.
+func FlushSize(n int, payload int64) int { return 8 + 4 + 4 + n*blockHeaderLen + int(payload) }
+
 // EncodedSize implements Sizer.
 func (m *FlushRequest) EncodedSize() int { return 8 + 4 + blocksSize(m.Blocks) }
 
+// FlushHead starts a FlushRequest built in place: its fields up to its
+// n blocks, which follow as n BlockSlots.
+func FlushHead(e *Encoder, resource uint64, client uint32, n int) {
+	e.U64(resource)
+	e.U32(client)
+	e.U32(uint32(n))
+}
+
+// BlockSlot appends a block of a FlushRequest or ReadReply built in
+// place: its range, SN and length, then room for its r.Len() data bytes,
+// which it returns for the caller to fill. Encode writes the same bytes
+// for a block whose Data is r.Len() bytes long.
+func BlockSlot(e *Encoder, r extent.Extent, sn uint64) []byte {
+	encodeExtent(e, r)
+	e.U64(sn)
+	e.U32(uint32(r.Len()))
+	return e.Slot(int(r.Len()))
+}
+
 // Encode implements Msg.
 func (m *FlushRequest) Encode(e *Encoder) {
-	e.U64(m.Resource)
-	e.U32(m.Client)
-	e.U32(uint32(len(m.Blocks)))
-	for i := range m.Blocks {
-		encodeExtent(e, m.Blocks[i].Range)
-		e.U64(m.Blocks[i].SN)
-		e.Bytes32(m.Blocks[i].Data)
+	FlushHead(e, m.Resource, m.Client, len(m.Blocks))
+	encodeBlocks(e, m.Blocks)
+}
+
+// encodeBlocks appends the blocks of a FlushRequest or ReadReply.
+func encodeBlocks(e *Encoder, blocks []Block) {
+	for i := range blocks {
+		encodeExtent(e, blocks[i].Range)
+		e.U64(blocks[i].SN)
+		e.Bytes32(blocks[i].Data)
 	}
+}
+
+// decodeBlocks reads a block count and the blocks; their data aliases
+// the frame.
+func decodeBlocks(d *Decoder) []Block {
+	n := d.Len32(blockHeaderLen)
+	if n == 0 {
+		return nil
+	}
+	blocks := make([]Block, n)
+	for i := range blocks {
+		blocks[i].Range = decodeExtent(d)
+		blocks[i].SN = d.U64()
+		blocks[i].Data = d.Bytes32()
+	}
+	return blocks
 }
 
 // Decode implements Msg.
 func (m *FlushRequest) Decode(d *Decoder) {
 	m.Resource = d.U64()
 	m.Client = d.U32()
-	n := d.Len32(blockHeaderLen)
-	if n > 0 {
-		m.Blocks = make([]Block, n)
-		for i := range m.Blocks {
-			m.Blocks[i].Range = decodeExtent(d)
-			m.Blocks[i].SN = d.U64()
-			m.Blocks[i].Data = d.Bytes32()
-		}
-	}
+	m.Blocks = decodeBlocks(d)
 }
 
 // ReadRequest fetches a byte range of a stripe resource.
@@ -799,24 +860,29 @@ func (m *ReadReply) Release() {
 // Encode implements Msg.
 func (m *ReadReply) Encode(e *Encoder) {
 	e.U32(uint32(len(m.Blocks)))
-	for i := range m.Blocks {
-		encodeExtent(e, m.Blocks[i].Range)
-		e.U64(m.Blocks[i].SN)
-		e.Bytes32(m.Blocks[i].Data)
-	}
+	encodeBlocks(e, m.Blocks)
 }
 
 // Decode implements Msg.
 func (m *ReadReply) Decode(d *Decoder) {
-	n := d.Len32(blockHeaderLen)
-	if n > 0 {
-		m.Blocks = make([]Block, n)
-		for i := range m.Blocks {
-			m.Blocks[i].Range = decodeExtent(d)
-			m.Blocks[i].SN = d.U64()
-			m.Blocks[i].Data = d.Bytes32()
-		}
+	m.Blocks = decodeBlocks(d)
+}
+
+// ReadReplyBody builds a one-block ReadReply for r in place: fill writes
+// the block's r.Len() bytes into data and then returns the block's SN.
+// A failed fill puts the frame back.
+func ReadReplyBody(r extent.Extent, fill func(data []byte) (uint64, error)) (*Body, error) {
+	e := BodyEncoder(4 + blockHeaderLen + int(r.Len()))
+	e.U32(1)
+	at := len(e.buf) + 16 // the SN follows the range
+	sn, err := fill(BlockSlot(e, r, 0))
+	frame := TakeFrame(e)
+	if err != nil {
+		PutBuf(frame)
+		return nil, err
 	}
+	binary.LittleEndian.PutUint64(frame[at:], sn)
+	return &Body{Frame: frame}, nil
 }
 
 // MinSNRequest asks the DLM service for the minimum SN among unreleased

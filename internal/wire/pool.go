@@ -7,25 +7,33 @@ import (
 
 // Buffer ownership rules
 //
-// Every byte of a message lives in exactly one pooled buffer per hop,
-// and every buffer has one owner at a time and one place where it goes
-// back to its pool (DESIGN.md §8 walks the whole path):
+// Every byte of a message is copied only into a buffer that keeps it,
+// and the buffer then changes hands instead of being copied again. Each
+// buffer has one owner at a time and one place where it goes back to
+// its pool (DESIGN.md §8 walks the whole path):
 //
-//   - Encoder frames (sender side). rpc's send paths size the encoder
-//     from the message (Sizer) so a bulk payload is copied into the
-//     frame once, with no growth. The frame returned by Encoder.Bytes is
-//     owned by the encoder; a transport.Conn must not retain it after
-//     Send/SendBatch returns (memnet copies it into the delivered
-//     frame, tcpnet writes it out synchronously), so the sender calls
-//     PutEncoder as soon as Send returns. That is the only place an
-//     encoder is recycled. (An Encoder is a recycled header around a
-//     GetBuf buffer: frames share the pools below with everything else.)
+//   - Frames (sender side). rpc builds each frame in a buffer from
+//     GetBuf: an ordinary message through a pooled Encoder sized from
+//     the message (Sizer), so a bulk payload is copied into it once with
+//     no growth; a Body — a message built in place by the layer that had
+//     the bytes — is already its frame. Either way the frame is handed
+//     to transport.Conn.Send/SendBatch, which takes it: memnet queues
+//     the array itself and the peer's Recv returns it; tcpnet PutBufs it
+//     once it is fully written (and leaves one whose write was cut off
+//     mid-frame to the collector). TakeFrame is how rpc gets the frame
+//     out of its Encoder: the Encoder header goes back to its pool, the
+//     frame goes on. Two Bodies carry bulk bytes: the client's flush
+//     frames, which the page cache's collection pass fills straight from
+//     the pages, and the data server's read replies, which the store
+//     fills. A Body that Call did not send (its context fired first)
+//     still holds its frame, and its owner PutBufs it.
 //
-//   - Delivered frames (receiver side). Both transports deliver each
-//     message in a buffer drawn from GetBuf; Conn.Recv hands it to its
-//     caller, who owns it from then on — the transport never touches it
-//     again. Decoded messages may alias it (Decoder.Bytes32 does not
-//     copy). The rpc read loop is the owner and recycles by kind:
+//   - Delivered frames (receiver side). Conn.Recv hands each message to
+//     its caller in a pooled buffer — on memnet the sender's own frame,
+//     on tcpnet one drawn from GetBuf — and the caller owns it from then
+//     on; the transport never touches it again. Decoded messages may
+//     alias it (Decoder.Bytes32 does not copy). The rpc read loop is the
+//     owner and recycles by kind:
 //
 //     request frames are recycled by the dispatch goroutine once the
 //     handler has returned and its reply has been sent, or earlier by
@@ -45,17 +53,9 @@ import (
 //     left to the collector. Error responses and stale or discarded
 //     replies are recycled on the spot.
 //
-//   - Message payloads (GetBuf/PutBuf elsewhere): the caller that Gets
-//     a buffer owns it until it either Puts it back or hands it to a
-//     message that implements Recycler; the rpc layer calls Recycle the
-//     moment the message is encoded, when its bytes are in the frame.
-//     Both bulk payloads travel this way: the page cache collects a
-//     flush block into a pooled buffer and the client's flush request
-//     gives it back at encode time, and the data server reads into a
-//     pooled buffer that its read reply gives back. The buffer a flush
-//     has just released is what the next frame or delivery of that size
-//     is built in, so a burst of flushes does not hold every stage's
-//     copy of every byte at once.
+//   - Other buffers from GetBuf: the caller that Gets one owns it until
+//     it Puts it back or hands it on (a frame to a Conn). The page
+//     cache's CollectDirty returns its blocks in such buffers.
 //
 //   - Decoders hold no buffer of their own. Unmarshal's lives on its
 //     caller's stack, so a handler's decoded request — which may alias
@@ -67,10 +67,11 @@ import (
 //     capacity its slices already have; it copies what it decodes, so
 //     it holds nothing of the frame either.
 //
-// In -race builds PutBuf and PutEncoder overwrite the buffer with 0xDB
-// before pooling it, so anything that reads a frame after its owner
-// recycled it sees garbage and fails the read-back checks of the
-// end-to-end tests instead of passing by luck.
+// In -race builds PutBuf overwrites the buffer with 0xDB before pooling
+// it, so anything that reads a frame after its owner recycled it — a
+// sender that touches a frame it has handed to a Conn, a receiver that
+// keeps one past its release — sees garbage and fails the read-back
+// checks of the end-to-end tests instead of passing by luck.
 //
 // Pools are size-classed so a 1 MiB flush frame does not pin a pool
 // slot that every 30-byte lock request then inherits. Class k holds
@@ -129,36 +130,30 @@ func classUnder(c int) int {
 	return i
 }
 
-// encoders recycles Encoder values. The frames they build come from the
-// same pools as every other buffer (GetBuf), so a frame a sender has
-// just finished with serves the next delivery of that size and the
-// other way round — except that a recycled encoder keeps a buffer of the
-// smallest class, which is what nearly every frame needs: a lock
-// request costs one pool operation here, not three.
+// encoders recycles Encoder headers. The frames they build come from
+// the same pools as every other buffer (GetBuf) and leave with the
+// frame (TakeFrame), so a frame a transport has just finished with
+// serves the next frame or delivery of that size.
 var encoders = sync.Pool{New: func() any { return new(Encoder) }}
 
-// GetEncoder returns a pooled encoder with capacity for at least n
-// bytes. Pair with PutEncoder once the frame is no longer referenced.
-func GetEncoder(n int) *Encoder {
+// BodyEncoder returns a pooled encoder that builds a message of size
+// bytes in place, after HeadRoom bytes of room for the rpc header.
+// Finish with TakeFrame (Body{Frame: TakeFrame(e)} for a Body).
+func BodyEncoder(size int) *Encoder {
 	e := encoders.Get().(*Encoder)
-	if cap(e.buf) < n {
-		PutBuf(e.buf)
-		e.buf = GetBuf(n)
-	}
-	e.buf = e.buf[:0]
+	e.buf = GetBuf(HeadRoom + size)[:HeadRoom]
 	return e
 }
 
-// PutEncoder recycles an encoder obtained from GetEncoder. The caller
-// must not touch the encoder or any frame it returned afterwards.
-func PutEncoder(e *Encoder) {
-	if cap(e.buf) > classCap(0) {
-		PutBuf(e.buf)
-		e.buf = nil
-	} else {
-		poison(e.buf[:cap(e.buf)])
-	}
+// TakeFrame returns the frame e built and recycles e without it. The
+// frame is a pooled buffer and the caller's from then on: it hands it
+// to a transport.Conn, which takes it, or PutBufs it. The caller must
+// not touch e afterwards.
+func TakeFrame(e *Encoder) []byte {
+	b := e.buf
+	e.buf = nil
 	encoders.Put(e)
+	return b
 }
 
 // bufPools hold *[]byte so that a slice travels through sync.Pool
@@ -208,22 +203,6 @@ func PutBuf(b []byte) {
 // rpc layer asks it for the frame's capacity up front, so the payload is
 // copied into the frame once instead of through a chain of appends.
 type Sizer interface{ EncodedSize() int }
-
-// PutBlocks returns the data buffers of blocks, which came from GetBuf,
-// to their pools and drops the references — the body of a Recycler whose
-// payload is a block list.
-func PutBlocks(blocks []Block) {
-	for i := range blocks {
-		PutBuf(blocks[i].Data)
-		blocks[i].Data = nil
-	}
-}
-
-// Recycler is implemented by messages — requests or replies — whose
-// payload rides in pooled buffers. The rpc layer calls Recycle exactly
-// once, as soon as the message is encoded into its frame, returning the
-// buffers to their pool; the message's payload is gone afterwards.
-type Recycler interface{ Recycle() }
 
 // FrameHolder is implemented by reply messages whose decoded fields
 // alias the frame they were decoded from. Instead of recycling the

@@ -68,11 +68,11 @@ func TestAllocBudgetPoolCapacity(t *testing.T) {
 			t.Fatalf("GetBuf(%d): len %d cap %d", n, len(b), cap(b))
 		}
 		PutBuf(b)
-		e := GetEncoder(n)
-		if len(e.Bytes()) != 0 || cap(e.buf) < n || cap(e.buf) > 2*n {
-			t.Fatalf("GetEncoder(%d): len %d cap %d", n, len(e.Bytes()), cap(e.buf))
+		e := BodyEncoder(n)
+		if f := n + HeadRoom; len(e.Bytes()) != HeadRoom || cap(e.buf) < f || cap(e.buf) > 2*f {
+			t.Fatalf("BodyEncoder(%d): len %d cap %d", n, len(e.Bytes()), cap(e.buf))
 		}
-		PutEncoder(e)
+		PutBuf(TakeFrame(e))
 	}
 }
 
@@ -85,12 +85,12 @@ func TestAllocBudgetPoolReuse(t *testing.T) {
 	// the data path uses: payload + header.
 	for _, n := range []int{30, 4<<10 + 55, 64<<10 + 55, 1<<20 + 55} {
 		PutBuf(GetBuf(n))
-		PutEncoder(GetEncoder(n))
+		PutBuf(TakeFrame(BodyEncoder(n)))
 		if a := testing.AllocsPerRun(50, func() { PutBuf(GetBuf(n)) }); a != 0 {
 			t.Errorf("GetBuf/PutBuf(%d): %.1f allocs per round trip, want 0", n, a)
 		}
-		if a := testing.AllocsPerRun(50, func() { PutEncoder(GetEncoder(n)) }); a != 0 {
-			t.Errorf("GetEncoder/PutEncoder(%d): %.1f allocs per round trip, want 0", n, a)
+		if a := testing.AllocsPerRun(50, func() { PutBuf(TakeFrame(BodyEncoder(n))) }); a != 0 {
+			t.Errorf("BodyEncoder/TakeFrame/PutBuf(%d): %.1f allocs per round trip, want 0", n, a)
 		}
 	}
 }

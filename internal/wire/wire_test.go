@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -159,6 +160,38 @@ func TestReadRoundTrip(t *testing.T) {
 	roundTrip(t, rep, &repOut)
 	if !reflect.DeepEqual(*rep, repOut) {
 		t.Fatalf("got %+v, want %+v", repOut, *rep)
+	}
+}
+
+// TestReadReplyBodyMatchesMarshal checks a read reply built in place
+// against the ReadReply it stands for: the body after the head room is
+// Marshal's frame byte for byte, the SN that fill returns after reading
+// lands in the block, and a Body decodes back into the same bytes. A
+// failed fill returns its error and no body.
+func TestReadReplyBodyMatchesMarshal(t *testing.T) {
+	r := extent.New(4096, 4096+300)
+	data := bytes.Repeat([]byte("xyz"), 100)
+	body, err := ReadReplyBody(r, func(b []byte) (uint64, error) {
+		copy(b, data)
+		return 9, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Marshal(&ReadReply{Blocks: []Block{{Range: r, SN: 9, Data: data}}})
+	if len(body.Frame) != HeadRoom+len(want) || !bytes.Equal(body.Frame[HeadRoom:], want) {
+		t.Fatalf("built in place:\n%x\nmarshaled:\n%x", body.Frame[HeadRoom:], want)
+	}
+	if got := Marshal(body); !bytes.Equal(got, want) {
+		t.Fatalf("Marshal(Body) = %x, want %x", got, want)
+	}
+	var back Body
+	if err := Unmarshal(want, &back); err != nil || !bytes.Equal(back.Frame[HeadRoom:], want) {
+		t.Fatalf("Unmarshal into a Body: %v, %x", err, back.Frame)
+	}
+	failed := errors.New("read failed")
+	if b, err := ReadReplyBody(r, func([]byte) (uint64, error) { return 0, failed }); b != nil || !errors.Is(err, failed) {
+		t.Fatalf("failed fill: got %v, %v", b, err)
 	}
 }
 
