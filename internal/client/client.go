@@ -687,7 +687,7 @@ func (b *flushBatch) split(rid uint64, client uint32, maxRPC int64, blocks []pag
 // addFrame lays out the FlushRequest that carries blocks in a frame of
 // its exact size and points each block's Data at its slot there.
 func (b *flushBatch) addFrame(rid uint64, client uint32, blocks []pagecache.Block, payload int64) {
-	enc := wire.BodyEncoder(wire.FlushSize(len(blocks), payload))
+	enc := wire.FlushEncoder(len(blocks), payload)
 	wire.FlushHead(enc, rid, client, len(blocks))
 	for i := range blocks {
 		blocks[i].Data = wire.BlockSlot(enc, blocks[i].Range, uint64(blocks[i].SN))

@@ -739,9 +739,12 @@ func (s *Server) Flush(req *wire.FlushRequest) error {
 }
 
 // flush is Flush for a request decoded from the payload of the MFlush
-// handler whose context is ctx. The store has the surviving bytes once
-// WriteV returns, so the request frame goes back to its pool then
-// (rpc.ReleasePayload) instead of waiting out the device backlog.
+// handler whose context is ctx. The handler's request frame is offered
+// to the store with the write (rpc.TakePayload), so a flush that makes
+// new chunks from most of its frame is stored without a copy; a frame
+// the store did not keep goes back to its pool as soon as WriteV returns,
+// instead of waiting out the device backlog. Called with no handler's
+// ctx (Server.Flush), it offers no frame and the store copies.
 func (s *Server) flush(ctx context.Context, req *wire.FlushRequest) error {
 	var total int64
 	for _, b := range req.Blocks {
@@ -761,11 +764,14 @@ func (s *Server) flush(ctx context.Context, req *wire.FlushRequest) error {
 			wrote += w.Len()
 		}
 	}
-	pending := s.store.WriteV(req.Resource, vec)
-	clear(vec) // the request frame the vector points into goes back next
+	frame := rpc.TakePayload(ctx)
+	pending := s.store.WriteV(req.Resource, vec, frame)
+	clear(vec) // the vector points into the request frame; it must not keep it reachable
 	s.flushVec[sh] = vec[:0]
 	mu.Unlock()
-	rpc.ReleasePayload(ctx) // req's block data is gone from here on
+	if !pending.Kept() {
+		wire.PutBuf(frame) // req's block data is gone from here on
+	}
 	if err := pending.Wait(); err != nil {
 		return err
 	}

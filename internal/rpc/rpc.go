@@ -577,7 +577,7 @@ func (ep *Endpoint) readLoop() {
 // which recycles the frame once the handler has returned and the reply
 // is sent — so a handler may alias its payload for as long as it runs
 // (or until it calls ReleasePayload), and must copy what it keeps beyond
-// that.
+// that, unless it took the frame (TakePayload).
 func (ep *Endpoint) dispatch(id uint64, method wire.Method, frame []byte) {
 	h, ok := ep.handlers[method]
 	if !ok {
@@ -609,8 +609,9 @@ func (ep *Endpoint) dispatch(id uint64, method wire.Method, frame []byte) {
 
 // Run is the body of a request's goroutine: the handler, its reply, the
 // request frame's return to the pool (unless the handler returned it
-// early with ReleasePayload), and the record's own return to its pool
-// when nothing else can still hold it (see callCtx).
+// early with ReleasePayload or took it with TakePayload), and the
+// record's own return to its pool when nothing else can still hold it
+// (see callCtx).
 func (cc *callCtx) Run() {
 	ep, id, method := cc.ep, cc.id, cc.method
 	defer ep.handlerDone()
@@ -672,6 +673,25 @@ func ReleasePayload(ctx context.Context) {
 	if cc, ok := ctx.(*callCtx); ok {
 		cc.releaseFrame()
 	}
+}
+
+// TakePayload hands the request frame of the handler whose context is
+// ctx to the handler, the complement of ReleasePayload: the dispatch
+// goroutine then recycles nothing, and the frame is the caller's from
+// then on — to keep for good (the data server's store may keep a flush
+// frame as its stored bytes) or to PutBuf. It is returned whole, rpc
+// header included, so its capacity is its allocation's. Call it from the
+// handler's goroutine; the reply must not alias a frame the handler
+// keeps past its return. It returns nil for a ctx that is not a
+// handler's and once the frame is released or taken.
+func TakePayload(ctx context.Context) []byte {
+	cc, ok := ctx.(*callCtx)
+	if !ok {
+		return nil
+	}
+	frame := cc.frame
+	cc.frame = nil
+	return frame
 }
 
 // releaseFrame returns the request frame to its pool unless it is back

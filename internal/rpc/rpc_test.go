@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -723,4 +724,63 @@ func TestReleasePayloadOnce(t *testing.T) {
 			seen[p] = true
 		}
 	}
+}
+
+// TestTakePayload: a handler that takes its request frame owns it from
+// then on — the whole frame, header included, with the payload at its
+// end — and the dispatch goroutine puts nothing back, neither after the
+// reply nor for a ReleasePayload that follows the take. A second take,
+// and a take with a context that is not a handler's, return nil. Under
+// -race a frame the dispatch goroutine recycled anyway reads as poison;
+// without it, a draw from the frame's pool class would hand it out.
+func TestTakePayload(t *testing.T) {
+	var srvEP *Endpoint
+	var frame, payload []byte
+	var errs []error
+	cli, _ := newPair(t, func(ep *Endpoint) {
+		srvEP = ep
+		ep.Handle(wire.MFlush, func(ctx context.Context, p []byte) (wire.Msg, error) {
+			frame = TakePayload(ctx)
+			payload = p
+			if again := TakePayload(ctx); again != nil {
+				errs = append(errs, errors.New("a second take returned the frame again"))
+			}
+			ReleasePayload(ctx) // after a take: nothing to put back
+			return &wire.Ack{}, nil
+		})
+	})
+	if TakePayload(bg()) != nil {
+		t.Fatal("a context that is not a handler's yielded a frame")
+	}
+
+	data := make([]byte, 24<<10)
+	for i := range data {
+		data[i] = byte(i)
+	}
+	if err := cli.Call(bg(), wire.MFlush, &wire.FlushRequest{Blocks: []wire.Block{{Data: data}}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := srvEP.Drain(bg()); err != nil { // the dispatch goroutine is done
+		t.Fatal(err)
+	}
+	for _, err := range errs {
+		t.Error(err)
+	}
+	if frame == nil {
+		t.Fatal("TakePayload returned no frame inside the handler")
+	}
+	if &frame[len(frame)-1] != &payload[len(payload)-1] || len(frame) != len(payload)+headerLen {
+		t.Fatalf("taken frame (%d bytes) does not end in the %d-byte payload after the header", len(frame), len(payload))
+	}
+	if !bytes.Equal(frame[len(frame)-len(data):], data) {
+		t.Fatal("the taken frame was recycled: its payload no longer reads as sent")
+	}
+	if !wire.RaceEnabled {
+		for range 16 {
+			if b := wire.GetBuf(cap(frame)); &b[:1][0] == &frame[0] {
+				t.Fatal("the pool handed out a taken frame")
+			}
+		}
+	}
+	wire.PutBuf(frame)
 }

@@ -31,8 +31,9 @@ const maxRun = 1 << 20
 // never passes an earlier one it overlaps (unless both are reads), so
 // its simulated completion respects submission order.
 //
-// The bytes themselves move at submission: WriteV and ReadAt copy to or
-// from the inner store under s.mu, in submission order, which is the
+// The bytes themselves move at submission: WriteV passes its write (and
+// the frame it may offer) to the inner store, and ReadAt copies from it,
+// under s.mu, in submission order, which is the
 // strict FIFO result by construction. The queue keeps only what it needs
 // to charge time — kind, stripe, range and arrival — so a backlog of
 // simulated requests holds no caller's buffer.
@@ -104,10 +105,15 @@ var callPool = sync.Pool{New: func() any { return &call{ready: make(chan struct{
 
 // Pending is a submitted WriteV.
 type Pending struct {
-	dev *SimStore
-	c   *call
-	err error
+	dev  *SimStore
+	c    *call
+	err  error
+	kept bool
 }
+
+// Kept reports whether the store kept the frame offered with the WriteV
+// as stored bytes; the frame is then the store's.
+func (p Pending) Kept() bool { return p.kept }
 
 // Wait blocks until every extent of the WriteV is stored and returns
 // the first error.
@@ -126,32 +132,34 @@ func NewSimStore(inner Store, hw sim.Hardware) *SimStore {
 
 // WriteAt implements Store, charging simulated device time.
 func (s *SimStore) WriteAt(stripe uint64, off int64, data []byte) error {
-	return s.WriteV(stripe, []Vec{{Off: off, Data: data}}).Wait()
+	return s.WriteV(stripe, []Vec{{Off: off, Data: data}}, nil).Wait()
 }
 
-// WriteV implements Store: the extents are stored in the inner store
-// before it returns, and join the device queue together, in order, so
-// neighbours among them (and among other callers' waiting extents) are
-// charged as one operation.
-func (s *SimStore) WriteV(stripe uint64, vec []Vec) Pending {
+// WriteV implements Store: the write passes through to the inner store
+// (frame with it) before WriteV returns, and its extents join the device
+// queue together, in order, so neighbours among them (and among other
+// callers' waiting extents) are charged as one operation.
+func (s *SimStore) WriteV(stripe uint64, vec []Vec, frame []byte) Pending {
 	c := callPool.Get().(*call)
 	s.mu.Lock()
 	now := s.clk.Now()
+	stored := s.inner.WriteV(stripe, vec, frame)
+	err := stored.Wait()
 	for _, v := range vec {
 		if len(v.Data) > 0 {
-			c.fail(s.inner.WriteAt(stripe, v.Off, v.Data))
 			s.enqueue(c, true, stripe, v.Off, int64(len(v.Data)), now)
 		}
 	}
 	if c.pending == 0 {
 		s.mu.Unlock()
 		callPool.Put(c)
-		return Pending{}
+		return Pending{err: err, kept: stored.kept}
 	}
+	c.fail(err)
 	s.Stats.WriteRequests.Add(int64(c.pending))
 	s.kick(now)
 	s.mu.Unlock()
-	return Pending{dev: s, c: c}
+	return Pending{dev: s, c: c, kept: stored.kept}
 }
 
 // ReadAt implements Store, charging simulated device time.

@@ -48,7 +48,7 @@ func fill(b byte, n int) []byte { return bytes.Repeat([]byte{b}, n) }
 // while the request may still be queued: the store must have taken the
 // bytes by then.
 func writeScribbled(s *SimStore, stripe uint64, off int64, data []byte) error {
-	p := s.WriteV(stripe, []Vec{{off, data}})
+	p := s.WriteV(stripe, []Vec{{off, data}}, nil)
 	for i := range data {
 		data[i] = 0xA5
 	}
@@ -145,7 +145,7 @@ func TestDeviceVectoredWriteMergesOnIdleDevice(t *testing.T) {
 	virtualDevice(t, 1, func(clk sim.Clock, s *SimStore, since func() time.Duration) {
 		const n = 8 * kib
 		vec := []Vec{{0, fill(1, n)}, {n, fill(2, n)}, {4 * n, fill(3, n)}, {2 * n, fill(4, n)}}
-		if err := s.WriteV(1, vec).Wait(); err != nil {
+		if err := s.WriteV(1, vec, nil).Wait(); err != nil {
 			t.Fatal(err)
 		}
 		// [0,3n) is one run, [4n,5n) a second.
@@ -155,7 +155,7 @@ func TestDeviceVectoredWriteMergesOnIdleDevice(t *testing.T) {
 		if ops := s.Stats.WriteOps.Load(); ops != 2 {
 			t.Fatalf("ops=%d, want 2", ops)
 		}
-		if s.WriteV(1, nil).Wait() != nil || s.WriteV(1, []Vec{{0, nil}}).Wait() != nil {
+		if s.WriteV(1, nil, nil).Wait() != nil || s.WriteV(1, []Vec{{0, nil}}, nil).Wait() != nil {
 			t.Fatal("empty vectored write failed")
 		}
 	})
@@ -348,7 +348,7 @@ func runFIFO(t *testing.T, seed int64) ([]*fifoOp, [2][]byte) {
 		for _, o := range ops {
 			g.Go(func() { // spawn order is submission order
 				if o.vec != nil {
-					s.WriteV(o.stripe, o.vec).Wait()
+					s.WriteV(o.stripe, o.vec, nil).Wait()
 				} else {
 					s.ReadAt(o.stripe, o.off, o.buf)
 				}
@@ -417,7 +417,7 @@ func TestDeviceWallClockStress(t *testing.T) {
 			for r := 0; r < rounds; r++ {
 				b := byte(w*rounds + r)
 				base := int64(w * 2 * n)
-				if err := s.WriteV(1, []Vec{{base, fill(b, n)}, {base + n, fill(b, n)}}).Wait(); err != nil {
+				if err := s.WriteV(1, []Vec{{base, fill(b, n)}, {base + n, fill(b, n)}}, nil).Wait(); err != nil {
 					errs <- err
 					return
 				}

@@ -30,12 +30,18 @@ type Store interface {
 	WriteAt(stripe uint64, off int64, data []byte) error
 	// WriteV submits the extents of vec, all within stripe. vec's bytes
 	// are stored or copied when WriteV returns, so the caller may reuse
-	// them at once; it must still call Wait on the result exactly once,
-	// which returns when the write is done (on a simulated device, when
-	// its simulated time has passed). Submission order is storage order:
-	// where the extents of two WriteV calls overlap, the bytes of the call
-	// that returned second stay.
-	WriteV(stripe uint64, vec []Vec) Pending
+	// them at once — unless it offers frame and the result is Kept. A
+	// non-nil frame is the whole buffer every vec[i].Data lies in, handed
+	// over with the call: a store may keep parts of it as its stored
+	// bytes instead of copying them (MemStore does, by keepFrame's rule),
+	// and then reports Kept, and frame is the store's for good — the
+	// caller must neither touch nor recycle it. When the result is not
+	// Kept the caller still owns frame. The caller must call Wait on the
+	// result exactly once, which returns when the write is done (on a
+	// simulated device, when its simulated time has passed). Submission
+	// order is storage order: where the extents of two WriteV calls
+	// overlap, the bytes of the call that returned second stay.
+	WriteV(stripe uint64, vec []Vec, frame []byte) Pending
 	// ReadAt fills buf from off within stripe. Never-written ranges read
 	// as zeros.
 	ReadAt(stripe uint64, off int64, buf []byte) error
@@ -69,8 +75,19 @@ func NewMemStore() *MemStore {
 
 // WriteAt implements Store.
 func (m *MemStore) WriteAt(stripe uint64, off int64, data []byte) error {
-	if off < 0 {
-		return fmt.Errorf("storage: negative offset %d", off)
+	return m.WriteV(stripe, []Vec{{Off: off, Data: data}}, nil).Wait()
+}
+
+// WriteV implements Store. A chunk that does not exist yet and that an
+// extent covers whole is made of the extent's bytes: a capacity-capped
+// sub-slice of frame when keepFrame allows, a copy otherwise. A chunk
+// that exists is copied into in place, and a partial first write gets a
+// zeroed chunk.
+func (m *MemStore) WriteV(stripe uint64, vec []Vec, frame []byte) Pending {
+	for _, v := range vec {
+		if v.Off < 0 {
+			return Pending{err: fmt.Errorf("storage: negative offset %d", v.Off)}
+		}
 	}
 	sh := &m.shards[shard.Of(stripe)]
 	sh.mu.Lock()
@@ -80,44 +97,67 @@ func (m *MemStore) WriteAt(stripe uint64, off int64, data []byte) error {
 		chunks = make(map[int64][]byte)
 		sh.stripes[stripe] = chunks
 	}
-	for len(data) > 0 {
-		ci := off / chunkSize
-		co := off % chunkSize
-		n := int64(len(data))
-		if n > chunkSize-co {
-			n = chunkSize - co
-		}
-		switch c := chunks[ci]; {
-		case c != nil:
-			copy(c[co:co+n], data[:n])
-		case n == chunkSize:
-			// A write that covers an absent chunk whole is the chunk: one
-			// copy, with no zeroing first.
-			chunks[ci] = bytes.Clone(data[:n])
-		default:
-			c = make([]byte, chunkSize)
-			copy(c[co:co+n], data[:n])
-			chunks[ci] = c
-		}
-		data = data[n:]
-		off += n
-	}
-	return nil
-}
-
-// WriteV implements Store as a loop of WriteAt.
-func (m *MemStore) WriteV(stripe uint64, vec []Vec) Pending {
-	return writeEach(m, stripe, vec)
-}
-
-// writeEach stores vec through s.WriteAt, stopping at the first error.
-func writeEach(s Store, stripe uint64, vec []Vec) Pending {
+	keep := frame != nil && keepFrame(newChunkBytes(chunks, vec), cap(frame))
 	for _, v := range vec {
-		if err := s.WriteAt(stripe, v.Off, v.Data); err != nil {
-			return Pending{err: err}
+		for off, data := v.Off, v.Data; len(data) > 0; {
+			ci, co, n := chunkSpan(off, len(data))
+			switch c := chunks[ci]; {
+			case c != nil:
+				copy(c[co:co+n], data[:n])
+			case n == chunkSize && keep:
+				chunks[ci] = data[:n:n]
+			case n == chunkSize:
+				chunks[ci] = bytes.Clone(data[:n])
+			default:
+				c = make([]byte, chunkSize)
+				copy(c[co:co+n], data[:n])
+				chunks[ci] = c
+			}
+			data = data[n:]
+			off += n
 		}
 	}
-	return Pending{}
+	return Pending{kept: keep}
+}
+
+// chunkSpan splits the n bytes from off at the first chunk boundary: the
+// chunk that holds off, off's position in it, and how many of the n
+// bytes lie in that chunk.
+func chunkSpan(off int64, n int) (ci, co, m int64) {
+	ci, co = off/chunkSize, off%chunkSize
+	return ci, co, min(int64(n), chunkSize-co)
+}
+
+// newChunkBytes counts the bytes of vec that would become chunks of
+// their own: the runs that cover an absent chunk whole.
+func newChunkBytes(chunks map[int64][]byte, vec []Vec) int64 {
+	var total int64
+	for _, v := range vec {
+		for off, left := v.Off, len(v.Data); left > 0; {
+			ci, _, n := chunkSpan(off, left)
+			if n == chunkSize && chunks[ci] == nil {
+				total += n
+			}
+			left -= int(n)
+			off += n
+		}
+	}
+	return total
+}
+
+// keepFrame is the rule for keeping a frame of capacity c as the storage
+// of the n bytes of new chunks a write makes from it: the chunks must be
+// at least 15/16 of the host memory the frame occupies, so keeping costs
+// at most 1/16 more memory than copying — whatever else is in the frame
+// stays reachable as long as any of its chunks. Go rounds an object over
+// 32 KiB up to whole 8 KiB pages, so a one-chunk frame (64 KiB plus its
+// headers, 72 KiB of pages) is copied.
+func keepFrame(n int64, c int) bool {
+	held := int64(c)
+	if held > 32<<10 {
+		held = (held + 8<<10 - 1) &^ (8<<10 - 1)
+	}
+	return n > 0 && n*16 >= held*15
 }
 
 // ReadAt implements Store.
@@ -130,12 +170,7 @@ func (m *MemStore) ReadAt(stripe uint64, off int64, buf []byte) error {
 	defer sh.mu.RUnlock()
 	chunks := sh.stripes[stripe]
 	for len(buf) > 0 {
-		ci := off / chunkSize
-		co := off % chunkSize
-		n := int64(len(buf))
-		if n > chunkSize-co {
-			n = chunkSize - co
-		}
+		ci, co, n := chunkSpan(off, len(buf))
 		if c := chunks[ci]; c != nil {
 			copy(buf[:n], c[co:co+n])
 		} else {
@@ -156,7 +191,11 @@ func (m *MemStore) Remove(stripe uint64) error {
 	return nil
 }
 
-// Bytes returns the number of chunk bytes allocated (tests/introspection).
+// Bytes returns the number of bytes the store's chunks hold
+// (tests/introspection). A chunk kept from a flush frame (keepFrame)
+// also keeps the rest of that frame reachable — its headers and
+// allocation slack, at most 1/16 of the frame — which Bytes does not
+// count.
 func (m *MemStore) Bytes() int64 {
 	var n int64
 	for i := range m.shards {
@@ -209,9 +248,15 @@ func (f *FileStore) WriteAt(stripe uint64, off int64, data []byte) error {
 	return err
 }
 
-// WriteV implements Store as a loop of WriteAt.
-func (f *FileStore) WriteV(stripe uint64, vec []Vec) Pending {
-	return writeEach(f, stripe, vec)
+// WriteV implements Store as a loop of WriteAt, stopping at the first
+// error. It never keeps frame.
+func (f *FileStore) WriteV(stripe uint64, vec []Vec, _ []byte) Pending {
+	for _, v := range vec {
+		if err := f.WriteAt(stripe, v.Off, v.Data); err != nil {
+			return Pending{err: err}
+		}
+	}
+	return Pending{}
 }
 
 // ReadAt implements Store. The part of buf past the end of the stripe's

@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"ccpfs/internal/shard"
 	"ccpfs/internal/sim"
 )
 
@@ -201,19 +202,25 @@ func TestQuickMemStoreMatchesReference(t *testing.T) {
 	}
 }
 
-// TestMemStoreFirstWritesMatchModel checks the two ways a chunk comes
+// TestMemStoreFirstWritesMatchModel checks the three ways a chunk comes
 // to exist against a flat byte model: a first write that covers a chunk
-// whole (the chunk is a copy of those bytes) and a partial one (a zeroed
-// chunk with the bytes copied in). Writes are chunk-aligned runs, runs
-// with a ragged edge, and small writes in the middle of a chunk; every
-// byte of the store, the ones around a partial write included, must read
-// as the model says — zero where nothing was written.
+// whole (the chunk is a copy of those bytes, or the bytes themselves
+// when the write's frame is kept) and a partial one (a zeroed chunk with
+// the bytes copied in). Writes are chunk-aligned runs, runs with a
+// ragged edge, and small writes in the middle of a chunk, each laid in a
+// frame of its exact size that half of them offer to the store; every
+// byte of the store, the ones around a partial write included, must
+// read as the model says — zero where nothing was written. A frame the
+// store did not keep is scribbled over at once, so a store that kept it
+// anyway reads wrong.
 func TestMemStoreFirstWritesMatchModel(t *testing.T) {
 	const chunks = 8
+	totalKept := 0
 	for seed := int64(1); seed <= 30; seed++ {
 		rnd := rand.New(rand.NewSource(seed))
 		m := NewMemStore()
 		model := make([]byte, chunks*chunkSize)
+		kept := 0
 		for w := 0; w < 12; w++ {
 			var off, n int64
 			switch rnd.Intn(3) {
@@ -229,21 +236,147 @@ func TestMemStoreFirstWritesMatchModel(t *testing.T) {
 			}
 			off = max(off, 0)
 			n = min(n, int64(len(model))-off)
-			data := make([]byte, n)
+			hdr := rnd.Intn(64)
+			frame := make([]byte, hdr+int(n))
+			data := frame[hdr:]
 			rnd.Read(data)
-			if err := m.WriteAt(7, off, data); err != nil {
+			offered := frame
+			if rnd.Intn(2) == 0 {
+				offered = nil
+			}
+			p := m.WriteV(7, []Vec{{off, data}}, offered)
+			if err := p.Wait(); err != nil {
 				t.Fatal(err)
 			}
 			copy(model[off:], data)
-			data[0] ^= 0xFF // the store must keep its own copy
+			if p.Kept() {
+				kept++
+				continue
+			}
+			for i := range frame { // the store must keep its own copy
+				frame[i] ^= 0xFF
+			}
 		}
 		got := make([]byte, len(model))
 		if err := m.ReadAt(7, 0, got); err != nil {
 			t.Fatal(err)
 		}
 		if i := firstDiff(got, model); i >= 0 {
-			t.Fatalf("seed %d: byte %d (chunk %d) reads %#x, want %#x", seed, i, i/chunkSize, got[i], model[i])
+			t.Fatalf("seed %d (%d frames kept): byte %d (chunk %d) reads %#x, want %#x", seed, kept, i, i/chunkSize, got[i], model[i])
 		}
+		totalKept += kept
+	}
+	if totalKept == 0 {
+		t.Fatal("no frame was kept: the seeds never reach the keep case")
+	}
+	t.Logf("%d frames kept", totalKept)
+}
+
+// TestMemStoreKeepRule: a store keeps an offered frame only when the
+// chunks it makes from it are at least 15/16 of the frame's host
+// allocation (capacity rounded up to 8 KiB pages). A kept chunk is a
+// sub-slice of the frame capped at the chunk's end, so nothing written
+// through it reaches the next chunk's bytes; a partial overwrite of it
+// lands in place; every other chunk is a copy that does not alias the
+// frame. SimStore passes the frame through, and FileStore never keeps it.
+func TestMemStoreKeepRule(t *testing.T) {
+	const (
+		hdr   = 100
+		class = 1<<20 + 1<<20/64 // the wire pool's 1 MiB class buffer
+	)
+	for _, tc := range []struct {
+		name     string
+		chunks   int   // of data in the frame
+		capacity int   // of the frame; 0 for its exact size
+		off      int64 // where the data lands
+		existing int   // chunks that exist before the write
+		sim      bool  // through a SimStore
+		want     bool
+	}{
+		{name: "four chunks, exact frame", chunks: 4, want: true},
+		{name: "four chunks through a SimStore", chunks: 4, sim: true, want: true},
+		{name: "one chunk: 72 KiB of pages", chunks: 1},
+		{name: "nine chunks in a 1 MiB class buffer", chunks: 9, capacity: class},
+		{name: "sixteen chunks in a 1 MiB class buffer", chunks: 16, capacity: class, want: true},
+		{name: "ragged: three of four chunks whole", chunks: 4, off: hdr},
+		{name: "one of four chunks exists", chunks: 4, existing: 1},
+		{name: "two of sixteen chunks exist", chunks: 16, capacity: class, existing: 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := tc.chunks * chunkSize
+			frame := make([]byte, hdr+n, max(tc.capacity, hdr+n))
+			data := frame[hdr:]
+			rand.New(rand.NewSource(int64(n))).Read(data)
+			want := bytes.Clone(data)
+			m := NewMemStore()
+			var s Store = m
+			if tc.sim {
+				s = NewSimStore(m, sim.Fast())
+			}
+			old := bytes.Repeat([]byte{0xEE}, chunkSize)
+			for i := range tc.existing {
+				if err := m.WriteAt(1, tc.off+int64(i)*chunkSize, old); err != nil {
+					t.Fatal(err)
+				}
+			}
+			p := s.WriteV(1, []Vec{{tc.off, data}}, frame)
+			if err := p.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			if p.Kept() != tc.want {
+				t.Fatalf("kept = %v, want %v", p.Kept(), tc.want)
+			}
+			chunks := m.shards[shard.Of(1)].stripes[1]
+			for ci, c := range chunks {
+				at := ci*chunkSize - tc.off // c's offset in data
+				aliases := at >= 0 && at < int64(len(data)) && &c[0] == &data[at]
+				switch {
+				case aliases && !tc.want:
+					t.Errorf("chunk %d aliases a frame the store did not keep", ci)
+				case tc.want && int(ci) >= tc.existing && !aliases:
+					t.Errorf("chunk %d is a copy of a kept frame's bytes", ci)
+				case cap(c) != chunkSize:
+					t.Errorf("chunk %d has capacity %d, want %d", ci, cap(c), chunkSize)
+				}
+			}
+			if !tc.want {
+				for i := range frame { // the caller still owns it
+					frame[i] = 0xA5
+				}
+			}
+			// A partial overwrite of the last (possibly kept) chunk lands.
+			patch := []byte{1, 2, 3}
+			at := tc.off + int64(n) - chunkSize/2
+			if err := s.WriteAt(1, at, patch); err != nil {
+				t.Fatal(err)
+			}
+			copy(want[at-tc.off:], patch)
+			got := make([]byte, n)
+			if err := s.ReadAt(1, tc.off, got); err != nil {
+				t.Fatal(err)
+			}
+			if i := firstDiff(got, want); i >= 0 {
+				t.Fatalf("byte %d reads %#x, want %#x", i, got[i], want[i])
+			}
+		})
+	}
+
+	fs, err := NewFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	frame := make([]byte, 16*chunkSize)
+	rand.New(rand.NewSource(2)).Read(frame)
+	want := bytes.Clone(frame)
+	p := fs.WriteV(1, []Vec{{0, frame}}, frame)
+	if err := p.Wait(); err != nil || p.Kept() {
+		t.Fatalf("FileStore: err %v, kept %v; want a plain write", err, p.Kept())
+	}
+	clear(frame)
+	got := make([]byte, len(want))
+	if err := fs.ReadAt(1, 0, got); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("FileStore: read back err %v, equal %v", err, bytes.Equal(got, want))
 	}
 }
 

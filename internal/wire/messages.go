@@ -755,6 +755,28 @@ func FlushSize(n int, payload int64) int { return 8 + 4 + 4 + n*blockHeaderLen +
 // EncodedSize implements Sizer.
 func (m *FlushRequest) EncodedSize() int { return 8 + 4 + blocksSize(m.Blocks) }
 
+// exactFlushPayload is the payload from which FlushEncoder allocates a
+// frame at its exact size.
+const exactFlushPayload = 128 << 10
+
+// FlushEncoder returns an encoder that builds a FlushRequest of n blocks
+// carrying payload data bytes in place (FlushHead, then n BlockSlots;
+// finish with TakeFrame). A frame carrying exactFlushPayload or more is
+// allocated at its exact size instead of drawn from the pool, because
+// the data server may keep it for good as its stored bytes (storage's
+// keep rule), and a size class's slack — up to half the buffer — would
+// be held with it. A smaller frame can never be kept and comes from the
+// pool.
+func FlushEncoder(n int, payload int64) *Encoder {
+	size := FlushSize(n, payload)
+	if payload < exactFlushPayload {
+		return BodyEncoder(size)
+	}
+	e := encoders.Get().(*Encoder)
+	e.buf = make([]byte, HeadRoom, HeadRoom+size)
+	return e
+}
+
 // FlushHead starts a FlushRequest built in place: its fields up to its
 // n blocks, which follow as n BlockSlots.
 func FlushHead(e *Encoder, resource uint64, client uint32, n int) {

@@ -25,7 +25,9 @@ import (
 //     frame goes on. Two Bodies carry bulk bytes: the client's flush
 //     frames, which the page cache's collection pass fills straight from
 //     the pages, and the data server's read replies, which the store
-//     fills. A Body that Call did not send (its context fired first)
+//     fills. A flush frame of 128 KiB of payload or more is the one frame
+//     not drawn from GetBuf: FlushEncoder allocates it at its exact size,
+//     because the data server's store may keep it for good. A Body that Call did not send (its context fired first)
 //     still holds its frame, and its owner PutBufs it.
 //
 //   - Delivered frames (receiver side). Conn.Recv hands each message to
@@ -36,13 +38,25 @@ import (
 //     owner and recycles by kind:
 //
 //     request frames are recycled by the dispatch goroutine once the
-//     handler has returned and its reply has been sent, or earlier by
-//     the handler itself with rpc.ReleasePayload, after which the
+//     handler has returned and its reply has been sent, or released
+//     earlier by the handler itself with rpc.ReleasePayload, or taken by
+//     the handler with rpc.TakePayload; after a release or a take the
 //     dispatch goroutine puts nothing back. A handler that keeps payload
-//     bytes past its return or its release must copy them. The data
-//     server's flush handler releases its frame as soon as the store's
-//     WriteV returns, which is when the store has the blocks' bytes, so
-//     a flush waiting out a simulated device backlog holds no frame.
+//     bytes past its return or its release must copy them, unless it
+//     took the frame, which is then its own. The data server's flush
+//     handler takes its frame and offers it to the store with the write:
+//     a store that keeps it (storage.MemStore, when the chunks it makes
+//     from the frame are at least 15/16 of the frame's allocation) holds
+//     it for good as its stored bytes, and a frame the store did not keep
+//     is put back as soon as WriteV returns, which is when the store has
+//     the blocks' bytes, so a flush waiting out a simulated device
+//     backlog holds no frame.
+//
+//     A request frame thus has exactly one owner at a time, and a kept
+//     one is stored bytes that never go back to a pool. A transport that
+//     delivered one frame twice (say a memnet fault that duplicates a
+//     delivery) must clone it for the second delivery, or two handlers
+//     would own — and a store might keep — the same array.
 //
 //     response frames are recycled by the caller's side of Call as soon
 //     as the reply is decoded — except when the reply implements
