@@ -278,7 +278,7 @@ func (c *Client) registerObs() {
 	r.RegisterHistogram("client.flush_group", &c.Stats.FlushGroupHist)
 	r.RegisterCounter("client.lock_retries", &c.Stats.LockRetries)
 	r.RegisterCounter("client.map_refreshes", &c.Stats.MapRefreshes)
-	r.Func("lockclient.cache_hits", c.lc.Stats.CacheHits.Load)
+	r.Func("lockclient.cache_hits", c.lc.CacheHits)
 	r.Func("lockclient.cache_misses", c.lc.Stats.CacheMisses.Load)
 	r.Func("lockclient.revocations", c.lc.Stats.Revocations.Load)
 	r.Func("lockclient.cancels", c.lc.Stats.Cancels.Load)

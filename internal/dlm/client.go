@@ -1,9 +1,9 @@
 package dlm
 
 import (
+	"cmp"
 	"context"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,72 +41,39 @@ func (f FlusherFunc) FlushForCancel(ctx context.Context, res ResourceID, rng ext
 	return f(ctx, res, rng, sn)
 }
 
-// The mutable per-handle state lives in one packed atomic word so the
-// cached-hit path, revocation, absorption, and Unlock all race through
-// CAS transitions on a single cell — no per-handle mutex, and Unlock,
-// which has only the handle, takes no shard mutex either. Layout (low
-// to high):
-//
-//	bits  0–31  holds       active Acquire references
-//	bits 32–33  state       Granted / Canceling
-//	bit  34     canceling   the cancel goroutine has been claimed (set once)
-//	bit  35     wrote       a write-mode Acquire used this handle
-//	bit  36     absorbed    merged into an upgraded lock; merged ptr is set
-//	bit  37     releaseSent the Release RPC has been (or is being) issued
-//	bits 40–47  mode        current Mode (changes on downgrade)
-//
-// The combinations the word makes atomic are the races between those
-// paths: a hit's holds++ vs. a revocation's state=Canceling, an
-// Unlock's holds-- vs. an upgrade's absorb-capture, and the one-shot
-// claim of the cancel path (the canceling bit). See DESIGN.md §11.
-const (
-	hotHoldsMask   = uint64(1)<<32 - 1
-	hotStateShift  = 32
-	hotStateMask   = uint64(3) << hotStateShift
-	hotCanceling   = uint64(1) << 34
-	hotWrote       = uint64(1) << 35
-	hotAbsorbed    = uint64(1) << 36
-	hotReleaseSent = uint64(1) << 37
-	hotModeShift   = 40
-	hotModeMask    = uint64(0xFF) << hotModeShift
-)
-
-func hotHolds(w uint64) int   { return int(w & hotHoldsMask) }
-func hotState(w uint64) State { return State(w >> hotStateShift & 3) }
-func hotMode(w uint64) Mode   { return Mode(w >> hotModeShift & 0xFF) }
-
-func hotWord(holds int, st State, m Mode, wrote bool) uint64 {
-	w := uint64(holds) | uint64(st)<<hotStateShift | uint64(m)<<hotModeShift
-	if wrote {
-		w |= hotWrote
-	}
-	return w
-}
-
 // Handle is a client's reference to a granted lock. Handles are obtained
 // from Acquire and returned with Unlock; the client caches GRANTED
-// handles for reuse. res, id, sn, rng and released are immutable after
-// the grant; all mutable state is in hot (and merged, which is written
-// before hot's absorbed bit).
+// handles for reuse. sh, res, id, sn, rng and released are immutable
+// after the grant; every other field is guarded by sh.mu and written
+// only by LockClient.step.
 type Handle struct {
-	c   *LockClient
-	res ResourceID
-	id  LockID
-	sn  extent.SN
-	rng extent.Extent
-
-	hot atomic.Uint64
-	// merged points to the handle that absorbed this one via lock
-	// upgrading. It is published before the absorbed bit is set in hot,
-	// so any reader that observes absorbed finds merged non-nil.
-	merged   atomic.Pointer[Handle]
+	sh       *clientShard
+	res      ResourceID
+	id       LockID
+	sn       extent.SN
+	rng      extent.Extent
 	released chan struct{}
+
+	holds int // active Acquire references
+	state State
+	mode  Mode // changes on downgrade
+	wrote bool // a write-mode Acquire used this handle
+	// canceling records that a step claimed the cancel path (set once).
+	canceling bool
+	// releaseSent records that the cancel is about to release or
+	// transfer the lock: Export no longer reports it.
+	releaseSent bool
+	// merged is the handle that absorbed this one via lock upgrading;
+	// this handle's users hold merged now. absorbed lists the handles
+	// merged into this one, directly or not: their released channels
+	// close with this one's.
+	merged   *Handle
+	absorbed []*Handle
 	// stamp carries a handoff delegation received with a stamped
-	// revocation (DESIGN.md §13). It is published before the state word
-	// flips to CANCELING, so the cancel goroutine — claimed only after
-	// that flip — always observes it and transfers the lock to the
-	// stamped next owner instead of releasing it.
-	stamp atomic.Pointer[HandoffStamp]
+	// revocation, or pre-armed by a grant's hand-back (DESIGN.md §13,
+	// §14): the cancel path transfers the lock to the stamped next owner
+	// instead of releasing it.
+	stamp *HandoffStamp
 }
 
 // Resource returns the lock's resource.
@@ -119,52 +86,54 @@ func (h *Handle) ID() LockID { return h.id }
 func (h *Handle) SN() extent.SN { return h.sn }
 
 // Mode returns the current mode (it may change by conversion).
-func (h *Handle) Mode() Mode { return hotMode(h.hot.Load()) }
+func (h *Handle) Mode() Mode {
+	h.sh.mu.Lock()
+	defer h.sh.mu.Unlock()
+	return h.mode
+}
 
 // Range returns the granted (possibly expanded) range.
 func (h *Handle) Range() extent.Extent { return h.rng }
 
 // State returns the lock's client-side state.
-func (h *Handle) State() State { return hotState(h.hot.Load()) }
+func (h *Handle) State() State {
+	h.sh.mu.Lock()
+	defer h.sh.mu.Unlock()
+	return h.state
+}
 
 // Released returns a channel closed once the lock is fully canceled
 // (flushed and released).
 func (h *Handle) Released() <-chan struct{} { return h.released }
 
-// setMode swaps the mode bits, leaving the rest of the word to race on.
-func (h *Handle) setMode(m Mode) {
-	for {
-		w := h.hot.Load()
-		if h.hot.CompareAndSwap(w, w&^hotModeMask|uint64(m)<<hotModeShift) {
-			return
-		}
+// claim takes one more hold on h for an acquire needing need, if h is
+// still GRANTED. A revocation's CANCELING flip and a hit's hold are both
+// steps under the shard mutex: either the revocation sees the hold (and
+// the last Unlock starts the cancel) or the hit misses.
+func (h *Handle) claim(need Mode) bool {
+	if h.state != Granted {
+		return false
 	}
+	h.holds++
+	h.wrote = h.wrote || need.IsWrite()
+	return true
 }
 
-// tryHit attempts the cached-lock hit: bump holds iff the handle is
-// still GRANTED, unclaimed by a cancel, unabsorbed, and its mode covers
-// need. The CAS makes the reuse check and the reference count one atomic
-// step, so a racing revocation either sees our hold (and defers the
-// cancel to our Unlock) or beats us (and we miss).
-func (h *Handle) tryHit(need Mode) bool {
-	for {
-		w := h.hot.Load()
-		if hotState(w) != Granted || w&(hotCanceling|hotAbsorbed) != 0 || !hotMode(w).Covers(need) {
-			return false
-		}
-		nw := w + 1
-		if need.IsWrite() {
-			nw |= hotWrote
-		}
-		if h.hot.CompareAndSwap(w, nw) {
-			return true
-		}
+// claimCancel is the one rule for who starts a cancel: the step that
+// leaves h CANCELING with no holds claims its cancel path, once.
+func (h *Handle) claimCancel() bool {
+	if h.state != Canceling || h.holds > 0 || h.canceling {
+		return false
 	}
+	h.canceling = true
+	return true
 }
 
 // ClientStats counts client-side lock activity.
+//
+// Cache hits are counted by the hit step itself, under the shard mutex
+// (LockClient.CacheHits), so the hit path pays no atomic.
 type ClientStats struct {
-	CacheHits   atomic.Int64
 	CacheMisses atomic.Int64
 	Revocations atomic.Int64
 	Cancels     atomic.Int64
@@ -189,11 +158,10 @@ type ClientStats struct {
 // revocation callbacks, and runs the cancel path (downgrade → flush →
 // release) of §III-D2.
 //
-// Concurrency: a shard mutex guards that shard's resource→handles map
-// and its bookkeeping; a handle's own state is one packed atomic word.
-// A cached-lock hit finds the handle under the shard mutex and claims it
-// with one CAS on that word — no allocation, and nothing held across an
-// RPC. See DESIGN.md §6 and §11.
+// Concurrency: every transition of a shard's lock state is one step
+// under the shard mutex, and what it decides happens after the mutex
+// drops (do). A cached-lock hit is one step: no allocation, and nothing
+// held across an RPC. See DESIGN.md §6 and §11.
 type LockClient struct {
 	id      ClientID
 	policy  Policy
@@ -208,8 +176,9 @@ type LockClient struct {
 
 	// shards holds the per-shard lock state, each made when a resource
 	// first hashes to it (shard): a client's resources touch a few of
-	// the 64.
-	shards [shard.Count]atomic.Pointer[clientShard]
+	// the 64. shardMu serializes the making.
+	shards  [shard.Count]atomic.Pointer[clientShard]
+	shardMu sync.Mutex
 
 	// peer, when set, is the client-to-client transport handoff
 	// transfers are sent over; nil falls back to releasing through the
@@ -234,35 +203,23 @@ type clientShard struct {
 	// order a hit scans them in.
 	cached map[ResourceID][]*Handle
 	acq    map[ResourceID]*sync.Mutex
-	// pendingRevokes records revocation callbacks that arrived before
-	// the corresponding grant reply was processed (the callback and the
-	// reply race on different goroutines); the handle is created
-	// directly in CANCELING state, carrying the revocation's handoff
-	// stamp when it had one (nil for a plain revoke). tombstones
-	// records locks already released or absorbed so late revocations
-	// for them are ignored. Both are keyed by (resource, lock ID): lock
-	// IDs are unique only within one server, and a client talks to many
-	// servers.
-	pendingRevokes map[lockKey]*HandoffStamp
-	tombstones     map[lockKey]bool
-	// Handoff reception state (clienthandoff.go): transfer parts that
-	// arrived before their delegated grant reply was processed (a
-	// gather collects several; a server-sent activation counts as all
-	// of them), waiters blocked on a transfer, and delegation acks
-	// queued for the server.
-	arrivedHandoffs map[lockKey]int
+	hits   int64 // acquires served from cached
+	// notes remembers locks the shard does not cache (lockNote), keyed
+	// by (resource, lock ID): lock IDs are unique only within one
+	// server, and a client talks to many servers.
+	notes map[lockKey]lockNote
+	// Handoff reception state (clienthandoff.go): waiters blocked on a
+	// transfer, and delegation acks queued for the server.
 	pendingHandoffs map[lockKey]*transferWaiter
 	pendingAcks     map[ResourceID][]LockID
 	ackTimer        *sim.ClockTimer
-	// solicited marks delegated locks whose ack the server asked for
-	// before their transfer arrived (OnAckSolicit).
-	solicited map[lockKey]bool
 	// Reader fan-out state (clientfan.go): resources in a fan rotation
 	// — a write-mode stamped revocation displaced this client's read
-	// lease, so the next lease arrives peer-to-peer — and shared-mode
-	// acquires parked on that arrival instead of going to the server.
+	// lease, so the next lease arrives peer-to-peer — and the channel
+	// shared-mode acquires park on until that arrival, instead of going
+	// to the server.
 	fanStanding map[ResourceID]bool
-	fanWaiters  map[ResourceID][]chan struct{}
+	fanWaiters  map[ResourceID]chan struct{}
 }
 
 // lockKey globally identifies a lock: IDs are per-server, resources map
@@ -272,8 +229,46 @@ type lockKey struct {
 	id  LockID
 }
 
+// lockNote is what a shard remembers of a lock it does not cache: one
+// whose grant reply or lease has not been installed yet (messages about
+// it raced ahead), or one that is gone. Notes of gone locks are never
+// dropped.
+type lockNote struct {
+	// revoked: a revocation arrived first; the handle is born CANCELING,
+	// carrying its stamp (nil for a plain revoke).
+	stamp   *HandoffStamp
+	revoked bool
+	// solicited: the server asked for the delegation's ack before its
+	// transfer arrived (OnAckSolicit).
+	solicited bool
+	// gone: released, transferred or absorbed; late messages for it are
+	// dropped.
+	gone bool
+	// parts counts transfer parts that arrived before the delegated
+	// grant reply (a gather collects several; finalParts marks a
+	// server-sent activation, which counts as all of them).
+	parts int32
+}
+
+// setNote stores n for k, dropping the entry once it says nothing.
+func (sh *clientShard) setNote(k lockKey, n lockNote) {
+	if n == (lockNote{}) {
+		delete(sh.notes, k)
+		return
+	}
+	put(&sh.notes, k, n)
+}
+
+// retire notes that k is gone: it will never be installed or canceled
+// here again.
+func (sh *clientShard) retire(k lockKey) {
+	n := sh.notes[k]
+	n.gone, n.revoked, n.stamp = true, false, nil
+	sh.setNote(k, n)
+}
+
 // put stores m[k] = v, making the map on first use. A client has 64
-// shards of ten maps and touches the few its resources hash to, so the
+// shards of seven maps and touches the few its resources hash to, so the
 // shard maps are made when first written (reads, deletes and ranges of a
 // nil map already do the right thing).
 func put[K comparable, V any](m *map[K]V, k K, v V) {
@@ -305,7 +300,11 @@ func (c *LockClient) shard(res ResourceID) *clientShard {
 	if sh := p.Load(); sh != nil {
 		return sh
 	}
-	p.CompareAndSwap(nil, new(clientShard))
+	c.shardMu.Lock()
+	defer c.shardMu.Unlock()
+	if p.Load() == nil {
+		p.Store(new(clientShard))
+	}
 	return p.Load()
 }
 
@@ -336,16 +335,363 @@ func (c *LockClient) waitReleased(ctx context.Context, h *Handle) error {
 // Policy returns the client's policy.
 func (c *LockClient) Policy() Policy { return c.policy }
 
-func (c *LockClient) acquireMu(res ResourceID) *sync.Mutex {
-	sh := c.shard(res)
+// cevKind names one lock-client transition. The set is closed: every
+// change to a handle's holds, state, mode, stamp or release mark, and to
+// a shard's cache, notes, transfer waits, ack queue and fan rotation, is
+// one of these, applied by step.
+type cevKind uint8
+
+const (
+	cevHit          cevKind = iota // an acquire claims a cached lock covering its range (with id: that lock)
+	cevGrant                       // a grant reply's lock joins the cache
+	cevRevoke                      // a revocation, plain or stamped, arrives
+	cevUnlock                      // a user returns its handle
+	cevShutdown                    // the shutdown barrier marks a cached lock CANCELING
+	cevDowngraded                  // the cancel path converted the lock
+	cevReleasing                   // the cancel path is about to release or transfer the lock
+	cevCancelDone                  // the lock left the client
+	cevWait                        // a delegated acquire waits for its transfer
+	cevWaitAbort                   // ... and gives up
+	cevPart                        // a transfer part or a server-sent activation arrives
+	cevLease                       // a broadcast or propagated read lease arrives
+	cevSolicit                     // the server asks for a delegation's ack now
+	cevTakeAcks                    // queued acks leave on a lock request or a transfer
+	cevRequeueAcks                 // acks come back from a failed send, or arrive piggybacked
+	cevDrainAcks                   // the ack timer or the shutdown barrier empties the queue
+	cevStand                       // a shared acquire parks on a fan rotation's next lease
+	cevStandExpired                // ... which never came
+)
+
+// clientEvent is one transition and its operands. A grant and a wait
+// describe the arriving lock in id, sn, rng and mode, a lease in bcast.
+type clientEvent struct {
+	kind      cevKind
+	need      Mode            // hit, grant, stand: the mode the acquire needs
+	mode      Mode            // grant, wait: the lock's; downgraded: the new one
+	state     State           // grant
+	delegated bool            // grant
+	final     bool            // part: a server-sent activation
+	id        LockID          // the lock (a hit names one only after a delegated grant; IDs start at 1)
+	sn        extent.SN       // grant, wait
+	rng       extent.Extent   // hit, stand: the range needed; grant, wait: the lock's
+	parts     int             // wait: the transfer parts to collect
+	h         *Handle         // unlock, shutdown, downgraded, releasing, cancelDone
+	stamp     *HandoffStamp   // revoke
+	bcast     *BroadcastStamp // grant: the hand-back; lease: the cohort, this client's lease first
+	ids       []LockID        // grant: the locks absorbed; requeueAcks: the acks
+}
+
+// clientEffects is what one step decided: its answer to the caller,
+// and what apply must do once the shard mutex drops, in the order the
+// flags are listed. The answers a flag acts on are named beside it.
+type clientEffects struct {
+	h       *Handle                 // hit, grant, stand: the handle claimed
+	acq     *sync.Mutex             // hit, on a miss: the resource's acquire mutex
+	tw      *transferWaiter         // wait: the transfer to park on
+	ch      chan struct{}           // stand: the next lease's arrival to park on
+	pending map[ResourceID][]LockID // drainAcks
+	acks    []LockID                // takeAcks: the acks taken
+	ok      bool                    // wait: the lock is cached already; waitAbort: the wait was withdrawn
+
+	wake     bool // close ch: the fan waiters parked on it wake
+	complete bool // complete tw: the transfer it waits for is in
+	send     bool // send acks at once: the server solicited them
+	cancel   bool // start h's cancel path
+}
+
+// do runs one transition: step under sh.mu, then the effects it
+// decided, once sh.mu has dropped.
+func (c *LockClient) do(sh *clientShard, res ResourceID, ev *clientEvent, fx *clientEffects) {
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	m := sh.acq[res]
-	if m == nil {
-		m = &sync.Mutex{}
-		put(&sh.acq, res, m)
+	c.step(sh, res, ev, fx)
+	sh.mu.Unlock()
+	if fx.wake || fx.complete || fx.send || fx.cancel {
+		c.apply(res, fx)
 	}
-	return m
+}
+
+// step is the lock client: it applies one transition to the state of
+// res in sh, collecting into fx its answer and what must follow. Called
+// with sh.mu held. The two steps of a cached hit, cevHit and cevUnlock,
+// have small functions of their own, which keeps the hit path short.
+func (c *LockClient) step(sh *clientShard, res ResourceID, ev *clientEvent, fx *clientEffects) {
+	switch ev.kind {
+	case cevHit:
+		c.stepHit(sh, res, ev, fx)
+	case cevUnlock:
+		c.stepUnlock(ev, fx)
+	default:
+		c.stepOther(sh, res, ev, fx)
+	}
+}
+
+func (c *LockClient) stepHit(sh *clientShard, res ResourceID, ev *clientEvent, fx *clientEffects) {
+	if ev.id != 0 {
+		// A broadcast lease install raced ahead of this delegated grant's
+		// reply and cached the lock: claim it, unless it is already
+		// CANCELING — then the lock left this client and the acquire
+		// asks again.
+		if h := findByID(sh.cached[res], ev.id); h != nil && h.claim(ev.need) {
+			fx.h = h
+		}
+		return
+	}
+	if fx.h = c.hitLocked(sh, res, ev.need, ev.rng); fx.h == nil {
+		if fx.acq = sh.acq[res]; fx.acq == nil {
+			fx.acq = new(sync.Mutex)
+			put(&sh.acq, res, fx.acq)
+		}
+	}
+}
+
+func (c *LockClient) stepUnlock(ev *clientEvent, fx *clientEffects) {
+	h := ev.h
+	for h.merged != nil {
+		h = h.merged
+	}
+	if h.holds == 0 {
+		panic("dlm: Unlock without matching Acquire")
+	}
+	h.holds--
+	if h.holds == 0 && !c.policy.CacheLocks && h.state == Granted {
+		h.state = Canceling
+	}
+	fx.h, fx.cancel = h, h.claimCancel()
+}
+
+func (c *LockClient) stepOther(sh *clientShard, res ResourceID, ev *clientEvent, fx *clientEffects) {
+	k := lockKey{res, ev.id}
+	switch ev.kind {
+	case cevGrant:
+		if ev.delegated {
+			c.queueAck(sh, res, ev.id, fx)
+		}
+		h := sh.install(&Handle{res: res, id: ev.id, sn: ev.sn, rng: ev.rng,
+			holds: 1, state: ev.state, mode: ev.mode, wrote: ev.need.IsWrite()})
+		if hb := ev.bcast; hb != nil && len(hb.Leases) > 0 {
+			// The grant pre-armed the next fan-out (DESIGN.md §14): this
+			// lock is born CANCELING with a broadcast transfer obligation
+			// toward the displaced reader cohort's fresh leases. The stamp
+			// overrides any plain pending revoke — a nudge for a lock that
+			// already owes a transfer adds nothing.
+			h.state, h.stamp = Canceling, &HandoffStamp{
+				NextOwner: hb.Leases[0].Owner,
+				NewLockID: hb.Leases[0].LockID,
+				Mode:      hb.Mode,
+				SN:        hb.Leases[0].SN,
+				MustFlush: true,
+				Broadcast: hb,
+			}
+		}
+		// Merge locks the server absorbed during upgrading: their active
+		// holds and dirty-write flags move to h, and their users' Unlocks
+		// follow merged to it. A lock whose cancel is claimed is left
+		// alone, matching the server, which never absorbs a canceling
+		// lock.
+		for _, aid := range ev.ids {
+			list := sh.cached[res]
+			i := slices.IndexFunc(list, func(x *Handle) bool { return x.id == aid })
+			if i < 0 || list[i].canceling {
+				continue
+			}
+			old := list[i]
+			h.holds += old.holds
+			h.wrote = h.wrote || old.wrote
+			h.absorbed = append(append(h.absorbed, old), old.absorbed...)
+			old.merged = h
+			sh.cached[res] = slices.Delete(list, i, i+1)
+			sh.retire(lockKey{res, aid})
+		}
+		fx.h = h
+	case cevRevoke:
+		if c.policy.ReaderFanout && ev.stamp != nil && ev.stamp.Mode.IsWrite() {
+			// A writer is displacing this client's lock: the resource is
+			// in a fan rotation, and the next read lease — pre-armed by
+			// the writer's gather — will arrive peer-to-peer. Subsequent
+			// shared acquires park on it instead of going to the server.
+			put(&sh.fanStanding, res, true)
+		}
+		h := findByID(sh.cached[res], ev.id)
+		if h == nil {
+			// Either the grant reply has not been processed yet (note the
+			// revocation, and its stamp, for the install) or the lock is
+			// already gone (ignore). Acking both cases is correct.
+			if n := sh.notes[k]; !n.gone {
+				n.revoked, n.stamp = true, ev.stamp
+				sh.setNote(k, n)
+			}
+			return
+		}
+		if ev.stamp != nil {
+			h.stamp = ev.stamp
+		}
+		h.state = Canceling
+		fx.h, fx.cancel = h, h.claimCancel()
+	case cevShutdown:
+		ev.h.state = Canceling
+		fx.h, fx.cancel = ev.h, ev.h.claimCancel()
+	case cevDowngraded:
+		ev.h.mode = ev.mode
+	case cevReleasing:
+		ev.h.releaseSent = true
+	case cevCancelDone:
+		h := ev.h
+		sh.retire(lockKey{res, h.id})
+		list := sh.cached[res]
+		switch i := slices.Index(list, h); {
+		case i < 0:
+		case len(list) == 1:
+			delete(sh.cached, res)
+		default:
+			sh.cached[res] = slices.Delete(list, i, i+1)
+		}
+	case cevWait:
+		if findByID(sh.cached[res], ev.id) != nil {
+			fx.ok = true
+			return
+		}
+		// Parts may already have landed (they raced ahead of the grant
+		// reply); otherwise park on what the rest of them complete.
+		n := sh.notes[k]
+		got := n.parts
+		n.parts = 0
+		sh.setNote(k, n)
+		if parts := max(ev.parts, 1); int(got) < parts {
+			tw := transferWaiters.Get().(*transferWaiter)
+			tw.need, tw.mode, tw.rng, tw.sn = parts-int(got), ev.mode, ev.rng, ev.sn
+			put(&sh.pendingHandoffs, k, tw)
+			fx.tw = tw
+		}
+	case cevWaitAbort:
+		if _, fx.ok = sh.pendingHandoffs[k]; fx.ok {
+			delete(sh.pendingHandoffs, k)
+		}
+	case cevPart:
+		if tw, ok := sh.pendingHandoffs[k]; ok {
+			if ev.final {
+				tw.need = 0
+			} else {
+				tw.need--
+			}
+			if tw.need <= 0 {
+				delete(sh.pendingHandoffs, k)
+				fx.tw, fx.complete = tw, true
+			}
+		} else if n := sh.notes[k]; !n.gone && findByID(sh.cached[res], ev.id) == nil {
+			if ev.final {
+				n.parts = finalParts
+			} else {
+				n.parts++
+			}
+			sh.setNote(k, n)
+		}
+	case cevLease:
+		// If a delegated acquire is parked on the lease (round-one
+		// formation), completing its wait is the install; a lease
+		// already installed or gone is a duplicate. Otherwise a
+		// zero-hold handle enters the cache — canceled at once if a
+		// revocation raced ahead (its transfer obligation, if stamped,
+		// still runs) — its ack is queued and parked fan waiters wake.
+		if tw, ok := sh.pendingHandoffs[k]; ok {
+			delete(sh.pendingHandoffs, k)
+			fx.tw, fx.complete = tw, true
+			return
+		}
+		if sh.notes[k].gone || findByID(sh.cached[res], ev.id) != nil {
+			return
+		}
+		mine := ev.bcast.Leases[0]
+		h := sh.install(&Handle{res: res, id: mine.LockID, sn: mine.SN, rng: ev.bcast.Range, state: Granted, mode: ev.bcast.Mode})
+		fx.h, fx.cancel = h, h.claimCancel()
+		if fx.ch, fx.wake = sh.fanWaiters[res]; fx.wake {
+			delete(sh.fanWaiters, res)
+		}
+		c.Stats.HandoffsRecv.Add(1)
+		c.Stats.LeasesRecv.Add(1)
+		c.queueAck(sh, res, ev.id, fx)
+	case cevSolicit:
+		// Installed: the ack leaves at once — out of the lazy queue with
+		// the rest of res's acks, or afresh when it already left the
+		// queue (sent, or forwarded to a gathering writer that has not
+		// passed it on; duplicate acks are idempotent server-side). Still
+		// on its way: the note makes queueAck send it on install.
+		switch n := sh.notes[k]; {
+		case slices.Contains(sh.pendingAcks[res], ev.id):
+			fx.send, fx.acks = true, sh.popAcks(res)
+		case findByID(sh.cached[res], ev.id) != nil:
+			fx.send, fx.acks = true, []LockID{ev.id}
+		case !n.gone:
+			n.solicited = true
+			sh.setNote(k, n)
+		}
+	case cevTakeAcks:
+		fx.acks = sh.popAcks(res)
+	case cevRequeueAcks:
+		// No timer re-arm: a connection without a HandoffAck path would
+		// otherwise spin the timer forever.
+		put(&sh.pendingAcks, res, append(sh.pendingAcks[res], ev.ids...))
+	case cevDrainAcks:
+		fx.pending, sh.pendingAcks = sh.pendingAcks, nil
+		if sh.ackTimer != nil {
+			sh.ackTimer.Stop()
+			sh.ackTimer = nil
+		}
+	case cevStand:
+		// The lease may have landed between the caller's cache miss and
+		// here; re-probe under the same mutex a wake is sent under, so a
+		// wake cannot slip between the miss and the park.
+		if !sh.fanStanding[res] {
+			return
+		}
+		if fx.h = c.hitLocked(sh, res, ev.need, ev.rng); fx.h == nil {
+			if fx.ch = sh.fanWaiters[res]; fx.ch == nil {
+				fx.ch = make(chan struct{})
+				put(&sh.fanWaiters, res, fx.ch)
+			}
+		}
+	case cevStandExpired:
+		delete(sh.fanStanding, res)
+	}
+}
+
+// install puts a new handle into the cache: the one place a handle is
+// made, for a grant reply and for a lease. A revocation that raced ahead
+// of it makes it born CANCELING, with the revocation's stamp; transfer
+// parts that raced ahead are dropped with the rest of its note. Caller
+// holds sh.mu.
+func (sh *clientShard) install(h *Handle) *Handle {
+	h.sh = sh
+	h.released = make(chan struct{})
+	k := lockKey{h.res, h.id}
+	n := sh.notes[k]
+	if n.revoked {
+		h.state, h.stamp = Canceling, n.stamp
+	}
+	n.revoked, n.stamp, n.parts = false, nil, 0
+	sh.setNote(k, n)
+	put(&sh.cached, h.res, append(sh.cached[h.res], h))
+	return h
+}
+
+// apply carries out what a step decided, outside the shard mutex, in
+// the order the steps' transitions issue them.
+func (c *LockClient) apply(res ResourceID, fx *clientEffects) {
+	if fx.wake {
+		sim.Close(c.clk, fx.ch)
+	}
+	if fx.complete {
+		fx.tw.complete(c.clk)
+	}
+	if ids := fx.acks; fx.send {
+		// Off the caller's goroutine: the callers are an RPC handler and
+		// an acquire about to use its lock, and neither should sit out
+		// the ack's round trip.
+		c.Stats.SolicitedAcks.Add(1)
+		c.clk.Go(func() { c.sendAcks(c.baseCtx, map[ResourceID][]LockID{res: ids}) })
+	}
+	if h := fx.h; fx.cancel {
+		c.clk.Go(func() { c.cancel(h) })
+	}
 }
 
 // Acquire obtains a lock covering rng in a mode that covers need,
@@ -365,74 +711,65 @@ func (c *LockClient) AcquireExtents(ctx context.Context, res ResourceID, need Mo
 	return c.acquire(ctx, res, need, b, set)
 }
 
-// fastHit claims a reusable cached handle for res, or returns nil.
-func (c *LockClient) fastHit(res ResourceID, need Mode, rng extent.Extent) *Handle {
-	sh := c.shard(res)
-	sh.mu.Lock()
-	h := c.hitLocked(sh, res, need, rng)
-	sh.mu.Unlock()
-	return h
-}
-
-// hitLocked is fastHit's scan: the first cached handle covering rng
-// whose tryHit CAS claims a hold. Caller holds sh.mu.
+// hitLocked is the cached-hit scan: the first cached handle covering rng
+// in a mode covering need that claim accepts, counted as a cache hit.
+// Caller holds sh.mu.
 func (c *LockClient) hitLocked(sh *clientShard, res ResourceID, need Mode, rng extent.Extent) *Handle {
 	if !c.policy.CacheLocks {
 		return nil
 	}
 	for _, h := range sh.cached[res] {
-		if h.rng.Contains(rng) && h.tryHit(need) {
+		if h.rng.Contains(rng) && h.mode.Covers(need) && h.claim(need) {
+			sh.hits++
 			return h
 		}
 	}
 	return nil
 }
 
-// adoptLease claims a hold on the cached handle a racing broadcast
-// lease install created for a delegated grant. Returns nil when the
-// lease is already CANCELING or gone — the lock left this client and
-// the caller must re-request from the server.
-func (c *LockClient) adoptLease(res ResourceID, id LockID, need Mode) *Handle {
-	sh := c.shard(res)
-	sh.mu.Lock()
-	h := findByID(sh.cached[res], id)
-	sh.mu.Unlock()
-	if h == nil {
-		return nil
+// CacheHits returns the number of acquires served from the lock cache.
+func (c *LockClient) CacheHits() int64 {
+	var n int64
+	for _, sh := range c.liveShards() {
+		sh.mu.Lock()
+		n += sh.hits
+		sh.mu.Unlock()
 	}
-	for {
-		w := h.hot.Load()
-		if w&hotAbsorbed != 0 {
-			h = h.merged.Load()
-			continue
-		}
-		if hotState(w) != Granted || w&hotCanceling != 0 {
-			return nil
-		}
-		nw := w + 1
-		if need.IsWrite() {
-			nw |= hotWrote
-		}
-		if h.hot.CompareAndSwap(w, nw) {
-			return h
-		}
-	}
+	return n
 }
 
 func (c *LockClient) acquire(ctx context.Context, res ResourceID, need Mode, rng extent.Extent, set extent.Set) (*Handle, error) {
 	need = c.policy.MapMode(need)
-	if h := c.fastHit(res, need, rng); h != nil {
-		c.Stats.CacheHits.Add(1)
-		return h, nil
+	sh := c.shard(res)
+	var fx clientEffects
+	if c.do(sh, res, &clientEvent{kind: cevHit, need: need, rng: rng}, &fx); fx.h != nil {
+		return fx.h, nil
 	}
-	am := c.acquireMu(res)
-	am.Lock()
-	defer am.Unlock()
+	return c.acquireMiss(ctx, sh, res, need, rng, set, fx.acq)
+}
+
+// run runs ev and returns the handle it answered with, if any. It is
+// never inlined, so the event and its effects live in run's frame
+// instead of taking room in the caller's: the callers go on to deep
+// calls (lock RPCs, flushes, peer transfers) on goroutines whose stacks
+// would otherwise grow and be copied.
+//
+//go:noinline
+func (c *LockClient) run(sh *clientShard, res ResourceID, ev clientEvent) *Handle {
+	var fx clientEffects
+	c.do(sh, res, &ev, &fx)
+	return fx.h
+}
+
+// acquireMiss is acquire after a cache miss, serialized per resource by
+// the acquire mutex acq.
+func (c *LockClient) acquireMiss(ctx context.Context, sh *clientShard, res ResourceID, need Mode, rng extent.Extent, set extent.Set, acq *sync.Mutex) (*Handle, error) {
+	acq.Lock()
+	defer acq.Unlock()
 
 	// Second chance under the acquire mutex: a racing acquire may have
 	// just installed a covering grant while we waited for it.
-	if h := c.fastHit(res, need, rng); h != nil {
-		c.Stats.CacheHits.Add(1)
+	if h := c.run(sh, res, clientEvent{kind: cevHit, need: need, rng: rng}); h != nil {
 		return h, nil
 	}
 	c.Stats.CacheMisses.Add(1)
@@ -443,7 +780,6 @@ func (c *LockClient) acquire(ctx context.Context, res ResourceID, need Mode, rng
 	// self-heals any lease that was lost in flight.
 	if c.policy.ReaderFanout && !need.IsWrite() && len(set) == 0 {
 		if h := c.waitStanding(ctx, res, need, rng); h != nil {
-			c.Stats.CacheHits.Add(1)
 			return h, nil
 		}
 	}
@@ -473,122 +809,28 @@ func (c *LockClient) acquire(ctx context.Context, res ResourceID, need Mode, rng
 		}
 		// The lock arrives from the previous holder, not from server
 		// state: block until the transfer — every part of it, for a
-		// gather — or a server-sent activation lands, then confirm the
-		// delegation asynchronously.
+		// gather — or a server-sent activation lands; the grant step
+		// then queues the delegation's ack.
 		cached, err := c.waitTransfer(ctx, res, g)
 		if err != nil {
 			c.router(res).Release(c.baseCtx, res, g.LockID)
 			return nil, err
 		}
-		if cached {
-			// A broadcast lease install raced ahead of this grant reply
-			// and already cached (and confirmed) the lock; adopt it. If
-			// the lease was revoked and canceled before it could be
-			// claimed, the lock left this client — request again.
-			if h := c.adoptLease(res, g.LockID, need); h != nil {
-				return h, nil
-			}
-			continue
+		if !cached {
+			c.Stats.HandoffsRecv.Add(1)
+			break
 		}
-		c.Stats.HandoffsRecv.Add(1)
-		c.queueAck(res, g.LockID)
-		break
-	}
-
-	h := &Handle{
-		c:        c,
-		res:      res,
-		id:       g.LockID,
-		sn:       g.SN,
-		rng:      g.Range,
-		released: make(chan struct{}),
-	}
-	st := g.State
-	sh := c.shard(res)
-	sh.mu.Lock()
-	// A revocation callback may have raced ahead of this grant reply;
-	// honour it now (including its handoff stamp, for chained
-	// delegations revoked before this reply was processed).
-	k := lockKey{res, g.LockID}
-	if stamp, ok := sh.pendingRevokes[k]; ok {
-		delete(sh.pendingRevokes, k)
-		if stamp != nil {
-			h.stamp.Store(stamp)
+		if h := c.run(sh, res, clientEvent{kind: cevHit, id: g.LockID, need: need}); h != nil {
+			return h, nil
 		}
-		st = Canceling
 	}
-	if hb := g.HandBack; hb != nil && len(hb.Leases) > 0 {
-		// The grant pre-armed the next fan-out (DESIGN.md §14): this
-		// lock is born CANCELING with a broadcast transfer obligation
-		// toward the displaced reader cohort's fresh leases. The stamp
-		// overrides any plain pending revoke — a nudge for a lock that
-		// already owes a transfer adds nothing.
-		h.stamp.Store(&HandoffStamp{
-			NextOwner: hb.Leases[0].Owner,
-			NewLockID: hb.Leases[0].LockID,
-			Mode:      hb.Mode,
-			SN:        hb.Leases[0].SN,
-			MustFlush: true,
-			Broadcast: hb,
-		})
-		st = Canceling
-	}
-	// A duplicate activation racing this install would otherwise leave
-	// a stale arrival behind.
-	delete(sh.arrivedHandoffs, k)
-	h.hot.Store(hotWord(1, st, g.Mode, need.IsWrite()))
-
-	list := sh.cached[res]
-	// Merge locks the server absorbed during upgrading: transfer their
-	// active holds and dirty-write flags, and forward their handles.
-	for _, aid := range g.Absorbed {
-		idx := slices.IndexFunc(list, func(x *Handle) bool { return x.id == aid })
-		if idx < 0 || !h.absorb(list[idx]) {
-			continue
-		}
-		old := list[idx]
-		k := lockKey{res, aid}
-		put(&sh.tombstones, k, true)
-		delete(sh.pendingRevokes, k)
-		list = slices.Delete(list, idx, idx+1)
-		// The absorbed lock will never be canceled on its own; its
-		// users now hold h, and its released channel tracks h's.
-		c.clk.Go(func() {
-			c.waitReleased(context.Background(), h)
-			sim.Close(c.clk, old.released)
-		})
-	}
-	put(&sh.cached, res, append(list, h))
-	sh.mu.Unlock()
-	return h, nil
+	return c.run(sh, res, grantEvent(&g, need)), nil
 }
 
-// absorb folds old into h: one CAS sets old's absorbed bit while
-// capturing its holds and wrote flag at that instant. Unlock racers
-// either land their decrement before the capture (and are counted) or
-// observe absorbed and chase old.merged to h. Returns false when old is
-// already claimed by a cancel — then it must be left alone, matching
-// the server, which never absorbs a canceling lock.
-func (h *Handle) absorb(old *Handle) bool {
-	old.merged.Store(h)
-	for {
-		w := old.hot.Load()
-		if w&(hotCanceling|hotAbsorbed) != 0 {
-			return false
-		}
-		if old.hot.CompareAndSwap(w, w|hotAbsorbed) {
-			for {
-				hw := h.hot.Load()
-				nhw := hw + uint64(hotHolds(w))
-				if w&hotWrote != 0 {
-					nhw |= hotWrote
-				}
-				if h.hot.CompareAndSwap(hw, nhw) {
-					return true
-				}
-			}
-		}
-	}
+// grantEvent is the step that installs g for an acquire needing need.
+func grantEvent(g *Grant, need Mode) clientEvent {
+	return clientEvent{kind: cevGrant, need: need, mode: g.Mode, state: g.State, delegated: g.Delegated,
+		id: g.LockID, sn: g.SN, rng: g.Range, bcast: g.HandBack, ids: g.Absorbed}
 }
 
 func findByID(list []*Handle, id LockID) *Handle {
@@ -600,57 +842,11 @@ func findByID(list []*Handle, id LockID) *Handle {
 	return nil
 }
 
-// remove drops h from the cache and tombstones it. Caller holds sh.mu.
-func (sh *clientShard) remove(h *Handle) {
-	k := lockKey{h.res, h.id}
-	put(&sh.tombstones, k, true)
-	delete(sh.pendingRevokes, k)
-	list := sh.cached[h.res]
-	switch i := slices.Index(list, h); {
-	case i < 0:
-	case len(list) == 1:
-		delete(sh.cached, h.res)
-	default:
-		sh.cached[h.res] = slices.Delete(list, i, i+1)
-	}
-}
-
 // Unlock returns a handle after use. If the lock is CANCELING (or the
 // policy does not cache locks) and this was the last user, the cancel
 // path starts in the background: downgrade, flush, release.
 func (c *LockClient) Unlock(h *Handle) {
-	for {
-		w := h.hot.Load()
-		if w&hotAbsorbed != 0 {
-			h = h.merged.Load()
-			continue
-		}
-		if hotHolds(w) == 0 {
-			panic("dlm: Unlock without matching Acquire")
-		}
-		nw := w - 1
-		start := false
-		if hotHolds(nw) == 0 {
-			if !c.policy.CacheLocks && hotState(nw) == Granted {
-				nw = nw&^hotStateMask | uint64(Canceling)<<hotStateShift
-			}
-			if hotState(nw) == Canceling && nw&hotCanceling == 0 {
-				nw |= hotCanceling
-				start = true
-			}
-		}
-		if h.hot.CompareAndSwap(w, nw) {
-			if start {
-				// Copy h into a branch-local before capturing: h is
-				// reassigned in the loop above, so capturing it directly
-				// would heap-allocate the variable on EVERY Unlock — one
-				// alloc per cached hit (see TestClientCachedHitAllocFree).
-				hh := h
-				c.clk.Go(func() { c.cancel(hh) })
-			}
-			return
-		}
-	}
+	c.do(h.sh, h.res, &clientEvent{kind: cevUnlock, h: h}, &clientEffects{})
 }
 
 // OnRevoke handles a server revocation callback: the lock enters
@@ -666,156 +862,54 @@ func (c *LockClient) OnRevoke(res ResourceID, id LockID) {
 // instead of releasing it back to the server.
 func (c *LockClient) OnRevokeStamped(res ResourceID, id LockID, stamp *HandoffStamp) {
 	c.Stats.Revocations.Add(1)
-	sh := c.shard(res)
-	sh.mu.Lock()
-	if c.policy.ReaderFanout && stamp != nil && stamp.Mode.IsWrite() {
-		// A writer is displacing this client's lock: the resource is in
-		// a fan rotation, and the next read lease — pre-armed by the
-		// writer's gather — will arrive peer-to-peer. Subsequent shared
-		// acquires park on it instead of going to the server.
-		put(&sh.fanStanding, res, true)
-	}
-	h := findByID(sh.cached[res], id)
-	if h == nil {
-		// Either the grant reply has not been processed yet (remember
-		// the revocation — and its stamp — for when it is) or the lock
-		// is already gone (tombstoned: ignore). Acking both cases is
-		// correct.
-		if k := (lockKey{res, id}); !sh.tombstones[k] {
-			put(&sh.pendingRevokes, k, stamp)
-		}
-		sh.mu.Unlock()
-		return
-	}
-	sh.mu.Unlock()
-	if stamp != nil {
-		// Published before the CANCELING flip below, so the cancel
-		// goroutine always sees it.
-		h.stamp.Store(stamp)
-	}
-	for {
-		w := h.hot.Load()
-		if w&hotAbsorbed != 0 {
-			return // absorbed into an upgraded lock; nothing to cancel
-		}
-		nw := w&^hotStateMask | uint64(Canceling)<<hotStateShift
-		start := hotHolds(w) == 0 && w&hotCanceling == 0
-		if start {
-			nw |= hotCanceling
-		}
-		if h.hot.CompareAndSwap(w, nw) {
-			if start {
-				c.clk.Go(func() { c.cancel(h) })
-			}
-			return
-		}
-	}
+	c.run(c.shard(res), res, clientEvent{kind: cevRevoke, id: id, stamp: stamp})
 }
 
 // cancel runs the lock cancel path of §III-D2: automatic downgrade to
 // the least restrictive mode (re-enabling early grant for waiters), data
 // flushing tagged with the lock's SN, then release. Exactly one
-// goroutine runs it per handle: its caller won the canceling bit.
+// goroutine runs it per handle: the step that claimed it started it.
 func (c *LockClient) cancel(h *Handle) {
 	start := c.clk.Now()
 	c.Stats.Cancels.Add(1)
-	ctx := c.baseCtx
-	conn := c.router(h.res)
-
-	w := h.hot.Load()
-	mode, wrote, rng := hotMode(w), w&hotWrote != 0, h.rng
-
-	if stamp := h.stamp.Load(); stamp != nil {
-		// Handoff transfer (DESIGN.md §13): the lock leaves this client
-		// entirely, so there is no downgrade to run — flush the dirty
-		// data written under it, then hand it to the next owner
-		// directly. Only if no peer path exists (or the send fails)
-		// release through the server, which resolves the delegation and
-		// activates the new owner itself.
-		// Flush-vs-transfer ordering mirrors early grant (§III-A1): a
-		// write-only successor (no implicit read) may own the lock while
-		// this holder's dirty data is still in flight — its writes carry
-		// a higher SN, so the extent cache resolves the overlap — which
-		// keeps the flush off the successor's critical path. A reading
-		// successor (PR/PW) must find the data on the data servers, so
-		// for it the flush completes before the transfer. Either way the
-		// flush obligation runs exactly once, here.
-		deferFlush := !stamp.Mode.CanRead()
-		if !deferFlush {
-			c.flusher.FlushForCancel(ctx, h.res, rng, h.sn)
-		}
-		h.hot.Or(hotReleaseSent)
-		var fwd []LockID
-		if c.policy.ReaderFanout && stamp.Broadcast == nil {
-			// Transferring toward a gathering writer: piggyback the
-			// queued delegation acks on the part — the writer forwards
-			// them on its next lock request, so reader acks cost no
-			// server RPC (DESIGN.md §14).
-			fwd = c.takeAcks(h.res)
-		}
-		sent := false
-		if box := c.peer.Load(); box != nil && box.s != nil {
-			if err := box.s.SendHandoff(ctx, stamp.NextOwner, h.res, stamp.NewLockID, fwd, stamp.Broadcast); err == nil {
-				// Confirmation is the receiver's job: every lease
-				// owner (the lead included) acks its own delegation on
-				// install, so the server's reclaim entry stays live
-				// until the lease has demonstrably landed.
-				sent = true
-				c.Stats.HandoffsSent.Add(1)
-			}
-		}
-		if deferFlush {
-			// The release fallback below must stay behind the flush:
-			// a fully released write lock's data is on the data
-			// servers by the time the server may grant readers.
-			c.flusher.FlushForCancel(ctx, h.res, rng, h.sn)
-		}
-		if !sent {
-			c.requeueAcks(h.res, fwd)
-			conn.Release(ctx, h.res, h.id)
-		}
-		sh := c.shard(h.res)
-		sh.mu.Lock()
-		sh.remove(h)
-		sh.mu.Unlock()
-		sim.Close(c.clk, h.released)
-		c.Stats.CancelNs.Add(c.clk.Since(start).Nanoseconds())
-		return
-	}
-
-	flushed := false
-	if c.policy.Conversion {
-		switch d := Downgrade(mode, wrote); d {
-		case NBW:
-			if err := conn.Downgrade(ctx, h.res, h.id, NBW); err == nil {
-				h.setMode(NBW)
-			}
-		case PR:
-			// A PW held only by readers: flush first so readers granted
-			// after the downgrade observe current data, then downgrade.
-			c.flusher.FlushForCancel(ctx, h.res, rng, h.sn)
-			flushed = true
-			if err := conn.Downgrade(ctx, h.res, h.id, PR); err == nil {
-				h.setMode(PR)
-			}
-		}
-	}
-	if !flushed {
-		c.flusher.FlushForCancel(ctx, h.res, rng, h.sn)
-	}
-	// Once the release is in flight the lock must no longer be exported
-	// for server recovery: its data flushing is complete (flush strictly
-	// precedes release), so a recovering server that never hears about
-	// it loses nothing — while restoring it after the release landed
-	// would leave a zombie lock no one will ever release.
-	h.hot.Or(hotReleaseSent)
-	conn.Release(ctx, h.res, h.id)
-
-	sh := c.shard(h.res)
+	ctx, sh, res := c.baseCtx, h.sh, h.res
+	conn := c.router(res)
 	sh.mu.Lock()
-	sh.remove(h)
+	mode, wrote, stamp, absorbed := h.mode, h.wrote, h.stamp, h.absorbed
 	sh.mu.Unlock()
+
+	if stamp != nil {
+		c.transfer(ctx, conn, h, stamp)
+	} else {
+		flushed := false
+		if d := Downgrade(mode, wrote); c.policy.Conversion && d != ModeNone {
+			if d == PR {
+				// A PW held only by readers: flush first so readers
+				// granted after the downgrade observe current data.
+				c.flusher.FlushForCancel(ctx, res, h.rng, h.sn)
+				flushed = true
+			}
+			if err := conn.Downgrade(ctx, res, h.id, d); err == nil {
+				c.run(sh, res, clientEvent{kind: cevDowngraded, h: h, mode: d})
+			}
+		}
+		if !flushed {
+			c.flusher.FlushForCancel(ctx, res, h.rng, h.sn)
+		}
+		// Once the release is in flight the lock must no longer be
+		// exported for server recovery: its data flushing is complete
+		// (flush strictly precedes release), so a recovering server that
+		// never hears about it loses nothing — while restoring it after
+		// the release landed would leave a zombie lock no one will ever
+		// release.
+		c.run(sh, res, clientEvent{kind: cevReleasing, h: h})
+		conn.Release(ctx, res, h.id)
+	}
+	c.run(sh, res, clientEvent{kind: cevCancelDone, h: h})
 	sim.Close(c.clk, h.released)
+	for _, old := range absorbed {
+		sim.Close(c.clk, old.released)
+	}
 	c.Stats.CancelNs.Add(c.clk.Since(start).Nanoseconds())
 }
 
@@ -838,49 +932,30 @@ func (c *LockClient) Close() { c.cancelFn() }
 // Unlock.
 func (c *LockClient) ReleaseAll(ctx context.Context) error {
 	c.FlushHandoffAcks(ctx)
-	var toStart, toWait []*Handle
+	var started, held []*Handle
 	for _, sh := range c.liveShards() {
 		sh.mu.Lock()
 		for _, list := range sh.cached {
 			for _, h := range list {
-				for {
-					w := h.hot.Load()
-					if w&hotAbsorbed != 0 {
-						break
-					}
-					nw := w&^hotStateMask | uint64(Canceling)<<hotStateShift
-					start := hotHolds(w) == 0 && w&hotCanceling == 0
-					if start {
-						nw |= hotCanceling
-					}
-					if !h.hot.CompareAndSwap(w, nw) {
-						continue
-					}
-					if start {
-						toStart = append(toStart, h)
-					}
-					toWait = append(toWait, h)
-					break
+				var fx clientEffects
+				c.step(sh, h.res, &clientEvent{kind: cevShutdown, h: h}, &fx)
+				if fx.cancel {
+					started = append(started, h)
 				}
+				held = append(held, h)
 			}
 		}
 		sh.mu.Unlock()
 	}
 	// The shard maps iterate in random order; fix the cancel spawn and
 	// wait order for deterministic virtual runs.
-	sort.Slice(toStart, func(i, j int) bool {
-		return toStart[i].res < toStart[j].res ||
-			(toStart[i].res == toStart[j].res && toStart[i].id < toStart[j].id)
-	})
-	sort.Slice(toWait, func(i, j int) bool {
-		return toWait[i].res < toWait[j].res ||
-			(toWait[i].res == toWait[j].res && toWait[i].id < toWait[j].id)
-	})
-	for _, h := range toStart {
-		h := h
+	byLock := func(a, b *Handle) int { return cmp.Or(cmp.Compare(a.res, b.res), cmp.Compare(a.id, b.id)) }
+	slices.SortFunc(started, byLock)
+	slices.SortFunc(held, byLock)
+	for _, h := range started {
 		c.clk.Go(func() { c.cancel(h) })
 	}
-	for _, h := range toWait {
+	for _, h := range held {
 		if err := c.waitReleased(ctx, h); err != nil {
 			return err
 		}

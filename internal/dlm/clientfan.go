@@ -23,54 +23,24 @@ import (
 // should proceed to the server.
 func (c *LockClient) waitStanding(ctx context.Context, res ResourceID, need Mode, rng extent.Extent) *Handle {
 	sh := c.shard(res)
-	timeout := DefaultHandoffTimeout
-	if c.policy.HandoffReclaimInterval > 0 {
-		timeout = c.policy.HandoffReclaimInterval
-	}
-	end := c.clk.Now().Add(timeout)
+	end := c.clk.Now().Add(c.policy.ReclaimInterval())
 	for {
-		sh.mu.Lock()
-		if !sh.fanStanding[res] {
-			sh.mu.Unlock()
-			return nil
+		var fx clientEffects
+		c.do(sh, res, &clientEvent{kind: cevStand, need: need, rng: rng}, &fx)
+		if fx.ch == nil {
+			return fx.h // the lease landed, or the resource is not standing
 		}
-		// The lease may have landed between the caller's cache miss and
-		// here; re-probe under the registration lock so a wake cannot
-		// slip between the miss and the park.
-		if h := c.hitLocked(sh, res, need, rng); h != nil {
-			sh.mu.Unlock()
-			return h
-		}
-		ch := make(chan struct{})
-		put(&sh.fanWaiters, res, append(sh.fanWaiters[res], ch))
-		sh.mu.Unlock()
-
-		_, _, err := sim.Recv(ctx, c.clk, ch, c.baseCtx.Done(), end)
+		_, _, err := sim.Recv(ctx, c.clk, fx.ch, c.baseCtx.Done(), end)
 		if err == sim.ErrDeadline {
 			// The lease never came (propagation lost, writer died).
 			// Stop standing and fall back to the server.
-			sh.mu.Lock()
-			delete(sh.fanStanding, res)
-			sh.mu.Unlock()
+			c.run(sh, res, clientEvent{kind: cevStandExpired})
 			return nil
 		}
 		if err != nil || ctx.Err() != nil || c.baseCtx.Err() != nil {
 			return nil
 		}
 	}
-}
-
-// wakeStanding releases every acquire parked on res. Caller holds
-// sh.mu; woken waiters re-probe the cache and re-park on a miss.
-func (sh *clientShard) wakeStanding(res ResourceID, clk sim.Clock) {
-	ws := sh.fanWaiters[res]
-	if len(ws) == 0 {
-		return
-	}
-	for _, ch := range ws {
-		sim.Close(clk, ch)
-	}
-	delete(sh.fanWaiters, res)
 }
 
 // OnLeasePropagate receives a propagation-tree subtree: the first
@@ -90,7 +60,7 @@ func (c *LockClient) receiveCohort(res ResourceID, g *BroadcastStamp) {
 	if len(g.Leases) == 0 {
 		return
 	}
-	c.installLease(res, g, g.Leases[0])
+	c.run(c.shard(res), res, clientEvent{kind: cevLease, id: g.Leases[0].LockID, bcast: g})
 	rest := g.Leases[1:]
 	if len(rest) == 0 {
 		return
@@ -140,61 +110,4 @@ func splitLeases(rest []Lease, fanout int) [][]Lease {
 		i += sz
 	}
 	return chunks
-}
-
-// installLease installs an unsolicited read lease delivered by a
-// broadcast or propagation. If a delegated acquire is parked on the
-// lease (round-one formation), completing its wait is the install; a
-// lease already installed or tombstoned is a duplicate and dropped.
-// Otherwise a zero-hold GRANTED handle enters the cache, honouring any
-// revocation that raced ahead (the lease is then born CANCELING and
-// cancels immediately — its transfer obligation, if stamped, still
-// runs). Parked fan waiters are woken either way.
-func (c *LockClient) installLease(res ResourceID, g *BroadcastStamp, mine Lease) {
-	k := lockKey{res, mine.LockID}
-	sh := c.shard(res)
-	sh.mu.Lock()
-	if tw, ok := sh.pendingHandoffs[k]; ok {
-		delete(sh.pendingHandoffs, k)
-		tw.complete(c.clk)
-		sh.mu.Unlock()
-		return
-	}
-	if sh.tombstones[k] || findByID(sh.cached[res], mine.LockID) != nil {
-		sh.mu.Unlock()
-		return
-	}
-	delete(sh.arrivedHandoffs, k)
-	h := &Handle{
-		c:        c,
-		res:      res,
-		id:       mine.LockID,
-		sn:       mine.SN,
-		rng:      g.Range,
-		released: make(chan struct{}),
-	}
-	st := Granted
-	if stamp, ok := sh.pendingRevokes[k]; ok {
-		delete(sh.pendingRevokes, k)
-		if stamp != nil {
-			h.stamp.Store(stamp)
-		}
-		st = Canceling
-	}
-	w := hotWord(0, st, g.Mode, false)
-	spawnCancel := st == Canceling
-	if spawnCancel {
-		w |= hotCanceling
-	}
-	h.hot.Store(w)
-	put(&sh.cached, res, append(sh.cached[res], h))
-	sh.wakeStanding(res, c.clk)
-	sh.mu.Unlock()
-
-	c.Stats.HandoffsRecv.Add(1)
-	c.Stats.LeasesRecv.Add(1)
-	c.queueAck(res, mine.LockID)
-	if spawnCancel {
-		c.clk.Go(func() { c.cancel(h) })
-	}
 }

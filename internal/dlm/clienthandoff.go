@@ -3,7 +3,6 @@ package dlm
 import (
 	"context"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -31,11 +30,7 @@ import (
 // fires for a healthy idle client. A quarter of the reclaim interval
 // sits between those bounds at every interval the policy picks.
 func (c *LockClient) ackFlushDelay() time.Duration {
-	iv := c.policy.HandoffReclaimInterval
-	if iv <= 0 {
-		iv = DefaultHandoffTimeout
-	}
-	return iv / 4
+	return c.policy.ReclaimInterval() / 4
 }
 
 // PeerSender is the client-to-client transport for handoff transfers.
@@ -82,11 +77,11 @@ func (c *LockClient) SetPeerSender(s PeerSender) {
 // outright — the server already resolved whatever parts were missing.
 //
 // Records are recycled (transferWaiters): ch is a one-slot channel that
-// the one completer — whoever deletes the record from pendingHandoffs
-// under the shard lock — sends on once, and waitTransfer puts the record
-// back after it has received that send, or after deleting the record
-// itself, when no completer ever will. The completer loads ch before
-// sending and does not touch the record after.
+// the one completer — the step that deletes the record from
+// pendingHandoffs — sends on once, and waitTransfer puts the record back
+// after it has received that send, or after deleting the record itself,
+// when no completer ever will. The completer does not touch the record
+// after the send.
 type transferWaiter struct {
 	need int
 	ch   chan struct{}
@@ -101,7 +96,7 @@ type transferWaiter struct {
 
 // finalParts marks a server-sent activation in the arrival count: it
 // satisfies any part requirement.
-const finalParts = int(1) << 30
+const finalParts = 1 << 30
 
 // OnHandoff records the arrival of a transferred lock — from the
 // previous holder over the peer transport, or as a server-sent
@@ -119,83 +114,41 @@ func (c *LockClient) OnHandoff(res ResourceID, id LockID) {
 // forward to the server; bcast, when non-nil, makes this a broadcast
 // transfer — the lead lease plus the cohort to propagate.
 func (c *LockClient) OnHandoffMsg(res ResourceID, id LockID, final bool, acks []LockID, bcast *BroadcastStamp) {
-	if len(acks) > 0 {
-		c.requeueAcks(res, acks)
-	}
+	c.requeueAcks(res, acks)
 	if bcast != nil && c.policy.ReaderFanout {
 		c.receiveCohort(res, bcast)
 		return
 	}
-	k := lockKey{res, id}
-	sh := c.shard(res)
-	sh.mu.Lock()
-	if tw, ok := sh.pendingHandoffs[k]; ok {
-		if final {
-			tw.need = 0
-		} else {
-			tw.need--
-		}
-		if tw.need <= 0 {
-			delete(sh.pendingHandoffs, k)
-			tw.complete(c.clk)
-		}
-	} else if !sh.tombstones[k] && findByID(sh.cached[res], id) == nil {
-		if final {
-			put(&sh.arrivedHandoffs, k, finalParts)
-		} else {
-			put(&sh.arrivedHandoffs, k, sh.arrivedHandoffs[k]+1)
-		}
-	}
-	sh.mu.Unlock()
+	c.run(c.shard(res), res, clientEvent{kind: cevPart, id: id, final: final})
 }
 
 // waitTransfer blocks a delegated acquire until its lock's transfer
-// arrives — all parts of it, for a gather. Parts may already have
-// landed (they raced ahead of the grant reply); otherwise park on a
-// channel OnHandoffMsg signals once the count is met. cached reports
-// that a broadcast lease install raced ahead of the grant reply and
-// the lock is already in the cache — the caller must adopt that
-// handle instead of building its own.
+// arrives — all parts of it, for a gather. cached reports that a
+// broadcast lease install raced ahead of the grant reply and the lock
+// is already in the cache: the caller claims that handle instead of
+// installing its own.
 func (c *LockClient) waitTransfer(ctx context.Context, res ResourceID, g Grant) (cached bool, err error) {
-	parts := g.GatherParts
-	if parts < 1 {
-		parts = 1
-	}
-	k := lockKey{res, g.LockID}
 	sh := c.shard(res)
-	sh.mu.Lock()
-	if findByID(sh.cached[res], g.LockID) != nil {
-		sh.mu.Unlock()
-		return true, nil
+	var fx clientEffects
+	c.do(sh, res, &clientEvent{kind: cevWait, id: g.LockID, mode: g.Mode, sn: g.SN, rng: g.Range, parts: g.GatherParts}, &fx)
+	tw := fx.tw
+	if tw == nil {
+		return fx.ok, nil
 	}
-	got := sh.arrivedHandoffs[k]
-	delete(sh.arrivedHandoffs, k)
-	if got >= parts {
-		sh.mu.Unlock()
-		return false, nil
-	}
-	tw := transferWaiters.Get().(*transferWaiter)
-	tw.need, tw.mode, tw.rng, tw.sn = parts-got, g.Mode, g.Range, g.SN
-	put(&sh.pendingHandoffs, k, tw)
-	sh.mu.Unlock()
-
 	if c.waitTransferCh(ctx, tw) {
 		tw.recycle()
 		return false, nil
 	}
-	sh.mu.Lock()
-	if _, ok := sh.pendingHandoffs[k]; ok {
-		delete(sh.pendingHandoffs, k)
-		sh.mu.Unlock()
+	var abort clientEffects
+	if c.do(sh, res, &clientEvent{kind: cevWaitAbort, id: g.LockID}, &abort); abort.ok {
 		tw.recycle()
 		if err := ctx.Err(); err != nil {
 			return false, wire.FromContext(err)
 		}
 		return false, wire.ErrShuttingDown
 	}
-	sh.mu.Unlock()
-	// The transfer raced the abort and won (its completer sent under
-	// the shard lock); take the send and use the lock.
+	// The transfer raced the abort and won (its step deleted the wait
+	// first); take the send and use the lock.
 	<-tw.ch
 	tw.recycle()
 	return false, nil
@@ -204,10 +157,9 @@ func (c *LockClient) waitTransfer(ctx context.Context, res ResourceID, g Grant) 
 // transferWaiters recycles transferWaiter records; see transferWaiter.
 var transferWaiters = sync.Pool{New: func() any { return &transferWaiter{ch: make(chan struct{}, 1)} }}
 
-// complete ends tw's wait. The caller has just deleted tw from
-// pendingHandoffs under the shard lock, which makes it the one completer.
-// tw may be recycled once the send lands; sim.Send wakes its own copy of
-// the channel.
+// complete ends tw's wait. The caller's step has just deleted tw from
+// pendingHandoffs, which makes it the one completer. tw may be recycled
+// once the send lands; sim.Send wakes its own copy of the channel.
 func (tw *transferWaiter) complete(clk sim.Clock) { sim.Send(clk, tw.ch, struct{}{}) }
 
 // recycle clears tw, keeping its (empty) channel, and pools it.
@@ -224,27 +176,76 @@ func (c *LockClient) waitTransferCh(ctx context.Context, tw *transferWaiter) boo
 	return err == nil
 }
 
+// transfer is the cancel path of a stamped lock (DESIGN.md §13): the
+// lock leaves this client entirely, so there is no downgrade to run —
+// flush the dirty data written under it, then hand it to the next owner
+// directly. Only if no peer path exists (or the send fails) release
+// through the server, which resolves the delegation and activates the
+// new owner itself.
+//
+// Flush-vs-transfer ordering mirrors early grant (§III-A1): a write-only
+// successor (no implicit read) may own the lock while this holder's
+// dirty data is still in flight — its writes carry a higher SN, so the
+// extent cache resolves the overlap — which keeps the flush off the
+// successor's critical path. A reading successor (PR/PW) must find the
+// data on the data servers, so for it the flush completes before the
+// transfer. Either way the flush obligation runs exactly once, here.
+func (c *LockClient) transfer(ctx context.Context, conn ServerConn, h *Handle, stamp *HandoffStamp) {
+	res := h.res
+	deferFlush := !stamp.Mode.CanRead()
+	if !deferFlush {
+		c.flusher.FlushForCancel(ctx, res, h.rng, h.sn)
+	}
+	c.run(h.sh, res, clientEvent{kind: cevReleasing, h: h})
+	var fwd []LockID
+	if c.policy.ReaderFanout && stamp.Broadcast == nil {
+		// Transferring toward a gathering writer: piggyback the queued
+		// delegation acks on the part — the writer forwards them on its
+		// next lock request, so reader acks cost no server RPC
+		// (DESIGN.md §14).
+		fwd = c.takeAcks(res)
+	}
+	sent := false
+	if box := c.peer.Load(); box != nil && box.s != nil {
+		if err := box.s.SendHandoff(ctx, stamp.NextOwner, res, stamp.NewLockID, fwd, stamp.Broadcast); err == nil {
+			// Confirmation is the receiver's job: every lease owner (the
+			// lead included) acks its own delegation on install, so the
+			// server's reclaim entry stays live until the lease has
+			// demonstrably landed.
+			sent = true
+			c.Stats.HandoffsSent.Add(1)
+		}
+	}
+	if deferFlush {
+		// The release fallback below must stay behind the flush: a fully
+		// released write lock's data is on the data servers by the time
+		// the server may grant readers.
+		c.flusher.FlushForCancel(ctx, res, h.rng, h.sn)
+	}
+	if !sent {
+		c.requeueAcks(res, fwd)
+		conn.Release(ctx, res, h.id)
+	}
+}
+
 // queueAck queues the confirmation of a delegation that just installed
 // for the server mastering res. Nobody waiting, it takes the lazy path:
 // the next lock request drains it, or the shard's flush timer does. If
 // the server already solicited it — a waiter is blocked on this very
-// ack — it leaves now, with whatever else is queued for res.
-func (c *LockClient) queueAck(res ResourceID, id LockID) {
-	k := lockKey{res, id}
-	sh := c.shard(res)
-	sh.mu.Lock()
+// ack — it leaves now, with whatever else is queued for res. Caller
+// holds sh.mu.
+func (c *LockClient) queueAck(sh *clientShard, res ResourceID, id LockID, fx *clientEffects) {
 	put(&sh.pendingAcks, res, append(sh.pendingAcks[res], id))
-	if sh.solicited[k] {
-		delete(sh.solicited, k)
-		ids := sh.popAcks(res)
-		sh.mu.Unlock()
-		c.sendSolicited(res, ids)
+	k := lockKey{res, id}
+	if n := sh.notes[k]; n.solicited {
+		n.solicited = false
+		sh.setNote(k, n)
+		fx.send, fx.acks = true, sh.popAcks(res)
 		return
 	}
 	if sh.ackTimer == nil {
 		sh.ackTimer = c.clk.AfterFunc(c.ackFlushDelay(), func() { c.flushShardAcks(sh) })
 	}
-	sh.mu.Unlock()
 }
 
 // popAcks pops the queued acks for res. When that drains the shard, the
@@ -266,62 +267,28 @@ func (sh *clientShard) popAcks(res ResourceID) []LockID {
 // takeAcks pops the queued acks for res, to piggyback on a lock request
 // or a peer transfer. The caller must re-queue them if that fails.
 func (c *LockClient) takeAcks(res ResourceID) []LockID {
-	sh := c.shard(res)
-	sh.mu.Lock()
-	acks := sh.popAcks(res)
-	sh.mu.Unlock()
-	return acks
+	var fx clientEffects
+	c.do(c.shard(res), res, &clientEvent{kind: cevTakeAcks}, &fx)
+	return fx.acks
 }
 
 // requeueAcks returns acks taken by a lock request that failed, or
 // whose connection cannot send them standalone; they wait for the next
-// lock request (no timer re-arm — a connection without a HandoffAck
-// path would otherwise spin the timer forever). Duplicate delivery is
-// harmless: the server ignores acks for already-confirmed delegations.
+// lock request. Duplicate delivery is harmless: the server ignores acks
+// for already-confirmed delegations.
 func (c *LockClient) requeueAcks(res ResourceID, acks []LockID) {
-	if len(acks) == 0 {
-		return
+	if len(acks) > 0 {
+		c.run(c.shard(res), res, clientEvent{kind: cevRequeueAcks, ids: acks})
 	}
-	sh := c.shard(res)
-	sh.mu.Lock()
-	put(&sh.pendingAcks, res, append(sh.pendingAcks[res], acks...))
-	sh.mu.Unlock()
 }
 
 // OnAckSolicit handles the server's request to confirm delegated lock
 // id now: a waiter there is blocked on nothing but this ack. If the
-// transfer has installed, the ack leaves at once — out of the lazy
-// queue with the rest of res's acks, or afresh when it already left the
-// queue (sent, or forwarded to a gathering writer that has not passed
-// it on; duplicate acks are idempotent server-side). If the transfer is
-// still on its way, the lock is marked and queueAck sends the ack the
-// moment it installs. A lock already gone from this client is ignored.
+// transfer has installed, the ack leaves at once; if it is still on its
+// way, it leaves the moment the lock installs. A lock already gone from
+// this client is ignored.
 func (c *LockClient) OnAckSolicit(res ResourceID, id LockID) {
-	k := lockKey{res, id}
-	sh := c.shard(res)
-	sh.mu.Lock()
-	var ids []LockID
-	switch {
-	case slices.Contains(sh.pendingAcks[res], id):
-		ids = sh.popAcks(res)
-	case findByID(sh.cached[res], id) != nil:
-		ids = []LockID{id}
-	case !sh.tombstones[k]:
-		put(&sh.solicited, k, true)
-	}
-	sh.mu.Unlock()
-	c.sendSolicited(res, ids)
-}
-
-// sendSolicited answers a solicitation off the caller's goroutine: the
-// callers are an RPC handler and an acquire about to use its lock, and
-// neither should sit out the ack's round trip.
-func (c *LockClient) sendSolicited(res ResourceID, ids []LockID) {
-	if len(ids) == 0 {
-		return
-	}
-	c.Stats.SolicitedAcks.Add(1)
-	c.clk.Go(func() { c.sendAcks(c.baseCtx, map[ResourceID][]LockID{res: ids}) })
+	c.run(c.shard(res), res, clientEvent{kind: cevSolicit, id: id})
 }
 
 // sendAcks sends the given acks standalone, one RPC per resource, in
@@ -335,7 +302,7 @@ func (c *LockClient) sendAcks(ctx context.Context, pending map[ResourceID][]Lock
 	for res := range pending {
 		keys = append(keys, res)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
 	for _, res := range keys {
 		ids := pending[res]
 		if ha, ok := c.router(res).(HandoffAcker); ok {
@@ -346,24 +313,18 @@ func (c *LockClient) sendAcks(ctx context.Context, pending map[ResourceID][]Lock
 	}
 }
 
-// drainShardAcks empties the shard's lazy queue and disarms its timer,
-// returning what was queued.
-func (sh *clientShard) drainShardAcks() map[ResourceID][]LockID {
-	sh.mu.Lock()
-	pending := sh.pendingAcks
-	sh.pendingAcks = nil
-	if sh.ackTimer != nil {
-		sh.ackTimer.Stop()
-		sh.ackTimer = nil
-	}
-	sh.mu.Unlock()
-	return pending
-}
-
 // flushShardAcks is the lazy path's timer: every ack still queued in
 // the shard goes out standalone.
 func (c *LockClient) flushShardAcks(sh *clientShard) {
-	c.sendAcks(c.baseCtx, sh.drainShardAcks())
+	c.sendAcks(c.baseCtx, c.drainAcks(sh))
+}
+
+// drainAcks empties sh's lazy queue and disarms its timer, returning
+// what was queued.
+func (c *LockClient) drainAcks(sh *clientShard) map[ResourceID][]LockID {
+	var fx clientEffects
+	c.do(sh, 0, &clientEvent{kind: cevDrainAcks}, &fx)
+	return fx.pending
 }
 
 // FlushHandoffAcks synchronously drains every queued delegation ack —
@@ -371,6 +332,6 @@ func (c *LockClient) flushShardAcks(sh *clientShard) {
 // delegations before the client goes quiet.
 func (c *LockClient) FlushHandoffAcks(ctx context.Context) {
 	for _, sh := range c.liveShards() {
-		c.sendAcks(ctx, sh.drainShardAcks())
+		c.sendAcks(ctx, c.drainAcks(sh))
 	}
 }

@@ -466,40 +466,50 @@ func TestDowngradeDisabledBlocks(t *testing.T) {
 	}
 }
 
+// upgradingConn asks the server for PW whenever its client asks for PR,
+// as a server-side upgrade does when it absorbs a lock the client has
+// not installed: the client then holds a PW it has only read under. It
+// records each downgrade and how many flushes preceded it.
+type upgradingConn struct {
+	directConn
+	flusher *recFlusher
+	mu      sync.Mutex
+	downs   []string
+}
+
+func (u *upgradingConn) Lock(ctx context.Context, req Request) (Grant, error) {
+	if req.Mode == PR {
+		req.Mode = PW
+	}
+	return u.directConn.Lock(ctx, req)
+}
+
+func (u *upgradingConn) Downgrade(ctx context.Context, res ResourceID, id LockID, m Mode) error {
+	u.mu.Lock()
+	u.downs = append(u.downs, fmt.Sprintf("%v after %d flushes", m, u.flusher.count()))
+	u.mu.Unlock()
+	return u.directConn.Downgrade(ctx, res, id, m)
+}
+
 // TestPWDowngradesToPRForReaders: a canceling PW held only by readers
-// flushes and downgrades to PR, compatible with waiting PR requests.
+// flushes, then downgrades to PR, compatible with waiting PR requests.
 func TestPWDowngradesToPRForReaders(t *testing.T) {
 	h := newHarness(t, SeqDLM(), 2)
-	a := mustAcquire(t, h.client(1), 1, PW, extent.New(0, extent.Inf))
-	// Use it as a reader only: re-acquire for PR, never write.
-	h.client(1).Unlock(a)
-	// Re-acquire with a read need so wrote stays... the first acquire was
-	// PW (write). Use a fresh scenario instead: acquire PR, upgrade never
-	// happens; so acquire PW directly but mark only reads.
-	_ = a
-
-	h2 := newHarness(t, SeqDLM(), 2)
-	// Reader acquires PR; no conflict; then another client's PR also
-	// works. The PW→PR downgrade needs a PW acquired for a read-only
-	// purpose — that arises from upgrading. Simulate: client 1 gets NBW,
-	// then PR (upgrade to PW, wrote=true because NBW wrote)...
-	// A genuinely read-only PW comes from Acquire(PW) for an operation
-	// that checks but never writes; model it via need=PR on a PW handle.
-	c1 := h2.client(1)
-	hd, err := c1.Acquire(context.Background(), 1, PW, extent.New(0, extent.Inf))
-	if err != nil {
-		t.Fatal(err)
+	conn := &upgradingConn{directConn: directConn{h.srv}, flusher: h.flusher}
+	c1 := NewLockClient(1, SeqDLM(), func(ResourceID) ServerConn { return conn }, h.flusher)
+	h.clients[1] = c1
+	hd := mustAcquire(t, c1, 1, PR, extent.New(0, extent.Inf))
+	if hd.Mode() != PW {
+		t.Fatalf("mode = %v, want PW", hd.Mode())
 	}
-	// Force wrote=false to model the only-readers case.
-	hd.hot.And(^hotWrote)
 
 	gate := make(chan struct{})
-	h2.flusher.setGate(gate)
+	h.flusher.setGate(gate)
 	done := make(chan struct{})
 	go func() {
-		r, err := h2.client(2).Acquire(context.Background(), 1, PR, extent.New(0, 10))
+		r, err := h.client(2).Acquire(context.Background(), 1, PR, extent.New(0, 10))
 		if err == nil {
-			h2.client(2).Unlock(r)
+			h.client(2).Unlock(r)
 		}
 		close(done)
 	}()
@@ -510,6 +520,11 @@ func TestPWDowngradesToPRForReaders(t *testing.T) {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("PR not granted after PW→PR downgrade")
+	}
+	conn.mu.Lock()
+	defer conn.mu.Unlock()
+	if want := []string{"PR after 1 flushes"}; fmt.Sprint(conn.downs) != fmt.Sprint(want) {
+		t.Fatalf("downgrades = %v, want %v", conn.downs, want)
 	}
 }
 
@@ -637,8 +652,8 @@ func TestClientCacheReuse(t *testing.T) {
 	if a != b {
 		t.Fatal("cached lock not reused")
 	}
-	if c.Stats.CacheHits.Load() != 1 || c.Stats.CacheMisses.Load() != 1 {
-		t.Fatalf("hits=%d misses=%d", c.Stats.CacheHits.Load(), c.Stats.CacheMisses.Load())
+	if c.CacheHits() != 1 || c.Stats.CacheMisses.Load() != 1 {
+		t.Fatalf("hits=%d misses=%d", c.CacheHits(), c.Stats.CacheMisses.Load())
 	}
 	c.Unlock(b)
 }

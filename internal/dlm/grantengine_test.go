@@ -272,18 +272,22 @@ func TestRevocationFanOutBounded(t *testing.T) {
 	const holders = 64
 	const bound = DefaultRevokeWorkers
 	var (
-		cur, peak atomic.Int64
-		gate      = make(chan struct{})
+		cur    atomic.Int64
+		peakMu sync.Mutex
+		peak   int64
+		gate   = make(chan struct{})
 	)
+	peakNow := func() int64 {
+		peakMu.Lock()
+		defer peakMu.Unlock()
+		return peak
+	}
 	s := NewServer(tiledPolicy(), nil)
 	s.SetNotifier(NotifierFunc(func(_ context.Context, rv Revocation) {
 		c := cur.Add(1)
-		for {
-			p := peak.Load()
-			if c <= p || peak.CompareAndSwap(p, c) {
-				break
-			}
-		}
+		peakMu.Lock()
+		peak = max(peak, c)
+		peakMu.Unlock()
 		<-gate
 		cur.Add(-1)
 		s.RevokeAck(rv.Resource, rv.Lock)
@@ -302,14 +306,14 @@ func TestRevocationFanOutBounded(t *testing.T) {
 	// The pool must saturate at exactly the bound and go no further.
 	waitFor(t, "pool saturation", func() bool { return cur.Load() == bound })
 	time.Sleep(20 * time.Millisecond) // give an unbounded pool time to overshoot
-	if p := peak.Load(); p != bound {
+	if p := peakNow(); p != bound {
 		t.Fatalf("peak concurrent deliveries = %d, want exactly %d", p, bound)
 	}
 	close(gate)
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if p := peak.Load(); p > bound {
+	if p := peakNow(); p > bound {
 		t.Fatalf("peak concurrent deliveries = %d, exceeded bound %d", p, bound)
 	}
 	if got := s.Stats.Revocations.Load(); got != holders {

@@ -98,7 +98,9 @@ func (s *Server) SetSlots(epoch uint64, owned []partition.Slot) {
 			v.owned[sl] = true
 		}
 	}
+	s.slotsMu.Lock()
 	prev := s.slots.Swap(v)
+	s.slotsMu.Unlock()
 	var dropped []partition.Slot
 	if prev != nil {
 		for i := range prev.owned {
@@ -116,30 +118,27 @@ func (s *Server) SetSlots(epoch uint64, owned []partition.Slot) {
 // addSlots extends the current view with newly claimed slots at a new
 // epoch (takeover or migration install).
 func (s *Server) addSlots(epoch uint64, slots []partition.Slot) {
-	for {
-		prev := s.slots.Load()
-		v := &slotView{epoch: epoch}
-		if prev != nil {
-			*v = *prev
-			v.epoch = epoch
-		}
-		n := 0
-		for _, sl := range slots {
-			if sl >= 0 && sl < partition.NumSlots {
-				v.owned[sl] = true
-				v.frozen[sl] = false
-			}
-		}
-		for i := range v.owned {
-			if v.owned[i] {
-				n++
-			}
-		}
-		if s.slots.CompareAndSwap(prev, v) {
-			s.Stats.SlotsOwned.Set(int64(n))
-			return
+	s.slotsMu.Lock()
+	defer s.slotsMu.Unlock()
+	v := &slotView{epoch: epoch}
+	if prev := s.slots.Load(); prev != nil {
+		*v = *prev
+		v.epoch = epoch
+	}
+	n := 0
+	for _, sl := range slots {
+		if sl >= 0 && sl < partition.NumSlots {
+			v.owned[sl] = true
+			v.frozen[sl] = false
 		}
 	}
+	for i := range v.owned {
+		if v.owned[i] {
+			n++
+		}
+	}
+	s.slots.Store(v)
+	s.Stats.SlotsOwned.Set(int64(n))
 }
 
 // purgeSlot fails every waiter in a slot with wire.ErrNotOwner and
@@ -212,17 +211,16 @@ func (s *Server) FreezeExportSlot(sl partition.Slot) (SlotExport, error) {
 	}
 	// Publish frozen first: any Lock that passed CheckMaster before now
 	// re-checks under res.mu and fails before enqueueing.
-	for {
-		prev := s.slots.Load()
-		if prev == nil || !prev.owned[sl] {
-			return SlotExport{}, wire.ErrNotOwner
-		}
-		v := *prev
-		v.frozen[sl] = true
-		if s.slots.CompareAndSwap(prev, &v) {
-			break
-		}
+	s.slotsMu.Lock()
+	prev := s.slots.Load()
+	if prev == nil || !prev.owned[sl] {
+		s.slotsMu.Unlock()
+		return SlotExport{}, wire.ErrNotOwner
 	}
+	frozen := *prev
+	frozen.frozen[sl] = true
+	s.slots.Store(&frozen)
+	s.slotsMu.Unlock()
 	exp := SlotExport{Slot: sl, Epoch: s.PartitionEpoch()}
 	var acts []activationMsg
 	for _, res := range s.takeSlotResources(sl) {
@@ -257,15 +255,12 @@ func (s *Server) FreezeExportSlot(sl partition.Slot) (SlotExport, error) {
 	}
 	// Drop ownership: the slot now belongs to whoever installs the
 	// export. (frozen is cleared with the owned bit; both gate Lock.)
-	for {
-		prev := s.slots.Load()
-		v := *prev
-		v.owned[sl] = false
-		v.frozen[sl] = false
-		if s.slots.CompareAndSwap(prev, &v) {
-			break
-		}
-	}
+	s.slotsMu.Lock()
+	dropped := *s.slots.Load()
+	dropped.owned[sl] = false
+	dropped.frozen[sl] = false
+	s.slots.Store(&dropped)
+	s.slotsMu.Unlock()
 	s.Stats.SlotMigrationsOut.Add(1)
 	for _, a := range acts {
 		s.sendActivation(a)

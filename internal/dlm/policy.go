@@ -88,6 +88,14 @@ func (p Policy) FanoutWidth() int {
 	return 2
 }
 
+// ReclaimInterval returns the effective HandoffReclaimInterval.
+func (p Policy) ReclaimInterval() time.Duration {
+	if p.HandoffReclaimInterval > 0 {
+		return p.HandoffReclaimInterval
+	}
+	return DefaultHandoffTimeout
+}
+
 // SeqDLM returns the paper's proposed policy.
 func SeqDLM() Policy {
 	return Policy{

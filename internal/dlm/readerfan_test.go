@@ -2,6 +2,7 @@ package dlm
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -230,9 +231,8 @@ func TestReaderFanRotation(t *testing.T) {
 		h.client(1).Unlock(w)
 
 		var wg sync.WaitGroup
-		var mu sync.Mutex
-		var leases []*Handle
-		for i := 0; i < nReaders; i++ {
+		leases := make([]*Handle, nReaders)
+		for i := range leases {
 			cl := h.client(2 + i)
 			wg.Add(1)
 			go func() {
@@ -242,20 +242,18 @@ func TestReaderFanRotation(t *testing.T) {
 					t.Errorf("round %d reader acquire: %v", r, err)
 					return
 				}
-				mu.Lock()
-				leases = append(leases, hd)
-				mu.Unlock()
+				leases[i] = hd
 			}()
 		}
 		wg.Wait()
-		if len(leases) != nReaders {
+		if slices.Contains(leases, nil) {
 			t.FailNow()
 		}
-		for _, hd := range leases {
+		for i, hd := range leases {
 			if hd.SN() < lastW {
 				t.Fatalf("round %d: reader SN %d below writer SN %d", r, hd.SN(), lastW)
 			}
-			hd.c.Unlock(hd)
+			h.client(2 + i).Unlock(hd)
 		}
 	}
 

@@ -165,8 +165,9 @@ type Server struct {
 
 	// slots is the partition-mastership view (nil = unpartitioned,
 	// masters everything) and leaseExpiry the wall-clock bound on it;
-	// see partition.go.
+	// see partition.go. slotsMu serializes the writers of slots.
 	slots       atomic.Pointer[slotView]
+	slotsMu     sync.Mutex
 	leaseExpiry atomic.Int64
 
 	// Stats accumulates protocol counters and wait-time attribution used
@@ -205,11 +206,7 @@ func NewServer(policy Policy, notifier Notifier) *Server {
 	for i := range s.shards {
 		s.shards[i].resources = make(map[ResourceID]*resource)
 	}
-	timeout := DefaultHandoffTimeout
-	if policy.HandoffReclaimInterval > 0 {
-		timeout = policy.HandoffReclaimInterval
-	}
-	s.handoffTimeout.Store(int64(timeout))
+	s.handoffTimeout.Store(int64(policy.ReclaimInterval()))
 	s.revoker.s = s
 	return s
 }

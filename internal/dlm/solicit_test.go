@@ -143,7 +143,12 @@ func TestAckSolicitStale(t *testing.T) {
 	h.client(1).OnAckSolicit(res, w.ID())
 	sh := h.client(1).shard(res)
 	sh.mu.Lock()
-	marked := len(sh.solicited)
+	marked := 0
+	for _, n := range sh.notes {
+		if n.solicited {
+			marked++
+		}
+	}
 	sh.mu.Unlock()
 	if marked != 0 || h.client(1).Stats.SolicitedAcks.Load() != 0 {
 		t.Fatalf("solicit for a tombstoned lock: marked=%d solicited acks=%d", marked, h.client(1).Stats.SolicitedAcks.Load())

@@ -175,8 +175,8 @@ func TestClientCacheRCUChurn(t *testing.T) {
 }
 
 // TestClientCachedHitAllocFree locks in the hit path's allocation
-// profile: a cached-lock hit (shard lookup, hot-word CAS) and its Unlock
-// must not allocate.
+// profile: a cached-lock hit (shard lookup, one step under the shard
+// mutex) and its Unlock (one more step) must not allocate.
 func TestClientCachedHitAllocFree(t *testing.T) {
 	h := newHarness(t, SeqDLM(), 1)
 	c := h.client(1)
