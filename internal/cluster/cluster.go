@@ -265,15 +265,9 @@ func (c *Cluster) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// Hardware returns the cluster's hardware model.
-func (c *Cluster) Hardware() sim.Hardware { return c.opts.Hardware }
-
 // Clock returns the cluster's time source (the hardware clock every
 // node was built on; the zero value is the wall clock).
 func (c *Cluster) Clock() sim.Clock { return c.opts.Hardware.Clock }
-
-// Policy returns the cluster's DLM policy.
-func (c *Cluster) Policy() dlm.Policy { return c.opts.Policy }
 
 // ServerDLMStats is one server's contribution to the cluster's DLM
 // activity: its counter snapshot plus its wait-latency histograms.

@@ -20,7 +20,6 @@ import (
 	"ccpfs/internal/meta"
 	"ccpfs/internal/obs"
 	"ccpfs/internal/rpc"
-	"ccpfs/internal/shard"
 	"ccpfs/internal/sim"
 	"ccpfs/internal/storage"
 	"ccpfs/internal/transport"
@@ -73,12 +72,12 @@ type Server struct {
 	lockL *sim.RateLimiter
 
 	// flushMu makes a flush's extent-cache merge and the submission of
-	// its surviving extents to the store one step per stripe (sharded by
-	// stripe like the cache): the order flushes win in is the order their
-	// bytes reach the store. flushVec[i] is the write vector of the flush
-	// holding flushMu[i]; WriteV keeps no reference to it.
-	flushMu  [shard.Count]sync.Mutex
-	flushVec [shard.Count][]storage.Vec
+	// its surviving extents to the store one step: the order flushes win
+	// in is the order their bytes reach the store. flushVec is the write
+	// vector of the flush holding flushMu; WriteV keeps no reference to
+	// it.
+	flushMu  sync.Mutex
+	flushVec []storage.Vec
 
 	rpcSrv *rpc.Server
 
@@ -205,10 +204,6 @@ func (s *Server) registerObs() {
 
 // Obs returns the server's metrics registry.
 func (s *Server) Obs() *obs.Registry { return s.obs }
-
-// Tracer returns the attached DLM protocol tracer (nil unless
-// Config.TraceEvents was set).
-func (s *Server) Tracer() *dlm.Tracer { return s.tracer }
 
 // Serve starts accepting RPC connections on l and, if configured, the
 // extent-cache cleanup daemon. It returns immediately.
@@ -754,10 +749,8 @@ func (s *Server) flush(ctx context.Context, req *wire.FlushRequest) error {
 		total += b.Range.Len()
 	}
 	var wrote int64
-	sh := shard.Of(req.Resource)
-	mu := &s.flushMu[sh]
-	mu.Lock()
-	vec := s.flushVec[sh][:0]
+	s.flushMu.Lock()
+	vec := s.flushVec[:0]
 	for _, b := range req.Blocks {
 		for _, w := range s.Cache.Apply(req.Resource, b.Range, b.SN) {
 			vec = append(vec, storage.Vec{Off: w.Start, Data: b.Data[w.Start-b.Range.Start : w.End-b.Range.Start]})
@@ -767,8 +760,8 @@ func (s *Server) flush(ctx context.Context, req *wire.FlushRequest) error {
 	frame := rpc.TakePayload(ctx)
 	pending := s.store.WriteV(req.Resource, vec, frame)
 	clear(vec) // the vector points into the request frame; it must not keep it reachable
-	s.flushVec[sh] = vec[:0]
-	mu.Unlock()
+	s.flushVec = vec[:0]
+	s.flushMu.Unlock()
 	if !pending.Kept() {
 		wire.PutBuf(frame) // req's block data is gone from here on
 	}

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"ccpfs/internal/extent"
-	"ccpfs/internal/shard"
 	"ccpfs/internal/sim"
 	"ccpfs/internal/wire"
 )
@@ -43,11 +42,11 @@ func (f FlusherFunc) FlushForCancel(ctx context.Context, res ResourceID, rng ext
 
 // Handle is a client's reference to a granted lock. Handles are obtained
 // from Acquire and returned with Unlock; the client caches GRANTED
-// handles for reuse. sh, res, id, sn, rng and released are immutable
-// after the grant; every other field is guarded by sh.mu and written
-// only by LockClient.step.
+// handles for reuse. mu, res, id, sn, rng and released are immutable
+// after the grant; every other field is guarded by mu and written only
+// by LockClient.step.
 type Handle struct {
-	sh       *clientShard
+	mu       *sync.Mutex // the client's state mutex (clientState.mu)
 	res      ResourceID
 	id       LockID
 	sn       extent.SN
@@ -87,8 +86,8 @@ func (h *Handle) SN() extent.SN { return h.sn }
 
 // Mode returns the current mode (it may change by conversion).
 func (h *Handle) Mode() Mode {
-	h.sh.mu.Lock()
-	defer h.sh.mu.Unlock()
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	return h.mode
 }
 
@@ -97,8 +96,8 @@ func (h *Handle) Range() extent.Extent { return h.rng }
 
 // State returns the lock's client-side state.
 func (h *Handle) State() State {
-	h.sh.mu.Lock()
-	defer h.sh.mu.Unlock()
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	return h.state
 }
 
@@ -108,7 +107,7 @@ func (h *Handle) Released() <-chan struct{} { return h.released }
 
 // claim takes one more hold on h for an acquire needing need, if h is
 // still GRANTED. A revocation's CANCELING flip and a hit's hold are both
-// steps under the shard mutex: either the revocation sees the hold (and
+// steps under the client mutex: either the revocation sees the hold (and
 // the last Unlock starts the cancel) or the hit misses.
 func (h *Handle) claim(need Mode) bool {
 	if h.state != Granted {
@@ -131,7 +130,7 @@ func (h *Handle) claimCancel() bool {
 
 // ClientStats counts client-side lock activity.
 //
-// Cache hits are counted by the hit step itself, under the shard mutex
+// Cache hits are counted by the hit step itself, under the client mutex
 // (LockClient.CacheHits), so the hit path pays no atomic.
 type ClientStats struct {
 	CacheMisses atomic.Int64
@@ -158,10 +157,10 @@ type ClientStats struct {
 // revocation callbacks, and runs the cancel path (downgrade → flush →
 // release) of §III-D2.
 //
-// Concurrency: every transition of a shard's lock state is one step
-// under the shard mutex, and what it decides happens after the mutex
-// drops (do). A cached-lock hit is one step: no allocation, and nothing
-// held across an RPC. See DESIGN.md §6 and §11.
+// Concurrency: every transition of the client's lock state is one step
+// under its mutex (clientState.mu), and what it decides happens after
+// the mutex drops (do). A cached-lock hit is one step: no allocation,
+// and nothing held across an RPC. See DESIGN.md §6 and §11.
 type LockClient struct {
 	id      ClientID
 	policy  Policy
@@ -174,11 +173,8 @@ type LockClient struct {
 	baseCtx  context.Context
 	cancelFn context.CancelFunc
 
-	// shards holds the per-shard lock state, each made when a resource
-	// first hashes to it (shard): a client's resources touch a few of
-	// the 64. shardMu serializes the making.
-	shards  [shard.Count]atomic.Pointer[clientShard]
-	shardMu sync.Mutex
+	// st is the lock state of every resource the client touches.
+	st clientState
 
 	// peer, when set, is the client-to-client transport handoff
 	// transfers are sent over; nil falls back to releasing through the
@@ -194,17 +190,15 @@ type LockClient struct {
 	Stats ClientStats
 }
 
-// clientShard carries the lock state of the resources hashing to one
-// shard; mu guards every field. The zero value is an empty shard: the
-// maps are made when first written (put).
-type clientShard struct {
+// clientState carries the client's lock state; mu guards every field.
+type clientState struct {
 	mu sync.Mutex
 	// cached lists each resource's cached handles in install order, the
 	// order a hit scans them in.
 	cached map[ResourceID][]*Handle
 	acq    map[ResourceID]*sync.Mutex
 	hits   int64 // acquires served from cached
-	// notes remembers locks the shard does not cache (lockNote), keyed
+	// notes remembers locks the client does not cache (lockNote), keyed
 	// by (resource, lock ID): lock IDs are unique only within one
 	// server, and a client talks to many servers.
 	notes map[lockKey]lockNote
@@ -229,7 +223,7 @@ type lockKey struct {
 	id  LockID
 }
 
-// lockNote is what a shard remembers of a lock it does not cache: one
+// lockNote is what a client remembers of a lock it does not cache: one
 // whose grant reply or lease has not been installed yet (messages about
 // it raced ahead), or one that is gone. Notes of gone locks are never
 // dropped.
@@ -251,31 +245,20 @@ type lockNote struct {
 }
 
 // setNote stores n for k, dropping the entry once it says nothing.
-func (sh *clientShard) setNote(k lockKey, n lockNote) {
+func (st *clientState) setNote(k lockKey, n lockNote) {
 	if n == (lockNote{}) {
-		delete(sh.notes, k)
+		delete(st.notes, k)
 		return
 	}
-	put(&sh.notes, k, n)
+	st.notes[k] = n
 }
 
 // retire notes that k is gone: it will never be installed or canceled
 // here again.
-func (sh *clientShard) retire(k lockKey) {
-	n := sh.notes[k]
+func (st *clientState) retire(k lockKey) {
+	n := st.notes[k]
 	n.gone, n.revoked, n.stamp = true, false, nil
-	sh.setNote(k, n)
-}
-
-// put stores m[k] = v, making the map on first use. A client has 64
-// shards of seven maps and touches the few its resources hash to, so the
-// shard maps are made when first written (reads, deletes and ranges of a
-// nil map already do the right thing).
-func put[K comparable, V any](m *map[K]V, k K, v V) {
-	if *m == nil {
-		*m = make(map[K]V)
-	}
-	(*m)[k] = v
+	st.setNote(k, n)
 }
 
 // NewLockClient returns a lock client. router maps a resource to the
@@ -290,33 +273,17 @@ func NewLockClient(id ClientID, policy Policy, router func(ResourceID) ServerCon
 		flusher:  flusher,
 		baseCtx:  ctx,
 		cancelFn: cancel,
+		st: clientState{
+			cached:          make(map[ResourceID][]*Handle),
+			acq:             make(map[ResourceID]*sync.Mutex),
+			notes:           make(map[lockKey]lockNote),
+			pendingHandoffs: make(map[lockKey]*transferWaiter),
+			pendingAcks:     make(map[ResourceID][]LockID),
+			fanStanding:     make(map[ResourceID]bool),
+			fanWaiters:      make(map[ResourceID]chan struct{}),
+		},
 	}
 	return c
-}
-
-// shard returns the shard owning res, making it on first use.
-func (c *LockClient) shard(res ResourceID) *clientShard {
-	p := &c.shards[shard.Of(uint64(res))]
-	if sh := p.Load(); sh != nil {
-		return sh
-	}
-	c.shardMu.Lock()
-	defer c.shardMu.Unlock()
-	if p.Load() == nil {
-		p.Store(new(clientShard))
-	}
-	return p.Load()
-}
-
-// liveShards returns the shards made so far.
-func (c *LockClient) liveShards() []*clientShard {
-	var out []*clientShard
-	for i := range c.shards {
-		if sh := c.shards[i].Load(); sh != nil {
-			out = append(out, sh)
-		}
-	}
-	return out
 }
 
 // ID returns the client identifier.
@@ -332,12 +299,9 @@ func (c *LockClient) waitReleased(ctx context.Context, h *Handle) error {
 	return wire.FromContext(err)
 }
 
-// Policy returns the client's policy.
-func (c *LockClient) Policy() Policy { return c.policy }
-
 // cevKind names one lock-client transition. The set is closed: every
 // change to a handle's holds, state, mode, stamp or release mark, and to
-// a shard's cache, notes, transfer waits, ack queue and fan rotation, is
+// the client's cache, notes, transfer waits, ack queue and fan rotation, is
 // one of these, applied by step.
 type cevKind uint8
 
@@ -382,7 +346,7 @@ type clientEvent struct {
 }
 
 // clientEffects is what one step decided: its answer to the caller,
-// and what apply must do once the shard mutex drops, in the order the
+// and what apply must do once the client mutex drops, in the order the
 // flags are listed. The answers a flag acts on are named beside it.
 type clientEffects struct {
 	h       *Handle                 // hit, grant, stand: the handle claimed
@@ -399,47 +363,47 @@ type clientEffects struct {
 	cancel   bool // start h's cancel path
 }
 
-// do runs one transition: step under sh.mu, then the effects it
-// decided, once sh.mu has dropped.
-func (c *LockClient) do(sh *clientShard, res ResourceID, ev *clientEvent, fx *clientEffects) {
-	sh.mu.Lock()
-	c.step(sh, res, ev, fx)
-	sh.mu.Unlock()
+// do runs one transition: step under c.st.mu, then the effects it
+// decided, once c.st.mu has dropped.
+func (c *LockClient) do(res ResourceID, ev *clientEvent, fx *clientEffects) {
+	c.st.mu.Lock()
+	c.step(res, ev, fx)
+	c.st.mu.Unlock()
 	if fx.wake || fx.complete || fx.send || fx.cancel {
 		c.apply(res, fx)
 	}
 }
 
 // step is the lock client: it applies one transition to the state of
-// res in sh, collecting into fx its answer and what must follow. Called
-// with sh.mu held. The two steps of a cached hit, cevHit and cevUnlock,
+// res, collecting into fx its answer and what must follow. Called with
+// c.st.mu held. The two steps of a cached hit, cevHit and cevUnlock,
 // have small functions of their own, which keeps the hit path short.
-func (c *LockClient) step(sh *clientShard, res ResourceID, ev *clientEvent, fx *clientEffects) {
+func (c *LockClient) step(res ResourceID, ev *clientEvent, fx *clientEffects) {
 	switch ev.kind {
 	case cevHit:
-		c.stepHit(sh, res, ev, fx)
+		c.stepHit(res, ev, fx)
 	case cevUnlock:
 		c.stepUnlock(ev, fx)
 	default:
-		c.stepOther(sh, res, ev, fx)
+		c.stepOther(res, ev, fx)
 	}
 }
 
-func (c *LockClient) stepHit(sh *clientShard, res ResourceID, ev *clientEvent, fx *clientEffects) {
+func (c *LockClient) stepHit(res ResourceID, ev *clientEvent, fx *clientEffects) {
 	if ev.id != 0 {
 		// A broadcast lease install raced ahead of this delegated grant's
 		// reply and cached the lock: claim it, unless it is already
 		// CANCELING — then the lock left this client and the acquire
 		// asks again.
-		if h := findByID(sh.cached[res], ev.id); h != nil && h.claim(ev.need) {
+		if h := findByID(c.st.cached[res], ev.id); h != nil && h.claim(ev.need) {
 			fx.h = h
 		}
 		return
 	}
-	if fx.h = c.hitLocked(sh, res, ev.need, ev.rng); fx.h == nil {
-		if fx.acq = sh.acq[res]; fx.acq == nil {
+	if fx.h = c.hitLocked(res, ev.need, ev.rng); fx.h == nil {
+		if fx.acq = c.st.acq[res]; fx.acq == nil {
 			fx.acq = new(sync.Mutex)
-			put(&sh.acq, res, fx.acq)
+			c.st.acq[res] = fx.acq
 		}
 	}
 }
@@ -459,14 +423,14 @@ func (c *LockClient) stepUnlock(ev *clientEvent, fx *clientEffects) {
 	fx.h, fx.cancel = h, h.claimCancel()
 }
 
-func (c *LockClient) stepOther(sh *clientShard, res ResourceID, ev *clientEvent, fx *clientEffects) {
+func (c *LockClient) stepOther(res ResourceID, ev *clientEvent, fx *clientEffects) {
 	k := lockKey{res, ev.id}
 	switch ev.kind {
 	case cevGrant:
 		if ev.delegated {
-			c.queueAck(sh, res, ev.id, fx)
+			c.queueAck(res, ev.id, fx)
 		}
-		h := sh.install(&Handle{res: res, id: ev.id, sn: ev.sn, rng: ev.rng,
+		h := c.st.install(&Handle{res: res, id: ev.id, sn: ev.sn, rng: ev.rng,
 			holds: 1, state: ev.state, mode: ev.mode, wrote: ev.need.IsWrite()})
 		if hb := ev.bcast; hb != nil && len(hb.Leases) > 0 {
 			// The grant pre-armed the next fan-out (DESIGN.md §14): this
@@ -489,7 +453,7 @@ func (c *LockClient) stepOther(sh *clientShard, res ResourceID, ev *clientEvent,
 		// alone, matching the server, which never absorbs a canceling
 		// lock.
 		for _, aid := range ev.ids {
-			list := sh.cached[res]
+			list := c.st.cached[res]
 			i := slices.IndexFunc(list, func(x *Handle) bool { return x.id == aid })
 			if i < 0 || list[i].canceling {
 				continue
@@ -499,8 +463,8 @@ func (c *LockClient) stepOther(sh *clientShard, res ResourceID, ev *clientEvent,
 			h.wrote = h.wrote || old.wrote
 			h.absorbed = append(append(h.absorbed, old), old.absorbed...)
 			old.merged = h
-			sh.cached[res] = slices.Delete(list, i, i+1)
-			sh.retire(lockKey{res, aid})
+			c.st.cached[res] = slices.Delete(list, i, i+1)
+			c.st.retire(lockKey{res, aid})
 		}
 		fx.h = h
 	case cevRevoke:
@@ -509,16 +473,16 @@ func (c *LockClient) stepOther(sh *clientShard, res ResourceID, ev *clientEvent,
 			// in a fan rotation, and the next read lease — pre-armed by
 			// the writer's gather — will arrive peer-to-peer. Subsequent
 			// shared acquires park on it instead of going to the server.
-			put(&sh.fanStanding, res, true)
+			c.st.fanStanding[res] = true
 		}
-		h := findByID(sh.cached[res], ev.id)
+		h := findByID(c.st.cached[res], ev.id)
 		if h == nil {
 			// Either the grant reply has not been processed yet (note the
 			// revocation, and its stamp, for the install) or the lock is
 			// already gone (ignore). Acking both cases is correct.
-			if n := sh.notes[k]; !n.gone {
+			if n := c.st.notes[k]; !n.gone {
 				n.revoked, n.stamp = true, ev.stamp
-				sh.setNote(k, n)
+				c.st.setNote(k, n)
 			}
 			return
 		}
@@ -536,54 +500,54 @@ func (c *LockClient) stepOther(sh *clientShard, res ResourceID, ev *clientEvent,
 		ev.h.releaseSent = true
 	case cevCancelDone:
 		h := ev.h
-		sh.retire(lockKey{res, h.id})
-		list := sh.cached[res]
+		c.st.retire(lockKey{res, h.id})
+		list := c.st.cached[res]
 		switch i := slices.Index(list, h); {
 		case i < 0:
 		case len(list) == 1:
-			delete(sh.cached, res)
+			delete(c.st.cached, res)
 		default:
-			sh.cached[res] = slices.Delete(list, i, i+1)
+			c.st.cached[res] = slices.Delete(list, i, i+1)
 		}
 	case cevWait:
-		if findByID(sh.cached[res], ev.id) != nil {
+		if findByID(c.st.cached[res], ev.id) != nil {
 			fx.ok = true
 			return
 		}
 		// Parts may already have landed (they raced ahead of the grant
 		// reply); otherwise park on what the rest of them complete.
-		n := sh.notes[k]
+		n := c.st.notes[k]
 		got := n.parts
 		n.parts = 0
-		sh.setNote(k, n)
+		c.st.setNote(k, n)
 		if parts := max(ev.parts, 1); int(got) < parts {
 			tw := transferWaiters.Get().(*transferWaiter)
 			tw.need, tw.mode, tw.rng, tw.sn = parts-int(got), ev.mode, ev.rng, ev.sn
-			put(&sh.pendingHandoffs, k, tw)
+			c.st.pendingHandoffs[k] = tw
 			fx.tw = tw
 		}
 	case cevWaitAbort:
-		if _, fx.ok = sh.pendingHandoffs[k]; fx.ok {
-			delete(sh.pendingHandoffs, k)
+		if _, fx.ok = c.st.pendingHandoffs[k]; fx.ok {
+			delete(c.st.pendingHandoffs, k)
 		}
 	case cevPart:
-		if tw, ok := sh.pendingHandoffs[k]; ok {
+		if tw, ok := c.st.pendingHandoffs[k]; ok {
 			if ev.final {
 				tw.need = 0
 			} else {
 				tw.need--
 			}
 			if tw.need <= 0 {
-				delete(sh.pendingHandoffs, k)
+				delete(c.st.pendingHandoffs, k)
 				fx.tw, fx.complete = tw, true
 			}
-		} else if n := sh.notes[k]; !n.gone && findByID(sh.cached[res], ev.id) == nil {
+		} else if n := c.st.notes[k]; !n.gone && findByID(c.st.cached[res], ev.id) == nil {
 			if ev.final {
 				n.parts = finalParts
 			} else {
 				n.parts++
 			}
-			sh.setNote(k, n)
+			c.st.setNote(k, n)
 		}
 	case cevLease:
 		// If a delegated acquire is parked on the lease (round-one
@@ -592,65 +556,67 @@ func (c *LockClient) stepOther(sh *clientShard, res ResourceID, ev *clientEvent,
 		// zero-hold handle enters the cache — canceled at once if a
 		// revocation raced ahead (its transfer obligation, if stamped,
 		// still runs) — its ack is queued and parked fan waiters wake.
-		if tw, ok := sh.pendingHandoffs[k]; ok {
-			delete(sh.pendingHandoffs, k)
+		if tw, ok := c.st.pendingHandoffs[k]; ok {
+			delete(c.st.pendingHandoffs, k)
 			fx.tw, fx.complete = tw, true
 			return
 		}
-		if sh.notes[k].gone || findByID(sh.cached[res], ev.id) != nil {
+		if c.st.notes[k].gone || findByID(c.st.cached[res], ev.id) != nil {
 			return
 		}
 		mine := ev.bcast.Leases[0]
-		h := sh.install(&Handle{res: res, id: mine.LockID, sn: mine.SN, rng: ev.bcast.Range, state: Granted, mode: ev.bcast.Mode})
+		h := c.st.install(&Handle{res: res, id: mine.LockID, sn: mine.SN, rng: ev.bcast.Range, state: Granted, mode: ev.bcast.Mode})
 		fx.h, fx.cancel = h, h.claimCancel()
-		if fx.ch, fx.wake = sh.fanWaiters[res]; fx.wake {
-			delete(sh.fanWaiters, res)
+		if fx.ch, fx.wake = c.st.fanWaiters[res]; fx.wake {
+			delete(c.st.fanWaiters, res)
 		}
 		c.Stats.HandoffsRecv.Add(1)
 		c.Stats.LeasesRecv.Add(1)
-		c.queueAck(sh, res, ev.id, fx)
+		c.queueAck(res, ev.id, fx)
 	case cevSolicit:
 		// Installed: the ack leaves at once — out of the lazy queue with
 		// the rest of res's acks, or afresh when it already left the
 		// queue (sent, or forwarded to a gathering writer that has not
 		// passed it on; duplicate acks are idempotent server-side). Still
 		// on its way: the note makes queueAck send it on install.
-		switch n := sh.notes[k]; {
-		case slices.Contains(sh.pendingAcks[res], ev.id):
-			fx.send, fx.acks = true, sh.popAcks(res)
-		case findByID(sh.cached[res], ev.id) != nil:
+		switch n := c.st.notes[k]; {
+		case slices.Contains(c.st.pendingAcks[res], ev.id):
+			fx.send, fx.acks = true, c.st.popAcks(res)
+		case findByID(c.st.cached[res], ev.id) != nil:
 			fx.send, fx.acks = true, []LockID{ev.id}
 		case !n.gone:
 			n.solicited = true
-			sh.setNote(k, n)
+			c.st.setNote(k, n)
 		}
 	case cevTakeAcks:
-		fx.acks = sh.popAcks(res)
+		fx.acks = c.st.popAcks(res)
 	case cevRequeueAcks:
 		// No timer re-arm: a connection without a HandoffAck path would
 		// otherwise spin the timer forever.
-		put(&sh.pendingAcks, res, append(sh.pendingAcks[res], ev.ids...))
+		c.st.pendingAcks[res] = append(c.st.pendingAcks[res], ev.ids...)
 	case cevDrainAcks:
-		fx.pending, sh.pendingAcks = sh.pendingAcks, nil
-		if sh.ackTimer != nil {
-			sh.ackTimer.Stop()
-			sh.ackTimer = nil
+		if len(c.st.pendingAcks) > 0 {
+			fx.pending, c.st.pendingAcks = c.st.pendingAcks, make(map[ResourceID][]LockID)
+		}
+		if c.st.ackTimer != nil {
+			c.st.ackTimer.Stop()
+			c.st.ackTimer = nil
 		}
 	case cevStand:
 		// The lease may have landed between the caller's cache miss and
 		// here; re-probe under the same mutex a wake is sent under, so a
 		// wake cannot slip between the miss and the park.
-		if !sh.fanStanding[res] {
+		if !c.st.fanStanding[res] {
 			return
 		}
-		if fx.h = c.hitLocked(sh, res, ev.need, ev.rng); fx.h == nil {
-			if fx.ch = sh.fanWaiters[res]; fx.ch == nil {
+		if fx.h = c.hitLocked(res, ev.need, ev.rng); fx.h == nil {
+			if fx.ch = c.st.fanWaiters[res]; fx.ch == nil {
 				fx.ch = make(chan struct{})
-				put(&sh.fanWaiters, res, fx.ch)
+				c.st.fanWaiters[res] = fx.ch
 			}
 		}
 	case cevStandExpired:
-		delete(sh.fanStanding, res)
+		delete(c.st.fanStanding, res)
 	}
 }
 
@@ -658,22 +624,22 @@ func (c *LockClient) stepOther(sh *clientShard, res ResourceID, ev *clientEvent,
 // made, for a grant reply and for a lease. A revocation that raced ahead
 // of it makes it born CANCELING, with the revocation's stamp; transfer
 // parts that raced ahead are dropped with the rest of its note. Caller
-// holds sh.mu.
-func (sh *clientShard) install(h *Handle) *Handle {
-	h.sh = sh
+// holds st.mu.
+func (st *clientState) install(h *Handle) *Handle {
+	h.mu = &st.mu
 	h.released = make(chan struct{})
 	k := lockKey{h.res, h.id}
-	n := sh.notes[k]
+	n := st.notes[k]
 	if n.revoked {
 		h.state, h.stamp = Canceling, n.stamp
 	}
 	n.revoked, n.stamp, n.parts = false, nil, 0
-	sh.setNote(k, n)
-	put(&sh.cached, h.res, append(sh.cached[h.res], h))
+	st.setNote(k, n)
+	st.cached[h.res] = append(st.cached[h.res], h)
 	return h
 }
 
-// apply carries out what a step decided, outside the shard mutex, in
+// apply carries out what a step decided, outside the client mutex, in
 // the order the steps' transitions issue them.
 func (c *LockClient) apply(res ResourceID, fx *clientEffects) {
 	if fx.wake {
@@ -713,14 +679,14 @@ func (c *LockClient) AcquireExtents(ctx context.Context, res ResourceID, need Mo
 
 // hitLocked is the cached-hit scan: the first cached handle covering rng
 // in a mode covering need that claim accepts, counted as a cache hit.
-// Caller holds sh.mu.
-func (c *LockClient) hitLocked(sh *clientShard, res ResourceID, need Mode, rng extent.Extent) *Handle {
+// Caller holds c.st.mu.
+func (c *LockClient) hitLocked(res ResourceID, need Mode, rng extent.Extent) *Handle {
 	if !c.policy.CacheLocks {
 		return nil
 	}
-	for _, h := range sh.cached[res] {
+	for _, h := range c.st.cached[res] {
 		if h.rng.Contains(rng) && h.mode.Covers(need) && h.claim(need) {
-			sh.hits++
+			c.st.hits++
 			return h
 		}
 	}
@@ -729,23 +695,18 @@ func (c *LockClient) hitLocked(sh *clientShard, res ResourceID, need Mode, rng e
 
 // CacheHits returns the number of acquires served from the lock cache.
 func (c *LockClient) CacheHits() int64 {
-	var n int64
-	for _, sh := range c.liveShards() {
-		sh.mu.Lock()
-		n += sh.hits
-		sh.mu.Unlock()
-	}
-	return n
+	c.st.mu.Lock()
+	defer c.st.mu.Unlock()
+	return c.st.hits
 }
 
 func (c *LockClient) acquire(ctx context.Context, res ResourceID, need Mode, rng extent.Extent, set extent.Set) (*Handle, error) {
 	need = c.policy.MapMode(need)
-	sh := c.shard(res)
 	var fx clientEffects
-	if c.do(sh, res, &clientEvent{kind: cevHit, need: need, rng: rng}, &fx); fx.h != nil {
+	if c.do(res, &clientEvent{kind: cevHit, need: need, rng: rng}, &fx); fx.h != nil {
 		return fx.h, nil
 	}
-	return c.acquireMiss(ctx, sh, res, need, rng, set, fx.acq)
+	return c.acquireMiss(ctx, res, need, rng, set, fx.acq)
 }
 
 // run runs ev and returns the handle it answered with, if any. It is
@@ -755,21 +716,21 @@ func (c *LockClient) acquire(ctx context.Context, res ResourceID, need Mode, rng
 // would otherwise grow and be copied.
 //
 //go:noinline
-func (c *LockClient) run(sh *clientShard, res ResourceID, ev clientEvent) *Handle {
+func (c *LockClient) run(res ResourceID, ev clientEvent) *Handle {
 	var fx clientEffects
-	c.do(sh, res, &ev, &fx)
+	c.do(res, &ev, &fx)
 	return fx.h
 }
 
 // acquireMiss is acquire after a cache miss, serialized per resource by
 // the acquire mutex acq.
-func (c *LockClient) acquireMiss(ctx context.Context, sh *clientShard, res ResourceID, need Mode, rng extent.Extent, set extent.Set, acq *sync.Mutex) (*Handle, error) {
+func (c *LockClient) acquireMiss(ctx context.Context, res ResourceID, need Mode, rng extent.Extent, set extent.Set, acq *sync.Mutex) (*Handle, error) {
 	acq.Lock()
 	defer acq.Unlock()
 
 	// Second chance under the acquire mutex: a racing acquire may have
 	// just installed a covering grant while we waited for it.
-	if h := c.run(sh, res, clientEvent{kind: cevHit, need: need, rng: rng}); h != nil {
+	if h := c.run(res, clientEvent{kind: cevHit, need: need, rng: rng}); h != nil {
 		return h, nil
 	}
 	c.Stats.CacheMisses.Add(1)
@@ -820,11 +781,11 @@ func (c *LockClient) acquireMiss(ctx context.Context, sh *clientShard, res Resou
 			c.Stats.HandoffsRecv.Add(1)
 			break
 		}
-		if h := c.run(sh, res, clientEvent{kind: cevHit, id: g.LockID, need: need}); h != nil {
+		if h := c.run(res, clientEvent{kind: cevHit, id: g.LockID, need: need}); h != nil {
 			return h, nil
 		}
 	}
-	return c.run(sh, res, grantEvent(&g, need)), nil
+	return c.run(res, grantEvent(&g, need)), nil
 }
 
 // grantEvent is the step that installs g for an acquire needing need.
@@ -846,7 +807,7 @@ func findByID(list []*Handle, id LockID) *Handle {
 // policy does not cache locks) and this was the last user, the cancel
 // path starts in the background: downgrade, flush, release.
 func (c *LockClient) Unlock(h *Handle) {
-	c.do(h.sh, h.res, &clientEvent{kind: cevUnlock, h: h}, &clientEffects{})
+	c.do(h.res, &clientEvent{kind: cevUnlock, h: h}, &clientEffects{})
 }
 
 // OnRevoke handles a server revocation callback: the lock enters
@@ -862,7 +823,7 @@ func (c *LockClient) OnRevoke(res ResourceID, id LockID) {
 // instead of releasing it back to the server.
 func (c *LockClient) OnRevokeStamped(res ResourceID, id LockID, stamp *HandoffStamp) {
 	c.Stats.Revocations.Add(1)
-	c.run(c.shard(res), res, clientEvent{kind: cevRevoke, id: id, stamp: stamp})
+	c.run(res, clientEvent{kind: cevRevoke, id: id, stamp: stamp})
 }
 
 // cancel runs the lock cancel path of §III-D2: automatic downgrade to
@@ -872,11 +833,11 @@ func (c *LockClient) OnRevokeStamped(res ResourceID, id LockID, stamp *HandoffSt
 func (c *LockClient) cancel(h *Handle) {
 	start := c.clk.Now()
 	c.Stats.Cancels.Add(1)
-	ctx, sh, res := c.baseCtx, h.sh, h.res
+	ctx, res := c.baseCtx, h.res
 	conn := c.router(res)
-	sh.mu.Lock()
+	c.st.mu.Lock()
 	mode, wrote, stamp, absorbed := h.mode, h.wrote, h.stamp, h.absorbed
-	sh.mu.Unlock()
+	c.st.mu.Unlock()
 
 	if stamp != nil {
 		c.transfer(ctx, conn, h, stamp)
@@ -890,7 +851,7 @@ func (c *LockClient) cancel(h *Handle) {
 				flushed = true
 			}
 			if err := conn.Downgrade(ctx, res, h.id, d); err == nil {
-				c.run(sh, res, clientEvent{kind: cevDowngraded, h: h, mode: d})
+				c.run(res, clientEvent{kind: cevDowngraded, h: h, mode: d})
 			}
 		}
 		if !flushed {
@@ -902,10 +863,10 @@ func (c *LockClient) cancel(h *Handle) {
 		// never hears about it loses nothing — while restoring it after
 		// the release landed would leave a zombie lock no one will ever
 		// release.
-		c.run(sh, res, clientEvent{kind: cevReleasing, h: h})
+		c.run(res, clientEvent{kind: cevReleasing, h: h})
 		conn.Release(ctx, res, h.id)
 	}
-	c.run(sh, res, clientEvent{kind: cevCancelDone, h: h})
+	c.run(res, clientEvent{kind: cevCancelDone, h: h})
 	sim.Close(c.clk, h.released)
 	for _, old := range absorbed {
 		sim.Close(c.clk, old.released)
@@ -915,10 +876,9 @@ func (c *LockClient) cancel(h *Handle) {
 
 // CachedLocks returns the number of cached handles for a resource.
 func (c *LockClient) CachedLocks(res ResourceID) int {
-	sh := c.shard(res)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return len(sh.cached[res])
+	c.st.mu.Lock()
+	defer c.st.mu.Unlock()
+	return len(c.st.cached[res])
 }
 
 // Close cancels the client's lifecycle context, aborting background
@@ -933,25 +893,21 @@ func (c *LockClient) Close() { c.cancelFn() }
 func (c *LockClient) ReleaseAll(ctx context.Context) error {
 	c.FlushHandoffAcks(ctx)
 	var started, held []*Handle
-	for _, sh := range c.liveShards() {
-		sh.mu.Lock()
-		for _, list := range sh.cached {
-			for _, h := range list {
-				var fx clientEffects
-				c.step(sh, h.res, &clientEvent{kind: cevShutdown, h: h}, &fx)
-				if fx.cancel {
-					started = append(started, h)
-				}
-				held = append(held, h)
-			}
-		}
-		sh.mu.Unlock()
+	c.st.mu.Lock()
+	for _, list := range c.st.cached {
+		held = append(held, list...)
 	}
-	// The shard maps iterate in random order; fix the cancel spawn and
-	// wait order for deterministic virtual runs.
-	byLock := func(a, b *Handle) int { return cmp.Or(cmp.Compare(a.res, b.res), cmp.Compare(a.id, b.id)) }
-	slices.SortFunc(started, byLock)
-	slices.SortFunc(held, byLock)
+	// The cache map iterates in random order; walk it in ascending lock
+	// order, which fixes the cancel spawn and wait order for
+	// deterministic virtual runs.
+	slices.SortFunc(held, func(a, b *Handle) int { return cmp.Or(cmp.Compare(a.res, b.res), cmp.Compare(a.id, b.id)) })
+	for _, h := range held {
+		var fx clientEffects
+		if c.step(h.res, &clientEvent{kind: cevShutdown, h: h}, &fx); fx.cancel {
+			started = append(started, h)
+		}
+	}
+	c.st.mu.Unlock()
 	for _, h := range started {
 		c.clk.Go(func() { c.cancel(h) })
 	}

@@ -22,11 +22,10 @@ import (
 // reclaim interval expires, or ctx fires. Returns nil when the caller
 // should proceed to the server.
 func (c *LockClient) waitStanding(ctx context.Context, res ResourceID, need Mode, rng extent.Extent) *Handle {
-	sh := c.shard(res)
 	end := c.clk.Now().Add(c.policy.ReclaimInterval())
 	for {
 		var fx clientEffects
-		c.do(sh, res, &clientEvent{kind: cevStand, need: need, rng: rng}, &fx)
+		c.do(res, &clientEvent{kind: cevStand, need: need, rng: rng}, &fx)
 		if fx.ch == nil {
 			return fx.h // the lease landed, or the resource is not standing
 		}
@@ -34,7 +33,7 @@ func (c *LockClient) waitStanding(ctx context.Context, res ResourceID, need Mode
 		if err == sim.ErrDeadline {
 			// The lease never came (propagation lost, writer died).
 			// Stop standing and fall back to the server.
-			c.run(sh, res, clientEvent{kind: cevStandExpired})
+			c.run(res, clientEvent{kind: cevStandExpired})
 			return nil
 		}
 		if err != nil || ctx.Err() != nil || c.baseCtx.Err() != nil {
@@ -60,7 +59,7 @@ func (c *LockClient) receiveCohort(res ResourceID, g *BroadcastStamp) {
 	if len(g.Leases) == 0 {
 		return
 	}
-	c.run(c.shard(res), res, clientEvent{kind: cevLease, id: g.Leases[0].LockID, bcast: g})
+	c.run(res, clientEvent{kind: cevLease, id: g.Leases[0].LockID, bcast: g})
 	rest := g.Leases[1:]
 	if len(rest) == 0 {
 		return
@@ -73,7 +72,7 @@ func (c *LockClient) receiveCohort(res ResourceID, g *BroadcastStamp) {
 	}
 	fanout := g.Fanout
 	if fanout < 1 {
-		fanout = c.policy.FanoutWidth()
+		fanout = leaseFanout
 	}
 	for _, chunk := range splitLeases(rest, fanout) {
 		sub := &BroadcastStamp{Mode: g.Mode, Range: g.Range, Fanout: g.Fanout, Leases: chunk}

@@ -119,7 +119,7 @@ func (c *LockClient) OnHandoffMsg(res ResourceID, id LockID, final bool, acks []
 		c.receiveCohort(res, bcast)
 		return
 	}
-	c.run(c.shard(res), res, clientEvent{kind: cevPart, id: id, final: final})
+	c.run(res, clientEvent{kind: cevPart, id: id, final: final})
 }
 
 // waitTransfer blocks a delegated acquire until its lock's transfer
@@ -128,9 +128,8 @@ func (c *LockClient) OnHandoffMsg(res ResourceID, id LockID, final bool, acks []
 // is already in the cache: the caller claims that handle instead of
 // installing its own.
 func (c *LockClient) waitTransfer(ctx context.Context, res ResourceID, g Grant) (cached bool, err error) {
-	sh := c.shard(res)
 	var fx clientEffects
-	c.do(sh, res, &clientEvent{kind: cevWait, id: g.LockID, mode: g.Mode, sn: g.SN, rng: g.Range, parts: g.GatherParts}, &fx)
+	c.do(res, &clientEvent{kind: cevWait, id: g.LockID, mode: g.Mode, sn: g.SN, rng: g.Range, parts: g.GatherParts}, &fx)
 	tw := fx.tw
 	if tw == nil {
 		return fx.ok, nil
@@ -140,7 +139,7 @@ func (c *LockClient) waitTransfer(ctx context.Context, res ResourceID, g Grant) 
 		return false, nil
 	}
 	var abort clientEffects
-	if c.do(sh, res, &clientEvent{kind: cevWaitAbort, id: g.LockID}, &abort); abort.ok {
+	if c.do(res, &clientEvent{kind: cevWaitAbort, id: g.LockID}, &abort); abort.ok {
 		tw.recycle()
 		if err := ctx.Err(); err != nil {
 			return false, wire.FromContext(err)
@@ -196,7 +195,7 @@ func (c *LockClient) transfer(ctx context.Context, conn ServerConn, h *Handle, s
 	if !deferFlush {
 		c.flusher.FlushForCancel(ctx, res, h.rng, h.sn)
 	}
-	c.run(h.sh, res, clientEvent{kind: cevReleasing, h: h})
+	c.run(res, clientEvent{kind: cevReleasing, h: h})
 	var fwd []LockID
 	if c.policy.ReaderFanout && stamp.Broadcast == nil {
 		// Transferring toward a gathering writer: piggyback the queued
@@ -230,36 +229,36 @@ func (c *LockClient) transfer(ctx context.Context, conn ServerConn, h *Handle, s
 
 // queueAck queues the confirmation of a delegation that just installed
 // for the server mastering res. Nobody waiting, it takes the lazy path:
-// the next lock request drains it, or the shard's flush timer does. If
+// the next lock request drains it, or the client's flush timer does. If
 // the server already solicited it — a waiter is blocked on this very
 // ack — it leaves now, with whatever else is queued for res. Caller
-// holds sh.mu.
-func (c *LockClient) queueAck(sh *clientShard, res ResourceID, id LockID, fx *clientEffects) {
-	put(&sh.pendingAcks, res, append(sh.pendingAcks[res], id))
+// holds c.st.mu.
+func (c *LockClient) queueAck(res ResourceID, id LockID, fx *clientEffects) {
+	c.st.pendingAcks[res] = append(c.st.pendingAcks[res], id)
 	k := lockKey{res, id}
-	if n := sh.notes[k]; n.solicited {
+	if n := c.st.notes[k]; n.solicited {
 		n.solicited = false
-		sh.setNote(k, n)
-		fx.send, fx.acks = true, sh.popAcks(res)
+		c.st.setNote(k, n)
+		fx.send, fx.acks = true, c.st.popAcks(res)
 		return
 	}
-	if sh.ackTimer == nil {
-		sh.ackTimer = c.clk.AfterFunc(c.ackFlushDelay(), func() { c.flushShardAcks(sh) })
+	if c.st.ackTimer == nil {
+		c.st.ackTimer = c.clk.AfterFunc(c.ackFlushDelay(), func() { c.FlushHandoffAcks(c.baseCtx) })
 	}
 }
 
-// popAcks pops the queued acks for res. When that drains the shard, the
+// popAcks pops the queued acks for res. When that empties the queue, the
 // flush timer is disarmed: leaving it running would fire it mid-way
 // into the next batch's window and flush acks standalone that the next
-// request or transfer was about to carry for free. Caller holds sh.mu.
-func (sh *clientShard) popAcks(res ResourceID) []LockID {
-	acks := sh.pendingAcks[res]
+// request or transfer was about to carry for free. Caller holds st.mu.
+func (st *clientState) popAcks(res ResourceID) []LockID {
+	acks := st.pendingAcks[res]
 	if len(acks) > 0 {
-		delete(sh.pendingAcks, res)
+		delete(st.pendingAcks, res)
 	}
-	if len(sh.pendingAcks) == 0 && sh.ackTimer != nil {
-		sh.ackTimer.Stop()
-		sh.ackTimer = nil
+	if len(st.pendingAcks) == 0 && st.ackTimer != nil {
+		st.ackTimer.Stop()
+		st.ackTimer = nil
 	}
 	return acks
 }
@@ -268,7 +267,7 @@ func (sh *clientShard) popAcks(res ResourceID) []LockID {
 // or a peer transfer. The caller must re-queue them if that fails.
 func (c *LockClient) takeAcks(res ResourceID) []LockID {
 	var fx clientEffects
-	c.do(c.shard(res), res, &clientEvent{kind: cevTakeAcks}, &fx)
+	c.do(res, &clientEvent{kind: cevTakeAcks}, &fx)
 	return fx.acks
 }
 
@@ -278,7 +277,7 @@ func (c *LockClient) takeAcks(res ResourceID) []LockID {
 // for already-confirmed delegations.
 func (c *LockClient) requeueAcks(res ResourceID, acks []LockID) {
 	if len(acks) > 0 {
-		c.run(c.shard(res), res, clientEvent{kind: cevRequeueAcks, ids: acks})
+		c.run(res, clientEvent{kind: cevRequeueAcks, ids: acks})
 	}
 }
 
@@ -288,7 +287,7 @@ func (c *LockClient) requeueAcks(res ResourceID, acks []LockID) {
 // way, it leaves the moment the lock installs. A lock already gone from
 // this client is ignored.
 func (c *LockClient) OnAckSolicit(res ResourceID, id LockID) {
-	c.run(c.shard(res), res, clientEvent{kind: cevSolicit, id: id})
+	c.run(res, clientEvent{kind: cevSolicit, id: id})
 }
 
 // sendAcks sends the given acks standalone, one RPC per resource, in
@@ -313,25 +312,12 @@ func (c *LockClient) sendAcks(ctx context.Context, pending map[ResourceID][]Lock
 	}
 }
 
-// flushShardAcks is the lazy path's timer: every ack still queued in
-// the shard goes out standalone.
-func (c *LockClient) flushShardAcks(sh *clientShard) {
-	c.sendAcks(c.baseCtx, c.drainAcks(sh))
-}
-
-// drainAcks empties sh's lazy queue and disarms its timer, returning
-// what was queued.
-func (c *LockClient) drainAcks(sh *clientShard) map[ResourceID][]LockID {
-	var fx clientEffects
-	c.do(sh, 0, &clientEvent{kind: cevDrainAcks}, &fx)
-	return fx.pending
-}
-
-// FlushHandoffAcks synchronously drains every queued delegation ack —
+// FlushHandoffAcks empties the lazy ack queue, disarms its timer and
+// sends every ack it held standalone. It is the lazy path's timer, and
 // the shutdown barrier runs it so the server confirms outstanding
 // delegations before the client goes quiet.
 func (c *LockClient) FlushHandoffAcks(ctx context.Context) {
-	for _, sh := range c.liveShards() {
-		c.sendAcks(ctx, c.drainAcks(sh))
-	}
+	var fx clientEffects
+	c.do(0, &clientEvent{kind: cevDrainAcks}, &fx)
+	c.sendAcks(ctx, fx.pending)
 }

@@ -142,7 +142,7 @@ func (s *Server) addSlots(epoch uint64, slots []partition.Slot) {
 }
 
 // purgeSlot fails every waiter in a slot with wire.ErrNotOwner and
-// drops the slot's resources from the shard maps.
+// drops the slot's resources from the resource map.
 func (s *Server) purgeSlot(sl partition.Slot) {
 	for _, res := range s.takeSlotResources(sl) {
 		res.mu.Lock()
@@ -152,23 +152,21 @@ func (s *Server) purgeSlot(sl partition.Slot) {
 }
 
 // takeSlotResources removes and returns every resource in a slot from
-// the shard maps. Goroutines already holding a resource pointer keep a
-// valid (now orphaned) object; the engine-side re-check under res.mu
-// in Lock and the data server's handler gate keep them from mutating
-// state that has already been exported.
+// the resource map, in ascending id order. Goroutines already holding a
+// resource pointer keep a valid (now orphaned) object; the engine-side
+// re-check under res.mu in Lock and the data server's handler gate keep
+// them from mutating state that has already been exported.
 func (s *Server) takeSlotResources(sl partition.Slot) []*resource {
 	var out []*resource
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for id, r := range sh.resources {
-			if partition.SlotOf(uint64(id)) == sl {
-				out = append(out, r)
-				delete(sh.resources, id)
-			}
+	s.resMu.Lock()
+	for id, r := range s.resources {
+		if partition.SlotOf(uint64(id)) == sl {
+			out = append(out, r)
+			delete(s.resources, id)
 		}
-		sh.mu.Unlock()
 	}
+	s.resMu.Unlock()
+	sortByID(out)
 	return out
 }
 

@@ -70,22 +70,11 @@ type Policy struct {
 	// handoff transport. Off by default — the grant/revoke path is then
 	// byte-identical to the single-successor handoff engine.
 	ReaderFanout bool
-	// ReaderFanoutWidth bounds the propagation tree's fan-out (children
-	// per node). Zero means the default (2).
-	ReaderFanoutWidth int
 	// HandoffReclaimInterval is the deadline after which the server
 	// force-resolves an unacked delegation (nudging first at half the
 	// interval). Zero means DefaultHandoffTimeout (250 ms); tests and
 	// experiments tighten it instead of sleeping real time.
 	HandoffReclaimInterval time.Duration
-}
-
-// FanoutWidth returns the effective propagation-tree fan-out bound.
-func (p Policy) FanoutWidth() int {
-	if p.ReaderFanoutWidth > 0 {
-		return p.ReaderFanoutWidth
-	}
-	return 2
 }
 
 // ReclaimInterval returns the effective HandoffReclaimInterval.

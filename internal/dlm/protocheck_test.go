@@ -217,10 +217,9 @@ func (w *pworld) spawnCancel(c ClientID, h *Handle) {
 func (w *pworld) clientStep(c ClientID, ev *clientEvent) clientEffects {
 	var fx clientEffects
 	lc := w.lc[c]
-	sh := lc.shard(w.res.id)
-	sh.mu.Lock()
-	lc.step(sh, w.res.id, ev, &fx)
-	sh.mu.Unlock()
+	lc.st.mu.Lock()
+	lc.step(w.res.id, ev, &fx)
+	lc.st.mu.Unlock()
 	if fx.cancel {
 		w.spawnCancel(c, fx.h)
 	}
@@ -487,18 +486,18 @@ func (w *pworld) clientBytes(c ClientID, id func(LockID) byte, sn func(extent.SN
 		held = id(a.h.id)
 	}
 	b := []byte{byte(btoi(a.asking)), byte(a.need), byte(a.lo), byte(a.hi), held, byte(btoi(a.wrote))}
-	sh := w.lc[c].shard(w.res.id)
-	sh.mu.Lock()
+	st := &w.lc[c].st
+	st.mu.Lock()
 	var rows [][]byte
-	for _, h := range sh.cached[w.res.id] {
+	for _, h := range st.cached[w.res.id] {
 		lo, hi := blocks(h.rng)
 		rows = append(rows, []byte{0, id(h.id), byte(h.mode), byte(h.state), byte(h.holds), byte(btoi(h.wrote)),
 			byte(btoi(h.canceling)), byte(btoi(h.releaseSent)), byte(lo), byte(hi), sn(h.sn)})
 	}
-	for k, n := range sh.notes {
+	for k, n := range st.notes {
 		rows = append(rows, []byte{1, id(k.id), byte(btoi(n.revoked)), byte(btoi(n.gone))})
 	}
-	sh.mu.Unlock()
+	st.mu.Unlock()
 	for _, d := range w.dirty[c] {
 		rows = append(rows, []byte{2, sn(d.sn), byte(d.lo), byte(d.hi)})
 	}

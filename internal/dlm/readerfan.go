@@ -39,6 +39,11 @@ type BroadcastStamp struct {
 	Leases []Lease
 }
 
+// leaseFanout bounds the propagation tree's fan-out (children per
+// node). A server stamps it into every BroadcastStamp, so a client
+// follows the fan-out of the server that formed the cohort.
+const leaseFanout = 2
+
 // stampBroadcast attempts to retire a run of compatible shared-mode
 // waiters headed by w, all of whose only conflict is the single lock c,
 // by delegating c to the whole run at once: one delegated lease per
@@ -181,7 +186,7 @@ func (s *Server) broadcastStamp(mode Mode, rng extent.Extent, leases []*lock) *B
 	b := &BroadcastStamp{
 		Mode:   mode,
 		Range:  rng,
-		Fanout: s.policy.FanoutWidth(),
+		Fanout: leaseFanout,
 		Leases: make([]Lease, 0, len(leases)),
 	}
 	for _, l := range leases {

@@ -1,7 +1,9 @@
 package dlm
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"ccpfs/internal/extent"
@@ -43,52 +45,54 @@ type LockRecord struct {
 // recovered server must keep ordering them.
 func (c *LockClient) Export(filter func(ResourceID) bool) []LockRecord {
 	var out []LockRecord
-	for _, sh := range c.liveShards() {
-		sh.mu.Lock()
-		for res, list := range sh.cached {
-			if filter != nil && !filter(res) {
-				continue
-			}
-			for _, h := range list {
-				if h.releaseSent {
-					continue
-				}
-				out = append(out, LockRecord{
-					Resource: res,
-					Client:   c.id,
-					LockID:   h.id,
-					Mode:     h.mode,
-					Range:    h.rng,
-					SN:       h.sn,
-					State:    h.state,
-					// A stamped handle owes its lock to a successor: its
-					// cancel path transfers instead of releasing, so the
-					// server must never wait for this lock's release.
-					HandedOff: h.stamp != nil,
-				})
-			}
+	c.st.mu.Lock()
+	for res, list := range c.st.cached {
+		if filter != nil && !filter(res) {
+			continue
 		}
-		// Delegated grants still waiting for their transfer have no
-		// handle yet; report them from the wait registry so a
-		// taking-over master can force-resolve them instead of leaving
-		// the waiter parked on a transfer that died with the old master.
-		for k, tw := range sh.pendingHandoffs {
-			if filter != nil && !filter(k.res) {
+		for _, h := range list {
+			if h.releaseSent {
 				continue
 			}
 			out = append(out, LockRecord{
-				Resource:  k.res,
-				Client:    c.id,
-				LockID:    k.id,
-				Mode:      tw.mode,
-				Range:     tw.rng,
-				SN:        tw.sn,
-				State:     Granted,
-				Delegated: true,
+				Resource: res,
+				Client:   c.id,
+				LockID:   h.id,
+				Mode:     h.mode,
+				Range:    h.rng,
+				SN:       h.sn,
+				State:    h.state,
+				// A stamped handle owes its lock to a successor: its
+				// cancel path transfers instead of releasing, so the
+				// server must never wait for this lock's release.
+				HandedOff: h.stamp != nil,
 			})
 		}
-		sh.mu.Unlock()
 	}
+	// Delegated grants still waiting for their transfer have no
+	// handle yet; report them from the wait registry so a
+	// taking-over master can force-resolve them instead of leaving
+	// the waiter parked on a transfer that died with the old master.
+	for k, tw := range c.st.pendingHandoffs {
+		if filter != nil && !filter(k.res) {
+			continue
+		}
+		out = append(out, LockRecord{
+			Resource:  k.res,
+			Client:    c.id,
+			LockID:    k.id,
+			Mode:      tw.mode,
+			Range:     tw.rng,
+			SN:        tw.sn,
+			State:     Granted,
+			Delegated: true,
+		})
+	}
+	c.st.mu.Unlock()
+	// The maps iterate in random order; report in ascending lock order.
+	slices.SortFunc(out, func(a, b LockRecord) int {
+		return cmp.Or(cmp.Compare(a.Resource, b.Resource), cmp.Compare(a.LockID, b.LockID))
+	})
 	return out
 }
 
@@ -154,12 +158,9 @@ func (s *Server) RestoreReplay(records []LockRecord) error {
 // crash (the recovery tests crash and rebuild an engine in place) and
 // must not be called while requests are in flight.
 func (s *Server) Reset() {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		sh.resources = make(map[ResourceID]*resource)
-		sh.mu.Unlock()
-	}
+	s.resMu.Lock()
+	s.resources = make(map[ResourceID]*resource)
+	s.resMu.Unlock()
 }
 
 // Restore reinstalls client-reported locks into a fresh engine. Records

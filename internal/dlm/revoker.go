@@ -67,7 +67,7 @@ func (r *revoker) enqueue(revs []Revocation) {
 		rc := r.clients[rv.Client]
 		if rc == nil {
 			rc = &revClient{id: rv.Client}
-			put(&r.clients, rv.Client, rc)
+			r.clients[rv.Client] = rc
 		}
 		rc.pending = append(rc.pending, rv)
 		if !rc.scheduled {

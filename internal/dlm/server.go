@@ -1,15 +1,16 @@
 package dlm
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"ccpfs/internal/extent"
-	"ccpfs/internal/shard"
 	"ccpfs/internal/sim"
 	"ccpfs/internal/wire"
 )
@@ -126,10 +127,10 @@ func (NotifierFunc) SolicitAck(context.Context, ClientID, ResourceID, LockID) {}
 // Server is the lock-server engine. One engine instance serves all lock
 // resources placed on a data server; behaviour is selected by Policy.
 //
-// Concurrency: the resource map is sharded (shard.Of) so requests on
-// different stripes only ever contend on a shard read lock; each
-// resource keeps its own mutex for the grant state machine, and the
-// lock-ID allocator and Stats are atomics. See DESIGN.md §6.
+// Concurrency: one RWMutex guards the resource map, held only for
+// lookup/insert; each resource keeps its own mutex for the grant state
+// machine, and the lock-ID allocator and Stats are atomics. See
+// DESIGN.md §6.
 type Server struct {
 	policy   Policy
 	notifier Notifier
@@ -160,8 +161,10 @@ type Server struct {
 	// (handoff.go).
 	reclaim handoffReclaimer
 
-	shards   [shard.Count]srvShard
-	nextLock atomic.Uint64
+	// resMu guards only the resource map (lookup/insert/removal).
+	resMu     sync.RWMutex
+	resources map[ResourceID]*resource
+	nextLock  atomic.Uint64
 
 	// slots is the partition-mastership view (nil = unpartitioned,
 	// masters everything) and leaseExpiry the wall-clock bound on it;
@@ -184,13 +187,6 @@ type Server struct {
 	clk sim.Clock
 }
 
-// srvShard holds one shard of the resource map; its RWMutex guards only
-// map lookup/insert.
-type srvShard struct {
-	mu        sync.RWMutex
-	resources map[ResourceID]*resource
-}
-
 // NewServer returns an engine with the given policy. The notifier may be
 // nil until SetNotifier is called (before the first conflicting grant).
 func NewServer(policy Policy, notifier Notifier) *Server {
@@ -202,12 +198,10 @@ func NewServer(policy Policy, notifier Notifier) *Server {
 		cancelFn:  cancel,
 		handoffOn: policy.Handoff || policy.ReaderFanout,
 		fanOn:     policy.ReaderFanout,
-	}
-	for i := range s.shards {
-		s.shards[i].resources = make(map[ResourceID]*resource)
+		resources: make(map[ResourceID]*resource),
 	}
 	s.handoffTimeout.Store(int64(policy.ReclaimInterval()))
-	s.revoker.s = s
+	s.revoker.s, s.revoker.clients = s, make(map[ClientID]*revClient)
 	return s
 }
 
@@ -222,9 +216,6 @@ func (s *Server) SetNotifier(n Notifier) { s.notifier = n }
 // SetClock points the engine at a (virtual) clock. Call before serving;
 // the zero clock is the wall clock.
 func (s *Server) SetClock(c sim.Clock) { s.clk = c }
-
-// Policy returns the engine's policy.
-func (s *Server) Policy() Policy { return s.policy }
 
 type lock struct {
 	id         LockID
@@ -325,23 +316,20 @@ func (res *resource) retire(w *waiter) {
 
 // resource returns id's resource, creating it if needed. A resource is
 // only ever removed when its whole slot is exported or purged
-// (partition.go), so the pointer stays valid without the shard lock —
+// (partition.go), so the pointer stays valid without the map lock —
 // holders racing an export at worst mutate an orphaned table whose
 // contents have already been copied out, which the export callers'
 // handler gate prevents from mattering (see FreezeExportSlot).
 func (s *Server) resource(id ResourceID) *resource {
-	sh := &s.shards[shard.Of(uint64(id))]
-	sh.mu.RLock()
-	r := sh.resources[id]
-	sh.mu.RUnlock()
-	if r != nil {
+	if r := s.lookup(id); r != nil {
 		return r
 	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if r = sh.resources[id]; r == nil {
+	s.resMu.Lock()
+	defer s.resMu.Unlock()
+	r := s.resources[id]
+	if r == nil {
 		r = &resource{id: id}
-		sh.resources[id] = r
+		s.resources[id] = r
 	}
 	return r
 }
@@ -351,11 +339,9 @@ func (s *Server) resource(id ResourceID) *resource {
 // arriving after a slot was exported cannot resurrect an empty
 // resource the engine no longer masters.
 func (s *Server) lookup(id ResourceID) *resource {
-	sh := &s.shards[shard.Of(uint64(id))]
-	sh.mu.RLock()
-	r := sh.resources[id]
-	sh.mu.RUnlock()
-	return r
+	s.resMu.RLock()
+	defer s.resMu.RUnlock()
+	return s.resources[id]
 }
 
 func (s *Server) newLockID() LockID {
@@ -435,18 +421,23 @@ func (s *Server) Shutdown() {
 	s.cancelFn()
 }
 
-// allResources returns every resource in the shard maps.
+// allResources returns every resource in the map, in ascending id
+// order.
 func (s *Server) allResources() []*resource {
-	var out []*resource
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for _, r := range sh.resources {
-			out = append(out, r)
-		}
-		sh.mu.RUnlock()
+	s.resMu.RLock()
+	out := make([]*resource, 0, len(s.resources))
+	for _, r := range s.resources {
+		out = append(out, r)
 	}
+	s.resMu.RUnlock()
+	sortByID(out)
 	return out
+}
+
+// sortByID puts resources in ascending id order: a walk over them whose
+// effects are timing-visible must not follow Go's map order.
+func sortByID(rs []*resource) {
+	slices.SortFunc(rs, func(a, b *resource) int { return cmp.Compare(a.id, b.id) })
 }
 
 // failWaiters fails every live queue entry with err. Callers hold

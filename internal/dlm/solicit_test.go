@@ -141,15 +141,15 @@ func TestAckSolicitStale(t *testing.T) {
 
 	ops := h.srv.Stats.LockOps.Load()
 	h.client(1).OnAckSolicit(res, w.ID())
-	sh := h.client(1).shard(res)
-	sh.mu.Lock()
+	st := &h.client(1).st
+	st.mu.Lock()
 	marked := 0
-	for _, n := range sh.notes {
+	for _, n := range st.notes {
 		if n.solicited {
 			marked++
 		}
 	}
-	sh.mu.Unlock()
+	st.mu.Unlock()
 	if marked != 0 || h.client(1).Stats.SolicitedAcks.Load() != 0 {
 		t.Fatalf("solicit for a tombstoned lock: marked=%d solicited acks=%d", marked, h.client(1).Stats.SolicitedAcks.Load())
 	}

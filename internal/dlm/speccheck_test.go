@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"ccpfs/internal/extent"
-	"ccpfs/internal/shard"
 )
 
 // The step checker drives the engine's step function and the spec side
@@ -221,7 +220,7 @@ func (c *checker) check(res *resource, sp *spec, ev chkEvent) string {
 	h := fnv.New64a()
 	fmt.Fprint(h, got)
 	if k := h.Sum64(); !c.sound[k] {
-		c.s.shards[shard.Of(uint64(res.id))].resources[res.id] = res
+		c.s.resources[res.id] = res
 		if err := c.s.CheckInvariants(); err != nil {
 			return err.Error()
 		}

@@ -109,7 +109,7 @@ func TestRevokerMPSCStress(t *testing.T) {
 }
 
 // TestClientCacheRCUChurn races the cached-hit path (readers of the
-// shard's handle lists) against everything that updates them:
+// client's handle lists) against everything that updates them:
 // revocations (another client's conflicting PW), absorption (PR/NBW
 // mixes upgrading into PW), and the cancel path removing handles. Lost
 // holds, double cancels, or leaked handles surface as a panic, a hung
@@ -175,8 +175,8 @@ func TestClientCacheRCUChurn(t *testing.T) {
 }
 
 // TestClientCachedHitAllocFree locks in the hit path's allocation
-// profile: a cached-lock hit (shard lookup, one step under the shard
-// mutex) and its Unlock (one more step) must not allocate.
+// profile: a cached-lock hit (one step under the client mutex) and its
+// Unlock (one more step) must not allocate.
 func TestClientCachedHitAllocFree(t *testing.T) {
 	h := newHarness(t, SeqDLM(), 1)
 	c := h.client(1)

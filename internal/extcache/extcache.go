@@ -11,12 +11,12 @@
 // outstanding write lock when cleanup cannot keep the cache under its
 // entry budget.
 //
-// Concurrency: the cache is sharded by stripe (shard.Of) and every
-// stripe carries its own mutex, so flushes to different stripes never
-// contend and the cleanup task only ever stalls the one stripe it is
-// scanning. Shard mutexes guard only the stripe map; stripe mutexes
-// guard everything of that stripe, reads included (tree, log, scan
-// cursor); the global entry count and activity counters are atomics.
+// Concurrency: every stripe carries its own mutex, so flushes to
+// different stripes never contend and the cleanup task only ever stalls
+// the one stripe it is scanning. The map mutex guards only the stripe
+// map; stripe mutexes guard everything of that stripe, reads included
+// (tree, log, scan cursor); the global entry count and activity
+// counters are atomics.
 // See DESIGN.md §6 (Concurrency model).
 package extcache
 
@@ -29,7 +29,6 @@ import (
 	"time"
 
 	"ccpfs/internal/extent"
-	"ccpfs/internal/shard"
 	"ccpfs/internal/sim"
 )
 
@@ -53,7 +52,10 @@ type ForceSyncFunc func(stripe uint64)
 
 // Cache is the extent cache for all stripes a data server owns.
 type Cache struct {
-	shards    [shard.Count]cacheShard
+	// mu guards only the stripe map (lookup/insert); per-stripe state
+	// has its own lock.
+	mu        sync.RWMutex
+	stripes   map[uint64]*stripeCache
 	threshold int
 	logging   bool
 	logFile   *LogFile // optional durable mirror; attached before traffic
@@ -84,13 +86,6 @@ type Cache struct {
 // Daemon starts.
 func (c *Cache) SetClock(clk sim.Clock) { c.clk = clk }
 
-// cacheShard holds the stripe map of one shard. The RWMutex guards only
-// map lookup/insert; per-stripe state has its own lock.
-type cacheShard struct {
-	mu      sync.RWMutex
-	stripes map[uint64]*stripeCache
-}
-
 type stripeCache struct {
 	mu     sync.Mutex
 	tree   extent.Tree
@@ -98,7 +93,7 @@ type stripeCache struct {
 	log    []extent.SNExtent
 }
 
-// stripeRef names a stripe's cache outside the shard map.
+// stripeRef names a stripe's cache outside the stripe map.
 type stripeRef struct {
 	id uint64
 	sc *stripeCache
@@ -114,41 +109,34 @@ func New(threshold int, logging bool) *Cache {
 	c := &Cache{
 		threshold: threshold,
 		logging:   logging,
+		stripes:   make(map[uint64]*stripeCache),
 		kick:      make(chan struct{}, 1),
-	}
-	for i := range c.shards {
-		c.shards[i].stripes = make(map[uint64]*stripeCache)
 	}
 	return c
 }
 
 // stripe returns stripe id's cache, creating it if needed. Stripes are
 // never removed from the map (ForceSync clears their contents in
-// place), so the returned pointer stays valid without the shard lock.
+// place), so the returned pointer stays valid without the map lock.
 func (c *Cache) stripe(id uint64) *stripeCache {
-	sh := &c.shards[shard.Of(id)]
-	sh.mu.RLock()
-	sc := sh.stripes[id]
-	sh.mu.RUnlock()
-	if sc != nil {
+	if sc := c.lookup(id); sc != nil {
 		return sc
 	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sc = sh.stripes[id]; sc == nil {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	sc := c.stripes[id]
+	if sc == nil {
 		sc = &stripeCache{}
-		sh.stripes[id] = sc
+		c.stripes[id] = sc
 	}
 	return sc
 }
 
 // lookup returns stripe id's cache without creating it.
 func (c *Cache) lookup(id uint64) *stripeCache {
-	sh := &c.shards[shard.Of(id)]
-	sh.mu.RLock()
-	sc := sh.stripes[id]
-	sh.mu.RUnlock()
-	return sc
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.stripes[id]
 }
 
 // Apply merges an incoming flushed block (rng, sn) into the cache and
@@ -198,27 +186,22 @@ func (c *Cache) Bytes() int {
 // NeedsCleanup reports whether the entry budget is exceeded.
 func (c *Cache) NeedsCleanup() bool { return c.Entries() > c.threshold }
 
-// forEachStripe visits every stripe currently in the cache, shard by
-// shard and in ascending id order within a shard: which stripes a
-// budgeted cleanup round reaches and the order forced syncs are issued
-// are timing-visible, so they must not follow Go's map order. It
-// snapshots each shard's stripe list under the shard read lock and
-// visits without any lock held, so fn may lock the stripe itself.
+// forEachStripe visits every stripe currently in the cache in ascending
+// id order: which stripes a budgeted cleanup round reaches and the order
+// forced syncs are issued are timing-visible, so they must not follow
+// Go's map order. It snapshots the stripe list under the map read lock
+// and visits without any lock held, so fn may lock the stripe itself.
 func (c *Cache) forEachStripe(fn func(id uint64, sc *stripeCache) bool) {
-	var ents []stripeRef
-	for i := range c.shards {
-		sh := &c.shards[i]
-		ents = ents[:0]
-		sh.mu.RLock()
-		for id, sc := range sh.stripes {
-			ents = append(ents, stripeRef{id, sc})
-		}
-		sh.mu.RUnlock()
-		slices.SortFunc(ents, func(a, b stripeRef) int { return cmp.Compare(a.id, b.id) })
-		for _, e := range ents {
-			if !fn(e.id, e.sc) {
-				return
-			}
+	c.mu.RLock()
+	ents := make([]stripeRef, 0, len(c.stripes))
+	for id, sc := range c.stripes {
+		ents = append(ents, stripeRef{id, sc})
+	}
+	c.mu.RUnlock()
+	slices.SortFunc(ents, func(a, b stripeRef) int { return cmp.Compare(a.id, b.id) })
+	for _, e := range ents {
+		if !fn(e.id, e.sc) {
+			return
 		}
 	}
 }

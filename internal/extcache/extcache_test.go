@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"ccpfs/internal/extent"
-	"ccpfs/internal/shard"
 )
 
 func TestApplyUpdateSetOrdering(t *testing.T) {
@@ -141,16 +140,11 @@ func TestForceSync(t *testing.T) {
 
 // TestStripeFanOutOrder: which stripes a budget-limited cleanup round
 // picks and the order ForceSync issues its sync locks are timing-visible
-// under the virtual clock, so stripes sharing a shard must be visited in
-// ascending id order, not Go's map order, on every fresh cache.
+// under the virtual clock, so stripes must be visited in ascending id
+// order, not Go's map order, on every fresh cache.
 func TestStripeFanOutOrder(t *testing.T) {
 	const perStripe = 400 // four stripes overrun one round's BatchLimit
-	var ids []uint64
-	for id := uint64(1); len(ids) < 4; id++ {
-		if len(ids) == 0 || shard.Of(id) == shard.Of(ids[0]) {
-			ids = append(ids, id)
-		}
-	}
+	ids := []uint64{1, 2, 3, 4}
 	type pick struct {
 		stripe uint64
 		n      int

@@ -17,13 +17,14 @@
 // bounds. In -race builds a page is poisoned as it goes back, as wire's
 // buffers are.
 //
-// Concurrency: stripes are sharded (shard.Of) and each stripe carries
-// its own mutex guarding its page map and page contents, so IO on
-// different stripes never contends. The global dirty/cached/page
-// accounting is atomic; the MaxDirty backpressure of §IV-C1 runs
-// through a separate flow-control gate (flowMu + a sim.Cond) that admits
-// writers by reservation, preserving the strict dirty-bytes bound
-// without serializing the data path. See DESIGN.md §6.
+// Concurrency: each stripe carries its own mutex guarding its page map
+// and page contents, so IO on different stripes never contends; the
+// stripe map has one mutex of its own, held only for lookup/insert. The
+// global dirty/cached/page accounting is atomic; the MaxDirty
+// backpressure of §IV-C1 runs through a separate flow-control gate
+// (flowMu + a sim.Cond) that admits writers by reservation, preserving
+// the strict dirty-bytes bound without serializing the data path. See
+// DESIGN.md §6.
 package pagecache
 
 import (
@@ -36,7 +37,6 @@ import (
 	"time"
 
 	"ccpfs/internal/extent"
-	"ccpfs/internal/shard"
 	"ccpfs/internal/sim"
 	"ccpfs/internal/wire"
 )
@@ -181,13 +181,6 @@ func (sp *stripePages) pagesIn(rng extent.Extent, ps int64, sorted bool) []pageA
 
 func (sp *stripePages) releasePages() { clear(sp.visit) }
 
-// pcShard holds the stripe map of one shard, made on its first insert;
-// the shard mutex guards only map lookup/insert.
-type pcShard struct {
-	mu      sync.RWMutex
-	stripes map[uint64]*stripePages
-}
-
 // Cache is one client's page cache across all stripes it touches.
 // Ranges are stripe-local byte offsets keyed by lock resource.
 type Cache struct {
@@ -196,7 +189,9 @@ type Cache struct {
 	mem  sim.Device // serializes simulated cache-copy time
 	pool *sync.Pool // poolFor(cfg.PageSize)
 
-	shards [shard.Count]pcShard
+	// mu guards only the stripe map (lookup/insert).
+	mu      sync.RWMutex
+	stripes map[uint64]*stripePages
 
 	dirty      atomic.Int64
 	cached     atomic.Int64
@@ -217,7 +212,7 @@ func New(cfg Config) *Cache {
 	if cfg.PageSize <= 0 {
 		cfg.PageSize = DefaultPageSize
 	}
-	c := &Cache{cfg: cfg, pool: poolFor(cfg.PageSize)}
+	c := &Cache{cfg: cfg, pool: poolFor(cfg.PageSize), stripes: make(map[uint64]*stripePages)}
 	c.flow = sim.NewCond(c.clk, &c.flowMu)
 	return c
 }
@@ -229,9 +224,6 @@ func (c *Cache) SetClock(clk sim.Clock) {
 	c.mem.SetClock(clk)
 	c.flow = sim.NewCond(clk, &c.flowMu)
 }
-
-// PageSize returns the configured page size.
-func (c *Cache) PageSize() int64 { return c.cfg.PageSize }
 
 // DirtyBytes returns the current dirty byte count.
 func (c *Cache) DirtyBytes() int64 { return c.dirty.Load() }
@@ -257,35 +249,27 @@ func (c *Cache) NeedsFlush() bool {
 }
 
 // stripe returns stripe id's page set, creating it if needed. Stripes
-// are never removed from the shard map (invalidate empties them in
-// place), so the pointer stays valid without the shard lock.
+// are never removed from the stripe map (invalidate empties them in
+// place), so the pointer stays valid without the map lock.
 func (c *Cache) stripe(id uint64) *stripePages {
-	sh := &c.shards[shard.Of(id)]
-	sh.mu.RLock()
-	sp := sh.stripes[id]
-	sh.mu.RUnlock()
-	if sp != nil {
+	if sp := c.lookup(id); sp != nil {
 		return sp
 	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sp = sh.stripes[id]; sp == nil {
-		if sh.stripes == nil {
-			sh.stripes = make(map[uint64]*stripePages)
-		}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	sp := c.stripes[id]
+	if sp == nil {
 		sp = &stripePages{pages: make(map[int64]*page)}
-		sh.stripes[id] = sp
+		c.stripes[id] = sp
 	}
 	return sp
 }
 
 // lookup returns stripe id's page set without creating it.
 func (c *Cache) lookup(id uint64) *stripePages {
-	sh := &c.shards[shard.Of(id)]
-	sh.mu.RLock()
-	sp := sh.stripes[id]
-	sh.mu.RUnlock()
-	return sp
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.stripes[id]
 }
 
 // signalFlow wakes writers blocked on the MaxDirty gate after dirty
@@ -604,10 +588,9 @@ func (c *Cache) invalidate(stripe uint64, rng extent.Extent, sn extent.SN) {
 	c.signalFlow()
 }
 
-// DirtyStripes returns the stripes currently holding dirty data, shard
-// by shard and in ascending id order within a shard: it is the flush
-// order of Shutdown and of the flush daemon, so it must not follow Go's
-// map order.
+// DirtyStripes returns the stripes currently holding dirty data in
+// ascending id order: it is the flush order of Shutdown and of the
+// flush daemon, so it must not follow Go's map order.
 func (c *Cache) DirtyStripes() []uint64 {
 	var out []uint64
 	for _, s := range c.stripeRefs() {
@@ -629,21 +612,17 @@ type stripeRef struct {
 	sp *stripePages
 }
 
-// stripeRefs snapshots every stripe, shard by shard and in ascending id
-// order within a shard, each shard under its read lock; the caller
-// visits them without it, so it may lock the stripe.
+// stripeRefs snapshots every stripe in ascending id order under the map
+// read lock; the caller visits them without it, so it may lock the
+// stripe.
 func (c *Cache) stripeRefs() []stripeRef {
-	var out []stripeRef
-	for i := range c.shards {
-		sh := &c.shards[i]
-		base := len(out)
-		sh.mu.RLock()
-		for id, sp := range sh.stripes {
-			out = append(out, stripeRef{id, sp})
-		}
-		sh.mu.RUnlock()
-		slices.SortFunc(out[base:], func(a, b stripeRef) int { return cmp.Compare(a.id, b.id) })
+	c.mu.RLock()
+	out := make([]stripeRef, 0, len(c.stripes))
+	for id, sp := range c.stripes {
+		out = append(out, stripeRef{id, sp})
 	}
+	c.mu.RUnlock()
+	slices.SortFunc(out, func(a, b stripeRef) int { return cmp.Compare(a.id, b.id) })
 	return out
 }
 
@@ -658,9 +637,7 @@ func (c *Cache) reclaim() {
 	if c.pages.Load()*c.cfg.PageSize <= c.cfg.PoolBytes {
 		return
 	}
-	refs := c.stripeRefs()
-	slices.SortFunc(refs, func(a, b stripeRef) int { return cmp.Compare(a.id, b.id) })
-	for _, s := range refs {
+	for _, s := range c.stripeRefs() {
 		sp := s.sp
 		sp.mu.Lock()
 		clean := sp.visit[:0]

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"ccpfs/internal/extent"
-	"ccpfs/internal/shard"
 	"ccpfs/internal/wire"
 )
 
@@ -67,18 +66,13 @@ func TestPoolBoundsHostMemory(t *testing.T) {
 // TestIterationOrderDeterministic: DirtyStripes is the flush order of
 // Shutdown and of the flush daemon, and reclaim decides which pages a
 // bounded cache keeps; neither may follow Go's map order, or a seeded
-// run does not replay. Two stripes share a shard, each holding a dirty
-// page and eight clean ones under a 12-page pool, and 20 fresh caches
-// must list the stripes in ascending order and evict the same pages:
-// the first six clean pages of the lower stripe.
+// run does not replay. Two stripes each hold a dirty page and eight
+// clean ones under a 12-page pool, and 20 fresh caches must list the
+// stripes in ascending order and evict the same pages: the first six
+// clean pages of the lower stripe.
 func TestIterationOrderDeterministic(t *testing.T) {
 	const ps = DefaultPageSize
-	var ids []uint64
-	for id := uint64(1); len(ids) < 2; id++ {
-		if len(ids) == 0 || shard.Of(id) == shard.Of(ids[0]) {
-			ids = append(ids, id)
-		}
-	}
+	ids := []uint64{1, 2}
 	data := make([]byte, 8*ps)
 	for run := 0; run < 20; run++ {
 		c := New(Config{PoolBytes: 12 * ps})

@@ -53,17 +53,6 @@ func (m *Map) OwnerOf(rid uint64) int32 {
 	return m.Owner[SlotOf(rid)]
 }
 
-// Slots returns the slots owned by server idx, in increasing order.
-func (m *Map) Slots(idx int32) []Slot {
-	var out []Slot
-	for s, o := range m.Owner {
-		if o == idx {
-			out = append(out, Slot(s))
-		}
-	}
-	return out
-}
-
 // Uniform splits the slot space evenly across n servers: server i gets
 // every slot s with s % n == i. It is the initial assignment used by
 // both the cluster harness and the static (coordinator-less) mode of

@@ -13,8 +13,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-
-	"ccpfs/internal/shard"
 )
 
 // Vec is one extent of a vectored write: Data lands at Off within the
@@ -53,24 +51,15 @@ type Store interface {
 const chunkSize = 64 << 10
 
 // MemStore is a sparse in-memory Store. It is safe for concurrent use:
-// the stripe map is sharded (shard.Of) so flushes to different stripes
-// land in parallel, serializing only per shard.
+// one RWMutex guards the stripe map and every stripe's chunks.
 type MemStore struct {
-	shards [shard.Count]memShard
-}
-
-type memShard struct {
 	mu      sync.RWMutex
 	stripes map[uint64]map[int64][]byte
 }
 
 // NewMemStore returns an empty in-memory store.
 func NewMemStore() *MemStore {
-	m := &MemStore{}
-	for i := range m.shards {
-		m.shards[i].stripes = make(map[uint64]map[int64][]byte)
-	}
-	return m
+	return &MemStore{stripes: make(map[uint64]map[int64][]byte)}
 }
 
 // WriteAt implements Store.
@@ -89,13 +78,12 @@ func (m *MemStore) WriteV(stripe uint64, vec []Vec, frame []byte) Pending {
 			return Pending{err: fmt.Errorf("storage: negative offset %d", v.Off)}
 		}
 	}
-	sh := &m.shards[shard.Of(stripe)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	chunks := sh.stripes[stripe]
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	chunks := m.stripes[stripe]
 	if chunks == nil {
 		chunks = make(map[int64][]byte)
-		sh.stripes[stripe] = chunks
+		m.stripes[stripe] = chunks
 	}
 	keep := frame != nil && keepFrame(newChunkBytes(chunks, vec), cap(frame))
 	for _, v := range vec {
@@ -165,10 +153,9 @@ func (m *MemStore) ReadAt(stripe uint64, off int64, buf []byte) error {
 	if off < 0 {
 		return fmt.Errorf("storage: negative offset %d", off)
 	}
-	sh := &m.shards[shard.Of(stripe)]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	chunks := sh.stripes[stripe]
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	chunks := m.stripes[stripe]
 	for len(buf) > 0 {
 		ci, co, n := chunkSpan(off, len(buf))
 		if c := chunks[ci]; c != nil {
@@ -184,10 +171,9 @@ func (m *MemStore) ReadAt(stripe uint64, off int64, buf []byte) error {
 
 // Remove implements Store.
 func (m *MemStore) Remove(stripe uint64) error {
-	sh := &m.shards[shard.Of(stripe)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	delete(sh.stripes, stripe)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	delete(m.stripes, stripe)
 	return nil
 }
 
@@ -197,14 +183,11 @@ func (m *MemStore) Remove(stripe uint64) error {
 // allocation slack, at most 1/16 of the frame — which Bytes does not
 // count.
 func (m *MemStore) Bytes() int64 {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
 	var n int64
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.RLock()
-		for _, chunks := range sh.stripes {
-			n += int64(len(chunks)) * chunkSize
-		}
-		sh.mu.RUnlock()
+	for _, chunks := range m.stripes {
+		n += int64(len(chunks)) * chunkSize
 	}
 	return n
 }

@@ -9,7 +9,6 @@ import (
 	"testing/quick"
 	"time"
 
-	"ccpfs/internal/shard"
 	"ccpfs/internal/sim"
 )
 
@@ -326,7 +325,7 @@ func TestMemStoreKeepRule(t *testing.T) {
 			if p.Kept() != tc.want {
 				t.Fatalf("kept = %v, want %v", p.Kept(), tc.want)
 			}
-			chunks := m.shards[shard.Of(1)].stripes[1]
+			chunks := m.stripes[1]
 			for ci, c := range chunks {
 				at := ci*chunkSize - tc.off // c's offset in data
 				aliases := at >= 0 && at < int64(len(data)) && &c[0] == &data[at]
