@@ -8,9 +8,9 @@ import (
 	"ccpfs/internal/extent"
 )
 
-// collectDirtyRef is the previous CollectDirty, kept as the reference
-// model: visit every page of the stripe in map order, make one block per
-// dirty extent, sort the blocks by offset, then append adjacent same-SN
+// collectDirtyRef is an early CollectDirty, kept as the reference
+// model: visit every page of the stripe, make one block per dirty
+// extent, sort the blocks by offset, then append adjacent same-SN
 // blocks together. Quadratic and copy-heavy, but obviously a faithful
 // statement of what a flush carries; the production walk must return
 // exactly these blocks.
@@ -22,7 +22,8 @@ func collectDirtyRef(c *Cache, stripe uint64, rng extent.Extent, maxSN extent.SN
 	sp.mu.Lock()
 	ps := c.cfg.PageSize
 	var blocks []Block
-	for pi, pg := range sp.pages {
+	for _, at := range sp.pages {
+		pi, pg := at.pi, at.pg
 		pageAbs := extent.Extent{Start: pi * ps, End: (pi + 1) * ps}
 		iv, ok := pageAbs.Intersect(rng)
 		if !ok {
@@ -42,7 +43,9 @@ func collectDirtyRef(c *Cache, stripe uint64, rng extent.Extent, maxSN extent.SN
 			})
 			pg.dirty.Remove(e.Extent)
 		}
-		c.refreshPage(pg)
+		var d delta
+		d.refresh(pg)
+		c.apply(d)
 	}
 	sp.mu.Unlock()
 	c.signalFlow()
@@ -77,13 +80,12 @@ func dirtySet(c *Cache, stripe uint64) []extent.SNExtent {
 	defer sp.mu.Unlock()
 	ps := c.cfg.PageSize
 	var out []extent.SNExtent
-	for _, at := range sp.pagesIn(extent.New(0, extent.Inf), ps, true) {
+	for _, at := range sp.pages {
 		for _, e := range at.pg.dirty.Entries() {
 			out = append(out, extent.SNExtent{
 				Extent: extent.Extent{Start: e.Start + at.pi*ps, End: e.End + at.pi*ps}, SN: e.SN})
 		}
 	}
-	sp.releasePages()
 	return out
 }
 

@@ -217,6 +217,42 @@ func TestMaxDirtyBackpressure(t *testing.T) {
 	}
 }
 
+// TestMaxDirtyOversizedWrite: a write larger than MaxDirty into a cache
+// that holds nothing dirty goes in, since no flush could make room for
+// it, and the next write waits until a flush drains it.
+func TestMaxDirtyOversizedWrite(t *testing.T) {
+	c := New(Config{PageSize: 4096, MaxDirty: 4096})
+	wrote := make(chan struct{})
+	go func() {
+		c.Write(1, 0, fill(8192, 1), 1)
+		close(wrote)
+	}()
+	select {
+	case <-wrote:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a write larger than MaxDirty into an empty cache never returned")
+	}
+	if got := c.DirtyBytes(); got != 8192 {
+		t.Fatalf("dirty = %d, want 8192", got)
+	}
+	next := make(chan struct{})
+	go func() {
+		c.Write(1, 8192, fill(4096, 2), 2)
+		close(next)
+	}()
+	select {
+	case <-next:
+		t.Fatal("a write over a cache already above MaxDirty did not block")
+	case <-time.After(100 * time.Millisecond):
+	}
+	c.CollectDirty(1, extent.New(0, extent.Inf), 1)
+	select {
+	case <-next:
+	case <-time.After(5 * time.Second):
+		t.Fatal("write never unblocked after flush")
+	}
+}
+
 func TestNeedsFlushThreshold(t *testing.T) {
 	c := New(Config{PageSize: 4096, MinDirty: 4096})
 	if c.NeedsFlush() {

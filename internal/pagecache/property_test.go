@@ -182,8 +182,8 @@ func livePages(c *Cache) map[*page]bool {
 	out := map[*page]bool{}
 	for _, s := range c.stripeRefs() {
 		s.sp.mu.Lock()
-		for _, pg := range s.sp.pages {
-			out[pg] = true
+		for _, at := range s.sp.pages {
+			out[at.pg] = true
 		}
 		s.sp.mu.Unlock()
 	}
@@ -198,7 +198,9 @@ func livePages(c *Cache) map[*page]bool {
 // After every step the touched cache's bytes, coverage, page count and
 // dirty and cached accounting must match the byte model, so a page
 // that went back while still mapped, or came out of the pool with
-// another page's extents, fails here. In -race builds every page that
+// another page's extents, fails here; and each stripe's slice must be
+// strictly ascending, hold no page with an empty valid list and, over
+// all stripes, as many pages as the cache counts. In -race builds every page that
 // left a stripe must have been poisoned: a reader that kept it would
 // read 0xDB, not data.
 func TestPoolRecyclingMatchesOracle(t *testing.T) {
@@ -280,6 +282,7 @@ func TestPoolRecyclingMatchesOracle(t *testing.T) {
 				}
 			}
 			checkModel(t, m.c, m.o, ps, space)
+			checkSlices(t, m.c)
 		}
 	}
 }
@@ -324,6 +327,30 @@ func checkModel(t *testing.T, c *Cache, os []*oracle, ps, space int64) {
 	}
 	if got := c.CachedBytes(); got != cached {
 		t.Fatalf("cached = %d, oracle %d", got, cached)
+	}
+}
+
+// checkSlices checks the shape of c's stripe slices: each strictly
+// ascending by page index, no page in one with an empty valid list (it
+// should have left), and as many pages in all as c counts.
+func checkSlices(t *testing.T, c *Cache) {
+	t.Helper()
+	var n int64
+	for _, s := range c.stripeRefs() {
+		s.sp.mu.Lock()
+		for i, at := range s.sp.pages {
+			if i > 0 && at.pi <= s.sp.pages[i-1].pi {
+				t.Fatalf("stripe %d: page %d at position %d follows page %d", s.id, at.pi, i, s.sp.pages[i-1].pi)
+			}
+			if at.pg.valid.Len() == 0 {
+				t.Fatalf("stripe %d: page %d holds no valid byte", s.id, at.pi)
+			}
+		}
+		n += int64(len(s.sp.pages))
+		s.sp.mu.Unlock()
+	}
+	if got := c.pages.Load(); got != n {
+		t.Fatalf("the cache counts %d pages, its slices hold %d", got, n)
 	}
 }
 
