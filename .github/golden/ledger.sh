@@ -4,7 +4,8 @@
 # value of a fixed-rep-count run (bench --seconds 0), then every
 # per-layer metric of a fixed-rep-count traced run (bench --trace 1
 # --seconds 0) but the host-dependent ones, then the three seeded
-# virtual-clock seqbench tables. Every value here is simulated or
+# virtual-clock seqbench tables and the 64/256/1024-reader readfan
+# sweep. Every value here is simulated or
 # counted, so it is exact per seed: a change that moves one moves this
 # output. Host metrics are left out (the untraced run's host_* and
 # setup_s; the traced run's *.drive.*, phase.*, setup.*, teardown.ms,
@@ -47,3 +48,5 @@ for exp in pingpong readfan partition; do
   echo "== seqbench -exp $exp -virtual -seed 42"
   "$tmp/seqbench" -exp "$exp" -virtual -seed 42 | sed 's/, [0-9.]*s)/)/'
 done
+echo "== seqbench -exp readfan -virtual -seed 1 -readers 64,256,1024"
+"$tmp/seqbench" -exp readfan -virtual -seed 1 -readers 64,256,1024 | sed 's/, [0-9.]*s)/)/'
