@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -32,33 +33,27 @@ import (
 	"ccpfs/internal/transport/tcpnet"
 )
 
-func policyByName(name string) (dlm.Policy, error) {
-	switch name {
-	case "seqdlm":
-		return dlm.SeqDLM(), nil
-	case "basic":
-		return dlm.Basic(), nil
-	case "lustre":
-		return dlm.Lustre(), nil
-	case "datatype":
-		return dlm.Datatype(), nil
-	}
-	return dlm.Policy{}, fmt.Errorf("unknown policy %q", name)
-}
-
+// parseSize parses a positive byte count with an optional B, KB or MB
+// suffix (binary multiples, any case).
 func parseSize(s string) (int64, error) {
-	s = strings.ToUpper(strings.TrimSpace(s))
+	num := strings.ToUpper(strings.TrimSpace(s))
 	mult := int64(1)
 	switch {
-	case strings.HasSuffix(s, "MB"):
-		mult, s = 1<<20, strings.TrimSuffix(s, "MB")
-	case strings.HasSuffix(s, "KB"):
-		mult, s = 1<<10, strings.TrimSuffix(s, "KB")
-	case strings.HasSuffix(s, "B"):
-		s = strings.TrimSuffix(s, "B")
+	case strings.HasSuffix(num, "MB"):
+		mult, num = 1<<20, strings.TrimSuffix(num, "MB")
+	case strings.HasSuffix(num, "KB"):
+		mult, num = 1<<10, strings.TrimSuffix(num, "KB")
+	case strings.HasSuffix(num, "B"):
+		num = strings.TrimSuffix(num, "B")
 	}
-	n, err := strconv.ParseInt(s, 10, 64)
-	return n * mult, err
+	n, err := strconv.ParseInt(num, 10, 64)
+	if err != nil {
+		return 0, err
+	}
+	if n <= 0 || n > math.MaxInt64/mult {
+		return 0, fmt.Errorf("size %q out of range", s)
+	}
+	return n * mult, nil
 }
 
 func main() {
@@ -69,7 +64,7 @@ func main() {
 	stripes := flag.Uint("stripes", 0, "stripe count for created files (server count when 0)")
 	flag.Parse()
 
-	pol, err := policyByName(*policy)
+	pol, err := dlm.PolicyByName(*policy)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -20,7 +20,6 @@ package main
 import (
 	"context"
 	"flag"
-	"fmt"
 	"log"
 	"net"
 	"net/http"
@@ -34,20 +33,6 @@ import (
 	"ccpfs/internal/storage"
 	"ccpfs/internal/transport/tcpnet"
 )
-
-func policyByName(name string) (dlm.Policy, error) {
-	switch name {
-	case "seqdlm":
-		return dlm.SeqDLM(), nil
-	case "basic":
-		return dlm.Basic(), nil
-	case "lustre":
-		return dlm.Lustre(), nil
-	case "datatype":
-		return dlm.Datatype(), nil
-	}
-	return dlm.Policy{}, fmt.Errorf("unknown policy %q (seqdlm|basic|lustre|datatype)", name)
-}
 
 func main() {
 	listen := flag.String("listen", ":9040", "TCP listen address")
@@ -63,7 +48,7 @@ func main() {
 	lockIndex := flag.Int("lock-index", 0, "this node's index in the static lock partition (with -lock-servers)")
 	flag.Parse()
 
-	pol, err := policyByName(*policy)
+	pol, err := dlm.PolicyByName(*policy)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -387,7 +387,6 @@ func stampOf(w *wire.HandoffStamp) *dlm.HandoffStamp {
 		Mode:      dlm.Mode(w.Mode),
 		SN:        extent.SN(w.SN),
 		MustFlush: w.MustFlush,
-		Broadcast: stampFromWire(w.Broadcast),
 	}
 }
 
@@ -493,7 +492,7 @@ func (c rpcConn) Lock(ctx context.Context, req dlm.Request) (dlm.Grant, error) {
 		State:       dlm.State(rep.State),
 		Delegated:   rep.Delegated,
 		GatherParts: int(rep.GatherParts),
-		HandBack:    stampFromWire(rep.HandBack),
+		HandBack:    dlm.BroadcastFromWire(rep.HandBack),
 	}
 	for _, id := range rep.Absorbed {
 		g.Absorbed = append(g.Absorbed, dlm.LockID(id))

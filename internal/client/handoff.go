@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"ccpfs/internal/dlm"
-	"ccpfs/internal/extent"
 	"ccpfs/internal/rpc"
 	"ccpfs/internal/transport"
 	"ccpfs/internal/wire"
@@ -66,7 +65,7 @@ func (c *Client) handleHandoff(_ context.Context, p []byte) (wire.Msg, error) {
 		acks = append(acks, dlm.LockID(a))
 	}
 	c.lc.OnHandoffMsg(dlm.ResourceID(req.Resource), dlm.LockID(req.LockID),
-		req.Final, acks, stampFromWire(req.Broadcast))
+		req.Final, acks, dlm.BroadcastFromWire(req.Broadcast))
 	return &wire.Ack{}, nil
 }
 
@@ -89,7 +88,7 @@ func (c *Client) handleLeasePropagate(_ context.Context, p []byte) (wire.Msg, er
 	if err := wire.Unmarshal(p, &req); err != nil {
 		return nil, err
 	}
-	grant := stampFromWire(&wire.BroadcastGrant{
+	grant := dlm.BroadcastFromWire(&wire.BroadcastGrant{
 		Mode: req.Mode, Range: req.Range, Fanout: req.Fanout, Leases: req.Leases,
 	})
 	c.lc.OnLeasePropagate(dlm.ResourceID(req.Resource), grant)
@@ -105,7 +104,7 @@ func (c *Client) SendHandoff(ctx context.Context, peer dlm.ClientID, res dlm.Res
 	if err != nil {
 		return err
 	}
-	req := &wire.HandoffRequest{Resource: uint64(res), LockID: uint64(id), Broadcast: stampToWire(bcast)}
+	req := &wire.HandoffRequest{Resource: uint64(res), LockID: uint64(id), Broadcast: dlm.BroadcastToWire(bcast)}
 	for _, a := range acks {
 		req.Acks = append(req.Acks, uint64(a))
 	}
@@ -123,7 +122,7 @@ func (c *Client) SendLease(ctx context.Context, peer dlm.ClientID, res dlm.Resou
 	if err != nil {
 		return err
 	}
-	w := stampToWire(grant)
+	w := dlm.BroadcastToWire(grant)
 	req := &wire.LeasePropagate{
 		Resource: uint64(res), Mode: w.Mode, Range: w.Range, Fanout: w.Fanout, Leases: w.Leases,
 	}
@@ -132,46 +131,6 @@ func (c *Client) SendLease(ctx context.Context, peer dlm.ClientID, res dlm.Resou
 		c.dropPeer(peer, ep)
 	}
 	return err
-}
-
-// stampToWire converts a dlm broadcast payload to its wire form (nil
-// maps to nil).
-func stampToWire(b *dlm.BroadcastStamp) *wire.BroadcastGrant {
-	if b == nil {
-		return nil
-	}
-	g := &wire.BroadcastGrant{
-		Mode:   uint8(b.Mode),
-		Range:  b.Range,
-		Fanout: uint8(b.Fanout),
-		Leases: make([]wire.LeaseEntry, 0, len(b.Leases)),
-	}
-	for _, l := range b.Leases {
-		g.Leases = append(g.Leases, wire.LeaseEntry{
-			Owner: uint32(l.Owner), LockID: uint64(l.LockID), SN: uint64(l.SN),
-		})
-	}
-	return g
-}
-
-// stampFromWire converts a wire broadcast payload to its dlm form (nil
-// maps to nil).
-func stampFromWire(g *wire.BroadcastGrant) *dlm.BroadcastStamp {
-	if g == nil {
-		return nil
-	}
-	b := &dlm.BroadcastStamp{
-		Mode:   dlm.Mode(g.Mode),
-		Range:  g.Range,
-		Fanout: int(g.Fanout),
-		Leases: make([]dlm.Lease, 0, len(g.Leases)),
-	}
-	for _, l := range g.Leases {
-		b.Leases = append(b.Leases, dlm.Lease{
-			Owner: dlm.ClientID(l.Owner), LockID: dlm.LockID(l.LockID), SN: extent.SN(l.SN),
-		})
-	}
-	return b
 }
 
 // peerEndpoint returns the cached endpoint for a peer, dialing on the

@@ -320,7 +320,6 @@ func (c *Cluster) DLMStatsBreakdown() DLMAggregate {
 		agg.Total.AckSolicits += snap.AckSolicits
 		agg.Total.FanRuns += snap.FanRuns
 		agg.Total.FanGrants += snap.FanGrants
-		agg.Total.Broadcasts += snap.Broadcasts
 		agg.Total.Gathers += snap.Gathers
 		agg.Total.LeaseGrants += snap.LeaseGrants
 		agg.GrantWait.Merge(g)

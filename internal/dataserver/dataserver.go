@@ -284,27 +284,7 @@ func wireStamp(h *dlm.HandoffStamp) wire.HandoffStamp {
 		Mode:      uint8(h.Mode),
 		SN:        uint64(h.SN),
 		MustFlush: h.MustFlush,
-		Broadcast: wireBroadcast(h.Broadcast),
 	}
-}
-
-// wireBroadcast converts a broadcast cohort payload to its wire form.
-func wireBroadcast(b *dlm.BroadcastStamp) *wire.BroadcastGrant {
-	if b == nil {
-		return nil
-	}
-	g := &wire.BroadcastGrant{
-		Mode:   uint8(b.Mode),
-		Range:  b.Range,
-		Fanout: uint8(b.Fanout),
-		Leases: make([]wire.LeaseEntry, 0, len(b.Leases)),
-	}
-	for _, l := range b.Leases {
-		g.Leases = append(g.Leases, wire.LeaseEntry{
-			Owner: uint32(l.Owner), LockID: uint64(l.LockID), SN: uint64(l.SN),
-		})
-	}
-	return g
 }
 
 // Handoff implements dlm.Notifier: the server-sent activation of
@@ -609,7 +589,7 @@ func (s *Server) setup(ep *rpc.Endpoint) {
 			State:       uint8(g.State),
 			Delegated:   g.Delegated,
 			GatherParts: uint32(g.GatherParts),
-			HandBack:    wireBroadcast(g.HandBack),
+			HandBack:    dlm.BroadcastToWire(g.HandBack),
 		}
 		for _, id := range g.Absorbed {
 			reply.Absorbed = append(reply.Absorbed, uint64(id))

@@ -145,7 +145,7 @@ type ClientStats struct {
 	HandoffsRecv atomic.Int64
 	// LeasesSent counts propagation-tree subtrees this client forwarded
 	// to peers; LeasesRecv counts read leases installed from a
-	// broadcast transfer or peer propagation (DESIGN.md §14).
+	// handback transfer or peer propagation (DESIGN.md §14).
 	LeasesSent atomic.Int64
 	LeasesRecv atomic.Int64
 	// SolicitedAcks counts ack flushes this client sent because the
@@ -306,7 +306,7 @@ func (c *LockClient) waitReleased(ctx context.Context, h *Handle) error {
 type cevKind uint8
 
 const (
-	cevHit          cevKind = iota // an acquire claims a cached lock covering its range (with id: that lock)
+	cevHit          cevKind = iota // an acquire claims a cached lock covering its range
 	cevGrant                       // a grant reply's lock joins the cache
 	cevRevoke                      // a revocation, plain or stamped, arrives
 	cevUnlock                      // a user returns its handle
@@ -317,7 +317,7 @@ const (
 	cevWait                        // a delegated acquire waits for its transfer
 	cevWaitAbort                   // ... and gives up
 	cevPart                        // a transfer part or a server-sent activation arrives
-	cevLease                       // a broadcast or propagated read lease arrives
+	cevLease                       // a handback or propagated read lease arrives
 	cevSolicit                     // the server asks for a delegation's ack now
 	cevTakeAcks                    // queued acks leave on a lock request or a transfer
 	cevRequeueAcks                 // acks come back from a failed send, or arrive piggybacked
@@ -335,7 +335,7 @@ type clientEvent struct {
 	state     State           // grant
 	delegated bool            // grant
 	final     bool            // part: a server-sent activation
-	id        LockID          // the lock (a hit names one only after a delegated grant; IDs start at 1)
+	id        LockID          // the lock
 	sn        extent.SN       // grant, wait
 	rng       extent.Extent   // hit, stand: the range needed; grant, wait: the lock's
 	parts     int             // wait: the transfer parts to collect
@@ -355,7 +355,7 @@ type clientEffects struct {
 	ch      chan struct{}           // stand: the next lease's arrival to park on
 	pending map[ResourceID][]LockID // drainAcks
 	acks    []LockID                // takeAcks: the acks taken
-	ok      bool                    // wait: the lock is cached already; waitAbort: the wait was withdrawn
+	ok      bool                    // waitAbort: the wait was withdrawn
 
 	wake     bool // close ch: the fan waiters parked on it wake
 	complete bool // complete tw: the transfer it waits for is in
@@ -390,16 +390,6 @@ func (c *LockClient) step(res ResourceID, ev *clientEvent, fx *clientEffects) {
 }
 
 func (c *LockClient) stepHit(res ResourceID, ev *clientEvent, fx *clientEffects) {
-	if ev.id != 0 {
-		// A broadcast lease install raced ahead of this delegated grant's
-		// reply and cached the lock: claim it, unless it is already
-		// CANCELING — then the lock left this client and the acquire
-		// asks again.
-		if h := findByID(c.st.cached[res], ev.id); h != nil && h.claim(ev.need) {
-			fx.h = h
-		}
-		return
-	}
 	if fx.h = c.hitLocked(res, ev.need, ev.rng); fx.h == nil {
 		if fx.acq = c.st.acq[res]; fx.acq == nil {
 			fx.acq = new(sync.Mutex)
@@ -510,10 +500,6 @@ func (c *LockClient) stepOther(res ResourceID, ev *clientEvent, fx *clientEffect
 			c.st.cached[res] = slices.Delete(list, i, i+1)
 		}
 	case cevWait:
-		if findByID(c.st.cached[res], ev.id) != nil {
-			fx.ok = true
-			return
-		}
 		// Parts may already have landed (they raced ahead of the grant
 		// reply); otherwise park on what the rest of them complete.
 		n := c.st.notes[k]
@@ -550,17 +536,12 @@ func (c *LockClient) stepOther(res ResourceID, ev *clientEvent, fx *clientEffect
 			c.st.setNote(k, n)
 		}
 	case cevLease:
-		// If a delegated acquire is parked on the lease (round-one
-		// formation), completing its wait is the install; a lease
-		// already installed or gone is a duplicate. Otherwise a
+		// A lease already installed or gone is a duplicate. Otherwise a
 		// zero-hold handle enters the cache — canceled at once if a
 		// revocation raced ahead (its transfer obligation, if stamped,
 		// still runs) — its ack is queued and parked fan waiters wake.
-		if tw, ok := c.st.pendingHandoffs[k]; ok {
-			delete(c.st.pendingHandoffs, k)
-			fx.tw, fx.complete = tw, true
-			return
-		}
+		// No acquire ever waits on a lease: the server pre-arms it in a
+		// gather writer's grant, never in a reader's.
 		if c.st.notes[k].gone || findByID(c.st.cached[res], ev.id) != nil {
 			return
 		}
@@ -745,45 +726,33 @@ func (c *LockClient) acquireMiss(ctx context.Context, res ResourceID, need Mode,
 		}
 	}
 
-	var g Grant
-	for {
-		start := c.clk.Now()
-		acks := c.takeAcks(res)
-		var err error
-		g, err = c.router(res).Lock(ctx, Request{
-			Resource:    res,
-			Client:      c.id,
-			Mode:        need,
-			Range:       rng,
-			Extents:     set,
-			HandoffAcks: acks,
-		})
-		c.Stats.LockWaitNs.Add(c.clk.Since(start).Nanoseconds())
-		if err != nil {
-			// The acks may not have reached the server; re-queue them —
-			// duplicate acks are idempotent server-side.
-			c.requeueAcks(res, acks)
-			return nil, err
-		}
-		if !g.Delegated {
-			break
-		}
+	start := c.clk.Now()
+	acks := c.takeAcks(res)
+	g, err := c.router(res).Lock(ctx, Request{
+		Resource:    res,
+		Client:      c.id,
+		Mode:        need,
+		Range:       rng,
+		Extents:     set,
+		HandoffAcks: acks,
+	})
+	c.Stats.LockWaitNs.Add(c.clk.Since(start).Nanoseconds())
+	if err != nil {
+		// The acks may not have reached the server; re-queue them —
+		// duplicate acks are idempotent server-side.
+		c.requeueAcks(res, acks)
+		return nil, err
+	}
+	if g.Delegated {
 		// The lock arrives from the previous holder, not from server
 		// state: block until the transfer — every part of it, for a
 		// gather — or a server-sent activation lands; the grant step
 		// then queues the delegation's ack.
-		cached, err := c.waitTransfer(ctx, res, g)
-		if err != nil {
+		if err := c.waitTransfer(ctx, res, g); err != nil {
 			c.router(res).Release(c.baseCtx, res, g.LockID)
 			return nil, err
 		}
-		if !cached {
-			c.Stats.HandoffsRecv.Add(1)
-			break
-		}
-		if h := c.run(res, clientEvent{kind: cevHit, id: g.LockID, need: need}); h != nil {
-			return h, nil
-		}
+		c.Stats.HandoffsRecv.Add(1)
 	}
 	return c.run(res, grantEvent(&g, need)), nil
 }

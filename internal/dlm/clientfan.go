@@ -8,8 +8,8 @@ import (
 )
 
 // Client side of the read-lease propagation tree (DESIGN.md §14). A
-// broadcast transfer hands the receiving client the lead lease of a
-// cohort plus the ordered remainder; the lead installs its own lease,
+// gather writer's handback transfer hands the receiving client the lead
+// lease of a cohort plus the ordered remainder; the lead installs its own lease,
 // splits the rest into at most Fanout contiguous subtrees, and ships
 // each to the peer owning its first lease, which recurses. Leases for
 // resources in a fan rotation arrive this way round after round, so
@@ -52,8 +52,8 @@ func (c *LockClient) OnLeasePropagate(res ResourceID, grant *BroadcastStamp) {
 	c.receiveCohort(res, grant)
 }
 
-// receiveCohort handles an arriving cohort slice — from the displaced
-// holder's broadcast transfer (lead) or a peer's propagation: install
+// receiveCohort handles an arriving cohort slice — from a gather
+// writer's handback transfer (lead) or a peer's propagation: install
 // the first lease as our own, then ship the remainder down the tree.
 func (c *LockClient) receiveCohort(res ResourceID, g *BroadcastStamp) {
 	if len(g.Leases) == 0 {

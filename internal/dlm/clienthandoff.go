@@ -123,34 +123,31 @@ func (c *LockClient) OnHandoffMsg(res ResourceID, id LockID, final bool, acks []
 }
 
 // waitTransfer blocks a delegated acquire until its lock's transfer
-// arrives — all parts of it, for a gather. cached reports that a
-// broadcast lease install raced ahead of the grant reply and the lock
-// is already in the cache: the caller claims that handle instead of
-// installing its own.
-func (c *LockClient) waitTransfer(ctx context.Context, res ResourceID, g Grant) (cached bool, err error) {
+// arrives — all parts of it, for a gather.
+func (c *LockClient) waitTransfer(ctx context.Context, res ResourceID, g Grant) error {
 	var fx clientEffects
 	c.do(res, &clientEvent{kind: cevWait, id: g.LockID, mode: g.Mode, sn: g.SN, rng: g.Range, parts: g.GatherParts}, &fx)
 	tw := fx.tw
 	if tw == nil {
-		return fx.ok, nil
+		return nil
 	}
 	if c.waitTransferCh(ctx, tw) {
 		tw.recycle()
-		return false, nil
+		return nil
 	}
 	var abort clientEffects
 	if c.do(res, &clientEvent{kind: cevWaitAbort, id: g.LockID}, &abort); abort.ok {
 		tw.recycle()
 		if err := ctx.Err(); err != nil {
-			return false, wire.FromContext(err)
+			return wire.FromContext(err)
 		}
-		return false, wire.ErrShuttingDown
+		return wire.ErrShuttingDown
 	}
 	// The transfer raced the abort and won (its step deleted the wait
 	// first); take the send and use the lock.
 	<-tw.ch
 	tw.recycle()
-	return false, nil
+	return nil
 }
 
 // transferWaiters recycles transferWaiter records; see transferWaiter.

@@ -37,7 +37,9 @@ type HandoffStamp struct {
 	// Broadcast, when non-nil, turns the transfer into a read fan-out
 	// (DESIGN.md §14): NextOwner/NewLockID name the lead reader's lease,
 	// and the holder ships the whole ordered cohort to the lead, which
-	// propagates the remaining leases peer-to-peer.
+	// propagates the remaining leases peer-to-peer. Only the client sets
+	// it, for a gather writer's pre-armed handback; a stamp from the
+	// server never carries one.
 	Broadcast *BroadcastStamp
 }
 
@@ -72,7 +74,7 @@ func (s *Server) stampHandoff(res *resource, w *waiter, mode Mode, c *lock, fx *
 	rng.End = s.expandEnd(res, w, mode, rng)
 	l := s.install(res, &lock{client: w.req.Client, mode: mode, rng: rng, delegated: true, pred: c})
 	c.succ = l
-	fx.revs = append(fx.revs, stampedRevocation(res, c, l, nil))
+	fx.revs = append(fx.revs, stampedRevocation(res, c, l))
 	s.Stats.Handoffs.Add(1)
 	s.reclaim.register(s, res, c, l)
 	s.admit(res, w, Grant{LockID: l.id, Mode: mode, Range: rng, SN: l.sn, Delegated: true}, fx)
@@ -89,16 +91,14 @@ func quiet(c *lock, client ClientID) bool {
 }
 
 // stampedRevocation is c's revocation stamped with the delegation of
-// its lock to l; bcast, when non-nil, turns it into a broadcast to l's
-// cohort.
-func stampedRevocation(res *resource, c, l *lock, bcast *BroadcastStamp) Revocation {
+// its lock to l.
+func stampedRevocation(res *resource, c, l *lock) Revocation {
 	return Revocation{Client: c.client, Resource: res.id, Lock: c.id, Handoff: &HandoffStamp{
 		NextOwner: l.client,
 		NewLockID: l.id,
 		Mode:      l.mode,
 		SN:        l.sn,
 		MustFlush: c.mode.IsWrite(),
-		Broadcast: bcast,
 	}}
 }
 

@@ -1,6 +1,9 @@
 package dlm
 
-import "time"
+import (
+	"fmt"
+	"time"
+)
 
 // ExpandRule selects how a lock server expands the range of a lock it is
 // about to grant (lock range expanding, §II-A). Only the end of a range
@@ -61,12 +64,12 @@ type Policy struct {
 	// server out of stable conflict patterns. Off by default — the
 	// revoke path is then byte-identical to the pre-handoff engine.
 	Handoff bool
-	// ReaderFanout extends handoff to reader cohorts (DESIGN.md §14):
-	// a writer's revocation owed to a run of k compatible shared-mode
-	// waiters is stamped with a broadcast grant, the holder transfers to
-	// a lead reader, and the lead propagates read leases peer-to-peer
-	// down a bounded-fanout tree; the reverse edge gathers the cohort
-	// back to a waiting writer with a pre-armed handback. Implies the
+	// ReaderFanout extends handoff to reader cohorts (DESIGN.md §14): a
+	// writer whose conflicts are exactly a reader cohort gathers the
+	// cohort's transfers directly, and its grant pre-arms a handback —
+	// one delegated read lease per cohort member — that the writer
+	// transfers to a lead reader when it finishes; the lead propagates
+	// the leases peer-to-peer down a bounded-fanout tree. Implies the
 	// handoff transport. Off by default — the grant/revoke path is then
 	// byte-identical to the single-successor handoff engine.
 	ReaderFanout bool
@@ -130,6 +133,22 @@ func Datatype() Policy {
 		Legacy: true,
 		Expand: ExpandNone,
 	}
+}
+
+// PolicyByName returns the stock policy a command-line flag names:
+// seqdlm, basic, lustre or datatype.
+func PolicyByName(name string) (Policy, error) {
+	switch name {
+	case "seqdlm":
+		return SeqDLM(), nil
+	case "basic":
+		return Basic(), nil
+	case "lustre":
+		return Lustre(), nil
+	case "datatype":
+		return Datatype(), nil
+	}
+	return Policy{}, fmt.Errorf("unknown policy %q (seqdlm|basic|lustre|datatype)", name)
 }
 
 // MapMode converts the mode an operation selected (via SelectMode) to

@@ -2,36 +2,35 @@ package dlm
 
 import (
 	"ccpfs/internal/extent"
+	"ccpfs/internal/wire"
 )
 
 // Reader fan-out (DESIGN.md §14). Client-to-client handoff (§13) cuts
 // the server out of stable single-waiter write chains; this file
-// extends it to reader cohorts. When a writer's revocation is owed to a
-// run of k compatible shared-mode waiters, the server installs k
-// delegated leases in one queue pass (one shared SN, stamped in queue
-// order) and stamps the writer's revocation with a broadcast grant: the
-// holder transfers to a lead reader, which propagates the remaining
-// leases peer-to-peer down a bounded-fanout tree. The reverse edge —
-// a writer displacing a delegated reader cohort — gathers the cohort's
-// transfers directly and carries a pre-armed handback so the next
-// fan-out needs no server round trip either. In steady state an entire
-// write-then-fan-out cycle costs the server one lock RPC regardless of
-// reader count.
+// extends it to reader cohorts. A writer displacing a delegated or
+// held reader cohort gathers the cohort's transfers directly, and its
+// grant carries a pre-armed handback: one fresh delegated lease per
+// cohort member (one shared SN), which the writer owes the cohort when
+// it finishes. Its transfer goes to a lead reader, which propagates
+// the remaining leases peer-to-peer down a bounded-fanout tree. A
+// cohort first forms on the server path (a batched fan run of shared
+// grants); in steady state an entire write-then-fan-out cycle costs
+// the server one lock RPC regardless of reader count.
 
-// Lease names one pre-installed delegated read lease of a broadcast.
+// Lease names one pre-installed delegated read lease of a handback.
 type Lease struct {
 	Owner  ClientID
 	LockID LockID
 	SN     extent.SN
 }
 
-// BroadcastStamp is the fan-out payload attached to a handoff stamp or
-// pre-armed in a gather grant: the ordered reader cohort (entry 0 is
-// the lead), the common lease range and mode, and the propagation-tree
-// fanout bound. Every lease shares one SN — reads do not advance the
-// extent-cache clock — which is strictly greater than the displaced
-// writer's SN, so cached extents written under the old lock order
-// correctly before reads under the leases.
+// BroadcastStamp is the fan-out payload pre-armed in a gather grant
+// and carried by the writer's transfer to the lead: the ordered reader
+// cohort (entry 0 is the lead), the common lease range and mode, and
+// the propagation-tree fanout bound. Every lease shares one SN — reads
+// do not advance the extent-cache clock — which is strictly greater
+// than the gathering writer's SN, so extents written under the writer's
+// lock order correctly before reads under the leases.
 type BroadcastStamp struct {
 	Mode   Mode
 	Range  extent.Extent
@@ -39,87 +38,50 @@ type BroadcastStamp struct {
 	Leases []Lease
 }
 
+// BroadcastToWire converts a broadcast payload to its wire form (nil
+// maps to nil).
+func BroadcastToWire(b *BroadcastStamp) *wire.BroadcastGrant {
+	if b == nil {
+		return nil
+	}
+	g := &wire.BroadcastGrant{
+		Mode:   uint8(b.Mode),
+		Range:  b.Range,
+		Fanout: uint8(b.Fanout),
+		Leases: make([]wire.LeaseEntry, 0, len(b.Leases)),
+	}
+	for _, l := range b.Leases {
+		g.Leases = append(g.Leases, wire.LeaseEntry{
+			Owner: uint32(l.Owner), LockID: uint64(l.LockID), SN: uint64(l.SN),
+		})
+	}
+	return g
+}
+
+// BroadcastFromWire converts a wire broadcast payload to its dlm form
+// (nil maps to nil).
+func BroadcastFromWire(g *wire.BroadcastGrant) *BroadcastStamp {
+	if g == nil {
+		return nil
+	}
+	b := &BroadcastStamp{
+		Mode:   Mode(g.Mode),
+		Range:  g.Range,
+		Fanout: int(g.Fanout),
+		Leases: make([]Lease, 0, len(g.Leases)),
+	}
+	for _, l := range g.Leases {
+		b.Leases = append(b.Leases, Lease{
+			Owner: ClientID(l.Owner), LockID: LockID(l.LockID), SN: extent.SN(l.SN),
+		})
+	}
+	return b
+}
+
 // leaseFanout bounds the propagation tree's fan-out (children per
 // node). A server stamps it into every BroadcastStamp, so a client
 // follows the fan-out of the server that formed the cohort.
 const leaseFanout = 2
-
-// stampBroadcast attempts to retire a run of compatible shared-mode
-// waiters headed by w, all of whose only conflict is the single lock c,
-// by delegating c to the whole run at once: one delegated lease per
-// member is installed under res.mu (queue order, one shared SN), the
-// members' grant replies are marked Delegated, and the revocation
-// appended for c carries a broadcast stamp naming the full cohort.
-// Runs of one fall through to the plain single-successor stamp. Called
-// from tryGrant with res.mu held; reports whether it stamped.
-func (s *Server) stampBroadcast(res *resource, w *waiter, mode Mode, c *lock, fx *effects) bool {
-	// The displaced lock must be a quiet writer, and the head waiter a
-	// plain-range shared request.
-	if !s.fanOn || mode.IsWrite() || !mode.CanRead() || !c.mode.IsWrite() ||
-		!quiet(c, w.req.Client) || len(w.req.Extents) > 0 {
-		return false
-	}
-
-	// Collect the run: w plus the immediately following live waiters
-	// with the same shared mode whose only conflict is c. The run stops
-	// at the first non-qualifying live waiter so FIFO fairness is
-	// preserved — nothing is granted past a blocked request.
-	run := []*waiter{w}
-	idx := -1
-	for i, q := range res.queue {
-		if q == w {
-			idx = i
-			break
-		}
-	}
-	for _, q := range res.queue[idx+1:] {
-		if q.done {
-			continue
-		}
-		if q.req.Mode != mode || len(q.req.Extents) > 0 || q.req.Client == c.client {
-			break
-		}
-		cs := s.conflicts(res, q, q.req.Mode)
-		if len(cs) != 1 || cs[0] != c {
-			break
-		}
-		run = append(run, q)
-	}
-	if len(run) < 2 {
-		return false
-	}
-
-	// From here on c behaves as CANCELING; the transfer's
-	// flush-before-handoff obligation plus SN ordering make the lease
-	// overlap as safe as an early grant.
-	c.handedOff, c.revokeSent = true, true
-
-	// One common lease range: the union of the members' requests,
-	// expanded once. Any granted lock overlapping the union overlaps
-	// some member's range, and each member's only conflict is c, so the
-	// union at the shared mode conflicts with nothing but c. Shared
-	// leases leave the sequencer alone: the cohort shares one SN.
-	rng := w.req.Range
-	for _, q := range run[1:] {
-		rng = rng.Union(q.req.Range)
-	}
-	rng.End = s.expandEnd(res, w, mode, rng)
-	leases := make([]*lock, 0, len(run))
-	for _, q := range run {
-		l := s.install(res, &lock{client: q.req.Client, mode: mode, rng: rng, delegated: true})
-		leases = append(leases, l)
-		s.reclaim.register(s, res, c, l)
-		s.Stats.LeaseGrants.Add(1)
-		s.admit(res, q, Grant{LockID: l.id, Mode: mode, Range: rng, SN: l.sn, Delegated: true}, fx)
-	}
-	leases[0].pred = c
-	c.succ = leases[0]
-	c.bcast = leases
-	fx.revs = append(fx.revs, stampedRevocation(res, c, leases[0], s.broadcastStamp(mode, rng, leases)))
-	s.Stats.Handoffs.Add(1)
-	s.Stats.Broadcasts.Add(1)
-	return true
-}
 
 // stampGather attempts to retire a write waiter whose conflicts are
 // exactly a delegated-or-held reader cohort by gathering the cohort's
@@ -171,7 +133,7 @@ func (s *Server) stampGather(res *resource, w *waiter, mode Mode, cohort []*lock
 	wl.bcast = leases
 
 	for _, c := range cohort {
-		fx.revs = append(fx.revs, stampedRevocation(res, c, wl, nil))
+		fx.revs = append(fx.revs, stampedRevocation(res, c, wl))
 	}
 	s.Stats.Handoffs.Add(1)
 	s.Stats.Gathers.Add(1)

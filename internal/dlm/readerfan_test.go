@@ -12,11 +12,10 @@ import (
 )
 
 // The reader fan-out tests reuse the handoff harness (hoHarness) and
-// its peer sender, exercising the full DESIGN.md §14 machinery:
-// broadcast formation over a queued reader run, peer-to-peer
-// propagation trees, cohort gathers back to a writer, reclaim of lost
-// tree edges, and freeze/migration with broadcast delegations
-// outstanding.
+// its peer sender, exercising the full DESIGN.md §14 machinery: cohort
+// gathers to a writer with a pre-armed handback, the handback's
+// peer-to-peer propagation tree, reclaim of lost tree edges, and
+// freeze/migration with handback delegations outstanding.
 
 func fanPolicy() Policy {
 	p := SeqDLM()
@@ -25,90 +24,65 @@ func fanPolicy() Policy {
 	return p
 }
 
-// formBroadcast drives the harness into a broadcast delegation with
-// nReaders reader acquires parked on it: client 1 holds the write lock,
-// client 2 queues behind it (and is handed the lock), the readers
-// (clients 3..) queue behind client 2's fresh lock, and the delegation
-// ack scan stamps the broadcast. It returns client 2's held handle —
-// unlocking it releases the broadcast transfer — and the channel the
-// reader goroutines deliver their handles on.
-func formBroadcast(t *testing.T, h *hoHarness, res ResourceID, rng extent.Extent, nReaders int) (*Handle, chan *Handle) {
+// formHandback drives the harness into a gather with a pre-armed
+// handback: the readers (clients 2..nReaders+1) take PR locks from the
+// server and keep them cached, then client 1's write acquire gathers
+// them. It returns client 1's held handle, born owing the handback:
+// unlocking it transfers the cohort's fresh leases to the lead reader.
+// Every client's queued delegation acks are flushed before it returns.
+func formHandback(t *testing.T, h *hoHarness, res ResourceID, rng extent.Extent, nReaders int) *Handle {
 	t.Helper()
-	ctx := context.Background()
-
-	w1 := mustAcquire(t, h.client(1), res, NBW, rng)
-
-	w2ch := make(chan *Handle, 1)
-	go func() {
-		hd, err := h.client(2).Acquire(ctx, res, NBW, rng)
-		if err != nil {
-			t.Errorf("writer 2 acquire: %v", err)
-			close(w2ch)
-			return
-		}
-		w2ch <- hd
-	}()
-	waitFor(t, "writer 2 delegation stamped", func() bool { return h.srv.Stats.Handoffs.Load() == 1 })
-
-	readers := make(chan *Handle, nReaders)
 	for i := 0; i < nReaders; i++ {
-		cl := h.client(3 + i)
-		go func() {
-			hd, err := cl.Acquire(ctx, res, PR, rng)
-			if err != nil {
-				t.Errorf("reader acquire: %v", err)
-				close(readers)
-				return
-			}
-			readers <- hd
-		}()
+		h.client(2 + i).Unlock(mustAcquire(t, h.client(2+i), res, PR, rng))
 	}
-	waitFor(t, "readers queued", func() bool { return h.srv.QueueLen(res) == nReaders })
-
-	// Hand the lock to writer 2, then confirm its delegation: the ack
-	// scan finds the queued reader run behind a quiet fresh lock and
-	// stamps the broadcast.
-	h.client(1).Unlock(w1)
-	w2, ok := <-w2ch
-	if !ok {
-		t.FailNow()
+	w := mustAcquire(t, h.client(1), res, NBW, rng)
+	if got := h.srv.Stats.Gathers.Load(); got != 1 {
+		t.Fatalf("Gathers = %d, want 1", got)
 	}
-	h.client(2).FlushHandoffAcks(ctx)
-	waitFor(t, "broadcast stamped", func() bool { return h.srv.Stats.Broadcasts.Load() == 1 })
-	return w2, readers
+	for _, c := range h.clients {
+		c.FlushHandoffAcks(context.Background())
+	}
+	return w
 }
 
-// TestReaderFanBroadcastTree: a queued run of readers behind one writer
-// is granted as a single broadcast delegation, the displaced writer
-// transfers the cohort to the lead reader, and the lead propagates the
-// remaining leases peer-to-peer — every reader ends with the same SN,
-// above the writer's.
+// acquireCohort has each reader take a PR lock over rng: once the
+// handback has landed (or is landing), each one is a hit on its lease.
+func acquireCohort(t *testing.T, h *hoHarness, res ResourceID, rng extent.Extent, nReaders int) []*Handle {
+	t.Helper()
+	got := make([]*Handle, nReaders)
+	for i := range got {
+		got[i] = mustAcquire(t, h.client(2+i), res, PR, rng)
+	}
+	return got
+}
+
+// TestReaderFanBroadcastTree: a writer that gathered a reader cohort
+// transfers the pre-armed handback to the lead reader, and the lead
+// propagates the remaining leases peer-to-peer — every reader ends
+// with the same SN, above the writer's, without a server grant.
 func TestReaderFanBroadcastTree(t *testing.T) {
 	const nReaders = 4
-	h := newHOHarness(t, fanPolicy(), 2+nReaders, true)
+	h := newHOHarness(t, fanPolicy(), 1+nReaders, true)
 	res := ResourceID(31)
 	rng := extent.New(0, 4096)
 
-	w2, readers := formBroadcast(t, h, res, rng, nReaders)
-	wSN := w2.SN()
-	h.client(2).Unlock(w2) // releases the broadcast transfer
+	w := formHandback(t, h, res, rng, nReaders)
+	wSN := w.SN()
+	grants := h.srv.Stats.Grants.Load()
+	h.client(1).Unlock(w) // transfers the handback to the lead
 
-	var got []*Handle
-	for i := 0; i < nReaders; i++ {
-		hd, ok := <-readers
-		if !ok {
-			t.FailNow()
-		}
-		got = append(got, hd)
-	}
+	got := acquireCohort(t, h, res, rng, nReaders)
 	leaseSN := got[0].SN()
 	for _, hd := range got {
 		if hd.SN() != leaseSN {
 			t.Fatalf("cohort SNs differ: %d vs %d", hd.SN(), leaseSN)
 		}
 		if hd.SN() <= wSN {
-			t.Fatalf("lease SN %d not above displaced writer's %d", hd.SN(), wSN)
+			t.Fatalf("lease SN %d not above the writer's %d", hd.SN(), wSN)
 		}
+	}
+	if n := h.srv.Stats.Grants.Load() - grants; n != 0 {
+		t.Fatalf("%d server grants after the handback, want 0", n)
 	}
 	if got := h.srv.Stats.LeaseGrants.Load(); got != nReaders {
 		t.Fatalf("LeaseGrants = %d, want %d", got, nReaders)
@@ -127,7 +101,7 @@ func TestReaderFanBroadcastTree(t *testing.T) {
 	}
 
 	for i, hd := range got {
-		h.client(3 + i).Unlock(hd)
+		h.client(2 + i).Unlock(hd)
 	}
 	for _, c := range h.clients {
 		c.FlushHandoffAcks(context.Background())
@@ -140,27 +114,22 @@ func TestReaderFanBroadcastTree(t *testing.T) {
 	}
 }
 
-// TestReaderFanGatherToWriter: the reverse edge — a writer conflicting
-// with a whole delegated reader cohort gathers it in one stamp; each
-// reader transfers its part directly to the writer, and the grant
-// pre-arms the next broadcast. The gather costs the server exactly the
-// one lock RPC.
+// TestReaderFanGatherToWriter: the reverse edge over a delegated
+// cohort — a writer conflicting with a whole cohort of handback leases
+// gathers it in one stamp; each reader transfers its part directly to
+// the writer, and the grant pre-arms the next handback. The gather
+// costs the server exactly the one lock RPC.
 func TestReaderFanGatherToWriter(t *testing.T) {
 	const nReaders = 4
-	h := newHOHarness(t, fanPolicy(), 2+nReaders, true)
+	h := newHOHarness(t, fanPolicy(), 1+nReaders, true)
 	res := ResourceID(33)
 	rng := extent.New(0, 4096)
 
-	w2, readers := formBroadcast(t, h, res, rng, nReaders)
-	h.client(2).Unlock(w2)
+	h.client(1).Unlock(formHandback(t, h, res, rng, nReaders))
 	var leaseSN extent.SN
-	for i := 0; i < nReaders; i++ {
-		hd, ok := <-readers
-		if !ok {
-			t.FailNow()
-		}
+	for i, hd := range acquireCohort(t, h, res, rng, nReaders) {
 		leaseSN = hd.SN()
-		h.client(3 + i%nReaders).Unlock(hd) // leases stay cached
+		h.client(2 + i).Unlock(hd) // leases stay cached
 	}
 
 	// Drain the cohort's delegation acks so their standalone RPCs cannot
@@ -171,8 +140,8 @@ func TestReaderFanGatherToWriter(t *testing.T) {
 
 	opsBefore := h.srv.Stats.LockOps.Load()
 	w := mustAcquire(t, h.client(1), res, NBW, rng)
-	if got := h.srv.Stats.Gathers.Load(); got != 1 {
-		t.Fatalf("Gathers = %d, want 1", got)
+	if got := h.srv.Stats.Gathers.Load(); got != 2 {
+		t.Fatalf("Gathers = %d, want 2", got)
 	}
 	if w.SN() < leaseSN {
 		t.Fatalf("gathered writer SN %d below cohort SN %d", w.SN(), leaseSN)
@@ -180,18 +149,16 @@ func TestReaderFanGatherToWriter(t *testing.T) {
 	if ops := h.srv.Stats.LockOps.Load() - opsBefore; ops != 1 {
 		t.Fatalf("gather cost %d server ops, want 1 (the lock RPC alone)", ops)
 	}
-	// The grant pre-armed the handback cohort: one lease per reader.
+	// Each grant pre-armed a handback: one lease per reader.
 	if got := h.srv.Stats.LeaseGrants.Load(); got != 2*nReaders {
-		t.Fatalf("LeaseGrants = %d after gather, want %d", got, 2*nReaders)
+		t.Fatalf("LeaseGrants = %d after the second gather, want %d", got, 2*nReaders)
 	}
-	// Unlocking runs the pre-armed broadcast back to the readers; wait
-	// for the handback leases to land so shutdown sees a quiet system.
-	// (Formation leases completing parked acquires do not count as
-	// LeasesRecv, so measure the handback as a delta.)
+	// Unlocking runs the pre-armed handback to the readers; wait for
+	// its leases to land so shutdown sees a quiet system.
 	recvd := func() int64 {
 		var n int64
 		for i := 0; i < nReaders; i++ {
-			n += h.client(3 + i).Stats.LeasesRecv.Load()
+			n += h.client(2 + i).Stats.LeasesRecv.Load()
 		}
 		return n
 	}
@@ -280,31 +247,59 @@ func TestReaderFanRotation(t *testing.T) {
 	}
 }
 
-// TestReaderFanReclaimLostPropagation: the lead receives the broadcast
+// TestReaderFanReclaimLostPropagation: the lead receives the handback
 // but every propagation edge is lost, so the non-lead leases sit
-// delegated until the reclaimer force-resolves them — the parked reader
-// acquires then complete through server-sent activations.
+// delegated until the reclaimer force-resolves them. The next writer
+// is then granted over the resolved cohort, and none of the lost
+// leases is left behind in the lock table.
 func TestReaderFanReclaimLostPropagation(t *testing.T) {
 	const nReaders = 4
-	h := newHOHarness(t, fanPolicy(), 2+nReaders, true)
+	h := newHOHarness(t, fanPolicy(), 1+nReaders, true)
 	h.srv.SetHandoffTimeout(20 * time.Millisecond)
 	res := ResourceID(37)
 	rng := extent.New(0, 4096)
 
-	w2, readers := formBroadcast(t, h, res, rng, nReaders)
+	w := formHandback(t, h, res, rng, nReaders)
 	h.mu.Lock()
 	h.dropLeases = true
 	h.mu.Unlock()
-	h.client(2).Unlock(w2)
+	h.client(1).Unlock(w)
 
-	for i := 0; i < nReaders; i++ {
-		if _, ok := <-readers; !ok {
-			t.FailNow()
+	waitFor(t, "lost tree edges reclaimed", func() bool {
+		return h.srv.Stats.HandoffReclaims.Load() == nReaders-1
+	})
+	if got := h.client(2).Stats.LeasesRecv.Load(); got != 1 {
+		t.Fatalf("lead LeasesRecv = %d, want 1", got)
+	}
+	var lost []LockID
+	res0 := h.srv.lookup(res)
+	res0.mu.Lock()
+	for _, l := range res0.granted.list {
+		if l.client != 2 {
+			lost = append(lost, l.id)
 		}
 	}
-	if got := h.srv.Stats.HandoffReclaims.Load(); got == 0 {
-		t.Fatal("HandoffReclaims = 0, want reclaims for the lost tree edges")
+	res0.mu.Unlock()
+	if len(lost) != nReaders-1 {
+		t.Fatalf("lost leases in the table = %v, want %d", lost, nReaders-1)
 	}
+
+	h.mu.Lock()
+	h.dropLeases = false
+	h.mu.Unlock()
+	w2 := mustAcquire(t, h.client(1), res, NBW, rng)
+	if w2.SN() <= w.SN() {
+		t.Fatalf("next writer SN %d not above %d", w2.SN(), w.SN())
+	}
+	res0.mu.Lock()
+	for _, id := range lost {
+		if l := res0.granted.get(id); l != nil {
+			res0.mu.Unlock()
+			t.Fatalf("force-resolved lease %d left in the table: %+v", id, l)
+		}
+	}
+	res0.mu.Unlock()
+	h.client(1).Unlock(w2)
 	for _, c := range h.clients {
 		c.FlushHandoffAcks(context.Background())
 	}
@@ -314,49 +309,50 @@ func TestReaderFanReclaimLostPropagation(t *testing.T) {
 }
 
 // TestReaderFanFreezeResolvesBroadcast: freezing a slot for migration
-// with a whole broadcast delegation outstanding (the cohort transfer
-// was lost in flight) must force-resolve every lease: the parked reader
-// acquires complete, the export carries the cohort as plain granted
-// locks, and the sequencer stays monotonic at the importing master.
+// with a whole handback delegation outstanding (the writer's transfer
+// to the lead was lost in flight) must force-resolve every lease: the
+// export carries the cohort as plain granted locks above the writer's
+// SN, and the sequencer stays monotonic at the importing master.
 func TestReaderFanFreezeResolvesBroadcast(t *testing.T) {
 	const nReaders = 3
-	h := newHOHarness(t, fanPolicy(), 2+nReaders, true)
+	h := newHOHarness(t, fanPolicy(), 1+nReaders, true)
 	h.srv.SetHandoffTimeout(time.Hour) // the freeze, not the reclaimer, must resolve
 
 	res := ridInSlot(t, 29, 0)
 	h.srv.SetSlots(1, []partition.Slot{29})
 	rng := extent.New(0, 4096)
 
-	w2, readers := formBroadcast(t, h, res, rng, nReaders)
+	w := formHandback(t, h, res, rng, nReaders)
 	h.mu.Lock()
-	h.dropTransfers = true // the broadcast transfer to the lead is lost
+	h.dropTransfers = true // the handback transfer to the lead is lost
 	h.mu.Unlock()
-	h.client(2).Unlock(w2)
-	// The cancel has accepted the transfer obligation once Unlock
-	// returns and the handoff counter moves; the message itself is lost.
-	waitFor(t, "broadcast transfer sent", func() bool {
-		return h.client(2).Stats.HandoffsSent.Load() == 1
+	h.client(1).Unlock(w)
+	// The cancel has accepted the transfer obligation once the handoff
+	// counter moves; the message itself is lost.
+	waitFor(t, "handback transfer sent", func() bool {
+		return h.client(1).Stats.HandoffsSent.Load() == 1
 	})
 
+	reclaims := h.srv.Stats.HandoffReclaims.Load()
 	exp, err := h.srv.FreezeExportSlot(29)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var maxSN extent.SN
-	for i := 0; i < nReaders; i++ {
-		hd, ok := <-readers
-		if !ok {
-			t.FailNow()
-		}
-		if hd.SN() <= w2.SN() {
-			t.Fatalf("resolved lease SN %d not above writer SN %d", hd.SN(), w2.SN())
-		}
-		if hd.SN() > maxSN {
-			maxSN = hd.SN()
-		}
+	if got := h.srv.Stats.HandoffReclaims.Load() - reclaims; got != nReaders {
+		t.Fatalf("freeze resolved %d delegations, want the %d leases", got, nReaders)
 	}
 	if len(exp.Resources) != 1 || len(exp.Resources[0].Locks) != nReaders {
 		t.Fatalf("export = %+v, want one resource with %d locks", exp.Resources, nReaders)
+	}
+	var maxSN extent.SN
+	for _, l := range exp.Resources[0].Locks {
+		if l.Delegated || l.Mode != PR || l.Client == 1 {
+			t.Fatalf("exported %+v, want a resolved reader lease", l)
+		}
+		if l.SN <= w.SN() {
+			t.Fatalf("resolved lease SN %d not above writer SN %d", l.SN, w.SN())
+		}
+		maxSN = max(maxSN, l.SN)
 	}
 
 	dst := newBareEngine(fanPolicy())
@@ -381,7 +377,7 @@ func TestReaderFanFreezeResolvesBroadcast(t *testing.T) {
 
 // TestReaderFanDisabledByDefault: no stock policy enables the fan-out
 // path, and with it off a writer/reader rotation must never stamp a
-// broadcast or gather — the engine behaves exactly as before.
+// gather — the engine behaves exactly as before.
 func TestReaderFanDisabledByDefault(t *testing.T) {
 	for _, p := range []Policy{SeqDLM(), Basic(), Lustre(), Datatype()} {
 		if p.ReaderFanout {
@@ -398,9 +394,6 @@ func TestReaderFanDisabledByDefault(t *testing.T) {
 			r := mustAcquire(t, h.client(2+i), res, PR, rng)
 			h.client(2 + i).Unlock(r)
 		}
-	}
-	if got := h.srv.Stats.Broadcasts.Load(); got != 0 {
-		t.Fatalf("Broadcasts = %d with ReaderFanout off, want 0", got)
 	}
 	if got := h.srv.Stats.Gathers.Load(); got != 0 {
 		t.Fatalf("Gathers = %d with ReaderFanout off, want 0", got)

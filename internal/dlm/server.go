@@ -149,10 +149,10 @@ type Server struct {
 	// Policy.Handoff (or ReaderFanout, which rides on its transport). Off,
 	// the revoke path is byte-identical to the pre-handoff engine.
 	handoffOn bool
-	// fanOn gates the reader fan-out paths — broadcast stamping and
-	// cohort gathering (DESIGN.md §14); set from Policy.ReaderFanout. Off,
-	// the grant/revoke path is byte-identical to the single-successor
-	// handoff engine.
+	// fanOn gates the reader fan-out path, the cohort gather with its
+	// pre-armed handback (DESIGN.md §14); set from Policy.ReaderFanout.
+	// Off, the grant/revoke path is byte-identical to the
+	// single-successor handoff engine.
 	fanOn bool
 	// handoffTimeout (nanoseconds) bounds how long a delegation may
 	// stay unconfirmed before the reclaimer intervenes.
@@ -238,8 +238,8 @@ type lock struct {
 	succ      *lock
 	// Reader fan-out state (DESIGN.md §14). preds lists a gathering
 	// write lock's whole displaced cohort (each member also links back
-	// through succ); bcast lists the delegated leases a holder owes a
-	// broadcast transfer to (succ points at the lead, bcast[0]);
+	// through succ); bcast lists the handback leases a gathering writer
+	// owes a broadcast transfer to (succ points at the lead, bcast[0]);
 	// gatherLeft counts cohort members that have not resolved
 	// server-side, for the release-fallback path.
 	preds      []*lock
@@ -562,7 +562,7 @@ func (s *Server) step(res *resource, ev *event, fx *effects) error {
 		s.removeWithPreds(res, l)
 		switch {
 		case len(bcast) > 0:
-			// A holder owing a broadcast transfer released instead
+			// A gathering writer owing its handback released instead
 			// (peer send failed or the holder vanished): resolve every
 			// still-delegated lease server-side and activate the cohort
 			// directly (DESIGN.md §14).
@@ -995,9 +995,6 @@ func (s *Server) tryGrant(res *resource, w *waiter, fx *effects) bool {
 	if len(confs) > 0 {
 		if len(absorbed) == 0 {
 			if len(confs) == 1 {
-				if s.stampBroadcast(res, w, mode, confs[0], fx) {
-					return true
-				}
 				if s.stampHandoff(res, w, mode, confs[0], fx) {
 					return true
 				}
@@ -1009,7 +1006,7 @@ func (s *Server) tryGrant(res *resource, w *waiter, fx *effects) bool {
 		allCanceling := true
 		// A delegated lock's owner has not confirmed the transfer yet;
 		// revoking it mid-flight would waste the handoff and permanently
-		// disqualify the lock from broadcast stamping once it settles.
+		// disqualify the lock from delegation once it settles.
 		// While any conflicting delegation is in flight, hold fire on the
 		// quiet conflicts too: their acks arrive one by one, and revoking
 		// each member the moment it settles would destroy, piecemeal, a

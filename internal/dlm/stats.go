@@ -55,13 +55,11 @@ type Stats struct {
 
 	// Reader fan-out counters (DESIGN.md §14): scan passes that granted
 	// a run of ≥2 shared-mode waiters in one hold of the resource lock
-	// (and the grants those runs produced), broadcast stamps issued
-	// toward reader cohorts, cohort gathers stamped back toward writers,
-	// and delegated read leases installed (broadcast members plus
-	// pre-armed handbacks).
+	// (and the grants those runs produced), cohort gathers stamped
+	// toward writers, and the delegated read leases their grants
+	// pre-armed for the handback.
 	FanRuns     atomic.Int64
 	FanGrants   atomic.Int64
-	Broadcasts  atomic.Int64
 	Gathers     atomic.Int64
 	LeaseGrants atomic.Int64
 
@@ -106,7 +104,6 @@ func (s *Stats) Register(reg *obs.Registry) {
 	reg.Func("dlm.ack_solicits", s.AckSolicits.Load)
 	reg.Func("dlm.fan_runs", s.FanRuns.Load)
 	reg.Func("dlm.fan_grants", s.FanGrants.Load)
-	reg.Func("dlm.broadcasts", s.Broadcasts.Load)
 	reg.Func("dlm.gathers", s.Gathers.Load)
 	reg.Func("dlm.lease_grants", s.LeaseGrants.Load)
 	reg.RegisterHistogram("dlm.grant_wait", &s.GrantWaitHist)
@@ -144,9 +141,12 @@ type Snapshot struct {
 	AckSolicits      int64
 	FanRuns          int64
 	FanGrants        int64
-	Broadcasts       int64
-	Gathers          int64
-	LeaseGrants      int64
+	// Broadcasts is always 0: every reader cohort now forms through a
+	// gather's pre-armed handback. The field stays for the reports that
+	// print it.
+	Broadcasts  int64
+	Gathers     int64
+	LeaseGrants int64
 
 	GrantWait      time.Duration
 	RevocationWait time.Duration
@@ -172,7 +172,6 @@ func (s *Stats) Snapshot() Snapshot {
 		AckSolicits:      s.AckSolicits.Load(),
 		FanRuns:          s.FanRuns.Load(),
 		FanGrants:        s.FanGrants.Load(),
-		Broadcasts:       s.Broadcasts.Load(),
 		Gathers:          s.Gathers.Load(),
 		LeaseGrants:      s.LeaseGrants.Load(),
 		GrantWait:        time.Duration(s.GrantWaitHist.Sum()),
@@ -199,7 +198,6 @@ func (s Snapshot) Sub(o Snapshot) Snapshot {
 		AckSolicits:      s.AckSolicits - o.AckSolicits,
 		FanRuns:          s.FanRuns - o.FanRuns,
 		FanGrants:        s.FanGrants - o.FanGrants,
-		Broadcasts:       s.Broadcasts - o.Broadcasts,
 		Gathers:          s.Gathers - o.Gathers,
 		LeaseGrants:      s.LeaseGrants - o.LeaseGrants,
 		GrantWait:        s.GrantWait - o.GrantWait,

@@ -131,51 +131,6 @@ func TestLockGrantRacedCancellation(t *testing.T) {
 	}
 }
 
-// TestReleaseOwingBroadcastActivatesCohort: the holder stamped to
-// broadcast to a reader cohort releases instead of transferring, and the
-// server activates every lease of the cohort itself.
-func TestReleaseOwingBroadcastActivatesCohort(t *testing.T) {
-	n := &recNotifier{}
-	s := NewServer(fanPolicy(), n)
-	s.SetHandoffTimeout(time.Hour)
-	defer s.Shutdown()
-	rng := extent.New(0, 10)
-	mustLock(t, s, Request{Resource: 1, Client: 1, Mode: NBW, Range: rng})
-	w := mustLock(t, s, Request{Resource: 1, Client: 4, Mode: NBW, Range: rng})
-	if !w.Delegated {
-		t.Fatalf("second writer not handed the lock: %+v", w)
-	}
-	r2 := lockAsync(t, s, context.Background(), Request{Resource: 1, Client: 2, Mode: PR, Range: rng})
-	r3 := lockAsync(t, s, context.Background(), Request{Resource: 1, Client: 3, Mode: PR, Range: rng})
-	s.HandoffAck(1, w.LockID) // the writer's lock settles; the reader run is stamped a broadcast
-	g2, g3 := recv(t, r2), recv(t, r3)
-	if !g2.g.Delegated || !g3.g.Delegated || s.Stats.Broadcasts.Load() != 1 {
-		t.Fatalf("no broadcast stamped: %+v %+v", g2, g3)
-	}
-
-	s.Release(1, w.LockID)
-	waitFor(t, "cohort activations", func() bool { return len(n.activations()) == 2 })
-	want := map[LockID]ClientID{g2.g.LockID: 2, g3.g.LockID: 3}
-	for _, a := range n.activations() {
-		if want[a.id] != a.client {
-			t.Fatalf("activation %+v, want one per lease %v", a, want)
-		}
-		delete(want, a.id)
-	}
-	res := s.lookup(1)
-	for _, id := range []LockID{g2.g.LockID, g3.g.LockID} {
-		if l := res.granted.get(id); l == nil || l.delegated {
-			t.Fatalf("lease %d not resolved: %+v", id, l)
-		}
-	}
-	if got := s.GrantedCount(1); got != 2 {
-		t.Fatalf("granted locks = %d, want the 2 leases", got)
-	}
-	if err := s.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // gatherOverReaders has clients 2 and 3 hold PR locks and client 4 gather
 // them into a write; it returns the readers' grants and the writer's.
 func gatherOverReaders(t *testing.T, s *Server) (r2, r3, w Grant) {
@@ -188,6 +143,102 @@ func gatherOverReaders(t *testing.T, s *Server) (r2, r3, w Grant) {
 		t.Fatalf("writer did not gather the readers: %+v", w)
 	}
 	return r2, r3, w
+}
+
+// TestReleaseOwingBroadcastActivatesCohort: a gathering writer owing
+// its pre-armed handback releases instead of transferring it, and the
+// server activates every lease of the cohort itself.
+func TestReleaseOwingBroadcastActivatesCohort(t *testing.T) {
+	n := &recNotifier{}
+	s := NewServer(fanPolicy(), n)
+	s.SetHandoffTimeout(time.Hour)
+	defer s.Shutdown()
+	_, _, w := gatherOverReaders(t, s)
+	s.HandoffAck(1, w.LockID) // the writer collected its parts; the cohort retires
+
+	s.Release(1, w.LockID)
+	waitFor(t, "cohort activations", func() bool { return len(n.activations()) == 2 })
+	want := map[LockID]ClientID{}
+	for _, l := range w.HandBack.Leases {
+		want[l.LockID] = l.Owner
+	}
+	for _, a := range n.activations() {
+		if c, ok := want[a.id]; !ok || c != a.client {
+			t.Fatalf("activation %+v, want one per lease %v", a, want)
+		}
+		delete(want, a.id)
+	}
+	res := s.lookup(1)
+	for _, l := range w.HandBack.Leases {
+		if g := res.granted.get(l.LockID); g == nil || g.delegated {
+			t.Fatalf("lease %d not resolved: %+v", l.LockID, g)
+		}
+	}
+	if got := s.GrantedCount(1); got != 2 {
+		t.Fatalf("granted locks = %d, want the 2 leases", got)
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReaderRunBehindHandedOffWriter: a run of readers queued behind a
+// writer that was handed the lock is served by the two server paths,
+// not as a cohort: once the writer's lock settles, the head reader is
+// handed it as a single successor, and when the writer releases, the
+// rest of the run is granted in one batched fan run. Every reader's SN
+// is above the writer's.
+func TestReaderRunBehindHandedOffWriter(t *testing.T) {
+	n := &recNotifier{}
+	s := NewServer(fanPolicy(), n)
+	s.SetHandoffTimeout(time.Hour)
+	defer s.Shutdown()
+	rng := extent.New(0, 10)
+	mustLock(t, s, Request{Resource: 1, Client: 1, Mode: NBW, Range: rng})
+	w := mustLock(t, s, Request{Resource: 1, Client: 4, Mode: NBW, Range: rng})
+	if !w.Delegated {
+		t.Fatalf("second writer not handed the lock: %+v", w)
+	}
+	var readers []<-chan lockResult
+	for _, c := range []ClientID{2, 3, 5} {
+		readers = append(readers, lockAsync(t, s, context.Background(), Request{Resource: 1, Client: c, Mode: PR, Range: rng}))
+	}
+	s.HandoffAck(1, w.LockID) // the writer's lock settles, quiet
+
+	head := recv(t, readers[0])
+	if head.err != nil || !head.g.Delegated {
+		t.Fatalf("head reader not handed the lock: %+v", head)
+	}
+	if got := s.QueueLen(1); got != 2 {
+		t.Fatalf("queued readers = %d, want the 2 behind the head", got)
+	}
+	s.Release(1, w.LockID) // resolves the head's delegation, frees the rest
+	rest := []lockResult{recv(t, readers[1]), recv(t, readers[2])}
+	for _, r := range append(rest, head) {
+		if r.err != nil || r.g.SN <= w.SN {
+			t.Fatalf("reader %+v, want an SN above the writer's %d", r, w.SN)
+		}
+	}
+	for _, r := range rest {
+		if r.g.Delegated {
+			t.Fatalf("reader %+v delegated, want a server grant", r)
+		}
+	}
+	snap := s.Stats.Snapshot()
+	if snap.Handoffs != 2 || snap.FanRuns != 1 || snap.FanGrants != 2 || snap.Broadcasts != 0 || snap.LeaseGrants != 0 {
+		t.Fatalf("Handoffs %d FanRuns %d FanGrants %d Broadcasts %d LeaseGrants %d, want 2 1 2 0 0",
+			snap.Handoffs, snap.FanRuns, snap.FanGrants, snap.Broadcasts, snap.LeaseGrants)
+	}
+	waitFor(t, "head activation", func() bool { return len(n.activations()) == 1 })
+	if a := n.activations()[0]; a.client != 2 || a.id != head.g.LockID {
+		t.Fatalf("activation %+v, want the head reader's lock %d", a, head.g.LockID)
+	}
+	if got := s.GrantedCount(1); got != 3 {
+		t.Fatalf("granted locks = %d, want the 3 readers'", got)
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestReleaseByGatherMemberCountsDown: each cohort member that releases

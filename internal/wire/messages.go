@@ -391,10 +391,10 @@ type HandoffStamp struct {
 	Mode      uint8
 	SN        uint64
 	MustFlush bool
-	// Broadcast widens the delegation to a reader cohort: the holder
-	// transfers to the lead (NextOwner, also Leases[0].Owner) and the
-	// lead propagates the remaining leases peer-to-peer down a
-	// bounded-fanout tree. Nil for single-successor handoffs.
+	// Broadcast is always nil: no server stamp names a reader cohort
+	// (a cohort's leases travel in LockGrant.HandBack and
+	// HandoffRequest.Broadcast). It stays encoded so the message's
+	// bytes do not change.
 	Broadcast *BroadcastGrant
 }
 

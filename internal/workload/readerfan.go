@@ -32,9 +32,9 @@ type ReaderFanConfig struct {
 // ReaderFanStats extends Result with the rotation's lock accounting.
 type ReaderFanStats struct {
 	Result
-	// DLM is the windowed counter delta of the run: Broadcasts and
-	// Gathers say how many rounds the fan-out path carried, LeaseGrants
-	// how many read leases were installed without a reader lock RPC.
+	// DLM is the windowed counter delta of the run: Gathers says how
+	// many rounds the fan-out path carried, LeaseGrants how many read
+	// leases were installed without a reader lock RPC.
 	DLM dlm.Snapshot
 	// ServerRPCsPerReader is LockOps per reader-round — the headline
 	// economy: ≥1 on the server path, fractional once leases propagate
