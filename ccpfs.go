@@ -95,21 +95,14 @@ func DLMDatatype() Policy { return dlm.Datatype() }
 // functional use.
 func FastHardware() Hardware { return sim.Fast() }
 
-// TableIHardware returns the paper's Table I hardware scaled by factor
-// scale (1 = published parameters).
-func TableIHardware(scale float64) Hardware { return sim.TableI(scale) }
-
-// Workload re-exports: the generators behind the paper's evaluation.
+// IOR re-exports: the workload generator behind the paper's headline
+// figures.
 type (
 	// IORConfig parameterizes an IOR-like run (N-N, N-1 segmented,
 	// N-1 strided).
 	IORConfig = workload.IORConfig
 	// IORResult is the timing of a workload run.
 	IORResult = workload.Result
-	// TileConfig parameterizes the Tile-IO workload.
-	TileConfig = workload.TileConfig
-	// VPICConfig parameterizes the VPIC-IO particle workload.
-	VPICConfig = workload.VPICConfig
 )
 
 // Access patterns for IORConfig.
@@ -121,21 +114,3 @@ const (
 
 // RunIOR executes an IOR-like workload on the cluster.
 func RunIOR(c *Cluster, cfg IORConfig) (IORResult, error) { return workload.RunIOR(c, cfg) }
-
-// RunTileIO executes the Tile-IO workload on the cluster.
-func RunTileIO(c *Cluster, cfg TileConfig) (IORResult, error) { return workload.RunTileIO(c, cfg) }
-
-// RunVPIC executes the VPIC-IO workload on the cluster.
-func RunVPIC(c *Cluster, cfg VPICConfig) (IORResult, error) { return workload.RunVPIC(c, cfg) }
-
-// CheckpointConfig parameterizes a checkpoint/restart cycle.
-type CheckpointConfig = workload.CheckpointConfig
-
-// CheckpointResult reports the checkpoint phase timings.
-type CheckpointResult = workload.CheckpointResult
-
-// RunCheckpoint executes an N-1 checkpoint write, drain, and (optionally)
-// a restart read-back with a shifted rank mapping, verifying content.
-func RunCheckpoint(c *Cluster, cfg CheckpointConfig) (CheckpointResult, error) {
-	return workload.RunCheckpoint(c, cfg)
-}

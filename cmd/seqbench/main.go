@@ -23,6 +23,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
 	"strings"
 	"time"
 
@@ -35,7 +36,9 @@ type experiment struct {
 	run  func(ccpfs.Hardware) (*ccpfs.Experiment, error)
 }
 
-func suite() []experiment {
+// suite lists every experiment; readers and lockServers are the parsed
+// -readers and -lock-servers lists (nil keeps each default curve).
+func suite(readers, lockServers []int) []experiment {
 	return []experiment{
 		{"fig4", "IO pattern gap under a traditional DLM (motivation)", func(hw ccpfs.Hardware) (*ccpfs.Experiment, error) {
 			cfg := ccpfs.DefaultFig4()
@@ -110,8 +113,8 @@ func suite() []experiment {
 			cfg := ccpfs.DefaultReaderFan()
 			cfg.Hardware = hw
 			cfg.Virtual = virtualOpts()
-			if widths := readerCounts(); widths != nil {
-				cfg.Readers = widths
+			if readers != nil {
+				cfg.Readers = readers
 			}
 			return ccpfs.RunReaderFan(cfg)
 		}},
@@ -119,30 +122,30 @@ func suite() []experiment {
 			cfg := ccpfs.DefaultPartitionScale()
 			cfg.Hardware = hw
 			cfg.Virtual = virtualOpts()
-			if counts := lockServerCounts(); counts != nil {
-				cfg.Servers = counts
+			if lockServers != nil {
+				cfg.Servers = lockServers
 			}
 			return ccpfs.RunPartitionScale(cfg)
 		}},
 	}
 }
 
-// lockServerCounts parses the -lock-servers flag into the partition
-// experiment's server-count list; nil keeps the default curve.
-func lockServerCounts() []int {
-	if *lockServersFlag == "" {
-		return nil
+// parseCounts parses a comma-separated list of positive integers (the
+// -readers and -lock-servers flags); the empty string is nil, which keeps
+// the experiment's default curve.
+func parseCounts(s string) ([]int, error) {
+	if s == "" {
+		return nil, nil
 	}
 	var counts []int
-	for _, part := range strings.Split(*lockServersFlag, ",") {
-		var n int
-		if _, err := fmt.Sscanf(strings.TrimSpace(part), "%d", &n); err != nil || n < 1 {
-			fmt.Fprintf(os.Stderr, "bad -lock-servers element %q\n", part)
-			os.Exit(1)
+	for _, part := range strings.Split(s, ",") {
+		n, err := strconv.Atoi(strings.TrimSpace(part))
+		if err != nil || n < 1 {
+			return nil, fmt.Errorf("bad element %q: want a positive integer", part)
 		}
 		counts = append(counts, n)
 	}
-	return counts
+	return counts, nil
 }
 
 var lockServersFlag = flag.String("lock-servers", "",
@@ -161,24 +164,6 @@ func virtualOpts() ccpfs.VirtualOpts {
 	return ccpfs.VirtualOpts{Enabled: *virtualFlag, Seed: *seedFlag}
 }
 
-// readerCounts parses -readers into the readfan experiment's width
-// list; nil keeps the default curve.
-func readerCounts() []int {
-	if *readersFlag == "" {
-		return nil
-	}
-	var widths []int
-	for _, part := range strings.Split(*readersFlag, ",") {
-		var n int
-		if _, err := fmt.Sscanf(strings.TrimSpace(part), "%d", &n); err != nil || n < 1 {
-			fmt.Fprintf(os.Stderr, "bad -readers element %q\n", part)
-			os.Exit(1)
-		}
-		widths = append(widths, n)
-	}
-	return widths
-}
-
 func main() {
 	expFlag := flag.String("exp", "", "run a single experiment (see -list)")
 	list := flag.Bool("list", false, "list experiment IDs and exit")
@@ -186,7 +171,17 @@ func main() {
 	csv := flag.Bool("csv", false, "emit CSV rows instead of tables")
 	flag.Parse()
 
-	exps := suite()
+	readers, err := parseCounts(*readersFlag)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "-readers: %v\n", err)
+		os.Exit(1)
+	}
+	lockServers, err := parseCounts(*lockServersFlag)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "-lock-servers: %v\n", err)
+		os.Exit(1)
+	}
+	exps := suite(readers, lockServers)
 	if *list {
 		for _, e := range exps {
 			fmt.Printf("%-8s %s\n", e.id, e.desc)

@@ -275,7 +275,7 @@ func RunFig5(cfg Fig5Config) (*Experiment, error) {
 func RunModel() *Experiment {
 	exp := &Experiment{ID: "TableI", Title: "Analytic model of lock conflict resolution (§II-C)"}
 	tb := newTable("D", "term ① (s/B)", "term ② (s/B)", "term ③ (s/B)", "bottleneck", "B_total", "w/o flush", "w/o flush+revoke")
-	for _, d := range []float64{64e3, 256e3, 1e6} {
+	for _, d := range []float64{64 << 10, 256 << 10, 1 << 20} {
 		p := analysis.TableI(16, d)
 		t1, t2, t3 := p.Terms()
 		tb.Row(size(int64(d)),

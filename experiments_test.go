@@ -399,3 +399,28 @@ func TestExperimentCSV(t *testing.T) {
 		t.Fatalf("row = %q", lines[1])
 	}
 }
+
+// TestModelTableI: the §II-C model at Table I parameters, one row per
+// write size D. D is labelled on the binary scale the figures use, data
+// flushing is the bottleneck at every D, and B_total rises with D.
+func TestModelTableI(t *testing.T) {
+	exp := RunModel()
+	if len(exp.Rows) != 3 {
+		t.Fatalf("model has %d rows, want 3:\n%s", len(exp.Rows), exp.Text)
+	}
+	lines := strings.Split(strings.TrimRight(exp.Text, "\n"), "\n")
+	dataLines := lines[len(lines)-len(exp.Rows):]
+	for i, want := range []string{"64KB", "256KB", "1024KB"} {
+		if got := strings.Fields(dataLines[i])[0]; got != want {
+			t.Errorf("row %d: D reads %q, want %q:\n%s", i, got, want, exp.Text)
+		}
+		row := exp.Rows[i]
+		if row.Variant != "data flushing" {
+			t.Errorf("D=%s: bottleneck %q, want data flushing", want, row.Variant)
+		}
+		if i > 0 && row.Bandwidth <= exp.Rows[i-1].Bandwidth {
+			t.Errorf("B_total falls from %.3g to %.3g B/s as D grows to %s",
+				exp.Rows[i-1].Bandwidth, row.Bandwidth, want)
+		}
+	}
+}

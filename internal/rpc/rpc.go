@@ -194,10 +194,6 @@ func (ep *Endpoint) Start() {
 // Close tears down the connection; in-flight calls fail with ErrClosed.
 func (ep *Endpoint) Close() error { return ep.conn.Close() }
 
-// Context returns the endpoint's lifecycle context, canceled when the
-// connection tears down.
-func (ep *Endpoint) Context() context.Context { return ep.baseCtx }
-
 // Pending returns the number of registered in-flight outbound calls
 // (tests and introspection: a canceled call must not leave an entry).
 func (ep *Endpoint) Pending() int {

@@ -20,7 +20,8 @@
 //     data servers, does exactly this: the larger SN wins every byte) so
 //     out-of-order write-back stays correct under early grant.
 //
-// See examples/customdlm for a complete system built this way.
+// TestEmbedSeqDLMAsCoherentCacheLayer in seqdlm_test.go builds a small
+// coherent key-value cache this way.
 package seqdlm
 
 import (
