@@ -4,8 +4,8 @@
 # value of a fixed-rep-count run (bench --seconds 0), then every
 # per-layer metric of a fixed-rep-count traced run (bench --trace 1
 # --seconds 0) but the host-dependent ones, then the three seeded
-# virtual-clock seqbench tables and the 64/256/1024-reader readfan
-# sweep. Every value here is simulated or
+# seqbench tables, the 64/256/1024-reader readfan sweep and the full
+# default seqbench suite at seed 1. Every value here is simulated or
 # counted, so it is exact per seed: a change that moves one moves this
 # output. Host metrics are left out (the untraced run's host_* and
 # setup_s; the traced run's *.drive.*, phase.*, setup.*, teardown.ms,
@@ -45,8 +45,10 @@ for seed in 1 2; do
   done
 done
 for exp in pingpong readfan partition; do
-  echo "== seqbench -exp $exp -virtual -seed 42"
-  "$tmp/seqbench" -exp "$exp" -virtual -seed 42 | sed 's/, [0-9.]*s)/)/'
+  echo "== seqbench -exp $exp -seed 42"
+  "$tmp/seqbench" -exp "$exp" -seed 42 | sed 's/, [0-9.]*s)/)/'
 done
-echo "== seqbench -exp readfan -virtual -seed 1 -readers 64,256,1024"
-"$tmp/seqbench" -exp readfan -virtual -seed 1 -readers 64,256,1024 | sed 's/, [0-9.]*s)/)/'
+echo "== seqbench -exp readfan -seed 1 -readers 64,256,1024"
+"$tmp/seqbench" -exp readfan -seed 1 -readers 64,256,1024 | sed 's/, [0-9.]*s)/)/'
+echo "== seqbench -seed 1"
+"$tmp/seqbench" -seed 1 | sed 's/, [0-9.]*s)/)/'

@@ -6,8 +6,11 @@
 //	seqbench                 # run every experiment at the default scale
 //	seqbench -exp fig20      # run one experiment
 //	seqbench -list           # list experiment IDs
-//	seqbench -scale 2        # halve simulated device speeds (slower,
-//	                         # sharper contention shapes)
+//
+// Every point runs on a seeded virtual clock, so every table is the same
+// on any host and in any run; only the wall time in each header varies.
+// -seed seeds the pingpong, readfan and partition experiments; the
+// paper's experiments run at one fixed seed.
 //
 // Experiment IDs: fig4, fig5, model, fig17, fig18, fig19a, fig19b,
 // table3, fig20, fig21, fig23, fig24, ablation (fig22 and fig25 are the
@@ -33,95 +36,42 @@ import (
 type experiment struct {
 	id   string
 	desc string
-	run  func(ccpfs.Hardware) (*ccpfs.Experiment, error)
+	run  func() (*ccpfs.Experiment, error)
 }
 
 // suite lists every experiment; readers and lockServers are the parsed
 // -readers and -lock-servers lists (nil keeps each default curve).
 func suite(readers, lockServers []int) []experiment {
 	return []experiment{
-		{"fig4", "IO pattern gap under a traditional DLM (motivation)", func(hw ccpfs.Hardware) (*ccpfs.Experiment, error) {
-			cfg := ccpfs.DefaultFig4()
-			cfg.Hardware = hw
-			return ccpfs.RunFig4(cfg)
-		}},
-		{"fig5", "bandwidth vs data flushing cost (motivation)", func(hw ccpfs.Hardware) (*ccpfs.Experiment, error) {
-			cfg := ccpfs.DefaultFig5()
-			cfg.Hardware = hw
-			return ccpfs.RunFig5(cfg)
-		}},
-		{"model", "analytic bottleneck model, Table I / Eq. (1)-(2)", func(ccpfs.Hardware) (*ccpfs.Experiment, error) {
-			return ccpfs.RunModel(), nil
-		}},
-		{"fig17", "sequential conflicting writes: time breakdown", func(hw ccpfs.Hardware) (*ccpfs.Experiment, error) {
-			cfg := ccpfs.DefaultFig17()
-			cfg.Hardware = hw
-			return ccpfs.RunFig17(cfg)
-		}},
-		{"fig18", "parallel throughput ± early revocation + lock ratio", func(hw ccpfs.Hardware) (*ccpfs.Experiment, error) {
-			cfg := ccpfs.DefaultFig18()
-			cfg.Hardware = hw
-			return ccpfs.RunFig18(cfg)
-		}},
-		{"fig19a", "lock upgrading: interleaved reads/writes", func(hw ccpfs.Hardware) (*ccpfs.Experiment, error) {
-			cfg := ccpfs.DefaultFig19a()
-			cfg.Hardware = hw
-			return ccpfs.RunFig19a(cfg)
-		}},
-		{"fig19b", "lock downgrading: two-stripe spanning writes", func(hw ccpfs.Hardware) (*ccpfs.Experiment, error) {
-			cfg := ccpfs.DefaultFig19b()
-			cfg.Hardware = hw
-			return ccpfs.RunFig19b(cfg)
-		}},
-		{"table3", "IOR N-1 segmented, low contention", func(hw ccpfs.Hardware) (*ccpfs.Experiment, error) {
-			cfg := ccpfs.DefaultFig20()
-			cfg.Hardware = hw
-			return ccpfs.RunTable3(cfg)
-		}},
-		{"fig20", "IOR N-1 strided on one stripe (+ fig20b PIO split)", func(hw ccpfs.Hardware) (*ccpfs.Experiment, error) {
-			cfg := ccpfs.DefaultFig20()
-			cfg.Hardware = hw
-			return ccpfs.RunFig20(cfg)
-		}},
-		{"fig21", "N-1 strided on 4/8 stripes (+ fig22 times)", func(hw ccpfs.Hardware) (*ccpfs.Experiment, error) {
-			cfg := ccpfs.DefaultFig21()
-			cfg.Hardware = hw
-			return ccpfs.RunFig21(cfg)
-		}},
-		{"fig23", "Tile-IO: SeqDLM vs DLM-datatype", func(hw ccpfs.Hardware) (*ccpfs.Experiment, error) {
-			cfg := ccpfs.DefaultFig23()
-			cfg.Hardware = hw
-			return ccpfs.RunFig23(cfg)
-		}},
-		{"fig24", "VPIC-IO: ccPFS-SeqDLM vs ccPFS-Lustre (+ fig25 times)", func(hw ccpfs.Hardware) (*ccpfs.Experiment, error) {
-			cfg := ccpfs.DefaultFig24()
-			cfg.Hardware = hw
-			return ccpfs.RunFig24(cfg)
-		}},
-		{"ablation", "SeqDLM mechanisms disabled one at a time", func(hw ccpfs.Hardware) (*ccpfs.Experiment, error) {
-			cfg := ccpfs.DefaultAblation()
-			cfg.Hardware = hw
-			return ccpfs.RunAblation(cfg)
-		}},
-		{"pingpong", "producer-consumer exchanges: server revoke path vs handoff", func(hw ccpfs.Hardware) (*ccpfs.Experiment, error) {
+		{"fig4", "IO pattern gap under a traditional DLM (motivation)", func() (*ccpfs.Experiment, error) { return ccpfs.RunFig4(ccpfs.DefaultFig4()) }},
+		{"fig5", "bandwidth vs data flushing cost (motivation)", func() (*ccpfs.Experiment, error) { return ccpfs.RunFig5(ccpfs.DefaultFig5()) }},
+		{"model", "analytic bottleneck model, Table I / Eq. (1)-(2)", func() (*ccpfs.Experiment, error) { return ccpfs.RunModel(), nil }},
+		{"fig17", "sequential conflicting writes: time breakdown", func() (*ccpfs.Experiment, error) { return ccpfs.RunFig17(ccpfs.DefaultFig17()) }},
+		{"fig18", "parallel throughput ± early revocation + lock ratio", func() (*ccpfs.Experiment, error) { return ccpfs.RunFig18(ccpfs.DefaultFig18()) }},
+		{"fig19a", "lock upgrading: interleaved reads/writes", func() (*ccpfs.Experiment, error) { return ccpfs.RunFig19a(ccpfs.DefaultFig19a()) }},
+		{"fig19b", "lock downgrading: two-stripe spanning writes", func() (*ccpfs.Experiment, error) { return ccpfs.RunFig19b(ccpfs.DefaultFig19b()) }},
+		{"table3", "IOR N-1 segmented, low contention", func() (*ccpfs.Experiment, error) { return ccpfs.RunTable3(ccpfs.DefaultFig20()) }},
+		{"fig20", "IOR N-1 strided on one stripe (+ fig20b PIO split)", func() (*ccpfs.Experiment, error) { return ccpfs.RunFig20(ccpfs.DefaultFig20()) }},
+		{"fig21", "N-1 strided on 4/8 stripes (+ fig22 times)", func() (*ccpfs.Experiment, error) { return ccpfs.RunFig21(ccpfs.DefaultFig21()) }},
+		{"fig23", "Tile-IO: SeqDLM vs DLM-datatype", func() (*ccpfs.Experiment, error) { return ccpfs.RunFig23(ccpfs.DefaultFig23()) }},
+		{"fig24", "VPIC-IO: ccPFS-SeqDLM vs ccPFS-Lustre (+ fig25 times)", func() (*ccpfs.Experiment, error) { return ccpfs.RunFig24(ccpfs.DefaultFig24()) }},
+		{"ablation", "SeqDLM mechanisms disabled one at a time", func() (*ccpfs.Experiment, error) { return ccpfs.RunAblation(ccpfs.DefaultAblation()) }},
+		{"pingpong", "producer-consumer exchanges: server revoke path vs handoff", func() (*ccpfs.Experiment, error) {
 			cfg := ccpfs.DefaultPingPong()
-			cfg.Hardware = hw
-			cfg.Virtual = virtualOpts()
+			cfg.Seed = *seedFlag
 			return ccpfs.RunPingPong(cfg)
 		}},
-		{"readfan", "write-then-fan-out rotation: server grants vs batched fan-out + lease propagation", func(hw ccpfs.Hardware) (*ccpfs.Experiment, error) {
+		{"readfan", "write-then-fan-out rotation: server grants vs batched fan-out + lease propagation", func() (*ccpfs.Experiment, error) {
 			cfg := ccpfs.DefaultReaderFan()
-			cfg.Hardware = hw
-			cfg.Virtual = virtualOpts()
+			cfg.Seed = *seedFlag
 			if readers != nil {
 				cfg.Readers = readers
 			}
 			return ccpfs.RunReaderFan(cfg)
 		}},
-		{"partition", "lock-space partitioning: grant throughput vs lock servers", func(hw ccpfs.Hardware) (*ccpfs.Experiment, error) {
+		{"partition", "lock-space partitioning: grant throughput vs lock servers", func() (*ccpfs.Experiment, error) {
 			cfg := ccpfs.DefaultPartitionScale()
-			cfg.Hardware = hw
-			cfg.Virtual = virtualOpts()
+			cfg.Seed = *seedFlag
 			if lockServers != nil {
 				cfg.Servers = lockServers
 			}
@@ -154,20 +104,12 @@ var lockServersFlag = flag.String("lock-servers", "",
 var readersFlag = flag.String("readers", "",
 	"comma-separated fan-out widths for the readfan experiment (e.g. 64,256,1024; default 2,4,8)")
 
-var virtualFlag = flag.Bool("virtual", false,
-	"run supporting experiments (pingpong, readfan, partition) in deterministic discrete-event mode: simulated delays advance virtual time instead of sleeping, so large client counts finish in seconds and the same -seed reproduces the numbers exactly")
-
-var seedFlag = flag.Int64("seed", 1, "virtual-mode random seed (with -virtual)")
-
-// virtualOpts folds the -virtual/-seed flags into experiment configs.
-func virtualOpts() ccpfs.VirtualOpts {
-	return ccpfs.VirtualOpts{Enabled: *virtualFlag, Seed: *seedFlag}
-}
+var seedFlag = flag.Int64("seed", 1,
+	"virtual-clock seed of the pingpong, readfan and partition experiments (the paper's experiments run at a fixed seed)")
 
 func main() {
 	expFlag := flag.String("exp", "", "run a single experiment (see -list)")
 	list := flag.Bool("list", false, "list experiment IDs and exit")
-	scale := flag.Float64("scale", 1, "slow simulated devices by this factor")
 	csv := flag.Bool("csv", false, "emit CSV rows instead of tables")
 	flag.Parse()
 
@@ -189,14 +131,6 @@ func main() {
 		return
 	}
 
-	hw := ccpfs.BenchHardware()
-	if *scale > 0 && *scale != 1 {
-		hw.RTT = time.Duration(float64(hw.RTT) * *scale)
-		hw.NetBandwidth /= *scale
-		hw.DiskBandwidth /= *scale
-		hw.ServerOPS /= *scale
-	}
-
 	ran := 0
 	for _, e := range exps {
 		if *expFlag != "" && !strings.EqualFold(*expFlag, e.id) {
@@ -204,7 +138,7 @@ func main() {
 		}
 		ran++
 		start := time.Now()
-		exp, err := e.run(hw)
+		exp, err := e.run()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", e.id, err)
 			os.Exit(1)

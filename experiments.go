@@ -19,7 +19,9 @@ import (
 // *shape*: which DLM wins, by roughly what factor, and how the gap moves
 // with write size and stripe count. Paper-scale parameters are recorded
 // in the comments; the default configs are scaled down so the whole
-// suite runs in minutes on one machine.
+// suite runs in seconds on one machine. Every point runs on its own
+// seeded virtual clock (simulate), so every figure is a function of its
+// configuration and seed alone, the same on any host.
 
 // Row is one data point of an experiment.
 type Row struct {
@@ -88,38 +90,30 @@ func BenchHardware() Hardware {
 	}
 }
 
-// VirtualOpts selects discrete-event mode for the experiments that
-// support it (pingpong, readfan, partition). Each measured point then
-// runs inside its own seeded virtual clock: simulated delays advance
-// logical time instead of sleeping, so hundreds of clients finish in
-// seconds of wall time, and the same seed reproduces the run — timings,
-// SNs, stats — byte for byte.
-type VirtualOpts struct {
-	Enabled bool
-	Seed    int64
-}
+// paperSeed seeds the virtual clock of every point of the paper's
+// experiments (Fig. 4 to Fig. 24 and the ablation).
+const paperSeed = 1
 
-// runPoint executes one measured point (cluster build + workload +
-// teardown) on the wall clock, or inside a fresh virtual run seeded
-// with vo.Seed. A fresh clock per point keeps points independent:
+// simulate runs one measured point: it builds a cluster from opts under
+// a fresh virtual clock seeded with seed, runs f on it and closes it.
+// Simulated delays advance virtual time instead of sleeping, and the
+// seed fixes the order of simultaneous events, so a point reproduces
+// byte for byte. A fresh clock per point keeps points independent:
 // variant A's event order can never leak into variant B's timeline.
-func runPoint(vo VirtualOpts, hw Hardware, f func(hw Hardware) error) error {
-	if !vo.Enabled {
-		return f(hw)
-	}
-	v := sim.NewVClock(vo.Seed)
-	hw.Clock = sim.Virtual(v)
+func simulate[T any](seed int64, opts cluster.Options, f func(*Cluster) (T, error)) (T, error) {
+	v := sim.NewVClock(seed)
+	opts.Hardware.Clock = sim.Virtual(v)
+	var out T
 	var err error
-	v.Run(func() { err = f(hw) })
-	return err
-}
-
-func newCluster(pol Policy, hw Hardware, servers int) (*Cluster, error) {
-	return cluster.New(cluster.Options{
-		Servers:  servers,
-		Policy:   pol,
-		Hardware: hw,
+	v.Run(func() {
+		var c *Cluster
+		if c, err = cluster.New(opts); err != nil {
+			return
+		}
+		out, err = f(c)
+		c.Close()
 	})
+	return out, err
 }
 
 func serversFor(stripes uint32) int {
@@ -163,19 +157,17 @@ func RunFig4(cfg Fig4Config) (*Experiment, error) {
 	tb := newTable("pattern", "write size", "bandwidth (PIO)")
 	for _, pat := range []workload.Pattern{workload.NN, workload.N1Segmented, workload.N1Strided} {
 		for _, ws := range cfg.WriteSizes {
-			c, err := newCluster(dlm.Basic(), cfg.Hardware, 1)
-			if err != nil {
-				return nil, err
-			}
-			res, err := workload.RunIOR(c, workload.IORConfig{
-				Pattern:         pat,
-				Clients:         cfg.Clients,
-				WriteSize:       ws,
-				WritesPerClient: int(cfg.BytesPerClient / ws),
-				StripeSize:      1 << 20,
-				StripeCount:     1,
-			})
-			c.Close()
+			res, err := simulate(paperSeed, cluster.Options{Servers: 1, Policy: dlm.Basic(), Hardware: cfg.Hardware},
+				func(c *Cluster) (workload.Result, error) {
+					return workload.RunIOR(c, workload.IORConfig{
+						Pattern:         pat,
+						Clients:         cfg.Clients,
+						WriteSize:       ws,
+						WritesPerClient: int(cfg.BytesPerClient / ws),
+						StripeSize:      1 << 20,
+						StripeCount:     1,
+					})
+				})
 			if err != nil {
 				return nil, err
 			}
@@ -239,19 +231,17 @@ func RunFig5(cfg Fig5Config) (*Experiment, error) {
 		}},
 	}
 	for _, v := range variants {
-		c, err := newCluster(dlm.Basic(), v.mod(cfg.Hardware), 1)
-		if err != nil {
-			return nil, err
-		}
-		res, err := workload.RunIOR(c, workload.IORConfig{
-			Pattern:         workload.N1Strided,
-			Clients:         cfg.Clients,
-			WriteSize:       cfg.WriteSize,
-			WritesPerClient: int(cfg.BytesPerClient / cfg.WriteSize),
-			StripeSize:      1 << 20,
-			StripeCount:     1,
-		})
-		c.Close()
+		res, err := simulate(paperSeed, cluster.Options{Servers: 1, Policy: dlm.Basic(), Hardware: v.mod(cfg.Hardware)},
+			func(c *Cluster) (workload.Result, error) {
+				return workload.RunIOR(c, workload.IORConfig{
+					Pattern:         workload.N1Strided,
+					Clients:         cfg.Clients,
+					WriteSize:       cfg.WriteSize,
+					WritesPerClient: int(cfg.BytesPerClient / cfg.WriteSize),
+					StripeSize:      1 << 20,
+					StripeCount:     1,
+				})
+			})
 		if err != nil {
 			return nil, err
 		}
@@ -324,19 +314,18 @@ func RunFig17(cfg Fig17Config) (*Experiment, error) {
 	tb := newTable("mode", "write size", "total", "① revocation", "② cancel", "③ other", "resolution share")
 	for _, mode := range []Mode{PW, NBW} {
 		for _, ws := range cfg.WriteSizes {
-			c, err := newCluster(dlm.SeqDLM(), cfg.Hardware, 1)
-			if err != nil {
-				return nil, err
-			}
-			_, bd, err := workload.RunSequential(c, workload.SequentialConfig{
-				Clients:     cfg.Clients,
-				Writes:      cfg.TotalWrites,
-				WriteSize:   ws,
-				StripeSize:  1 << 20,
-				StripeCount: 1,
-				Mode:        mode,
-			})
-			c.Close()
+			bd, err := simulate(paperSeed, cluster.Options{Servers: 1, Policy: dlm.SeqDLM(), Hardware: cfg.Hardware},
+				func(c *Cluster) (workload.Breakdown, error) {
+					_, bd, err := workload.RunSequential(c, workload.SequentialConfig{
+						Clients:     cfg.Clients,
+						Writes:      cfg.TotalWrites,
+						WriteSize:   ws,
+						StripeSize:  1 << 20,
+						StripeCount: 1,
+						Mode:        mode,
+					})
+					return bd, err
+				})
 			if err != nil {
 				return nil, err
 			}
@@ -403,19 +392,17 @@ func RunFig18(cfg Fig18Config) (*Experiment, error) {
 		for _, ws := range cfg.WriteSizes {
 			pol := dlm.SeqDLM()
 			pol.EarlyRevocation = v.er
-			c, err := newCluster(pol, cfg.Hardware, 1)
-			if err != nil {
-				return nil, err
-			}
-			st, err := workload.RunParallel(c, workload.ParallelConfig{
-				Clients:         cfg.Clients,
-				WritesPerClient: cfg.WritesPerClient,
-				WriteSize:       ws,
-				StripeSize:      1 << 20,
-				StripeCount:     1,
-				Mode:            v.mode,
-			})
-			c.Close()
+			st, err := simulate(paperSeed, cluster.Options{Servers: 1, Policy: pol, Hardware: cfg.Hardware},
+				func(c *Cluster) (workload.ParallelStats, error) {
+					return workload.RunParallel(c, workload.ParallelConfig{
+						Clients:         cfg.Clients,
+						WritesPerClient: cfg.WritesPerClient,
+						WriteSize:       ws,
+						StripeSize:      1 << 20,
+						StripeCount:     1,
+						Mode:            v.mode,
+					})
+				})
 			if err != nil {
 				return nil, err
 			}
@@ -468,17 +455,15 @@ func RunFig19a(cfg Fig19aConfig) (*Experiment, error) {
 	for _, v := range variants {
 		pol := dlm.SeqDLM()
 		pol.Conversion = v.conv
-		c, err := newCluster(pol, cfg.Hardware, 1)
-		if err != nil {
-			return nil, err
-		}
-		res, err := workload.RunMixed(c, workload.MixedConfig{
-			Ops:        cfg.Ops,
-			Size:       cfg.Size,
-			StripeSize: 1 << 20,
-			WriteMode:  v.mode,
-		})
-		c.Close()
+		res, err := simulate(paperSeed, cluster.Options{Servers: 1, Policy: pol, Hardware: cfg.Hardware},
+			func(c *Cluster) (workload.Result, error) {
+				return workload.RunMixed(c, workload.MixedConfig{
+					Ops:        cfg.Ops,
+					Size:       cfg.Size,
+					StripeSize: 1 << 20,
+					WriteMode:  v.mode,
+				})
+			})
 		if err != nil {
 			return nil, err
 		}
@@ -529,18 +514,16 @@ func RunFig19b(cfg Fig19bConfig) (*Experiment, error) {
 		for _, ws := range cfg.WriteSizes {
 			pol := dlm.SeqDLM()
 			pol.Conversion = v.conv
-			c, err := newCluster(pol, cfg.Hardware, 2)
-			if err != nil {
-				return nil, err
-			}
-			res, err := workload.RunSpan(c, workload.SpanConfig{
-				Clients:         cfg.Clients,
-				WritesPerClient: cfg.WritesPerClient,
-				WriteSize:       ws,
-				StripeSize:      1 << 20,
-				Mode:            v.mode,
-			})
-			c.Close()
+			res, err := simulate(paperSeed, cluster.Options{Servers: 2, Policy: pol, Hardware: cfg.Hardware},
+				func(c *Cluster) (workload.Result, error) {
+					return workload.RunSpan(c, workload.SpanConfig{
+						Clients:         cfg.Clients,
+						WritesPerClient: cfg.WritesPerClient,
+						WriteSize:       ws,
+						StripeSize:      1 << 20,
+						Mode:            v.mode,
+					})
+				})
 			if err != nil {
 				return nil, err
 			}
@@ -600,23 +583,21 @@ func threeDLMs() []namedPolicy {
 func RunTable3(cfg Fig20Config) (*Experiment, error) {
 	exp := &Experiment{ID: "Table3", Title: "IOR N-1 segmented, 1 stripe, 64 KB writes"}
 	tb := newTable("DLM", "bandwidth (PIO)", "total IO time")
+	ws := int64(64 << 10)
 	for _, np := range threeDLMs() {
-		c, err := newCluster(np.pol, cfg.Hardware, 1)
-		if err != nil {
-			return nil, err
-		}
-		ws := int64(64 << 10)
 		// Low contention needs enough volume per client to amortize the
 		// initial lock redistribution (the paper writes 2 GB/client).
-		res, err := workload.RunIOR(c, workload.IORConfig{
-			Pattern:         workload.N1Segmented,
-			Clients:         cfg.Clients,
-			WriteSize:       ws,
-			WritesPerClient: int(4 * cfg.BytesPerClient / ws),
-			StripeSize:      1 << 20,
-			StripeCount:     1,
-		})
-		c.Close()
+		res, err := simulate(paperSeed, cluster.Options{Servers: 1, Policy: np.pol, Hardware: cfg.Hardware},
+			func(c *Cluster) (workload.Result, error) {
+				return workload.RunIOR(c, workload.IORConfig{
+					Pattern:         workload.N1Segmented,
+					Clients:         cfg.Clients,
+					WriteSize:       ws,
+					WritesPerClient: int(4 * cfg.BytesPerClient / ws),
+					StripeSize:      1 << 20,
+					StripeCount:     1,
+				})
+			})
 		if err != nil {
 			return nil, err
 		}
@@ -650,19 +631,17 @@ func RunFig20(cfg Fig20Config) (*Experiment, error) {
 	}
 	for _, v := range variants {
 		for _, ws := range cfg.WriteSizes {
-			c, err := newCluster(v.pol, cfg.Hardware, 1)
-			if err != nil {
-				return nil, err
-			}
-			res, err := workload.RunIOR(c, workload.IORConfig{
-				Pattern:         v.pattern,
-				Clients:         cfg.Clients,
-				WriteSize:       ws,
-				WritesPerClient: int(cfg.BytesPerClient / ws),
-				StripeSize:      1 << 20,
-				StripeCount:     1,
-			})
-			c.Close()
+			res, err := simulate(paperSeed, cluster.Options{Servers: 1, Policy: v.pol, Hardware: cfg.Hardware},
+				func(c *Cluster) (workload.Result, error) {
+					return workload.RunIOR(c, workload.IORConfig{
+						Pattern:         v.pattern,
+						Clients:         cfg.Clients,
+						WriteSize:       ws,
+						WritesPerClient: int(cfg.BytesPerClient / ws),
+						StripeSize:      1 << 20,
+						StripeCount:     1,
+					})
+				})
 			if err != nil {
 				return nil, err
 			}
@@ -721,19 +700,17 @@ func RunFig21(cfg Fig21Config) (*Experiment, error) {
 	for _, stripes := range cfg.StripeCounts {
 		for _, np := range threeDLMs() {
 			for _, ws := range cfg.WriteSizes {
-				c, err := newCluster(np.pol, cfg.Hardware, serversFor(stripes))
-				if err != nil {
-					return nil, err
-				}
-				res, err := workload.RunIOR(c, workload.IORConfig{
-					Pattern:         workload.N1Strided,
-					Clients:         cfg.Clients,
-					WriteSize:       ws,
-					WritesPerClient: cfg.WritesPerClient,
-					StripeSize:      1 << 20,
-					StripeCount:     stripes,
-				})
-				c.Close()
+				res, err := simulate(paperSeed, cluster.Options{Servers: serversFor(stripes), Policy: np.pol, Hardware: cfg.Hardware},
+					func(c *Cluster) (workload.Result, error) {
+						return workload.RunIOR(c, workload.IORConfig{
+							Pattern:         workload.N1Strided,
+							Clients:         cfg.Clients,
+							WriteSize:       ws,
+							WritesPerClient: cfg.WritesPerClient,
+							StripeSize:      1 << 20,
+							StripeCount:     stripes,
+						})
+					})
 				if err != nil {
 					return nil, err
 				}
@@ -789,20 +766,18 @@ func RunFig23(cfg Fig23Config) (*Experiment, error) {
 	}
 	for _, stripes := range cfg.StripeCounts {
 		for _, np := range pols {
-			c, err := newCluster(np.pol, cfg.Hardware, serversFor(stripes))
-			if err != nil {
-				return nil, err
-			}
-			res, err := workload.RunTileIO(c, workload.TileConfig{
-				TilesX:      cfg.TilesX,
-				TilesY:      cfg.TilesY,
-				TileDim:     cfg.TileDim,
-				OverlapPx:   cfg.OverlapPx,
-				ElementSize: 4,
-				StripeSize:  64 << 10,
-				StripeCount: stripes,
-			})
-			c.Close()
+			res, err := simulate(paperSeed, cluster.Options{Servers: serversFor(stripes), Policy: np.pol, Hardware: cfg.Hardware},
+				func(c *Cluster) (workload.Result, error) {
+					return workload.RunTileIO(c, workload.TileConfig{
+						TilesX:      cfg.TilesX,
+						TilesY:      cfg.TilesY,
+						TileDim:     cfg.TileDim,
+						OverlapPx:   cfg.OverlapPx,
+						ElementSize: 4,
+						StripeSize:  64 << 10,
+						StripeCount: stripes,
+					})
+				})
 			if err != nil {
 				return nil, err
 			}
@@ -863,21 +838,19 @@ func RunFig24(cfg Fig24Config) (*Experiment, error) {
 		ws := int64(particles) * 4
 		for _, stripes := range cfg.StripeCounts {
 			for _, np := range pols {
-				c, err := newCluster(np.pol, cfg.Hardware, serversFor(stripes))
-				if err != nil {
-					return nil, err
-				}
-				res, err := workload.RunVPIC(c, workload.VPICConfig{
-					ClientNodes:      cfg.ClientNodes,
-					ProcsPerNode:     cfg.ProcsPerNode,
-					ParticlesPerIter: particles,
-					Iterations:       cfg.Iterations,
-					Variables:        8,
-					ElementSize:      4,
-					StripeSize:       1 << 20,
-					StripeCount:      stripes,
-				})
-				c.Close()
+				res, err := simulate(paperSeed, cluster.Options{Servers: serversFor(stripes), Policy: np.pol, Hardware: cfg.Hardware},
+					func(c *Cluster) (workload.Result, error) {
+						return workload.RunVPIC(c, workload.VPICConfig{
+							ClientNodes:      cfg.ClientNodes,
+							ProcsPerNode:     cfg.ProcsPerNode,
+							ParticlesPerIter: particles,
+							Iterations:       cfg.Iterations,
+							Variables:        8,
+							ElementSize:      4,
+							StripeSize:       1 << 20,
+							StripeCount:      stripes,
+						})
+					})
 				if err != nil {
 					return nil, err
 				}
@@ -938,20 +911,20 @@ func RunAblation(cfg AblationConfig) (*Experiment, error) {
 		{"DLM-basic (floor)", dlm.Basic()},
 	}
 	for _, v := range variants {
-		c, err := newCluster(v.pol, cfg.Hardware, 1)
-		if err != nil {
-			return nil, err
-		}
-		res, err := workload.RunIOR(c, workload.IORConfig{
-			Pattern:         workload.N1Strided,
-			Clients:         cfg.Clients,
-			WriteSize:       cfg.WriteSize,
-			WritesPerClient: cfg.WritesPerClient,
-			StripeSize:      1 << 20,
-			StripeCount:     1,
-		})
-		st := c.DLMStats()
-		c.Close()
+		var st dlm.Snapshot
+		res, err := simulate(paperSeed, cluster.Options{Servers: 1, Policy: v.pol, Hardware: cfg.Hardware},
+			func(c *Cluster) (workload.Result, error) {
+				res, err := workload.RunIOR(c, workload.IORConfig{
+					Pattern:         workload.N1Strided,
+					Clients:         cfg.Clients,
+					WriteSize:       cfg.WriteSize,
+					WritesPerClient: cfg.WritesPerClient,
+					StripeSize:      1 << 20,
+					StripeCount:     1,
+				})
+				st = c.DLMStats()
+				return res, err
+			})
 		if err != nil {
 			return nil, err
 		}
@@ -984,8 +957,8 @@ type PingPongExpConfig struct {
 	Exchanges   int
 	WriteSize   int64
 	StripeCount uint32
-	// Virtual runs each variant in discrete-event mode.
-	Virtual VirtualOpts
+	// Seed seeds each variant's virtual clock.
+	Seed int64
 }
 
 // DefaultPingPong returns the scaled-down configuration.
@@ -995,6 +968,7 @@ func DefaultPingPong() PingPongExpConfig {
 		Exchanges:   64,
 		WriteSize:   64 << 10,
 		StripeCount: 2,
+		Seed:        1,
 	}
 }
 
@@ -1010,26 +984,15 @@ func RunPingPong(cfg PingPongExpConfig) (*Experiment, error) {
 		{"server path", false},
 		{"handoff", true},
 	} {
-		var st workload.PingPongStats
-		err := runPoint(cfg.Virtual, cfg.Hardware, func(hw Hardware) error {
-			c, err := cluster.New(cluster.Options{
-				Servers:  1,
-				Policy:   dlm.SeqDLM(),
-				Hardware: hw,
-				Handoff:  v.handoff,
+		st, err := simulate(cfg.Seed, cluster.Options{Servers: 1, Policy: dlm.SeqDLM(), Hardware: cfg.Hardware, Handoff: v.handoff},
+			func(c *Cluster) (workload.PingPongStats, error) {
+				return workload.RunPingPong(c, workload.PingPongConfig{
+					Exchanges:   cfg.Exchanges,
+					WriteSize:   cfg.WriteSize,
+					StripeSize:  1 << 20,
+					StripeCount: cfg.StripeCount,
+				})
 			})
-			if err != nil {
-				return err
-			}
-			st, err = workload.RunPingPong(c, workload.PingPongConfig{
-				Exchanges:   cfg.Exchanges,
-				WriteSize:   cfg.WriteSize,
-				StripeSize:  1 << 20,
-				StripeCount: cfg.StripeCount,
-			})
-			c.Close()
-			return err
-		})
 		if err != nil {
 			return nil, err
 		}
@@ -1068,9 +1031,8 @@ type ReaderFanExpConfig struct {
 	// Readers lists the fan-out widths measured (a scaling curve per
 	// variant).
 	Readers []int
-	// Virtual runs each point in discrete-event mode — the only way
-	// fan widths in the hundreds finish in seconds.
-	Virtual VirtualOpts
+	// Seed seeds each point's virtual clock.
+	Seed int64
 }
 
 // DefaultReaderFan returns the scaled-down configuration.
@@ -1080,6 +1042,7 @@ func DefaultReaderFan() ReaderFanExpConfig {
 		Rounds:    32,
 		WriteSize: 64 << 10,
 		Readers:   []int{2, 4, 8},
+		Seed:      1,
 	}
 }
 
@@ -1097,26 +1060,14 @@ func RunReaderFan(cfg ReaderFanExpConfig) (*Experiment, error) {
 		{"fan-out", true},
 	} {
 		for _, n := range cfg.Readers {
-			var st workload.ReaderFanStats
-			err := runPoint(cfg.Virtual, cfg.Hardware, func(hw Hardware) error {
-				c, err := cluster.New(cluster.Options{
-					Servers:      1,
-					Policy:       dlm.SeqDLM(),
-					Hardware:     hw,
-					Handoff:      v.fan,
-					ReaderFanout: v.fan,
-				})
-				if err != nil {
-					return err
-				}
-				st, err = workload.RunReaderFan(c, workload.ReaderFanConfig{
+			opts := cluster.Options{Servers: 1, Policy: dlm.SeqDLM(), Hardware: cfg.Hardware, Handoff: v.fan, ReaderFanout: v.fan}
+			st, err := simulate(cfg.Seed, opts, func(c *Cluster) (workload.ReaderFanStats, error) {
+				return workload.RunReaderFan(c, workload.ReaderFanConfig{
 					Readers:    n,
 					Rounds:     cfg.Rounds,
 					WriteSize:  cfg.WriteSize,
 					StripeSize: 1 << 20,
 				})
-				c.Close()
-				return err
 			})
 			if err != nil {
 				return nil, err

@@ -1,44 +1,20 @@
 package ccpfs
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 	"time"
 )
 
 // These tests assert the *shape* of every reproduced figure: who wins
-// and in roughly which direction, with deliberately loose margins so
-// scheduling noise cannot flake them. The faithful magnitudes are
-// reported by the benchmarks and recorded in EXPERIMENTS.md.
-
-// skipShape skips performance-shape assertions in modes where the
-// simulated timing ratios are meaningless.
-func skipShape(t *testing.T) {
-	t.Helper()
-	if testing.Short() {
-		t.Skip("shape test")
-	}
-	if raceEnabled {
-		t.Skip("shape ratios are meaningless under the race detector's slowdown")
-	}
-}
-
-// quickHW shrinks delays for shape tests, keeping the Table I ordering
-// (flush ≫ RTT ≫ service time).
-func quickHW() Hardware {
-	hw := BenchHardware()
-	hw.RTT = 40 * time.Microsecond
-	hw.DiskBandwidth = 150e6
-	hw.DiskLatency = 10 * time.Microsecond
-	hw.ServerOPS = 100e3
-	return hw
-}
+// and in roughly which direction. Each experiment runs every point on a
+// seeded virtual clock at its config's BenchHardware(), so a test reads
+// the same numbers on every run and every host: a failure is a change
+// in what the model computes, never scheduling noise. The magnitudes are
+// recorded in EXPERIMENTS.md and pinned in .github/golden/ledger.txt.
 
 func TestShapeFig4PatternGap(t *testing.T) {
-	skipShape(t)
 	cfg := DefaultFig4()
-	cfg.Hardware = quickHW()
 	cfg.BytesPerClient = 1 << 20
 	cfg.WriteSizes = []int64{64 << 10}
 	exp, err := RunFig4(cfg)
@@ -63,12 +39,7 @@ func TestShapeFig4PatternGap(t *testing.T) {
 }
 
 func TestShapeFig5FlushReduction(t *testing.T) {
-	skipShape(t)
 	cfg := DefaultFig5()
-	cfg.Hardware = quickHW()
-	// Slow the disk well below the protocol-round ceiling so the flush
-	// term is unambiguously the variable under test.
-	cfg.Hardware.DiskBandwidth = 30e6
 	cfg.BytesPerClient = 2 << 20
 	exp, err := RunFig5(cfg)
 	if err != nil {
@@ -83,9 +54,7 @@ func TestShapeFig5FlushReduction(t *testing.T) {
 }
 
 func TestShapeFig17Breakdown(t *testing.T) {
-	skipShape(t)
 	cfg := DefaultFig17()
-	cfg.Hardware = quickHW()
 	cfg.TotalWrites = 64
 	cfg.WriteSizes = []int64{128 << 10}
 	exp, err := RunFig17(cfg)
@@ -111,9 +80,7 @@ func TestShapeFig17Breakdown(t *testing.T) {
 }
 
 func TestShapeFig18Throughput(t *testing.T) {
-	skipShape(t)
 	cfg := DefaultFig18()
-	cfg.Hardware = quickHW()
 	cfg.WritesPerClient = 10
 	cfg.WriteSizes = []int64{256 << 10}
 	exp, err := RunFig18(cfg)
@@ -141,17 +108,13 @@ func TestShapeFig18Throughput(t *testing.T) {
 }
 
 func TestShapeFig19aUpgrading(t *testing.T) {
-	skipShape(t)
 	cfg := DefaultFig19a()
-	cfg.Hardware = quickHW()
 	cfg.Ops = 600
 	exp, err := RunFig19a(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("\n%s", exp)
-	pw := exp.Bandwidth // silence linters; use Find for throughput
-	_ = pw
 	get := func(v string) float64 {
 		r, _ := exp.Find(func(r Row) bool { return r.Variant == v })
 		return r.Throughput
@@ -165,9 +128,7 @@ func TestShapeFig19aUpgrading(t *testing.T) {
 }
 
 func TestShapeFig19bDowngrading(t *testing.T) {
-	skipShape(t)
 	cfg := DefaultFig19b()
-	cfg.Hardware = quickHW()
 	cfg.WritesPerClient = 8
 	cfg.WriteSizes = []int64{256 << 10}
 	exp, err := RunFig19b(cfg)
@@ -183,44 +144,24 @@ func TestShapeFig19bDowngrading(t *testing.T) {
 }
 
 func TestShapeTable3LowContention(t *testing.T) {
-	skipShape(t)
-	// This is the only two-sided ratio bound in the file, and PIO is real
-	// wall time: when `go test ./...` runs sibling package binaries on a
-	// small CI box, a burst of external load during one variant's run can
-	// skew the cross-variant ratio by an order of magnitude. Retry the
-	// whole experiment and accept any attempt with the expected shape.
-	var last error
-	for attempt := 0; attempt < 4; attempt++ {
-		cfg := DefaultFig20()
-		cfg.Hardware = quickHW()
-		cfg.BytesPerClient = 1 << 20
-		exp, err := RunTable3(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("\n%s", exp)
-		seq := exp.Bandwidth("SeqDLM", 0, 0)
-		basic := exp.Bandwidth("DLM-basic", 0, 0)
-		lustre := exp.Bandwidth("DLM-Lustre", 0, 0)
-		// Low contention: everyone within a small factor (paper: within 2%).
-		last = nil
-		for name, bw := range map[string]float64{"DLM-basic": basic, "DLM-Lustre": lustre} {
-			ratio := seq / bw
-			if ratio < 0.4 || ratio > 2.5 {
-				last = fmt.Errorf("segmented low-contention gap SeqDLM/%s = %.2fx, want near 1", name, ratio)
-			}
-		}
-		if last == nil {
-			return
+	cfg := DefaultFig20()
+	cfg.BytesPerClient = 1 << 20
+	exp, err := RunTable3(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("\n%s", exp)
+	seq := exp.Bandwidth("SeqDLM", 0, 0)
+	// Low contention: everyone within a small factor (paper: within 2%).
+	for _, name := range []string{"DLM-basic", "DLM-Lustre"} {
+		if ratio := seq / exp.Bandwidth(name, 0, 0); ratio < 0.4 || ratio > 2.5 {
+			t.Errorf("segmented low-contention gap SeqDLM/%s = %.2fx, want near 1", name, ratio)
 		}
 	}
-	t.Error(last)
 }
 
 func TestShapeFig20Strided(t *testing.T) {
-	skipShape(t)
 	cfg := DefaultFig20()
-	cfg.Hardware = quickHW()
 	cfg.BytesPerClient = 2 << 20
 	cfg.WriteSizes = []int64{64 << 10}
 	exp, err := RunFig20(cfg)
@@ -247,41 +188,26 @@ func TestShapeFig20Strided(t *testing.T) {
 }
 
 func TestShapeFig21MultiStripe(t *testing.T) {
-	skipShape(t)
-	// PIO is real wall time, so sibling package binaries running beside
-	// this one can compress the cross-variant gap below the margin (see
-	// TestShapeTable3LowContention). Retry and accept any attempt with
-	// the expected shape.
-	var last error
-	for attempt := 0; attempt < 4; attempt++ {
-		cfg := DefaultFig21()
-		cfg.Hardware = quickHW()
-		cfg.Clients = 8
-		cfg.WritesPerClient = 6
-		cfg.WriteSizes = []int64{188032}
-		cfg.StripeCounts = []uint32{4}
-		exp, err := RunFig21(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("\n%s", exp)
-		seq := exp.Bandwidth("SeqDLM", 0, 4)
-		lus := exp.Bandwidth("DLM-Lustre", 0, 4)
-		last = nil
-		if seq < 1.5*lus {
-			last = fmt.Errorf("SeqDLM (%.1f MB/s) should beat DLM-Lustre (%.1f MB/s) on 4 stripes",
-				seq/1e6, lus/1e6)
-			continue
-		}
-		return
+	cfg := DefaultFig21()
+	cfg.Clients = 8
+	cfg.WritesPerClient = 6
+	cfg.WriteSizes = []int64{188032}
+	cfg.StripeCounts = []uint32{4}
+	exp, err := RunFig21(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Error(last)
+	t.Logf("\n%s", exp)
+	seq := exp.Bandwidth("SeqDLM", 0, 4)
+	lus := exp.Bandwidth("DLM-Lustre", 0, 4)
+	if seq < 1.5*lus {
+		t.Errorf("SeqDLM (%.1f MB/s) should beat DLM-Lustre (%.1f MB/s) on 4 stripes",
+			seq/1e6, lus/1e6)
+	}
 }
 
 func TestShapeFig23TileIO(t *testing.T) {
-	skipShape(t)
 	cfg := DefaultFig23()
-	cfg.Hardware = quickHW()
 	cfg.TilesX, cfg.TilesY = 3, 2
 	cfg.TileDim = 64
 	cfg.StripeCounts = []uint32{1}
@@ -299,9 +225,7 @@ func TestShapeFig23TileIO(t *testing.T) {
 }
 
 func TestShapeFig24VPIC(t *testing.T) {
-	skipShape(t)
 	cfg := DefaultFig24()
-	cfg.Hardware = quickHW()
 	cfg.ClientNodes = 4
 	cfg.ProcsPerNode = 2
 	cfg.Iterations = 2
@@ -358,9 +282,7 @@ func TestPublicAPISmoke(t *testing.T) {
 }
 
 func TestShapeAblation(t *testing.T) {
-	skipShape(t)
 	cfg := DefaultAblation()
-	cfg.Hardware = quickHW()
 	cfg.WritesPerClient = 12
 	exp, err := RunAblation(cfg)
 	if err != nil {

@@ -558,6 +558,79 @@ func TestClientIDsUnique(t *testing.T) {
 	}
 }
 
+// TestVirtualOneClientConcurrentWriters: two coroutines of one client
+// write different 4 KiB ranges of one stripe on the virtual clock. While
+// the first one's lock RPC is parked, the second one's acquire of the
+// same resource waits for it; that wait has to park on the clock too. A
+// wait on a real mutex instead blocks the goroutine driving the clock,
+// and the run hangs with no stall report, so a wall-clock watchdog
+// turns a hang into a failure.
+func TestVirtualOneClientConcurrentWriters(t *testing.T) {
+	v := sim.NewVClock(1)
+	hw := sim.Fast()
+	hw.Clock = sim.Virtual(v)
+	done := make(chan error, 1)
+	go func() {
+		var err error
+		v.Run(func() { err = oneClientTwoWriters(hw) })
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the virtual run hung: an acquire waiting on another acquire of the same resource blocked the clock")
+	}
+}
+
+// oneClientTwoWriters runs TestVirtualOneClientConcurrentWriters'
+// workload and checks the bytes read back.
+func oneClientTwoWriters(hw sim.Hardware) error {
+	c, err := New(Options{Servers: 1, Policy: dlm.SeqDLM(), Hardware: hw})
+	if err != nil {
+		return err
+	}
+	defer c.Close()
+	cl, err := c.NewClient("writer")
+	if err != nil {
+		return err
+	}
+	defer cl.Close()
+	f, err := cl.Create("/two-writers", 1<<20, 1)
+	if err != nil {
+		return err
+	}
+	const size = 4 << 10
+	errs := make([]error, 2)
+	grp := sim.NewGroup(c.Clock())
+	for i := range errs {
+		grp.Go(func() {
+			for k := 0; k < 4; k++ {
+				if _, err := f.WriteAt(pattern(byte(i+k+1), size), int64(i)*size); err != nil {
+					errs[i] = err
+					return
+				}
+			}
+		})
+	}
+	grp.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return fmt.Errorf("writer %d: %w", i, err)
+		}
+		got := make([]byte, size)
+		if _, err := f.ReadAt(got, int64(i)*size); err != nil && err != io.EOF {
+			return err
+		}
+		if !bytes.Equal(got, pattern(byte(i+4), size)) {
+			return fmt.Errorf("writer %d: its last write does not read back", i)
+		}
+	}
+	return nil
+}
+
 // TestExtCacheDaemonBoundsEntries keeps the server extent cache under
 // its entry budget while early-granted conflicting writes hammer it:
 // the cleanup task (and, if entries are pinned, forced synchronization)

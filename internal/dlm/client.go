@@ -196,8 +196,12 @@ type clientState struct {
 	// cached lists each resource's cached handles in install order, the
 	// order a hit scans them in.
 	cached map[ResourceID][]*Handle
-	acq    map[ResourceID]*sync.Mutex
 	hits   int64 // acquires served from cached
+	// busy marks each resource one of the client's acquires holds past
+	// its cache miss (acquireMiss); another acquire of it waits on idle
+	// until the mark clears, then tries the cache again.
+	busy map[ResourceID]bool
+	idle *sim.Cond
 	// notes remembers locks the client does not cache (lockNote), keyed
 	// by (resource, lock ID): lock IDs are unique only within one
 	// server, and a client talks to many servers.
@@ -275,7 +279,7 @@ func NewLockClient(id ClientID, policy Policy, router func(ResourceID) ServerCon
 		cancelFn: cancel,
 		st: clientState{
 			cached:          make(map[ResourceID][]*Handle),
-			acq:             make(map[ResourceID]*sync.Mutex),
+			busy:            make(map[ResourceID]bool),
 			notes:           make(map[lockKey]lockNote),
 			pendingHandoffs: make(map[lockKey]*transferWaiter),
 			pendingAcks:     make(map[ResourceID][]LockID),
@@ -283,6 +287,7 @@ func NewLockClient(id ClientID, policy Policy, router func(ResourceID) ServerCon
 			fanWaiters:      make(map[ResourceID]chan struct{}),
 		},
 	}
+	c.st.idle = sim.NewCond(c.clk, &c.st.mu)
 	return c
 }
 
@@ -291,7 +296,10 @@ func (c *LockClient) ID() ClientID { return c.id }
 
 // SetClock points the client at a (virtual) clock. Call before first
 // use; the zero clock is the wall clock.
-func (c *LockClient) SetClock(clk sim.Clock) { c.clk = clk }
+func (c *LockClient) SetClock(clk sim.Clock) {
+	c.clk = clk
+	c.st.idle = sim.NewCond(clk, &c.st.mu)
+}
 
 // waitReleased blocks until h's released channel closes or ctx fires.
 func (c *LockClient) waitReleased(ctx context.Context, h *Handle) error {
@@ -350,7 +358,7 @@ type clientEvent struct {
 // flags are listed. The answers a flag acts on are named beside it.
 type clientEffects struct {
 	h       *Handle                 // hit, grant, stand: the handle claimed
-	acq     *sync.Mutex             // hit, on a miss: the resource's acquire mutex
+	miss    bool                    // hit: missed, and marked the resource busy
 	tw      *transferWaiter         // wait: the transfer to park on
 	ch      chan struct{}           // stand: the next lease's arrival to park on
 	pending map[ResourceID][]LockID // drainAcks
@@ -390,11 +398,9 @@ func (c *LockClient) step(res ResourceID, ev *clientEvent, fx *clientEffects) {
 }
 
 func (c *LockClient) stepHit(res ResourceID, ev *clientEvent, fx *clientEffects) {
-	if fx.h = c.hitLocked(res, ev.need, ev.rng); fx.h == nil {
-		if fx.acq = c.st.acq[res]; fx.acq == nil {
-			fx.acq = new(sync.Mutex)
-			c.st.acq[res] = fx.acq
-		}
+	if fx.h = c.hitLocked(res, ev.need, ev.rng); fx.h == nil && !c.st.busy[res] {
+		c.st.busy[res] = true
+		fx.miss = true
 	}
 }
 
@@ -683,11 +689,33 @@ func (c *LockClient) CacheHits() int64 {
 
 func (c *LockClient) acquire(ctx context.Context, res ResourceID, need Mode, rng extent.Extent, set extent.Set) (*Handle, error) {
 	need = c.policy.MapMode(need)
-	var fx clientEffects
-	if c.do(res, &clientEvent{kind: cevHit, need: need, rng: rng}, &fx); fx.h != nil {
-		return fx.h, nil
+	for {
+		var fx clientEffects
+		if c.do(res, &clientEvent{kind: cevHit, need: need, rng: rng}, &fx); fx.h != nil {
+			return fx.h, nil
+		}
+		if fx.miss {
+			return c.acquireMiss(ctx, res, need, rng, set)
+		}
+		// Another acquire of res is past its miss and may install a
+		// covering grant: wait for it, then try the cache again.
+		if err := c.waitIdle(ctx, res); err != nil {
+			return nil, err
+		}
 	}
-	return c.acquireMiss(ctx, res, need, rng, set, fx.acq)
+}
+
+// waitIdle waits until no acquire holds res busy, or ctx fires.
+func (c *LockClient) waitIdle(ctx context.Context, res ResourceID) error {
+	c.st.mu.Lock()
+	defer c.st.mu.Unlock()
+	for c.st.busy[res] {
+		if err := ctx.Err(); err != nil {
+			return wire.FromContext(err)
+		}
+		c.st.idle.Wait(ctx, time.Time{})
+	}
+	return nil
 }
 
 // run runs ev and returns the handle it answered with, if any. It is
@@ -703,17 +731,11 @@ func (c *LockClient) run(res ResourceID, ev clientEvent) *Handle {
 	return fx.h
 }
 
-// acquireMiss is acquire after a cache miss, serialized per resource by
-// the acquire mutex acq.
-func (c *LockClient) acquireMiss(ctx context.Context, res ResourceID, need Mode, rng extent.Extent, set extent.Set, acq *sync.Mutex) (*Handle, error) {
-	acq.Lock()
-	defer acq.Unlock()
-
-	// Second chance under the acquire mutex: a racing acquire may have
-	// just installed a covering grant while we waited for it.
-	if h := c.run(res, clientEvent{kind: cevHit, need: need, rng: rng}); h != nil {
-		return h, nil
-	}
+// acquireMiss is acquire after a cache miss, with res marked busy: one
+// acquire per resource goes past the cache at a time. It clears the
+// mark on return, once any grant it got is installed.
+func (c *LockClient) acquireMiss(ctx context.Context, res ResourceID, need Mode, rng extent.Extent, set extent.Set) (*Handle, error) {
+	defer c.clearBusy(res)
 	c.Stats.CacheMisses.Add(1)
 
 	// In a fan rotation the next read lease arrives peer-to-peer; park
@@ -755,6 +777,14 @@ func (c *LockClient) acquireMiss(ctx context.Context, res ResourceID, need Mode,
 		c.Stats.HandoffsRecv.Add(1)
 	}
 	return c.run(res, grantEvent(&g, need)), nil
+}
+
+// clearBusy clears res's busy mark and wakes the acquires waiting on it.
+func (c *LockClient) clearBusy(res ResourceID) {
+	c.st.mu.Lock()
+	delete(c.st.busy, res)
+	c.st.idle.Broadcast()
+	c.st.mu.Unlock()
 }
 
 // grantEvent is the step that installs g for an acquire needing need.

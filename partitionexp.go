@@ -34,8 +34,8 @@ type PartitionScaleConfig struct {
 	// op targets a fresh resource, so none is absorbed by the client
 	// lock cache and each one pays a server admission.
 	Ops int
-	// Virtual runs each server-count point in discrete-event mode.
-	Virtual VirtualOpts
+	// Seed seeds each server-count point's virtual clock.
+	Seed int64
 }
 
 // DefaultPartitionScale returns the scaled-down configuration.
@@ -45,6 +45,7 @@ func DefaultPartitionScale() PartitionScaleConfig {
 		Servers:  []int{1, 2, 4},
 		Workers:  64,
 		Ops:      3000,
+		Seed:     1,
 	}
 }
 
@@ -68,21 +69,16 @@ func RunPartitionScale(cfg PartitionScaleConfig) (*Experiment, error) {
 	tb := newTable("lock servers", "grants", "time", "throughput (grants/s)", "vs N=1")
 	base := 0.0
 	for _, n := range cfg.Servers {
-		var ops int
-		var elapsed time.Duration
-		err := runPoint(cfg.Virtual, hw, func(hw Hardware) error {
-			var err error
-			ops, elapsed, err = runPartitionPoint(hw, n, cfg.Workers, cfg.Ops)
-			return err
-		})
+		elapsed, err := simulate(cfg.Seed, cluster.Options{Servers: n, Policy: dlm.SeqDLM(), Hardware: hw, Partition: true},
+			func(c *Cluster) (time.Duration, error) { return runPartitionPoint(c, cfg.Workers, cfg.Ops) })
 		if err != nil {
 			return nil, fmt.Errorf("partition scale N=%d: %w", n, err)
 		}
-		tput := float64(ops) / elapsed.Seconds()
+		tput := float64(cfg.Ops) / elapsed.Seconds()
 		if base == 0 {
 			base = tput
 		}
-		tb.Row(fmt.Sprint(n), fmt.Sprint(ops), seconds(elapsed),
+		tb.Row(fmt.Sprint(n), fmt.Sprint(cfg.Ops), seconds(elapsed),
 			fmt.Sprintf("%.0f", tput), fmt.Sprintf("%.2fx", tput/base))
 		exp.Rows = append(exp.Rows, Row{
 			Variant:    fmt.Sprintf("N=%d", n),
@@ -95,17 +91,9 @@ func RunPartitionScale(cfg PartitionScaleConfig) (*Experiment, error) {
 	return exp, nil
 }
 
-func runPartitionPoint(hw Hardware, servers, workers, ops int) (int, time.Duration, error) {
-	c, err := cluster.New(cluster.Options{
-		Servers:   servers,
-		Policy:    dlm.SeqDLM(),
-		Hardware:  hw,
-		Partition: true,
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	defer c.Close()
+// runPartitionPoint runs ops lock acquisitions from workers concurrent
+// workers on c and returns the time they took.
+func runPartitionPoint(c *Cluster, workers, ops int) (time.Duration, error) {
 	// A handful of client stacks shared by the workers: the measured
 	// quantity is server-side admission capacity, not client count.
 	nclients := 4
@@ -116,7 +104,7 @@ func runPartitionPoint(hw Hardware, servers, workers, ops int) (int, time.Durati
 	for i := range clients {
 		cl, err := c.NewClient(fmt.Sprintf("scale-%d", i))
 		if err != nil {
-			return 0, 0, err
+			return 0, err
 		}
 		defer cl.Close()
 		clients[i] = cl
@@ -151,7 +139,7 @@ func runPartitionPoint(hw Hardware, servers, workers, ops int) (int, time.Durati
 	grp.Wait()
 	elapsed := clk.Since(start)
 	if err, _ := firstErr.Load().(error); err != nil {
-		return 0, 0, err
+		return 0, err
 	}
-	return ops, elapsed, nil
+	return elapsed, nil
 }

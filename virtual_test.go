@@ -30,7 +30,7 @@ func virtualPingPong(t *testing.T, seed int64) (*Experiment, string) {
 	t.Helper()
 	cfg := DefaultPingPong()
 	cfg.Exchanges = 24
-	cfg.Virtual = VirtualOpts{Enabled: true, Seed: seed}
+	cfg.Seed = seed
 	exp, err := RunPingPong(cfg)
 	if err != nil {
 		t.Fatalf("virtual pingpong (seed %d): %v", seed, err)
@@ -68,7 +68,7 @@ func TestVirtualReaderFanDeterministic(t *testing.T) {
 		cfg := DefaultReaderFan()
 		cfg.Rounds = 8
 		cfg.Readers = []int{16}
-		cfg.Virtual = VirtualOpts{Enabled: true, Seed: 7}
+		cfg.Seed = 7
 		exp, err := RunReaderFan(cfg)
 		if err != nil {
 			t.Fatalf("virtual readfan: %v", err)
@@ -115,7 +115,7 @@ func TestVirtualRealEquivalence(t *testing.T) {
 		}
 		return c
 	}
-	hw := quickHW()
+	hw := BenchHardware()
 
 	realC := build(hw)
 	rOps, rBytes, rFlushed, rDiscarded, rSuperseded := ppCounts(t, realC)
@@ -321,7 +321,7 @@ func TestVirtualPingPongNoSolicit(t *testing.T) {
 func TestVirtualPartitionScaling(t *testing.T) {
 	cfg := DefaultPartitionScale()
 	cfg.Servers = []int{1, 4}
-	cfg.Virtual = VirtualOpts{Enabled: true, Seed: 1}
+	cfg.Seed = 1
 	exp, err := RunPartitionScale(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -338,7 +338,7 @@ func TestVirtualPartitionScaling(t *testing.T) {
 // resolution all work when every delay is an event on the heap.
 func TestVirtualIORVerified(t *testing.T) {
 	v := sim.NewVClock(99)
-	hw := quickHW()
+	hw := BenchHardware()
 	hw.Clock = sim.Virtual(v)
 	var res workload.Result
 	var err error
