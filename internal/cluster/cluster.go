@@ -338,7 +338,7 @@ func (c *Cluster) DLMStats() dlm.Snapshot {
 	return c.DLMStatsBreakdown().Total
 }
 
-// FlushedBytes sums bytes landed on all server devices.
+// FlushedBytes sums the flushed bytes every data server stored.
 func (c *Cluster) FlushedBytes() int64 {
 	var n int64
 	for _, s := range c.Servers {

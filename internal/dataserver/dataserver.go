@@ -114,8 +114,9 @@ type Server struct {
 	rpcMetrics *rpc.Metrics
 	tracer     *dlm.Tracer
 
-	// FlushedBytes counts bytes actually written to the device (after
-	// stale-data discard).
+	// FlushedBytes counts flushed bytes stored (after stale-data
+	// discard). The simulated device may put several stored versions of
+	// a range on media in one operation, so this is not device traffic.
 	FlushedBytes atomic.Int64
 	// DiscardedBytes counts flushed bytes dropped as stale by the extent
 	// cache.

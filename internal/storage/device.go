@@ -25,11 +25,11 @@ const maxRun = 1 << 20
 // the device falls free, the oldest waiting request is dispatched
 // together with every waiting request that extends it into one
 // contiguous run on the same stripe (DESIGN.md §6): byte-adjacent
-// writes, and reads whose ranges touch or overlap, so identical reads
+// writes and writes the run covers (the store already holds their
+// bytes), and reads whose ranges touch or overlap, so identical reads
 // share one operation. A run pays the latency once; each member is done
 // when the transfer has passed the end of its own range. A request
-// never passes an earlier one it overlaps (unless both are reads), so
-// its simulated completion respects submission order.
+// never passes an earlier one it overlaps (unless both are reads).
 //
 // The bytes themselves move at submission: WriteV passes its write (and
 // the frame it may offer) to the inner store, and ReadAt copies from it,
@@ -286,11 +286,12 @@ func (s *SimStore) dispatch() {
 }
 
 // extends reports whether r grows the run [lo, hi) into a longer
-// contiguous one (writes: byte-adjacent) or lies within reach of it
-// (reads: touching, overlapping or contained).
+// contiguous one or rides along inside it (writes: byte-adjacent or
+// contained, since the store already holds the newest bytes of the
+// run; reads: touching, overlapping or contained).
 func extends(r *request, lo, hi int64) bool {
 	if r.write {
-		return r.off == hi || r.end == lo
+		return r.off == hi || r.end == lo || (r.off >= lo && r.end <= hi)
 	}
 	return r.off <= hi && r.end >= lo
 }

@@ -2,8 +2,8 @@
 // write flushed data into. Three implementations share one interface:
 // an in-memory sparse store, a file-backed store for the standalone
 // server binary, and SimStore (device.go), which puts a simulated NVMe
-// device — one merging request queue, bandwidth plus per-operation
-// latency — in front of either.
+// device — one request queue that merges adjacent and covered writes,
+// bandwidth plus per-operation latency — in front of either.
 package storage
 
 import (

@@ -82,9 +82,13 @@ func RunPingPong(c *cluster.Cluster, cfg PingPongConfig) (PingPongStats, error) 
 	// The producer/consumer token ring: the active side writes every
 	// stripe of the set, then ownership swaps — as with the paper's
 	// MPI_Send/MPI_Recv sequential test, the turn-taking itself is the
-	// workload.
+	// workload. Every block of exchange k holds byte(k+1), so a read-back
+	// tells the last writer's blocks from a superseded version's.
 	for k := 0; k < cfg.Exchanges; k++ {
 		f := files[k%2]
+		for i := range buf {
+			buf[i] = byte(k + 1)
+		}
 		for s := int64(0); s < int64(cfg.StripeCount); s++ {
 			if _, err := f.WriteAtOpts(context.Background(), buf, s*cfg.StripeSize, client.WriteOptions{
 				Mode:            cfg.Mode,

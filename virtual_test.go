@@ -83,7 +83,7 @@ func TestVirtualReaderFanDeterministic(t *testing.T) {
 
 // ppCounts runs a small pingpong workload on c and returns the
 // timing-independent outcomes: ops, bytes, and what the data servers
-// did with the flushed data (landed on a device, or discarded as stale).
+// did with the flushed data (stored, or discarded as stale).
 func ppCounts(t *testing.T, c *cluster.Cluster) (ops, bytes, flushed, discarded, superseded int64) {
 	t.Helper()
 	st, err := workload.RunPingPong(c, workload.PingPongConfig{
