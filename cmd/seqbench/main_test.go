@@ -7,6 +7,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"ccpfs"
 )
 
 // TestParseCounts: a comma-separated list of positive integers parses in
@@ -58,13 +60,13 @@ func TestSuiteIDsDocumented(t *testing.T) {
 		ids = ids[:end]
 	}
 	seen := map[string]bool{}
-	for _, e := range suite(nil, nil) {
-		if seen[e.id] {
-			t.Errorf("experiment ID %q appears twice in suite()", e.id)
+	for _, f := range ccpfs.Figures(1, nil) {
+		if seen[f.Name] {
+			t.Errorf("experiment ID %q appears twice in ccpfs.Figures", f.Name)
 		}
-		seen[e.id] = true
-		if !regexp.MustCompile(`\b` + regexp.QuoteMeta(e.id) + `\b`).MatchString(ids) {
-			t.Errorf("experiment ID %q is missing from the package comment's list:\n%s", e.id, ids)
+		seen[f.Name] = true
+		if !regexp.MustCompile(`\b` + regexp.QuoteMeta(f.Name) + `\b`).MatchString(ids) {
+			t.Errorf("experiment ID %q is missing from the package comment's list:\n%s", f.Name, ids)
 		}
 	}
 }

@@ -1,29 +1,55 @@
 package ccpfs
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 )
 
 // These tests assert the *shape* of every reproduced figure: who wins
-// and in roughly which direction. Each experiment runs every point on a
-// seeded virtual clock at its config's BenchHardware(), so a test reads
-// the same numbers on every run and every host: a failure is a change
-// in what the model computes, never scheduling noise. The magnitudes are
-// recorded in EXPERIMENTS.md and pinned in .github/golden/ledger.txt.
+// and in roughly which direction. Each reads the figure exactly as
+// seqbench prints it — the point EXPERIMENTS.md publishes and
+// .github/golden/ledger.txt pins — computed once per package run
+// (figure) and shared by every test that reads it. Every point runs on
+// a seeded virtual clock, so a test reads the same numbers on every run
+// and every host: a failure is a change in what the model computes,
+// never scheduling noise.
 
-func TestShapeFig4PatternGap(t *testing.T) {
-	cfg := DefaultFig4()
-	cfg.BytesPerClient = 1 << 20
-	cfg.WriteSizes = []int64{64 << 10}
-	exp, err := RunFig4(cfg)
+// figures caches each figure computed in this package run, by name and
+// seed.
+var figures = map[string]*Experiment{}
+
+// figure returns the figure seqbench prints for -exp name -seed seed.
+func figure(t *testing.T, name string, seed int64) *Experiment {
+	t.Helper()
+	key := fmt.Sprintf("%s/%d", name, seed)
+	if exp, ok := figures[key]; ok {
+		return exp
+	}
+	exp, err := runFigure(name, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("\n%s", exp)
+	figures[key] = exp
+	return exp
+}
+
+// runFigure computes the figure afresh.
+func runFigure(name string, seed int64) (*Experiment, error) {
+	for _, f := range Figures(seed, nil) {
+		if f.Name == name {
+			return f.Run()
+		}
+	}
+	return nil, fmt.Errorf("no figure %q", name)
+}
+
+func TestShapeFig4PatternGap(t *testing.T) {
+	exp := figure(t, "fig4", 1)
 	get := func(p string) float64 {
-		r, ok := exp.Find(func(r Row) bool { return r.Pattern == p })
+		r, ok := exp.Find(func(r Row) bool { return r.Pattern == p && r.WriteSize == 64<<10 })
 		if !ok {
 			t.Fatalf("missing pattern %s", p)
 		}
@@ -39,13 +65,7 @@ func TestShapeFig4PatternGap(t *testing.T) {
 }
 
 func TestShapeFig5FlushReduction(t *testing.T) {
-	cfg := DefaultFig5()
-	cfg.BytesPerClient = 2 << 20
-	exp, err := RunFig5(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("\n%s", exp)
+	exp := figure(t, "fig5", 1)
 	full := exp.Bandwidth("full flush", 0, 0)
 	none := exp.Bandwidth("no flush (fakeWrite)", 0, 0)
 	if none < 1.5*full {
@@ -54,42 +74,31 @@ func TestShapeFig5FlushReduction(t *testing.T) {
 }
 
 func TestShapeFig17Breakdown(t *testing.T) {
-	cfg := DefaultFig17()
-	cfg.TotalWrites = 64
-	cfg.WriteSizes = []int64{128 << 10}
-	exp, err := RunFig17(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("\n%s", exp)
-	pw, _ := exp.Find(func(r Row) bool { return r.Variant == "PW" })
-	nbw, _ := exp.Find(func(r Row) bool { return r.Variant == "NBW" })
-	if pw.PIO <= nbw.PIO {
-		t.Errorf("PW total (%v) should exceed NBW total (%v)", pw.PIO, nbw.PIO)
-	}
-	// For PW the conflict resolution dominates (paper: 67.9–69.3%) and
-	// its cancel part dominates the resolution (paper: 66.5–95.7%).
-	res := pw.Revocation + pw.Cancel
-	if float64(res) < 0.4*float64(pw.PIO) {
-		t.Errorf("PW resolution share = %.0f%%, want the dominant part",
-			100*float64(res)/float64(pw.PIO))
-	}
-	if pw.Cancel < pw.Revocation {
-		t.Errorf("PW cancel (%v) should dominate revocation (%v)", pw.Cancel, pw.Revocation)
+	exp := figure(t, "fig17", 1)
+	for _, ws := range []int64{16 << 10, 64 << 10, 256 << 10} {
+		pw, _ := exp.Find(func(r Row) bool { return r.Variant == "PW" && r.WriteSize == ws })
+		nbw, _ := exp.Find(func(r Row) bool { return r.Variant == "NBW" && r.WriteSize == ws })
+		if pw.PIO <= nbw.PIO {
+			t.Errorf("%s: PW total (%v) should exceed NBW total (%v)", size(ws), pw.PIO, nbw.PIO)
+		}
+		// For PW the conflict resolution dominates (paper: 67.9–69.3%)
+		// and its cancel part dominates the resolution (paper:
+		// 66.5–95.7%).
+		res := pw.Revocation + pw.Cancel
+		if float64(res) < 0.4*float64(pw.PIO) {
+			t.Errorf("%s: PW resolution share = %.0f%%, want the dominant part",
+				size(ws), 100*float64(res)/float64(pw.PIO))
+		}
+		if pw.Cancel < pw.Revocation {
+			t.Errorf("%s: PW cancel (%v) should dominate revocation (%v)", size(ws), pw.Cancel, pw.Revocation)
+		}
 	}
 }
 
 func TestShapeFig18Throughput(t *testing.T) {
-	cfg := DefaultFig18()
-	cfg.WritesPerClient = 10
-	cfg.WriteSizes = []int64{256 << 10}
-	exp, err := RunFig18(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("\n%s", exp)
+	exp := figure(t, "fig18", 1)
 	get := func(v string) Row {
-		r, ok := exp.Find(func(r Row) bool { return r.Variant == v })
+		r, ok := exp.Find(func(r Row) bool { return r.Variant == v && r.WriteSize == 256<<10 })
 		if !ok {
 			t.Fatalf("missing variant %s", v)
 		}
@@ -108,13 +117,7 @@ func TestShapeFig18Throughput(t *testing.T) {
 }
 
 func TestShapeFig19aUpgrading(t *testing.T) {
-	cfg := DefaultFig19a()
-	cfg.Ops = 600
-	exp, err := RunFig19a(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("\n%s", exp)
+	exp := figure(t, "fig19a", 1)
 	get := func(v string) float64 {
 		r, _ := exp.Find(func(r Row) bool { return r.Variant == v })
 		return r.Throughput
@@ -128,29 +131,16 @@ func TestShapeFig19aUpgrading(t *testing.T) {
 }
 
 func TestShapeFig19bDowngrading(t *testing.T) {
-	cfg := DefaultFig19b()
-	cfg.WritesPerClient = 8
-	cfg.WriteSizes = []int64{256 << 10}
-	exp, err := RunFig19b(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("\n%s", exp)
-	pw := exp.Bandwidth("PW", 0, 0)
-	bwd := exp.Bandwidth("BW+D", 0, 0)
+	exp := figure(t, "fig19b", 1)
+	pw := exp.Bandwidth("PW", 256<<10, 0)
+	bwd := exp.Bandwidth("BW+D", 256<<10, 0)
 	if bwd < 1.3*pw {
 		t.Errorf("BW+D (%.1f MB/s) should beat PW (%.1f MB/s)", bwd/1e6, pw/1e6)
 	}
 }
 
 func TestShapeTable3LowContention(t *testing.T) {
-	cfg := DefaultFig20()
-	cfg.BytesPerClient = 1 << 20
-	exp, err := RunTable3(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("\n%s", exp)
+	exp := figure(t, "table3", 1)
 	seq := exp.Bandwidth("SeqDLM", 0, 0)
 	// Low contention: everyone within a small factor (paper: within 2%).
 	for _, name := range []string{"DLM-basic", "DLM-Lustre"} {
@@ -161,24 +151,17 @@ func TestShapeTable3LowContention(t *testing.T) {
 }
 
 func TestShapeFig20Strided(t *testing.T) {
-	cfg := DefaultFig20()
-	cfg.BytesPerClient = 2 << 20
-	cfg.WriteSizes = []int64{64 << 10}
-	exp, err := RunFig20(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("\n%s", exp)
-	seq := exp.Bandwidth("SeqDLM", 0, 0)
-	basic := exp.Bandwidth("DLM-basic", 0, 0)
+	exp := figure(t, "fig20", 1)
+	seq := exp.Bandwidth("SeqDLM", 64<<10, 0)
+	basic := exp.Bandwidth("DLM-basic", 64<<10, 0)
 	if seq < 2*basic {
 		t.Errorf("SeqDLM strided (%.1f MB/s) should be well above DLM-basic (%.1f MB/s)",
 			seq/1e6, basic/1e6)
 	}
 	// Fig. 20b: SeqDLM's PIO share of total time is small, the
 	// baselines' is large.
-	seqRow, _ := exp.Find(func(r Row) bool { return r.Variant == "SeqDLM" })
-	basicRow, _ := exp.Find(func(r Row) bool { return r.Variant == "DLM-basic" })
+	seqRow, _ := exp.Find(func(r Row) bool { return r.Variant == "SeqDLM" && r.WriteSize == 64<<10 })
+	basicRow, _ := exp.Find(func(r Row) bool { return r.Variant == "DLM-basic" && r.WriteSize == 64<<10 })
 	seqShare := float64(seqRow.PIO) / float64(seqRow.PIO+seqRow.Flush)
 	basicShare := float64(basicRow.PIO) / float64(basicRow.PIO+basicRow.Flush)
 	if seqShare >= basicShare {
@@ -188,18 +171,9 @@ func TestShapeFig20Strided(t *testing.T) {
 }
 
 func TestShapeFig21MultiStripe(t *testing.T) {
-	cfg := DefaultFig21()
-	cfg.Clients = 8
-	cfg.WritesPerClient = 6
-	cfg.WriteSizes = []int64{188032}
-	cfg.StripeCounts = []uint32{4}
-	exp, err := RunFig21(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("\n%s", exp)
-	seq := exp.Bandwidth("SeqDLM", 0, 4)
-	lus := exp.Bandwidth("DLM-Lustre", 0, 4)
+	exp := figure(t, "fig21", 1)
+	seq := exp.Bandwidth("SeqDLM", 188032, 4)
+	lus := exp.Bandwidth("DLM-Lustre", 188032, 4)
 	if seq < 1.5*lus {
 		t.Errorf("SeqDLM (%.1f MB/s) should beat DLM-Lustre (%.1f MB/s) on 4 stripes",
 			seq/1e6, lus/1e6)
@@ -207,15 +181,7 @@ func TestShapeFig21MultiStripe(t *testing.T) {
 }
 
 func TestShapeFig23TileIO(t *testing.T) {
-	cfg := DefaultFig23()
-	cfg.TilesX, cfg.TilesY = 3, 2
-	cfg.TileDim = 64
-	cfg.StripeCounts = []uint32{1}
-	exp, err := RunFig23(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("\n%s", exp)
+	exp := figure(t, "fig23", 1)
 	seq := exp.Bandwidth("SeqDLM", 0, 1)
 	dt := exp.Bandwidth("DLM-datatype", 0, 1)
 	if seq < 1.5*dt {
@@ -225,19 +191,9 @@ func TestShapeFig23TileIO(t *testing.T) {
 }
 
 func TestShapeFig24VPIC(t *testing.T) {
-	cfg := DefaultFig24()
-	cfg.ClientNodes = 4
-	cfg.ProcsPerNode = 2
-	cfg.Iterations = 2
-	cfg.ParticleCounts = []int{16384}
-	cfg.StripeCounts = []uint32{1}
-	exp, err := RunFig24(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("\n%s", exp)
-	s := exp.Bandwidth("ccPFS-S", 0, 1)
-	l := exp.Bandwidth("ccPFS-L", 0, 1)
+	exp := figure(t, "fig24", 1)
+	s := exp.Bandwidth("ccPFS-S", 64<<10, 1)
+	l := exp.Bandwidth("ccPFS-L", 64<<10, 1)
 	if s < 1.5*l {
 		t.Errorf("ccPFS-S (%.1f MB/s) should beat ccPFS-L (%.1f MB/s) at 1 stripe",
 			s/1e6, l/1e6)
@@ -282,13 +238,7 @@ func TestPublicAPISmoke(t *testing.T) {
 }
 
 func TestShapeAblation(t *testing.T) {
-	cfg := DefaultAblation()
-	cfg.WritesPerClient = 12
-	exp, err := RunAblation(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("\n%s", exp)
+	exp := figure(t, "ablation", 1)
 	full := exp.Bandwidth("SeqDLM (full)", 0, 0)
 	noEG := exp.Bandwidth("- early grant", 0, 0)
 	if full < 1.5*noEG {
@@ -326,7 +276,7 @@ func TestExperimentCSV(t *testing.T) {
 // write size D. D is labelled on the binary scale the figures use, data
 // flushing is the bottleneck at every D, and B_total rises with D.
 func TestModelTableI(t *testing.T) {
-	exp := RunModel()
+	exp := figure(t, "model", 1)
 	if len(exp.Rows) != 3 {
 		t.Fatalf("model has %d rows, want 3:\n%s", len(exp.Rows), exp.Text)
 	}

@@ -32,7 +32,7 @@ import (
 
 // DefaultLockAlign is the lock range alignment (the paper's DLMs align
 // lock ranges with 4 KB, which is why adjacent unaligned writes
-// conflict).
+// conflict). The datatype policy locks exact ranges instead.
 const DefaultLockAlign = 4096
 
 // DefaultMaxFlushRPC bounds the payload of one flush RPC; larger
@@ -61,9 +61,6 @@ type Config struct {
 	// FlushInterval runs the voluntary flush daemon when > 0 (the
 	// best-effort durability strategy of §IV-C1).
 	FlushInterval time.Duration
-	// LockAlign is the lock range alignment (DefaultLockAlign when 0;
-	// ignored by the datatype policy, which locks exact ranges).
-	LockAlign int64
 	// MaxFlushRPC bounds the payload bytes of one flush RPC
 	// (DefaultMaxFlushRPC when 0); larger dirty sets are split into a
 	// pipeline of smaller RPCs.
@@ -183,9 +180,6 @@ type Client struct {
 func New(ctx context.Context, cfg Config, conns Conns) (*Client, error) {
 	if cfg.ID == 0 {
 		return nil, errors.New("client: ID must be nonzero")
-	}
-	if cfg.LockAlign == 0 {
-		cfg.LockAlign = DefaultLockAlign
 	}
 	if cfg.MaxFlushRPC == 0 {
 		cfg.MaxFlushRPC = DefaultMaxFlushRPC
@@ -1049,8 +1043,7 @@ func (f *File) lockRange(lo, hi int64, whole bool) extent.Extent {
 	if f.c.cfg.Policy.Expand == dlm.ExpandNone {
 		return extent.New(lo, hi) // datatype: exact, unaligned ranges
 	}
-	a := f.c.cfg.LockAlign
-	return extent.New(extent.AlignDown(lo, a), extent.AlignUp(hi, a))
+	return extent.New(extent.AlignDown(lo, DefaultLockAlign), extent.AlignUp(hi, DefaultLockAlign))
 }
 
 func (f *File) unlockAll(handles []*dlm.Handle) {

@@ -42,13 +42,6 @@ type Options struct {
 	ExtentLog bool
 	// CleanupInterval enables the servers' extent cache cleanup daemon.
 	CleanupInterval time.Duration
-	// LockAlign overrides the clients' lock range alignment.
-	LockAlign int64
-	// FlushWindow bounds concurrent flush RPCs per data server on each
-	// client (client.DefaultFlushWindow when 0, 1 = sequential).
-	FlushWindow int
-	// MaxFlushRPC bounds the payload of one client flush RPC.
-	MaxFlushRPC int64
 	// Handoff enables the client-to-client lock handoff fast path
 	// (DESIGN.md §13) on every server and wires a peer listener and
 	// dialer into every client.
@@ -194,9 +187,6 @@ func (c *Cluster) NewClient(name string) (*client.Client, error) {
 		PageCache:     pcCfg,
 		FlushInterval: c.opts.FlushInterval,
 		Clock:         c.opts.Hardware.Clock,
-		LockAlign:     c.opts.LockAlign,
-		FlushWindow:   c.opts.FlushWindow,
-		MaxFlushRPC:   c.opts.MaxFlushRPC,
 		Partitioned:   c.opts.Partition,
 	}, conns)
 	if err != nil || !(c.opts.Handoff || c.opts.ReaderFanout) {

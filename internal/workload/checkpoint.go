@@ -4,11 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"time"
 
-	"ccpfs/internal/client"
 	"ccpfs/internal/cluster"
-	"ccpfs/internal/sim"
 )
 
 // CheckpointConfig parameterizes a checkpoint/restart cycle — the
@@ -23,24 +20,11 @@ type CheckpointConfig struct {
 	BlocksEach  int
 	StripeSize  int64
 	StripeCount uint32
-	// Restart additionally runs the read-back phase.
-	Restart bool
 }
 
 // TotalBytes is the checkpoint volume.
 func (cfg CheckpointConfig) TotalBytes() int64 {
 	return int64(cfg.Ranks*cfg.BlocksEach) * cfg.BlockSize
-}
-
-// CheckpointResult reports the phase timings.
-type CheckpointResult struct {
-	// Write is the checkpoint (PIO) wall time.
-	Write time.Duration
-	// Drain is the post-checkpoint flush (F) wall time.
-	Drain time.Duration
-	// Restart is the read-back wall time (zero unless enabled).
-	Restart time.Duration
-	Bytes   int64
 }
 
 // rankBlock returns the deterministic content of (rank, block).
@@ -52,87 +36,50 @@ func rankBlock(rank, block int, size int64) []byte {
 	return out
 }
 
-// RunCheckpoint executes the checkpoint (and optional restart) cycle.
-func RunCheckpoint(c *cluster.Cluster, cfg CheckpointConfig) (CheckpointResult, error) {
-	clients, err := c.Clients(cfg.Ranks, "ckpt")
+// RunCheckpoint executes the checkpoint and restart cycle: the write
+// phase is the result's PIO, the drain (the checkpoint must be durable
+// before the job exits) its Flush, and the read-back its Restart.
+func RunCheckpoint(c *cluster.Cluster, cfg CheckpointConfig) (Result, error) {
+	s, err := open(c, cfg.Ranks, "ckpt", cfg.StripeSize, cfg.StripeCount, shared("/checkpoint"))
 	if err != nil {
-		return CheckpointResult{}, err
+		return Result{}, err
 	}
-	defer func() {
-		for _, cl := range clients {
-			cl.Close()
-		}
-	}()
-	files := make([]*client.File, cfg.Ranks)
-	for i, cl := range clients {
-		f, err := cl.OpenOrCreate("/checkpoint", cfg.StripeSize, cfg.StripeCount)
-		if err != nil {
-			return CheckpointResult{}, err
-		}
-		files[i] = f
-	}
+	defer s.close()
 
-	res := CheckpointResult{Bytes: cfg.TotalBytes()}
-	errs := make(chan error, cfg.Ranks)
-
+	res := Result{Bytes: cfg.TotalBytes(), Ops: int64(cfg.Ranks * cfg.BlocksEach)}
 	// Phase 1: N-1 strided checkpoint write.
-	clk := c.Clock()
-	grp := sim.NewGroup(clk)
-	start := clk.Now()
-	for r := 0; r < cfg.Ranks; r++ {
-		grp.Go(func() {
+	err = s.run(&res, func() error {
+		return s.parallel(cfg.Ranks, func(r int) error {
 			for b := 0; b < cfg.BlocksEach; b++ {
 				off := int64(b*cfg.Ranks+r) * cfg.BlockSize
-				if _, err := files[r].WriteAt(rankBlock(r, b, cfg.BlockSize), off); err != nil {
-					errs <- fmt.Errorf("rank %d block %d: %w", r, b, err)
-					return
+				if _, err := s.files[r].WriteAt(rankBlock(r, b, cfg.BlockSize), off); err != nil {
+					return fmt.Errorf("rank %d block %d: %w", r, b, err)
 				}
 			}
+			return nil
 		})
-	}
-	grp.Wait()
-	res.Write = clk.Since(start)
-	select {
-	case err := <-errs:
+	})
+	if err != nil {
 		return res, err
-	default:
 	}
 
-	// Phase 2: drain to the data servers (the checkpoint must be durable
-	// before the job exits).
-	res.Drain = drain(clk, clients, files)
-
-	if !cfg.Restart {
-		return res, nil
-	}
-
-	// Phase 3: restart — every rank reads blocks written by OTHER ranks
+	// Phase 2: restart — every rank reads blocks written by OTHER ranks
 	// (shifted mapping) and verifies them.
-	start = clk.Now()
-	rgrp := sim.NewGroup(clk)
-	for r := 0; r < cfg.Ranks; r++ {
-		rgrp.Go(func() {
+	res.Restart, err = s.timed(func() error {
+		return s.parallel(cfg.Ranks, func(r int) error {
 			buf := make([]byte, cfg.BlockSize)
 			src := (r + 1) % cfg.Ranks // different decomposition on restart
 			for b := 0; b < cfg.BlocksEach; b++ {
 				off := int64(b*cfg.Ranks+src) * cfg.BlockSize
-				if _, err := files[r].ReadAt(buf, off); err != nil && err != io.EOF {
-					errs <- fmt.Errorf("restart rank %d block %d: %w", r, b, err)
-					return
+				if _, err := s.files[r].ReadAt(buf, off); err != nil && err != io.EOF {
+					return fmt.Errorf("restart rank %d block %d: %w", r, b, err)
 				}
 				if !bytes.Equal(buf, rankBlock(src, b, cfg.BlockSize)) {
-					errs <- fmt.Errorf("restart rank %d: block %d of rank %d corrupted", r, b, src)
-					return
+					return fmt.Errorf("restart rank %d: block %d of rank %d corrupted", r, b, src)
 				}
 			}
+			return nil
 		})
-	}
-	rgrp.Wait()
-	res.Restart = clk.Since(start)
-	select {
-	case err := <-errs:
-		return res, err
-	default:
-	}
-	return res, nil
+	})
+	return res, err
 }

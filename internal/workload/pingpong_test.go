@@ -20,7 +20,7 @@ func TestPingPongDrainSkipsSupersededVersions(t *testing.T) {
 	v := sim.NewVClock(1)
 	hw := sim.TableI(1)
 	hw.Clock = sim.Virtual(v)
-	var st PingPongStats
+	var st Result
 	var flushed, discarded, writeReqs, writeOps int64
 	var got [stripes][]byte
 	var err error

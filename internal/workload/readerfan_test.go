@@ -16,7 +16,7 @@ import (
 func TestRunReaderFan(t *testing.T) {
 	cfg := ReaderFanConfig{Readers: 4, Rounds: 16, WriteSize: 16 << 10, StripeSize: 256 << 10}
 
-	run := func(fan bool) ReaderFanStats {
+	run := func(fan bool) Result {
 		t.Helper()
 		c, err := cluster.New(cluster.Options{
 			Servers:      1,
@@ -43,8 +43,8 @@ func TestRunReaderFan(t *testing.T) {
 		t.Fatalf("server path ran fan machinery: %+v", server.DLM)
 	}
 	// Every reader-round costs at least a lock RPC on the server path.
-	if server.ServerRPCsPerReader < 1 {
-		t.Fatalf("server path RPCs/reader = %.2f, want >= 1", server.ServerRPCsPerReader)
+	if server.ServerRPCsPerOp() < 1 {
+		t.Fatalf("server path RPCs/reader = %.2f, want >= 1", server.ServerRPCsPerOp())
 	}
 	// The fan path must carry the steady-state rotation: most rounds
 	// gather the cohort back, and the displaced cohort's leases arrive
@@ -55,8 +55,8 @@ func TestRunReaderFan(t *testing.T) {
 	if fan.DLM.LeaseGrants < int64(cfg.Rounds/2*cfg.Readers) {
 		t.Fatalf("fan path lease grants = %d, want >= %d", fan.DLM.LeaseGrants, cfg.Rounds/2*cfg.Readers)
 	}
-	if fan.ServerRPCsPerReader >= server.ServerRPCsPerReader {
+	if fan.ServerRPCsPerOp() >= server.ServerRPCsPerOp() {
 		t.Fatalf("fan path RPCs/reader = %.2f, server path = %.2f; no economy",
-			fan.ServerRPCsPerReader, server.ServerRPCsPerReader)
+			fan.ServerRPCsPerOp(), server.ServerRPCsPerOp())
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"ccpfs/internal/client"
 	"ccpfs/internal/cluster"
-	"ccpfs/internal/sim"
 )
 
 // TileConfig parameterizes the Tile-IO workload (§V-D): a grid of
@@ -66,48 +65,21 @@ func (cfg TileConfig) tileOps(tx, ty int, fillByte byte) []client.WriteOp {
 // exact extent list (the §V-D comparison).
 func RunTileIO(c *cluster.Cluster, cfg TileConfig) (Result, error) {
 	n := cfg.TilesX * cfg.TilesY
-	clients, err := c.Clients(n, "tile")
+	s, err := open(c, n, "tile", cfg.StripeSize, cfg.StripeCount, shared("/tile"))
 	if err != nil {
 		return Result{}, err
 	}
-	defer func() {
-		for _, cl := range clients {
-			cl.Close()
-		}
-	}()
-	files := make([]*client.File, n)
-	for i, cl := range clients {
-		f, err := cl.OpenOrCreate("/tile", cfg.StripeSize, cfg.StripeCount)
-		if err != nil {
-			return Result{}, err
-		}
-		files[i] = f
-	}
+	defer s.close()
 
-	clk := c.Clock()
-	errs := make(chan error, n)
-	grp := sim.NewGroup(clk)
-	start := clk.Now()
-	for i := 0; i < n; i++ {
-		grp.Go(func() {
+	res := Result{Ops: int64(n), Bytes: int64(n) * cfg.TileBytes()}
+	err = s.run(&res, func() error {
+		return s.parallel(n, func(i int) error {
 			ops := cfg.tileOps(i%cfg.TilesX, i/cfg.TilesX, byte(i+1))
-			if err := files[i].WriteMulti(ops); err != nil {
-				errs <- fmt.Errorf("tile %d: %w", i, err)
+			if err := s.files[i].WriteMulti(ops); err != nil {
+				return fmt.Errorf("tile %d: %w", i, err)
 			}
+			return nil
 		})
-	}
-	grp.Wait()
-	pio := clk.Since(start)
-	select {
-	case err := <-errs:
-		return Result{}, err
-	default:
-	}
-	flush := drain(clk, clients, files)
-	return Result{
-		PIO:   pio,
-		Flush: flush,
-		Bytes: int64(n) * cfg.TileBytes(),
-		Ops:   int64(n),
-	}, nil
+	})
+	return res, err
 }

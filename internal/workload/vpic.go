@@ -3,9 +3,7 @@ package workload
 import (
 	"fmt"
 
-	"ccpfs/internal/client"
 	"ccpfs/internal/cluster"
-	"ccpfs/internal/sim"
 )
 
 // VPICConfig parameterizes the VPIC-IO / h5bench workload (§V-E):
@@ -56,61 +54,31 @@ func (cfg VPICConfig) offset(iter, v, proc int) int64 {
 // RunVPIC executes the particle write phases: phase 2 (parallel writes,
 // PIO) and phase 3 (flush to disk, F).
 func RunVPIC(c *cluster.Cluster, cfg VPICConfig) (Result, error) {
-	clients, err := c.Clients(cfg.ClientNodes, "vpic")
+	s, err := open(c, cfg.ClientNodes, "vpic", cfg.StripeSize, cfg.StripeCount, shared("/vpic.h5"))
 	if err != nil {
 		return Result{}, err
 	}
-	defer func() {
-		for _, cl := range clients {
-			cl.Close()
-		}
-	}()
-	files := make([]*client.File, cfg.ClientNodes)
-	for i, cl := range clients {
-		f, err := cl.OpenOrCreate("/vpic.h5", cfg.StripeSize, cfg.StripeCount)
-		if err != nil {
-			return Result{}, err
-		}
-		files[i] = f
-	}
+	defer s.close()
 
-	clk := c.Clock()
-	errs := make(chan error, cfg.ClientNodes*cfg.ProcsPerNode)
-	grp := sim.NewGroup(clk)
-	start := clk.Now()
-	for node := 0; node < cfg.ClientNodes; node++ {
-		for p := 0; p < cfg.ProcsPerNode; p++ {
-			grp.Go(func() {
-				proc := node*cfg.ProcsPerNode + p
-				buf := make([]byte, cfg.chunkBytes())
-				for i := range buf {
-					buf[i] = byte(proc + i)
-				}
-				f := files[node]
-				for iter := 0; iter < cfg.Iterations; iter++ {
-					for v := 0; v < cfg.Variables; v++ {
-						if _, err := f.WriteAt(buf, cfg.offset(iter, v, proc)); err != nil {
-							errs <- fmt.Errorf("proc %d iter %d var %d: %w", proc, iter, v, err)
-							return
-						}
+	procs := cfg.ClientNodes * cfg.ProcsPerNode
+	res := Result{Ops: int64(procs * cfg.Iterations * cfg.Variables), Bytes: cfg.TotalBytes()}
+	err = s.run(&res, func() error {
+		// Process proc ships its IO to its node's client.
+		return s.parallel(procs, func(proc int) error {
+			buf := make([]byte, cfg.chunkBytes())
+			for i := range buf {
+				buf[i] = byte(proc + i)
+			}
+			f := s.files[proc/cfg.ProcsPerNode]
+			for iter := 0; iter < cfg.Iterations; iter++ {
+				for v := 0; v < cfg.Variables; v++ {
+					if _, err := f.WriteAt(buf, cfg.offset(iter, v, proc)); err != nil {
+						return fmt.Errorf("proc %d iter %d var %d: %w", proc, iter, v, err)
 					}
 				}
-			})
-		}
-	}
-	grp.Wait()
-	pio := clk.Since(start)
-	select {
-	case err := <-errs:
-		return Result{}, err
-	default:
-	}
-	flush := drain(clk, clients, files)
-	procs := int64(cfg.ClientNodes * cfg.ProcsPerNode)
-	return Result{
-		PIO:   pio,
-		Flush: flush,
-		Bytes: cfg.TotalBytes(),
-		Ops:   procs * int64(cfg.Iterations) * int64(cfg.Variables),
-	}, nil
+			}
+			return nil
+		})
+	})
+	return res, err
 }

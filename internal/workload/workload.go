@@ -9,6 +9,7 @@ package workload
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -47,16 +48,32 @@ func (p Pattern) String() string {
 
 // Result reports one run. The paper records the time spent inside write
 // calls as PIO (what applications see, data landing in client caches)
-// and the tail drain to data servers as F.
+// and the tail drain to data servers as F. Every time is read on the
+// cluster's clock: simulated time when it is virtual.
 type Result struct {
-	// PIO is the parallel-IO wall time of the write phase.
+	// PIO is the simulated time of the access phase.
 	PIO time.Duration
-	// Flush is the drain wall time (fsync + lock release at the end).
+	// Flush is the simulated drain time (fsync + lock release at the end).
 	Flush time.Duration
-	// Bytes is the total data written.
+	// Restart is the simulated time of RunCheckpoint's read-back phase
+	// (zero for every other runner).
+	Restart time.Duration
+	// Bytes is the total data moved (written; read, for RunReaderFan).
 	Bytes int64
-	// Ops is the total write operations issued.
+	// Ops is the total operations issued.
 	Ops int64
+	// DLM is the lock servers' counter delta from the start of the
+	// access phase to the end of the drain: LockOps is what the run cost
+	// in server RPCs, RevocationWait and CancelWait are Fig. 17's ① and
+	// ②, Handoffs and Gathers say how often delegation carried it.
+	DLM dlm.Snapshot
+	// LockRatio is locking time / IO time on client 0 (Fig. 18b).
+	LockRatio float64
+	// Superseded is the bytes the clients' own later writes replaced in
+	// their page caches before a flush collected them (pagecache
+	// SupersededBytes): written, never flushed, so the data servers'
+	// flushed + discarded bytes fall short of Bytes by exactly this.
+	Superseded int64
 }
 
 // Total returns PIO + Flush.
@@ -79,12 +96,117 @@ func (r Result) BandwidthTotal() float64 {
 	return float64(r.Bytes) / r.Total().Seconds()
 }
 
-// Throughput returns write operations per second over the PIO time.
+// Throughput returns operations per second over the PIO time.
 func (r Result) Throughput() float64 {
 	if r.PIO <= 0 {
 		return 0
 	}
 	return float64(r.Ops) / r.PIO.Seconds()
+}
+
+// ServerRPCsPerOp returns the run's lock-server RPCs per operation: per
+// lock exchange for RunPingPong (~2 on the revoke path, ~1 once handoff
+// delegates the transfer), per reader-round for RunReaderFan (>= 1 on
+// the server path, fractional once leases propagate peer-to-peer).
+func (r Result) ServerRPCsPerOp() float64 {
+	if r.Ops <= 0 {
+		return 0
+	}
+	return float64(r.DLM.LockOps) / float64(r.Ops)
+}
+
+// session is what every runner shares: n fresh clients of one cluster,
+// each with one open file, and the phases run over them.
+type session struct {
+	c       *cluster.Cluster
+	clk     sim.Clock
+	clients []*client.Client
+	files   []*client.File
+}
+
+// open creates n clients named prefix-0, prefix-1, … and opens path(i)
+// on client i with the given striping. The caller closes the session.
+func open(c *cluster.Cluster, n int, prefix string, stripeSize int64, stripes uint32, path func(i int) string) (*session, error) {
+	clients, err := c.Clients(n, prefix)
+	if err != nil {
+		return nil, err
+	}
+	s := &session{c: c, clk: c.Clock(), clients: clients, files: make([]*client.File, n)}
+	for i, cl := range clients {
+		if s.files[i], err = cl.OpenOrCreate(path(i), stripeSize, stripes); err != nil {
+			s.close()
+			return nil, err
+		}
+	}
+	return s, nil
+}
+
+// shared names one file for every client.
+func shared(path string) func(int) string { return func(int) string { return path } }
+
+// close closes every client.
+func (s *session) close() {
+	for _, cl := range s.clients {
+		cl.Close()
+	}
+}
+
+// timed runs f and returns the time it took.
+func (s *session) timed(f func() error) (time.Duration, error) {
+	start := s.clk.Now()
+	err := f()
+	return s.clk.Since(start), err
+}
+
+// parallel runs rank(0), …, rank(n-1) as concurrent coroutines, waits
+// for all of them and returns the first error.
+func (s *session) parallel(n int, rank func(i int) error) error {
+	errs := make(chan error, n)
+	grp := sim.NewGroup(s.clk)
+	for i := 0; i < n; i++ {
+		grp.Go(func() {
+			if err := rank(i); err != nil {
+				errs <- err
+			}
+		})
+	}
+	grp.Wait()
+	select {
+	case err := <-errs:
+		return err
+	default:
+		return nil
+	}
+}
+
+// run is a runner's measured part. It times the access phase f into
+// res.PIO; if f succeeds, it then drains, flushing every client's dirty
+// data and releasing all its locks, timed into res.Flush (the paper's F
+// time), and fills in the rest of res. res.DLM's window opens as f
+// starts and closes after the drain.
+func (s *session) run(res *Result, f func() error) error {
+	before := s.c.DLMStats()
+	var err error
+	if res.PIO, err = s.timed(f); err != nil {
+		return err
+	}
+	res.Flush, err = s.timed(func() error {
+		return s.parallel(len(s.clients), func(i int) error {
+			err := s.files[i].Fsync()
+			return errors.Join(err, s.clients[i].Locks().ReleaseAll(context.Background()))
+		})
+	})
+	if err != nil {
+		return fmt.Errorf("drain: %w", err)
+	}
+	res.DLM = s.c.DLMStats().Sub(before)
+	if io := s.clients[0].Stats.IONs.Load(); io > 0 {
+		res.LockRatio = float64(s.clients[0].Stats.LockNs.Load()) / float64(io)
+	}
+	for _, cl := range s.clients {
+		res.Superseded += cl.PageCache().SupersededBytes()
+	}
+	return nil
 }
 
 // IORConfig parameterizes an IOR-like run.
@@ -126,67 +248,40 @@ func RunIOR(c *cluster.Cluster, cfg IORConfig) (Result, error) {
 	if cfg.Path == "" {
 		cfg.Path = "/ior"
 	}
-	clients, err := c.Clients(cfg.Clients, "ior")
+	s, err := open(c, cfg.Clients, "ior", cfg.StripeSize, cfg.StripeCount, cfg.path)
 	if err != nil {
 		return Result{}, err
 	}
-	defer func() {
-		for _, cl := range clients {
-			cl.Close()
-		}
-	}()
+	defer s.close()
 
-	files := make([]*client.File, cfg.Clients)
-	for i, cl := range clients {
-		path := cfg.Path
-		if cfg.Pattern == NN {
-			path = fmt.Sprintf("%s-%d", cfg.Path, i)
-		}
-		f, err := cl.OpenOrCreate(path, cfg.StripeSize, cfg.StripeCount)
-		if err != nil {
-			return Result{}, err
-		}
-		files[i] = f
-	}
-
-	var res Result
-	res.Ops = int64(cfg.Clients * cfg.WritesPerClient)
+	res := Result{Ops: int64(cfg.Clients * cfg.WritesPerClient)}
 	res.Bytes = res.Ops * cfg.WriteSize
-
-	clk := c.Clock()
-	errs := make(chan error, cfg.Clients)
-	grp := sim.NewGroup(clk)
-	start := clk.Now()
-	for i := range clients {
-		grp.Go(func() {
+	err = s.run(&res, func() error {
+		return s.parallel(cfg.Clients, func(i int) error {
 			buf := make([]byte, cfg.WriteSize)
 			for b := range buf {
 				buf[b] = byte(i + b)
 			}
-			f := files[i]
 			for k := 0; k < cfg.WritesPerClient; k++ {
-				if _, err := f.WriteAtOpts(context.Background(), buf, cfg.offset(i, k), client.WriteOptions{Mode: cfg.Mode}); err != nil {
-					errs <- fmt.Errorf("rank %d write %d: %w", i, k, err)
-					return
+				if _, err := s.files[i].WriteAtOpts(context.Background(), buf, cfg.offset(i, k), client.WriteOptions{Mode: cfg.Mode}); err != nil {
+					return fmt.Errorf("rank %d write %d: %w", i, k, err)
 				}
 			}
+			return nil
 		})
-	}
-	grp.Wait()
-	res.PIO = clk.Since(start)
-	select {
-	case err := <-errs:
+	})
+	if err != nil || !cfg.Verify {
 		return res, err
-	default:
 	}
+	return res, verifyIOR(c, cfg)
+}
 
-	res.Flush = drain(clk, clients, files)
-	if cfg.Verify {
-		if err := verifyIOR(c, cfg); err != nil {
-			return res, err
-		}
+// path names rank i's file: its own for N-N, the shared one otherwise.
+func (cfg IORConfig) path(i int) string {
+	if cfg.Pattern == NN {
+		return fmt.Sprintf("%s-%d", cfg.Path, i)
 	}
-	return res, nil
+	return cfg.Path
 }
 
 // verifyIOR reads every block back from a fresh client and checks the
@@ -201,13 +296,8 @@ func verifyIOR(c *cluster.Cluster, cfg IORConfig) error {
 	want := make([]byte, cfg.WriteSize)
 	var f *client.File
 	for i := 0; i < cfg.Clients; i++ {
-		path := cfg.Path
-		if cfg.Pattern == NN {
-			path = fmt.Sprintf("%s-%d", cfg.Path, i)
-			f = nil
-		}
 		if f == nil || cfg.Pattern == NN {
-			if f, err = cl.Open(path); err != nil {
+			if f, err = cl.Open(cfg.path(i)); err != nil {
 				return err
 			}
 		}
@@ -227,23 +317,6 @@ func verifyIOR(c *cluster.Cluster, cfg IORConfig) error {
 	return nil
 }
 
-// drain flushes every client's dirty data and releases all locks,
-// returning the wall time — the paper's F time.
-func drain(clk sim.Clock, clients []*client.Client, files []*client.File) time.Duration {
-	start := clk.Now()
-	grp := sim.NewGroup(clk)
-	for i := range clients {
-		grp.Go(func() {
-			if files[i] != nil {
-				files[i].Fsync()
-			}
-			clients[i].Locks().ReleaseAll(context.Background())
-		})
-	}
-	grp.Wait()
-	return clk.Since(start)
-}
-
 // SequentialConfig parameterizes the totally-conflicting sequential
 // write sequence of Fig. 16(a): clients write to a shared file strictly
 // in round-robin order, each write locking the whole stripe range.
@@ -256,71 +329,32 @@ type SequentialConfig struct {
 	Mode        dlm.Mode // NBW vs PW is the Fig. 17 comparison
 }
 
-// Breakdown splits the total time of a sequential run into the paper's
-// three parts: ① lock revocation, ② lock cancel (data flushing + lock
-// release), ③ everything else (requests, grant replies, cache copies).
-type Breakdown struct {
-	Revocation time.Duration
-	Cancel     time.Duration
-	Other      time.Duration
-	Total      time.Duration
-}
-
-// RunSequential executes the round-robin conflicting sequence and
-// returns the result with the server-attributed time breakdown.
-func RunSequential(c *cluster.Cluster, cfg SequentialConfig) (Result, Breakdown, error) {
-	clients, err := c.Clients(cfg.Clients, "seq")
+// RunSequential executes the round-robin conflicting sequence. The
+// result's DLM.RevocationWait and DLM.CancelWait are the server-side
+// parts ① and ② of the paper's time breakdown.
+func RunSequential(c *cluster.Cluster, cfg SequentialConfig) (Result, error) {
+	s, err := open(c, cfg.Clients, "seq", cfg.StripeSize, cfg.StripeCount, shared("/seq"))
 	if err != nil {
-		return Result{}, Breakdown{}, err
+		return Result{}, err
 	}
-	defer func() {
-		for _, cl := range clients {
-			cl.Close()
-		}
-	}()
-	files := make([]*client.File, cfg.Clients)
-	for i, cl := range clients {
-		f, err := cl.OpenOrCreate("/seq", cfg.StripeSize, cfg.StripeCount)
-		if err != nil {
-			return Result{}, Breakdown{}, err
-		}
-		files[i] = f
-	}
+	defer s.close()
 
-	clk := c.Clock()
-	before := c.DLMStats()
+	res := Result{Ops: int64(cfg.Writes), Bytes: int64(cfg.Writes) * cfg.WriteSize}
 	buf := make([]byte, cfg.WriteSize)
-	start := clk.Now()
-	// The MPI_Send/MPI_Recv token ring of the paper, as a channel chain.
-	for k := 0; k < cfg.Writes; k++ {
-		i := k % cfg.Clients
-		if _, err := files[i].WriteAtOpts(context.Background(), buf, 0, client.WriteOptions{
-			Mode:            cfg.Mode,
-			LockWholeStripe: true,
-		}); err != nil {
-			return Result{}, Breakdown{}, err
+	// The MPI_Send/MPI_Recv token ring of the paper: one write at a
+	// time, rank after rank.
+	err = s.run(&res, func() error {
+		for k := 0; k < cfg.Writes; k++ {
+			if _, err := s.files[k%cfg.Clients].WriteAtOpts(context.Background(), buf, 0, client.WriteOptions{
+				Mode:            cfg.Mode,
+				LockWholeStripe: true,
+			}); err != nil {
+				return err
+			}
 		}
-	}
-	pio := clk.Since(start)
-	flush := drain(clk, clients, files)
-
-	res := Result{
-		PIO:   pio,
-		Flush: flush,
-		Bytes: int64(cfg.Writes) * cfg.WriteSize,
-		Ops:   int64(cfg.Writes),
-	}
-	d := c.DLMStats().Sub(before)
-	bd := Breakdown{
-		Revocation: d.RevocationWait,
-		Cancel:     d.CancelWait,
-		Total:      pio + flush,
-	}
-	bd.Other = bd.Total - bd.Revocation - bd.Cancel
-	if bd.Other < 0 {
-		bd.Other = 0
-	}
-	return res, bd, nil
+		return nil
+	})
+	return res, err
 }
 
 // ParallelConfig parameterizes the Fig. 16(b) throughput test: clients
@@ -336,73 +370,33 @@ type ParallelConfig struct {
 	Mode            dlm.Mode
 }
 
-// ParallelStats extends Result with the locking/IO time ratio of
-// Fig. 18(b), measured on client 0 as in the paper.
-type ParallelStats struct {
-	Result
-	// LockRatio is locking time / total IO time on one client.
-	LockRatio float64
-}
-
-// RunParallel executes the independent-writers throughput test.
-func RunParallel(c *cluster.Cluster, cfg ParallelConfig) (ParallelStats, error) {
-	clients, err := c.Clients(cfg.Clients, "par")
+// RunParallel executes the independent-writers throughput test; the
+// result's LockRatio is Fig. 18(b)'s, measured on client 0 as in the
+// paper.
+func RunParallel(c *cluster.Cluster, cfg ParallelConfig) (Result, error) {
+	s, err := open(c, cfg.Clients, "par", cfg.StripeSize, cfg.StripeCount, shared("/par"))
 	if err != nil {
-		return ParallelStats{}, err
+		return Result{}, err
 	}
-	defer func() {
-		for _, cl := range clients {
-			cl.Close()
-		}
-	}()
-	files := make([]*client.File, cfg.Clients)
-	for i, cl := range clients {
-		f, err := cl.OpenOrCreate("/par", cfg.StripeSize, cfg.StripeCount)
-		if err != nil {
-			return ParallelStats{}, err
-		}
-		files[i] = f
-	}
+	defer s.close()
 
-	clk := c.Clock()
-	errs := make(chan error, cfg.Clients)
-	grp := sim.NewGroup(clk)
-	start := clk.Now()
-	for i := range clients {
-		grp.Go(func() {
+	res := Result{Ops: int64(cfg.Clients * cfg.WritesPerClient)}
+	res.Bytes = res.Ops * cfg.WriteSize
+	err = s.run(&res, func() error {
+		return s.parallel(cfg.Clients, func(i int) error {
 			buf := make([]byte, cfg.WriteSize)
 			for k := 0; k < cfg.WritesPerClient; k++ {
-				if _, err := files[i].WriteAtOpts(context.Background(), buf, 0, client.WriteOptions{
+				if _, err := s.files[i].WriteAtOpts(context.Background(), buf, 0, client.WriteOptions{
 					Mode:            cfg.Mode,
 					LockWholeStripe: true,
 				}); err != nil {
-					errs <- err
-					return
+					return err
 				}
 			}
+			return nil
 		})
-	}
-	grp.Wait()
-	pio := clk.Since(start)
-	select {
-	case err := <-errs:
-		return ParallelStats{}, err
-	default:
-	}
-	flush := drain(clk, clients, files)
-
-	st := ParallelStats{Result: Result{
-		PIO:   pio,
-		Flush: flush,
-		Bytes: int64(cfg.Clients*cfg.WritesPerClient) * cfg.WriteSize,
-		Ops:   int64(cfg.Clients * cfg.WritesPerClient),
-	}}
-	lock := clients[0].Stats.LockNs.Load()
-	io := clients[0].Stats.IONs.Load()
-	if io > 0 {
-		st.LockRatio = float64(lock) / float64(io)
-	}
-	return st, nil
+	})
+	return res, err
 }
 
 // MixedConfig parameterizes the Fig. 19(a) lock-upgrading test: one
@@ -417,36 +411,33 @@ type MixedConfig struct {
 // RunMixed executes the interleaved read/write sequence and returns the
 // operation throughput.
 func RunMixed(c *cluster.Cluster, cfg MixedConfig) (Result, error) {
-	cl, err := c.NewClient("mixed")
+	s, err := open(c, 1, "mixed", cfg.StripeSize, 1, shared("/mixed"))
 	if err != nil {
 		return Result{}, err
 	}
-	defer cl.Close()
-	f, err := cl.OpenOrCreate("/mixed", cfg.StripeSize, 1)
-	if err != nil {
-		return Result{}, err
-	}
+	defer s.close()
+	f := s.files[0]
 	buf := make([]byte, cfg.Size)
 	// Prime the file so reads have data.
 	if _, err := f.WriteAtOpts(context.Background(), buf, 0, client.WriteOptions{Mode: cfg.WriteMode}); err != nil {
 		return Result{}, err
 	}
-	clk := c.Clock()
-	start := clk.Now()
-	for k := 0; k < cfg.Ops; k++ {
-		if k%2 == 0 {
-			if _, err := f.WriteAtOpts(context.Background(), buf, 0, client.WriteOptions{Mode: cfg.WriteMode}); err != nil {
-				return Result{}, err
+	res := Result{Ops: int64(cfg.Ops), Bytes: int64(cfg.Ops/2) * cfg.Size}
+	err = s.run(&res, func() error {
+		for k := 0; k < cfg.Ops; k++ {
+			var err error
+			if k%2 == 0 {
+				_, err = f.WriteAtOpts(context.Background(), buf, 0, client.WriteOptions{Mode: cfg.WriteMode})
+			} else {
+				_, err = f.ReadAt(buf, 0)
 			}
-		} else {
-			if _, err := f.ReadAt(buf, 0); err != nil {
-				return Result{}, err
+			if err != nil {
+				return err
 			}
 		}
-	}
-	pio := clk.Since(start)
-	flush := drain(clk, []*client.Client{cl}, []*client.File{f})
-	return Result{PIO: pio, Flush: flush, Ops: int64(cfg.Ops), Bytes: int64(cfg.Ops/2) * cfg.Size}, nil
+		return nil
+	})
+	return res, err
 }
 
 // SpanConfig parameterizes the Fig. 19(b) lock-downgrading test: every
@@ -462,56 +453,26 @@ type SpanConfig struct {
 
 // RunSpan executes the two-stripe spanning write test.
 func RunSpan(c *cluster.Cluster, cfg SpanConfig) (Result, error) {
-	clients, err := c.Clients(cfg.Clients, "span")
+	s, err := open(c, cfg.Clients, "span", cfg.StripeSize, 2, shared("/span"))
 	if err != nil {
 		return Result{}, err
 	}
-	defer func() {
-		for _, cl := range clients {
-			cl.Close()
-		}
-	}()
-	files := make([]*client.File, cfg.Clients)
-	for i, cl := range clients {
-		f, err := cl.OpenOrCreate("/span", cfg.StripeSize, 2)
-		if err != nil {
-			return Result{}, err
-		}
-		files[i] = f
-	}
+	defer s.close()
 	// A write centred on the stripe boundary spans both stripes.
-	off := cfg.StripeSize - cfg.WriteSize/2
-	if off < 0 {
-		off = 0
-	}
+	off := max(cfg.StripeSize-cfg.WriteSize/2, 0)
 
-	clk := c.Clock()
-	errs := make(chan error, cfg.Clients)
-	grp := sim.NewGroup(clk)
-	start := clk.Now()
-	for i := range clients {
-		grp.Go(func() {
+	res := Result{Ops: int64(cfg.Clients * cfg.WritesPerClient)}
+	res.Bytes = res.Ops * cfg.WriteSize
+	err = s.run(&res, func() error {
+		return s.parallel(cfg.Clients, func(i int) error {
 			buf := make([]byte, cfg.WriteSize)
 			for k := 0; k < cfg.WritesPerClient; k++ {
-				if _, err := files[i].WriteAtOpts(context.Background(), buf, off, client.WriteOptions{Mode: cfg.Mode}); err != nil {
-					errs <- err
-					return
+				if _, err := s.files[i].WriteAtOpts(context.Background(), buf, off, client.WriteOptions{Mode: cfg.Mode}); err != nil {
+					return err
 				}
 			}
+			return nil
 		})
-	}
-	grp.Wait()
-	pio := clk.Since(start)
-	select {
-	case err := <-errs:
-		return Result{}, err
-	default:
-	}
-	flush := drain(clk, clients, files)
-	return Result{
-		PIO:   pio,
-		Flush: flush,
-		Bytes: int64(cfg.Clients*cfg.WritesPerClient) * cfg.WriteSize,
-		Ops:   int64(cfg.Clients * cfg.WritesPerClient),
-	}, nil
+	})
+	return res, err
 }

@@ -119,7 +119,7 @@ func TestRunIORDataIntact(t *testing.T) {
 
 func TestRunSequentialBreakdown(t *testing.T) {
 	c := fastCluster(t, 1, dlm.SeqDLM())
-	res, bd, err := RunSequential(c, SequentialConfig{
+	res, err := RunSequential(c, SequentialConfig{
 		Clients:     4,
 		Writes:      40,
 		WriteSize:   16 << 10,
@@ -133,11 +133,11 @@ func TestRunSequentialBreakdown(t *testing.T) {
 	if res.Ops != 40 {
 		t.Fatalf("ops = %d", res.Ops)
 	}
-	if bd.Total <= 0 || bd.Other < 0 {
-		t.Fatalf("breakdown = %+v", bd)
+	if res.Total() <= 0 {
+		t.Fatalf("result = %+v", res)
 	}
-	if bd.Revocation+bd.Cancel > bd.Total {
-		t.Fatalf("breakdown parts exceed total: %+v", bd)
+	if res.DLM.RevocationWait+res.DLM.CancelWait > res.Total() {
+		t.Fatalf("breakdown parts exceed total %v: %+v", res.Total(), res.DLM)
 	}
 }
 
@@ -163,21 +163,21 @@ func TestSequentialPWvsNBWConflictResolution(t *testing.T) {
 		StripeCount: 1,
 	}
 	cfg.Mode = dlm.PW
-	_, bdPW, err := RunSequential(mk(), cfg)
+	pw, err := RunSequential(mk(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Mode = dlm.NBW
-	_, bdNBW, err := RunSequential(mk(), cfg)
+	nbw, err := RunSequential(mk(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bdPW.Cancel <= bdNBW.Cancel {
+	if pw.DLM.CancelWait <= nbw.DLM.CancelWait {
 		t.Fatalf("PW cancel wait (%v) must exceed NBW's (%v): early grant not effective",
-			bdPW.Cancel, bdNBW.Cancel)
+			pw.DLM.CancelWait, nbw.DLM.CancelWait)
 	}
-	if bdNBW.Total >= bdPW.Total {
-		t.Fatalf("NBW total (%v) must beat PW total (%v)", bdNBW.Total, bdPW.Total)
+	if nbw.Total() >= pw.Total() {
+		t.Fatalf("NBW total (%v) must beat PW total (%v)", nbw.Total(), pw.Total())
 	}
 }
 
@@ -373,7 +373,6 @@ func TestRunCheckpointRestart(t *testing.T) {
 				BlocksEach:  6,
 				StripeSize:  64 << 10,
 				StripeCount: 2,
-				Restart:     true,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -381,7 +380,7 @@ func TestRunCheckpointRestart(t *testing.T) {
 			if res.Bytes != 4*6*9000 {
 				t.Fatalf("bytes = %d", res.Bytes)
 			}
-			if res.Write <= 0 || res.Restart <= 0 {
+			if res.PIO <= 0 || res.Restart <= 0 {
 				t.Fatalf("phases not timed: %+v", res)
 			}
 		})

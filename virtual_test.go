@@ -24,25 +24,17 @@ import (
 // first is what makes virtual experiments diffable across machines and
 // CI runs; the second is what makes them trustworthy.
 
-// virtualPingPong runs the pingpong experiment in virtual mode at a
-// fixed small scale and returns the full rendered table.
-func virtualPingPong(t *testing.T, seed int64) (*Experiment, string) {
+// sameFigure fails t unless a fresh run of the figure at seed
+// reproduces the shared one byte for byte: its table and every row.
+func sameFigure(t *testing.T, name string, seed int64) *Experiment {
 	t.Helper()
-	cfg := DefaultPingPong()
-	cfg.Exchanges = 24
-	cfg.Seed = seed
-	exp, err := RunPingPong(cfg)
+	exp1 := figure(t, name, seed)
+	exp2, err := runFigure(name, seed)
 	if err != nil {
-		t.Fatalf("virtual pingpong (seed %d): %v", seed, err)
+		t.Fatalf("%s (seed %d): %v", name, seed, err)
 	}
-	return exp, exp.String()
-}
-
-func TestVirtualPingPongDeterministic(t *testing.T) {
-	exp1, text1 := virtualPingPong(t, 42)
-	exp2, text2 := virtualPingPong(t, 42)
-	if text1 != text2 {
-		t.Fatalf("same seed, different output:\n--- run 1\n%s\n--- run 2\n%s", text1, text2)
+	if exp1.String() != exp2.String() {
+		t.Fatalf("same seed, different output:\n--- run 1\n%s\n--- run 2\n%s", exp1, exp2)
 	}
 	if len(exp1.Rows) != len(exp2.Rows) {
 		t.Fatalf("row count differs: %d vs %d", len(exp1.Rows), len(exp2.Rows))
@@ -52,33 +44,24 @@ func TestVirtualPingPongDeterministic(t *testing.T) {
 			t.Fatalf("row %d differs:\n%+v\n%+v", i, exp1.Rows[i], exp2.Rows[i])
 		}
 	}
-	// PIO must be a virtual quantity, not a wall measurement: a 24-
+	return exp1
+}
+
+func TestVirtualPingPongDeterministic(t *testing.T) {
+	exp := sameFigure(t, "pingpong", 1)
+	// PIO must be a virtual quantity, not a wall measurement: a 64-
 	// exchange run over a 40µs-RTT fabric takes real simulated time,
 	// which a wall clock on this in-process cluster would never show.
-	if exp1.Rows[0].PIO <= 0 {
-		t.Fatalf("virtual PIO not positive: %v", exp1.Rows[0].PIO)
+	if exp.Rows[0].PIO <= 0 {
+		t.Fatalf("virtual PIO not positive: %v", exp.Rows[0].PIO)
 	}
 }
 
 // TestVirtualReaderFanDeterministic covers the fan-out path, which
-// exercises the broadcast/lease machinery, peer-to-peer propagation,
-// and much larger goroutine counts than pingpong.
+// exercises the gather/lease machinery, peer-to-peer propagation, and
+// larger goroutine counts than pingpong.
 func TestVirtualReaderFanDeterministic(t *testing.T) {
-	run := func() string {
-		cfg := DefaultReaderFan()
-		cfg.Rounds = 8
-		cfg.Readers = []int{16}
-		cfg.Seed = 7
-		exp, err := RunReaderFan(cfg)
-		if err != nil {
-			t.Fatalf("virtual readfan: %v", err)
-		}
-		return exp.String()
-	}
-	t1, t2 := run(), run()
-	if t1 != t2 {
-		t.Fatalf("same seed, different output:\n--- run 1\n%s\n--- run 2\n%s", t1, t2)
-	}
+	sameFigure(t, "readfan", 1)
 }
 
 // ppCounts runs a small pingpong workload on c and returns the
@@ -86,7 +69,7 @@ func TestVirtualReaderFanDeterministic(t *testing.T) {
 // did with the flushed data (stored, or discarded as stale).
 func ppCounts(t *testing.T, c *cluster.Cluster) (ops, bytes, flushed, discarded, superseded int64) {
 	t.Helper()
-	st, err := workload.RunPingPong(c, workload.PingPongConfig{
+	res, err := workload.RunPingPong(c, workload.PingPongConfig{
 		Exchanges:   16,
 		WriteSize:   32 << 10,
 		StripeSize:  1 << 20,
@@ -95,7 +78,7 @@ func ppCounts(t *testing.T, c *cluster.Cluster) (ops, bytes, flushed, discarded,
 	if err != nil {
 		t.Fatalf("pingpong: %v", err)
 	}
-	return st.Ops, st.Bytes, c.FlushedBytes(), c.DiscardedBytes(), st.Superseded
+	return res.Ops, res.Bytes, c.FlushedBytes(), c.DiscardedBytes(), res.Superseded
 }
 
 // TestVirtualRealEquivalence runs the identical workload on the wall
@@ -280,11 +263,11 @@ func TestVirtualReadFanColdStart(t *testing.T) {
 // the server path (Lock + Release per exchange) is the contrast: at
 // least 1.5 server RPCs, or the revoke path stopped being exercised.
 func TestVirtualPingPongNoSolicit(t *testing.T) {
-	run := func(handoff bool) workload.PingPongStats {
+	run := func(handoff bool) workload.Result {
 		v := sim.NewVClock(3)
 		hw := sim.TableI(1)
 		hw.Clock = sim.Virtual(v)
-		var st workload.PingPongStats
+		var st workload.Result
 		var err error
 		v.Run(func() {
 			var c *cluster.Cluster
@@ -305,32 +288,35 @@ func TestVirtualPingPongNoSolicit(t *testing.T) {
 	if st.DLM.AckSolicits != 0 || st.DLM.HandoffReclaims != 0 {
 		t.Fatalf("ping-pong: %d ack solicitations, %d reclaims, want 0", st.DLM.AckSolicits, st.DLM.HandoffReclaims)
 	}
-	if r := st.ServerRPCsPerExchange; r < 0.9 || r > 1.2 {
+	if r := st.ServerRPCsPerOp(); r < 0.9 || r > 1.2 {
 		t.Fatalf("ping-pong: %.3f server RPCs/exchange, want about 1", r)
 	}
-	if r := run(false).ServerRPCsPerExchange; r < 1.5 {
+	if r := run(false).ServerRPCsPerOp(); r < 1.5 {
 		t.Fatalf("server-path ping-pong: %.3f server RPCs/exchange, want >= 1.5", r)
 	}
 }
 
-// TestVirtualPartitionScaling: four hash-partitioned lock servers, each
-// admitting lock RPCs at the same capped rate, carry the grant workload
-// at least twice as fast as one. The ideal is 4x; under the virtual
-// clock the seeded run reads it almost exactly, so the floor is about
-// partitioning silently ceasing to scale, not about noise.
+// TestVirtualPartitionScaling: hash-partitioned lock servers, each
+// admitting lock RPCs at the same rate, multiply the grant throughput.
+// The curve over 1, 2, 4 and 8 servers must rise at every step, and 8
+// must carry at least 4x what 1 does. The ideal is 8x; under the
+// virtual clock the seeded run reads it almost exactly, so the floor is
+// about partitioning silently ceasing to scale, not about noise.
 func TestVirtualPartitionScaling(t *testing.T) {
-	cfg := DefaultPartitionScale()
-	cfg.Servers = []int{1, 4}
-	cfg.Seed = 1
-	exp, err := RunPartitionScale(cfg)
-	if err != nil {
-		t.Fatal(err)
+	exp := figure(t, "partition", 1)
+	rows := exp.Rows
+	if len(rows) != 4 {
+		t.Fatalf("%d points, want 4 (N = 1, 2, 4, 8)\n%s", len(rows), exp.Text)
 	}
-	got := exp.Rows[1].Throughput / exp.Rows[0].Throughput
-	if got < 2 {
-		t.Fatalf("N=4 throughput is %.2fx N=1, want >= 2x\n%s", got, exp.Text)
+	for i := 1; i < len(rows); i++ {
+		if rows[i].Throughput <= rows[i-1].Throughput {
+			t.Errorf("%s carries %.0f grants/s, no more than %s's %.0f\n%s",
+				rows[i].Variant, rows[i].Throughput, rows[i-1].Variant, rows[i-1].Throughput, exp.Text)
+		}
 	}
-	t.Logf("N=4 vs N=1: %.2fx", got)
+	if got := rows[3].Throughput / rows[0].Throughput; got < 4 {
+		t.Errorf("N=8 throughput is %.2fx N=1, want >= 4x\n%s", got, exp.Text)
+	}
 }
 
 // TestVirtualIORVerified runs a verified strided IOR inside a virtual
@@ -376,13 +362,13 @@ func TestVirtualIORVerified(t *testing.T) {
 // actually feeding the run and "deterministic" would be vacuous. Only
 // the timing columns must differ; ops and bytes stay fixed.
 func TestVirtualSeedsDiffer(t *testing.T) {
-	_, t1 := virtualPingPong(t, 1)
-	_, t2 := virtualPingPong(t, 2)
+	t1 := figure(t, "pingpong", 1).Text
+	t2 := figure(t, "pingpong", 42).Text
 	if t1 == t2 {
 		// Not fatal: with a workload this regular the seeded jitter may
 		// legitimately cancel out. But it usually should not, so flag it
 		// loudly when it happens.
-		t.Logf("warning: seeds 1 and 2 produced identical tables:\n%s", t1)
+		t.Logf("warning: seeds 1 and 42 produced identical tables:\n%s", t1)
 	}
 	if !strings.Contains(t1, "handoff") {
 		t.Fatalf("table missing handoff variant:\n%s", t1)
