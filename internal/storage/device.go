@@ -31,6 +31,12 @@ const maxRun = 1 << 20
 // when the transfer has passed the end of its own range. A request
 // never passes an earlier one it overlaps (unless both are reads).
 //
+// A read that arrives while a read run holding all of its bytes is in
+// service joins that run by the same member rule, unless a waiting
+// write it overlaps is ahead of it — as a page-cache reader that finds
+// its folio locked for read I/O waits for that I/O instead of issuing
+// its own.
+//
 // The bytes themselves move at submission: WriteV passes its write (and
 // the frame it may offer) to the inner store, and ReadAt copies from it,
 // under s.mu, in submission order, which is the
@@ -50,8 +56,18 @@ type SimStore struct {
 
 	mu      sync.Mutex
 	freeAt  time.Time // end of the run in service; the device is free from then on
+	serving run       // the run dispatched last, in service until freeAt
 	wait    []request // not yet dispatched, oldest first
 	pumping bool      // a pump goroutine is alive; it dispatches when the device falls free
+}
+
+// run is what a read arriving during service needs of the run in
+// service: its kind, its stripe, the range it transfers and its start.
+type run struct {
+	write  bool
+	stripe uint64
+	lo, hi int64
+	start  time.Time
 }
 
 // DeviceStats counts what the simulated device did. requests − ops is
@@ -171,9 +187,14 @@ func (s *SimStore) ReadAt(stripe uint64, off int64, buf []byte) error {
 	s.mu.Lock()
 	now := s.clk.Now()
 	c.fail(s.inner.ReadAt(stripe, off, buf))
-	s.enqueue(c, false, stripe, off, int64(len(buf)), now)
 	s.Stats.ReadRequests.Inc()
-	s.kick(now)
+	if r := (request{stripe: stripe, off: off, end: off + int64(len(buf))}); s.joins(&r, now) {
+		c.pending++
+		s.complete(c, s.serving.start.Add(s.lat+sim.TransferTime(r.end-s.serving.lo, s.bw)))
+	} else {
+		s.enqueue(c, false, stripe, off, int64(len(buf)), now)
+		s.kick(now)
+	}
 	s.mu.Unlock()
 	return s.await(c)
 }
@@ -260,6 +281,7 @@ func (s *SimStore) dispatch() {
 	}
 	cost := s.lat + sim.TransferTime(hi-lo, s.bw)
 	s.freeAt = start.Add(cost)
+	s.serving = run{write: head.write, stripe: head.stripe, lo: lo, hi: hi, start: start}
 	s.Stats.BusyNs.Add(int64(cost))
 	s.Stats.QueueDepth.Record(int64(len(q)))
 	if head.write {
@@ -294,6 +316,18 @@ func extends(r *request, lo, hi int64) bool {
 		return r.off == hi || r.end == lo || (r.off >= lo && r.end <= hi)
 	}
 	return r.off <= hi && r.end >= lo
+}
+
+// joins reports whether the read r, arriving at now, is served by the
+// run in service: a read run on r's stripe that transfers all of r's
+// bytes, with no waiting write r overlaps ahead of r. Such a write would
+// have to reach the device first; any other write r overlaps was on
+// media before the run began, so the run's transfer carries exactly the
+// bytes r took from the store at submission.
+func (s *SimStore) joins(r *request, now time.Time) bool {
+	v := &s.serving
+	return now.Before(s.freeAt) && !v.write && v.stripe == r.stripe &&
+		v.lo <= r.off && r.end <= v.hi && !overtakes(r, s.wait)
 }
 
 // overtakes reports whether serving r now would pass an earlier waiting

@@ -30,9 +30,11 @@ type ReaderFanConfig struct {
 // RunReaderFan executes the write-then-fan-out rotation. The result's
 // DLM.Gathers says how many rounds the fan-out path carried,
 // DLM.LeaseGrants how many read leases were installed without a reader
-// lock RPC, and ServerRPCsPerOp the lock RPCs per reader-round. Reads
-// hit the readers' page caches after the first fetch; the interesting
-// cost is the lock traffic, not the data movement.
+// lock RPC, and ServerRPCsPerOp the lock RPCs per reader-round. Every
+// round's write revokes the readers' leases and so invalidates their
+// cached pages: each read fetches the range from the data server in an
+// RPC of its own, and the server's device serves the cohort's reads
+// with one operation.
 func RunReaderFan(c *cluster.Cluster, cfg ReaderFanConfig) (Result, error) {
 	cfg.Readers = max(cfg.Readers, 1)
 	cfg.Rounds = max(cfg.Rounds, 1)

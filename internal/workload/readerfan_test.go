@@ -60,3 +60,38 @@ func TestRunReaderFan(t *testing.T) {
 			fan.ServerRPCsPerOp(), server.ServerRPCsPerOp())
 	}
 }
+
+// TestReaderFanOneDeviceReadPerRound: on the Table I device each
+// round's first reader starts the stripe's read alone, and the other
+// readers arrive while it is in service; they are served by that read,
+// so every round costs the device one read operation.
+func TestReaderFanOneDeviceReadPerRound(t *testing.T) {
+	const readers, rounds = 8, 8
+	v := sim.NewVClock(1)
+	hw := sim.TableI(1)
+	hw.Clock = sim.Virtual(v)
+	var reqs, ops int64
+	var err error
+	v.Run(func() {
+		var c *cluster.Cluster
+		if c, err = cluster.New(cluster.Options{
+			Servers: 1, Policy: dlm.SeqDLM(), Hardware: hw, Handoff: true, ReaderFanout: true,
+		}); err != nil {
+			return
+		}
+		defer c.Close()
+		if _, err = RunReaderFan(c, ReaderFanConfig{
+			Readers: readers, Rounds: rounds, WriteSize: 64 << 10, StripeSize: 1 << 20,
+		}); err != nil {
+			return
+		}
+		snap := c.Servers[0].Obs().Snapshot()
+		reqs, ops = snap.Counters["storage.read_requests"], snap.Counters["storage.read_ops"]
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reqs != readers*rounds || ops > rounds {
+		t.Fatalf("device: %d read requests in %d read ops, want %d in at most %d", reqs, ops, readers*rounds, rounds)
+	}
+}
