@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"ccpfs/internal/dlm"
 	"ccpfs/internal/extent"
 	"ccpfs/internal/partition"
+	"ccpfs/internal/sim"
 )
 
 // TestClusterReaderFanMigrationRace races the reader fan-out path
@@ -168,4 +170,77 @@ func TestClusterReaderFanMigrationRace(t *testing.T) {
 	if err := c.Servers[0].DLM.CheckMaster(hot); err != nil {
 		t.Fatalf("slot %d not back home on server 0: %v", slot, err)
 	}
+}
+
+// TestVirtualReaderFanGatherOneRoundTrip pins what displacing a formed
+// cohort costs the writer: the server revokes all 64 readers' leases at
+// once and their gather parts come back together, so on the Table I
+// hardware each steady-state whole-stripe write returns within about
+// two round trips. Revocations delivered a few holders at a time cost
+// one round trip per wave (94.6 µs with eight at a time).
+func TestVirtualReaderFanGatherOneRoundTrip(t *testing.T) {
+	const readers, rounds, formed = 64, 8, 1
+	const bound = 30 * time.Microsecond
+	v := sim.NewVClock(1)
+	hw := sim.TableI(1)
+	hw.Clock = sim.Virtual(v)
+	var lat []time.Duration
+	var err error
+	v.Run(func() { lat, err = readerFanWriterOps(hw, readers, rounds) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("writer op per round: %v", lat)
+	for r := formed; r < rounds; r++ {
+		if lat[r] > bound {
+			t.Errorf("round %d: writer op took %v with the cohort formed, want <= %v", r, lat[r], bound)
+		}
+	}
+}
+
+// readerFanWriterOps runs rounds of one whole-stripe write followed by
+// readers concurrent reads of it, on one server with reader fan-out,
+// and returns how long each round's write took.
+func readerFanWriterOps(hw sim.Hardware, readers, rounds int) ([]time.Duration, error) {
+	c, err := New(Options{Servers: 1, Policy: dlm.SeqDLM(), Hardware: hw, Handoff: true, ReaderFanout: true})
+	if err != nil {
+		return nil, err
+	}
+	defer c.Close()
+	cls, err := c.Clients(1+readers, "fan")
+	if err != nil {
+		return nil, err
+	}
+	defer func() {
+		for _, cl := range cls {
+			cl.Close()
+		}
+	}()
+	files := make([]*client.File, len(cls))
+	for i, cl := range cls {
+		if files[i], err = cl.OpenOrCreate("/fan", 1<<20, 1); err != nil {
+			return nil, err
+		}
+	}
+	clk := c.Clock()
+	ctx := context.Background()
+	wbuf := pattern(1, 64<<10)
+	errs := make([]error, readers)
+	lat := make([]time.Duration, rounds)
+	for r := range lat {
+		start := clk.Now()
+		if _, err := files[0].WriteAtOpts(ctx, wbuf, 0, client.WriteOptions{Mode: dlm.NBW, LockWholeStripe: true}); err != nil {
+			return nil, err
+		}
+		lat[r] = clk.Since(start)
+		grp := sim.NewGroup(clk)
+		for i := range errs {
+			grp.Go(func() { _, errs[i] = files[1+i].ReadAt(make([]byte, len(wbuf)), 0) })
+		}
+		grp.Wait()
+		if err := errors.Join(errs...); err != nil {
+			return nil, err
+		}
+	}
+	return lat, nil
 }

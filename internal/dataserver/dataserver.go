@@ -328,8 +328,8 @@ const maxRevokeEntries = 512
 // revokeDelivery is one RevokeBatch delivery's record: the batch calls,
 // their requests and replies, and the wire entries and stamps the
 // requests carry, stamps[i] belonging to entries[i]. Deliveries run
-// concurrently, up to the revoker's pool bound, so records come from a
-// pool; a record has one user, the RevokeBatch that took it, until
+// concurrently, one per client with revocations pending, so records
+// come from a pool; a record has one user, the RevokeBatch that took it, until
 // CallBatch has returned — by then every request is encoded and every
 // reply decoded — and RevokeBatch has read the acks.
 type revokeDelivery struct {

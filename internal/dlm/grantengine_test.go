@@ -265,35 +265,32 @@ func TestReleaseManyLocksNotQuadratic(t *testing.T) {
 	}
 }
 
-// TestRevocationFanOutBounded asserts the revoker's worker-pool bound:
-// a conflict revoking many distinct holders must never run more
-// concurrent notifier deliveries than DefaultRevokeWorkers.
-func TestRevocationFanOutBounded(t *testing.T) {
+// TestRevocationFanOutAllAtOnce asserts the revoker's fan-out: a
+// conflict revoking many distinct holders has every holder's delivery
+// in flight at once (a gather costs one round trip, not one per pool
+// slot), and each revocation is delivered exactly once.
+func TestRevocationFanOutAllAtOnce(t *testing.T) {
 	const holders = 64
-	const bound = DefaultRevokeWorkers
 	var (
-		cur    atomic.Int64
-		peakMu sync.Mutex
-		peak   int64
-		gate   = make(chan struct{})
+		cur       atomic.Int64
+		mu        sync.Mutex
+		peak      int64
+		delivered = make(map[LockID]int)
+		gate      = make(chan struct{})
 	)
-	peakNow := func() int64 {
-		peakMu.Lock()
-		defer peakMu.Unlock()
-		return peak
-	}
 	s := NewServer(tiledPolicy(), nil)
 	s.SetNotifier(NotifierFunc(func(_ context.Context, rv Revocation) {
 		c := cur.Add(1)
-		peakMu.Lock()
+		mu.Lock()
 		peak = max(peak, c)
-		peakMu.Unlock()
+		delivered[rv.Lock]++
+		mu.Unlock()
 		<-gate
 		cur.Add(-1)
 		s.RevokeAck(rv.Resource, rv.Lock)
 		s.Release(rv.Resource, rv.Lock)
 	}))
-	grantTiles(t, s, 1, holders, 64, 2)
+	ids := grantTiles(t, s, 1, holders, 64, 2)
 
 	done := make(chan error, 1)
 	go func() {
@@ -303,18 +300,24 @@ func TestRevocationFanOutBounded(t *testing.T) {
 		})
 		done <- err
 	}()
-	// The pool must saturate at exactly the bound and go no further.
-	waitFor(t, "pool saturation", func() bool { return cur.Load() == bound })
-	time.Sleep(20 * time.Millisecond) // give an unbounded pool time to overshoot
-	if p := peakNow(); p != bound {
-		t.Fatalf("peak concurrent deliveries = %d, want exactly %d", p, bound)
-	}
+	// Every holder's delivery must be in flight before any returns.
+	waitFor(t, "every delivery in flight", func() bool { return cur.Load() == holders })
 	close(gate)
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if p := peakNow(); p > bound {
-		t.Fatalf("peak concurrent deliveries = %d, exceeded bound %d", p, bound)
+	mu.Lock()
+	defer mu.Unlock()
+	if peak != holders {
+		t.Fatalf("peak concurrent deliveries = %d, want %d", peak, holders)
+	}
+	if len(delivered) != holders {
+		t.Fatalf("%d distinct locks revoked, want %d", len(delivered), holders)
+	}
+	for _, id := range ids {
+		if n := delivered[id]; n != 1 {
+			t.Errorf("lock %d delivered %d times, want 1", id, n)
+		}
 	}
 	if got := s.Stats.Revocations.Load(); got != holders {
 		t.Fatalf("revocations = %d, want %d", got, holders)

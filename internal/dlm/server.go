@@ -92,7 +92,8 @@ type Revocation struct {
 //   - RevokeBatch delivers every revocation pending for one client in
 //     one callback (DESIGN.md §9). The implementation invokes
 //     Server.RevokeAck for each entry when the reply returns, and acks
-//     and releases entries whose holder has vanished.
+//     and releases entries whose holder has vanished. revs is the
+//     revoker's, reused once the call returns.
 //   - Handoff activates delegated lock id at its owner: the server-sent
 //     transfer, used when the previous holder released instead of
 //     transferring or the reclaimer force-resolved the delegation
@@ -141,8 +142,8 @@ type Server struct {
 	cancelFn context.CancelFunc
 	draining atomic.Bool
 
-	// revoker coalesces revocations per client and bounds concurrent
-	// fan-out (DESIGN.md §9).
+	// revoker coalesces revocations per client and delivers to every
+	// client at once (DESIGN.md §9).
 	revoker revoker
 
 	// handoffOn gates the client-to-client handoff fast path; set from
@@ -756,9 +757,10 @@ func (s *Server) conflicts(res *resource, w *waiter, m Mode) []*lock {
 }
 
 // fire hands revocations to the batching revoker outside all locks. The
-// revoker coalesces them per destination client and delivers through a
-// bounded worker pool (DESIGN.md §9); deliveries may block inside the
-// notifier RPC, whose reply re-enters the server.
+// revoker coalesces them per destination client and delivers to every
+// client at once, one delivery in flight per client (DESIGN.md §9);
+// deliveries may block inside the notifier RPC, whose reply re-enters
+// the server.
 func (s *Server) fire(revs []Revocation) {
 	if len(revs) == 0 {
 		return
