@@ -839,7 +839,7 @@ func (c *LockClient) cancel(h *Handle) {
 	c.st.mu.Unlock()
 
 	if stamp != nil {
-		c.transfer(ctx, conn, h, stamp)
+		c.transfer(ctx, conn, h, stamp, wrote)
 	} else {
 		flushed := false
 		if d := Downgrade(mode, wrote); c.policy.Conversion && d != ModeNone {

@@ -185,10 +185,14 @@ func (c *LockClient) waitTransferCh(ctx context.Context, tw *transferWaiter) boo
 // extent cache resolves the overlap — which keeps the flush off the
 // successor's critical path. A reading successor (PR/PW) must find the
 // data on the data servers, so for it the flush completes before the
-// transfer. Either way the flush obligation runs exactly once, here.
-func (c *LockClient) transfer(ctx context.Context, conn ServerConn, h *Handle, stamp *HandoffStamp) {
+// transfer. A holder that never wrote has nothing to flush, and its
+// cancel path drops the pages the lock protected before the transfer:
+// otherwise a later lock of this client, ordered after the successor's
+// writes, could read them in the meantime. Either way the flush
+// obligation runs exactly once, here.
+func (c *LockClient) transfer(ctx context.Context, conn ServerConn, h *Handle, stamp *HandoffStamp, wrote bool) {
 	res := h.res
-	deferFlush := !stamp.Mode.CanRead()
+	deferFlush := wrote && !stamp.Mode.CanRead()
 	if !deferFlush {
 		c.flusher.FlushForCancel(ctx, res, h.rng, h.sn)
 	}

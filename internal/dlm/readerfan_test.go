@@ -4,6 +4,7 @@ import (
 	"context"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -170,6 +171,57 @@ func TestReaderFanGatherToWriter(t *testing.T) {
 	}
 	if err := h.srv.CheckInvariants(); err != nil {
 		t.Fatalf("invariants: %v", err)
+	}
+}
+
+// TestReaderFanPartAfterCancelFlush: a reader gathered toward a writer
+// wrote nothing, so it runs its cancel flush — which drops the pages its
+// lease protected — before its part leaves. Sent first, the part could
+// complete the writer's gather, and a later lease of the reader could
+// be served those pages, older than the writer's data, before they were
+// dropped.
+func TestReaderFanPartAfterCancelFlush(t *testing.T) {
+	const nReaders = 4
+	h := newHOHarness(t, fanPolicy(), 1+nReaders, true)
+	res := ResourceID(34)
+	rng := extent.New(0, 4096)
+
+	h.client(1).Unlock(formHandback(t, h, res, rng, nReaders))
+	for i, hd := range acquireCohort(t, h, res, rng, nReaders) {
+		h.client(2 + i).Unlock(hd) // leases stay cached
+	}
+	for _, c := range h.clients {
+		c.FlushHandoffAcks(context.Background())
+	}
+
+	// Hold every cancel flush: the writer's gather must wait for them.
+	gate := make(chan struct{})
+	h.flusher.setGate(gate)
+	var opened atomic.Bool
+	type result struct {
+		w     *Handle
+		err   error
+		early bool
+	}
+	done := make(chan result, 1)
+	go func() {
+		w, err := h.client(1).Acquire(context.Background(), res, NBW, rng)
+		done <- result{w, err, !opened.Load()}
+	}()
+	time.Sleep(20 * time.Millisecond) // time for parts sent before their flush to land
+	opened.Store(true)
+	close(gate)
+	r := <-done
+	h.flusher.setGate(nil)
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if r.early {
+		t.Fatal("the writer's gather completed while the readers' cancel flushes were held")
+	}
+	h.client(1).Unlock(r.w)
+	for _, c := range h.clients {
+		c.FlushHandoffAcks(context.Background())
 	}
 }
 

@@ -1,7 +1,10 @@
 package workload
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
+	"fmt"
 
 	"ccpfs/internal/client"
 	"ccpfs/internal/cluster"
@@ -34,7 +37,9 @@ type ReaderFanConfig struct {
 // round's write revokes the readers' leases and so invalidates their
 // cached pages: each read fetches the range from the data server in an
 // RPC of its own, and the server's device serves the cohort's reads
-// with one operation.
+// with one operation. Each round's block carries the round number at
+// both ends, and a read that returns any other round's block fails the
+// run.
 func RunReaderFan(c *cluster.Cluster, cfg ReaderFanConfig) (Result, error) {
 	cfg.Readers = max(cfg.Readers, 1)
 	cfg.Rounds = max(cfg.Rounds, 1)
@@ -54,6 +59,7 @@ func RunReaderFan(c *cluster.Cluster, cfg ReaderFanConfig) (Result, error) {
 	ctx := context.Background()
 	err = s.run(&res, func() error {
 		for r := 0; r < cfg.Rounds; r++ {
+			stamp(buf, r)
 			// The writer locks the whole stripe in NBW so its lock
 			// conflicts with every reader lease — the displacement that
 			// arms the next broadcast.
@@ -64,8 +70,13 @@ func RunReaderFan(c *cluster.Cluster, cfg ReaderFanConfig) (Result, error) {
 				return err
 			}
 			if err := s.parallel(cfg.Readers, func(i int) error {
-				_, err := s.files[1+i].ReadAtContext(ctx, rbufs[i], 0)
-				return err
+				if _, err := s.files[1+i].ReadAtContext(ctx, rbufs[i], 0); err != nil {
+					return err
+				}
+				if !bytes.Equal(rbufs[i], buf) {
+					return fmt.Errorf("readerfan: reader %d in round %d read a stale block", i, r)
+				}
+				return nil
 			}); err != nil {
 				return err
 			}
@@ -73,4 +84,11 @@ func RunReaderFan(c *cluster.Cluster, cfg ReaderFanConfig) (Result, error) {
 		return nil
 	})
 	return res, err
+}
+
+// stamp marks buf with op at both ends, so blocks rewritten in place
+// tell their rounds apart.
+func stamp(buf []byte, op int) {
+	binary.LittleEndian.PutUint64(buf, uint64(op))
+	binary.LittleEndian.PutUint64(buf[len(buf)-8:], uint64(op))
 }

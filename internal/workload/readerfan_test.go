@@ -31,7 +31,7 @@ func TestRunReaderFan(t *testing.T) {
 		defer c.Close()
 		st, err := RunReaderFan(c, cfg)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("fan=%v: %v", fan, err)
 		}
 		return st
 	}
