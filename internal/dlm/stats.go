@@ -72,9 +72,9 @@ type Stats struct {
 	RevocationWaitHist obs.Histogram
 	CancelWaitHist     obs.Histogram
 
-	// RevokeQueue is the revoker pool's instantaneous backlog: the
-	// number of revocations enqueued for delivery but not yet handed to
-	// the notifier.
+	// RevokeQueue is the instantaneous backlog of the revoker's
+	// per-client deliveries: the number of revocations enqueued for
+	// delivery but not yet handed to the notifier.
 	RevokeQueue obs.Gauge
 
 	// Partition-mastership instruments (partition.go): the number of
@@ -207,7 +207,7 @@ func (s Snapshot) Sub(o Snapshot) Snapshot {
 }
 
 // CoalescingFactor returns the revocations-per-delivery ratio achieved
-// by the revoker pool, or 0 before any batch has been delivered — the
+// by the revoker's per-client deliveries, or 0 before any batch has been delivered — the
 // guarded form of Revocations / RevokeBatches.
 func (s Snapshot) CoalescingFactor() float64 {
 	if s.RevokeBatches <= 0 {
