@@ -524,11 +524,6 @@ func (s slowConn) Send(ctx context.Context, msg []byte) error {
 	return s.Conn.Send(ctx, msg)
 }
 
-func (s slowConn) SendBatch(ctx context.Context, msgs [][]byte) error {
-	time.Sleep(s.delay)
-	return s.Conn.SendBatch(ctx, msgs)
-}
-
 func TestReadAtEOFSemantics(t *testing.T) {
 	c := newCluster(t, Options{Servers: 1, Policy: dlm.SeqDLM()})
 	cl := newClients(t, c, 1)[0]

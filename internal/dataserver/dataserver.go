@@ -49,7 +49,8 @@ type Config struct {
 	ExtentLog bool
 	// ExtentLogDir, when set (with ExtentLog), persists the log to an
 	// append-only file in this directory and replays it at startup, so
-	// recovery works across real process restarts.
+	// recovery works across real process restarts. The file is then the
+	// only log: the cache keeps no in-memory copy.
 	ExtentLogDir string
 	// CleanupInterval runs the extent-cache cleanup daemon when > 0.
 	CleanupInterval time.Duration
@@ -157,8 +158,8 @@ func New(cfg Config) *Server {
 	}
 	if cfg.ExtentLog && cfg.ExtentLogDir != "" {
 		if lf, err := extcache.OpenLogFile(cfg.ExtentLogDir); err == nil {
-			s.Cache.ReplayLogFile(lf)
 			s.Cache.AttachLogFile(lf)
+			s.Cache.ReplayLogFile(lf)
 			s.logFile = lf
 		}
 	}
@@ -173,9 +174,6 @@ func (s *Server) registerObs() {
 	s.obs = reg
 	s.rpcMetrics = rpc.NewMetrics()
 	reg.RegisterCollector(s.rpcMetrics)
-	// Transport batching counters are process-wide; the rule is one
-	// registry per process, and for a server binary this is it.
-	transport.RegisterMetrics(reg)
 	s.DLM.Stats.Register(reg)
 	reg.Func("extcache.entries", func() int64 { return int64(s.Cache.Entries()) })
 	reg.Func("extcache.bytes", func() int64 { return int64(s.Cache.Bytes()) })
@@ -320,22 +318,16 @@ func (n notifier) SolicitAck(ctx context.Context, client dlm.ClientID, res dlm.R
 	_ = ep.Call(ctx, wire.MAckSolicit, &wire.AckSolicit{Resource: uint64(res), LockID: uint64(id)}, nil)
 }
 
-// maxRevokeEntries caps how many revocations ride in one RevokeBatch
-// frame; a larger per-client backlog splits into several frames that
-// still leave as one coalesced transport batch (rpc.CallBatch).
-const maxRevokeEntries = 512
-
-// revokeDelivery is one RevokeBatch delivery's record: the batch calls,
-// their requests and replies, and the wire entries and stamps the
-// requests carry, stamps[i] belonging to entries[i]. Deliveries run
-// concurrently, one per client with revocations pending, so records
-// come from a pool; a record has one user, the RevokeBatch that took it, until
-// CallBatch has returned — by then every request is encoded and every
-// reply decoded — and RevokeBatch has read the acks.
+// revokeDelivery is one RevokeBatch delivery's record: the request and
+// its reply, and the wire entries and stamps the request carries,
+// stamps[i] belonging to entries[i]. Deliveries run concurrently, one
+// per client with revocations pending, so records come from a pool; a
+// record has one user, the RevokeBatch that took it, until Call has
+// returned — by then the request is encoded and the reply decoded — and
+// RevokeBatch has read the acks.
 type revokeDelivery struct {
-	calls   []rpc.BatchCall
-	reqs    []wire.RevokeBatch
-	acks    []wire.RevokeBatchAck
+	req     wire.RevokeBatch
+	ack     wire.RevokeBatchAck
 	entries []wire.RevokeEntry
 	stamps  []wire.HandoffStamp
 }
@@ -343,13 +335,13 @@ type revokeDelivery struct {
 var revokeDeliveries = sync.Pool{New: func() any { return new(revokeDelivery) }}
 
 // RevokeBatch implements dlm.Notifier: every revocation pending for one
-// client goes out as a single callback RPC (chunked past
-// maxRevokeEntries), with the acks batched on the return path. Entries a
-// failed call or a partial ack leaves unacknowledged belong to a holder
-// that is gone: its dirty data is lost by the client-cache durability
-// convention (§IV-C1), so they are acked and force-released here and
-// waiters proceed. For a stamped revocation that release also resolves
-// the delegation: the engine activates the successor itself.
+// client goes out as a single callback RPC, with the acks batched on the
+// return path. Entries a failed call or a partial ack leaves
+// unacknowledged belong to a holder that is gone: its dirty data is lost
+// by the client-cache durability convention (§IV-C1), so they are acked
+// and force-released here and waiters proceed. For a stamped revocation
+// that release also resolves the delegation: the engine activates the
+// successor itself.
 func (n notifier) RevokeBatch(ctx context.Context, client dlm.ClientID, revs []dlm.Revocation) {
 	n.s.mu.RLock()
 	ep := n.s.clients[client]
@@ -372,38 +364,17 @@ func (n notifier) RevokeBatch(ctx context.Context, client dlm.ClientID, revs []d
 			e.Handoff = &d.stamps[j]
 		}
 	}
-	chunk := func(i int) (lo, hi int) {
-		return i * maxRevokeEntries, min((i+1)*maxRevokeEntries, len(revs))
+	d.req.Entries = d.entries
+	var acked []wire.RevokeEntry
+	if ep.Call(ctx, wire.MRevokeBatch, &d.req, &d.ack) == nil {
+		acked = d.ack.Acked
 	}
-	nc := (len(revs) + maxRevokeEntries - 1) / maxRevokeEntries
-	d.calls = slices.Grow(d.calls[:0], nc)[:nc]
-	d.reqs = slices.Grow(d.reqs[:0], nc)[:nc]
-	d.acks = slices.Grow(d.acks[:0], nc)[:nc]
-	for i := range d.calls {
-		lo, hi := chunk(i)
-		d.reqs[i].Entries = d.entries[lo:hi]
-		d.calls[i] = rpc.BatchCall{Method: wire.MRevokeBatch, Req: &d.reqs[i], Reply: &d.acks[i]}
-	}
-	ep.CallBatch(ctx, d.calls)
-	for i := range d.calls {
-		lo, hi := chunk(i)
-		if d.calls[i].Err != nil {
-			for _, rv := range revs[lo:hi] {
-				n.s.DLM.RevokeAck(rv.Resource, rv.Lock)
-				n.s.DLM.Release(rv.Resource, rv.Lock)
-			}
-			continue
-		}
-		acked := d.acks[i].Acked
-		for _, rv := range revs[lo:hi] {
-			n.s.DLM.RevokeAck(rv.Resource, rv.Lock)
-			if !takeAck(&acked, uint64(rv.Resource), uint64(rv.Lock)) {
-				n.s.DLM.Release(rv.Resource, rv.Lock)
-			}
+	for _, rv := range revs {
+		n.s.DLM.RevokeAck(rv.Resource, rv.Lock)
+		if !takeAck(&acked, uint64(rv.Resource), uint64(rv.Lock)) {
+			n.s.DLM.Release(rv.Resource, rv.Lock)
 		}
 	}
-	clear(d.calls)
-	clear(d.reqs)
 	clear(d.entries)
 	clear(d.stamps)
 	revokeDeliveries.Put(d)

@@ -339,6 +339,9 @@ func TestRestartRebuildsExtentCacheFromDurableLog(t *testing.T) {
 		{Range: extent.Span(0, 64), SN: 9, Data: newer}}}, nil); err != nil {
 		t.Fatal(err)
 	}
+	if log := srv.Cache.Log(1); len(log) != 0 {
+		t.Fatalf("in-memory extent log beside the durable one: %v", log)
+	}
 	srv.Close() // syncs and closes the durable log
 	store.Close()
 

@@ -19,8 +19,10 @@ type revClient struct {
 	scheduled bool
 }
 
-// keepBatch is the largest batch whose array a client keeps for reuse:
-// a data server's revocation frame carries up to 512 entries.
+// keepBatch is the largest batch whose array a client keeps for reuse,
+// the revoker's memory bound: a client's steady batches are far smaller
+// (one entry in every benchmark workload), and a larger one is a storm
+// whose array is not worth pinning.
 const keepBatch = 512
 
 // revoker coalesces revocations per destination client and delivers to

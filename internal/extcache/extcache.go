@@ -315,7 +315,7 @@ func (c *Cache) ForceSync(sync ForceSyncFunc) {
 }
 
 // Log returns a copy of a stripe's extent log (empty when logging is
-// disabled).
+// disabled or the log is kept in a durable file, AttachLogFile).
 func (c *Cache) Log(stripe uint64) []extent.SNExtent {
 	sc := c.lookup(stripe)
 	if sc == nil {

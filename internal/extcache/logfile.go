@@ -164,11 +164,15 @@ func (l *LogFile) ReadAll() (map[uint64][]extent.SNExtent, error) {
 	return out, nil
 }
 
-// AttachLogFile mirrors every Apply's update set into the durable log.
-// Call it once, right after New, before any concurrent use: the field
-// is read without synchronization on the flush hot path.
+// AttachLogFile mirrors every Apply's update set into the durable log,
+// which then replaces the in-memory one: the cache keeps no log of its
+// own (Log returns nothing), so a long-running server's memory does not
+// grow with every flush. Call it once, right after New and before
+// ReplayLogFile or any concurrent use: the fields are read without
+// synchronization on the flush hot path.
 func (c *Cache) AttachLogFile(lf *LogFile) {
 	c.logFile = lf
+	c.logging = false
 }
 
 // ReplayLogFile rebuilds the cache from a durable log (server restart).

@@ -18,10 +18,9 @@ import (
 // idleConn is a connection nothing is ever sent on.
 type idleConn struct{}
 
-func (idleConn) Send(context.Context, []byte) error        { return nil }
-func (idleConn) SendBatch(context.Context, [][]byte) error { return nil }
-func (idleConn) Recv(context.Context) ([]byte, error)      { return nil, transport.ErrClosed }
-func (idleConn) Close() error                              { return nil }
+func (idleConn) Send(context.Context, []byte) error   { return nil }
+func (idleConn) Recv(context.Context) ([]byte, error) { return nil, transport.ErrClosed }
+func (idleConn) Close() error                         { return nil }
 
 // allocatedBytes returns the heap bytes f allocates per call, averaged
 // over runs — like testing.AllocsPerRun on one P, so that every
@@ -162,29 +161,6 @@ func TestAllocBudgetInboundCall(t *testing.T) {
 		}
 		if a := testing.AllocsPerRun(100, call(wire.MStat)); a < 2 {
 			t.Errorf("call to a handler that calls Done: %.1f allocs, want the record and its channel", a)
-		}
-	})
-}
-
-// TestAllocBudgetCallBatchOne: CallBatch's per-call bookkeeping (IDs,
-// reply channels, encoders, frames) comes from a pooled scratch record,
-// so a one-call batch costs no more than a Call: nothing.
-func TestAllocBudgetCallBatchOne(t *testing.T) {
-	if wire.RaceEnabled {
-		t.Skip("allocation counts are meaningless under the race detector")
-	}
-	reply := &wire.HelloReply{ClientID: 3}
-	virtualPair(t, func(ep *Endpoint) {
-		ep.Handle(wire.MHello, func(context.Context, []byte) (wire.Msg, error) { return reply, nil })
-	}, func(cli *Endpoint, _ sim.Clock) {
-		var rep wire.HelloReply
-		calls := []BatchCall{{Method: wire.MHello, Req: &wire.HelloRequest{ClientID: 3}, Reply: &rep}}
-		if a := testing.AllocsPerRun(100, func() {
-			if err := cli.CallBatch(bg(), calls); err != nil || rep.ClientID != 3 {
-				t.Fatalf("batch: %v, reply %+v", err, rep)
-			}
-		}); a != 0 {
-			t.Errorf("one-call CallBatch: %.1f allocs, want 0", a)
 		}
 	})
 }

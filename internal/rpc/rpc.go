@@ -290,145 +290,6 @@ func (ep *Endpoint) call(ctx context.Context, method wire.Method, req wire.Msg, 
 	return decodeReply(resp, reply)
 }
 
-// BatchCall describes one call of a CallBatch. Reply may be nil to
-// discard the payload; Err receives the per-call outcome.
-type BatchCall struct {
-	Method wire.Method
-	Req    wire.Msg
-	Reply  wire.Msg
-	Err    error
-}
-
-// CallBatch issues several requests whose frames leave as one coalesced
-// transport batch (Conn.SendBatch: one writev group commit on tcpnet,
-// one bandwidth charge on memnet) and waits for all replies —
-// the control-plane analogue of the windowed flush path. Each call's
-// outcome lands in calls[i].Err; the returned error is the first
-// failure, nil when every call succeeded. A fired context abandons the
-// not-yet-answered calls exactly like Call: entries are deregistered,
-// best-effort cancel frames are sent, and late replies are dropped.
-func (ep *Endpoint) CallBatch(ctx context.Context, calls []BatchCall) error {
-	m := ep.metrics
-	if m == nil {
-		return ep.callBatch(ctx, calls)
-	}
-	// Batches are already coalesced work, so the clock pair amortizes
-	// over the batch: count every call exactly, time the batch once,
-	// and record the shared round-trip for each sampled call.
-	start := obs.Now()
-	err := ep.callBatch(ctx, calls)
-	elapsed := obs.Now() - start
-	for i := range calls {
-		if ms := m.method(calls[i].Method); ms.calls.Inc()&m.sampleMask == 1&m.sampleMask {
-			ms.callLat.Record(elapsed)
-		}
-	}
-	return err
-}
-
-func (ep *Endpoint) callBatch(ctx context.Context, calls []BatchCall) error {
-	if len(calls) == 0 {
-		return nil
-	}
-	if err := ctx.Err(); err != nil {
-		return wire.FromContext(err)
-	}
-	sc := getBatchScratch(len(calls))
-	defer putBatchScratch(sc)
-	ids, chs := sc.ids, sc.chs
-	for i := range calls {
-		ids[i] = ep.nextID.Add(1)
-		ch := chanPool.Get().(chan response)
-		if !ep.pending.register(ids[i], ch) {
-			// Closed mid-batch: withdraw what we registered (a drain may
-			// have claimed some — those channels are owned by it and not
-			// recycled) and fail the whole batch.
-			chanPool.Put(ch)
-			for j := 0; j < i; j++ {
-				if _, ok := ep.pending.take(ids[j]); ok {
-					chanPool.Put(chs[j])
-				}
-			}
-			for j := range calls {
-				calls[j].Err = transport.ErrClosed
-			}
-			return transport.ErrClosed
-		}
-		chs[i] = ch
-	}
-
-	// Encode every frame and hand them to the transport as one batch,
-	// which takes them (the transport.Conn ownership contract).
-	frames := sc.frames
-	var total int64
-	for i := range calls {
-		frames[i] = encodeFrame(kindRequest, ids[i], calls[i].Method, statusOK, calls[i].Req)
-		total += int64(len(frames[i]))
-	}
-	sendErr := transport.SendBatch(ctx, ep.conn, frames)
-	if m := ep.metrics; m != nil {
-		// Attempted bytes, counted after the batch is handed to the
-		// transport (overlapping the peer's read) — errors still count.
-		m.BytesOut.Add(total)
-	}
-	if sendErr != nil {
-		// Deregister everything; frames that did go out may still be
-		// answered, and those late replies are dropped as stale — the
-		// same contract as a failed single Call.
-		for i := range calls {
-			ep.forget(ids[i])
-			calls[i].Err = sendErr
-		}
-		return sendErr
-	}
-
-	var firstErr error
-	for i := range calls {
-		resp, err := ep.waitReply(ctx, ids[i], calls[i].Method, chs[i])
-		if err == nil {
-			err = decodeReply(resp, calls[i].Reply)
-		}
-		calls[i].Err = err
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
-// batchScratch is callBatch's per-call bookkeeping: the call IDs, reply
-// channels and frames of one batch, index for index. Only
-// the callBatch that took it from batchScratches touches it, and every
-// goroutine callBatch starts gets the values it needs, not the slices,
-// so it goes back to the pool when callBatch returns.
-type batchScratch struct {
-	ids    []uint64
-	chs    []chan response
-	frames [][]byte
-}
-
-var batchScratches = sync.Pool{New: func() any { return new(batchScratch) }}
-
-// getBatchScratch returns a pooled scratch record with room for n calls.
-func getBatchScratch(n int) *batchScratch {
-	sc := batchScratches.Get().(*batchScratch)
-	if cap(sc.ids) < n {
-		sc.ids = make([]uint64, n)
-		sc.chs = make([]chan response, n)
-		sc.frames = make([][]byte, n)
-	}
-	sc.ids, sc.chs, sc.frames = sc.ids[:n], sc.chs[:n], sc.frames[:n]
-	return sc
-}
-
-// putBatchScratch drops the record's references to channels and frames
-// — they have owners of their own by now — and pools it.
-func putBatchScratch(sc *batchScratch) {
-	clear(sc.chs)
-	clear(sc.frames)
-	batchScratches.Put(sc)
-}
-
 // waitReply waits for the reply to call id on its channel ch, which
 // complete (or the shutdown drain) sends on. When ctx fires first, the
 // pending entry is forgotten and the call is abandoned with ctx's error,

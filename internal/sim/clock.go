@@ -327,9 +327,17 @@ func (v *VClock) Int63n(n int64) int64 {
 // A panic or runtime.Goexit (t.FailNow) in any tracked goroutine, and
 // the stall report, surface here in Run's caller; the run is ended
 // first, as if f had returned.
+//
+// A clock runs once: Run on a clock whose run has ended panics, since
+// a passthrough clock would neither advance on Sleep nor run what Go
+// starts before Run returns.
 func (v *VClock) Run(f func()) {
-	defer v.exitAll()
 	v.mu.Lock()
+	if v.exited {
+		v.mu.Unlock()
+		panic("sim: VClock.Run on a clock whose run has ended; use a new clock per run")
+	}
+	defer v.exitAll()
 	v.root = v.spawnLocked(funcTask(f))
 	g := v.pickLocked()
 	v.mu.Unlock()

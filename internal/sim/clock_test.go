@@ -11,6 +11,28 @@ import (
 	"time"
 )
 
+// TestVClockRunOnceOnly: a clock runs once. Run on a clock whose run has
+// ended panics instead of running f in passthrough mode, where Sleep
+// would leave Now unchanged and work started with Go would wait for the
+// next Run.
+func TestVClockRunOnceOnly(t *testing.T) {
+	v := NewVClock(1)
+	clk := Virtual(v)
+	v.Run(func() { clk.Sleep(time.Microsecond) })
+	ran := false
+	func() {
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "run has ended") {
+				t.Errorf("second Run: recovered %v, want the ended-run panic", r)
+			}
+		}()
+		v.Run(func() { ran = true })
+	}()
+	if ran {
+		t.Error("second Run ran its function")
+	}
+}
+
 // TestVClockOrdering: sleeps wake in timestamp order regardless of
 // spawn order, and virtual time advances without wall time passing.
 func TestVClockOrdering(t *testing.T) {

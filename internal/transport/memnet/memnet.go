@@ -198,40 +198,6 @@ func (p *pipe) send(ctx context.Context, msg []byte) error {
 	return nil
 }
 
-// sendBatch transmits msgs as one unit: a single bandwidth charge for
-// the total bytes, one lock acquisition, and one shared delivery time —
-// the frames ride the link back to back, like a coalesced writev.
-func (p *pipe) sendBatch(ctx context.Context, msgs [][]byte) error {
-	var total int64
-	for _, m := range msgs {
-		total += int64(len(m))
-	}
-	if err := p.nic.UseBytesCtx(ctx, total, p.hw.NetBandwidth, 0); err != nil {
-		putAll(msgs)
-		return err
-	}
-	deliverAt := p.deliveryTime()
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		putAll(msgs)
-		return transport.ErrClosed
-	}
-	for _, m := range msgs {
-		p.push(timedMsg{deliverAt: deliverAt, data: m})
-	}
-	p.cond.Broadcast()
-	p.mu.Unlock()
-	return nil
-}
-
-// putAll returns frames that were not queued to their pools.
-func putAll(msgs [][]byte) {
-	for _, m := range msgs {
-		wire.PutBuf(m)
-	}
-}
-
 // push appends under p.mu, compacting the consumed prefix first so a
 // steady request/response exchange reuses one backing array instead of
 // reallocating on every send.
@@ -294,10 +260,6 @@ type conn struct {
 }
 
 func (c *conn) Send(ctx context.Context, msg []byte) error { return c.send.send(ctx, msg) }
-
-func (c *conn) SendBatch(ctx context.Context, msgs [][]byte) error {
-	return c.send.sendBatch(ctx, msgs)
-}
 
 func (c *conn) Recv(ctx context.Context) ([]byte, error) { return c.recv.recv(ctx) }
 

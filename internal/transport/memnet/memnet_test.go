@@ -58,17 +58,14 @@ func TestSendAfterCloseFails(t *testing.T) {
 	if err := c.Send(context.Background(), []byte("x")); err != transport.ErrClosed {
 		t.Fatalf("Send after close = %v, want ErrClosed", err)
 	}
-	if err := c.SendBatch(context.Background(), [][]byte{[]byte("x")}); err != transport.ErrClosed {
-		t.Fatalf("SendBatch after close = %v, want ErrClosed", err)
-	}
 	if _, err := c.Recv(context.Background()); err != transport.ErrClosed {
 		t.Fatalf("Recv after close = %v, want ErrClosed", err)
 	}
 }
 
-// TestRecvReturnsSentArray pins the zero-copy hop: Send and SendBatch
-// take the sender's frames and queue them as they are, so the peer's
-// Recv returns the very arrays the sender built.
+// TestRecvReturnsSentArray pins the zero-copy hop: Send takes the
+// sender's frames and queues them as they are, so the peer's Recv
+// returns the very arrays the sender built.
 func TestRecvReturnsSentArray(t *testing.T) {
 	net := New(sim.Fast())
 	l, _ := net.Listen("s")
@@ -89,11 +86,10 @@ func TestRecvReturnsSentArray(t *testing.T) {
 	defer peer.Close()
 	sent := [][]byte{wire.GetBuf(64 << 10), wire.GetBuf(300), wire.GetBuf(1 << 20)}
 	ctx := context.Background()
-	if err := c.Send(ctx, sent[0]); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.SendBatch(ctx, sent[1:]); err != nil {
-		t.Fatal(err)
+	for _, m := range sent {
+		if err := c.Send(ctx, m); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for i, want := range sent {
 		got, err := peer.Recv(ctx)

@@ -41,8 +41,8 @@ func FuzzFrameStream(f *testing.F) {
 	})
 }
 
-// FuzzFrameStreamRoundTrip encodes a batch of frames the way the writer
-// leader lays them out (prefix, payload, prefix, payload, ...), splits
+// FuzzFrameStreamRoundTrip encodes frames the way successive Sends lay
+// them out (prefix, payload, prefix, payload, ...), splits
 // the stream at an arbitrary point into two reads, and asserts the
 // scanner returns exactly the original frames.
 func FuzzFrameStreamRoundTrip(f *testing.F) {

@@ -3,13 +3,9 @@
 // ccpfs-cli binaries use, demonstrating that the reproduction is a real
 // networked system and not only a simulation harness.
 //
-// The send path is a group commit: concurrent senders enqueue frames and
-// the first one becomes the writer leader, draining the whole queue with
-// a single net.Buffers writev — so the 4-byte length prefix and payload
-// always leave in one syscall, and a burst of small frames (lock
-// requests, acks, cancel frames) coalesces into one segment instead of
-// one syscall each. Leadership hands off to a waiting sender when the
-// leader's own frame is done, bounding any one Send's time at the helm.
+// Each Send writes its frame's 4-byte length prefix and payload with one
+// writev under the connection's write mutex, so concurrent senders never
+// interleave bytes of two frames and a frame costs one syscall.
 package tcpnet
 
 import (
@@ -85,50 +81,30 @@ type conn struct {
 	nc net.Conn
 	br *bufio.Reader // frame scanner: fewer read syscalls, frames survive split reads
 
-	// Group-commit send state: senders enqueue outFrames under qmu; the
-	// first to find no leader drains the queue with one writev per batch.
-	qmu     sync.Mutex
-	qcond   *sync.Cond
-	queue   []*outFrame
-	spare   []*outFrame // ping-pong backing for queue, reused across batches
-	writing bool        // a leader is draining the queue
-	scratch net.Buffers // leader's reused iovec (hdr, body, hdr, body, ...)
+	// wmu serializes Sends; the fields below it are one Send's iovec
+	// (length prefix, payload), kept here so a Send allocates nothing.
+	wmu sync.Mutex
+	hdr [4]byte
+	iov [2][]byte
+	wb  net.Buffers
 
 	recvBuf [4]byte
 }
 
-// outFrame is one queued message: its length prefix, payload, and
-// completion state. The outFrame record is pooled; the payload is the
-// conn's from Send on, and goes back to its pool once it is written.
-type outFrame struct {
-	hdr  [4]byte
-	body []byte
-	done bool
-	err  error // raw write error; mapped by the submitting sender
-}
-
-var framePool = sync.Pool{New: func() any { return new(outFrame) }}
-
 func newConn(nc net.Conn) *conn {
-	c := &conn{nc: nc, br: bufio.NewReaderSize(nc, 64<<10)}
-	c.qcond = sync.NewCond(&c.qmu)
-	return c
+	return &conn{nc: nc, br: bufio.NewReaderSize(nc, 64<<10)}
 }
 
-func newFrame(msg []byte) *outFrame {
-	fr := framePool.Get().(*outFrame)
-	binary.BigEndian.PutUint32(fr.hdr[:], uint32(len(msg)))
-	fr.body = msg
-	fr.done = false
-	fr.err = nil
-	return fr
-}
-
-func putFrame(fr *outFrame) {
-	fr.body = nil
-	framePool.Put(fr)
-}
-
+// Send writes msg's length prefix and payload in one writev and puts msg
+// back to its pool once the socket has all of it.
+//
+// A Send canceled mid-frame would corrupt the stream for every later
+// message, so cancellation poisons the whole connection: the watcher
+// forces a past write deadline, which aborts the write in flight (this
+// Send's, or the one it is queued behind), and a write cut off inside
+// its frame closes the connection, so the peer's Recv fails instead of
+// reading later frames as the rest of this one. A frame that was not
+// fully written is left to the collector.
 func (c *conn) Send(ctx context.Context, msg []byte) error {
 	if len(msg) > MaxFrame {
 		return fmt.Errorf("tcpnet: frame of %d bytes exceeds limit", len(msg))
@@ -137,147 +113,22 @@ func (c *conn) Send(ctx context.Context, msg []byte) error {
 		wire.PutBuf(msg)
 		return err
 	}
-	fr := newFrame(msg)
-	err := c.submit(ctx, fr)
-	putFrame(fr)
-	return err
-}
-
-// SendBatch transmits msgs as one unit: the frames are enqueued
-// back to back, so the leader's writev puts them all in a single
-// syscall (up to the kernel's iovec limit; Go chunks transparently).
-func (c *conn) SendBatch(ctx context.Context, msgs [][]byte) error {
-	for _, m := range msgs {
-		if len(m) > MaxFrame {
-			return fmt.Errorf("tcpnet: frame of %d bytes exceeds limit", len(m))
-		}
+	stop := c.watch(ctx, c.nc.SetWriteDeadline)
+	c.wmu.Lock()
+	binary.BigEndian.PutUint32(c.hdr[:], uint32(len(msg)))
+	c.iov = [2][]byte{c.hdr[:], msg}
+	c.wb = c.iov[:]
+	n, err := c.wb.WriteTo(c.nc)
+	c.iov[1] = nil
+	if whole := int64(len(c.hdr) + len(msg)); n == whole {
+		wire.PutBuf(msg)
+	} else if n > 0 {
+		c.nc.Close()
 	}
-	if err := ctx.Err(); err != nil {
-		for _, m := range msgs {
-			wire.PutBuf(m)
-		}
-		return err
-	}
-	frs := make([]*outFrame, len(msgs))
-	for i, m := range msgs {
-		frs[i] = newFrame(m)
-	}
-	err := c.submit(ctx, frs...)
-	for _, fr := range frs {
-		putFrame(fr)
-	}
-	return err
-}
-
-// submit enqueues frs and blocks until every frame has been written (or
-// failed). The first sender to find no active leader becomes one and
-// drains the queue — its own frames and any concurrent sender's — with
-// one writev per batch; the rest wait on the cond.
-//
-// A canceled Send mid-frame would corrupt the stream for every later
-// message, so cancellation only poisons the whole connection: the
-// watcher below forces a past write deadline, the in-flight writev
-// aborts, and the resulting short frame makes the peer's next Recv fail
-// too. That matches the contract — callers give up on the call, the
-// endpoint tears down. The sender still waits for its frames' outcome
-// (prompt, because the poisoned deadline fails writes immediately) and
-// reports it; the leader that wrote a frame is what recycles it.
-func (c *conn) submit(ctx context.Context, frs ...*outFrame) error {
-	if ctx.Done() != nil {
-		stop := context.AfterFunc(ctx, func() {
-			c.nc.SetWriteDeadline(time.Unix(1, 0)) // a past deadline aborts the write
-		})
-		defer func() {
-			if !stop() {
-				// The watcher ran: clear the poisoned deadline so that if
-				// the write in fact completed first, later operations are
-				// not spuriously aborted.
-				c.nc.SetWriteDeadline(time.Time{})
-			}
-		}()
-	}
-	c.qmu.Lock()
-	c.queue = append(c.queue, frs...)
-	for {
-		if allDone(frs) {
-			break
-		}
-		if !c.writing {
-			c.writing = true
-			c.lead(frs)
-			continue
-		}
-		c.qcond.Wait()
-	}
-	err := firstErr(frs)
-	c.qmu.Unlock()
+	// Clear a poisoned deadline before the next sender writes.
+	stop()
+	c.wmu.Unlock()
 	return c.mapCtxErr(ctx, err)
-}
-
-// lead drains the queue as the writer leader. Called with c.qmu held and
-// c.writing set; returns with c.qmu held. The leader steps down once its
-// own frames are done (handing the queue to a waiting sender) or the
-// queue is empty.
-func (c *conn) lead(own []*outFrame) {
-	for len(c.queue) > 0 && !allDone(own) {
-		batch := c.queue
-		c.queue = c.spare[:0]
-		c.qmu.Unlock()
-
-		bufs := c.scratch[:0]
-		for _, fr := range batch {
-			bufs = append(bufs, fr.hdr[:], fr.body)
-		}
-		wb := bufs
-		written, err := wb.WriteTo(c.nc) // one writev for the whole batch
-		for i := range bufs {
-			bufs[i] = nil
-		}
-		c.scratch = bufs[:0]
-		// The socket has a fully written frame's bytes, so the frame goes
-		// back to its pool. One the writev was aborted in the middle of
-		// (a poisoned deadline), or never reached, is left to the
-		// collector.
-		for _, fr := range batch {
-			if written -= int64(len(fr.hdr) + len(fr.body)); written >= 0 {
-				wire.PutBuf(fr.body)
-			}
-			fr.body = nil
-		}
-
-		c.qmu.Lock()
-		for i, fr := range batch {
-			fr.err = err
-			fr.done = true
-			batch[i] = nil
-		}
-		c.spare = batch[:0]
-		c.qcond.Broadcast()
-	}
-	c.writing = false
-	if len(c.queue) > 0 {
-		// Our frames are done but others are queued: wake a waiter to
-		// take over leadership.
-		c.qcond.Broadcast()
-	}
-}
-
-func allDone(frs []*outFrame) bool {
-	for _, fr := range frs {
-		if !fr.done {
-			return false
-		}
-	}
-	return true
-}
-
-func firstErr(frs []*outFrame) error {
-	for _, fr := range frs {
-		if fr.err != nil {
-			return fr.err
-		}
-	}
-	return nil
 }
 
 // errFrameTooLarge poisons the connection: an oversized length prefix

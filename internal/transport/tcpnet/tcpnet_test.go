@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"io"
 	"net"
 	"runtime"
 	"runtime/debug"
+	"sync"
 	"testing"
 	"time"
 	"unsafe"
@@ -250,4 +253,88 @@ func TestFrameRecycledOnlyAfterWritten(t *testing.T) {
 		a.Close()
 		b.Close()
 	}
+}
+
+// TestConcurrentSendsOneCanceledMidFrame: several senders share the
+// connection while one of them is canceled in the middle of its frame.
+// The conn runs over net.Pipe, whose writes block until the reader takes
+// the bytes, so the test holds the big frame's write mid-frame. Every
+// frame on the wire before the cut is whole and each successful Send's
+// frame is among them, the canceled Send returns its context's error,
+// and the connection is poisoned: the stream ends at the cut, so the
+// peer's Recv fails instead of reading later frames as the rest of the
+// cut one, and the senders queued behind the cut and any later Send
+// fail.
+func TestConcurrentSendsOneCanceledMidFrame(t *testing.T) {
+	const senders, big = 8, 64 << 10
+	a, b := net.Pipe()
+	c := newConn(a)
+	defer c.Close()
+	defer b.Close()
+	frame := func(s string) []byte {
+		m := wire.GetBuf(len(s))
+		copy(m, s)
+		return m
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cut := make(chan error, 1)
+	go func() { cut <- c.Send(ctx, wire.GetBuf(big)) }()
+	errs := make([]error, senders)
+	var wg sync.WaitGroup
+	for s := range senders {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[s] = c.Send(context.Background(), frame(fmt.Sprintf("frame %d", s)))
+		}()
+	}
+
+	// Whole frames up to the big one's length prefix, then half of it.
+	var got []string
+	var hdr [4]byte
+	for {
+		if _, err := io.ReadFull(b, hdr[:]); err != nil {
+			t.Fatal(err)
+		}
+		n := binary.BigEndian.Uint32(hdr[:])
+		if n == big {
+			break
+		}
+		m := make([]byte, n)
+		if _, err := io.ReadFull(b, m); err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, string(m))
+	}
+	if _, err := io.ReadFull(b, make([]byte, big/2)); err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	if err := <-cut; !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled Send returned %v, want context.Canceled", err)
+	}
+	wg.Wait()
+	if rest, err := io.ReadAll(b); err != nil || len(rest) != 0 {
+		t.Fatalf("stream after the cut: %d more bytes, err %v; want it closed at the cut", len(rest), err)
+	}
+	for s, err := range errs {
+		want := fmt.Sprintf("frame %d", s)
+		if sent, n := err == nil, countOf(got, want); sent && n != 1 || !sent && n != 0 {
+			t.Fatalf("%q: Send returned %v, frame on the wire %d times", want, err, n)
+		}
+	}
+	if err := c.Send(context.Background(), frame("late")); err == nil {
+		t.Fatal("Send on a connection cut mid-frame succeeded")
+	}
+}
+
+func countOf(list []string, s string) int {
+	n := 0
+	for i := range list {
+		if list[i] == s {
+			n++
+		}
+	}
+	return n
 }

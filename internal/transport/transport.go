@@ -27,16 +27,18 @@ var ErrClosed = errors.New("transport: closed")
 //
 // Both operations honor their context: when it fires mid-operation they
 // return the context's error promptly. A canceled Send does not
-// guarantee the message was not delivered (it may already be in flight);
-// the connection itself stays usable either way.
+// guarantee the message was not delivered (it may already be in
+// flight). On memnet the connection stays usable either way; on tcpnet
+// a Send canceled in the middle of its frame leaves the stream cut off
+// mid-frame, so the peer's Recv fails and both ends tear down.
 //
-// Buffer ownership: Send and SendBatch take the frames they are given.
-// The caller must not touch msg again once the call starts, whatever it
-// returns, and the bytes are not copied on the way: memnet queues the
-// sender's frame itself and the peer's Recv returns that same array;
-// tcpnet writes it out and puts it back to its pool (wire.PutBuf) once
-// it is fully written — a frame whose write was cut off mid-frame is
-// left to the collector instead. So a frame should be a pooled buffer
+// Buffer ownership: Send takes the frame it is given. The caller must
+// not touch msg again once the call starts, whatever it returns, and
+// the bytes are not copied on the way: memnet queues the sender's frame
+// itself and the peer's Recv returns that same array; tcpnet writes it
+// out and puts it back to its pool (wire.PutBuf) once it is fully
+// written — a frame whose write was cut off mid-frame is left to the
+// collector instead. So a frame should be a pooled buffer
 // (wire.GetBuf), as the rpc layer's are; any other slice just ends up
 // in a pool or with the collector. Symmetrically, a slice returned by
 // Recv is owned by the caller; the Conn never touches it again. It is a
@@ -47,10 +49,6 @@ type Conn interface {
 	// Send transmits one message. It may block for simulated or real
 	// transmission time, bounded by ctx.
 	Send(ctx context.Context, msg []byte) error
-	// SendBatch transmits msgs as one coalesced unit — one writev on
-	// tcpnet, one lock acquisition and bandwidth charge on memnet — in
-	// order. The peer's Recv returns them one by one.
-	SendBatch(ctx context.Context, msgs [][]byte) error
 	// Recv returns the next message. It blocks until a message arrives,
 	// ctx fires, or the connection closes, in which case it returns
 	// ErrClosed.
@@ -58,18 +56,6 @@ type Conn interface {
 	// Close tears the connection down; pending and future operations on
 	// both ends fail with ErrClosed.
 	Close() error
-}
-
-// SendBatch records one coalesced batch in the process-wide batch
-// metrics and sends it with c.SendBatch. It reads the frames' lengths
-// before the send, which takes them.
-func SendBatch(ctx context.Context, c Conn, msgs [][]byte) error {
-	var total int64
-	for _, m := range msgs {
-		total += int64(len(m))
-	}
-	recordBatch(len(msgs), total)
-	return c.SendBatch(ctx, msgs)
 }
 
 // Listener accepts inbound connections at an address.

@@ -387,11 +387,11 @@ func TestConcurrentSenders(t *testing.T) {
 	}
 }
 
-// TestSendBatch sends a coalesced batch on every fabric and asserts the
-// peer receives each frame individually, in order, intact — including
-// an empty frame in the middle of the batch. SendBatch takes the frames:
-// the sender reuses the pools' buffers of their sizes at once, and the
-// frames must still arrive as sent.
+// TestSendBatch sends a batch of frames of mixed sizes back to back on
+// every fabric and asserts the peer receives each frame individually,
+// in order, intact — including an empty frame in the middle of the
+// batch. Send takes each frame: the sender reuses the pools' buffers of
+// their sizes at once, and the frames must still arrive as sent.
 func TestSendBatch(t *testing.T) {
 	for _, f := range fabrics() {
 		t.Run(f.name, func(t *testing.T) {
@@ -424,12 +424,10 @@ func TestSendBatch(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer c.Close()
-			msgs := make([][]byte, len(want))
-			for i, m := range want {
-				msgs[i] = pooledFrame(m)
-			}
-			if err := transport.SendBatch(context.Background(), c, msgs); err != nil {
-				t.Fatal(err)
+			for _, m := range want {
+				if err := c.Send(context.Background(), pooledFrame(m)); err != nil {
+					t.Fatal(err)
+				}
 			}
 			scribblePool(4, len(want[0]), len(want[2]))
 			select {
@@ -446,8 +444,10 @@ func TestSendBatch(t *testing.T) {
 	}
 }
 
-// TestSendBatchConcurrentWithSends interleaves batches and single sends
-// from many goroutines; every frame must arrive exactly once, intact.
+// TestSendBatchConcurrentWithSends interleaves batches of three frames,
+// each sent back to back by one goroutine, from many goroutines; every
+// frame must arrive exactly once, intact, and each goroutine's frames in
+// the order it sent them.
 func TestSendBatchConcurrentWithSends(t *testing.T) {
 	for _, f := range fabrics() {
 		t.Run(f.name, func(t *testing.T) {
@@ -467,12 +467,20 @@ func TestSendBatchConcurrentWithSends(t *testing.T) {
 				}
 				defer c.Close()
 				seen := make(map[string]int, total)
+				next := make([]int, senders)
 				for i := 0; i < total; i++ {
 					m, err := c.Recv(context.Background())
 					if err != nil {
 						return
 					}
 					seen[string(m)]++
+					var s, k int
+					fmt.Sscanf(string(m), "%d:%d", &s, &k)
+					if s < 0 || s >= senders || k != next[s] {
+						t.Errorf("frame %q arrived out of its sender's order", m)
+						return
+					}
+					next[s]++
 				}
 				got <- seen
 			}()
@@ -488,14 +496,11 @@ func TestSendBatchConcurrentWithSends(t *testing.T) {
 					defer wg.Done()
 					for i := 0; i < each; i += 3 {
 						// A batch of three frames per round.
-						batch := [][]byte{
-							[]byte(fmt.Sprintf("%d:%d", s, i)),
-							[]byte(fmt.Sprintf("%d:%d", s, i+1)),
-							[]byte(fmt.Sprintf("%d:%d", s, i+2)),
-						}
-						if err := transport.SendBatch(context.Background(), c, batch); err != nil {
-							t.Errorf("batch: %v", err)
-							return
+						for k := i; k < i+3; k++ {
+							if err := c.Send(context.Background(), []byte(fmt.Sprintf("%d:%d", s, k))); err != nil {
+								t.Errorf("send: %v", err)
+								return
+							}
 						}
 					}
 				}(s)
@@ -576,13 +581,8 @@ func TestReceivedFrameOwnedByCaller(t *testing.T) {
 			}
 			defer c.Close()
 			for i := 0; i < frames; i++ {
-				buf := pooledFrame(fill(i)) // a frame per send, as the rpc layer builds them
-				if i%4 == 3 {
-					err = transport.SendBatch(context.Background(), c, [][]byte{buf})
-				} else {
-					err = c.Send(context.Background(), buf)
-				}
-				if err != nil {
+				// A frame per send, as the rpc layer builds them.
+				if err := c.Send(context.Background(), pooledFrame(fill(i))); err != nil {
 					t.Fatal(err)
 				}
 			}

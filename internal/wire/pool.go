@@ -17,10 +17,10 @@ import (
 //     the message (Sizer), so a bulk payload is copied into it once with
 //     no growth; a Body — a message built in place by the layer that had
 //     the bytes — is already its frame. Either way the frame is handed
-//     to transport.Conn.Send/SendBatch, which takes it: memnet queues
-//     the array itself and the peer's Recv returns it; tcpnet PutBufs it
-//     once it is fully written (and leaves one whose write was cut off
-//     mid-frame to the collector). TakeFrame is how rpc gets the frame
+//     to transport.Conn.Send, which takes it: memnet queues the array
+//     itself and the peer's Recv returns it; tcpnet PutBufs it once it
+//     is fully written (and leaves one whose write was cut off mid-frame
+//     to the collector). TakeFrame is how rpc gets the frame
 //     out of its Encoder: the Encoder header goes back to its pool, the
 //     frame goes on. Two Bodies carry bulk bytes: the client's flush
 //     frames, which the page cache's collection pass fills straight from
