@@ -211,7 +211,6 @@ func New(ctx context.Context, cfg Config, conns Conns) (*Client, error) {
 		ep.Handle(wire.MHandoff, c.handleHandoff)
 		ep.Handle(wire.MAckSolicit, c.handleAckSolicit)
 		ep.Handle(wire.MReport, c.reportHandler(i))
-		ep.Handle(wire.MReportSlots, c.slotReportHandler)
 	}
 	started := make(map[*rpc.Endpoint]bool, 2*len(conns.Data)+1)
 	start := func(ep *rpc.Endpoint) {
@@ -383,41 +382,33 @@ func stampOf(w *wire.HandoffStamp) *dlm.HandoffStamp {
 	}
 }
 
-// reportHandler answers a recovering server's lock-state gather
-// (§IV-C2) with the locks placed on that server.
+// reportHandler answers a lock-state gather from server serverIdx
+// (§IV-C2): the locks of the request's slots, claimed by a takeover, or
+// with no slots the locks placed on that server, after its crash.
 func (c *Client) reportHandler(serverIdx int) rpc.Handler {
-	return func(context.Context, []byte) (wire.Msg, error) {
-		records := c.lc.Export(func(res dlm.ResourceID) bool {
-			return meta.PlaceStripe(uint64(res), len(c.conns.Data)) == serverIdx
-		})
-		return reportFromRecords(records), nil
-	}
-}
-
-// reportFromRecords maps engine lock records to the wire replay form,
-// carrying the delegation flags crash takeover force-resolves.
-func reportFromRecords(records []dlm.LockRecord) *wire.LockReport {
-	rep := &wire.LockReport{}
-	for _, r := range records {
-		var flags uint8
-		if r.Delegated {
-			flags |= wire.LockFlagDelegated
+	return func(_ context.Context, p []byte) (wire.Msg, error) {
+		var req wire.ReportRequest
+		if err := wire.Unmarshal(p, &req); err != nil {
+			return nil, err
 		}
-		if r.HandedOff {
-			flags |= wire.LockFlagHandedOff
+		var records []dlm.LockRecord
+		if len(req.Slots) == 0 {
+			records = c.lc.Export(func(res dlm.ResourceID) bool {
+				return meta.PlaceStripe(uint64(res), len(c.conns.Data)) == serverIdx
+			})
+		} else {
+			slots := make([]partition.Slot, len(req.Slots))
+			for i, s := range req.Slots {
+				slots[i] = partition.Slot(s)
+			}
+			records = c.lc.ExportSlots(slots)
 		}
-		rep.Locks = append(rep.Locks, wire.LockRecord{
-			Resource: uint64(r.Resource),
-			Client:   uint32(r.Client),
-			LockID:   uint64(r.LockID),
-			Mode:     uint8(r.Mode),
-			Range:    r.Range,
-			SN:       r.SN,
-			State:    uint8(r.State),
-			Flags:    flags,
-		})
+		rep := &wire.LockReport{Locks: make([]wire.LockRecord, len(records))}
+		for i, r := range records {
+			rep.Locks[i] = dlm.RecordToWire(r)
+		}
+		return rep, nil
 	}
-	return rep
 }
 
 // endpointFor returns the control endpoint of the server owning a

@@ -162,17 +162,3 @@ func (p partConn) HandoffAck(ctx context.Context, res dlm.ResourceID, ids []dlm.
 		return rpcConn{ep: ep}.HandoffAck(ctx, res, ids)
 	})
 }
-
-// slotReportHandler answers a successor master's slot-filtered lock
-// gather (§IV-C2 replay, restricted to the slots it just claimed).
-func (c *Client) slotReportHandler(_ context.Context, p []byte) (wire.Msg, error) {
-	var req wire.SlotReportRequest
-	if err := wire.Unmarshal(p, &req); err != nil {
-		return nil, err
-	}
-	slots := make([]partition.Slot, len(req.Slots))
-	for i, s := range req.Slots {
-		slots[i] = partition.Slot(s)
-	}
-	return reportFromRecords(c.lc.ExportSlots(slots)), nil
-}

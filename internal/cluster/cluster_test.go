@@ -779,6 +779,48 @@ func oneClientTwoWriters(hw sim.Hardware) error {
 	return nil
 }
 
+// TestVirtualCloseAfterRun closes a cluster on simulated hardware after
+// its virtual run has ended. Teardown sends frames whose delivery time
+// is Now + RTT/2; were Now stuck at the run's last instant, that time
+// would never come and Close would hang.
+func TestVirtualCloseAfterRun(t *testing.T) {
+	v := sim.NewVClock(1)
+	hw := sim.TableI(1)
+	hw.Clock = sim.Virtual(v)
+	var c *Cluster
+	var cls []*client.Client
+	var err error
+	v.Run(func() {
+		if c, err = New(Options{Servers: 1, Policy: dlm.SeqDLM(), Hardware: hw}); err != nil {
+			return
+		}
+		if cls, err = c.Clients(2, "client"); err != nil {
+			return
+		}
+		var f *client.File
+		if f, err = cls[0].Create("/close", 1<<20, 1); err != nil {
+			return
+		}
+		_, err = f.WriteAt(pattern(1, 4096), 0)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed := make(chan struct{})
+	go func() {
+		for _, cl := range cls {
+			cl.Close()
+		}
+		c.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(time.Second):
+		t.Fatal("closing the cluster after its virtual run ended took over 1 s")
+	}
+}
+
 // TestExtCacheDaemonBoundsEntries keeps the server extent cache under
 // its entry budget while early-granted conflicting writes hammer it:
 // the cleanup task (and, if entries are pinned, forced synchronization)

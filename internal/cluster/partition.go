@@ -41,27 +41,12 @@ func (c *Cluster) remoteMinSN(stripe uint64, rng extent.Extent) (extent.SN, bool
 	return c.Servers[idx].DLM.MinSN(dlm.ResourceID(stripe), rng)
 }
 
-// remoteForceSync reclaims a stripe's outstanding write locks at its
-// current lock master: a whole-range read lock as the server-local
-// client 0, immediately released — the same probe the master would run
-// locally.
+// remoteForceSync runs a storing server's forced sync at the stripe's
+// current lock master, through the master's own probe.
 func (c *Cluster) remoteForceSync(stripe uint64) {
-	idx, ok := c.lockMasterFor(stripe)
-	if !ok {
-		return
+	if idx, ok := c.lockMasterFor(stripe); ok {
+		c.Servers[idx].SyncStripe(stripe)
 	}
-	srv := c.Servers[idx]
-	mode := c.opts.Policy.MapMode(dlm.PR)
-	g, err := srv.DLM.Lock(context.Background(), dlm.Request{
-		Resource: dlm.ResourceID(stripe),
-		Client:   0,
-		Mode:     mode,
-		Range:    extent.New(0, extent.Inf),
-	})
-	if err != nil {
-		return
-	}
-	srv.DLM.Release(dlm.ResourceID(stripe), g.LockID)
 }
 
 // KillServer abruptly stops server i — the kill-one-of-N failover

@@ -8,8 +8,8 @@ package dataserver
 import (
 	"context"
 	"fmt"
+	"maps"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,6 +19,7 @@ import (
 	"ccpfs/internal/extent"
 	"ccpfs/internal/meta"
 	"ccpfs/internal/obs"
+	"ccpfs/internal/partition"
 	"ccpfs/internal/rpc"
 	"ccpfs/internal/sim"
 	"ccpfs/internal/storage"
@@ -408,8 +409,7 @@ func (s *Server) minSN(stripe uint64, rng extent.Extent) (extent.SN, bool) {
 	return s.DLM.MinSN(dlm.ResourceID(stripe), rng)
 }
 
-// forceSync reclaims every outstanding write lock of a stripe by taking
-// (and releasing) a whole-range read lock as the server-local client 0,
+// forceSync is the extent-cache cleanup task's forced synchronization,
 // routed like minSN when the stripe's slot is mastered elsewhere.
 func (s *Server) forceSync(stripe uint64) {
 	if p := s.cfg.Partition; p != nil && p.RemoteForceSync != nil &&
@@ -417,6 +417,13 @@ func (s *Server) forceSync(stripe uint64) {
 		p.RemoteForceSync(stripe)
 		return
 	}
+	s.SyncStripe(stripe)
+}
+
+// SyncStripe reclaims every outstanding write lock of a stripe this
+// server masters by taking (and releasing) a whole-range read lock as
+// the server-local client 0: the revocation makes each writer flush.
+func (s *Server) SyncStripe(stripe uint64) {
 	mode := s.cfg.Policy.MapMode(dlm.PR)
 	g, err := s.DLM.Lock(s.baseCtx, dlm.Request{
 		Resource: dlm.ResourceID(stripe),
@@ -432,24 +439,44 @@ func (s *Server) forceSync(stripe uint64) {
 
 // Recover rebuilds the DLM state after a crash by gathering lock
 // records from every connected client (§IV-C2) and restoring them into
-// the engine. The extent cache is rebuilt separately by replaying the
-// extent log (Cache.Replay). It must run before new lock traffic is
-// admitted. ctx bounds the per-client report round trips.
+// the engine. Run it after the extent log is replayed (Cache.Replay, or
+// New with ExtentLogDir) and before new lock traffic is admitted: every
+// sequencer resumes above the newest SN the extent cache records, so a
+// write granted after recovery orders above data whose locks were
+// released before the crash, which no client can replay. ctx bounds the
+// per-client report round trips.
 func (s *Server) Recover(ctx context.Context) error {
 	s.gate.Lock()
 	defer s.gate.Unlock()
+	var floor extent.SN
+	if sn, ok := s.Cache.NewestSN(); ok {
+		floor = sn + 1
+	}
+	return s.DLM.Restore(dlm.LockState{Floor: floor, Resources: s.gather(ctx, nil)})
+}
 
+// gather asks every connected client to replay its locks of slots, or
+// with no slots the locks placed on this server (§IV-C2), and groups
+// them for Restore. A client that does not answer loses its locks, like
+// the paper's aborted-job convention. The caller holds the handler gate
+// across the gather and the restore: a release racing the gather could
+// otherwise land before its lock is restored and leave a zombie lock.
+func (s *Server) gather(ctx context.Context, slots []partition.Slot) []dlm.ResourceState {
+	req := &wire.ReportRequest{Slots: make([]uint32, len(slots))}
+	for i, sl := range slots {
+		req.Slots[i] = uint32(sl)
+	}
 	var records []dlm.LockRecord
 	for _, ep := range s.clientEndpoints() {
 		var rep wire.LockReport
-		if err := ep.Call(ctx, wire.MReport, &wire.Ack{}, &rep); err != nil {
-			// A client that vanished since the crash simply loses its
-			// locks, like the paper's aborted-job convention.
+		if err := ep.Call(ctx, wire.MReport, req, &rep); err != nil {
 			continue
 		}
-		records = append(records, recordsFromWire(rep.Locks)...)
+		for _, l := range rep.Locks {
+			records = append(records, dlm.RecordFromWire(l))
+		}
 	}
-	return s.DLM.RestoreReplay(records)
+	return dlm.ByResource(records)
 }
 
 // clientEndpoints snapshots the registered control endpoints in client-ID
@@ -457,41 +484,13 @@ func (s *Server) Recover(ctx context.Context) error {
 // make replay RPC timing differ run to run under a virtual clock.
 func (s *Server) clientEndpoints() []*rpc.Endpoint {
 	s.mu.RLock()
-	ids := make([]dlm.ClientID, 0, len(s.clients))
-	for id := range s.clients {
-		ids = append(ids, id)
+	defer s.mu.RUnlock()
+	ids := slices.Sorted(maps.Keys(s.clients))
+	eps := make([]*rpc.Endpoint, len(ids))
+	for i, id := range ids {
+		eps[i] = s.clients[id]
 	}
-	s.mu.RUnlock()
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	eps := make([]*rpc.Endpoint, 0, len(ids))
-	s.mu.RLock()
-	for _, id := range ids {
-		if ep := s.clients[id]; ep != nil {
-			eps = append(eps, ep)
-		}
-	}
-	s.mu.RUnlock()
 	return eps
-}
-
-// recordsFromWire maps wire lock records into engine records, including
-// the delegation flags crash takeover resolves.
-func recordsFromWire(locks []wire.LockRecord) []dlm.LockRecord {
-	out := make([]dlm.LockRecord, 0, len(locks))
-	for _, l := range locks {
-		out = append(out, dlm.LockRecord{
-			Resource:  dlm.ResourceID(l.Resource),
-			Client:    dlm.ClientID(l.Client),
-			LockID:    dlm.LockID(l.LockID),
-			Mode:      dlm.Mode(l.Mode),
-			Range:     l.Range,
-			SN:        l.SN,
-			State:     dlm.State(l.State),
-			Delegated: l.Flags&wire.LockFlagDelegated != 0,
-			HandedOff: l.Flags&wire.LockFlagHandedOff != 0,
-		})
-	}
-	return out
 }
 
 // setup registers the RPC handlers on a new endpoint.
@@ -654,15 +653,6 @@ func (s *Server) setup(ep *rpc.Endpoint) {
 			return nil, err
 		}
 		return s.handleRead(&req)
-	})
-
-	ep.Handle(wire.MMinSN, func(_ context.Context, p []byte) (wire.Msg, error) {
-		var req wire.MinSNRequest
-		if err := wire.Unmarshal(p, &req); err != nil {
-			return nil, err
-		}
-		sn, ok := s.minSN(req.Resource, req.Range)
-		return &wire.MinSNReply{HasLocks: ok, MinSN: sn}, nil
 	})
 
 	s.setupPartition(ep)

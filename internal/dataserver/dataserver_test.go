@@ -154,24 +154,6 @@ func TestReadValidation(t *testing.T) {
 	}
 }
 
-func TestMinSNOverRPC(t *testing.T) {
-	_, ep := testServer(t, Config{Policy: dlm.SeqDLM()})
-	hello(t, ep, 7, false)
-	var g wire.LockGrant
-	if err := ep.Call(context.Background(), wire.MLock, &wire.LockRequest{
-		Resource: 1, Client: 7, Mode: uint8(dlm.NBW), Range: extent.New(0, 100),
-	}, &g); err != nil {
-		t.Fatal(err)
-	}
-	var rep wire.MinSNReply
-	if err := ep.Call(context.Background(), wire.MMinSN, &wire.MinSNRequest{Resource: 1, Range: extent.New(0, extent.Inf)}, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if !rep.HasLocks || rep.MinSN != g.SN {
-		t.Fatalf("MinSN = %+v, want SN %d", rep, g.SN)
-	}
-}
-
 // TestRevocationToVanishedClientForceReleases: when the lock holder's
 // connection is gone, the server acks and force-releases so waiters are
 // never wedged on a dead client.

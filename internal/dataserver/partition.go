@@ -111,34 +111,25 @@ func (s *Server) leaseDaemon() {
 }
 
 // adoptSlots rebuilds newly claimed slots from client replay (§IV-C2,
-// filtered by slot) and takes mastership of them. The handler gate is
-// held for the whole gather+restore, exactly like full-crash Recover:
-// a release racing the gather could otherwise land before its lock is
-// restored and leave a zombie lock at the new master.
+// filtered by slot) and takes mastership of them. The sequencers of the
+// adopted slots resume at the epoch's TakeoverFloor: the dead master's
+// released locks left SNs at the data servers that no client can
+// replay. The handler gate is held for the whole gather+restore, as in
+// full-crash Recover.
 func (s *Server) adoptSlots(epoch uint64, slots []partition.Slot) {
 	s.gate.Lock()
 	defer s.gate.Unlock()
-
-	req := &wire.SlotReportRequest{Epoch: epoch, Slots: make([]uint32, len(slots))}
-	for i, sl := range slots {
-		req.Slots[i] = uint32(sl)
-	}
 	ctx, cancel := context.WithTimeout(s.baseCtx, s.cfg.Partition.Coordinator.TTL())
 	defer cancel()
-	var records []dlm.LockRecord
-	for _, ep := range s.clientEndpoints() {
-		var rep wire.LockReport
-		if err := ep.Call(ctx, wire.MReportSlots, req, &rep); err != nil {
-			// A vanished client loses its locks, like the paper's
-			// aborted-job convention (and full-crash Recover).
-			continue
-		}
-		records = append(records, recordsFromWire(rep.Locks)...)
-	}
-	// Restore failures (a malformed record) drop the replay but still
-	// take the slots: an empty rebuilt table loses cached locks, a
-	// refused slot set wedges the whole lock space.
-	_ = s.DLM.AdoptSlots(epoch, slots, records)
+	// A refused replay (a malformed record) installs nothing and takes
+	// no slot; the records came from this server's own clients, whose
+	// exports are valid by construction.
+	_ = s.DLM.Restore(dlm.LockState{
+		Epoch:     epoch,
+		Slots:     slots,
+		Floor:     dlm.TakeoverFloor(epoch),
+		Resources: s.gather(ctx, slots),
+	})
 }
 
 // partitionMap answers a client's map-refresh request.
@@ -182,12 +173,12 @@ func (s *Server) setupPartition(ep *rpc.Endpoint) {
 		// The gate quiesces releases/acks so none can land between the
 		// export copying a lock and the new master installing it.
 		s.gate.Lock()
-		exp, err := s.DLM.FreezeExportSlot(partition.Slot(req.Slot))
+		st, err := s.DLM.FreezeExportSlot(partition.Slot(req.Slot))
 		s.gate.Unlock()
 		if err != nil {
 			return nil, err
 		}
-		return exportToWire(exp), nil
+		return slotToWire(st), nil
 	})
 
 	ep.Handle(wire.MSlotInstall, func(_ context.Context, p []byte) (wire.Msg, error) {
@@ -201,74 +192,39 @@ func (s *Server) setupPartition(ep *rpc.Endpoint) {
 		s.partMu.Lock()
 		defer s.partMu.Unlock()
 		s.gate.Lock()
-		err := s.DLM.InstallSlot(wireToExport(&req.State), req.Epoch)
+		err := s.DLM.Restore(slotFromWire(req.Epoch, &req.State))
 		s.gate.Unlock()
 		if err != nil {
 			return nil, err
 		}
+		s.DLM.Stats.SlotMigrationsIn.Add(1)
 		return &wire.Ack{}, nil
 	})
 }
 
-func exportToWire(exp dlm.SlotExport) *wire.SlotState {
-	st := &wire.SlotState{Slot: uint32(exp.Slot), Epoch: exp.Epoch}
-	for _, re := range exp.Resources {
-		wr := wire.SlotResource{
-			Resource: uint64(re.Resource),
-			NextSN:   uint64(re.NextSN),
-			Grants:   re.Grants,
-		}
+// slotToWire converts a frozen slot's exported state to its wire form.
+func slotToWire(st dlm.LockState) *wire.SlotState {
+	w := &wire.SlotState{Slot: uint32(st.Slots[0]), Floor: uint64(st.Floor)}
+	for _, re := range st.Resources {
+		wr := wire.SlotResource{Resource: uint64(re.Resource), NextSN: uint64(re.NextSN), Grants: re.Grants}
 		for _, l := range re.Locks {
-			wr.Locks = append(wr.Locks, wire.LockRecord{
-				Resource: uint64(l.Resource),
-				Client:   uint32(l.Client),
-				LockID:   uint64(l.LockID),
-				Mode:     uint8(l.Mode),
-				Range:    l.Range,
-				SN:       uint64(l.SN),
-				State:    uint8(l.State),
-				Flags:    lockFlags(l),
-			})
+			wr.Locks = append(wr.Locks, dlm.RecordToWire(l))
 		}
-		st.Resources = append(st.Resources, wr)
+		w.Resources = append(w.Resources, wr)
+	}
+	return w
+}
+
+// slotFromWire converts a migrating slot's wire state to the Restore
+// that takes it at epoch.
+func slotFromWire(epoch uint64, w *wire.SlotState) dlm.LockState {
+	st := dlm.LockState{Epoch: epoch, Slots: []partition.Slot{partition.Slot(w.Slot)}, Floor: extent.SN(w.Floor)}
+	for _, wr := range w.Resources {
+		re := dlm.ResourceState{Resource: dlm.ResourceID(wr.Resource), NextSN: extent.SN(wr.NextSN), Grants: wr.Grants}
+		for _, l := range wr.Locks {
+			re.Locks = append(re.Locks, dlm.RecordFromWire(l))
+		}
+		st.Resources = append(st.Resources, re)
 	}
 	return st
-}
-
-func wireToExport(st *wire.SlotState) dlm.SlotExport {
-	exp := dlm.SlotExport{Slot: partition.Slot(st.Slot), Epoch: st.Epoch}
-	for _, wr := range st.Resources {
-		re := dlm.ResourceExport{
-			Resource: dlm.ResourceID(wr.Resource),
-			NextSN:   extent.SN(wr.NextSN),
-			Grants:   wr.Grants,
-		}
-		for _, l := range wr.Locks {
-			re.Locks = append(re.Locks, dlm.LockRecord{
-				Resource:  dlm.ResourceID(l.Resource),
-				Client:    dlm.ClientID(l.Client),
-				LockID:    dlm.LockID(l.LockID),
-				Mode:      dlm.Mode(l.Mode),
-				Range:     l.Range,
-				SN:        extent.SN(l.SN),
-				State:     dlm.State(l.State),
-				Delegated: l.Flags&wire.LockFlagDelegated != 0,
-				HandedOff: l.Flags&wire.LockFlagHandedOff != 0,
-			})
-		}
-		exp.Resources = append(exp.Resources, re)
-	}
-	return exp
-}
-
-// lockFlags packs a record's delegation bits into the wire flag byte.
-func lockFlags(l dlm.LockRecord) uint8 {
-	var f uint8
-	if l.Delegated {
-		f |= wire.LockFlagDelegated
-	}
-	if l.HandedOff {
-		f |= wire.LockFlagHandedOff
-	}
-	return f
 }

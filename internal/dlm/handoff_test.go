@@ -460,7 +460,8 @@ func TestHandoffFreezeResolvesDelegation(t *testing.T) {
 	// Install at the successor master: the sequencer continues above
 	// every pre-freeze grant.
 	dst := newBareEngine(handoffPolicy())
-	if err := dst.InstallSlot(exp, 2); err != nil {
+	exp.Epoch = 2
+	if err := dst.Restore(exp); err != nil {
 		t.Fatal(err)
 	}
 	g, err := dst.Lock(context.Background(), Request{

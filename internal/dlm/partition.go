@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"ccpfs/internal/extent"
 	"ccpfs/internal/partition"
 	"ccpfs/internal/wire"
 )
@@ -12,9 +11,10 @@ import (
 // This file is the engine side of the partition map layer (ROADMAP
 // item 1): a server masters only the hash slots it holds leases on,
 // refuses everything else with wire.ErrNotOwner (the redirect signal
-// clients refresh their partition map on), and can freeze, export, and
-// install a slot's entire lock table for online migration or
-// replay-based failover. See DESIGN.md §12.
+// clients refresh their partition map on), and can freeze and export a
+// slot's entire lock table for online migration; the new master
+// installs it with Restore (recovery.go), as it installs a takeover's
+// replay. See DESIGN.md §12.
 
 // slotView is the server's immutable view of the slots it masters,
 // published behind an atomic pointer: readers load it on every Lock,
@@ -170,42 +170,21 @@ func (s *Server) takeSlotResources(sl partition.Slot) []*resource {
 	return out
 }
 
-// ResourceExport carries one resource's transferable state: its
-// unreleased locks, its sequencer position, and its lifetime grant
-// count (which drives the DLM-Lustre expansion threshold). Queued
-// waiters are NOT transferred: they are failed with wire.ErrNotOwner
-// at freeze time and the clients transparently re-request at the new
-// master — a redirect, which the migration window makes
-// indistinguishable from a slow grant.
-type ResourceExport struct {
-	Resource ResourceID
-	NextSN   extent.SN
-	Grants   uint64
-	Locks    []LockRecord
-}
-
-// SlotExport is a frozen slot's full lock table, the unit of transfer
-// for online migration (and, serialized as wire.SlotState, its wire
-// form).
-type SlotExport struct {
-	Slot      partition.Slot
-	Epoch     uint64 // the exporter's view epoch at freeze time
-	Resources []ResourceExport
-}
-
 // FreezeExportSlot freezes one owned slot and exports its lock tables
 // for transfer: new requests for the slot fail with wire.ErrNotOwner
 // (clients retry), queued waiters are redirected the same way, and the
 // slot's resources are detached from the engine. After it returns the
-// engine no longer masters the slot.
+// engine no longer masters the slot; the new master installs the state
+// with Restore, every resource's sequencer resuming exactly where this
+// engine left it.
 //
 // The caller must quiesce releases/acks for the duration (the data
 // server holds its handler gate), so no Release can land between the
 // export copying a lock and the new master installing it — the lost
 // release would leave a zombie lock blocking the resource forever.
-func (s *Server) FreezeExportSlot(sl partition.Slot) (SlotExport, error) {
+func (s *Server) FreezeExportSlot(sl partition.Slot) (LockState, error) {
 	if sl < 0 || sl >= partition.NumSlots {
-		return SlotExport{}, fmt.Errorf("dlm: freeze: bad slot %d", sl)
+		return LockState{}, fmt.Errorf("dlm: freeze: bad slot %d", sl)
 	}
 	// Publish frozen first: any Lock that passed CheckMaster before now
 	// re-checks under res.mu and fails before enqueueing.
@@ -213,13 +192,15 @@ func (s *Server) FreezeExportSlot(sl partition.Slot) (SlotExport, error) {
 	prev := s.slots.Load()
 	if prev == nil || !prev.owned[sl] {
 		s.slotsMu.Unlock()
-		return SlotExport{}, wire.ErrNotOwner
+		return LockState{}, wire.ErrNotOwner
 	}
 	frozen := *prev
 	frozen.frozen[sl] = true
 	s.slots.Store(&frozen)
 	s.slotsMu.Unlock()
-	exp := SlotExport{Slot: sl, Epoch: s.PartitionEpoch()}
+	s.resMu.RLock()
+	exp := LockState{Slots: []partition.Slot{sl}, Floor: s.snFloor}
+	s.resMu.RUnlock()
 	var acts []activationMsg
 	for _, res := range s.takeSlotResources(sl) {
 		res.mu.Lock()
@@ -230,7 +211,7 @@ func (s *Server) FreezeExportSlot(sl partition.Slot) (SlotExport, error) {
 		// master never holds delegation state it cannot reclaim. The
 		// activations are delivered once the freeze completes.
 		acts = append(acts, s.resolveSlotDelegations(res)...)
-		re := ResourceExport{
+		re := ResourceState{
 			Resource: res.id,
 			NextSN:   res.nextSN,
 			Grants:   uint64(res.grants),
@@ -264,86 +245,4 @@ func (s *Server) FreezeExportSlot(sl partition.Slot) (SlotExport, error) {
 		s.sendActivation(a)
 	}
 	return exp, nil
-}
-
-// InstallSlot installs a migrated slot's lock tables and takes
-// mastership of the slot at the given (post-transfer) epoch. The
-// sequencer of every resource resumes exactly where the exporter left
-// it, so SNs stay globally unique per resource across any number of
-// migrations. Granted locks are installed with their revocation flag
-// cleared: an in-flight revocation's ack raced the handoff and died
-// with the old master, so this engine re-fires it on the next conflict
-// — clients treat the re-delivery as idempotent. CANCELING locks keep
-// waiting for the client's release, which the client retries here
-// after refreshing its map.
-func (s *Server) InstallSlot(exp SlotExport, epoch uint64) error {
-	if exp.Slot < 0 || exp.Slot >= partition.NumSlots {
-		return fmt.Errorf("dlm: install: bad slot %d", exp.Slot)
-	}
-	for _, re := range exp.Resources {
-		if partition.SlotOf(uint64(re.Resource)) != exp.Slot {
-			return fmt.Errorf("dlm: install: resource %d not in slot %d", re.Resource, exp.Slot)
-		}
-		res := s.resource(re.Resource)
-		res.mu.Lock()
-		if res.granted.len() > 0 || len(res.queue) > 0 {
-			res.mu.Unlock()
-			return fmt.Errorf("dlm: install: resource %d not empty", re.Resource)
-		}
-		if re.NextSN > res.nextSN {
-			res.nextSN = re.NextSN
-		}
-		if g := int(re.Grants); g > res.grants {
-			res.grants = g
-		}
-		for _, r := range re.Locks {
-			if !r.Mode.Valid() || r.Range.Empty() {
-				res.mu.Unlock()
-				return fmt.Errorf("dlm: install: bad lock record %d", r.LockID)
-			}
-			s.installRecord(res, r)
-		}
-		res.mu.Unlock()
-	}
-	s.addSlots(epoch, []partition.Slot{exp.Slot})
-	s.Stats.SlotMigrationsIn.Add(1)
-	return nil
-}
-
-// AdoptSlots takes mastership of slots claimed through lease takeover,
-// rebuilding their lock tables from client-replayed records (the
-// recovery.go path, filtered by slot). Records outside the adopted
-// slots are dropped — a client replaying concurrently with two
-// takeovers must not hand slot A's locks to slot B's new master.
-//
-// Delegations outstanding at the old master's death are force-resolved
-// here, mirroring what FreezeExportSlot does for migration. A HandedOff
-// record is a lock its holder owes (or already sent) to a successor:
-// the holder will never release it through the server, so restoring it
-// would wedge the resource — it is dropped. A Delegated record is the
-// successor's promised lock; it is installed as a plain grant and
-// re-activated with a server-sent activation, which either completes
-// the successor's parked transfer wait (if the peer transfer died with
-// the old epoch) or lands as a harmless duplicate.
-func (s *Server) AdoptSlots(epoch uint64, slots []partition.Slot, records []LockRecord) error {
-	in := make(map[partition.Slot]bool, len(slots))
-	for _, sl := range slots {
-		in[sl] = true
-	}
-	filtered := records[:0]
-	for _, r := range records {
-		if in[partition.SlotOf(uint64(r.Resource))] {
-			filtered = append(filtered, r)
-		}
-	}
-	kept, resolved := resolveReplay(filtered)
-	if err := s.Restore(kept); err != nil {
-		return err
-	}
-	s.addSlots(epoch, slots)
-	for _, a := range resolved {
-		s.Stats.HandoffReclaims.Add(1)
-		s.sendActivation(a)
-	}
-	return nil
 }

@@ -93,7 +93,7 @@ func TestAdoptSlotsPartialReplay(t *testing.T) {
 	if len(records) != 2 {
 		t.Fatalf("exported %d records, want 2", len(records))
 	}
-	if err := succ.AdoptSlots(7, []partition.Slot{5}, records); err != nil {
+	if err := succ.Restore(LockState{Epoch: 7, Slots: []partition.Slot{5}, Resources: ByResource(records)}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -155,7 +155,8 @@ func TestFreezeInstallTransfersSequencer(t *testing.T) {
 	}
 
 	dst := newBareEngine(SeqDLM())
-	if err := dst.InstallSlot(exp, 2); err != nil {
+	exp.Epoch = 2
+	if err := dst.Restore(exp); err != nil {
 		t.Fatal(err)
 	}
 	if err := dst.CheckMaster(res); err != nil {
@@ -175,7 +176,8 @@ func TestFreezeInstallTransfersSequencer(t *testing.T) {
 		t.Fatalf("post-install SN %d, want %d", g.SN, sn+1)
 	}
 	// Installing on top of live state must be refused, not merged.
-	if err := dst.InstallSlot(exp, 3); err == nil {
+	exp.Epoch = 3
+	if err := dst.Restore(exp); err == nil {
 		t.Fatal("double install accepted")
 	}
 	if err := dst.CheckInvariants(); err != nil {

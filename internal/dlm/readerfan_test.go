@@ -408,7 +408,8 @@ func TestReaderFanFreezeResolvesBroadcast(t *testing.T) {
 	}
 
 	dst := newBareEngine(fanPolicy())
-	if err := dst.InstallSlot(exp, 2); err != nil {
+	exp.Epoch = 2
+	if err := dst.Restore(exp); err != nil {
 		t.Fatal(err)
 	}
 	// A compatible shared grant at the importing master must continue

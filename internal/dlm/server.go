@@ -162,9 +162,12 @@ type Server struct {
 	// (handoff.go).
 	reclaim handoffReclaimer
 
-	// resMu guards only the resource map (lookup/insert/removal).
+	// resMu guards the resource map (lookup/insert/removal) and snFloor,
+	// the SN a resource the engine creates starts its sequencer at: 0
+	// until a Restore raises it (recovery.go).
 	resMu     sync.RWMutex
 	resources map[ResourceID]*resource
+	snFloor   extent.SN
 	nextLock  atomic.Uint64
 
 	// slots is the partition-mastership view (nil = unpartitioned,
@@ -329,7 +332,7 @@ func (s *Server) resource(id ResourceID) *resource {
 	defer s.resMu.Unlock()
 	r := s.resources[id]
 	if r == nil {
-		r = &resource{id: id}
+		r = &resource{id: id, nextSN: s.snFloor}
 		s.resources[id] = r
 	}
 	return r

@@ -143,13 +143,15 @@ func TestTakeoverResolvesInFlightTransfer(t *testing.T) {
 		return handed && delegated
 	})
 
-	// Kill the master and fail over: a successor adopts every slot from
-	// the clients' replayed records.
+	// Kill the master, so its reclaimer cannot resolve the delegation
+	// either, and fail over: a successor adopts every slot from the
+	// clients' replayed records.
+	srv1.Shutdown()
 	srv2 := NewServer(policy, nil)
 	srv2.SetNotifier(takeoverNotifier{h})
 	h.active.Store(srv2)
-	if err := srv2.AdoptSlots(2, slots, records); err != nil {
-		t.Fatalf("AdoptSlots: %v", err)
+	if err := srv2.Restore(LockState{Epoch: 2, Slots: slots, Resources: ByResource(records)}); err != nil {
+		t.Fatalf("Restore: %v", err)
 	}
 
 	// The activation must complete B's parked acquire even though A's

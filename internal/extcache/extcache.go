@@ -175,6 +175,24 @@ func (c *Cache) MaxSN(stripe uint64, rng extent.Extent) (extent.SN, bool) {
 	return sc.tree.MaxSNOverlapping(rng)
 }
 
+// NewestSN returns the newest SN recorded for any byte of any stripe:
+// after a crash and the log's replay, a floor the recovering lock
+// server's sequencers resume above.
+func (c *Cache) NewestSN() (extent.SN, bool) {
+	var newest extent.SN
+	found := false
+	c.forEachStripe(func(_ uint64, sc *stripeCache) bool {
+		sc.mu.Lock()
+		sn, ok := sc.tree.MaxSNOverlapping(extent.New(0, extent.Inf))
+		sc.mu.Unlock()
+		if ok && (!found || sn > newest) {
+			newest, found = sn, true
+		}
+		return true
+	})
+	return newest, found
+}
+
 // Entries returns the total entry count across stripes.
 func (c *Cache) Entries() int { return int(c.entries.Load()) }
 

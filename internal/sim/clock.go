@@ -270,6 +270,10 @@ const minIdle = 64
 type VClock struct {
 	base  time.Time
 	nowNs atomic.Int64
+	// ended is the wall time the run ended at, nil while it lasts. From
+	// then on Now moves on at wall speed from the run's last instant, so
+	// a deadline set during teardown (a frame due now + RTT/2) arrives.
+	ended atomic.Pointer[time.Time]
 
 	mu       sync.Mutex
 	seq      uint64
@@ -307,8 +311,15 @@ func NewVClock(seed int64) *VClock {
 // Virtual wraps v as a Clock handle (nil gives the wall clock).
 func Virtual(v *VClock) Clock { return Clock{v: v} }
 
-// Now returns the current virtual time.
-func (v *VClock) Now() time.Time { return v.base.Add(time.Duration(v.nowNs.Load())) }
+// Now returns the current virtual time; once the run has ended, the
+// run's last instant plus the wall time since.
+func (v *VClock) Now() time.Time {
+	ns := v.nowNs.Load()
+	if end := v.ended.Load(); end != nil {
+		ns += int64(time.Since(*end))
+	}
+	return v.base.Add(time.Duration(ns))
+}
 
 // Int63n draws from the seeded source.
 func (v *VClock) Int63n(n int64) int64 {
@@ -319,17 +330,18 @@ func (v *VClock) Int63n(n int64) int64 {
 
 // Run executes f as the root simulation goroutine and drives every
 // tracked goroutine from the calling one until f returns, then ends the
-// virtual run: the clock flips to passthrough mode and every
-// still-parked goroutine is released to real time, so ordinary teardown
+// virtual run: the clock flips to passthrough mode, its time moves on
+// at wall speed from the run's last instant, and every still-parked
+// goroutine is released to real time, so ordinary teardown
 // (Close/Shutdown) needs no mediation. Everything the run's output
-// depends on must be captured inside f.
+// depends on, virtual time included, must be captured inside f.
 //
 // A panic or runtime.Goexit (t.FailNow) in any tracked goroutine, and
 // the stall report, surface here in Run's caller; the run is ended
 // first, as if f had returned.
 //
 // A clock runs once: Run on a clock whose run has ended panics, since
-// a passthrough clock would neither advance on Sleep nor run what Go
+// a passthrough clock runs on wall time and would not run what Go
 // starts before Run returns.
 func (v *VClock) Run(f func()) {
 	v.mu.Lock()
@@ -358,6 +370,8 @@ func (v *VClock) Run(f func()) {
 func (v *VClock) exitAll() {
 	v.mu.Lock()
 	v.exited = true
+	end := time.Now()
+	v.ended.Store(&end)
 	var wake []*vg
 	wake = append(wake, v.runq[v.runqHead:]...)
 	v.runq, v.runqHead = nil, 0

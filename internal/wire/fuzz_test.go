@@ -25,8 +25,6 @@ func allMessages() []Msg {
 		&FlushRequest{},
 		&ReadRequest{},
 		&ReadReply{},
-		&MinSNRequest{},
-		&MinSNReply{},
 		&CreateRequest{},
 		&OpenRequest{},
 		&FileReply{},
@@ -35,12 +33,12 @@ func allMessages() []Msg {
 		&HelloRequest{},
 		&HelloReply{},
 		&ListReply{},
+		&ReportRequest{},
 		&LockReport{},
 		&PartitionMapReply{},
 		&SlotFreezeRequest{},
 		&SlotState{},
 		&SlotInstall{},
-		&SlotReportRequest{},
 	}
 }
 
@@ -185,7 +183,7 @@ func FuzzRevokeBatchDecode(f *testing.F) {
 func TestSlotStateRoundTrip(t *testing.T) {
 	in := &SlotInstall{Epoch: 42, State: SlotState{
 		Slot:  7,
-		Epoch: 41,
+		Floor: 41,
 		Resources: []SlotResource{
 			{Resource: 1, NextSN: 9, Grants: 12, Locks: []LockRecord{
 				{Resource: 1, Client: 2, LockID: 3, Mode: 4, Range: extent.New(0, 64), SN: 8, State: 1},
@@ -197,7 +195,7 @@ func TestSlotStateRoundTrip(t *testing.T) {
 	if err := Unmarshal(Marshal(in), &out); err != nil {
 		t.Fatal(err)
 	}
-	if out.Epoch != 42 || out.State.Slot != 7 || out.State.Epoch != 41 ||
+	if out.Epoch != 42 || out.State.Slot != 7 || out.State.Floor != 41 ||
 		len(out.State.Resources) != 2 ||
 		out.State.Resources[0].Locks[0] != in.State.Resources[0].Locks[0] ||
 		out.State.Resources[1].NextSN != 0 {
@@ -216,19 +214,19 @@ func TestSlotStateRoundTrip(t *testing.T) {
 
 // FuzzPartitionMsgDecode is the coverage-guided fuzzer for the
 // partition-service messages (map refresh, slot freeze/install,
-// slot-filtered replay): byte soup must error or decode, never panic,
+// slot-filtered report): byte soup must error or decode, never panic,
 // and a successful decode must re-encode to the same frame (the
 // migration orchestrator forwards a decoded SlotState verbatim).
 func FuzzPartitionMsgDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(Marshal(&PartitionMapReply{Epoch: 1, Owners: []int32{0, 1, 2, 3}}))
 	f.Add(Marshal(&SlotFreezeRequest{Slot: 9}))
-	f.Add(Marshal(&SlotInstall{Epoch: 2, State: SlotState{Slot: 9, Epoch: 1, Resources: []SlotResource{
+	f.Add(Marshal(&SlotInstall{Epoch: 2, State: SlotState{Slot: 9, Floor: 1, Resources: []SlotResource{
 		{Resource: 3, NextSN: 4, Grants: 5, Locks: []LockRecord{{Resource: 3, Client: 1, LockID: 2, Mode: 3, Range: extent.New(0, 8), SN: 4, State: 0}}},
 	}}}))
-	f.Add(Marshal(&SlotReportRequest{Epoch: 7, Slots: []uint32{1, 2, 3}}))
+	f.Add(Marshal(&ReportRequest{Slots: []uint32{1, 2, 3}}))
 	f.Fuzz(func(t *testing.T, frame []byte) {
-		for _, m := range []Msg{&PartitionMapReply{}, &SlotFreezeRequest{}, &SlotState{}, &SlotInstall{}, &SlotReportRequest{}} {
+		for _, m := range []Msg{&PartitionMapReply{}, &SlotFreezeRequest{}, &SlotState{}, &SlotInstall{}, &ReportRequest{}} {
 			if err := Unmarshal(frame, m); err == nil {
 				if got := Marshal(m); string(got) != string(frame) {
 					t.Fatalf("%T re-encode mismatch: %x != %x", m, got, frame)

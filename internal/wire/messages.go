@@ -21,7 +21,8 @@ const (
 	// IO service.
 	MFlush Method = 10 // FlushRequest -> Ack
 	MRead  Method = 11 // ReadRequest -> ReadReply
-	MMinSN Method = 12 // MinSNRequest -> MinSNReply
+	// 12 stays unassigned: it named the min-SN query, which the data
+	// server answers in-process.
 	// Metadata service.
 	MCreate  Method = 20 // CreateRequest -> FileReply
 	MOpen    Method = 21 // OpenRequest -> FileReply
@@ -38,10 +39,11 @@ const (
 	MHello Method = 30 // HelloRequest -> HelloReply
 	// Server→client callbacks. 128 stays unassigned: it named the
 	// single-lock revocation, and a frame from a peer that still sends
-	// it must fail as an unknown method, not reach another handler.
-	MReport      Method = 129 // Ack -> LockReport (server recovery, §IV-C2)
+	// it must fail as an unknown method, not reach another handler. 131
+	// stays unassigned for the same reason: it named the slot-filtered
+	// report, which MReport's request now carries.
+	MReport      Method = 129 // ReportRequest -> LockReport (lock-state replay, §IV-C2)
 	MRevokeBatch Method = 130 // RevokeBatch -> RevokeBatchAck
-	MReportSlots Method = 131 // SlotReportRequest -> LockReport (slot takeover replay)
 	// MHandoff activates a delegated lock at its new owner. It travels
 	// client→client when the previous holder transfers the lock directly,
 	// and server→client when the server resolves the delegation itself
@@ -70,7 +72,6 @@ var methodNames = [256]string{
 	MDowngrade:      "Downgrade",
 	MFlush:          "Flush",
 	MRead:           "Read",
-	MMinSN:          "MinSN",
 	MCreate:         "Create",
 	MOpen:           "Open",
 	MStat:           "Stat",
@@ -88,7 +89,6 @@ var methodNames = [256]string{
 	MPartitionMap:   "PartitionMap",
 	MSlotFreeze:     "SlotFreeze",
 	MSlotInstall:    "SlotInstall",
-	MReportSlots:    "ReportSlots",
 }
 
 // String returns the method's human-readable name, or "m<N>" for an
@@ -907,46 +907,6 @@ func ReadReplyBody(r extent.Extent, fill func(data []byte) (uint64, error)) (*Bo
 	return &Body{Frame: frame}, nil
 }
 
-// MinSNRequest asks the DLM service for the minimum SN among unreleased
-// write locks overlapping a range — the mSN of the extent-cache cleanup
-// task (§IV-B).
-type MinSNRequest struct {
-	Resource uint64
-	Range    extent.Extent
-}
-
-// Encode implements Msg.
-func (m *MinSNRequest) Encode(e *Encoder) {
-	e.U64(m.Resource)
-	encodeExtent(e, m.Range)
-}
-
-// Decode implements Msg.
-func (m *MinSNRequest) Decode(d *Decoder) {
-	m.Resource = d.U64()
-	m.Range = decodeExtent(d)
-}
-
-// MinSNReply returns the mSN. When no unreleased write lock overlaps the
-// range, HasLocks is false and every cached entry for the range is
-// removable.
-type MinSNReply struct {
-	HasLocks bool
-	MinSN    uint64
-}
-
-// Encode implements Msg.
-func (m *MinSNReply) Encode(e *Encoder) {
-	e.Bool(m.HasLocks)
-	e.U64(m.MinSN)
-}
-
-// Decode implements Msg.
-func (m *MinSNReply) Decode(d *Decoder) {
-	m.HasLocks = d.Bool()
-	m.MinSN = d.U64()
-}
-
 // CreateRequest creates a file in the namespace with a stripe layout.
 type CreateRequest struct {
 	Path        string
@@ -1061,8 +1021,8 @@ func (m *ListReply) Decode(d *Decoder) {
 	}
 }
 
-// LockRecord describes one granted lock a client reports during server
-// recovery (§IV-C2).
+// LockRecord describes one lock moving to a new master: replayed by
+// its client (§IV-C2) or exported with a migrating slot.
 type LockRecord struct {
 	Resource uint64
 	Client   uint32
@@ -1071,10 +1031,10 @@ type LockRecord struct {
 	Range    extent.Extent
 	SN       uint64
 	State    uint8
-	// Flags carries handoff-delegation state across a takeover replay
-	// (DESIGN.md §13): the adopting master force-resolves reported
-	// delegations the way a freeze would, instead of restoring
-	// handed-off pairs it has no delegation state for.
+	// Flags carries handoff-delegation state across a replay (DESIGN.md
+	// §13): the rebuilding master force-resolves reported delegations
+	// the way a freeze would, instead of restoring handed-off pairs it
+	// has no delegation state for.
 	Flags uint8
 }
 
@@ -1089,16 +1049,12 @@ const (
 	LockFlagHandedOff
 )
 
-// LockReport is the client's reply to a recovery gather request.
-type LockReport struct {
-	Locks []LockRecord
-}
-
-// Encode implements Msg.
-func (m *LockReport) Encode(e *Encoder) {
-	e.U32(uint32(len(m.Locks)))
-	for i := range m.Locks {
-		l := &m.Locks[i]
+// encodeLockRecords and decodeLockRecords are the one codec of a lock
+// record list, shared by LockReport and SlotState.
+func encodeLockRecords(e *Encoder, locks []LockRecord) {
+	e.U32(uint32(len(locks)))
+	for i := range locks {
+		l := &locks[i]
 		e.U64(l.Resource)
 		e.U32(l.Client)
 		e.U64(l.LockID)
@@ -1110,24 +1066,64 @@ func (m *LockReport) Encode(e *Encoder) {
 	}
 }
 
+func decodeLockRecords(d *Decoder) []LockRecord {
+	n := d.Len32(47) // a record's encoded size
+	if n == 0 {
+		return nil
+	}
+	locks := make([]LockRecord, n)
+	for i := range locks {
+		l := &locks[i]
+		l.Resource = d.U64()
+		l.Client = d.U32()
+		l.LockID = d.U64()
+		l.Mode = d.U8()
+		l.Range = decodeExtent(d)
+		l.SN = d.U64()
+		l.State = d.U8()
+		l.Flags = d.U8()
+	}
+	return locks
+}
+
+// ReportRequest asks a client to replay the locks it holds so a server
+// can rebuild their tables (§IV-C2): the locks of Slots, claimed by
+// lease takeover, or with no Slots the locks placed on the asking
+// server (full-crash recovery). Slots out of range match nothing. The
+// reply is a LockReport.
+type ReportRequest struct {
+	Slots []uint32
+}
+
+// Encode implements Msg.
+func (m *ReportRequest) Encode(e *Encoder) {
+	e.U32(uint32(len(m.Slots)))
+	for _, s := range m.Slots {
+		e.U32(s)
+	}
+}
+
 // Decode implements Msg.
-func (m *LockReport) Decode(d *Decoder) {
-	n := d.Len32(47)
+func (m *ReportRequest) Decode(d *Decoder) {
+	n := d.Len32(4)
 	if n > 0 {
-		m.Locks = make([]LockRecord, n)
-		for i := range m.Locks {
-			l := &m.Locks[i]
-			l.Resource = d.U64()
-			l.Client = d.U32()
-			l.LockID = d.U64()
-			l.Mode = d.U8()
-			l.Range = decodeExtent(d)
-			l.SN = d.U64()
-			l.State = d.U8()
-			l.Flags = d.U8()
+		m.Slots = make([]uint32, n)
+		for i := range m.Slots {
+			m.Slots[i] = d.U32()
 		}
 	}
 }
+
+// LockReport is the client's reply to a ReportRequest.
+type LockReport struct {
+	Locks []LockRecord
+}
+
+// Encode implements Msg.
+func (m *LockReport) Encode(e *Encoder) { encodeLockRecords(e, m.Locks) }
+
+// Decode implements Msg.
+func (m *LockReport) Decode(d *Decoder) { m.Locks = decodeLockRecords(d) }
 
 // HelloRequest registers a connection with a node. Clients announce a
 // name; the server assigns the client identifier used in lock requests.
@@ -1223,42 +1219,33 @@ type SlotResource struct {
 }
 
 // SlotState is a frozen slot's full lock table — the payload a
-// migration moves from source to target.
+// migration moves from source to target. Floor is the source's
+// sequencer floor: a resource the target first creates in the slot
+// resumes at or above it (DESIGN.md §12).
 type SlotState struct {
 	Slot      uint32
-	Epoch     uint64 // the source's view epoch at freeze time
+	Floor     uint64
 	Resources []SlotResource
 }
 
 // Encode implements Msg.
 func (m *SlotState) Encode(e *Encoder) {
 	e.U32(m.Slot)
-	e.U64(m.Epoch)
+	e.U64(m.Floor)
 	e.U32(uint32(len(m.Resources)))
 	for i := range m.Resources {
 		r := &m.Resources[i]
 		e.U64(r.Resource)
 		e.U64(r.NextSN)
 		e.U64(r.Grants)
-		e.U32(uint32(len(r.Locks)))
-		for j := range r.Locks {
-			l := &r.Locks[j]
-			e.U64(l.Resource)
-			e.U32(l.Client)
-			e.U64(l.LockID)
-			e.U8(l.Mode)
-			encodeExtent(e, l.Range)
-			e.U64(l.SN)
-			e.U8(l.State)
-			e.U8(l.Flags)
-		}
+		encodeLockRecords(e, r.Locks)
 	}
 }
 
 // Decode implements Msg.
 func (m *SlotState) Decode(d *Decoder) {
 	m.Slot = d.U32()
-	m.Epoch = d.U64()
+	m.Floor = d.U64()
 	n := d.Len32(28) // 3 u64 + locks length per resource, minimum
 	if n > 0 {
 		m.Resources = make([]SlotResource, n)
@@ -1267,21 +1254,7 @@ func (m *SlotState) Decode(d *Decoder) {
 			r.Resource = d.U64()
 			r.NextSN = d.U64()
 			r.Grants = d.U64()
-			k := d.Len32(47)
-			if k > 0 {
-				r.Locks = make([]LockRecord, k)
-				for j := range r.Locks {
-					l := &r.Locks[j]
-					l.Resource = d.U64()
-					l.Client = d.U32()
-					l.LockID = d.U64()
-					l.Mode = d.U8()
-					l.Range = decodeExtent(d)
-					l.SN = d.U64()
-					l.State = d.U8()
-					l.Flags = d.U8()
-				}
-			}
+			r.Locks = decodeLockRecords(d)
 		}
 	}
 }
@@ -1304,33 +1277,4 @@ func (m *SlotInstall) Encode(e *Encoder) {
 func (m *SlotInstall) Decode(d *Decoder) {
 	m.Epoch = d.U64()
 	m.State.Decode(d)
-}
-
-// SlotReportRequest asks a client to replay its held locks for the
-// given slots only (server recovery after a lease takeover; the
-// slot-filtered form of MReport). The reply is a LockReport.
-type SlotReportRequest struct {
-	Epoch uint64
-	Slots []uint32
-}
-
-// Encode implements Msg.
-func (m *SlotReportRequest) Encode(e *Encoder) {
-	e.U64(m.Epoch)
-	e.U32(uint32(len(m.Slots)))
-	for _, s := range m.Slots {
-		e.U32(s)
-	}
-}
-
-// Decode implements Msg.
-func (m *SlotReportRequest) Decode(d *Decoder) {
-	m.Epoch = d.U64()
-	n := d.Len32(4)
-	if n > 0 {
-		m.Slots = make([]uint32, n)
-		for i := range m.Slots {
-			m.Slots[i] = d.U32()
-		}
-	}
 }

@@ -221,8 +221,8 @@ func TestSmallMessagesRoundTrip(t *testing.T) {
 		{&ReleaseRequest{Resource: 1, LockID: 2}, &ReleaseRequest{}},
 		{&DowngradeRequest{Resource: 1, LockID: 2, NewMode: 3}, &DowngradeRequest{}},
 		{&RevokeBatch{Entries: []RevokeEntry{{Resource: 4, LockID: 5}}}, &RevokeBatch{}},
-		{&MinSNRequest{Resource: 6, Range: extent.New(0, 10)}, &MinSNRequest{}},
-		{&MinSNReply{HasLocks: true, MinSN: 77}, &MinSNReply{}},
+		{&ReportRequest{Slots: []uint32{3, 9}}, &ReportRequest{}},
+		{&LockReport{Locks: []LockRecord{{Resource: 6, Client: 2, LockID: 8, Mode: 1, Range: extent.New(0, 10), SN: 77, State: 1, Flags: LockFlagHandedOff}}}, &LockReport{}},
 		{&HelloRequest{NodeName: "n1", ClientID: 9}, &HelloRequest{}},
 		{&HelloReply{ClientID: 9}, &HelloReply{}},
 		{&SizeReply{Size: 1234}, &SizeReply{}},
