@@ -511,8 +511,15 @@ func (c rpcConn) HandoffAck(ctx context.Context, res dlm.ResourceID, ids []dlm.L
 
 // flushForCancel is the lock client's data path: flush dirty data under
 // the canceling lock, push the end of this client's writes, and drop the
-// cached pages that lose their lock protection.
+// cached pages that lose their lock protection. The push does not wait
+// for the flush: it is sent first and waited for after the flush, so
+// its round trip overlaps the flush's. Both have landed when this
+// returns, before the lock is released or transferred; only a reader
+// whose lock conflicts with this one could see the size, and it is
+// granted after that.
 func (c *Client) flushForCancel(ctx context.Context, res dlm.ResourceID, rng extent.Extent, sn extent.SN) error {
+	fid, _ := meta.SplitResource(uint64(res))
+	push := c.startPush(ctx, fid)
 	// Redo failed flush RPCs a few times (the recovery convention of
 	// §IV-C2) before giving up with the ephemeral-cache semantics. A
 	// dead context stops the retries — the caller is gone.
@@ -525,11 +532,10 @@ func (c *Client) flushForCancel(ctx context.Context, res dlm.ResourceID, rng ext
 			break
 		}
 	}
+	push.wait(ctx)
 	if err != nil {
 		return err
 	}
-	fid, _ := meta.SplitResource(uint64(res))
-	c.pushSize(ctx, fid)
 	// Only drop cache coverage the canceling lock was protecting; data
 	// with newer SNs belongs to still-granted locks whose expanded
 	// ranges may overlap this one.
@@ -785,9 +791,11 @@ func (c *Client) flushDaemon() {
 // except at Truncate). wrote is the end of the client's own writes
 // not yet published, 0 when there are none: it is what a push
 // publishes, so a client that only read never republishes a size it
-// read, which may predate another client's truncate.
+// read, which may predate another client's truncate. sent is the
+// largest end a push was sent for and landed the largest one a push
+// published; sent > landed while a push is on the wire (startPush).
 type sizeCell struct {
-	size, wrote atomic.Int64
+	size, wrote, sent, landed atomic.Int64
 }
 
 // sizeCell returns fid's size cell, creating it if needed.
@@ -838,18 +846,79 @@ func raise(v *atomic.Int64, x int64) {
 // the larger size, so the repeat is harmless. A later write's larger end
 // fails the clear and stays pending; a failed push leaves it pending.
 func (c *Client) pushSize(ctx context.Context, fid uint64) {
+	c.startPush(ctx, fid).wait(ctx)
+}
+
+// sizePush is the push of one end: startPush sends it, and wait returns
+// once a push of at least that end has landed.
+type sizePush struct {
+	c    *Client
+	cell *sizeCell
+	fid  uint64
+	end  int64 // 0: nothing to publish
+	call rpc.Pending
+	own  bool // call is this push's own, on the wire
+}
+
+// startPush starts the push of fid's unpublished end, if it has one.
+// While another push of the file is on the wire, it sends nothing yet:
+// its wait finds whether that push covered its end, and pushes the end
+// as it is then if not. Cancels that run together (a ReleaseAll's, or
+// a writer's while it keeps writing) so send one push between them, not
+// one each.
+func (c *Client) startPush(ctx context.Context, fid uint64) sizePush {
 	v, ok := c.sizes.Load(fid)
 	if !ok {
+		return sizePush{}
+	}
+	p := sizePush{c: c, cell: v.(*sizeCell), fid: fid}
+	if p.end = p.cell.wrote.Load(); p.end != 0 && p.cell.sent.Load() <= p.cell.landed.Load() {
+		p.send(ctx)
+	}
+	return p
+}
+
+// send puts the push's SetSize call on the wire.
+func (p *sizePush) send(ctx context.Context) {
+	raise(&p.cell.sent, p.end)
+	var err error
+	p.call, err = p.c.conns.Meta.Go(ctx, wire.MSetSize, &wire.SetSizeRequest{FID: p.fid, Size: p.end})
+	if p.own = err == nil; !p.own {
+		p.failed()
+	}
+}
+
+// failed takes back the sent mark of a push that did not land, so the
+// next push of the file is sent at once instead of waiting for it.
+func (p *sizePush) failed() {
+	p.cell.sent.CompareAndSwap(p.end, p.cell.landed.Load())
+}
+
+// wait returns once a push of at least the end has landed, or a push
+// failed: see pushSize.
+func (p sizePush) wait(ctx context.Context) {
+	if p.end == 0 {
 		return
 	}
-	cell := v.(*sizeCell)
-	end := cell.wrote.Load()
-	if end == 0 {
+	if !p.own {
+		if p.cell.landed.Load() >= p.end {
+			return
+		}
+		// Not covered yet: push the end as it is now, which publishes
+		// the writes made since startPush as well.
+		if p.end = p.cell.wrote.Load(); p.end == 0 {
+			return
+		}
+		if p.send(ctx); !p.own {
+			return
+		}
+	}
+	if p.call.Wait(ctx, nil) != nil {
+		p.failed()
 		return
 	}
-	if err := c.conns.Meta.Call(ctx, wire.MSetSize, &wire.SetSizeRequest{FID: fid, Size: end}, nil); err == nil {
-		cell.wrote.CompareAndSwap(end, 0)
-	}
+	raise(&p.cell.landed, p.end)
+	p.cell.wrote.CompareAndSwap(p.end, 0)
 }
 
 func (c *Client) pushAllSizes(ctx context.Context) {
@@ -1219,8 +1288,31 @@ func (f *File) TruncateContext(ctx context.Context, size int64) error {
 			f.c.lc.Unlock(h)
 		}
 	}()
-	var rep wire.SizeReply
-	if err := f.c.conns.Meta.Call(ctx, wire.MSetSize, &wire.SetSizeRequest{FID: f.fid, Size: size, Truncate: true}, &rep); err != nil {
+	// Each stripe's storing server cuts the stripe at its share of the
+	// new size, under the stripe's PW lock SN, while the size register
+	// is set: a later write past the cut must find zeros there, not the
+	// bytes the truncate cut off.
+	cuts := make([]rpc.Pending, 0, len(handles))
+	var err error
+	for st, h := range handles {
+		rid := uint64(f.Resource(uint32(st)))
+		req := &wire.TruncateRequest{Resource: rid, Size: meta.StripeEnd(size, f.stripeSize, f.stripeCount, uint32(st)), SN: uint64(h.SN())}
+		p, e := f.c.bulkFor(rid).Go(ctx, wire.MTruncate, req)
+		if e != nil {
+			err = e
+			break
+		}
+		cuts = append(cuts, p)
+	}
+	if err == nil {
+		err = f.c.conns.Meta.Call(ctx, wire.MSetSize, &wire.SetSizeRequest{FID: f.fid, Size: size, Truncate: true}, nil)
+	}
+	for _, p := range cuts {
+		if e := p.Wait(ctx, nil); e != nil && err == nil {
+			err = e
+		}
+	}
+	if err != nil {
 		return err
 	}
 	// Plain stores, not max-updates: truncation may shrink the
@@ -1228,8 +1320,10 @@ func (f *File) TruncateContext(ctx context.Context, size int64) error {
 	cell := f.c.sizeCell(f.fid)
 	cell.size.Store(size)
 	cell.wrote.Store(0)
-	// Drop cached data beyond the new size on every stripe; reads are
-	// gated by the size register, so on-device stale bytes are inert.
+	cell.sent.Store(0)
+	cell.landed.Store(0)
+	// Drop cached data on every stripe: what lay past the new size is
+	// gone on the data servers too.
 	for st := uint32(0); st < f.stripeCount; st++ {
 		f.c.pc.Invalidate(uint64(f.Resource(st)), extent.New(0, extent.Inf))
 	}
@@ -1246,11 +1340,11 @@ func (f *File) FsyncContext(ctx context.Context) error {
 	for st := uint32(0); st < f.stripeCount; st++ {
 		rids = append(rids, uint64(f.Resource(st)))
 	}
-	if err := f.c.flushStripes(ctx, rids, extent.New(0, extent.Inf), ^extent.SN(0)); err != nil {
-		return err
-	}
-	f.c.pushSize(ctx, f.fid)
-	return nil
+	// The size push rides beside the flush, as on the cancel path.
+	push := f.c.startPush(ctx, f.fid)
+	err := f.c.flushStripes(ctx, rids, extent.New(0, extent.Inf), ^extent.SN(0))
+	push.wait(ctx)
+	return err
 }
 
 // Close flushes the file. Locks stay cached for reuse until revoked or

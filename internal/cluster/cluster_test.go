@@ -421,6 +421,65 @@ func TestTruncateNotUndoneByReader(t *testing.T) {
 	}
 }
 
+// TestTruncateDropsCutBytes: bytes a truncate cut off read as zeros
+// after a later write past the cut makes them part of the file again,
+// from the writer and from another client, on one stripe and across
+// several stripes on two servers (POSIX: the extended range reads as
+// zeros). Before the fix, the data servers kept the cut bytes and the
+// write exposed them.
+func TestTruncateDropsCutBytes(t *testing.T) {
+	for _, tc := range []struct {
+		servers     int
+		stripeSize  int64
+		stripeCount uint32
+		cut         int64
+	}{
+		{1, 1 << 20, 1, 0},
+		{1, 1 << 20, 1, 2500},
+		{2, 4096, 3, 0},
+		{2, 4096, 3, 5000},
+	} {
+		name := fmt.Sprintf("%dx%d/cut%d", tc.stripeCount, tc.stripeSize, tc.cut)
+		c := newCluster(t, Options{Servers: tc.servers, Policy: dlm.SeqDLM()})
+		cls := newClients(t, c, 2)
+		fw, err := cls[0].Create("/t", tc.stripeSize, tc.stripeCount)
+		if err != nil {
+			t.Fatal(err)
+		}
+		old := pattern(1, 10000)
+		if _, err := fw.WriteAt(old, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := fw.Fsync(); err != nil {
+			t.Fatal(err)
+		}
+		if err := fw.Truncate(tc.cut); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fw.WriteAt([]byte{0xEE}, 9999); err != nil {
+			t.Fatal(err)
+		}
+		want := make([]byte, 10000)
+		copy(want, old[:tc.cut])
+		want[9999] = 0xEE
+		fr, err := cls[1].Open("/t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for who, f := range map[string]*client.File{"writer": fw, "reader": fr} {
+			got := make([]byte, len(want))
+			if n, err := f.ReadAt(got, 0); n != len(want) || (err != nil && err != io.EOF) {
+				t.Fatalf("%s: %s read %d of %d bytes (%v)", name, who, n, len(want), err)
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("%s: %s reads %#x at %d, want %#x", name, who, got[i], i, want[i])
+				}
+			}
+		}
+	}
+}
+
 // TestConcurrentCancelsPublishSize has two readers, one per stripe,
 // displace both of a writer's stripe locks at once, every round, and
 // checks every read against the written length and bytes. Each cancel

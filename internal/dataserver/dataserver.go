@@ -647,6 +647,17 @@ func (s *Server) setup(ep *rpc.Endpoint) {
 		return &wire.Ack{}, nil
 	})
 
+	ep.Handle(wire.MTruncate, func(_ context.Context, p []byte) (wire.Msg, error) {
+		var req wire.TruncateRequest
+		if err := wire.Unmarshal(p, &req); err != nil {
+			return nil, err
+		}
+		if err := s.Truncate(&req); err != nil {
+			return nil, err
+		}
+		return &wire.Ack{}, nil
+	})
+
 	ep.Handle(wire.MRead, func(_ context.Context, p []byte) (wire.Msg, error) {
 		var req wire.ReadRequest
 		if err := wire.Unmarshal(p, &req); err != nil {
@@ -720,6 +731,26 @@ func (s *Server) flush(ctx context.Context, req *wire.FlushRequest) error {
 		s.Cache.Kick()
 	}
 	return nil
+}
+
+// Truncate cuts a stripe for a truncating client, which holds a PW lock
+// over the whole stripe under req.SN, so no newer SN is recorded past
+// the cut. The cut [Size, ∞) enters the extent cache at req.SN: a flush
+// older than the truncate (from a lock released before its grant, still
+// in flight) loses to it there, as Fig. 15's merge rule has it, and
+// cannot bring the cut bytes back. The store drops the stored bytes
+// past Size. Both happen under flushMu, in order with every flush's
+// merge and submission. It is the body of the MTruncate RPC.
+func (s *Server) Truncate(req *wire.TruncateRequest) error {
+	if req.Size < 0 {
+		return fmt.Errorf("dataserver: negative truncate size %d", req.Size)
+	}
+	s.gate.RLock()
+	defer s.gate.RUnlock()
+	s.flushMu.Lock()
+	defer s.flushMu.Unlock()
+	s.Cache.Apply(req.Resource, extent.New(req.Size, extent.Inf), extent.SN(req.SN))
+	return s.store.Truncate(req.Resource, req.Size)
 }
 
 func (s *Server) handleRead(req *wire.ReadRequest) (wire.Msg, error) {

@@ -64,6 +64,50 @@ func TestFlushOverlapOrder(t *testing.T) {
 
 // TestStorageMetrics: the device's counters are in the server's
 // registry, and move as flushes merge.
+// TestTruncateCutsOlderFlushes: a cut drops the stored bytes past it,
+// and a flush older than the cut's SN — one still in flight from a lock
+// released before the truncate — writes only below the cut, while a
+// flush at the cut's SN (the truncating lock's own) or newer writes
+// past it.
+func TestTruncateCutsOlderFlushes(t *testing.T) {
+	srv := New(Config{Policy: dlm.SeqDLM()})
+	defer srv.Close()
+	const stripe, n, cut = 1, 4096, 1000
+	flush := func(sn uint64, b byte) {
+		t.Helper()
+		req := &wire.FlushRequest{Resource: stripe, Blocks: []wire.Block{{Range: extent.Span(0, n), SN: sn, Data: bytes.Repeat([]byte{b}, n)}}}
+		if err := srv.Flush(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read := func() []byte {
+		t.Helper()
+		got := make([]byte, n)
+		if err := srv.store.ReadAt(stripe, 0, got); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	flush(3, 0xA)
+	if err := srv.Truncate(&wire.TruncateRequest{Resource: stripe, Size: cut, SN: 5}); err != nil {
+		t.Fatal(err)
+	}
+	if got := read(); !bytes.Equal(got[:cut], bytes.Repeat([]byte{0xA}, cut)) || !bytes.Equal(got[cut:], make([]byte, n-cut)) {
+		t.Fatalf("after the cut the stripe holds %x…%x, want a below %d and zeros past it", got[0], got[cut], cut)
+	}
+	flush(4, 0xB)
+	if got := read(); !bytes.Equal(got[:cut], bytes.Repeat([]byte{0xB}, cut)) || !bytes.Equal(got[cut:], make([]byte, n-cut)) {
+		t.Fatalf("an older flush left %x…%x, want b below %d and zeros past it", got[0], got[cut], cut)
+	}
+	flush(5, 0xC)
+	if got := read(); !bytes.Equal(got, bytes.Repeat([]byte{0xC}, n)) {
+		t.Fatalf("a flush at the cut's SN left %x…%x, want c throughout", got[0], got[cut])
+	}
+	if err := srv.Truncate(&wire.TruncateRequest{Resource: stripe, Size: -1, SN: 6}); err == nil {
+		t.Fatal("negative truncate size accepted")
+	}
+}
+
 func TestStorageMetrics(t *testing.T) {
 	srv := New(Config{Policy: dlm.SeqDLM(), Hardware: sim.Hardware{DiskLatency: time.Microsecond, DiskBandwidth: 10e9}})
 	defer srv.Close()

@@ -488,8 +488,15 @@ func (c *LockClient) stepOther(res ResourceID, ev *clientEvent, fx *clientEffect
 		h.state = Canceling
 		fx.h, fx.cancel = h, h.claimCancel()
 	case cevShutdown:
-		ev.h.state = Canceling
-		fx.h, fx.cancel = ev.h, ev.h.claimCancel()
+		h := ev.h
+		h.state = Canceling
+		fx.h, fx.cancel = h, h.claimCancel()
+		if fx.cancel && h.stamp == nil {
+			// This cancel ends in a release, and the release retires the
+			// delegation as its ack would (DESIGN.md §13): the queued ack
+			// would cost the server a lock op for nothing.
+			c.st.dropAck(res, h.id)
+		}
 	case cevDowngraded:
 		ev.h.mode = ev.mode
 	case cevReleasing:
@@ -888,9 +895,10 @@ func (c *LockClient) Close() { c.cancelFn() }
 // ReleaseAll cancels every idle cached lock and waits for the cancels to
 // finish — the client's shutdown barrier, bounded by ctx. Handles with
 // active holds are marked CANCELING and will cancel at their final
-// Unlock.
+// Unlock. A lock it cancels acknowledges its own delegation with its
+// release, so its queued ack is dropped; the acks still queued are sent
+// standalone before the cancels start.
 func (c *LockClient) ReleaseAll(ctx context.Context) error {
-	c.FlushHandoffAcks(ctx)
 	var started, held []*Handle
 	c.st.mu.Lock()
 	for _, list := range c.st.cached {
@@ -907,6 +915,9 @@ func (c *LockClient) ReleaseAll(ctx context.Context) error {
 		}
 	}
 	c.st.mu.Unlock()
+	// The acks left queued are of delegations no longer cached and of
+	// handles a caller still holds: they go out before the cancels.
+	c.FlushHandoffAcks(ctx)
 	for _, h := range started {
 		c.clk.Go(func() { c.cancel(h) })
 	}

@@ -264,6 +264,22 @@ func (st *clientState) popAcks(res ResourceID) []LockID {
 	return acks
 }
 
+// dropAck removes the queued ack of lock id of res, if it is queued,
+// disarming the flush timer when that empties the queue (popAcks).
+// Caller holds st.mu.
+func (st *clientState) dropAck(res ResourceID, id LockID) {
+	acks := st.pendingAcks[res]
+	i := slices.Index(acks, id)
+	if i < 0 {
+		return
+	}
+	if len(acks) > 1 {
+		st.pendingAcks[res] = slices.Delete(acks, i, i+1)
+		return
+	}
+	st.popAcks(res)
+}
+
 // takeAcks pops the queued acks for res, to piggyback on a lock request
 // or a peer transfer. The caller must re-queue them if that fails.
 func (c *LockClient) takeAcks(res ResourceID) []LockID {

@@ -2,6 +2,7 @@ package dlm
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -22,9 +23,10 @@ type hoHarness struct {
 	clients map[ClientID]*LockClient
 
 	mu            sync.Mutex
-	dropRevokes   bool // swallow revocations (vanished holder)
-	dropTransfers bool // swallow peer transfers (lost handoff message)
-	dropLeases    bool // swallow lease propagations (lost tree edges)
+	dropRevokes   bool     // swallow revocations (vanished holder)
+	dropTransfers bool     // swallow peer transfers (lost handoff message)
+	dropLeases    bool     // swallow lease propagations (lost tree edges)
+	acked         []LockID // every lock ID a standalone HandoffAck carried
 }
 
 type hoNotifier struct{ h *hoHarness }
@@ -59,8 +61,12 @@ func (n hoNotifier) SolicitAck(_ context.Context, client ClientID, res ResourceI
 	}
 }
 
-// hoConn is directConn plus the standalone delegation-ack path.
-type hoConn struct{ srv *Server }
+// hoConn is directConn plus the standalone delegation-ack path, which
+// it records in the harness.
+type hoConn struct {
+	srv *Server
+	h   *hoHarness
+}
 
 func (d hoConn) Lock(ctx context.Context, req Request) (Grant, error) {
 	return d.srv.Lock(ctx, req)
@@ -73,6 +79,9 @@ func (d hoConn) Downgrade(_ context.Context, res ResourceID, id LockID, m Mode) 
 	return d.srv.Downgrade(res, id, m)
 }
 func (d hoConn) HandoffAck(_ context.Context, res ResourceID, ids []LockID) error {
+	d.h.mu.Lock()
+	d.h.acked = append(d.h.acked, ids...)
+	d.h.mu.Unlock()
 	d.srv.HandoffAck(res, ids...)
 	return nil
 }
@@ -111,7 +120,7 @@ func newHOHarness(t *testing.T, policy Policy, nclients int, peers bool) *hoHarn
 	}
 	h.srv = NewServer(policy, nil)
 	h.srv.SetNotifier(hoNotifier{h})
-	router := func(ResourceID) ServerConn { return hoConn{h.srv} }
+	router := func(ResourceID) ServerConn { return hoConn{h.srv, h} }
 	for i := 1; i <= nclients; i++ {
 		id := ClientID(i)
 		c := NewLockClient(id, policy, router, h.flusher)
@@ -475,5 +484,106 @@ func TestHandoffFreezeResolvesDelegation(t *testing.T) {
 	}
 	if err := dst.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// delegate leaves client 2 of a fresh harness caching an idle lock of
+// res that client 1 transferred to it, with the delegation's ack still
+// in client 2's lazy queue: the lazy flush timer is far off, so only
+// the test sends it.
+func delegate(t *testing.T, res ResourceID) (*hoHarness, LockID) {
+	t.Helper()
+	p := handoffPolicy()
+	p.HandoffReclaimInterval = time.Minute
+	h := newHOHarness(t, p, 2, true)
+	rng := extent.New(0, 4096)
+	h.client(1).Unlock(mustAcquire(t, h.client(1), res, NBW, rng))
+	hd := mustAcquire(t, h.client(2), res, NBW, rng)
+	h.client(2).Unlock(hd)
+	if n := h.srv.GrantedCount(res); n != 2 {
+		t.Fatalf("GrantedCount = %d before the ack, want 2 (the delegation and its predecessor)", n)
+	}
+	return h, hd.ID()
+}
+
+// settled reports what a released delegation leaves behind: the locks
+// still granted on res, the reclaim entries still registered, and the
+// server's release and ack counts.
+func settled(h *hoHarness, res ResourceID) (granted, reclaims int, releases, acks int64) {
+	h.srv.reclaim.mu.Lock()
+	reclaims = len(h.srv.reclaim.entries)
+	h.srv.reclaim.mu.Unlock()
+	return h.srv.GrantedCount(res), reclaims, h.srv.Stats.Releases.Load(), h.srv.Stats.HandoffAcks.Load()
+}
+
+// TestReleaseRetiresUnackedDelegation: releasing a delegated lock that
+// was never acked leaves the server as an ack followed by the release
+// does — the lock and its predecessor gone, the reclaim entry
+// deregistered — except that no ack is counted.
+func TestReleaseRetiresUnackedDelegation(t *testing.T) {
+	const res = ResourceID(3)
+	acked, id := delegate(t, res)
+	acked.srv.HandoffAck(res, id)
+	acked.srv.Release(res, id)
+	bare, id2 := delegate(t, res)
+	bare.srv.Release(res, id2)
+	for _, h := range []*hoHarness{acked, bare} {
+		if err := h.srv.CheckInvariants(); err != nil {
+			t.Fatalf("invariants: %v", err)
+		}
+	}
+	g1, r1, rel1, a1 := settled(acked, res)
+	g2, r2, rel2, a2 := settled(bare, res)
+	if g1 != 0 || g2 != 0 || r1 != 0 || r2 != 0 {
+		t.Fatalf("granted %d/%d, reclaim entries %d/%d after ack+release/release, want all 0", g1, g2, r1, r2)
+	}
+	if rel1 != rel2 {
+		t.Fatalf("Releases = %d after ack+release, %d after release alone", rel1, rel2)
+	}
+	if a1 != 1 || a2 != 0 {
+		t.Fatalf("HandoffAcks = %d after ack+release, %d after release alone, want 1 and 0", a1, a2)
+	}
+}
+
+// TestReleaseAllDropsAcksOfItsCancels: ReleaseAll sends no ack for a
+// delegated lock it cancels, whose release retires the delegation, but
+// still sends the acks queued for a delegation the client does not
+// cache (one forwarded by a transferring reader) and for a delegated
+// lock a caller still holds.
+func TestReleaseAllDropsAcksOfItsCancels(t *testing.T) {
+	const idle, heldRes, fwdRes = ResourceID(1), ResourceID(2), ResourceID(3)
+	h, idleID := delegate(t, idle)
+	rng := extent.New(0, 4096)
+	c1, c2 := h.client(1), h.client(2)
+	c1.Unlock(mustAcquire(t, c1, heldRes, NBW, rng))
+	held := mustAcquire(t, c2, heldRes, NBW, rng)
+	const forwarded = LockID(999)
+	c2.requeueAcks(fwdRes, []LockID{forwarded})
+
+	done := make(chan error, 1)
+	go func() { done <- c2.ReleaseAll(context.Background()) }()
+	waitFor(t, "the held lock's ack", func() bool {
+		h.mu.Lock()
+		defer h.mu.Unlock()
+		return slices.Contains(h.acked, held.ID())
+	})
+	c2.Unlock(held)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	h.mu.Lock()
+	acked := slices.Clone(h.acked)
+	h.mu.Unlock()
+	if slices.Contains(acked, idleID) {
+		t.Fatalf("acks sent %v include %d, the idle lock ReleaseAll canceled", acked, idleID)
+	}
+	if !slices.Contains(acked, forwarded) {
+		t.Fatalf("acks sent %v lack %d, forwarded for an uncached delegation", acked, forwarded)
+	}
+	if n := h.srv.GrantedCount(idle) + h.srv.GrantedCount(heldRes); n != 0 {
+		t.Fatalf("%d locks granted after ReleaseAll, want 0", n)
+	}
+	if err := h.srv.CheckInvariants(); err != nil {
+		t.Fatalf("invariants: %v", err)
 	}
 }

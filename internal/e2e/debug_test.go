@@ -27,7 +27,8 @@ func TestDebugEndpoint(t *testing.T) {
 	server := build(t, dir, "./cmd/ccpfs-server", "ccpfs-server")
 	cli := build(t, dir, "./cmd/ccpfs-cli", "ccpfs-cli")
 
-	addr, debugAddr := freePort(t), freePort(t)
+	addrs := freePorts(t, 2)
+	addr, debugAddr := addrs[0], addrs[1]
 	srv := exec.Command(server,
 		"-listen", addr, "-meta", "-data", filepath.Join(dir, "data"),
 		"-debug", debugAddr)

@@ -36,15 +36,22 @@ func repoRoot(t *testing.T) string {
 	return filepath.Dir(filepath.Dir(wd)) // internal/e2e -> repo root
 }
 
-// freePort grabs an ephemeral TCP port.
-func freePort(t *testing.T) string {
+// freePorts picks n distinct ephemeral TCP addresses. It holds all n
+// listeners until the last one is bound, so the kernel cannot hand the
+// same port out twice, and closes them before it returns, for the
+// servers under test to bind.
+func freePorts(t *testing.T, n int) []string {
 	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	addrs := make([]string, n)
+	for i := range addrs {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		addrs[i] = l.Addr().String()
 	}
-	defer l.Close()
-	return l.Addr().String()
+	return addrs
 }
 
 func waitListening(t *testing.T, addr string) {
@@ -68,7 +75,8 @@ func TestBinariesEndToEnd(t *testing.T) {
 	server := build(t, dir, "./cmd/ccpfs-server", "ccpfs-server")
 	cli := build(t, dir, "./cmd/ccpfs-cli", "ccpfs-cli")
 
-	addr0, addr1 := freePort(t), freePort(t)
+	addrs := freePorts(t, 2)
+	addr0, addr1 := addrs[0], addrs[1]
 	data0 := filepath.Join(dir, "data0")
 	data1 := filepath.Join(dir, "data1")
 

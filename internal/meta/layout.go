@@ -72,6 +72,15 @@ func SplitRange(off, n, stripeSize int64, stripeCount uint32) []Segment {
 	return segs
 }
 
+// StripeEnd returns the stripe-local end of a file of size bytes on
+// stripe: how many of the file's bytes the stripe holds, counted from
+// its start, under the layout SplitRange maps.
+func StripeEnd(size, stripeSize int64, stripeCount uint32, stripe uint32) int64 {
+	row := stripeSize * int64(stripeCount)
+	rest := size%row - int64(stripe)*stripeSize
+	return size/row*stripeSize + min(max(rest, 0), stripeSize)
+}
+
 // StripesOf returns the distinct stripes touched by the segments, in
 // ascending stripe order — the lock acquisition order that avoids
 // deadlocks for multi-stripe writes.

@@ -158,3 +158,23 @@ func TestStripeRange(t *testing.T) {
 		t.Fatal("untouched stripe reported a range")
 	}
 }
+
+// TestStripeEndMatchesSplitRange: a stripe's end for a file size is the
+// end of the last segment SplitRange puts on it for the range [0, size),
+// or 0 when it puts none there.
+func TestStripeEndMatchesSplitRange(t *testing.T) {
+	for _, count := range []uint32{1, 3, 4} {
+		const ss = 10
+		for size := int64(0); size <= 3*ss*int64(count)+7; size++ {
+			want := make([]int64, count)
+			for _, seg := range SplitRange(0, size, ss, count) {
+				want[seg.Stripe] = max(want[seg.Stripe], seg.Off+seg.Len)
+			}
+			for st := uint32(0); st < count; st++ {
+				if got := StripeEnd(size, ss, count, st); got != want[st] {
+					t.Fatalf("StripeEnd(%d, %d, %d, %d) = %d, want %d", size, ss, count, st, got, want[st])
+				}
+			}
+		}
+	}
+}

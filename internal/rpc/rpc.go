@@ -92,7 +92,7 @@ type Endpoint struct {
 	Tag atomic.Value
 }
 
-// response is what complete hands a waiting Call: the whole pooled
+// response is what complete hands the waiting caller: the whole pooled
 // response frame (the reply payload follows its header) or an error.
 // The receiver owns the frame and disposes of it in decodeReply.
 type response struct {
@@ -124,8 +124,8 @@ func decodeReply(resp response, reply wire.Msg) error {
 	return nil
 }
 
-// chanPool recycles the single-slot reply channels Call blocks on.
-// Recycling is safe only on paths where Call has RECEIVED from the
+// chanPool recycles the single-slot reply channels Wait blocks on.
+// Recycling is safe only on paths where Wait has RECEIVED from the
 // channel: the pending-table entry is taken by exactly one of
 // complete/forget/shutdown-drain before sending, so each registered
 // channel sees at most one send, and a receive proves that
@@ -234,45 +234,58 @@ func (ep *Endpoint) handlerDone() {
 // wire.ErrCanceled and guarantees the pending-call entry is gone; the
 // eventual late reply, if any, is dropped as stale. A request built in
 // place (wire.Body) gives its frame to the transport when it is sent;
-// one that was not sent still holds it when Call returns.
+// one that was not sent still holds it when Call returns. Call is Go and
+// Wait back to back.
 func (ep *Endpoint) Call(ctx context.Context, method wire.Method, req wire.Msg, reply wire.Msg) error {
-	m := ep.metrics
-	if m == nil {
-		return ep.call(ctx, method, req, reply)
+	p, err := ep.Go(ctx, method, req)
+	if err != nil {
+		return err
 	}
-	// Straight-line instrumentation (no defer). The sampling decision is
-	// a plain load — the count itself is bumped inside call, after the
-	// request frame is on the wire, where the atomic overlaps with the
-	// server working. Every sampleMask+1-th call per method — starting
-	// with the first, so a lightly used method still shows a latency —
-	// also pays two monotonic clock reads and a histogram record.
-	ms := m.method(method)
-	if (ms.calls.Load()+1)&m.sampleMask != 1&m.sampleMask {
-		return ep.call(ctx, method, req, reply)
-	}
-	start := obs.Now()
-	err := ep.call(ctx, method, req, reply)
-	ms.callLat.Record(obs.Now() - start)
-	return err
+	return p.Wait(ctx, reply)
 }
 
-func (ep *Endpoint) call(ctx context.Context, method wire.Method, req wire.Msg, reply wire.Msg) error {
+// Pending is a call whose request is sent and whose reply is not yet
+// waited for. It is a value: starting and waiting for a call allocates
+// nothing Call does not.
+type Pending struct {
+	ep     *Endpoint
+	ch     chan response
+	id     uint64
+	start  int64 // obs.Now() at the send, when the call is timed
+	method wire.Method
+	timed  bool
+}
+
+// Go is the send half of Call: it sends the request and returns without
+// waiting for the reply, so the caller can do other work while the call
+// is on the wire. The caller must Wait on the result exactly once; until
+// then the call holds its pending-call entry. An error means nothing is
+// pending (the request was not sent, or its send failed).
+func (ep *Endpoint) Go(ctx context.Context, method wire.Method, req wire.Msg) (Pending, error) {
 	if err := ctx.Err(); err != nil {
-		return wire.FromContext(err)
+		return Pending{}, wire.FromContext(err)
 	}
-	id := ep.nextID.Add(1)
-	ch := chanPool.Get().(chan response)
-
-	if !ep.pending.register(id, ch) {
-		chanPool.Put(ch)
-		return transport.ErrClosed
-	}
-
-	sendErr := ep.send(ctx, kindRequest, id, method, statusOK, req)
+	p := Pending{ep: ep, id: ep.nextID.Add(1), method: method}
 	if m := ep.metrics; m != nil {
-		// Counts attempts (send failures included), bumped after the
-		// request frame is handed off so the atomic overlaps with the
-		// server starting on it rather than delaying the wait.
+		// Straight-line instrumentation. The sampling decision is a plain
+		// load — the count itself is bumped below, after the request
+		// frame is on the wire, where the atomic overlaps with the server
+		// working. Every sampleMask+1-th call per method — starting with
+		// the first, so a lightly used method still shows a latency —
+		// also pays two monotonic clock reads and a histogram record.
+		if ms := m.method(method); (ms.calls.Load()+1)&m.sampleMask == 1&m.sampleMask {
+			p.timed, p.start = true, obs.Now()
+		}
+	}
+	p.ch = chanPool.Get().(chan response)
+	if !ep.pending.register(p.id, p.ch) {
+		chanPool.Put(p.ch)
+		return Pending{}, p.done(transport.ErrClosed)
+	}
+
+	sendErr := ep.send(ctx, kindRequest, p.id, method, statusOK, req)
+	if m := ep.metrics; m != nil {
+		// Counts attempts (send failures included).
 		m.method(method).calls.Inc()
 	}
 	if sendErr != nil {
@@ -280,14 +293,31 @@ func (ep *Endpoint) call(ctx context.Context, method wire.Method, req wire.Msg, 
 		// unboundedly under a flaky transport. The entry may already be
 		// gone if shutdown raced us (and a sender may then still hold
 		// the channel, so it is not recycled). Delete is idempotent.
-		ep.forget(id)
-		return sendErr
+		ep.forget(p.id)
+		return Pending{}, p.done(sendErr)
 	}
-	resp, err := ep.waitReply(ctx, id, method, ch)
-	if err != nil {
-		return err
+	return p, nil
+}
+
+// Wait is the wait half of Call: it blocks until the reply to p arrives,
+// ctx fires, or the connection closes, and decodes the reply into reply
+// as Call does. A ctx that fired before Wait was called still finds a
+// reply that has already arrived; otherwise the call is abandoned as
+// Call abandons it, with a cancel frame to the peer.
+func (p Pending) Wait(ctx context.Context, reply wire.Msg) error {
+	resp, err := p.ep.waitReply(ctx, p.id, p.method, p.ch)
+	if err == nil {
+		err = decodeReply(resp, reply)
 	}
-	return decodeReply(resp, reply)
+	return p.done(err)
+}
+
+// done records a timed call's latency and passes err through.
+func (p *Pending) done(err error) error {
+	if p.timed {
+		p.ep.metrics.method(p.method).callLat.Record(obs.Now() - p.start)
+	}
+	return err
 }
 
 // waitReply waits for the reply to call id on its channel ch, which

@@ -392,6 +392,60 @@ func TestCancelPropagatesToHandler(t *testing.T) {
 	}
 }
 
+// TestGoWaitCancelBetween: a call started with Go whose context fires
+// before its Wait is abandoned as a canceled Call is — Wait returns the
+// cancellation, the pending entry is gone and a cancel frame withdraws
+// the handler — while a call whose reply arrived before the context
+// fired still returns that reply.
+func TestGoWaitCancelBetween(t *testing.T) {
+	handlerDone := make(chan error, 1)
+	started := make(chan struct{})
+	cli, _ := newPairHW(t, sim.Hardware{RTT: 2 * time.Millisecond}, func(ep *Endpoint) {
+		ep.Handle(wire.MLock, func(ctx context.Context, p []byte) (wire.Msg, error) {
+			close(started)
+			<-ctx.Done()
+			handlerDone <- ctx.Err()
+			return nil, wire.FromContext(ctx.Err())
+		})
+		ep.Handle(wire.MHello, func(_ context.Context, p []byte) (wire.Msg, error) {
+			return &wire.HelloReply{ClientID: 7}, nil
+		})
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	p, err := cli.Go(ctx, wire.MLock, &wire.LockRequest{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	cancel()
+	if err := p.Wait(ctx, nil); !errors.Is(err, context.Canceled) || !errors.Is(err, wire.ErrCanceled) {
+		t.Fatalf("Wait after cancel = %v, want context.Canceled/wire.ErrCanceled", err)
+	}
+	if n := cli.Pending(); n != 0 {
+		t.Fatalf("%d pending entries after cancel, want 0", n)
+	}
+	select {
+	case err := <-handlerDone:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("handler observed %v, want context.Canceled", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("cancel frame never reached the handler")
+	}
+
+	ctx, cancel = context.WithCancel(context.Background())
+	p, err = cli.Go(ctx, wire.MHello, &wire.HelloRequest{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(20 * time.Millisecond) // the reply lands before the cancel
+	cancel()
+	var rep wire.HelloReply
+	if err := p.Wait(ctx, &rep); err != nil || rep.ClientID != 7 {
+		t.Fatalf("Wait after reply and cancel = %v (ClientID %d), want the reply", err, rep.ClientID)
+	}
+}
+
 // TestCallDeadlineExceeded: an expired deadline surfaces as a timeout
 // error matching both context.DeadlineExceeded and wire.ErrTimeout.
 func TestCallDeadlineExceeded(t *testing.T) {

@@ -199,6 +199,14 @@ func (s *SimStore) ReadAt(stripe uint64, off int64, buf []byte) error {
 	return s.await(c)
 }
 
+// Truncate implements Store. It takes no device time, and it drops the
+// bytes at once, under s.mu, in submission order with the writes.
+func (s *SimStore) Truncate(stripe uint64, size int64) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.inner.Truncate(stripe, size)
+}
+
 // Remove implements Store. It does not pass through the queue.
 func (s *SimStore) Remove(stripe uint64) error { return s.inner.Remove(stripe) }
 

@@ -43,6 +43,9 @@ type Store interface {
 	// ReadAt fills buf from off within stripe. Never-written ranges read
 	// as zeros.
 	ReadAt(stripe uint64, off int64, buf []byte) error
+	// Truncate drops the bytes of stripe at and past size: they read as
+	// zeros until they are written again.
+	Truncate(stripe uint64, size int64) error
 	// Remove drops a stripe's data.
 	Remove(stripe uint64) error
 }
@@ -169,6 +172,26 @@ func (m *MemStore) ReadAt(stripe uint64, off int64, buf []byte) error {
 	return nil
 }
 
+// Truncate implements Store: it drops the chunks past size and zeroes
+// the tail of the chunk size falls in.
+func (m *MemStore) Truncate(stripe uint64, size int64) error {
+	if size < 0 {
+		return fmt.Errorf("storage: negative size %d", size)
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	ci, co := size/chunkSize, size%chunkSize
+	for i, c := range m.stripes[stripe] {
+		switch {
+		case i > ci || i == ci && co == 0:
+			delete(m.stripes[stripe], i)
+		case i == ci:
+			clear(c[co:])
+		}
+	}
+	return nil
+}
+
 // Remove implements Store.
 func (m *MemStore) Remove(stripe uint64) error {
 	m.mu.Lock()
@@ -255,6 +278,20 @@ func (f *FileStore) ReadAt(stripe uint64, off int64, buf []byte) error {
 		return nil
 	}
 	return err
+}
+
+// Truncate implements Store, shortening the stripe's file to size if it
+// is longer.
+func (f *FileStore) Truncate(stripe uint64, size int64) error {
+	fd, err := f.file(stripe)
+	if err != nil {
+		return err
+	}
+	fi, err := fd.Stat()
+	if err != nil || fi.Size() <= size {
+		return err
+	}
+	return fd.Truncate(size)
 }
 
 // Remove implements Store.

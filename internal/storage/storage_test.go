@@ -62,6 +62,50 @@ func TestSimStoreRoundTrip(t *testing.T) {
 	testStoreRoundTrip(t, NewSimStore(NewMemStore(), sim.Fast()))
 }
 
+// TestStoreTruncate: on every store, the bytes at and past a cut read
+// as zeros — inside a chunk, on a chunk boundary and at 0 — the bytes
+// before it stay, a write past the cut does not bring the cut bytes
+// back, and a cut past the end changes nothing.
+func TestStoreTruncate(t *testing.T) {
+	fs, err := NewFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	for name, s := range map[string]Store{
+		"mem":  NewMemStore(),
+		"file": fs,
+		"sim":  NewSimStore(NewMemStore(), sim.Fast()),
+	} {
+		for i, cut := range []int64{chunkSize + 100, 2 * chunkSize, 0} {
+			stripe := uint64(i)
+			data := make([]byte, 3*chunkSize)
+			rand.New(rand.NewSource(int64(i))).Read(data)
+			if err := s.WriteAt(stripe, 0, data); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Truncate(stripe, 4*chunkSize); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Truncate(stripe, cut); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.WriteAt(stripe, 3*chunkSize-1, []byte{0xEE}); err != nil {
+				t.Fatal(err)
+			}
+			want := append(bytes.Clone(data[:cut]), make([]byte, 3*chunkSize-cut)...)
+			want[3*chunkSize-1] = 0xEE
+			got := make([]byte, len(want))
+			if err := s.ReadAt(stripe, 0, got); err != nil {
+				t.Fatal(err)
+			}
+			if i := firstDiff(got, want); i >= 0 {
+				t.Fatalf("%s store cut at %d: byte %d reads %#x, want %#x", name, cut, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 func TestMemStoreChunkBoundaries(t *testing.T) {
 	m := NewMemStore()
 	// Write straddling a chunk boundary.

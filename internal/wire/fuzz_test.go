@@ -24,6 +24,7 @@ func allMessages() []Msg {
 		&LeasePropagate{},
 		&FlushRequest{},
 		&ReadRequest{},
+		&TruncateRequest{},
 		&ReadReply{},
 		&CreateRequest{},
 		&OpenRequest{},

@@ -23,6 +23,7 @@ const (
 	MRead  Method = 11 // ReadRequest -> ReadReply
 	// 12 stays unassigned: it named the min-SN query, which the data
 	// server answers in-process.
+	MTruncate Method = 13 // TruncateRequest -> Ack (cut a stripe's stored bytes)
 	// Metadata service.
 	MCreate  Method = 20 // CreateRequest -> FileReply
 	MOpen    Method = 21 // OpenRequest -> FileReply
@@ -72,6 +73,7 @@ var methodNames = [256]string{
 	MDowngrade:      "Downgrade",
 	MFlush:          "Flush",
 	MRead:           "Read",
+	MTruncate:       "Truncate",
 	MCreate:         "Create",
 	MOpen:           "Open",
 	MStat:           "Stat",
@@ -850,6 +852,29 @@ func (m *ReadRequest) Encode(e *Encoder) {
 func (m *ReadRequest) Decode(d *Decoder) {
 	m.Resource = d.U64()
 	m.Range = decodeExtent(d)
+}
+
+// TruncateRequest cuts one stripe at its stripe-local end Size, under
+// the truncating PW lock's SN: the stored bytes from Size on are
+// dropped, and a flush older than SN can no longer write there.
+type TruncateRequest struct {
+	Resource uint64
+	Size     int64
+	SN       uint64
+}
+
+// Encode implements Msg.
+func (m *TruncateRequest) Encode(e *Encoder) {
+	e.U64(m.Resource)
+	e.I64(m.Size)
+	e.U64(m.SN)
+}
+
+// Decode implements Msg.
+func (m *TruncateRequest) Decode(d *Decoder) {
+	m.Resource = d.U64()
+	m.Size = d.I64()
+	m.SN = d.U64()
 }
 
 // ReadReply returns the stored blocks covering the requested range;

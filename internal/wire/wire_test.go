@@ -219,6 +219,7 @@ func TestMetaMessagesRoundTrip(t *testing.T) {
 func TestSmallMessagesRoundTrip(t *testing.T) {
 	msgs := []struct{ in, out Msg }{
 		{&ReleaseRequest{Resource: 1, LockID: 2}, &ReleaseRequest{}},
+		{&TruncateRequest{Resource: 1, Size: 4097, SN: 9}, &TruncateRequest{}},
 		{&DowngradeRequest{Resource: 1, LockID: 2, NewMode: 3}, &DowngradeRequest{}},
 		{&RevokeBatch{Entries: []RevokeEntry{{Resource: 4, LockID: 5}}}, &RevokeBatch{}},
 		{&ReportRequest{Slots: []uint32{3, 9}}, &ReportRequest{}},
