@@ -357,6 +357,34 @@ func TestSizePushBesideFlush(t *testing.T) {
 	close(st.release)
 }
 
+// TestSizePushFailedSendsNextAtOnce: a push that fails to go out takes
+// back its sent mark, so the file's next push is sent at once instead
+// of waiting on one that never lands.
+func TestSizePushFailedSendsNextAtOnce(t *testing.T) {
+	h := newHarness(t, dlm.SeqDLM(), 1)
+	cl := h.client(Config{})
+	f, err := cl.Create("/failed", 4096, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt(bytes.Repeat([]byte{1}, 5000), 0); err != nil {
+		t.Fatal(err)
+	}
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+	if p := cl.startPush(dead, f.FID()); p.end != 5000 || p.own {
+		t.Fatalf("push on a fired context: end %d, on the wire %v; want 5000, false", p.end, p.own)
+	}
+	p := cl.startPush(context.Background(), f.FID())
+	if !p.own {
+		t.Fatal("the push after a failed one waits for it instead of going out")
+	}
+	p.wait(context.Background())
+	if fl, err := h.ns.Stat(f.FID()); err != nil || fl.Size != 5000 {
+		t.Fatalf("published size %d (%v), want 5000", fl.Size, err)
+	}
+}
+
 func TestStatsAccumulate(t *testing.T) {
 	h := newHarness(t, dlm.SeqDLM(), 1)
 	cl := h.client(Config{})

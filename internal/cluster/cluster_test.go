@@ -880,6 +880,69 @@ func TestVirtualCloseAfterRun(t *testing.T) {
 	}
 }
 
+// TestVirtualCloseWithHeldLock closes a client while a caller holds one
+// of its lock handles. Close must not wait for that handle's Unlock: it
+// returns, the later Unlock returns too (its cancel fails fast on the
+// closed connections), and the server releases the lock as a dead
+// holder's when another client's conflicting request revokes it.
+func TestVirtualCloseWithHeldLock(t *testing.T) {
+	v := sim.NewVClock(1)
+	hw := sim.TableI(1)
+	hw.Clock = sim.Virtual(v)
+	clk := hw.Clock
+	var err error
+	v.Run(func() {
+		var c *Cluster
+		if c, err = New(Options{Servers: 1, Policy: dlm.SeqDLM(), Hardware: hw}); err != nil {
+			return
+		}
+		defer c.Close()
+		var cls []*client.Client
+		if cls, err = c.Clients(2, "client"); err != nil {
+			return
+		}
+		defer cls[1].Close()
+		ctx := context.Background()
+		res, rng := dlm.ResourceID(1), extent.New(0, 4096)
+		lc := cls[0].Locks()
+		var h *dlm.Handle
+		if h, err = lc.Acquire(ctx, res, dlm.PW, rng); err != nil {
+			return
+		}
+		// within runs f on its own goroutine and reports whether it
+		// returned within a second of virtual time.
+		within := func(f func()) bool {
+			done := new(bool)
+			clk.Go(func() {
+				f()
+				*done = true
+				v.Wakeup(done)
+			})
+			v.WaitOnUntil(done, clk.Now().Add(time.Second))
+			return *done
+		}
+		if !within(cls[0].Close) {
+			err = fmt.Errorf("Close with a handle held did not return within 1s")
+			return
+		}
+		if !within(func() { lc.Unlock(h) }) {
+			err = fmt.Errorf("Unlock after Close did not return within 1s")
+			return
+		}
+		var h2 *dlm.Handle
+		if !within(func() { h2, err = cls[1].Locks().Acquire(ctx, res, dlm.PW, rng) }) {
+			err = fmt.Errorf("a conflicting acquire after the holder closed was not granted within 1s")
+			return
+		}
+		if err == nil {
+			cls[1].Locks().Unlock(h2)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestExtCacheDaemonBoundsEntries keeps the server extent cache under
 // its entry budget while early-granted conflicting writes hammer it:
 // the cleanup task (and, if entries are pinned, forced synchronization)

@@ -529,8 +529,8 @@ func (s *Server) setup(ep *rpc.Endpoint) {
 		// cannot be held across the blocking grant wait — the grant may
 		// need a release, which itself passes the gate.
 		s.gate.RLock()
-		s.gate.RUnlock()                             //nolint:staticcheck // empty critical section is the barrier
-		if err := s.lockL.WaitCtx(ctx); err != nil { // the lock server's OPS bound
+		s.gate.RUnlock()                                 //nolint:staticcheck // empty critical section is the barrier
+		if err := s.lockL.Wait(ctx, false); err != nil { // the lock server's OPS bound
 			return nil, wire.FromContext(err)
 		}
 		var set extent.Set
@@ -575,7 +575,7 @@ func (s *Server) setup(ep *rpc.Endpoint) {
 		}
 		s.gate.RLock()
 		defer s.gate.RUnlock()
-		if err := s.lockL.WaitCtx(ctx); err != nil {
+		if err := s.lockL.Wait(ctx, false); err != nil {
 			return nil, wire.FromContext(err)
 		}
 		// A release for a slot this node no longer masters must be
@@ -597,7 +597,7 @@ func (s *Server) setup(ep *rpc.Endpoint) {
 		}
 		s.gate.RLock()
 		defer s.gate.RUnlock()
-		if err := s.lockL.WaitCtx(ctx); err != nil {
+		if err := s.lockL.Wait(ctx, false); err != nil {
 			return nil, wire.FromContext(err)
 		}
 		if err := s.DLM.CheckMaster(dlm.ResourceID(req.Resource)); err != nil {
@@ -616,7 +616,10 @@ func (s *Server) setup(ep *rpc.Endpoint) {
 		}
 		s.gate.RLock()
 		defer s.gate.RUnlock()
-		if err := s.lockL.WaitCtx(ctx); err != nil {
+		// A standalone ack only retires a delegation, and a queued lock
+		// request may be waiting for exactly that: it is admitted ahead
+		// of the requests in the OPS queue (DESIGN.md §7.1).
+		if err := s.lockL.Wait(ctx, true); err != nil {
 			return nil, wire.FromContext(err)
 		}
 		// Like a release, an ack for a migrated slot must be redirected:

@@ -364,11 +364,13 @@ type clientEffects struct {
 	pending map[ResourceID][]LockID // drainAcks
 	acks    []LockID                // takeAcks: the acks taken
 	ok      bool                    // waitAbort: the wait was withdrawn
+	orphan  LockID                  // part: an activated lock nobody here asked for
 
 	wake     bool // close ch: the fan waiters parked on it wake
 	complete bool // complete tw: the transfer it waits for is in
 	send     bool // send acks at once: the server solicited them
 	cancel   bool // start h's cancel path
+	release  bool // release orphan through the server
 }
 
 // do runs one transition: step under c.st.mu, then the effects it
@@ -377,7 +379,7 @@ func (c *LockClient) do(res ResourceID, ev *clientEvent, fx *clientEffects) {
 	c.st.mu.Lock()
 	c.step(res, ev, fx)
 	c.st.mu.Unlock()
-	if fx.wake || fx.complete || fx.send || fx.cancel {
+	if fx.wake || fx.complete || fx.send || fx.cancel || fx.release {
 		c.apply(res, fx)
 	}
 }
@@ -541,6 +543,17 @@ func (c *LockClient) stepOther(res ResourceID, ev *clientEvent, fx *clientEffect
 				fx.tw, fx.complete = tw, true
 			}
 		} else if n := c.st.notes[k]; !n.gone && findByID(c.st.cached[res], ev.id) == nil {
+			if ev.final && !c.st.busy[res] {
+				// The server activated a lock this client neither caches,
+				// waits for, nor has a request in flight for: a lease it
+				// force-resolved that never arrived here. Nothing will
+				// ever use it, and the next writer's gather would wait a
+				// reclaim period for its part: release it at once, and
+				// retire it so a late copy of the lease is dropped.
+				c.st.retire(k)
+				fx.orphan, fx.release = ev.id, true
+				return
+			}
 			if ev.final {
 				n.parts = finalParts
 			} else {
@@ -651,6 +664,9 @@ func (c *LockClient) apply(res ResourceID, fx *clientEffects) {
 	}
 	if h := fx.h; fx.cancel {
 		c.clk.Go(func() { c.cancel(h) })
+	}
+	if id := fx.orphan; fx.release {
+		c.clk.Go(func() { c.router(res).Release(c.baseCtx, res, id) })
 	}
 }
 
@@ -895,25 +911,29 @@ func (c *LockClient) Close() { c.cancelFn() }
 // ReleaseAll cancels every idle cached lock and waits for the cancels to
 // finish — the client's shutdown barrier, bounded by ctx. Handles with
 // active holds are marked CANCELING and will cancel at their final
-// Unlock. A lock it cancels acknowledges its own delegation with its
-// release, so its queued ack is dropped; the acks still queued are sent
-// standalone before the cancels start.
+// Unlock; ReleaseAll does not wait for those, since that Unlock may come
+// only after the client closed (its cancel then fails on the closed
+// connections, and the server releases the lock as a dead holder's). A
+// lock it cancels acknowledges its own delegation with its release, so
+// its queued ack is dropped; the acks still queued are sent standalone
+// before the cancels start.
 func (c *LockClient) ReleaseAll(ctx context.Context) error {
-	var started, held []*Handle
+	var started, cached []*Handle
 	c.st.mu.Lock()
 	for _, list := range c.st.cached {
-		held = append(held, list...)
+		cached = append(cached, list...)
 	}
 	// The cache map iterates in random order; walk it in ascending lock
 	// order, which fixes the cancel spawn and wait order for
 	// deterministic virtual runs.
-	slices.SortFunc(held, func(a, b *Handle) int { return cmp.Or(cmp.Compare(a.res, b.res), cmp.Compare(a.id, b.id)) })
-	for _, h := range held {
+	slices.SortFunc(cached, func(a, b *Handle) int { return cmp.Or(cmp.Compare(a.res, b.res), cmp.Compare(a.id, b.id)) })
+	for _, h := range cached {
 		var fx clientEffects
 		if c.step(h.res, &clientEvent{kind: cevShutdown, h: h}, &fx); fx.cancel {
 			started = append(started, h)
 		}
 	}
+	wait := slices.DeleteFunc(cached, func(h *Handle) bool { return h.holds > 0 })
 	c.st.mu.Unlock()
 	// The acks left queued are of delegations no longer cached and of
 	// handles a caller still holds: they go out before the cancels.
@@ -921,7 +941,7 @@ func (c *LockClient) ReleaseAll(ctx context.Context) error {
 	for _, h := range started {
 		c.clk.Go(func() { c.cancel(h) })
 	}
-	for _, h := range held {
+	for _, h := range wait {
 		if err := c.waitReleased(ctx, h); err != nil {
 			return err
 		}

@@ -571,6 +571,11 @@ func TestReleaseAllDropsAcksOfItsCancels(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
+	// ReleaseAll does not wait for a handle a caller holds; its final
+	// Unlock runs the cancel.
+	if err := c2.waitReleased(context.Background(), held); err != nil {
+		t.Fatal(err)
+	}
 	h.mu.Lock()
 	acked := slices.Clone(h.acked)
 	h.mu.Unlock()

@@ -301,17 +301,32 @@ func TestReaderFanRotation(t *testing.T) {
 
 // TestReaderFanReclaimLostPropagation: the lead receives the handback
 // but every propagation edge is lost, so the non-lead leases sit
-// delegated until the reclaimer force-resolves them. The next writer
-// is then granted over the resolved cohort, and none of the lost
+// delegated until the reclaimer force-resolves them. Each owner gets
+// the server's activation for a lease it never received and releases
+// it at once, so the next writer is granted within a round trip or
+// two, not after a reclaim period of its own, and none of the lost
 // leases is left behind in the lock table.
 func TestReaderFanReclaimLostPropagation(t *testing.T) {
 	const nReaders = 4
+	const reclaim = 20 * time.Millisecond
 	h := newHOHarness(t, fanPolicy(), 1+nReaders, true)
-	h.srv.SetHandoffTimeout(20 * time.Millisecond)
+	h.srv.SetHandoffTimeout(reclaim)
 	res := ResourceID(37)
 	rng := extent.New(0, 4096)
 
 	w := formHandback(t, h, res, rng, nReaders)
+	var lost []LockID // the pre-armed leases of every reader but the lead
+	res0 := h.srv.lookup(res)
+	res0.mu.Lock()
+	for _, l := range res0.granted.list {
+		if l.client > 2 {
+			lost = append(lost, l.id)
+		}
+	}
+	res0.mu.Unlock()
+	if len(lost) != nReaders-1 {
+		t.Fatalf("pre-armed non-lead leases = %v, want %d", lost, nReaders-1)
+	}
 	h.mu.Lock()
 	h.dropLeases = true
 	h.mu.Unlock()
@@ -320,37 +335,43 @@ func TestReaderFanReclaimLostPropagation(t *testing.T) {
 	waitFor(t, "lost tree edges reclaimed", func() bool {
 		return h.srv.Stats.HandoffReclaims.Load() == nReaders-1
 	})
+	reclaimed := time.Now()
 	if got := h.client(2).Stats.LeasesRecv.Load(); got != 1 {
 		t.Fatalf("lead LeasesRecv = %d, want 1", got)
 	}
-	var lost []LockID
-	res0 := h.srv.lookup(res)
-	res0.mu.Lock()
-	for _, l := range res0.granted.list {
-		if l.client != 2 {
-			lost = append(lost, l.id)
+	// Each owner releases the lease the server activated for it. The
+	// next writer waits for that: one that races ahead of the releases
+	// gathers the cohort, and a gather whose members part release and
+	// part transfer waits out the reclaimer.
+	inTable := func() (n int) {
+		res0.mu.Lock()
+		defer res0.mu.Unlock()
+		for _, id := range lost {
+			if res0.granted.get(id) != nil {
+				n++
+			}
 		}
+		return n
 	}
-	res0.mu.Unlock()
-	if len(lost) != nReaders-1 {
-		t.Fatalf("lost leases in the table = %v, want %d", lost, nReaders-1)
+	waitFor(t, "orphaned leases released", func() bool { return inTable() == 0 })
+	if took := time.Since(reclaimed); took > reclaim/2 {
+		t.Fatalf("orphaned leases released %v after the reclaim, want well under the %v reclaim interval", took, reclaim)
 	}
 
 	h.mu.Lock()
 	h.dropLeases = false
 	h.mu.Unlock()
+	start := time.Now()
 	w2 := mustAcquire(t, h.client(1), res, NBW, rng)
+	if took := time.Since(start); took > reclaim/2 {
+		t.Fatalf("next writer's acquire took %v, want well under the %v reclaim interval (an orphaned lease was never released)", took, reclaim)
+	}
 	if w2.SN() <= w.SN() {
 		t.Fatalf("next writer SN %d not above %d", w2.SN(), w.SN())
 	}
-	res0.mu.Lock()
-	for _, id := range lost {
-		if l := res0.granted.get(id); l != nil {
-			res0.mu.Unlock()
-			t.Fatalf("force-resolved lease %d left in the table: %+v", id, l)
-		}
+	if n := inTable(); n != 0 {
+		t.Fatalf("%d force-resolved leases back in the table", n)
 	}
-	res0.mu.Unlock()
 	h.client(1).Unlock(w2)
 	for _, c := range h.clients {
 		c.FlushHandoffAcks(context.Background())

@@ -615,7 +615,7 @@ func (s *Server) step(res *resource, ev *event, fx *effects) error {
 		s.removePreds(res, l)
 		s.reclaim.deregister(res.id, ev.id)
 		s.Stats.HandoffAcks.Add(1)
-		s.tracer.record(Event{Kind: EvRelease, Resource: res.id, Lock: ev.id})
+		s.tracer.record(Event{Kind: EvDelegAck, Resource: res.id, Client: l.client, Lock: ev.id, Mode: l.mode, Range: l.rng, SN: l.sn})
 	case evReclaim:
 		e := ev.e
 		l := res.granted.get(e.succID)

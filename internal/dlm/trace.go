@@ -27,6 +27,9 @@ const (
 	// Lock, which only the confirmation of delegated lock Succ, owned
 	// by SuccClient, retires; the server asked SuccClient for it.
 	EvAckSolicit
+	// EvDelegAck: the owner of delegated lock Lock confirmed the
+	// delegation; the lock stays held, by its new owner.
+	EvDelegAck
 )
 
 func (k EventKind) String() string {
@@ -49,6 +52,8 @@ func (k EventKind) String() string {
 		return "upgrade"
 	case EvAckSolicit:
 		return "ack-solicit"
+	case EvDelegAck:
+		return "deleg-ack"
 	}
 	return fmt.Sprintf("event(%d)", uint8(k))
 }

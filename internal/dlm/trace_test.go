@@ -115,7 +115,7 @@ func TestTracerDumpAndStrings(t *testing.T) {
 			t.Fatalf("dump missing %q:\n%s", want, out)
 		}
 	}
-	for k := EvRequest; k <= EvUpgrade; k++ {
+	for k := EvRequest; k <= EvDelegAck; k++ {
 		if strings.HasPrefix(k.String(), "event(") {
 			t.Fatalf("kind %d has no name", k)
 		}

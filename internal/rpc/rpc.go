@@ -60,7 +60,6 @@ const (
 type Endpoint struct {
 	conn     transport.Conn
 	clk      sim.Clock
-	limiter  *sim.RateLimiter
 	handlers map[wire.Method]Handler
 	// metrics, when non-nil, instruments this endpoint (see Metrics).
 	// Written only before Start, so the read loop and callers see a
@@ -137,9 +136,6 @@ var chanPool = sync.Pool{New: func() any { return make(chan response, 1) }}
 
 // Options configure an endpoint.
 type Options struct {
-	// Limiter, when non-nil, caps the rate at which inbound requests are
-	// admitted — the lock server's OPS bound from Table I.
-	Limiter *sim.RateLimiter
 	// OnClose runs once when the endpoint's read loop exits.
 	OnClose func(*Endpoint)
 	// Metrics, when non-nil, instruments every endpoint built with these
@@ -158,7 +154,6 @@ func NewEndpoint(conn transport.Conn, opts Options) *Endpoint {
 	ep := &Endpoint{
 		conn:     conn,
 		clk:      opts.Clock,
-		limiter:  opts.Limiter,
 		handlers: make(map[wire.Method]Handler),
 		baseCtx:  ctx,
 		cancel:   cancel,
@@ -475,9 +470,6 @@ func (ep *Endpoint) dispatch(id uint64, method wire.Method, frame []byte) {
 			ep.sendErr(ep.baseCtx, id, method, wire.Errorf(wire.CodeInvalid, "rpc: no handler for method %d", method))
 		})
 		return
-	}
-	if ep.limiter != nil {
-		ep.limiter.Wait()
 	}
 	// Each request gets its own cancelable context, registered before the
 	// next frame is read so a cancel frame can never race ahead of its

@@ -278,34 +278,6 @@ func TestOnCloseRuns(t *testing.T) {
 	srv.Close()
 }
 
-func TestServerLimiterThrottles(t *testing.T) {
-	net := memnet.New(sim.Fast())
-	l, _ := net.Listen("s")
-	srv := NewServer(l, Options{Limiter: sim.NewRateLimiter(1000)}, func(ep *Endpoint) {
-		ep.Handle(wire.MHello, func(_ context.Context, p []byte) (wire.Msg, error) {
-			return &wire.HelloReply{}, nil
-		})
-	})
-	go srv.Serve()
-	defer srv.Close()
-	conn, err := net.Dial("s")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cli := NewEndpoint(conn, Options{})
-	cli.Start()
-	defer cli.Close()
-	start := time.Now()
-	for i := 0; i < 30; i++ {
-		if err := cli.Call(bg(), wire.MHello, &wire.HelloRequest{}, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if elapsed := time.Since(start); elapsed < 25*time.Millisecond {
-		t.Fatalf("30 calls at 1000 op/s finished in %v", elapsed)
-	}
-}
-
 func TestEndpointTag(t *testing.T) {
 	var ep Endpoint
 	ep.Tag.Store("session-7")

@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -111,5 +112,47 @@ func TestRunQueueOrder(t *testing.T) {
 		if got != i {
 			t.Fatalf("run order %v: position %d ran goroutine %d", order, i, got)
 		}
+	}
+}
+
+// TestAllocBudgetRateLimiter: an admission is a reservation under the
+// limiter's mutex and a sleep, in either class, so neither a queued
+// normal admission, an ahead one, nor a normal one moved back behind
+// an ahead one allocates.
+func TestAllocBudgetRateLimiter(t *testing.T) {
+	if wire.RaceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	v := sim.NewVClock(1)
+	clk := sim.Virtual(v)
+	r := sim.NewRateLimiter(1e5)
+	r.SetClock(clk)
+	ctx := context.Background()
+	var normal, ahead, moved float64
+	v.Run(func() {
+		done, left := new(int), 0
+		queued := func() {
+			r.Wait(ctx, false)
+			if left--; left == 0 {
+				v.Wakeup(done)
+			}
+		}
+		round := func() {
+			left = 2
+			clk.Go(queued)
+			clk.Go(queued)
+			clk.Sleep(time.Nanosecond) // both have reserved
+			r.Wait(ctx, true)
+			for left > 0 {
+				v.WaitOn(done)
+			}
+		}
+		round() // warm the idle coroutine list
+		normal = testing.AllocsPerRun(200, func() { r.Wait(ctx, false) })
+		ahead = testing.AllocsPerRun(200, func() { r.Wait(ctx, true) })
+		moved = testing.AllocsPerRun(200, round)
+	})
+	if normal != 0 || ahead != 0 || moved != 0 {
+		t.Errorf("allocs per admission: normal %.1f, ahead %.1f, moved back %.1f; want 0", normal, ahead, moved)
 	}
 }

@@ -97,11 +97,7 @@ func (dev *Device) SetClock(c Clock) { dev.clk = c }
 func (dev *Device) reserve(d time.Duration) time.Time {
 	now := dev.clk.Now()
 	dev.mu.Lock()
-	start := dev.next
-	if start.Before(now) {
-		start = now
-	}
-	done := start.Add(d)
+	done := later(dev.next, now).Add(d)
 	dev.next = done
 	dev.mu.Unlock()
 	return done
@@ -170,11 +166,20 @@ func SleepUntil(ctx context.Context, deadline time.Time) error {
 }
 
 // RateLimiter enforces an operations-per-second cap, modelling the lock
-// server's bounded RPC processing rate (OPS in Table I).
+// server's bounded RPC processing rate (OPS in Table I). Admission
+// slots are one interval apart and come in two classes (DESIGN.md
+// §7.1). A normal admission reserves the first free slot, in arrival
+// order. An ahead admission takes the earliest slot whose holder has
+// not yet been admitted, and every normal admission reserved behind it
+// moves back one interval; ahead admissions keep arrival order among
+// themselves. The lock server admits a standalone delegation ack ahead,
+// since the requests queued before it may be waiting for it.
 type RateLimiter struct {
 	mu       sync.Mutex
 	interval time.Duration
-	next     time.Time
+	next     time.Time // end of the last reserved slot
+	admitted time.Time // end of the last slot whose holder was admitted
+	aheads   uint64    // ahead admissions made so far
 	clk      Clock
 }
 
@@ -195,35 +200,51 @@ func NewRateLimiter(ops float64) *RateLimiter {
 	return &RateLimiter{interval: time.Duration(float64(time.Second) / ops)}
 }
 
-// Wait blocks until the caller's operation is admitted.
-func (r *RateLimiter) Wait() {
-	if r == nil || r.interval == 0 {
-		return
-	}
-	now := r.clk.Now()
-	r.mu.Lock()
-	start := r.next
-	if start.Before(now) {
-		start = now
-	}
-	r.next = start.Add(r.interval)
-	r.mu.Unlock()
-	r.clk.SleepUntil(context.Background(), start)
-}
-
-// WaitCtx is Wait bounded by ctx: the slot is consumed either way, but
-// the caller stops queueing and gets ctx's error when it fires first.
-func (r *RateLimiter) WaitCtx(ctx context.Context) error {
+// Wait blocks until the caller's operation is admitted, in the ahead
+// class when ahead is set. The slot is consumed either way, but the
+// caller stops queueing and gets ctx's error when it fires first. A nil
+// or unlimited limiter admits at once.
+func (r *RateLimiter) Wait(ctx context.Context, ahead bool) error {
 	if r == nil || r.interval == 0 {
 		return ctx.Err()
 	}
 	now := r.clk.Now()
 	r.mu.Lock()
-	start := r.next
-	if start.Before(now) {
-		start = now
+	if ahead {
+		start := later(r.admitted, now)
+		r.admitted = start.Add(r.interval)
+		r.next = later(r.next, start).Add(r.interval)
+		r.aheads++
+		r.mu.Unlock()
+		return r.clk.SleepUntil(ctx, start)
 	}
+	start := later(r.next, now)
 	r.next = start.Add(r.interval)
+	seen := r.aheads
 	r.mu.Unlock()
-	return r.clk.SleepUntil(ctx, start)
+	for {
+		if err := r.clk.SleepUntil(ctx, start); err != nil {
+			return err
+		}
+		// Every ahead admission made since this one reserved took a slot
+		// at or before its own: move back one interval per each.
+		r.mu.Lock()
+		if n := r.aheads - seen; n != 0 {
+			seen = r.aheads
+			r.mu.Unlock()
+			start = start.Add(time.Duration(n) * r.interval)
+			continue
+		}
+		r.admitted = later(r.admitted, start.Add(r.interval))
+		r.mu.Unlock()
+		return nil
+	}
+}
+
+// later returns the later of a and b.
+func later(a, b time.Time) time.Time {
+	if a.Before(b) {
+		return b
+	}
+	return a
 }

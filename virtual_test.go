@@ -147,6 +147,8 @@ func readFanColdStart(hw Hardware, readers, steady int) (string, error) {
 		return "", err
 	}
 	defer c.Close()
+	tr := dlm.NewTracer(256)
+	c.Servers[0].DLM.SetTracer(tr)
 	clients, err := c.Clients(1+readers, "cold")
 	if err != nil {
 		return "", err
@@ -202,8 +204,14 @@ func readFanColdStart(hw Hardware, readers, steady int) (string, error) {
 	if n := cold.Total.AckSolicits; n != 1 {
 		return "", fmt.Errorf("cold round: %d ack solicitations, want exactly 1", n)
 	}
-	if max := time.Duration(cold.GrantWait.Max); max >= time.Millisecond {
-		return "", fmt.Errorf("cold round: max grant wait %v, want < 1ms (a reader waited on the ack flush timer)", max)
+	if max := time.Duration(cold.GrantWait.Max); max >= 60*time.Microsecond {
+		return "", fmt.Errorf("cold round: max grant wait %v, want < 60µs (a reader waited on the ack flush timer, or the ack queued behind the readers it unblocks)", max)
+	}
+	if tr.Total() > 256 {
+		return "", fmt.Errorf("cold round: %d trace events overflow the tracer", tr.Total())
+	}
+	if err := coldAckAhead(tr.Events(), readers); err != nil {
+		return "", fmt.Errorf("cold round: %v\n%s", err, tr.Dump())
 	}
 	for r := 1; r <= steady; r++ {
 		if err := round(r); err != nil {
@@ -231,10 +239,61 @@ func readFanColdStart(hw Hardware, readers, steady int) (string, error) {
 		time.Duration(cold.GrantWait.Max), cold.Total.LockOps, d.LockOps, d.Gathers, d.LeaseGrants, clk.Now().UnixNano()), nil
 }
 
+// coldAckAhead checks the cold round's trace: the one solicited
+// delegation ack is traced as a deleg-ack by the solicited owner, every
+// blocked reader is granted only after it, and it was admitted ahead of
+// the reader requests still queued at the lock server, each of which is
+// then granted as it is admitted.
+func coldAckAhead(evs []dlm.Event, readers int) error {
+	solicit, ack := -1, -1
+	for i, e := range evs {
+		switch e.Kind {
+		case dlm.EvAckSolicit:
+			solicit = i
+		case dlm.EvDelegAck:
+			if ack >= 0 {
+				return fmt.Errorf("two delegation acks")
+			}
+			ack = i
+		}
+	}
+	if solicit < 0 || ack < 0 {
+		return fmt.Errorf("solicitation at %d, delegation ack at %d: want both", solicit, ack)
+	}
+	s, a := evs[solicit], evs[ack]
+	if a.Lock != s.Succ || a.Client != s.SuccClient {
+		return fmt.Errorf("ack of lock %d by client %d, solicited %d@client%d", a.Lock, a.Client, s.Succ, s.SuccClient)
+	}
+	var grants, after int
+	for i, e := range evs {
+		if e.Kind == dlm.EvGrant && e.Mode == dlm.PR {
+			grants++
+			if i > solicit && i < ack {
+				return fmt.Errorf("client %d granted between the solicitation and the ack", e.Client)
+			}
+		}
+		if e.Kind == dlm.EvRequest && i > ack {
+			after++
+			if i+1 == len(evs) || evs[i+1].Kind != dlm.EvGrant || evs[i+1].Client != e.Client || !evs[i+1].At.Equal(e.At) {
+				return fmt.Errorf("client %d, admitted after the ack, not granted at once", e.Client)
+			}
+		}
+	}
+	if grants != readers {
+		return fmt.Errorf("%d reader grants, want %d", grants, readers)
+	}
+	if after == 0 {
+		return fmt.Errorf("the ack was admitted behind every reader request: it queued behind the readers it unblocks")
+	}
+	return nil
+}
+
 // TestVirtualReadFanColdStart pins the cold start of a read fan at the
 // default 250 ms reclaim interval: before acks were demand-driven, every
 // reader but the first sat out the first reader's 62.5 ms ack flush
-// timer. Each seed runs twice and must reproduce itself exactly.
+// timer. The solicited ack must not queue behind the reader requests it
+// unblocks at the lock server's OPS limiter either. Each seed runs twice
+// and must reproduce itself exactly.
 func TestVirtualReadFanColdStart(t *testing.T) {
 	run := func(seed int64) string {
 		v := sim.NewVClock(seed)
