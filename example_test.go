@@ -88,7 +88,7 @@ func ExampleRunIOR() {
 }
 
 // Atomic appends from concurrent clients never interleave: each lands at
-// its own reserved offset under a PW lock.
+// the file's end, read from its stripes under PW locks.
 func ExampleFile_Append() {
 	c, err := ccpfs.NewCluster(ccpfs.Options{
 		Servers:  1,

@@ -9,6 +9,7 @@
 package client
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -133,10 +134,6 @@ type Client struct {
 	conns Conns
 	lc    *dlm.LockClient
 	pc    *pagecache.Cache
-
-	// sizes holds a *sizeCell per FID, so the hot write path updates
-	// its cell without a client-wide lock.
-	sizes sync.Map
 
 	// baseCtx is the client's lifecycle: the flush daemon and the
 	// context-less convenience wrappers (WriteAt, ReadAt, …) run under
@@ -294,10 +291,10 @@ func (c *Client) Close() { c.Shutdown(context.Background()) }
 
 // Shutdown drains the client gracefully, bounded by ctx: it stops the
 // flush daemon, flushes all dirty stripes (so the data is readable by
-// other clients afterwards), releases every cached lock, publishes the
-// end of its unpublished writes, and closes the connections. When ctx
-// fires mid-drain the remaining steps are skipped and the connections
-// close hard — the crash-equivalent the protocol already tolerates.
+// other clients afterwards), releases every cached lock, and closes the
+// connections. When ctx fires mid-drain the remaining steps are skipped
+// and the connections close hard — the crash-equivalent the protocol
+// already tolerates.
 func (c *Client) Shutdown(ctx context.Context) error {
 	var err error
 	c.stopOnce.Do(func() {
@@ -310,7 +307,6 @@ func (c *Client) Shutdown(ctx context.Context) error {
 		if rerr := c.lc.ReleaseAll(ctx); rerr != nil && err == nil {
 			err = rerr
 		}
-		c.pushAllSizes(ctx)
 		c.lc.Close()
 		c.closeConns()
 	})
@@ -510,16 +506,13 @@ func (c rpcConn) HandoffAck(ctx context.Context, res dlm.ResourceID, ids []dlm.L
 }
 
 // flushForCancel is the lock client's data path: flush dirty data under
-// the canceling lock, push the end of this client's writes, and drop the
-// cached pages that lose their lock protection. The push does not wait
-// for the flush: it is sent first and waited for after the flush, so
-// its round trip overlaps the flush's. Both have landed when this
-// returns, before the lock is released or transferred; only a reader
-// whose lock conflicts with this one could see the size, and it is
-// granted after that.
+// the canceling lock, then drop the cached pages that lose their lock
+// protection, and with them what the cache knew of the stripe's end
+// beyond its own dirty bytes. Nothing is published besides the data:
+// the data server the flush lands on raises the stripe's end itself,
+// and a reader whose lock conflicts with this one, granted after the
+// flush, learns that end from its read reply.
 func (c *Client) flushForCancel(ctx context.Context, res dlm.ResourceID, rng extent.Extent, sn extent.SN) error {
-	fid, _ := meta.SplitResource(uint64(res))
-	push := c.startPush(ctx, fid)
 	// Redo failed flush RPCs a few times (the recovery convention of
 	// §IV-C2) before giving up with the ephemeral-cache semantics. A
 	// dead context stops the retries — the caller is gone.
@@ -532,7 +525,6 @@ func (c *Client) flushForCancel(ctx context.Context, res dlm.ResourceID, rng ext
 			break
 		}
 	}
-	push.wait(ctx)
 	if err != nil {
 		return err
 	}
@@ -786,152 +778,6 @@ func (c *Client) flushDaemon() {
 	}
 }
 
-// sizeCell is what a client knows of one file's size. size is the
-// watermark: the largest size it has seen or made (it only grows,
-// except at Truncate). wrote is the end of the client's own writes
-// not yet published, 0 when there are none: it is what a push
-// publishes, so a client that only read never republishes a size it
-// read, which may predate another client's truncate. sent is the
-// largest end a push was sent for and landed the largest one a push
-// published; sent > landed while a push is on the wire (startPush).
-type sizeCell struct {
-	size, wrote, sent, landed atomic.Int64
-}
-
-// sizeCell returns fid's size cell, creating it if needed.
-func (c *Client) sizeCell(fid uint64) *sizeCell {
-	if v, ok := c.sizes.Load(fid); ok {
-		return v.(*sizeCell)
-	}
-	v, _ := c.sizes.LoadOrStore(fid, new(sizeCell))
-	return v.(*sizeCell)
-}
-
-// localSize returns the locally known size watermark for fid.
-func (c *Client) localSize(fid uint64) int64 {
-	if v, ok := c.sizes.Load(fid); ok {
-		return v.(*sizeCell).size.Load()
-	}
-	return 0
-}
-
-// noteSize records a size this client learned of.
-func (c *Client) noteSize(fid uint64, size int64) {
-	raise(&c.sizeCell(fid).size, size)
-}
-
-// noteWrite records the end of a write of this client's own.
-func (c *Client) noteWrite(fid uint64, end int64) {
-	cell := c.sizeCell(fid)
-	raise(&cell.size, end)
-	raise(&cell.wrote, end)
-}
-
-// raise max-updates v to x.
-func raise(v *atomic.Int64, x int64) {
-	for {
-		cur := v.Load()
-		if x <= cur || v.CompareAndSwap(cur, x) {
-			return
-		}
-	}
-}
-
-// pushSize publishes the end of this client's unpublished writes to the
-// metadata service, so readers that acquire the lock after a release
-// observe the size. The end is cleared only once its push has landed: a
-// push that runs beside another for the same file (another lock's
-// cancel, Fsync) publishes it too before its caller releases, instead of
-// releasing while the first push is still on the wire. The service keeps
-// the larger size, so the repeat is harmless. A later write's larger end
-// fails the clear and stays pending; a failed push leaves it pending.
-func (c *Client) pushSize(ctx context.Context, fid uint64) {
-	c.startPush(ctx, fid).wait(ctx)
-}
-
-// sizePush is the push of one end: startPush sends it, and wait returns
-// once a push of at least that end has landed.
-type sizePush struct {
-	c    *Client
-	cell *sizeCell
-	fid  uint64
-	end  int64 // 0: nothing to publish
-	call rpc.Pending
-	own  bool // call is this push's own, on the wire
-}
-
-// startPush starts the push of fid's unpublished end, if it has one.
-// While another push of the file is on the wire, it sends nothing yet:
-// its wait finds whether that push covered its end, and pushes the end
-// as it is then if not. Cancels that run together (a ReleaseAll's, or
-// a writer's while it keeps writing) so send one push between them, not
-// one each.
-func (c *Client) startPush(ctx context.Context, fid uint64) sizePush {
-	v, ok := c.sizes.Load(fid)
-	if !ok {
-		return sizePush{}
-	}
-	p := sizePush{c: c, cell: v.(*sizeCell), fid: fid}
-	if p.end = p.cell.wrote.Load(); p.end != 0 && p.cell.sent.Load() <= p.cell.landed.Load() {
-		p.send(ctx)
-	}
-	return p
-}
-
-// send puts the push's SetSize call on the wire.
-func (p *sizePush) send(ctx context.Context) {
-	raise(&p.cell.sent, p.end)
-	var err error
-	p.call, err = p.c.conns.Meta.Go(ctx, wire.MSetSize, &wire.SetSizeRequest{FID: p.fid, Size: p.end})
-	if p.own = err == nil; !p.own {
-		p.failed()
-	}
-}
-
-// failed takes back the sent mark of a push that did not land, so the
-// next push of the file is sent at once instead of waiting for it.
-func (p *sizePush) failed() {
-	p.cell.sent.CompareAndSwap(p.end, p.cell.landed.Load())
-}
-
-// wait returns once a push of at least the end has landed, or a push
-// failed: see pushSize.
-func (p sizePush) wait(ctx context.Context) {
-	if p.end == 0 {
-		return
-	}
-	if !p.own {
-		if p.cell.landed.Load() >= p.end {
-			return
-		}
-		// Not covered yet: push the end as it is now, which publishes
-		// the writes made since startPush as well.
-		if p.end = p.cell.wrote.Load(); p.end == 0 {
-			return
-		}
-		if p.send(ctx); !p.own {
-			return
-		}
-	}
-	if p.call.Wait(ctx, nil) != nil {
-		p.failed()
-		return
-	}
-	raise(&p.cell.landed, p.end)
-	p.cell.wrote.CompareAndSwap(p.end, 0)
-}
-
-func (c *Client) pushAllSizes(ctx context.Context) {
-	var fids []uint64
-	c.sizes.Range(func(k, _ any) bool {
-		fids = append(fids, k.(uint64))
-		return true
-	})
-	for _, fid := range fids {
-		c.pushSize(ctx, fid)
-	}
-}
-
 // Create creates a file with the given stripe layout and opens it.
 // Context-less wrappers like this one run under the client's lifecycle
 // context; the *Context variants take a per-call deadline.
@@ -993,7 +839,6 @@ func (c *Client) List() ([]string, error) {
 }
 
 func (c *Client) fileOf(path string, rep *wire.FileReply) *File {
-	c.noteSize(rep.FID, rep.Size)
 	return &File{
 		c:           c,
 		path:        path,
@@ -1028,17 +873,64 @@ func (f *File) Resource(stripe uint32) dlm.ResourceID {
 	return dlm.ResourceID(meta.ResourceID(f.fid, stripe))
 }
 
-// Size returns the file size, refreshing from the metadata service.
+// Size returns the file size: where its furthest stripe ends, by the
+// stripes' data servers or by this client's own unflushed writes.
+// Another client's unflushed writes do not count until they are
+// flushed.
 func (f *File) Size() (int64, error) { return f.SizeContext(f.c.baseCtx) }
 
 // SizeContext is Size bounded by ctx.
-func (f *File) SizeContext(ctx context.Context) (int64, error) {
-	var rep wire.FileReply
-	if err := f.c.conns.Meta.Call(ctx, wire.MStat, &wire.OpenRequest{Path: f.path}, &rep); err != nil {
+func (f *File) SizeContext(ctx context.Context) (int64, error) { return f.size(ctx, nil) }
+
+// size asks the data server of every stripe not in known for where the
+// stripe ends — a read of no bytes each, all on the wire together — and
+// returns the file's size they and the page cache give. The cache's end
+// of a stripe is at most the stripe's true end and at least the end of
+// this client's unflushed writes there, so the larger of the two is the
+// stripe's end as this client sees it; for the stripes in known, whose
+// end the caller has just learned, the cache's alone.
+func (f *File) size(ctx context.Context, known []uint32) (int64, error) {
+	type ask struct {
+		st   uint32
+		call rpc.Pending
+	}
+	asks := make([]ask, 0, f.stripeCount)
+	var err error
+	for st := range f.stripeCount {
+		if slices.Contains(known, st) {
+			continue
+		}
+		rid := uint64(f.Resource(st))
+		call, e := f.c.bulkFor(rid).Go(ctx, wire.MRead, &wire.ReadRequest{Resource: rid})
+		if e != nil {
+			err = e
+			break
+		}
+		asks = append(asks, ask{st, call})
+	}
+	var size int64
+	for _, a := range asks {
+		var rep wire.ReadReply
+		e := a.call.Wait(ctx, &rep)
+		rep.Release()
+		if e != nil {
+			err = cmp.Or(err, e)
+			continue
+		}
+		size = max(size, f.fileEnd(a.st, rep.End))
+	}
+	if err != nil {
 		return 0, err
 	}
-	f.c.noteSize(f.fid, rep.Size)
-	return f.c.localSize(f.fid), nil
+	for st := range f.stripeCount {
+		size = max(size, f.fileEnd(st, f.c.pc.End(uint64(f.Resource(st)))))
+	}
+	return size, nil
+}
+
+// fileEnd converts stripe st's end to the file offset it reaches.
+func (f *File) fileEnd(st uint32, end int64) int64 {
+	return meta.FileEnd(end, f.stripeSize, f.stripeCount, st)
 }
 
 // WriteOptions tune a write for experiments; the zero value follows the
@@ -1098,7 +990,6 @@ func (f *File) WriteAtOpts(ctx context.Context, p []byte, off int64, o WriteOpti
 		h := handleOf(stripes, handles, seg.Stripe)
 		f.c.pc.Write(uint64(f.Resource(seg.Stripe)), seg.Off, p[seg.FileOff-off:seg.FileOff-off+seg.Len], h.SN())
 	}
-	f.c.noteWrite(f.fid, off+int64(len(p)))
 	f.unlockAll(handles)
 	return len(p), nil
 }
@@ -1164,53 +1055,64 @@ func (f *File) ReadAtContext(ctx context.Context, p []byte, off int64) (int, err
 	defer func() { f.c.Stats.IONs.Add(f.c.clk.Since(start).Nanoseconds()) }()
 
 	// Lock the full requested range first: acquiring the PR locks is
-	// what forces conflicting writers to flush their data *and* publish
-	// the end of their writes, so the size check below observes them.
-	segsAll := meta.SplitRange(off, int64(len(p)), f.stripeSize, f.stripeCount)
-	stripes := meta.StripesOf(segsAll)
+	// what forces conflicting writers to flush their data, so what the
+	// data servers reply — the bytes and where each stripe ends — holds
+	// their writes.
+	segs := meta.SplitRange(off, int64(len(p)), f.stripeSize, f.stripeCount)
+	stripes := meta.StripesOf(segs)
 	var hbuf [4]*dlm.Handle
-	handles, err := f.acquireStripes(ctx, hbuf[:0], stripes, segsAll, dlm.SelectMode(true, false, false), false)
+	handles, err := f.acquireStripes(ctx, hbuf[:0], stripes, segs, dlm.SelectMode(true, false, false), false)
 	if err != nil {
 		return 0, err
 	}
 	defer f.unlockAll(handles)
 
-	known := f.c.localSize(f.fid)
-	if off+int64(len(p)) > known {
-		if known, err = f.SizeContext(ctx); err != nil {
-			return 0, err
-		}
-	}
-	if off >= known {
-		return 0, io.EOF
-	}
-	n := int64(len(p))
-	if off+n > known {
-		n = known - off
-	}
-
-	segs := meta.SplitRange(off, n, f.stripeSize, f.stripeCount)
+	var fbuf [4]uint32
+	fetched := fbuf[:0] // the stripes whose end a reply just gave
 	for _, seg := range segs {
 		rid := uint64(f.Resource(seg.Stripe))
+		dst := p[seg.FileOff-off : seg.FileOff-off+seg.Len]
 		if !f.c.pc.Covered(rid, seg.Off, seg.Len) {
 			f.c.Stats.ReadCacheMisses.Inc()
-			if err := f.fetch(ctx, rid, seg, handleOf(stripes, handles, seg.Stripe)); err != nil {
+			if err := f.fetch(ctx, rid, seg, dst); err != nil {
 				return 0, err
 			}
+			fetched = append(fetched, seg.Stripe)
 		} else {
 			f.c.Stats.ReadCacheHits.Inc()
 		}
-		f.c.pc.Read(rid, seg.Off, p[seg.FileOff-off:seg.FileOff-off+seg.Len])
+		f.c.pc.Read(rid, seg.Off, dst)
 	}
-	if n < int64(len(p)) {
-		return int(n), io.EOF
+	// The read's own stripes usually show the file reaching past it.
+	// Only when they do not are the others asked: a later stripe may
+	// hold data, and then the read's short tail is a hole of zeros.
+	want := off + int64(len(p))
+	var size int64
+	for _, st := range stripes {
+		size = max(size, f.fileEnd(st, f.c.pc.End(uint64(f.Resource(st)))))
 	}
-	return int(n), nil
+	if size < want {
+		if size, err = f.size(ctx, fetched); err != nil {
+			return 0, err
+		}
+	}
+	switch {
+	case off >= size:
+		return 0, io.EOF
+	case size < want:
+		return int(size - off), io.EOF
+	}
+	return len(p), nil
 }
 
-// fetch reads a segment from its data server and fills the cache as
-// clean data under the read lock's SN.
-func (f *File) fetch(ctx context.Context, rid uint64, seg meta.Segment, h *dlm.Handle) error {
+// fetch reads a segment from its data server, fills the cache as clean
+// data and records where the stripe ends, which the reply carries. The
+// caller holds the segment's read lock, so a truncate that could lower
+// that end revokes the lock first and drops it again. The reply holds
+// no bytes at or past the stripe's end: fetch zeroes that part of dst,
+// the segment's place in the caller's buffer, and the cache's own
+// unflushed bytes there are read over it.
+func (f *File) fetch(ctx context.Context, rid uint64, seg meta.Segment, dst []byte) error {
 	ep := f.c.bulkFor(rid)
 	var rep wire.ReadReply
 	err := ep.Call(ctx, wire.MRead, &wire.ReadRequest{
@@ -1228,6 +1130,10 @@ func (f *File) fetch(ctx context.Context, rid uint64, seg meta.Segment, h *dlm.H
 		// (possibly dirty) cached data.
 		f.c.pc.Fill(rid, b.Range.Start, b.Data, b.SN)
 	}
+	f.c.pc.RaiseEnd(rid, rep.End)
+	if past := rep.End - seg.Off; past < seg.Len {
+		clear(dst[max(past, 0):])
+	}
 	// The blocks alias the response frame; the cache has copied them, so
 	// this is their last use and the frame goes back to its pool.
 	rep.Release()
@@ -1235,34 +1141,70 @@ func (f *File) fetch(ctx context.Context, rid uint64, seg meta.Segment, h *dlm.H
 }
 
 // Append atomically appends p at the end of the file and returns the
-// offset it landed at. The size read-and-bump is the implicit read that
-// makes append select PW under the Fig. 10 rules.
+// offset it landed at.
 func (f *File) Append(p []byte) (int64, error) {
 	return f.AppendContext(f.c.baseCtx, p)
 }
 
-// AppendContext is Append bounded by ctx.
+// AppendContext is Append bounded by ctx. Reading the end is the
+// implicit read that makes append select PW under the Fig. 10 rules, and
+// the locks cover every stripe's whole range, as Truncate's do (and as
+// Lustre's O_APPEND locks do): while they are held no other client's
+// write can land anywhere in the file or sit in its cache unflushed, so
+// the end the stripes' data servers and this client's cache give is the
+// file's, and p lands there before another append can read the end. An
+// append is flushed before its locks are let go, so the size it makes
+// shows in every client's Size at once.
 func (f *File) AppendContext(ctx context.Context, p []byte) (int64, error) {
-	var rep wire.SizeReply
-	err := f.c.conns.Meta.Call(ctx, wire.MReserve, &wire.SetSizeRequest{FID: f.fid, Size: int64(len(p))}, &rep)
+	start := f.c.clk.Now()
+	defer func() {
+		f.c.Stats.IONs.Add(f.c.clk.Since(start).Nanoseconds())
+		f.c.Stats.WriteOps.Add(1)
+	}()
+	handles, err := f.lockWhole(ctx)
 	if err != nil {
 		return 0, err
 	}
-	off := rep.Size
-	_, err = f.WriteAtOpts(ctx, p, off, WriteOptions{Mode: f.appendMode()})
+	defer f.unlockAll(handles)
+	off, err := f.size(ctx, nil)
 	if err != nil {
+		return 0, err
+	}
+	segs := meta.SplitRange(off, int64(len(p)), f.stripeSize, f.stripeCount)
+	rids := make([]uint64, 0, len(segs))
+	for _, seg := range segs {
+		rid := uint64(f.Resource(seg.Stripe))
+		f.c.pc.Write(rid, seg.Off, p[seg.FileOff-off:seg.FileOff-off+seg.Len], handles[seg.Stripe].SN())
+		if !slices.Contains(rids, rid) {
+			rids = append(rids, rid)
+		}
+	}
+	if err := f.c.flushStripes(ctx, rids, extent.New(0, extent.Inf), ^extent.SN(0)); err != nil {
 		return 0, err
 	}
 	return off, nil
 }
 
-func (f *File) appendMode() dlm.Mode {
-	return dlm.SelectMode(false, true, false) // PW: implicit read
+// lockWhole takes PW locks over every stripe's whole range, in stripe
+// order, timing them: handles[st] is stripe st's lock.
+func (f *File) lockWhole(ctx context.Context) ([]*dlm.Handle, error) {
+	lockStart := f.c.clk.Now()
+	defer func() { f.c.Stats.LockNs.Add(f.c.clk.Since(lockStart).Nanoseconds()) }()
+	handles := make([]*dlm.Handle, 0, f.stripeCount)
+	for st := range f.stripeCount {
+		h, err := f.c.lc.Acquire(ctx, f.Resource(st), dlm.PW, extent.New(0, extent.Inf))
+		if err != nil {
+			f.unlockAll(handles)
+			return nil, err
+		}
+		handles = append(handles, h)
+	}
+	return handles, nil
 }
 
-// Truncate sets the file size exactly, invalidating cached data beyond
-// it. It takes PW locks over every stripe's whole range, serializing
-// with all in-flight IO.
+// Truncate sets the file size exactly, shorter or longer. It takes PW
+// locks over every stripe's whole range, serializing with all in-flight
+// IO.
 func (f *File) Truncate(size int64) error {
 	return f.TruncateContext(f.c.baseCtx, size)
 }
@@ -1272,28 +1214,17 @@ func (f *File) TruncateContext(ctx context.Context, size int64) error {
 	if size < 0 {
 		return fmt.Errorf("client: negative size")
 	}
-	var handles []*dlm.Handle
-	for st := uint32(0); st < f.stripeCount; st++ {
-		h, err := f.c.lc.Acquire(ctx, f.Resource(st), dlm.PW, extent.New(0, extent.Inf))
-		if err != nil {
-			for _, g := range handles {
-				f.c.lc.Unlock(g)
-			}
-			return err
-		}
-		handles = append(handles, h)
+	handles, err := f.lockWhole(ctx)
+	if err != nil {
+		return err
 	}
-	defer func() {
-		for _, h := range handles {
-			f.c.lc.Unlock(h)
-		}
-	}()
+	defer f.unlockAll(handles)
 	// Each stripe's storing server cuts the stripe at its share of the
-	// new size, under the stripe's PW lock SN, while the size register
-	// is set: a later write past the cut must find zeros there, not the
-	// bytes the truncate cut off.
+	// new size, under the stripe's PW lock SN, and the stripe ends there:
+	// a later write past the cut must find zeros there, not the bytes the
+	// truncate cut off, and a reader learns the new end from its next
+	// read reply.
 	cuts := make([]rpc.Pending, 0, len(handles))
-	var err error
 	for st, h := range handles {
 		rid := uint64(f.Resource(uint32(st)))
 		req := &wire.TruncateRequest{Resource: rid, Size: meta.StripeEnd(size, f.stripeSize, f.stripeCount, uint32(st)), SN: uint64(h.SN())}
@@ -1304,9 +1235,6 @@ func (f *File) TruncateContext(ctx context.Context, size int64) error {
 		}
 		cuts = append(cuts, p)
 	}
-	if err == nil {
-		err = f.c.conns.Meta.Call(ctx, wire.MSetSize, &wire.SetSizeRequest{FID: f.fid, Size: size, Truncate: true}, nil)
-	}
 	for _, p := range cuts {
 		if e := p.Wait(ctx, nil); e != nil && err == nil {
 			err = e
@@ -1315,23 +1243,21 @@ func (f *File) TruncateContext(ctx context.Context, size int64) error {
 	if err != nil {
 		return err
 	}
-	// Plain stores, not max-updates: truncation may shrink the
-	// watermark, and writes it cut off must not be published.
-	cell := f.c.sizeCell(f.fid)
-	cell.size.Store(size)
-	cell.wrote.Store(0)
-	cell.sent.Store(0)
-	cell.landed.Store(0)
-	// Drop cached data on every stripe: what lay past the new size is
-	// gone on the data servers too.
-	for st := uint32(0); st < f.stripeCount; st++ {
-		f.c.pc.Invalidate(uint64(f.Resource(st)), extent.New(0, extent.Inf))
+	// The cached bytes past each cut are gone on the data servers too;
+	// the ones before it stay valid under the held locks. Each stripe's
+	// end is now known exactly.
+	for st := range f.stripeCount {
+		rid := uint64(f.Resource(st))
+		cut := meta.StripeEnd(size, f.stripeSize, f.stripeCount, st)
+		f.c.pc.Invalidate(rid, extent.New(cut, extent.Inf))
+		f.c.pc.RaiseEnd(rid, cut)
 	}
 	return nil
 }
 
-// Fsync flushes all of the file's dirty data to data servers and
-// publishes the size, without releasing any lock (§IV-C1).
+// Fsync flushes all of the file's dirty data to data servers without
+// releasing any lock (§IV-C1); each data server raises its stripe's end
+// as the data lands.
 func (f *File) Fsync() error { return f.FsyncContext(f.c.baseCtx) }
 
 // FsyncContext is Fsync bounded by ctx.
@@ -1340,11 +1266,7 @@ func (f *File) FsyncContext(ctx context.Context) error {
 	for st := uint32(0); st < f.stripeCount; st++ {
 		rids = append(rids, uint64(f.Resource(st)))
 	}
-	// The size push rides beside the flush, as on the cancel path.
-	push := f.c.startPush(ctx, f.fid)
-	err := f.c.flushStripes(ctx, rids, extent.New(0, extent.Inf), ^extent.SN(0))
-	push.wait(ctx)
-	return err
+	return f.c.flushStripes(ctx, rids, extent.New(0, extent.Inf), ^extent.SN(0))
 }
 
 // Close flushes the file. Locks stay cached for reuse until revoked or
@@ -1385,11 +1307,7 @@ func (f *File) WriteMultiContext(ctx context.Context, ops []WriteOp) error {
 		data []byte
 	}
 	perStripe := make(map[uint32][]piece)
-	var maxEnd int64
 	for _, op := range ops {
-		if op.Off+int64(len(op.Data)) > maxEnd {
-			maxEnd = op.Off + int64(len(op.Data))
-		}
 		for _, seg := range meta.SplitRange(op.Off, int64(len(op.Data)), f.stripeSize, f.stripeCount) {
 			rel := seg.FileOff - op.Off
 			perStripe[seg.Stripe] = append(perStripe[seg.Stripe], piece{seg: seg, data: op.Data[rel : rel+seg.Len]})
@@ -1447,7 +1365,6 @@ func (f *File) WriteMultiContext(ctx context.Context, ops []WriteOp) error {
 			f.c.pc.Write(rid, pc.seg.Off, pc.data, h.SN())
 		}
 	}
-	f.c.noteWrite(f.fid, maxEnd)
 	f.unlockAll(handles)
 	return nil
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"testing"
-	"time"
 
 	"ccpfs/internal/dataserver"
 	"ccpfs/internal/dlm"
@@ -14,7 +13,6 @@ import (
 	"ccpfs/internal/meta"
 	"ccpfs/internal/rpc"
 	"ccpfs/internal/sim"
-	"ccpfs/internal/storage"
 	"ccpfs/internal/transport/memnet"
 )
 
@@ -31,18 +29,11 @@ type harness struct {
 
 func newHarness(t *testing.T, pol dlm.Policy, nservers int) *harness {
 	t.Helper()
-	return newStoreHarness(t, pol, nservers, nil)
-}
-
-// newStoreHarness is newHarness with server 0 storing into store0 (a
-// fresh MemStore when nil).
-func newStoreHarness(t *testing.T, pol dlm.Policy, nservers int, store0 storage.Store) *harness {
-	t.Helper()
 	h := &harness{t: t, net: memnet.New(sim.Fast()), ns: meta.NewService(), pol: pol, n: nservers}
 	for i := 0; i < nservers; i++ {
 		cfg := dataserver.Config{Name: fmt.Sprintf("s%d", i), Policy: pol}
 		if i == 0 {
-			cfg.Meta, cfg.Store = h.ns, store0
+			cfg.Meta = h.ns
 		}
 		l, err := h.net.Listen(fmt.Sprintf("server-%d", i))
 		if err != nil {
@@ -282,106 +273,6 @@ func TestSizeVisibilityAfterFsync(t *testing.T) {
 	sz, err := fb.Size()
 	if err != nil || sz != 5000 {
 		t.Fatalf("size = %d, %v", sz, err)
-	}
-}
-
-// stallStore holds each write at the device until the test lets it go.
-type stallStore struct {
-	storage.Store
-	entered chan struct{} // a write reached the device
-	release chan struct{} // each receive lets one write through
-}
-
-func (s *stallStore) WriteV(stripe uint64, vec []storage.Vec, frame []byte) storage.Pending {
-	s.entered <- struct{}{}
-	<-s.release
-	return s.Store.WriteV(stripe, vec, frame)
-}
-
-// TestSizePushBesideFlush: a cancel and an Fsync publish the size while
-// their flush is still held at the device — the push is sent before the
-// flush, not after its reply — and each returns only once both are done.
-func TestSizePushBesideFlush(t *testing.T) {
-	st := &stallStore{Store: storage.NewMemStore(), entered: make(chan struct{}, 16), release: make(chan struct{})}
-	h := newStoreHarness(t, dlm.SeqDLM(), 1, st)
-	cl := h.client(Config{})
-	var released bool
-	t.Cleanup(func() { // before the client's and the server's
-		if !released {
-			close(st.release)
-		}
-	})
-	f, err := cl.Create("/push", 4096, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, path := range []struct {
-		name string
-		run  func() error
-	}{
-		{"cancel", func() error { return cl.Locks().ReleaseAll(context.Background()) }},
-		{"fsync", f.Fsync},
-	} {
-		end := int64(5000 * (i + 1))
-		if _, err := f.WriteAt(bytes.Repeat([]byte{byte(i + 1)}, 5000), end-5000); err != nil {
-			t.Fatal(err)
-		}
-		done := make(chan error, 1)
-		go func() { done <- path.run() }()
-		<-st.entered
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			fl, err := h.ns.Stat(f.FID())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fl.Size == end {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("%s: size %d while the flush is held at the device, want %d", path.name, fl.Size, end)
-			}
-			time.Sleep(time.Millisecond)
-		}
-		select {
-		case err := <-done:
-			t.Fatalf("%s returned (%v) before its flush reached the store", path.name, err)
-		default:
-		}
-		st.release <- struct{}{}
-		if err := <-done; err != nil {
-			t.Fatalf("%s: %v", path.name, err)
-		}
-	}
-	released = true
-	close(st.release)
-}
-
-// TestSizePushFailedSendsNextAtOnce: a push that fails to go out takes
-// back its sent mark, so the file's next push is sent at once instead
-// of waiting on one that never lands.
-func TestSizePushFailedSendsNextAtOnce(t *testing.T) {
-	h := newHarness(t, dlm.SeqDLM(), 1)
-	cl := h.client(Config{})
-	f, err := cl.Create("/failed", 4096, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteAt(bytes.Repeat([]byte{1}, 5000), 0); err != nil {
-		t.Fatal(err)
-	}
-	dead, cancel := context.WithCancel(context.Background())
-	cancel()
-	if p := cl.startPush(dead, f.FID()); p.end != 5000 || p.own {
-		t.Fatalf("push on a fired context: end %d, on the wire %v; want 5000, false", p.end, p.own)
-	}
-	p := cl.startPush(context.Background(), f.FID())
-	if !p.own {
-		t.Fatal("the push after a failed one waits for it instead of going out")
-	}
-	p.wait(context.Background())
-	if fl, err := h.ns.Stat(f.FID()); err != nil || fl.Size != 5000 {
-		t.Fatalf("published size %d (%v), want 5000", fl.Size, err)
 	}
 }
 

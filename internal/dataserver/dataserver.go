@@ -741,8 +741,10 @@ func (s *Server) flush(ctx context.Context, req *wire.FlushRequest) error {
 // the cut. The cut [Size, ∞) enters the extent cache at req.SN: a flush
 // older than the truncate (from a lock released before its grant, still
 // in flight) loses to it there, as Fig. 15's merge rule has it, and
-// cannot bring the cut bytes back. The store drops the stored bytes
-// past Size. Both happen under flushMu, in order with every flush's
+// cannot bring the cut bytes back or raise the stripe's end past the
+// cut, since the store sees only the extents that won. The store drops
+// the stored bytes past Size and sets the stripe's end to Size, shorter
+// or longer. Both happen under flushMu, in order with every flush's
 // merge and submission. It is the body of the MTruncate RPC.
 func (s *Server) Truncate(req *wire.TruncateRequest) error {
 	if req.Size < 0 {
@@ -756,17 +758,35 @@ func (s *Server) Truncate(req *wire.TruncateRequest) error {
 	return s.store.Truncate(req.Resource, req.Size)
 }
 
+// handleRead serves a read with the stripe's end (wire.ReadReply.End),
+// which the store keeps under the rule the extent cache applies to
+// bytes: a flush raises it only by the extents that won their merge, and
+// a truncate's cut sets it at the cut's SN (Truncate). The reply holds
+// the range's bytes below the end only, at most MaxReadBytes of them; a
+// read of an empty range, or of one wholly past the end, returns the
+// end alone.
 func (s *Server) handleRead(req *wire.ReadRequest) (wire.Msg, error) {
-	if req.Range.Empty() || req.Range.End == extent.Inf || req.Range.Len() > MaxReadBytes {
+	if req.Range.End == extent.Inf {
+		return nil, fmt.Errorf("dataserver: invalid read range %v", req.Range)
+	}
+	end, err := s.store.End(req.Resource)
+	if err != nil {
+		return nil, err
+	}
+	r := req.Range
+	if r.End = min(r.End, end); r.End <= r.Start {
+		return &wire.ReadReply{End: end}, nil
+	}
+	if r.Len() > MaxReadBytes {
 		return nil, fmt.Errorf("dataserver: invalid read range %v", req.Range)
 	}
 	// The store reads straight into the reply frame, which the rpc layer
 	// then hands to the transport as it is (wire.Body).
-	body, err := wire.ReadReplyBody(req.Range, func(data []byte) (uint64, error) {
-		if err := s.store.ReadAt(req.Resource, req.Range.Start, data); err != nil {
+	body, err := wire.ReadReplyBody(r, end, func(data []byte) (uint64, error) {
+		if err := s.store.ReadAt(req.Resource, r.Start, data); err != nil {
 			return 0, err
 		}
-		sn, _ := s.Cache.MaxSN(req.Resource, req.Range)
+		sn, _ := s.Cache.MaxSN(req.Resource, r)
 		return sn, nil
 	})
 	if err != nil {
@@ -799,39 +819,6 @@ func (s *Server) setupMeta(ep *rpc.Endpoint) {
 		}
 		return fileReply(f), nil
 	})
-	ep.Handle(wire.MStat, func(_ context.Context, p []byte) (wire.Msg, error) {
-		var req wire.OpenRequest
-		if err := wire.Unmarshal(p, &req); err != nil {
-			return nil, err
-		}
-		f, err := m.Open(req.Path)
-		if err != nil {
-			return nil, err
-		}
-		return fileReply(f), nil
-	})
-	ep.Handle(wire.MSetSize, func(_ context.Context, p []byte) (wire.Msg, error) {
-		var req wire.SetSizeRequest
-		if err := wire.Unmarshal(p, &req); err != nil {
-			return nil, err
-		}
-		sz, err := m.SetSize(req.FID, req.Size, req.Truncate)
-		if err != nil {
-			return nil, err
-		}
-		return &wire.SizeReply{Size: sz}, nil
-	})
-	ep.Handle(wire.MReserve, func(_ context.Context, p []byte) (wire.Msg, error) {
-		var req wire.SetSizeRequest
-		if err := wire.Unmarshal(p, &req); err != nil {
-			return nil, err
-		}
-		off, err := m.Reserve(req.FID, req.Size)
-		if err != nil {
-			return nil, err
-		}
-		return &wire.SizeReply{Size: off}, nil
-	})
 	ep.Handle(wire.MList, func(_ context.Context, p []byte) (wire.Msg, error) {
 		return &wire.ListReply{Paths: m.List()}, nil
 	})
@@ -850,7 +837,6 @@ func (s *Server) setupMeta(ep *rpc.Endpoint) {
 func fileReply(f meta.File) *wire.FileReply {
 	return &wire.FileReply{
 		FID:         f.FID,
-		Size:        f.Size,
 		StripeSize:  f.StripeSize,
 		StripeCount: f.StripeCount,
 	}

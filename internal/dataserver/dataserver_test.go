@@ -140,11 +140,24 @@ func TestFlushRejectsMalformedBlock(t *testing.T) {
 	}
 }
 
+// TestReadValidation: an unbounded read range is refused, and so is one
+// that would return more than MaxReadBytes below the stripe's end; an
+// empty range, or one wholly past the end however long, returns the
+// stripe's end alone.
 func TestReadValidation(t *testing.T) {
-	_, ep := testServer(t, Config{Policy: dlm.SeqDLM()})
+	srv, ep := testServer(t, Config{Policy: dlm.SeqDLM()})
 	hello(t, ep, 7, false)
+	for _, rng := range []extent.Extent{{}, {Start: 0, End: MaxReadBytes + 1}} {
+		var rep wire.ReadReply
+		if err := ep.Call(context.Background(), wire.MRead, &wire.ReadRequest{Resource: 2, Range: rng}, &rep); err != nil || rep.End != 0 || len(rep.Blocks) != 0 {
+			t.Fatalf("read %v of a never-written stripe: %+v, %v", rng, rep, err)
+		}
+	}
+	// Stripe 1 ends past MaxReadBytes (a truncate extends it over zeros).
+	if err := srv.Truncate(&wire.TruncateRequest{Resource: 1, Size: MaxReadBytes + 1, SN: 1}); err != nil {
+		t.Fatal(err)
+	}
 	for _, rng := range []extent.Extent{
-		{Start: 0, End: 0},
 		{Start: 0, End: extent.Inf},
 		{Start: 0, End: MaxReadBytes + 1},
 	} {
@@ -263,16 +276,6 @@ func TestMetaHandlers(t *testing.T) {
 	var g wire.FileReply
 	if err := ep.Call(context.Background(), wire.MOpen, &wire.OpenRequest{Path: "/a"}, &g); err != nil || g.FID != f.FID {
 		t.Fatalf("open = %+v, %v", g, err)
-	}
-	var sz wire.SizeReply
-	if err := ep.Call(context.Background(), wire.MSetSize, &wire.SetSizeRequest{FID: f.FID, Size: 999}, &sz); err != nil || sz.Size != 999 {
-		t.Fatalf("setsize = %+v, %v", sz, err)
-	}
-	if err := ep.Call(context.Background(), wire.MReserve, &wire.SetSizeRequest{FID: f.FID, Size: 100}, &sz); err != nil || sz.Size != 999 {
-		t.Fatalf("reserve = %+v, %v (want old size back)", sz, err)
-	}
-	if err := ep.Call(context.Background(), wire.MStat, &wire.OpenRequest{Path: "/a"}, &g); err != nil || g.Size != 1099 {
-		t.Fatalf("stat = %+v, %v", g, err)
 	}
 	if err := ep.Call(context.Background(), wire.MRemove, &wire.OpenRequest{Path: "/a"}, nil); err != nil {
 		t.Fatal(err)

@@ -108,6 +108,77 @@ func TestTruncateCutsOlderFlushes(t *testing.T) {
 	}
 }
 
+// TestOlderFlushDoesNotRaiseEnd: a stripe's end, as its read replies
+// carry it, follows the extent cache's merge rule: a flush raises it,
+// a cut sets it at the cut's SN, a flush older than the cut does not
+// raise it past the cut (a write lost to a truncate stays lost), and a
+// flush at or past the cut's SN does. An empty read asks for the end
+// alone, and a read of bytes carries the same end and the bytes below
+// it only.
+func TestOlderFlushDoesNotRaiseEnd(t *testing.T) {
+	srv := New(Config{Policy: dlm.SeqDLM()})
+	defer srv.Close()
+	const stripe = 1
+	flush := func(sn uint64, end int64) {
+		t.Helper()
+		req := &wire.FlushRequest{Resource: stripe, Blocks: []wire.Block{{Range: extent.New(0, end), SN: sn, Data: make([]byte, end)}}}
+		if err := srv.Flush(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	end := func() int64 {
+		t.Helper()
+		m, err := srv.handleRead(&wire.ReadRequest{Resource: stripe})
+		if err != nil {
+			t.Fatal(err)
+		}
+		alone := m.(*wire.ReadReply).End
+		m, err = srv.handleRead(&wire.ReadRequest{Resource: stripe, Range: extent.New(0, 10)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rep wire.ReadReply
+		if err := wire.Unmarshal(wire.Marshal(m), &rep); err != nil {
+			t.Fatal(err)
+		}
+		if rep.End != alone {
+			t.Fatalf("a read of bytes carries end %d, an empty read %d", rep.End, alone)
+		}
+		var held int64
+		for _, b := range rep.Blocks {
+			held += b.Range.Len()
+		}
+		if held != min(10, alone) {
+			t.Fatalf("a read of [0, 10) with the end at %d holds %d bytes", alone, held)
+		}
+		return alone
+	}
+	for i, step := range []struct {
+		sn       uint64
+		cut, end int64 // cut < 0: a flush of [0, end)
+		want     int64
+	}{
+		{3, -1, 8192, 8192},
+		{5, 1000, 0, 1000},
+		{4, -1, 8192, 1000},
+		{5, -1, 4096, 4096},
+		{6, 20000, 0, 20000},
+		{7, -1, 8192, 20000},
+		{8, 0, 0, 0},
+	} {
+		if step.cut >= 0 {
+			if err := srv.Truncate(&wire.TruncateRequest{Resource: stripe, Size: step.cut, SN: step.sn}); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			flush(step.sn, step.end)
+		}
+		if got := end(); got != step.want {
+			t.Fatalf("step %d (%+v): end %d, want %d", i, step, got, step.want)
+		}
+	}
+}
+
 func TestStorageMetrics(t *testing.T) {
 	srv := New(Config{Policy: dlm.SeqDLM(), Hardware: sim.Hardware{DiskLatency: time.Microsecond, DiskBandwidth: 10e9}})
 	defer srv.Close()

@@ -81,6 +81,18 @@ func StripeEnd(size, stripeSize int64, stripeCount uint32, stripe uint32) int64 
 	return size/row*stripeSize + min(max(rest, 0), stripeSize)
 }
 
+// FileEnd is StripeEnd the other way round: the file-level end of the
+// first end bytes of stripe, the offset just past the file byte that
+// its byte end-1 holds, and 0 when end is 0. A file whose stripes end
+// at the given ends has the largest of their FileEnds as its size.
+func FileEnd(end, stripeSize int64, stripeCount uint32, stripe uint32) int64 {
+	if end <= 0 {
+		return 0
+	}
+	last := end - 1
+	return (last/stripeSize*int64(stripeCount)+int64(stripe))*stripeSize + last%stripeSize + 1
+}
+
 // StripesOf returns the distinct stripes touched by the segments, in
 // ascending stripe order — the lock acquisition order that avoids
 // deadlocks for multi-stripe writes.

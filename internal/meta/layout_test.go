@@ -178,3 +178,33 @@ func TestStripeEndMatchesSplitRange(t *testing.T) {
 		}
 	}
 }
+
+// TestFileEndInvertsStripeEnd: every size is the largest FileEnd of the
+// stripe ends StripeEnd gives for it, and no stripe's FileEnd passes it;
+// a stripe end maps to the file offset just past the byte it ends on.
+func TestFileEndInvertsStripeEnd(t *testing.T) {
+	for _, count := range []uint32{1, 3, 4} {
+		const ss = 10
+		for size := int64(0); size <= 3*ss*int64(count)+7; size++ {
+			var got int64
+			for st := uint32(0); st < count; st++ {
+				e := FileEnd(StripeEnd(size, ss, count, st), ss, count, st)
+				if e > size {
+					t.Fatalf("stripe %d of %d at size %d: FileEnd %d past the size", st, count, size, e)
+				}
+				got = max(got, e)
+			}
+			if got != size {
+				t.Fatalf("%d stripes at size %d: largest FileEnd %d", count, size, got)
+			}
+		}
+		for st := uint32(0); st < count; st++ {
+			for end := int64(1); end <= 3*ss; end++ {
+				segs := SplitRange(FileEnd(end, ss, count, st)-1, 1, ss, count)
+				if len(segs) != 1 || segs[0].Stripe != st || segs[0].Off != end-1 {
+					t.Fatalf("FileEnd(%d, stripe %d of %d): its last byte maps to %+v", end, st, count, segs)
+				}
+			}
+		}
+	}
+}

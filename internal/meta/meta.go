@@ -1,9 +1,9 @@
 // Package meta implements the ccPFS namespace service. The paper's
 // prototype delegates naming to an external file system (NFS or Lustre)
 // and uses the inode number as the FID; this reproduction provides an
-// equivalent in-process register: path → (FID, size, stripe layout),
-// with a monotonic size watermark updated by client flushes and exact
-// updates for truncate.
+// equivalent in-process register: path → (FID, stripe layout). It keeps
+// no size: a file's size is where its stripes end, and each stripe's
+// storing data server knows its end (DESIGN.md §5).
 package meta
 
 import (
@@ -22,7 +22,6 @@ var (
 type File struct {
 	FID         uint64
 	Path        string
-	Size        int64
 	StripeSize  int64
 	StripeCount uint32
 }
@@ -88,43 +87,6 @@ func (s *Service) Stat(fid uint64) (File, error) {
 		return File{}, ErrNotFound
 	}
 	return *f, nil
-}
-
-// SetSize updates a file's size register. With truncate false the size
-// only grows (flushes from concurrent writers race benignly: the max
-// wins); with truncate true the size is set exactly.
-func (s *Service) SetSize(fid uint64, size int64, truncate bool) (int64, error) {
-	if size < 0 {
-		return 0, fmt.Errorf("meta: negative size %d", size)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	f, ok := s.byFID[fid]
-	if !ok {
-		return 0, ErrNotFound
-	}
-	if truncate || size > f.Size {
-		f.Size = size
-	}
-	return f.Size, nil
-}
-
-// Reserve atomically reserves n bytes at the end of the file and
-// returns the reserved starting offset — the size read-and-bump that
-// makes append atomic across clients.
-func (s *Service) Reserve(fid uint64, n int64) (int64, error) {
-	if n < 0 {
-		return 0, fmt.Errorf("meta: negative reservation %d", n)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	f, ok := s.byFID[fid]
-	if !ok {
-		return 0, ErrNotFound
-	}
-	off := f.Size
-	f.Size += n
-	return off, nil
 }
 
 // Remove deletes a file from the namespace.

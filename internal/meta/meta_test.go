@@ -2,7 +2,6 @@ package meta
 
 import (
 	"errors"
-	"sync"
 	"testing"
 )
 
@@ -12,7 +11,7 @@ func TestCreateOpenStat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.FID == 0 || f.StripeCount != 4 || f.StripeSize != 1<<20 || f.Size != 0 {
+	if f.FID == 0 || f.StripeCount != 4 || f.StripeSize != 1<<20 {
 		t.Fatalf("created = %+v", f)
 	}
 	g, err := s.Open("/a")
@@ -56,28 +55,6 @@ func TestOpenMissing(t *testing.T) {
 	}
 }
 
-func TestSetSizeWatermark(t *testing.T) {
-	s := NewService()
-	f, _ := s.Create("/a", 4096, 1)
-	if sz, _ := s.SetSize(f.FID, 100, false); sz != 100 {
-		t.Fatalf("size = %d", sz)
-	}
-	// Smaller watermark updates lose.
-	if sz, _ := s.SetSize(f.FID, 50, false); sz != 100 {
-		t.Fatalf("size = %d, want 100 (watermark)", sz)
-	}
-	// Truncate sets exactly.
-	if sz, _ := s.SetSize(f.FID, 50, true); sz != 50 {
-		t.Fatalf("size = %d, want 50 after truncate", sz)
-	}
-	if _, err := s.SetSize(f.FID, -1, false); err == nil {
-		t.Fatal("negative size accepted")
-	}
-	if _, err := s.SetSize(12345, 1, false); !errors.Is(err, ErrNotFound) {
-		t.Fatal("unknown FID accepted")
-	}
-}
-
 func TestRemove(t *testing.T) {
 	s := NewService()
 	f, _ := s.Create("/a", 4096, 1)
@@ -101,26 +78,6 @@ func TestList(t *testing.T) {
 	s.Create("/b", 4096, 1)
 	if got := s.List(); len(got) != 2 {
 		t.Fatalf("List = %v", got)
-	}
-}
-
-func TestConcurrentSizeUpdates(t *testing.T) {
-	s := NewService()
-	f, _ := s.Create("/a", 4096, 1)
-	var wg sync.WaitGroup
-	for g := 1; g <= 16; g++ {
-		wg.Add(1)
-		go func(g int64) {
-			defer wg.Done()
-			for i := int64(1); i <= 100; i++ {
-				s.SetSize(f.FID, g*i, false)
-			}
-		}(int64(g))
-	}
-	wg.Wait()
-	got, _ := s.Stat(f.FID)
-	if got.Size != 1600 {
-		t.Fatalf("size = %d, want 1600 (max watermark)", got.Size)
 	}
 }
 

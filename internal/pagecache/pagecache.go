@@ -144,9 +144,17 @@ func local(rng extent.Extent, pi, ps int64) (extent.Extent, bool) {
 // pages sit in one slice in strictly ascending index order, each holding
 // at least one valid byte (a page whose valid list empties leaves the
 // slice at once), and nothing else indexes them.
+//
+// end is what the client knows of where the stripe ends: a lower bound
+// that only a truncate can undercut, raised by every write (Write) and
+// by what a read reply reports (RaiseEnd). A truncate revokes every
+// lock of the stripe, and each revocation's invalidate lowers end to
+// the end of the dirty bytes that stay, so a bound learned before the
+// truncate does not outlive it.
 type stripePages struct {
 	mu    sync.Mutex
 	pages []pageAt
+	end   int64
 }
 
 // pageAt is a page with its index.
@@ -201,6 +209,23 @@ func (sp *stripePages) cut(k, j int) {
 	n := copy(sp.pages[k:], sp.pages[j:])
 	clear(sp.pages[k+n:])
 	sp.pages = sp.pages[:k+n]
+}
+
+// dirtyEnd returns the end of the stripe's last dirty byte, 0 if none;
+// the caller holds sp.mu.
+func (sp *stripePages) dirtyEnd(ps int64) int64 {
+	for i := len(sp.pages) - 1; i >= 0; i-- {
+		at := sp.pages[i]
+		if at.pg.dirtyBytes == 0 {
+			continue
+		}
+		var end int64
+		for _, e := range at.pg.dirty.Entries() {
+			end = max(end, e.End)
+		}
+		return at.pi*ps + end
+	}
+	return 0
 }
 
 // Cache is one client's page cache across all stripes it touches.
@@ -334,6 +359,7 @@ func (c *Cache) Write(stripe uint64, off int64, data []byte, sn extent.SN) {
 	sp := c.stripe(stripe)
 	sp.mu.Lock()
 	c.write(sp, off, data, sn, true)
+	sp.end = max(sp.end, off+int64(len(data)))
 	sp.mu.Unlock()
 	if c.cfg.MaxDirty > 0 {
 		c.flowMu.Lock()
@@ -358,6 +384,28 @@ func (c *Cache) Fill(stripe uint64, off int64, data []byte, sn extent.SN) {
 	c.write(sp, off, data, sn, false)
 	sp.mu.Unlock()
 	c.reclaim()
+}
+
+// End returns what the cache knows of where stripe ends (see
+// stripePages): the stripe ends there or later.
+func (c *Cache) End(stripe uint64) int64 {
+	sp := c.lookup(stripe)
+	if sp == nil {
+		return 0
+	}
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	return sp.end
+}
+
+// RaiseEnd records that stripe ends at end or later. The caller holds a
+// lock of the stripe while it learns end, so a truncate that could undo
+// it revokes that lock, and the invalidate drops end again.
+func (c *Cache) RaiseEnd(stripe uint64, end int64) {
+	sp := c.stripe(stripe)
+	sp.mu.Lock()
+	sp.end = max(sp.end, end)
+	sp.mu.Unlock()
 }
 
 // write lands data into sp's pages; the caller holds sp.mu.
@@ -612,7 +660,8 @@ func (c *Cache) Redirty(stripe uint64, blocks []Block) {
 
 // Invalidate drops cached data (clean and dirty) of stripe within rng.
 // It is called when a lock is released: without the lock, cached copies
-// may go stale the moment another client writes.
+// may go stale the moment another client writes. Like InvalidateUpTo it
+// lowers the stripe's end to the end of the dirty bytes that stay.
 func (c *Cache) Invalidate(stripe uint64, rng extent.Extent) {
 	c.invalidate(stripe, rng, ^extent.SN(0))
 }
@@ -649,6 +698,7 @@ func (c *Cache) invalidate(stripe uint64, rng extent.Extent, sn extent.SN) {
 		k++
 	}
 	sp.cut(k, j)
+	sp.end = sp.dirtyEnd(ps)
 	c.apply(d)
 	sp.mu.Unlock()
 	c.signalFlow()

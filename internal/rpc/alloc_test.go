@@ -143,7 +143,7 @@ func TestAllocBudgetInboundCall(t *testing.T) {
 	}
 	virtualPair(t, func(ep *Endpoint) {
 		ep.Handle(wire.MHello, func(context.Context, []byte) (wire.Msg, error) { return &wire.Ack{}, nil })
-		ep.Handle(wire.MStat, func(ctx context.Context, _ []byte) (wire.Msg, error) {
+		ep.Handle(wire.MOpen, func(ctx context.Context, _ []byte) (wire.Msg, error) {
 			_ = ctx.Done()
 			return &wire.Ack{}, nil
 		})
@@ -159,7 +159,7 @@ func TestAllocBudgetInboundCall(t *testing.T) {
 		if a := testing.AllocsPerRun(100, call(wire.MHello)); a != 0 {
 			t.Errorf("call to a handler that never calls Done: %.1f allocs, want 0", a)
 		}
-		if a := testing.AllocsPerRun(100, call(wire.MStat)); a < 2 {
+		if a := testing.AllocsPerRun(100, call(wire.MOpen)); a < 2 {
 			t.Errorf("call to a handler that calls Done: %.1f allocs, want the record and its channel", a)
 		}
 	})

@@ -207,6 +207,14 @@ func (s *SimStore) Truncate(stripe uint64, size int64) error {
 	return s.inner.Truncate(stripe, size)
 }
 
+// End implements Store. It takes no device time; under s.mu it sees
+// every write and truncate submitted before it.
+func (s *SimStore) End(stripe uint64) (int64, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.inner.End(stripe)
+}
+
 // Remove implements Store. It does not pass through the queue.
 func (s *SimStore) Remove(stripe uint64) error { return s.inner.Remove(stripe) }
 

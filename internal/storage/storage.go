@@ -43,9 +43,14 @@ type Store interface {
 	// ReadAt fills buf from off within stripe. Never-written ranges read
 	// as zeros.
 	ReadAt(stripe uint64, off int64, buf []byte) error
-	// Truncate drops the bytes of stripe at and past size: they read as
-	// zeros until they are written again.
+	// Truncate sets the stripe's end to size: the bytes at and past it
+	// read as zeros until they are written again, and a cut past the end
+	// extends the stripe with zeros.
 	Truncate(stripe uint64, size int64) error
+	// End returns the stripe's end, as a file's length: the largest end
+	// of a write since the last Truncate, or that Truncate's size if it
+	// is larger. A never-written stripe ends at 0.
+	End(stripe uint64) (int64, error)
 	// Remove drops a stripe's data.
 	Remove(stripe uint64) error
 }
@@ -54,15 +59,19 @@ type Store interface {
 const chunkSize = 64 << 10
 
 // MemStore is a sparse in-memory Store. It is safe for concurrent use:
-// one RWMutex guards the stripe map and every stripe's chunks.
+// one RWMutex guards the stripe maps and every stripe's chunks. A chunk
+// is allocated whole and cannot tell where the stripe's bytes end, so
+// each stripe's end is kept beside its chunks, as a file keeps its
+// length beside its blocks.
 type MemStore struct {
 	mu      sync.RWMutex
 	stripes map[uint64]map[int64][]byte
+	ends    map[uint64]int64
 }
 
 // NewMemStore returns an empty in-memory store.
 func NewMemStore() *MemStore {
-	return &MemStore{stripes: make(map[uint64]map[int64][]byte)}
+	return &MemStore{stripes: make(map[uint64]map[int64][]byte), ends: make(map[uint64]int64)}
 }
 
 // WriteAt implements Store.
@@ -90,6 +99,9 @@ func (m *MemStore) WriteV(stripe uint64, vec []Vec, frame []byte) Pending {
 	}
 	keep := frame != nil && keepFrame(newChunkBytes(chunks, vec), cap(frame))
 	for _, v := range vec {
+		if end := v.Off + int64(len(v.Data)); len(v.Data) > 0 && end > m.ends[stripe] {
+			m.ends[stripe] = end
+		}
 		for off, data := v.Off, v.Data; len(data) > 0; {
 			ci, co, n := chunkSpan(off, len(data))
 			switch c := chunks[ci]; {
@@ -172,14 +184,15 @@ func (m *MemStore) ReadAt(stripe uint64, off int64, buf []byte) error {
 	return nil
 }
 
-// Truncate implements Store: it drops the chunks past size and zeroes
-// the tail of the chunk size falls in.
+// Truncate implements Store: it drops the chunks past size, zeroes the
+// tail of the chunk size falls in and sets the end.
 func (m *MemStore) Truncate(stripe uint64, size int64) error {
 	if size < 0 {
 		return fmt.Errorf("storage: negative size %d", size)
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.ends[stripe] = size
 	ci, co := size/chunkSize, size%chunkSize
 	for i, c := range m.stripes[stripe] {
 		switch {
@@ -197,7 +210,15 @@ func (m *MemStore) Remove(stripe uint64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	delete(m.stripes, stripe)
+	delete(m.ends, stripe)
 	return nil
+}
+
+// End implements Store.
+func (m *MemStore) End(stripe uint64) (int64, error) {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return m.ends[stripe], nil
 }
 
 // Bytes returns the number of bytes the store's chunks hold
@@ -280,18 +301,27 @@ func (f *FileStore) ReadAt(stripe uint64, off int64, buf []byte) error {
 	return err
 }
 
-// Truncate implements Store, shortening the stripe's file to size if it
-// is longer.
+// Truncate implements Store: the stripe's file is cut or extended to
+// size.
 func (f *FileStore) Truncate(stripe uint64, size int64) error {
 	fd, err := f.file(stripe)
 	if err != nil {
 		return err
 	}
-	fi, err := fd.Stat()
-	if err != nil || fi.Size() <= size {
-		return err
-	}
 	return fd.Truncate(size)
+}
+
+// End implements Store: the stripe file's length, 0 if it does not
+// exist.
+func (f *FileStore) End(stripe uint64) (int64, error) {
+	fi, err := os.Stat(filepath.Join(f.dir, fmt.Sprintf("stripe-%d", stripe)))
+	if os.IsNotExist(err) {
+		return 0, nil
+	}
+	if err != nil {
+		return 0, err
+	}
+	return fi.Size(), nil
 }
 
 // Remove implements Store.

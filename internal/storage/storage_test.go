@@ -106,6 +106,53 @@ func TestStoreTruncate(t *testing.T) {
 	}
 }
 
+// TestStoreEnd: on every store, a stripe's end is the largest end of a
+// write, a truncate sets it exactly — shorter or longer — and a write
+// below it leaves it. A never-written stripe ends at 0.
+func TestStoreEnd(t *testing.T) {
+	fs, err := NewFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	for name, s := range map[string]Store{
+		"mem":  NewMemStore(),
+		"file": fs,
+		"sim":  NewSimStore(NewMemStore(), sim.Fast()),
+	} {
+		for i, step := range []struct {
+			op       string
+			off, arg int64
+			want     int64
+		}{
+			{"end", 0, 0, 0},
+			{"write", 100, 18, 118},
+			{"write", 0, 10, 118},
+			{"truncate", 0, 50, 50},
+			{"truncate", 0, 4 * chunkSize, 4 * chunkSize},
+			{"write", chunkSize, 1, 4 * chunkSize},
+			{"write", 4 * chunkSize, 7, 4*chunkSize + 7},
+			{"truncate", 0, 0, 0},
+		} {
+			switch step.op {
+			case "write":
+				err = s.WriteAt(7, step.off, make([]byte, step.arg))
+			case "truncate":
+				err = s.Truncate(7, step.arg)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if end, err := s.End(7); err != nil || end != step.want {
+				t.Fatalf("%s store, step %d (%s): end %d (%v), want %d", name, i, step.op, end, err, step.want)
+			}
+		}
+		if end, err := s.End(8); err != nil || end != 0 {
+			t.Fatalf("%s store: a never-written stripe ends at %d (%v)", name, end, err)
+		}
+	}
+}
+
 func TestMemStoreChunkBoundaries(t *testing.T) {
 	m := NewMemStore()
 	// Write straddling a chunk boundary.

@@ -29,8 +29,6 @@ func allMessages() []Msg {
 		&CreateRequest{},
 		&OpenRequest{},
 		&FileReply{},
-		&SetSizeRequest{},
-		&SizeReply{},
 		&HelloRequest{},
 		&HelloReply{},
 		&ListReply{},

@@ -24,14 +24,13 @@ const (
 	// 12 stays unassigned: it named the min-SN query, which the data
 	// server answers in-process.
 	MTruncate Method = 13 // TruncateRequest -> Ack (cut a stripe's stored bytes)
-	// Metadata service.
-	MCreate  Method = 20 // CreateRequest -> FileReply
-	MOpen    Method = 21 // OpenRequest -> FileReply
-	MStat    Method = 22 // OpenRequest -> FileReply
-	MSetSize Method = 23 // SetSizeRequest -> SizeReply
-	MRemove  Method = 24 // OpenRequest -> Ack
-	MReserve Method = 25 // SetSizeRequest (Size = byte count) -> SizeReply (reserved offset)
-	MList    Method = 26 // Ack -> ListReply
+	// Metadata service. 22, 23 and 25 stay unassigned: they named the
+	// size register's stat, push and append reservation; a file's size
+	// now comes from its stripes' data servers (ReadReply.End).
+	MCreate Method = 20 // CreateRequest -> FileReply
+	MOpen   Method = 21 // OpenRequest -> FileReply
+	MRemove Method = 24 // OpenRequest -> Ack
+	MList   Method = 26 // Ack -> ListReply
 	// Partition service (slot mastership; DESIGN.md §12).
 	MPartitionMap Method = 4 // Ack -> PartitionMapReply (client map refresh)
 	MSlotFreeze   Method = 5 // SlotFreezeRequest -> SlotState (migration source)
@@ -76,10 +75,7 @@ var methodNames = [256]string{
 	MTruncate:       "Truncate",
 	MCreate:         "Create",
 	MOpen:           "Open",
-	MStat:           "Stat",
-	MSetSize:        "SetSize",
 	MRemove:         "Remove",
-	MReserve:        "Reserve",
 	MList:           "List",
 	MHello:          "Hello",
 	MReport:         "Report",
@@ -877,19 +873,23 @@ func (m *TruncateRequest) Decode(d *Decoder) {
 	m.SN = d.U64()
 }
 
-// ReadReply returns the stored blocks covering the requested range;
-// holes (never-written ranges) are omitted and read as zeros.
+// ReadReply returns the stored blocks covering the requested range up
+// to the stripe's end; holes (never-written ranges) are omitted and read
+// as zeros, and so does the part of the range at or past the end. End is
+// the stripe's end on its data server when the read was served: a read
+// of an empty range asks for it alone.
 //
 // A decoded ReadReply's block data aliases the response frame, so the
 // reply holds that frame (FrameHolder) until the caller calls Release.
 type ReadReply struct {
+	End    int64
 	Blocks []Block
 
 	frame []byte // the pooled response frame Blocks alias, if any
 }
 
 // EncodedSize implements Sizer.
-func (m *ReadReply) EncodedSize() int { return blocksSize(m.Blocks) }
+func (m *ReadReply) EncodedSize() int { return 8 + blocksSize(m.Blocks) }
 
 // HoldFrame implements FrameHolder.
 func (m *ReadReply) HoldFrame(frame []byte) { m.frame = frame }
@@ -906,20 +906,23 @@ func (m *ReadReply) Release() {
 
 // Encode implements Msg.
 func (m *ReadReply) Encode(e *Encoder) {
+	e.I64(m.End)
 	e.U32(uint32(len(m.Blocks)))
 	encodeBlocks(e, m.Blocks)
 }
 
 // Decode implements Msg.
 func (m *ReadReply) Decode(d *Decoder) {
+	m.End = d.I64()
 	m.Blocks = decodeBlocks(d)
 }
 
-// ReadReplyBody builds a one-block ReadReply for r in place: fill writes
-// the block's r.Len() bytes into data and then returns the block's SN.
-// A failed fill puts the frame back.
-func ReadReplyBody(r extent.Extent, fill func(data []byte) (uint64, error)) (*Body, error) {
-	e := BodyEncoder(4 + blockHeaderLen + int(r.Len()))
+// ReadReplyBody builds a one-block ReadReply for r in place, carrying
+// the stripe end end: fill writes the block's r.Len() bytes into data
+// and then returns the block's SN. A failed fill puts the frame back.
+func ReadReplyBody(r extent.Extent, end int64, fill func(data []byte) (uint64, error)) (*Body, error) {
+	e := BodyEncoder(8 + 4 + blockHeaderLen + int(r.Len()))
+	e.I64(end)
 	e.U32(1)
 	at := len(e.buf) + 16 // the SN follows the range
 	sn, err := fill(BlockSlot(e, r, 0))
@@ -953,7 +956,7 @@ func (m *CreateRequest) Decode(d *Decoder) {
 	m.StripeCount = d.U32()
 }
 
-// OpenRequest opens, stats, or removes a file by path.
+// OpenRequest opens or removes a file by path.
 type OpenRequest struct {
 	Path string
 }
@@ -964,10 +967,9 @@ func (m *OpenRequest) Encode(e *Encoder) { e.String(m.Path) }
 // Decode implements Msg.
 func (m *OpenRequest) Decode(d *Decoder) { m.Path = d.String() }
 
-// FileReply describes a file: identifier, size, and stripe layout.
+// FileReply describes a file: identifier and stripe layout.
 type FileReply struct {
 	FID         uint64
-	Size        int64
 	StripeSize  int64
 	StripeCount uint32
 }
@@ -975,7 +977,6 @@ type FileReply struct {
 // Encode implements Msg.
 func (m *FileReply) Encode(e *Encoder) {
 	e.U64(m.FID)
-	e.I64(m.Size)
 	e.I64(m.StripeSize)
 	e.U32(m.StripeCount)
 }
@@ -983,44 +984,9 @@ func (m *FileReply) Encode(e *Encoder) {
 // Decode implements Msg.
 func (m *FileReply) Decode(d *Decoder) {
 	m.FID = d.U64()
-	m.Size = d.I64()
 	m.StripeSize = d.I64()
 	m.StripeCount = d.U32()
 }
-
-// SetSizeRequest updates a file's size register. With Truncate false the
-// size only grows (the max of the current and new value, the common case
-// for writes past EOF); with Truncate true it is set exactly.
-type SetSizeRequest struct {
-	FID      uint64
-	Size     int64
-	Truncate bool
-}
-
-// Encode implements Msg.
-func (m *SetSizeRequest) Encode(e *Encoder) {
-	e.U64(m.FID)
-	e.I64(m.Size)
-	e.Bool(m.Truncate)
-}
-
-// Decode implements Msg.
-func (m *SetSizeRequest) Decode(d *Decoder) {
-	m.FID = d.U64()
-	m.Size = d.I64()
-	m.Truncate = d.Bool()
-}
-
-// SizeReply returns the post-update file size.
-type SizeReply struct {
-	Size int64
-}
-
-// Encode implements Msg.
-func (m *SizeReply) Encode(e *Encoder) { e.I64(m.Size) }
-
-// Decode implements Msg.
-func (m *SizeReply) Decode(d *Decoder) { m.Size = d.I64() }
 
 // ListReply enumerates the namespace.
 type ListReply struct {

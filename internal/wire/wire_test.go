@@ -155,7 +155,7 @@ func TestReadRoundTrip(t *testing.T) {
 	if *req != reqOut {
 		t.Fatalf("got %+v, want %+v", reqOut, *req)
 	}
-	rep := &ReadReply{Blocks: []Block{{Range: extent.New(8, 12), SN: 2, Data: []byte("abcd")}}}
+	rep := &ReadReply{End: 1 << 33, Blocks: []Block{{Range: extent.New(8, 12), SN: 2, Data: []byte("abcd")}}}
 	var repOut ReadReply
 	roundTrip(t, rep, &repOut)
 	if !reflect.DeepEqual(*rep, repOut) {
@@ -166,19 +166,20 @@ func TestReadRoundTrip(t *testing.T) {
 // TestReadReplyBodyMatchesMarshal checks a read reply built in place
 // against the ReadReply it stands for: the body after the head room is
 // Marshal's frame byte for byte, the SN that fill returns after reading
-// lands in the block, and a Body decodes back into the same bytes. A
-// failed fill returns its error and no body.
+// lands in the block, the stripe end in the reply, and a Body decodes
+// back into the same bytes. A failed fill returns its error and no
+// body.
 func TestReadReplyBodyMatchesMarshal(t *testing.T) {
 	r := extent.New(4096, 4096+300)
 	data := bytes.Repeat([]byte("xyz"), 100)
-	body, err := ReadReplyBody(r, func(b []byte) (uint64, error) {
+	body, err := ReadReplyBody(r, 5000, func(b []byte) (uint64, error) {
 		copy(b, data)
 		return 9, nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Marshal(&ReadReply{Blocks: []Block{{Range: r, SN: 9, Data: data}}})
+	want := Marshal(&ReadReply{End: 5000, Blocks: []Block{{Range: r, SN: 9, Data: data}}})
 	if len(body.Frame) != HeadRoom+len(want) || !bytes.Equal(body.Frame[HeadRoom:], want) {
 		t.Fatalf("built in place:\n%x\nmarshaled:\n%x", body.Frame[HeadRoom:], want)
 	}
@@ -190,7 +191,7 @@ func TestReadReplyBodyMatchesMarshal(t *testing.T) {
 		t.Fatalf("Unmarshal into a Body: %v, %x", err, back.Frame)
 	}
 	failed := errors.New("read failed")
-	if b, err := ReadReplyBody(r, func([]byte) (uint64, error) { return 0, failed }); b != nil || !errors.Is(err, failed) {
+	if b, err := ReadReplyBody(r, 5000, func([]byte) (uint64, error) { return 0, failed }); b != nil || !errors.Is(err, failed) {
 		t.Fatalf("failed fill: got %v, %v", b, err)
 	}
 }
@@ -202,17 +203,11 @@ func TestMetaMessagesRoundTrip(t *testing.T) {
 	if *cr != crOut {
 		t.Fatalf("got %+v", crOut)
 	}
-	fr := &FileReply{FID: 7, Size: 123, StripeSize: 1 << 20, StripeCount: 4}
+	fr := &FileReply{FID: 7, StripeSize: 1 << 20, StripeCount: 4}
 	var frOut FileReply
 	roundTrip(t, fr, &frOut)
 	if *fr != frOut {
 		t.Fatalf("got %+v", frOut)
-	}
-	ss := &SetSizeRequest{FID: 7, Size: 1 << 40, Truncate: true}
-	var ssOut SetSizeRequest
-	roundTrip(t, ss, &ssOut)
-	if *ss != ssOut {
-		t.Fatalf("got %+v", ssOut)
 	}
 }
 
@@ -226,7 +221,6 @@ func TestSmallMessagesRoundTrip(t *testing.T) {
 		{&LockReport{Locks: []LockRecord{{Resource: 6, Client: 2, LockID: 8, Mode: 1, Range: extent.New(0, 10), SN: 77, State: 1, Flags: LockFlagHandedOff}}}, &LockReport{}},
 		{&HelloRequest{NodeName: "n1", ClientID: 9}, &HelloRequest{}},
 		{&HelloReply{ClientID: 9}, &HelloReply{}},
-		{&SizeReply{Size: 1234}, &SizeReply{}},
 		{&Ack{}, &Ack{}},
 	}
 	for _, m := range msgs {
