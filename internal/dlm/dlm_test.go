@@ -335,6 +335,79 @@ func TestEarlyRevocation(t *testing.T) {
 	r2.cli.Unlock(r2.hd)
 }
 
+// TestEarlyRevocationOfContendedGrant: a write grant that could not be
+// expanded goes out CANCELING when it is an early grant over another
+// client's CANCELING write lock, though no request is queued: the range
+// is under write-write contention. The requester's own CANCELING lock
+// does not count, nor does a grant that expanded, and DLM-basic never
+// grants early.
+func TestEarlyRevocationOfContendedGrant(t *testing.T) {
+	blk := func(lo, hi int64) extent.Extent { return extent.New(lo*4096, hi*4096) }
+	// held drives client 1's write lock over blocks [0,2) to CANCELING
+	// and returns it. With a reader mode given, client 3 first holds a
+	// reader over [2,4), so no write lock on [0,2) can expand past it.
+	held := func(t *testing.T, s *Server, write, read Mode) Grant {
+		if read != ModeNone {
+			mustLock(t, s, Request{Resource: 1, Client: 3, Mode: read, Range: blk(2, 4)})
+		}
+		g := mustLock(t, s, Request{Resource: 1, Client: 1, Mode: write, Range: blk(0, 2)})
+		s.RevokeAck(1, g.LockID)
+		return g
+	}
+	for _, tc := range []struct {
+		name   string
+		policy Policy
+		grant  func(t *testing.T, s *Server) Grant
+		want   State
+	}{
+		{"contended and unexpandable", SeqDLM(), func(t *testing.T, s *Server) Grant {
+			held(t, s, NBW, PR)
+			return mustLock(t, s, Request{Resource: 1, Client: 2, Mode: NBW, Range: blk(0, 2)})
+		}, Canceling},
+		{"own CANCELING lock only", SeqDLM(), func(t *testing.T, s *Server) Grant {
+			held(t, s, NBW, PR)
+			return mustLock(t, s, Request{Resource: 1, Client: 1, Mode: NBW, Range: blk(0, 2)})
+		}, Granted},
+		{"early grant that expands", SeqDLM(), func(t *testing.T, s *Server) Grant {
+			held(t, s, NBW, ModeNone)
+			return mustLock(t, s, Request{Resource: 1, Client: 2, Mode: NBW, Range: blk(2, 4)})
+		}, Granted},
+		{"DLM-basic", Basic(), func(t *testing.T, s *Server) Grant {
+			g := held(t, s, LW, LR)
+			ch := lockAsync(t, s, context.Background(), Request{Resource: 1, Client: 2, Mode: LW, Range: blk(0, 2)})
+			s.Release(1, g.LockID)
+			r := recv(t, ch)
+			if r.err != nil {
+				t.Fatal(r.err)
+			}
+			return r.g
+		}, Granted},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewServer(tc.policy, NotifierFunc(func(context.Context, Revocation) {}))
+			defer s.Shutdown()
+			g := tc.grant(t, s)
+			if g.State != tc.want {
+				t.Errorf("grant %v over %v: state %v, want %v", g.Mode, g.Range, g.State, tc.want)
+			}
+			wantEarly := int64(0)
+			if tc.want == Canceling {
+				wantEarly = 1
+			}
+			if got := s.Stats.EarlyRevocations.Load(); got != wantEarly {
+				t.Errorf("EarlyRevocations = %d, want %d", got, wantEarly)
+			}
+			// Every SeqDLM case is an early grant; DLM-basic has none.
+			if got, want := s.Stats.EarlyGrants.Load(), int64(btoi(tc.policy.EarlyGrant)); got != want {
+				t.Errorf("EarlyGrants = %d, want %d", got, want)
+			}
+			if err := s.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 // TestLockUpgrading reproduces Fig. 11: a PR request conflicting with
 // the same client's NBW is upgraded to PW and the NBW is absorbed.
 func TestLockUpgrading(t *testing.T) {

@@ -1,6 +1,8 @@
 package dlm
 
 import (
+	"slices"
+
 	"ccpfs/internal/extent"
 	"ccpfs/internal/wire"
 )
@@ -111,7 +113,7 @@ func (s *Server) stampGather(res *resource, w *waiter, mode Mode, cohort []*lock
 
 	rng := w.req.Range
 	rng.End = s.expandEnd(res, w, mode, rng)
-	wl := s.install(res, &lock{client: w.req.Client, mode: mode, rng: rng, delegated: true, preds: cohort, gatherLeft: len(cohort)})
+	wl := s.install(res, &lock{client: w.req.Client, mode: mode, rng: rng, delegated: true, preds: slices.Clone(cohort), gatherLeft: len(cohort)})
 	for _, c := range cohort {
 		c.succ = wl
 	}

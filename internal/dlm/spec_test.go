@@ -23,8 +23,9 @@ import (
 //     absorbs (§III-D1), and the downgrade routes (§III-D2);
 //   - greedy range expansion toward EOF, up to the first block where a
 //     granted lock or a queued request would become a new conflict;
-//   - early revocation only when the range could not expand and the
-//     queue shows a conflict (§III-A2);
+//   - early revocation only when the range could not expand and either
+//     the queue shows a conflict (§III-A2) or the write grant is an
+//     early grant over another client's CANCELING write lock;
 //   - one SN per grant, in grant order, bumped by every write grant.
 //
 // Deliberately out of scope: delegation (handoff, broadcast, gather),
@@ -238,9 +239,17 @@ func (sp *spec) tryGrant(i int, out *specResult) bool {
 	for sp.policy.Expand == ExpandGreedy && end < specEOF && !sp.newConflictAt(w, mode, lo, hi, end) {
 		end++
 	}
+	// Early revocation: the range could not expand, and either a queued
+	// request conflicts with the lock or the grant is an early one over
+	// another client's CANCELING write lock on the requested blocks.
 	early := false
 	for _, q := range sp.queue {
 		if sp.policy.EarlyRevocation && end == hi && q.id != w.id && overlap(q.lo, q.hi, lo, hi) && !sp.ok(q.mode, mode, false) {
+			early = true
+		}
+	}
+	for _, l := range sp.locks {
+		if sp.policy.EarlyRevocation && end == hi && writes(mode) && l.client != w.client && l.canceling && writes(l.mode) && overlap(l.lo, l.hi, w.lo, w.hi) {
 			early = true
 		}
 	}

@@ -207,7 +207,10 @@ func (t *ITree[V]) Visit(fn func(Extent, uint64, V) bool) {
 // VisitFrom calls fn for every entry whose Start >= from, in ascending
 // (Start, key) order. Returning false stops the walk.
 func (t *ITree[V]) VisitFrom(from int64, fn func(Extent, uint64, V) bool) {
-	var stack []*inode[V]
+	// An AVL tree of height 64 holds more than 10^13 entries, so the
+	// walk's stack stays in buf.
+	var buf [64]*inode[V]
+	stack := buf[:0]
 	n := t.root
 	for n != nil || len(stack) > 0 {
 		for n != nil {

@@ -1,5 +1,7 @@
 package meta
 
+import "slices"
+
 // This file defines the stripe layout conventions shared by clients and
 // data servers: how file bytes map onto stripes, how a stripe maps onto
 // a lock resource, and how resources are placed on servers by hashing
@@ -52,10 +54,18 @@ func SplitRange(off, n, stripeSize int64, stripeCount uint32) []Segment {
 	if n <= 0 {
 		return nil
 	}
-	if stripeCount <= 1 {
-		return []Segment{{Stripe: 0, Off: off, FileOff: off, Len: n}}
+	return AppendSplit(make([]Segment, 0, (off+n-1)/stripeSize-off/stripeSize+1), off, n, stripeSize, stripeCount)
+}
+
+// AppendSplit is SplitRange appending to dst, so a caller with a buffer
+// of its own splits without allocating.
+func AppendSplit(dst []Segment, off, n, stripeSize int64, stripeCount uint32) []Segment {
+	if n <= 0 {
+		return dst
 	}
-	segs := make([]Segment, 0, (off+n-1)/stripeSize-off/stripeSize+1)
+	if stripeCount <= 1 {
+		return append(dst, Segment{Stripe: 0, Off: off, FileOff: off, Len: n})
+	}
 	sc := int64(stripeCount)
 	for n > 0 {
 		chunk := off / stripeSize // global chunk index
@@ -65,11 +75,11 @@ func SplitRange(off, n, stripeSize int64, stripeCount uint32) []Segment {
 		if l > n {
 			l = n
 		}
-		segs = append(segs, Segment{Stripe: stripe, Off: local, FileOff: off, Len: l})
+		dst = append(dst, Segment{Stripe: stripe, Off: local, FileOff: off, Len: l})
 		off += l
 		n -= l
 	}
-	return segs
+	return dst
 }
 
 // StripeEnd returns the stripe-local end of a file of size bytes on
@@ -93,24 +103,18 @@ func FileEnd(end, stripeSize int64, stripeCount uint32, stripe uint32) int64 {
 	return (last/stripeSize*int64(stripeCount)+int64(stripe))*stripeSize + last%stripeSize + 1
 }
 
-// StripesOf returns the distinct stripes touched by the segments, in
-// ascending stripe order — the lock acquisition order that avoids
-// deadlocks for multi-stripe writes.
-func StripesOf(segs []Segment) []uint32 {
-	seen := make(map[uint32]bool, 2)
-	var out []uint32
+// AppendStripes appends the distinct stripes touched by the segments to
+// dst, in ascending stripe order — the lock acquisition order that
+// avoids deadlocks for multi-stripe writes.
+func AppendStripes(dst []uint32, segs []Segment) []uint32 {
+	base := len(dst)
 	for _, s := range segs {
-		if !seen[s.Stripe] {
-			seen[s.Stripe] = true
-			out = append(out, s.Stripe)
+		if !slices.Contains(dst[base:], s.Stripe) {
+			dst = append(dst, s.Stripe)
 		}
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
+	slices.Sort(dst[base:])
+	return dst
 }
 
 // StripeRange returns the smallest stripe-local range covering every

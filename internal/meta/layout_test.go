@@ -1,6 +1,7 @@
 package meta
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -135,16 +136,13 @@ func TestQuickSplitRangeInvariants(t *testing.T) {
 	}
 }
 
-func TestStripesOfSortedUnique(t *testing.T) {
-	segs := SplitRange(0, 1000, 100, 4)
-	stripes := StripesOf(segs)
-	for i := 1; i < len(stripes); i++ {
-		if stripes[i] <= stripes[i-1] {
-			t.Fatalf("stripes not sorted/unique: %v", stripes)
-		}
-	}
-	if len(stripes) != 4 {
-		t.Fatalf("stripes = %v, want all 4", stripes)
+// TestAppendStripesSortedUnique: the stripes a range touches come out
+// sorted and unique after what dst already holds, which stays as it is.
+func TestAppendStripesSortedUnique(t *testing.T) {
+	segs := SplitRange(250, 1000, 100, 4)
+	stripes := AppendStripes([]uint32{9}, segs)
+	if !slices.Equal(stripes, []uint32{9, 0, 1, 2, 3}) {
+		t.Fatalf("stripes = %v, want 9 then all 4 in order", stripes)
 	}
 }
 
