@@ -1,6 +1,6 @@
 // Package client implements libccPFS, the ccPFS client library: a
-// POSIX-like API (Create/Open, WriteAt, ReadAt, Append, Truncate, Fsync,
-// Close) whose locking is implicit and transparent, exactly as in the
+// POSIX-like API (Create/Open, WriteAt, WriteMulti, ReadAt, Append,
+// Truncate, Fsync) whose locking is implicit and transparent, exactly as in the
 // paper's prototype. Every IO operation selects a lock mode with the
 // Fig. 10 rules, acquires byte-range locks on the stripes it touches (in
 // ascending stripe order for multi-stripe atomicity), writes through the
@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,17 +35,15 @@ import (
 // conflict). The datatype policy locks exact ranges instead.
 const DefaultLockAlign = 4096
 
-// DefaultMaxFlushRPC bounds the payload of one flush RPC; larger
-// flushes are split (the prototype similarly batches cache pages per
-// RPC).
-const DefaultMaxFlushRPC = 8 << 20
+// maxFlushRPC bounds the payload of one flush RPC; larger flushes are
+// split (the prototype similarly batches cache pages per RPC).
+const maxFlushRPC = 8 << 20
 
-// DefaultFlushWindow is the default bound on concurrent flush RPCs in
-// flight to one data server. The flush path is the conflict-resolution
-// critical path (a conflicting grant waits on the previous holder's
-// flush), so chunks are pipelined instead of issued one blocking RPC at
-// a time.
-const DefaultFlushWindow = 4
+// flushWindow bounds the flush RPCs in flight to one data server. The
+// flush path is the conflict-resolution critical path (a conflicting
+// grant waits on the previous holder's flush), so chunks are pipelined
+// instead of issued one blocking RPC at a time.
+const flushWindow = 4
 
 // Config describes one ccPFS client.
 type Config struct {
@@ -62,28 +59,11 @@ type Config struct {
 	// FlushInterval runs the voluntary flush daemon when > 0 (the
 	// best-effort durability strategy of §IV-C1).
 	FlushInterval time.Duration
-	// MaxFlushRPC bounds the payload bytes of one flush RPC
-	// (DefaultMaxFlushRPC when 0); larger dirty sets are split into a
-	// pipeline of smaller RPCs.
-	MaxFlushRPC int64
-	// FlushWindow bounds how many flush RPCs may be in flight to one
-	// data server at a time, across all of the client's flushes
-	// (DefaultFlushWindow when 0). 1 selects the strictly sequential
-	// flush path.
-	FlushWindow int
 	// Clock is the client's time source: the flush daemon, stats
 	// timing, redirect backoff, and background goroutines run on it.
 	// The zero value is the wall clock; a virtual run sets a VClock so
 	// a whole simulated cluster advances one logical timeline.
 	Clock sim.Clock
-	// Partitioned routes lock traffic by the cluster's partition map
-	// (hash slot → master) instead of stripe placement, refreshing the
-	// cached map on ErrNotOwner redirects (DESIGN.md §12); data
-	// placement is unaffected. Partitioned servers are also
-	// auto-detected at connect time; setting this additionally makes a
-	// missing map a mount-time error instead of a silent fallback to
-	// placement routing.
-	Partitioned bool
 }
 
 // Conns carries the client's established RPC endpoints. Meta may equal
@@ -170,9 +150,12 @@ type Client struct {
 	peerEps  map[dlm.ClientID]*rpc.Endpoint
 	peerDial PeerDialer
 
-	// windows bounds the flush RPCs in flight to each data server,
-	// indexed like conns.Data.
-	windows []flushWindow
+	// windows holds each data server's flush window, indexed like
+	// conns.Data: a channel of flushWindow tokens, one taken per flush
+	// RPC in flight there, across all of the client's flushes at once.
+	// maxRPC bounds one flush RPC's payload (maxFlushRPC).
+	windows []chan struct{}
+	maxRPC  int64
 }
 
 // New builds a client over established connections. It registers the
@@ -182,12 +165,6 @@ func New(ctx context.Context, cfg Config, conns Conns) (*Client, error) {
 	if cfg.ID == 0 {
 		return nil, errors.New("client: ID must be nonzero")
 	}
-	if cfg.MaxFlushRPC == 0 {
-		cfg.MaxFlushRPC = DefaultMaxFlushRPC
-	}
-	if cfg.FlushWindow == 0 {
-		cfg.FlushWindow = DefaultFlushWindow
-	}
 	lifeCtx, cancel := context.WithCancel(context.Background())
 	c := &Client{
 		cfg:      cfg,
@@ -196,10 +173,11 @@ func New(ctx context.Context, cfg Config, conns Conns) (*Client, error) {
 		pc:       pagecache.New(cfg.PageCache),
 		baseCtx:  lifeCtx,
 		cancelFn: cancel,
-		windows:  make([]flushWindow, len(conns.Data)),
+		windows:  make([]chan struct{}, len(conns.Data)),
+		maxRPC:   maxFlushRPC,
 	}
 	for i := range c.windows {
-		c.windows[i].free = cfg.FlushWindow
+		c.windows[i] = newWindow(flushWindow)
 	}
 	c.daemonWG = sim.NewGroup(c.clk)
 	c.pc.SetClock(c.clk)
@@ -245,15 +223,11 @@ func New(ctx context.Context, cfg Config, conns Conns) (*Client, error) {
 			return nil, fmt.Errorf("client: bulk hello: %w", err)
 		}
 	}
-	// Fetch the initial partition map so the first lock RPC routes
-	// correctly. With cfg.Partitioned a failure surfaces a
-	// misconfigured cluster at mount time; without it the probe
-	// auto-detects partitioned servers (cmd/ccpfs-server
-	// -lock-servers) — unpartitioned ones answer with an empty map,
-	// the probe errors, and routing stays placement-based.
-	if err := c.refreshMap(ctx); err != nil && cfg.Partitioned {
-		return nil, fmt.Errorf("client: partition map: %w", err)
-	}
+	// Fetch the partition map so the first lock RPC routes correctly:
+	// partitioned servers (cmd/ccpfs-server -lock-servers) serve one,
+	// unpartitioned ones answer with an empty map, the fetch fails, and
+	// routing stays placement-based.
+	_ = c.refreshMap(ctx)
 	if cfg.FlushInterval > 0 {
 		c.daemonWG.Go(c.flushDaemon)
 	}
@@ -436,9 +410,8 @@ func (c *Client) bulkFor(rid uint64) *rpc.Endpoint {
 // static stripe placement, or — when the lock space is partitioned —
 // the map-routed, redirect-retrying connection.
 func (c *Client) route(res dlm.ResourceID) dlm.ServerConn {
-	// Partitioned explicitly, or a partition map was detected at
-	// connect time (the map only installs when a server served one).
-	if c.cfg.Partitioned || c.partitionMap() != nil {
+	// A map installs only when a server served one (New).
+	if c.partitionMap() != nil {
 		return partConn{c: c}
 	}
 	return rpcConn{ep: c.endpointFor(uint64(res))}
@@ -527,7 +500,7 @@ func (c *Client) flushForCancel(ctx context.Context, res dlm.ResourceID, rng ext
 	// dead context stops the retries — the caller is gone.
 	var err error
 	for attempt := 0; attempt < 3; attempt++ {
-		if err = c.flushRange(ctx, res, rng, sn); err == nil {
+		if err = c.flushGroup(ctx, []uint64{uint64(res)}, rng, sn); err == nil {
 			break
 		}
 		if ctx.Err() != nil {
@@ -544,16 +517,11 @@ func (c *Client) flushForCancel(ctx context.Context, res dlm.ResourceID, rng ext
 	return nil
 }
 
-// flushRange sends the dirty blocks of res within rng with SN <= sn.
-func (c *Client) flushRange(ctx context.Context, res dlm.ResourceID, rng extent.Extent, sn extent.SN) error {
-	return c.flushGroup(ctx, []uint64{uint64(res)}, rng, sn)
-}
-
 // flushStripes flushes the dirty data of many stripes at once, fanning
 // out across data servers: stripes are grouped by owning server and
-// each group flushes through its own bulk endpoint with an independent
-// in-flight window, so a multi-stripe Fsync overlaps every server's
-// round trips. The first error cancels all remaining work.
+// each group flushes through its own bulk endpoint and window, in
+// ascending server order, so a multi-stripe Fsync overlaps every
+// server's round trips. The first error cancels all remaining work.
 func (c *Client) flushStripes(ctx context.Context, rids []uint64, rng extent.Extent, sn extent.SN) error {
 	switch len(rids) {
 	case 0:
@@ -561,37 +529,35 @@ func (c *Client) flushStripes(ctx context.Context, rids []uint64, rng extent.Ext
 	case 1:
 		return c.flushGroup(ctx, rids, rng, sn)
 	}
-	groups := make(map[int][]uint64)
+	groups := make([][]uint64, len(c.conns.Data))
 	for _, rid := range rids {
 		si := meta.PlaceStripe(rid, len(c.conns.Data))
 		groups[si] = append(groups[si], rid)
 	}
-	gctx, cancel := context.WithCancel(ctx)
+	groups = slices.DeleteFunc(groups, func(g []uint64) bool { return len(g) == 0 })
+	return c.fanOut(ctx, len(groups), func(ctx context.Context, i int) error {
+		return c.flushGroup(ctx, groups[i], rng, sn)
+	})
+}
+
+// fanOut runs fn(ctx, 0) … fn(ctx, n-1) at once, one coroutine each,
+// spawned in index order, and returns the first error, which cancels
+// the ctx the others run under.
+func (c *Client) fanOut(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
+	fctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var (
 		once  sync.Once
 		first error
 	)
-	fail := func(err error) {
-		once.Do(func() {
-			first = err
-			cancel()
-		})
-	}
-	// Fan out in sorted server order: map iteration order is the one
-	// nondeterminism a seeded virtual run cannot absorb, since it decides
-	// which group's RPCs enqueue first on the shared timeline.
-	order := make([]int, 0, len(groups))
-	for si := range groups {
-		order = append(order, si)
-	}
-	sort.Ints(order)
 	grp := sim.NewGroup(c.clk)
-	for _, si := range order {
-		g := groups[si]
+	for i := range n {
 		grp.Go(func() {
-			if err := c.flushGroup(gctx, g, rng, sn); err != nil {
-				fail(err)
+			if err := fn(fctx, i); err != nil {
+				once.Do(func() {
+					first = err
+					cancel()
+				})
 			}
 		})
 	}
@@ -688,25 +654,25 @@ func (b *flushBatch) addFrame(rid uint64, client uint32, blocks []pagecache.Bloc
 // flushGroup flushes a set of stripes that live on the same data
 // server. Any failure re-dirties every collected stripe of the group so
 // the data is retried by a later flush (SN-tagged re-application is
-// idempotent at the server). It takes a slot of the server's flush
+// idempotent at the server). It takes a token of the server's flush
 // window before it collects: a flush waiting for the window leaves its
 // data dirty in the pages, where MaxDirty counts it, instead of holding
 // it in frames. On an N-1 strided run dozens of flushes wait at once,
 // and frames held through the wait drained the frame pool after every
 // garbage collection.
 func (c *Client) flushGroup(ctx context.Context, rids []uint64, rng extent.Extent, sn extent.SN) error {
-	win := &c.windows[meta.PlaceStripe(rids[0], len(c.conns.Data))]
+	win := c.windows[meta.PlaceStripe(rids[0], len(c.conns.Data))]
 	start := c.clk.Now()
-	if err := win.acquire(ctx, c.clk); err != nil {
+	if err := c.takeSlot(ctx, win); err != nil {
 		return err
 	}
 	b := flushBatches.Get().(*flushBatch)
 	defer b.recycle()
 	for _, rid := range rids {
-		b.collect(c.pc, rid, rng, sn, uint32(c.cfg.ID), c.cfg.MaxFlushRPC)
+		b.collect(c.pc, rid, rng, sn, uint32(c.cfg.ID), c.maxRPC)
 	}
 	if len(b.stripes) == 0 {
-		win.release(c.clk)
+		sim.Send(c.clk, win, struct{}{})
 		return nil
 	}
 	err := c.sendChunks(ctx, c.bulkFor(b.stripes[0].rid), win, b.frames)
@@ -720,15 +686,33 @@ func (c *Client) flushGroup(ctx context.Context, rids []uint64, rng extent.Exten
 	return err
 }
 
-// sendChunk issues one flush RPC and accounts for it. It takes a slot
+// newWindow returns a flush window of n tokens.
+func newWindow(n int) chan struct{} {
+	win := make(chan struct{}, n)
+	for range n {
+		win <- struct{}{}
+	}
+	return win
+}
+
+// takeSlot takes a token of win, waiting for one unless ctx fires
+// first; sim.Send puts it back.
+func (c *Client) takeSlot(ctx context.Context, win chan struct{}) error {
+	if _, _, err := sim.Recv(ctx, c.clk, win, nil, time.Time{}); err != nil {
+		return wire.FromContext(err)
+	}
+	return nil
+}
+
+// sendChunk issues one flush RPC and accounts for it. It takes a token
 // of win, the server's flush window, for the RPC; a nil win means the
-// caller holds the slot.
-func (c *Client) sendChunk(ctx context.Context, ep *rpc.Endpoint, win *flushWindow, f *flushFrame) error {
+// caller holds one.
+func (c *Client) sendChunk(ctx context.Context, ep *rpc.Endpoint, win chan struct{}, f *flushFrame) error {
 	if win != nil {
-		if err := win.acquire(ctx, c.clk); err != nil {
+		if err := c.takeSlot(ctx, win); err != nil {
 			return err
 		}
-		defer win.release(c.clk)
+		defer sim.Send(c.clk, win, struct{}{})
 	}
 	start := c.clk.Now()
 	err := ep.Call(ctx, wire.MFlush, &f.body, nil)
@@ -740,19 +724,16 @@ func (c *Client) sendChunk(ctx context.Context, ep *rpc.Endpoint, win *flushWind
 	return nil
 }
 
-// sendChunks issues the flush RPCs with up to FlushWindow in flight at
-// once. The caller hands it a slot of win, the server's flush window:
-// the first worker sends in it and gives it back when no RPC is left to
-// claim, and the others take a slot of win per RPC. The first error
-// cancels the window: outstanding calls abort and their server-side
-// work is withdrawn via rpc cancel frames.
-func (c *Client) sendChunks(ctx context.Context, ep *rpc.Endpoint, win *flushWindow, frames []flushFrame) error {
-	workers := c.cfg.FlushWindow
-	if workers > len(frames) {
-		workers = len(frames)
-	}
+// sendChunks issues the flush RPCs with up to the window's size in
+// flight at once. The caller hands it a token of win, the server's
+// flush window: the first worker sends with it and puts it back when no
+// RPC is left to claim, and the others take a token per RPC. The first
+// error cancels the others: outstanding calls abort and their
+// server-side work is withdrawn via rpc cancel frames.
+func (c *Client) sendChunks(ctx context.Context, ep *rpc.Endpoint, win chan struct{}, frames []flushFrame) error {
+	workers := min(cap(win), len(frames))
 	if workers <= 1 {
-		defer win.release(c.clk)
+		defer sim.Send(c.clk, win, struct{}{})
 		for i := range frames {
 			if err := c.sendChunk(ctx, ep, nil, &frames[i]); err != nil {
 				return err
@@ -760,46 +741,30 @@ func (c *Client) sendChunks(ctx context.Context, ep *rpc.Endpoint, win *flushWin
 		}
 		return nil
 	}
-	wctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		once  sync.Once
-		first error
-	)
-	fail := func(err error) {
-		once.Do(func() {
-			first = err
-			cancel()
-		})
-	}
 	var next atomic.Int64
-	grp := sim.NewGroup(c.clk)
-	for w := 0; w < workers; w++ {
-		grp.Go(func() {
-			slot := win
-			if w == 0 {
-				slot = nil // the caller's
-				defer win.release(c.clk)
+	err := c.fanOut(ctx, workers, func(wctx context.Context, w int) error {
+		slot := win
+		if w == 0 {
+			slot = nil // the caller's
+			defer sim.Send(c.clk, win, struct{}{})
+		}
+		for wctx.Err() == nil {
+			i := int(next.Add(1)) - 1
+			if i >= len(frames) {
+				return nil
 			}
-			for wctx.Err() == nil {
-				i := int(next.Add(1)) - 1
-				if i >= len(frames) {
-					return
-				}
-				if err := c.sendChunk(wctx, ep, slot, &frames[i]); err != nil {
-					fail(err)
-					return
-				}
+			if err := c.sendChunk(wctx, ep, slot, &frames[i]); err != nil {
+				return err
 			}
-		})
+		}
+		return nil
+	})
+	if err == nil && ctx.Err() != nil {
+		// The caller's context fired between chunks: no worker failed,
+		// but the flush did not complete.
+		err = wire.FromContext(ctx.Err())
 	}
-	grp.Wait()
-	if first == nil && ctx.Err() != nil {
-		// The caller's context fired between chunks: no worker pushed an
-		// error, but the flush did not complete.
-		first = wire.FromContext(ctx.Err())
-	}
-	return first
+	return err
 }
 
 // flushDaemon implements the voluntary flush of §IV-C1: once dirty data
@@ -998,50 +963,75 @@ func (f *File) WriteAtContext(ctx context.Context, p []byte, off int64) (int, er
 
 // WriteAtOpts is WriteAtContext with experiment controls.
 func (f *File) WriteAtOpts(ctx context.Context, p []byte, off int64, o WriteOptions) (int, error) {
-	if off < 0 {
-		return 0, fmt.Errorf("client: negative offset")
+	if err := f.write(ctx, []WriteOp{{Off: off, Data: p}}, o); err != nil {
+		return 0, err
 	}
-	if len(p) == 0 {
-		return 0, nil
+	return len(p), nil
+}
+
+// write is every write: it splits the ops into stripe segments, locks
+// the touched stripes in ascending order, writes each segment into the
+// cache under its stripe's lock and unlocks once all have landed.
+func (f *File) write(ctx context.Context, ops []WriteOp, o WriteOptions) error {
+	var segBuf [4]meta.Segment
+	segs := segBuf[:0]
+	for _, op := range ops {
+		if op.Off < 0 {
+			return fmt.Errorf("client: negative offset")
+		}
+		segs = meta.AppendSplit(segs, op.Off, int64(len(op.Data)), f.stripeSize, f.stripeCount)
+	}
+	if len(segs) == 0 {
+		return nil
 	}
 	start := f.c.clk.Now()
 	defer func() {
 		f.c.Stats.IONs.Add(f.c.clk.Since(start).Nanoseconds())
 		f.c.Stats.WriteOps.Add(1)
 	}()
-
-	var segBuf [4]meta.Segment
 	var stripeBuf [4]uint32
-	segs := meta.AppendSplit(segBuf[:0], off, int64(len(p)), f.stripeSize, f.stripeCount)
 	stripes := meta.AppendStripes(stripeBuf[:0], segs)
 	mode := o.Mode
 	if mode == dlm.ModeNone {
 		mode = dlm.SelectMode(false, false, len(stripes) > 1)
 	}
-
 	var hbuf [4]*dlm.Handle
 	handles, err := f.acquireStripes(ctx, hbuf[:0], stripes, segs, mode, o.LockWholeStripe)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	for _, seg := range segs {
-		h := handleOf(stripes, handles, seg.Stripe)
-		f.c.pc.Write(uint64(f.Resource(seg.Stripe)), seg.Off, p[seg.FileOff-off:seg.FileOff-off+seg.Len], h.SN())
+	rest := segs // the ops' segments, op after op
+	for _, op := range ops {
+		for n := int64(0); n < int64(len(op.Data)); rest = rest[1:] {
+			seg := rest[0]
+			rel := seg.FileOff - op.Off
+			h := handleOf(stripes, handles, seg.Stripe)
+			f.c.pc.Write(uint64(f.Resource(seg.Stripe)), seg.Off, op.Data[rel:rel+seg.Len], h.SN())
+			n += seg.Len
+		}
 	}
 	f.unlockAll(handles)
-	return len(p), nil
+	return nil
 }
 
 // acquireStripes obtains one lock per touched stripe in ascending stripe
 // order, timing the locking part, and appends them to handles: the lock
-// of stripes[i] is handles[i] (see handleOf).
+// of stripes[i] is handles[i] (see handleOf). A stripe's lock covers its
+// segments' range, or with whole every stripe's [0, ∞); under
+// DLM-datatype, segments that leave gaps are locked by their exact
+// extent set.
 func (f *File) acquireStripes(ctx context.Context, handles []*dlm.Handle, stripes []uint32, segs []meta.Segment, mode dlm.Mode, whole bool) ([]*dlm.Handle, error) {
 	lockStart := f.c.clk.Now()
 	defer func() { f.c.Stats.LockNs.Add(f.c.clk.Since(lockStart).Nanoseconds()) }()
 	for _, st := range stripes {
-		lo, hi, _ := meta.StripeRange(segs, st)
-		rng := f.lockRange(lo, hi, whole)
-		h, err := f.c.lc.Acquire(ctx, f.Resource(st), mode, rng)
+		var h *dlm.Handle
+		var err error
+		if set := f.gappedSet(segs, st, whole); set != nil {
+			h, err = f.c.lc.AcquireExtents(ctx, f.Resource(st), mode, set)
+		} else {
+			lo, hi, _ := meta.StripeRange(segs, st)
+			h, err = f.c.lc.Acquire(ctx, f.Resource(st), mode, f.lockRange(lo, hi, whole))
+		}
 		if err != nil {
 			f.unlockAll(handles)
 			return nil, err
@@ -1049,6 +1039,35 @@ func (f *File) acquireStripes(ctx context.Context, handles []*dlm.Handle, stripe
 		handles = append(handles, h)
 	}
 	return handles, nil
+}
+
+// gappedSet returns the exact extents of stripe st's segments when
+// they leave gaps under DLM-datatype, and nil otherwise. Segments that
+// follow on from each other leave none, and no set is built for them.
+func (f *File) gappedSet(segs []meta.Segment, st uint32, whole bool) extent.Set {
+	if whole || f.c.cfg.Policy.Expand != dlm.ExpandNone {
+		return nil
+	}
+	end, follow := int64(-1), true
+	for _, seg := range segs {
+		if seg.Stripe == st {
+			follow = follow && (end < 0 || seg.Off == end)
+			end = seg.Off + seg.Len
+		}
+	}
+	if follow {
+		return nil
+	}
+	var exts []extent.Extent
+	for _, seg := range segs {
+		if seg.Stripe == st {
+			exts = append(exts, extent.Span(seg.Off, seg.Len))
+		}
+	}
+	if set := extent.NewSet(exts...); len(set) > 1 {
+		return set
+	}
+	return nil
 }
 
 // handleOf returns the lock of stripe st, given the ascending stripes
@@ -1201,7 +1220,7 @@ func (f *File) AppendContext(ctx context.Context, p []byte) (int64, error) {
 		f.c.Stats.IONs.Add(f.c.clk.Since(start).Nanoseconds())
 		f.c.Stats.WriteOps.Add(1)
 	}()
-	handles, err := f.lockWhole(ctx)
+	handles, err := f.acquireStripes(ctx, nil, f.stripes(), nil, dlm.PW, true)
 	if err != nil {
 		return 0, err
 	}
@@ -1225,21 +1244,13 @@ func (f *File) AppendContext(ctx context.Context, p []byte) (int64, error) {
 	return off, nil
 }
 
-// lockWhole takes PW locks over every stripe's whole range, in stripe
-// order, timing them: handles[st] is stripe st's lock.
-func (f *File) lockWhole(ctx context.Context) ([]*dlm.Handle, error) {
-	lockStart := f.c.clk.Now()
-	defer func() { f.c.Stats.LockNs.Add(f.c.clk.Since(lockStart).Nanoseconds()) }()
-	handles := make([]*dlm.Handle, 0, f.stripeCount)
-	for st := range f.stripeCount {
-		h, err := f.c.lc.Acquire(ctx, f.Resource(st), dlm.PW, extent.New(0, extent.Inf))
-		if err != nil {
-			f.unlockAll(handles)
-			return nil, err
-		}
-		handles = append(handles, h)
+// stripes returns every stripe of the file, in order.
+func (f *File) stripes() []uint32 {
+	all := make([]uint32, f.stripeCount)
+	for st := range all {
+		all[st] = uint32(st)
 	}
-	return handles, nil
+	return all
 }
 
 // Truncate sets the file size exactly, shorter or longer. It takes PW
@@ -1254,7 +1265,7 @@ func (f *File) TruncateContext(ctx context.Context, size int64) error {
 	if size < 0 {
 		return fmt.Errorf("client: negative size")
 	}
-	handles, err := f.lockWhole(ctx)
+	handles, err := f.acquireStripes(ctx, nil, f.stripes(), nil, dlm.PW, true)
 	if err != nil {
 		return err
 	}
@@ -1309,10 +1320,6 @@ func (f *File) FsyncContext(ctx context.Context) error {
 	return f.c.flushStripes(ctx, rids, extent.New(0, extent.Inf), ^extent.SN(0))
 }
 
-// Close flushes the file. Locks stay cached for reuse until revoked or
-// the client closes.
-func (f *File) Close() error { return f.Fsync() }
-
 // WriteOp is one piece of a vectored write.
 type WriteOp struct {
 	Off  int64
@@ -1325,86 +1332,12 @@ type WriteOp struct {
 // until all pieces land in the cache, and locks are taken in ascending
 // stripe order. Under SeqDLM the per-stripe lock is the minimum covering
 // range (more conflicts, but early grant absorbs them — §V-D); under
-// DLM-datatype it is the exact extent list.
+// DLM-datatype it is the exact extent list where the pieces leave gaps.
 func (f *File) WriteMulti(ops []WriteOp) error {
 	return f.WriteMultiContext(f.c.baseCtx, ops)
 }
 
 // WriteMultiContext is WriteMulti bounded by ctx.
 func (f *File) WriteMultiContext(ctx context.Context, ops []WriteOp) error {
-	if len(ops) == 0 {
-		return nil
-	}
-	start := f.c.clk.Now()
-	defer func() {
-		f.c.Stats.IONs.Add(f.c.clk.Since(start).Nanoseconds())
-		f.c.Stats.WriteOps.Add(1)
-	}()
-
-	// Map every piece to stripe-local segments, grouped by stripe.
-	type piece struct {
-		seg  meta.Segment
-		data []byte
-	}
-	perStripe := make(map[uint32][]piece)
-	for _, op := range ops {
-		for _, seg := range meta.SplitRange(op.Off, int64(len(op.Data)), f.stripeSize, f.stripeCount) {
-			rel := seg.FileOff - op.Off
-			perStripe[seg.Stripe] = append(perStripe[seg.Stripe], piece{seg: seg, data: op.Data[rel : rel+seg.Len]})
-		}
-	}
-	stripes := make([]uint32, 0, len(perStripe))
-	for st := range perStripe {
-		stripes = append(stripes, st)
-	}
-	for i := 1; i < len(stripes); i++ {
-		for j := i; j > 0 && stripes[j] < stripes[j-1]; j-- {
-			stripes[j], stripes[j-1] = stripes[j-1], stripes[j]
-		}
-	}
-
-	mode := dlm.SelectMode(false, false, len(stripes) > 1)
-	lockStart := f.c.clk.Now()
-	handles := make([]*dlm.Handle, 0, len(stripes))
-	for _, st := range stripes {
-		var h *dlm.Handle
-		var err error
-		if f.c.cfg.Policy.Expand == dlm.ExpandNone {
-			// Datatype locking: describe the non-contiguous ranges
-			// exactly.
-			var exts []extent.Extent
-			for _, pc := range perStripe[st] {
-				exts = append(exts, extent.Span(pc.seg.Off, pc.seg.Len))
-			}
-			h, err = f.c.lc.AcquireExtents(ctx, f.Resource(st), mode, extent.NewSet(exts...))
-		} else {
-			lo, hi := int64(-1), int64(-1)
-			for _, pc := range perStripe[st] {
-				if lo < 0 || pc.seg.Off < lo {
-					lo = pc.seg.Off
-				}
-				if pc.seg.Off+pc.seg.Len > hi {
-					hi = pc.seg.Off + pc.seg.Len
-				}
-			}
-			h, err = f.c.lc.Acquire(ctx, f.Resource(st), mode, f.lockRange(lo, hi, false))
-		}
-		if err != nil {
-			f.unlockAll(handles)
-			f.c.Stats.LockNs.Add(f.c.clk.Since(lockStart).Nanoseconds())
-			return err
-		}
-		handles = append(handles, h)
-	}
-	f.c.Stats.LockNs.Add(f.c.clk.Since(lockStart).Nanoseconds())
-
-	for i, st := range stripes {
-		h := handles[i]
-		rid := uint64(f.Resource(st))
-		for _, pc := range perStripe[st] {
-			f.c.pc.Write(rid, pc.seg.Off, pc.data, h.SN())
-		}
-	}
-	f.unlockAll(handles)
-	return nil
+	return f.write(ctx, ops, WriteOptions{})
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"testing"
 
 	"ccpfs/internal/dataserver"
@@ -17,21 +18,26 @@ import (
 )
 
 // harness starts nservers data servers (server 0 hosting the namespace)
-// and builds clients against them.
+// and builds clients against them, all on hw's clock.
 type harness struct {
 	t    *testing.T
 	net  *memnet.Network
 	ns   *meta.Service
 	pol  dlm.Policy
+	hw   sim.Hardware
 	n    int
 	next dlm.ClientID
 }
 
 func newHarness(t *testing.T, pol dlm.Policy, nservers int) *harness {
+	return newHarnessOn(t, pol, nservers, sim.Fast())
+}
+
+func newHarnessOn(t *testing.T, pol dlm.Policy, nservers int, hw sim.Hardware) *harness {
 	t.Helper()
-	h := &harness{t: t, net: memnet.New(sim.Fast()), ns: meta.NewService(), pol: pol, n: nservers}
+	h := &harness{t: t, net: memnet.New(hw), ns: meta.NewService(), pol: pol, hw: hw, n: nservers}
 	for i := 0; i < nservers; i++ {
-		cfg := dataserver.Config{Name: fmt.Sprintf("s%d", i), Policy: pol}
+		cfg := dataserver.Config{Name: fmt.Sprintf("s%d", i), Policy: pol, Hardware: hw}
 		if i == 0 {
 			cfg.Meta = h.ns
 		}
@@ -55,14 +61,14 @@ func (h *harness) client(cfg Config) *Client {
 	if cfg.Name == "" {
 		cfg.Name = fmt.Sprintf("c%d", cfg.ID)
 	}
-	cfg.Policy = h.pol
+	cfg.Policy, cfg.Clock = h.pol, h.hw.Clock
 	conns := Conns{}
 	for i := 0; i < h.n; i++ {
 		conn, err := h.net.Dial(fmt.Sprintf("server-%d", i))
 		if err != nil {
 			h.t.Fatal(err)
 		}
-		ep := rpc.NewEndpoint(conn, rpc.Options{})
+		ep := rpc.NewEndpoint(conn, rpc.Options{Clock: h.hw.Clock})
 		conns.Data = append(conns.Data, ep)
 		if i == 0 {
 			conns.Meta = ep
@@ -340,5 +346,59 @@ func TestReadYourOwnDirtyWrites(t *testing.T) {
 	// The dirty data must still be flushable (it survived the fill).
 	if cl.PageCache().DirtyBytes() == 0 {
 		t.Fatal("dirty bytes lost")
+	}
+}
+
+// TestListAndObs: List returns every path in the namespace, and the
+// client's metrics registry counts the client's writes.
+func TestListAndObs(t *testing.T) {
+	h := newHarness(t, dlm.SeqDLM(), 1)
+	cl := h.client(Config{})
+	for _, p := range []string{"/b", "/a"} {
+		f, err := cl.Create(p, 4096, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteAt([]byte("x"), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	paths, err := cl.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	slices.Sort(paths)
+	if !slices.Equal(paths, []string{"/a", "/b"}) {
+		t.Fatalf("List = %v, want [/a /b]", paths)
+	}
+	if got := cl.Obs().Snapshot().Gauges["client.write_ops"]; got != 2 {
+		t.Fatalf("client.write_ops = %d, want 2", got)
+	}
+}
+
+// TestPeerRedialedAfterFailure: a handoff whose peer connection fails
+// drops that connection, so the next transfer to the peer dials anew.
+func TestPeerRedialedAfterFailure(t *testing.T) {
+	h := newHarness(t, dlm.SeqDLM(), 1)
+	cl := h.client(Config{})
+	dials := 0
+	cl.SetPeerDialer(func(dlm.ClientID) (*rpc.Endpoint, error) {
+		dials++
+		conn, err := h.net.Dial("server-0")
+		if err != nil {
+			return nil, err
+		}
+		ep := rpc.NewEndpoint(conn, rpc.Options{})
+		ep.Start()
+		ep.Close() // a peer that has gone away
+		return ep, nil
+	})
+	for i := 1; i <= 2; i++ {
+		if err := cl.SendHandoff(context.Background(), 9, 1, 1, nil, nil); err == nil {
+			t.Fatal("handoff over a closed connection succeeded")
+		}
+		if dials != i {
+			t.Fatalf("%d dials after %d failed handoffs, want %d", dials, i, i)
+		}
 	}
 }

@@ -47,7 +47,7 @@ func (r *flushRecorder) take(failAt int) [][]byte {
 
 // wantFrames is the reference for one flushGroup: every stripe's dirty
 // blocks collected by CollectDirty from a cache holding the same data,
-// cut by the MaxFlushRPC rule, and marshaled as FlushRequests. It also
+// cut by the maxRPC rule, and marshaled as FlushRequests. It also
 // returns the collected blocks, so a simulated failure can re-dirty
 // them.
 func wantFrames(pc *pagecache.Cache, rids []uint64, rng extent.Extent, sn extent.SN, client uint32, maxRPC int64) ([][]byte, map[uint64][]pagecache.Block) {
@@ -79,7 +79,7 @@ func wantFrames(pc *pagecache.Cache, rids []uint64, rng extent.Extent, sn extent
 // collection pass fills in place against wire.Marshal of the equivalent
 // FlushRequests, for random dirty layouts across several stripes of one
 // server — SN interleavings, partial ranges and SN bounds, splits at
-// MaxFlushRPC and blocks larger than it — as the data server receives
+// maxRPC and blocks larger than it — as the data server receives
 // them. Each layout is flushed twice. The first flush fails at a random
 // RPC, which must re-dirty every collected block by range and SN and put
 // the unsent frames back; the pools are then scribbled over, and the
@@ -109,10 +109,11 @@ func TestFlushFrameMatchesMarshal(t *testing.T) {
 	defer bulk.Close()
 
 	cfg := pagecache.Config{PageSize: 4096}
-	var splits, oversized int // coverage of the MaxFlushRPC rule's two cases
+	var splits, oversized int // coverage of the maxRPC rule's two cases
 	for seed := int64(1); seed <= 40; seed++ {
 		rnd := rand.New(rand.NewSource(seed))
-		cl := h.client(Config{PageCache: cfg, MaxFlushRPC: maxRPC, FlushWindow: 1})
+		cl := h.client(Config{PageCache: cfg})
+		cl.maxRPC, cl.windows[0] = maxRPC, newWindow(1)
 		cl.conns.Bulk = []*rpc.Endpoint{bulk}
 		ref := pagecache.New(cfg)
 		rids := []uint64{uint64(seed)<<8 | 1, uint64(seed)<<8 | 2, uint64(seed)<<8 | 3, uint64(seed)<<8 | 4}
@@ -195,7 +196,7 @@ func TestFlushFrameMatchesMarshal(t *testing.T) {
 
 		// The retry runs the flush window (the failure above ran it
 		// sequentially, so no RPC of it can still be on its way).
-		cl.cfg.FlushWindow = 1 + int(seed%3)
+		cl.windows[0] = newWindow(1 + int(seed%3))
 		want, _ = wantFrames(ref, rids, rng, maxSN, uint32(cl.cfg.ID), maxRPC)
 		if err := cl.flushGroup(context.Background(), rids, rng, maxSN); err != nil {
 			t.Fatalf("seed %d: retry: %v", seed, err)

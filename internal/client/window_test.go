@@ -13,98 +13,97 @@ import (
 )
 
 // TestFlushWindowBoundsAndOrder: on the virtual clock, eight flushes
-// that each hold a slot of a two-slot window for a millisecond run two
-// at a time, in the order they asked.
+// that each hold a token of a two-token window for a millisecond run
+// two at a time, in the order they asked.
 func TestFlushWindowBoundsAndOrder(t *testing.T) {
 	v := sim.NewVClock(1)
-	clk := sim.Virtual(v)
-	w := &flushWindow{free: 2}
+	c := &Client{clk: sim.Virtual(v)}
+	win := newWindow(2)
 	var order []int
 	inflight, peak := 0, 0
 	var took time.Duration
 	v.Run(func() {
-		start := clk.Now()
-		grp := sim.NewGroup(clk)
+		start := c.clk.Now()
+		grp := sim.NewGroup(c.clk)
 		for i := range 8 {
 			grp.Go(func() {
-				if err := w.acquire(context.Background(), clk); err != nil {
+				if err := c.takeSlot(context.Background(), win); err != nil {
 					t.Error(err)
 					return
 				}
 				order = append(order, i)
 				inflight++
 				peak = max(peak, inflight)
-				clk.Sleep(time.Millisecond)
+				c.clk.Sleep(time.Millisecond)
 				inflight--
-				w.release(clk)
+				sim.Send(c.clk, win, struct{}{})
 			})
-			clk.Sleep(time.Microsecond)
+			c.clk.Sleep(time.Microsecond)
 		}
 		grp.Wait()
-		took = clk.Since(start)
+		took = c.clk.Since(start)
 	})
 	if peak != 2 {
 		t.Errorf("%d flushes in flight at once, want 2", peak)
 	}
 	if !slices.IsSorted(order) || len(order) != 8 {
-		t.Errorf("slots taken in order %v, want arrival order", order)
+		t.Errorf("tokens taken in order %v, want arrival order", order)
 	}
 	if took < 4*time.Millisecond || took > 5*time.Millisecond {
-		t.Errorf("eight 1 ms flushes through two slots took %v, want about 4 ms", took)
+		t.Errorf("eight 1 ms flushes through two tokens took %v, want about 4 ms", took)
 	}
-	if w.free != 2 || len(w.waiters) != 0 {
-		t.Errorf("window left with %d free slots and %d waiters, want 2 and 0", w.free, len(w.waiters))
+	if len(win) != 2 {
+		t.Errorf("window left with %d tokens, want 2", len(win))
 	}
 }
 
 // TestFlushWindowWaiterCanceled: a flush whose ctx fires while it waits
-// leaves the queue without a slot, and the next release frees its slot.
+// returns an error and takes no token.
 func TestFlushWindowWaiterCanceled(t *testing.T) {
-	w := &flushWindow{}
+	c := &Client{}
+	win := newWindow(1)
+	<-win
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
-	if err := w.acquire(ctx, sim.Clock{}); err == nil {
-		t.Fatal("acquire of a full window returned a slot")
+	if err := c.takeSlot(ctx, win); err == nil {
+		t.Fatal("takeSlot on an empty window returned a token")
 	}
-	if len(w.waiters) != 0 {
-		t.Fatalf("%d waiters left queued", len(w.waiters))
-	}
-	w.release(sim.Clock{})
-	if w.free != 1 {
-		t.Fatalf("free = %d after a release, want 1", w.free)
+	sim.Send(c.clk, win, struct{}{})
+	if err := c.takeSlot(context.Background(), win); err != nil || len(win) != 0 {
+		t.Fatalf("after a token came back: err %v, %d tokens left; want nil and 0", err, len(win))
 	}
 }
 
-// TestFlushCollectsInItsSlot: a flush whose server's window is full
-// collects nothing until it gets a slot, so a waiting flush holds no
-// frames; once it has one it flushes everything.
+// TestFlushCollectsInItsSlot: on the virtual clock, a flush whose
+// server's window is empty collects nothing until it gets a token, so a
+// waiting flush holds no frames; once it has one it flushes everything.
 func TestFlushCollectsInItsSlot(t *testing.T) {
-	h := newHarness(t, dlm.SeqDLM(), 1)
-	cl := h.client(Config{FlushWindow: 1})
-	const rid, n = 7, 8192
-	cl.pc.Write(rid, 0, bytes.Repeat([]byte{1}, n), 1)
-	win := &cl.windows[0]
-	if err := win.acquire(context.Background(), sim.Clock{}); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() {
-		done <- cl.flushGroup(context.Background(), []uint64{rid}, extent.New(0, extent.Inf), ^extent.SN(0))
-	}()
-	for waiting := 0; waiting == 0; {
-		time.Sleep(time.Millisecond)
-		win.mu.Lock()
-		waiting = len(win.waiters)
-		win.mu.Unlock()
-	}
-	if got := cl.pc.DirtyBytes(); got != n {
-		t.Fatalf("%d dirty bytes while the flush waits for a slot, want %d", got, n)
-	}
-	win.release(sim.Clock{})
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if got := cl.pc.DirtyBytes(); got != 0 || win.free != 1 {
-		t.Fatalf("after the flush: %d dirty bytes, %d free slots; want 0 and 1", got, win.free)
-	}
+	v := sim.NewVClock(1)
+	hw := sim.Fast()
+	hw.Clock = sim.Virtual(v)
+	v.Run(func() {
+		cl := newHarnessOn(t, dlm.SeqDLM(), 1, hw).client(Config{})
+		cl.windows[0] = newWindow(1)
+		win := cl.windows[0]
+		const rid, n = 7, 8192
+		cl.pc.Write(rid, 0, bytes.Repeat([]byte{1}, n), 1)
+		<-win
+		var err error
+		grp := sim.NewGroup(cl.clk)
+		grp.Go(func() {
+			err = cl.flushGroup(context.Background(), []uint64{rid}, extent.New(0, extent.Inf), ^extent.SN(0))
+		})
+		cl.clk.Sleep(time.Millisecond) // the flush has parked on the empty window
+		if got := cl.pc.DirtyBytes(); got != n {
+			t.Fatalf("%d dirty bytes while the flush waits for a token, want %d", got, n)
+		}
+		sim.Send(cl.clk, win, struct{}{})
+		grp.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := cl.pc.DirtyBytes(); got != 0 || len(win) != 1 {
+			t.Fatalf("after the flush: %d dirty bytes, %d tokens; want 0 and 1", got, len(win))
+		}
+	})
 }

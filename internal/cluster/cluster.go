@@ -187,7 +187,6 @@ func (c *Cluster) NewClient(name string) (*client.Client, error) {
 		PageCache:     pcCfg,
 		FlushInterval: c.opts.FlushInterval,
 		Clock:         c.opts.Hardware.Clock,
-		Partitioned:   c.opts.Partition,
 	}, conns)
 	if err != nil || !(c.opts.Handoff || c.opts.ReaderFanout) {
 		return cl, err
