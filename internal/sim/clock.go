@@ -644,6 +644,16 @@ func (v *VClock) wakeup(key any, atNs int64) {
 	v.mu.Unlock()
 }
 
+// wakeupOne readies the first goroutine parked on key, if any.
+func (v *VClock) wakeupOne(key any) {
+	v.mu.Lock()
+	if g := v.parked[key]; g != nil {
+		v.dropParkedLocked(g)
+		v.readyLocked(g, WakeKey)
+	}
+	v.mu.Unlock()
+}
+
 // parkLocked appends g to the chain of goroutines parked on g.key.
 func (v *VClock) parkLocked(g *vg) {
 	head := v.parked[g.key]

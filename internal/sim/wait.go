@@ -77,10 +77,15 @@ func Recv[T any](ctx context.Context, clk Clock, ch chan T, stop <-chan struct{}
 	}
 }
 
-// Send sends x on ch and wakes the Recv parked on it.
+// Send sends x on ch and wakes the first Recv parked on it: one value
+// needs one receiver. A woken Recv takes a value before it looks at its
+// ctx, stop or deadline, so the value is not left behind by a receiver
+// that has given up.
 func Send[T any](clk Clock, ch chan T, x T) {
 	ch <- x
-	clk.Wakeup(ch)
+	if clk.v != nil {
+		clk.v.wakeupOne(ch)
+	}
 }
 
 // Close closes ch and wakes every Recv parked on it.

@@ -171,3 +171,52 @@ func TestCond(t *testing.T) {
 		mu.Unlock()
 	})
 }
+
+// TestSendWakesOne: a Send to a channel with three Recvs parked on it
+// readies exactly one of them, the first to park, and that one takes
+// the value although its ctx was canceled while it waited: a token put
+// back in a window is never lost to a waiter that gave up.
+func TestSendWakesOne(t *testing.T) {
+	v := NewVClock(1)
+	v.Run(func() {
+		clk := Virtual(v)
+		ch := make(chan int, 1)
+		ctx, cancel := context.WithCancel(context.Background())
+		type result struct {
+			i, x int
+			err  error
+		}
+		results := make(chan result, 3)
+		for i := range 3 {
+			c := context.Background()
+			if i == 0 {
+				c = ctx
+			}
+			clk.Go(func() {
+				x, _, err := Recv(c, clk, ch, nil, time.Time{})
+				results <- result{i, x, err}
+			})
+		}
+		clk.Sleep(time.Microsecond) // all three park, in spawn order
+		cancel()                    // wakes nothing
+		Send(clk, ch, 7)
+		v.mu.Lock()
+		parked := 0
+		for g := v.parked[ch]; g != nil; g = g.next {
+			parked++
+		}
+		v.mu.Unlock()
+		if parked != 2 {
+			t.Errorf("%d receivers still parked after one Send, want 2", parked)
+		}
+		clk.Sleep(time.Microsecond)
+		if r := <-results; r.i != 0 || r.x != 7 || r.err != nil {
+			t.Errorf("woken receiver = %+v, want the first, with 7 and no error", r)
+		}
+		Close(clk, ch)
+		clk.Sleep(time.Microsecond)
+		if n := len(results); n != 2 {
+			t.Errorf("%d receivers returned after Close, want 2", n)
+		}
+	})
+}
