@@ -342,23 +342,9 @@ func (c *Client) handleRevokeBatch(_ context.Context, p []byte) (wire.Msg, error
 		return nil, err
 	}
 	for _, e := range req.Entries {
-		c.lc.OnRevokeStamped(dlm.ResourceID(e.Resource), dlm.LockID(e.LockID), stampOf(e.Handoff))
+		c.lc.OnRevokeStamped(dlm.ResourceID(e.Resource), dlm.LockID(e.LockID), dlm.StampFromWire(e.Handoff))
 	}
 	return &wire.RevokeBatchAck{Acked: req.Entries}, nil
-}
-
-// stampOf converts a wire handoff stamp to the lock client's form.
-func stampOf(w *wire.HandoffStamp) *dlm.HandoffStamp {
-	if w == nil {
-		return nil
-	}
-	return &dlm.HandoffStamp{
-		NextOwner: dlm.ClientID(w.NextOwner),
-		NewLockID: dlm.LockID(w.NewLockID),
-		Mode:      dlm.Mode(w.Mode),
-		SN:        extent.SN(w.SN),
-		MustFlush: w.MustFlush,
-	}
 }
 
 // reportHandler answers a lock-state gather from server serverIdx
@@ -454,7 +440,7 @@ func (c rpcConn) Lock(ctx context.Context, req dlm.Request) (dlm.Grant, error) {
 		State:       dlm.State(rep.State),
 		Delegated:   rep.Delegated,
 		GatherParts: int(rep.GatherParts),
-		HandBack:    dlm.BroadcastFromWire(rep.HandBack),
+		HandBack:    dlm.StampFromWire(rep.HandBack),
 	}
 	for _, id := range rep.Absorbed {
 		g.Absorbed = append(g.Absorbed, dlm.LockID(id))

@@ -394,7 +394,7 @@ func TestPeerRedialedAfterFailure(t *testing.T) {
 		return ep, nil
 	})
 	for i := 1; i <= 2; i++ {
-		if err := cl.SendHandoff(context.Background(), 9, 1, 1, nil, nil); err == nil {
+		if err := cl.SendTransfer(context.Background(), 9, 1, dlm.Transfer{Lock: 1}); err == nil {
 			t.Fatal("handoff over a closed connection succeeded")
 		}
 		if dials != i {

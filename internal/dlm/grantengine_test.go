@@ -334,8 +334,8 @@ type countingBatchNotifier struct {
 	revs    atomic.Int64
 }
 
-func (n *countingBatchNotifier) Handoff(context.Context, ClientID, ResourceID, LockID)    {}
-func (n *countingBatchNotifier) SolicitAck(context.Context, ClientID, ResourceID, LockID) {}
+func (n *countingBatchNotifier) Handoff(context.Context, ClientID, ResourceID, LockID, LockID) {}
+func (n *countingBatchNotifier) SolicitAck(context.Context, ClientID, ResourceID, LockID)      {}
 
 func (n *countingBatchNotifier) RevokeBatch(_ context.Context, _ ClientID, revs []Revocation) {
 	n.batches.Add(1)

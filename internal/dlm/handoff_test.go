@@ -2,6 +2,7 @@ package dlm
 
 import (
 	"context"
+	"errors"
 	"slices"
 	"sync"
 	"testing"
@@ -23,11 +24,24 @@ type hoHarness struct {
 	clients map[ClientID]*LockClient
 
 	mu            sync.Mutex
-	dropRevokes   bool     // swallow revocations (vanished holder)
-	dropTransfers bool     // swallow peer transfers (lost handoff message)
-	dropLeases    bool     // swallow lease propagations (lost tree edges)
-	acked         []LockID // every lock ID a standalone HandoffAck carried
+	dropRevokes   bool                   // swallow revocations (vanished holder)
+	dropTransfers bool                   // swallow parts and handbacks (lost handoff message)
+	dropLeases    bool                   // swallow propagation-tree hops (lost tree edges)
+	faults        map[ClientID]peerFault // how each sender's peer sends fail
+	acked         []LockID               // every lock ID a standalone HandoffAck carried
 }
+
+// peerFault is how a client's peer sends fail in the harness.
+type peerFault uint8
+
+const (
+	sendOK      peerFault = iota
+	sendRefused           // the send fails and nothing is delivered
+	sendLostAck           // the transfer is delivered, then the send reports an error
+)
+
+// errPeerSend is a harness peer send's injected failure.
+var errPeerSend = errors.New("harness: peer send failed")
 
 type hoNotifier struct{ h *hoHarness }
 
@@ -48,9 +62,9 @@ func (n hoNotifier) RevokeBatch(_ context.Context, client ClientID, revs []Revoc
 }
 
 // Handoff implements Notifier: the server-sent activation path.
-func (n hoNotifier) Handoff(_ context.Context, client ClientID, res ResourceID, id LockID) {
+func (n hoNotifier) Handoff(_ context.Context, client ClientID, res ResourceID, id, member LockID) {
 	if c, ok := n.h.clients[client]; ok {
-		c.OnHandoff(res, id)
+		c.OnTransfer(res, Transfer{Lock: id, Member: member, Final: member == 0})
 	}
 }
 
@@ -86,29 +100,33 @@ func (d hoConn) HandoffAck(_ context.Context, res ResourceID, ids []LockID) erro
 	return nil
 }
 
-// hoSender is the harness clients' peer transport: handoff transfers
-// plus lease propagations, each droppable to simulate loss.
-type hoSender struct{ h *hoHarness }
-
-func (s hoSender) SendHandoff(_ context.Context, peer ClientID, res ResourceID, id LockID, acks []LockID, bcast *BroadcastStamp) error {
-	s.h.mu.Lock()
-	drop := s.h.dropTransfers
-	s.h.mu.Unlock()
-	if drop {
-		return nil // accepted, then lost in flight
-	}
-	s.h.clients[peer].OnHandoffMsg(res, id, false, acks, bcast)
-	return nil
+// hoSender is one harness client's peer transport: parts, handbacks and
+// propagation-tree hops, each droppable to simulate loss, and failing
+// as the harness's faults say for this sender.
+type hoSender struct {
+	h    *hoHarness
+	from ClientID
 }
 
-func (s hoSender) SendLease(_ context.Context, peer ClientID, res ResourceID, grant *BroadcastStamp) error {
+func (s hoSender) SendTransfer(_ context.Context, peer ClientID, res ResourceID, t Transfer) error {
 	s.h.mu.Lock()
-	drop := s.h.dropLeases
+	// A hop carries a cohort that no flush precedes; a handback's does.
+	drop := s.h.dropTransfers
+	if t.Cohort != nil && !t.Cohort.MustFlush {
+		drop = s.h.dropLeases
+	}
+	fault := s.h.faults[s.from]
 	s.h.mu.Unlock()
-	if drop {
+	switch {
+	case fault == sendRefused:
+		return errPeerSend
+	case drop:
 		return nil // accepted, then lost in flight
 	}
-	s.h.clients[peer].OnLeasePropagate(res, grant)
+	s.h.clients[peer].OnTransfer(res, t)
+	if fault == sendLostAck {
+		return errPeerSend
+	}
 	return nil
 }
 
@@ -125,7 +143,7 @@ func newHOHarness(t *testing.T, policy Policy, nclients int, peers bool) *hoHarn
 		id := ClientID(i)
 		c := NewLockClient(id, policy, router, h.flusher)
 		if peers {
-			c.SetPeerSender(hoSender{h})
+			c.SetPeerSender(hoSender{h, id})
 		}
 		h.clients[id] = c
 	}

@@ -381,6 +381,124 @@ func TestReaderFanReclaimLostPropagation(t *testing.T) {
 	}
 }
 
+// gatherReaders has clients 2..nReaders+1 take PR locks over rng from
+// the server and keep them cached, the cohort a writer's NBW acquire
+// gathers. A reader listed in held keeps its hold, so its part leaves
+// only once the test unlocks the returned handle.
+func gatherReaders(t *testing.T, h *hoHarness, res ResourceID, rng extent.Extent, nReaders int, held int) *Handle {
+	t.Helper()
+	var keep *Handle
+	for i := 0; i < nReaders; i++ {
+		hd := mustAcquire(t, h.client(2+i), res, PR, rng)
+		if 2+i == held {
+			keep = hd
+			continue
+		}
+		h.client(2 + i).Unlock(hd)
+	}
+	for _, c := range h.clients {
+		c.FlushHandoffAcks(context.Background())
+	}
+	return keep
+}
+
+// TestReaderFanMixedGather: a gather of two readers, one of which
+// transfers its part peer-to-peer and one of which releases instead
+// (its peer send fails). The server sends the writer the releasing
+// member's part, so the writer's acquire returns within a round trip or
+// two, not after the reclaimer's two periods.
+func TestReaderFanMixedGather(t *testing.T) {
+	const reclaim = 200 * time.Millisecond
+	h := newHOHarness(t, fanPolicy(), 3, true)
+	h.srv.SetHandoffTimeout(reclaim)
+	res := ResourceID(38)
+	rng := extent.New(0, 4096)
+
+	gatherReaders(t, h, res, rng, 2, 0)
+	h.mu.Lock()
+	h.faults = map[ClientID]peerFault{3: sendRefused}
+	h.mu.Unlock()
+	start := time.Now()
+	w := <-acquireAsync(t, h.client(1), res, NBW, rng)
+	if w == nil {
+		t.Fatal("writer's acquire failed")
+	}
+	if took := time.Since(start); took > reclaim/2 {
+		t.Fatalf("mixed gather took %v, want well under the %v reclaim interval", took, reclaim)
+	}
+	if got := h.srv.Stats.Gathers.Load(); got != 1 {
+		t.Fatalf("Gathers = %d, want 1", got)
+	}
+	h.mu.Lock()
+	h.faults = nil
+	h.mu.Unlock()
+	h.client(1).Unlock(w)
+	for _, c := range h.clients {
+		c.FlushHandoffAcks(context.Background())
+	}
+	if err := h.srv.CheckInvariants(); err != nil {
+		t.Fatalf("invariants: %v", err)
+	}
+}
+
+// TestReaderFanGatherCountsMembersOnce: a gather of three readers where
+// one member's part lands and the member then releases too (its peer
+// send reported an error after delivering), and a second member
+// releases. The writer hears of the first member twice, from the member
+// and from the server, and must count it once: its gather may not
+// complete while the third member still holds its read lock.
+func TestReaderFanGatherCountsMembersOnce(t *testing.T) {
+	h := newHOHarness(t, fanPolicy(), 4, true)
+	h.srv.SetHandoffTimeout(200 * time.Millisecond)
+	res := ResourceID(39)
+	rng := extent.New(0, 4096)
+
+	held := gatherReaders(t, h, res, rng, 3, 4)
+	h.mu.Lock()
+	h.faults = map[ClientID]peerFault{2: sendLostAck, 3: sendRefused}
+	h.mu.Unlock()
+	done := acquireAsync(t, h.client(1), res, NBW, rng)
+
+	// Both faulty members released: the server has sent the writer a part
+	// for each, and the first member's own part landed before.
+	res0 := func() *resource { return h.srv.lookup(res) }
+	waitFor(t, "two members released", func() bool {
+		r := res0()
+		if r == nil {
+			return false
+		}
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		for _, l := range r.granted.list {
+			if l.client == 1 && l.gatherLeft == 1 {
+				return true
+			}
+		}
+		return false
+	})
+	select {
+	case <-done:
+		t.Fatal("the gather completed while its third member still holds its read lock")
+	case <-time.After(50 * time.Millisecond):
+	}
+
+	h.mu.Lock()
+	h.faults = nil
+	h.mu.Unlock()
+	h.client(4).Unlock(held) // the third member's part leaves now
+	w := <-done
+	if w == nil {
+		t.Fatal("writer's acquire failed")
+	}
+	h.client(1).Unlock(w)
+	for _, c := range h.clients {
+		c.FlushHandoffAcks(context.Background())
+	}
+	if err := h.srv.CheckInvariants(); err != nil {
+		t.Fatalf("invariants: %v", err)
+	}
+}
+
 // TestReaderFanFreezeResolvesBroadcast: freezing a slot for migration
 // with a whole handback delegation outstanding (the writer's transfer
 // to the lead was lost in flight) must force-resolve every lease: the

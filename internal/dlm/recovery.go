@@ -77,8 +77,8 @@ func (c *LockClient) Export(filter func(ResourceID) bool) []LockRecord {
 	// taking-over master can force-resolve them instead of leaving
 	// the waiter parked on a transfer that died with the old master.
 	for k, tw := range c.st.pendingHandoffs {
-		if filter != nil && !filter(k.res) {
-			continue
+		if tw.need == 0 || filter != nil && !filter(k.res) {
+			continue // parts that raced ahead of their grant reply
 		}
 		out = append(out, LockRecord{
 			Resource:  k.res,

@@ -66,9 +66,9 @@ type Grant struct {
 	GatherParts int
 	// HandBack pre-arms the next read fan-out: the server has already
 	// installed delegated leases for the displaced reader cohort; the
-	// grantee owes them a broadcast transfer when it finishes, without
-	// another server round trip (DESIGN.md §14).
-	HandBack *BroadcastStamp
+	// grantee owes the cohort this stamp's transfer when it finishes,
+	// without another server round trip (DESIGN.md §14).
+	HandBack *Stamp
 }
 
 // Revocation identifies a callback the server wants delivered to a lock
@@ -81,7 +81,7 @@ type Revocation struct {
 	// grant: instead of flushing and releasing back to the server, the
 	// holder transfers the lock directly to the stamped next owner
 	// (DESIGN.md §13).
-	Handoff *HandoffStamp
+	Handoff *Stamp
 }
 
 // Notifier is the engine's one path to lock holders: every server→client
@@ -97,13 +97,14 @@ type Revocation struct {
 //   - Handoff activates delegated lock id at its owner: the server-sent
 //     transfer, used when the previous holder released instead of
 //     transferring or the reclaimer force-resolved the delegation
-//     (DESIGN.md §13).
+//     (DESIGN.md §13). A nonzero member makes it one part of a gather
+//     instead: the part of that cohort member, which released (§14).
 //   - SolicitAck asks client, the owner of delegated lock id, to confirm
 //     it now, because a waiter is blocked on nothing else. It is best
 //     effort: the owner's lazy ack and the reclaimer stand behind it.
 type Notifier interface {
 	RevokeBatch(ctx context.Context, client ClientID, revs []Revocation)
-	Handoff(ctx context.Context, client ClientID, res ResourceID, id LockID)
+	Handoff(ctx context.Context, client ClientID, res ResourceID, id, member LockID)
 	SolicitAck(ctx context.Context, client ClientID, res ResourceID, id LockID)
 }
 
@@ -120,7 +121,7 @@ func (f NotifierFunc) RevokeBatch(ctx context.Context, _ ClientID, revs []Revoca
 }
 
 // Handoff implements Notifier; it does nothing.
-func (NotifierFunc) Handoff(context.Context, ClientID, ResourceID, LockID) {}
+func (NotifierFunc) Handoff(context.Context, ClientID, ResourceID, LockID, LockID) {}
 
 // SolicitAck implements Notifier; it does nothing.
 func (NotifierFunc) SolicitAck(context.Context, ClientID, ResourceID, LockID) {}
@@ -581,12 +582,17 @@ func (s *Server) step(res *resource, ev *event, fx *effects) error {
 			}
 		case succ != nil && succ.gatherLeft > 0:
 			// A gather-cohort member released instead of transferring
-			// its part: the server covers that part, and the gathering
-			// writer activates once every part is covered one way or
-			// the other.
+			// its part: the server sends the gathering writer that part,
+			// naming the member, so a writer whose other members transfer
+			// peer-to-peer completes too, and counts a member that did
+			// both once. When every member released, the delegation is
+			// resolved here as well.
 			succ.gatherLeft--
-			if succ.gatherLeft == 0 && succ.delegated && res.granted.get(succ.id) == succ {
-				fx.acts = append(fx.acts, s.resolveDelegation(res, succ))
+			if succ.delegated && res.granted.get(succ.id) == succ {
+				if succ.gatherLeft == 0 {
+					s.resolveDelegation(res, succ)
+				}
+				fx.acts = append(fx.acts, activationMsg{client: succ.client, res: res.id, id: succ.id, member: l.id})
 			}
 		case succ != nil:
 			// The holder released instead of transferring (handoff

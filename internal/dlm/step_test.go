@@ -27,9 +27,9 @@ func (n *recNotifier) RevokeBatch(_ context.Context, _ ClientID, revs []Revocati
 	n.mu.Unlock()
 }
 
-func (n *recNotifier) Handoff(_ context.Context, client ClientID, res ResourceID, id LockID) {
+func (n *recNotifier) Handoff(_ context.Context, client ClientID, res ResourceID, id, member LockID) {
 	n.mu.Lock()
-	n.acts = append(n.acts, activationMsg{client: client, res: res, id: id})
+	n.acts = append(n.acts, activationMsg{client: client, res: res, id: id, member: member})
 	n.mu.Unlock()
 }
 
@@ -242,8 +242,9 @@ func TestReaderRunBehindHandedOffWriter(t *testing.T) {
 }
 
 // TestReleaseByGatherMemberCountsDown: each cohort member that releases
-// instead of transferring its part covers that part server-side, and the
-// gathering writer is activated when the last part is covered.
+// instead of transferring its part has the server send the gathering
+// writer that part, naming the member; when the last member released,
+// the delegation is resolved server-side too.
 func TestReleaseByGatherMemberCountsDown(t *testing.T) {
 	n := &recNotifier{}
 	s := NewServer(fanPolicy(), n)
@@ -253,13 +254,16 @@ func TestReleaseByGatherMemberCountsDown(t *testing.T) {
 	wl := s.lookup(1).granted.get(w.LockID)
 
 	s.Release(1, r2.LockID)
-	if wl.gatherLeft != 1 || !wl.delegated || len(n.activations()) != 0 {
-		t.Fatalf("after one part: gatherLeft %d, delegated %v, activations %v", wl.gatherLeft, wl.delegated, n.activations())
+	waitFor(t, "first member's part", func() bool { return len(n.activations()) == 1 })
+	if wl.gatherLeft != 1 || !wl.delegated {
+		t.Fatalf("after one part: gatherLeft %d, delegated %v", wl.gatherLeft, wl.delegated)
 	}
 	s.Release(1, r3.LockID)
-	waitFor(t, "writer activation", func() bool { return len(n.activations()) == 1 })
-	if a := n.activations()[0]; a.client != 4 || a.id != w.LockID {
-		t.Fatalf("activation %+v, want the writer's lock %d", a, w.LockID)
+	waitFor(t, "second member's part", func() bool { return len(n.activations()) == 2 })
+	for i, m := range []LockID{r2.LockID, r3.LockID} {
+		if a := n.activations()[i]; a.client != 4 || a.id != w.LockID || a.member != m {
+			t.Fatalf("part %d = %+v, want the writer's lock %d naming member %d", i, a, w.LockID, m)
+		}
 	}
 	if wl.gatherLeft != 0 || wl.delegated {
 		t.Fatalf("writer still delegated: gatherLeft %d", wl.gatherLeft)

@@ -32,9 +32,9 @@ func (n takeoverNotifier) RevokeBatch(_ context.Context, client ClientID, revs [
 	}
 }
 
-func (n takeoverNotifier) Handoff(_ context.Context, client ClientID, res ResourceID, id LockID) {
+func (n takeoverNotifier) Handoff(_ context.Context, client ClientID, res ResourceID, id, member LockID) {
 	if c, ok := n.h.clients[client]; ok {
-		c.OnHandoff(res, id)
+		c.OnTransfer(res, Transfer{Lock: id, Member: member, Final: member == 0})
 	}
 }
 
@@ -63,13 +63,8 @@ func (d takeoverConn) HandoffAck(_ context.Context, res ResourceID, ids []LockID
 // client. The test's policy has no fan-out, so no lease is ever sent.
 type takeoverSender struct{ h *takeoverHarness }
 
-func (s takeoverSender) SendHandoff(_ context.Context, peer ClientID, res ResourceID, id LockID, acks []LockID, bcast *BroadcastStamp) error {
-	s.h.clients[peer].OnHandoffMsg(res, id, false, acks, bcast)
-	return nil
-}
-
-func (s takeoverSender) SendLease(_ context.Context, peer ClientID, res ResourceID, grant *BroadcastStamp) error {
-	s.h.clients[peer].OnLeasePropagate(res, grant)
+func (s takeoverSender) SendTransfer(_ context.Context, peer ClientID, res ResourceID, t Transfer) error {
+	s.h.clients[peer].OnTransfer(res, t)
 	return nil
 }
 

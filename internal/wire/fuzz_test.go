@@ -2,6 +2,7 @@ package wire
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -21,7 +22,6 @@ func allMessages() []Msg {
 		&HandoffRequest{},
 		&HandoffAckRequest{},
 		&AckSolicit{},
-		&LeasePropagate{},
 		&FlushRequest{},
 		&ReadRequest{},
 		&TruncateRequest{},
@@ -131,7 +131,7 @@ func TestRevokeBatchRoundTrip(t *testing.T) {
 	if err := Unmarshal(Marshal(in), &out); err != nil {
 		t.Fatal(err)
 	}
-	if len(out.Entries) != 3 || out.Entries[0] != in.Entries[0] || out.Entries[2] != in.Entries[2] {
+	if !reflect.DeepEqual(out.Entries, in.Entries) {
 		t.Fatalf("round trip = %+v", out)
 	}
 	ackIn := &RevokeBatchAck{Acked: in.Entries}
@@ -139,7 +139,7 @@ func TestRevokeBatchRoundTrip(t *testing.T) {
 	if err := Unmarshal(Marshal(ackIn), &ackOut); err != nil {
 		t.Fatal(err)
 	}
-	if len(ackOut.Acked) != 3 || ackOut.Acked[1] != ackIn.Acked[1] {
+	if !reflect.DeepEqual(ackOut.Acked, ackIn.Acked) {
 		t.Fatalf("ack round trip = %+v", ackOut)
 	}
 }
@@ -152,14 +152,13 @@ func FuzzRevokeBatchDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(Marshal(&RevokeBatch{}))
 	f.Add(Marshal(&RevokeBatch{Entries: []RevokeEntry{{Resource: 1, LockID: 2}, {Resource: 3, LockID: 4}}}))
-	f.Add(Marshal(&RevokeBatch{Entries: []RevokeEntry{{Resource: 1, LockID: 2, Handoff: &HandoffStamp{
-		NextOwner: 3, NewLockID: 9, Mode: 2, SN: 4, MustFlush: true,
+	f.Add(Marshal(&RevokeBatch{Entries: []RevokeEntry{{Resource: 1, LockID: 2, Handoff: &Stamp{
+		Mode: 2, MustFlush: true, Leases: []Lease{{Owner: 3, LockID: 9, SN: 4}},
 	}}}}))
-	f.Add(Marshal(&RevokeBatch{Entries: []RevokeEntry{{Resource: 1, LockID: 2, Handoff: &HandoffStamp{
-		NextOwner: 3, NewLockID: 9, Mode: 1, SN: 4, MustFlush: true,
-		Broadcast: &BroadcastGrant{Mode: 1, Range: extent.New(0, 64), Fanout: 2, Leases: []LeaseEntry{
+	f.Add(Marshal(&RevokeBatch{Entries: []RevokeEntry{{Resource: 1, LockID: 2, Handoff: &Stamp{
+		Mode: 1, MustFlush: true, Range: extent.New(0, 64), Fanout: 2, Leases: []Lease{
 			{Owner: 3, LockID: 9, SN: 4}, {Owner: 5, LockID: 10, SN: 4},
-		}},
+		},
 	}}}}))
 	f.Add(Marshal(&RevokeBatchAck{Acked: []RevokeEntry{{Resource: 5, LockID: 6}}}))
 	f.Fuzz(func(t *testing.T, frame []byte) {
@@ -240,15 +239,15 @@ func FuzzMessageDecode(f *testing.F) {
 	f.Add(Marshal(&LockRequest{Resource: 1, Client: 2, Mode: 3, Range: extent.New(10, 20)}))
 	f.Add(Marshal(&FlushRequest{Resource: 9, Blocks: []Block{{Range: extent.New(0, 4), SN: 7, Data: []byte{1, 2, 3, 4}}}}))
 	f.Add(Marshal(&HelloReply{}))
-	cohort := &BroadcastGrant{Mode: 1, Range: extent.New(0, 1<<20), Fanout: 2, Leases: []LeaseEntry{
+	cohort := &Stamp{Mode: 1, MustFlush: true, Range: extent.New(0, 1<<20), Fanout: 2, Leases: []Lease{
 		{Owner: 5, LockID: 80, SN: 200}, {Owner: 6, LockID: 81, SN: 200}, {Owner: 7, LockID: 82, SN: 200},
 	}}
-	f.Add(Marshal(&LeasePropagate{Resource: 9, Mode: 1, Range: extent.New(0, 1<<20), Fanout: 2, Leases: cohort.Leases}))
-	f.Add(Marshal(&HandoffRequest{Resource: 9, LockID: 80, Acks: []uint64{70, 71}, Broadcast: cohort}))
+	f.Add(Marshal(&HandoffRequest{Resource: 9, Cohort: cohort}))
+	f.Add(Marshal(&HandoffRequest{Resource: 9, LockID: 80, Member: 70, Acks: []uint64{70, 71}}))
 	f.Add(Marshal(&AckSolicit{Resource: 9, LockID: 80}))
 	f.Add(Marshal(&LockGrant{LockID: 90, Mode: 4, Range: extent.New(0, 1<<20), SN: 201, Delegated: true, GatherParts: 3, HandBack: cohort}))
-	f.Add(Marshal(&RevokeBatch{Entries: []RevokeEntry{{Resource: 9, LockID: 5, Handoff: &HandoffStamp{
-		NextOwner: 5, NewLockID: 80, Mode: 1, SN: 200, MustFlush: true, Broadcast: cohort,
+	f.Add(Marshal(&RevokeBatch{Entries: []RevokeEntry{{Resource: 9, LockID: 5, Handoff: &Stamp{
+		Mode: 4, MustFlush: true, Leases: []Lease{{Owner: 5, LockID: 80, SN: 200}},
 	}}}}))
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		for _, m := range allMessages() {
