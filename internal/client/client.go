@@ -448,9 +448,17 @@ func (c rpcConn) Lock(ctx context.Context, req dlm.Request) (dlm.Grant, error) {
 	return g, nil
 }
 
+// releaseRequests recycles Release's request, which Call encodes before
+// it returns, as lockCalls does Lock's.
+var releaseRequests = sync.Pool{New: func() any { return new(wire.ReleaseRequest) }}
+
 // Release implements dlm.ServerConn.
 func (c rpcConn) Release(ctx context.Context, res dlm.ResourceID, id dlm.LockID) error {
-	return c.ep.Call(ctx, wire.MRelease, &wire.ReleaseRequest{Resource: uint64(res), LockID: uint64(id)}, nil)
+	req := releaseRequests.Get().(*wire.ReleaseRequest)
+	*req = wire.ReleaseRequest{Resource: uint64(res), LockID: uint64(id)}
+	err := c.ep.Call(ctx, wire.MRelease, req, nil)
+	releaseRequests.Put(req)
+	return err
 }
 
 // Downgrade implements dlm.ServerConn.

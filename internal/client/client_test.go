@@ -389,7 +389,6 @@ func TestPeerRedialedAfterFailure(t *testing.T) {
 			return nil, err
 		}
 		ep := rpc.NewEndpoint(conn, rpc.Options{})
-		ep.Start()
 		ep.Close() // a peer that has gone away
 		return ep, nil
 	})

@@ -17,16 +17,19 @@ import (
 // activation after a fallback release or reclaim, or a gather part it
 // covers) — and hands it to the lock client.
 
-// PeerDialer resolves another client's lock client ID to a started RPC
-// endpoint on that client's peer listener. It is called at most once
-// per peer; the endpoint is cached until it errors.
+// PeerDialer resolves another client's lock client ID to an RPC endpoint
+// on that client's peer listener. It is called at most once per peer;
+// the endpoint is cached until it errors. It arrives unstarted: the
+// client attaches its RPC metrics and starts it, as New does with its
+// server connections.
 type PeerDialer func(peer dlm.ClientID) (*rpc.Endpoint, error)
 
 // ServePeers accepts client-to-client handoff connections on l. Every
-// inbound endpoint only answers MHandoff; the accept loop runs until l
-// closes (Close/Shutdown close it with the other connections).
+// inbound endpoint only answers MHandoff, counted in the client's RPC
+// metrics; the accept loop runs until l closes (Close/Shutdown close it
+// with the other connections).
 func (c *Client) ServePeers(l transport.Listener) {
-	c.peerSrv = rpc.NewServer(l, rpc.Options{Clock: c.clk}, func(ep *rpc.Endpoint) {
+	c.peerSrv = rpc.NewServer(l, rpc.Options{Clock: c.clk, Metrics: c.rpcMetrics}, func(ep *rpc.Endpoint) {
 		ep.Handle(wire.MHandoff, c.handleHandoff)
 	})
 	c.clk.Go(c.peerSrv.Serve)
@@ -124,6 +127,8 @@ func (c *Client) peerEndpoint(peer dlm.ClientID) (*rpc.Endpoint, error) {
 	if err != nil {
 		return nil, err
 	}
+	ep.SetMetrics(c.rpcMetrics)
+	ep.Start()
 	c.peerEps[peer] = ep
 	return ep, nil
 }

@@ -204,9 +204,7 @@ func (c *Cluster) NewClient(name string) (*client.Client, error) {
 		if err != nil {
 			return nil, err
 		}
-		ep := rpc.NewEndpoint(conn, rpc.Options{Clock: c.opts.Hardware.Clock})
-		ep.Start()
-		return ep, nil
+		return rpc.NewEndpoint(conn, rpc.Options{Clock: c.opts.Hardware.Clock}), nil
 	})
 	return cl, nil
 }

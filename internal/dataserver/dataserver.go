@@ -626,13 +626,14 @@ func (s *Server) setup(ep *rpc.Endpoint) {
 	})
 
 	ep.Handle(wire.MFlush, func(ctx context.Context, p []byte) (wire.Msg, error) {
-		var req wire.FlushRequest
-		if err := wire.Unmarshal(p, &req); err != nil {
+		var one [1]wire.Block // a client's flush RPC most often carries one block
+		req, err := wire.UnmarshalFlush(p, one[:0])
+		if err != nil {
 			return nil, err
 		}
 		s.gate.RLock()
 		defer s.gate.RUnlock()
-		if err := s.flush(ctx, &req); err != nil {
+		if err := s.flush(ctx, req.Resource, req.Blocks); err != nil {
 			return nil, err
 		}
 		return &wire.Ack{}, nil
@@ -674,7 +675,7 @@ func (s *Server) setup(ep *rpc.Endpoint) {
 // the MFlush RPC; bench's dataserver.drive.flush_ns drive also calls it
 // directly.
 func (s *Server) Flush(req *wire.FlushRequest) error {
-	return s.flush(context.TODO(), req)
+	return s.flush(context.TODO(), req.Resource, req.Blocks)
 }
 
 // flush is Flush for a request decoded from the payload of the MFlush
@@ -684,9 +685,9 @@ func (s *Server) Flush(req *wire.FlushRequest) error {
 // the store did not keep goes back to its pool as soon as WriteV returns,
 // instead of waiting out the device backlog. Called with no handler's
 // ctx (Server.Flush), it offers no frame and the store copies.
-func (s *Server) flush(ctx context.Context, req *wire.FlushRequest) error {
+func (s *Server) flush(ctx context.Context, stripe uint64, blocks []wire.Block) error {
 	var total int64
-	for _, b := range req.Blocks {
+	for _, b := range blocks {
 		if b.Range.Len() != int64(len(b.Data)) {
 			return fmt.Errorf("dataserver: block range %v does not match %d data bytes", b.Range, len(b.Data))
 		}
@@ -695,14 +696,14 @@ func (s *Server) flush(ctx context.Context, req *wire.FlushRequest) error {
 	var wrote int64
 	s.flushMu.Lock()
 	vec := s.flushVec[:0]
-	for _, b := range req.Blocks {
-		for _, w := range s.Cache.Apply(req.Resource, b.Range, b.SN) {
+	for _, b := range blocks {
+		for _, w := range s.Cache.Apply(stripe, b.Range, b.SN) {
 			vec = append(vec, storage.Vec{Off: w.Start, Data: b.Data[w.Start-b.Range.Start : w.End-b.Range.Start]})
 			wrote += w.Len()
 		}
 	}
 	frame := rpc.TakePayload(ctx)
-	pending := s.store.WriteV(req.Resource, vec, frame)
+	pending := s.store.WriteV(stripe, vec, frame)
 	clear(vec) // the vector points into the request frame; it must not keep it reachable
 	s.flushVec = vec[:0]
 	s.flushMu.Unlock()

@@ -408,6 +408,54 @@ func TestEarlyRevocationOfContendedGrant(t *testing.T) {
 	}
 }
 
+// TestExpansionStopsAtOthersCancelingWrite: a write grant grows up to,
+// not over, another client's CANCELING write lock. Early grant admits
+// the requested blocks beside such a lock, but a range grown onto its
+// block would hold a block nobody requests again. Capped at the end of
+// the request, a contended grant goes out pre-revoked. The requester's
+// own CANCELING lock does not cap, nor does one that overlaps the
+// request from before its start.
+func TestExpansionStopsAtOthersCancelingWrite(t *testing.T) {
+	blk := func(lo, hi int64) extent.Extent { return extent.New(lo*4096, hi*4096) }
+	canceling := func(t *testing.T, s *Server, c ClientID, rng extent.Extent) {
+		s.RevokeAck(1, mustLock(t, s, Request{Resource: 1, Client: c, Mode: NBW, Range: rng}).LockID)
+	}
+	for _, tc := range []struct {
+		name      string
+		setup     func(t *testing.T, s *Server)
+		req       extent.Extent
+		wantRange extent.Extent
+		want      State
+	}{
+		// Client 1's lock grows to EOF and caps client 3's at block 2;
+		// client 2's request is an early grant over client 3's lock.
+		{"another client's lock past the end", func(t *testing.T, s *Server) {
+			canceling(t, s, 1, blk(2, 4))
+			canceling(t, s, 3, blk(0, 2))
+		}, blk(0, 2), blk(0, 2), Canceling},
+		{"own lock past the end", func(t *testing.T, s *Server) {
+			canceling(t, s, 2, blk(2, 4))
+			canceling(t, s, 3, blk(0, 2))
+		}, blk(0, 2), extent.New(0, extent.Inf), Granted},
+		{"lock overlapping from before the start", func(t *testing.T, s *Server) {
+			canceling(t, s, 1, blk(0, 2))
+		}, blk(2, 4), extent.New(blk(2, 4).Start, extent.Inf), Granted},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewServer(SeqDLM(), NotifierFunc(func(context.Context, Revocation) {}))
+			defer s.Shutdown()
+			tc.setup(t, s)
+			g := mustLock(t, s, Request{Resource: 1, Client: 2, Mode: NBW, Range: tc.req})
+			if g.Range != tc.wantRange || g.State != tc.want {
+				t.Errorf("NBW over %v: granted %v %v, want %v %v", tc.req, g.Range, g.State, tc.wantRange, tc.want)
+			}
+			if err := s.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 // TestLockUpgrading reproduces Fig. 11: a PR request conflicting with
 // the same client's NBW is upgraded to PW and the NBW is absorbed.
 func TestLockUpgrading(t *testing.T) {

@@ -81,7 +81,11 @@ func linearExpandEnd(s *Server, res *resource, w *waiter, mode Mode, rng extent.
 	}
 	end := extent.Inf
 	for _, l := range res.granted.list {
-		if l.rng.Start >= rng.End && l.rng.Start < end && !s.compatible(mode, l) {
+		if l.rng.Start < rng.End || l.rng.Start >= end {
+			continue
+		}
+		otherCanceling := l.state == Canceling && l.mode.IsWrite() && l.client != w.req.Client
+		if !s.compatible(mode, l) || mode.IsWrite() && otherCanceling {
 			end = l.rng.Start
 		}
 	}

@@ -1179,7 +1179,9 @@ func (s *Server) admit(res *resource, w *waiter, g Grant, fx *effects) {
 
 // expandEnd implements lock range expanding: grow the end of the range
 // to the largest address compatible with every other granted lock and
-// queued request, subject to the policy's rule.
+// queued request, subject to the policy's rule. Another client's
+// CANCELING write lock caps a write grant too: early grant admits only
+// the requested range beside it (DESIGN.md §9).
 func (s *Server) expandEnd(res *resource, w *waiter, mode Mode, rng extent.Extent) int64 {
 	if s.policy.Expand == ExpandNone {
 		return rng.End
@@ -1192,7 +1194,7 @@ func (s *Server) expandEnd(res *resource, w *waiter, mode Mode, rng extent.Exten
 		if l.rng.Start >= end {
 			return false
 		}
-		if !s.compatible(mode, l) {
+		if !s.compatible(mode, l) || mode.IsWrite() && l.state == Canceling && l.mode.IsWrite() && l.client != w.req.Client {
 			end = l.rng.Start
 			return false
 		}

@@ -22,7 +22,9 @@ import (
 //   - lock upgrading over the union of the request and every lock it
 //     absorbs (§III-D1), and the downgrade routes (§III-D2);
 //   - greedy range expansion toward EOF, up to the first block where a
-//     granted lock or a queued request would become a new conflict;
+//     granted lock or a queued request would become a new conflict, or
+//     where a write lock would meet another client's CANCELING write
+//     lock;
 //   - early revocation only when the range could not expand and either
 //     the queue shows a conflict (§III-A2) or the write grant is an
 //     early grant over another client's CANCELING write lock;
@@ -271,10 +273,15 @@ func (sp *spec) tryGrant(i int, out *specResult) bool {
 
 // newConflictAt reports whether growing a lock of mode m over [lo, hi)
 // into block b would make it overlap a granted lock or another queued
-// request it does not overlap yet and is incompatible with.
+// request it does not overlap yet and is incompatible with. A write
+// lock does not grow over another client's CANCELING write lock either:
+// early grant admits only the requested blocks beside it.
 func (sp *spec) newConflictAt(w specWaiter, m Mode, lo, hi, b int) bool {
 	for _, l := range sp.locks {
-		if !overlap(l.lo, l.hi, lo, hi) && overlap(l.lo, l.hi, b, b+1) && !sp.ok(m, l.mode, l.canceling) {
+		if overlap(l.lo, l.hi, lo, hi) || !overlap(l.lo, l.hi, b, b+1) {
+			continue
+		}
+		if !sp.ok(m, l.mode, l.canceling) || writes(m) && l.client != w.client && l.canceling && writes(l.mode) {
 			return true
 		}
 	}

@@ -79,7 +79,10 @@ func (t *Tree) Insert(e Extent, sn SN) []SNExtent {
 	for _, o := range olds {
 		t.idx.Delete(o.Start, 0)
 	}
-	pieces, won := mergeNewest(nil, nil, olds, e, sn, false)
+	// The pieces go into the index and are not kept, so they are built
+	// in a stack buffer; only the update set is the caller's.
+	var scratch [8]SNExtent
+	pieces, won := mergeNewest(scratch[:0], nil, olds, e, sn, false)
 
 	// Coalesce with untouched neighbors sharing an SN at the span edges.
 	first := &pieces[0]

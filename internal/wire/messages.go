@@ -765,14 +765,18 @@ func encodeBlocks(e *Encoder, blocks []Block) {
 	}
 }
 
-// decodeBlocks reads a block count and the blocks; their data aliases
-// the frame.
-func decodeBlocks(d *Decoder) []Block {
+// decodeBlocks reads a block count and the blocks, into buf's array
+// when it has room; their data aliases the frame.
+func decodeBlocks(d *Decoder, buf []Block) []Block {
 	n := d.Len32(blockHeaderLen)
 	if n == 0 {
 		return nil
 	}
-	blocks := make([]Block, n)
+	blocks := buf[:0]
+	if cap(blocks) < n {
+		blocks = make([]Block, n)
+	}
+	blocks = blocks[:n]
 	for i := range blocks {
 		blocks[i].Range = decodeExtent(d)
 		blocks[i].SN = d.U64()
@@ -785,7 +789,20 @@ func decodeBlocks(d *Decoder) []Block {
 func (m *FlushRequest) Decode(d *Decoder) {
 	m.Resource = d.U64()
 	m.Client = d.U32()
-	m.Blocks = decodeBlocks(d)
+	m.Blocks = decodeBlocks(d, nil)
+}
+
+// UnmarshalFlush is Unmarshal of a FlushRequest whose blocks are decoded
+// into buf's array when it has room: a handler passing a stack buffer
+// decodes a flush RPC of few blocks without allocating.
+func UnmarshalFlush(p []byte, buf []Block) (FlushRequest, error) {
+	d := Decoder{buf: p}
+	m := FlushRequest{Resource: d.U64(), Client: d.U32()}
+	m.Blocks = decodeBlocks(&d, buf)
+	if d.off != len(p) {
+		return m, ErrTrailing
+	}
+	return m, d.err
 }
 
 // ReadRequest fetches a byte range of a stripe resource.
@@ -870,7 +887,7 @@ func (m *ReadReply) Encode(e *Encoder) {
 // Decode implements Msg.
 func (m *ReadReply) Decode(d *Decoder) {
 	m.End = d.I64()
-	m.Blocks = decodeBlocks(d)
+	m.Blocks = decodeBlocks(d, nil)
 }
 
 // ReadReplyBody builds a one-block ReadReply for r in place, carrying
