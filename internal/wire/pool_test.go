@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"errors"
+	"reflect"
 	"testing"
 
 	"ccpfs/internal/extent"
@@ -142,6 +144,44 @@ func TestAllocBudgetUnmarshalOnStack(t *testing.T) {
 	}
 	if sum == 0 {
 		t.Fatal("decoded nothing")
+	}
+}
+
+// TestAllocBudgetUnmarshalFlush: UnmarshalFlush decodes what Unmarshal
+// decodes, rejects what it rejects, and decodes a one-block flush into
+// a one-block stack buffer with no allocation; a longer request gets an
+// array of its own.
+func TestAllocBudgetUnmarshalFlush(t *testing.T) {
+	blocks := []Block{
+		{Range: extent.New(0, 5), SN: 1, Data: []byte("hello")},
+		{Range: extent.New(4096, 4100), SN: 2, Data: []byte("abcd")},
+	}
+	for n := 0; n <= len(blocks); n++ {
+		frame := Marshal(&FlushRequest{Resource: 9, Client: 3, Blocks: blocks[:n]})
+		var want FlushRequest
+		if err := Unmarshal(frame, &want); err != nil {
+			t.Fatal(err)
+		}
+		var one [1]Block
+		got, err := UnmarshalFlush(frame, one[:0])
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d blocks: UnmarshalFlush = %+v, %v; Unmarshal = %+v", n, got, err, want)
+		}
+		if _, err := UnmarshalFlush(append(frame, 0), one[:0]); !errors.Is(err, ErrTrailing) {
+			t.Fatalf("%d blocks and a trailing byte: err %v, want ErrTrailing", n, err)
+		}
+	}
+	if RaceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	frame := Marshal(&FlushRequest{Resource: 9, Client: 3, Blocks: blocks[:1]})
+	if a := testing.AllocsPerRun(100, func() {
+		var one [1]Block
+		if req, err := UnmarshalFlush(frame, one[:0]); err != nil || len(req.Blocks) != 1 {
+			t.Fatal(err)
+		}
+	}); a != 0 {
+		t.Errorf("UnmarshalFlush of one block into a stack buffer: %.1f allocs, want 0", a)
 	}
 }
 
