@@ -17,9 +17,15 @@ trap 'rm -rf "$work"' EXIT
 # General checkers: "package:test regexp" pairs that no patch names.
 general="./internal/dlm:^TestProtocolComposed$ ./internal/workload:^TestRunReaderFan$ ./internal/cluster:^TestVirtualReaderFan"
 
+# Every test run is bounded, so a mutant that hangs reads "killed" in
+# bounded time instead of stalling for go's default 10 minutes. The
+# slowest cell on unmutated code, TestProtocolComposed, runs in under
+# a second.
+timeout=30s
+
 # verdict runs go test in the copy and prints "killed" if it fails.
 verdict() {
-	if (cd "$work/tree" && go test -count=1 -run "$2" "$1" >"$work/out" 2>&1); then
+	if (cd "$work/tree" && go test -count=1 -timeout "$timeout" -run "$2" "$1" >"$work/out" 2>&1); then
 		echo survived
 	else
 		echo killed

@@ -14,8 +14,8 @@ import (
 // revoked holder, a gathering writer or a lease-tree node it sends
 // MHandoff to the next owner over a direct peer connection, and as the
 // next owner it accepts MHandoff — from a peer, or from the server (the
-// activation after a fallback release or reclaim, or a gather part it
-// covers) — and hands it to the lock client.
+// part of a predecessor that released instead of transferring, or the
+// activation after a reclaim) — and hands it to the lock client.
 
 // PeerDialer resolves another client's lock client ID to an RPC endpoint
 // on that client's peer listener. It is called at most once per peer;
@@ -38,7 +38,7 @@ func (c *Client) ServePeers(l transport.Listener) {
 // SetPeerDialer installs the peer address book and enables the
 // client-to-client transfer path. Without it, stamped revocations
 // still work — the cancel path falls back to releasing through the
-// server, which activates the delegation itself.
+// server, which sends the next owner the lock's part itself.
 func (c *Client) SetPeerDialer(d PeerDialer) {
 	c.peerMu.Lock()
 	c.peerDial = d

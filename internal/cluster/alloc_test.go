@@ -18,9 +18,11 @@ import (
 // left are records that outlive the exchange (the lock, its handle, its
 // extent-tree nodes, the handoff stamp), timer and goroutine closures,
 // and the messages the rpc layer holds only by interface. It measures
-// 31.1 (74.1 while decoded messages escaped and every per-call record
-// was allocated afresh); the budget is that plus ~10 %.
-const handoffExchangeAllocs = 34
+// 19.0-19.3 (74.1 while decoded messages escaped and every per-call
+// record was allocated afresh). The budget sits under 5 % above that,
+// the bound the benchmark puts on pingpong's host_allocs_per_op: one
+// more allocation per exchange (20.0) fails here as it would there.
+const handoffExchangeAllocs = 19.5
 
 // TestAllocBudgetHandoffPingPong bounds what one exchange of the
 // paper's two-party conflict costs the host in allocations, measured
@@ -64,6 +66,6 @@ func TestAllocBudgetHandoffPingPong(t *testing.T) {
 	})
 	t.Logf("%.1f allocations per exchange", perExchange)
 	if perExchange > handoffExchangeAllocs {
-		t.Errorf("%.1f allocations per exchange, budget %d", perExchange, handoffExchangeAllocs)
+		t.Errorf("%.1f allocations per exchange, budget %.1f", perExchange, handoffExchangeAllocs)
 	}
 }

@@ -37,8 +37,8 @@ func (c *LockClient) ackFlushDelay() time.Duration {
 // delegated lock reaches its owner:
 //   - a part names the delegated Lock it is for: the previous holder's
 //     handoff, or one cohort member's part of a gather, which also names
-//     the Member lock it retires (a part the server covers for a member
-//     that released names it too);
+//     the Member lock it retires (a part the server covers for a
+//     predecessor that released names it too);
 //   - a Final activation is the server's: it resolved the delegation,
 //     so the lock is the owner's whatever parts are missing;
 //   - a Cohort hands the receiver read leases, its own first: a
@@ -194,8 +194,7 @@ func (tw *transferWaiter) recycle() {
 // lock leaves this client entirely, so there is no downgrade to run —
 // flush the dirty data written under it, then hand it to the next owner
 // directly. Only if no peer path exists (or the send fails) release
-// through the server, which resolves the delegation and activates the
-// new owner itself.
+// through the server, which sends the new owner this lock's part itself.
 //
 // Flush-vs-transfer ordering mirrors early grant (§III-A1): a write-only
 // successor (no implicit read) may own the lock while this holder's

@@ -98,35 +98,64 @@ type activationMsg struct {
 	client ClientID
 	res    ResourceID
 	id     LockID
-	member LockID // a gather part the server covers: the member that released
+	member LockID // a part the server covers: the predecessor that released
 }
 
-// stampHandoff attempts to retire waiter w by delegating the single
-// conflicting lock c to it: the successor lock is installed
-// immediately (SN assigned under res.mu, so stamp order is grant order
-// and SN stays monotonic), the waiter's grant reply is marked
-// Delegated, and the revocation appended to revs carries the stamp.
-// Called from tryGrant with res.mu held; reports whether it stamped.
-func (s *Server) stampHandoff(res *resource, w *waiter, mode Mode, c *lock, fx *effects) bool {
+// stampDelegation attempts to retire waiter w by delegating its
+// conflicts confs to it: a cohort of one or more predecessors converging
+// on one delegated successor (DESIGN.md §13, §14). The successor is
+// installed at once (SN assigned under res.mu, so stamp order is grant
+// order and SN stays monotonic), every predecessor's revocation is
+// stamped toward it, and w's grant reply is marked Delegated: the
+// successor collects one client-to-client part per predecessor. A
+// handoff is a cohort of one. A gather is a cohort of at least two quiet
+// shared locks of one mode toward a write waiter, with fan-out on, and
+// its grant also pre-arms the handback (preArm). Called from tryGrant
+// with res.mu held; reports whether it stamped.
+func (s *Server) stampDelegation(res *resource, w *waiter, mode Mode, confs []*lock, fx *effects) bool {
 	// Both sides must be plain ranges — datatype extent sets release
 	// after every operation and gain nothing.
-	if !s.handoffOn || !quiet(c, w.req.Client) || len(w.req.Extents) > 0 {
+	if !s.handoffOn || len(w.req.Extents) > 0 {
 		return false
 	}
+	gather := len(confs) > 1
+	if gather && (!s.fanOn || !mode.IsWrite()) {
+		return false
+	}
+	// Delegated (not-yet-acked) leases qualify as quiet: their holders
+	// receive the stamped revocation whenever the lease arrives, and
+	// their transfers complete the delegation just the same.
+	shared := confs[0].mode
+	for _, c := range confs {
+		if !quiet(c, w.req.Client) || gather && (c.mode.IsWrite() || c.mode != shared) {
+			return false
+		}
+	}
 
-	// From here on c behaves as CANCELING (compatible), so range
-	// expansion below may legally run through it; the transfer's
-	// flush-before-handoff obligation plus SN ordering make the
-	// overlap as safe as an early grant.
-	c.handedOff, c.revokeSent = true, true
+	// From here on the cohort behaves as CANCELING (compatible), so
+	// range expansion below may legally run through it; the transfer's
+	// flush-before-handoff obligation plus SN ordering make the overlap
+	// as safe as an early grant.
+	for _, c := range confs {
+		c.handedOff, c.revokeSent = true, true
+	}
 	rng := w.req.Range
 	rng.End = s.expandEnd(res, w, mode, rng)
-	l := s.install(res, &lock{client: w.req.Client, mode: mode, rng: rng, delegated: true, pred: c})
-	c.succ = l
-	fx.revs = append(fx.revs, stampedRevocation(res, c, l))
+	l := &lock{client: w.req.Client, mode: mode, rng: rng, delegated: true}
+	l.preds = append(l.one[:0], confs...)
+	s.install(res, l)
+	for _, c := range confs {
+		c.succ = l
+		fx.revs = append(fx.revs, stampedRevocation(res, c, l))
+	}
+	s.reclaim.register(s, res, confs[0], l)
+	g := Grant{LockID: l.id, Mode: mode, Range: rng, SN: l.sn, Delegated: true}
+	if gather {
+		g.GatherParts, g.HandBack = len(confs), s.preArm(res, l, shared)
+		s.Stats.Gathers.Add(1)
+	}
 	s.Stats.Handoffs.Add(1)
-	s.reclaim.register(s, res, c, l)
-	s.admit(res, w, Grant{LockID: l.id, Mode: mode, Range: rng, SN: l.sn, Delegated: true}, fx)
+	s.admit(res, w, g, fx)
 	return true
 }
 
@@ -173,62 +202,58 @@ func (s *Server) handoffAck(resID ResourceID, ids []LockID, standalone bool) {
 	}
 }
 
-// removePreds retires l's whole predecessor closure — the single-pred
-// chain plus, for a gathering write lock, its displaced cohort: every
-// member transferred its lock away, so each removal counts as a
-// release. Predecessors may be shared between ack paths (a cohort
-// member's own ack and the gathering writer's, for instance), so
-// retirement is idempotent: a lock is only retired while it is still
-// the table's entry for its ID. Called with res.mu held.
+// removePreds retires l's whole predecessor closure: its preds, their
+// preds, and so on. Every predecessor transferred its lock away, so
+// each removal counts as a release. Predecessors may be shared between
+// ack paths (a cohort member's own ack and the gathering writer's, for
+// instance), so retirement is idempotent: a lock is only retired while
+// it is still the table's entry for its ID. Called with res.mu held.
 func (s *Server) removePreds(res *resource, l *lock) {
-	var retire func(p *lock)
-	retire = func(p *lock) {
-		if p == nil || res.granted.get(p.id) != p {
-			return
+	for _, p := range l.preds {
+		if res.granted.get(p.id) != p {
+			continue
 		}
-		next := p.pred
-		preds := p.preds
 		res.granted.remove(p)
 		s.Stats.Releases.Add(1)
 		s.reclaim.deregister(res.id, p.id)
-		p.pred, p.succ, p.preds, p.bcast = nil, nil, nil, nil
-		retire(next)
-		for _, q := range preds {
-			retire(q)
-		}
+		p.succ, p.bcast = nil, nil
+		s.removePreds(res, p)
 	}
-	retire(l.pred)
-	for _, q := range l.preds {
-		retire(q)
-	}
-	l.pred = nil
-	l.preds = nil
+	l.dropPreds()
 }
 
-// removeWithPreds removes l and its predecessor chain. Called with
-// res.mu held.
-func (s *Server) removeWithPreds(res *resource, l *lock) {
-	s.removePreds(res, l)
-	res.granted.remove(l)
-	s.Stats.Releases.Add(1)
-	s.reclaim.deregister(res.id, l.id)
-}
+// dropPreds empties l's predecessor list, its inline slot too: a
+// retired lock that still pointed at its predecessor would keep the
+// whole chain of earlier locks alive.
+func (l *lock) dropPreds() { l.preds, l.one[0] = nil, nil }
 
-// resolveDelegation confirms a delegation server-side without an ack:
-// the successor becomes a plain granted lock and the caller must send
-// the returned activation once res.mu drops, so the owner stops
-// waiting for a transfer that will never arrive. Called with res.mu
-// held; the caller has already detached/removed the predecessor.
-func (s *Server) resolveDelegation(res *resource, l *lock) activationMsg {
+// resolveDelegation confirms delegated lock l server-side, without an
+// ack: l becomes a plain granted lock. Called with res.mu held, once
+// none of l's predecessors is left in the table.
+func (s *Server) resolveDelegation(res *resource, l *lock) {
 	l.delegated = false
-	l.pred = nil
+	l.dropPreds()
 	s.reclaim.deregister(res.id, l.id)
-	return activationMsg{client: l.client, res: res.id, id: l.id}
 }
 
-// sendActivation delivers a server-sent activation, or a gather part
-// the server covers, through the notifier. Duplicates (server-sent
-// racing the peer transfer) are idempotent client-side.
+// forceResolve resolves delegated lock l without its predecessors'
+// cooperation — the reclaimer's force step, a slot freeze, or the
+// release of a writer that owes l's handback: the predecessors are
+// retired, l becomes a plain granted lock, and the server's activation
+// is appended to acts, to be sent once res.mu drops, so l's owner stops
+// waiting for a transfer that will never arrive. Called with res.mu
+// held.
+func (s *Server) forceResolve(res *resource, l *lock, acts []activationMsg) []activationMsg {
+	s.removePreds(res, l)
+	s.resolveDelegation(res, l)
+	s.Stats.HandoffReclaims.Add(1)
+	return append(acts, activationMsg{client: l.client, res: res.id, id: l.id})
+}
+
+// sendActivation delivers a server-sent activation, or the part the
+// server covers for a predecessor that released, through the notifier.
+// Duplicates (server-sent racing the peer transfer) are idempotent
+// client-side.
 func (s *Server) sendActivation(a activationMsg) {
 	s.clk.Go(func() { s.notifier.Handoff(s.baseCtx, a.client, a.res, a.id, a.member) })
 }
@@ -294,7 +319,7 @@ type handoffReclaimer struct {
 }
 
 func (r *handoffReclaimer) register(s *Server, res *resource, pred, succ *lock) {
-	deadline := s.clk.Now().Add(time.Duration(s.handoffTimeout.Load()))
+	deadline := s.clk.Now().Add(s.policy.ReclaimInterval())
 	r.mu.Lock()
 	if r.entries == nil {
 		r.entries = make(map[lockKey]*delegationEntry)
@@ -317,10 +342,7 @@ func (r *handoffReclaimer) deregister(res ResourceID, succ LockID) {
 }
 
 func (r *handoffReclaimer) loop(s *Server) {
-	period := time.Duration(s.handoffTimeout.Load()) / 2
-	if period <= 0 {
-		period = time.Millisecond
-	}
+	period := max(s.policy.ReclaimInterval()/2, time.Millisecond)
 	for s.clk.SleepCtx(s.baseCtx, period) {
 		now := s.clk.Now()
 		type action struct {
@@ -335,7 +357,7 @@ func (r *handoffReclaimer) loop(s *Server) {
 			}
 			acts = append(acts, action{e: *e, phase: e.phase})
 			e.phase++
-			e.deadline = now.Add(time.Duration(s.handoffTimeout.Load()))
+			e.deadline = now.Add(s.policy.ReclaimInterval())
 		}
 		if len(r.entries) == 0 {
 			r.running = false
@@ -394,29 +416,4 @@ func (s *Server) reclaimNudge(e *delegationEntry) {
 	if pred != nil {
 		s.fire([]Revocation{{Client: e.predCli, Resource: res.id, Lock: e.predID}})
 	}
-}
-
-// resolveSlotDelegations force-resolves every outstanding delegation
-// on a frozen resource before its locks are exported (partition.go):
-// the predecessor chains are retired so the importing master never
-// sees overlapping handed-off pairs it has no delegation state for,
-// and the successors export as plain granted locks. The returned
-// activations must be sent after the freeze completes — the peer
-// transfer may still arrive and activate the owner first, which is
-// fine (activations are idempotent client-side). Called with res.mu
-// held.
-func (s *Server) resolveSlotDelegations(res *resource) []activationMsg {
-	var delegated []*lock
-	for _, l := range res.granted.list {
-		if l.delegated {
-			delegated = append(delegated, l)
-		}
-	}
-	var acts []activationMsg
-	for _, l := range delegated {
-		s.removePreds(res, l)
-		acts = append(acts, s.resolveDelegation(res, l))
-		s.Stats.HandoffReclaims.Add(1)
-	}
-	return acts
 }

@@ -164,6 +164,13 @@ func handoffPolicy() Policy {
 	return p
 }
 
+// reclaimEvery returns p with reclaim interval d, the one deadline the
+// server's reclaimer and the clients' ack and standing timers all read.
+func reclaimEvery(p Policy, d time.Duration) Policy {
+	p.HandoffReclaimInterval = d
+	return p
+}
+
 // TestHandoffPingPong is the tentpole scenario: two clients alternate
 // conflicting whole-range writes. Every exchange after the first must
 // delegate client-to-client, SNs must stay strictly monotonic, and the
@@ -264,8 +271,7 @@ func TestHandoffFallbackRelease(t *testing.T) {
 // (also lost) and then force-resolves the delegation, activating the
 // parked successor.
 func TestHandoffReclaim(t *testing.T) {
-	h := newHOHarness(t, handoffPolicy(), 2, true)
-	h.srv.SetHandoffTimeout(20 * time.Millisecond)
+	h := newHOHarness(t, reclaimEvery(handoffPolicy(), 20*time.Millisecond), 2, true)
 	res := ResourceID(9)
 	rng := extent.New(0, 4096)
 
@@ -296,8 +302,7 @@ func TestHandoffReclaim(t *testing.T) {
 // holder, whose normal cancel path releases through the server and
 // resolves the delegation — no force reclaim.
 func TestHandoffNudgeResolves(t *testing.T) {
-	h := newHOHarness(t, handoffPolicy(), 2, true)
-	h.srv.SetHandoffTimeout(20 * time.Millisecond)
+	h := newHOHarness(t, reclaimEvery(handoffPolicy(), 20*time.Millisecond), 2, true)
 	res := ResourceID(11)
 	rng := extent.New(0, 4096)
 
@@ -395,8 +400,7 @@ func TestHandoffDisabledByDefault(t *testing.T) {
 // ack landing (acks are only flushed at the end), building a
 // predecessor chain; the final ack must retire the whole chain.
 func TestHandoffChainAck(t *testing.T) {
-	h := newHOHarness(t, handoffPolicy(), 3, true)
-	h.srv.SetHandoffTimeout(time.Hour) // keep the reclaimer out of it
+	h := newHOHarness(t, reclaimEvery(handoffPolicy(), time.Hour), 3, true) // keep the reclaimer out of it
 	res := ResourceID(19)
 	rng := extent.New(0, 4096)
 
@@ -434,8 +438,7 @@ func TestHandoffChainAck(t *testing.T) {
 // sees delegation state it cannot own, and the sequencer stays
 // monotonic across the move.
 func TestHandoffFreezeResolvesDelegation(t *testing.T) {
-	h := newHOHarness(t, handoffPolicy(), 2, true)
-	h.srv.SetHandoffTimeout(time.Hour) // the freeze, not the reclaimer, must resolve
+	h := newHOHarness(t, reclaimEvery(handoffPolicy(), time.Hour), 2, true) // the freeze, not the reclaimer, must resolve
 	h.mu.Lock()
 	h.dropTransfers = true
 	h.mu.Unlock()

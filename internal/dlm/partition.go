@@ -2,6 +2,7 @@ package dlm
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"ccpfs/internal/partition"
@@ -210,7 +211,11 @@ func (s *Server) FreezeExportSlot(sl partition.Slot) (LockState, error) {
 		// successors export as plain granted locks, so the importing
 		// master never holds delegation state it cannot reclaim. The
 		// activations are delivered once the freeze completes.
-		acts = append(acts, s.resolveSlotDelegations(res)...)
+		for _, l := range slices.Clone(res.granted.list) {
+			if l.delegated {
+				acts = s.forceResolve(res, l, acts)
+			}
+		}
 		re := ResourceState{
 			Resource: res.id,
 			NextSN:   res.nextSN,

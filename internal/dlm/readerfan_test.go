@@ -309,8 +309,7 @@ func TestReaderFanRotation(t *testing.T) {
 func TestReaderFanReclaimLostPropagation(t *testing.T) {
 	const nReaders = 4
 	const reclaim = 20 * time.Millisecond
-	h := newHOHarness(t, fanPolicy(), 1+nReaders, true)
-	h.srv.SetHandoffTimeout(reclaim)
+	h := newHOHarness(t, reclaimEvery(fanPolicy(), reclaim), 1+nReaders, true)
 	res := ResourceID(37)
 	rng := extent.New(0, 4096)
 
@@ -409,8 +408,7 @@ func gatherReaders(t *testing.T, h *hoHarness, res ResourceID, rng extent.Extent
 // two, not after the reclaimer's two periods.
 func TestReaderFanMixedGather(t *testing.T) {
 	const reclaim = 200 * time.Millisecond
-	h := newHOHarness(t, fanPolicy(), 3, true)
-	h.srv.SetHandoffTimeout(reclaim)
+	h := newHOHarness(t, reclaimEvery(fanPolicy(), reclaim), 3, true)
 	res := ResourceID(38)
 	rng := extent.New(0, 4096)
 
@@ -448,8 +446,7 @@ func TestReaderFanMixedGather(t *testing.T) {
 // and from the server, and must count it once: its gather may not
 // complete while the third member still holds its read lock.
 func TestReaderFanGatherCountsMembersOnce(t *testing.T) {
-	h := newHOHarness(t, fanPolicy(), 4, true)
-	h.srv.SetHandoffTimeout(200 * time.Millisecond)
+	h := newHOHarness(t, reclaimEvery(fanPolicy(), 200*time.Millisecond), 4, true)
 	res := ResourceID(39)
 	rng := extent.New(0, 4096)
 
@@ -470,7 +467,7 @@ func TestReaderFanGatherCountsMembersOnce(t *testing.T) {
 		r.mu.Lock()
 		defer r.mu.Unlock()
 		for _, l := range r.granted.list {
-			if l.client == 1 && l.gatherLeft == 1 {
+			if l.client == 1 && l.delegated && livePreds(r, l.id) == 1 {
 				return true
 			}
 		}
@@ -506,8 +503,7 @@ func TestReaderFanGatherCountsMembersOnce(t *testing.T) {
 // SN, and the sequencer stays monotonic at the importing master.
 func TestReaderFanFreezeResolvesBroadcast(t *testing.T) {
 	const nReaders = 3
-	h := newHOHarness(t, fanPolicy(), 1+nReaders, true)
-	h.srv.SetHandoffTimeout(time.Hour) // the freeze, not the reclaimer, must resolve
+	h := newHOHarness(t, reclaimEvery(fanPolicy(), time.Hour), 1+nReaders, true) // the freeze, not the reclaimer, must resolve
 
 	res := ridInSlot(t, 29, 0)
 	h.srv.SetSlots(1, []partition.Slot{29})

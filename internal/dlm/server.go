@@ -94,11 +94,11 @@ type Revocation struct {
 //     Server.RevokeAck for each entry when the reply returns, and acks
 //     and releases entries whose holder has vanished. revs is the
 //     revoker's, reused once the call returns.
-//   - Handoff activates delegated lock id at its owner: the server-sent
-//     transfer, used when the previous holder released instead of
-//     transferring or the reclaimer force-resolved the delegation
-//     (DESIGN.md §13). A nonzero member makes it one part of a gather
-//     instead: the part of that cohort member, which released (§14).
+//   - Handoff delivers the server-sent transfer of delegated lock id to
+//     its owner (DESIGN.md §13, §14). A nonzero member makes it one
+//     part: the part of that predecessor, which released instead of
+//     transferring. A zero member activates the lock outright: the
+//     server force-resolved the delegation.
 //   - SolicitAck asks client, the owner of delegated lock id, to confirm
 //     it now, because a waiter is blocked on nothing else. It is best
 //     effort: the owner's lazy ack and the reclaimer stand behind it.
@@ -156,11 +156,8 @@ type Server struct {
 	// Off, the grant/revoke path is byte-identical to the
 	// single-successor handoff engine.
 	fanOn bool
-	// handoffTimeout (nanoseconds) bounds how long a delegation may
-	// stay unconfirmed before the reclaimer intervenes.
-	handoffTimeout atomic.Int64
 	// reclaim tracks outstanding delegations for timeout recovery
-	// (handoff.go).
+	// (handoff.go), on Policy.ReclaimInterval.
 	reclaim handoffReclaimer
 
 	// resMu guards the resource map (lookup/insert/removal) and snFloor,
@@ -205,15 +202,9 @@ func NewServer(policy Policy, notifier Notifier) *Server {
 		fanOn:     policy.ReaderFanout,
 		resources: make(map[ResourceID]*resource),
 	}
-	s.handoffTimeout.Store(int64(policy.ReclaimInterval()))
 	s.revoker.s, s.revoker.clients = s, make(map[ClientID]*revClient)
 	return s
 }
-
-// SetHandoffTimeout bounds how long a delegation may stay unconfirmed
-// before the reclaimer nudges the previous holder and, one period
-// later, force-resolves the transfer. Tests shorten it.
-func (s *Server) SetHandoffTimeout(d time.Duration) { s.handoffTimeout.Store(int64(d)) }
 
 // SetNotifier installs the revocation callback sink.
 func (s *Server) SetNotifier(n Notifier) { s.notifier = n }
@@ -231,25 +222,22 @@ type lock struct {
 	state      State
 	sn         extent.SN
 	revokeSent bool
-	// Handoff delegation state (DESIGN.md §13). A handed-off lock was
+	// Delegation state (DESIGN.md §13, §14). A handed-off lock was
 	// stamped for client-to-client transfer: its holder will hand it to
-	// the successor instead of releasing, so it behaves as CANCELING
-	// until the successor's ack removes it. A delegated lock was
-	// granted through a handoff stamp and stays unconfirmed until the
-	// new owner acks. pred/succ link the delegation chain.
+	// succ instead of releasing, so it behaves as CANCELING until the
+	// successor's ack removes it. A delegated lock was granted through a
+	// stamp and stays unconfirmed until its owner acks; preds lists its
+	// predecessors — a handoff's one holder, a gather's whole cohort, or
+	// the gathering writer for its handback's lead lease — backed by one
+	// when there is just one, so a handoff allocates no list. bcast lists
+	// the handback leases a gathering writer owes a broadcast transfer to
+	// (succ points at the lead, bcast[0]).
 	handedOff bool
 	delegated bool
-	pred      *lock
 	succ      *lock
-	// Reader fan-out state (DESIGN.md §14). preds lists a gathering
-	// write lock's whole displaced cohort (each member also links back
-	// through succ); bcast lists the handback leases a gathering writer
-	// owes a broadcast transfer to (succ points at the lead, bcast[0]);
-	// gatherLeft counts cohort members that have not resolved
-	// server-side, for the release-fallback path.
-	preds      []*lock
-	bcast      []*lock
-	gatherLeft int
+	preds     []*lock
+	one       [1]*lock
+	bcast     []*lock
 	// solicited records that the owner of this delegated lock was asked
 	// to confirm it at once (solicitAck); one solicitation per delegation.
 	solicited bool
@@ -567,39 +555,32 @@ func (s *Server) step(res *resource, ev *event, fx *effects) error {
 		if l == nil {
 			break
 		}
-		succ, bcast := l.succ, l.bcast
-		s.removeWithPreds(res, l)
-		switch {
-		case len(bcast) > 0:
+		s.removePreds(res, l)
+		res.granted.remove(l)
+		s.Stats.Releases.Add(1)
+		s.reclaim.deregister(res.id, l.id)
+		if len(l.bcast) > 0 {
 			// A gathering writer owing its handback released instead
-			// (peer send failed or the holder vanished): resolve every
-			// still-delegated lease server-side and activate the cohort
+			// (peer send failed or the holder vanished): force-resolve
+			// every still-delegated lease and activate the cohort
 			// directly (DESIGN.md §14).
-			for _, lease := range bcast {
+			for _, lease := range l.bcast {
 				if res.granted.get(lease.id) == lease && lease.delegated {
-					fx.acts = append(fx.acts, s.resolveDelegation(res, lease))
+					fx.acts = s.forceResolve(res, lease, fx.acts)
 				}
 			}
-		case succ != nil && succ.gatherLeft > 0:
-			// A gather-cohort member released instead of transferring
-			// its part: the server sends the gathering writer that part,
-			// naming the member, so a writer whose other members transfer
-			// peer-to-peer completes too, and counts a member that did
-			// both once. When every member released, the delegation is
-			// resolved here as well.
-			succ.gatherLeft--
-			if succ.delegated && res.granted.get(succ.id) == succ {
-				if succ.gatherLeft == 0 {
-					s.resolveDelegation(res, succ)
-				}
-				fx.acts = append(fx.acts, activationMsg{client: succ.client, res: res.id, id: succ.id, member: l.id})
+		} else if succ := l.succ; succ != nil && succ.delegated && res.granted.get(succ.id) == succ {
+			// A predecessor released instead of transferring (handoff
+			// refused, peer send failed, or the holder vanished): the
+			// server sends the successor l's part, naming l, so a
+			// successor whose other predecessors transfer peer-to-peer
+			// completes too, and counts a predecessor that did both
+			// once. Once none of its predecessors is left, the delegation
+			// is resolved here as well.
+			if !slices.ContainsFunc(succ.preds, func(p *lock) bool { return res.granted.get(p.id) == p }) {
+				s.resolveDelegation(res, succ)
 			}
-		case succ != nil:
-			// The holder released instead of transferring (handoff
-			// refused, peer send failed, or the holder vanished):
-			// resolve the delegation server-side and activate the
-			// successor directly.
-			fx.acts = append(fx.acts, s.resolveDelegation(res, succ))
+			fx.acts = append(fx.acts, activationMsg{client: succ.client, res: res.id, id: succ.id, member: l.id})
 		}
 	case evRevokeAck:
 		if l := res.granted.get(ev.id); l != nil && l.state == Granted {
@@ -621,9 +602,8 @@ func (s *Server) step(res *resource, ev *event, fx *effects) error {
 		if l == nil || !l.delegated {
 			return nil
 		}
-		l.delegated = false
 		s.removePreds(res, l)
-		s.reclaim.deregister(res.id, ev.id)
+		s.resolveDelegation(res, l)
 		s.Stats.HandoffAcks.Add(1)
 		s.tracer.record(Event{Kind: EvDelegAck, Resource: res.id, Client: l.client, Lock: ev.id, Mode: l.mode, Range: l.rng, SN: l.sn})
 	case evReclaim:
@@ -642,9 +622,7 @@ func (s *Server) step(res *resource, ev *event, fx *effects) error {
 			fx.revs = append(fx.revs, Revocation{Client: e.predCli, Resource: res.id, Lock: e.predID})
 			return nil
 		}
-		s.removePreds(res, l)
-		fx.acts = append(fx.acts, s.resolveDelegation(res, l))
-		s.Stats.HandoffReclaims.Add(1)
+		fx.acts = s.forceResolve(res, l, fx.acts)
 	}
 	s.scan(res, fx)
 	return nil
@@ -1019,14 +997,8 @@ func (s *Server) tryGrant(res *resource, w *waiter, fx *effects) bool {
 	}
 
 	if len(confs) > 0 {
-		if len(absorbed) == 0 {
-			if len(confs) == 1 {
-				if s.stampHandoff(res, w, mode, confs[0], fx) {
-					return true
-				}
-			} else if s.stampGather(res, w, mode, confs, fx) {
-				return true
-			}
+		if len(absorbed) == 0 && s.stampDelegation(res, w, mode, confs, fx) {
+			return true
 		}
 		w.hadConflict = true
 		allCanceling := true

@@ -43,8 +43,9 @@ type Stats struct {
 	LockOps atomic.Int64
 	// Handoff delegation counters (DESIGN.md §13): stamps issued,
 	// delegations confirmed by the new owner, and delegations the
-	// server reclaimed after a timeout (holder vanished or transfer
-	// lost).
+	// server force-resolved (forceResolve: the reclaimer's timeout, a
+	// slot freeze, or a writer that released instead of handing back;
+	// Restore counts the delegations it resolves too).
 	Handoffs        atomic.Int64
 	HandoffAcks     atomic.Int64
 	HandoffReclaims atomic.Int64

@@ -150,8 +150,7 @@ func gatherOverReaders(t *testing.T, s *Server) (r2, r3, w Grant) {
 // server activates every lease of the cohort itself.
 func TestReleaseOwingBroadcastActivatesCohort(t *testing.T) {
 	n := &recNotifier{}
-	s := NewServer(fanPolicy(), n)
-	s.SetHandoffTimeout(time.Hour)
+	s := NewServer(reclaimEvery(fanPolicy(), time.Hour), n)
 	defer s.Shutdown()
 	_, _, w := gatherOverReaders(t, s)
 	s.HandoffAck(1, w.LockID) // the writer collected its parts; the cohort retires
@@ -177,6 +176,9 @@ func TestReleaseOwingBroadcastActivatesCohort(t *testing.T) {
 	if got := s.GrantedCount(1); got != 2 {
 		t.Fatalf("granted locks = %d, want the 2 leases", got)
 	}
+	if got := s.Stats.HandoffReclaims.Load(); got != 2 {
+		t.Fatalf("HandoffReclaims = %d, want the 2 force-resolved leases", got)
+	}
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -190,8 +192,7 @@ func TestReleaseOwingBroadcastActivatesCohort(t *testing.T) {
 // is above the writer's.
 func TestReaderRunBehindHandedOffWriter(t *testing.T) {
 	n := &recNotifier{}
-	s := NewServer(fanPolicy(), n)
-	s.SetHandoffTimeout(time.Hour)
+	s := NewServer(reclaimEvery(fanPolicy(), time.Hour), n)
 	defer s.Shutdown()
 	rng := extent.New(0, 10)
 	mustLock(t, s, Request{Resource: 1, Client: 1, Mode: NBW, Range: rng})
@@ -241,22 +242,36 @@ func TestReaderRunBehindHandedOffWriter(t *testing.T) {
 	}
 }
 
+// livePreds counts the predecessors of delegated lock id still in the
+// table of resource res. Called with res.mu held.
+func livePreds(res *resource, id LockID) int {
+	n := 0
+	if l := res.granted.get(id); l != nil {
+		for _, p := range l.preds {
+			if res.granted.get(p.id) == p {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 // TestReleaseByGatherMemberCountsDown: each cohort member that releases
 // instead of transferring its part has the server send the gathering
 // writer that part, naming the member; when the last member released,
 // the delegation is resolved server-side too.
 func TestReleaseByGatherMemberCountsDown(t *testing.T) {
 	n := &recNotifier{}
-	s := NewServer(fanPolicy(), n)
-	s.SetHandoffTimeout(time.Hour)
+	s := NewServer(reclaimEvery(fanPolicy(), time.Hour), n)
 	defer s.Shutdown()
 	r2, r3, w := gatherOverReaders(t, s)
-	wl := s.lookup(1).granted.get(w.LockID)
+	res := s.lookup(1)
+	wl := res.granted.get(w.LockID)
 
 	s.Release(1, r2.LockID)
 	waitFor(t, "first member's part", func() bool { return len(n.activations()) == 1 })
-	if wl.gatherLeft != 1 || !wl.delegated {
-		t.Fatalf("after one part: gatherLeft %d, delegated %v", wl.gatherLeft, wl.delegated)
+	if left := livePreds(res, w.LockID); left != 1 || !wl.delegated {
+		t.Fatalf("after one part: %d members left, delegated %v", left, wl.delegated)
 	}
 	s.Release(1, r3.LockID)
 	waitFor(t, "second member's part", func() bool { return len(n.activations()) == 2 })
@@ -265,11 +280,104 @@ func TestReleaseByGatherMemberCountsDown(t *testing.T) {
 			t.Fatalf("part %d = %+v, want the writer's lock %d naming member %d", i, a, w.LockID, m)
 		}
 	}
-	if wl.gatherLeft != 0 || wl.delegated {
-		t.Fatalf("writer still delegated: gatherLeft %d", wl.gatherLeft)
+	if left := livePreds(res, w.LockID); left != 0 || wl.delegated {
+		t.Fatalf("writer still delegated with %d members left", left)
 	}
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// fwdNotifier is recNotifier that first delivers every server-sent part
+// or activation to lock client c.
+type fwdNotifier struct {
+	recNotifier
+	c *LockClient
+}
+
+func (n *fwdNotifier) Handoff(ctx context.Context, client ClientID, res ResourceID, id, member LockID) {
+	n.c.OnTransfer(res, Transfer{Lock: id, Member: member, Final: member == 0})
+	n.recNotifier.Handoff(ctx, client, res, id, member)
+}
+
+// hookConn is directConn whose Lock hands each grant to hook before the
+// client sees the reply.
+type hookConn struct {
+	directConn
+	hook func(Grant)
+}
+
+func (c hookConn) Lock(ctx context.Context, req Request) (Grant, error) {
+	g, err := c.srv.Lock(ctx, req)
+	if err == nil {
+		c.hook(g)
+	}
+	return g, err
+}
+
+// TestReleaseByHandoffHolderSendsPart: with fan-out off, a handoff's
+// holder releases instead of transferring. The server sends the
+// successor a part naming the holder and resolves the delegation, as it
+// does for the last gather member to release; the successor's delegated
+// acquire returns whether that part lands before its grant reply or
+// after it, and no reclaim entry is left behind.
+func TestReleaseByHandoffHolderSendsPart(t *testing.T) {
+	for _, before := range []bool{true, false} {
+		name := "part-after-reply"
+		if before {
+			name = "part-before-reply"
+		}
+		t.Run(name, func(t *testing.T) {
+			p := reclaimEvery(handoffPolicy(), time.Hour)
+			n := &fwdNotifier{}
+			s := NewServer(p, n)
+			defer s.Shutdown()
+			rng := extent.New(0, 10)
+			holder := mustLock(t, s, Request{Resource: 1, Client: 1, Mode: PW, Range: rng})
+			granted := make(chan Grant, 1)
+			conn := hookConn{directConn: directConn{s}, hook: func(g Grant) {
+				if before {
+					s.Release(1, holder.LockID)
+					waitFor(t, "the holder's part", func() bool { return len(n.activations()) == 1 })
+				}
+				granted <- g
+			}}
+			n.c = NewLockClient(2, p, func(ResourceID) ServerConn { return conn }, &recFlusher{})
+			defer n.c.Close()
+			done := acquireAsync(t, n.c, 1, PW, rng)
+			g := <-granted
+			if !g.Delegated {
+				t.Fatalf("successor not handed the lock: %+v", g)
+			}
+			if !before {
+				waitFor(t, "the successor waiting for its transfer", func() bool {
+					n.c.st.mu.Lock()
+					defer n.c.st.mu.Unlock()
+					tw := n.c.st.pendingHandoffs[lockKey{1, g.LockID}]
+					return tw != nil && tw.need > 0
+				})
+				s.Release(1, holder.LockID)
+			}
+			hd := <-done
+			if hd == nil || hd.id != g.LockID {
+				t.Fatalf("delegated acquire = %+v, want lock %d", hd, g.LockID)
+			}
+			if a := n.activations(); len(a) != 1 || a[0] != (activationMsg{client: 2, res: 1, id: g.LockID, member: holder.LockID}) {
+				t.Fatalf("activations %+v, want one part for lock %d naming the holder %d", a, g.LockID, holder.LockID)
+			}
+			s.reclaim.mu.Lock()
+			_, pending := s.reclaim.entries[lockKey{1, g.LockID}]
+			s.reclaim.mu.Unlock()
+			if pending {
+				t.Fatal("the resolved delegation's reclaim entry is still registered")
+			}
+			if l := s.lookup(1).granted.get(g.LockID); l == nil || l.delegated || s.GrantedCount(1) != 1 {
+				t.Fatalf("successor lock %+v of %d granted, want the one resolved lock", l, s.GrantedCount(1))
+			}
+			if err := s.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
@@ -279,8 +387,7 @@ func TestReleaseByGatherMemberCountsDown(t *testing.T) {
 // instead.
 func TestReclaimForceLiveProviderNudges(t *testing.T) {
 	n := &recNotifier{}
-	s := NewServer(fanPolicy(), n)
-	s.SetHandoffTimeout(time.Hour)
+	s := NewServer(reclaimEvery(fanPolicy(), time.Hour), n)
 	defer s.Shutdown()
 	_, _, w := gatherOverReaders(t, s)
 	lease := w.HandBack.Leases[0].LockID
