@@ -1,7 +1,7 @@
 #!/bin/sh
 # Runs the revert corpus: every .github/mutants/NAME.patch undoes one
 # fixed bug. Each patch is applied to a fresh copy of the tree, and the
-# tests its header names ("Tests:", in the package its "Package:" line
+# tests its header names ("Tests:", in the packages its "Package:" line
 # names) must then fail: the mutant is killed. The general checkers
 # below run against each mutant too; their cells are reported, not
 # required. The script exits 1 if a patch no longer applies or a mutant
@@ -23,9 +23,10 @@ general="./internal/dlm:^TestProtocolComposed$ ./internal/workload:^TestRunReade
 # a second.
 timeout=30s
 
-# verdict runs go test in the copy and prints "killed" if it fails.
+# verdict runs go test on the packages $1 in the copy and prints
+# "killed" if it fails.
 verdict() {
-	if (cd "$work/tree" && go test -count=1 -timeout "$timeout" -run "$2" "$1" >"$work/out" 2>&1); then
+	if (cd "$work/tree" && go test -count=1 -timeout "$timeout" -run "$2" $1 >"$work/out" 2>&1); then
 		echo survived
 	else
 		echo killed

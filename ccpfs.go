@@ -57,7 +57,8 @@ type WriteOp = client.WriteOp
 // Policy selects which DLM the cluster runs.
 type Policy = dlm.Policy
 
-// Mode is a lock mode (PR, NBW, BW, PW, and the legacy LR/LW).
+// Mode is a lock mode: PR, NBW, BW or PW. The traditional baselines
+// lock with PR and PW alone.
 type Mode = dlm.Mode
 
 // Hardware is the simulated testbed model.

@@ -697,7 +697,7 @@ func runReaderFan(seed int64, readers []int) (*Experiment, error) {
 		{"fan-out", true},
 	} {
 		for _, n := range readers {
-			opts := cluster.Options{Servers: 1, Policy: dlm.SeqDLM(), Hardware: BenchHardware(), Handoff: v.fan, ReaderFanout: v.fan}
+			opts := cluster.Options{Servers: 1, Policy: dlm.SeqDLM(), Hardware: BenchHardware(), Handoff: v.fan}
 			res, err := simulate(seed, opts, func(c *Cluster) (workload.Result, error) {
 				return workload.RunReaderFan(c, workload.ReaderFanConfig{Readers: n, Rounds: 32, WriteSize: ws, StripeSize: 1 << 20})
 			})

@@ -469,14 +469,14 @@ func (c rpcConn) Downgrade(ctx context.Context, res dlm.ResourceID, id dlm.LockI
 // HandoffAck implements dlm.HandoffAcker: standalone delegation
 // confirmations, sent when no lock request comes soon enough to
 // piggyback them. Every queued confirmation for the resource goes out
-// as a single RPC, the extras riding in the request's More list.
+// as a single RPC.
 func (c rpcConn) HandoffAck(ctx context.Context, res dlm.ResourceID, ids []dlm.LockID) error {
 	if len(ids) == 0 {
 		return nil
 	}
-	req := &wire.HandoffAckRequest{Resource: uint64(res), LockID: uint64(ids[0])}
-	for _, id := range ids[1:] {
-		req.More = append(req.More, uint64(id))
+	req := &wire.HandoffAckRequest{Resource: uint64(res), LockIDs: make([]uint64, len(ids))}
+	for i, id := range ids {
+		req.LockIDs[i] = uint64(id)
 	}
 	return c.ep.Call(ctx, wire.MHandoffAck, req, nil)
 }

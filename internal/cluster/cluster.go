@@ -42,14 +42,12 @@ type Options struct {
 	ExtentLog bool
 	// CleanupInterval enables the servers' extent cache cleanup daemon.
 	CleanupInterval time.Duration
-	// Handoff enables the client-to-client lock handoff fast path
-	// (DESIGN.md §13) on every server and wires a peer listener and
-	// dialer into every client.
+	// Handoff sets Policy.Handoff, which turns on every form of
+	// client-to-client delegation (DESIGN.md §13, §14), and wires a peer
+	// listener and dialer into every client.
 	Handoff bool
-	// ReaderFanout enables the batched shared-mode fan-out path
-	// (DESIGN.md §14): broadcast delegations toward reader cohorts and
-	// peer-to-peer read-lease propagation trees. It implies Handoff's
-	// peer transport.
+	// ReaderFanout is an alias of Handoff, kept because the benchmark
+	// sets it; it has no effect of its own.
 	ReaderFanout bool
 	// Partition enables N-way lock-space partitioning (DESIGN.md §12):
 	// each server masters a lease-held share of the hash slots, clients
@@ -86,11 +84,8 @@ func New(opts Options) (*Cluster, error) {
 	if opts.Servers <= 0 {
 		opts.Servers = 1
 	}
-	if opts.Handoff {
+	if opts.Handoff || opts.ReaderFanout {
 		opts.Policy.Handoff = true
-	}
-	if opts.ReaderFanout {
-		opts.Policy.ReaderFanout = true
 	}
 	c := &Cluster{
 		opts: opts,
@@ -188,7 +183,7 @@ func (c *Cluster) NewClient(name string) (*client.Client, error) {
 		FlushInterval: c.opts.FlushInterval,
 		Clock:         c.opts.Hardware.Clock,
 	}, conns)
-	if err != nil || !(c.opts.Handoff || c.opts.ReaderFanout) {
+	if err != nil || !c.opts.Policy.Handoff {
 		return cl, err
 	}
 	// The handoff fast path needs a client-to-client wire: each client

@@ -29,12 +29,11 @@ import (
 func TestClusterReaderFanMigrationRace(t *testing.T) {
 	const readers = 4
 	c := newCluster(t, Options{
-		Servers:      2,
-		Policy:       dlm.SeqDLM(),
-		Partition:    true,
-		Handoff:      true,
-		ReaderFanout: true,
-		LeaseTTL:     time.Second,
+		Servers:   2,
+		Policy:    dlm.SeqDLM(),
+		Partition: true,
+		Handoff:   true,
+		LeaseTTL:  time.Second,
 	})
 	cls := newClients(t, c, 1+readers)
 	ctx := context.Background()
@@ -202,7 +201,7 @@ func TestVirtualReaderFanGatherOneRoundTrip(t *testing.T) {
 // readers concurrent reads of it, on one server with reader fan-out,
 // and returns how long each round's write took.
 func readerFanWriterOps(hw sim.Hardware, readers, rounds int) ([]time.Duration, error) {
-	c, err := New(Options{Servers: 1, Policy: dlm.SeqDLM(), Hardware: hw, Handoff: true, ReaderFanout: true})
+	c, err := New(Options{Servers: 1, Policy: dlm.SeqDLM(), Hardware: hw, Handoff: true})
 	if err != nil {
 		return nil, err
 	}

@@ -2,10 +2,12 @@ package cluster
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"testing"
 
 	"ccpfs/internal/dlm"
+	"ccpfs/internal/sim"
 )
 
 // TestReadAfterTruncateReturnsEOF: a client that read a file before
@@ -159,4 +161,72 @@ func TestAppendLandsPastEarlierWrites(t *testing.T) {
 			t.Fatalf("other client %v: the append overwrote the write", other)
 		}
 	}
+}
+
+// TestVirtualHandoffAppendLandsPastUnflushedWrite: with delegation on,
+// a writer's lock reaches an appender by handoff, and the appender reads
+// the file's end under it. The holder must flush before it transfers to
+// a reading successor (PW), on SeqDLM and on DLM-basic alike: a holder
+// that deferred the flush behind the transfer let the append read the
+// stale end 0 and overwrite the completed, unflushed write.
+func TestVirtualHandoffAppendLandsPastUnflushedWrite(t *testing.T) {
+	for _, pol := range []dlm.Policy{dlm.SeqDLM(), dlm.Basic()} {
+		t.Run(pol.Name, func(t *testing.T) {
+			v := sim.NewVClock(1)
+			hw := sim.TableI(1)
+			hw.Clock = sim.Virtual(v)
+			var err error
+			v.Run(func() { err = appendAfterUnflushedWrite(Options{Servers: 1, Policy: pol, Hardware: hw, Handoff: true}) })
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// appendAfterUnflushedWrite runs TestVirtualHandoffAppendLandsPastUnflushedWrite's
+// case: client A writes 100 bytes at 0 without Fsync, client B appends
+// 100 more and reads the file back.
+func appendAfterUnflushedWrite(opts Options) error {
+	c, err := New(opts)
+	if err != nil {
+		return err
+	}
+	defer c.Close()
+	cls, err := c.Clients(2, "client")
+	if err != nil {
+		return err
+	}
+	defer func() {
+		for _, cl := range cls {
+			cl.Close()
+		}
+	}()
+	fa, err := cls[0].Create("/append", 1<<20, 1)
+	if err != nil {
+		return err
+	}
+	fb, err := cls[1].Open("/append")
+	if err != nil {
+		return err
+	}
+	data, rec := pattern(1, 100), pattern(2, 100)
+	if _, err := fa.WriteAt(data, 0); err != nil {
+		return err
+	}
+	off, err := fb.Append(rec)
+	if err != nil {
+		return err
+	}
+	if off != 100 {
+		return fmt.Errorf("append landed at %d, want 100", off)
+	}
+	got := make([]byte, 200)
+	if n, err := fb.ReadAt(got, 0); n != 200 || (err != nil && err != io.EOF) {
+		return fmt.Errorf("read %d bytes (%v), want 200", n, err)
+	}
+	if !bytes.Equal(got, append(bytes.Clone(data), rec...)) {
+		return fmt.Errorf("read back %x, want A's write then B's append", got)
+	}
+	return nil
 }

@@ -412,11 +412,10 @@ func (s *Server) forceSync(stripe uint64) {
 // server masters by taking (and releasing) a whole-range read lock as
 // the server-local client 0: the revocation makes each writer flush.
 func (s *Server) SyncStripe(stripe uint64) {
-	mode := s.cfg.Policy.MapMode(dlm.PR)
 	g, err := s.DLM.Lock(s.baseCtx, dlm.Request{
 		Resource: dlm.ResourceID(stripe),
 		Client:   0,
-		Mode:     mode,
+		Mode:     dlm.PR,
 		Range:    extent.New(0, extent.Inf),
 	})
 	if err != nil {
@@ -617,8 +616,8 @@ func (s *Server) setup(ep *rpc.Endpoint) {
 			return nil, err
 		}
 		var buf [8]dlm.LockID // a usual batch stays on the stack
-		ids := append(buf[:0], dlm.LockID(req.LockID))
-		for _, id := range req.More {
+		ids := buf[:0]
+		for _, id := range req.LockIDs {
 			ids = append(ids, dlm.LockID(id))
 		}
 		s.DLM.HandoffAck(dlm.ResourceID(req.Resource), ids...)

@@ -99,7 +99,7 @@ func BenchmarkConflictResolutionBasic(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c := clients[i%2]
-		h, err := c.Acquire(context.Background(), 1, LW, extent.New(0, extent.Inf))
+		h, err := c.Acquire(context.Background(), 1, PW, extent.New(0, extent.Inf))
 		if err != nil {
 			b.Fatal(err)
 		}

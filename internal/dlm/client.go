@@ -461,11 +461,12 @@ func (c *LockClient) stepOther(res ResourceID, ev *clientEvent, fx *clientEffect
 		}
 		fx.h = h
 	case cevRevoke:
-		if c.policy.ReaderFanout && ev.stamp != nil && ev.stamp.Mode.IsWrite() {
-			// A writer is displacing this client's lock: the resource is
-			// in a fan rotation, and the next read lease — pre-armed by
-			// the writer's gather — will arrive peer-to-peer. Subsequent
-			// shared acquires park on it instead of going to the server.
+		if ev.stamp != nil && ev.stamp.Mode.IsWrite() && !ev.stamp.MustFlush {
+			// A writer is displacing this client's read lock: the
+			// resource is in a fan rotation, and the next read lease —
+			// pre-armed by the writer's gather — will arrive
+			// peer-to-peer. Subsequent shared acquires park on it
+			// instead of going to the server.
 			c.st.fanStanding[res] = true
 		}
 		h := findByID(c.st.cached[res], ev.id)
@@ -763,7 +764,7 @@ func (c *LockClient) acquireMiss(ctx context.Context, res ResourceID, need Mode,
 	// briefly on its arrival instead of paying a server round trip. A
 	// timeout (the reclaim interval) falls back to the server, which
 	// self-heals any lease that was lost in flight.
-	if c.policy.ReaderFanout && !need.IsWrite() && len(set) == 0 {
+	if c.policy.Handoff && !need.IsWrite() && len(set) == 0 {
 		if h := c.waitStanding(ctx, res, need, rng); h != nil {
 			return h, nil
 		}

@@ -35,10 +35,11 @@ func (c *LockClient) ackFlushDelay() time.Duration {
 
 // Transfer is one transfer message (wire.MHandoff), the one way a
 // delegated lock reaches its owner:
-//   - a part names the delegated Lock it is for: the previous holder's
-//     handoff, or one cohort member's part of a gather, which also names
-//     the Member lock it retires (a part the server covers for a
-//     predecessor that released names it too);
+//   - a part names the delegated Lock it is for and the Member lock it
+//     retires, so that a gathering writer counts each cohort member
+//     once; only a write lock's part to a writer leaves Member zero (a
+//     part the server covers for a predecessor that released names it
+//     too);
 //   - a Final activation is the server's: it resolved the delegation,
 //     so the lock is the owner's whatever parts are missing;
 //   - a Cohort hands the receiver read leases, its own first: a
@@ -139,10 +140,9 @@ func (tw *transferWaiter) done() bool {
 // and a lease already installed or gone, are dropped.
 func (c *LockClient) OnTransfer(res ResourceID, t Transfer) {
 	c.requeueAcks(res, t.Acks)
-	switch {
-	case t.Cohort == nil:
+	if t.Cohort == nil {
 		c.run(res, clientEvent{kind: cevPart, id: t.Lock, member: t.Member, final: t.Final})
-	case c.policy.ReaderFanout:
+	} else {
 		c.receiveCohort(res, t.Cohort)
 	}
 }
@@ -219,11 +219,12 @@ func (c *LockClient) transfer(ctx context.Context, conn ServerConn, h *Handle, s
 		// A handback: the cohort's lead installs its lease and
 		// propagates the rest (DESIGN.md §14).
 		t = Transfer{Cohort: stamp}
-	} else if c.policy.ReaderFanout {
+	} else if !stamp.MustFlush || !stamp.Mode.IsWrite() {
 		// The successor may be gathering a cohort: name this member, so
 		// it counts each member once, and piggyback the queued
 		// delegation acks on the part — the writer forwards them on its
-		// next lock request, so reader acks cost no server RPC.
+		// next lock request, so reader acks cost no server RPC. A write
+		// lock passing to a writer travels bare.
 		t.Member, t.Acks = h.id, c.takeAcks(res)
 	}
 	sent := false

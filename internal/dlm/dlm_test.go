@@ -225,19 +225,19 @@ func TestEarlyGrant(t *testing.T) {
 	}
 }
 
-// TestNormalGrantWaitsForFlush: the legacy write lock must not be
+// TestNormalGrantWaitsForFlush: DLM-basic's write lock must not be
 // granted until the previous holder has flushed and released.
 func TestNormalGrantWaitsForFlush(t *testing.T) {
 	h := newHarness(t, Basic(), 2)
 	gate := make(chan struct{})
 	h.flusher.setGate(gate)
 
-	a := mustAcquire(t, h.client(1), 1, LW, extent.New(0, extent.Inf))
+	a := mustAcquire(t, h.client(1), 1, PW, extent.New(0, extent.Inf))
 	h.client(1).Unlock(a)
 
 	done := make(chan struct{})
 	go func() {
-		b, err := h.client(2).Acquire(context.Background(), 1, LW, extent.New(0, extent.Inf))
+		b, err := h.client(2).Acquire(context.Background(), 1, PW, extent.New(0, extent.Inf))
 		if err == nil {
 			h.client(2).Unlock(b)
 		}
@@ -245,7 +245,7 @@ func TestNormalGrantWaitsForFlush(t *testing.T) {
 	}()
 	select {
 	case <-done:
-		t.Fatal("legacy write lock granted before holder flushed (early grant leaked into DLM-basic)")
+		t.Fatal("DLM-basic write lock granted before holder flushed (early grant leaked into DLM-basic)")
 	case <-time.After(100 * time.Millisecond):
 	}
 	close(gate)
@@ -373,8 +373,8 @@ func TestEarlyRevocationOfContendedGrant(t *testing.T) {
 			return mustLock(t, s, Request{Resource: 1, Client: 2, Mode: NBW, Range: blk(2, 4)})
 		}, Granted},
 		{"DLM-basic", Basic(), func(t *testing.T, s *Server) Grant {
-			g := held(t, s, LW, LR)
-			ch := lockAsync(t, s, context.Background(), Request{Resource: 1, Client: 2, Mode: LW, Range: blk(0, 2)})
+			g := held(t, s, PW, PR)
+			ch := lockAsync(t, s, context.Background(), Request{Resource: 1, Client: 2, Mode: PW, Range: blk(0, 2)})
 			s.Release(1, g.LockID)
 			r := recv(t, ch)
 			if r.err != nil {
@@ -718,18 +718,18 @@ func TestLustreExpansionCap(t *testing.T) {
 	h := newHarness(t, p, 1)
 	c := h.client(1)
 	// Grant more than the threshold; ranges must expand greedily first.
-	hd := mustAcquire(t, c, 1, LW, extent.New(0, 16))
+	hd := mustAcquire(t, c, 1, PW, extent.New(0, 16))
 	if hd.Range().End != extent.Inf {
 		t.Fatalf("pre-threshold expansion = %v, want EOF", hd.Range())
 	}
 	c.Unlock(hd)
 	c.ReleaseAll(context.Background())
 	for i := 0; i < 5; i++ {
-		hd := mustAcquire(t, c, 1, LW, extent.Span(int64(i*100000), 16))
+		hd := mustAcquire(t, c, 1, PW, extent.Span(int64(i*100000), 16))
 		c.Unlock(hd)
 		c.ReleaseAll(context.Background())
 	}
-	hd = mustAcquire(t, c, 1, LW, extent.New(1<<20, 1<<20+16))
+	hd = mustAcquire(t, c, 1, PW, extent.New(1<<20, 1<<20+16))
 	if hd.Range().End != 1<<20+1<<10 {
 		t.Fatalf("post-threshold expansion = %v, want capped at start+1K", hd.Range())
 	}
@@ -797,8 +797,11 @@ func TestInvalidRequests(t *testing.T) {
 	if _, err := h.srv.Lock(context.Background(), Request{Resource: 1, Client: 1, Mode: Mode(77), Range: extent.New(0, 1)}); err == nil {
 		t.Fatal("invalid mode accepted")
 	}
-	if _, err := h.srv.Lock(context.Background(), Request{Resource: 1, Client: 1, Mode: LW, Range: extent.New(0, 1)}); err == nil {
-		t.Fatal("legacy mode accepted by SeqDLM policy")
+	basic := newHarness(t, Basic(), 1)
+	for _, m := range []Mode{NBW, BW} {
+		if _, err := basic.srv.Lock(context.Background(), Request{Resource: 1, Client: 1, Mode: m, Range: extent.New(0, 1)}); err == nil {
+			t.Fatalf("%v accepted by DLM-basic", m)
+		}
 	}
 	if _, err := h.srv.Lock(context.Background(), Request{Resource: 1, Client: 1, Mode: NBW, Range: extent.Extent{}}); err == nil {
 		t.Fatal("empty range accepted")
@@ -814,7 +817,7 @@ func TestFIFOFairnessNoOvertaking(t *testing.T) {
 	h := newHarness(t, Basic(), 3)
 	gate := make(chan struct{})
 	h.flusher.setGate(gate)
-	a := mustAcquire(t, h.client(1), 1, LW, extent.New(0, extent.Inf))
+	a := mustAcquire(t, h.client(1), 1, PW, extent.New(0, extent.Inf))
 	h.client(1).Unlock(a)
 
 	order := make(chan int, 2)
@@ -823,7 +826,7 @@ func TestFIFOFairnessNoOvertaking(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			hd, err := h.client(i).Acquire(context.Background(), 1, LW, extent.New(0, extent.Inf))
+			hd, err := h.client(i).Acquire(context.Background(), 1, PW, extent.New(0, extent.Inf))
 			if err != nil {
 				return
 			}

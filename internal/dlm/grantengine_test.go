@@ -509,7 +509,7 @@ func reqsOverlap(a, b *Request) bool {
 // is not blocked by an earlier one is drawn at random: the rule must
 // hold whatever it is.
 func TestBlockedSetMatchesPairwiseScan(t *testing.T) {
-	modes := []Mode{PR, NBW, BW, PW, LR, LW}
+	modes := []Mode{PR, NBW, BW, PW}
 	for seed := int64(1); seed <= 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		queue := make([]Request, 1+rng.Intn(60))

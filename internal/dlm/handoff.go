@@ -109,17 +109,17 @@ type activationMsg struct {
 // stamped toward it, and w's grant reply is marked Delegated: the
 // successor collects one client-to-client part per predecessor. A
 // handoff is a cohort of one. A gather is a cohort of at least two quiet
-// shared locks of one mode toward a write waiter, with fan-out on, and
-// its grant also pre-arms the handback (preArm). Called from tryGrant
+// shared locks of one mode toward a write waiter, and its grant also
+// pre-arms the handback (preArm). Called from tryGrant
 // with res.mu held; reports whether it stamped.
 func (s *Server) stampDelegation(res *resource, w *waiter, mode Mode, confs []*lock, fx *effects) bool {
 	// Both sides must be plain ranges — datatype extent sets release
 	// after every operation and gain nothing.
-	if !s.handoffOn || len(w.req.Extents) > 0 {
+	if !s.policy.Handoff || len(w.req.Extents) > 0 {
 		return false
 	}
 	gather := len(confs) > 1
-	if gather && (!s.fanOn || !mode.IsWrite()) {
+	if gather && !mode.IsWrite() {
 		return false
 	}
 	// Delegated (not-yet-acked) leases qualify as quiet: their holders

@@ -325,8 +325,8 @@ func TestHandoffNudgeResolves(t *testing.T) {
 }
 
 // TestHandoffIneligibleMultipleConflicts: a write conflicting with two
-// readers follows the normal revoke path — delegation only fires when
-// the conflict is owed to exactly one lock.
+// readers is no single-successor handoff: it gathers the readers'
+// cohort, one delegation converging on the writer (DESIGN.md §14).
 func TestHandoffIneligibleMultipleConflicts(t *testing.T) {
 	h := newHOHarness(t, handoffPolicy(), 3, true)
 	res := ResourceID(13)
@@ -340,8 +340,8 @@ func TestHandoffIneligibleMultipleConflicts(t *testing.T) {
 	w := mustAcquire(t, h.client(3), res, PW, rng)
 	h.client(3).Unlock(w)
 
-	if got := h.srv.Stats.Handoffs.Load(); got != 0 {
-		t.Fatalf("Handoffs = %d with two conflicting readers, want 0", got)
+	if got := h.srv.Stats.Gathers.Load(); got != 1 {
+		t.Fatalf("Gathers = %d with two conflicting readers, want 1", got)
 	}
 	if err := h.srv.CheckInvariants(); err != nil {
 		t.Fatalf("invariants: %v", err)

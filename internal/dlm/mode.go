@@ -11,7 +11,8 @@ import "fmt"
 
 // Mode is a lock mode. SeqDLM keeps the traditional read lock (PR) and
 // refines the traditional write lock into three modes (NBW, BW, PW);
-// the traditional baselines use the legacy LR/LW pair.
+// the traditional baselines lock with PR and PW alone (Policy.MapMode).
+// The wire carries a mode as its value; 5 and 6 stay unassigned.
 type Mode uint8
 
 // Lock modes.
@@ -30,10 +31,6 @@ const (
 	// PW (protective write): full read/write access with traditional
 	// write-lock semantics, used for atomic read-update operations.
 	PW
-	// LR is the legacy read mode of the traditional baselines.
-	LR
-	// LW is the legacy write mode of the traditional baselines.
-	LW
 )
 
 func (m Mode) String() string {
@@ -48,10 +45,6 @@ func (m Mode) String() string {
 		return "BW"
 	case PW:
 		return "PW"
-	case LR:
-		return "LR"
-	case LW:
-		return "LW"
 	}
 	return fmt.Sprintf("Mode(%d)", uint8(m))
 }
@@ -60,7 +53,7 @@ func (m Mode) String() string {
 // consume a sequence number.
 func (m Mode) IsWrite() bool {
 	switch m {
-	case NBW, BW, PW, LW:
+	case NBW, BW, PW:
 		return true
 	}
 	return false
@@ -70,14 +63,14 @@ func (m Mode) IsWrite() bool {
 // write-only (§III-C).
 func (m Mode) CanRead() bool {
 	switch m {
-	case PR, PW, LR:
+	case PR, PW:
 		return true
 	}
 	return false
 }
 
 // Valid reports whether m is a grantable mode.
-func (m Mode) Valid() bool { return m >= PR && m <= LW }
+func (m Mode) Valid() bool { return m >= PR && m <= PW }
 
 // Covers reports whether a cached lock of mode m satisfies an operation
 // that needs mode need. It follows the severity ordering of Fig. 9: a
@@ -92,10 +85,6 @@ func (m Mode) Covers(need Mode) bool {
 		return need == NBW
 	case PR:
 		return need == PR
-	case LW:
-		return need == LR || need == LW
-	case LR:
-		return need == LR
 	}
 	return false
 }
@@ -109,11 +98,7 @@ func Upgrade(a, b Mode) Mode {
 	if b.Covers(a) {
 		return b
 	}
-	// Mixed read/write (PR with NBW or BW) upgrades to PW; legacy mixes
-	// upgrade to LW.
-	if a == LR || a == LW || b == LR || b == LW {
-		return LW
-	}
+	// Mixed read/write (PR with NBW or BW) upgrades to PW.
 	return PW
 }
 
@@ -142,7 +127,7 @@ func (s State) String() string {
 // it is Table II of the paper: the only state-dependent (N/Y) cells are
 // a new NBW or BW request against a granted NBW lock, which becomes
 // compatible once the granted lock is CANCELING — that transition *is*
-// early grant. Legacy modes implement the traditional matrix where
+// early grant. PR and PW alone are the traditional matrix, where
 // conflicts resolve only on full release.
 func Compatible(req Mode, granted Mode, gstate State) bool {
 	switch req {
@@ -150,12 +135,6 @@ func Compatible(req Mode, granted Mode, gstate State) bool {
 		return granted == PR
 	case NBW, BW:
 		return granted == NBW && gstate == Canceling
-	case PW:
-		return false
-	case LR:
-		return granted == LR
-	case LW:
-		return false
 	}
 	return false
 }
@@ -193,15 +172,4 @@ func SelectMode(isRead, implicitRead, multiResource bool) Mode {
 		return BW
 	}
 	return NBW
-}
-
-// LegacyMode maps a SeqDLM mode to the traditional baseline's mode.
-func LegacyMode(m Mode) Mode {
-	if m == PR {
-		return LR
-	}
-	if m.IsWrite() {
-		return LW
-	}
-	return m
 }

@@ -12,8 +12,6 @@ func TestModeProperties(t *testing.T) {
 		{NBW, true, false},
 		{BW, true, false},
 		{PW, true, true},
-		{LR, false, true},
-		{LW, true, false},
 		{ModeNone, false, false},
 	}
 	for _, c := range cases {
@@ -27,19 +25,19 @@ func TestModeProperties(t *testing.T) {
 }
 
 func TestModeValid(t *testing.T) {
-	for _, m := range []Mode{PR, NBW, BW, PW, LR, LW} {
+	for _, m := range []Mode{PR, NBW, BW, PW} {
 		if !m.Valid() {
 			t.Errorf("%v not valid", m)
 		}
 	}
-	if ModeNone.Valid() || Mode(99).Valid() {
+	if ModeNone.Valid() || Mode(5).Valid() || Mode(6).Valid() || Mode(99).Valid() {
 		t.Error("invalid modes reported valid")
 	}
 }
 
 func TestModeStrings(t *testing.T) {
 	for m, want := range map[Mode]string{
-		PR: "PR", NBW: "NBW", BW: "BW", PW: "PW", LR: "LR", LW: "LW", ModeNone: "none",
+		PR: "PR", NBW: "NBW", BW: "BW", PW: "PW", ModeNone: "none",
 	} {
 		if m.String() != want {
 			t.Errorf("String(%d) = %q, want %q", m, m.String(), want)
@@ -56,10 +54,8 @@ func TestCovers(t *testing.T) {
 		BW:  {NBW, BW},
 		NBW: {NBW},
 		PR:  {PR},
-		LW:  {LR, LW},
-		LR:  {LR},
 	}
-	all := []Mode{PR, NBW, BW, PW, LR, LW}
+	all := []Mode{PR, NBW, BW, PW}
 	for m, list := range covers {
 		want := map[Mode]bool{}
 		for _, n := range list {
@@ -87,9 +83,6 @@ func TestUpgradeLattice(t *testing.T) {
 		{NBW, NBW, NBW},
 		{BW, BW, BW},
 		{PW, PW, PW},
-		{LR, LW, LW},
-		{LW, LR, LW},
-		{LR, LR, LR},
 	}
 	for _, c := range cases {
 		if got := Upgrade(c.a, c.b); got != c.want {
@@ -127,21 +120,23 @@ func TestCompatibleTableII(t *testing.T) {
 	}
 }
 
+// TestCompatibleLegacy: PR and PW, the modes the baselines lock with,
+// form the traditional read/write matrix.
 func TestCompatibleLegacy(t *testing.T) {
-	if !Compatible(LR, LR, Granted) || !Compatible(LR, LR, Canceling) {
-		t.Error("LR must be compatible with LR")
+	if !Compatible(PR, PR, Granted) || !Compatible(PR, PR, Canceling) {
+		t.Error("PR must be compatible with PR")
 	}
 	// The traditional write lock conflicts with everything in both
 	// states: normal grant only.
-	for _, g := range []Mode{LR, LW} {
+	for _, g := range []Mode{PR, PW} {
 		for _, st := range []State{Granted, Canceling} {
-			if Compatible(LW, g, st) {
-				t.Errorf("Compatible(LW, %v %v) must be false", g, st)
+			if Compatible(PW, g, st) {
+				t.Errorf("Compatible(PW, %v %v) must be false", g, st)
 			}
 		}
 	}
-	if Compatible(LR, LW, Canceling) {
-		t.Error("LR vs canceling LW must be incompatible (reads wait for flush)")
+	if Compatible(PR, PW, Canceling) {
+		t.Error("PR vs canceling PW must be incompatible (reads wait for flush)")
 	}
 }
 
@@ -157,7 +152,6 @@ func TestDowngradeRoutes(t *testing.T) {
 		{PW, false, PR},
 		{NBW, true, ModeNone},
 		{PR, false, ModeNone},
-		{LW, true, ModeNone},
 	}
 	for _, c := range cases {
 		if got := Downgrade(c.m, c.wrote); got != c.want {
@@ -188,17 +182,19 @@ func TestSelectMode(t *testing.T) {
 	}
 }
 
+// TestLegacyModeMapping: every baseline reads under PR and writes under
+// PW, and serves exactly those two modes (MapMode's fixed points).
 func TestLegacyModeMapping(t *testing.T) {
-	if LegacyMode(PR) != LR {
-		t.Error("PR must map to LR")
-	}
-	for _, m := range []Mode{NBW, BW, PW, LW} {
-		if LegacyMode(m) != LW {
-			t.Errorf("%v must map to LW", m)
+	for _, p := range []Policy{Basic(), Lustre(), Datatype()} {
+		for _, m := range []Mode{PR, NBW, BW, PW} {
+			want := PW
+			if m == PR {
+				want = PR
+			}
+			if got := p.MapMode(m); got != want {
+				t.Errorf("%s: MapMode(%v) = %v, want %v", p.Name, m, got, want)
+			}
 		}
-	}
-	if LegacyMode(LR) != LR {
-		t.Error("LR maps to itself")
 	}
 }
 
@@ -219,7 +215,7 @@ func TestPolicies(t *testing.T) {
 	if d.Expand != ExpandNone || d.CacheLocks {
 		t.Errorf("Datatype policy wrong: %+v", d)
 	}
-	if s.MapMode(NBW) != NBW || b.MapMode(NBW) != LW || b.MapMode(PR) != LR {
+	if s.MapMode(NBW) != NBW || b.MapMode(NBW) != PW || b.MapMode(PR) != PR {
 		t.Error("MapMode wrong")
 	}
 }
@@ -232,7 +228,7 @@ func TestPolicies(t *testing.T) {
 //  3. a request is never compatible with a granted lock that Covers a
 //     mode it conflicts with.
 func TestLCMProperties(t *testing.T) {
-	all := []Mode{PR, NBW, BW, PW, LR, LW}
+	all := []Mode{PR, NBW, BW, PW}
 	for _, req := range all {
 		for _, g := range all {
 			if Compatible(req, g, Granted) && !Compatible(req, g, Canceling) {
@@ -266,9 +262,9 @@ func TestUpgradeProperties(t *testing.T) {
 }
 
 // TestCoversTransitive: Covers must be a partial order (reflexive,
-// transitive) over each mode family.
+// transitive).
 func TestCoversTransitive(t *testing.T) {
-	all := []Mode{PR, NBW, BW, PW, LR, LW}
+	all := []Mode{PR, NBW, BW, PW}
 	for _, a := range all {
 		if !a.Covers(a) {
 			t.Errorf("%v does not cover itself", a)

@@ -43,12 +43,13 @@ type Policy struct {
 	// upgrading on same-client conflicts and client-side downgrading at
 	// cancel time (§III-D).
 	Conversion bool
-	// Legacy restricts the mode set to LR/LW (traditional baselines).
+	// Legacy restricts the mode set to PR and PW, the traditional read
+	// and write locks of the baselines: MapMode maps every write to PW.
 	Legacy bool
 	// Expand selects the range expansion rule.
 	Expand ExpandRule
-	// LustreCapBytes is the expansion cap for ExpandLustre (32 MB in the
-	// paper). Scaled-down clusters scale it together with file sizes.
+	// LustreCapBytes is the expansion cap for ExpandLustre: 32 MB, as in
+	// the paper, whatever the size of the files written under it.
 	LustreCapBytes int64
 	// LustreLockThreshold is the grant count beyond which ExpandLustre
 	// stops greedy expansion (32 in the paper).
@@ -57,22 +58,16 @@ type Policy struct {
 	// DLM-datatype acquires exact-range locks per atomic operation and
 	// releases them after use.
 	CacheLocks bool
-	// Handoff enables client-to-client lock handoff (DESIGN.md §13):
-	// when a revocation's conflict queue is headed by a single waiter,
-	// the server stamps the revoke with a delegation grant and the
-	// holder transfers the lock directly to the next owner, cutting the
-	// server out of stable conflict patterns. Off by default — the
-	// revoke path is then byte-identical to the pre-handoff engine.
+	// Handoff enables every form of client-to-client delegation
+	// (DESIGN.md §13, §14): the server stamps a quiet conflict's
+	// revocation toward the waiter it blocks, and the holder transfers
+	// the lock straight to it; a write waiter blocked by a reader cohort
+	// gathers their transfers, and its grant pre-arms one read lease per
+	// member, which the writer hands back to a lead reader that
+	// propagates them down a tree. Off in every stock policy: no
+	// revocation is then stamped, and every lock returns through the
+	// server.
 	Handoff bool
-	// ReaderFanout extends handoff to reader cohorts (DESIGN.md §14): a
-	// writer whose conflicts are exactly a reader cohort gathers the
-	// cohort's transfers directly, and its grant pre-arms a handback —
-	// one delegated read lease per cohort member — that the writer
-	// transfers to a lead reader when it finishes; the lead propagates
-	// the leases peer-to-peer down a bounded-fanout tree. Implies the
-	// handoff transport. Off by default — the grant/revoke path is then
-	// byte-identical to the single-successor handoff engine.
-	ReaderFanout bool
 	// HandoffReclaimInterval is the deadline after which the server
 	// force-resolves an unacked delegation (nudging first at half the
 	// interval). Zero means DefaultHandoffTimeout (250 ms); tests and
@@ -101,7 +96,7 @@ func SeqDLM() Policy {
 }
 
 // Basic returns the general traditional DLM of §II-A: normal grant only,
-// greedy range expansion, legacy modes.
+// greedy range expansion, the traditional PR/PW modes.
 func Basic() Policy {
 	return Policy{
 		Name:       "DLM-basic",
@@ -152,10 +147,12 @@ func PolicyByName(name string) (Policy, error) {
 }
 
 // MapMode converts the mode an operation selected (via SelectMode) to
-// the mode this policy grants.
+// the mode this policy grants: a Legacy policy writes under PW, the
+// traditional write lock. The modes a policy serves are MapMode's fixed
+// points.
 func (p Policy) MapMode(m Mode) Mode {
-	if p.Legacy {
-		return LegacyMode(m)
+	if p.Legacy && m.IsWrite() {
+		return PW
 	}
 	return m
 }

@@ -18,13 +18,6 @@ import (
 // peer-to-peer propagation tree, reclaim of lost tree edges, and
 // freeze/migration with handback delegations outstanding.
 
-func fanPolicy() Policy {
-	p := SeqDLM()
-	p.Handoff = true
-	p.ReaderFanout = true
-	return p
-}
-
 // formHandback drives the harness into a gather with a pre-armed
 // handback: the readers (clients 2..nReaders+1) take PR locks from the
 // server and keep them cached, then client 1's write acquire gathers
@@ -63,7 +56,7 @@ func acquireCohort(t *testing.T, h *hoHarness, res ResourceID, rng extent.Extent
 // with the same SN, above the writer's, without a server grant.
 func TestReaderFanBroadcastTree(t *testing.T) {
 	const nReaders = 4
-	h := newHOHarness(t, fanPolicy(), 1+nReaders, true)
+	h := newHOHarness(t, handoffPolicy(), 1+nReaders, true)
 	res := ResourceID(31)
 	rng := extent.New(0, 4096)
 
@@ -122,7 +115,7 @@ func TestReaderFanBroadcastTree(t *testing.T) {
 // costs the server exactly the one lock RPC.
 func TestReaderFanGatherToWriter(t *testing.T) {
 	const nReaders = 4
-	h := newHOHarness(t, fanPolicy(), 1+nReaders, true)
+	h := newHOHarness(t, handoffPolicy(), 1+nReaders, true)
 	res := ResourceID(33)
 	rng := extent.New(0, 4096)
 
@@ -182,7 +175,7 @@ func TestReaderFanGatherToWriter(t *testing.T) {
 // dropped.
 func TestReaderFanPartAfterCancelFlush(t *testing.T) {
 	const nReaders = 4
-	h := newHOHarness(t, fanPolicy(), 1+nReaders, true)
+	h := newHOHarness(t, handoffPolicy(), 1+nReaders, true)
 	res := ResourceID(34)
 	rng := extent.New(0, 4096)
 
@@ -233,7 +226,7 @@ func TestReaderFanPartAfterCancelFlush(t *testing.T) {
 func TestReaderFanRotation(t *testing.T) {
 	const nReaders = 4
 	const rounds = 10
-	p := fanPolicy()
+	p := handoffPolicy()
 	p.HandoffReclaimInterval = 2 * time.Second // keep reclaim out of slow -race runs
 	h := newHOHarness(t, p, 1+nReaders, true)
 	res := ResourceID(35)
@@ -309,7 +302,7 @@ func TestReaderFanRotation(t *testing.T) {
 func TestReaderFanReclaimLostPropagation(t *testing.T) {
 	const nReaders = 4
 	const reclaim = 20 * time.Millisecond
-	h := newHOHarness(t, reclaimEvery(fanPolicy(), reclaim), 1+nReaders, true)
+	h := newHOHarness(t, reclaimEvery(handoffPolicy(), reclaim), 1+nReaders, true)
 	res := ResourceID(37)
 	rng := extent.New(0, 4096)
 
@@ -408,7 +401,7 @@ func gatherReaders(t *testing.T, h *hoHarness, res ResourceID, rng extent.Extent
 // two, not after the reclaimer's two periods.
 func TestReaderFanMixedGather(t *testing.T) {
 	const reclaim = 200 * time.Millisecond
-	h := newHOHarness(t, reclaimEvery(fanPolicy(), reclaim), 3, true)
+	h := newHOHarness(t, reclaimEvery(handoffPolicy(), reclaim), 3, true)
 	res := ResourceID(38)
 	rng := extent.New(0, 4096)
 
@@ -446,7 +439,7 @@ func TestReaderFanMixedGather(t *testing.T) {
 // and from the server, and must count it once: its gather may not
 // complete while the third member still holds its read lock.
 func TestReaderFanGatherCountsMembersOnce(t *testing.T) {
-	h := newHOHarness(t, reclaimEvery(fanPolicy(), 200*time.Millisecond), 4, true)
+	h := newHOHarness(t, reclaimEvery(handoffPolicy(), 200*time.Millisecond), 4, true)
 	res := ResourceID(39)
 	rng := extent.New(0, 4096)
 
@@ -503,7 +496,7 @@ func TestReaderFanGatherCountsMembersOnce(t *testing.T) {
 // SN, and the sequencer stays monotonic at the importing master.
 func TestReaderFanFreezeResolvesBroadcast(t *testing.T) {
 	const nReaders = 3
-	h := newHOHarness(t, reclaimEvery(fanPolicy(), time.Hour), 1+nReaders, true) // the freeze, not the reclaimer, must resolve
+	h := newHOHarness(t, reclaimEvery(handoffPolicy(), time.Hour), 1+nReaders, true) // the freeze, not the reclaimer, must resolve
 
 	res := ridInSlot(t, 29, 0)
 	h.srv.SetSlots(1, []partition.Slot{29})
@@ -542,7 +535,7 @@ func TestReaderFanFreezeResolvesBroadcast(t *testing.T) {
 		maxSN = max(maxSN, l.SN)
 	}
 
-	dst := newBareEngine(fanPolicy())
+	dst := newBareEngine(handoffPolicy())
 	exp.Epoch = 2
 	if err := dst.Restore(exp); err != nil {
 		t.Fatal(err)
@@ -563,13 +556,13 @@ func TestReaderFanFreezeResolvesBroadcast(t *testing.T) {
 	}
 }
 
-// TestReaderFanDisabledByDefault: no stock policy enables the fan-out
-// path, and with it off a writer/reader rotation must never stamp a
-// gather — the engine behaves exactly as before.
+// TestReaderFanDisabledByDefault: no stock policy sets Handoff, which
+// the fan-out path rides on, and with it off a writer/reader rotation
+// must never stamp a gather.
 func TestReaderFanDisabledByDefault(t *testing.T) {
 	for _, p := range []Policy{SeqDLM(), Basic(), Lustre(), Datatype()} {
-		if p.ReaderFanout {
-			t.Fatalf("policy %q enables ReaderFanout by default", p.Name)
+		if p.Handoff {
+			t.Fatalf("policy %q enables Handoff by default", p.Name)
 		}
 	}
 	h := newHOHarness(t, SeqDLM(), 4, true)
@@ -584,9 +577,9 @@ func TestReaderFanDisabledByDefault(t *testing.T) {
 		}
 	}
 	if got := h.srv.Stats.Gathers.Load(); got != 0 {
-		t.Fatalf("Gathers = %d with ReaderFanout off, want 0", got)
+		t.Fatalf("Gathers = %d with Handoff off, want 0", got)
 	}
 	if got := h.srv.Stats.LeaseGrants.Load(); got != 0 {
-		t.Fatalf("LeaseGrants = %d with ReaderFanout off, want 0", got)
+		t.Fatalf("LeaseGrants = %d with Handoff off, want 0", got)
 	}
 }

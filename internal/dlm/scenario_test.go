@@ -67,7 +67,7 @@ func TestAcquireExtentsValidation(t *testing.T) {
 	_, err := h.srv.Lock(context.Background(), Request{
 		Resource: 1,
 		Client:   1,
-		Mode:     LW,
+		Mode:     PW,
 		Range:    extent.New(0, 10),
 		Extents:  extent.NewSet(extent.New(0, 5), extent.New(50, 60)),
 	})

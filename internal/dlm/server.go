@@ -109,8 +109,8 @@ type Notifier interface {
 }
 
 // NotifierFunc adapts a per-revocation function to Notifier, for engines
-// with Policy.Handoff and Policy.ReaderFanout off: it never stamps a
-// revocation there, so nothing is delegated to activate or confirm.
+// with Policy.Handoff off: such an engine never stamps a revocation, so
+// nothing is delegated to activate or confirm.
 type NotifierFunc func(context.Context, Revocation)
 
 // RevokeBatch implements Notifier: f runs once per revocation, in order.
@@ -147,15 +147,6 @@ type Server struct {
 	// client at once (DESIGN.md §9).
 	revoker revoker
 
-	// handoffOn gates the client-to-client handoff fast path; set from
-	// Policy.Handoff (or ReaderFanout, which rides on its transport). Off,
-	// the revoke path is byte-identical to the pre-handoff engine.
-	handoffOn bool
-	// fanOn gates the reader fan-out path, the cohort gather with its
-	// pre-armed handback (DESIGN.md §14); set from Policy.ReaderFanout.
-	// Off, the grant/revoke path is byte-identical to the
-	// single-successor handoff engine.
-	fanOn bool
 	// reclaim tracks outstanding delegations for timeout recovery
 	// (handoff.go), on Policy.ReclaimInterval.
 	reclaim handoffReclaimer
@@ -198,8 +189,6 @@ func NewServer(policy Policy, notifier Notifier) *Server {
 		notifier:  notifier,
 		baseCtx:   ctx,
 		cancelFn:  cancel,
-		handoffOn: policy.Handoff || policy.ReaderFanout,
-		fanOn:     policy.ReaderFanout,
 		resources: make(map[ResourceID]*resource),
 	}
 	s.revoker.s, s.revoker.clients = s, make(map[ClientID]*revClient)
@@ -354,7 +343,7 @@ func (s *Server) Lock(ctx context.Context, req Request) (Grant, error) {
 	if !req.Mode.Valid() {
 		return Grant{}, wire.Errorf(wire.CodeInvalid, "dlm: invalid mode %v", req.Mode)
 	}
-	if s.policy.Legacy != (req.Mode == LR || req.Mode == LW) {
+	if s.policy.MapMode(req.Mode) != req.Mode {
 		return Grant{}, wire.Errorf(wire.CodeInvalid, "dlm: mode %v not served by policy %s", req.Mode, s.policy.Name)
 	}
 	if req.Range.Empty() {
@@ -875,7 +864,7 @@ func (s *Server) scan(res *resource, fx *effects) {
 // queued on one range behind a writer are one entry, and a pass over
 // them is linear, where testing each against every earlier one was
 // quadratic.
-type blockedSet [LW + 1][]extent.Extent
+type blockedSet [PW + 1][]extent.Extent
 
 // reset empties b, keeping its slices' storage for the next pass.
 func (b *blockedSet) reset() {

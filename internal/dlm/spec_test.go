@@ -48,23 +48,22 @@ const (
 	specEOF    = specBlocks + 1
 )
 
-// tableII is Table II of the paper, with the traditional read/write
-// matrix of the baselines beside it: tableII[req][held-PR] tells whether
+// tableII is Table II of the paper: tableII[req][held-PR] tells whether
 // a request of mode req may be granted beside a held lock of mode held —
-// 'Y' yes, 'N' no, 'E' only once the held lock is CANCELING.
-var tableII = [LW + 1]string{
-	//   PR NBW BW PW LR LW
-	PR:  "YNNNNN",
-	NBW: "NENNNN",
-	BW:  "NENNNN",
-	PW:  "NNNNNN",
-	LR:  "NNNNYN",
-	LW:  "NNNNNN",
+// 'Y' yes, 'N' no, 'E' only once the held lock is CANCELING. Its PR and
+// PW rows and columns are the traditional read/write matrix of the
+// baselines.
+var tableII = [PW + 1]string{
+	//   PR NBW BW PW
+	PR:  "YNNN",
+	NBW: "NENN",
+	BW:  "NENN",
+	PW:  "NNNN",
 }
 
 // above is Fig. 9's severity lattice: each mode's next more restrictive
 // mode.
-var above = [LW + 1]Mode{PR: PW, NBW: BW, BW: PW, LR: LW}
+var above = [PW + 1]Mode{PR: PW, NBW: BW, BW: PW}
 
 // specLock is one granted lock.
 type specLock struct {
@@ -156,7 +155,7 @@ func (sp *spec) ok(req, held Mode, canceling bool) bool {
 
 func overlap(alo, ahi, blo, bhi int) bool { return alo < bhi && blo < ahi }
 
-func writes(m Mode) bool { return m != PR && m != LR }
+func writes(m Mode) bool { return m != PR }
 
 // upgrade is the least mode at or above both a and b in the lattice.
 func upgrade(a, b Mode) Mode {

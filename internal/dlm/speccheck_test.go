@@ -58,7 +58,7 @@ func newChecker(policy Policy, clients int) *checker {
 		perms: permutations(clients), sound: map[uint64]bool{}}
 	c.modes = []Mode{PR, NBW, BW, PW}
 	if policy.Legacy {
-		c.modes = []Mode{LR, LW}
+		c.modes = []Mode{PR, PW}
 	}
 	return c
 }

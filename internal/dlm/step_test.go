@@ -150,7 +150,7 @@ func gatherOverReaders(t *testing.T, s *Server) (r2, r3, w Grant) {
 // server activates every lease of the cohort itself.
 func TestReleaseOwingBroadcastActivatesCohort(t *testing.T) {
 	n := &recNotifier{}
-	s := NewServer(reclaimEvery(fanPolicy(), time.Hour), n)
+	s := NewServer(reclaimEvery(handoffPolicy(), time.Hour), n)
 	defer s.Shutdown()
 	_, _, w := gatherOverReaders(t, s)
 	s.HandoffAck(1, w.LockID) // the writer collected its parts; the cohort retires
@@ -192,7 +192,7 @@ func TestReleaseOwingBroadcastActivatesCohort(t *testing.T) {
 // is above the writer's.
 func TestReaderRunBehindHandedOffWriter(t *testing.T) {
 	n := &recNotifier{}
-	s := NewServer(reclaimEvery(fanPolicy(), time.Hour), n)
+	s := NewServer(reclaimEvery(handoffPolicy(), time.Hour), n)
 	defer s.Shutdown()
 	rng := extent.New(0, 10)
 	mustLock(t, s, Request{Resource: 1, Client: 1, Mode: NBW, Range: rng})
@@ -262,7 +262,7 @@ func livePreds(res *resource, id LockID) int {
 // the delegation is resolved server-side too.
 func TestReleaseByGatherMemberCountsDown(t *testing.T) {
 	n := &recNotifier{}
-	s := NewServer(reclaimEvery(fanPolicy(), time.Hour), n)
+	s := NewServer(reclaimEvery(handoffPolicy(), time.Hour), n)
 	defer s.Shutdown()
 	r2, r3, w := gatherOverReaders(t, s)
 	res := s.lookup(1)
@@ -315,8 +315,8 @@ func (c hookConn) Lock(ctx context.Context, req Request) (Grant, error) {
 	return g, err
 }
 
-// TestReleaseByHandoffHolderSendsPart: with fan-out off, a handoff's
-// holder releases instead of transferring. The server sends the
+// TestReleaseByHandoffHolderSendsPart: a handoff's holder releases
+// instead of transferring. The server sends the
 // successor a part naming the holder and resolves the delegation, as it
 // does for the last gather member to release; the successor's delegated
 // acquire returns whether that part lands before its grant reply or
@@ -387,7 +387,7 @@ func TestReleaseByHandoffHolderSendsPart(t *testing.T) {
 // instead.
 func TestReclaimForceLiveProviderNudges(t *testing.T) {
 	n := &recNotifier{}
-	s := NewServer(reclaimEvery(fanPolicy(), time.Hour), n)
+	s := NewServer(reclaimEvery(handoffPolicy(), time.Hour), n)
 	defer s.Shutdown()
 	_, _, w := gatherOverReaders(t, s)
 	lease := w.HandBack.Leases[0].LockID

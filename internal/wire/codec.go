@@ -43,6 +43,14 @@ func (e *Encoder) U32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf
 // U64 appends a little-endian uint64.
 func (e *Encoder) U64(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
 
+// U64s appends a length-prefixed list of uint64s.
+func (e *Encoder) U64s(v []uint64) {
+	e.U32(uint32(len(v)))
+	for _, x := range v {
+		e.U64(x)
+	}
+}
+
 // I64 appends a little-endian int64.
 func (e *Encoder) I64(v int64) { e.U64(uint64(v)) }
 
@@ -153,6 +161,19 @@ func (d *Decoder) U64() uint64 {
 	}
 	v := binary.LittleEndian.Uint64(d.buf[d.off:])
 	d.off += 8
+	return v
+}
+
+// U64s reads a list that U64s appended; an empty list reads as nil.
+func (d *Decoder) U64s() []uint64 {
+	n := d.Len32(8)
+	if n == 0 {
+		return nil
+	}
+	v := make([]uint64, n)
+	for i := range v {
+		v[i] = d.U64()
+	}
 	return v
 }
 

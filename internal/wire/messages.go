@@ -239,10 +239,7 @@ func (m *LockRequest) Encode(e *Encoder) {
 	for _, x := range m.Extents {
 		encodeExtent(e, x)
 	}
-	e.U32(uint32(len(m.HandoffAcks)))
-	for _, id := range m.HandoffAcks {
-		e.U64(id)
-	}
+	e.U64s(m.HandoffAcks)
 }
 
 // Decode implements Msg.
@@ -258,13 +255,7 @@ func (m *LockRequest) Decode(d *Decoder) {
 			m.Extents[i] = decodeExtent(d)
 		}
 	}
-	n = d.Len32(8)
-	if n > 0 {
-		m.HandoffAcks = make([]uint64, n)
-		for i := range m.HandoffAcks {
-			m.HandoffAcks[i] = d.U64()
-		}
-	}
+	m.HandoffAcks = d.U64s()
 }
 
 // LockGrant is the reply to a LockRequest. The server may expand the
@@ -553,10 +544,10 @@ func (m *RevokeBatchAck) Decode(d *Decoder) {
 type HandoffRequest struct {
 	Resource uint64
 	LockID   uint64
-	// Member names the cohort member's lock a gather part retires, so
-	// the gathering writer counts each member once, whether its part
-	// came from the member or, after a release, from the server. Zero
-	// on a handoff part and on an activation.
+	// Member names the lock a part retires, so a gathering writer
+	// counts each cohort member once, whether its part came from the
+	// member or, after a release, from the server. Zero on a write
+	// lock's part to a writer and on an activation.
 	Member uint64
 	// Acks piggybacks the sender's queued delegation acknowledgements
 	// for this resource: a reader transferring to a gathering writer
@@ -579,10 +570,7 @@ type HandoffRequest struct {
 func (m *HandoffRequest) Encode(e *Encoder) {
 	e.U64(m.Resource)
 	e.U64(m.LockID)
-	e.U32(uint32(len(m.Acks)))
-	for _, id := range m.Acks {
-		e.U64(id)
-	}
+	e.U64s(m.Acks)
 	encodeStamp(e, m.Cohort)
 	var flags uint8
 	if m.Final {
@@ -601,13 +589,7 @@ func (m *HandoffRequest) Encode(e *Encoder) {
 func (m *HandoffRequest) Decode(d *Decoder) {
 	m.Resource = d.U64()
 	m.LockID = d.U64()
-	n := d.Len32(8)
-	if n > 0 {
-		m.Acks = make([]uint64, n)
-		for i := range m.Acks {
-			m.Acks[i] = d.U64()
-		}
-	}
+	m.Acks = d.U64s()
 	m.Cohort = decodeStamp(d, nil)
 	flags := d.U8()
 	m.Final = flags&1 != 0
@@ -622,34 +604,22 @@ func (m *HandoffRequest) Decode(d *Decoder) {
 // delegations are idempotent no-ops.
 type HandoffAckRequest struct {
 	Resource uint64
-	LockID   uint64
-	// More batches additional lock IDs acked in the same request: a
+	// LockIDs lists every delegated lock of Resource acked at once: a
 	// reader cohort's acks gathered by a writer, or a client draining a
 	// backlog, confirm in one RPC instead of one per lock.
-	More []uint64
+	LockIDs []uint64
 }
 
 // Encode implements Msg.
 func (m *HandoffAckRequest) Encode(e *Encoder) {
 	e.U64(m.Resource)
-	e.U64(m.LockID)
-	e.U32(uint32(len(m.More)))
-	for _, id := range m.More {
-		e.U64(id)
-	}
+	e.U64s(m.LockIDs)
 }
 
 // Decode implements Msg.
 func (m *HandoffAckRequest) Decode(d *Decoder) {
 	m.Resource = d.U64()
-	m.LockID = d.U64()
-	n := d.Len32(8)
-	if n > 0 {
-		m.More = make([]uint64, n)
-		for i := range m.More {
-			m.More[i] = d.U64()
-		}
-	}
+	m.LockIDs = d.U64s()
 }
 
 // AckSolicit names one delegated lock whose confirmation the server

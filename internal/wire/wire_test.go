@@ -297,7 +297,8 @@ func TestHandoffMessagesRoundTrip(t *testing.T) {
 		{&HandoffRequest{Resource: 9, LockID: 77}, &HandoffRequest{}},
 		{&HandoffRequest{Resource: 9, LockID: 77, Final: true}, &HandoffRequest{}},
 		{&HandoffRequest{Resource: 9, LockID: 77, Member: 12, Acks: []uint64{3}}, &HandoffRequest{}},
-		{&HandoffAckRequest{Resource: 9, LockID: 77}, &HandoffAckRequest{}},
+		{&HandoffAckRequest{Resource: 9, LockIDs: []uint64{77}}, &HandoffAckRequest{}},
+		{&HandoffAckRequest{Resource: 9, LockIDs: []uint64{77, 78, 80}}, &HandoffAckRequest{}},
 		{&AckSolicit{Resource: 9, LockID: 77}, &AckSolicit{}},
 	} {
 		roundTrip(t, m.in, m.out)

@@ -16,7 +16,7 @@ import (
 // re-read it, round after round — the producer-broadcast pattern whose
 // read side the batched fan-out grant and the peer-to-peer lease
 // propagation tree target. On the server path every round costs at
-// least one lock RPC per reader; with ReaderFanout on, the whole
+// least one lock RPC per reader; with Policy.Handoff on, the whole
 // cohort's leases ride one batched grant (round one) and afterwards
 // propagate client-to-client, so the per-round server cost stays near
 // the writer's single lock RPC regardless of reader count.

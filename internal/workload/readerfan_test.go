@@ -10,7 +10,7 @@ import (
 
 // TestRunReaderFan drives the write-then-fan-out rotation through the
 // full client/cluster stack with the fan path on and off, and checks
-// the economy the experiment reports: with ReaderFanout the rotation
+// the economy the experiment reports: with delegation on the rotation
 // must ride gathers and propagated leases and spend strictly fewer
 // server RPCs per reader-round than the server grant path.
 func TestRunReaderFan(t *testing.T) {
@@ -19,11 +19,10 @@ func TestRunReaderFan(t *testing.T) {
 	run := func(fan bool) Result {
 		t.Helper()
 		c, err := cluster.New(cluster.Options{
-			Servers:      1,
-			Policy:       dlm.SeqDLM(),
-			Hardware:     sim.Fast(),
-			Handoff:      fan,
-			ReaderFanout: fan,
+			Servers:  1,
+			Policy:   dlm.SeqDLM(),
+			Hardware: sim.Fast(),
+			Handoff:  fan,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -75,7 +74,7 @@ func TestReaderFanOneDeviceReadPerRound(t *testing.T) {
 	v.Run(func() {
 		var c *cluster.Cluster
 		if c, err = cluster.New(cluster.Options{
-			Servers: 1, Policy: dlm.SeqDLM(), Hardware: hw, Handoff: true, ReaderFanout: true,
+			Servers: 1, Policy: dlm.SeqDLM(), Hardware: hw, Handoff: true,
 		}); err != nil {
 			return
 		}

@@ -141,7 +141,7 @@ func TestVirtualRealEquivalence(t *testing.T) {
 func readFanColdStart(hw Hardware, readers, steady int) (string, error) {
 	const size = 16 << 10
 	c, err := cluster.New(cluster.Options{
-		Servers: 1, Policy: dlm.SeqDLM(), Hardware: hw, Handoff: true, ReaderFanout: true,
+		Servers: 1, Policy: dlm.SeqDLM(), Hardware: hw, Handoff: true,
 	})
 	if err != nil {
 		return "", err
