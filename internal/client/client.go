@@ -95,9 +95,10 @@ type Stats struct {
 	ReadCacheHits   obs.Counter
 	ReadCacheMisses obs.Counter
 	// FlushRPCHist observes per-chunk flush RPC round trips;
-	// FlushGroupHist observes whole windowed group flushes (collect +
-	// pipelined send), the flush-window latency on the cancel critical
-	// path.
+	// FlushGroupHist observes whole windowed group flushes, from the
+	// moment the flush asked for its window's token (a queued cancel's
+	// wait included) through collect and pipelined send: the flush
+	// latency on the cancel critical path.
 	FlushRPCHist   obs.Histogram
 	FlushGroupHist obs.Histogram
 
@@ -151,10 +152,11 @@ type Client struct {
 	peerDial PeerDialer
 
 	// windows holds each data server's flush window, indexed like
-	// conns.Data: a channel of flushWindow tokens, one taken per flush
-	// RPC in flight there, across all of the client's flushes at once.
-	// maxRPC bounds one flush RPC's payload (maxFlushRPC).
-	windows []chan struct{}
+	// conns.Data: flushWindow tokens, one taken per flush RPC in flight
+	// there, across all of the client's flushes at once, and the cancels
+	// queued for one (DESIGN.md §6). maxRPC bounds one flush RPC's
+	// payload (maxFlushRPC).
+	windows []*sim.Window
 	maxRPC  int64
 }
 
@@ -173,15 +175,15 @@ func New(ctx context.Context, cfg Config, conns Conns) (*Client, error) {
 		pc:       pagecache.New(cfg.PageCache),
 		baseCtx:  lifeCtx,
 		cancelFn: cancel,
-		windows:  make([]chan struct{}, len(conns.Data)),
+		windows:  make([]*sim.Window, len(conns.Data)),
 		maxRPC:   maxFlushRPC,
 	}
 	for i := range c.windows {
-		c.windows[i] = newWindow(flushWindow)
+		c.windows[i] = sim.NewWindow(c.clk, flushWindow)
 	}
 	c.daemonWG = sim.NewGroup(c.clk)
 	c.pc.SetClock(c.clk)
-	c.lc = dlm.NewLockClient(cfg.ID, cfg.Policy, c.route, dlm.FlusherFunc(c.flushForCancel))
+	c.lc = dlm.NewLockClient(cfg.ID, cfg.Policy, c.route, (*dataPath)(c))
 	c.lc.SetClock(c.clk)
 	c.rpcMetrics = rpc.NewMetrics()
 	c.obs = obs.NewRegistry()
@@ -309,7 +311,12 @@ func (c *Client) Kill() {
 	})
 }
 
+// closeConns closes the flush windows, so that no cancel waits for a
+// token, and then every connection.
 func (c *Client) closeConns() {
+	for _, w := range c.windows {
+		w.Close()
+	}
 	c.closePeers()
 	for _, ep := range c.conns.Data {
 		ep.Close()
@@ -481,22 +488,35 @@ func (c rpcConn) HandoffAck(ctx context.Context, res dlm.ResourceID, ids []dlm.L
 	return c.ep.Call(ctx, wire.MHandoffAck, req, nil)
 }
 
-// flushForCancel is the lock client's data path: flush dirty data under
-// the canceling lock, then drop the cached pages that lose their lock
-// protection, and with them what the cache knew of the stripe's end
-// beyond its own dirty bytes. Nothing is published besides the data:
-// the data server the flush lands on raises the stripe's end itself,
-// and a reader whose lock conflicts with this one, granted after the
-// flush, learns that end from its read reply.
-func (c *Client) flushForCancel(ctx context.Context, res dlm.ResourceID, rng extent.Extent, sn extent.SN) error {
+// dataPath is the client as its lock client's data path
+// (dlm.WindowedFlusher): the cancel flushes, and the windows of the data
+// servers they go to.
+type dataPath Client
+
+func (p *dataPath) Window(res dlm.ResourceID) *sim.Window { return (*Client)(p).windowOf(uint64(res)) }
+
+func (p *dataPath) FlushForCancel(ctx context.Context, res dlm.ResourceID, rng extent.Extent, sn extent.SN) error {
+	return p.FlushHeld(ctx, res, rng, sn, time.Time{})
+}
+
+// FlushHeld is a cancel's flush: flush dirty data under the canceling
+// lock, then drop the cached pages that lose their lock protection, and
+// with them what the cache knew of the stripe's end beyond its own
+// dirty bytes. Nothing is published besides the data: the data server
+// the flush lands on raises the stripe's end itself, and a reader whose
+// lock conflicts with this one, granted after the flush, learns that
+// end from its read reply. held is as flushGroup's.
+func (p *dataPath) FlushHeld(ctx context.Context, res dlm.ResourceID, rng extent.Extent, sn extent.SN, held time.Time) error {
+	c := (*Client)(p)
 	// Redo failed flush RPCs a few times (the recovery convention of
 	// §IV-C2) before giving up with the ephemeral-cache semantics. A
 	// dead context stops the retries — the caller is gone.
 	var err error
 	for attempt := 0; attempt < 3; attempt++ {
-		if err = c.flushGroup(ctx, []uint64{uint64(res)}, rng, sn); err == nil {
+		if err = c.flushGroup(ctx, []uint64{uint64(res)}, rng, sn, held); err == nil {
 			break
 		}
+		held = time.Time{} // the failed attempt gave its token back
 		if ctx.Err() != nil {
 			break
 		}
@@ -521,7 +541,7 @@ func (c *Client) flushStripes(ctx context.Context, rids []uint64, rng extent.Ext
 	case 0:
 		return nil
 	case 1:
-		return c.flushGroup(ctx, rids, rng, sn)
+		return c.flushGroup(ctx, rids, rng, sn, time.Time{})
 	}
 	groups := make([][]uint64, len(c.conns.Data))
 	for _, rid := range rids {
@@ -530,7 +550,7 @@ func (c *Client) flushStripes(ctx context.Context, rids []uint64, rng extent.Ext
 	}
 	groups = slices.DeleteFunc(groups, func(g []uint64) bool { return len(g) == 0 })
 	return c.fanOut(ctx, len(groups), func(ctx context.Context, i int) error {
-		return c.flushGroup(ctx, groups[i], rng, sn)
+		return c.flushGroup(ctx, groups[i], rng, sn, time.Time{})
 	})
 }
 
@@ -648,17 +668,22 @@ func (b *flushBatch) addFrame(rid uint64, client uint32, blocks []pagecache.Bloc
 // flushGroup flushes a set of stripes that live on the same data
 // server. Any failure re-dirties every collected stripe of the group so
 // the data is retried by a later flush (SN-tagged re-application is
-// idempotent at the server). It takes a token of the server's flush
+// idempotent at the server). It holds a token of the server's flush
 // window before it collects: a flush waiting for the window leaves its
 // data dirty in the pages, where MaxDirty counts it, instead of holding
-// it in frames. On an N-1 strided run dozens of flushes wait at once,
-// and frames held through the wait drained the frame pool after every
-// garbage collection.
-func (c *Client) flushGroup(ctx context.Context, rids []uint64, rng extent.Extent, sn extent.SN) error {
-	win := c.windows[meta.PlaceStripe(rids[0], len(c.conns.Data))]
-	start := c.clk.Now()
-	if err := c.takeSlot(ctx, win); err != nil {
-		return err
+// it in frames. On an N-1 strided run hundreds of cancel flushes wait at
+// once, and frames held through the wait drained the frame pool after
+// every garbage collection. A zero held takes the token here; otherwise
+// the caller holds one, asked for at held (a cancel the window started).
+// FlushGroupHist times the flush from the moment it asked for the
+// token. Every return has given the token back.
+func (c *Client) flushGroup(ctx context.Context, rids []uint64, rng extent.Extent, sn extent.SN, held time.Time) error {
+	w, start := c.windowOf(rids[0]), held
+	if start.IsZero() {
+		start = c.clk.Now()
+		if err := w.Take(ctx); err != nil {
+			return wire.FromContext(err)
+		}
 	}
 	b := flushBatches.Get().(*flushBatch)
 	defer b.recycle()
@@ -666,10 +691,10 @@ func (c *Client) flushGroup(ctx context.Context, rids []uint64, rng extent.Exten
 		b.collect(c.pc, rid, rng, sn, uint32(c.cfg.ID), c.maxRPC)
 	}
 	if len(b.stripes) == 0 {
-		sim.Send(c.clk, win, struct{}{})
+		w.Put()
 		return nil
 	}
-	err := c.sendChunks(ctx, c.bulkFor(b.stripes[0].rid), win, b.frames)
+	err := c.sendChunks(ctx, c.bulkFor(b.stripes[0].rid), w, b.frames)
 	c.Stats.FlushGroupHist.Observe(c.clk.Since(start))
 	if err != nil {
 		// Redirty goes by range and SN; the bytes are still in the pages.
@@ -680,33 +705,20 @@ func (c *Client) flushGroup(ctx context.Context, rids []uint64, rng extent.Exten
 	return err
 }
 
-// newWindow returns a flush window of n tokens.
-func newWindow(n int) chan struct{} {
-	win := make(chan struct{}, n)
-	for range n {
-		win <- struct{}{}
-	}
-	return win
-}
-
-// takeSlot takes a token of win, waiting for one unless ctx fires
-// first; sim.Send puts it back.
-func (c *Client) takeSlot(ctx context.Context, win chan struct{}) error {
-	if _, _, err := sim.Recv(ctx, c.clk, win, nil, time.Time{}); err != nil {
-		return wire.FromContext(err)
-	}
-	return nil
+// windowOf returns the flush window of the data server holding rid.
+func (c *Client) windowOf(rid uint64) *sim.Window {
+	return c.windows[meta.PlaceStripe(rid, len(c.conns.Data))]
 }
 
 // sendChunk issues one flush RPC and accounts for it. It takes a token
-// of win, the server's flush window, for the RPC; a nil win means the
+// of w, the server's flush window, for the RPC; a nil w means the
 // caller holds one.
-func (c *Client) sendChunk(ctx context.Context, ep *rpc.Endpoint, win chan struct{}, f *flushFrame) error {
-	if win != nil {
-		if err := c.takeSlot(ctx, win); err != nil {
-			return err
+func (c *Client) sendChunk(ctx context.Context, ep *rpc.Endpoint, w *sim.Window, f *flushFrame) error {
+	if w != nil {
+		if err := w.Take(ctx); err != nil {
+			return wire.FromContext(err)
 		}
-		defer sim.Send(c.clk, win, struct{}{})
+		defer w.Put()
 	}
 	start := c.clk.Now()
 	err := ep.Call(ctx, wire.MFlush, &f.body, nil)
@@ -719,15 +731,16 @@ func (c *Client) sendChunk(ctx context.Context, ep *rpc.Endpoint, win chan struc
 }
 
 // sendChunks issues the flush RPCs with up to the window's size in
-// flight at once. The caller hands it a token of win, the server's
-// flush window: the first worker sends with it and puts it back when no
-// RPC is left to claim, and the others take a token per RPC. The first
-// error cancels the others: outstanding calls abort and their
-// server-side work is withdrawn via rpc cancel frames.
-func (c *Client) sendChunks(ctx context.Context, ep *rpc.Endpoint, win chan struct{}, frames []flushFrame) error {
-	workers := min(cap(win), len(frames))
+// flight at once. The caller hands it a token of w, the server's flush
+// window: the first worker sends with it and puts it back when no RPC
+// is left to claim (to the oldest cancel queued in w, if any), and the
+// others take a token per RPC. The first error cancels the others:
+// outstanding calls abort and their server-side work is withdrawn via
+// rpc cancel frames.
+func (c *Client) sendChunks(ctx context.Context, ep *rpc.Endpoint, w *sim.Window, frames []flushFrame) error {
+	workers := min(w.Cap(), len(frames))
 	if workers <= 1 {
-		defer sim.Send(c.clk, win, struct{}{})
+		defer w.Put()
 		for i := range frames {
 			if err := c.sendChunk(ctx, ep, nil, &frames[i]); err != nil {
 				return err
@@ -736,11 +749,11 @@ func (c *Client) sendChunks(ctx context.Context, ep *rpc.Endpoint, win chan stru
 		return nil
 	}
 	var next atomic.Int64
-	err := c.fanOut(ctx, workers, func(wctx context.Context, w int) error {
-		slot := win
-		if w == 0 {
+	err := c.fanOut(ctx, workers, func(wctx context.Context, worker int) error {
+		slot := w
+		if worker == 0 {
 			slot = nil // the caller's
-			defer sim.Send(c.clk, win, struct{}{})
+			defer w.Put()
 		}
 		for wctx.Err() == nil {
 			i := int(next.Add(1)) - 1

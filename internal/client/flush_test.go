@@ -8,11 +8,13 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"ccpfs/internal/dlm"
 	"ccpfs/internal/extent"
 	"ccpfs/internal/pagecache"
 	"ccpfs/internal/rpc"
+	"ccpfs/internal/sim"
 	"ccpfs/internal/wire"
 )
 
@@ -113,7 +115,7 @@ func TestFlushFrameMatchesMarshal(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		rnd := rand.New(rand.NewSource(seed))
 		cl := h.client(Config{PageCache: cfg})
-		cl.maxRPC, cl.windows[0] = maxRPC, newWindow(1)
+		cl.maxRPC, cl.windows[0] = maxRPC, sim.NewWindow(cl.clk, 1)
 		cl.conns.Bulk = []*rpc.Endpoint{bulk}
 		ref := pagecache.New(cfg)
 		rids := []uint64{uint64(seed)<<8 | 1, uint64(seed)<<8 | 2, uint64(seed)<<8 | 3, uint64(seed)<<8 | 4}
@@ -146,7 +148,7 @@ func TestFlushFrameMatchesMarshal(t *testing.T) {
 
 		want, collected := wantFrames(ref, rids, rng, maxSN, uint32(cl.cfg.ID), maxRPC)
 		if len(want) == 0 {
-			if err := cl.flushGroup(context.Background(), rids, rng, maxSN); err != nil || len(rec.take(-1)) != 0 {
+			if err := cl.flushGroup(context.Background(), rids, rng, maxSN, time.Time{}); err != nil || len(rec.take(-1)) != 0 {
 				t.Fatalf("seed %d: flushing nothing: %v", seed, err)
 			}
 			continue
@@ -161,7 +163,7 @@ func TestFlushFrameMatchesMarshal(t *testing.T) {
 		}
 		failAt := rnd.Intn(len(want))
 		rec.take(failAt)
-		if err := cl.flushGroup(context.Background(), rids, rng, maxSN); err == nil {
+		if err := cl.flushGroup(context.Background(), rids, rng, maxSN, time.Time{}); err == nil {
 			t.Fatalf("seed %d: flush with RPC %d of %d failing succeeded", seed, failAt, len(want))
 		}
 		got := rec.take(-1)
@@ -196,9 +198,9 @@ func TestFlushFrameMatchesMarshal(t *testing.T) {
 
 		// The retry runs the flush window (the failure above ran it
 		// sequentially, so no RPC of it can still be on its way).
-		cl.windows[0] = newWindow(1 + int(seed%3))
+		cl.windows[0] = sim.NewWindow(cl.clk, 1+int(seed%3))
 		want, _ = wantFrames(ref, rids, rng, maxSN, uint32(cl.cfg.ID), maxRPC)
-		if err := cl.flushGroup(context.Background(), rids, rng, maxSN); err != nil {
+		if err := cl.flushGroup(context.Background(), rids, rng, maxSN, time.Time{}); err != nil {
 			t.Fatalf("seed %d: retry: %v", seed, err)
 		}
 		got = rec.take(-1)

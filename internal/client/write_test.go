@@ -32,7 +32,7 @@ func recordLocks(cl *Client) *[]dlm.Request {
 	reqs := new([]dlm.Request)
 	cl.lc = dlm.NewLockClient(cl.cfg.ID, cl.cfg.Policy, func(res dlm.ResourceID) dlm.ServerConn {
 		return lockLog{cl.route(res), reqs}
-	}, dlm.FlusherFunc(cl.flushForCancel))
+	}, (*dataPath)(cl))
 	cl.lc.SetClock(cl.clk)
 	return reqs
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"ccpfs/internal/extent"
+	"ccpfs/internal/sim"
 	"ccpfs/internal/wire"
 )
 
@@ -116,5 +117,70 @@ func TestShutdownFailsQueuedWaiters(t *testing.T) {
 		Client: 2, Resource: 1, Mode: NBW, Range: extent.New(0, 10),
 	}); !errors.Is(err, wire.ErrShuttingDown) {
 		t.Fatalf("Lock on draining server = %v, want wire.ErrShuttingDown", err)
+	}
+}
+
+// heldFlusher is a windowed data path with nothing to flush: a held
+// flush gives its token straight back.
+type heldFlusher struct{ w *sim.Window }
+
+func (f heldFlusher) FlushForCancel(context.Context, ResourceID, extent.Extent, extent.SN) error {
+	return nil
+}
+
+func (f heldFlusher) FlushHeld(context.Context, ResourceID, extent.Extent, extent.SN, time.Time) error {
+	f.w.Put()
+	return nil
+}
+
+func (f heldFlusher) Window(ResourceID) *sim.Window { return f.w }
+
+// TestAllocBudgetQueuedCancel: a cancel that waits in its flush window
+// is an entry linked through its handle, and the token handed to it
+// starts it on an idle coroutine, so a lock's life — grant, revocation,
+// queueing, hand-over, cancel — allocates no more than with no window.
+func TestAllocBudgetQueuedCancel(t *testing.T) {
+	if wire.RaceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	life := func(windowed bool) float64 {
+		v := sim.NewVClock(1)
+		clk := sim.Virtual(v)
+		srv := NewServer(SeqDLM(), nil)
+		w := sim.NewWindow(clk, 1)
+		var fl Flusher = FlusherFunc(func(context.Context, ResourceID, extent.Extent, extent.SN) error { return nil })
+		if windowed {
+			fl = heldFlusher{w}
+		}
+		c := NewLockClient(1, SeqDLM(), func(ResourceID) ServerConn { return directConn{srv} }, fl)
+		c.SetClock(clk)
+		var allocs float64
+		v.Run(func() {
+			ctx := context.Background()
+			round := func() {
+				h, err := c.Acquire(ctx, 1, NBW, extent.New(0, 4096))
+				if err != nil {
+					t.Fatal(err)
+				}
+				c.Unlock(h)
+				if windowed {
+					w.Take(ctx) // the window is full: the cancel queues
+				}
+				c.OnRevoke(1, h.ID())
+				if windowed {
+					w.Put() // and this token starts it
+				}
+				if err := c.waitReleased(ctx, h); err != nil {
+					t.Fatal(err)
+				}
+			}
+			round()
+			clk.Sleep(time.Microsecond) // the first cancel's coroutine is idle
+			allocs = testing.AllocsPerRun(100, round)
+		})
+		return allocs
+	}
+	if plain, windowed := life(false), life(true); windowed > plain {
+		t.Errorf("a lock's life with its cancel queued in the flush window: %.1f allocs, %.1f with no window", windowed, plain)
 	}
 }

@@ -24,7 +24,8 @@ type ServerConn interface {
 }
 
 // Flusher is the client's data path: canceling a lock flushes the dirty
-// data written under it (and under locks it absorbed) before release.
+// data written under it (and under locks it absorbed) before release. A
+// Flusher that is also a WindowedFlusher admits the cancels as well.
 type Flusher interface {
 	// FlushForCancel writes back all dirty data of res within rng whose
 	// sequence number is at most sn, returning once it is durable on the
@@ -38,6 +39,19 @@ type FlusherFunc func(context.Context, ResourceID, extent.Extent, extent.SN) err
 // FlushForCancel implements Flusher.
 func (f FlusherFunc) FlushForCancel(ctx context.Context, res ResourceID, rng extent.Extent, sn extent.SN) error {
 	return f(ctx, res, rng, sn)
+}
+
+// WindowedFlusher is a Flusher whose flushes to one data server share
+// a window of tokens. A cancel whose first step is its flush waits for a
+// token in that window, with no coroutine (startCancel), and starts
+// holding one, which its flush spends.
+type WindowedFlusher interface {
+	Flusher
+	// Window returns the window res's flushes go through.
+	Window(res ResourceID) *sim.Window
+	// FlushHeld is FlushForCancel by a cancel holding a token of res's
+	// window, asked for at since: the flush spends it.
+	FlushHeld(ctx context.Context, res ResourceID, rng extent.Extent, sn extent.SN, since time.Time) error
 }
 
 // Handle is a client's reference to a granted lock. Handles are obtained
@@ -74,6 +88,9 @@ type Handle struct {
 	// §14): the cancel path transfers the lock to the stamped next owner
 	// instead of releasing it.
 	stamp *Stamp
+	// win is the cancel's place in a flush window (startCancel), which
+	// writes it before the cancel starts; the cancel reads it.
+	win sim.Entry
 }
 
 // Resource returns the lock's resource.
@@ -167,6 +184,7 @@ type LockClient struct {
 	policy  Policy
 	router  func(ResourceID) ServerConn
 	flusher Flusher
+	windows WindowedFlusher // flusher, when it is one
 
 	// baseCtx is the client's lifecycle: background cancel goroutines
 	// (spawned by Unlock and OnRevoke) run under it so a closed client
@@ -284,6 +302,7 @@ func NewLockClient(id ClientID, policy Policy, router func(ResourceID) ServerCon
 			fanWaiters:      make(map[ResourceID]chan struct{}),
 		},
 	}
+	c.windows, _ = flusher.(WindowedFlusher)
 	c.st.idle = sim.NewCond(c.clk, &c.st.mu)
 	return c
 }
@@ -662,7 +681,7 @@ func (c *LockClient) apply(res ResourceID, fx *clientEffects) {
 		c.clk.Go(func() { c.sendAcks(c.baseCtx, map[ResourceID][]LockID{res: ids}) })
 	}
 	if fx.cancel {
-		c.clk.GoTask((*cancelTask)(fx.h))
+		c.startCancel(fx.h)
 	}
 	if id := fx.orphan; fx.release {
 		c.clk.Go(func() { c.router(res).Release(c.baseCtx, res, id) })
@@ -847,12 +866,42 @@ func (c *LockClient) OnRevokeStamped(res ResourceID, id LockID, stamp *Stamp) {
 	c.run(res, clientEvent{kind: cevRevoke, id: id, stamp: stamp})
 }
 
+// startCancel starts h's cancel path, claimed by a step. One whose first
+// step is its flush (unstamped, no downgrade RPC ahead of the flush)
+// starts from its data server's flush window, if the flusher has them. A
+// stamped one starts at once: its transfer may send a peer RPC first.
+func (c *LockClient) startCancel(h *Handle) {
+	if c.windows != nil {
+		c.st.mu.Lock()
+		first := h.stamp == nil && !(c.policy.Conversion && Downgrade(h.mode, h.wrote) == NBW)
+		c.st.mu.Unlock()
+		if first {
+			h.win.Task = (*cancelTask)(h)
+			c.windows.Window(h.res).Start(&h.win)
+			return
+		}
+	}
+	c.clk.GoTask((*cancelTask)(h))
+}
+
+// flush is h's cancel flush; a nonzero held is its window token's request time.
+func (c *LockClient) flush(ctx context.Context, h *Handle, held time.Time) {
+	if held.IsZero() {
+		c.flusher.FlushForCancel(ctx, h.res, h.rng, h.sn)
+	} else {
+		c.windows.FlushHeld(ctx, h.res, h.rng, h.sn, held)
+	}
+}
+
 // cancel runs the lock cancel path of §III-D2: automatic downgrade to
 // the least restrictive mode (re-enabling early grant for waiters), data
 // flushing tagged with the lock's SN, then release. Exactly one
-// goroutine runs it per handle: the step that claimed it started it.
+// goroutine runs it per handle: startCancel started it.
 func (c *LockClient) cancel(h *Handle) {
-	start := c.clk.Now()
+	start, held := c.clk.Now(), h.win.Since
+	if !held.IsZero() {
+		start = held // the cancel's time includes its wait for the token
+	}
 	c.Stats.Cancels.Add(1)
 	ctx, res := c.baseCtx, h.res
 	conn := c.router(res)
@@ -861,6 +910,11 @@ func (c *LockClient) cancel(h *Handle) {
 	c.st.mu.Unlock()
 
 	if stamp != nil {
+		if !held.IsZero() {
+			// The stamp came while the cancel waited in the window: the
+			// transfer takes tokens of its own.
+			c.windows.Window(res).Put()
+		}
 		c.transfer(ctx, conn, h, stamp, wrote)
 	} else {
 		flushed := false
@@ -868,7 +922,7 @@ func (c *LockClient) cancel(h *Handle) {
 			if d == PR {
 				// A PW held only by readers: flush first so readers
 				// granted after the downgrade observe current data.
-				c.flusher.FlushForCancel(ctx, res, h.rng, h.sn)
+				c.flush(ctx, h, held)
 				flushed = true
 			}
 			if err := conn.Downgrade(ctx, res, h.id, d); err == nil {
@@ -876,7 +930,7 @@ func (c *LockClient) cancel(h *Handle) {
 			}
 		}
 		if !flushed {
-			c.flusher.FlushForCancel(ctx, res, h.rng, h.sn)
+			c.flush(ctx, h, held)
 		}
 		// Once the release is in flight the lock must no longer be
 		// exported for server recovery: its data flushing is complete
@@ -938,7 +992,7 @@ func (c *LockClient) ReleaseAll(ctx context.Context) error {
 	// handles a caller still holds: they go out before the cancels.
 	c.FlushHandoffAcks(ctx)
 	for _, h := range started {
-		c.clk.GoTask((*cancelTask)(h))
+		c.startCancel(h)
 	}
 	for _, h := range wait {
 		if err := c.waitReleased(ctx, h); err != nil {

@@ -583,6 +583,9 @@ func (s *Server) step(res *resource, ev *event, fx *effects) error {
 		if !(l.mode == BW && ev.mode == NBW) && !(l.mode == PW && (ev.mode == NBW || ev.mode == PR)) {
 			return fmt.Errorf("dlm: invalid downgrade %v -> %v", l.mode, ev.mode)
 		}
+		if s.policy.MapMode(ev.mode) != ev.mode {
+			return wire.Errorf(wire.CodeInvalid, "dlm: mode %v not served by policy %s", ev.mode, s.policy.Name)
+		}
 		l.mode = ev.mode
 		s.Stats.Downgrades.Add(1)
 		s.tracer.record(Event{Kind: EvDowngrade, Resource: res.id, Lock: ev.id, Mode: ev.mode})

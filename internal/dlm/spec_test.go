@@ -134,7 +134,7 @@ func (sp *spec) revokeAck(i int) specResult {
 // downgrade converts a lock at cancel time: BW to NBW, PW to NBW after
 // writing under it or to PR after only reading.
 func (sp *spec) downgrade(i int, to Mode) specResult {
-	if from := sp.locks[i].mode; !(from == BW && to == NBW) && !(from == PW && (to == NBW || to == PR)) {
+	if from := sp.locks[i].mode; !(from == BW && to == NBW) && !(from == PW && (to == NBW || to == PR)) || sp.policy.MapMode(to) != to {
 		return specResult{refused: true}
 	}
 	sp.locks[i].mode = to

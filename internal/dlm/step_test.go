@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"ccpfs/internal/extent"
+	"ccpfs/internal/wire"
 )
 
 // Pinned engine transitions: one deterministic test per branch of a
@@ -450,6 +451,24 @@ func TestInvalidDowngrade(t *testing.T) {
 	}
 	if err := s.Downgrade(1, g.LockID, NBW); err != nil {
 		t.Fatalf("valid downgrade: %v", err)
+	}
+}
+
+// TestDowngradeToUnservedModeRefused: DLM-basic serves PR and PW only,
+// so a PW lock may become PR but not NBW; the step refuses it with the
+// code Lock refuses such a mode with, and the lock stays PW.
+func TestDowngradeToUnservedModeRefused(t *testing.T) {
+	s := NewServer(Basic(), &recNotifier{})
+	defer s.Shutdown()
+	g := mustLock(t, s, Request{Resource: 1, Client: 1, Mode: PW, Range: extent.New(0, 10)})
+	if err := s.Downgrade(1, g.LockID, NBW); wire.CodeOf(err) != wire.CodeInvalid {
+		t.Fatalf("DLM-basic Downgrade PW -> NBW = %v, want a CodeInvalid refusal", err)
+	}
+	if l := s.lookup(1).granted.get(g.LockID); l.mode != PW || s.Stats.Downgrades.Load() != 0 {
+		t.Fatalf("after the refusal: mode %v, %d downgrades; want PW and 0", l.mode, s.Stats.Downgrades.Load())
+	}
+	if err := s.Downgrade(1, g.LockID, PR); err != nil {
+		t.Fatalf("DLM-basic Downgrade PW -> PR: %v", err)
 	}
 }
 
