@@ -62,12 +62,7 @@ func (c *Client) handleHandoff(_ context.Context, p []byte) (wire.Msg, error) {
 	if err := wire.Unmarshal(p, &req); err != nil {
 		return nil, err
 	}
-	t := dlm.Transfer{Lock: dlm.LockID(req.LockID), Member: dlm.LockID(req.Member), Final: req.Final,
-		Acks: make([]dlm.LockID, 0, len(req.Acks)), Cohort: dlm.StampFromWire(req.Cohort)}
-	for _, a := range req.Acks {
-		t.Acks = append(t.Acks, dlm.LockID(a))
-	}
-	c.lc.OnTransfer(dlm.ResourceID(req.Resource), t)
+	c.lc.OnTransfer(dlm.TransferFromWire(&req))
 	return &wire.Ack{}, nil
 }
 
@@ -99,13 +94,9 @@ func (c *Client) SendTransfer(ctx context.Context, peer dlm.ClientID, res dlm.Re
 		return err
 	}
 	call := new(transferCall)
-	req := &call.req
-	*req = wire.HandoffRequest{Resource: uint64(res), LockID: uint64(t.Lock), Member: uint64(t.Member),
-		Final: t.Final, Cohort: dlm.StampToWire(t.Cohort, &call.cohort)}
-	for _, a := range t.Acks {
-		req.Acks = append(req.Acks, uint64(a))
-	}
-	err = ep.Call(ctx, wire.MHandoff, req, nil)
+	call.req.Cohort = &call.cohort
+	dlm.TransferToWire(res, t, &call.req)
+	err = ep.Call(ctx, wire.MHandoff, &call.req, nil)
 	if err != nil {
 		c.dropPeer(peer, ep)
 	}

@@ -276,23 +276,23 @@ func (s *Server) dropEndpoint(ep *rpc.Endpoint) {
 // on a dead holder.
 type notifier struct{ s *Server }
 
-// Handoff implements dlm.Notifier: the server-sent activation of
-// a delegated lock, used when the previous holder released instead of
-// transferring or the reclaimer force-resolved the delegation, or the
-// gather part of a member that released.
-func (n notifier) Handoff(ctx context.Context, client dlm.ClientID, res dlm.ResourceID, id, member dlm.LockID) {
+// Handoff implements dlm.Notifier: the server's transfer of a
+// delegated lock — the part of a predecessor that released instead of
+// transferring, or the activation of a delegation the server resolved.
+func (n notifier) Handoff(ctx context.Context, client dlm.ClientID, res dlm.ResourceID, t dlm.Transfer) {
 	n.s.mu.RLock()
 	ep := n.s.clients[client]
 	n.s.mu.RUnlock()
 	if ep == nil {
 		// The new owner is gone too; release the resolved lock so
 		// waiters proceed.
-		n.s.DLM.Release(res, id)
+		n.s.DLM.Release(res, t.Lock)
 		return
 	}
-	if err := ep.Call(ctx, wire.MHandoff, &wire.HandoffRequest{Resource: uint64(res), LockID: uint64(id),
-		Member: uint64(member), Final: member == 0}, nil); err != nil {
-		n.s.DLM.Release(res, id)
+	req := new(wire.HandoffRequest)
+	dlm.TransferToWire(res, t, req)
+	if err := ep.Call(ctx, wire.MHandoff, req, nil); err != nil {
+		n.s.DLM.Release(res, t.Lock)
 	}
 }
 

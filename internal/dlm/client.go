@@ -91,6 +91,14 @@ type Handle struct {
 	// win is the cancel's place in a flush window (startCancel), which
 	// writes it before the cancel starts; the cancel reads it.
 	win sim.Entry
+	// A delegated grant's handle is cached from its grant reply on but
+	// is not usable until its transfer arrives (DESIGN.md §13): need
+	// counts the distinct parts still missing, got the members whose
+	// parts came, and awaiting holds until the acquire waiting for the
+	// lock has taken it and queued its ack.
+	need     int
+	got      []LockID
+	awaiting bool
 }
 
 // Resource returns the lock's resource.
@@ -124,16 +132,34 @@ func (h *Handle) State() State {
 func (h *Handle) Released() <-chan struct{} { return h.released }
 
 // claim takes one more hold on h for an acquire needing need, if h is
-// still GRANTED. A revocation's CANCELING flip and a hit's hold are both
-// steps under the client mutex: either the revocation sees the hold (and
-// the last Unlock starts the cancel) or the hit misses.
+// still GRANTED and not awaiting its transfer. A revocation's CANCELING
+// flip and a hit's hold are both steps under the client mutex: either
+// the revocation sees the hold (and the last Unlock starts the cancel)
+// or the hit misses.
 func (h *Handle) claim(need Mode) bool {
-	if h.state != Granted {
+	if h.state != Granted || h.awaiting {
 		return false
 	}
 	h.holds++
 	h.wrote = h.wrote || need.IsWrite()
 	return true
+}
+
+// arrive counts an arrival of h's transfer: a part, once per cohort
+// member it names, or the whole lock (a lease, which the server's
+// activation carries). It reports whether the arrival completed the
+// transfer; one at a handle that awaits none is a duplicate.
+func (h *Handle) arrive(member LockID, whole bool) bool {
+	switch {
+	case h.need == 0 || !whole && slices.Contains(h.got, member):
+		return false
+	case whole || h.need == 1:
+		h.need = 0
+	default:
+		h.got = append(h.got, member)
+		h.need--
+	}
+	return h.need == 0
 }
 
 // claimCancel is the one rule for who starts a cancel: the step that
@@ -217,26 +243,27 @@ type clientState struct {
 	cached map[ResourceID][]*Handle
 	hits   int64 // acquires served from cached
 	// busy marks each resource one of the client's acquires holds past
-	// its cache miss (acquireMiss); another acquire of it waits on idle
-	// until the mark clears, then tries the cache again.
+	// its cache miss (acquireMiss); another acquire of it waits until
+	// the mark clears, then tries the cache again.
 	busy map[ResourceID]bool
-	idle *sim.Cond
+	// cond is what every waiting acquire parks on: for a busy mark to
+	// clear (waitIdle), and for a delegated lock to arrive (await).
+	cond *sim.Cond
 	// notes remembers locks the client does not cache (lockNote), keyed
 	// by (resource, lock ID): lock IDs are unique only within one
 	// server, and a client talks to many servers.
 	notes map[lockKey]lockNote
-	// Handoff reception state (clienthandoff.go): waiters blocked on a
-	// transfer, and delegation acks queued for the server.
-	pendingHandoffs map[lockKey]*transferWaiter
-	pendingAcks     map[ResourceID][]LockID
-	ackTimer        *sim.ClockTimer
-	// Reader fan-out state (clientfan.go): resources in a fan rotation
-	// — a write-mode stamped revocation displaced this client's read
-	// lease, so the next lease arrives peer-to-peer — and the channel
-	// shared-mode acquires park on until that arrival, instead of going
-	// to the server.
+	// early lists, keyed like notes, the members whose transfer parts
+	// raced ahead of their lock's grant reply; the grant takes them.
+	early map[lockKey][]LockID
+	// Delegation acks queued for the server (clienthandoff.go).
+	pendingAcks map[ResourceID][]LockID
+	ackTimer    *sim.ClockTimer
+	// fanStanding marks the resources in a fan rotation: a write-mode
+	// stamped revocation displaced this client's read lease, so the next
+	// lease arrives peer-to-peer, and a shared-mode acquire waits for it
+	// instead of going to the server (await).
 	fanStanding map[ResourceID]bool
-	fanWaiters  map[ResourceID]chan struct{}
 }
 
 // lockKey globally identifies a lock: IDs are per-server, resources map
@@ -293,17 +320,16 @@ func NewLockClient(id ClientID, policy Policy, router func(ResourceID) ServerCon
 		baseCtx:  ctx,
 		cancelFn: cancel,
 		st: clientState{
-			cached:          make(map[ResourceID][]*Handle),
-			busy:            make(map[ResourceID]bool),
-			notes:           make(map[lockKey]lockNote),
-			pendingHandoffs: make(map[lockKey]*transferWaiter),
-			pendingAcks:     make(map[ResourceID][]LockID),
-			fanStanding:     make(map[ResourceID]bool),
-			fanWaiters:      make(map[ResourceID]chan struct{}),
+			cached:      make(map[ResourceID][]*Handle),
+			busy:        make(map[ResourceID]bool),
+			notes:       make(map[lockKey]lockNote),
+			early:       make(map[lockKey][]LockID),
+			pendingAcks: make(map[ResourceID][]LockID),
+			fanStanding: make(map[ResourceID]bool),
 		},
 	}
 	c.windows, _ = flusher.(WindowedFlusher)
-	c.st.idle = sim.NewCond(c.clk, &c.st.mu)
+	c.st.cond = sim.NewCond(c.clk, &c.st.mu)
 	return c
 }
 
@@ -314,7 +340,7 @@ func (c *LockClient) ID() ClientID { return c.id }
 // use; the zero clock is the wall clock.
 func (c *LockClient) SetClock(clk sim.Clock) {
 	c.clk = clk
-	c.st.idle = sim.NewCond(clk, &c.st.mu)
+	c.st.cond = sim.NewCond(clk, &c.st.mu)
 }
 
 // waitReleased blocks until h's released channel closes or ctx fires.
@@ -329,69 +355,61 @@ type cancelTask Handle
 func (t *cancelTask) Run() { h := (*Handle)(t); h.c.cancel(h) }
 
 // cevKind names one lock-client transition. The set is closed: every
-// change to a handle's holds, state, mode, stamp or release mark, and to
-// the client's cache, notes, transfer waits, ack queue and fan rotation, is
-// one of these, applied by step.
+// change to a handle's holds, state, mode, stamp, release mark or
+// transfer, and to the client's cache, notes, early parts, ack queue and
+// fan rotation, is one of these, applied by step.
 type cevKind uint8
 
 const (
-	cevHit          cevKind = iota // an acquire claims a cached lock covering its range
-	cevGrant                       // a grant reply's lock joins the cache
-	cevRevoke                      // a revocation, plain or stamped, arrives
-	cevUnlock                      // a user returns its handle
-	cevShutdown                    // the shutdown barrier marks a cached lock CANCELING
-	cevDowngraded                  // the cancel path converted the lock
-	cevReleasing                   // the cancel path is about to release or transfer the lock
-	cevCancelDone                  // the lock left the client
-	cevWait                        // a delegated acquire waits for its transfer
-	cevWaitAbort                   // ... and gives up
-	cevPart                        // a transfer part or a server-sent activation arrives
-	cevLease                       // a handback or propagated read lease arrives
-	cevSolicit                     // the server asks for a delegation's ack now
-	cevTakeAcks                    // queued acks leave on a lock request or a transfer
-	cevRequeueAcks                 // acks come back from a failed send, or arrive piggybacked
-	cevDrainAcks                   // the ack timer or the shutdown barrier empties the queue
-	cevStand                       // a shared acquire parks on a fan rotation's next lease
-	cevStandExpired                // ... which never came
+	cevHit         cevKind = iota // an acquire claims a cached lock covering its range
+	cevGrant                      // a grant reply's lock joins the cache
+	cevRevoke                     // a revocation, plain or stamped, arrives
+	cevUnlock                     // a user returns its handle
+	cevShutdown                   // the shutdown barrier marks a cached lock CANCELING
+	cevDowngraded                 // the cancel path converted the lock
+	cevReleasing                  // the cancel path is about to release or transfer the lock
+	cevCancelDone                 // the lock left the client
+	cevArrive                     // a transfer arrives: a part, a lease, or the server's activation
+	cevAwait                      // an acquire waits for a delegated lock: its transfer, or a fan lease
+	cevGiveUp                     // ... and stops waiting
+	cevSolicit                    // the server asks for a delegation's ack now
+	cevTakeAcks                   // queued acks leave on a lock request or a transfer
+	cevRequeueAcks                // acks come back from a failed send, or arrive piggybacked
+	cevDrainAcks                  // the ack timer or the shutdown barrier empties the queue
 )
 
-// clientEvent is one transition and its operands. A grant and a wait
-// describe the arriving lock in id, sn, rng and mode, a lease in stamp.
+// clientEvent is one transition and its operands. A grant describes the
+// lock in id, sn, rng and mode, a lease in stamp.
 type clientEvent struct {
 	kind      cevKind
-	need      Mode          // hit, grant, stand: the mode the acquire needs
-	mode      Mode          // grant, wait: the lock's; downgraded: the new one
+	need      Mode          // hit, grant, await: the mode the acquire needs
+	mode      Mode          // grant: the lock's; downgraded: the new one
 	state     State         // grant
 	delegated bool          // grant
-	final     bool          // part: a server-sent activation
 	id        LockID        // the lock
-	member    LockID        // part: the cohort member it retires
-	sn        extent.SN     // grant, wait
-	rng       extent.Extent // hit, stand: the range needed; grant, wait: the lock's
-	parts     int           // wait: the transfer parts to collect
-	h         *Handle       // unlock, shutdown, downgraded, releasing, cancelDone
-	stamp     *Stamp        // revoke: the delegation; grant: the hand-back; lease: the cohort, this client's lease first
+	member    LockID        // arrive: the cohort member a part retires
+	sn        extent.SN     // grant
+	rng       extent.Extent // hit, await: the range needed; grant: the lock's
+	parts     int           // grant: the transfer parts a delegated grant collects
+	h         *Handle       // unlock, shutdown, downgraded, releasing, cancelDone; await: the delegated grant
+	stamp     *Stamp        // revoke: the delegation; grant: the hand-back; arrive: a lease, this client's first
 	ids       []LockID      // grant: the locks absorbed; requeueAcks: the acks
 }
 
 // clientEffects is what one step decided: its answer to the caller,
 // and what apply must do once the client mutex drops, in the order the
-// flags are listed. The answers a flag acts on are named beside it.
+// flags are listed. The answers a flag acts on are named beside it. A
+// step that makes a lock arrive wakes the waiting acquires itself
+// (c.st.cond), ahead of every effect.
 type clientEffects struct {
-	h       *Handle                 // hit, grant, stand: the handle claimed
+	h       *Handle                 // hit, grant, await: the handle claimed
 	miss    bool                    // hit: missed, and marked the resource busy
-	tw      *transferWaiter         // wait: the transfer to park on
-	ch      chan struct{}           // stand: the next lease's arrival to park on
+	park    bool                    // await: the lock has not arrived
 	pending map[ResourceID][]LockID // drainAcks
 	acks    []LockID                // takeAcks: the acks taken
-	ok      bool                    // waitAbort: the wait was withdrawn
-	orphan  LockID                  // part: an activated lock nobody here asked for
 
-	wake     bool // close ch: the fan waiters parked on it wake
-	complete bool // complete tw: the transfer it waits for is in
-	send     bool // send acks at once: the server solicited them
-	cancel   bool // start h's cancel path
-	release  bool // release orphan through the server
+	send   bool // send acks at once: the server solicited them
+	cancel bool // start h's cancel path
 }
 
 // do runs one transition: step under c.st.mu, then the effects it
@@ -400,7 +418,7 @@ func (c *LockClient) do(res ResourceID, ev *clientEvent, fx *clientEffects) {
 	c.st.mu.Lock()
 	c.step(res, ev, fx)
 	c.st.mu.Unlock()
-	if fx.wake || fx.complete || fx.send || fx.cancel || fx.release {
+	if fx.send || fx.cancel {
 		c.apply(res, fx)
 	}
 }
@@ -446,11 +464,24 @@ func (c *LockClient) stepOther(res ResourceID, ev *clientEvent, fx *clientEffect
 	k := lockKey{res, ev.id}
 	switch ev.kind {
 	case cevGrant:
-		if ev.delegated {
-			c.queueAck(res, ev.id, fx)
+		// A reply installs its lock, a delegated one awaiting its
+		// transfer (cevAwait takes it once the transfer is in). A reply
+		// that the server's activation beat (a slot freeze can resolve a
+		// delegation while its reply is in flight) claims the lease the
+		// activation installed, unless that lease is already leaving:
+		// then the acquire starts over.
+		h := findByID(c.st.cached[res], ev.id)
+		switch {
+		case h == nil:
+			need := 0
+			if ev.delegated {
+				need = max(ev.parts, 1)
+			}
+			h = c.st.install(&Handle{c: c, res: res, id: ev.id, sn: ev.sn, rng: ev.rng,
+				holds: 1, state: ev.state, mode: ev.mode, wrote: ev.need.IsWrite(), need: need, awaiting: ev.delegated})
+		case !h.claim(ev.need):
+			return
 		}
-		h := c.st.install(&Handle{c: c, res: res, id: ev.id, sn: ev.sn, rng: ev.rng,
-			holds: 1, state: ev.state, mode: ev.mode, wrote: ev.need.IsWrite()})
 		if ev.stamp != nil {
 			// The grant pre-armed the next fan-out (DESIGN.md §14): this
 			// lock is born CANCELING, owing the displaced reader cohort's
@@ -519,92 +550,78 @@ func (c *LockClient) stepOther(res ResourceID, ev *clientEvent, fx *clientEffect
 	case cevReleasing:
 		ev.h.releaseSent = true
 	case cevCancelDone:
-		h := ev.h
-		c.st.retire(lockKey{res, h.id})
-		list := c.st.cached[res]
-		switch i := slices.Index(list, h); {
-		case i < 0:
-		case len(list) == 1:
-			delete(c.st.cached, res)
-		default:
-			c.st.cached[res] = slices.Delete(list, i, i+1)
-		}
-	case cevWait:
-		// Parts may already have landed (they raced ahead of the grant
-		// reply); otherwise park on what the rest of them complete.
-		tw := c.st.pendingHandoffs[k]
-		if tw == nil {
-			tw = transferWaiters.Get().(*transferWaiter)
-			c.st.pendingHandoffs[k] = tw
-		}
-		tw.need, tw.mode, tw.rng, tw.sn = max(ev.parts, 1), ev.mode, ev.rng, ev.sn
-		if tw.done() {
-			delete(c.st.pendingHandoffs, k)
-			tw.recycle()
-			return
-		}
-		fx.tw = tw
-	case cevWaitAbort:
-		// The acquire releases the lock: a part that arrives later finds
-		// it gone instead of opening a record nobody waits on.
-		if tw := c.st.pendingHandoffs[k]; tw != nil && tw.need > 0 {
-			delete(c.st.pendingHandoffs, k)
-			c.st.retire(k)
-			fx.ok = true
-		}
-	case cevPart:
-		tw := c.st.pendingHandoffs[k]
-		if tw == nil {
-			if c.st.notes[k].gone || findByID(c.st.cached[res], ev.id) != nil {
-				return
-			}
-			if ev.final && !c.st.busy[res] {
-				// The server activated a lock this client neither caches,
-				// waits for, nor has a request in flight for: a lease it
-				// force-resolved that never arrived here. Nothing will
-				// ever use it, and the next writer's gather would wait a
-				// reclaim period for its part: release it at once, and
-				// retire it so a late copy of the lease is dropped.
-				c.st.retire(k)
-				fx.orphan, fx.release = ev.id, true
-				return
-			}
-			tw = transferWaiters.Get().(*transferWaiter)
-			c.st.pendingHandoffs[k] = tw
-		}
-		if tw.part(ev.member, ev.final) {
-			delete(c.st.pendingHandoffs, k)
-			fx.tw, fx.complete = tw, true
-		}
-	case cevLease:
-		// A lease already installed or gone is a duplicate. Otherwise a
-		// zero-hold handle enters the cache — canceled at once if a
+		c.st.drop(ev.h)
+	case cevArrive:
+		// A transfer arrives: a part, a lease, or the server's
+		// activation, which carries its lock's lease. One for a lock
+		// gone from here is dropped, and one for a lock that awaits no
+		// transfer is a duplicate. A part that raced ahead of its grant
+		// reply waits in early for the grant. A lease nobody awaits
+		// enters the cache as a zero-hold handle — canceled at once if a
 		// revocation raced ahead (its transfer obligation, if stamped,
-		// still runs) — its ack is queued and parked fan waiters wake.
-		// No acquire ever waits on a lease: the server pre-arms it in a
-		// gather writer's grant, never in a reader's.
-		if c.st.notes[k].gone || findByID(c.st.cached[res], ev.id) != nil {
+		// still runs) — and its ack is queued. An arrival that completes
+		// a lock wakes the acquires waiting for it.
+		if c.st.notes[k].gone {
 			return
 		}
-		mine := ev.stamp.Leases[0]
-		h := c.st.install(&Handle{c: c, res: res, id: mine.LockID, sn: mine.SN, rng: ev.stamp.Range, state: Granted, mode: ev.stamp.Mode})
-		fx.h, fx.cancel = h, h.claimCancel()
-		if fx.ch, fx.wake = c.st.fanWaiters[res]; fx.wake {
-			delete(c.st.fanWaiters, res)
+		switch h := findByID(c.st.cached[res], ev.id); {
+		case h != nil:
+			if !h.arrive(ev.member, ev.stamp != nil) {
+				return
+			}
+		case ev.stamp == nil:
+			if got := c.st.early[k]; !slices.Contains(got, ev.member) {
+				c.st.early[k] = append(got, ev.member)
+			}
+			return
+		default:
+			mine := ev.stamp.Leases[0]
+			h = c.st.install(&Handle{c: c, res: res, id: mine.LockID, sn: mine.SN, rng: ev.stamp.Range, state: Granted, mode: ev.stamp.Mode})
+			fx.h, fx.cancel = h, h.claimCancel()
+			c.Stats.HandoffsRecv.Add(1)
+			c.Stats.LeasesRecv.Add(1)
+			c.queueAck(res, ev.id, fx)
 		}
-		c.Stats.HandoffsRecv.Add(1)
-		c.Stats.LeasesRecv.Add(1)
-		c.queueAck(res, ev.id, fx)
+		c.st.cond.Broadcast()
+	case cevAwait:
+		if h := ev.h; h != nil {
+			// A delegated grant: once its transfer is in, the acquire
+			// takes the lock.
+			if fx.park = h.need > 0; !fx.park {
+				c.takeArrived(res, h, fx)
+			}
+			return
+		}
+		// A shared acquire on a fan rotation's resource: a covering
+		// lease may have landed since its cache miss.
+		if c.st.fanStanding[res] {
+			fx.h = c.hitLocked(res, ev.need, ev.rng)
+			fx.park = fx.h == nil
+		}
+	case cevGiveUp:
+		switch h := ev.h; {
+		case h == nil:
+			// The fan lease never came (propagation lost, writer died):
+			// stop standing, and go to the server.
+			delete(c.st.fanStanding, res)
+		case h.need == 0:
+			c.takeArrived(res, h, fx) // the transfer beat the give-up
+		default:
+			// The acquire releases the lock: a part that arrives later
+			// finds it gone and leaves no record.
+			c.st.drop(h)
+		}
 	case cevSolicit:
 		// Installed: the ack leaves at once — out of the lazy queue with
 		// the rest of res's acks, or afresh when it already left the
 		// queue (sent, or forwarded to a gathering writer that has not
 		// passed it on; duplicate acks are idempotent server-side). Still
-		// on its way: the note makes queueAck send it on install.
-		switch n := c.st.notes[k]; {
+		// on its way, or not yet taken by its acquire: the note makes
+		// queueAck send it then.
+		switch n, h := c.st.notes[k], findByID(c.st.cached[res], ev.id); {
 		case slices.Contains(c.st.pendingAcks[res], ev.id):
 			fx.send, fx.acks = true, c.st.popAcks(res)
-		case findByID(c.st.cached[res], ev.id) != nil:
+		case h != nil && !h.awaiting:
 			fx.send, fx.acks = true, []LockID{ev.id}
 		case !n.gone:
 			n.solicited = true
@@ -624,28 +641,24 @@ func (c *LockClient) stepOther(res ResourceID, ev *clientEvent, fx *clientEffect
 			c.st.ackTimer.Stop()
 			c.st.ackTimer = nil
 		}
-	case cevStand:
-		// The lease may have landed between the caller's cache miss and
-		// here; re-probe under the same mutex a wake is sent under, so a
-		// wake cannot slip between the miss and the park.
-		if !c.st.fanStanding[res] {
-			return
-		}
-		if fx.h = c.hitLocked(res, ev.need, ev.rng); fx.h == nil {
-			if fx.ch = c.st.fanWaiters[res]; fx.ch == nil {
-				fx.ch = make(chan struct{})
-				c.st.fanWaiters[res] = fx.ch
-			}
-		}
-	case cevStandExpired:
-		delete(c.st.fanStanding, res)
 	}
+}
+
+// takeArrived hands h, whose transfer is in, to the acquire that waited
+// for it, and queues the delegation's ack once. Caller holds c.st.mu.
+func (c *LockClient) takeArrived(res ResourceID, h *Handle, fx *clientEffects) {
+	if h.awaiting {
+		h.awaiting, h.got = false, nil
+		c.queueAck(res, h.id, fx)
+	}
+	fx.h = h
 }
 
 // install puts a new handle into the cache: the one place a handle is
 // made, for a grant reply and for a lease. A revocation that raced ahead
 // of it makes it born CANCELING, with the revocation's stamp; transfer
-// parts that raced ahead of a lease are dropped. Caller holds st.mu.
+// parts that raced ahead of it count toward a delegated grant's transfer
+// and are dropped for a lease. Caller holds st.mu.
 func (st *clientState) install(h *Handle) *Handle {
 	h.mu = &st.mu
 	h.released = make(chan struct{})
@@ -656,23 +669,32 @@ func (st *clientState) install(h *Handle) *Handle {
 	}
 	n.revoked, n.stamp = false, nil
 	st.setNote(k, n)
-	if tw := st.pendingHandoffs[k]; tw != nil && tw.need == 0 {
-		delete(st.pendingHandoffs, k)
-		tw.recycle()
+	if got, ok := st.early[k]; ok {
+		delete(st.early, k)
+		if h.need > 0 {
+			h.got, h.need = got, max(h.need-len(got), 0)
+		}
 	}
 	st.cached[h.res] = append(st.cached[h.res], h)
 	return h
 }
 
+// drop takes h out of the cache and notes it gone. Caller holds st.mu.
+func (st *clientState) drop(h *Handle) {
+	st.retire(lockKey{h.res, h.id})
+	list := st.cached[h.res]
+	switch i := slices.Index(list, h); {
+	case i < 0:
+	case len(list) == 1:
+		delete(st.cached, h.res)
+	default:
+		st.cached[h.res] = slices.Delete(list, i, i+1)
+	}
+}
+
 // apply carries out what a step decided, outside the client mutex, in
 // the order the steps' transitions issue them.
 func (c *LockClient) apply(res ResourceID, fx *clientEffects) {
-	if fx.wake {
-		sim.Close(c.clk, fx.ch)
-	}
-	if fx.complete {
-		fx.tw.complete(c.clk)
-	}
 	if ids := fx.acks; fx.send {
 		// Off the caller's goroutine: the callers are an RPC handler and
 		// an acquire about to use its lock, and neither should sit out
@@ -682,9 +704,6 @@ func (c *LockClient) apply(res ResourceID, fx *clientEffects) {
 	}
 	if fx.cancel {
 		c.startCancel(fx.h)
-	}
-	if id := fx.orphan; fx.release {
-		c.clk.Go(func() { c.router(res).Release(c.baseCtx, res, id) })
 	}
 }
 
@@ -736,7 +755,10 @@ func (c *LockClient) acquire(ctx context.Context, res ResourceID, need Mode, rng
 			return fx.h, nil
 		}
 		if fx.miss {
-			return c.acquireMiss(ctx, res, need, rng, set)
+			if h, err := c.acquireMiss(ctx, res, need, rng, set); h != nil || err != nil {
+				return h, err
+			}
+			continue // the lock the grant named was already leaving
 		}
 		// Another acquire of res is past its miss and may install a
 		// covering grant: wait for it, then try the cache again.
@@ -754,7 +776,7 @@ func (c *LockClient) waitIdle(ctx context.Context, res ResourceID) error {
 		if err := ctx.Err(); err != nil {
 			return wire.FromContext(err)
 		}
-		c.st.idle.Wait(ctx, time.Time{})
+		c.st.cond.Wait(ctx, time.Time{})
 	}
 	return nil
 }
@@ -774,18 +796,20 @@ func (c *LockClient) run(res ResourceID, ev clientEvent) *Handle {
 
 // acquireMiss is acquire after a cache miss, with res marked busy: one
 // acquire per resource goes past the cache at a time. It clears the
-// mark on return, once any grant it got is installed.
+// mark on return, once any grant it got is installed. It returns no
+// handle and no error when the lock it was granted is already leaving.
 func (c *LockClient) acquireMiss(ctx context.Context, res ResourceID, need Mode, rng extent.Extent, set extent.Set) (*Handle, error) {
 	defer c.clearBusy(res)
 	c.Stats.CacheMisses.Add(1)
 
-	// In a fan rotation the next read lease arrives peer-to-peer; park
-	// briefly on its arrival instead of paying a server round trip. A
-	// timeout (the reclaim interval) falls back to the server, which
-	// self-heals any lease that was lost in flight.
+	// In a fan rotation the next read lease arrives peer-to-peer; wait
+	// briefly for it instead of paying a server round trip. The reclaim
+	// interval bounds the wait: the server self-heals any lease that
+	// was lost in flight.
 	if c.policy.Handoff && !need.IsWrite() && len(set) == 0 {
-		if h := c.waitStanding(ctx, res, need, rng); h != nil {
-			return h, nil
+		end := c.clk.Now().Add(c.policy.ReclaimInterval())
+		if h, err := c.await(ctx, res, clientEvent{kind: cevAwait, need: need, rng: rng}, end); h != nil || err != nil {
+			return h, err
 		}
 	}
 
@@ -806,32 +830,67 @@ func (c *LockClient) acquireMiss(ctx context.Context, res ResourceID, need Mode,
 		c.requeueAcks(res, acks)
 		return nil, err
 	}
-	if g.Delegated {
+	h := c.run(res, grantEvent(&g, need))
+	if h != nil && g.Delegated {
 		// The lock arrives from the previous holder, not from server
-		// state: block until the transfer — every part of it, for a
-		// gather — or a server-sent activation lands; the grant step
-		// then queues the delegation's ack.
-		if err := c.waitTransfer(ctx, res, g); err != nil {
+		// state: wait until the transfer — every part of it, for a
+		// gather — or the server's activation lands; the wait then
+		// queues the delegation's ack.
+		if h, err = c.await(ctx, res, clientEvent{kind: cevAwait, h: h}, time.Time{}); err != nil {
 			c.router(res).Release(c.baseCtx, res, g.LockID)
 			return nil, err
 		}
 		c.Stats.HandoffsRecv.Add(1)
 	}
-	return c.run(res, grantEvent(&g, need)), nil
+	return h, nil
+}
+
+// await is the one wait of an acquire for a delegated lock: a delegated
+// grant's (ev.h) for its transfer, or a shared acquire's on a fan
+// rotation for a covering lease. It parks on c.st.cond while ev's step
+// finds the lock not yet arrived, and gives up (cevGiveUp) once ctx or
+// the client's lifecycle ends or the deadline (zero: none) passes. It
+// returns the handle the step answered with; nil and no error send a
+// shared acquire on to the server.
+func (c *LockClient) await(ctx context.Context, res ResourceID, ev clientEvent, deadline time.Time) (*Handle, error) {
+	var fx clientEffects
+	var err error
+	c.st.mu.Lock()
+	for c.step(res, &ev, &fx); fx.park; c.step(res, &ev, &fx) {
+		if err = ctx.Err(); err != nil {
+			err = wire.FromContext(err)
+		} else if c.baseCtx.Err() != nil {
+			err = wire.ErrShuttingDown
+		}
+		if err != nil || !deadline.IsZero() && !c.clk.Now().Before(deadline) {
+			ev.kind = cevGiveUp
+		} else {
+			c.st.cond.Wait(ctx, deadline)
+		}
+		fx = clientEffects{}
+	}
+	c.st.mu.Unlock()
+	if fx.send || fx.cancel {
+		c.apply(res, &fx)
+	}
+	if fx.h != nil {
+		return fx.h, nil
+	}
+	return nil, err
 }
 
 // clearBusy clears res's busy mark and wakes the acquires waiting on it.
 func (c *LockClient) clearBusy(res ResourceID) {
 	c.st.mu.Lock()
 	delete(c.st.busy, res)
-	c.st.idle.Broadcast()
+	c.st.cond.Broadcast()
 	c.st.mu.Unlock()
 }
 
 // grantEvent is the step that installs g for an acquire needing need.
 func grantEvent(g *Grant, need Mode) clientEvent {
 	return clientEvent{kind: cevGrant, need: need, mode: g.Mode, state: g.State, delegated: g.Delegated,
-		id: g.LockID, sn: g.SN, rng: g.Range, stamp: g.HandBack, ids: g.Absorbed}
+		id: g.LockID, sn: g.SN, rng: g.Range, parts: g.GatherParts, stamp: g.HandBack, ids: g.Absorbed}
 }
 
 func findByID(list []*Handle, id LockID) *Handle {
@@ -957,9 +1016,15 @@ func (c *LockClient) CachedLocks(res ResourceID) int {
 }
 
 // Close cancels the client's lifecycle context, aborting background
-// cancel goroutines mid-RPC. Call after ReleaseAll on a graceful path;
-// alone it is a hard stop.
-func (c *LockClient) Close() { c.cancelFn() }
+// cancel goroutines mid-RPC and the acquires waiting for a delegated
+// lock. Call after ReleaseAll on a graceful path; alone it is a hard
+// stop.
+func (c *LockClient) Close() {
+	c.cancelFn()
+	c.st.mu.Lock()
+	c.st.cond.Broadcast()
+	c.st.mu.Unlock()
+}
 
 // ReleaseAll cancels every idle cached lock and waits for the cancels to
 // finish — the client's shutdown barrier, bounded by ctx. Handles with

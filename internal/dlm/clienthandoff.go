@@ -3,17 +3,12 @@ package dlm
 import (
 	"context"
 	"slices"
-	"sync"
 	"time"
-
-	"ccpfs/internal/extent"
-	"ccpfs/internal/sim"
-	"ccpfs/internal/wire"
 )
 
 // Client side of the handoff fast path (DESIGN.md §13). The holder of
 // a stamped revocation transfers the lock to the next owner over the
-// PeerSender; the recipient blocks its delegated acquire on the
+// PeerSender; the recipient's delegated acquire waits for the
 // transfer's arrival (OnTransfer) and confirms the delegation back to
 // the server asynchronously — piggybacked on its next lock request
 // for the resource when one comes soon enough, or flushed standalone
@@ -40,18 +35,19 @@ func (c *LockClient) ackFlushDelay() time.Duration {
 //     once; only a write lock's part to a writer leaves Member zero (a
 //     part the server covers for a predecessor that released names it
 //     too);
-//   - a Final activation is the server's: it resolved the delegation,
-//     so the lock is the owner's whatever parts are missing;
 //   - a Cohort hands the receiver read leases, its own first: a
 //     gathering writer's handback to the lead, or one hop of the tree
-//     that propagates the rest (DESIGN.md §14).
+//     that propagates the rest (DESIGN.md §14);
+//   - the server's activation of the Lock it resolved carries the
+//     lock's lease as a cohort of one: the lock is the owner's whatever
+//     parts are missing, and it installs whether or not an acquire
+//     waits for it.
 //
 // Acks piggybacks delegation confirmations for the receiver to forward
 // to the server on its next lock request.
 type Transfer struct {
 	Lock   LockID
 	Member LockID
-	Final  bool
 	Acks   []LockID
 	Cohort *Stamp
 }
@@ -87,107 +83,44 @@ func (c *LockClient) SetPeerSender(s PeerSender) {
 	c.peer.Store(&peerSenderBox{s: s})
 }
 
-// transferWaiter collects the parts of one delegated lock's transfer,
-// from the first part or the wait for it, whichever comes first — parts
-// may race ahead of the delegated grant reply. It counts parts by the
-// cohort member each names, so a member whose part arrived from it and,
-// after its release, from the server counts once. A server-sent
-// activation (final) completes the transfer outright: the server
-// already resolved whatever parts were missing.
-//
-// Records are recycled (transferWaiters): ch is a one-slot channel that
-// the one completer — the step that deletes the record from
-// pendingHandoffs — sends on once, and waitTransfer puts the record back
-// after it has received that send, or after deleting the record itself,
-// when no completer ever will. The completer does not touch the record
-// after the send.
-type transferWaiter struct {
-	// need is the number of distinct parts that complete the transfer:
-	// one, or one per member of a gathered cohort. Zero until the wait
-	// names it.
-	need  int
-	final bool
-	got   []LockID // the members whose parts arrived
-	ch    chan struct{}
-	// The delegated grant being waited on, retained so Export can
-	// report the promised lock during crash takeover: the waiter has no
-	// Handle yet, and without the record the successor master would
-	// never learn the lock exists.
-	mode Mode
-	rng  extent.Extent
-	sn   extent.SN
-}
-
-// part counts the part of member, once per member, or a final
-// activation, and reports whether the transfer is complete.
-func (tw *transferWaiter) part(member LockID, final bool) bool {
-	if final {
-		tw.final = true
-	} else if !slices.Contains(tw.got, member) {
-		tw.got = append(tw.got, member)
-	}
-	return tw.done()
-}
-
-// done reports whether a waited-for transfer has every part it needs.
-func (tw *transferWaiter) done() bool {
-	return tw.need > 0 && (tw.final || len(tw.got) >= tw.need)
-}
-
 // OnTransfer records the arrival of a transfer message — from a peer,
-// or from the server. Duplicates (the two paths racing) are
-// idempotent: a part for a lock already installed or already gone,
-// and a lease already installed or gone, are dropped.
+// or from the server — and ships the rest of a cohort down the lease
+// tree. Duplicates (the two paths racing) are idempotent: a part or a
+// lease for a lock that awaits none, or is already gone, is dropped.
 func (c *LockClient) OnTransfer(res ResourceID, t Transfer) {
 	c.requeueAcks(res, t.Acks)
-	if t.Cohort == nil {
-		c.run(res, clientEvent{kind: cevPart, id: t.Lock, member: t.Member, final: t.Final})
-	} else {
-		c.receiveCohort(res, t.Cohort)
+	ev := clientEvent{kind: cevArrive, id: t.Lock, member: t.Member, stamp: t.Cohort}
+	if t.Cohort != nil {
+		ev.id = t.Cohort.Leases[0].LockID
+	}
+	c.run(res, ev)
+	if t.Cohort != nil {
+		c.propagate(res, t.Cohort)
 	}
 }
 
-// waitTransfer blocks a delegated acquire until its lock's transfer
-// arrives — all parts of it, for a gather.
-func (c *LockClient) waitTransfer(ctx context.Context, res ResourceID, g Grant) error {
-	var fx clientEffects
-	c.do(res, &clientEvent{kind: cevWait, id: g.LockID, mode: g.Mode, sn: g.SN, rng: g.Range, parts: g.GatherParts}, &fx)
-	tw := fx.tw
-	if tw == nil {
-		return nil
+// propagate ships the rest of an arrived cohort down the read-lease
+// propagation tree (DESIGN.md §14): a gather writer hands its cohort to
+// the lead, whose lease is the first, and each node splits the rest
+// into at most Fanout contiguous, near-equal subtrees, sent to the
+// owner of each subtree's first lease, which recurses. A subtree whose
+// send fails, or a cohort with no propagation path, stays delegated
+// server-side, and the reclaimer resolves its leases.
+func (c *LockClient) propagate(res ResourceID, g *Stamp) {
+	rest, box := g.Leases[1:], c.peer.Load()
+	if box == nil {
+		return
 	}
-	if _, _, err := sim.Recv(ctx, c.clk, tw.ch, c.baseCtx.Done(), time.Time{}); err == nil {
-		tw.recycle()
-		return nil
+	for k := min(g.Fanout, len(rest)); k > 0; k-- {
+		n := (len(rest) + k - 1) / k
+		sub := &Stamp{Mode: g.Mode, Range: g.Range, Fanout: g.Fanout, Leases: rest[:n]}
+		rest = rest[n:]
+		c.clk.Go(func() {
+			if box.s.SendTransfer(c.baseCtx, sub.Leases[0].Owner, res, Transfer{Cohort: sub}) == nil {
+				c.Stats.LeasesSent.Add(1)
+			}
+		})
 	}
-	var abort clientEffects
-	if c.do(res, &clientEvent{kind: cevWaitAbort, id: g.LockID}, &abort); abort.ok {
-		tw.recycle()
-		if err := ctx.Err(); err != nil {
-			return wire.FromContext(err)
-		}
-		return wire.ErrShuttingDown
-	}
-	// The transfer raced the abort and won (its step deleted the wait
-	// first); take the send and use the lock.
-	<-tw.ch
-	tw.recycle()
-	return nil
-}
-
-// transferWaiters recycles transferWaiter records; see transferWaiter.
-var transferWaiters = sync.Pool{New: func() any { return &transferWaiter{ch: make(chan struct{}, 1)} }}
-
-// complete ends tw's wait. The caller's step has just deleted tw from
-// pendingHandoffs, which makes it the one completer. tw may be recycled
-// once the send lands; sim.Send wakes its own copy of the channel.
-func (tw *transferWaiter) complete(clk sim.Clock) { sim.Send(clk, tw.ch, struct{}{}) }
-
-// recycle clears tw, keeping its (empty) channel and its member array,
-// and pools it.
-func (tw *transferWaiter) recycle() {
-	*tw = transferWaiter{ch: tw.ch, got: tw.got[:0]}
-	transferWaiters.Put(tw)
 }
 
 // transfer is the cancel path of a stamped lock (DESIGN.md §13): the

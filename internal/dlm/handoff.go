@@ -91,14 +91,45 @@ func StampFromWire(w *wire.Stamp) *Stamp {
 	return s
 }
 
-// activationMsg is a server-sent message naming one delegated lock and
-// its owner — an activation or an ack solicitation — captured under
-// res.mu and delivered after it drops.
+// TransferToWire writes t, a transfer of a lock of res, into w; a
+// cohort goes into the record w.Cohort points at, if any
+// (StampToWire). Every MHandoff is built here.
+func TransferToWire(res ResourceID, t Transfer, w *wire.HandoffRequest) {
+	*w = wire.HandoffRequest{Resource: uint64(res), LockID: uint64(t.Lock), Member: uint64(t.Member),
+		Cohort: StampToWire(t.Cohort, w.Cohort)}
+	for _, a := range t.Acks {
+		w.Acks = append(w.Acks, uint64(a))
+	}
+}
+
+// TransferFromWire converts a transfer message to its resource and its
+// dlm form.
+func TransferFromWire(w *wire.HandoffRequest) (ResourceID, Transfer) {
+	t := Transfer{Lock: LockID(w.LockID), Member: LockID(w.Member),
+		Acks: make([]LockID, 0, len(w.Acks)), Cohort: StampFromWire(w.Cohort)}
+	for _, a := range w.Acks {
+		t.Acks = append(t.Acks, LockID(a))
+	}
+	return ResourceID(w.Resource), t
+}
+
+// activationMsg is a server-sent message to the owner of a delegated
+// lock, captured under res.mu and delivered after it drops: a transfer
+// — the part of a predecessor that released, or an activation — or the
+// solicitation of lock t.Lock's ack.
 type activationMsg struct {
 	client ClientID
 	res    ResourceID
-	id     LockID
-	member LockID // a part the server covers: the predecessor that released
+	t      Transfer
+}
+
+// activation is the server's activation of lock id of client on res,
+// whose delegation it resolved: the lock's lease, a cohort of one, so
+// that it installs at the owner whether or not an acquire waits for it.
+func activation(client ClientID, res ResourceID, id LockID, mode Mode, rng extent.Extent, sn extent.SN) activationMsg {
+	s := newStamp(mode, false, 1)
+	s.Range, s.Leases = rng, append(s.Leases, Lease{Owner: client, LockID: id, SN: sn})
+	return activationMsg{client: client, res: res, t: Transfer{Lock: id, Cohort: s}}
 }
 
 // stampDelegation attempts to retire waiter w by delegating its
@@ -247,7 +278,7 @@ func (s *Server) forceResolve(res *resource, l *lock, acts []activationMsg) []ac
 	s.removePreds(res, l)
 	s.resolveDelegation(res, l)
 	s.Stats.HandoffReclaims.Add(1)
-	return append(acts, activationMsg{client: l.client, res: res.id, id: l.id})
+	return append(acts, activation(l.client, res.id, l.id, l.mode, l.rng, l.sn))
 }
 
 // sendActivation delivers a server-sent activation, or the part the
@@ -255,7 +286,7 @@ func (s *Server) forceResolve(res *resource, l *lock, acts []activationMsg) []ac
 // Duplicates (server-sent racing the peer transfer) are idempotent
 // client-side.
 func (s *Server) sendActivation(a activationMsg) {
-	s.clk.Go(func() { s.notifier.Handoff(s.baseCtx, a.client, a.res, a.id, a.member) })
+	s.clk.Go(func() { s.notifier.Handoff(s.baseCtx, a.client, a.res, a.t) })
 }
 
 // solicitAck makes the confirmation of a delegation demand-driven. w
@@ -280,14 +311,14 @@ func (s *Server) solicitAck(res *resource, w *waiter, c *lock, fx *effects) {
 	s.Stats.AckSolicits.Add(1)
 	s.tracer.record(Event{Kind: EvAckSolicit, Resource: res.id, Client: w.req.Client, Mode: w.req.Mode,
 		Range: w.req.Range, Lock: c.id, Succ: t.id, SuccClient: t.client})
-	fx.solicits = append(fx.solicits, activationMsg{client: t.client, res: res.id, id: t.id})
+	fx.solicits = append(fx.solicits, activationMsg{client: t.client, res: res.id, t: Transfer{Lock: t.id}})
 }
 
 // sendSolicit delivers an ack solicitation through the notifier. A lost
 // one costs nothing but time: the lazy ack and the reclaimer still stand
 // behind it.
 func (s *Server) sendSolicit(m activationMsg) {
-	s.clk.Go(func() { s.notifier.SolicitAck(s.baseCtx, m.client, m.res, m.id) })
+	s.clk.Go(func() { s.notifier.SolicitAck(s.baseCtx, m.client, m.res, m.t.Lock) })
 }
 
 // delegationEntry tracks one outstanding delegation for the

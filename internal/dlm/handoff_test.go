@@ -62,9 +62,9 @@ func (n hoNotifier) RevokeBatch(_ context.Context, client ClientID, revs []Revoc
 }
 
 // Handoff implements Notifier: the server-sent activation path.
-func (n hoNotifier) Handoff(_ context.Context, client ClientID, res ResourceID, id, member LockID) {
+func (n hoNotifier) Handoff(_ context.Context, client ClientID, res ResourceID, t Transfer) {
 	if c, ok := n.h.clients[client]; ok {
-		c.OnTransfer(res, Transfer{Lock: id, Member: member, Final: member == 0})
+		c.OnTransfer(res, t)
 	}
 }
 
@@ -612,4 +612,84 @@ func TestReleaseAllDropsAcksOfItsCancels(t *testing.T) {
 	if err := h.srv.CheckInvariants(); err != nil {
 		t.Fatalf("invariants: %v", err)
 	}
+}
+
+// TestAbandonedDelegatedWaitRetires: a delegated acquire whose ctx
+// fires before its transfer arrives releases the lock through the
+// server and retires it. A part or an activation for it that arrives
+// afterwards leaves no record and installs nothing.
+func TestAbandonedDelegatedWaitRetires(t *testing.T) {
+	h := newHOHarness(t, solicitPolicy(), 2, true)
+	res, rng := ResourceID(23), extent.New(0, 4096)
+	h.client(1).Unlock(mustAcquire(t, h.client(1), res, PW, rng))
+	h.mu.Lock()
+	h.dropTransfers = true // the holder's part is lost in flight
+	h.mu.Unlock()
+
+	c := h.client(2)
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.Acquire(ctx, res, PW, rng)
+		done <- err
+	}()
+	var id LockID
+	var sn extent.SN
+	waitFor(t, "the delegated grant awaiting its transfer", func() bool {
+		c.st.mu.Lock()
+		defer c.st.mu.Unlock()
+		for _, hd := range c.st.cached[res] {
+			if hd.need > 0 {
+				id, sn = hd.id, hd.sn
+				return true
+			}
+		}
+		return false
+	})
+	cancel()
+	if err := <-done; err == nil {
+		t.Fatal("acquire succeeded with no transfer and its ctx canceled")
+	}
+	if got := h.srv.GrantedCount(res); got != 0 {
+		t.Fatalf("GrantedCount = %d after the abandoned wait, want 0: the lock is released through the server", got)
+	}
+
+	c.OnTransfer(res, Transfer{Lock: id})
+	c.OnTransfer(res, activation(2, res, id, PW, rng, sn).t)
+	c.st.mu.Lock()
+	early := len(c.st.early)
+	c.st.mu.Unlock()
+	if early != 0 || c.CachedLocks(res) != 0 {
+		t.Fatalf("late part and activation left %d early records and %d cached locks, want none", early, c.CachedLocks(res))
+	}
+	if err := h.srv.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestGrantAfterActivationClaimsLease: a delegated grant reply that the
+// server's activation beat claims the lease the activation installed,
+// instead of caching a second handle for the lock, and its wait returns
+// at once without queueing a second ack.
+func TestGrantAfterActivationClaimsLease(t *testing.T) {
+	c := NewLockClient(2, handoffPolicy(), func(ResourceID) ServerConn { return directConn{} }, &recFlusher{})
+	defer c.Close()
+	res, rng := ResourceID(3), extent.New(0, 4096)
+	g := Grant{LockID: 9, Mode: PW, Range: rng, SN: 5, Delegated: true}
+	c.OnTransfer(res, activation(2, res, g.LockID, g.Mode, g.Range, g.SN).t)
+	h := c.run(res, grantEvent(&g, PW))
+	if h == nil || c.CachedLocks(res) != 1 {
+		t.Fatalf("grant after the activation = %v with %d cached locks, want the activated lease alone", h, c.CachedLocks(res))
+	}
+	got, err := c.await(context.Background(), res, clientEvent{kind: cevAwait, h: h}, time.Time{})
+	if err != nil || got != h {
+		t.Fatalf("wait = %v, %v, want the lease at once", got, err)
+	}
+	c.st.mu.Lock()
+	acks := slices.Clone(c.st.pendingAcks[res])
+	c.st.mu.Unlock()
+	if !slices.Equal(acks, []LockID{g.LockID}) {
+		t.Fatalf("queued acks %v, want the lease's one", acks)
+	}
+	c.Unlock(h)
 }

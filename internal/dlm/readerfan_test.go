@@ -295,10 +295,10 @@ func TestReaderFanRotation(t *testing.T) {
 // TestReaderFanReclaimLostPropagation: the lead receives the handback
 // but every propagation edge is lost, so the non-lead leases sit
 // delegated until the reclaimer force-resolves them. Each owner gets
-// the server's activation for a lease it never received and releases
-// it at once, so the next writer is granted within a round trip or
-// two, not after a reclaim period of its own, and none of the lost
-// leases is left behind in the lock table.
+// the server's activation, which carries the lease it never received,
+// and caches that lease. The next writer gathers the whole cohort
+// within a round trip or two, not after a reclaim period of its own,
+// and none of the force-resolved leases is left in the lock table.
 func TestReaderFanReclaimLostPropagation(t *testing.T) {
 	const nReaders = 4
 	const reclaim = 20 * time.Millisecond
@@ -327,14 +327,12 @@ func TestReaderFanReclaimLostPropagation(t *testing.T) {
 	waitFor(t, "lost tree edges reclaimed", func() bool {
 		return h.srv.Stats.HandoffReclaims.Load() == nReaders-1
 	})
-	reclaimed := time.Now()
-	if got := h.client(2).Stats.LeasesRecv.Load(); got != 1 {
-		t.Fatalf("lead LeasesRecv = %d, want 1", got)
+	for i := 2; i <= 1+nReaders; i++ {
+		waitFor(t, "the activated lease cached", func() bool { return h.client(i).CachedLocks(res) == 1 })
+		if got := h.client(i).Stats.LeasesRecv.Load(); got != 1 {
+			t.Fatalf("client %d LeasesRecv = %d, want 1", i, got)
+		}
 	}
-	// Each owner releases the lease the server activated for it. The
-	// next writer waits for that: one that races ahead of the releases
-	// gathers the cohort, and a gather whose members part release and
-	// part transfer waits out the reclaimer.
 	inTable := func() (n int) {
 		res0.mu.Lock()
 		defer res0.mu.Unlock()
@@ -345,10 +343,6 @@ func TestReaderFanReclaimLostPropagation(t *testing.T) {
 		}
 		return n
 	}
-	waitFor(t, "orphaned leases released", func() bool { return inTable() == 0 })
-	if took := time.Since(reclaimed); took > reclaim/2 {
-		t.Fatalf("orphaned leases released %v after the reclaim, want well under the %v reclaim interval", took, reclaim)
-	}
 
 	h.mu.Lock()
 	h.dropLeases = false
@@ -356,20 +350,55 @@ func TestReaderFanReclaimLostPropagation(t *testing.T) {
 	start := time.Now()
 	w2 := mustAcquire(t, h.client(1), res, NBW, rng)
 	if took := time.Since(start); took > reclaim/2 {
-		t.Fatalf("next writer's acquire took %v, want well under the %v reclaim interval (an orphaned lease was never released)", took, reclaim)
+		t.Fatalf("next writer's acquire took %v, want well under the %v reclaim interval (an activated lease never reached its owner)", took, reclaim)
+	}
+	if got := h.srv.Stats.Gathers.Load(); got != 2 {
+		t.Fatalf("Gathers = %d, want 2: the next writer gathers the activated cohort", got)
 	}
 	if w2.SN() <= w.SN() {
 		t.Fatalf("next writer SN %d not above %d", w2.SN(), w.SN())
 	}
-	if n := inTable(); n != 0 {
-		t.Fatalf("%d force-resolved leases back in the table", n)
-	}
-	h.client(1).Unlock(w2)
 	for _, c := range h.clients {
 		c.FlushHandoffAcks(context.Background())
 	}
+	if n := inTable(); n != 0 {
+		t.Fatalf("%d force-resolved leases still in the table", n)
+	}
+	h.client(1).Unlock(w2)
 	if err := h.srv.CheckInvariants(); err != nil {
 		t.Fatalf("invariants: %v", err)
+	}
+}
+
+// TestActivationInstallsLease: the server's activation of a lease whose
+// owner never received it, and has no acquire waiting for it, installs
+// there like any lease: the owner's next shared acquire of its range is
+// a cache hit, with no lock request to the server.
+func TestActivationInstallsLease(t *testing.T) {
+	const reclaim = 20 * time.Millisecond
+	h := newHOHarness(t, reclaimEvery(handoffPolicy(), reclaim), 3, true)
+	res, rng := ResourceID(41), extent.New(0, 4096)
+	w := formHandback(t, h, res, rng, 2)
+	h.mu.Lock()
+	h.dropLeases = true // client 3's lease never leaves the lead
+	h.mu.Unlock()
+	h.client(1).Unlock(w)
+	waitFor(t, "the lost lease reclaimed", func() bool { return h.srv.Stats.HandoffReclaims.Load() == 1 })
+
+	c := h.client(3)
+	waitFor(t, "the activated lease cached", func() bool { return c.CachedLocks(res) == 1 })
+	hits, misses := c.CacheHits(), c.Stats.CacheMisses.Load()
+	rd := mustAcquire(t, c, res, PR, rng)
+	if c.CacheHits() != hits+1 || c.Stats.CacheMisses.Load() != misses {
+		t.Fatalf("acquire after the activation: %d hits and %d misses, want one hit and no lock request",
+			c.CacheHits()-hits, c.Stats.CacheMisses.Load()-misses)
+	}
+	if rd.SN() <= w.SN() {
+		t.Fatalf("lease SN %d not above the writer's %d", rd.SN(), w.SN())
+	}
+	c.Unlock(rd)
+	if err := h.srv.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -31,10 +31,9 @@ type LockRecord struct {
 	Range    extent.Extent
 	SN       extent.SN
 	State    State
-	// Delegated marks a delegated grant whose client-to-client transfer
-	// has not arrived yet: the reporting client holds no usable lock,
-	// only the server's promise of one. Restore force-resolves it the
-	// way a freeze would.
+	// Delegated marks a delegated grant whose transfer has not arrived
+	// yet: the reporting client holds no usable lock, only the server's
+	// promise of one. Restore force-resolves it the way a freeze would.
 	Delegated bool
 	// HandedOff marks a lock its holder owes (or already sent) to a
 	// delegation successor: the holder will never release it to the
@@ -65,34 +64,20 @@ func (c *LockClient) Export(filter func(ResourceID) bool) []LockRecord {
 				Range:    h.rng,
 				SN:       h.sn,
 				State:    h.state,
+				// A delegated grant still awaiting its transfer is
+				// reported so that a taking-over master force-resolves
+				// it, instead of leaving the acquire waiting for a
+				// transfer that died with the old master.
+				Delegated: h.need > 0,
 				// A stamped handle owes its lock to a successor: its
 				// cancel path transfers instead of releasing, so the
 				// server must never wait for this lock's release.
-				HandedOff: h.stamp != nil,
+				HandedOff: h.stamp != nil && h.need == 0,
 			})
 		}
 	}
-	// Delegated grants still waiting for their transfer have no
-	// handle yet; report them from the wait registry so a
-	// taking-over master can force-resolve them instead of leaving
-	// the waiter parked on a transfer that died with the old master.
-	for k, tw := range c.st.pendingHandoffs {
-		if tw.need == 0 || filter != nil && !filter(k.res) {
-			continue // parts that raced ahead of their grant reply
-		}
-		out = append(out, LockRecord{
-			Resource:  k.res,
-			Client:    c.id,
-			LockID:    k.id,
-			Mode:      tw.mode,
-			Range:     tw.rng,
-			SN:        tw.sn,
-			State:     Granted,
-			Delegated: true,
-		})
-	}
 	c.st.mu.Unlock()
-	// The maps iterate in random order; report in ascending lock order.
+	// The map iterates in random order; report in ascending lock order.
 	slices.SortFunc(out, func(a, b LockRecord) int {
 		return cmp.Or(cmp.Compare(a.Resource, b.Resource), cmp.Compare(a.LockID, b.LockID))
 	})
@@ -233,9 +218,10 @@ func (s *Server) Reset() {
 //     HandedOff record is dropped: its holder owes the lock to a
 //     successor and will never release it through the server, so
 //     restoring it would wedge the resource. A Delegated record becomes
-//     a plain grant, and an activation sent once the state is serving
-//     unparks a successor whose peer transfer died with the old master
-//     (a duplicate is idempotent client-side).
+//     a plain grant, and an activation sent once the state is serving,
+//     carrying the lock's lease, hands it to a successor whose peer
+//     transfer died with the old master (a duplicate is idempotent
+//     client-side).
 //   - The sequencer resumes at the largest of NextSN, st.Floor and
 //     every restored write SN + 1; the engine's floor rises to
 //     st.Floor, so a resource nobody replayed starts above it too.
@@ -295,7 +281,7 @@ func (s *Server) Restore(st LockState) error {
 			}
 			if r.Delegated {
 				r.State = Granted
-				acts = append(acts, activationMsg{client: r.Client, res: re.Resource, id: r.LockID})
+				acts = append(acts, activation(r.Client, re.Resource, r.LockID, r.Mode, r.Range, r.SN))
 			}
 			res.granted.insert(&lock{
 				id:         r.LockID,

@@ -94,17 +94,17 @@ type Revocation struct {
 //     Server.RevokeAck for each entry when the reply returns, and acks
 //     and releases entries whose holder has vanished. revs is the
 //     revoker's, reused once the call returns.
-//   - Handoff delivers the server-sent transfer of delegated lock id to
-//     its owner (DESIGN.md §13, §14). A nonzero member makes it one
-//     part: the part of that predecessor, which released instead of
-//     transferring. A zero member activates the lock outright: the
-//     server force-resolved the delegation.
+//   - Handoff delivers the server's transfer of delegated lock t.Lock to
+//     its owner (DESIGN.md §13, §14): the part of predecessor t.Member,
+//     which released instead of transferring, or the activation of a
+//     delegation the server resolved, which carries the lock's lease as
+//     t.Cohort.
 //   - SolicitAck asks client, the owner of delegated lock id, to confirm
 //     it now, because a waiter is blocked on nothing else. It is best
 //     effort: the owner's lazy ack and the reclaimer stand behind it.
 type Notifier interface {
 	RevokeBatch(ctx context.Context, client ClientID, revs []Revocation)
-	Handoff(ctx context.Context, client ClientID, res ResourceID, id, member LockID)
+	Handoff(ctx context.Context, client ClientID, res ResourceID, t Transfer)
 	SolicitAck(ctx context.Context, client ClientID, res ResourceID, id LockID)
 }
 
@@ -121,7 +121,7 @@ func (f NotifierFunc) RevokeBatch(ctx context.Context, _ ClientID, revs []Revoca
 }
 
 // Handoff implements Notifier; it does nothing.
-func (NotifierFunc) Handoff(context.Context, ClientID, ResourceID, LockID, LockID) {}
+func (NotifierFunc) Handoff(context.Context, ClientID, ResourceID, Transfer) {}
 
 // SolicitAck implements Notifier; it does nothing.
 func (NotifierFunc) SolicitAck(context.Context, ClientID, ResourceID, LockID) {}
@@ -569,7 +569,7 @@ func (s *Server) step(res *resource, ev *event, fx *effects) error {
 			if !slices.ContainsFunc(succ.preds, func(p *lock) bool { return res.granted.get(p.id) == p }) {
 				s.resolveDelegation(res, succ)
 			}
-			fx.acts = append(fx.acts, activationMsg{client: succ.client, res: res.id, id: succ.id, member: l.id})
+			fx.acts = append(fx.acts, activationMsg{client: succ.client, res: res.id, t: Transfer{Lock: succ.id, Member: l.id}})
 		}
 	case evRevokeAck:
 		if l := res.granted.get(ev.id); l != nil && l.state == Granted {

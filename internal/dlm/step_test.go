@@ -19,7 +19,17 @@ import (
 type recNotifier struct {
 	mu   sync.Mutex
 	revs []Revocation
-	acts []activationMsg
+	acts []sentTransfer
+}
+
+// sentTransfer is a transfer the engine sent through Handoff, in a form
+// tests compare: the lock it is for, the member a part names, and
+// whether it carries the lock's lease, as an activation does.
+type sentTransfer struct {
+	client     ClientID
+	res        ResourceID
+	id, member LockID
+	lease      bool
 }
 
 func (n *recNotifier) RevokeBatch(_ context.Context, _ ClientID, revs []Revocation) {
@@ -28,18 +38,18 @@ func (n *recNotifier) RevokeBatch(_ context.Context, _ ClientID, revs []Revocati
 	n.mu.Unlock()
 }
 
-func (n *recNotifier) Handoff(_ context.Context, client ClientID, res ResourceID, id, member LockID) {
+func (n *recNotifier) Handoff(_ context.Context, client ClientID, res ResourceID, t Transfer) {
 	n.mu.Lock()
-	n.acts = append(n.acts, activationMsg{client: client, res: res, id: id, member: member})
+	n.acts = append(n.acts, sentTransfer{client: client, res: res, id: t.Lock, member: t.Member, lease: t.Cohort != nil})
 	n.mu.Unlock()
 }
 
 func (n *recNotifier) SolicitAck(context.Context, ClientID, ResourceID, LockID) {}
 
-func (n *recNotifier) activations() []activationMsg {
+func (n *recNotifier) activations() []sentTransfer {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return append([]activationMsg(nil), n.acts...)
+	return append([]sentTransfer(nil), n.acts...)
 }
 
 func (n *recNotifier) revocations() []Revocation {
@@ -296,9 +306,9 @@ type fwdNotifier struct {
 	c *LockClient
 }
 
-func (n *fwdNotifier) Handoff(ctx context.Context, client ClientID, res ResourceID, id, member LockID) {
-	n.c.OnTransfer(res, Transfer{Lock: id, Member: member, Final: member == 0})
-	n.recNotifier.Handoff(ctx, client, res, id, member)
+func (n *fwdNotifier) Handoff(ctx context.Context, client ClientID, res ResourceID, t Transfer) {
+	n.c.OnTransfer(res, t)
+	n.recNotifier.Handoff(ctx, client, res, t)
 }
 
 // hookConn is directConn whose Lock hands each grant to hook before the
@@ -354,8 +364,8 @@ func TestReleaseByHandoffHolderSendsPart(t *testing.T) {
 				waitFor(t, "the successor waiting for its transfer", func() bool {
 					n.c.st.mu.Lock()
 					defer n.c.st.mu.Unlock()
-					tw := n.c.st.pendingHandoffs[lockKey{1, g.LockID}]
-					return tw != nil && tw.need > 0
+					h := findByID(n.c.st.cached[1], g.LockID)
+					return h != nil && h.need > 0
 				})
 				s.Release(1, holder.LockID)
 			}
@@ -363,7 +373,7 @@ func TestReleaseByHandoffHolderSendsPart(t *testing.T) {
 			if hd == nil || hd.id != g.LockID {
 				t.Fatalf("delegated acquire = %+v, want lock %d", hd, g.LockID)
 			}
-			if a := n.activations(); len(a) != 1 || a[0] != (activationMsg{client: 2, res: 1, id: g.LockID, member: holder.LockID}) {
+			if a := n.activations(); len(a) != 1 || a[0] != (sentTransfer{client: 2, res: 1, id: g.LockID, member: holder.LockID}) {
 				t.Fatalf("activations %+v, want one part for lock %d naming the holder %d", a, g.LockID, holder.LockID)
 			}
 			s.reclaim.mu.Lock()

@@ -25,8 +25,8 @@ type revStressNotifier struct {
 	lastSeq   map[[2]int]int
 }
 
-func (n *revStressNotifier) Handoff(context.Context, ClientID, ResourceID, LockID, LockID) {}
-func (n *revStressNotifier) SolicitAck(context.Context, ClientID, ResourceID, LockID)      {}
+func (n *revStressNotifier) Handoff(context.Context, ClientID, ResourceID, Transfer)  {}
+func (n *revStressNotifier) SolicitAck(context.Context, ClientID, ResourceID, LockID) {}
 
 func (n *revStressNotifier) RevokeBatch(_ context.Context, client ClientID, revs []Revocation) {
 	if n.active[client].Add(1) != 1 {

@@ -32,9 +32,9 @@ func (n takeoverNotifier) RevokeBatch(_ context.Context, client ClientID, revs [
 	}
 }
 
-func (n takeoverNotifier) Handoff(_ context.Context, client ClientID, res ResourceID, id, member LockID) {
+func (n takeoverNotifier) Handoff(_ context.Context, client ClientID, res ResourceID, t Transfer) {
 	if c, ok := n.h.clients[client]; ok {
-		c.OnTransfer(res, Transfer{Lock: id, Member: member, Final: member == 0})
+		c.OnTransfer(res, t)
 	}
 }
 

@@ -476,3 +476,15 @@ func BenchmarkTreeInsertRandom(b *testing.B) {
 		tr.Insert(Extent{off, off + 47008}, SN(i))
 	}
 }
+
+func TestExtentString(t *testing.T) {
+	if got := New(0, 10).String(); got != "[0, 10)" {
+		t.Fatalf("String = %q, want [0, 10)", got)
+	}
+	if got := New(5, Inf).String(); got != "[5, EOF)" {
+		t.Fatalf("String = %q, want [5, EOF)", got)
+	}
+	if got := (SNExtent{New(0, 10), 7}).String(); got != "[0, 10)@7" {
+		t.Fatalf("String = %q, want [0, 10)@7", got)
+	}
+}

@@ -330,3 +330,19 @@ func TestCallCtxDoneCancelRace(t *testing.T) {
 		}
 	}
 }
+
+// TestCallCtxDelegatesToBase: a handler's context reports the
+// endpoint's deadline and values.
+func TestCallCtxDelegatesToBase(t *testing.T) {
+	type key struct{}
+	dl := time.Now().Add(time.Hour)
+	base, cancel := context.WithDeadline(context.WithValue(context.Background(), key{}, "v"), dl)
+	defer cancel()
+	cc := &callCtx{base: base}
+	if got, ok := cc.Deadline(); !ok || !got.Equal(dl) {
+		t.Fatalf("Deadline() = %v, %v, want %v, true", got, ok, dl)
+	}
+	if got := cc.Value(key{}); got != "v" {
+		t.Fatalf("Value() = %v, want v", got)
+	}
+}

@@ -177,3 +177,10 @@ func TestManyParallelConnections(t *testing.T) {
 		}
 	}
 }
+
+func TestDialNoListener(t *testing.T) {
+	_, err := New(sim.Fast()).Dial("nowhere")
+	if err == nil || err.Error() != "memnet: no listener at address" {
+		t.Fatalf("Dial to no listener: err = %v", err)
+	}
+}

@@ -88,10 +88,6 @@ func (e *Error) Is(target error) bool {
 	return false
 }
 
-// Timeout reports whether the error is deadline-shaped, satisfying the
-// net.Error-style interface some callers probe for.
-func (e *Error) Timeout() bool { return e.Code == CodeTimeout }
-
 // Sentinel errors, one per failure class. Compare with errors.Is; the
 // match is by code, so a decoded remote error with its own message still
 // matches its sentinel.

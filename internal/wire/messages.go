@@ -538,9 +538,10 @@ func (m *RevokeBatchAck) Decode(d *Decoder) {
 	}
 }
 
-// HandoffRequest is the transfer message (MHandoff). A part or an
-// activation names the delegated lock it is for in LockID; a cohort
-// names its locks in its leases and leaves LockID zero.
+// HandoffRequest is the transfer message (MHandoff). A part names the
+// delegated lock it is for in LockID, and so does an activation, which
+// carries that lock's lease as its cohort; the cohort of a handback or
+// a tree hop names its locks in its leases and leaves LockID zero.
 type HandoffRequest struct {
 	Resource uint64
 	LockID   uint64
@@ -557,25 +558,19 @@ type HandoffRequest struct {
 	Acks []uint64
 	// Cohort carries read leases: the receiver installs Leases[0] as
 	// its own and forwards the rest, split into Fanout subtrees, each
-	// to the owner of its first lease.
+	// to the owner of its first lease. A server-sent activation is the
+	// lease of the lock it names, a cohort of one.
 	Cohort *Stamp
-	// Final marks a server-sent activation: the delegation was resolved
-	// server-side, so the receiver activates immediately even if it was
-	// collecting multiple gather parts. Parts leave it false.
-	Final bool
 }
 
-// Encode implements Msg. One flag byte carries Final and whether a
-// Member follows, so a handoff part spends no bytes on a member.
+// Encode implements Msg. One flag byte says whether a Member follows,
+// so a handoff part spends no bytes on a member.
 func (m *HandoffRequest) Encode(e *Encoder) {
 	e.U64(m.Resource)
 	e.U64(m.LockID)
 	e.U64s(m.Acks)
 	encodeStamp(e, m.Cohort)
 	var flags uint8
-	if m.Final {
-		flags |= 1
-	}
 	if m.Member != 0 {
 		flags |= 2
 	}
@@ -591,9 +586,7 @@ func (m *HandoffRequest) Decode(d *Decoder) {
 	m.LockID = d.U64()
 	m.Acks = d.U64s()
 	m.Cohort = decodeStamp(d, nil)
-	flags := d.U8()
-	m.Final = flags&1 != 0
-	if flags&2 != 0 {
+	if d.U8()&2 != 0 {
 		m.Member = d.U64()
 	}
 }

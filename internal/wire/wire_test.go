@@ -295,7 +295,6 @@ func TestHandoffMessagesRoundTrip(t *testing.T) {
 
 	for _, m := range []struct{ in, out Msg }{
 		{&HandoffRequest{Resource: 9, LockID: 77}, &HandoffRequest{}},
-		{&HandoffRequest{Resource: 9, LockID: 77, Final: true}, &HandoffRequest{}},
 		{&HandoffRequest{Resource: 9, LockID: 77, Member: 12, Acks: []uint64{3}}, &HandoffRequest{}},
 		{&HandoffAckRequest{Resource: 9, LockIDs: []uint64{77}}, &HandoffAckRequest{}},
 		{&HandoffAckRequest{Resource: 9, LockIDs: []uint64{77, 78, 80}}, &HandoffAckRequest{}},
@@ -478,5 +477,21 @@ func TestRevokeBatchAckDecodeReuses(t *testing.T) {
 		if a := testing.AllocsPerRun(100, func() { UnmarshalMsg(three, &ack) }); a != 0 {
 			t.Errorf("decoding into a reused ack: %.1f allocs, want 0", a)
 		}
+	}
+}
+
+// TestErrorAndMethodNames: an error with no message reads as its code's
+// name, and an unknown method as its number.
+func TestErrorAndMethodNames(t *testing.T) {
+	for code, want := range map[ErrorCode]string{
+		CodeTimeout: "timeout", CodeCanceled: "canceled", CodeShuttingDown: "shutting down",
+		CodeNotOwner: "not owner", CodeStale: "stale", CodeInvalid: "invalid", ErrorCode(200): "unknown",
+	} {
+		if got := (&Error{Code: code}).Error(); got != "wire: "+want {
+			t.Errorf("code %d reads %q, want %q", code, got, "wire: "+want)
+		}
+	}
+	if got := Method(250).String(); got != "m250" {
+		t.Errorf("Method(250) = %q, want m250", got)
 	}
 }
