@@ -184,12 +184,13 @@ type ClientStats struct {
 	CancelNs    atomic.Int64 // time spent flushing + releasing
 	// HandoffsSent counts locks this client transferred directly to a
 	// peer; HandoffsRecv counts delegated grants this client activated
-	// (peer transfer or server-sent activation).
+	// (peer transfer or server-sent activation), once each: when its
+	// acquire takes it, or when it installs as a lease.
 	HandoffsSent atomic.Int64
 	HandoffsRecv atomic.Int64
 	// LeasesSent counts propagation-tree subtrees this client forwarded
-	// to peers; LeasesRecv counts read leases installed from a
-	// handback transfer or peer propagation (DESIGN.md §14).
+	// to peers; LeasesRecv counts leases installed with no acquire waiting:
+	// handback and propagated read leases (DESIGN.md §14), activations.
 	LeasesSent atomic.Int64
 	LeasesRecv atomic.Int64
 	// SolicitedAcks counts ack flushes this client sent because the
@@ -468,10 +469,12 @@ func (c *LockClient) stepOther(res ResourceID, ev *clientEvent, fx *clientEffect
 		// transfer (cevAwait takes it once the transfer is in). A reply
 		// that the server's activation beat (a slot freeze can resolve a
 		// delegation while its reply is in flight) claims the lease the
-		// activation installed, unless that lease is already leaving:
-		// then the acquire starts over.
+		// activation installed, unless that lease is leaving or already
+		// gone: then the acquire starts over.
 		h := findByID(c.st.cached[res], ev.id)
 		switch {
+		case h == nil && ev.delegated && c.st.notes[k].gone:
+			return
 		case h == nil:
 			need := 0
 			if ev.delegated {
@@ -601,8 +604,8 @@ func (c *LockClient) stepOther(res ResourceID, ev *clientEvent, fx *clientEffect
 	case cevGiveUp:
 		switch h := ev.h; {
 		case h == nil:
-			// The fan lease never came (propagation lost, writer died):
-			// stop standing, and go to the server.
+			// The fan lease never came by the deadline (propagation lost,
+			// writer died): stop standing, and go to the server.
 			delete(c.st.fanStanding, res)
 		case h.need == 0:
 			c.takeArrived(res, h, fx) // the transfer beat the give-up
@@ -645,10 +648,11 @@ func (c *LockClient) stepOther(res ResourceID, ev *clientEvent, fx *clientEffect
 }
 
 // takeArrived hands h, whose transfer is in, to the acquire that waited
-// for it, and queues the delegation's ack once. Caller holds c.st.mu.
+// for it, counting it and queueing its ack once. Caller holds c.st.mu.
 func (c *LockClient) takeArrived(res ResourceID, h *Handle, fx *clientEffects) {
 	if h.awaiting {
 		h.awaiting, h.got = false, nil
+		c.Stats.HandoffsRecv.Add(1)
 		c.queueAck(res, h.id, fx)
 	}
 	fx.h = h
@@ -840,7 +844,6 @@ func (c *LockClient) acquireMiss(ctx context.Context, res ResourceID, need Mode,
 			c.router(res).Release(c.baseCtx, res, g.LockID)
 			return nil, err
 		}
-		c.Stats.HandoffsRecv.Add(1)
 	}
 	return h, nil
 }
@@ -849,8 +852,9 @@ func (c *LockClient) acquireMiss(ctx context.Context, res ResourceID, need Mode,
 // grant's (ev.h) for its transfer, or a shared acquire's on a fan
 // rotation for a covering lease. It parks on c.st.cond while ev's step
 // finds the lock not yet arrived, and gives up (cevGiveUp) once ctx or
-// the client's lifecycle ends or the deadline (zero: none) passes. It
-// returns the handle the step answered with; nil and no error send a
+// the client's lifecycle ends or the deadline (zero: none) passes; a
+// standing wait leaves without that step unless its deadline passed.
+// It returns the handle the step answered with; nil and no error send a
 // shared acquire on to the server.
 func (c *LockClient) await(ctx context.Context, res ResourceID, ev clientEvent, deadline time.Time) (*Handle, error) {
 	var fx clientEffects
@@ -861,6 +865,9 @@ func (c *LockClient) await(ctx context.Context, res ResourceID, ev clientEvent, 
 			err = wire.FromContext(err)
 		} else if c.baseCtx.Err() != nil {
 			err = wire.ErrShuttingDown
+		}
+		if err != nil && ev.h == nil {
+			break // only a passed deadline ends a fan rotation
 		}
 		if err != nil || !deadline.IsZero() && !c.clk.Now().Before(deadline) {
 			ev.kind = cevGiveUp
@@ -894,10 +901,8 @@ func grantEvent(g *Grant, need Mode) clientEvent {
 }
 
 func findByID(list []*Handle, id LockID) *Handle {
-	for _, h := range list {
-		if h.id == id {
-			return h
-		}
+	if i := slices.IndexFunc(list, func(h *Handle) bool { return h.id == id }); i >= 0 {
+		return list[i]
 	}
 	return nil
 }

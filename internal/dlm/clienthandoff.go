@@ -2,6 +2,7 @@ package dlm
 
 import (
 	"context"
+	"maps"
 	"slices"
 	"time"
 )
@@ -224,15 +225,13 @@ func (st *clientState) popAcks(res ResourceID) []LockID {
 // Caller holds st.mu.
 func (st *clientState) dropAck(res ResourceID, id LockID) {
 	acks := st.pendingAcks[res]
-	i := slices.Index(acks, id)
-	if i < 0 {
-		return
-	}
-	if len(acks) > 1 {
+	switch i := slices.Index(acks, id); {
+	case i < 0:
+	case len(acks) > 1:
 		st.pendingAcks[res] = slices.Delete(acks, i, i+1)
-		return
+	default:
+		st.popAcks(res)
 	}
-	st.popAcks(res)
 }
 
 // takeAcks pops the queued acks for res, to piggyback on a lock request
@@ -269,12 +268,7 @@ func (c *LockClient) OnAckSolicit(res ResourceID, id LockID) {
 // next lock request; the server's reclaim timer covers the pathological
 // case where none ever comes.
 func (c *LockClient) sendAcks(ctx context.Context, pending map[ResourceID][]LockID) {
-	keys := make([]ResourceID, 0, len(pending))
-	for res := range pending {
-		keys = append(keys, res)
-	}
-	slices.Sort(keys)
-	for _, res := range keys {
+	for _, res := range slices.Sorted(maps.Keys(pending)) {
 		ids := pending[res]
 		if ha, ok := c.router(res).(HandoffAcker); ok {
 			ha.HandoffAck(ctx, res, ids)

@@ -113,14 +113,20 @@ func TransferFromWire(w *wire.HandoffRequest) (ResourceID, Transfer) {
 	return ResourceID(w.Resource), t
 }
 
-// activationMsg is a server-sent message to the owner of a delegated
-// lock, captured under res.mu and delivered after it drops: a transfer
-// — the part of a predecessor that released, or an activation — or the
-// solicitation of lock t.Lock's ack.
+// activationMsg is a server-sent transfer to the owner of a delegated
+// lock, captured under res.mu and delivered after it drops: the part of
+// a predecessor that released, or an activation.
 type activationMsg struct {
 	client ClientID
 	res    ResourceID
 	t      Transfer
+}
+
+// solicitMsg asks the owner of delegated lock id for its ack.
+type solicitMsg struct {
+	client ClientID
+	res    ResourceID
+	id     LockID
 }
 
 // activation is the server's activation of lock id of client on res,
@@ -311,14 +317,14 @@ func (s *Server) solicitAck(res *resource, w *waiter, c *lock, fx *effects) {
 	s.Stats.AckSolicits.Add(1)
 	s.tracer.record(Event{Kind: EvAckSolicit, Resource: res.id, Client: w.req.Client, Mode: w.req.Mode,
 		Range: w.req.Range, Lock: c.id, Succ: t.id, SuccClient: t.client})
-	fx.solicits = append(fx.solicits, activationMsg{client: t.client, res: res.id, t: Transfer{Lock: t.id}})
+	fx.solicits = append(fx.solicits, solicitMsg{client: t.client, res: res.id, id: t.id})
 }
 
 // sendSolicit delivers an ack solicitation through the notifier. A lost
 // one costs nothing but time: the lazy ack and the reclaimer still stand
 // behind it.
-func (s *Server) sendSolicit(m activationMsg) {
-	s.clk.Go(func() { s.notifier.SolicitAck(s.baseCtx, m.client, m.res, m.t.Lock) })
+func (s *Server) sendSolicit(m solicitMsg) {
+	s.clk.Go(func() { s.notifier.SolicitAck(s.baseCtx, m.client, m.res, m.id) })
 }
 
 // delegationEntry tracks one outstanding delegation for the

@@ -693,3 +693,96 @@ func TestGrantAfterActivationClaimsLease(t *testing.T) {
 	}
 	c.Unlock(h)
 }
+
+// scriptConn answers lock requests with its grants in turn, handing
+// each to hook before the client sees the reply, and records releases.
+type scriptConn struct {
+	grants []Grant
+	hook   func(Grant)
+	mu     sync.Mutex
+	calls  int
+	rels   []LockID
+}
+
+func (s *scriptConn) Lock(context.Context, Request) (Grant, error) {
+	s.mu.Lock()
+	g := s.grants[s.calls]
+	s.calls++
+	s.mu.Unlock()
+	s.hook(g)
+	return g, nil
+}
+
+func (s *scriptConn) Release(_ context.Context, _ ResourceID, id LockID) error {
+	s.mu.Lock()
+	s.rels = append(s.rels, id)
+	s.mu.Unlock()
+	return nil
+}
+
+func (s *scriptConn) Downgrade(context.Context, ResourceID, LockID, Mode) error { return nil }
+
+// TestGrantAfterActivationLeftStartsOver: a delegated grant reply that
+// reaches the client after the server's activation installed its lease
+// and a revocation canceled and released that lease caches nothing and
+// does not wait for a transfer that will never come: the acquire starts
+// over with a new request.
+func TestGrantAfterActivationLeftStartsOver(t *testing.T) {
+	res, rng := ResourceID(3), extent.New(0, 4096)
+	conn := &scriptConn{grants: []Grant{
+		{LockID: 9, Mode: PW, Range: rng, SN: 5, Delegated: true},
+		{LockID: 10, Mode: PW, Range: rng, SN: 6},
+	}}
+	c := NewLockClient(2, handoffPolicy(), func(ResourceID) ServerConn { return conn }, &recFlusher{})
+	defer c.Close()
+	conn.hook = func(g Grant) {
+		if !g.Delegated {
+			return
+		}
+		c.OnTransfer(res, activation(2, res, g.LockID, g.Mode, g.Range, g.SN).t)
+		c.OnRevoke(res, g.LockID)
+		waitFor(t, "the activated lease released", func() bool {
+			conn.mu.Lock()
+			released := slices.Contains(conn.rels, g.LockID)
+			conn.mu.Unlock()
+			return released && c.CachedLocks(res) == 0
+		})
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	hd, err := c.Acquire(ctx, res, PW, rng)
+	if err != nil {
+		t.Fatalf("acquire: %v; the reply for the released lease parked it", err)
+	}
+	if hd.ID() != 10 || c.CachedLocks(res) != 1 || conn.calls != 2 {
+		t.Fatalf("acquire = lock %d with %d cached locks after %d requests, want lock 10 alone after 2", hd.ID(), c.CachedLocks(res), conn.calls)
+	}
+	c.Unlock(hd)
+}
+
+// TestStandingWaitKeepsRotation: a shared acquire's standing wait that
+// its ctx ends leaves the resource in the fan rotation; only a passed
+// deadline takes it out.
+func TestStandingWaitKeepsRotation(t *testing.T) {
+	c := NewLockClient(2, handoffPolicy(), func(ResourceID) ServerConn { return directConn{} }, &recFlusher{})
+	defer c.Close()
+	res, rng := ResourceID(3), extent.New(0, 4096)
+	standing := func() bool {
+		c.st.mu.Lock()
+		defer c.st.mu.Unlock()
+		return c.st.fanStanding[res]
+	}
+	c.st.mu.Lock()
+	c.st.fanStanding[res] = true
+	c.st.mu.Unlock()
+	ev := clientEvent{kind: cevAwait, need: PR, rng: rng}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if h, err := c.await(ctx, res, ev, time.Now().Add(time.Hour)); h != nil || err == nil || !standing() {
+		t.Fatalf("canceled standing wait = %v, %v, standing %v; want an error and the rotation kept", h, err, standing())
+	}
+	if h, err := c.await(context.Background(), res, ev, time.Now()); h != nil || err != nil || standing() {
+		t.Fatalf("expired standing wait = %v, %v, standing %v; want neither and the rotation left", h, err, standing())
+	}
+}

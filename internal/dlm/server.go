@@ -776,7 +776,7 @@ type effects struct {
 	revs     []Revocation
 	sends    []grantSend
 	acts     []activationMsg
-	solicits []activationMsg
+	solicits []solicitMsg
 }
 
 // effectsPool recycles effects records: every newEffects is paired
